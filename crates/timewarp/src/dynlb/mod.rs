@@ -35,8 +35,8 @@
 
 use std::collections::BTreeMap;
 
+use crate::app::Application;
 use crate::event::LpId;
-use crate::stats::LpCounters;
 use crate::time::VTime;
 
 /// Knobs for dynamic load balancing, set via
@@ -189,66 +189,6 @@ impl LoadBalancer for GreedyBalancer {
     }
 }
 
-/// Executive-side bookkeeping: turns cumulative [`LpCounters`] into
-/// per-window deltas and accumulates remote traffic between rounds.
-///
-/// Traffic is logged as one appended pair per message and aggregated only
-/// when the window closes: `record_comm` sits on the hot send path, so it
-/// must not pay a map lookup per message.
-#[derive(Debug)]
-pub(crate) struct WindowTracker {
-    prev: Vec<LpCounters>,
-    comm_log: Vec<(LpId, LpId)>,
-}
-
-impl WindowTracker {
-    pub(crate) fn new(n: usize) -> WindowTracker {
-        WindowTracker { prev: vec![LpCounters::default(); n], comm_log: Vec::new() }
-    }
-
-    /// Record one remote message between `src` and `dst`.
-    pub(crate) fn record_comm(&mut self, src: LpId, dst: LpId) {
-        self.comm_log.push(if src <= dst { (src, dst) } else { (dst, src) });
-    }
-
-    /// Window delta for `lp` given its cumulative counters `now`; advances
-    /// the snapshot.
-    pub(crate) fn diff(&mut self, lp: LpId, now: LpCounters) -> LpWindow {
-        let prev = std::mem::replace(&mut self.prev[lp as usize], now);
-        LpWindow {
-            events: now.events_processed - prev.events_processed,
-            rollbacks: now.rollbacks - prev.rollbacks,
-            events_rolled_back: now.events_rolled_back - prev.events_rolled_back,
-            // Filled in by the platform executive when a fault plan is
-            // installed (the tracker never sees node-level fault time).
-            fault_penalty: 0,
-        }
-    }
-
-    /// Drain the accumulated traffic log, aggregated per unordered pair.
-    pub(crate) fn take_comm(&mut self) -> BTreeMap<(LpId, LpId), u64> {
-        self.comm_log.sort_unstable();
-        let mut comm = BTreeMap::new();
-        for &pair in &self.comm_log {
-            *comm.entry(pair).or_insert(0u64) += 1;
-        }
-        self.comm_log.clear();
-        comm
-    }
-
-    /// The cumulative snapshot for `lp` (travels with a migrating LP on the
-    /// threaded executive, so the receiving cluster's next diff stays
-    /// correct).
-    pub(crate) fn snapshot(&self, lp: LpId) -> LpCounters {
-        self.prev[lp as usize]
-    }
-
-    /// Install a snapshot received with a migrating LP.
-    pub(crate) fn install(&mut self, lp: LpId, snap: LpCounters) {
-        self.prev[lp as usize] = snap;
-    }
-}
-
 /// The configured balancing subsystem carried by
 /// [`crate::Simulator`]: the knobs plus the policy object.
 pub struct DynLb {
@@ -273,6 +213,19 @@ pub(crate) fn move_is_valid(mv: &Migration, assignment: &[u32], parts: usize) ->
         && (mv.to as usize) < parts
         && mv.from != mv.to
         && assignment[mv.lp as usize] == mv.from
+}
+
+/// Per-LP "must not migrate" flags from [`Application::pinned_lps`]
+/// (replica LPs: moving one would reintroduce the boundary traffic it
+/// exists to remove).
+pub(crate) fn pinned_mask<A: Application>(app: &A) -> Vec<bool> {
+    let mut pinned = vec![false; app.num_lps()];
+    for lp in app.pinned_lps() {
+        if let Some(slot) = pinned.get_mut(lp as usize) {
+            *slot = true;
+        }
+    }
+    pinned
 }
 
 #[cfg(test)]
@@ -328,42 +281,6 @@ mod tests {
         let asg = vec![0u32; 32];
         let cfg = DynLbConfig { max_moves: 3, ..Default::default() };
         assert!(GreedyBalancer.plan(&w, &asg, 4, &cfg).len() <= 3);
-    }
-
-    #[test]
-    fn tracker_diffs_and_carries_snapshots() {
-        let mut t = WindowTracker::new(2);
-        let c1 = LpCounters { events_processed: 10, rollbacks: 1, events_rolled_back: 3 };
-        assert_eq!(
-            t.diff(0, c1),
-            LpWindow { events: 10, rollbacks: 1, events_rolled_back: 3, fault_penalty: 0 }
-        );
-        let c2 = LpCounters { events_processed: 25, rollbacks: 1, events_rolled_back: 3 };
-        assert_eq!(
-            t.diff(0, c2),
-            LpWindow { events: 15, rollbacks: 0, events_rolled_back: 0, fault_penalty: 0 }
-        );
-        // Snapshot travels to another tracker (threaded migration).
-        let snap = t.snapshot(0);
-        let mut t2 = WindowTracker::new(2);
-        t2.install(0, snap);
-        let c3 = LpCounters { events_processed: 30, rollbacks: 2, events_rolled_back: 4 };
-        assert_eq!(
-            t2.diff(0, c3),
-            LpWindow { events: 5, rollbacks: 1, events_rolled_back: 1, fault_penalty: 0 }
-        );
-    }
-
-    #[test]
-    fn comm_is_unordered_and_accumulates() {
-        let mut t = WindowTracker::new(4);
-        t.record_comm(3, 1);
-        t.record_comm(1, 3);
-        t.record_comm(0, 2);
-        let comm = t.take_comm();
-        assert_eq!(comm.get(&(1, 3)), Some(&2));
-        assert_eq!(comm.get(&(0, 2)), Some(&1));
-        assert!(t.take_comm().is_empty(), "drained");
     }
 
     #[test]

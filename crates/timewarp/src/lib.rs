@@ -2,11 +2,12 @@
 //! a Rust reimplementation of the role WARPED \[18\] plays in the paper's
 //! SAVANT/TYVIS/WARPED stack.
 //!
-//! Three executives share one protocol engine ([`lp::LpRuntime`]) behind
-//! one entry point, [`Simulator`]:
+//! Three executives behind one entry point, [`Simulator`]. The two
+//! optimistic ones are thin drivers over one cluster engine (`ClusterCore`:
+//! schedule, route, commit and migrate over [`lp::LpRuntime`]s):
 //!
 //! * [`Backend::Sequential`] — single event queue, the baseline and
-//!   determinism oracle;
+//!   determinism oracle (deliberately shares no code with the others);
 //! * [`Backend::Platform`] — a deterministic virtual platform that models
 //!   N workstation nodes (CPU cost model + network latency) running the
 //!   real Time Warp protocol; all paper tables/figures use this;
@@ -28,6 +29,7 @@
 pub mod app;
 pub mod chaos;
 pub mod config;
+mod core;
 pub mod cost;
 pub mod dynlb;
 pub mod event;
@@ -42,6 +44,8 @@ pub mod sequential;
 pub mod series;
 pub mod sim;
 pub mod stats;
+#[cfg(test)]
+mod testkit;
 pub mod threaded;
 pub mod time;
 

@@ -9,6 +9,7 @@ use std::collections::BinaryHeap;
 
 use crate::app::{Application, EventSink};
 use crate::config::{Cancellation, KernelConfig};
+use crate::dynlb::LpWindow;
 use crate::event::{AntiEvent, Event, EventId, LpId, Transmission};
 use crate::pool::{EventPool, IdHashMap, Loc, Slot};
 use crate::probe::{Probe, RollbackKind};
@@ -74,6 +75,9 @@ pub struct LpRuntime<A: Application> {
     cfg: KernelConfig,
     /// This LP's own counters (aggregates live in [`KernelStats`]).
     own: LpCounters,
+    /// `own` as of the last [`Self::take_window`]. Part of the LP, so the
+    /// dynlb window baseline migrates with it.
+    window_base: LpCounters,
     /// Scratch buffers reused across `execute_next`/`rollback_to` calls so
     /// the steady-state hot path performs no allocation.
     batch: Vec<Event<A::Msg>>,
@@ -114,6 +118,7 @@ impl<A: Application> LpRuntime<A> {
             batches_since_checkpoint: 0,
             cfg: cfg.normalized(),
             own: LpCounters::default(),
+            window_base: LpCounters::default(),
             batch: Vec::new(),
             msgs: Vec::new(),
             sink_buf: Vec::new(),
@@ -178,6 +183,20 @@ impl<A: Application> LpRuntime<A> {
     /// This LP's own counters (hotspot analysis).
     pub fn own_stats(&self) -> LpCounters {
         self.own
+    }
+
+    /// This LP's activity since the previous call — one dynamic
+    /// load-balancing window.
+    pub fn take_window(&mut self) -> LpWindow {
+        let base = std::mem::replace(&mut self.window_base, self.own);
+        LpWindow {
+            events: self.own.events_processed - base.events_processed,
+            rollbacks: self.own.rollbacks - base.rollbacks,
+            events_rolled_back: self.own.events_rolled_back - base.events_rolled_back,
+            // Filled in by the platform executive when a fault plan is
+            // installed (an LP never sees node-level fault time).
+            fault_penalty: 0,
+        }
     }
 
     /// Held lazy cancellations not yet resolved (diagnostics; must be zero
@@ -791,6 +810,48 @@ mod tests {
         assert_eq!(*lps[1].state(), 7);
         lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
         assert_eq!(*lps[1].state(), 57);
+    }
+
+    /// Successive windows are differences in all three counters, and the
+    /// baseline is part of the LP, so it survives a move.
+    #[test]
+    fn take_window_diffs_and_carries_its_baseline() {
+        let app = Accum { n: 2, bound: 0 };
+        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let event = |seq, t| Event {
+            id: EventId { src: 0, seq },
+            dst: 1,
+            send_time: VTime(1),
+            recv_time: VTime(t),
+            msg: 1,
+        };
+        let window = |events, rollbacks, events_rolled_back| LpWindow {
+            events,
+            rollbacks,
+            events_rolled_back,
+            fault_penalty: 0,
+        };
+        let mut lp = lps.pop().unwrap();
+        for ev in [event(100, 5), event(101, 6)] {
+            lp.receive(&app, Transmission::Positive(ev), &mut stats, &mut outbox, &mut NoProbe);
+            lp.execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        }
+        // A straggler undoes both.
+        let early = Transmission::Positive(event(102, 3));
+        lp.receive(&app, early, &mut stats, &mut outbox, &mut NoProbe);
+        assert_eq!(lp.take_window(), window(2, 1, 2));
+
+        // Moved, as `ClusterCore::evict` / `adopt` move it, then re-executed:
+        // the next window holds only the new work.
+        let mut moved = Box::new(lp);
+        for _ in 0..3 {
+            moved.execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        }
+        assert_eq!(moved.take_window(), window(3, 0, 0));
+        let anti = Transmission::Anti(event(101, 6).anti());
+        moved.receive(&app, anti, &mut stats, &mut outbox, &mut NoProbe);
+        assert_eq!(moved.take_window(), window(0, 1, 1));
+        assert_eq!(moved.take_window(), LpWindow::default(), "drained");
     }
 
     /// An anti-message for a pending event annihilates it silently.

@@ -115,10 +115,7 @@ impl Application for Phold {
 mod tests {
     use super::*;
     use crate::sim::{Backend, Simulator};
-
-    fn round_robin(n: usize, k: usize) -> Vec<u32> {
-        (0..n).map(|i| (i % k) as u32).collect()
-    }
+    use crate::testkit::round_robin;
 
     #[test]
     fn sequential_run_conserves_jobs() {

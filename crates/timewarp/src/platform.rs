@@ -6,10 +6,11 @@
 //! virtual CPU clock advanced by the [`CostModel`] for each protocol
 //! action (event execution, state saving, rollback, message send/receive,
 //! GVT rounds), and inter-node messages arrive after a wire latency. The
-//! *protocol* is executed exactly — real [`LpRuntime`] instances with real
-//! rollbacks, anti-messages and fossil collection — so rollback counts and
-//! message counts are genuine Time Warp dynamics, and "execution time" is
-//! the makespan (the largest node clock at termination).
+//! *protocol* is executed exactly — one real `ClusterCore` per node, with
+//! real rollbacks, anti-messages and fossil collection — so rollback
+//! counts and message counts are genuine Time Warp dynamics, and
+//! "execution time" is the makespan (the largest node clock at
+//! termination).
 //!
 //! Everything is deterministic given the application, making the
 //! experiment tables exactly reproducible — and, unlike wall-clock runs on
@@ -21,10 +22,10 @@ use std::collections::BinaryHeap;
 use crate::app::Application;
 use crate::chaos::{ChaosRuntime, ChaosStep, FaultPlan};
 use crate::config::{ConfigError, KernelConfig};
+use crate::core::{ClusterCore, Committed, Homes, Hop};
 use crate::cost::CostModel;
-use crate::dynlb::{move_is_valid, DynLb, WindowStats, WindowTracker};
-use crate::event::{Event, LpId, Transmission};
-use crate::lp::LpRuntime;
+use crate::dynlb::{move_is_valid, pinned_mask, DynLb, WindowStats};
+use crate::event::Transmission;
 use crate::probe::Probe;
 use crate::sim::{Outcome, RunReport, SimError};
 use crate::stats::KernelStats;
@@ -96,26 +97,184 @@ impl PlatformConfigBuilder {
     }
 }
 
-/// One simulated workstation.
-struct Node {
-    clock_ns: u64,
-    /// Lazy min-heap over `(next_time, lp)`; entries are re-pushed on every
-    /// queue change and validated on pop.
-    ready: BinaryHeap<Reverse<(VTime, LpId)>>,
-    batches: u64,
-}
-
 /// In-flight network message.
 struct Flight<M> {
-    arrive_ns: u64,
     /// Chaos wire id for dedup/ack tracking (`u64::MAX` = no fault plan
     /// installed; such flights bypass the chaos filter entirely).
     wire_id: u64,
     tx: Transmission<M>,
 }
 
-/// The executive proper, generic over the telemetry probe.
-// detlint: phase(compute|flush|gvt|migrate|fossil)
+/// What is genuinely platform: the modeled hardware the clusters run on.
+struct Platform<M> {
+    cost: CostModel,
+    /// One virtual CPU clock per node.
+    clocks: Vec<u64>,
+    /// Where every LP lives (dynamic load balancing rewrites it at GVT
+    /// commit). Remote hops resolve their node here when they are sent
+    /// *and* when they land, so traffic follows migrated LPs.
+    homes: Homes,
+    /// Seeded fault engine (`None` = healthy platform, the default). It
+    /// perturbs only modeled time and message counts; committed history
+    /// must stay byte-identical (see the `chaos` module docs).
+    chaos: Option<ChaosRuntime<M>>,
+    /// In-flight messages live in a slab; the wire heap orders them by
+    /// `(arrival, send sequence)` and carries the slot. Slots recycle
+    /// through a free list, so the steady-state wire path does no hashing
+    /// and no allocation.
+    net: BinaryHeap<Reverse<(u64, u64, usize)>>,
+    flights: Vec<Option<Flight<M>>>,
+    free_flights: Vec<usize>,
+    flight_seq: u64,
+    /// Ingress link occupancy per node: messages serialize onto the
+    /// destination's link, so bursts queue (congestion).
+    link_free_ns: Vec<u64>,
+}
+
+impl<M: Clone> Platform<M> {
+    /// Charge modeled CPU work to a node, letting an active fault window
+    /// inflate it (slowdown) or defer it (pause). With no plan installed
+    /// this is exactly `clock += work`.
+    fn charge(&mut self, node: usize, work_ns: u64) {
+        self.clocks[node] = match self.chaos.as_mut() {
+            Some(ch) => ch.charge(node, self.clocks[node], work_ns),
+            None => self.clocks[node] + work_ns,
+        };
+    }
+
+    /// Send `tx` from node `from` (attempt 0 = first transmission, whose
+    /// `wire_id` is assigned here): charge the sender's CPU, let the
+    /// destination's ingress link drop or degrade the attempt, and queue
+    /// the survivor on the wire.
+    fn transmit<P: Probe>(
+        &mut self,
+        from: usize,
+        tx: Transmission<M>,
+        mut wire_id: u64,
+        attempt: u32,
+        stats: &mut KernelStats,
+        probe: &mut P,
+    ) {
+        self.charge(from, self.cost.msg_send_ns);
+        // Re-resolved on every attempt, so retransmits follow migrated LPs.
+        let dst_node = self.homes.part(tx.dst());
+        let wire_at = self.clocks[from] + self.cost.net_latency_ns;
+        let mut extra_ns = 0;
+        if let Some(ch) = self.chaos.as_mut() {
+            if attempt == 0 {
+                // Track every remote transmission for ack/retransmit.
+                wire_id = ch.register_send(&tx, from);
+            }
+            if ch.should_drop(dst_node, wire_at, wire_id, attempt) {
+                ch.note_drop(dst_node, attempt);
+                ch.arm_timer(wire_id, wire_at + ch.rto_for(attempt));
+                stats.transmissions_dropped += 1;
+                probe.transmission_dropped(tx.is_positive(), tx.recv_time());
+                return; // no flight; the RTO will retransmit
+            }
+            extra_ns = ch.degrade_extra(dst_node, wire_at, wire_id, attempt);
+        }
+        let arrive = (wire_at + extra_ns).max(self.link_free_ns[dst_node]) + self.cost.msg_wire_ns;
+        self.link_free_ns[dst_node] = arrive;
+        if let Some(ch) = self.chaos.as_mut() {
+            // Deadline past the attempt's actual ack round trip: a healthy
+            // link never spuriously retransmits, no matter the wire
+            // backlog.
+            ch.arm_timer(wire_id, arrive + self.cost.net_latency_ns + ch.rto_for(attempt));
+        }
+        let key = self.free_flights.pop().unwrap_or_else(|| {
+            self.flights.push(None);
+            self.flights.len() - 1
+        });
+        debug_assert!(self.flights[key].is_none());
+        self.flights[key] = Some(Flight { wire_id, tx });
+        self.net.push(Reverse((arrive, self.flight_seq, key)));
+        self.flight_seq += 1;
+    }
+
+    /// Run node `from`'s outbox dry, charging its clock per hop and
+    /// putting remote transmissions on the wire.
+    fn route_outbox<A: Application<Msg = M>, P: Probe>(
+        &mut self,
+        core: &mut ClusterCore<'_, A>,
+        from: usize,
+        stats: &mut KernelStats,
+        probe: &mut P,
+    ) {
+        while let Some(hop) = core.route_next(&self.homes, stats, probe) {
+            match hop {
+                Hop::Local => self.charge(from, self.cost.local_enqueue_ns),
+                Hop::Remote(tx) => self.transmit(from, tx, u64::MAX, 0, stats, probe),
+            }
+        }
+    }
+
+    /// Lower bound on the receive time of anything the wire still owes an
+    /// LP. Two chaos refinements: (a) flights whose wire id was already
+    /// delivered are duplicates — their stale receive times must not drag
+    /// GVT below the committed frontier; (b) unacked transmissions (e.g.
+    /// dropped ones with no flight on the wire) WILL be retransmitted, so
+    /// GVT must not pass their receive times.
+    fn in_flight_min(&self) -> VTime {
+        let chaos = self.chaos.as_ref();
+        self.flights
+            .iter()
+            .flatten()
+            .filter(|f| !chaos.is_some_and(|ch| ch.is_delivered(f.wire_id)))
+            .map(|f| f.tx.recv_time())
+            .min()
+            .unwrap_or(VTime::INF)
+            .min(chaos.map_or(VTime::INF, |ch| ch.unacked_min_recv()))
+    }
+
+    /// Attribute the modeled latency each node lost to faults since the
+    /// last balancing round (pause stalls, slowdown surcharges, drop RTOs,
+    /// degrade spikes) to its LPs as event equivalents, so the balancer
+    /// sees a sick node as overloaded and routes LPs off it.
+    fn attribute_fault_time(&mut self, window: &mut WindowStats) {
+        let Some(ch) = self.chaos.as_mut() else { return };
+        for node in 0..self.clocks.len() {
+            let pen = ch.fault_ns[node] / self.cost.event_exec_ns.max(1);
+            ch.fault_ns[node] = 0;
+            if pen == 0 {
+                continue;
+            }
+            let parts = self.homes.parts();
+            let members: Vec<usize> =
+                (0..parts.len()).filter(|&l| parts[l] as usize == node).collect();
+            if members.is_empty() {
+                continue;
+            }
+            let total: u64 = members.iter().map(|&l| window.lps[l].events).sum();
+            for (k, &l) in members.iter().enumerate() {
+                window.lps[l].fault_penalty = match (pen * window.lps[l].events).checked_div(total)
+                {
+                    Some(share) => share,
+                    None => {
+                        pen / members.len() as u64
+                            + u64::from((k as u64) < pen % members.len() as u64)
+                    }
+                };
+            }
+        }
+    }
+
+    /// Ship a migrating LP's closure (`units` messages) from `src` to
+    /// `dst`. Migration traffic goes through the same network cost model
+    /// as application messages, so its price shows up in modeled time.
+    fn ship(&mut self, src: usize, dst: usize, units: u64) {
+        self.charge(src, self.cost.msg_send_ns * units);
+        let wire_at = self.clocks[src] + self.cost.net_latency_ns;
+        let arrive = wire_at.max(self.link_free_ns[dst]) + self.cost.msg_wire_ns * units;
+        self.link_free_ns[dst] = arrive;
+        self.clocks[dst] = self.clocks[dst].max(arrive);
+        self.charge(dst, self.cost.msg_recv_ns * units);
+    }
+}
+
+/// The executive proper, generic over the telemetry probe. `sim::validate`
+/// has already checked `assignment` against `app` and `nodes`.
+// detlint: phase(compute|gvt)
 pub(crate) fn platform_core<A: Application, P: Probe>(
     app: &A,
     assignment: &[u32],
@@ -125,84 +284,32 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     mut dynlb: Option<&mut DynLb>,
     chaos_plan: Option<&FaultPlan>,
 ) -> Result<RunReport<A>, SimError> {
-    if assignment.len() != app.num_lps() {
-        return Err(SimError::InvalidConfig(format!(
-            "assignment covers {} LPs but the application has {}",
-            assignment.len(),
-            app.num_lps()
-        )));
-    }
-    if nodes == 0 {
-        return Err(SimError::InvalidConfig("node count must be >= 1".into()));
-    }
-    if let Some(&bad) = assignment.iter().find(|&&n| (n as usize) >= nodes) {
-        return Err(SimError::InvalidConfig(format!(
-            "assignment targets node {bad} but only {nodes} nodes exist"
-        )));
-    }
     let kernel = cfg.kernel.normalized();
     let cost = cfg.cost;
 
-    // Seeded fault engine (None = healthy platform, the default). It
-    // perturbs only modeled time and message counts; committed history
-    // must stay byte-identical (see the `chaos` module docs).
-    let mut chaos: Option<ChaosRuntime<A::Msg>> =
-        chaos_plan.map(|p| ChaosRuntime::new(p, nodes, cost.net_latency_ns));
-
-    // Dynamic load balancing mutates the placement at GVT commit, so work
-    // on a local copy of the assignment. With one node there is nowhere to
-    // migrate to; drop the balancer so behavior is bit-identical to "off".
-    let mut assignment: Vec<u32> = assignment.to_vec();
+    // With one node there is nowhere to migrate to; drop the balancer so
+    // behavior is bit-identical to "off".
     if nodes < 2 {
         dynlb = None;
     }
-    let mut tracker = dynlb.as_ref().map(|_| WindowTracker::new(app.num_lps()));
+    let pinned = pinned_mask(app);
 
-    let mut stats =
+    let mut totals =
         KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
-    let mut outbox: Vec<Transmission<A::Msg>> = Vec::new();
-
-    // LPs the model forbids migrating (replica LPs: moving one would
-    // reintroduce the boundary traffic it exists to remove).
-    let mut pinned = vec![false; app.num_lps()];
-    for lp in app.pinned_lps() {
-        if let Some(slot) = pinned.get_mut(lp as usize) {
-            *slot = true;
-        }
-    }
-
-    // Build LPs, collecting init events.
-    let mut init_events = Vec::new();
-    let mut lps: Vec<LpRuntime<A>> = (0..app.num_lps() as LpId)
-        .map(|i| LpRuntime::new(app, i, kernel, &mut init_events))
-        .collect();
-
-    let mut node_state: Vec<Node> =
-        (0..nodes).map(|_| Node { clock_ns: 0, ready: BinaryHeap::new(), batches: 0 }).collect();
-
-    // In-flight messages live in a slab; the wire heap orders them by
-    // `(arrival, send sequence)` and carries the slot. Slots recycle
-    // through a free list, so the steady-state wire path does no hashing
-    // and no allocation.
-    let mut net: BinaryHeap<Reverse<(u64, u64, usize)>> = BinaryHeap::new();
-    let mut flights: Vec<Option<Flight<A::Msg>>> = Vec::new();
-    let mut free_flights: Vec<usize> = Vec::new();
-    let mut flight_seq = 0u64;
-    // Ingress link occupancy per node: messages serialize onto the
-    // destination's link, so bursts queue (congestion).
-    let mut link_free_ns = vec![0u64; nodes];
-
-    // Deliver init events "for free" at platform time 0 (the paper's
-    // framework partitions after elaboration; setup cost is not measured).
-    for ev in init_events {
-        let dst = ev.dst;
-        lps[dst as usize].receive(app, Transmission::Positive(ev), &mut stats, &mut outbox, probe);
-        debug_assert!(outbox.is_empty(), "init events cannot roll anything back");
-        let nt = lps[dst as usize].next_time();
-        if !nt.is_inf() {
-            node_state[assignment[dst as usize] as usize].ready.push(Reverse((nt, dst)));
-        }
-    }
+    let stats = &mut totals;
+    let (mut cores, homes) =
+        ClusterCore::partition(app, assignment, nodes, kernel, dynlb.is_some(), stats, probe);
+    let mut plat = Platform {
+        cost,
+        clocks: vec![0; nodes],
+        homes,
+        chaos: chaos_plan.map(|p| ChaosRuntime::new(p, nodes, cost.net_latency_ns)),
+        net: BinaryHeap::new(),
+        flights: Vec::new(),
+        free_flights: Vec::new(),
+        flight_seq: 0,
+        link_free_ns: vec![0; nodes],
+    };
 
     let mut batches_since_gvt = 0u64;
     let gvt_every = kernel.gvt_period * nodes as u64;
@@ -212,124 +319,24 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     let mut last_gvt = VTime::ZERO;
     let mut force_gvt = false;
 
-    // Charge modeled CPU work to a node, letting an active fault window
-    // inflate it (slowdown) or defer it (pause). With no plan installed
-    // this is exactly `clock += work`.
-    macro_rules! charge {
-        ($node:expr, $work:expr) => {{
-            let ni = $node;
-            match chaos.as_mut() {
-                Some(ch) => node_state[ni].clock_ns = ch.charge(ni, node_state[ni].clock_ns, $work),
-                None => node_state[ni].clock_ns += $work,
-            }
-        }};
-    }
-
-    // Put a transmission on the wire slab (slots recycle via the free
-    // list; the heap orders by `(arrival, send sequence)`).
-    macro_rules! push_flight {
-        ($arrive:expr, $wire_id:expr, $tx:expr) => {{
-            let flight = Flight { arrive_ns: $arrive, wire_id: $wire_id, tx: $tx };
-            let key = match free_flights.pop() {
-                Some(k) => {
-                    debug_assert!(flights[k].is_none());
-                    flights[k] = Some(flight);
-                    k
-                }
-                None => {
-                    flights.push(Some(flight));
-                    flights.len() - 1
-                }
-            };
-            net.push(Reverse(($arrive, flight_seq, key)));
-            flight_seq += 1;
-        }};
-    }
-
-    // Deliver a drained outbox from node `from`, charging its clock for
-    // sends and queuing remote transmissions on the wire.
-    macro_rules! route_outbox {
-        ($from:expr) => {
-            while let Some(tx) = outbox.pop() {
-                let dst = tx.dst() as usize;
-                let dst_node = assignment[dst] as usize;
-                if dst_node == $from {
-                    charge!($from, cost.local_enqueue_ns);
-                    // Local delivery is immediate; it may trigger a local
-                    // (secondary) rollback whose antis land back in outbox.
-                    lps[dst].receive(app, tx, &mut stats, &mut outbox, probe);
-                    let nt = lps[dst].next_time();
-                    if !nt.is_inf() {
-                        node_state[dst_node].ready.push(Reverse((nt, dst as LpId)));
-                    }
-                } else {
-                    if tx.is_positive() {
-                        stats.app_messages += 1;
-                        if let Some(tr) = tracker.as_mut() {
-                            tr.record_comm(tx.id().src, tx.dst());
-                        }
-                    } else {
-                        stats.anti_messages_remote += 1;
-                    }
-                    probe.remote_message(tx.is_positive(), tx.recv_time());
-                    charge!($from, cost.msg_send_ns);
-                    let wire_at = node_state[$from].clock_ns + cost.net_latency_ns;
-                    let mut wire_id = u64::MAX;
-                    let mut extra_ns = 0;
-                    if let Some(ch) = chaos.as_mut() {
-                        // Track every remote transmission for ack/
-                        // retransmit; the ingress link may drop or
-                        // degrade this attempt.
-                        wire_id = ch.register_send(&tx, $from);
-                        if ch.should_drop(dst_node, wire_at, wire_id, 0) {
-                            ch.note_drop(dst_node, 0);
-                            ch.arm_timer(wire_id, wire_at + ch.rto_for(0));
-                            stats.transmissions_dropped += 1;
-                            probe.transmission_dropped(tx.is_positive(), tx.recv_time());
-                            continue; // no flight; the RTO will retransmit
-                        }
-                        extra_ns = ch.degrade_extra(dst_node, wire_at, wire_id, 0);
-                    }
-                    let arrive =
-                        (wire_at + extra_ns).max(link_free_ns[dst_node]) + cost.msg_wire_ns;
-                    link_free_ns[dst_node] = arrive;
-                    if let Some(ch) = chaos.as_mut() {
-                        // Deadline past the attempt's actual ack round
-                        // trip: a healthy link never spuriously
-                        // retransmits, no matter the wire backlog.
-                        ch.arm_timer(wire_id, arrive + cost.net_latency_ns + ch.rto_for(0));
-                    }
-                    push_flight!(arrive, wire_id, tx);
-                }
-            }
-        };
-    }
-
     loop {
-        // Validate the lazy heaps, then pick the busy node with the
-        // smallest clock (ties → lowest node id, for determinism). An
-        // entry is stale if its time is outdated *or* the LP has migrated
-        // off this node since the entry was pushed.
-        for (i, ns) in node_state.iter_mut().enumerate() {
-            while let Some(&Reverse((t, lp))) = ns.ready.peek() {
-                if lps[lp as usize].next_time() == t && assignment[lp as usize] as usize == i {
-                    break;
-                }
-                ns.ready.pop();
-            }
-        }
+        // Pick the busy node with the smallest clock (ties → lowest node
+        // id, for determinism).
         let horizon = match kernel.window {
             Some(w) => last_gvt.after(w),
             None => VTime::INF,
         };
-        let best_node = node_state
-            .iter()
-            .enumerate()
-            .filter(|(_, ns)| ns.ready.peek().is_some_and(|&Reverse((t, _))| t <= horizon))
-            .min_by_key(|(i, ns)| (ns.clock_ns, *i))
-            .map(|(i, _)| i);
-        let next_arrival = net.peek().map(|&Reverse((a, _, _))| a);
-        let exec_clock = best_node.map(|i| node_state[i].clock_ns);
+        let mut best_node: Option<usize> = None;
+        let mut any_ready = false;
+        for (i, core) in cores.iter_mut().enumerate() {
+            let Some(t) = core.next_ready() else { continue };
+            any_ready = true;
+            if t <= horizon && best_node.is_none_or(|b| plat.clocks[i] < plat.clocks[b]) {
+                best_node = Some(i);
+            }
+        }
+        let next_arrival = plat.net.peek().map(|&Reverse((a, _, _))| a);
+        let exec_clock = best_node.map(|i| plat.clocks[i]);
 
         // Chaos agenda: while protocol work (unacked transmissions,
         // in-flight acks) remains it must drain even when nothing else
@@ -339,15 +346,16 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
         // first, so a plan whose windows never fire is byte-identical to
         // no plan at all.
         let next_chaos = match (exec_clock, next_arrival) {
-            (None, None) => chaos.as_mut().and_then(|ch| ch.next_protocol_ns()),
-            _ => chaos.as_mut().and_then(|ch| ch.next_ns()),
+            (None, None) => plat.chaos.as_mut().and_then(|ch| ch.next_protocol_ns()),
+            _ => plat.chaos.as_mut().and_then(|ch| ch.next_ns()),
         };
         let chaos_due = next_chaos.is_some_and(|c| {
             c < exec_clock.unwrap_or(u64::MAX) && c < next_arrival.unwrap_or(u64::MAX)
         });
+        let deliver_first = next_arrival.is_some_and(|a| exec_clock.is_none_or(|c| a < c));
 
         if chaos_due {
-            match chaos.as_mut().expect("chaos due").pop_step().expect("chaos item due") {
+            match plat.chaos.as_mut().expect("chaos due").pop_step().expect("chaos item due") {
                 ChaosStep::Ack => {}
                 ChaosStep::FaultEdge { node, onset, active_now } => {
                     if onset {
@@ -359,121 +367,65 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                     stats.retransmissions += 1;
                     probe.retransmitted(tx.recv_time());
                     // The sender's CPU re-sends when the timer fires (or
-                    // as soon as it is free after that); destination node
-                    // re-resolves, so retransmits follow migrated LPs.
-                    node_state[from_node].clock_ns = node_state[from_node].clock_ns.max(at_ns);
-                    charge!(from_node, cost.msg_send_ns);
-                    let dst = tx.dst() as usize;
-                    let dst_node = assignment[dst] as usize;
-                    let wire_at = node_state[from_node].clock_ns + cost.net_latency_ns;
-                    let ch = chaos.as_mut().expect("chaos active");
-                    if ch.should_drop(dst_node, wire_at, wire_id, attempt) {
-                        ch.note_drop(dst_node, attempt);
-                        ch.arm_timer(wire_id, wire_at + ch.rto_for(attempt));
-                        stats.transmissions_dropped += 1;
-                        probe.transmission_dropped(tx.is_positive(), tx.recv_time());
-                    } else {
-                        let extra = ch.degrade_extra(dst_node, wire_at, wire_id, attempt);
-                        let arrive =
-                            (wire_at + extra).max(link_free_ns[dst_node]) + cost.msg_wire_ns;
-                        link_free_ns[dst_node] = arrive;
-                        ch.arm_timer(wire_id, arrive + cost.net_latency_ns + ch.rto_for(attempt));
-                        push_flight!(arrive, wire_id, tx);
-                    }
+                    // as soon as it is free after that).
+                    plat.clocks[from_node] = plat.clocks[from_node].max(at_ns);
+                    plat.transmit(from_node, tx, wire_id, attempt, stats, probe);
                 }
             }
+        } else if deliver_first {
+            let Reverse((arrive, _, key)) = plat.net.pop().expect("peeked above");
+            let flight = plat.flights[key].take().expect("wire heap entry without flight");
+            plat.free_flights.push(key);
+            let dnode = plat.homes.part(flight.tx.dst());
+            plat.clocks[dnode] = plat.clocks[dnode].max(arrive);
+            plat.charge(dnode, cost.msg_recv_ns);
+            if let Some(ch) = plat.chaos.as_mut().filter(|_| flight.wire_id != u64::MAX) {
+                // The ack launches at the *wire* arrival (NIC-level,
+                // CPU-free): it lands exactly one ack latency later,
+                // always inside the retransmit deadline.
+                let v = ch.on_flight_arrival(flight.wire_id, dnode, arrive);
+                if v.ack_dropped {
+                    stats.transmissions_dropped += 1;
+                    probe.transmission_dropped(flight.tx.is_positive(), flight.tx.recv_time());
+                }
+                if !v.fresh {
+                    // Duplicate of a transmission already delivered: the
+                    // kernel assumes exactly-once per event id — discard.
+                    continue;
+                }
+            }
+            let rb_before = stats.rollbacks();
+            let undone_before = stats.events_rolled_back;
+            let coasted_before = stats.events_coasted;
+            cores[dnode].receive(flight.tx, &plat.homes, stats, probe);
+            if stats.rollbacks() > rb_before {
+                plat.charge(
+                    dnode,
+                    cost.rollback_ns
+                        + cost.undo_per_event_ns * (stats.events_rolled_back - undone_before)
+                        + cost.event_exec_ns * (stats.events_coasted - coasted_before),
+                );
+            }
+            plat.route_outbox(&mut cores[dnode], dnode, stats, probe);
+        } else if let Some(ni) = best_node {
+            let pe_before = stats.events_processed;
+            let saves_before = stats.states_saved;
+            cores[ni].execute_ready(stats, probe);
+            plat.charge(
+                ni,
+                cost.batch_overhead_ns
+                    + cost.event_exec_ns * (stats.events_processed - pe_before)
+                    + cost.state_save_ns * (stats.states_saved - saves_before),
+            );
+            batches_since_gvt += 1;
+            plat.route_outbox(&mut cores[ni], ni, stats, probe);
+        } else if any_ready {
+            // No executable work, yet not quiescent: all remaining events
+            // sit beyond the optimism window — a GVT round must advance
+            // the horizon.
+            force_gvt = true;
         } else {
-            match (best_node, next_arrival) {
-                (None, None) => {
-                    // No executable work. Either truly quiescent (done) or
-                    // all remaining events sit beyond the optimism window —
-                    // then a GVT round must advance the horizon.
-                    let throttled = node_state.iter().any(|ns| ns.ready.peek().is_some());
-                    if throttled {
-                        force_gvt = true;
-                    } else {
-                        break; // quiescent: done
-                    }
-                }
-                (exec, arr) => {
-                    let deliver_first = match (exec_clock, arr) {
-                        (Some(c), Some(a)) => a < c,
-                        (None, Some(_)) => true,
-                        _ => false,
-                    };
-                    if deliver_first {
-                        let Reverse((arrive, _, key)) = net.pop().unwrap();
-                        let flight = flights[key].take().expect("wire heap entry without flight");
-                        free_flights.push(key);
-                        debug_assert_eq!(flight.arrive_ns, arrive);
-                        let dst = flight.tx.dst() as usize;
-                        let dnode = assignment[dst] as usize;
-                        node_state[dnode].clock_ns = node_state[dnode].clock_ns.max(arrive);
-                        charge!(dnode, cost.msg_recv_ns);
-                        if let Some(ch) = chaos.as_mut() {
-                            if flight.wire_id != u64::MAX {
-                                // The ack launches at the *wire* arrival
-                                // (NIC-level, CPU-free): it lands exactly
-                                // one ack latency later, always inside
-                                // the retransmit deadline.
-                                let v = ch.on_flight_arrival(flight.wire_id, dnode, arrive);
-                                if v.ack_dropped {
-                                    stats.transmissions_dropped += 1;
-                                    probe.transmission_dropped(
-                                        flight.tx.is_positive(),
-                                        flight.tx.recv_time(),
-                                    );
-                                }
-                                if !v.fresh {
-                                    // Duplicate of a transmission already
-                                    // delivered: the kernel assumes
-                                    // exactly-once per event id — discard.
-                                    continue;
-                                }
-                            }
-                        }
-                        let rb_before = stats.rollbacks();
-                        let undone_before = stats.events_rolled_back;
-                        let coasted_before = stats.events_coasted;
-                        lps[dst].receive(app, flight.tx, &mut stats, &mut outbox, probe);
-                        if stats.rollbacks() > rb_before {
-                            charge!(
-                                dnode,
-                                cost.rollback_ns
-                                    + cost.undo_per_event_ns
-                                        * (stats.events_rolled_back - undone_before)
-                                    + cost.event_exec_ns * (stats.events_coasted - coasted_before)
-                            );
-                        }
-                        let nt = lps[dst].next_time();
-                        if !nt.is_inf() {
-                            node_state[dnode].ready.push(Reverse((nt, dst as LpId)));
-                        }
-                        route_outbox!(dnode);
-                    } else {
-                        let ni = exec.unwrap();
-                        let Reverse((t, lp)) = node_state[ni].ready.pop().unwrap();
-                        debug_assert_eq!(lps[lp as usize].next_time(), t);
-                        let pe_before = stats.events_processed;
-                        let saves_before = stats.states_saved;
-                        lps[lp as usize].execute_next(app, &mut stats, &mut outbox, probe);
-                        let batch = stats.events_processed - pe_before;
-                        charge!(
-                            ni,
-                            cost.batch_overhead_ns
-                                + cost.event_exec_ns * batch
-                                + cost.state_save_ns * (stats.states_saved - saves_before)
-                        );
-                        node_state[ni].batches += 1;
-                        batches_since_gvt += 1;
-                        let nt = lps[lp as usize].next_time();
-                        if !nt.is_inf() {
-                            node_state[ni].ready.push(Reverse((nt, lp)));
-                        }
-                        route_outbox!(ni);
-                    }
-                }
-            }
+            break; // quiescent: done
         }
 
         // Periodic GVT + fossil collection (exact: the platform sees
@@ -481,124 +433,54 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
         if batches_since_gvt >= gvt_every || force_gvt {
             batches_since_gvt = 0;
             force_gvt = false;
-            // Two chaos refinements to the in-flight minimum: (a) flights
-            // whose wire id was already delivered are duplicates — their
-            // stale receive times must not drag GVT below the committed
-            // frontier; (b) unacked transmissions (e.g. dropped ones with
-            // no flight on the wire) WILL be retransmitted, so GVT must
-            // not pass their receive times.
-            let in_flight = flights
+            let gvt = cores
                 .iter()
-                .flatten()
-                .filter(|f| !chaos.as_ref().is_some_and(|ch| ch.is_delivered(f.wire_id)))
-                .map(|f| f.tx.recv_time())
+                .map(|c| c.local_min())
                 .min()
                 .unwrap_or(VTime::INF)
-                .min(chaos.as_ref().map_or(VTime::INF, |ch| ch.unacked_min_recv()));
-            let gvt = lps.iter().map(|l| l.local_min()).min().unwrap_or(VTime::INF).min(in_flight);
+                .min(plat.in_flight_min());
             last_gvt = gvt;
             stats.gvt_rounds += 1;
-            let mut held_total = 0u64;
-            let mut pending_total = 0u64;
-            let mut per_node = vec![0u64; nodes];
-            for lp in &mut lps {
-                lp.fossil_collect(gvt, &mut stats, probe);
-            }
-            for (i, lp) in lps.iter().enumerate() {
-                let h = lp.state_queue_len() as u64;
-                held_total += h;
-                pending_total += lp.pending_len() as u64;
-                per_node[assignment[i] as usize] += h;
-            }
+            let per_node: Vec<Committed> =
+                cores.iter_mut().map(|core| core.commit(gvt, stats, probe)).collect();
+            let held_total = per_node.iter().map(|c| c.held).sum();
+            let pending_total = per_node.iter().map(|c| c.pending).sum();
             stats.state_queue_high_water = stats.state_queue_high_water.max(held_total);
-            for (i, &held) in per_node.iter().enumerate() {
-                charge!(i, cost.gvt_round_ns);
-                if let Some(limit) = cfg.state_limit_per_node {
-                    if held > limit {
-                        return Err(SimError::OutOfMemory { node: i, states_held: held });
-                    }
+            for (i, c) in per_node.iter().enumerate() {
+                plat.charge(i, cost.gvt_round_ns);
+                if cfg.state_limit_per_node.is_some_and(|limit| c.held > limit) {
+                    return Err(SimError::OutOfMemory { node: i, states_held: c.held });
                 }
             }
-            let round_clock = node_state.iter().map(|n| n.clock_ns).max().unwrap_or(0);
+            let round_clock = plat.clocks.iter().copied().max().unwrap_or(0);
             probe.gvt_advanced(gvt, held_total, pending_total, round_clock);
 
             // Dynamic load balancing. GVT commit is the one point where an
             // LP is a compact transferable closure (see `dynlb` module
             // docs): fossil collection just ran, so moving it is copying
             // its current state, surviving checkpoints and pending events.
-            // Migration traffic goes through the same network cost model as
-            // application messages, so its price shows up in modeled time.
             if let Some(lb) = dynlb.as_deref_mut() {
                 if !gvt.is_inf() && stats.gvt_rounds.is_multiple_of(lb.cfg.period.max(1)) {
-                    let tr = tracker.as_mut().expect("tracker exists when balancing");
-                    let mut window = WindowStats::new(lps.len());
+                    let mut window = WindowStats::new(app.num_lps());
                     window.gvt = gvt;
-                    for (i, lp) in lps.iter().enumerate() {
-                        window.lps[i] = tr.diff(i as LpId, lp.own_stats());
+                    for core in &mut cores {
+                        core.window_slice(&mut window);
                     }
-                    window.comm = tr.take_comm();
-                    // Attribute the modeled latency each node lost to
-                    // faults (pause stalls, slowdown surcharges, drop
-                    // RTOs, degrade spikes) to its LPs as event
-                    // equivalents, so the balancer sees a sick node as
-                    // overloaded and routes LPs off it.
-                    if let Some(ch) = chaos.as_mut() {
-                        for node in 0..nodes {
-                            let pen = ch.fault_ns[node] / cost.event_exec_ns.max(1);
-                            ch.fault_ns[node] = 0;
-                            if pen == 0 {
-                                continue;
-                            }
-                            let members: Vec<usize> = (0..lps.len())
-                                .filter(|&l| assignment[l] as usize == node)
-                                .collect();
-                            if members.is_empty() {
-                                continue;
-                            }
-                            let total: u64 = members.iter().map(|&l| window.lps[l].events).sum();
-                            for (k, &l) in members.iter().enumerate() {
-                                window.lps[l].fault_penalty =
-                                    match (pen * window.lps[l].events).checked_div(total) {
-                                        Some(share) => share,
-                                        None => {
-                                            pen / members.len() as u64
-                                                + u64::from((k as u64) < pen % members.len() as u64)
-                                        }
-                                    };
-                            }
-                        }
-                    }
+                    plat.attribute_fault_time(&mut window);
                     stats.lb_rounds += 1;
                     window.round = stats.lb_rounds;
-                    let plan = lb.balancer.plan(&window, &assignment, nodes, &lb.cfg);
+                    let plan = lb.balancer.plan(&window, plat.homes.parts(), nodes, &lb.cfg);
                     for mv in plan {
-                        if !move_is_valid(&mv, &assignment, nodes) || pinned[mv.lp as usize] {
+                        if !move_is_valid(&mv, plat.homes.parts(), nodes) || pinned[mv.lp as usize]
+                        {
                             continue;
                         }
-                        let lp = mv.lp as usize;
                         let (src, dst) = (mv.from as usize, mv.to as usize);
-                        let pending = lps[lp].pending_len() as u64;
-                        let held = lps[lp].state_queue_len() as u64;
-                        // The closure serializes as `units` messages on the
-                        // destination's ingress link: one for the live
-                        // state, one per checkpoint, one per pending event.
-                        let units = 1 + pending + held;
-                        let bytes = pending * std::mem::size_of::<Event<A::Msg>>() as u64
-                            + (held + 1) * std::mem::size_of::<A::State>() as u64;
-                        charge!(src, cost.msg_send_ns * units);
-                        let wire_at = node_state[src].clock_ns + cost.net_latency_ns;
-                        let arrive = wire_at.max(link_free_ns[dst]) + cost.msg_wire_ns * units;
-                        link_free_ns[dst] = arrive;
-                        node_state[dst].clock_ns = node_state[dst].clock_ns.max(arrive);
-                        charge!(dst, cost.msg_recv_ns * units);
-                        assignment[lp] = mv.to;
-                        let nt = lps[lp].next_time();
-                        if !nt.is_inf() {
-                            node_state[dst].ready.push(Reverse((nt, mv.lp)));
-                        }
-                        stats.migrations += 1;
-                        stats.migrated_state_bytes += bytes;
-                        probe.lp_migrated(mv.lp, mv.from, mv.to, gvt, bytes);
+                        let mover = cores[src]
+                            .evict(&mv, &mut plat.homes, gvt, stats, probe)
+                            .expect("a valid move names the node its LP lives on");
+                        plat.ship(src, dst, mover.units);
+                        cores[dst].adopt(mover, &mut plat.homes);
                     }
                 }
             }
@@ -607,32 +489,22 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
 
     // Final commit.
     debug_assert!(
-        chaos.as_mut().is_none_or(|ch| ch.next_protocol_ns().is_none()),
+        plat.chaos.as_mut().is_none_or(|ch| ch.next_protocol_ns().is_none()),
         "terminated with unacked transmissions or in-flight acks"
     );
-    for lp in &lps {
-        debug_assert_eq!(lp.pending_cancel_len(), 0, "LP {} parked with unsent antis", lp.id());
-        debug_assert_eq!(lp.orphan_antis_len(), 0, "LP {} has orphan antis", lp.id());
-        debug_assert_eq!(lp.pending_len(), 0, "LP {} has unprocessed events", lp.id());
-    }
-    let mut held_total = 0u64;
-    for lp in &lps {
-        held_total += lp.state_queue_len() as u64;
-    }
+    let held_total = cores.iter_mut().map(|c| c.commit(VTime::INF, stats, probe).held_before).sum();
     stats.state_queue_high_water = stats.state_queue_high_water.max(held_total);
-    for lp in &mut lps {
-        lp.fossil_collect(VTime::INF, &mut stats, probe);
-    }
     stats.final_gvt = VTime::INF;
 
-    let max_clock = node_state.iter().map(|n| n.clock_ns).max().unwrap_or(0);
+    let (states, lp_stats) = ClusterCore::finish(cores);
+    let max_clock = plat.clocks.iter().copied().max().unwrap_or(0);
     Ok(RunReport {
-        stats,
-        lp_stats: lps.iter().map(|lp| lp.own_stats()).collect(),
-        states: lps.into_iter().map(|lp| lp.into_state()).collect(),
+        stats: totals,
+        lp_stats,
+        states,
         outcome: Outcome::Platform {
             exec_time_s: max_clock as f64 / 1e9,
-            node_clocks_ns: node_state.iter().map(|n| n.clock_ns).collect(),
+            node_clocks_ns: plat.clocks,
         },
         telemetry: None,
     })
@@ -648,50 +520,9 @@ pub fn sequential_modeled_time_s(events: u64, cost: &CostModel) -> f64 {
 mod tests {
     use super::*;
     use crate::app::EventSink;
+    use crate::event::LpId;
     use crate::sim::{Backend, Simulator};
-
-    /// A ring of LPs passing tokens with per-hop jitter in virtual time:
-    /// enough structure for cross-node causality violations.
-    #[derive(Debug)]
-    struct Ring {
-        n: usize,
-        hops: u64,
-    }
-    impl Application for Ring {
-        type Msg = u64; // remaining hops
-        type State = u64; // tokens seen
-
-        fn num_lps(&self) -> usize {
-            self.n
-        }
-        fn init_state(&self, _lp: LpId) -> u64 {
-            0
-        }
-        fn init_events(&self, lp: LpId, _s: &mut u64, sink: &mut EventSink<u64>) {
-            // Every LP launches a token.
-            sink.schedule_at(lp, VTime(1).after(lp as u64 % 3), self.hops);
-        }
-        fn execute(
-            &self,
-            lp: LpId,
-            state: &mut u64,
-            _now: VTime,
-            msgs: &[(LpId, u64)],
-            sink: &mut EventSink<u64>,
-        ) {
-            for &(_, hops) in msgs {
-                *state += 1;
-                if hops > 0 {
-                    let delay = 1 + (lp as u64 * 7 + hops) % 5;
-                    sink.schedule((lp + 1) % self.n as u32, delay, hops - 1);
-                }
-            }
-        }
-    }
-
-    fn round_robin(n: usize, nodes: usize) -> Vec<u32> {
-        (0..n).map(|i| (i % nodes) as u32).collect()
-    }
+    use crate::testkit::{round_robin, Ring};
 
     fn platform<A: Application>(
         app: &A,

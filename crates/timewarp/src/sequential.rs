@@ -195,25 +195,7 @@ mod tests {
 
     #[test]
     fn empty_application_terminates() {
-        struct Idle;
-        impl Application for Idle {
-            type Msg = ();
-            type State = ();
-            fn num_lps(&self) -> usize {
-                4
-            }
-            fn init_state(&self, _lp: LpId) {}
-            fn init_events(&self, _lp: LpId, _s: &mut (), _sink: &mut EventSink<()>) {}
-            fn execute(
-                &self,
-                _lp: LpId,
-                _state: &mut (),
-                _now: VTime,
-                _msgs: &[(LpId, ())],
-                _sink: &mut EventSink<()>,
-            ) {
-            }
-        }
+        use crate::testkit::Idle;
         let res = Simulator::new(&Idle).run(Backend::Sequential).unwrap();
         assert_eq!(res.stats.events_processed, 0);
         assert_eq!(res.outcome.end_time(), Some(VTime::ZERO));

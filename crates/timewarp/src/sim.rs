@@ -343,49 +343,8 @@ fn dispatch<A: Application, P: Probe>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::EventSink;
     use crate::event::LpId;
-
-    /// Jittered token ring (same shape as the executive tests).
-    #[derive(Debug)]
-    struct Ring {
-        n: usize,
-        hops: u64,
-    }
-    impl Application for Ring {
-        type Msg = u64;
-        type State = u64;
-
-        fn num_lps(&self) -> usize {
-            self.n
-        }
-        fn init_state(&self, _lp: LpId) -> u64 {
-            0
-        }
-        fn init_events(&self, lp: LpId, _s: &mut u64, sink: &mut EventSink<u64>) {
-            sink.schedule_at(lp, VTime(1).after(lp as u64 % 3), self.hops);
-        }
-        fn execute(
-            &self,
-            lp: LpId,
-            state: &mut u64,
-            _now: VTime,
-            msgs: &[(LpId, u64)],
-            sink: &mut EventSink<u64>,
-        ) {
-            for &(_, hops) in msgs {
-                *state += 1;
-                if hops > 0 {
-                    let delay = 1 + (lp as u64 * 7 + hops) % 5;
-                    sink.schedule((lp + 1) % self.n as u32, delay, hops - 1);
-                }
-            }
-        }
-    }
-
-    fn round_robin(n: usize, parts: usize) -> Vec<u32> {
-        (0..n).map(|i| (i % parts) as u32).collect()
-    }
+    use crate::testkit::{round_robin, Ring};
 
     #[test]
     fn all_backends_agree_on_states() {
@@ -410,6 +369,14 @@ mod tests {
             .run(Backend::Threaded { assignment: &[], clusters: 0 })
             .unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)));
+        // The threaded edge must reject, not panic, on a short assignment
+        // or an out-of-range cluster id: `validate` is the only check.
+        for assignment in [&[0u32; 3][..], &[0, 1, 2, 0]] {
+            let err = Simulator::new(&app)
+                .run(Backend::Threaded { assignment, clusters: 2 })
+                .unwrap_err();
+            assert!(matches!(err, SimError::InvalidConfig(_)), "{assignment:?}");
+        }
     }
 
     #[test]

@@ -31,48 +31,33 @@ use std::sync::{Barrier, Mutex};
 
 use crate::app::Application;
 use crate::config::KernelConfig;
+use crate::core::{ClusterCore, Homes, Hop, Mover};
 use crate::dynlb::{
-    move_is_valid, DynLb, DynLbConfig, LoadBalancer, Migration, WindowStats, WindowTracker,
+    move_is_valid, pinned_mask, DynLb, DynLbConfig, LoadBalancer, Migration, WindowStats,
 };
-use crate::event::{Event, LpId, Transmission};
-use crate::lp::LpRuntime;
-use crate::pool::IdHashMap;
+use crate::event::Transmission;
 use crate::probe::Probe;
 use crate::sim::{Outcome, RunReport};
-use crate::stats::{KernelStats, LpCounters};
+use crate::stats::KernelStats;
 use crate::time::VTime;
-
-/// What one cluster thread returns: its id, its statistics, the final
-/// states and counters of its LPs, and its child probe.
-type ClusterOutcome<A, P> =
-    (usize, KernelStats, Vec<(LpId, <A as Application>::State, LpCounters)>, P);
 
 /// A batch of transmissions — the unit that travels on inter-cluster
 /// channels.
 type TxBatch<M> = Vec<Transmission<M>>;
 
-/// A cluster's LP table. Keyed by the kernel's fixed-seed hasher, not
-/// `RandomState`: iteration order never reaches an observable (walks go
-/// through the sorted `local_ids`), but keeping the hasher seed-free
-/// means a stray iteration can never reintroduce run-to-run divergence.
-type LpTable<A> = IdHashMap<LpId, LpRuntime<A>>;
-
-/// One migrating LP in a handoff buffer: its id, its runtime, and the
-/// cumulative counter snapshot the destination's window tracker resumes
-/// from.
-type Mover<A> = (LpId, LpRuntime<A>, LpCounters);
-
 /// Shared dynamic load-balancing state: the merged per-window statistics,
 /// the plan agreed by cluster 0, and per-destination handoff buffers for
-/// migrating LP runtimes ("movers"). All accesses happen inside the GVT
-/// barrier region, where the flush protocol guarantees no message is in
-/// flight — see the `dynlb` module docs.
+/// migrating LPs. All accesses happen inside the GVT barrier region, where
+/// the flush protocol guarantees no message is in flight — see the `dynlb`
+/// module docs.
 struct LbShared<'b, A: Application> {
     cfg: DynLbConfig,
     balancer: Mutex<&'b mut dyn LoadBalancer>,
     window: Mutex<WindowStats>,
     plan: Mutex<Vec<Migration>>,
     movers: Vec<Mutex<Vec<Mover<A>>>>,
+    /// LPs the model forbids migrating.
+    pinned: Vec<bool>,
 }
 
 /// Shared GVT coordination state.
@@ -88,7 +73,8 @@ struct GvtShared {
     gvt: AtomicU64,
 }
 
-/// The executive proper, generic over the telemetry probe.
+/// The executive proper, generic over the telemetry probe. `sim::validate`
+/// has already checked `assignment` against `app` and `clusters`.
 // detlint: phase(compute)
 pub(crate) fn threaded_core<A: Application, P: Probe>(
     app: &A,
@@ -98,9 +84,6 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     probe: &mut P,
     mut dynlb: Option<&mut DynLb>,
 ) -> RunReport<A> {
-    assert_eq!(assignment.len(), app.num_lps());
-    assert!(clusters >= 1);
-    assert!(assignment.iter().all(|&c| (c as usize) < clusters));
     let cfg = cfg.normalized();
 
     // With one cluster there is nowhere to migrate to; drop the balancer
@@ -114,17 +97,13 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
         window: Mutex::new(WindowStats::new(app.num_lps())),
         plan: Mutex::new(Vec::new()),
         movers: (0..clusters).map(|_| Mutex::new(Vec::new())).collect(),
+        pinned: pinned_mask(app),
     });
 
     // Channels: one receiver per cluster (moved into its thread), senders
     // shared by everyone. Channels carry transmission *batches*.
-    let mut senders: Vec<Sender<TxBatch<A::Msg>>> = Vec::with_capacity(clusters);
-    let mut receivers: Vec<Receiver<TxBatch<A::Msg>>> = Vec::with_capacity(clusters);
-    for _ in 0..clusters {
-        let (tx, rx) = channel();
-        senders.push(tx);
-        receivers.push(rx);
-    }
+    let (senders, receivers): (Vec<_>, Vec<_>) =
+        (0..clusters).map(|_| channel::<TxBatch<A::Msg>>()).unzip();
 
     let shared = GvtShared {
         requested: AtomicBool::new(false),
@@ -134,498 +113,288 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
         gvt: AtomicU64::new(0),
     };
 
-    // Build LPs and seed init events through the channels so every cluster
-    // starts with its inbox populated.
-    let mut init_events = Vec::new();
-    let lps: Vec<LpRuntime<A>> =
-        (0..app.num_lps() as LpId).map(|i| LpRuntime::new(app, i, cfg, &mut init_events)).collect();
-    let mut init_batches: Vec<TxBatch<A::Msg>> = (0..clusters).map(|_| Vec::new()).collect();
-    for ev in init_events {
-        let c = assignment[ev.dst as usize] as usize;
-        init_batches[c].push(Transmission::Positive(ev));
-    }
-    for (c, batch) in init_batches.into_iter().enumerate() {
-        if !batch.is_empty() {
-            senders[c].send(batch).expect("receiver alive");
-        }
-    }
-    let mut per_cluster_lps: Vec<Vec<(LpId, LpRuntime<A>)>> =
-        (0..clusters).map(|_| Vec::new()).collect();
-    for (i, lp) in lps.into_iter().enumerate() {
-        per_cluster_lps[assignment[i] as usize].push((i as LpId, lp));
-    }
+    let mut stats =
+        KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
+    let (cores, homes) = ClusterCore::partition(
+        app,
+        assignment,
+        clusters,
+        cfg,
+        lb_shared.is_some(),
+        &mut stats,
+        probe,
+    );
 
     // detlint: allow(D002, host wall-clock feeds only RunReport/probe telemetry host-time columns and never virtual time)
     let started = std::time::Instant::now();
-    let mut joined: Vec<ClusterOutcome<A, P>> = Vec::new();
+    let mut finished = Vec::with_capacity(clusters);
 
     std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(clusters);
-        for ((cid, lps), rx) in per_cluster_lps.into_iter().enumerate().zip(receivers) {
-            let senders = senders.clone();
-            let shared = &shared;
-            let assignment = &assignment;
-            let cfg = &cfg;
-            let lb = lb_shared.as_ref();
-            let child = probe.fork();
-            handles.push(scope.spawn(move || {
-                cluster_main(
-                    app, cid, lps, senders, rx, shared, assignment, cfg, lb, child, started,
-                )
-            }));
+        for ((cid, core), rx) in cores.into_iter().enumerate().zip(receivers) {
+            let cluster = Cluster {
+                cid,
+                core,
+                rx,
+                out_bufs: (0..clusters).map(|_| Vec::new()).collect(),
+                senders: senders.clone(),
+                homes: homes.clone(),
+                stats: KernelStats::default(),
+                probe: probe.fork(),
+            };
+            let (shared, cfg, lb) = (&shared, &cfg, lb_shared.as_ref());
+            handles.push(scope.spawn(move || cluster.run(shared, cfg, lb, started)));
         }
+        // Joined, and therefore merged, in cluster-id order — deterministic
+        // regardless of which thread finished first.
         for h in handles {
-            joined.push(h.join().expect("cluster thread panicked"));
+            let cluster = h.join().expect("cluster thread panicked");
+            stats.merge(&cluster.stats);
+            probe.join(cluster.probe);
+            finished.push(cluster.core);
         }
     });
     let wall = started.elapsed();
 
-    // Merge in cluster-id order — deterministic regardless of which thread
-    // finished first.
-    joined.sort_by_key(|(cid, ..)| *cid);
-    let mut stats = KernelStats::default();
-    let mut states: Vec<Option<A::State>> = (0..app.num_lps()).map(|_| None).collect();
-    let mut lp_stats: Vec<LpCounters> = vec![LpCounters::default(); app.num_lps()];
-    for (_cid, s, lp_states, child) in joined {
-        stats.merge(&s);
-        for (id, st, counters) in lp_states {
-            states[id as usize] = Some(st);
-            lp_stats[id as usize] = counters;
-        }
-        probe.join(child);
-    }
     stats.final_gvt = VTime::INF;
-    RunReport {
-        stats,
-        states: states.into_iter().map(|s| s.expect("every LP reported")).collect(),
-        lp_stats,
-        outcome: Outcome::Threaded { wall },
-        telemetry: None,
-    }
+    let (states, lp_stats) = ClusterCore::finish(finished);
+    RunReport { stats, states, lp_stats, outcome: Outcome::Threaded { wall }, telemetry: None }
 }
 
-/// Route everything in `outbox`: local → direct insert (cascading
-/// by-products stay in `outbox`), remote → per-destination buffer in
-/// `out_bufs`, flushed as one channel send per destination before
-/// returning (never parked — the GVT flush protocol depends on it).
-/// Returns transmissions routed (messages, not batches).
-// detlint: phase(compute|flush)
-#[allow(clippy::too_many_arguments)]
-fn route<A: Application, P: Probe>(
+/// Everything one cluster thread owns.
+struct Cluster<'a, A: Application, P: Probe> {
     cid: usize,
-    outbox: &mut Vec<Transmission<A::Msg>>,
-    out_bufs: &mut [TxBatch<A::Msg>],
-    table: &mut LpTable<A>,
-    senders: &[Sender<TxBatch<A::Msg>>],
-    assignment: &[u32],
-    app: &A,
-    stats: &mut KernelStats,
-    probe: &mut P,
-    mut tracker: Option<&mut WindowTracker>,
-) -> u64 {
-    let mut routed = 0;
-    while let Some(tx) = outbox.pop() {
-        let dst = tx.dst();
-        let dc = assignment[dst as usize] as usize;
-        if dc == cid {
-            let lp = table.get_mut(&dst).expect("local LP");
-            let mut sub = Vec::new();
-            lp.receive(app, tx, stats, &mut sub, probe);
-            outbox.append(&mut sub);
-        } else {
-            if tx.is_positive() {
-                stats.app_messages += 1;
-                if let Some(tr) = tracker.as_deref_mut() {
-                    tr.record_comm(tx.id().src, dst);
-                }
-            } else {
-                stats.anti_messages_remote += 1;
-            }
-            probe.remote_message(tx.is_positive(), tx.recv_time());
-            routed += 1;
-            out_bufs[dc].push(tx);
-        }
-    }
-    for (dc, buf) in out_bufs.iter_mut().enumerate() {
-        if !buf.is_empty() {
-            stats.comm_batches += 1;
-            senders[dc].send(std::mem::take(buf)).expect("cluster receiver alive");
-        }
-    }
-    routed
-}
-
-// detlint: phase(compute|migrate|fossil)
-#[allow(clippy::too_many_arguments)]
-fn cluster_main<A: Application, P: Probe>(
-    app: &A,
-    cid: usize,
-    lps: Vec<(LpId, LpRuntime<A>)>,
-    senders: Vec<Sender<TxBatch<A::Msg>>>,
+    core: ClusterCore<'a, A>,
     rx: Receiver<TxBatch<A::Msg>>,
-    shared: &GvtShared,
-    assignment: &[u32],
-    cfg: &KernelConfig,
-    lb: Option<&LbShared<'_, A>>,
-    mut probe: P,
-    started: std::time::Instant,
-) -> ClusterOutcome<A, P> {
-    let mut stats =
-        KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
-    let mut outbox: Vec<Transmission<A::Msg>> = Vec::new();
-    // Per-destination coalescing buffers, reused across routing passes.
-    let mut out_bufs: Vec<TxBatch<A::Msg>> = (0..senders.len()).map(|_| Vec::new()).collect();
+    senders: Vec<Sender<TxBatch<A::Msg>>>,
+    /// Per-destination coalescing buffers, reused across routing passes.
+    out_bufs: Vec<TxBatch<A::Msg>>,
+    /// This cluster's copy of the routing table (see [`Homes`]).
+    homes: Homes,
+    stats: KernelStats,
+    probe: P,
+}
 
-    // LPs the model forbids migrating (replica LPs). Every cluster
-    // computes the same set, so plan filtering stays identical everywhere.
-    let mut pinned = vec![false; assignment.len()];
-    for lp in app.pinned_lps() {
-        if let Some(slot) = pinned.get_mut(lp as usize) {
-            *slot = true;
+impl<A: Application, P: Probe> Cluster<'_, A, P> {
+    /// Run the core's outbox dry: local hops are the core's business,
+    /// remote ones coalesce per destination and every non-empty buffer is
+    /// flushed with one channel send before returning (never parked — the
+    /// GVT flush protocol depends on it). Returns transmissions sent
+    /// (messages, not batches).
+    // detlint: phase(compute|flush)
+    fn route(&mut self) -> u64 {
+        let mut routed = 0;
+        while let Some(hop) = self.core.route_next(&self.homes, &mut self.stats, &mut self.probe) {
+            if let Hop::Remote(tx) = hop {
+                routed += 1;
+                self.out_bufs[self.homes.part(tx.dst())].push(tx);
+            }
         }
+        for (dc, buf) in self.out_bufs.iter_mut().enumerate() {
+            if !buf.is_empty() {
+                self.stats.comm_batches += 1;
+                self.senders[dc].send(std::mem::take(buf)).expect("cluster receiver alive");
+            }
+        }
+        routed
     }
 
-    // Dynamic load balancing rewrites the routing table at GVT commit;
-    // every cluster keeps its own copy and applies the agreed plan to it
-    // inside the barrier region, so all copies stay identical.
-    let mut assignment: Vec<u32> = assignment.to_vec();
-    let mut tracker = lb.map(|_| WindowTracker::new(assignment.len()));
-
-    let mut table: LpTable<A> = lps.into_iter().collect();
-    let mut local_ids: Vec<LpId> = {
-        let mut v: Vec<LpId> = table.keys().copied().collect();
-        v.sort_unstable();
-        v
-    };
-
-    let mut batches_since_gvt = 0u64;
-    let mut idle_rounds = 0u32;
-
-    loop {
-        // 1. Drain the inbox.
-        while let Ok(batch) = rx.try_recv() {
+    /// Receive everything waiting in the inbox, routing the by-products of
+    /// each batch. Returns transmissions sent.
+    // detlint: phase(compute|flush)
+    fn drain_inbox(&mut self) -> u64 {
+        let mut routed = 0;
+        while let Ok(batch) = self.rx.try_recv() {
             for tx in batch {
-                let dst = tx.dst();
-                debug_assert_eq!(assignment[dst as usize] as usize, cid);
-                let lp = table.get_mut(&dst).expect("local LP");
-                lp.receive(app, tx, &mut stats, &mut outbox, &mut probe);
+                self.core.receive(tx, &self.homes, &mut self.stats, &mut self.probe);
             }
-            route::<A, P>(
-                cid,
-                &mut outbox,
-                &mut out_bufs,
-                &mut table,
-                &senders,
-                &assignment,
-                app,
-                &mut stats,
-                &mut probe,
-                tracker.as_mut(),
-            );
+            routed += self.route();
         }
+        routed
+    }
 
-        // 2. GVT round when due locally, when idle, or when any cluster
-        //    requested one.
-        let due = batches_since_gvt >= cfg.gvt_period;
-        let idle = local_ids.iter().all(|id| table[id].next_time().is_inf());
-        if due || idle {
-            shared.requested.store(true, Ordering::Release);
-        }
-        if shared.requested.load(Ordering::Acquire) {
-            batches_since_gvt = 0;
-            let gvt = gvt_round::<A, P>(
-                cid,
-                &rx,
-                &senders,
-                &assignment,
-                app,
-                &mut table,
-                &mut outbox,
-                &mut out_bufs,
-                shared,
-                &mut stats,
-                &mut probe,
-                tracker.as_mut(),
-            );
-            stats.gvt_rounds += 1;
-            let held: u64 = local_ids.iter().map(|id| table[id].state_queue_len() as u64).sum();
-            stats.state_queue_high_water = stats.state_queue_high_water.max(held);
-            for id in &local_ids {
-                table.get_mut(id).unwrap().fossil_collect(gvt, &mut stats, &mut probe);
-            }
-            let pending: u64 = local_ids.iter().map(|id| table[id].pending_len() as u64).sum();
-            probe.gvt_advanced(gvt, held, pending, started.elapsed().as_nanos() as u64);
+    /// The cluster thread's main loop: drain, synchronize when asked,
+    /// execute. Returns the cluster for the merge once GVT reaches ∞.
+    // detlint: phase(compute)
+    fn run(
+        mut self,
+        shared: &GvtShared,
+        cfg: &KernelConfig,
+        lb: Option<&LbShared<'_, A>>,
+        started: std::time::Instant,
+    ) -> Self {
+        let mut batches_since_gvt = 0u64;
+        let mut idle_rounds = 0u32;
 
-            // Dynamic load balancing, inside the barrier region where the
-            // flush protocol guarantees zero in-flight messages (see the
-            // `dynlb` module docs). The gate is a function of shared state
-            // only (`gvt`, the lockstep `gvt_rounds` count, the static
-            // period), so every cluster takes the same branch — the
-            // barriers below stay matched.
-            let mut migrated_in = false;
-            if let Some(lbs) = lb {
-                if !gvt.is_inf() && stats.gvt_rounds.is_multiple_of(lbs.cfg.period.max(1)) {
-                    let tracker = tracker.as_mut().expect("tracker exists when balancing");
-                    // Phase 1: contribute this cluster's slice of the
-                    // window (disjoint LP slots; traffic maps add).
-                    {
-                        let mut window = lbs.window.lock().unwrap();
-                        window.gvt = gvt;
-                        for &id in &local_ids {
-                            window.lps[id as usize] = tracker.diff(id, table[&id].own_stats());
-                        }
-                        for (k, v) in tracker.take_comm() {
-                            *window.comm.entry(k).or_insert(0) += v;
-                        }
-                    }
-                    shared.barrier.wait();
-                    // Phase 2: cluster 0 plans from the merged window. Any
-                    // cluster's assignment copy would do — they are
-                    // identical by construction.
-                    stats.lb_rounds += 1;
-                    if cid == 0 {
-                        let mut window = lbs.window.lock().unwrap();
-                        window.round = stats.lb_rounds;
-                        let plan = lbs.balancer.lock().unwrap().plan(
-                            &window,
-                            &assignment,
-                            senders.len(),
-                            &lbs.cfg,
-                        );
-                        window.reset();
-                        *lbs.plan.lock().unwrap() = plan;
-                    }
-                    shared.barrier.wait();
-                    // Phase 3: every cluster applies the same plan to its
-                    // own routing table; sources hand their LP runtimes
-                    // (plus window snapshots, so the receiver's next diff
-                    // stays correct) to the destination's movers buffer.
-                    {
-                        let plan = lbs.plan.lock().unwrap();
-                        for mv in plan.iter() {
-                            if !move_is_valid(mv, &assignment, senders.len())
-                                || pinned[mv.lp as usize]
-                            {
-                                continue;
-                            }
-                            assignment[mv.lp as usize] = mv.to;
-                            if mv.from as usize == cid {
-                                let lp = table.remove(&mv.lp).expect("migrating LP is local");
-                                local_ids.retain(|&i| i != mv.lp);
-                                let bytes = lp.pending_len() as u64
-                                    * std::mem::size_of::<Event<A::Msg>>() as u64
-                                    + (lp.state_queue_len() as u64 + 1)
-                                        * std::mem::size_of::<A::State>() as u64;
-                                stats.migrations += 1;
-                                stats.migrated_state_bytes += bytes;
-                                probe.lp_migrated(mv.lp, mv.from, mv.to, gvt, bytes);
-                                lbs.movers[mv.to as usize].lock().unwrap().push((
-                                    mv.lp,
-                                    lp,
-                                    tracker.snapshot(mv.lp),
-                                ));
-                            }
-                        }
-                    }
-                    shared.barrier.wait();
-                    // Phase 4: adopt arrivals. No trailing barrier needed —
-                    // every deposit happened before the phase-3 barrier,
-                    // and any message a fast cluster routes to a migrated
-                    // LP just waits in the owner's channel.
-                    {
-                        let mut arrivals = lbs.movers[cid].lock().unwrap();
-                        for (id, lp, snap) in arrivals.drain(..) {
-                            tracker.install(id, snap);
-                            table.insert(id, lp);
-                            local_ids.push(id);
-                            migrated_in = true;
-                        }
-                    }
-                    local_ids.sort_unstable();
-                }
-            }
+        loop {
+            // 1. Drain the inbox.
+            self.drain_inbox();
 
-            if gvt.is_inf() {
-                break;
-            }
-            if idle && !migrated_in {
-                // Back off so an idle cluster doesn't drag the busy ones
-                // into a GVT barrier every loop iteration.
-                idle_rounds = (idle_rounds + 1).min(10);
-                std::thread::sleep(std::time::Duration::from_micros(20 << idle_rounds));
-            } else {
-                idle_rounds = 0;
-            }
-            continue;
-        }
-
-        // 3. Execute the lowest-timestamp local batch — within the
-        //    optimism window, when one is configured (horizon = the GVT
-        //    agreed in the last round + window).
-        let horizon = match cfg.window {
-            Some(w) => VTime(shared.gvt.load(Ordering::Acquire)).after(w),
-            None => VTime::INF,
-        };
-        let best = local_ids
-            .iter()
-            .map(|&id| (table[&id].next_time(), id))
-            .min()
-            .filter(|(t, _)| !t.is_inf());
-        match best {
-            Some((t, id)) if t <= horizon => {
-                let lp = table.get_mut(&id).expect("local LP");
-                lp.execute_next(app, &mut stats, &mut outbox, &mut probe);
-                batches_since_gvt += 1;
-                route::<A, P>(
-                    cid,
-                    &mut outbox,
-                    &mut out_bufs,
-                    &mut table,
-                    &senders,
-                    &assignment,
-                    app,
-                    &mut stats,
-                    &mut probe,
-                    tracker.as_mut(),
-                );
-            }
-            Some(_) => {
-                // Blocked at the window edge: a GVT round advances it.
+            // 2. GVT round when due locally, when idle, or when any
+            //    cluster requested one.
+            let next = self.core.next_ready();
+            if batches_since_gvt >= cfg.gvt_period || next.is_none() {
                 shared.requested.store(true, Ordering::Release);
             }
-            None => {}
-        }
-    }
+            if shared.requested.load(Ordering::Acquire) {
+                batches_since_gvt = 0;
+                let gvt = self.gvt_round(shared);
+                self.stats.gvt_rounds += 1;
+                let seen = self.core.commit(gvt, &mut self.stats, &mut self.probe);
+                let held = seen.held_before;
+                self.stats.state_queue_high_water = self.stats.state_queue_high_water.max(held);
+                let wall_ns = started.elapsed().as_nanos() as u64;
+                self.probe.gvt_advanced(gvt, held, seen.pending, wall_ns);
 
-    let states: Vec<(LpId, A::State, LpCounters)> = local_ids
-        .into_iter()
-        .map(|id| {
-            let lp = table.remove(&id).expect("local LP");
-            let counters = lp.own_stats();
-            (id, lp.into_state(), counters)
-        })
-        .collect();
-    (cid, stats, states, probe)
-}
+                // Dynamic load balancing, inside the barrier region where
+                // the flush protocol guarantees zero in-flight messages
+                // (see the `dynlb` module docs). The gate is a function of
+                // shared state only (`gvt`, the lockstep `gvt_rounds`
+                // count, the static period), so every cluster takes the
+                // same branch — the barriers inside stay matched.
+                let migrated_in = match lb {
+                    Some(lbs)
+                        if !gvt.is_inf()
+                            && self.stats.gvt_rounds.is_multiple_of(lbs.cfg.period.max(1)) =>
+                    {
+                        self.balance(shared, lbs, gvt)
+                    }
+                    _ => false,
+                };
 
-/// One synchronized GVT round. All clusters call this together (guaranteed
-/// by the `requested` flag being checked every loop iteration). Protocol:
-///
-/// 1. barrier — everyone has stopped normal processing;
-/// 2. repeated flush rounds: drain the inbox and route by-products
-///    (rollback antis can cascade), barrier, until a round routes nothing
-///    anywhere — at that point no message is in flight;
-/// 3. publish local minima, barrier, read the global minimum.
-// detlint: phase(flush|gvt)
-#[allow(clippy::too_many_arguments)]
-fn gvt_round<A: Application, P: Probe>(
-    cid: usize,
-    rx: &Receiver<TxBatch<A::Msg>>,
-    senders: &[Sender<TxBatch<A::Msg>>],
-    assignment: &[u32],
-    app: &A,
-    table: &mut LpTable<A>,
-    outbox: &mut Vec<Transmission<A::Msg>>,
-    out_bufs: &mut [TxBatch<A::Msg>],
-    shared: &GvtShared,
-    stats: &mut KernelStats,
-    probe: &mut P,
-    mut tracker: Option<&mut WindowTracker>,
-) -> VTime {
-    shared.barrier.wait();
-    loop {
-        let mut routed = 0u64;
-        while let Ok(batch) = rx.try_recv() {
-            for tx in batch {
-                let dst = tx.dst();
-                let lp = table.get_mut(&dst).expect("local LP");
-                lp.receive(app, tx, stats, outbox, probe);
+                if gvt.is_inf() {
+                    return self;
+                }
+                if next.is_none() && !migrated_in {
+                    // Back off so an idle cluster doesn't drag the busy
+                    // ones into a GVT barrier every loop iteration.
+                    idle_rounds = (idle_rounds + 1).min(10);
+                    std::thread::sleep(std::time::Duration::from_micros(20 << idle_rounds));
+                } else {
+                    idle_rounds = 0;
+                }
+                continue;
             }
-            routed += route::<A, P>(
-                cid,
-                outbox,
-                out_bufs,
-                table,
-                senders,
-                assignment,
-                app,
-                stats,
-                probe,
-                tracker.as_deref_mut(),
-            );
-        }
-        shared.routed_this_round.fetch_add(routed, Ordering::AcqRel);
-        shared.barrier.wait();
-        let total = shared.routed_this_round.load(Ordering::Acquire);
-        shared.barrier.wait(); // everyone has read `total`
-        if cid == 0 {
-            shared.routed_this_round.store(0, Ordering::Release);
-        }
-        shared.barrier.wait(); // reset visible before the next round
-        if total == 0 {
-            break;
+
+            // 3. Execute the lowest-timestamp local batch — within the
+            //    optimism window, when one is configured (horizon = the
+            //    GVT agreed in the last round + window).
+            let horizon = match cfg.window {
+                Some(w) => VTime(shared.gvt.load(Ordering::Acquire)).after(w),
+                None => VTime::INF,
+            };
+            match next {
+                Some(t) if t <= horizon => {
+                    self.core.execute_ready(&mut self.stats, &mut self.probe);
+                    batches_since_gvt += 1;
+                    self.route();
+                }
+                // Blocked at the window edge: a GVT round advances it.
+                Some(_) => shared.requested.store(true, Ordering::Release),
+                None => {}
+            }
         }
     }
 
-    // Publish local minimum.
-    let local_min = table.values().map(|lp| lp.local_min()).min().unwrap_or(VTime::INF);
-    shared.local_mins[cid].store(local_min.0, Ordering::Release);
-    shared.barrier.wait();
-    if cid == 0 {
-        let gvt =
-            shared.local_mins.iter().map(|m| m.load(Ordering::Acquire)).min().unwrap_or(u64::MAX);
-        shared.gvt.store(gvt, Ordering::Release);
-        shared.requested.store(false, Ordering::Release);
+    /// One synchronized GVT round. All clusters call this together
+    /// (guaranteed by the `requested` flag being checked every loop
+    /// iteration). Protocol:
+    ///
+    /// 1. barrier — everyone has stopped normal processing;
+    /// 2. repeated flush rounds: drain the inbox and route by-products
+    ///    (rollback antis can cascade), barrier, until a round routes
+    ///    nothing anywhere — at that point no message is in flight;
+    /// 3. publish local minima, barrier, read the global minimum.
+    // detlint: phase(flush|gvt)
+    fn gvt_round(&mut self, shared: &GvtShared) -> VTime {
+        shared.barrier.wait();
+        loop {
+            let routed = self.drain_inbox();
+            shared.routed_this_round.fetch_add(routed, Ordering::AcqRel);
+            shared.barrier.wait();
+            let total = shared.routed_this_round.load(Ordering::Acquire);
+            shared.barrier.wait(); // everyone has read `total`
+            if self.cid == 0 {
+                shared.routed_this_round.store(0, Ordering::Release);
+            }
+            shared.barrier.wait(); // reset visible before the next round
+            if total == 0 {
+                break;
+            }
+        }
+
+        shared.local_mins[self.cid].store(self.core.local_min().0, Ordering::Release);
+        shared.barrier.wait();
+        if self.cid == 0 {
+            let gvt = shared
+                .local_mins
+                .iter()
+                .map(|m| m.load(Ordering::Acquire))
+                .min()
+                .unwrap_or(u64::MAX);
+            shared.gvt.store(gvt, Ordering::Release);
+            shared.requested.store(false, Ordering::Release);
+        }
+        shared.barrier.wait();
+        VTime(shared.gvt.load(Ordering::Acquire))
     }
-    shared.barrier.wait();
-    VTime(shared.gvt.load(Ordering::Acquire))
+
+    /// One balancing round: the four-phase hand-off, barrier-separated.
+    /// Returns whether this cluster adopted an LP.
+    // detlint: phase(migrate)
+    fn balance(&mut self, shared: &GvtShared, lbs: &LbShared<'_, A>, gvt: VTime) -> bool {
+        let clusters = self.senders.len();
+        // Phase 1: contribute this cluster's slice of the window (disjoint
+        // LP slots; traffic maps add).
+        {
+            let mut window = lbs.window.lock().unwrap();
+            window.gvt = gvt;
+            self.core.window_slice(&mut window);
+        }
+        shared.barrier.wait();
+        // Phase 2: cluster 0 plans from the merged window. Any cluster's
+        // assignment copy would do — they are identical by construction.
+        self.stats.lb_rounds += 1;
+        if self.cid == 0 {
+            let mut window = lbs.window.lock().unwrap();
+            window.round = self.stats.lb_rounds;
+            let parts = self.homes.parts();
+            let plan = lbs.balancer.lock().unwrap().plan(&window, parts, clusters, &lbs.cfg);
+            window.reset();
+            *lbs.plan.lock().unwrap() = plan;
+        }
+        shared.barrier.wait();
+        // Phase 3: every cluster applies the same plan to its own routing
+        // table; sources deposit their evicted LPs in the destination's
+        // movers buffer.
+        for mv in lbs.plan.lock().unwrap().iter() {
+            if !move_is_valid(mv, self.homes.parts(), clusters) || lbs.pinned[mv.lp as usize] {
+                continue;
+            }
+            let left = self.core.evict(mv, &mut self.homes, gvt, &mut self.stats, &mut self.probe);
+            if let Some(mover) = left {
+                lbs.movers[mv.to as usize].lock().unwrap().push(mover);
+            }
+        }
+        shared.barrier.wait();
+        // Phase 4: adopt arrivals. No trailing barrier needed — every
+        // deposit happened before the phase-3 barrier, and any message a
+        // fast cluster routes to a migrated LP just waits in the owner's
+        // channel.
+        let mut arrivals = lbs.movers[self.cid].lock().unwrap();
+        let migrated_in = !arrivals.is_empty();
+        for mover in arrivals.drain(..) {
+            self.core.adopt(mover, &mut self.homes);
+        }
+        migrated_in
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::EventSink;
     use crate::sim::{Backend, Simulator};
-
-    /// The same jittered token ring used by the platform tests.
-    struct Ring {
-        n: usize,
-        hops: u64,
-    }
-    impl Application for Ring {
-        type Msg = u64;
-        type State = u64;
-
-        fn num_lps(&self) -> usize {
-            self.n
-        }
-        fn init_state(&self, _lp: LpId) -> u64 {
-            0
-        }
-        fn init_events(&self, lp: LpId, _s: &mut u64, sink: &mut EventSink<u64>) {
-            sink.schedule_at(lp, VTime(1).after(lp as u64 % 3), self.hops);
-        }
-        fn execute(
-            &self,
-            lp: LpId,
-            state: &mut u64,
-            _now: VTime,
-            msgs: &[(LpId, u64)],
-            sink: &mut EventSink<u64>,
-        ) {
-            for &(_, hops) in msgs {
-                *state += 1;
-                if hops > 0 {
-                    let delay = 1 + (lp as u64 * 7 + hops) % 5;
-                    sink.schedule((lp + 1) % self.n as u32, delay, hops - 1);
-                }
-            }
-        }
-    }
-
-    fn round_robin(n: usize, c: usize) -> Vec<u32> {
-        (0..n).map(|i| (i % c) as u32).collect()
-    }
+    use crate::testkit::{round_robin, Idle, Ring};
 
     fn threaded<A: Application>(
         app: &A,
@@ -709,25 +478,6 @@ mod tests {
 
     #[test]
     fn empty_application_terminates_quickly() {
-        struct Idle;
-        impl Application for Idle {
-            type Msg = ();
-            type State = ();
-            fn num_lps(&self) -> usize {
-                4
-            }
-            fn init_state(&self, _lp: LpId) {}
-            fn init_events(&self, _lp: LpId, _s: &mut (), _sink: &mut EventSink<()>) {}
-            fn execute(
-                &self,
-                _lp: LpId,
-                _s: &mut (),
-                _now: VTime,
-                _m: &[(LpId, ())],
-                _sink: &mut EventSink<()>,
-            ) {
-            }
-        }
         let res = threaded(&Idle, &round_robin(4, 2), 2, &KernelConfig::default());
         assert_eq!(res.stats.events_processed, 0);
     }
