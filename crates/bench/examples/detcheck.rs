@@ -6,6 +6,8 @@
 
 use pls_gatesim::{CompileOptions, ExecModel, SimConfig};
 use pls_netlist::IscasSynth;
+use pls_partition::metrics::{connectivity_cut, edge_cut};
+use pls_partition::{CircuitGraph, MultilevelPartitioner};
 use pls_timewarp::{
     Application, Backend, Cancellation, DynLbConfig, KernelConfig, KernelStats, Phold,
     PlatformConfig, Simulator,
@@ -189,4 +191,33 @@ fn main() {
         "compiled/thr4 fingerprint_matches_gate: {}",
         capp.fingerprint(&cthr.states) == gate_fp
     );
+
+    // --- Multilevel partitioner on the paper circuits: the hierarchy and
+    // the final assignment must survive any rewrite of the coarsener or
+    // the refiner bit for bit.
+    for synth in [IscasSynth::s9234(), IscasSynth::s15850()] {
+        let graph = CircuitGraph::from_netlist(&synth.build());
+        for k in [2usize, 8] {
+            let rep = MultilevelPartitioner::default().partition_with_report(&graph, k, 0);
+            let p = &rep.partitioning;
+            // FNV-1a over the little-endian bytes of every part id.
+            let hash = p
+                .assignment
+                .iter()
+                .flat_map(|a| a.to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+                });
+            println!(
+                "partition/{}/k{k}: levels={:?} refine_moves={} refine_iters={} edge_cut={} \
+                 connectivity_cut={} assignment_fnv1a={hash:016x}",
+                graph.name(),
+                rep.level_sizes,
+                rep.refine_stats.iter().map(|r| r.moves).sum::<usize>(),
+                rep.refine_stats.iter().map(|r| r.iters).sum::<usize>(),
+                edge_cut(&graph, p),
+                connectivity_cut(&graph, p),
+            );
+        }
+    }
 }

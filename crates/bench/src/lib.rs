@@ -264,10 +264,15 @@ impl Grid {
 
 /// Minimal micro-benchmark timer for the `cargo bench` binaries (the
 /// offline build has no criterion): a couple of warm-up rounds, then
-/// `samples` timed rounds, reporting min and mean wall time. The result
-/// is passed through [`std::hint::black_box`] so the optimizer cannot
-/// discard the benchmarked work.
-pub fn bench_case<T>(group: &str, name: &str, samples: usize, mut f: impl FnMut() -> T) {
+/// `samples` timed rounds, reporting min and mean wall time and returning
+/// the min. The result is passed through [`std::hint::black_box`] so the
+/// optimizer cannot discard the benchmarked work.
+pub fn bench_case<T>(
+    group: &str,
+    name: &str,
+    samples: usize,
+    mut f: impl FnMut() -> T,
+) -> std::time::Duration {
     assert!(samples >= 1);
     for _ in 0..2 {
         std::hint::black_box(f());
@@ -281,6 +286,7 @@ pub fn bench_case<T>(group: &str, name: &str, samples: usize, mut f: impl FnMut(
     let min = times.iter().min().unwrap();
     let mean = times.iter().sum::<std::time::Duration>() / samples as u32;
     println!("{group}/{name}: min {min:?}  mean {mean:?}  ({samples} samples)");
+    *min
 }
 
 /// One timed sample of a kernel benchmark scenario: wall time and the

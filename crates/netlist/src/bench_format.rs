@@ -14,22 +14,24 @@
 //! Parsing is two-pass so signals may be used before they are defined,
 //! which real benchmark files do freely.
 
-use std::collections::BTreeMap;
-
 use crate::error::NetlistError;
 use crate::gate::{GateId, GateKind};
 use crate::netlist::{Netlist, NetlistBuilder};
 
-/// One parsed statement, before reference resolution.
-enum Stmt {
-    Input(String),
-    Output(String),
-    Gate { out: String, kind: GateKind, ins: Vec<String> },
+/// The non-empty, trimmed names of a gate's comma-separated input list.
+fn input_names(args: &str) -> impl Iterator<Item = &str> {
+    args.split(',').map(str::trim).filter(|s| !s.is_empty())
 }
 
 /// Parse `.bench` text into a [`Netlist`] with the given circuit name.
 pub fn parse(name: &str, text: &str) -> Result<Netlist, NetlistError> {
-    let mut stmts: Vec<(usize, Stmt)> = Vec::new();
+    // Statements by kind, with the line number wherever a later pass can
+    // still fail on them. Names stay slices of `text` until the builder
+    // takes ownership of them.
+    let mut inputs: Vec<&str> = Vec::new();
+    let mut outputs: Vec<(usize, &str)> = Vec::new();
+    // (line, output signal, kind, unsplit input list)
+    let mut gates: Vec<(usize, &str, GateKind, &str)> = Vec::new();
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -38,19 +40,18 @@ pub fn parse(name: &str, text: &str) -> Result<Netlist, NetlistError> {
             continue;
         }
         if let Some(rest) = strip_call(line, "INPUT") {
-            stmts.push((lineno, Stmt::Input(rest.to_string())));
+            inputs.push(rest);
         } else if let Some(rest) = strip_call(line, "OUTPUT") {
-            stmts.push((lineno, Stmt::Output(rest.to_string())));
+            outputs.push((lineno, rest));
         } else if let Some(eq) = line.find('=') {
-            let out = line[..eq].trim().to_string();
+            let out = line[..eq].trim();
             let rhs = line[eq + 1..].trim();
             let open = rhs.find('(').ok_or_else(|| NetlistError::Parse {
                 line: lineno,
                 msg: format!("expected `KIND(...)`, got `{rhs}`"),
             })?;
-            let close = rhs.rfind(')').ok_or_else(|| NetlistError::Parse {
-                line: lineno,
-                msg: "missing closing parenthesis".into(),
+            let close = rhs.rfind(')').filter(|&close| close > open).ok_or_else(|| {
+                NetlistError::Parse { line: lineno, msg: "missing closing parenthesis".into() }
             })?;
             if out.is_empty() {
                 return Err(NetlistError::Parse { line: lineno, msg: "empty signal name".into() });
@@ -60,18 +61,14 @@ pub fn parse(name: &str, text: &str) -> Result<Netlist, NetlistError> {
                 line: lineno,
                 msg: format!("unknown gate kind `{kind_str}`"),
             })?;
-            let ins: Vec<String> = rhs[open + 1..close]
-                .split(',')
-                .map(|s| s.trim().to_string())
-                .filter(|s| !s.is_empty())
-                .collect();
-            if ins.is_empty() {
+            let args = &rhs[open + 1..close];
+            if input_names(args).next().is_none() {
                 return Err(NetlistError::Parse {
                     line: lineno,
                     msg: format!("gate `{out}` has no inputs"),
                 });
             }
-            stmts.push((lineno, Stmt::Gate { out, kind, ins }));
+            gates.push((lineno, out, kind, args));
         } else {
             return Err(NetlistError::Parse {
                 line: lineno,
@@ -81,55 +78,34 @@ pub fn parse(name: &str, text: &str) -> Result<Netlist, NetlistError> {
     }
 
     // Pass 1: allocate ids for every defined signal, inputs first so that
-    // `Netlist::inputs()` preserves declaration order.
+    // `Netlist::inputs()` preserves declaration order; gate fanins wait
+    // for pass 2 (forward references are allowed).
     let mut builder = NetlistBuilder::new(name);
-    let mut pending_gates: Vec<(usize, String, GateKind, Vec<String>)> = Vec::new();
-    let mut pending_outputs: Vec<(usize, String)> = Vec::new();
-    // Reserve: map name -> index into a temp list; we must add inputs and
-    // gates to the builder in one go because ids are sequential. Collect
-    // definitions first.
-    for (lineno, stmt) in stmts {
-        match stmt {
-            Stmt::Input(n) => {
-                builder.add_input(n).map_err(|e| at(lineno, e))?;
-            }
-            Stmt::Output(n) => pending_outputs.push((lineno, n)),
-            Stmt::Gate { out, kind, ins } => pending_gates.push((lineno, out, kind, ins)),
-        }
+    for n in inputs {
+        builder.add_input(n)?;
     }
-    // Allocate gate ids (fanin resolved in pass 2 — forward refs allowed).
-    let mut gate_ids: Vec<GateId> = Vec::with_capacity(pending_gates.len());
-    for (lineno, out, kind, _) in &pending_gates {
-        let id = builder.add_gate(out.clone(), *kind, Vec::new()).map_err(|e| at(*lineno, e))?;
-        gate_ids.push(id);
+    let mut gate_ids: Vec<GateId> = Vec::with_capacity(gates.len());
+    for &(_, out, kind, _) in &gates {
+        gate_ids.push(builder.add_gate(out, kind, Vec::new())?);
     }
 
-    // Pass 2: resolve fanin names.
-    let name_to_id: BTreeMap<String, GateId> = pending_gates
-        .iter()
-        .zip(&gate_ids)
-        .map(|((_, out, _, _), &id)| (out.clone(), id))
-        .collect();
-    let resolve = |builder: &NetlistBuilder, n: &str| -> Option<GateId> {
-        builder.find(n).or_else(|| name_to_id.get(n).copied())
-    };
-
-    let mut resolved: Vec<(GateId, Vec<GateId>)> = Vec::with_capacity(pending_gates.len());
-    for ((lineno, out, _, ins), &id) in pending_gates.iter().zip(&gate_ids) {
-        let mut fanin = Vec::with_capacity(ins.len());
-        for i in ins {
-            let f = resolve(&builder, i).ok_or_else(|| NetlistError::Parse {
-                line: *lineno,
-                msg: format!("gate `{out}` references undefined signal `{i}`"),
-            })?;
-            fanin.push(f);
-        }
+    // Pass 2: resolve fanin names through the builder's name map.
+    let mut resolved: Vec<(GateId, Vec<GateId>)> = Vec::with_capacity(gates.len());
+    for (&(lineno, out, _, args), &id) in gates.iter().zip(&gate_ids) {
+        let fanin = input_names(args)
+            .map(|i| {
+                builder.find(i).ok_or_else(|| NetlistError::Parse {
+                    line: lineno,
+                    msg: format!("gate `{out}` references undefined signal `{i}`"),
+                })
+            })
+            .collect::<Result<Vec<GateId>, _>>()?;
         resolved.push((id, fanin));
     }
     builder.set_fanins(resolved);
 
-    for (lineno, n) in pending_outputs {
-        let id = builder.find(&n).ok_or_else(|| NetlistError::Parse {
+    for (lineno, n) in outputs {
+        let id = builder.find(n).ok_or_else(|| NetlistError::Parse {
             line: lineno,
             msg: format!("OUTPUT names undefined signal `{n}`"),
         })?;
@@ -173,10 +149,6 @@ fn strip_call<'a>(line: &'a str, kw: &str) -> Option<&'a str> {
     let rest = rest.strip_prefix('(')?;
     let rest = rest.strip_suffix(')')?;
     Some(rest.trim())
-}
-
-fn at(_line: usize, e: NetlistError) -> NetlistError {
-    e
 }
 
 #[cfg(test)]
@@ -243,21 +215,57 @@ Y = NOT(N)
         }
     }
 
-    #[test]
-    fn undefined_fanin_is_error() {
-        let text = "INPUT(A)\nOUTPUT(B)\nB = NOT(ZZZ)\n";
-        assert!(parse("u", text).is_err());
+    fn parse_err(line: usize, msg: &str) -> NetlistError {
+        NetlistError::Parse { line, msg: msg.into() }
     }
 
     #[test]
-    fn undefined_output_is_error() {
-        let text = "INPUT(A)\nOUTPUT(NOPE)\nB = NOT(A)\n";
-        assert!(parse("u", text).is_err());
+    fn every_error_keeps_its_variant_message_and_line() {
+        let cases: [(&str, NetlistError); 12] = [
+            (
+                "INPUT(A)\nOUTPUT(B)\nB = NOT(ZZZ)\n",
+                parse_err(3, "gate `B` references undefined signal `ZZZ`"),
+            ),
+            (
+                "INPUT(A)\nOUTPUT(NOPE)\nB = NOT(A)\n",
+                parse_err(2, "OUTPUT names undefined signal `NOPE`"),
+            ),
+            ("INPUT(A)\nwhat is this\n", parse_err(2, "unrecognized statement `what is this`")),
+            ("INPUT(A)\n\n# c\nB = A\n", parse_err(4, "expected `KIND(...)`, got `A`")),
+            ("INPUT(A)\nB = NOT(A\n", parse_err(2, "missing closing parenthesis")),
+            ("INPUT(A)\n = NOT(A)\n", parse_err(2, "empty signal name")),
+            ("INPUT(A)\nB = FROB(A)\n", parse_err(2, "unknown gate kind `FROB`")),
+            ("INPUT(A)\nB = NOT( , )\n", parse_err(2, "gate `B` has no inputs")),
+            // Syntax errors anywhere win over semantic errors earlier in
+            // the text: the scan finishes before any name is defined.
+            ("INPUT(A)\nINPUT(A)\nB = FROB(A)\n", parse_err(3, "unknown gate kind `FROB`")),
+            ("INPUT(A)\nINPUT(A)\n", NetlistError::DuplicateName("A".into())),
+            ("INPUT(A)\nB = NOT(A)\nB = BUFF(A)\n", NetlistError::DuplicateName("B".into())),
+            (
+                "INPUT(A)\nB = AND(A)\n",
+                NetlistError::BadArity { gate: "B".into(), kind: "AND", got: 1 },
+            ),
+        ];
+        for (text, want) in cases {
+            assert_eq!(parse("e", text).unwrap_err(), want, "for {text:?}");
+        }
     }
 
     #[test]
-    fn garbage_line_is_error() {
-        assert!(parse("g", "INPUT(A)\nwhat is this\n").is_err());
+    fn parentheses_in_the_wrong_order_are_an_error_not_a_panic() {
+        assert_eq!(
+            parse("p", "INPUT(A)\nB = NOT)A(\n").unwrap_err(),
+            parse_err(2, "missing closing parenthesis")
+        );
+    }
+
+    #[test]
+    fn names_and_pin_order_survive_loose_spacing() {
+        let text = "INPUT( A )\n  INPUT(B)\nOUTPUT ( Y )\nY=NAND( B ,A, )\n";
+        let n = parse("s", text).unwrap();
+        let y = n.find("Y").unwrap();
+        assert_eq!(n.fanin(y), &[n.find("B").unwrap(), n.find("A").unwrap()]);
+        assert_eq!(n.outputs(), &[y]);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! order; fanout adjacency is derived when the netlist is frozen by the
 //! builder.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateId, GateKind};
@@ -153,14 +153,15 @@ impl NetlistBuilder {
         kind: GateKind,
         fanin: Vec<GateId>,
     ) -> Result<GateId, NetlistError> {
-        let name = name.into();
-        if self.by_name.contains_key(&name) {
-            return Err(NetlistError::DuplicateName(name));
-        }
         let id = self.gates.len() as GateId;
-        self.by_name.insert(name.clone(), id);
-        self.gates.push(Gate::new(name, kind, fanin));
-        Ok(id)
+        match self.by_name.entry(name.into()) {
+            Entry::Occupied(taken) => Err(NetlistError::DuplicateName(taken.key().clone())),
+            Entry::Vacant(free) => {
+                self.gates.push(Gate::new(free.key().clone(), kind, fanin));
+                free.insert(id);
+                Ok(id)
+            }
+        }
     }
 
     /// Mark an existing gate's output signal as a primary output.

@@ -67,30 +67,42 @@ impl CoarsenConfig {
 /// Run the coarsening phase, returning the hierarchy `[G0→G1, G1→G2, …]`.
 /// The returned vector is empty when `g0` is already below the threshold.
 pub fn coarsen(g0: &CircuitGraph, cfg: &CoarsenConfig) -> Vec<CoarseLevel> {
-    let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut current = g0.clone();
-    // Round 1 starts from the primary inputs.
-    let mut seeds: Vec<VertexId> = current.input_vertices();
+    coarsen_with(g0, cfg, |g, levels| {
+        let seeds: Vec<VertexId> = match levels.last() {
+            // Round 1 starts from the primary inputs.
+            None => g.input_vertices(),
+            // Later rounds: globules formed by a merge, in id order.
+            Some(prev) => g.vertices().filter(|&v| prev.merged[v as usize]).collect(),
+        };
+        coarsen_round(g, &seeds, cfg)
+    })
+}
 
-    while current.len() > cfg.threshold && levels.len() < cfg.max_levels {
-        match coarsen_round(&current, &seeds, cfg) {
-            Some(level) => {
-                // Next round's seeds: globules formed by a merge, in id order.
-                seeds = level
-                    .merged
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &m)| m)
-                    .map(|(i, _)| i as VertexId)
-                    .collect();
-                current = level.graph.clone();
-                levels.push(level);
-            }
+/// Grow a hierarchy one `round` at a time — each round sees the coarsest
+/// graph so far (borrowed from the level that owns it) and the levels
+/// built before it — until the graph is at most `cfg.threshold` vertices,
+/// `cfg.max_levels` is reached, or a round finds nothing to combine.
+pub(crate) fn coarsen_with(
+    g0: &CircuitGraph,
+    cfg: &CoarsenConfig,
+    mut round: impl FnMut(&CircuitGraph, &[CoarseLevel]) -> Option<CoarseLevel>,
+) -> Vec<CoarseLevel> {
+    let mut levels: Vec<CoarseLevel> = Vec::new();
+    while levels.len() < cfg.max_levels {
+        let current = levels.last().map_or(g0, |l| &l.graph);
+        if current.len() <= cfg.threshold {
+            break;
+        }
+        match round(current, &levels) {
+            Some(level) => levels.push(level),
             None => break, // no combination possible (e.g. all input globules)
         }
     }
     levels
 }
+
+/// Marks a vertex no globule has claimed yet in a round's `group_of` map.
+pub(crate) const UNGROUPED: u32 = u32::MAX;
 
 /// One coarsening round over `g`. Returns `None` if no merge happened.
 fn coarsen_round(g: &CircuitGraph, seeds: &[VertexId], cfg: &CoarsenConfig) -> Option<CoarseLevel> {
@@ -98,18 +110,17 @@ fn coarsen_round(g: &CircuitGraph, seeds: &[VertexId], cfg: &CoarsenConfig) -> O
     let cap = ((g.total_weight() as f64 / cfg.k as f64) * cfg.max_globule_frac).ceil() as u64;
     let cap = cap.max(2); // always allow at least a pairwise merge
 
-    const UNGROUPED: u32 = u32::MAX;
     let mut group_of: Vec<u32> = vec![UNGROUPED; n];
-    let mut groups: Vec<Vec<VertexId>> = Vec::new();
+    let mut groups = 0u32;
     let mut any_merge = false;
 
     // Depth-first worklist: seeds first (paper's "just added" vertices, or
     // the primary inputs in round one), then every remaining vertex.
     let mut visited = vec![false; n];
     let mut stack: Vec<VertexId> = Vec::new();
-    let roots: Vec<VertexId> = seeds.iter().copied().chain(g.vertices()).collect();
+    let mut outs: Vec<(VertexId, u64)> = Vec::new();
 
-    for root in roots {
+    for root in seeds.iter().copied().chain(g.vertices()) {
         if visited[root as usize] {
             continue;
         }
@@ -128,16 +139,17 @@ fn coarsen_round(g: &CircuitGraph, seeds: &[VertexId], cfg: &CoarsenConfig) -> O
             }
             // v seeds a new globule and grabs the unmatched vertices on
             // its fanout (its output signal's readers).
-            let gid = groups.len() as u32;
+            let gid = groups;
+            groups += 1;
             group_of[v as usize] = gid;
-            let mut members = vec![v];
             let mut weight = g.vweight(v);
             let mut has_input = g.is_input(v);
             // Heaviest edges first so the strongest signal bundle is the
             // one kept together when the cap binds.
-            let mut outs: Vec<(VertexId, u64)> = g.fanout(v).to_vec();
+            outs.clear();
+            outs.extend_from_slice(g.fanout(v));
             outs.sort_by_key(|&(w, ew)| (std::cmp::Reverse(ew), w));
-            for (w, _) in outs {
+            for &(w, _) in &outs {
                 if group_of[w as usize] != UNGROUPED {
                     continue;
                 }
@@ -150,50 +162,50 @@ fn coarsen_round(g: &CircuitGraph, seeds: &[VertexId], cfg: &CoarsenConfig) -> O
                 group_of[w as usize] = gid;
                 weight += g.vweight(w);
                 has_input |= g.is_input(w);
-                members.push(w);
-            }
-            if members.len() > 1 {
                 any_merge = true;
             }
-            groups.push(members);
         }
     }
 
-    if !any_merge {
-        return None;
-    }
+    any_merge.then(|| contract(g, group_of, groups as usize))
+}
 
-    // Build the coarse graph: vertex weights are sums; the coarse edge set
-    // of a globule "becomes the union of the edges of the vertices … from
-    // which it was originally composed" (paper §3), with internal edges
-    // dropped and parallel edges merged by weight.
-    let m = groups.len();
-    let mut vweight = vec![0u64; m];
-    let mut is_input = vec![false; m];
-    let mut merged = vec![false; m];
-    let mut edge_acc: Vec<std::collections::BTreeMap<u32, u64>> =
-        vec![std::collections::BTreeMap::new(); m];
-
-    for (gid, members) in groups.iter().enumerate() {
-        merged[gid] = members.len() > 1;
-        for &v in members {
-            vweight[gid] += g.vweight(v);
-            is_input[gid] |= g.is_input(v);
-            for &(w, ew) in g.fanout(v) {
-                let wg = group_of[w as usize];
-                if wg != gid as u32 {
-                    *edge_acc[gid].entry(wg).or_insert(0) += ew;
-                }
+/// Contract `g` along `group_of` (fine vertex → globule id, `groups` ids
+/// in all): vertex weights are sums; the coarse edge set of a globule
+/// "becomes the union of the edges of the vertices … from which it was
+/// originally composed" (paper §3), with internal edges dropped and
+/// parallel edges merged by weight.
+pub(crate) fn contract(g: &CircuitGraph, group_of: Vec<u32>, groups: usize) -> CoarseLevel {
+    let mut vweight = vec![0u64; groups];
+    let mut is_input = vec![false; groups];
+    let mut members = vec![0u32; groups];
+    let mut edges: Vec<(u32, u32, u64)> = Vec::with_capacity(g.num_edges());
+    for v in g.vertices() {
+        let gv = group_of[v as usize];
+        vweight[gv as usize] += g.vweight(v);
+        is_input[gv as usize] |= g.is_input(v);
+        members[gv as usize] += 1;
+        for &(w, ew) in g.fanout(v) {
+            let gw = group_of[w as usize];
+            if gw != gv {
+                edges.push((gv, gw, ew));
             }
         }
     }
-    // BTreeMap iterates in key order, so the fanout lists come out
-    // already sorted.
-    let fanout: Vec<Vec<(VertexId, u64)>> =
-        edge_acc.into_iter().map(|m| m.into_iter().collect()).collect();
+    // One sort brings parallel edges together and leaves every fanout
+    // list ordered by reader id.
+    edges.sort_unstable_by_key(|&(from, to, _)| (from, to));
+    let mut fanout: Vec<Vec<(VertexId, u64)>> = vec![Vec::new(); groups];
+    for (from, to, ew) in edges {
+        match fanout[from as usize].last_mut() {
+            Some(last) if last.0 == to => last.1 += ew,
+            _ => fanout[from as usize].push((to, ew)),
+        }
+    }
 
     let graph = CircuitGraph::from_parts(g.name().to_string(), vweight, fanout, is_input);
-    Some(CoarseLevel { graph, map: group_of, merged })
+    let merged = members.iter().map(|&m| m > 1).collect();
+    CoarseLevel { graph, map: group_of, merged }
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use crate::graph::{CircuitGraph, VertexId};
-use crate::multilevel::coarsen::{CoarseLevel, CoarsenConfig};
+use crate::multilevel::coarsen::{coarsen_with, contract, CoarseLevel, CoarsenConfig, UNGROUPED};
 
 /// Which pairing rule one coarsening round uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -40,9 +40,8 @@ pub fn matching_round(
     let cap = ((g.total_weight() as f64 / cfg.k as f64) * cfg.max_globule_frac).ceil() as u64;
     let cap = cap.max(2);
 
-    const UNGROUPED: u32 = u32::MAX;
     let mut group_of = vec![UNGROUPED; n];
-    let mut groups: Vec<Vec<VertexId>> = Vec::new();
+    let mut groups = 0u32;
     let mut any_merge = false;
 
     let mut order: Vec<VertexId> = g.vertices().collect();
@@ -89,54 +88,16 @@ pub fn matching_round(
             }
             CoarsenScheme::Fanout => unreachable!(),
         };
-        let gid = groups.len() as u32;
+        let gid = groups;
+        groups += 1;
         group_of[v as usize] = gid;
-        let mut members = vec![v];
         if let Some(w) = partner {
             group_of[w as usize] = gid;
-            members.push(w);
             any_merge = true;
         }
-        groups.push(members);
     }
 
-    if !any_merge {
-        return None;
-    }
-    Some(build_coarse_level(g, &groups, &group_of))
-}
-
-/// Assemble the coarse graph for a grouping (shared with tests).
-pub(crate) fn build_coarse_level(
-    g: &CircuitGraph,
-    groups: &[Vec<VertexId>],
-    group_of: &[u32],
-) -> CoarseLevel {
-    let m = groups.len();
-    let mut vweight = vec![0u64; m];
-    let mut is_input = vec![false; m];
-    let mut merged = vec![false; m];
-    let mut edge_acc: Vec<std::collections::BTreeMap<u32, u64>> =
-        vec![std::collections::BTreeMap::new(); m];
-    for (gid, members) in groups.iter().enumerate() {
-        merged[gid] = members.len() > 1;
-        for &v in members {
-            vweight[gid] += g.vweight(v);
-            is_input[gid] |= g.is_input(v);
-            for &(w, ew) in g.fanout(v) {
-                let wg = group_of[w as usize];
-                if wg != gid as u32 {
-                    *edge_acc[gid].entry(wg).or_insert(0) += ew;
-                }
-            }
-        }
-    }
-    // BTreeMap iterates in key order, so the fanout lists come out
-    // already sorted.
-    let fanout: Vec<Vec<(VertexId, u64)>> =
-        edge_acc.into_iter().map(|m| m.into_iter().collect()).collect();
-    let graph = CircuitGraph::from_parts(g.name().to_string(), vweight, fanout, is_input);
-    CoarseLevel { graph, map: group_of.to_vec(), merged }
+    any_merge.then(|| contract(g, group_of, groups as usize))
 }
 
 /// Tiny deterministic index sampler (avoids importing `Rng` just for one
@@ -159,18 +120,7 @@ pub fn coarsen_matching(
     cfg: &CoarsenConfig,
     seed: u64,
 ) -> Vec<CoarseLevel> {
-    let mut levels: Vec<CoarseLevel> = Vec::new();
-    let mut current = g0.clone();
-    while current.len() > cfg.threshold && levels.len() < cfg.max_levels {
-        match matching_round(&current, scheme, cfg, seed ^ levels.len() as u64) {
-            Some(level) => {
-                current = level.graph.clone();
-                levels.push(level);
-            }
-            None => break,
-        }
-    }
-    levels
+    coarsen_with(g0, cfg, |g, levels| matching_round(g, scheme, cfg, seed ^ levels.len() as u64))
 }
 
 #[cfg(test)]

@@ -82,6 +82,12 @@ if [[ "$FAST" -eq 0 ]]; then
   cargo run --release -q -p pls-bench --example detcheck \
     | diff -u crates/bench/examples/detcheck.golden - \
     || { echo "detcheck drifted from crates/bench/examples/detcheck.golden"; exit 1; }
+
+  # Pipeline benchmark harness (benchmark/ is a workspace of its own, so
+  # nothing above builds it): unit tests plus a --smoke run of the real
+  # binary — all five workloads, all three executives, every committed
+  # fingerprint compared with the sequential oracle's.
+  run cargo test -q --manifest-path benchmark/Cargo.toml
 fi
 
 echo
