@@ -38,8 +38,8 @@ fn summaries_json(rows: &[(&'static str, BenchSummary, ScenarioOutcome)], indent
         let _ = writeln!(
             s,
             "{indent}  \"{name}\": {{ \"median_ns_per_event\": {:.1}, \"min_ns_per_event\": {:.1}, \"events\": {}, \"modeled_s\": {:.4}, \"app_messages\": {}, \"messages_saved\": {}, \"samples\": {} }}{comma}",
-            m.median_ns_per_event, m.min_ns_per_event, m.events, o.modeled_s, o.app_messages,
-            o.messages_saved, m.samples
+            m.median_ns_per_event, m.min_ns_per_event, m.events, o.modeled_s, o.stats.app_messages,
+            o.stats.messages_saved, m.samples
         );
     }
     let _ = write!(s, "{indent}}}");
@@ -105,9 +105,8 @@ fn main() {
         let run = &mut sc.run;
         let mut last = ScenarioOutcome::default();
         let m = bench_events(samples, || {
-            let o = run();
-            last = o;
-            o.units
+            last = run();
+            last.units
         });
         eprintln!(
             "  {}: median {:.1} ns/event (min {:.1}, {} events, modeled {:.4}s, {} msgs)",
@@ -116,7 +115,7 @@ fn main() {
             m.min_ns_per_event,
             m.events,
             last.modeled_s,
-            last.app_messages
+            last.stats.app_messages
         );
         rows.push((sc.name, m, last));
     }

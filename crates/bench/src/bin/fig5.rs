@@ -13,8 +13,10 @@ fn main() {
     let mut grid = Grid::open();
     let mut series = Vec::new();
     for s in STRATEGY_ORDER {
-        let vals =
-            FIGURE_NODES.iter().map(|&n| grid.cell("s9234", s, n).app_messages as f64).collect();
+        let vals = FIGURE_NODES
+            .iter()
+            .map(|&n| grid.cell("s9234", s, n).stats.app_messages as f64)
+            .collect();
         series.push((s.to_string(), vals));
     }
     print!(

@@ -13,8 +13,10 @@ fn main() {
     let mut grid = Grid::open();
     let mut series = Vec::new();
     for s in STRATEGY_ORDER {
-        let vals =
-            FIGURE_NODES.iter().map(|&n| grid.cell("s9234", s, n).rollbacks as f64).collect();
+        let vals = FIGURE_NODES
+            .iter()
+            .map(|&n| grid.cell("s9234", s, n).stats.rollbacks() as f64)
+            .collect();
         series.push((s.to_string(), vals));
     }
     print!(

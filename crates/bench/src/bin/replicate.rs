@@ -42,8 +42,8 @@ fn main() {
             cfg.stim = StimulusConfig { seed, ..cfg.stim };
             let m = Cell::new(&netlist, &graph, &cfg).nodes(nodes).run(strategy.as_ref());
             times.push(m.exec_time_s);
-            msgs += m.app_messages;
-            rbs += m.rollbacks;
+            msgs += m.stats.app_messages;
+            rbs += m.stats.rollbacks();
         }
         let mean = times.iter().sum::<f64>() / times.len() as f64;
         let min = times.iter().cloned().fold(f64::INFINITY, f64::min);

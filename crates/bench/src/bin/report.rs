@@ -199,8 +199,8 @@ fn main() {
                 let m = grid.cell("s9234", strategy, n);
                 match metric {
                     "time" => line.push_str(&format!(" {:.2} |", m.exec_time_s)),
-                    "messages" => line.push_str(&format!(" {} |", m.app_messages)),
-                    _ => line.push_str(&format!(" {} |", m.rollbacks)),
+                    "messages" => line.push_str(&format!(" {} |", m.stats.app_messages)),
+                    _ => line.push_str(&format!(" {} |", m.stats.rollbacks())),
                 }
             }
             println!("{line}");

@@ -42,8 +42,8 @@ fn main() {
                 "{:<14} {:>10.3} {:>10} {:>10} {:>8.2}x",
                 m.strategy,
                 m.exec_time_s,
-                m.app_messages,
-                m.rollbacks,
+                m.stats.app_messages,
+                m.stats.rollbacks(),
                 seq.exec_time_s / m.exec_time_s
             );
         }

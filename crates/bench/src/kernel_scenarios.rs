@@ -11,25 +11,24 @@ use pls_netlist::{ClockTreeSynth, IscasSynth};
 use pls_partition::{CircuitGraph, MultilevelPartitioner, Partitioner, ReplicationConfig};
 use pls_timewarp::{
     Application, Backend, Cancellation, CostModel, DynLbConfig, FaultKind, FaultPlan,
-    FaultScenario, KernelConfig, Phold, PlatformConfig, RotatingHotspot, RunReport, Simulator,
+    FaultScenario, KernelConfig, KernelStats, Phold, PlatformConfig, RotatingHotspot, RunReport,
+    Simulator,
 };
 
 /// What one scenario execution measured. `units` is the ns/unit
-/// denominator (events, or ops+events for compiled scenarios); the other
-/// fields disambiguate pairs whose host timing is indistinguishable —
-/// the modeled makespan separates `dynlb_hotspot_static/dynamic`, and
-/// the message counts separate the replication on/off pairs.
-#[derive(Debug, Clone, Copy, Default)]
+/// denominator (events, or ops+events for compiled scenarios); the rest
+/// disambiguates pairs whose host timing is indistinguishable — the
+/// modeled makespan separates `dynlb_hotspot_static/dynamic`, and the
+/// message counts in `stats` separate the replication on/off pairs.
+#[derive(Debug, Clone, Default)]
 pub struct ScenarioOutcome {
     /// Work units for the ns/unit denominator.
     pub units: u64,
     /// Modeled completion time in seconds (platform runs; 0.0 for
     /// sequential scenarios, where only wall time is meaningful).
     pub modeled_s: f64,
-    /// Positive application events that crossed node boundaries.
-    pub app_messages: u64,
-    /// Boundary messages elided by logic replication.
-    pub messages_saved: u64,
+    /// The run's kernel counters.
+    pub stats: KernelStats,
 }
 
 /// One named, repeatable kernel workload. `run` executes it once and
@@ -46,8 +45,7 @@ fn sample<A: Application>(units: u64, rep: &RunReport<A>) -> ScenarioOutcome {
     ScenarioOutcome {
         units,
         modeled_s: rep.outcome.exec_time_s().unwrap_or(0.0),
-        app_messages: rep.stats.app_messages,
-        messages_saved: rep.stats.messages_saved,
+        stats: rep.stats.clone(),
     }
 }
 

@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use pls_gatesim::{run_seq_baseline, Cell, RunMetrics, SeqMetrics, SimConfig};
 use pls_netlist::{IscasSynth, Netlist};
 use pls_partition::CircuitGraph;
-use pls_timewarp::TimeSeries;
+use pls_timewarp::{KernelStats, TimeSeries, VTime};
 
 /// Strategy display order of the paper's Table 2 columns.
 pub const STRATEGY_ORDER: [&str; 6] =
@@ -52,22 +52,11 @@ pub struct Grid {
 }
 
 impl Grid {
-    /// Fingerprint of everything that affects cell values: cost model,
-    /// kernel knobs and workload. A cache written under a different
+    /// Fingerprint of everything that affects cell values: the whole
+    /// configuration, field for field. A cache written under a different
     /// fingerprint is stale and must be discarded, not silently reused.
     fn config_fingerprint(cfg: &SimConfig) -> String {
-        format!(
-            "v4:{:?}:{:?}:end{}:clk{}:stim{}-{}-{}:dynlb{:?}:exec{}",
-            cfg.platform.cost,
-            cfg.platform.kernel,
-            cfg.end_time,
-            cfg.clock_period,
-            cfg.stim.seed,
-            cfg.stim.period,
-            cfg.stim.toggle_prob,
-            cfg.dynlb,
-            cfg.exec,
-        )
+        format!("# {cfg:?}")
     }
 
     /// Open (or create) the grid with the standard configuration and cache
@@ -188,78 +177,95 @@ impl Grid {
 
     fn load_cache(&mut self) {
         let Ok(text) = std::fs::read_to_string(&self.cache_path) else { return };
-        // First line is the config fingerprint; a mismatch means the cost
-        // model or workload changed since the cache was written.
-        let expected = format!("# {}", Self::config_fingerprint(&self.cfg));
-        if text.lines().next() != Some(expected.as_str()) {
+        let Some(rows) = parse_cache(&self.cfg, &text) else {
             eprintln!("experiment cache is from a different configuration; discarding");
             return;
-        }
-        for line in text.lines().skip(2) {
-            let f: Vec<&str> = line.split(',').collect();
-            if f.len() != 17 {
-                continue;
-            }
-            let m = RunMetrics {
-                circuit: f[0].to_string(),
-                strategy: f[1].to_string(),
-                nodes: f[2].parse().unwrap_or(0),
-                exec_time_s: f[3].parse().unwrap_or(f64::NAN),
-                app_messages: f[4].parse().unwrap_or(0),
-                rollbacks: f[5].parse().unwrap_or(0),
-                events_committed: f[6].parse().unwrap_or(0),
-                events_processed: f[7].parse().unwrap_or(0),
-                remote_antis: f[8].parse().unwrap_or(0),
-                edge_cut: f[9].parse().unwrap_or(0),
-                connectivity_cut: f[10].parse().unwrap_or(0),
-                replicated_gates: f[11].parse().unwrap_or(0),
-                messages_saved: f[12].parse().unwrap_or(0),
-                migrations: f[13].parse().unwrap_or(0),
-                out_of_memory: f[14] == "true",
-                block_activations: f[15].parse().unwrap_or(0),
-                ops_executed: f[16].parse().unwrap_or(0),
-                telemetry: None,
-            };
+        };
+        for m in rows {
             self.cells.insert((m.circuit.clone(), m.strategy.clone(), m.nodes), m);
         }
     }
 
     fn save_cache(&self) {
-        let mut text = format!("# {}\n", Self::config_fingerprint(&self.cfg));
-        text.push_str(
-            "circuit,strategy,nodes,exec_time_s,app_messages,rollbacks,events_committed,events_processed,remote_antis,edge_cut,connectivity_cut,replicated_gates,messages_saved,migrations,out_of_memory,block_activations,ops_executed\n",
-        );
         let mut rows: Vec<&RunMetrics> = self.cells.values().collect();
         rows.sort_by(|a, b| {
             (&a.circuit, &a.strategy, a.nodes).cmp(&(&b.circuit, &b.strategy, b.nodes))
         });
-        for m in rows {
-            text.push_str(&format!(
-                "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-                m.circuit,
-                m.strategy,
-                m.nodes,
-                m.exec_time_s,
-                m.app_messages,
-                m.rollbacks,
-                m.events_committed,
-                m.events_processed,
-                m.remote_antis,
-                m.edge_cut,
-                m.connectivity_cut,
-                m.replicated_gates,
-                m.messages_saved,
-                m.migrations,
-                m.out_of_memory,
-                m.block_activations,
-                m.ops_executed
-            ));
-        }
+        let text = render_cache(&self.cfg, &rows);
         let tmp = self.cache_path.with_extension("csv.tmp");
         let mut f = std::fs::File::create(&tmp).expect("write cache");
         f.write_all(text.as_bytes()).expect("write cache");
         std::fs::rename(&tmp, &self.cache_path).expect("replace cache");
     }
+}
+
+/// The cache columns that are not kernel counters, in row order; the
+/// counters follow under their [`KernelStats::COUNTERS`] names, then
+/// `final_gvt`.
+const CACHE_KEY_COLUMNS: &str =
+    "circuit,strategy,nodes,exec_time_s,edge_cut,connectivity_cut,out_of_memory";
+
+fn cache_header() -> String {
+    let mut h = String::from(CACHE_KEY_COLUMNS);
+    for c in KernelStats::COUNTERS {
+        h.push(',');
+        h.push_str(c.name);
+    }
+    h.push_str(",final_gvt");
+    h
+}
+
+/// The cache file: config fingerprint, header, one row per cell.
+fn render_cache(cfg: &SimConfig, rows: &[&RunMetrics]) -> String {
+    let mut text = format!("{}\n{}\n", Grid::config_fingerprint(cfg), cache_header());
+    for m in rows {
+        text.push_str(&format!(
+            "{},{},{},{},{},{},{}",
+            m.circuit,
+            m.strategy,
+            m.nodes,
+            m.exec_time_s,
+            m.edge_cut,
+            m.connectivity_cut,
+            m.out_of_memory
+        ));
+        for (_, v) in m.stats.iter() {
+            text.push_str(&format!(",{v}"));
+        }
+        text.push_str(&format!(",{}\n", m.stats.final_gvt.0));
+    }
+    text
+}
+
+/// Rows of a cache file, or `None` when it was written under another
+/// configuration or another set of columns (a counter added, removed or
+/// renamed since) — stale either way.
+fn parse_cache(cfg: &SimConfig, text: &str) -> Option<Vec<RunMetrics>> {
+    let mut lines = text.lines();
+    if lines.next()? != Grid::config_fingerprint(cfg) || lines.next()? != cache_header() {
+        return None;
+    }
+    Some(lines.filter_map(parse_cache_row).collect())
+}
+
+fn parse_cache_row(line: &str) -> Option<RunMetrics> {
+    let mut f = line.split(',');
+    let mut m = RunMetrics {
+        circuit: f.next()?.to_string(),
+        strategy: f.next()?.to_string(),
+        nodes: f.next()?.parse().ok()?,
+        exec_time_s: f.next()?.parse().ok()?,
+        edge_cut: f.next()?.parse().ok()?,
+        connectivity_cut: f.next()?.parse().ok()?,
+        out_of_memory: f.next()?.parse().ok()?,
+        stats: KernelStats::default(),
+        telemetry: None,
+    };
+    for c in KernelStats::COUNTERS {
+        *(c.get_mut)(&mut m.stats) = f.next()?.parse().ok()?;
+    }
+    m.stats.final_gvt = VTime(f.next()?.parse().ok()?);
+    f.next().is_none().then_some(m)
 }
 
 /// Minimal micro-benchmark timer for the `cargo bench` binaries (the
@@ -406,5 +412,88 @@ mod tests {
         );
         assert!(s.contains("OOM"));
         assert!(s.contains('A') && s.contains('B'));
+    }
+
+    #[test]
+    fn fingerprint_covers_every_config_field() {
+        use pls_logic::DelayModel;
+        use pls_partition::ReplicationConfig;
+        use pls_timewarp::FaultPlan;
+
+        let base = Grid::config_fingerprint(&paper_sim_config());
+        let flip = |field: &str, edit: fn(&mut SimConfig)| {
+            let mut cfg = paper_sim_config();
+            edit(&mut cfg);
+            assert_ne!(Grid::config_fingerprint(&cfg), base, "{field} is not fingerprinted");
+        };
+        flip("delay", |c| c.delay = DelayModel::Unit(1));
+        flip("replication", |c| c.replication = Some(ReplicationConfig::default()));
+        flip("faults", |c| c.faults = Some(FaultPlan::new(1)));
+        flip("state_limit_per_node", |c| c.platform.state_limit_per_node = Some(1 << 20));
+        assert!(!base.contains('\n'), "the fingerprint must stay one cache line");
+    }
+
+    #[test]
+    fn cache_round_trips_normal_and_oom_rows() {
+        let cfg = paper_sim_config();
+        let mut stats = KernelStats { final_gvt: VTime::INF, ..Default::default() };
+        for (i, c) in (1u64..).zip(KernelStats::COUNTERS) {
+            *(c.get_mut)(&mut stats) = 1000 * i + 7;
+        }
+        let ok = RunMetrics {
+            circuit: "s9234".into(),
+            strategy: "Multilevel".into(),
+            nodes: 8,
+            exec_time_s: 1.25,
+            stats,
+            edge_cut: 321,
+            connectivity_cut: 300,
+            out_of_memory: false,
+            telemetry: None,
+        };
+        let oom = RunMetrics {
+            strategy: "DFS".into(),
+            nodes: 2,
+            exec_time_s: f64::NAN,
+            stats: KernelStats::default(),
+            out_of_memory: true,
+            ..ok.clone()
+        };
+        let text = render_cache(&cfg, &[&ok, &oom]);
+        let mut back = parse_cache(&cfg, &text).expect("same config, same columns");
+        assert_eq!(back.len(), 2);
+        assert_eq!(back[0], ok);
+        // NaN != NaN: check it, then compare the rest of the row.
+        assert!(back[1].exec_time_s.is_nan());
+        back[1].exec_time_s = 0.0;
+        assert_eq!(back[1], RunMetrics { exec_time_s: 0.0, ..oom });
+    }
+
+    #[test]
+    fn cache_with_another_header_or_config_is_discarded() {
+        let cfg = paper_sim_config();
+        let row = RunMetrics {
+            circuit: "s5378".into(),
+            strategy: "Random".into(),
+            nodes: 4,
+            exec_time_s: 2.0,
+            stats: KernelStats::default(),
+            edge_cut: 1,
+            connectivity_cut: 1,
+            out_of_memory: false,
+            telemetry: None,
+        };
+        let text = render_cache(&cfg, &[&row]);
+        assert_eq!(parse_cache(&cfg, &text).map(|r| r.len()), Some(1));
+
+        // A counter renamed since the file was written: same width, other
+        // header — the rows must not be read positionally.
+        let renamed = text.replacen("app_messages", "application_msgs", 1);
+        assert!(parse_cache(&cfg, &renamed).is_none());
+        let other_cfg = SimConfig { end_time: 401, ..paper_sim_config() };
+        assert!(parse_cache(&other_cfg, &text).is_none());
+        // A truncated row is skipped, not zero-filled.
+        let cut = &text[..text.trim_end().rfind(',').unwrap()];
+        assert_eq!(parse_cache(&cfg, cut).map(|r| r.len()), Some(0));
     }
 }

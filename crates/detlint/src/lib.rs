@@ -7,7 +7,7 @@
 //! execute. This crate rejects nondeterminism *at the source level*:
 //!
 //! * a [rule engine](crate::engine) over a hand-rolled
-//!   [lexer](crate::lexer): lexical rules [`RuleId::D001`]–
+//!   [lexer]: lexical rules [`RuleId::D001`]–
 //!   [`RuleId::D005`] and [`RuleId::D007`], with inline
 //!   `// detlint: allow(D00x, reason)` waivers and `--json` / `--sarif`
 //!   machine reports;

@@ -7,7 +7,7 @@
 //! checkpoint bookkeeping) per gate hop, every DFF pays a kernel
 //! self-tick per sampled clock edge, and every primary input pays one
 //! per stimulus period. Compiled mode lowers all of it in-block:
-//! combinational gates become [`Op`]s in topological order (via
+//! combinational gates become `Op`s in topological order (via
 //! [`pls_netlist::topo_order`]) swept on demand, DFFs become
 //! block-resident sequential elements sampled on clock edges, primary
 //! inputs become block-resident stimulus elements polled on the
@@ -43,14 +43,14 @@
 //!
 //! # DFF-boundary contract (in-block DFFs)
 //!
-//! In-block DFFs replicate [`crate::gatelp::step_dff`] exactly:
+//! In-block DFFs replicate `gatelp::step_dff` exactly:
 //! activity-driven clocking (a sampling time is armed only when the D
 //! input *changes*, at the next clock edge after the change becomes
 //! visible), register semantics (an edge samples D from before any
 //! same-time update — the sweep and agenda application run *after*
 //! sampling), and the Q transition folds into the trace hash at its
 //! effective (post-delay) time. In-block stimulus elements likewise
-//! replicate [`crate::gatelp::step_input`]: the same per-input
+//! replicate `gatelp::step_input`: the same per-input
 //! deterministic stream, polled once per stimulus period starting at
 //! time 1, emitting unconditionally on a toggle. The only difference is
 //! mechanical: all DFFs and inputs of a block share the block's

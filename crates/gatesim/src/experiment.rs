@@ -5,15 +5,14 @@
 //! The entry point is the [`Cell`] builder (mirroring the `Simulator`
 //! builder of `pls-timewarp`): configure optional telemetry recording and
 //! oracle checking, then `run` with a strategy or `run_with` a
-//! precomputed partitioning. The old `run_cell*` free functions remain as
-//! thin deprecated wrappers for one release.
+//! precomputed partitioning.
 
 use pls_logic::{DelayModel, StimulusConfig};
 use pls_netlist::Netlist;
 use pls_partition::{plan_replication, CircuitGraph, Partitioner, Partitioning, ReplicationConfig};
 use pls_timewarp::{
-    platform::sequential_modeled_time_s, Backend, DynLbConfig, FaultPlan, PlatformConfig, SimError,
-    Simulator, TimeSeries,
+    platform::sequential_modeled_time_s, Backend, DynLbConfig, FaultPlan, KernelStats,
+    PlatformConfig, SimError, Simulator, TimeSeries,
 };
 
 use crate::compiled::CompileOptions;
@@ -142,32 +141,14 @@ pub struct RunMetrics {
     pub nodes: usize,
     /// Modeled execution time in seconds (Figure 4 / Table 2).
     pub exec_time_s: f64,
-    /// Inter-node positive application messages (Figure 5).
-    pub app_messages: u64,
-    /// Total rollbacks (Figure 6).
-    pub rollbacks: u64,
-    /// Committed events.
-    pub events_committed: u64,
-    /// Processed events (committed + wasted).
-    pub events_processed: u64,
-    /// Compiled mode: block activations (0 in gate-per-LP mode).
-    pub block_activations: u64,
-    /// Compiled mode: fused gate evaluations (0 in gate-per-LP mode).
-    pub ops_executed: u64,
-    /// Remote anti-messages.
-    pub remote_antis: u64,
+    /// Every kernel counter of the run — `app_messages` is Figure 5,
+    /// `rollbacks()` Figure 6. All zero when [`Self::out_of_memory`].
+    pub stats: KernelStats,
     /// Edge cut of the partition used.
     pub edge_cut: u64,
     /// Connectivity (λ−1) cut of the partition used — the hypergraph
     /// metric matching compiled-mode bundled messages.
     pub connectivity_cut: u64,
-    /// Gate replicas materialised by logic replication (0 when
-    /// [`SimConfig::replication`] is off).
-    pub replicated_gates: u64,
-    /// Boundary messages elided by replicas during the run.
-    pub messages_saved: u64,
-    /// LPs migrated by dynamic load balancing (0 with a static placement).
-    pub migrations: u64,
     /// Whether the run died with the per-node memory limit exceeded
     /// (`exec_time_s` is meaningless in that case).
     pub out_of_memory: bool,
@@ -221,7 +202,7 @@ pub fn run_seq_baseline(netlist: &Netlist, cfg: &SimConfig) -> SeqMetrics {
 /// let graph = CircuitGraph::from_netlist(&netlist);
 /// let cfg = SimConfig { end_time: 100, ..Default::default() };
 /// let m = Cell::new(&netlist, &graph, &cfg).nodes(4).run(&MultilevelPartitioner::default());
-/// assert!(m.events_committed > 0);
+/// assert!(m.stats.events_committed > 0);
 /// ```
 #[derive(Debug)]
 pub struct Cell<'a> {
@@ -293,7 +274,8 @@ impl<'a> Cell<'a> {
         if let Some(f) = &self.cfg.faults {
             sim = sim.fault_plan(f.clone());
         }
-        match sim.run(Backend::Platform { assignment: &assignment, nodes: self.nodes }) {
+        let run = sim.run(Backend::Platform { assignment: &assignment, nodes: self.nodes });
+        let (exec_time_s, stats, telemetry, out_of_memory) = match run {
             Ok(res) => {
                 if self.check {
                     let seq = Simulator::new(&app)
@@ -308,115 +290,24 @@ impl<'a> Cell<'a> {
                         self.nodes
                     );
                 }
-                RunMetrics {
-                    circuit: self.netlist.name().to_string(),
-                    strategy: strategy_name.to_string(),
-                    nodes: self.nodes,
-                    exec_time_s: res.outcome.exec_time_s().expect("platform outcome"),
-                    app_messages: res.stats.app_messages,
-                    rollbacks: res.stats.rollbacks(),
-                    events_committed: res.stats.events_committed,
-                    events_processed: res.stats.events_processed,
-                    block_activations: res.stats.block_activations,
-                    ops_executed: res.stats.ops_executed,
-                    remote_antis: res.stats.anti_messages_remote,
-                    edge_cut,
-                    connectivity_cut,
-                    replicated_gates: res.stats.replicated_gates,
-                    messages_saved: res.stats.messages_saved,
-                    migrations: res.stats.migrations,
-                    out_of_memory: false,
-                    telemetry: res.telemetry,
-                }
+                let exec_time_s = res.outcome.exec_time_s().expect("platform outcome");
+                (exec_time_s, res.stats, res.telemetry, false)
             }
-            Err(SimError::OutOfMemory { .. }) => RunMetrics {
-                circuit: self.netlist.name().to_string(),
-                strategy: strategy_name.to_string(),
-                nodes: self.nodes,
-                exec_time_s: f64::NAN,
-                app_messages: 0,
-                rollbacks: 0,
-                events_committed: 0,
-                events_processed: 0,
-                block_activations: 0,
-                ops_executed: 0,
-                remote_antis: 0,
-                edge_cut,
-                connectivity_cut,
-                replicated_gates: 0,
-                messages_saved: 0,
-                migrations: 0,
-                out_of_memory: true,
-                telemetry: None,
-            },
+            Err(SimError::OutOfMemory { .. }) => (f64::NAN, KernelStats::default(), None, true),
             Err(e) => panic!("misconfigured cell: {e}"),
+        };
+        RunMetrics {
+            circuit: self.netlist.name().to_string(),
+            strategy: strategy_name.to_string(),
+            nodes: self.nodes,
+            exec_time_s,
+            stats,
+            edge_cut,
+            connectivity_cut,
+            out_of_memory,
+            telemetry,
         }
     }
-}
-
-/// Run one parallel cell: partition the circuit with `strategy` and
-/// simulate it on `nodes` virtual workstations.
-#[deprecated(since = "0.6.0", note = "use `Cell::new(..).nodes(n).seed(s).run(strategy)`")]
-pub fn run_cell(
-    netlist: &Netlist,
-    graph: &CircuitGraph,
-    strategy: &dyn Partitioner,
-    nodes: usize,
-    seed: u64,
-    cfg: &SimConfig,
-) -> RunMetrics {
-    Cell::new(netlist, graph, cfg).nodes(nodes).seed(seed).run(strategy)
-}
-
-/// Like [`run_cell`] but with a pre-computed partitioning.
-#[deprecated(since = "0.6.0", note = "use `Cell::new(..).nodes(n).run_with(partitioning, name)`")]
-pub fn run_cell_with(
-    netlist: &Netlist,
-    graph: &CircuitGraph,
-    partitioning: &Partitioning,
-    strategy_name: &str,
-    nodes: usize,
-    cfg: &SimConfig,
-) -> RunMetrics {
-    Cell::new(netlist, graph, cfg).nodes(nodes).run_with(partitioning, strategy_name)
-}
-
-/// Like [`run_cell_with`], optionally recording a telemetry
-/// [`TimeSeries`] with the given virtual-time bucket width.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `Cell::new(..).record(w).run_with(..)`; the series is in `RunMetrics::telemetry`"
-)]
-pub fn run_cell_recorded(
-    netlist: &Netlist,
-    graph: &CircuitGraph,
-    partitioning: &Partitioning,
-    strategy_name: &str,
-    nodes: usize,
-    cfg: &SimConfig,
-    bucket_width: Option<u64>,
-) -> (RunMetrics, Option<TimeSeries>) {
-    let mut cell = Cell::new(netlist, graph, cfg).nodes(nodes);
-    if let Some(w) = bucket_width {
-        cell = cell.record(w);
-    }
-    let metrics = cell.run_with(partitioning, strategy_name);
-    let telemetry = metrics.telemetry.clone();
-    (metrics, telemetry)
-}
-
-/// Run a parallel cell *and* check its committed history against the
-/// sequential oracle, panicking on divergence.
-#[deprecated(since = "0.6.0", note = "use `Cell::new(..).checked().run(strategy)`")]
-pub fn run_cell_checked(
-    netlist: &Netlist,
-    graph: &CircuitGraph,
-    strategy: &dyn Partitioner,
-    nodes: usize,
-    seed: u64,
-    cfg: &SimConfig,
-) -> RunMetrics {
-    Cell::new(netlist, graph, cfg).nodes(nodes).seed(seed).checked().run(strategy)
 }
 
 #[cfg(test)]
@@ -438,7 +329,7 @@ mod tests {
             for nodes in [2, 4] {
                 let m =
                     Cell::new(&netlist, &graph, &cfg).nodes(nodes).checked().run(strategy.as_ref());
-                assert!(m.events_committed > 0, "{} produced no events", m.strategy);
+                assert!(m.stats.events_committed > 0, "{} produced no events", m.strategy);
             }
         }
     }
@@ -472,14 +363,14 @@ mod tests {
             run_seq_baseline(&netlist, &compiled_cfg).fingerprint,
             "compiled fingerprint diverged from gate-per-LP"
         );
-        assert!(c.block_activations > 0, "compiled run must activate blocks");
-        assert!(c.ops_executed > 0, "compiled run must sweep ops");
-        assert_eq!(g.block_activations, 0, "gate mode declares no block work");
+        assert!(c.stats.block_activations > 0, "compiled run must activate blocks");
+        assert!(c.stats.ops_executed > 0, "compiled run must sweep ops");
+        assert_eq!(g.stats.block_activations, 0, "gate mode declares no block work");
         assert!(
-            c.events_processed < g.events_processed,
+            c.stats.events_processed < g.stats.events_processed,
             "compiled mode must internalize events ({} vs {})",
-            c.events_processed,
-            g.events_processed
+            c.stats.events_processed,
+            g.stats.events_processed
         );
     }
 
@@ -501,10 +392,10 @@ mod tests {
         let ml = Cell::new(&netlist, &graph, &cfg).run(&MultilevelPartitioner::default());
         let rnd = Cell::new(&netlist, &graph, &cfg).run(&RandomPartitioner);
         assert!(
-            ml.app_messages < rnd.app_messages,
+            ml.stats.app_messages < rnd.stats.app_messages,
             "multilevel {} messages vs random {}",
-            ml.app_messages,
-            rnd.app_messages
+            ml.stats.app_messages,
+            rnd.stats.app_messages
         );
     }
 
@@ -521,8 +412,8 @@ mod tests {
         let part = Partitioning::new(4, vec![0; graph.len()]);
         let m = Cell::new(&netlist, &graph, &cfg).run_with(&part, "AllOnZero");
         assert!(!m.out_of_memory);
-        assert!(m.migrations > 0, "fully skewed placement must migrate");
-        assert_eq!(m.events_committed, seq.events);
+        assert!(m.stats.migrations > 0, "fully skewed placement must migrate");
+        assert_eq!(m.stats.events_committed, seq.events);
         let app = cfg.build_app(&netlist);
         let res = Simulator::new(&app)
             .platform_config(&cfg.platform)
@@ -542,16 +433,5 @@ mod tests {
         let m = Cell::new(&netlist, &graph, &cfg).run(&RandomPartitioner);
         assert!(m.out_of_memory);
         assert!(m.exec_time_s.is_nan());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrappers_still_work() {
-        let netlist = IscasSynth::small(100, 2).build();
-        let graph = CircuitGraph::from_netlist(&netlist);
-        let cfg = small_cfg();
-        let a = run_cell(&netlist, &graph, &RandomPartitioner, 2, 0, &cfg);
-        let b = Cell::new(&netlist, &graph, &cfg).nodes(2).run(&RandomPartitioner);
-        assert_eq!(a, b);
     }
 }

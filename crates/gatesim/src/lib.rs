@@ -28,7 +28,7 @@
 //! let cfg = SimConfig { end_time: 100, ..Default::default() };
 //! let seq = run_seq_baseline(&netlist, &cfg);
 //! let par = Cell::new(&netlist, &graph, &cfg).nodes(4).run(&MultilevelPartitioner::default());
-//! assert!(par.events_committed > 0 && seq.events > 0);
+//! assert!(par.stats.events_committed > 0 && seq.events > 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -44,8 +44,6 @@ pub mod vcd;
 pub use activity::{activity_weighted_graph, ActivityProfile};
 pub use compiled::{BlockState, CompileOptions, CompiledSim};
 pub use experiment::{fingerprint, run_seq_baseline, Cell, RunMetrics, SeqMetrics, SimConfig};
-#[allow(deprecated)]
-pub use experiment::{run_cell, run_cell_checked, run_cell_recorded, run_cell_with};
 pub use gatelp::{GateMsg, GateSim, GateState};
 pub use model::{ExecModel, GateModel, GateSimBuilder, ModelState, UnknownExecModel};
 pub use vcd::{write_vcd, WaveRecorder, Waveform};

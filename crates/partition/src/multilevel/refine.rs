@@ -25,7 +25,7 @@
 //!
 //! # Cost
 //!
-//! The λ gain is read from a net × part pin-count table ([`PinTable`])
+//! The λ gain is read from a net × part pin-count table (`PinTable`)
 //! built once per call in `O(pins)` (`pins = N_V + N_E`: one per driver
 //! plus one per edge) and kept current in `O(fanin + 1)` per applied
 //! move. A pass visits every vertex once: `O(k + degree)` to find the

@@ -61,7 +61,7 @@ pub use hotspot::RotatingHotspot;
 pub use phold::Phold;
 pub use platform::{PlatformConfig, PlatformConfigBuilder};
 pub use probe::{NoProbe, Probe, RollbackKind, Tee};
-pub use series::{Bucket, BucketKey, ColumnKind, ColumnSpec, TimeSeries, COLUMNS};
+pub use series::{Bucket, BucketKey, ColumnSpec, TimeSeries, COLUMNS};
 pub use sim::{Backend, Outcome, RunReport, SimError, Simulator};
-pub use stats::{KernelStats, LpCounters};
+pub use stats::{Counter, KernelStats, LpCounters, Merge};
 pub use time::VTime;

@@ -208,6 +208,7 @@ impl<P: Probe, Q: Probe> Probe for Tee<P, Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::series::{TimeSeries, COLUMNS};
 
     /// A probe that counts callbacks (exercises fork/join plumbing).
     #[derive(Debug, Default, Clone, PartialEq)]
@@ -250,13 +251,39 @@ mod tests {
     }
 
     #[test]
-    fn tee_duplicates_callbacks() {
-        let mut tee = Tee::new(Counter::default(), Counter::default());
-        tee.batch_executed(0, VTime(5), 2);
-        tee.rollback_begun(0, RollbackKind::Primary, VTime(5), VTime(3));
+    fn tee_forwards_every_callback() {
+        // Probe methods default to no-ops, so a forward missing from
+        // `impl Probe for Tee` would compile and silently drop telemetry.
+        // Drive every callback once: both sides must agree, and every
+        // column of the recorded totals must have moved.
+        let mut tee = Tee::new(TimeSeries::new(10), TimeSeries::new(10));
+        let t = VTime(5);
+        tee.batch_executed(0, t, 2);
+        tee.app_work(0, t, 1, 4);
+        tee.rollback_begun(0, RollbackKind::Primary, t, VTime(3));
+        tee.rollback_begun(0, RollbackKind::Secondary, t, VTime(3));
+        tee.rollback_ended(0, VTime(3), 2, 1);
+        tee.anti_sent(0, t);
+        tee.annihilated(1, t);
+        tee.state_saved(0, t);
+        tee.fossil_collected(0, t, 3);
+        tee.gvt_advanced(t, 6, 2, 900);
+        tee.remote_message(true, t);
+        tee.remote_message(false, t);
+        tee.lp_migrated(0, 0, 1, t, 64);
+        tee.fault_event(1, true, 1, t);
+        tee.transmission_dropped(true, t);
+        tee.retransmitted(t);
+        let mut child = tee.fork();
+        child.batch_executed(1, VTime(25), 1);
+        tee.join(child);
+
         assert_eq!(tee.a, tee.b);
-        assert_eq!(tee.a.batches, 1);
-        assert_eq!(tee.a.rollbacks, 1);
+        assert_eq!(tee.a.len(), 2, "the joined child's bucket arrived");
+        let totals = tee.a.totals();
+        for c in COLUMNS {
+            assert_ne!((c.get)(&totals), 0, "column {} never moved", c.name);
+        }
     }
 
     #[test]

@@ -18,72 +18,8 @@ use std::collections::BTreeMap;
 
 use crate::event::LpId;
 use crate::probe::{Probe, RollbackKind};
-use crate::stats::KernelStats;
+use crate::stats::{kernel_counters, KernelStats, Merge};
 use crate::time::VTime;
-
-/// Counters accumulated for one virtual-time bucket.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Bucket {
-    /// Event batches executed.
-    pub batches: u64,
-    /// Individual events executed (including later-rolled-back work).
-    pub events: u64,
-    /// Compiled-block activations declared by the application.
-    pub block_activations: u64,
-    /// Fine-grained application operations (compiled gate evaluations).
-    pub ops_executed: u64,
-    /// Rollbacks caused by straggler positives.
-    pub primary_rollbacks: u64,
-    /// Rollbacks caused by anti-messages.
-    pub secondary_rollbacks: u64,
-    /// Events unprocessed by rollbacks.
-    pub events_rolled_back: u64,
-    /// Events silently re-executed during coast-forward.
-    pub events_coasted: u64,
-    /// Anti-messages emitted.
-    pub antis_sent: u64,
-    /// Positives annihilated by anti-messages before execution.
-    pub annihilations: u64,
-    /// State checkpoints written.
-    pub states_saved: u64,
-    /// Events committed by fossil collection.
-    pub events_committed: u64,
-    /// Positive application events that crossed a cluster/node boundary.
-    pub app_messages: u64,
-    /// Anti-messages that crossed a cluster/node boundary.
-    pub remote_antis: u64,
-    /// GVT rounds whose agreed GVT fell in this bucket.
-    pub gvt_rounds: u64,
-    /// LPs migrated by dynamic load balancing at GVT rounds here.
-    pub migrations: u64,
-    /// Modeled bytes moved by those migrations.
-    pub migrated_bytes: u64,
-    /// Fault windows opened by injected chaos (onsets reached).
-    pub faults_injected: u64,
-    /// Transmissions (data or acks) dropped by injected link loss.
-    pub transmissions_dropped: u64,
-    /// Ack/retransmit protocol re-sends.
-    pub retransmissions: u64,
-    /// High-water mark of saved states observed at GVT rounds here.
-    pub states_held_max: u64,
-    /// High-water mark of pending (unprocessed) events at GVT rounds here.
-    pub pending_max: u64,
-    /// Largest executive clock observed at GVT rounds here (modeled ns on
-    /// the platform, elapsed real ns on the threaded executive).
-    pub wall_ns_max: u64,
-    /// Largest number of simultaneously active fault windows observed.
-    pub fault_active: u64,
-}
-
-/// How a [`Bucket`] column aggregates when buckets merge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ColumnKind {
-    /// Counter: merges and totals by summation, and its sum over all
-    /// buckets must equal the matching [`KernelStats`] aggregate.
-    Additive,
-    /// Gauge high-water mark: merges by max, no summation invariant.
-    Max,
-}
 
 /// One telemetry column: a single table entry drives bucket merging,
 /// JSONL/CSV export *and* the stats-conservation test, so a new counter
@@ -92,70 +28,78 @@ pub enum ColumnKind {
 pub struct ColumnSpec {
     /// Column name as exported in JSONL keys and the CSV header.
     pub name: &'static str,
-    /// Aggregation rule.
-    pub kind: ColumnKind,
+    /// How buckets combine: counters [`Merge::Sum`] (and their sum over
+    /// all buckets must equal the matching [`KernelStats`] aggregate),
+    /// gauges [`Merge::Max`] (no summation invariant).
+    pub merge: Merge,
     /// Read the column from a bucket.
     pub get: fn(&Bucket) -> u64,
     /// Mutable access for merging.
     pub get_mut: fn(&mut Bucket) -> &mut u64,
-    /// The run-aggregate this column reconciles with: summing the
-    /// column over all buckets must equal this [`KernelStats`] field
-    /// (`None` for gauges and counters without a stats counterpart).
+    /// The run-aggregate this column reconciles with (`None` for gauges).
     pub stats: Option<fn(&KernelStats) -> u64>,
 }
 
-macro_rules! columns {
-    ($($field:ident => $kind:ident, $stats:expr;)*) => {
-        /// The single registry of exported stat columns, in export order.
+macro_rules! gauge {
+    ($field:ident) => {
+        ColumnSpec {
+            name: stringify!($field),
+            merge: Merge::Max,
+            get: |b| b.$field,
+            get_mut: |b| &mut b.$field,
+            stats: None,
+        }
+    };
+}
+
+/// Derive [`Bucket`] and [`COLUMNS`] from the `kernel_counters!` table:
+/// one field and one additive column per bucketed counter, under its
+/// column name, followed by the four gauges — the only columns declared
+/// here, because they sample queue depths rather than count protocol
+/// events and so have no `KernelStats` counterpart.
+macro_rules! define_bucket {
+    (
+        bucketed { $($(#[$doc:meta])* $field:ident: $rule:ident => $column:ident;)* }
+        aggregate_only { $($rest:tt)* }
+    ) => {
+        /// Counters accumulated for one virtual-time bucket: every
+        /// bucketed row of the `kernel_counters!` table in `stats.rs`
+        /// (under its column name), then the gauges.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct Bucket {
+            $($(#[$doc])* pub $column: u64,)*
+            /// High-water mark of saved states observed at GVT rounds here.
+            pub states_held_max: u64,
+            /// High-water mark of pending (unprocessed) events at GVT
+            /// rounds here.
+            pub pending_max: u64,
+            /// Largest executive clock observed at GVT rounds here (modeled
+            /// ns on the platform, elapsed real ns on the threaded
+            /// executive).
+            pub wall_ns_max: u64,
+            /// Largest number of simultaneously active fault windows
+            /// observed.
+            pub fault_active: u64,
+        }
+
+        /// The registry of exported stat columns, in export order.
         pub const COLUMNS: &[ColumnSpec] = &[
             $(ColumnSpec {
-                name: stringify!($field),
-                kind: ColumnKind::$kind,
-                get: { fn g(b: &Bucket) -> u64 { b.$field } g },
-                get_mut: { fn g(b: &mut Bucket) -> &mut u64 { &mut b.$field } g },
-                stats: $stats,
+                name: stringify!($column),
+                merge: Merge::Sum,
+                get: |b| b.$column,
+                get_mut: |b| &mut b.$column,
+                stats: Some(|s| s.$field),
             },)*
+            gauge!(states_held_max),
+            gauge!(pending_max),
+            gauge!(wall_ns_max),
+            gauge!(fault_active),
         ];
     };
 }
 
-macro_rules! stat {
-    ($field:ident) => {
-        Some({
-            fn g(s: &KernelStats) -> u64 {
-                s.$field
-            }
-            g
-        })
-    };
-}
-
-columns! {
-    batches => Additive, stat!(batches_executed);
-    events => Additive, stat!(events_processed);
-    block_activations => Additive, stat!(block_activations);
-    ops_executed => Additive, stat!(ops_executed);
-    primary_rollbacks => Additive, stat!(primary_rollbacks);
-    secondary_rollbacks => Additive, stat!(secondary_rollbacks);
-    events_rolled_back => Additive, stat!(events_rolled_back);
-    events_coasted => Additive, stat!(events_coasted);
-    antis_sent => Additive, stat!(antis_sent);
-    annihilations => Additive, stat!(annihilated_pending);
-    states_saved => Additive, stat!(states_saved);
-    events_committed => Additive, stat!(events_committed);
-    app_messages => Additive, stat!(app_messages);
-    remote_antis => Additive, stat!(anti_messages_remote);
-    gvt_rounds => Additive, stat!(gvt_rounds);
-    migrations => Additive, stat!(migrations);
-    migrated_bytes => Additive, stat!(migrated_state_bytes);
-    faults_injected => Additive, stat!(faults_injected);
-    transmissions_dropped => Additive, stat!(transmissions_dropped);
-    retransmissions => Additive, stat!(retransmissions);
-    states_held_max => Max, None;
-    pending_max => Max, None;
-    wall_ns_max => Max, None;
-    fault_active => Max, None;
-}
+kernel_counters!(define_bucket);
 
 impl Bucket {
     /// Total rollbacks (primary + secondary).
@@ -165,12 +109,8 @@ impl Bucket {
 
     fn merge(&mut self, o: &Bucket) {
         for c in COLUMNS {
-            let v = (c.get)(o);
             let slot = (c.get_mut)(self);
-            match c.kind {
-                ColumnKind::Additive => *slot += v,
-                ColumnKind::Max => *slot = (*slot).max(v),
-            }
+            *slot = c.merge.combine(*slot, (c.get)(o));
         }
     }
 }

@@ -41,8 +41,8 @@ fn main() {
         println!(
             "{:<22} {:>10} {:>10} {:>9.2} {:>8.2}x",
             label,
-            m.app_messages,
-            m.rollbacks,
+            m.stats.app_messages,
+            m.stats.rollbacks(),
             m.exec_time_s,
             seq.exec_time_s / m.exec_time_s
         );

@@ -49,7 +49,11 @@ fn main() {
         let m = Cell::new(&netlist, &graph, &cfg).nodes(nodes).run(strategy.as_ref());
         println!(
             "{:<14} {nodes} nodes: {:.3}s, cut {}, {} msgs, {} rollbacks",
-            m.strategy, m.exec_time_s, m.edge_cut, m.app_messages, m.rollbacks
+            m.strategy,
+            m.exec_time_s,
+            m.edge_cut,
+            m.stats.app_messages,
+            m.stats.rollbacks()
         );
     }
 }

@@ -21,7 +21,11 @@ fn run(
     let m = Cell::new(netlist, graph, &cfg).nodes(nodes).run_with(&part, label);
     println!(
         "{:<26} time {:>6.2}s  rollbacks {:>6}  remote antis {:>6}  committed {}",
-        label, m.exec_time_s, m.rollbacks, m.remote_antis, m.events_committed
+        label,
+        m.exec_time_s,
+        m.stats.rollbacks(),
+        m.stats.anti_messages_remote,
+        m.stats.events_committed
     );
 }
 

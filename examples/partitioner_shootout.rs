@@ -47,8 +47,8 @@ fn main() {
             q.imbalance,
             q.concurrency.unwrap(),
             m.exec_time_s,
-            m.app_messages,
-            m.rollbacks,
+            m.stats.app_messages,
+            m.stats.rollbacks(),
             seq.exec_time_s / m.exec_time_s
         );
         results.push(m);

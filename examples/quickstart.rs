@@ -47,10 +47,13 @@ fn main() {
          {} application messages, {} rollbacks",
         par.exec_time_s,
         seq.exec_time_s / par.exec_time_s,
-        par.app_messages,
-        par.rollbacks
+        par.stats.app_messages,
+        par.stats.rollbacks()
     );
-    assert_eq!(par.events_committed, seq.events, "optimistic run must commit the same history");
+    assert_eq!(
+        par.stats.events_committed, seq.events,
+        "optimistic run must commit the same history"
+    );
 
     // 4. Same run with the compiled gate-block engine: each partition
     //    block's combinational cone becomes one fused LP.
@@ -62,10 +65,10 @@ fn main() {
         "8-node compiled blocks: {:.2} modeled seconds, {} block activations, {} ops, \
          {} kernel events (vs {} per-gate)",
         fused.exec_time_s,
-        fused.block_activations,
-        fused.ops_executed,
-        fused.events_processed,
-        par.events_processed
+        fused.stats.block_activations,
+        fused.stats.ops_executed,
+        fused.stats.events_processed,
+        par.stats.events_processed
     );
-    assert!(fused.events_committed > 0);
+    assert!(fused.stats.events_committed > 0);
 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full local CI gate: everything the hosted workflow runs, in one command.
-#   scripts/check.sh          # build + test + fmt + clippy
+#   scripts/check.sh          # build + test + fmt + clippy + rustdoc links
 #   scripts/check.sh --fast   # skip the release build (debug test run only)
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -26,6 +26,9 @@ run cargo clippy --workspace --all-targets -- -D warnings -A clippy::disallowed-
 for p in pls-timewarp pls-partition pls-logic pls-netlist pls-gatesim; do
   run cargo clippy -q -p "$p" --lib -- -D warnings -D clippy::disallowed-types
 done
+# Rustdoc link gate: an intra-doc link to a deleted, renamed or private
+# item fails here instead of rotting.
+RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps
 
 # Determinism static analysis — see docs/LINTS.md. First prove the
 # linter itself still catches the seeded bug shapes (a lint that stops

@@ -36,7 +36,7 @@
 //! let cfg = SimConfig { end_time: 120, ..Default::default() };
 //! let seq = run_seq_baseline(&netlist, &cfg);
 //! let par = Cell::new(&netlist, &graph, &cfg).nodes(4).run_with(&part, "Multilevel");
-//! assert_eq!(seq.events, par.events_committed);
+//! assert_eq!(seq.events, par.stats.events_committed);
 //!
 //! // Same run with the compiled gate-block engine: blocks are derived
 //! // from the partitioning. Fewer kernel events flow (cone-internal
@@ -46,8 +46,8 @@
 //! compiled_cfg.exec = ExecModel::CompiledBlocks(CompileOptions::default());
 //! let fused =
 //!     Cell::new(&netlist, &graph, &compiled_cfg).nodes(4).checked().run_with(&part, "Multilevel");
-//! assert!(fused.events_committed < seq.events, "fused cones internalize events");
-//! assert!(fused.ops_executed > 0);
+//! assert!(fused.stats.events_committed < seq.events, "fused cones internalize events");
+//! assert!(fused.stats.ops_executed > 0);
 //! ```
 
 pub use pls_gatesim as gatesim;

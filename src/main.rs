@@ -344,15 +344,18 @@ fn cmd_simulate(rest: &[String]) {
         out!("{} on {k} nodes: OUT OF MEMORY", m.strategy);
         exit(1);
     }
-    let dynlb_note =
-        if cfg.dynlb.is_some() { format!(", {} migrations", m.migrations) } else { String::new() };
-    let exec_note = if m.block_activations > 0 {
-        format!(", {} block activations, {} ops", m.block_activations, m.ops_executed)
+    let dynlb_note = if cfg.dynlb.is_some() {
+        format!(", {} migrations", m.stats.migrations)
     } else {
         String::new()
     };
-    let rep_note = if m.replicated_gates > 0 {
-        format!(", {} replicas saved {} messages", m.replicated_gates, m.messages_saved)
+    let exec_note = if m.stats.block_activations > 0 {
+        format!(", {} block activations, {} ops", m.stats.block_activations, m.stats.ops_executed)
+    } else {
+        String::new()
+    };
+    let rep_note = if m.stats.replicated_gates > 0 {
+        format!(", {} replicas saved {} messages", m.stats.replicated_gates, m.stats.messages_saved)
     } else {
         String::new()
     };
@@ -363,9 +366,9 @@ fn cmd_simulate(rest: &[String]) {
         cfg.exec,
         m.exec_time_s,
         seq.exec_time_s / m.exec_time_s,
-        m.app_messages,
-        m.rollbacks,
-        100.0 * m.events_committed as f64 / m.events_processed as f64,
+        m.stats.app_messages,
+        m.stats.rollbacks(),
+        100.0 * m.stats.events_committed as f64 / m.stats.events_processed as f64,
         exec_note,
         rep_note,
         dynlb_note

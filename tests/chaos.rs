@@ -233,5 +233,5 @@ fn cell_driver_applies_fault_plans() {
     cfg.faults = Some(nasty_plan(5, 4));
     let m = Cell::new(&netlist, &graph, &cfg).checked().run(&MultilevelPartitioner::default());
     assert!(!m.out_of_memory);
-    assert!(m.events_committed > 0);
+    assert!(m.stats.events_committed > 0);
 }

@@ -40,7 +40,7 @@ fn medium_synthetic_circuit_full_pipeline() {
 
     for strategy in all_partitioners() {
         let m = Cell::new(&netlist, &graph, &cfg).nodes(6).seed(1).checked().run(strategy.as_ref());
-        assert_eq!(m.events_committed, seq.events, "{}", m.strategy);
+        assert_eq!(m.stats.events_committed, seq.events, "{}", m.strategy);
         assert!(m.exec_time_s > 0.0);
     }
 }
@@ -56,16 +56,16 @@ fn multilevel_dominates_on_communication() {
     let rnd = Cell::new(&netlist, &graph, &cfg).nodes(8).run(&RandomPartitioner);
     let topo = Cell::new(&netlist, &graph, &cfg).nodes(8).run(&TopologicalPartitioner);
     assert!(
-        ml.app_messages * 2 < rnd.app_messages,
+        ml.stats.app_messages * 2 < rnd.stats.app_messages,
         "ml {} vs random {}",
-        ml.app_messages,
-        rnd.app_messages
+        ml.stats.app_messages,
+        rnd.stats.app_messages
     );
     assert!(
-        ml.app_messages * 2 < topo.app_messages,
+        ml.stats.app_messages * 2 < topo.stats.app_messages,
         "ml {} vs topo {}",
-        ml.app_messages,
-        topo.app_messages
+        ml.stats.app_messages,
+        topo.stats.app_messages
     );
 }
 
