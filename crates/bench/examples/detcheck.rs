@@ -14,31 +14,8 @@ use pls_timewarp::{
 };
 
 fn stats_line(tag: &str, s: &KernelStats) {
-    println!(
-        "{tag}: batches={} processed={} rolled_back={} committed={} prim={} sec={} antis={} \
-         annih={} app_msgs={} anti_remote={} saved={} coasted={} gvt_rounds={} final_gvt={} hw={} \
-         lb_rounds={} migrations={} migrated_bytes={} block_act={} ops={}",
-        s.batches_executed,
-        s.events_processed,
-        s.events_rolled_back,
-        s.events_committed,
-        s.primary_rollbacks,
-        s.secondary_rollbacks,
-        s.antis_sent,
-        s.annihilated_pending,
-        s.app_messages,
-        s.anti_messages_remote,
-        s.states_saved,
-        s.events_coasted,
-        s.gvt_rounds,
-        s.final_gvt,
-        s.state_queue_high_water,
-        s.lb_rounds,
-        s.migrations,
-        s.migrated_state_bytes,
-        s.block_activations,
-        s.ops_executed,
-    );
+    let counters: Vec<String> = s.iter().map(|(name, v)| format!("{name}={v}")).collect();
+    println!("{tag}: {} final_gvt={}", counters.join(" "), s.final_gvt);
 }
 
 fn main() {
