@@ -433,14 +433,8 @@ mod tests {
         assert!(!base.contains('\n'), "the fingerprint must stay one cache line");
     }
 
-    #[test]
-    fn cache_round_trips_normal_and_oom_rows() {
-        let cfg = paper_sim_config();
-        let mut stats = KernelStats { final_gvt: VTime::INF, ..Default::default() };
-        for (i, c) in (1u64..).zip(KernelStats::COUNTERS) {
-            *(c.get_mut)(&mut stats) = 1000 * i + 7;
-        }
-        let ok = RunMetrics {
+    fn cached_row(stats: KernelStats) -> RunMetrics {
+        RunMetrics {
             circuit: "s9234".into(),
             strategy: "Multilevel".into(),
             nodes: 8,
@@ -450,7 +444,17 @@ mod tests {
             connectivity_cut: 300,
             out_of_memory: false,
             telemetry: None,
-        };
+        }
+    }
+
+    #[test]
+    fn cache_round_trips_normal_and_oom_rows() {
+        let cfg = paper_sim_config();
+        let mut stats = KernelStats { final_gvt: VTime::INF, ..Default::default() };
+        for (i, c) in (1u64..).zip(KernelStats::COUNTERS) {
+            *(c.get_mut)(&mut stats) = 1000 * i + 7;
+        }
+        let ok = cached_row(stats);
         let oom = RunMetrics {
             strategy: "DFS".into(),
             nodes: 2,
@@ -472,17 +476,7 @@ mod tests {
     #[test]
     fn cache_with_another_header_or_config_is_discarded() {
         let cfg = paper_sim_config();
-        let row = RunMetrics {
-            circuit: "s5378".into(),
-            strategy: "Random".into(),
-            nodes: 4,
-            exec_time_s: 2.0,
-            stats: KernelStats::default(),
-            edge_cut: 1,
-            connectivity_cut: 1,
-            out_of_memory: false,
-            telemetry: None,
-        };
+        let row = cached_row(KernelStats::default());
         let text = render_cache(&cfg, &[&row]);
         assert_eq!(parse_cache(&cfg, &text).map(|r| r.len()), Some(1));
 
