@@ -272,7 +272,7 @@ pub(crate) struct Owner {
 /// checkpoint operation. (No `PartialEq`: the stimulus streams' RNGs are
 /// not comparable — run equivalence is checked through the per-slot
 /// trace hashes instead, as in gate-per-LP mode.)
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct BlockState {
     /// Operand slot values as seen by in-block readers (owned slots are
     /// updated at the transition's *effective* time, i.e. after the
@@ -313,6 +313,72 @@ pub struct BlockState {
     outbox: Vec<Vec<(u32, Value)>>,
     /// Scratch: outbox rows touched this activation.
     touched: Vec<u32>,
+}
+
+/// Written by hand for `clone_from`: the kernel checkpoints into recycled
+/// states, and the derived one would allocate all twelve buffers anew
+/// every time. Both bodies name every field, so a new one cannot be
+/// forgotten.
+impl Clone for BlockState {
+    fn clone(&self) -> Self {
+        let Self {
+            vals,
+            outs,
+            hashes,
+            agenda,
+            next_sample,
+            streams,
+            next_stim,
+            stim_ticks,
+            armed,
+            dirty,
+            outbox,
+            touched,
+        } = self;
+        BlockState {
+            vals: vals.clone(),
+            outs: outs.clone(),
+            hashes: hashes.clone(),
+            agenda: agenda.clone(),
+            next_sample: next_sample.clone(),
+            streams: streams.clone(),
+            next_stim: *next_stim,
+            stim_ticks: *stim_ticks,
+            armed: *armed,
+            dirty: dirty.clone(),
+            outbox: outbox.clone(),
+            touched: touched.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            vals,
+            outs,
+            hashes,
+            agenda,
+            next_sample,
+            streams,
+            next_stim,
+            stim_ticks,
+            armed,
+            dirty,
+            outbox,
+            touched,
+        } = source;
+        self.vals.clone_from(vals);
+        self.outs.clone_from(outs);
+        self.hashes.clone_from(hashes);
+        self.agenda.clone_from(agenda);
+        self.next_sample.clone_from(next_sample);
+        self.streams.clone_from(streams);
+        self.next_stim = *next_stim;
+        self.stim_ticks = *stim_ticks;
+        self.armed = *armed;
+        self.dirty.clone_from(dirty);
+        self.outbox.clone_from(outbox);
+        self.touched.clone_from(touched);
+    }
 }
 
 impl BlockState {
@@ -696,7 +762,7 @@ impl CompiledSim {
     }
 
     pub(crate) fn init_lp_state(&self, lp: LpId) -> ModelState {
-        ModelState::Block(BlockState::fresh(&self.blocks[lp as usize], &self.stim))
+        ModelState::Block(Box::new(BlockState::fresh(&self.blocks[lp as usize], &self.stim)))
     }
 
     pub(crate) fn init_events(&self, lp: LpId, sink: &mut EventSink<GateMsg>) {

@@ -102,7 +102,7 @@ pub(crate) fn fnv_step(h: u64, t: VTime, v: Value) -> u64 {
 /// small: a few bytes per input pin plus counters. (No `PartialEq`: the
 /// stimulus stream's RNG is not comparable; run equivalence is checked
 /// through [`GateState::trace_hash`] fingerprints instead.)
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GateState {
     /// Current value of each input pin.
     pub inputs: Vec<Value>,
@@ -122,6 +122,55 @@ pub struct GateState {
     pub history: Vec<(u64, char)>,
     /// Number of output transitions produced.
     pub transitions: u64,
+}
+
+/// Written by hand for `clone_from`: the kernel checkpoints into recycled
+/// states, and the derived one would allocate `inputs` anew every time.
+/// Both bodies name every field, so a new one cannot be forgotten.
+impl Clone for GateState {
+    fn clone(&self) -> Self {
+        let Self {
+            inputs,
+            output,
+            stim,
+            next_tick,
+            trace_hash,
+            #[cfg(debug_assertions)]
+            history,
+            transitions,
+        } = self;
+        GateState {
+            inputs: inputs.clone(),
+            output: *output,
+            stim: stim.clone(),
+            next_tick: *next_tick,
+            trace_hash: *trace_hash,
+            #[cfg(debug_assertions)]
+            history: history.clone(),
+            transitions: *transitions,
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        let Self {
+            inputs,
+            output,
+            stim,
+            next_tick,
+            trace_hash,
+            #[cfg(debug_assertions)]
+            history,
+            transitions,
+        } = source;
+        self.inputs.clone_from(inputs);
+        self.output = *output;
+        self.stim.clone_from(stim);
+        self.next_tick = *next_tick;
+        self.trace_hash = *trace_hash;
+        #[cfg(debug_assertions)]
+        self.history.clone_from(history);
+        self.transitions = *transitions;
+    }
 }
 
 impl GateState {

@@ -221,12 +221,40 @@ impl<'a> GateSimBuilder<'a> {
 
 /// Per-LP state of a [`GateModel`]: a plain gate state or a compiled
 /// block state, depending on the LP and mode.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub enum ModelState {
     /// A per-gate LP (every LP in gate mode).
     Gate(GateState),
-    /// A compiled block LP (every LP in compiled mode).
-    Block(BlockState),
+    /// A compiled block LP (every LP in compiled mode). Boxed: a block
+    /// state is a dozen buffers and there are few of them, while gate
+    /// states come by the ten thousand and must not be sized for it.
+    Block(Box<BlockState>),
+}
+
+// Every checkpoint, the sequential executive's state vector and every run
+// report hold one of these per LP. (Debug builds add `GateState::history`.)
+const _: () = assert!(
+    std::mem::size_of::<ModelState>()
+        <= 128 + cfg!(debug_assertions) as usize * std::mem::size_of::<Vec<(u64, char)>>()
+);
+
+/// Written by hand so that `clone_from` reaches the variant's own (which
+/// reuses its buffers) instead of replacing the value.
+impl Clone for ModelState {
+    fn clone(&self) -> Self {
+        match self {
+            ModelState::Gate(g) => ModelState::Gate(g.clone()),
+            ModelState::Block(b) => ModelState::Block(b.clone()),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        match (self, source) {
+            (ModelState::Gate(mine), ModelState::Gate(theirs)) => mine.clone_from(theirs),
+            (ModelState::Block(mine), ModelState::Block(theirs)) => mine.clone_from(theirs),
+            (mine, theirs) => *mine = theirs.clone(),
+        }
+    }
 }
 
 impl ModelState {
@@ -470,5 +498,110 @@ mod tests {
         let r = Simulator::new(&app).run(Backend::Sequential).unwrap();
         assert_eq!(app.fingerprint(&r.states), oracle);
         assert!(r.stats.messages_saved > 0);
+    }
+
+    /// Runs a [`GateModel`] while swapping, at seeded activations, the live
+    /// state of an LP for a recycled state overwritten by `clone_from` —
+    /// what the kernel's checkpoint pool does to a retired state. The
+    /// recycled state starts as the *final* state of a finished run of
+    /// *another* LP: dirty, and of another size.
+    struct Recycler {
+        inner: GateModel,
+        retired: Vec<ModelState>,
+        seed: u64,
+    }
+
+    #[derive(Clone)]
+    struct Recycling {
+        live: ModelState,
+        spare: ModelState,
+        rng: u64,
+    }
+
+    fn splitmix64(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    impl Application for Recycler {
+        type Msg = GateMsg;
+        type State = Recycling;
+
+        fn num_lps(&self) -> usize {
+            self.inner.num_lps()
+        }
+        fn init_state(&self, lp: LpId) -> Recycling {
+            let donor = (lp as usize + 1) % self.retired.len();
+            Recycling {
+                live: self.inner.init_state(lp),
+                spare: self.retired[donor].clone(),
+                rng: self.seed ^ u64::from(lp),
+            }
+        }
+        fn init_events(&self, lp: LpId, state: &mut Recycling, sink: &mut EventSink<GateMsg>) {
+            self.inner.init_events(lp, &mut state.live, sink);
+        }
+        fn execute(
+            &self,
+            lp: LpId,
+            state: &mut Recycling,
+            now: VTime,
+            msgs: &[(LpId, GateMsg)],
+            sink: &mut EventSink<GateMsg>,
+        ) {
+            self.inner.execute(lp, &mut state.live, now, msgs, sink);
+            if splitmix64(&mut state.rng).is_multiple_of(3) {
+                state.spare.clone_from(&state.live);
+                assert_eq!(
+                    format!("{:?}", state.spare),
+                    format!("{:?}", state.live.clone()),
+                    "LP {lp} at {now}"
+                );
+                // The rest of the run continues on the recycled copy.
+                std::mem::swap(&mut state.live, &mut state.spare);
+            }
+        }
+    }
+
+    #[test]
+    fn clone_from_into_a_recycled_state_equals_a_fresh_clone() {
+        let netlist = IscasSynth::small(300, 5).build();
+        let g = CircuitGraph::from_netlist(&netlist);
+        let blocks = RandomPartitioner.partition(&g, 3, 0).assignment;
+        for exec in [
+            ExecModel::GatePerLp,
+            ExecModel::CompiledBlocks(CompileOptions { blocks: Some(blocks) }),
+        ] {
+            let build = || GateSimBuilder::new(&netlist).end_time(300).exec(exec.clone()).build();
+            let plain = build();
+            let oracle = Simulator::new(&plain).run(Backend::Sequential).unwrap();
+            let sizes: std::collections::BTreeSet<usize> =
+                oracle.states.iter().map(|s| format!("{s:?}").len()).collect();
+            assert!(sizes.len() > 1, "{}: every state has one size", plain.exec_name());
+            for seed in 0..8 {
+                let app = Recycler { inner: build(), retired: oracle.states.clone(), seed };
+                let run = Simulator::new(&app).run(Backend::Sequential).unwrap();
+                let live: Vec<ModelState> = run.states.into_iter().map(|s| s.live).collect();
+                assert_eq!(
+                    app.inner.fingerprint(&live),
+                    plain.fingerprint(&oracle.states),
+                    "{} seed {seed}: a recycled state changed the run",
+                    plain.exec_name()
+                );
+            }
+        }
+    }
+
+    /// Not a limit to defend, a number to see move: one of these per LP is
+    /// what a gate-per-LP cluster walks on every pass over its residents.
+    #[test]
+    fn lp_runtime_size_is_known() {
+        let size = std::mem::size_of::<pls_timewarp::lp::LpRuntime<GateModel>>();
+        println!("size_of::<LpRuntime<GateModel>>() = {size} B");
+        let debug_only = std::mem::size_of::<Vec<(u64, char)>>() + std::mem::size_of::<u64>();
+        assert!(size <= 480 + cfg!(debug_assertions) as usize * debug_only, "{size} B");
     }
 }

@@ -17,7 +17,7 @@ use crate::app::Application;
 use crate::config::KernelConfig;
 use crate::dynlb::{Migration, WindowStats};
 use crate::event::{Event, LpId, Transmission};
-use crate::lp::LpRuntime;
+use crate::lp::{LpRuntime, Scratch};
 use crate::probe::Probe;
 use crate::stats::{KernelStats, LpCounters};
 use crate::time::VTime;
@@ -69,7 +69,6 @@ pub(crate) struct Mover<A: Application> {
 }
 
 /// A cluster's queue totals around one [`ClusterCore::commit`].
-#[derive(Default)]
 pub(crate) struct Committed {
     /// Checkpoints held going in: the cluster's memory peak for the round.
     pub held_before: u64,
@@ -77,6 +76,16 @@ pub(crate) struct Committed {
     pub held: u64,
     /// Events still unprocessed.
     pub pending: u64,
+}
+
+/// Write bit `i` of a bitset of `u64` words.
+fn put_bit(words: &mut [u64], i: usize, on: bool) {
+    let mask = 1 << (i % 64);
+    if on {
+        words[i / 64] |= mask;
+    } else {
+        words[i / 64] &= !mask;
+    }
 }
 
 /// The LPs of one cluster and the protocol steps over them.
@@ -99,6 +108,19 @@ pub(crate) struct ClusterCore<'a, A: Application> {
     /// when the window closes: the push sits on the hot send path, so it
     /// must not pay a map lookup per message.
     comm_log: Option<Vec<(LpId, LpId)>>,
+    /// Call buffers and the checkpoint free list, shared by every resident
+    /// LP.
+    scratch: Scratch<A>,
+    /// Bitset over slots: set while the LP there may hold history (see
+    /// [`LpRuntime::has_history`]), so that [`Self::commit`] visits those
+    /// and no others. Only executing a batch creates history; a commit
+    /// that leaves none clears the bit.
+    history: Vec<u64>,
+    /// Checkpoints held by the resident LPs, kept current by
+    /// [`Self::settle`] around every step that can change an LP's queues.
+    held: u64,
+    /// Unprocessed events queued at the resident LPs, kept likewise.
+    pending: u64,
 }
 
 impl<'a, A: Application> ClusterCore<'a, A> {
@@ -125,6 +147,10 @@ impl<'a, A: Application> ClusterCore<'a, A> {
                 ready: BinaryHeap::new(),
                 outbox: Vec::new(),
                 comm_log: track_windows.then(Vec::new),
+                scratch: Scratch::default(),
+                history: Vec::new(),
+                held: 0,
+                pending: 0,
             })
             .collect();
         let mut homes = Homes { part: assignment.to_vec(), slot: vec![0; assignment.len()] };
@@ -166,9 +192,12 @@ impl<'a, A: Application> ClusterCore<'a, A> {
 
     fn insert(&mut self, lp: LpRuntime<A>, homes: &mut Homes) {
         debug_assert_eq!(homes.part[lp.id() as usize], self.id);
-        homes.slot[lp.id() as usize] = self.lps.len() as u32;
+        let slot = self.lps.len();
+        homes.slot[lp.id() as usize] = slot as u32;
+        self.history.resize((slot + 1).div_ceil(64), 0);
+        put_bit(&mut self.history, slot, lp.has_history());
         self.lps.push(lp);
-        self.reschedule(self.lps.len() - 1);
+        self.settle(slot, (0, 0));
     }
 
     fn reschedule(&mut self, slot: usize) {
@@ -178,6 +207,32 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         }
     }
 
+    /// Bring the queue totals and the ready heap up to date after a step
+    /// on the LP in `slot`, whose [`LpRuntime::queue_lens`] were `before`.
+    fn settle(&mut self, slot: usize, (held, pending): (u64, u64)) {
+        let (held_now, pending_now) = self.lps[slot].queue_lens();
+        self.held = self.held + held_now - held;
+        self.pending = self.pending + pending_now - pending;
+        self.reschedule(slot);
+    }
+
+    /// Panic unless `held`, `pending` and the history bitset equal a count
+    /// from scratch over the resident LPs. The bitset is exact right after
+    /// a commit or a migration; between commits a rollback can undo all of
+    /// an LP's history and leave its bit set.
+    fn assert_tallies(&self) {
+        let mut history = vec![0u64; self.lps.len().div_ceil(64)];
+        let (mut held, mut pending) = (0, 0);
+        for (slot, lp) in self.lps.iter().enumerate() {
+            let (lp_held, lp_pending) = lp.queue_lens();
+            held += lp_held;
+            pending += lp_pending;
+            put_bit(&mut history, slot, lp.has_history());
+        }
+        assert_eq!((self.held, self.pending), (held, pending), "cluster {}: queue totals", self.id);
+        assert_eq!(self.history, history, "cluster {}: history bitset", self.id);
+    }
+
     fn deliver<P: Probe>(
         &mut self,
         slot: usize,
@@ -185,8 +240,9 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         stats: &mut KernelStats,
         probe: &mut P,
     ) {
-        self.lps[slot].receive(self.app, tx, stats, &mut self.outbox, probe);
-        self.reschedule(slot);
+        let before = self.lps[slot].queue_lens();
+        self.lps[slot].receive(self.app, tx, stats, &mut self.outbox, &mut self.scratch, probe);
+        self.settle(slot, before);
     }
 
     /// Deliver a transmission that arrived from outside the cluster.
@@ -231,8 +287,11 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     pub fn execute_ready<P: Probe>(&mut self, stats: &mut KernelStats, probe: &mut P) {
         self.next_ready().expect("execute_ready needs a runnable LP");
         let Reverse((_, _, slot)) = self.ready.pop().expect("next_ready left a current entry");
-        self.lps[slot as usize].execute_next(self.app, stats, &mut self.outbox, probe);
-        self.reschedule(slot as usize);
+        let slot = slot as usize;
+        let before = self.lps[slot].queue_lens();
+        self.lps[slot].execute_next(self.app, stats, &mut self.outbox, &mut self.scratch, probe);
+        put_bit(&mut self.history, slot, true);
+        self.settle(slot, before);
     }
 
     /// Take the next transmission off the outbox (LIFO). A local one is
@@ -271,7 +330,9 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         self.lps.iter().map(|lp| lp.local_min()).min().unwrap_or(VTime::INF)
     }
 
-    /// Commit everything below `gvt` on every resident LP.
+    /// Commit everything below `gvt` on every resident LP that has
+    /// something to commit, in slot order: the cost is proportional to the
+    /// LPs with history, not to the cluster.
     // detlint: phase(fossil)
     pub fn commit<P: Probe>(
         &mut self,
@@ -279,14 +340,24 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         stats: &mut KernelStats,
         probe: &mut P,
     ) -> Committed {
-        let mut seen = Committed::default();
-        for lp in &mut self.lps {
-            seen.held_before += lp.state_queue_len() as u64;
-            lp.fossil_collect(gvt, stats, probe);
-            seen.held += lp.state_queue_len() as u64;
-            seen.pending += lp.pending_len() as u64;
+        let held_before = self.held;
+        for word in 0..self.history.len() {
+            let mut bits = self.history[word];
+            while bits != 0 {
+                let slot = word * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let lp = &mut self.lps[slot];
+                let before = lp.state_queue_len();
+                lp.fossil_collect(gvt, stats, &mut self.scratch, probe);
+                self.held -= (before - lp.state_queue_len()) as u64;
+                put_bit(&mut self.history, slot, lp.has_history());
+            }
         }
-        seen
+        self.scratch.trim();
+        if cfg!(debug_assertions) {
+            self.assert_tallies();
+        }
+        Committed { held_before, held: self.held, pending: self.pending }
     }
 
     /// Close the balancing window: write each resident LP's activity
@@ -321,14 +392,22 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         if from != self.id {
             return None;
         }
-        let slot = homes.slot[mv.lp as usize];
-        let lp = self.lps.swap_remove(slot as usize);
-        if let Some(moved) = self.lps.get(slot as usize) {
-            // The last LP filled the gap; its heap entries name the old slot.
-            homes.slot[moved.id() as usize] = slot;
-            self.reschedule(slot as usize);
+        let slot = homes.slot[mv.lp as usize] as usize;
+        let lp = self.lps.swap_remove(slot);
+        // Drop the last slot's history bit; if an LP sat there (any but the
+        // one leaving), it has filled the gap and takes over that slot's.
+        let last = self.lps.len();
+        put_bit(&mut self.history, last, false);
+        self.history.truncate(last.div_ceil(64));
+        if let Some(moved) = self.lps.get(slot) {
+            put_bit(&mut self.history, slot, moved.has_history());
+            // Its heap entries name the old slot.
+            homes.slot[moved.id() as usize] = slot as u32;
+            self.reschedule(slot);
         }
-        let (pending, held) = (lp.pending_len() as u64, lp.state_queue_len() as u64);
+        let (held, pending) = lp.queue_lens();
+        self.held -= held;
+        self.pending -= pending;
         let bytes = pending * std::mem::size_of::<Event<A::Msg>>() as u64
             + (held + 1) * std::mem::size_of::<A::State>() as u64;
         stats.migrations += 1;
@@ -448,7 +527,14 @@ mod tests {
                 .unwrap_or(VTime::INF);
             let mut window = WindowStats::new(n);
             for core in &mut cores {
-                core.commit(gvt, &mut stats, &mut probe);
+                let before = (core.held, core.pending);
+                let seen = core.commit(gvt, &mut stats, &mut probe);
+                core.assert_tallies();
+                assert_eq!(
+                    (seen.held_before, seen.held, seen.pending),
+                    (before.0, core.held, before.1),
+                    "seed {seed}: commit reports the running totals"
+                );
                 core.window_slice(&mut window);
             }
             assert_eq!(window.comm, std::mem::take(&mut sent), "seed {seed}: window traffic");
@@ -465,9 +551,11 @@ mod tests {
                 let mv =
                     Migration { lp: nomad, from: from as u32, to: ((from + 1) % parts) as u32 };
                 let mover = cores[from].evict(&mv, &mut homes, gvt, &mut stats, &mut probe);
+                cores[from].assert_tallies();
                 let dst = &mut cores[mv.to as usize];
                 stale_homecomings += u32::from(dst.ready.iter().any(|e| e.0 .1 == nomad));
                 dst.adopt(mover.expect("the nomad lives on `from`"), &mut homes);
+                dst.assert_tallies();
             }
         }
 

@@ -78,17 +78,68 @@ pub struct LpRuntime<A: Application> {
     /// `own` as of the last [`Self::take_window`]. Part of the LP, so the
     /// dynlb window baseline migrates with it.
     window_base: LpCounters,
-    /// Scratch buffers reused across `execute_next`/`rollback_to` calls so
-    /// the steady-state hot path performs no allocation.
+    /// Whether `PLS_TRACE_LP` names this LP; read once, at construction.
+    #[cfg(debug_assertions)]
+    traced: bool,
+}
+
+/// What the LPs of one cluster share instead of owning a copy each: the
+/// buffers of one `execute_next` / `rollback_to` call, dead between calls,
+/// and the free list of retired checkpoints. One per cluster keeps the
+/// buffers hot whichever LP runs next, keeps an [`LpRuntime`] small, and
+/// lets a checkpoint reuse — allocation and all — a state that fossil
+/// collection or a rollback retired on any LP of the cluster.
+#[derive(Debug)]
+pub struct Scratch<A: Application> {
     batch: Vec<Event<A::Msg>>,
     msgs: Vec<(LpId, A::Msg)>,
     sink_buf: Vec<(LpId, VTime, A::Msg)>,
+    /// Retired checkpoint states, newest last.
+    spares: Vec<A::State>,
+    /// Checkpoints taken since the last [`Self::trim`].
+    taken: usize,
+}
+
+impl<A: Application> Default for Scratch<A> {
+    fn default() -> Self {
+        Scratch {
+            batch: Vec::new(),
+            msgs: Vec::new(),
+            sink_buf: Vec::new(),
+            spares: Vec::new(),
+            taken: 0,
+        }
+    }
+}
+
+impl<A: Application> Scratch<A> {
+    /// A copy of `live` to file as a checkpoint, built in a retired state's
+    /// buffers when one is spare.
+    fn checkpoint(&mut self, live: &A::State) -> A::State {
+        self.taken += 1;
+        match self.spares.pop() {
+            Some(mut spare) => {
+                spare.clone_from(live);
+                spare
+            }
+            None => live.clone(),
+        }
+    }
+
+    /// Drop the spares beyond the number of checkpoints taken since the
+    /// previous call: a GVT interval cannot want more than the last one
+    /// took unless the run changes pace, so what a burst left behind goes
+    /// back to the allocator instead of counting towards peak memory.
+    pub(crate) fn trim(&mut self) {
+        self.spares.truncate(self.taken);
+        self.taken = 0;
+    }
 }
 
 impl<A: Application> LpRuntime<A> {
     #[cfg(debug_assertions)]
     fn traced(&self) -> bool {
-        std::env::var("PLS_TRACE_LP").ok().and_then(|v| v.parse::<u32>().ok()) == Some(self.id)
+        self.traced
     }
     #[cfg(not(debug_assertions))]
     fn traced(&self) -> bool {
@@ -119,9 +170,9 @@ impl<A: Application> LpRuntime<A> {
             cfg: cfg.normalized(),
             own: LpCounters::default(),
             window_base: LpCounters::default(),
-            batch: Vec::new(),
-            msgs: Vec::new(),
-            sink_buf: Vec::new(),
+            #[cfg(debug_assertions)]
+            traced: std::env::var("PLS_TRACE_LP").ok().and_then(|v| v.parse::<u32>().ok())
+                == Some(id),
         };
         for (dst, at, msg) in sink.out {
             outbox.push(lp.make_event(dst, VTime::ZERO, at, msg));
@@ -178,6 +229,22 @@ impl<A: Application> LpRuntime<A> {
     /// Total unprocessed events currently queued.
     pub fn pending_len(&self) -> usize {
         self.pool.len()
+    }
+
+    /// `(state_queue_len, pending_len)`: this LP's share of its cluster's
+    /// queue totals.
+    pub(crate) fn queue_lens(&self) -> (u64, u64) {
+        (self.states.len() as u64, self.pool.len() as u64)
+    }
+
+    /// Whether [`Self::fossil_collect`] could find anything to free or
+    /// commit here. An LP that never ran, or whose past is wholly
+    /// committed, has none.
+    pub(crate) fn has_history(&self) -> bool {
+        self.states.len() > 1
+            || !self.processed.is_empty()
+            || !self.outputs.is_empty()
+            || !self.pending_cancel.is_empty()
     }
 
     /// This LP's own counters (hotspot analysis).
@@ -280,11 +347,14 @@ impl<A: Application> LpRuntime<A> {
         tx: Transmission<A::Msg>,
         stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
+        scratch: &mut Scratch<A>,
         probe: &mut P,
     ) {
         match tx {
-            Transmission::Positive(ev) => self.receive_positive(app, ev, stats, outbox, probe),
-            Transmission::Anti(anti) => self.receive_anti(app, anti, stats, outbox, probe),
+            Transmission::Positive(ev) => {
+                self.receive_positive(app, ev, stats, outbox, scratch, probe);
+            }
+            Transmission::Anti(anti) => self.receive_anti(app, anti, stats, outbox, scratch, probe),
         }
     }
 
@@ -294,6 +364,7 @@ impl<A: Application> LpRuntime<A> {
         ev: Event<A::Msg>,
         stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
+        scratch: &mut Scratch<A>,
         probe: &mut P,
     ) {
         debug_assert_eq!(ev.dst, self.id);
@@ -317,7 +388,15 @@ impl<A: Application> LpRuntime<A> {
             // Straggler: roll back to just before its receive time.
             stats.primary_rollbacks += 1;
             self.own.rollbacks += 1;
-            self.rollback_to(app, ev.recv_time, RollbackKind::Primary, stats, outbox, probe);
+            self.rollback_to(
+                app,
+                ev.recv_time,
+                RollbackKind::Primary,
+                stats,
+                outbox,
+                scratch,
+                probe,
+            );
         }
         self.pending_insert(ev);
         self.flush_lazy(self.next_time(), stats, outbox, probe);
@@ -329,6 +408,7 @@ impl<A: Application> LpRuntime<A> {
         anti: AntiEvent,
         stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
+        scratch: &mut Scratch<A>,
         probe: &mut P,
     ) {
         debug_assert_eq!(anti.dst, self.id);
@@ -358,6 +438,7 @@ impl<A: Application> LpRuntime<A> {
                     RollbackKind::Secondary,
                     stats,
                     outbox,
+                    scratch,
                     probe,
                 );
                 // The rollback re-files the positive as pending. A miss here
@@ -437,13 +518,15 @@ impl<A: Application> LpRuntime<A> {
         app: &A,
         stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
+        scratch: &mut Scratch<A>,
         probe: &mut P,
     ) {
         let now = self.next_time();
         assert!(!now.is_inf(), "execute_next on an idle LP");
         // Pop the batch. Heap order reproduces the old BTreeMap's
         // deterministic (recv_time, src, seq) message order.
-        self.batch.clear();
+        let Scratch { batch, msgs, sink_buf, .. } = scratch;
+        batch.clear();
         while let Some(&Reverse((t, id, slot))) = self.heap.peek() {
             if t != now {
                 break;
@@ -453,22 +536,22 @@ impl<A: Application> LpRuntime<A> {
             debug_assert_eq!(ev.id, id);
             self.index.insert(id, Loc::Processed);
             self.heap_skim();
-            self.batch.push(ev);
+            batch.push(ev);
         }
         if self.traced() {
-            let keys: Vec<_> = self.batch.iter().map(|e| (e.recv_time, e.id)).collect();
+            let keys: Vec<_> = batch.iter().map(|e| (e.recv_time, e.id)).collect();
             eprintln!("[lp{}] exec @{} batch={:?}", self.id, now, keys);
         }
-        self.msgs.clear();
-        self.msgs.extend(self.batch.iter().map(|e| (e.id.src, e.msg.clone())));
+        msgs.clear();
+        msgs.extend(batch.iter().map(|e| (e.id.src, e.msg.clone())));
 
-        let mut sink = EventSink::with_buffer(now, std::mem::take(&mut self.sink_buf));
-        app.execute(self.id, &mut self.state, now, &self.msgs, &mut sink);
+        let mut sink = EventSink::with_buffer(now, std::mem::take(sink_buf));
+        app.execute(self.id, &mut self.state, now, msgs, &mut sink);
 
         stats.batches_executed += 1;
-        stats.events_processed += self.batch.len() as u64;
-        self.own.events_processed += self.batch.len() as u64;
-        probe.batch_executed(self.id, now, self.batch.len() as u64);
+        stats.events_processed += batch.len() as u64;
+        self.own.events_processed += batch.len() as u64;
+        probe.batch_executed(self.id, now, batch.len() as u64);
         let work = sink.take_work();
         if work != crate::app::AppWork::default() {
             stats.block_activations += work.activations;
@@ -477,7 +560,7 @@ impl<A: Application> LpRuntime<A> {
             probe.app_work(self.id, now, work.activations, work.ops);
         }
         self.lvt = now;
-        self.processed.append(&mut self.batch);
+        self.processed.append(batch);
 
         // Route the new sends.
         for (dst, recv, msg) in sink.out.drain(..) {
@@ -526,7 +609,7 @@ impl<A: Application> LpRuntime<A> {
             self.outputs.push(ev.clone());
             outbox.push(Transmission::Positive(ev));
         }
-        self.sink_buf = sink.into_buf();
+        *sink_buf = sink.into_buf();
 
         // Lazy cancellation flush: anything below the next possible batch
         // time can no longer be regenerated — send those antis now. (When
@@ -539,7 +622,7 @@ impl<A: Application> LpRuntime<A> {
             self.states.push(SavedState {
                 tag: Some(now),
                 processed_len: self.processed.len(),
-                state: self.state.clone(),
+                state: scratch.checkpoint(&self.state),
             });
             self.batches_since_checkpoint = 0;
             stats.states_saved += 1;
@@ -551,6 +634,7 @@ impl<A: Application> LpRuntime<A> {
     /// receive times `>= to` is undone). Restores the newest checkpoint
     /// strictly older than `to` and coast-forwards over the retained
     /// processed events without re-sending.
+    #[allow(clippy::too_many_arguments)]
     fn rollback_to<P: Probe>(
         &mut self,
         app: &A,
@@ -558,6 +642,7 @@ impl<A: Application> LpRuntime<A> {
         kind: RollbackKind,
         stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
+        scratch: &mut Scratch<A>,
         probe: &mut P,
     ) {
         if self.traced() {
@@ -581,9 +666,9 @@ impl<A: Application> LpRuntime<A> {
             .iter()
             .rposition(|s| s.tag.is_none_or(|t| t < to))
             .expect("initial state always qualifies");
-        self.states.truncate(si + 1);
+        scratch.spares.extend(self.states.drain(si + 1..).map(|s| s.state));
         let anchor = &self.states[si];
-        self.state = anchor.state.clone();
+        self.state.clone_from(&anchor.state);
         let replay_from = anchor.processed_len;
         debug_assert!(replay_from <= cut);
 
@@ -614,7 +699,8 @@ impl<A: Application> LpRuntime<A> {
         //    the checkpoint and `to` to rebuild the pre-straggler state.
         let coasted = (self.processed.len() - replay_from) as u64;
         stats.events_coasted += coasted;
-        let mut sink = EventSink::with_buffer(VTime::ZERO, std::mem::take(&mut self.sink_buf));
+        let Scratch { msgs, sink_buf, .. } = scratch;
+        let mut sink = EventSink::with_buffer(VTime::ZERO, std::mem::take(sink_buf));
         let mut i = replay_from;
         while i < self.processed.len() {
             let t = self.processed[i].recv_time;
@@ -622,15 +708,15 @@ impl<A: Application> LpRuntime<A> {
             while j < self.processed.len() && self.processed[j].recv_time == t {
                 j += 1;
             }
-            self.msgs.clear();
-            self.msgs.extend(self.processed[i..j].iter().map(|e| (e.id.src, e.msg.clone())));
+            msgs.clear();
+            msgs.extend(self.processed[i..j].iter().map(|e| (e.id.src, e.msg.clone())));
             sink.reset(t);
-            app.execute(self.id, &mut self.state, t, &self.msgs, &mut sink);
+            app.execute(self.id, &mut self.state, t, msgs, &mut sink);
             // Sends are NOT re-emitted: the originals (sent before `to`)
             // were never cancelled and still stand.
             i = j;
         }
-        self.sink_buf = sink.into_buf();
+        *sink_buf = sink.into_buf();
 
         // 5. Reset the local clock.
         self.lvt = self.processed.last().map(|e| e.recv_time).unwrap_or(VTime::ZERO);
@@ -641,7 +727,13 @@ impl<A: Application> LpRuntime<A> {
     /// Commit everything strictly below `gvt` and reclaim its memory
     /// (Jefferson's fossil collection). With `gvt == VTime::INF` the run is
     /// over and everything commits.
-    pub fn fossil_collect<P: Probe>(&mut self, gvt: VTime, stats: &mut KernelStats, probe: &mut P) {
+    pub fn fossil_collect<P: Probe>(
+        &mut self,
+        gvt: VTime,
+        stats: &mut KernelStats,
+        scratch: &mut Scratch<A>,
+        probe: &mut P,
+    ) {
         // Newest checkpoint strictly below GVT becomes the new floor.
         let si = self
             .states
@@ -649,7 +741,7 @@ impl<A: Application> LpRuntime<A> {
             .rposition(|s| s.tag.is_none_or(|t| t < gvt))
             .expect("initial state always qualifies");
         let floor = self.states[si].processed_len;
-        self.states.drain(..si);
+        scratch.spares.extend(self.states.drain(..si).map(|s| s.state));
         for s in &mut self.states {
             s.processed_len -= floor;
         }
@@ -729,13 +821,15 @@ mod tests {
         }
     }
 
-    fn setup(app: &Accum) -> (Vec<LpRuntime<Accum>>, KernelStats, Vec<Transmission<u64>>) {
+    type Rig = (Vec<LpRuntime<Accum>>, KernelStats, Vec<Transmission<u64>>, Scratch<Accum>);
+
+    fn setup(app: &Accum) -> Rig {
         let mut init = Vec::new();
         let lps: Vec<LpRuntime<Accum>> = (0..app.n as LpId)
             .map(|i| LpRuntime::new(app, i, KernelConfig::default(), &mut init))
             .collect();
         let outbox: Vec<Transmission<u64>> = init.into_iter().map(Transmission::Positive).collect();
-        (lps, KernelStats::default(), outbox)
+        (lps, KernelStats::default(), outbox, Scratch::default())
     }
 
     /// Drive the toy model sequentially (always lowest timestamp first) —
@@ -743,12 +837,12 @@ mod tests {
     #[test]
     fn in_order_execution_never_rolls_back() {
         let app = Accum { n: 3, bound: 10 };
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut stats, mut outbox, mut scratch) = setup(&app);
         loop {
             // Deliver everything.
             for tx in std::mem::take(&mut outbox) {
                 let dst = tx.dst() as usize;
-                lps[dst].receive(&app, tx, &mut stats, &mut outbox, &mut NoProbe);
+                lps[dst].receive(&app, tx, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
             }
             // Execute globally-lowest next event.
             let Some(best) = (0..lps.len())
@@ -757,7 +851,7 @@ mod tests {
             else {
                 break;
             };
-            lps[best].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+            lps[best].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         }
         assert_eq!(stats.rollbacks(), 0);
         assert_eq!(stats.events_processed, 10);
@@ -770,7 +864,7 @@ mod tests {
     #[test]
     fn straggler_triggers_rollback_and_repair() {
         let app = Accum { n: 2, bound: 0 }; // no forwarding, pure accumulate
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut stats, mut outbox, mut scratch) = setup(&app);
         outbox.clear(); // drop init (bound=0 ⇒ LP0's seed just adds 1 locally)
 
         // Hand-craft two events for LP1 at t=5 and t=3 from a fake src 0.
@@ -788,8 +882,15 @@ mod tests {
             recv_time: VTime(3),
             msg: 7,
         };
-        lps[1].receive(&app, Transmission::Positive(e_late), &mut stats, &mut outbox, &mut NoProbe);
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].receive(
+            &app,
+            Transmission::Positive(e_late),
+            &mut stats,
+            &mut outbox,
+            &mut scratch,
+            &mut NoProbe,
+        );
+        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         assert_eq!(*lps[1].state(), 50);
         assert_eq!(lps[1].lvt(), VTime(5));
 
@@ -799,6 +900,7 @@ mod tests {
             Transmission::Positive(e_early),
             &mut stats,
             &mut outbox,
+            &mut scratch,
             &mut NoProbe,
         );
         assert_eq!(stats.primary_rollbacks, 1);
@@ -806,9 +908,9 @@ mod tests {
         assert_eq!(*lps[1].state(), 0, "state restored to before t=5");
 
         // Re-execute both in order.
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         assert_eq!(*lps[1].state(), 7);
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         assert_eq!(*lps[1].state(), 57);
     }
 
@@ -817,7 +919,7 @@ mod tests {
     #[test]
     fn take_window_diffs_and_carries_its_baseline() {
         let app = Accum { n: 2, bound: 0 };
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut stats, mut outbox, mut scratch) = setup(&app);
         let event = |seq, t| Event {
             id: EventId { src: 0, seq },
             dst: 1,
@@ -833,23 +935,30 @@ mod tests {
         };
         let mut lp = lps.pop().unwrap();
         for ev in [event(100, 5), event(101, 6)] {
-            lp.receive(&app, Transmission::Positive(ev), &mut stats, &mut outbox, &mut NoProbe);
-            lp.execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+            lp.receive(
+                &app,
+                Transmission::Positive(ev),
+                &mut stats,
+                &mut outbox,
+                &mut scratch,
+                &mut NoProbe,
+            );
+            lp.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         }
         // A straggler undoes both.
         let early = Transmission::Positive(event(102, 3));
-        lp.receive(&app, early, &mut stats, &mut outbox, &mut NoProbe);
+        lp.receive(&app, early, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         assert_eq!(lp.take_window(), window(2, 1, 2));
 
         // Moved, as `ClusterCore::evict` / `adopt` move it, then re-executed:
         // the next window holds only the new work.
         let mut moved = Box::new(lp);
         for _ in 0..3 {
-            moved.execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+            moved.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         }
         assert_eq!(moved.take_window(), window(3, 0, 0));
         let anti = Transmission::Anti(event(101, 6).anti());
-        moved.receive(&app, anti, &mut stats, &mut outbox, &mut NoProbe);
+        moved.receive(&app, anti, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         assert_eq!(moved.take_window(), window(0, 1, 1));
         assert_eq!(moved.take_window(), LpWindow::default(), "drained");
     }
@@ -858,7 +967,7 @@ mod tests {
     #[test]
     fn anti_annihilates_pending() {
         let app = Accum { n: 2, bound: 0 };
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut stats, mut outbox, mut scratch) = setup(&app);
         outbox.clear();
         let ev = Event {
             id: EventId { src: 0, seq: 7 },
@@ -872,9 +981,17 @@ mod tests {
             Transmission::Positive(ev.clone()),
             &mut stats,
             &mut outbox,
+            &mut scratch,
             &mut NoProbe,
         );
-        lps[1].receive(&app, Transmission::Anti(ev.anti()), &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].receive(
+            &app,
+            Transmission::Anti(ev.anti()),
+            &mut stats,
+            &mut outbox,
+            &mut scratch,
+            &mut NoProbe,
+        );
         assert_eq!(stats.annihilated_pending, 1);
         assert_eq!(stats.rollbacks(), 0);
         assert!(lps[1].next_time().is_inf());
@@ -885,7 +1002,7 @@ mod tests {
     #[test]
     fn anti_after_execution_rolls_back() {
         let app = Accum { n: 2, bound: 0 };
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut stats, mut outbox, mut scratch) = setup(&app);
         outbox.clear();
         let ev = Event {
             id: EventId { src: 0, seq: 7 },
@@ -899,11 +1016,19 @@ mod tests {
             Transmission::Positive(ev.clone()),
             &mut stats,
             &mut outbox,
+            &mut scratch,
             &mut NoProbe,
         );
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         assert_eq!(*lps[1].state(), 9);
-        lps[1].receive(&app, Transmission::Anti(ev.anti()), &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].receive(
+            &app,
+            Transmission::Anti(ev.anti()),
+            &mut stats,
+            &mut outbox,
+            &mut scratch,
+            &mut NoProbe,
+        );
         assert_eq!(stats.secondary_rollbacks, 1);
         assert_eq!(*lps[1].state(), 0);
         assert!(lps[1].next_time().is_inf(), "annihilated event must not re-execute");
@@ -913,7 +1038,7 @@ mod tests {
     #[test]
     fn orphan_anti_kills_later_positive() {
         let app = Accum { n: 2, bound: 0 };
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut stats, mut outbox, mut scratch) = setup(&app);
         outbox.clear();
         let ev = Event {
             id: EventId { src: 0, seq: 9 },
@@ -922,8 +1047,22 @@ mod tests {
             recv_time: VTime(4),
             msg: 9,
         };
-        lps[1].receive(&app, Transmission::Anti(ev.anti()), &mut stats, &mut outbox, &mut NoProbe);
-        lps[1].receive(&app, Transmission::Positive(ev), &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].receive(
+            &app,
+            Transmission::Anti(ev.anti()),
+            &mut stats,
+            &mut outbox,
+            &mut scratch,
+            &mut NoProbe,
+        );
+        lps[1].receive(
+            &app,
+            Transmission::Positive(ev),
+            &mut stats,
+            &mut outbox,
+            &mut scratch,
+            &mut NoProbe,
+        );
         assert!(lps[1].next_time().is_inf());
         assert_eq!(stats.annihilated_pending, 1);
     }
@@ -932,7 +1071,7 @@ mod tests {
     #[test]
     fn rollback_cancels_outputs_aggressively() {
         let app = Accum { n: 2, bound: 10 }; // forwards value+1
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut stats, mut outbox, mut scratch) = setup(&app);
         outbox.clear();
         let mk = |seq, t, v| Event {
             id: EventId { src: 0, seq },
@@ -946,9 +1085,10 @@ mod tests {
             Transmission::Positive(mk(1, 5, 2)),
             &mut stats,
             &mut outbox,
+            &mut scratch,
             &mut NoProbe,
         );
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         // LP1 forwarded one event.
         assert_eq!(outbox.iter().filter(|t| t.is_positive()).count(), 1);
         outbox.clear();
@@ -958,6 +1098,7 @@ mod tests {
             Transmission::Positive(mk(2, 3, 4)),
             &mut stats,
             &mut outbox,
+            &mut scratch,
             &mut NoProbe,
         );
         let antis: Vec<_> = outbox.iter().filter(|t| !t.is_positive()).collect();
@@ -975,6 +1116,7 @@ mod tests {
         let mut lp1: LpRuntime<Accum> = LpRuntime::new(&app, 1, cfg, &mut init);
         let mut stats = KernelStats::default();
         let mut outbox: Vec<Transmission<u64>> = Vec::new();
+        let mut scratch = Scratch::default();
 
         let mk = |seq, t, v| Event {
             id: EventId { src: 0, seq },
@@ -989,9 +1131,10 @@ mod tests {
             Transmission::Positive(mk(1, 5, 2)),
             &mut stats,
             &mut outbox,
+            &mut scratch,
             &mut NoProbe,
         );
-        lp1.execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lp1.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         let sent_before = outbox.len();
         assert_eq!(sent_before, 1);
 
@@ -1002,12 +1145,13 @@ mod tests {
             Transmission::Positive(mk(2, 3, 7)),
             &mut stats,
             &mut outbox,
+            &mut scratch,
             &mut NoProbe,
         );
         assert_eq!(stats.antis_sent, 0, "lazy: no anti yet");
         // Re-execute t=3 then t=5.
-        lp1.execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
-        lp1.execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lp1.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+        lp1.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         // The t=5 re-execution regenerated the same send for t=7 (value 3)
         // — it must have been suppressed, plus one NEW send from the t=3
         // event (value 8 at t=5... value 7+1 at t=3+2).
@@ -1021,7 +1165,7 @@ mod tests {
     #[test]
     fn fossil_collection_reclaims_memory() {
         let app = Accum { n: 2, bound: 0 };
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut stats, mut outbox, mut scratch) = setup(&app);
         outbox.clear();
         for t in 1..=20 {
             let ev = Event {
@@ -1031,14 +1175,21 @@ mod tests {
                 recv_time: VTime(t.saturating_mul(2)),
                 msg: 1,
             };
-            lps[1].receive(&app, Transmission::Positive(ev), &mut stats, &mut outbox, &mut NoProbe);
+            lps[1].receive(
+                &app,
+                Transmission::Positive(ev),
+                &mut stats,
+                &mut outbox,
+                &mut scratch,
+                &mut NoProbe,
+            );
         }
         for _ in 0..20 {
-            lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+            lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         }
         let before = lps[1].state_queue_len();
         assert!(before > 20);
-        lps[1].fossil_collect(VTime(30), &mut stats, &mut NoProbe);
+        lps[1].fossil_collect(VTime(30), &mut stats, &mut scratch, &mut NoProbe);
         assert!(lps[1].state_queue_len() < before);
         assert!(stats.events_committed > 0);
         // Still able to roll back to >= GVT: straggler at exactly 30.
@@ -1049,14 +1200,21 @@ mod tests {
             recv_time: VTime(30),
             msg: 5,
         };
-        lps[1].receive(&app, Transmission::Positive(s), &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].receive(
+            &app,
+            Transmission::Positive(s),
+            &mut stats,
+            &mut outbox,
+            &mut scratch,
+            &mut NoProbe,
+        );
         assert_eq!(stats.primary_rollbacks, 1);
         // Replay to completion and verify the sum: 20 ones + 5.
         while !lps[1].next_time().is_inf() {
-            lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+            lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         }
         assert_eq!(*lps[1].state(), 25);
-        lps[1].fossil_collect(VTime::INF, &mut stats, &mut NoProbe);
+        lps[1].fossil_collect(VTime::INF, &mut stats, &mut scratch, &mut NoProbe);
         assert_eq!(lps[1].state_queue_len(), 1);
     }
 
@@ -1070,6 +1228,7 @@ mod tests {
         let mut lp1: LpRuntime<Accum> = LpRuntime::new(&app, 1, cfg, &mut init);
         let mut stats = KernelStats::default();
         let mut outbox: Vec<Transmission<u64>> = Vec::new();
+        let mut scratch = Scratch::default();
         for t in 1..=10u64 {
             let ev = Event {
                 id: EventId { src: 0, seq: t },
@@ -1078,10 +1237,17 @@ mod tests {
                 recv_time: VTime(t.saturating_mul(10)),
                 msg: t,
             };
-            lp1.receive(&app, Transmission::Positive(ev), &mut stats, &mut outbox, &mut NoProbe);
+            lp1.receive(
+                &app,
+                Transmission::Positive(ev),
+                &mut stats,
+                &mut outbox,
+                &mut scratch,
+                &mut NoProbe,
+            );
         }
         for _ in 0..10 {
-            lp1.execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+            lp1.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         }
         assert_eq!(*lp1.state(), 55);
         // Straggler at t=55 (between checkpoints at batches 4 and 8).
@@ -1092,11 +1258,18 @@ mod tests {
             recv_time: VTime(55),
             msg: 100,
         };
-        lp1.receive(&app, Transmission::Positive(s), &mut stats, &mut outbox, &mut NoProbe);
+        lp1.receive(
+            &app,
+            Transmission::Positive(s),
+            &mut stats,
+            &mut outbox,
+            &mut scratch,
+            &mut NoProbe,
+        );
         // State must equal the sum of messages at t < 55: 1+2+3+4+5 = 15.
         assert_eq!(*lp1.state(), 15, "coast-forward must rebuild mid-interval state");
         while !lp1.next_time().is_inf() {
-            lp1.execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+            lp1.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         }
         assert_eq!(*lp1.state(), 155);
     }
@@ -1105,7 +1278,7 @@ mod tests {
     #[test]
     fn event_ids_unique_across_rollbacks() {
         let app = Accum { n: 2, bound: 10 };
-        let (mut lps, mut stats, mut outbox) = setup(&app);
+        let (mut lps, mut stats, mut outbox, mut scratch) = setup(&app);
         outbox.clear();
         let mk = |seq, t, v| Event {
             id: EventId { src: 0, seq },
@@ -1120,18 +1293,20 @@ mod tests {
             Transmission::Positive(mk(1, 5, 2)),
             &mut stats,
             &mut outbox,
+            &mut scratch,
             &mut NoProbe,
         );
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         lps[1].receive(
             &app,
             Transmission::Positive(mk(2, 3, 4)),
             &mut stats,
             &mut outbox,
+            &mut scratch,
             &mut NoProbe,
         );
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut NoProbe);
+        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
         for tx in &outbox {
             if let Transmission::Positive(e) = tx {
                 assert!(seen.insert(e.id), "duplicate id {:?}", e.id);

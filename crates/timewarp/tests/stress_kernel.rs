@@ -7,7 +7,7 @@
 //! (annihilate pending / secondary rollback / orphan), queue contents,
 //! LVT or resulting state is a bug in the O(1) index.
 
-use pls_timewarp::lp::LpRuntime;
+use pls_timewarp::lp::{LpRuntime, Scratch};
 use pls_timewarp::{
     AntiEvent, Application, Cancellation, Event, EventId, EventSink, KernelConfig, KernelStats,
     LpId, NoProbe, Transmission, VTime,
@@ -181,6 +181,7 @@ fn run_schedule(
     let mut stats = KernelStats::default();
     let mut outbox: Vec<Transmission<u64>> = Vec::new();
     let mut probe = NoProbe;
+    let mut scratch = Scratch::default();
 
     let mut rng = seed;
     // Per-sender sequence counters (senders 1..=3).
@@ -212,7 +213,14 @@ fn run_schedule(
                 let ev = fresh(&mut rng, &mut seqs);
                 live.push(ev.clone());
                 reference.receive_positive(ev.clone());
-                lp.receive(&app, Transmission::Positive(ev), &mut stats, &mut outbox, &mut probe);
+                lp.receive(
+                    &app,
+                    Transmission::Positive(ev),
+                    &mut stats,
+                    &mut outbox,
+                    &mut scratch,
+                    &mut probe,
+                );
             }
             // Anti-message for a random live positive: hits the pending or
             // the processed (secondary rollback) path depending on whether
@@ -224,7 +232,14 @@ fn run_schedule(
                 let k = (mix(&mut rng) % live.len() as u64) as usize;
                 let anti = live.swap_remove(k).anti();
                 reference.receive_anti(anti);
-                lp.receive(&app, Transmission::Anti(anti), &mut stats, &mut outbox, &mut probe);
+                lp.receive(
+                    &app,
+                    Transmission::Anti(anti),
+                    &mut stats,
+                    &mut outbox,
+                    &mut scratch,
+                    &mut probe,
+                );
             }
             // Anti-message *before* its positive (orphan path): generate an
             // event, deliver only the anti, stash the positive.
@@ -234,7 +249,14 @@ fn run_schedule(
                 stashed.push(ev);
                 cov.orphaned += 1;
                 reference.receive_anti(anti);
-                lp.receive(&app, Transmission::Anti(anti), &mut stats, &mut outbox, &mut probe);
+                lp.receive(
+                    &app,
+                    Transmission::Anti(anti),
+                    &mut stats,
+                    &mut outbox,
+                    &mut scratch,
+                    &mut probe,
+                );
             }
             // Deliver a stashed positive onto its waiting orphan anti.
             7 => {
@@ -244,7 +266,14 @@ fn run_schedule(
                 let k = (mix(&mut rng) % stashed.len() as u64) as usize;
                 let ev = stashed.swap_remove(k);
                 reference.receive_positive(ev.clone());
-                lp.receive(&app, Transmission::Positive(ev), &mut stats, &mut outbox, &mut probe);
+                lp.receive(
+                    &app,
+                    Transmission::Positive(ev),
+                    &mut stats,
+                    &mut outbox,
+                    &mut scratch,
+                    &mut probe,
+                );
             }
             // Execute the earliest pending batch.
             _ => {
@@ -252,7 +281,7 @@ fn run_schedule(
                     continue;
                 }
                 reference.execute_next();
-                lp.execute_next(&app, &mut stats, &mut outbox, &mut probe);
+                lp.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut probe);
             }
         }
 
@@ -274,7 +303,7 @@ fn run_schedule(
     // must agree (order-sensitive hash ⇒ same events in the same order).
     while !lp.next_time().is_inf() {
         reference.execute_next();
-        lp.execute_next(&app, &mut stats, &mut outbox, &mut probe);
+        lp.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut probe);
         assert!(outbox.is_empty());
     }
     assert!(reference.pending.is_empty(), "seed {seed}: reference kept events the kernel drained");
