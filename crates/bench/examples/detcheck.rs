@@ -7,7 +7,7 @@
 use pls_gatesim::{CompileOptions, ExecModel, SimConfig};
 use pls_netlist::IscasSynth;
 use pls_partition::metrics::{connectivity_cut, edge_cut};
-use pls_partition::{CircuitGraph, MultilevelPartitioner};
+use pls_partition::{CircuitGraph, MultilevelPartitioner, Partitioning, ReplicationConfig};
 use pls_timewarp::{
     Application, Backend, Cancellation, DynLbConfig, KernelConfig, KernelStats, Phold,
     PlatformConfig, Simulator,
@@ -167,6 +167,50 @@ fn main() {
     println!(
         "compiled/thr4 fingerprint_matches_gate: {}",
         capp.fingerprint(&cthr.states) == gate_fp
+    );
+
+    // --- Compiled + replicated: replica slots fused into the consuming
+    // blocks, so `replicated_gates` and `messages_saved` move. Lazy
+    // cancellation with sparse checkpoints makes rollbacks restore across
+    // several checkpoints and an open interval, then coast forward.
+    let parting = Partitioning::new(4, blocks.clone());
+    let mut rcfg = ccfg.clone();
+    rcfg.replication = Some(ReplicationConfig::default());
+    let rapp =
+        rcfg.build_app_partitioned(&netlist, &CircuitGraph::from_netlist(&netlist), &parting);
+    let rasg = rapp.lp_assignment(&blocks);
+    let rpcfg = PlatformConfig {
+        kernel: KernelConfig {
+            cancellation: Cancellation::Lazy,
+            checkpoint_interval: 3,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let rplat = Simulator::new(&rapp)
+        .platform_config(&rpcfg)
+        .record(20)
+        .run(Backend::Platform { assignment: &rasg, nodes: 4 })
+        .unwrap();
+    stats_line("compiled_repl/plat4/lazy_sparse", &rplat.stats);
+    println!(
+        "compiled_repl/plat4/lazy_sparse fingerprint_matches_gate: {}",
+        rapp.fingerprint(&rplat.states) == gate_fp
+    );
+    println!(
+        "compiled_repl/plat4/lazy_sparse exec_time_s: {:.9} clocks: {:?}",
+        rplat.outcome.exec_time_s().unwrap(),
+        rplat.outcome.node_clocks_ns().unwrap()
+    );
+    println!("compiled_repl/plat4/lazy_sparse telemetry:\n{}", rplat.telemetry.unwrap().to_jsonl());
+
+    let rthr =
+        Simulator::new(&rapp).run(Backend::Threaded { assignment: &rasg, clusters: 4 }).unwrap();
+    println!("compiled_repl/thr4 fingerprint: {:?}", rapp.fingerprint(&rthr.states));
+    println!(
+        "compiled_repl/thr4 fingerprint_matches_gate: {} replicated_gates: {}",
+        rapp.fingerprint(&rthr.states) == gate_fp,
+        rthr.stats.replicated_gates
     );
 
     // --- Multilevel partitioner on the paper circuits: the hierarchy and
