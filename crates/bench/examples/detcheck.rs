@@ -206,10 +206,11 @@ fn main() {
 
     let rthr =
         Simulator::new(&rapp).run(Backend::Threaded { assignment: &rasg, clusters: 4 }).unwrap();
-    println!("compiled_repl/thr4 fingerprint: {:?}", rapp.fingerprint(&rthr.states));
+    let rthr_fp = rapp.fingerprint(&rthr.states);
+    println!("compiled_repl/thr4 fingerprint: {rthr_fp:?}");
     println!(
         "compiled_repl/thr4 fingerprint_matches_gate: {} replicated_gates: {}",
-        rapp.fingerprint(&rthr.states) == gate_fp,
+        rthr_fp == gate_fp,
         rthr.stats.replicated_gates
     );
 

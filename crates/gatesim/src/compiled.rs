@@ -60,10 +60,26 @@
 //!
 //! Everything an activation touches — port values, visible values, last
 //! outputs, hashes, the agenda, stimulus streams and armed times —
-//! lives in [`BlockState`], which the kernel checkpoints and restores
-//! wholesale; `execute` is a pure function of `(state, now, msgs)`, so
-//! coast-forward replays reproduce the same sweeps and the same
-//! outgoing events.
+//! lives in [`BlockState`]; `execute` is a pure function of
+//! `(state, now, msgs)`, so coast-forward replays reproduce the same
+//! sweeps and the same outgoing events.
+//!
+//! State saving is *incremental*. `outs` and `hashes` — nine of the
+//! ≈10.5 bytes a block holds per owned slot, of which one activation
+//! changes a few hundred — exist only in the LP's live state. Once the
+//! kernel has filed a first checkpoint of a state, every write to them
+//! goes through `BlockState::set_out`, which first appends
+//! `(old hash, slot, old out)` to the state's undo journal. A checkpoint
+//! (`BlockState::snapshot`) copies the small fields (`vals`, the
+//! agenda, `next_sample`, the streams, three scalars) and *moves* the
+//! journal of the interval it closes into the snapshot; a rollback
+//! (`BlockState::restore`) unwinds the open interval's journal, then
+//! the journals of the discarded snapshots newest first, and copies the
+//! small fields back from the anchor. Fossil collection drops a snapshot
+//! and its journal together. A state nobody ever checkpointed — every
+//! state of the sequential executive — never journals: the choice is
+//! made once per activation between two monomorphised bodies of the
+//! sweep, not per write.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -268,11 +284,25 @@ pub(crate) struct Owner {
     slot: u32,
 }
 
-/// Checkpointable state of one compiled block LP. `Clone` is the
-/// checkpoint operation. (No `PartialEq`: the stimulus streams' RNGs are
+/// One entry of a block's undo journal: what [`BlockState::set_out`] is
+/// about to overwrite.
+#[derive(Debug, Clone, Copy)]
+struct Undo {
+    hash: u64,
+    /// Owned slot (a block has at most 65 536 value slots).
+    slot: u16,
+    out: Value,
+}
+
+/// State of one compiled block LP — and, with `outs`, `hashes` and the
+/// scratch fields left empty, a checkpoint of one (see the module docs,
+/// *Rollback*). `Clone` is a full copy: `init_state`'s, and the reference
+/// the journal tests compare against; the kernel checkpoints through
+/// `BlockState::snapshot`. (No `PartialEq`: the stimulus streams' RNGs are
 /// not comparable — run equivalence is checked through the per-slot
-/// trace hashes instead, as in gate-per-LP mode.)
-#[derive(Debug)]
+/// trace hashes instead, as in gate-per-LP mode.) `Default` is the empty
+/// shell a first checkpoint is built in.
+#[derive(Debug, Clone, Default)]
 pub struct BlockState {
     /// Operand slot values as seen by in-block readers (owned slots are
     /// updated at the transition's *effective* time, i.e. after the
@@ -281,12 +311,19 @@ pub struct BlockState {
     pub(crate) vals: Vec<Value>,
     /// Per owned slot: last evaluated/sampled output — the driver's own
     /// view, ahead of `vals` by the transport delay; change detection
-    /// happens against it.
-    pub(crate) outs: Vec<Value>,
+    /// happens against it. Live state only; written by [`Self::set_out`].
+    outs: Vec<Value>,
     /// Per owned slot: rolling FNV trace hash (same fold as gate-per-LP
     /// mode). Split from `outs` so the no-change sweep path never touches
-    /// these cache lines.
-    pub(crate) hashes: Vec<u64>,
+    /// these cache lines. Live state only; written by [`Self::set_out`].
+    hashes: Vec<u64>,
+    /// In a live state: the `outs`/`hashes` writes since the last
+    /// checkpoint, oldest first. In a checkpoint: the writes of the
+    /// interval it closed.
+    journal: Vec<Undo>,
+    /// Whether writes are journaled: set by the first [`Self::snapshot`]
+    /// of this state, never cleared.
+    journaling: bool,
     /// Pending internal transitions, one FIFO per delay bucket; each
     /// queue is time-ordered by construction (see module docs).
     pub(crate) agenda: Vec<VecDeque<(VTime, u32, Value)>>,
@@ -315,72 +352,6 @@ pub struct BlockState {
     touched: Vec<u32>,
 }
 
-/// Written by hand for `clone_from`: the kernel checkpoints into recycled
-/// states, and the derived one would allocate all twelve buffers anew
-/// every time. Both bodies name every field, so a new one cannot be
-/// forgotten.
-impl Clone for BlockState {
-    fn clone(&self) -> Self {
-        let Self {
-            vals,
-            outs,
-            hashes,
-            agenda,
-            next_sample,
-            streams,
-            next_stim,
-            stim_ticks,
-            armed,
-            dirty,
-            outbox,
-            touched,
-        } = self;
-        BlockState {
-            vals: vals.clone(),
-            outs: outs.clone(),
-            hashes: hashes.clone(),
-            agenda: agenda.clone(),
-            next_sample: next_sample.clone(),
-            streams: streams.clone(),
-            next_stim: *next_stim,
-            stim_ticks: *stim_ticks,
-            armed: *armed,
-            dirty: dirty.clone(),
-            outbox: outbox.clone(),
-            touched: touched.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let Self {
-            vals,
-            outs,
-            hashes,
-            agenda,
-            next_sample,
-            streams,
-            next_stim,
-            stim_ticks,
-            armed,
-            dirty,
-            outbox,
-            touched,
-        } = source;
-        self.vals.clone_from(vals);
-        self.outs.clone_from(outs);
-        self.hashes.clone_from(hashes);
-        self.agenda.clone_from(agenda);
-        self.next_sample.clone_from(next_sample);
-        self.streams.clone_from(streams);
-        self.next_stim = *next_stim;
-        self.stim_ticks = *stim_ticks;
-        self.armed = *armed;
-        self.dirty.clone_from(dirty);
-        self.outbox.clone_from(outbox);
-        self.touched.clone_from(touched);
-    }
-}
-
 impl BlockState {
     fn fresh(b: &Block, stim: &StimulusConfig) -> BlockState {
         let ncomb = b.ops.len();
@@ -390,6 +361,8 @@ impl BlockState {
             vals: vec![Value::X; owned + b.num_ports as usize],
             outs: vec![Value::X; owned],
             hashes: vec![FNV_BASIS; owned],
+            journal: Vec::new(),
+            journaling: false,
             agenda: vec![VecDeque::new(); b.num_buckets as usize],
             next_sample: vec![VTime::INF; b.dffs.len()],
             streams: b.stims.iter().map(|s| stim.stream(s.input_index)).collect(),
@@ -411,6 +384,114 @@ impl BlockState {
     /// that gate).
     pub fn op_hash(&self, slot: usize) -> u64 {
         self.hashes[slot]
+    }
+
+    /// Owned slot `slot` changes to `v`, effective at `eff`: the one place
+    /// `outs` and `hashes` are written, so that no write escapes the
+    /// journal. `J` is [`Self::journaling`], hoisted out of the sweep.
+    #[inline]
+    fn set_out<const J: bool>(&mut self, slot: usize, eff: VTime, v: Value) {
+        let hash = self.hashes[slot];
+        if J {
+            self.journal.push(Undo { hash, slot: slot as u16, out: self.outs[slot] });
+        }
+        self.outs[slot] = v;
+        self.hashes[slot] = fnv_step(hash, eff, v);
+    }
+
+    /// Copy the fields a checkpoint carries whole.
+    fn copy_small_fields(&mut self, from: &BlockState) {
+        self.vals.clone_from(&from.vals);
+        self.agenda.clone_from(&from.agenda);
+        self.next_sample.clone_from(&from.next_sample);
+        self.streams.clone_from(&from.streams);
+        self.next_stim = from.next_stim;
+        self.stim_ticks = from.stim_ticks;
+        self.armed = from.armed;
+    }
+
+    /// File a checkpoint of this live state, in `spare`'s buffers if there
+    /// is one (a retired checkpoint of any block): the small fields by
+    /// copy, the journal of the interval that ends here by move. From the
+    /// first call on, the state journals its writes.
+    pub(crate) fn snapshot(&mut self, spare: Option<Box<BlockState>>) -> Box<BlockState> {
+        debug_assert!(self.touched.is_empty(), "checkpoint inside an activation");
+        let mut snap = spare.unwrap_or_default();
+        debug_assert!(snap.outs.is_empty() && snap.hashes.is_empty(), "spare was a live state");
+        snap.copy_small_fields(self);
+        snap.journal.clear();
+        std::mem::swap(&mut snap.journal, &mut self.journal);
+        self.journaling = true;
+        snap
+    }
+
+    /// Roll this live state back to checkpoint `anchor`; `undone` are the
+    /// checkpoints filed after it, oldest first.
+    pub(crate) fn restore<'a>(
+        &mut self,
+        anchor: &BlockState,
+        undone: impl DoubleEndedIterator<Item = &'a BlockState>,
+    ) {
+        debug_assert!(self.journaling, "restore of a state that was never checkpointed");
+        let BlockState { outs, hashes, journal, .. } = self;
+        for log in std::iter::once(&*journal).chain(undone.rev().map(|s| &s.journal)) {
+            for u in log.iter().rev() {
+                outs[u.slot as usize] = u.out;
+                hashes[u.slot as usize] = u.hash;
+            }
+        }
+        journal.clear();
+        self.copy_small_fields(anchor);
+    }
+}
+
+#[cfg(test)]
+impl BlockState {
+    /// Bytes of heap content held. Every field is named, so a new one
+    /// cannot be left out of the count.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::{size_of, size_of_val};
+        let BlockState {
+            vals,
+            outs,
+            hashes,
+            journal,
+            journaling: _,
+            agenda,
+            next_sample,
+            streams,
+            next_stim: _,
+            stim_ticks: _,
+            armed: _,
+            dirty,
+            outbox,
+            touched,
+        } = self;
+        let queued: usize = agenda.iter().map(|q| q.len() * size_of::<(VTime, u32, Value)>()).sum();
+        let staged: usize = outbox.iter().map(|row| size_of_val(&row[..])).sum();
+        size_of_val(&vals[..])
+            + size_of_val(&outs[..])
+            + size_of_val(&hashes[..])
+            + size_of_val(&journal[..])
+            + size_of_val(&agenda[..])
+            + queued
+            + size_of_val(&next_sample[..])
+            + size_of_val(&streams[..])
+            + size_of_val(&dirty[..])
+            + size_of_val(&outbox[..])
+            + staged
+            + size_of_val(&touched[..])
+    }
+
+    /// The share of [`Self::heap_bytes`] that grows with the owned slots
+    /// and that no checkpoint may carry.
+    pub(crate) fn per_slot_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.outs[..]) + std::mem::size_of_val(&self.hashes[..])
+    }
+
+    /// The journal's share of [`Self::heap_bytes`].
+    pub(crate) fn journal_bytes(&self) -> usize {
+        std::mem::size_of_val(&self.journal[..])
     }
 }
 
@@ -782,6 +863,22 @@ impl CompiledSim {
         msgs: &[(LpId, GateMsg)],
         sink: &mut EventSink<GateMsg>,
     ) {
+        if state.journaling {
+            self.activate::<true>(lp, state, now, msgs, sink);
+        } else {
+            self.activate::<false>(lp, state, now, msgs, sink);
+        }
+    }
+
+    /// One activation; `J` says whether `state` journals its writes.
+    fn activate<const J: bool>(
+        &self,
+        lp: LpId,
+        state: &mut BlockState,
+        now: VTime,
+        msgs: &[(LpId, GateMsg)],
+        sink: &mut EventSink<GateMsg>,
+    ) {
         let b = &self.blocks[lp as usize];
         sink.note_block_activation();
         debug_assert!(state.dirty.iter().all(|&w| w == 0), "scratch must be clean");
@@ -807,9 +904,8 @@ impl CompiledSim {
                 let q = state.vals[dff.d_slot as usize].input_view();
                 let slot = ncomb + i;
                 if q != state.outs[slot] {
-                    state.outs[slot] = q;
                     let eff = now.after(u64::from(dff.delay));
-                    state.hashes[slot] = fnv_step(state.hashes[slot], eff, q);
+                    state.set_out::<J>(slot, eff, q);
                     self.publish(b, state, slot, eff, dff.bucket, q);
                 }
             }
@@ -829,9 +925,8 @@ impl CompiledSim {
                     if first { Some(state.streams[i].initial()) } else { state.streams[i].tick() };
                 if let Some(v) = drawn {
                     let slot = ncomb + ndffs + i;
-                    state.outs[slot] = v;
                     let eff = now.after(u64::from(s.delay));
-                    state.hashes[slot] = fnv_step(state.hashes[slot], eff, v);
+                    state.set_out::<J>(slot, eff, v);
                     self.publish(b, state, slot, eff, s.bucket, v);
                     saved += (b.is_replica[slot >> 6] >> (slot & 63)) & 1;
                 }
@@ -913,9 +1008,8 @@ impl CompiledSim {
                 }
                 acc = self.tabs.post[((op.meta >> 2) as usize & 3) << 2 | acc as usize];
                 if acc != state.outs[ix] {
-                    state.outs[ix] = acc;
                     let eff = now.after(u64::from(op.delay));
-                    state.hashes[ix] = fnv_step(state.hashes[ix], eff, acc);
+                    state.set_out::<J>(ix, eff, acc);
                     self.publish(b, state, ix, eff, op.meta >> 4, acc);
                     saved += (b.is_replica[ix >> 6] >> (ix & 63)) & 1;
                 }

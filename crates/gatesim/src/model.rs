@@ -221,7 +221,7 @@ impl<'a> GateSimBuilder<'a> {
 
 /// Per-LP state of a [`GateModel`]: a plain gate state or a compiled
 /// block state, depending on the LP and mode.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub enum ModelState {
     /// A per-gate LP (every LP in gate mode).
     Gate(GateState),
@@ -237,25 +237,6 @@ const _: () = assert!(
     std::mem::size_of::<ModelState>()
         <= 128 + cfg!(debug_assertions) as usize * std::mem::size_of::<Vec<(u64, char)>>()
 );
-
-/// Written by hand so that `clone_from` reaches the variant's own (which
-/// reuses its buffers) instead of replacing the value.
-impl Clone for ModelState {
-    fn clone(&self) -> Self {
-        match self {
-            ModelState::Gate(g) => ModelState::Gate(g.clone()),
-            ModelState::Block(b) => ModelState::Block(b.clone()),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        match (self, source) {
-            (ModelState::Gate(mine), ModelState::Gate(theirs)) => mine.clone_from(theirs),
-            (ModelState::Block(mine), ModelState::Block(theirs)) => mine.clone_from(theirs),
-            (mine, theirs) => *mine = theirs.clone(),
-        }
-    }
-}
 
 impl ModelState {
     /// The gate state, if this LP is a per-gate LP.
@@ -389,6 +370,39 @@ impl Application for GateModel {
         }
     }
 
+    /// Gate states are copied whole, into the spare's buffers; block
+    /// states file an incremental snapshot (`BlockState::snapshot`).
+    /// Inlined into the kernel's batch loop with the gate arm first: a
+    /// gate-per-LP run files one of these per event.
+    #[inline]
+    fn checkpoint(&self, live: &mut ModelState, spare: Option<ModelState>) -> ModelState {
+        match live {
+            ModelState::Gate(g) => match spare {
+                Some(ModelState::Gate(mut s)) => {
+                    s.clone_from(g);
+                    ModelState::Gate(s)
+                }
+                _ => ModelState::Gate(g.clone()),
+            },
+            ModelState::Block(b) => ModelState::Block(b.snapshot(match spare {
+                Some(ModelState::Block(s)) => Some(s),
+                _ => None,
+            })),
+        }
+    }
+
+    #[inline]
+    fn restore(&self, live: &mut ModelState, anchor: &ModelState, undone: &[ModelState]) {
+        match (live, anchor) {
+            (ModelState::Gate(g), ModelState::Gate(a)) => g.clone_from(a),
+            (ModelState::Block(b), ModelState::Block(a)) => b.restore(
+                a,
+                undone.iter().map(|s| s.as_block().expect("a block LP files block checkpoints")),
+            ),
+            _ => unreachable!("an LP's checkpoints have its state's variant"),
+        }
+    }
+
     fn replicated_units(&self) -> u64 {
         match self {
             GateModel::PerGate(sim) => sim.replicated_units(),
@@ -414,7 +428,8 @@ mod tests {
     use pls_partition::{
         plan_replication, CircuitGraph, Partitioner, RandomPartitioner, ReplicationConfig,
     };
-    use pls_timewarp::{Backend, Simulator};
+    use pls_timewarp::{Backend, Cancellation, KernelConfig, Simulator};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
     /// A workload with cut hub nets, its partitioning, and a non-empty plan.
     /// Random partitioning guarantees plenty of profitable candidates.
@@ -500,11 +515,12 @@ mod tests {
         assert!(r.stats.messages_saved > 0);
     }
 
-    /// Runs a [`GateModel`] while swapping, at seeded activations, the live
-    /// state of an LP for a recycled state overwritten by `clone_from` —
-    /// what the kernel's checkpoint pool does to a retired state. The
-    /// recycled state starts as the *final* state of a finished run of
-    /// *another* LP: dirty, and of another size.
+    /// Runs a gate-per-LP [`GateModel`] while swapping, at seeded
+    /// activations, the live state of an LP for a checkpoint filed through
+    /// [`Application::checkpoint`] into a recycled state — what the kernel's
+    /// checkpoint pool does to a retired state. The recycled state starts as
+    /// the *final* state of a finished run of *another* LP: dirty, and of
+    /// another size.
     struct Recycler {
         inner: GateModel,
         retired: Vec<ModelState>,
@@ -514,7 +530,7 @@ mod tests {
     #[derive(Clone)]
     struct Recycling {
         live: ModelState,
-        spare: ModelState,
+        spare: Option<ModelState>,
         rng: u64,
     }
 
@@ -537,7 +553,7 @@ mod tests {
             let donor = (lp as usize + 1) % self.retired.len();
             Recycling {
                 live: self.inner.init_state(lp),
-                spare: self.retired[donor].clone(),
+                spare: Some(self.retired[donor].clone()),
                 rng: self.seed ^ u64::from(lp),
             }
         }
@@ -554,45 +570,223 @@ mod tests {
         ) {
             self.inner.execute(lp, &mut state.live, now, msgs, sink);
             if splitmix64(&mut state.rng).is_multiple_of(3) {
-                state.spare.clone_from(&state.live);
+                let copy = self.inner.checkpoint(&mut state.live, state.spare.take());
                 assert_eq!(
-                    format!("{:?}", state.spare),
+                    format!("{copy:?}"),
                     format!("{:?}", state.live.clone()),
                     "LP {lp} at {now}"
                 );
                 // The rest of the run continues on the recycled copy.
-                std::mem::swap(&mut state.live, &mut state.spare);
+                state.spare = Some(std::mem::replace(&mut state.live, copy));
             }
         }
     }
 
     #[test]
-    fn clone_from_into_a_recycled_state_equals_a_fresh_clone() {
+    fn a_gate_checkpoint_in_a_recycled_state_equals_a_fresh_clone() {
         let netlist = IscasSynth::small(300, 5).build();
-        let g = CircuitGraph::from_netlist(&netlist);
-        let blocks = RandomPartitioner.partition(&g, 3, 0).assignment;
-        for exec in [
-            ExecModel::GatePerLp,
-            ExecModel::CompiledBlocks(CompileOptions { blocks: Some(blocks) }),
+        let build = || GateSimBuilder::new(&netlist).end_time(300).build();
+        let plain = build();
+        let oracle = Simulator::new(&plain).run(Backend::Sequential).unwrap();
+        let sizes: std::collections::BTreeSet<usize> =
+            oracle.states.iter().map(|s| format!("{s:?}").len()).collect();
+        assert!(sizes.len() > 1, "every state has one size");
+        for seed in 0..8 {
+            let app = Recycler { inner: build(), retired: oracle.states.clone(), seed };
+            let run = Simulator::new(&app).run(Backend::Sequential).unwrap();
+            let live: Vec<ModelState> = run.states.into_iter().map(|s| s.live).collect();
+            assert_eq!(
+                app.inner.fingerprint(&live),
+                plain.fingerprint(&oracle.states),
+                "seed {seed}: a recycled state changed the run"
+            );
+        }
+    }
+
+    /// A compiled [`GateModel`] whose every checkpoint also carries a full
+    /// `clone()` of the live state taken as it was filed, so that `restore`
+    /// can compare what the journal rebuilt with it, field for field. The
+    /// kernel supplies real rollbacks, anchors and recycled spares; the
+    /// counters say which cases a run reached.
+    struct Audit {
+        inner: GateModel,
+        restores: AtomicU64,
+        to_initial: AtomicU64,
+        through_open_interval: AtomicU64,
+        across_checkpoints: AtomicU64,
+        foreign_spares: AtomicU64,
+    }
+
+    #[derive(Clone)]
+    struct Audited {
+        model: ModelState,
+        /// In a checkpoint: the live state when it was filed.
+        reference: Option<ModelState>,
+        /// In a checkpoint: how many this LP had filed before it. In a live
+        /// state: how many it has filed.
+        filed: u64,
+        /// Batches executed since the last checkpoint or restore.
+        open: u32,
+    }
+
+    fn block(s: &ModelState) -> &BlockState {
+        s.as_block().expect("compiled model")
+    }
+
+    impl Application for Audit {
+        type Msg = GateMsg;
+        type State = Audited;
+
+        fn num_lps(&self) -> usize {
+            self.inner.num_lps()
+        }
+        fn init_state(&self, lp: LpId) -> Audited {
+            Audited { model: self.inner.init_state(lp), reference: None, filed: 0, open: 0 }
+        }
+        fn init_events(&self, lp: LpId, state: &mut Audited, sink: &mut EventSink<GateMsg>) {
+            self.inner.init_events(lp, &mut state.model, sink);
+        }
+        fn execute(
+            &self,
+            lp: LpId,
+            state: &mut Audited,
+            now: VTime,
+            msgs: &[(LpId, GateMsg)],
+            sink: &mut EventSink<GateMsg>,
+        ) {
+            self.inner.execute(lp, &mut state.model, now, msgs, sink);
+            state.open += 1;
+        }
+
+        fn checkpoint(&self, live: &mut Audited, spare: Option<Audited>) -> Audited {
+            let spare = spare.map(|s| s.model);
+            if spare.as_ref().is_some_and(|s| block(s).vals.len() != block(&live.model).vals.len())
+            {
+                self.foreign_spares.fetch_add(1, Relaxed);
+            }
+            let model = self.inner.checkpoint(&mut live.model, spare);
+            // What the checkpoint may hold: the live state's small fields
+            // and scratch, plus the journal it took over — never a per-slot
+            // array.
+            let (snap, now) = (block(&model), block(&live.model));
+            assert!(
+                snap.heap_bytes() <= now.heap_bytes() - now.per_slot_bytes() + snap.journal_bytes(),
+                "a {} B checkpoint of a {} B state with {} B per slot and a {} B journal",
+                snap.heap_bytes(),
+                now.heap_bytes(),
+                now.per_slot_bytes(),
+                snap.journal_bytes()
+            );
+            let filed = live.filed;
+            live.filed += 1;
+            live.open = 0;
+            Audited { model, reference: Some(live.model.clone()), filed, open: 0 }
+        }
+
+        fn restore(&self, live: &mut Audited, anchor: &Audited, undone: &[Audited]) {
+            self.restores.fetch_add(1, Relaxed);
+            self.to_initial.fetch_add(u64::from(anchor.filed == 0), Relaxed);
+            self.through_open_interval.fetch_add(u64::from(live.open > 0), Relaxed);
+            self.across_checkpoints.fetch_add(u64::from(undone.len() > 1), Relaxed);
+            assert!(
+                undone.iter().map(|s| s.filed).eq(anchor.filed + 1..live.filed),
+                "`undone` is every later checkpoint, oldest first"
+            );
+            let undone: Vec<ModelState> = undone.iter().map(|s| s.model.clone()).collect();
+            self.inner.restore(&mut live.model, &anchor.model, &undone);
+            assert_eq!(
+                format!("{:?}", live.model),
+                format!("{:?}", anchor.reference.as_ref().expect("anchors are checkpoints")),
+                "restore to checkpoint {} from {} ({} batches open)",
+                anchor.filed,
+                live.filed,
+                live.open
+            );
+            live.filed = anchor.filed + 1;
+            live.open = 0;
+        }
+    }
+
+    #[test]
+    fn a_journaled_restore_equals_the_full_clone_taken_at_the_anchor() {
+        let mut reached = [0u64; 5];
+        for (seed, interval, cancellation) in [
+            (3u64, 1u32, Cancellation::Aggressive),
+            (4, 1, Cancellation::Lazy),
+            (5, 3, Cancellation::Aggressive),
+            (6, 3, Cancellation::Lazy),
         ] {
-            let build = || GateSimBuilder::new(&netlist).end_time(300).exec(exec.clone()).build();
+            let netlist = IscasSynth::small(260, seed).build();
+            let g = CircuitGraph::from_netlist(&netlist);
+            // Five blocks of unequal size on three nodes: the blocks of a
+            // node share its checkpoint pool.
+            let mut blocks = RandomPartitioner.partition(&g, 5, seed).assignment;
+            for b in blocks.iter_mut().step_by(3) {
+                *b = 0;
+            }
+            let build = || {
+                GateSimBuilder::new(&netlist)
+                    .end_time(200)
+                    .exec(ExecModel::CompiledBlocks(CompileOptions {
+                        blocks: Some(blocks.clone()),
+                    }))
+                    .build()
+            };
             let plain = build();
             let oracle = Simulator::new(&plain).run(Backend::Sequential).unwrap();
             let sizes: std::collections::BTreeSet<usize> =
-                oracle.states.iter().map(|s| format!("{s:?}").len()).collect();
-            assert!(sizes.len() > 1, "{}: every state has one size", plain.exec_name());
-            for seed in 0..8 {
-                let app = Recycler { inner: build(), retired: oracle.states.clone(), seed };
-                let run = Simulator::new(&app).run(Backend::Sequential).unwrap();
-                let live: Vec<ModelState> = run.states.into_iter().map(|s| s.live).collect();
-                assert_eq!(
-                    app.inner.fingerprint(&live),
-                    plain.fingerprint(&oracle.states),
-                    "{} seed {seed}: a recycled state changed the run",
-                    plain.exec_name()
-                );
+                oracle.states.iter().map(|s| block(s).vals.len()).collect();
+            assert!(sizes.len() > 2, "blocks must differ in size");
+
+            let app = Audit {
+                inner: build(),
+                restores: AtomicU64::new(0),
+                to_initial: AtomicU64::new(0),
+                through_open_interval: AtomicU64::new(0),
+                across_checkpoints: AtomicU64::new(0),
+                foreign_spares: AtomicU64::new(0),
+            };
+            let kernel = KernelConfig {
+                cancellation,
+                checkpoint_interval: interval,
+                gvt_period: 16,
+                ..Default::default()
+            };
+            let assignment: Vec<u32> = (0..plain.num_lps() as u32).map(|lp| lp % 3).collect();
+            let run = Simulator::new(&app)
+                .config(kernel)
+                .run(Backend::Platform { assignment: &assignment, nodes: 3 })
+                .unwrap();
+            let live: Vec<ModelState> = run.states.into_iter().map(|s| s.model).collect();
+            assert_eq!(
+                app.inner.fingerprint(&live),
+                plain.fingerprint(&oracle.states),
+                "seed {seed} interval {interval} {cancellation:?}"
+            );
+            assert_eq!(app.restores.load(Relaxed), run.stats.rollbacks());
+            let counters = [
+                &app.restores,
+                &app.to_initial,
+                &app.through_open_interval,
+                &app.across_checkpoints,
+                &app.foreign_spares,
+            ];
+            for (total, c) in reached.iter_mut().zip(counters) {
+                *total += c.load(Relaxed);
+            }
+            if interval == 1 {
+                assert_eq!(app.through_open_interval.load(Relaxed), 0);
             }
         }
+        let [restores, to_initial, open, across, foreign] = reached;
+        println!(
+            "{restores} restores: {to_initial} to the initial state, {open} through an open \
+             interval, {across} across several checkpoints; {foreign} foreign spares"
+        );
+        assert!(to_initial > 0, "no rollback reached an initial state");
+        assert!(open > 0, "no rollback began in an un-checkpointed interval");
+        assert!(across > 0, "no rollback discarded more than one checkpoint");
+        assert!(foreign > 0, "no checkpoint was built in another block's retired one");
     }
 
     /// Not a limit to defend, a number to see move: one of these per LP is

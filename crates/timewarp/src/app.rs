@@ -16,6 +16,12 @@
 //! [`EventSink`]. Output that is genuinely deferred past GVT (and so
 //! can no longer roll back) is waived inline with
 //! `// detlint: allow(D006, reason)`. See `docs/LINTS.md`.
+//!
+//! *How* state is saved is the application's choice too: by default a
+//! checkpoint is a `clone` and a rollback a `clone_from`, and an
+//! application whose state is large and changes a little per batch
+//! overrides [`Application::checkpoint`] / [`Application::restore`] to
+//! save incrementally (compiled gate blocks do).
 
 use crate::event::LpId;
 use crate::time::VTime;
@@ -155,7 +161,8 @@ pub trait Application: Send + Sync + 'static {
     /// identical); `Clone` because output copies are retained for
     /// cancellation.
     type Msg: Clone + PartialEq + Send + std::fmt::Debug + 'static;
-    /// Checkpointable LP state.
+    /// LP state — and the type of its checkpoints, which are full copies
+    /// unless [`Self::checkpoint`] says otherwise.
     type State: Clone + Send + 'static;
 
     /// Total number of LPs (ids are `0..num_lps`).
@@ -179,6 +186,49 @@ pub trait Application: Send + Sync + 'static {
         msgs: &[(LpId, Self::Msg)],
         sink: &mut EventSink<Self::Msg>,
     );
+
+    /// File a checkpoint of `live`: return a state that [`Self::restore`]
+    /// can later bring `live` back to, built in `spare`'s buffers when the
+    /// kernel has a retired checkpoint to recycle (one this method returned
+    /// earlier, for *any* LP of the cluster — assume nothing about whose
+    /// it was or how big). Called once on the initial state, before any
+    /// `execute`, and then after every `checkpoint_interval`-th batch.
+    /// Default: a full copy.
+    ///
+    /// An override may leave out of the checkpoint whatever it can
+    /// reconstruct in [`Self::restore`] — typically by keeping an undo log
+    /// in `live` (hence `&mut`) and moving the log of the interval this
+    /// checkpoint closes into the returned state. The kernel never reads a
+    /// checkpoint: it only hands it back to `restore`, to this method as
+    /// `spare`, or drops it (fossil collection), so what a checkpoint omits
+    /// is the application's business alone. The log must live in `State`
+    /// (D006 applies unchanged: `execute` writes nowhere else) and must not
+    /// feed back: what `execute` sends and computes stays a pure function
+    /// of `(lp, state, now, msgs)` whatever the log holds and wherever
+    /// checkpoints fell — a coast-forward replays batches across other
+    /// checkpoint boundaries than their first execution saw.
+    #[inline]
+    fn checkpoint(&self, live: &mut Self::State, spare: Option<Self::State>) -> Self::State {
+        match spare {
+            Some(mut spare) => {
+                spare.clone_from(live);
+                spare
+            }
+            None => live.clone(),
+        }
+    }
+
+    /// Bring `live` back to what it was when `anchor` was filed by
+    /// [`Self::checkpoint`]. `undone` holds every checkpoint filed on this
+    /// LP after `anchor`, **oldest first** — all of them, with no gaps, so
+    /// an undo-log implementation unwinds `live`'s open interval and then
+    /// `undone` from the back. The kernel retires `undone` afterwards.
+    /// Default: copy `anchor` over `live`.
+    #[inline]
+    fn restore(&self, live: &mut Self::State, anchor: &Self::State, undone: &[Self::State]) {
+        let _ = undone;
+        live.clone_from(anchor);
+    }
 
     /// Number of replicated gates (or other duplicated units) this model
     /// materialised — a static per-run property recorded into

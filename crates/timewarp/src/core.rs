@@ -88,6 +88,18 @@ fn put_bit(words: &mut [u64], i: usize, on: bool) {
     }
 }
 
+/// The indices of the set bits of `bits`, word `word` of a bitset, in
+/// ascending order.
+fn ones(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (bits != 0).then(|| {
+            let i = word * 64 + bits.trailing_zeros() as usize;
+            bits &= bits - 1;
+            i
+        })
+    })
+}
+
 /// The LPs of one cluster and the protocol steps over them.
 pub(crate) struct ClusterCore<'a, A: Application> {
     app: &'a A,
@@ -324,9 +336,25 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         Some(Hop::Remote(tx))
     }
 
-    /// This cluster's contribution to the GVT estimate. Transmissions in
-    /// the driver's hands are the driver's to account for.
-    pub fn local_min(&self) -> VTime {
+    /// This cluster's contribution to the GVT estimate: its earliest
+    /// unprocessed event — the ready heap's current top — and the earliest
+    /// receive time a held lazy cancellation could still affect. Only an LP
+    /// with history can hold one, so the cost follows those LPs, not the
+    /// cluster. Transmissions in the driver's hands are the driver's to
+    /// account for.
+    pub fn local_min(&mut self) -> VTime {
+        let mut min = self.next_ready().unwrap_or(VTime::INF);
+        for (word, &bits) in self.history.iter().enumerate() {
+            for slot in ones(word, bits) {
+                min = min.min(self.lps[slot].pending_cancel_min());
+            }
+        }
+        min
+    }
+
+    /// [`Self::local_min`] the long way: ask every resident.
+    #[cfg(test)]
+    fn local_min_by_walk(&self) -> VTime {
         self.lps.iter().map(|lp| lp.local_min()).min().unwrap_or(VTime::INF)
     }
 
@@ -342,10 +370,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     ) -> Committed {
         let held_before = self.held;
         for word in 0..self.history.len() {
-            let mut bits = self.history[word];
-            while bits != 0 {
-                let slot = word * 64 + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
+            for slot in ones(word, self.history[word]) {
                 let lp = &mut self.lps[slot];
                 let before = lp.state_queue_len();
                 lp.fossil_collect(gvt, stats, &mut self.scratch, probe);
@@ -480,6 +505,9 @@ mod tests {
 
         for step in 0u32.. {
             assert!(step < 1_000_000, "seed {seed}: optimism outran delivery (livelock)");
+            for core in &mut cores {
+                assert_eq!(core.local_min(), core.local_min_by_walk(), "seed {seed} step {step}");
+            }
             // One choice per runnable core plus one per queued transmission
             // (which pops the head of its mailbox): the deeper the mail,
             // the likelier a delivery, so optimism cannot outrun the wire
@@ -520,7 +548,7 @@ mod tests {
             // A GVT commit with a balancing window; the last one, at ∞,
             // ends the run.
             let gvt = cores
-                .iter()
+                .iter_mut()
                 .map(|c| c.local_min())
                 .chain(mail.iter().flatten().map(|tx| tx.recv_time()))
                 .min()

@@ -113,17 +113,11 @@ impl<A: Application> Default for Scratch<A> {
 }
 
 impl<A: Application> Scratch<A> {
-    /// A copy of `live` to file as a checkpoint, built in a retired state's
-    /// buffers when one is spare.
-    fn checkpoint(&mut self, live: &A::State) -> A::State {
+    /// A checkpoint of `live` to file ([`Application::checkpoint`]), built
+    /// in a retired state's buffers when one is spare.
+    fn checkpoint(&mut self, app: &A, live: &mut A::State) -> A::State {
         self.taken += 1;
-        match self.spares.pop() {
-            Some(mut spare) => {
-                spare.clone_from(live);
-                spare
-            }
-            None => live.clone(),
-        }
+        app.checkpoint(live, self.spares.pop())
     }
 
     /// Drop the spares beyond the number of checkpoints taken since the
@@ -152,16 +146,17 @@ impl<A: Application> LpRuntime<A> {
         let mut state = app.init_state(id);
         let mut sink = EventSink::new(VTime::ZERO);
         app.init_events(id, &mut state, &mut sink);
+        let initial = app.checkpoint(&mut state, None);
         let mut lp = LpRuntime {
             id,
-            state: state.clone(),
+            state,
             lvt: VTime::ZERO,
             out_seq: 0,
             pool: EventPool::default(),
             heap: BinaryHeap::new(),
             index: IdHashMap::default(),
             processed: Vec::new(),
-            states: vec![SavedState { tag: None, processed_len: 0, state }],
+            states: vec![SavedState { tag: None, processed_len: 0, state: initial }],
             outputs: Vec::new(),
             pending_cancel: Vec::new(),
             cancel_keys: IdHashMap::default(),
@@ -217,8 +212,14 @@ impl<A: Application> LpRuntime<A> {
     /// unprocessed event and, under lazy cancellation, the earliest
     /// receive time an unsent anti-message could still affect.
     pub fn local_min(&self) -> VTime {
-        let pc = self.pending_cancel.iter().map(|e| e.recv_time).min().unwrap_or(VTime::INF);
-        self.next_time().min(pc)
+        self.next_time().min(self.pending_cancel_min())
+    }
+
+    /// The earliest receive time among the held lazy cancellations, or
+    /// [`VTime::INF`]: the half of [`Self::local_min`] that no scheduler
+    /// heap knows.
+    pub(crate) fn pending_cancel_min(&self) -> VTime {
+        self.pending_cancel.iter().map(|e| e.recv_time).min().unwrap_or(VTime::INF)
     }
 
     /// Number of checkpoints currently held (memory accounting).
@@ -622,7 +623,7 @@ impl<A: Application> LpRuntime<A> {
             self.states.push(SavedState {
                 tag: Some(now),
                 processed_len: self.processed.len(),
-                state: scratch.checkpoint(&self.state),
+                state: scratch.checkpoint(app, &mut self.state),
             });
             self.batches_since_checkpoint = 0;
             stats.states_saved += 1;
@@ -666,9 +667,10 @@ impl<A: Application> LpRuntime<A> {
             .iter()
             .rposition(|s| s.tag.is_none_or(|t| t < to))
             .expect("initial state always qualifies");
+        let retired = scratch.spares.len();
         scratch.spares.extend(self.states.drain(si + 1..).map(|s| s.state));
         let anchor = &self.states[si];
-        self.state.clone_from(&anchor.state);
+        app.restore(&mut self.state, &anchor.state, &scratch.spares[retired..]);
         let replay_from = anchor.processed_len;
         debug_assert!(replay_from <= cut);
 

@@ -434,7 +434,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
             batches_since_gvt = 0;
             force_gvt = false;
             let gvt = cores
-                .iter()
+                .iter_mut()
                 .map(|c| c.local_min())
                 .min()
                 .unwrap_or(VTime::INF)

@@ -78,7 +78,7 @@ fn lazy_and_sparse_checkpoints_preserve_committed_history() {
     let base_cfg = SimConfig { end_time: 150, ..Default::default() };
     let seq = run_seq_baseline(&netlist, &base_cfg);
 
-    for kernel in [
+    let kernels = [
         KernelConfig { cancellation: Cancellation::Lazy, ..Default::default() },
         KernelConfig { checkpoint_interval: 5, ..Default::default() },
         KernelConfig {
@@ -87,19 +87,34 @@ fn lazy_and_sparse_checkpoints_preserve_committed_history() {
             gvt_period: 64,
             ..Default::default()
         },
-    ] {
+        KernelConfig { checkpoint_interval: 4, ..Default::default() },
+        KernelConfig {
+            cancellation: Cancellation::Lazy,
+            checkpoint_interval: 4,
+            ..Default::default()
+        },
+    ];
+    // Gate per LP, and one compiled block per part: the same kernel paths
+    // over copied and over journaled checkpoints.
+    for exec in [ExecModel::GatePerLp, ExecModel::CompiledBlocks(CompileOptions::default())] {
         let mut cfg = base_cfg.clone();
-        cfg.platform.kernel = kernel;
-        let app = cfg.build_app(&netlist);
-        let res = Simulator::new(&app)
-            .platform_config(&cfg.platform)
-            .run(Backend::Platform { assignment: &part.assignment, nodes: 4 })
-            .unwrap();
-        assert_eq!(
-            app.fingerprint(&res.states),
-            seq.fingerprint,
-            "kernel config {kernel:?} diverged"
-        );
+        cfg.exec = exec;
+        let app = cfg.build_app_partitioned(&netlist, &graph, &part);
+        let assignment = app.lp_assignment(&part.assignment);
+        for kernel in kernels {
+            for (executive, backend) in [
+                ("platform", Backend::Platform { assignment: &assignment, nodes: 4 }),
+                ("threaded", Backend::Threaded { assignment: &assignment, clusters: 4 }),
+            ] {
+                let res = Simulator::new(&app).config(kernel).run(backend).unwrap();
+                assert_eq!(
+                    app.fingerprint(&res.states),
+                    seq.fingerprint,
+                    "{} on the {executive} executive under {kernel:?} diverged",
+                    app.exec_name()
+                );
+            }
+        }
     }
 }
 
