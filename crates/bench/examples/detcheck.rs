@@ -9,7 +9,7 @@ use pls_netlist::IscasSynth;
 use pls_partition::metrics::{connectivity_cut, edge_cut};
 use pls_partition::{CircuitGraph, MultilevelPartitioner, Partitioning, ReplicationConfig};
 use pls_timewarp::{
-    Application, Backend, Cancellation, DynLbConfig, KernelConfig, KernelStats, Phold,
+    Application, Backend, Cancellation, DynLbConfig, FaultPlan, KernelConfig, KernelStats, Phold,
     PlatformConfig, Simulator,
 };
 
@@ -34,20 +34,23 @@ fn main() {
     stats_line("phold/seq", &seq.stats);
     println!("phold/seq states: {:?}", seq.states);
 
-    for (tag, cancellation, ckpt) in [
-        ("aggr", Cancellation::Aggressive, 1u32),
-        ("lazy", Cancellation::Lazy, 1),
-        ("lazy_sparse", Cancellation::Lazy, 4),
+    for (tag, cancellation, ckpt, faults) in [
+        ("aggr", Cancellation::Aggressive, 1u32, None),
+        ("lazy", Cancellation::Lazy, 1, None),
+        ("lazy_sparse", Cancellation::Lazy, 4, None),
+        // A lossy ingress link on node 1 and a slow CPU on node 2: the one
+        // gated run in which the chaos counters move.
+        ("faulted", Cancellation::Aggressive, 1, Some("drop:1:250,slow:2:3@1ms..30ms")),
     ] {
         let pcfg = PlatformConfig {
             kernel: KernelConfig { cancellation, checkpoint_interval: ckpt, ..Default::default() },
             ..Default::default()
         };
-        let rep = Simulator::new(&model)
-            .platform_config(&pcfg)
-            .record(50)
-            .run(Backend::Platform { assignment: &assignment, nodes: 3 })
-            .unwrap();
+        let mut sim = Simulator::new(&model).platform_config(&pcfg).record(50);
+        if let Some(spec) = faults {
+            sim = sim.fault_plan(FaultPlan::parse(spec, 7).expect("a valid fault spec"));
+        }
+        let rep = sim.run(Backend::Platform { assignment: &assignment, nodes: 3 }).unwrap();
         stats_line(&format!("phold/plat3/{tag}"), &rep.stats);
         println!("phold/plat3/{tag} states_match_seq: {}", rep.states == seq.states);
         println!(
@@ -241,5 +244,15 @@ fn main() {
                 connectivity_cut(&graph, p),
             );
         }
+    }
+
+    // --- The `bench_kernel --smoke` suite, one run each: the four
+    // deterministic fields of every `BENCH_kernel.json` row.
+    for mut sc in pls_bench::kernel_scenarios::kernel_scenarios(true) {
+        let o = (sc.run)();
+        println!(
+            "bench_kernel/smoke/{}: events={} modeled_s={:.9} app_messages={} messages_saved={}",
+            sc.name, o.units, o.modeled_s, o.stats.app_messages, o.stats.messages_saved
+        );
     }
 }
