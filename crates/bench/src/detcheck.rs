@@ -2,7 +2,8 @@
 //! three executives and print every deterministic observable (stats
 //! field-by-field, final states / trace hashes, platform outcome, probe
 //! telemetry). Run this at two commits and diff the output to prove a
-//! kernel change preserved behavior exactly.
+//! kernel change preserved behavior exactly; `detcheck.golden` beside this
+//! file is the output every commit must reproduce (`scripts/check.sh`).
 
 use pls_gatesim::{CompileOptions, ExecModel, SimConfig};
 use pls_netlist::IscasSynth;
@@ -13,12 +14,15 @@ use pls_timewarp::{
     PlatformConfig, Simulator,
 };
 
+use crate::kernel_scenarios::kernel_scenarios;
+
 fn stats_line(tag: &str, s: &KernelStats) {
     let counters: Vec<String> = s.iter().map(|(name, v)| format!("{name}={v}")).collect();
     println!("{tag}: {} final_gvt={}", counters.join(" "), s.final_gvt);
 }
 
-fn main() {
+/// Print the fingerprint.
+pub fn detcheck(_args: &[String]) {
     // --- PHOLD on the deterministic executives, all cancellation modes.
     let model = Phold {
         lps: 12,
@@ -248,11 +252,11 @@ fn main() {
 
     // --- The `bench_kernel --smoke` suite, one run each: the four
     // deterministic fields of every `BENCH_kernel.json` row.
-    for mut sc in pls_bench::kernel_scenarios::kernel_scenarios(true) {
-        let o = (sc.run)();
+    for (name, mut run) in kernel_scenarios(true) {
+        let o = run();
         println!(
-            "bench_kernel/smoke/{}: events={} modeled_s={:.9} app_messages={} messages_saved={}",
-            sc.name, o.units, o.modeled_s, o.stats.app_messages, o.stats.messages_saved
+            "bench_kernel/smoke/{name}: events={} modeled_s={:.9} app_messages={} messages_saved={}",
+            o.units, o.modeled_s, o.stats.app_messages, o.stats.messages_saved
         );
     }
 }

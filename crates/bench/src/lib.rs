@@ -1,23 +1,96 @@
-//! Shared experiment harness for the table/figure binaries.
+//! The experiment harness behind the one `pls-bench` binary: every table,
+//! figure, study, benchmark and the determinism fingerprint is a row of
+//! [`COMMANDS`].
 //!
-//! Every binary (`table1`, `table2`, `fig4`, `fig5`, `fig6`, `all`) draws
-//! its cells from one grid runner that caches [`RunMetrics`] rows in a CSV
-//! under `target/experiments/`, so re-running a figure after the table has
-//! run costs nothing and all outputs come from the same runs — exactly how
-//! the paper derives Figures 4–6 and Table 2 from the same experiments.
+//! The table/figure subcommands (`table2`, `fig4`, `fig5`, `fig6`,
+//! `report`, `all`) draw their cells from one [`Grid`] runner that caches
+//! [`RunMetrics`] rows in a CSV under `target/experiments/`, so re-running
+//! a figure after the table has run costs nothing and all outputs come
+//! from the same runs — exactly how the paper derives Figures 4–6 and
+//! Table 2 from the same experiments.
 
 #![warn(missing_docs)]
 
-pub mod kernel_scenarios;
+mod bench_kernel;
+mod detcheck;
+mod kernel_scenarios;
+mod micro;
+mod paper;
+mod studies;
 
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
+use std::process::ExitCode;
 
 use pls_gatesim::{run_seq_baseline, Cell, RunMetrics, SeqMetrics, SimConfig};
 use pls_netlist::{IscasSynth, Netlist};
 use pls_partition::CircuitGraph;
 use pls_timewarp::{KernelStats, TimeSeries, VTime};
+
+/// One `pls-bench` subcommand: its name (those of the sixteen programs
+/// this binary replaced), one line for `--help` with its flags, and the
+/// entry point, which receives the arguments after the name.
+pub type Command = (&'static str, &'static str, fn(&[String]));
+
+/// Every subcommand. `--help` and the unknown-subcommand error are
+/// rendered from this table.
+pub const COMMANDS: [Command; 16] = [
+    ("all", "run the full experiment grid into target/experiments/grid.csv", paper::all),
+    ("table1", "Table 1: benchmark characteristics", paper::table1),
+    ("table2", "Table 2: simulation time per partitioning strategy", paper::table2),
+    ("fig4", "Figure 4: s9234 execution time vs nodes", |_| {
+        paper::figure(&paper::FIGURES[0], &mut Grid::open())
+    }),
+    ("fig5", "Figure 5: s9234 application messages vs nodes [--trace]", |args| {
+        paper::traced_figure(&paper::FIGURES[1], args)
+    }),
+    ("fig6", "Figure 6: s9234 rollbacks vs nodes [--trace]", |args| {
+        paper::traced_figure(&paper::FIGURES[2], args)
+    }),
+    ("report", "paper-vs-measured markdown of every table and figure", paper::report),
+    ("sensitivity", "cost-model study: paper platform vs modern cluster", studies::sensitivity),
+    ("replicate", "the s9234 column of Table 2 under five stimulus seeds", studies::replicate),
+    ("dynlb", "static vs dynamic load balancing on a rotating hotspot [--smoke]", studies::dynlb),
+    (
+        "bench_kernel",
+        "kernel scenario suite -> BENCH_kernel.json [--smoke | --only PREFIX | --set-baseline]",
+        bench_kernel::bench_kernel,
+    ),
+    ("partitioners", "micro-bench: partitioner runtime, multilevel ns/pin", micro::partitioners),
+    ("refinement", "micro-bench: greedy vs KL vs FM refinement", micro::refinement),
+    ("coarsening", "micro-bench: fanout vs heavy-edge vs random coarsening", micro::coarsening),
+    ("kernel", "micro-bench: single kernel runs (cancellation, checkpoints)", micro::kernel),
+    ("detcheck", "print every deterministic observable (see detcheck.golden)", detcheck::detcheck),
+];
+
+fn usage() -> String {
+    let mut text = String::from("usage: pls-bench <subcommand> [flags]\n\nsubcommands:\n");
+    for (name, help, _) in COMMANDS {
+        text.push_str(&format!("  {name:<13} {help}\n"));
+    }
+    text
+}
+
+/// Run `pls-bench` on its command-line arguments (program name stripped).
+/// No or an unknown subcommand prints the usage to stderr and fails with
+/// exit code 2.
+pub fn run(args: &[String]) -> ExitCode {
+    let name = args.first().map(String::as_str);
+    if name == Some("--help") {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let Some((_, _, command)) = COMMANDS.iter().find(|c| Some(c.0) == name) else {
+        if let Some(bad) = name {
+            eprintln!("unknown subcommand `{bad}`");
+        }
+        eprint!("{}", usage());
+        return ExitCode::from(2);
+    };
+    command(&args[1..]);
+    ExitCode::SUCCESS
+}
 
 /// Strategy display order of the paper's Table 2 columns.
 pub const STRATEGY_ORDER: [&str; 6] =
@@ -35,6 +108,16 @@ pub const FIGURE_NODES: [usize; 8] = [1, 2, 3, 4, 5, 6, 7, 8];
 /// horizon here and every table/figure shifts consistently.
 pub fn paper_sim_config() -> SimConfig {
     SimConfig { end_time: 400, ..Default::default() }
+}
+
+/// Names of the three benchmark circuits of the paper's Table 1.
+pub const PAPER_CIRCUITS: [&str; 3] = ["s5378", "s9234", "s15850"];
+
+/// The paper's figure circuit and its graph.
+pub fn s9234() -> (Netlist, CircuitGraph) {
+    let netlist = IscasSynth::s9234().build();
+    let graph = CircuitGraph::from_netlist(&netlist);
+    (netlist, graph)
 }
 
 /// The three benchmark circuits of the paper's Table 1.
@@ -111,47 +194,53 @@ impl Grid {
         m
     }
 
+    /// Run one cell, with the [`TimeSeries`] probe attached when a bucket
+    /// width is given.
+    fn run_cell(
+        &mut self,
+        circuit: &str,
+        strategy: &str,
+        nodes: usize,
+        bucket: Option<u64>,
+    ) -> RunMetrics {
+        let ix = self.circuit(circuit);
+        let part = pls_partition::partitioner_by_name(strategy)
+            .unwrap_or_else(|| panic!("unknown strategy `{strategy}`"));
+        let (netlist, graph) = &self.circuits[ix];
+        let mut cell = Cell::new(netlist, graph, &self.cfg).nodes(nodes);
+        if let Some(width) = bucket {
+            cell = cell.record(width);
+        }
+        cell.run(part.as_ref())
+    }
+
     /// One grid cell, from cache or by running it.
     pub fn cell(&mut self, circuit: &str, strategy: &str, nodes: usize) -> RunMetrics {
         let key = (circuit.to_string(), strategy.to_string(), nodes);
         if let Some(m) = self.cells.get(&key) {
             return m.clone();
         }
-        let ix = self.circuit(circuit);
-        let part = pls_partition::partitioner_by_name(strategy)
-            .unwrap_or_else(|| panic!("unknown strategy `{strategy}`"));
-        let (netlist, graph) = &self.circuits[ix];
         eprintln!("  running {circuit} / {strategy} / {nodes} nodes …");
-        let m = Cell::new(netlist, graph, &self.cfg).nodes(nodes).run(part.as_ref());
+        let m = self.run_cell(circuit, strategy, nodes, None);
         self.cells.insert(key, m.clone());
         self.save_cache();
         m
     }
 
     /// Re-run one cell with the [`TimeSeries`] probe attached and return
-    /// the per-virtual-time-bucket telemetry alongside the metrics. Not
-    /// cached (the CSV cache holds aggregates only); intended for the
-    /// figure binaries' `--trace` mode, which dumps a handful of series.
-    /// Returns `None` for the series when the run dies out of memory.
+    /// the per-virtual-time-bucket telemetry, or `None` when the run dies
+    /// out of memory. Not cached (the CSV cache holds aggregates only);
+    /// intended for the figures' `--trace` mode, which dumps a handful of
+    /// series.
     pub fn trace_cell(
         &mut self,
         circuit: &str,
         strategy: &str,
         nodes: usize,
         bucket_width: u64,
-    ) -> (RunMetrics, Option<TimeSeries>) {
-        let ix = self.circuit(circuit);
-        let part = pls_partition::partitioner_by_name(strategy)
-            .unwrap_or_else(|| panic!("unknown strategy `{strategy}`"));
-        let (netlist, graph) = &self.circuits[ix];
-        let partitioning = part.partition(graph, nodes, 0);
+    ) -> Option<TimeSeries> {
         eprintln!("  tracing {circuit} / {strategy} / {nodes} nodes …");
-        let m = Cell::new(netlist, graph, &self.cfg)
-            .nodes(nodes)
-            .record(bucket_width)
-            .run_with(&partitioning, part.name());
-        let series = m.telemetry.clone();
-        (m, series)
+        self.run_cell(circuit, strategy, nodes, Some(bucket_width)).telemetry
     }
 
     /// Directory the cache (and any trace exports) live in.
@@ -164,7 +253,7 @@ impl Grid {
     /// only use s9234).
     pub fn run_all(&mut self) -> Vec<RunMetrics> {
         let mut out = Vec::new();
-        for c in ["s5378", "s9234", "s15850"] {
+        for c in PAPER_CIRCUITS {
             let nodes: &[usize] = if c == "s9234" { &FIGURE_NODES } else { &TABLE2_NODES };
             for &n in nodes {
                 for s in STRATEGY_ORDER {
@@ -266,43 +355,6 @@ fn parse_cache_row(line: &str) -> Option<RunMetrics> {
     }
     m.stats.final_gvt = VTime(f.next()?.parse().ok()?);
     f.next().is_none().then_some(m)
-}
-
-/// Minimal micro-benchmark timer for the `cargo bench` binaries (the
-/// offline build has no criterion): a couple of warm-up rounds, then
-/// `samples` timed rounds, reporting min and mean wall time and returning
-/// the min. The result is passed through [`std::hint::black_box`] so the
-/// optimizer cannot discard the benchmarked work.
-pub fn bench_case<T>(
-    group: &str,
-    name: &str,
-    samples: usize,
-    mut f: impl FnMut() -> T,
-) -> std::time::Duration {
-    assert!(samples >= 1);
-    for _ in 0..2 {
-        std::hint::black_box(f());
-    }
-    let mut times = Vec::with_capacity(samples);
-    for _ in 0..samples {
-        let t0 = std::time::Instant::now();
-        std::hint::black_box(f());
-        times.push(t0.elapsed());
-    }
-    let min = times.iter().min().unwrap();
-    let mean = times.iter().sum::<std::time::Duration>() / samples as u32;
-    println!("{group}/{name}: min {min:?}  mean {mean:?}  ({samples} samples)");
-    *min
-}
-
-/// One timed sample of a kernel benchmark scenario: wall time and the
-/// number of events the run processed (the denominator of ns/event).
-#[derive(Debug, Clone, Copy)]
-pub struct BenchSample {
-    /// Wall-clock duration of the run.
-    pub wall: std::time::Duration,
-    /// Events processed by the run.
-    pub events: u64,
 }
 
 /// Summary of repeated samples of one scenario, in ns per processed event

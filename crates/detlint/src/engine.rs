@@ -9,8 +9,8 @@
 //! flow-aware rules D006–D008 only: an overflowing event schedule in a
 //! stress test or an impure probe in an example corrupts the histories
 //! we assert on just as surely as kernel code would, but RandomState
-//! maps or host clocks there are harmless. `fixtures/`, `benches/`,
-//! `shims/` and `target/` are out of scope by construction.
+//! maps or host clocks there are harmless. `fixtures/`, `shims/` and
+//! `target/` are out of scope by construction.
 //!
 //! Analysis runs in three passes: (1) per-file lexical rules over the
 //! token stream, (2) a workspace-wide structural pass — parse every
@@ -347,8 +347,8 @@ pub fn analyze_source(file: &str, src: &str, active: &[RuleId], report: &mut Rep
 }
 
 /// Recursively collect `.rs` files under `dir`, sorted for deterministic
-/// reports; `benches`, `fixtures`, `shims` and `target` directories are
-/// skipped (deliberate-violation fixtures and out-of-scope trees).
+/// reports; `fixtures`, `shims` and `target` directories are skipped
+/// (deliberate-violation fixtures and out-of-scope trees).
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<PathBuf> =
         std::fs::read_dir(dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
@@ -356,7 +356,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     for p in entries {
         if p.is_dir() {
             let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if matches!(name, "benches" | "fixtures" | "shims" | "target") {
+            if matches!(name, "fixtures" | "shims" | "target") {
                 continue;
             }
             collect_rs(&p, out)?;

@@ -816,17 +816,6 @@ impl CompiledSim {
         self.blocks.len()
     }
 
-    /// Number of compiled blocks (same as [`Self::num_lps`]).
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Fused elements per block (combinational ops + DFFs + stimulus
-    /// elements).
-    pub fn block_sizes(&self) -> Vec<usize> {
-        self.blocks.iter().map(|b| b.ops.len() + b.dffs.len() + b.stims.len()).collect()
-    }
-
     /// Number of netlist gates behind this model.
     pub fn num_gates(&self) -> usize {
         self.owner.len()

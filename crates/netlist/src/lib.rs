@@ -8,7 +8,6 @@
 //! * [`levelize()`] — topological levelization (the Topological
 //!   partitioner's substrate),
 //! * [`traverse`] — DFS/BFS gate orders (DFS and Cluster partitioners),
-//! * [`cone`] — fan-in/fan-out cone extraction (Cone partitioner),
 //! * [`generate`] — a deterministic synthetic ISCAS'89-class benchmark
 //!   generator matched to the paper's Table 1 characteristics,
 //! * [`stats`] — circuit statistics (regenerates Table 1),
@@ -31,7 +30,6 @@
 #![deny(missing_debug_implementations)]
 
 pub mod bench_format;
-pub mod cone;
 pub mod data;
 pub mod error;
 pub mod gate;
@@ -39,7 +37,6 @@ pub mod generate;
 pub mod levelize;
 pub mod netlist;
 pub mod stats;
-pub mod transform;
 pub mod traverse;
 
 pub use error::NetlistError;
@@ -48,4 +45,3 @@ pub use generate::{ClockTreeSynth, IscasSynth};
 pub use levelize::{levelize, topo_order, Levelization};
 pub use netlist::{Netlist, NetlistBuilder};
 pub use stats::CircuitStats;
-pub use transform::{observable_gates, sweep_dead_logic, SweepResult};

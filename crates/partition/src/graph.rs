@@ -195,11 +195,6 @@ impl CircuitGraph {
     pub fn num_edges(&self) -> usize {
         self.fanout.iter().map(|o| o.len()).sum()
     }
-
-    /// Sum of directed edge weights.
-    pub fn total_edge_weight(&self) -> u64 {
-        self.fanout.iter().flat_map(|o| o.iter().map(|&(_, w)| w)).sum()
-    }
 }
 
 #[cfg(test)]

@@ -210,60 +210,6 @@ pub fn refine(
     moves
 }
 
-/// A replication recommendation derived from *observed* traffic: `lp`'s
-/// messages fan out into `parts`, and no single migration target can make
-/// them all local — duplicating the LP into each listed part would.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicationAdvice {
-    /// The broadcast-shaped LP.
-    pub lp: u32,
-    /// Foreign parts it talks to, ascending, each above `min_traffic`.
-    pub parts: Vec<u32>,
-    /// Total traffic toward those parts (messages per window).
-    pub traffic: u64,
-}
-
-/// Find LPs whose observed traffic is broadcast-shaped: at least
-/// `min_parts` *foreign* parts each receiving more than `min_traffic`
-/// units. Migration cannot help such an LP (making one destination local
-/// keeps every other remote), which is exactly when replication wins —
-/// the online analogue of the static high-fanout candidate filter in
-/// `replicate::plan_replication`.
-///
-/// Advisory only: live routing is immutable mid-run, so the dynamic load
-/// balancer reports these (and pins existing replicas via
-/// [`LoadGraph::pin`]) rather than materialising replicas itself; the
-/// advice feeds the next static replication plan.
-pub fn replication_advice(
-    g: &LoadGraph,
-    assignment: &[u32],
-    min_parts: usize,
-    min_traffic: u64,
-) -> Vec<ReplicationAdvice> {
-    let mut out = Vec::new();
-    let mut per_part: Vec<u64> = Vec::new();
-    for v in 0..g.len() as u32 {
-        let home = assignment[v as usize];
-        per_part.clear();
-        per_part.resize(assignment.iter().map(|&p| p as usize + 1).max().unwrap_or(1), 0);
-        for (w, ew) in g.neighbors(v) {
-            let pw = assignment[w as usize];
-            if pw != home {
-                per_part[pw as usize] += ew;
-            }
-        }
-        let parts: Vec<u32> =
-            (0..per_part.len() as u32).filter(|&p| per_part[p as usize] > min_traffic).collect();
-        if parts.len() >= min_parts.max(1) {
-            let traffic = parts.iter().map(|&p| per_part[p as usize]).sum();
-            out.push(ReplicationAdvice { lp: v, parts, traffic });
-        }
-    }
-    // Heaviest broadcasters first; LP id breaks ties deterministically.
-    out.sort_by_key(|a| (std::cmp::Reverse(a.traffic), a.lp));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -386,26 +332,6 @@ mod tests {
         // Sanity: without pins the same graph does move.
         let mut asg2 = vec![0, 0, 0, 0, 1, 1, 1, 1];
         assert!(!refine(&g0, &mut asg2, 2, &IncrementalConfig::default()).is_empty());
-    }
-
-    #[test]
-    fn advice_flags_broadcast_shaped_lps() {
-        // LP 0 (part 0) talks to parts 1 and 2 heavily — migration can
-        // make at most one of them local, so it is advice material. LP 3
-        // talks only to part 1: a plain migration candidate, not advice.
-        let mut g = LoadGraph::new(vec![10; 6]);
-        g.add_comm(0, 2, 20); // part 1
-        g.add_comm(0, 4, 30); // part 2
-        g.add_comm(3, 2, 15); // LP 3 (part 1)… to its own part — internal
-        g.add_comm(1, 2, 15); // LP 1 (part 0) → part 1 only
-        let asg = vec![0, 0, 1, 1, 2, 2];
-        let advice = replication_advice(&g, &asg, 2, 0);
-        assert_eq!(advice.len(), 1);
-        assert_eq!(advice[0].lp, 0);
-        assert_eq!(advice[0].parts, vec![1, 2]);
-        assert_eq!(advice[0].traffic, 50);
-        // Raising the per-part floor filters the light destination out.
-        assert!(replication_advice(&g, &asg, 2, 25).is_empty());
     }
 
     #[test]

@@ -1,37 +1,5 @@
 //! Kernel configuration knobs.
 
-/// A configuration value the builders refuse to accept.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ConfigError {
-    /// `checkpoint_interval` was zero (state could never be saved, so
-    /// rollback would be impossible).
-    ZeroCheckpointInterval,
-    /// `gvt_period` was zero (GVT would never advance).
-    ZeroGvtPeriod,
-    /// A cost-model field that scales work was zero, which would collapse
-    /// the modeled time axis. The field name is included.
-    ZeroCost(&'static str),
-    /// `nodes`/`clusters` was zero — nowhere to run.
-    ZeroNodes,
-}
-
-impl std::fmt::Display for ConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ConfigError::ZeroCheckpointInterval => {
-                write!(f, "checkpoint_interval must be >= 1")
-            }
-            ConfigError::ZeroGvtPeriod => write!(f, "gvt_period must be >= 1"),
-            ConfigError::ZeroCost(field) => {
-                write!(f, "cost model field `{field}` must be >= 1")
-            }
-            ConfigError::ZeroNodes => write!(f, "node/cluster count must be >= 1"),
-        }
-    }
-}
-
-impl std::error::Error for ConfigError {}
-
 /// How rolled-back output events are cancelled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Cancellation {
@@ -78,69 +46,6 @@ impl Default for KernelConfig {
     }
 }
 
-impl KernelConfig {
-    /// Validate and clamp nonsensical values (0 intervals become 1).
-    pub fn normalized(mut self) -> KernelConfig {
-        if self.checkpoint_interval == 0 {
-            self.checkpoint_interval = 1;
-        }
-        if self.gvt_period == 0 {
-            self.gvt_period = 1;
-        }
-        self
-    }
-
-    /// Start a validated builder (preferred over struct literals: invalid
-    /// values are rejected with a [`ConfigError`] instead of silently
-    /// clamped).
-    pub fn builder() -> KernelConfigBuilder {
-        KernelConfigBuilder { cfg: KernelConfig::default() }
-    }
-}
-
-/// Validated builder for [`KernelConfig`]; see [`KernelConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct KernelConfigBuilder {
-    cfg: KernelConfig,
-}
-
-impl KernelConfigBuilder {
-    /// Set the cancellation strategy.
-    pub fn cancellation(mut self, c: Cancellation) -> Self {
-        self.cfg.cancellation = c;
-        self
-    }
-
-    /// Save state every `n` batches (must be >= 1).
-    pub fn checkpoint_interval(mut self, n: u32) -> Self {
-        self.cfg.checkpoint_interval = n;
-        self
-    }
-
-    /// Run a GVT round every `n` batches per cluster/node (must be >= 1).
-    pub fn gvt_period(mut self, n: u64) -> Self {
-        self.cfg.gvt_period = n;
-        self
-    }
-
-    /// Bound optimism to `GVT + w` virtual-time units (`None` = unbounded).
-    pub fn window(mut self, w: Option<u64>) -> Self {
-        self.cfg.window = w;
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<KernelConfig, ConfigError> {
-        if self.cfg.checkpoint_interval == 0 {
-            return Err(ConfigError::ZeroCheckpointInterval);
-        }
-        if self.cfg.gvt_period == 0 {
-            return Err(ConfigError::ZeroGvtPeriod);
-        }
-        Ok(self.cfg)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,40 +56,5 @@ mod tests {
         assert_eq!(c.cancellation, Cancellation::Aggressive);
         assert_eq!(c.checkpoint_interval, 1);
         assert!(c.gvt_period > 0);
-    }
-
-    #[test]
-    fn normalized_clamps_zeros() {
-        let c = KernelConfig { checkpoint_interval: 0, gvt_period: 0, ..Default::default() }
-            .normalized();
-        assert_eq!(c.checkpoint_interval, 1);
-        assert_eq!(c.gvt_period, 1);
-    }
-
-    #[test]
-    fn builder_accepts_valid_values() {
-        let c = KernelConfig::builder()
-            .cancellation(Cancellation::Lazy)
-            .checkpoint_interval(4)
-            .gvt_period(64)
-            .window(Some(8))
-            .build()
-            .unwrap();
-        assert_eq!(c.cancellation, Cancellation::Lazy);
-        assert_eq!(c.checkpoint_interval, 4);
-        assert_eq!(c.gvt_period, 64);
-        assert_eq!(c.window, Some(8));
-    }
-
-    #[test]
-    fn builder_rejects_zero_checkpoint_interval() {
-        let err = KernelConfig::builder().checkpoint_interval(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::ZeroCheckpointInterval);
-    }
-
-    #[test]
-    fn builder_rejects_zero_gvt_period() {
-        let err = KernelConfig::builder().gvt_period(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::ZeroGvtPeriod);
     }
 }

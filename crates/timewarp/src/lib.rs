@@ -51,7 +51,7 @@ pub mod time;
 
 pub use app::{AppWork, Application, EventSink};
 pub use chaos::{FaultKind, FaultPlan, FaultScenario};
-pub use config::{Cancellation, ConfigError, KernelConfig, KernelConfigBuilder};
+pub use config::{Cancellation, KernelConfig};
 pub use cost::CostModel;
 pub use dynlb::{
     DynLb, DynLbConfig, GreedyBalancer, LoadBalancer, LpWindow, Migration, WindowStats,
@@ -59,7 +59,7 @@ pub use dynlb::{
 pub use event::{AntiEvent, Event, EventId, LpId, Transmission};
 pub use hotspot::RotatingHotspot;
 pub use phold::Phold;
-pub use platform::{PlatformConfig, PlatformConfigBuilder};
+pub use platform::PlatformConfig;
 pub use probe::{NoProbe, Probe, RollbackKind, Tee};
 pub use series::{Bucket, BucketKey, ColumnSpec, TimeSeries, COLUMNS};
 pub use sim::{Backend, Outcome, RunReport, SimError, Simulator};

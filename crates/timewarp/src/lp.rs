@@ -142,7 +142,12 @@ impl<A: Application> LpRuntime<A> {
 
     /// Create the runtime for LP `id`, collecting its initial events into
     /// `outbox` (routed by the kernel like any other send).
+    ///
+    /// # Panics
+    /// If `cfg.checkpoint_interval` is zero (state would never be saved);
+    /// `Simulator::run` rejects that as a `SimError` before getting here.
     pub fn new(app: &A, id: LpId, cfg: KernelConfig, outbox: &mut Vec<Event<A::Msg>>) -> Self {
+        assert!(cfg.checkpoint_interval >= 1, "checkpoint_interval must be >= 1");
         let mut state = app.init_state(id);
         let mut sink = EventSink::new(VTime::ZERO);
         app.init_events(id, &mut state, &mut sink);
@@ -162,7 +167,7 @@ impl<A: Application> LpRuntime<A> {
             cancel_keys: IdHashMap::default(),
             orphan_antis: Vec::new(),
             batches_since_checkpoint: 0,
-            cfg: cfg.normalized(),
+            cfg,
             own: LpCounters::default(),
             window_base: LpCounters::default(),
             #[cfg(debug_assertions)]

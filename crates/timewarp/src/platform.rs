@@ -21,7 +21,7 @@ use std::collections::BinaryHeap;
 
 use crate::app::Application;
 use crate::chaos::{ChaosRuntime, ChaosStep, FaultPlan};
-use crate::config::{ConfigError, KernelConfig};
+use crate::config::KernelConfig;
 use crate::core::{ClusterCore, Committed, Homes, Hop};
 use crate::cost::CostModel;
 use crate::dynlb::{move_is_valid, pinned_mask, DynLb, WindowStats};
@@ -42,59 +42,6 @@ pub struct PlatformConfig {
     /// checkpoints at a GVT round — models the 128 MB workstations of the
     /// paper, whose s15850 runs on 2 nodes "ran out of memory".
     pub state_limit_per_node: Option<u64>,
-}
-
-impl PlatformConfig {
-    /// Start a validated builder (preferred over struct literals: invalid
-    /// values are rejected with a [`ConfigError`] instead of silently
-    /// clamped).
-    pub fn builder() -> PlatformConfigBuilder {
-        PlatformConfigBuilder { cfg: PlatformConfig::default() }
-    }
-}
-
-/// Validated builder for [`PlatformConfig`]; see [`PlatformConfig::builder`].
-#[derive(Debug, Clone)]
-pub struct PlatformConfigBuilder {
-    cfg: PlatformConfig,
-}
-
-impl PlatformConfigBuilder {
-    /// Set the Time Warp kernel knobs (validated at [`Self::build`]).
-    pub fn kernel(mut self, kernel: KernelConfig) -> Self {
-        self.cfg.kernel = kernel;
-        self
-    }
-
-    /// Set the CPU/network cost model (validated at [`Self::build`]).
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.cfg.cost = cost;
-        self
-    }
-
-    /// Abort when a node holds more than `limit` checkpoints at a GVT
-    /// round (`None` = unbounded memory).
-    pub fn state_limit_per_node(mut self, limit: Option<u64>) -> Self {
-        self.cfg.state_limit_per_node = limit;
-        self
-    }
-
-    /// Validate and produce the configuration.
-    pub fn build(self) -> Result<PlatformConfig, ConfigError> {
-        if self.cfg.kernel.checkpoint_interval == 0 {
-            return Err(ConfigError::ZeroCheckpointInterval);
-        }
-        if self.cfg.kernel.gvt_period == 0 {
-            return Err(ConfigError::ZeroGvtPeriod);
-        }
-        if self.cfg.cost.event_exec_ns == 0 {
-            return Err(ConfigError::ZeroCost("event_exec_ns"));
-        }
-        if self.cfg.cost.seq_event_ns == 0 {
-            return Err(ConfigError::ZeroCost("seq_event_ns"));
-        }
-        Ok(self.cfg)
-    }
 }
 
 /// In-flight network message.
@@ -234,7 +181,7 @@ impl<M: Clone> Platform<M> {
     fn attribute_fault_time(&mut self, window: &mut WindowStats) {
         let Some(ch) = self.chaos.as_mut() else { return };
         for node in 0..self.clocks.len() {
-            let pen = ch.fault_ns[node] / self.cost.event_exec_ns.max(1);
+            let pen = ch.fault_ns[node] / self.cost.event_exec_ns;
             ch.fault_ns[node] = 0;
             if pen == 0 {
                 continue;
@@ -273,7 +220,7 @@ impl<M: Clone> Platform<M> {
 }
 
 /// The executive proper, generic over the telemetry probe. `sim::validate`
-/// has already checked `assignment` against `app` and `nodes`.
+/// has already checked `cfg`, and `assignment` against `app` and `nodes`.
 // detlint: phase(compute|gvt)
 pub(crate) fn platform_core<A: Application, P: Probe>(
     app: &A,
@@ -284,7 +231,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     mut dynlb: Option<&mut DynLb>,
     chaos_plan: Option<&FaultPlan>,
 ) -> Result<RunReport<A>, SimError> {
-    let kernel = cfg.kernel.normalized();
+    let kernel = cfg.kernel;
     let cost = cfg.cost;
 
     // With one node there is nowhere to migrate to; drop the balancer so
@@ -576,15 +523,13 @@ mod tests {
     fn lazy_cancellation_also_matches_sequential() {
         let app = Ring { n: 12, hops: 40 };
         let seq = Simulator::new(&app).run(Backend::Sequential).unwrap();
-        let cfg = PlatformConfig::builder()
-            .kernel(
-                KernelConfig::builder()
-                    .cancellation(crate::config::Cancellation::Lazy)
-                    .build()
-                    .unwrap(),
-            )
-            .build()
-            .unwrap();
+        let cfg = PlatformConfig {
+            kernel: KernelConfig {
+                cancellation: crate::config::Cancellation::Lazy,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
         let res = platform(&app, &round_robin(12, 4), 4, &cfg).unwrap();
         assert_eq!(res.states, seq.states);
     }
@@ -593,10 +538,10 @@ mod tests {
     fn sparse_checkpoints_also_match_sequential() {
         let app = Ring { n: 12, hops: 40 };
         let seq = Simulator::new(&app).run(Backend::Sequential).unwrap();
-        let cfg = PlatformConfig::builder()
-            .kernel(KernelConfig::builder().checkpoint_interval(4).build().unwrap())
-            .build()
-            .unwrap();
+        let cfg = PlatformConfig {
+            kernel: KernelConfig { checkpoint_interval: 4, ..Default::default() },
+            ..Default::default()
+        };
         let res = platform(&app, &round_robin(12, 4), 4, &cfg).unwrap();
         assert_eq!(res.states, seq.states);
     }
@@ -671,13 +616,6 @@ mod tests {
         let oob = vec![5u32; 6]; // node index out of range
         let err = platform(&app, &oob, 2, &PlatformConfig::default()).unwrap_err();
         assert!(matches!(err, SimError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn builder_rejects_zero_cost_fields() {
-        let cost = CostModel { event_exec_ns: 0, ..Default::default() };
-        let err = PlatformConfig::builder().cost(cost).build().unwrap_err();
-        assert_eq!(err, ConfigError::ZeroCost("event_exec_ns"));
     }
 
     #[test]

@@ -12,11 +12,6 @@
 //!     .unwrap();
 //! assert_eq!(report.stats.events_committed, report.telemetry.unwrap().totals().events_committed);
 //! ```
-//!
-//! Replaced the three divergent pre-0.2 entry points (`run_sequential`,
-//! `run_platform`, `run_threaded`) and their per-executive result structs;
-//! the deprecated shims were removed after one release (see
-//! `docs/TELEMETRY.md` for the migration table).
 
 use std::time::Duration;
 
@@ -268,7 +263,7 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
     /// if you need to inspect it afterwards, or use [`Self::record`] and
     /// read [`RunReport::telemetry`]).
     pub fn run(self, backend: Backend<'_>) -> Result<RunReport<A>, SimError> {
-        validate(self.app, &backend)?;
+        validate(self.app, &self.kernel, &self.cost, &backend)?;
         let Simulator { app, kernel, cost, state_limit_per_node, record, dynlb, chaos, probe } =
             self;
         let pcfg = PlatformConfig { kernel, cost, state_limit_per_node };
@@ -289,7 +284,26 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
     }
 }
 
-fn validate<A: Application>(app: &A, backend: &Backend<'_>) -> Result<(), SimError> {
+/// The one place a run's configuration is checked, on every backend: the
+/// executives assume what passes here.
+fn validate<A: Application>(
+    app: &A,
+    kernel: &KernelConfig,
+    cost: &CostModel,
+    backend: &Backend<'_>,
+) -> Result<(), SimError> {
+    // Zero would mean: state never saved, GVT never advanced, a collapsed
+    // modeled time axis.
+    for (field, value) in [
+        ("checkpoint_interval", u64::from(kernel.checkpoint_interval)),
+        ("gvt_period", kernel.gvt_period),
+        ("cost.event_exec_ns", cost.event_exec_ns),
+        ("cost.seq_event_ns", cost.seq_event_ns),
+    ] {
+        if value == 0 {
+            return Err(SimError::InvalidConfig(format!("{field} must be >= 1")));
+        }
+    }
     let (assignment, parts, what) = match backend {
         Backend::Sequential => return Ok(()),
         Backend::Platform { assignment, nodes } => (*assignment, *nodes, "node"),
@@ -380,6 +394,38 @@ mod tests {
     }
 
     #[test]
+    fn zero_config_values_are_rejected_on_every_backend() {
+        let app = Ring { n: 4, hops: 5 };
+        let asg = round_robin(4, 2);
+        let d = PlatformConfig::default();
+        let zero_kernel = |kernel| PlatformConfig { kernel, ..d };
+        let zero_cost = |cost| PlatformConfig { cost, ..d };
+        let cases = [
+            (
+                "checkpoint_interval",
+                zero_kernel(KernelConfig { checkpoint_interval: 0, ..d.kernel }),
+            ),
+            ("gvt_period", zero_kernel(KernelConfig { gvt_period: 0, ..d.kernel })),
+            ("cost.event_exec_ns", zero_cost(CostModel { event_exec_ns: 0, ..d.cost })),
+            ("cost.seq_event_ns", zero_cost(CostModel { seq_event_ns: 0, ..d.cost })),
+        ];
+        for (field, cfg) in &cases {
+            for backend in [
+                Backend::Sequential,
+                Backend::Platform { assignment: &asg, nodes: 2 },
+                Backend::Threaded { assignment: &asg, clusters: 2 },
+            ] {
+                let err = Simulator::new(&app).platform_config(cfg).run(backend).unwrap_err();
+                assert_eq!(
+                    err,
+                    SimError::InvalidConfig(format!("{field} must be >= 1")),
+                    "{backend:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn record_produces_telemetry_matching_stats() {
         let app = Ring { n: 12, hops: 40 };
         let asg = round_robin(12, 4);
@@ -421,7 +467,7 @@ mod tests {
         let app = Ring { n: 12, hops: 40 };
         let seq = Simulator::new(&app).run(Backend::Sequential).unwrap();
         let skewed = vec![0u32; 12]; // everything misplaced on node 0 of 3
-        let cfg = KernelConfig::builder().gvt_period(4).build().unwrap();
+        let cfg = KernelConfig { gvt_period: 4, ..Default::default() };
         let res = Simulator::new(&app)
             .config(cfg)
             .load_balancer(DynLbConfig { period: 1, ..Default::default() })
@@ -437,7 +483,7 @@ mod tests {
     fn dynlb_platform_is_deterministic() {
         let app = Ring { n: 12, hops: 40 };
         let skewed = vec![0u32; 12];
-        let cfg = KernelConfig::builder().gvt_period(4).build().unwrap();
+        let cfg = KernelConfig { gvt_period: 4, ..Default::default() };
         let run = || {
             Simulator::new(&app)
                 .config(cfg)
@@ -456,7 +502,7 @@ mod tests {
         let app = Ring { n: 12, hops: 40 };
         let seq = Simulator::new(&app).run(Backend::Sequential).unwrap();
         let skewed = vec![0u32; 12];
-        let cfg = KernelConfig::builder().gvt_period(4).build().unwrap();
+        let cfg = KernelConfig { gvt_period: 4, ..Default::default() };
         for _ in 0..3 {
             let res = Simulator::new(&app)
                 .config(cfg)
@@ -486,7 +532,7 @@ mod tests {
     fn dynlb_telemetry_counts_migrations() {
         let app = Ring { n: 12, hops: 40 };
         let skewed = vec![0u32; 12];
-        let cfg = KernelConfig::builder().gvt_period(4).build().unwrap();
+        let cfg = KernelConfig { gvt_period: 4, ..Default::default() };
         let report = Simulator::new(&app)
             .config(cfg)
             .record(10)

@@ -78,7 +78,7 @@ struct GvtShared {
 }
 
 /// The executive proper, generic over the telemetry probe. `sim::validate`
-/// has already checked `assignment` against `app` and `clusters`.
+/// has already checked `cfg`, and `assignment` against `app` and `clusters`.
 // detlint: phase(compute)
 pub(crate) fn threaded_core<A: Application, P: Probe>(
     app: &A,
@@ -88,8 +88,6 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     probe: &mut P,
     mut dynlb: Option<&mut DynLb>,
 ) -> RunReport<A> {
-    let cfg = cfg.normalized();
-
     // With one cluster there is nowhere to migrate to; drop the balancer
     // so the run is indistinguishable from "off".
     if clusters < 2 {
@@ -123,7 +121,7 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
         app,
         assignment,
         clusters,
-        cfg,
+        *cfg,
         lb_shared.is_some(),
         &mut stats,
         probe,
@@ -442,11 +440,11 @@ mod tests {
     fn lazy_cancellation_matches_sequential() {
         let app = Ring { n: 8, hops: 30 };
         let seq = Simulator::new(&app).run(Backend::Sequential).unwrap();
-        let cfg = KernelConfig::builder()
-            .cancellation(crate::config::Cancellation::Lazy)
-            .gvt_period(16)
-            .build()
-            .unwrap();
+        let cfg = KernelConfig {
+            cancellation: crate::config::Cancellation::Lazy,
+            gvt_period: 16,
+            ..Default::default()
+        };
         let res = threaded(&app, &round_robin(8, 2), 2, &cfg);
         assert_eq!(res.states, seq.states);
     }
@@ -454,7 +452,7 @@ mod tests {
     #[test]
     fn small_gvt_period_still_terminates() {
         let app = Ring { n: 6, hops: 10 };
-        let cfg = KernelConfig::builder().gvt_period(1).build().unwrap();
+        let cfg = KernelConfig { gvt_period: 1, ..Default::default() };
         let res = threaded(&app, &round_robin(6, 3), 3, &cfg);
         assert!(res.stats.gvt_rounds >= 1);
         assert_eq!(res.stats.final_gvt, VTime::INF);
@@ -464,7 +462,7 @@ mod tests {
     fn windowed_threaded_matches_sequential() {
         let app = Ring { n: 10, hops: 30 };
         let seq = Simulator::new(&app).run(Backend::Sequential).unwrap();
-        let cfg = KernelConfig::builder().window(Some(4)).gvt_period(8).build().unwrap();
+        let cfg = KernelConfig { window: Some(4), gvt_period: 8, ..Default::default() };
         let res = threaded(&app, &round_robin(10, 3), 3, &cfg);
         assert_eq!(res.states, seq.states);
     }

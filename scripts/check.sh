@@ -17,7 +17,7 @@ run() {
 if [[ "$FAST" -eq 0 ]]; then
   run cargo build --workspace --release
 fi
-run cargo build --workspace --benches --tests --examples
+run cargo build --workspace --tests --examples
 run cargo test -q --workspace
 run cargo fmt --all -- --check
 # disallowed-types (clippy.toml) is enforced per kernel crate below; the
@@ -73,18 +73,20 @@ fi
 if [[ "$FAST" -eq 0 ]]; then
   # Perf smoke: tiny kernel benchmark suite. Catches a hot path that stops
   # compiling or an order-of-magnitude regression; real numbers live in
-  # BENCH_kernel.json (refresh with `bench_kernel --set-baseline`).
-  run cargo run --release -p pls-bench --bin bench_kernel -- --smoke
+  # BENCH_kernel.json (refresh with `bench_kernel --set-baseline`); the
+  # smoke suite's counts and modeled seconds are gated exactly by the
+  # detcheck golden below.
+  run cargo run --release -p pls-bench -- bench_kernel --smoke
 
   # Determinism gate: every observable detcheck prints (stats, states,
   # modeled clocks, telemetry) must match the committed golden byte for
   # byte. Refresh the golden deliberately after a behavior-changing PR:
-  #   cargo run --release -p pls-bench --example detcheck > crates/bench/examples/detcheck.golden
+  #   cargo run --release -p pls-bench -- detcheck > crates/bench/src/detcheck.golden
   echo
   echo "==> detcheck vs golden"
-  cargo run --release -q -p pls-bench --example detcheck \
-    | diff -u crates/bench/examples/detcheck.golden - \
-    || { echo "detcheck drifted from crates/bench/examples/detcheck.golden"; exit 1; }
+  cargo run --release -q -p pls-bench -- detcheck \
+    | diff -u crates/bench/src/detcheck.golden - \
+    || { echo "detcheck drifted from crates/bench/src/detcheck.golden"; exit 1; }
 
   # Pipeline benchmark harness (benchmark/ is a workspace of its own, so
   # nothing above builds it): unit tests plus a --smoke run of the real
