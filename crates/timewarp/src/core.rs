@@ -2,7 +2,7 @@
 //! one GVT commit step. Both optimistic executives are drivers over this
 //! type — [`crate::platform`] owns a `Vec<ClusterCore>` plus modeled
 //! clocks and a wire, [`crate::threaded`] one `ClusterCore` per thread
-//! plus channels and barriers — so every protocol step exists once.
+//! plus channels and a rendezvous — so every protocol step exists once.
 //!
 //! The core decides *what* happens (which LP runs, which hop is local,
 //! what a commit frees); the driver decides *when*, what it costs and how
@@ -27,8 +27,8 @@ use crate::time::VTime;
 /// [`ClusterCore::evict`] and [`ClusterCore::adopt`] write it, so "where
 /// do messages for this LP go" and "who holds it" cannot disagree. The
 /// platform has one table for all of its cores; each threaded cluster has
-/// a copy, kept identical by applying the same plan inside the barrier
-/// region.
+/// a copy, kept identical by applying the same plan inside the GVT
+/// round.
 #[derive(Clone)]
 pub(crate) struct Homes {
     part: Vec<u32>,
@@ -107,11 +107,17 @@ pub(crate) struct ClusterCore<'a, A: Application> {
     id: u32,
     /// Resident LPs, dense; [`Homes`] holds each one's index.
     lps: Vec<LpRuntime<A>>,
-    /// Lazy min-heap over `(next_time, lp, slot)`: an entry is pushed on
-    /// every queue change and validated when it reaches the top. It is
-    /// stale if the LP's time has changed *or* the LP no longer sits in
-    /// that slot (it migrated away, or moved down to fill a gap).
+    /// Lazy min-heap over `(next_time, lp, slot)`: an entry is pushed
+    /// whenever an LP's next time changes and validated when it reaches
+    /// the top. It is stale if the LP's time has changed *or* the LP no
+    /// longer sits in that slot (it migrated away, or moved down to fill a
+    /// gap).
     ready: BinaryHeap<Reverse<(VTime, LpId, u32)>>,
+    /// Per slot: the time of the entry last pushed for the LP there, if
+    /// that entry is still in the heap (`INF`: no such entry). Most
+    /// deliveries leave an LP's next time where it was, and then the heap
+    /// already holds the entry [`Self::reschedule`] would push.
+    queued: Vec<VTime>,
     /// Transmissions produced by the last step, consumed LIFO by
     /// [`Self::route_next`].
     outbox: Vec<Transmission<A::Msg>>,
@@ -157,6 +163,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
                 // vector by doubling strands a measurable share of the heap.
                 lps: Vec::with_capacity(assignment.iter().filter(|&&p| p == id).count()),
                 ready: BinaryHeap::new(),
+                queued: Vec::new(),
                 outbox: Vec::new(),
                 comm_log: track_windows.then(Vec::new),
                 scratch: Scratch::default(),
@@ -207,6 +214,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         let slot = self.lps.len();
         homes.slot[lp.id() as usize] = slot as u32;
         self.history.resize((slot + 1).div_ceil(64), 0);
+        self.queued.push(VTime::INF);
         put_bit(&mut self.history, slot, lp.has_history());
         self.lps.push(lp);
         self.settle(slot, (0, 0));
@@ -214,9 +222,25 @@ impl<'a, A: Application> ClusterCore<'a, A> {
 
     fn reschedule(&mut self, slot: usize) {
         let lp = &self.lps[slot];
-        if !lp.next_time().is_inf() {
-            self.ready.push(Reverse((lp.next_time(), lp.id(), slot as u32)));
+        let t = lp.next_time();
+        if !t.is_inf() && self.queued[slot] != t {
+            self.queued[slot] = t;
+            self.ready.push(Reverse((t, lp.id(), slot as u32)));
         }
+    }
+
+    /// Pop the top of the ready heap; its slot's memo must stop vouching
+    /// for it. (A slot whose LP has changed since may lose a memo that was
+    /// not about this entry: that costs one duplicate push, never a missed
+    /// one.)
+    fn pop_ready(&mut self) -> Option<(VTime, LpId, u32)> {
+        let Reverse(top) = self.ready.pop()?;
+        if let Some(queued) = self.queued.get_mut(top.2 as usize) {
+            if *queued == top.0 {
+                *queued = VTime::INF;
+            }
+        }
+        Some(top)
     }
 
     /// Bring the queue totals and the ready heap up to date after a step
@@ -285,7 +309,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
             if self.is_current(top) {
                 return Some(top.0);
             }
-            self.ready.pop();
+            self.pop_ready();
         }
         None
     }
@@ -298,7 +322,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     // detlint: phase(compute)
     pub fn execute_ready<P: Probe>(&mut self, stats: &mut KernelStats, probe: &mut P) {
         self.next_ready().expect("execute_ready needs a runnable LP");
-        let Reverse((_, _, slot)) = self.ready.pop().expect("next_ready left a current entry");
+        let (_, _, slot) = self.pop_ready().expect("next_ready left a current entry");
         let slot = slot as usize;
         let before = self.lps[slot].queue_lens();
         self.lps[slot].execute_next(self.app, stats, &mut self.outbox, &mut self.scratch, probe);
@@ -424,10 +448,12 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         let last = self.lps.len();
         put_bit(&mut self.history, last, false);
         self.history.truncate(last.div_ceil(64));
+        self.queued.truncate(last);
         if let Some(moved) = self.lps.get(slot) {
             put_bit(&mut self.history, slot, moved.has_history());
             // Its heap entries name the old slot.
             homes.slot[moved.id() as usize] = slot as u32;
+            self.queued[slot] = VTime::INF;
             self.reschedule(slot);
         }
         let (held, pending) = lp.queue_lens();

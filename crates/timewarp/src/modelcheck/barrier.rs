@@ -24,10 +24,17 @@
 //!   past an inboxed message" interleaving is equivalent (the two
 //!   actions touch disjoint state) to the one where the remote send
 //!   lands *after* the execute, which the explorer covers.
-//! * **Barrier releases are atomic** and performed by the last arriver,
-//!   as is the cluster-0 planning step between the real phase-1 and
-//!   phase-2 barriers (those barriers bracket purely cluster-0-local
-//!   work, so no distinct interleavings are lost).
+//! * **Barrier releases are atomic** and performed by the last arriver
+//!   — literally so in the implementation: `threaded.rs`'s `Rendezvous`
+//!   releases a generation with one store by the last arriver, who also
+//!   publishes the reduced sum (transmissions routed in a flush round)
+//!   and minimum (the GVT) that every party reads. The implementation
+//!   clears the `requested` flag at the round's first rendezvous, the
+//!   model at its last (the minima release); no cluster reads or sets
+//!   the flag between the two, so the difference is unobservable. The
+//!   cluster-0 planning step between the real phase-1 and phase-2
+//!   rendezvous is atomic too (they bracket purely cluster-0-local work,
+//!   so no distinct interleavings are lost).
 //! * **Lossy mode** ([`ModelConfig::lossy`]) mirrors `chaos`'s wire
 //!   protocol: the scheduler may drop the front of an inbox (data or
 //!   ack — never an anti-message, which the chaos runtime also carries
@@ -50,8 +57,9 @@ pub const INF: u32 = u32::MAX;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bug {
     /// During GVT flush rounds, anti-messages routed by a drain are not
-    /// counted toward `routed_this_round` — the flush can then terminate
-    /// with a transmission still in flight, and the GVT computed past it.
+    /// counted toward the round's all-reduced sum — the flush can then
+    /// terminate with a transmission still in flight, and the GVT
+    /// computed past it.
     DropFlushTransmission,
     /// Phase 3 of migration forgets to remove the migrating LP from the
     /// source cluster's table while the destination still adopts it —

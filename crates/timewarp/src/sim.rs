@@ -134,6 +134,15 @@ pub enum SimError {
     },
     /// The run was misconfigured (bad assignment, zero nodes, …).
     InvalidConfig(String),
+    /// A cluster thread of [`Backend::Threaded`] panicked — in the
+    /// application's code or on a kernel assertion; the panic message
+    /// went to stderr. Its peers were torn down with it. The sequential
+    /// and platform executives run on the caller's thread, so there the
+    /// same panic simply propagates.
+    ClusterPanicked {
+        /// The cluster whose thread panicked (the lowest, if several did).
+        cluster: usize,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -143,6 +152,9 @@ impl std::fmt::Display for SimError {
                 write!(f, "node {node} ran out of memory ({states_held} saved states)")
             }
             SimError::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
+            SimError::ClusterPanicked { cluster } => {
+                write!(f, "the thread of cluster {cluster} panicked")
+            }
         }
     }
 }
@@ -343,14 +355,9 @@ fn dispatch<A: Application, P: Probe>(
         Backend::Platform { assignment, nodes } => {
             crate::platform::platform_core(app, assignment, *nodes, cfg, probe, dynlb, chaos)
         }
-        Backend::Threaded { assignment, clusters } => Ok(crate::threaded::threaded_core(
-            app,
-            assignment,
-            *clusters,
-            &cfg.kernel,
-            probe,
-            dynlb,
-        )),
+        Backend::Threaded { assignment, clusters } => {
+            crate::threaded::threaded_core(app, assignment, *clusters, &cfg.kernel, probe, dynlb)
+        }
     }
 }
 
@@ -358,7 +365,7 @@ fn dispatch<A: Application, P: Probe>(
 mod tests {
     use super::*;
     use crate::event::LpId;
-    use crate::testkit::{round_robin, Ring};
+    use crate::testkit::{round_robin, Ring, Tripwire};
 
     #[test]
     fn all_backends_agree_on_states() {
@@ -390,6 +397,27 @@ mod tests {
                 .run(Backend::Threaded { assignment, clusters: 2 })
                 .unwrap_err();
             assert!(matches!(err, SimError::InvalidConfig(_)), "{assignment:?}");
+        }
+    }
+
+    /// A panic on a cluster thread is an error naming the cluster, with the
+    /// peers torn down rather than left waiting; on the caller's own
+    /// thread (sequential, platform) it is simply the caller's panic.
+    #[test]
+    fn a_panicking_application_is_an_error_on_threads_and_a_panic_elsewhere() {
+        let app = Tripwire { ring: Ring { n: 12, hops: 40 }, lp: 5, seen: 10 };
+        for clusters in [2, 4] {
+            let asg = round_robin(12, clusters);
+            let err = Simulator::new(&app)
+                .run(Backend::Threaded { assignment: &asg, clusters })
+                .unwrap_err();
+            assert_eq!(err, SimError::ClusterPanicked { cluster: asg[5] as usize });
+            assert_eq!(err.to_string(), format!("the thread of cluster {} panicked", asg[5]));
+        }
+        let asg = round_robin(12, 2);
+        for backend in [Backend::Sequential, Backend::Platform { assignment: &asg, nodes: 2 }] {
+            let run = || Simulator::new(&app).run(backend);
+            assert!(std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)).is_err());
         }
     }
 

@@ -44,6 +44,42 @@ impl Application for Ring {
     }
 }
 
+/// A [`Ring`] with a bug: LP `lp` panics when activated after it has seen
+/// `seen` tokens. Every executive gets there — the committed history does
+/// — though an optimistic one may get there early.
+#[derive(Debug)]
+pub(crate) struct Tripwire {
+    pub ring: Ring,
+    pub lp: LpId,
+    pub seen: u64,
+}
+
+impl Application for Tripwire {
+    type Msg = u64;
+    type State = u64;
+
+    fn num_lps(&self) -> usize {
+        self.ring.num_lps()
+    }
+    fn init_state(&self, lp: LpId) -> u64 {
+        self.ring.init_state(lp)
+    }
+    fn init_events(&self, lp: LpId, s: &mut u64, sink: &mut EventSink<u64>) {
+        self.ring.init_events(lp, s, sink);
+    }
+    fn execute(
+        &self,
+        lp: LpId,
+        state: &mut u64,
+        now: VTime,
+        msgs: &[(LpId, u64)],
+        sink: &mut EventSink<u64>,
+    ) {
+        assert!(lp != self.lp || *state < self.seen, "tripwire: LP {lp} at {now}");
+        self.ring.execute(lp, state, now, msgs, sink);
+    }
+}
+
 /// Four LPs that never schedule anything.
 pub(crate) struct Idle;
 

@@ -24,8 +24,9 @@ fn exhaustive_3_clusters_2_lps_gvt_and_migration() {
 }
 
 /// Historical bug shape #1: anti-messages routed during a GVT flush
-/// round were not counted toward `routed_this_round`, so the flush
-/// could declare quiescence with a transmission still in flight.
+/// round were not counted toward the round's all-reduced sum (then the
+/// `routed_this_round` counter), so the flush could declare quiescence
+/// with a transmission still in flight.
 #[test]
 fn detects_dropped_flush_transmission() {
     let mut cfg = ModelConfig::small_2x2();

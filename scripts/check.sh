@@ -71,6 +71,30 @@ if [[ "$mc_secs" -gt 60 ]]; then
 fi
 
 if [[ "$FAST" -eq 0 ]]; then
+  # One-core gate for the threaded executive: a rendezvous waiter must
+  # park, not spin or yield, once the peer it waits for needs the core it
+  # sits on. Pinned to a single core the threaded unit tests (rendezvous
+  # hammer with 8 parties, GVT round after every batch on up to 8
+  # clusters) take ~3 s; a spin-then-yield waiter took them from 0.2 s
+  # to 23 s. Timed like the lint and model-check budgets.
+  if command -v taskset >/dev/null; then
+    run cargo test --release -q -p pls-timewarp --lib --no-run
+    echo
+    echo "==> threaded unit tests pinned to one core (timed)"
+    one_core=$(taskset -cp $$ | sed 's/.*: //; s/[,-].*//')
+    pin_start=$(date +%s)
+    taskset -c "$one_core" cargo test --release -q -p pls-timewarp --lib threaded
+    pin_secs=$(( $(date +%s) - pin_start ))
+    echo "one-core threaded tests wall time: ${pin_secs}s (budget 10s)"
+    if [[ "$pin_secs" -gt 10 ]]; then
+      echo "threaded unit tests on one core exceeded their 10s budget"
+      exit 1
+    fi
+  else
+    echo
+    echo "==> taskset not found: skipping the one-core threaded test budget"
+  fi
+
   # Perf smoke: tiny kernel benchmark suite. Catches a hot path that stops
   # compiling or an order-of-magnitude regression; real numbers live in
   # BENCH_kernel.json (refresh with `bench_kernel --set-baseline`); the
