@@ -2,10 +2,23 @@
 //! both protocol families pass exhaustively, all five historical bug
 //! shapes are detected with a counterexample trace, and exploration is
 //! fully deterministic.
+//!
+//! The explored state spaces are a pinned contract: every `exhaustive_*`
+//! test asserts its report's `(states, transitions, terminals,
+//! peak_frontier)` and every bug-shape test the state count at detection
+//! and the violation message, so a change to either model that moves a
+//! reachable state, a scheduler choice or an invariant fails here. The
+//! nine lines of `pls-detlint mc --model all --bound full` are pinned
+//! the same way by `mc_full.golden` beside this file (diffed in CI).
 
 use pls_timewarp::modelcheck::{
-    explore, explore_with, AsyncBug, AsyncGvtConfig, Bug, ExploreOptions, ModelConfig,
+    explore, explore_with, AsyncBug, AsyncGvtConfig, Bug, CheckReport, ExploreOptions, ModelConfig,
 };
+
+/// The four numbers of a report that `pls-detlint mc` prints.
+fn shape(r: &CheckReport) -> (u64, u64, u64, usize) {
+    (r.states, r.transitions, r.terminals, r.peak_frontier)
+}
 
 #[test]
 fn exhaustive_2_clusters_2_lps_gvt_and_migration() {
@@ -13,6 +26,7 @@ fn exhaustive_2_clusters_2_lps_gvt_and_migration() {
     assert!(report.complete, "state space must be fully enumerated");
     assert!(report.violation.is_none(), "violation: {:?}", report.violation);
     assert!(report.terminals > 0, "at least one schedule must terminate");
+    assert_eq!(shape(&report), (8_759, 13_558, 140, 53));
 }
 
 #[test]
@@ -21,6 +35,7 @@ fn exhaustive_3_clusters_2_lps_gvt_and_migration() {
     assert!(report.complete, "state space must be fully enumerated");
     assert!(report.violation.is_none(), "violation: {:?}", report.violation);
     assert!(report.terminals > 0);
+    assert_eq!(shape(&report), (56_630, 118_688, 250, 155));
 }
 
 /// Historical bug shape #1: anti-messages routed during a GVT flush
@@ -34,6 +49,11 @@ fn detects_dropped_flush_transmission() {
     let report = explore(&cfg);
     let cx = report.violation.expect("the dropped-transmission bug must be detected");
     assert!(!cx.trace.is_empty(), "counterexample must carry a schedule trace");
+    assert_eq!(report.states, 226);
+    assert_eq!(
+        cx.message,
+        "flush postcondition violated: transmission id 4 (t=5) still in cluster 1's channel at GVT agreement (4) — flush exited early"
+    );
 }
 
 /// The same bug with migration disabled: the flush postcondition (zero
@@ -68,6 +88,11 @@ fn detects_double_owner_migration_window() {
         "expected an ownership symptom, got: {}",
         cx.message
     );
+    assert_eq!(report.states, 10);
+    assert_eq!(
+        cx.message,
+        "LP 0 owned by 1 cluster(s) and in 1 handoff buffer(s) — must be exactly one total"
+    );
 }
 
 /// The lossy-channel configuration: every interleaving of drops,
@@ -79,6 +104,7 @@ fn exhaustive_lossy_channel_with_retransmit() {
     assert!(report.complete, "state space must be fully enumerated");
     assert!(report.violation.is_none(), "violation: {:?}", report.violation);
     assert!(report.terminals > 0, "at least one schedule must terminate");
+    assert_eq!(shape(&report), (370_868, 600_448, 1_061, 78));
 }
 
 /// Historical bug shape #3: the receiver forgets its dedup set, so a
@@ -94,6 +120,11 @@ fn detects_retransmit_double_delivery() {
         cx.trace.iter().any(|s| s.contains("retransmit")),
         "the trace must pass through a retransmission: {:?}",
         cx.trace
+    );
+    assert_eq!(report.states, 189);
+    assert_eq!(
+        cx.message,
+        "transmission id 6 found in 2 places — duplicated across a GVT/migration boundary"
     );
 }
 
@@ -157,6 +188,9 @@ fn state_bound_reports_incomplete() {
 
 // ---- the asynchronous Mattern two-color token GVT family ----
 
+/// The symptom both seeded async shapes are caught by.
+const ASYNC_OVERSHOOT: &str = "GVT safety violated: token computed GVT ∞ but the true minimum over pending events and in-flight/in-doubt messages is 4 — fossil collection would be premature";
+
 /// The 2-cluster async acceptance configuration: every interleaving of
 /// computation with the count/sample/commit token waves must keep GVT
 /// safe (≤ the omniscient true minimum), monotone, conservative on
@@ -167,6 +201,7 @@ fn exhaustive_async_gvt_2_clusters() {
     assert!(report.complete, "state space must be fully enumerated");
     assert!(report.violation.is_none(), "violation: {:?}", report.violation);
     assert!(report.terminals > 0, "at least one schedule must terminate");
+    assert_eq!(shape(&report), (4_993, 8_452, 27, 15));
 }
 
 /// The lossy async configuration: token loss, message loss, ack loss
@@ -177,6 +212,7 @@ fn exhaustive_async_gvt_lossy() {
     assert!(report.complete, "state space must be fully enumerated");
     assert!(report.violation.is_none(), "violation: {:?}", report.violation);
     assert!(report.terminals > 0, "at least one schedule must terminate");
+    assert_eq!(shape(&report), (130_392, 303_188, 81, 57));
 }
 
 /// The 3-cluster ring (the `full` bound config): the middle cluster
@@ -188,6 +224,7 @@ fn exhaustive_async_gvt_3_clusters() {
     assert!(report.complete, "state space must be fully enumerated");
     assert!(report.violation.is_none(), "violation: {:?}", report.violation);
     assert!(report.terminals > 0);
+    assert_eq!(shape(&report), (1_351_304, 2_928_876, 131, 30));
 }
 
 /// Seeded async bug shape #1: a sender flips its epoch color when the
@@ -207,6 +244,8 @@ fn detects_async_white_after_token() {
         "the trace must pass through a token circulation: {:?}",
         cx.trace
     );
+    assert_eq!(report.states, 109);
+    assert_eq!(cx.message, ASYNC_OVERSHOOT);
 }
 
 /// Seeded async bug shape #2: the initiator concludes the white drain
@@ -225,6 +264,8 @@ fn detects_async_stale_counter_snapshot() {
         "expected a GVT-safety or premature-fossil symptom, got: {}",
         cx.message
     );
+    assert_eq!(report.states, 113);
+    assert_eq!(cx.message, ASYNC_OVERSHOOT);
 }
 
 /// The async drop budget must open real schedules, exactly as it does
