@@ -129,8 +129,7 @@ pub fn coarsening(_args: &[String]) {
         ("heavy_edge", CoarsenScheme::HeavyEdge),
         ("random_matching", CoarsenScheme::Random),
     ] {
-        let ml =
-            MultilevelPartitioner { config: MultilevelConfig { scheme, ..Default::default() } };
+        let ml = MultilevelPartitioner { config: MultilevelConfig { scheme } };
         let q = metrics::quality(&g, &ml.partition(&g, 8, 0));
         eprintln!(
             "coarsening {:?} on s9234 k=8: cut={} imbalance={:.3} concurrency={:.2}",

@@ -43,14 +43,14 @@
 //!
 //! # DFF-boundary contract (in-block DFFs)
 //!
-//! In-block DFFs replicate `gatelp::step_dff` exactly:
+//! In-block DFFs replicate `GateSim::step_dff` exactly:
 //! activity-driven clocking (a sampling time is armed only when the D
 //! input *changes*, at the next clock edge after the change becomes
 //! visible), register semantics (an edge samples D from before any
 //! same-time update — the sweep and agenda application run *after*
 //! sampling), and the Q transition folds into the trace hash at its
 //! effective (post-delay) time. In-block stimulus elements likewise
-//! replicate `gatelp::step_input`: the same per-input
+//! replicate `GateSim::step_input`: the same per-input
 //! deterministic stream, polled once per stimulus period starting at
 //! time 1, emitting unconditionally on a toggle. The only difference is
 //! mechanical: all DFFs and inputs of a block share the block's
@@ -497,7 +497,7 @@ impl BlockState {
 
 /// Apply a value change that became visible at `t` on `slot`: mark
 /// combinational readers dirty and arm the sampling time of DFF readers
-/// (activity-driven clocking, as in [`crate::gatelp::step_dff`]).
+/// (activity-driven clocking, as in `GateSim::step_dff`).
 #[inline]
 fn mark_readers(b: &Block, state: &mut BlockState, tick: &TickCfg, slot: usize, t: VTime) {
     for &r in b.comb_readers.row(slot) {

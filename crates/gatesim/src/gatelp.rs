@@ -197,8 +197,9 @@ impl GateState {
     }
 }
 
-/// Self-tick configuration shared by both execution modes' boundary LPs
-/// (primary inputs and DFFs): stimulus cadence, clock edges, horizon.
+/// Self-tick configuration of primary inputs and DFFs, shared by both
+/// execution modes (one LP each here, elements lowered into the blocks
+/// in [`crate::compiled`]): stimulus cadence, clock edges, horizon.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct TickCfg {
     /// Stimulus period for primary inputs (at least 1).
@@ -235,99 +236,6 @@ impl TickCfg {
         match i.checked_mul(self.clock_period).and_then(|t| t.checked_add(self.clock_offset)) {
             Some(t) => VTime(t),
             None => VTime::INF,
-        }
-    }
-}
-
-/// Output-routing hook: deliver a new output value to every reader. The
-/// gate-per-LP mode schedules `Wire` events from a reader table; the
-/// compiled mode mixes `Wire` (to boundary LPs) and `Port` (to blocks).
-pub(crate) type Route<'a> = &'a mut dyn FnMut(Value, &mut EventSink<GateMsg>);
-
-/// Record a new output value: update the state, fold the transition into
-/// the trace hash at its effective (post-delay) time, and route it.
-pub(crate) fn emit_output(
-    state: &mut GateState,
-    now: VTime,
-    delay: u64,
-    v: Value,
-    sink: &mut EventSink<GateMsg>,
-    send_out: Route<'_>,
-) {
-    state.output = v;
-    state.note_transition(now.after(delay), v);
-    send_out(v, sink);
-}
-
-/// One batch of a primary-input LP: advance the stimulus stream per
-/// SelfTick, broadcast changes, and re-arm the next tick inside the
-/// horizon.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn step_input(
-    tick: &TickCfg,
-    delay: u64,
-    lp: LpId,
-    state: &mut GateState,
-    now: VTime,
-    msgs: &[(LpId, GateMsg)],
-    sink: &mut EventSink<GateMsg>,
-    send_out: Route<'_>,
-) {
-    // Only SelfTicks arrive here (inputs have no fanin).
-    for (_, m) in msgs {
-        debug_assert_eq!(*m, GateMsg::SelfTick);
-        let stream = state.stim.as_mut().expect("input LP has a stream");
-        let next = if state.transitions == 0 && state.output == Value::X {
-            // First tick: drive the initial value.
-            Some(stream.initial())
-        } else {
-            stream.tick()
-        };
-        if let Some(v) = next {
-            emit_output(state, now, delay, v, sink, send_out);
-        }
-        if now.after(tick.stim_period) <= tick.end_time {
-            sink.schedule(lp, tick.stim_period, GateMsg::SelfTick);
-        }
-    }
-}
-
-/// One batch of a DFF LP: sample D on a due clock edge (before applying
-/// any same-time D update — register semantics), then apply D changes and
-/// arm an activity-driven sampling tick at the next edge.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn step_dff(
-    tick: &TickCfg,
-    delay: u64,
-    lp: LpId,
-    state: &mut GateState,
-    now: VTime,
-    msgs: &[(LpId, GateMsg)],
-    sink: &mut EventSink<GateMsg>,
-    send_out: Route<'_>,
-) {
-    // Register semantics: a clock edge in this batch samples the D value
-    // from *before* any same-time Wire update.
-    let ticked = msgs.iter().any(|(_, m)| *m == GateMsg::SelfTick);
-    if ticked && state.next_tick == Some(now) {
-        state.next_tick = None;
-        let d = state.inputs[0].input_view();
-        if d != state.output {
-            emit_output(state, now, delay, d, sink, send_out);
-        }
-    }
-    for (_, m) in msgs {
-        if let GateMsg::Wire { pin, value } = m {
-            if state.inputs[*pin as usize] != *value {
-                state.inputs[*pin as usize] = *value;
-                // Activity-driven clocking: ensure a sampling tick at the
-                // next clock edge after `now`.
-                let edge = tick.next_clock_edge(now);
-                if edge <= tick.end_time && state.next_tick.is_none_or(|t| t > edge) {
-                    state.next_tick = Some(edge);
-                    sink.schedule_at(lp, edge, GateMsg::SelfTick);
-                }
-            }
         }
     }
 }
@@ -464,6 +372,98 @@ impl GateSim {
         }
     }
 
+    /// Record a new output value of `lp`: update the state, fold the
+    /// transition into the trace hash at its effective (post-delay) time,
+    /// and schedule it on every reader pin.
+    fn emit_output(
+        &self,
+        lp: LpId,
+        state: &mut GateState,
+        now: VTime,
+        v: Value,
+        sink: &mut EventSink<GateMsg>,
+    ) {
+        let delay = self.delay[lp as usize];
+        state.output = v;
+        state.note_transition(now.after(delay), v);
+        let readers = &self.readers[lp as usize];
+        for &(reader, pin) in readers {
+            sink.schedule(reader, delay, GateMsg::Wire { pin, value: v });
+        }
+        // A replica emission means the home copy's remote sends to this
+        // part never happen: one elided boundary message per reader pin.
+        if (lp as usize) >= self.num_gates {
+            sink.note_messages_saved(readers.len() as u64);
+        }
+    }
+
+    /// One batch of a primary-input LP: advance the stimulus stream per
+    /// SelfTick, broadcast changes, and re-arm the next tick inside the
+    /// horizon.
+    fn step_input(
+        &self,
+        lp: LpId,
+        state: &mut GateState,
+        now: VTime,
+        msgs: &[(LpId, GateMsg)],
+        sink: &mut EventSink<GateMsg>,
+    ) {
+        // Only SelfTicks arrive here (inputs have no fanin).
+        for (_, m) in msgs {
+            debug_assert_eq!(*m, GateMsg::SelfTick);
+            let stream = state.stim.as_mut().expect("input LP has a stream");
+            let next = if state.transitions == 0 && state.output == Value::X {
+                // First tick: drive the initial value.
+                Some(stream.initial())
+            } else {
+                stream.tick()
+            };
+            if let Some(v) = next {
+                self.emit_output(lp, state, now, v, sink);
+            }
+            if now.after(self.tick.stim_period) <= self.tick.end_time {
+                sink.schedule(lp, self.tick.stim_period, GateMsg::SelfTick);
+            }
+        }
+    }
+
+    /// One batch of a DFF LP: sample D on a due clock edge (before applying
+    /// any same-time D update — register semantics), then apply D changes and
+    /// arm an activity-driven sampling tick at the next edge.
+    fn step_dff(
+        &self,
+        lp: LpId,
+        state: &mut GateState,
+        now: VTime,
+        msgs: &[(LpId, GateMsg)],
+        sink: &mut EventSink<GateMsg>,
+    ) {
+        // Register semantics: a clock edge in this batch samples the D value
+        // from *before* any same-time Wire update.
+        let ticked = msgs.iter().any(|(_, m)| *m == GateMsg::SelfTick);
+        if ticked && state.next_tick == Some(now) {
+            state.next_tick = None;
+            let d = state.inputs[0].input_view();
+            if d != state.output {
+                self.emit_output(lp, state, now, d, sink);
+            }
+        }
+        for (_, m) in msgs {
+            if let GateMsg::Wire { pin, value } = m {
+                if state.inputs[*pin as usize] != *value {
+                    state.inputs[*pin as usize] = *value;
+                    // Activity-driven clocking: ensure a sampling tick at the
+                    // next clock edge after `now`.
+                    let edge = self.tick.next_clock_edge(now);
+                    if edge <= self.tick.end_time && state.next_tick.is_none_or(|t| t > edge) {
+                        state.next_tick = Some(edge);
+                        sink.schedule_at(lp, edge, GateMsg::SelfTick);
+                    }
+                }
+            }
+        }
+    }
+
     /// The configured simulation horizon.
     pub fn end_time(&self) -> VTime {
         self.tick.end_time
@@ -524,24 +524,9 @@ impl Application for GateSim {
         sink: &mut EventSink<GateMsg>,
     ) {
         let kind = self.kinds[lp as usize];
-        let delay = self.delay[lp as usize];
-        let readers = &self.readers[lp as usize];
-        // A replica emission means the home copy's remote sends to this
-        // part never happen: one elided boundary message per reader pin.
-        let is_replica = (lp as usize) >= self.num_gates;
-        let mut send_out = |v: Value, sink: &mut EventSink<GateMsg>| {
-            for &(reader, pin) in readers {
-                sink.schedule(reader, delay, GateMsg::Wire { pin, value: v });
-            }
-            if is_replica {
-                sink.note_messages_saved(readers.len() as u64);
-            }
-        };
         match kind {
-            GateKind::Input => {
-                step_input(&self.tick, delay, lp, state, now, msgs, sink, &mut send_out)
-            }
-            GateKind::Dff => step_dff(&self.tick, delay, lp, state, now, msgs, sink, &mut send_out),
+            GateKind::Input => self.step_input(lp, state, now, msgs, sink),
+            GateKind::Dff => self.step_dff(lp, state, now, msgs, sink),
             _ => {
                 // Combinational: apply all updates, then evaluate once.
                 for (_, m) in msgs {
@@ -557,7 +542,7 @@ impl Application for GateSim {
                 }
                 let v = eval_gate(kind, &state.inputs);
                 if v != state.output {
-                    emit_output(state, now, delay, v, sink, &mut send_out);
+                    self.emit_output(lp, state, now, v, sink);
                 }
             }
         }

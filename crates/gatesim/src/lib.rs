@@ -9,9 +9,10 @@
 //!
 //! * [`ExecModel::GatePerLp`] — one LP per gate (the classic mode and
 //!   determinism oracle);
-//! * [`ExecModel::CompiledBlocks`] — boundary LPs (inputs, DFFs) plus one
-//!   LP per partition block of fused combinational gates, evaluated as a
-//!   flat topologically-ordered instruction buffer ([`compiled`]).
+//! * [`ExecModel::CompiledBlocks`] — one LP per partition block: its
+//!   combinational gates fused into a flat topologically-ordered
+//!   instruction buffer, its DFFs and primary inputs lowered in-block
+//!   too ([`compiled`]).
 //!
 //! Committed per-gate fingerprints are byte-identical across engines and
 //! executives.

@@ -264,7 +264,7 @@ impl ModelState {
 pub enum GateModel {
     /// One LP per gate.
     PerGate(GateSim),
-    /// Boundary LPs + fused combinational blocks.
+    /// One LP per block of fused gates, DFFs and inputs.
     Compiled(CompiledSim),
 }
 

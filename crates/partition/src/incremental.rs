@@ -25,14 +25,13 @@
 pub struct LoadGraph {
     loads: Vec<u64>,
     adj: Vec<Vec<(u32, u64)>>,
-    pinned: Vec<bool>,
 }
 
 impl LoadGraph {
     /// Build a graph with the given per-vertex loads and no edges.
     pub fn new(loads: Vec<u64>) -> LoadGraph {
         let n = loads.len();
-        LoadGraph { loads, adj: vec![Vec::new(); n], pinned: vec![false; n] }
+        LoadGraph { loads, adj: vec![Vec::new(); n] }
     }
 
     /// Number of vertices.
@@ -67,19 +66,6 @@ impl LoadGraph {
     /// Neighbours of `v` with accumulated edge weights, in insertion order.
     pub fn neighbors(&self, v: u32) -> impl Iterator<Item = (u32, u64)> + '_ {
         self.adj[v as usize].iter().copied()
-    }
-
-    /// Pin vertex `v`: [`refine`] will never move it. Used for replica
-    /// LPs, whose whole value is *being* in the part that reads them —
-    /// migrating one away would reintroduce the boundary messages the
-    /// replica exists to remove.
-    pub fn pin(&mut self, v: u32) {
-        self.pinned[v as usize] = true;
-    }
-
-    /// Whether vertex `v` is pinned.
-    pub fn is_pinned(&self, v: u32) -> bool {
-        self.pinned[v as usize]
     }
 }
 
@@ -172,7 +158,7 @@ pub fn refine(
         // the lowest (vertex, target) because strict `>` keeps the first.
         let mut best: Option<(u32, u32, i64)> = None;
         for v in 0..g.len() as u32 {
-            if locked[v as usize] || g.is_pinned(v) {
+            if locked[v as usize] {
                 continue;
             }
             let from = assignment[v as usize];
@@ -314,24 +300,6 @@ mod tests {
             (asg, m)
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn pinned_vertices_never_move() {
-        // Same skew as `skewed_load_is_spread_out`, but everything on the
-        // hot part is pinned — nothing may migrate.
-        let g0 = LoadGraph::new(vec![100, 100, 100, 100, 1, 1, 1, 1]);
-        let mut g = g0.clone();
-        for v in 0..4 {
-            g.pin(v);
-        }
-        let mut asg = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        let moves = refine(&g, &mut asg, 2, &IncrementalConfig::default());
-        assert!(moves.is_empty(), "{moves:?}");
-        assert_eq!(asg, vec![0, 0, 0, 0, 1, 1, 1, 1]);
-        // Sanity: without pins the same graph does move.
-        let mut asg2 = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        assert!(!refine(&g0, &mut asg2, 2, &IncrementalConfig::default()).is_empty());
     }
 
     #[test]

@@ -35,16 +35,14 @@ use coarsen::{coarsen, CoarsenConfig};
 use refine::{greedy_refine, rebalance, GreedyConfig, RefineStats};
 use schemes::{coarsen_matching, CoarsenScheme};
 
-/// Configuration of the full multilevel pipeline.
+/// Configuration of the full multilevel pipeline. The coarsening
+/// threshold is [`CoarsenConfig::for_k`]'s and the refiner runs with
+/// [`GreedyConfig::default`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct MultilevelConfig {
-    /// Coarsening threshold override; `None` uses `max(64, 8k)`.
-    pub coarsen_threshold: Option<usize>,
     /// Coarsening scheme (the paper's fanout scheme by default; matching
     /// variants for the ablation study).
     pub scheme: CoarsenScheme,
-    /// Greedy refinement parameters.
-    pub greedy: GreedyConfig,
 }
 
 /// The multilevel partitioner.
@@ -68,15 +66,8 @@ pub struct MultilevelReport {
 impl MultilevelPartitioner {
     /// Run the pipeline and keep per-phase statistics.
     pub fn partition_with_report(&self, g: &CircuitGraph, k: usize, seed: u64) -> MultilevelReport {
-        let mut ccfg = CoarsenConfig::for_k(k);
-        if let Some(t) = self.config.coarsen_threshold {
-            ccfg.threshold = t;
-        }
-        let gcfg = if self.config.greedy.max_iters == 0 {
-            GreedyConfig::default()
-        } else {
-            self.config.greedy
-        };
+        let ccfg = CoarsenConfig::for_k(k);
+        let gcfg = GreedyConfig::default();
 
         // Phase 1: coarsen.
         let hierarchy = match self.config.scheme {

@@ -13,6 +13,10 @@
 /// time for the rest of the run.
 pub const MAX_DROP_ATTEMPTS: u32 = 16;
 
+/// Exponential backoff cap: the RTO stops doubling after this many
+/// attempts (so timer arithmetic cannot overflow).
+pub(crate) const MAX_BACKOFF_EXP: u32 = 10;
+
 /// What a fault window does while it is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
@@ -79,9 +83,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// Initial retransmission timeout (ns); doubles per attempt.
     pub rto_ns: u64,
-    /// Exponential backoff cap: the RTO stops doubling after this many
-    /// attempts (so timer arithmetic cannot overflow).
-    pub max_backoff_exp: u32,
     /// Scripted fault windows.
     pub scenarios: Vec<FaultScenario>,
     /// Extra seed-sampled scenarios, materialized by the runtime once
@@ -99,7 +100,6 @@ impl FaultPlan {
             // ~2.5x the default round trip: retransmits fire on real
             // loss, not on ordinary congestion.
             rto_ns: 500_000,
-            max_backoff_exp: 10,
             scenarios: Vec::new(),
             random_scenarios: 0,
         }
@@ -218,7 +218,10 @@ impl FaultPlan {
                 "random" => {
                     let n: u32 =
                         field(0, "count")?.parse().map_err(|_| format!("`{clause}`: bad count"))?;
-                    plan.random_scenarios += n;
+                    plan.random_scenarios = plan
+                        .random_scenarios
+                        .checked_add(n)
+                        .ok_or(format!("`{clause}`: random scenario count overflows"))?;
                 }
                 other => return Err(format!("unknown fault kind `{other}` in `{clause}`")),
             }
@@ -323,6 +326,10 @@ mod tests {
         assert!(FaultPlan::parse("pause:1", 0).is_err(), "pause needs a window");
         assert!(FaultPlan::parse("drop:1:200@5ms..1ms", 0).is_err(), "inverted window");
         assert!(FaultPlan::parse("drop:x:200", 0).is_err());
+        assert!(
+            FaultPlan::parse("random:4000000000,random:4000000000", 0).is_err(),
+            "the summed count overflows u32"
+        );
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::event::Transmission;
 use crate::pool::IdHashSet;
 use crate::time::VTime;
 
-use super::plan::{mix, FaultKind, FaultPlan, FaultScenario, MAX_DROP_ATTEMPTS};
+use super::plan::{mix, FaultKind, FaultPlan, FaultScenario, MAX_BACKOFF_EXP, MAX_DROP_ATTEMPTS};
 
 /// Salt distinguishing ack-drop rolls from data-drop rolls of the same
 /// wire id/attempt.
@@ -108,7 +108,6 @@ pub(crate) enum ChaosStep<M> {
 pub(crate) struct ChaosRuntime<M> {
     seed: u64,
     rto_ns: u64,
-    max_backoff_exp: u32,
     /// All materialized fault windows (scripted + sampled).
     scenarios: Vec<FaultScenario>,
     clock: FaultClock,
@@ -133,15 +132,14 @@ pub(crate) struct ChaosRuntime<M> {
 
 impl<M: Clone> ChaosRuntime<M> {
     pub fn new(plan: &FaultPlan, nodes: usize, ack_latency_ns: u64) -> ChaosRuntime<M> {
-        let mut scenarios: Vec<FaultScenario> =
-            plan.scenarios.iter().filter(|s| (s.node as usize) < nodes).copied().collect();
+        // `sim::validate` has rejected scripted scenarios on absent nodes.
+        let mut scenarios = plan.scenarios.clone();
         for k in 0..plan.random_scenarios as u64 {
             scenarios.push(sample_scenario(plan.seed, k, nodes));
         }
         ChaosRuntime {
             seed: plan.seed,
             rto_ns: plan.rto_ns.max(1),
-            max_backoff_exp: plan.max_backoff_exp.min(30),
             clock: FaultClock::new(&scenarios),
             scenarios,
             ack_latency_ns,
@@ -178,7 +176,7 @@ impl<M: Clone> ChaosRuntime<M> {
     /// The retransmission timeout for a given attempt (exponential
     /// backoff, capped so the shift cannot overflow).
     pub fn rto_for(&self, attempt: u32) -> u64 {
-        self.rto_ns << attempt.min(self.max_backoff_exp)
+        self.rto_ns << attempt.min(MAX_BACKOFF_EXP)
     }
 
     fn loss_per_mille(&self, node: usize, t: u64) -> u32 {

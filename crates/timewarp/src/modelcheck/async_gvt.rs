@@ -38,10 +38,11 @@
 //!
 //! # Abstraction choices (and why they are sound)
 //!
-//! * One LP per cluster, scripted workload (as in the barrier model):
-//!   executing an event at `t` with `hops` remaining sends one message
-//!   to the next cluster at `t + 1 + (c % 2)`; the skewed delays
-//!   manufacture cross-cluster stragglers.
+//! * One LP per cluster, on the scripted event queue the barrier model
+//!   runs too (`substrate`): executing an event at `t` with
+//!   `hops` remaining sends one message to the next cluster at
+//!   `t + 1 + (c % 2)`; the skewed delays manufacture cross-cluster
+//!   stragglers.
 //! * **No rollback in this family.** GVT safety is a property of
 //!   unprocessed minima and in-flight timestamps only; a straggler is
 //!   simply inserted into the pending set it would have rolled back
@@ -53,13 +54,14 @@
 //!   the explorer checks that it does). Receive-and-forward is one
 //!   atomic step; the interesting races are token-vs-compute and
 //!   token-vs-drain, which remain fully interleaved.
-//! * **Lossy mode** reuses the chaos wire protocol exactly as the
-//!   barrier model does: the scheduler may drop any inbox front or the
-//!   in-flight token; senders keep unacked retransmit records (which
-//!   feed `m_clock`, so GVT never passes an in-doubt send); receivers
-//!   dedup on a `delivered` set, counting `recvd` only on first
-//!   delivery so retransmissions cannot corrupt the Mattern counters;
-//!   a lost token is retransmitted from the holder's backup.
+//! * **Lossy mode** is the shared wire's (`substrate`), the
+//!   same one the barrier model composes: drops, retransmit records,
+//!   acks and dedup live there. This model adds what the token needs:
+//!   the retransmit buffer feeds `m_clock` (GVT never passes an in-doubt
+//!   send), `recvd` counts first deliveries only (retransmissions cannot
+//!   corrupt the Mattern counters), and the in-flight token may be lost
+//!   too — spending the same drop budget — and is retransmitted from the
+//!   holder's backup.
 //!
 //! # The five checked invariants
 //!
@@ -83,13 +85,10 @@
 //! Two seeded historical bug shapes ([`AsyncBug`]) prove the checker
 //! catches the classic async-GVT implementation mistakes.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
-use super::barrier::INF;
+use super::substrate::{fmt_t, Drained, EventQueue, Kind, LossBudget, Msg, Wire, INF};
 use super::ProtocolModel;
-
-/// One pending or processed event: `(time, id, hops)`.
-pub type Ev = (u32, u32, u8);
 
 /// The re-injectable async-GVT bug shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -120,12 +119,9 @@ pub struct AsyncGvtConfig {
     /// The initiator launches a round after this many local executes
     /// (in addition to the idle trigger).
     pub gvt_period: u32,
-    /// Model lossy channels: message and token loss + retransmit.
-    pub lossy: bool,
-    /// Scheduler budget for drops (messages and token combined).
-    pub max_drops: u32,
-    /// Scheduler budget for message retransmissions.
-    pub max_retransmits: u32,
+    /// The channels: reliable, or lossy (message and token loss +
+    /// retransmit; the token's loss spends the same drop budget).
+    pub loss: LossBudget,
     /// Injected bug, if any.
     pub bug: Option<AsyncBug>,
     /// Abort (incomplete) past this many unique states.
@@ -141,9 +137,7 @@ impl AsyncGvtConfig {
             clusters: 2,
             hops: 2,
             gvt_period: 2,
-            lossy: false,
-            max_drops: 0,
-            max_retransmits: 0,
+            loss: LossBudget::RELIABLE,
             bug: None,
             max_states: 40_000_000,
             max_depth: 100_000,
@@ -160,35 +154,15 @@ impl AsyncGvtConfig {
     /// (data, ack, or the token itself) and up to three retransmissions.
     pub fn lossy_2() -> AsyncGvtConfig {
         AsyncGvtConfig {
-            lossy: true,
-            max_drops: 1,
-            max_retransmits: 3,
+            loss: LossBudget { lossy: true, max_drops: 1, max_retransmits: 3 },
             ..AsyncGvtConfig::small_2()
         }
     }
 }
 
-/// One remote transmission (data or ack), stamped with its epoch color.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct AMsg {
-    /// Unique id.
-    pub id: u32,
-    /// Receive time.
-    pub time: u32,
-    /// Remaining hops of the script when this event executes.
-    pub hops: u8,
-    /// Mattern color stamped by the sender.
-    pub color: u8,
-    /// Acknowledgement flag (lossy mode): consumed by the origin,
-    /// clears its retransmit record for `id`.
-    pub ack: bool,
-    /// Sending cluster (where the retransmit record lives).
-    pub origin: u8,
-}
-
 /// The circulating token's payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Tok {
+enum Tok {
     /// Count wave: accumulating `sent[old] − recvd[old]`. `snapshot`
     /// carries the launch-time counter sum only under
     /// [`AsyncBug::StaleCounterSnapshot`].
@@ -218,7 +192,7 @@ pub enum Tok {
 
 /// Where the token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TokenLoc {
+enum TokenLoc {
     /// At rest at the initiator; no round active.
     Idle,
     /// On the wire toward cluster `to`.
@@ -239,32 +213,24 @@ pub enum TokenLoc {
 
 /// One cluster of the async model.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ACluster {
+struct ACluster {
     /// Current epoch color.
-    pub color: u8,
+    color: u8,
     /// Color actually stamped on sends. Equals `color` unless the
     /// [`AsyncBug::WhiteAfterToken`] shape is injected.
-    pub stamp: u8,
-    /// Unprocessed events, sorted by `(time, id)`.
-    pub pending: Vec<Ev>,
-    /// Processed events not yet fossil-collected.
-    pub processed: Vec<Ev>,
-    /// FIFO data/ack channel from all other clusters.
-    pub inbox: VecDeque<AMsg>,
+    stamp: u8,
+    /// Pending events, and processed ones not yet fossil-collected.
+    q: EventQueue,
     /// Cumulative remote data messages sent, per color. Never reset.
-    pub sent: [u32; 2],
+    sent: [u32; 2],
     /// Cumulative remote data messages received (first delivery only),
     /// per color. Never reset.
-    pub recvd: [u32; 2],
+    recvd: [u32; 2],
     /// Min timestamp stamped on sends of each color in that color's
     /// current epoch; reset to ∞ when flipping into the color.
-    pub min_sent: [u32; 2],
+    min_sent: [u32; 2],
     /// Executes since the last commit, saturating at `gvt_period`.
-    pub executed_since_gvt: u32,
-    /// Retransmit buffer (lossy mode): id → `(time, hops, color)` of
-    /// every remote send not yet acknowledged. Feeds `m_clock`, so GVT
-    /// can never pass an in-doubt transmission.
-    pub unacked: BTreeMap<u32, (u32, u8, u8)>,
+    executed_since_gvt: u32,
 }
 
 /// The complete async-model state. `Hash` is derived over every field —
@@ -272,23 +238,19 @@ pub struct ACluster {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct AsyncState {
     /// All clusters, ring-ordered.
-    pub clusters: Vec<ACluster>,
+    clusters: Vec<ACluster>,
+    /// The data/ack channels (the token rides its own, below).
+    wire: Wire,
     /// The token.
-    pub token: TokenLoc,
+    token: TokenLoc,
     /// Last agreed GVT.
-    pub gvt: u32,
+    gvt: u32,
     /// Set when a commit wave carrying GVT = ∞ completes.
-    pub done: bool,
+    done: bool,
     /// Fossil-collected event ids.
-    pub committed: BTreeSet<u32>,
-    /// Receiver-side dedup set: ids delivered at least once.
-    pub delivered: BTreeSet<u32>,
-    /// Drops performed (scheduler budget accounting).
-    pub drops_used: u32,
-    /// Message retransmissions fired (scheduler budget accounting).
-    pub retransmits_used: u32,
+    committed: BTreeSet<u32>,
     /// Next fresh message id.
-    pub next_id: u32,
+    next_id: u32,
 }
 
 /// One scheduler choice in the async model.
@@ -300,7 +262,7 @@ pub enum AStep {
     Drain(u8),
     /// Lose the front of this cluster's inbox (lossy mode).
     DropFront(u8),
-    /// Timer expiry: re-send the lowest-id unacknowledged transmission
+    /// Timer expiry: re-send the oldest unacknowledged transmission
     /// (lossy mode; enabled only when no copy is in flight).
     Retransmit(u8),
     /// The initiator launches a GVT round (`token_send`).
@@ -315,118 +277,12 @@ pub enum AStep {
     RetransmitToken,
 }
 
-impl AStep {
-    /// Human-readable label for counterexample traces.
-    pub fn label(self) -> String {
-        match self {
-            AStep::Execute(c) => format!("c{c}:execute"),
-            AStep::Drain(c) => format!("c{c}:drain"),
-            AStep::DropFront(c) => format!("c{c}:drop-front"),
-            AStep::Retransmit(c) => format!("c{c}:retransmit"),
-            AStep::TokenLaunch => "c0:token-send".into(),
-            AStep::TokenRecv(c) => format!("c{c}:token-recv"),
-            AStep::DropToken => "token-drop".into(),
-            AStep::RetransmitToken => "token-retransmit".into(),
-        }
-    }
-}
-
-fn local_min(cl: &ACluster) -> u32 {
-    cl.pending
-        .first()
-        .map(|&(t, _, _)| t)
-        .into_iter()
-        .chain(cl.unacked.values().map(|&(t, _, _)| t))
-        .min()
-        .unwrap_or(INF)
-}
-
 impl AsyncState {
-    /// The initial state: every cluster white, token idle, one seeded
-    /// event per cluster at `1 + (c % 2)` carrying `cfg.hops` hops.
-    pub fn initial(cfg: &AsyncGvtConfig) -> AsyncState {
-        let clusters = (0..cfg.clusters)
-            .map(|c| ACluster {
-                color: 0,
-                stamp: 0,
-                pending: vec![(1 + (c as u32 % 2), c as u32, cfg.hops)],
-                processed: Vec::new(),
-                inbox: VecDeque::new(),
-                sent: [0, 0],
-                recvd: [0, 0],
-                min_sent: [INF, INF],
-                executed_since_gvt: 0,
-                unacked: BTreeMap::new(),
-            })
-            .collect();
-        AsyncState {
-            clusters,
-            token: TokenLoc::Idle,
-            gvt: 0,
-            done: false,
-            committed: BTreeSet::new(),
-            delivered: BTreeSet::new(),
-            drops_used: 0,
-            retransmits_used: 0,
-            next_id: cfg.clusters as u32,
-        }
-    }
-
-    /// Whether an undelivered data copy of `id` sits in any inbox.
-    fn data_copy_in_flight(&self, id: u32) -> bool {
-        self.clusters.iter().any(|cl| cl.inbox.iter().any(|m| !m.ack && m.id == id))
-    }
-
-    /// Append every enabled scheduler choice to `steps`, in
-    /// deterministic order.
-    pub fn enabled(&self, cfg: &AsyncGvtConfig, steps: &mut Vec<AStep>) {
-        for (ci, cl) in self.clusters.iter().enumerate() {
-            let c = ci as u8;
-            if !cl.inbox.is_empty() {
-                // Drain-priority reduction (as in the barrier model): a
-                // cluster with an inboxed message may only drain — the
-                // "execute first" interleaving is state-equivalent to
-                // the remote send landing after the execute, which the
-                // explorer covers. Token steps are NOT gated here: the
-                // token rides its own channel and must overtake data.
-                steps.push(AStep::Drain(c));
-                if cfg.lossy && self.drops_used < cfg.max_drops {
-                    steps.push(AStep::DropFront(c));
-                }
-            } else {
-                if !cl.pending.is_empty() {
-                    steps.push(AStep::Execute(c));
-                }
-                // A timeout only fires when the wire copy is gone
-                // (dropped, or consumed with the ack lost).
-                if cfg.lossy
-                    && self.retransmits_used < cfg.max_retransmits
-                    && cl
-                        .unacked
-                        .first_key_value()
-                        .is_some_and(|(&id, _)| !self.data_copy_in_flight(id))
-                {
-                    steps.push(AStep::Retransmit(c));
-                }
-            }
-        }
-        match self.token {
-            TokenLoc::Idle => {
-                let c0 = &self.clusters[0];
-                let due = c0.executed_since_gvt >= cfg.gvt_period;
-                let idle = c0.pending.is_empty() && c0.inbox.is_empty();
-                if !self.done && (due || idle) {
-                    steps.push(AStep::TokenLaunch);
-                }
-            }
-            TokenLoc::InFlight { to, .. } => {
-                steps.push(AStep::TokenRecv(to));
-                if cfg.lossy && self.drops_used < cfg.max_drops {
-                    steps.push(AStep::DropToken);
-                }
-            }
-            TokenLoc::Lost { .. } => steps.push(AStep::RetransmitToken),
-        }
+    /// Cluster `c`'s contribution to `m_clock`: its lowest pending event
+    /// and its in-doubt unacked sends.
+    fn local_min(&self, c: u8) -> u32 {
+        let pending_min = self.clusters[c as usize].q.next_time().unwrap_or(INF);
+        pending_min.min(self.wire.unacked_min(c))
     }
 
     /// Flip cluster `c` into the new epoch color (first count-wave
@@ -446,143 +302,198 @@ impl AsyncState {
 
     /// Fossil-collect cluster `c` against the agreed GVT (`gvt_commit`).
     fn fossil(&mut self, c: usize) {
-        let gvt = self.gvt;
         let cl = &mut self.clusters[c];
-        let mut i = 0;
-        while i < cl.processed.len() {
-            if cl.processed[i].0 < gvt {
-                let (_, id, _) = cl.processed.remove(i);
-                self.committed.insert(id);
-            } else {
-                i += 1;
-            }
-        }
+        cl.q.commit_below(self.gvt, &mut self.committed);
         cl.executed_since_gvt = 0;
     }
 
     /// Route one remote data message from `c` to the next ring member.
-    fn send_remote(&mut self, c: usize, at: u32, hops: u8, cfg: &AsyncGvtConfig) {
-        let dst = (c + 1) % cfg.clusters;
+    fn send_remote(&mut self, c: u8, at: u32, hops: u8, cfg: &AsyncGvtConfig) {
+        let dst = ((c as usize + 1) % cfg.clusters) as u8;
         let id = self.next_id;
         self.next_id += 1;
-        let cl = &mut self.clusters[c];
+        let cl = &mut self.clusters[c as usize];
         let color = cl.stamp;
         cl.sent[color as usize] += 1;
         cl.min_sent[color as usize] = cl.min_sent[color as usize].min(at);
-        if cfg.lossy {
-            cl.unacked.insert(id, (at, hops, color));
+        let msg = Msg { id, dst, time: at, hops, kind: Kind::Data, origin: c, color };
+        self.wire.send(dst, msg, &cfg.loss);
+    }
+
+    /// The omniscient minimum the computed GVT must never exceed: every
+    /// pending event, every undelivered in-flight data message, every
+    /// in-doubt (unacked, undelivered) send.
+    fn true_min(&self) -> u32 {
+        let mut min = INF;
+        for (ci, cl) in self.clusters.iter().enumerate() {
+            let c = ci as u8;
+            min = min.min(cl.q.next_time().unwrap_or(INF));
+            for m in self.wire.undelivered(c).chain(self.wire.in_doubt(c)) {
+                min = min.min(m.time);
+            }
         }
-        let msg = AMsg { id, time: at, hops, color, ack: false, origin: c as u8 };
-        self.clusters[dst].inbox.push_back(msg);
+        min
+    }
+}
+
+impl ProtocolModel for AsyncGvtConfig {
+    type State = AsyncState;
+    type Step = AStep;
+
+    /// The initial state: every cluster white, token idle, one seeded
+    /// event per cluster at `1 + (c % 2)` carrying `hops` hops.
+    fn initial(&self) -> AsyncState {
+        let clusters = (0..self.clusters as u32)
+            .map(|c| ACluster {
+                color: 0,
+                stamp: 0,
+                q: EventQueue::seeded(c, self.hops),
+                sent: [0, 0],
+                recvd: [0, 0],
+                min_sent: [INF, INF],
+                executed_since_gvt: 0,
+            })
+            .collect();
+        AsyncState {
+            clusters,
+            wire: Wire::new(self.clusters),
+            token: TokenLoc::Idle,
+            gvt: 0,
+            done: false,
+            committed: BTreeSet::new(),
+            next_id: self.clusters as u32,
+        }
+    }
+
+    /// Append every enabled scheduler choice to `steps`, in
+    /// deterministic order.
+    fn enabled(&self, s: &AsyncState, steps: &mut Vec<AStep>) {
+        for (ci, cl) in s.clusters.iter().enumerate() {
+            let c = ci as u8;
+            if !s.wire.inbox(c).is_empty() {
+                // Drain-priority reduction (as in the barrier model): a
+                // cluster with an inboxed message may only drain — the
+                // "execute first" interleaving is state-equivalent to
+                // the remote send landing after the execute, which the
+                // explorer covers. Token steps are NOT gated here: the
+                // token rides its own channel and must overtake data.
+                steps.push(AStep::Drain(c));
+                if s.wire.may_drop(c, &self.loss) {
+                    steps.push(AStep::DropFront(c));
+                }
+            } else {
+                if !cl.q.pending.is_empty() {
+                    steps.push(AStep::Execute(c));
+                }
+                if s.wire.may_timeout(c, &self.loss) {
+                    steps.push(AStep::Retransmit(c));
+                }
+            }
+        }
+        match s.token {
+            TokenLoc::Idle => {
+                let c0 = &s.clusters[0];
+                let due = c0.executed_since_gvt >= self.gvt_period;
+                let idle = c0.q.pending.is_empty() && s.wire.inbox(0).is_empty();
+                if !s.done && (due || idle) {
+                    steps.push(AStep::TokenLaunch);
+                }
+            }
+            TokenLoc::InFlight { to, .. } => {
+                steps.push(AStep::TokenRecv(to));
+                if s.wire.drops_left(&self.loss) {
+                    steps.push(AStep::DropToken);
+                }
+            }
+            TokenLoc::Lost { .. } => steps.push(AStep::RetransmitToken),
+        }
     }
 
     /// Apply `step`. Returns the step label, or a violation message.
-    pub fn apply(&mut self, step: AStep, cfg: &AsyncGvtConfig) -> Result<String, String> {
-        let label = step.label();
+    fn apply(&self, s: &mut AsyncState, step: AStep) -> Result<String, String> {
+        let label = self.label(step);
         match step {
             AStep::Execute(c) => {
-                let cl = &mut self.clusters[c as usize];
-                let (t, id, hops) = cl.pending.remove(0);
-                cl.processed.push((t, id, hops));
-                cl.executed_since_gvt = (cl.executed_since_gvt + 1).min(cfg.gvt_period);
-                if hops > 0 {
-                    let at = t + 1 + (c as u32 % 2);
-                    self.send_remote(c as usize, at, hops - 1, cfg);
+                let cl = &mut s.clusters[c as usize];
+                let (_, successor) = cl.q.execute(c);
+                cl.executed_since_gvt = (cl.executed_since_gvt + 1).min(self.gvt_period);
+                if let Some((at, hops)) = successor {
+                    s.send_remote(c, at, hops, self);
                 }
             }
             AStep::Drain(c) => {
-                let m = self.clusters[c as usize].inbox.pop_front().expect("drain needs a message");
-                if m.ack {
-                    self.clusters[c as usize].unacked.remove(&m.id);
-                } else {
-                    if cfg.lossy {
-                        let ack = AMsg { ack: true, origin: c, ..m };
-                        self.clusters[m.origin as usize].inbox.push_back(ack);
+                // Only a first delivery counts toward the Mattern
+                // counters; acks and re-acked duplicates are the wire's.
+                if let Drained::First { m, .. } = s.wire.drain(c, &self.loss) {
+                    let cl = &mut s.clusters[c as usize];
+                    cl.recvd[m.color as usize] += 1;
+                    if m.time < s.gvt {
+                        return Err(format!(
+                            "premature fossil: data message id {} delivered at t={} below committed GVT {} — the round that agreed it missed this in-flight message",
+                            m.id, m.time, s.gvt
+                        ));
                     }
-                    if self.delivered.insert(m.id) {
-                        // First delivery: count toward the Mattern
-                        // counters; duplicates are re-acked only.
-                        self.clusters[c as usize].recvd[m.color as usize] += 1;
-                        if m.time < self.gvt {
-                            return Err(format!(
-                                "premature fossil: data message id {} delivered at t={} below committed GVT {} — the round that agreed it missed this in-flight message",
-                                m.id, m.time, self.gvt
-                            ));
-                        }
-                        let cl = &mut self.clusters[c as usize];
-                        let pos =
-                            cl.pending.partition_point(|&(t, id, _)| (t, id) < (m.time, m.id));
-                        cl.pending.insert(pos, (m.time, m.id, m.hops));
-                    }
+                    cl.q.insert((m.time, m.id, m.hops));
                 }
             }
-            AStep::DropFront(c) => {
-                self.clusters[c as usize].inbox.pop_front().expect("drop needs a message");
-                self.drops_used += 1;
-            }
+            AStep::DropFront(c) => s.wire.drop_front(c),
             AStep::Retransmit(c) => {
-                let (&id, &(time, hops, color)) = self.clusters[c as usize]
-                    .unacked
-                    .first_key_value()
-                    .expect("retransmit needs an unacked record");
-                let dst = (c as usize + 1) % cfg.clusters;
                 // The retransmitted copy keeps its original color: it is
                 // the same logical message the counters already saw.
-                let msg = AMsg { id, time, hops, color, ack: false, origin: c };
-                self.clusters[dst].inbox.push_back(msg);
-                self.retransmits_used += 1;
+                let m = s.wire.timeout(c);
+                s.wire.carry(m.dst, m);
             }
             AStep::TokenLaunch => {
-                let old = self.clusters[0].color;
-                self.flip(0, old, cfg);
-                let c0 = &self.clusters[0];
+                let old = s.clusters[0].color;
+                s.flip(0, old, self);
+                let c0 = &s.clusters[0];
                 let count = c0.sent[old as usize] as i64 - c0.recvd[old as usize] as i64;
                 // The seeded stale-snapshot bug: the initiator reads
                 // everyone's counters once at launch (a shared stats
                 // array) and will conclude the drain on that snapshot.
-                let snapshot = if cfg.bug == Some(AsyncBug::StaleCounterSnapshot) {
-                    self.clusters
+                let snapshot = if self.bug == Some(AsyncBug::StaleCounterSnapshot) {
+                    s.clusters
                         .iter()
                         .map(|cl| cl.sent[old as usize] as i64 - cl.recvd[old as usize] as i64)
                         .sum()
                 } else {
                     0
                 };
-                self.token = TokenLoc::InFlight { to: 1, tok: Tok::Count { old, count, snapshot } };
+                s.token = TokenLoc::InFlight { to: 1, tok: Tok::Count { old, count, snapshot } };
             }
             AStep::TokenRecv(c) => {
-                let TokenLoc::InFlight { to, tok } = self.token else {
+                let TokenLoc::InFlight { to, tok } = s.token else {
                     return Err("token-recv with no token in flight (explorer bug)".into());
                 };
                 debug_assert_eq!(to, c, "token received by the wrong cluster");
-                let next = ((c as usize + 1) % cfg.clusters) as u8;
+                let next = ((c as usize + 1) % self.clusters) as u8;
                 match tok {
                     Tok::Count { old, count, snapshot } => {
-                        self.flip(c as usize, old, cfg);
-                        let cl = &self.clusters[c as usize];
+                        s.flip(c as usize, old, self);
+                        let cl = &s.clusters[c as usize];
                         let count =
                             count + cl.sent[old as usize] as i64 - cl.recvd[old as usize] as i64;
                         if next != 0 {
-                            self.token = TokenLoc::InFlight {
+                            s.token = TokenLoc::InFlight {
                                 to: next,
                                 tok: Tok::Count { old, count, snapshot },
                             };
                         } else {
                             // Back at the initiator (whose contribution
                             // was added at launch/relaunch).
-                            let drained = if cfg.bug == Some(AsyncBug::StaleCounterSnapshot) {
+                            let drained = if self.bug == Some(AsyncBug::StaleCounterSnapshot) {
                                 snapshot == 0
                             } else {
                                 count == 0
                             };
-                            let c0 = &self.clusters[0];
+                            let c0 = &s.clusters[0];
                             let new = 1 - old;
-                            self.token = if drained {
+                            s.token = if drained {
                                 TokenLoc::InFlight {
                                     to: 1,
                                     tok: Tok::Sample {
                                         old,
-                                        m_clock: local_min(c0),
+                                        m_clock: s.local_min(0),
                                         m_send: c0.min_sent[new as usize],
                                     },
                                 }
@@ -600,11 +511,10 @@ impl AsyncState {
                     }
                     Tok::Sample { old, m_clock, m_send } => {
                         let new = 1 - old;
-                        let cl = &self.clusters[c as usize];
-                        let m_clock = m_clock.min(local_min(cl));
-                        let m_send = m_send.min(cl.min_sent[new as usize]);
+                        let m_clock = m_clock.min(s.local_min(c));
+                        let m_send = m_send.min(s.clusters[c as usize].min_sent[new as usize]);
                         if next != 0 {
-                            self.token = TokenLoc::InFlight {
+                            s.token = TokenLoc::InFlight {
                                 to: next,
                                 tok: Tok::Sample { old, m_clock, m_send },
                             };
@@ -613,7 +523,7 @@ impl AsyncState {
                             // Invariant 1 — GVT safety, checked against
                             // the omniscient true minimum the protocol
                             // cannot see.
-                            let true_min = self.true_min();
+                            let true_min = s.true_min();
                             if new_gvt > true_min {
                                 return Err(format!(
                                     "GVT safety violated: token computed GVT {} but the true minimum over pending events and in-flight/in-doubt messages is {} — fossil collection would be premature",
@@ -622,166 +532,119 @@ impl AsyncState {
                                 ));
                             }
                             // Invariant 3 — monotonicity across rounds.
-                            if new_gvt < self.gvt {
+                            if new_gvt < s.gvt {
                                 return Err(format!(
                                     "GVT regressed: {} after {}",
                                     fmt_t(new_gvt),
-                                    fmt_t(self.gvt)
+                                    fmt_t(s.gvt)
                                 ));
                             }
-                            self.gvt = new_gvt;
-                            self.fossil(0);
-                            self.token =
+                            s.gvt = new_gvt;
+                            s.fossil(0);
+                            s.token =
                                 TokenLoc::InFlight { to: 1, tok: Tok::Commit { gvt: new_gvt } };
                         }
                     }
                     Tok::Commit { gvt } => {
-                        self.fossil(c as usize);
+                        s.fossil(c as usize);
                         if next != 0 {
-                            self.token = TokenLoc::InFlight { to: next, tok: Tok::Commit { gvt } };
+                            s.token = TokenLoc::InFlight { to: next, tok: Tok::Commit { gvt } };
                         } else {
                             if gvt == INF {
-                                self.done = true;
+                                s.done = true;
                             }
-                            self.token = TokenLoc::Idle;
+                            s.token = TokenLoc::Idle;
                         }
                     }
                 }
             }
             AStep::DropToken => {
-                let TokenLoc::InFlight { to, tok } = self.token else {
+                let TokenLoc::InFlight { to, tok } = s.token else {
                     return Err("token-drop with no token in flight (explorer bug)".into());
                 };
-                self.token = TokenLoc::Lost { to, tok };
-                self.drops_used += 1;
+                s.token = TokenLoc::Lost { to, tok };
+                s.wire.spend_drop();
             }
             AStep::RetransmitToken => {
-                let TokenLoc::Lost { to, tok } = self.token else {
+                let TokenLoc::Lost { to, tok } = s.token else {
                     return Err("token-retransmit with no lost token (explorer bug)".into());
                 };
                 // Recovery from the sender's backup; deterministic and
                 // unbudgeted (loss itself consumes the drop budget).
-                self.token = TokenLoc::InFlight { to, tok };
+                s.token = TokenLoc::InFlight { to, tok };
             }
         }
         Ok(label)
     }
 
-    /// The omniscient minimum the computed GVT must never exceed: every
-    /// pending event, every undelivered in-flight data message, every
-    /// in-doubt (unacked, undelivered) send.
-    fn true_min(&self) -> u32 {
-        let mut min = INF;
-        for cl in &self.clusters {
-            if let Some(&(t, _, _)) = cl.pending.first() {
-                min = min.min(t);
-            }
-            for m in &cl.inbox {
-                if !m.ack && !self.delivered.contains(&m.id) {
-                    min = min.min(m.time);
-                }
-            }
-            for (id, &(t, _, _)) in &cl.unacked {
-                if !self.delivered.contains(id) {
-                    min = min.min(t);
-                }
-            }
+    /// Human-readable label for counterexample traces.
+    fn label(&self, step: AStep) -> String {
+        match step {
+            AStep::Execute(c) => format!("c{c}:execute"),
+            AStep::Drain(c) => format!("c{c}:drain"),
+            AStep::DropFront(c) => format!("c{c}:drop-front"),
+            AStep::Retransmit(c) => format!("c{c}:retransmit"),
+            AStep::TokenLaunch => "c0:token-send".into(),
+            AStep::TokenRecv(c) => format!("c{c}:token-recv"),
+            AStep::DropToken => "token-drop".into(),
+            AStep::RetransmitToken => "token-retransmit".into(),
         }
-        min
-    }
-
-    /// Whether the protocol has terminated.
-    pub fn terminated(&self) -> bool {
-        self.done
     }
 
     /// Safety invariants checked at every reachable state (invariants
     /// 2, 4 and 5; 1 and 3 are checked at GVT computation, and
     /// deadlock-freedom by the explorer).
-    pub fn check_invariants(&self) -> Option<String> {
+    fn check_invariants(&self, s: &AsyncState) -> Option<String> {
         // Invariant 2 — nothing below the committed GVT.
-        if self.gvt > 0 {
-            for (ci, cl) in self.clusters.iter().enumerate() {
-                if let Some(&(t, id, _)) = cl.pending.first() {
-                    if t < self.gvt {
+        if s.gvt > 0 {
+            for (ci, cl) in s.clusters.iter().enumerate() {
+                if let Some(&(t, id, _)) = cl.q.pending.first() {
+                    if t < s.gvt {
                         return Some(format!(
                             "premature fossil: cluster {ci} holds pending event id {id} at t={t} below committed GVT {} — history below GVT is no longer immutable",
-                            fmt_t(self.gvt)
+                            fmt_t(s.gvt)
                         ));
                     }
                 }
-                for m in &cl.inbox {
-                    if !m.ack && !self.delivered.contains(&m.id) && m.time < self.gvt {
-                        return Some(format!(
-                            "GVT safety violated: undelivered message id {} at t={} is in flight below committed GVT {}",
-                            m.id,
-                            m.time,
-                            fmt_t(self.gvt)
-                        ));
-                    }
+                if let Some(m) = s.wire.undelivered(ci as u8).find(|m| m.time < s.gvt) {
+                    return Some(format!(
+                        "GVT safety violated: undelivered message id {} at t={} is in flight below committed GVT {}",
+                        m.id,
+                        m.time,
+                        fmt_t(s.gvt)
+                    ));
                 }
-                for (id, &(t, _, _)) in &cl.unacked {
-                    if !self.delivered.contains(id) && t < self.gvt {
-                        return Some(format!(
-                            "GVT safety violated: in-doubt transmission id {id} at t={t} sits below committed GVT {}",
-                            fmt_t(self.gvt)
-                        ));
-                    }
+                if let Some(r) = s.wire.in_doubt(ci as u8).find(|r| r.time < s.gvt) {
+                    return Some(format!(
+                        "GVT safety violated: in-doubt transmission id {} at t={} sits below committed GVT {}",
+                        r.id,
+                        r.time,
+                        fmt_t(s.gvt)
+                    ));
                 }
             }
         }
         // Invariant 4a — id conservation: every id in exactly one of
         // {inbox, pending, processed, committed}, else recoverable.
-        let mut count = vec![0u32; self.next_id as usize];
-        for cl in &self.clusters {
-            for m in &cl.inbox {
-                if !m.ack && !self.delivered.contains(&m.id) {
-                    count[m.id as usize] += 1;
-                }
-            }
-            for &(_, id, _) in cl.pending.iter().chain(cl.processed.iter()) {
-                count[id as usize] += 1;
-            }
-        }
-        for &id in &self.committed {
-            count[id as usize] += 1;
-        }
-        for (id, &c) in count.iter().enumerate() {
-            if c == 0 {
-                let recoverable =
-                    self.clusters.iter().any(|cl| cl.unacked.contains_key(&(id as u32)));
-                if !recoverable {
-                    return Some(format!(
-                        "conservation violated: message id {id} found in 0 places with no retransmit record — lost"
-                    ));
-                }
-            } else if c != 1 {
-                return Some(format!(
-                    "conservation violated: message id {id} found in {c} places — duplicated"
-                ));
-            }
+        let resident =
+            s.clusters.iter().flat_map(|cl| cl.q.ids()).chain(s.committed.iter().copied());
+        if let Some(fault) = s.wire.misplaced_id(s.next_id, resident) {
+            return Some(format!("conservation violated: message {fault}"));
         }
         // Invariant 4b — Mattern counter conservation: per color, the
         // counter sums must equal the distinct undelivered messages the
         // channels actually hold.
         for color in 0..2u8 {
-            let expected: i64 = self
+            let expected: i64 = s
                 .clusters
                 .iter()
                 .map(|cl| cl.sent[color as usize] as i64 - cl.recvd[color as usize] as i64)
                 .sum();
             let mut outstanding: BTreeSet<u32> = BTreeSet::new();
-            for cl in &self.clusters {
-                for m in &cl.inbox {
-                    if !m.ack && m.color == color && !self.delivered.contains(&m.id) {
-                        outstanding.insert(m.id);
-                    }
-                }
-                for (id, &(_, _, rc)) in &cl.unacked {
-                    if rc == color && !self.delivered.contains(id) {
-                        outstanding.insert(*id);
-                    }
-                }
+            for c in 0..s.clusters.len() as u8 {
+                let in_color = |m: &&Msg| m.color == color;
+                outstanding.extend(s.wire.undelivered(c).filter(in_color).map(|m| m.id));
+                outstanding.extend(s.wire.in_doubt(c).filter(in_color).map(|r| r.id));
             }
             if expected != outstanding.len() as i64 {
                 return Some(format!(
@@ -791,22 +654,19 @@ impl AsyncState {
             }
         }
         // Invariant 5 — terminal residue.
-        if self.done {
-            if self.clusters.iter().any(|cl| !cl.inbox.is_empty()) {
-                return Some("terminated with a non-empty channel".into());
+        if s.done {
+            if let Some(residue) = s.wire.residue() {
+                return Some(residue.into());
             }
-            if self.clusters.iter().any(|cl| !cl.pending.is_empty() || !cl.processed.is_empty()) {
+            if s.clusters.iter().any(|cl| !cl.q.is_empty()) {
                 return Some("terminated with unprocessed or uncommitted events".into());
             }
-            if self.clusters.iter().any(|cl| !cl.unacked.is_empty()) {
-                return Some("terminated with an unacknowledged transmission".into());
-            }
-            if self.token != TokenLoc::Idle {
+            if s.token != TokenLoc::Idle {
                 return Some("terminated with the token still in flight".into());
             }
             for color in 0..2usize {
-                let sent: u32 = self.clusters.iter().map(|cl| cl.sent[color]).sum();
-                let recvd: u32 = self.clusters.iter().map(|cl| cl.recvd[color]).sum();
+                let sent: u32 = s.clusters.iter().map(|cl| cl.sent[color]).sum();
+                let recvd: u32 = s.clusters.iter().map(|cl| cl.recvd[color]).sum();
                 if sent != recvd {
                     return Some(format!(
                         "terminated with unbalanced color-{color} counters: {sent} sent vs {recvd} received"
@@ -816,42 +676,9 @@ impl AsyncState {
         }
         None
     }
-}
-
-fn fmt_t(t: u32) -> String {
-    if t == INF {
-        "∞".to_string()
-    } else {
-        t.to_string()
-    }
-}
-
-impl ProtocolModel for AsyncGvtConfig {
-    type State = AsyncState;
-    type Step = AStep;
-
-    fn initial(&self) -> AsyncState {
-        AsyncState::initial(self)
-    }
-
-    fn enabled(&self, s: &AsyncState, out: &mut Vec<AStep>) {
-        s.enabled(self, out);
-    }
-
-    fn apply(&self, s: &mut AsyncState, step: AStep) -> Result<String, String> {
-        s.apply(step, self)
-    }
-
-    fn label(&self, step: AStep) -> String {
-        step.label()
-    }
-
-    fn check_invariants(&self, s: &AsyncState) -> Option<String> {
-        s.check_invariants()
-    }
 
     fn terminated(&self, s: &AsyncState) -> bool {
-        s.terminated()
+        s.done
     }
 
     fn max_states(&self) -> usize {

@@ -1,9 +1,10 @@
 //! The flush-and-barrier protocol family: a faithful small-scale state
 //! machine of the threaded executive's cluster loop — optimistic execution with
-//! rollback and anti-messages, the flush-and-barrier GVT, the 4-phase
-//! LP migration handoff, and an optional lossy channel with the chaos
-//! subsystem's ack/retransmit protocol — with three injectable
-//! historical bug shapes.
+//! rollback and anti-messages, the flush-and-barrier GVT and the 4-phase
+//! LP migration handoff, over the shared wire and event queue of
+//! `substrate` (optionally lossy, with the chaos subsystem's
+//! ack/retransmit protocol) — with three injectable historical bug
+//! shapes.
 //!
 //! # Abstraction choices (and why they are sound)
 //!
@@ -35,23 +36,16 @@
 //!   cluster-0 planning step between the real phase-1 and phase-2
 //!   rendezvous is atomic too (they bracket purely cluster-0-local work,
 //!   so no distinct interleavings are lost).
-//! * **Lossy mode** ([`ModelConfig::lossy`]) mirrors `chaos`'s wire
-//!   protocol: the scheduler may drop the front of an inbox (data or
-//!   ack — never an anti-message, which the chaos runtime also carries
-//!   reliably), senders keep an `unacked` retransmit buffer that feeds
-//!   the GVT minimum, receivers dedup on a `delivered` set and re-ack
-//!   duplicates, and a `Retransmit` step models timer expiry — enabled
-//!   only when no copy of the transmission is in flight, exactly when a
-//!   real timeout can fire. Drops and retransmits are budgeted
-//!   ([`ModelConfig::max_drops`] / [`ModelConfig::max_retransmits`]) to
-//!   keep the schedule space finite.
+//! * **Lossy mode** ([`ModelConfig::loss`]) is the wire's: this model
+//!   only decides what a drain's outcome means to an LP, counts the acks
+//!   a flush round routes (a round must not strand one in a channel),
+//!   lets the retransmit buffer bound its local minimum, and routes a
+//!   retransmitted copy by its *current* table.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
+use super::substrate::{fmt_t, Drained, EventQueue, Kind, LossBudget, Msg, Wire, INF};
 use super::ProtocolModel;
-
-/// Virtual-time infinity inside the model.
-pub const INF: u32 = u32::MAX;
 
 /// The three re-injectable historical bug shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,7 +62,7 @@ pub enum Bug {
     /// The receiver forgets its dedup set: a transmission retransmitted
     /// after its ack was lost is executed again as a fresh event — the
     /// double-delivery shape the chaos runtime's `delivered` set exists
-    /// to prevent (only meaningful with [`ModelConfig::lossy`]).
+    /// to prevent (only meaningful on a lossy [`ModelConfig::loss`]).
     RetransmitDoubleDelivery,
 }
 
@@ -102,13 +96,9 @@ pub struct ModelConfig {
     pub lb_period: u32,
     /// Scripted migration plan, consulted per balancing round.
     pub plan: Vec<PlannedMove>,
-    /// Model a lossy inter-cluster channel with the ack/retransmit
-    /// recovery protocol (the chaos subsystem's wire model).
-    pub lossy: bool,
-    /// Scheduler budget for dropped transmissions (lossy mode).
-    pub max_drops: u32,
-    /// Scheduler budget for retransmissions (lossy mode).
-    pub max_retransmits: u32,
+    /// The inter-cluster channel: reliable, or lossy with the
+    /// ack/retransmit recovery protocol and its scheduler budgets.
+    pub loss: LossBudget,
     /// Injected bug, if any.
     pub bug: Option<Bug>,
     /// Abort (incomplete) past this many unique states.
@@ -131,9 +121,7 @@ impl ModelConfig {
                 PlannedMove { round: 1, lp: 0, from: 0, to: 1 },
                 PlannedMove { round: 2, lp: 0, from: 1, to: 0 },
             ],
-            lossy: false,
-            max_drops: 0,
-            max_retransmits: 0,
+            loss: LossBudget::RELIABLE,
             bug: None,
             max_states: 40_000_000,
             max_depth: 100_000,
@@ -146,18 +134,10 @@ impl ModelConfig {
     /// recovery protocol.
     pub fn lossy_2x2() -> ModelConfig {
         ModelConfig {
-            clusters: 2,
-            lps: 2,
-            hops: 2,
-            gvt_period: 2,
             lb_period: 0,
             plan: Vec::new(),
-            lossy: true,
-            max_drops: 1,
-            max_retransmits: 3,
-            bug: None,
-            max_states: 40_000_000,
-            max_depth: 100_000,
+            loss: LossBudget { lossy: true, max_drops: 1, max_retransmits: 3 },
+            ..ModelConfig::small_2x2()
         }
     }
 
@@ -166,77 +146,41 @@ impl ModelConfig {
     pub fn small_3x2() -> ModelConfig {
         ModelConfig {
             clusters: 3,
-            lps: 2,
-            hops: 2,
-            gvt_period: 2,
-            lb_period: 1,
             plan: vec![PlannedMove { round: 1, lp: 0, from: 0, to: 2 }],
-            lossy: false,
-            max_drops: 0,
-            max_retransmits: 0,
-            bug: None,
-            max_states: 40_000_000,
-            max_depth: 100_000,
+            ..ModelConfig::small_2x2()
         }
     }
 }
 
-/// One transmission. An anti-message carries the id of the positive it
-/// chases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct Msg {
-    /// Unique id (shared between a positive and its anti).
-    pub id: u32,
-    /// Destination LP.
-    pub dst: u8,
-    /// Receive time.
-    pub time: u32,
-    /// Remaining hops of the script when this event executes.
-    pub hops: u8,
-    /// Anti-message flag.
-    pub anti: bool,
-    /// Acknowledgement flag (lossy mode): consumed by the origin
-    /// cluster, clears its retransmit record for `id`.
-    pub ack: bool,
-    /// Cluster that sent the positive (where the retransmit record
-    /// lives and acks are routed).
-    pub origin: u8,
-}
-
-/// One pending or processed event: `(time, id, hops)`.
-pub type Ev = (u32, u32, u8);
-
 /// Sender-side record of an uncommitted output (for cancellation).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SentRec {
+struct SentRec {
     /// Output id.
-    pub id: u32,
+    id: u32,
     /// Destination LP.
-    pub dst: u8,
+    dst: u8,
     /// Receive time at the destination.
-    pub time: u32,
+    time: u32,
     /// Virtual time of the event that sent it (cancellation key).
-    pub cause: u32,
+    cause: u32,
 }
 
 /// The Time Warp-relevant state of one LP.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
-pub struct LpState {
-    /// Unprocessed events, sorted by `(time, id)`.
-    pub pending: Vec<Ev>,
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+struct LpState {
+    /// Pending and processed events.
+    q: EventQueue,
     /// Local virtual time (receive time of the last executed event).
-    pub lvt: u32,
-    /// Processed, uncommitted events in execution order.
-    pub processed: Vec<Ev>,
+    lvt: u32,
     /// Uncommitted outputs, for rollback cancellation.
-    pub sent: Vec<SentRec>,
+    sent: Vec<SentRec>,
     /// Anti-messages that arrived before their positives.
-    pub orphans: BTreeSet<u32>,
+    orphans: BTreeSet<u32>,
 }
 
 /// Where a cluster is in the protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Phase {
+enum Phase {
     /// Normal optimistic processing.
     Run,
     /// Arrived at the GVT entry barrier.
@@ -261,31 +205,25 @@ pub enum Phase {
 
 /// One cluster of the model.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct ClusterState {
+struct ClusterState {
     /// Protocol position.
-    pub phase: Phase,
-    /// FIFO channel from all other clusters.
-    pub inbox: VecDeque<Msg>,
+    phase: Phase,
     /// LPs this cluster currently executes.
-    pub owned: BTreeSet<u8>,
+    owned: BTreeSet<u8>,
     /// This cluster's own routing-table copy (LP → cluster).
-    pub assignment: Vec<u8>,
+    assignment: Vec<u8>,
     /// Messages this cluster routed during the current flush round.
-    pub routed_round: u32,
+    routed_round: u32,
     /// Executes since the last GVT round (the `due` trigger).
-    pub executed_since_gvt: u32,
+    executed_since_gvt: u32,
     /// Local minimum published at the last GVT round.
-    pub local_min: u32,
+    local_min: u32,
     /// Just left a GVT round without doing any work yet. The real loop
     /// is `drain → if requested { gvt } → run_batch`, so a cluster with
     /// work always makes progress between consecutive GVT rounds; this
     /// flag keeps an idle cluster's re-requests from starving the model
     /// the same way (and from making the schedule space infinite).
-    pub fresh_gvt: bool,
-    /// Retransmit buffer (lossy mode): id → `(dst, time, hops)` of every
-    /// remote positive sent but not yet acknowledged. Feeds the GVT
-    /// local minimum, so GVT can never pass an in-doubt transmission.
-    pub unacked: BTreeMap<u32, (u8, u32, u8)>,
+    fresh_gvt: bool,
 }
 
 /// The complete model state. `Hash` is derived over every field — the
@@ -293,35 +231,30 @@ pub struct ClusterState {
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct State {
     /// All clusters.
-    pub clusters: Vec<ClusterState>,
+    clusters: Vec<ClusterState>,
     /// All LPs (indexed by id; ownership decides who may execute them).
-    pub lps: Vec<LpState>,
+    lps: Vec<LpState>,
+    /// The inter-cluster channels.
+    wire: Wire,
     /// GVT-requested flag (any cluster may set it; cleared at the round
     /// end).
-    pub requested: bool,
+    requested: bool,
     /// Last agreed GVT.
-    pub gvt: u32,
+    gvt: u32,
     /// Completed GVT rounds.
-    pub gvt_rounds: u32,
+    gvt_rounds: u32,
     /// Completed balancing rounds.
-    pub lb_round: u32,
+    lb_round: u32,
     /// The plan agreed at the current migration round.
-    pub plan: Vec<PlannedMove>,
+    plan: Vec<PlannedMove>,
     /// Per-destination handoff buffers: LP ids in transit.
-    pub movers: Vec<Vec<u8>>,
+    movers: Vec<Vec<u8>>,
     /// Fossil-collected (committed) positive ids.
-    pub committed: BTreeSet<u32>,
+    committed: BTreeSet<u32>,
     /// Ids consumed by positive/anti annihilation.
-    pub annihilated: BTreeSet<u32>,
-    /// Receiver-side dedup set (lossy mode): ids whose positive has been
-    /// delivered once; later copies are discarded and re-acked.
-    pub delivered: BTreeSet<u32>,
-    /// Transmissions dropped so far (scheduler budget accounting).
-    pub drops_used: u32,
-    /// Retransmissions fired so far (scheduler budget accounting).
-    pub retransmits_used: u32,
+    annihilated: BTreeSet<u32>,
     /// Next fresh message id.
-    pub next_id: u32,
+    next_id: u32,
 }
 
 /// One scheduler choice: which cluster performs which atomic step.
@@ -348,28 +281,9 @@ pub enum Step {
     /// Lose the front of this cluster's inbox (lossy mode; data or ack,
     /// never an anti-message).
     DropFront(u8),
-    /// Timer expiry: re-send the lowest-id unacknowledged transmission
+    /// Timer expiry: re-send the oldest unacknowledged transmission
     /// (lossy mode; enabled only when no copy is in flight).
     Retransmit(u8),
-}
-
-impl Step {
-    /// Human-readable label for counterexample traces.
-    pub fn label(self) -> String {
-        match self {
-            Step::Drain(c) => format!("c{c}:drain"),
-            Step::Execute(c) => format!("c{c}:execute"),
-            Step::RequestGvt(c) => format!("c{c}:request-gvt"),
-            Step::EnterGvt(c) => format!("c{c}:enter-gvt"),
-            Step::FlushDrain(c) => format!("c{c}:flush-drain"),
-            Step::FlushArrive(c) => format!("c{c}:flush-barrier"),
-            Step::PublishMin(c) => format!("c{c}:publish-min"),
-            Step::MigApply(c) => format!("c{c}:mig-apply"),
-            Step::MigAdopt(c) => format!("c{c}:mig-adopt"),
-            Step::DropFront(c) => format!("c{c}:drop-front"),
-            Step::Retransmit(c) => format!("c{c}:retransmit"),
-        }
-    }
 }
 
 /// Mirror of the executives' plan validity filter.
@@ -381,217 +295,97 @@ fn move_is_valid(mv: &PlannedMove, assignment: &[u8], parts: usize) -> bool {
 }
 
 impl State {
-    /// The initial state: LPs assigned round-robin, each seeded with one
-    /// event at time `1 + (lp % 2)` carrying `cfg.hops` hops.
-    pub fn initial(cfg: &ModelConfig) -> State {
-        let assignment: Vec<u8> = (0..cfg.lps).map(|i| (i % cfg.clusters) as u8).collect();
-        let mut lps = vec![LpState::default(); cfg.lps];
-        let mut next_id = 0u32;
-        for (i, lp) in lps.iter_mut().enumerate() {
-            lp.pending.push((1 + (i as u32 % 2), next_id, cfg.hops));
-            next_id += 1;
-        }
-        let clusters = (0..cfg.clusters)
-            .map(|c| ClusterState {
-                phase: Phase::Run,
-                inbox: VecDeque::new(),
-                owned: (0..cfg.lps as u8).filter(|&l| assignment[l as usize] == c as u8).collect(),
-                assignment: assignment.clone(),
-                routed_round: 0,
-                executed_since_gvt: 0,
-                local_min: 0,
-                fresh_gvt: false,
-                unacked: BTreeMap::new(),
-            })
-            .collect();
-        State {
-            clusters,
-            lps,
-            requested: false,
-            gvt: 0,
-            gvt_rounds: 0,
-            lb_round: 0,
-            plan: Vec::new(),
-            movers: vec![Vec::new(); cfg.clusters],
-            committed: BTreeSet::new(),
-            annihilated: BTreeSet::new(),
-            delivered: BTreeSet::new(),
-            drops_used: 0,
-            retransmits_used: 0,
-            next_id,
-        }
+    /// Receive time of the lowest pending event among the LPs cluster
+    /// `c` owns, with the LP that holds it.
+    fn next_event(&self, c: u8) -> Option<(u32, u8)> {
+        let owned = self.clusters[c as usize].owned.iter();
+        owned.filter_map(|&l| self.lps[l as usize].q.next_time().map(|t| (t, l))).min()
     }
 
-    /// Whether a positive (data) copy of `id` sits in any inbox.
-    fn data_copy_in_flight(&self, id: u32) -> bool {
-        self.clusters.iter().any(|cl| cl.inbox.iter().any(|m| !m.anti && !m.ack && m.id == id))
-    }
-
-    /// Append every enabled scheduler choice to `steps`, in
-    /// deterministic order.
-    pub fn enabled(&self, cfg: &ModelConfig, steps: &mut Vec<Step>) {
-        for (ci, cl) in self.clusters.iter().enumerate() {
-            let c = ci as u8;
-            match cl.phase {
-                Phase::Run => {
-                    if !cl.inbox.is_empty() {
-                        steps.push(Step::Drain(c));
-                        // The channel may lose the front instead — data
-                        // or ack, never an anti (the runtime carries
-                        // cancellation reliably).
-                        if cfg.lossy
-                            && self.drops_used < cfg.max_drops
-                            && !cl.inbox.front().expect("checked non-empty").anti
-                        {
-                            steps.push(Step::DropFront(c));
-                        }
-                    } else {
-                        let has_pending =
-                            cl.owned.iter().any(|&l| !self.lps[l as usize].pending.is_empty());
-                        // A real timeout only fires when the wire copy is
-                        // gone (dropped, or consumed with the ack lost);
-                        // while a copy is in flight the timer is armed
-                        // past its arrival.
-                        let can_retransmit = cfg.lossy
-                            && self.retransmits_used < cfg.max_retransmits
-                            && cl
-                                .unacked
-                                .first_key_value()
-                                .is_some_and(|(&id, _)| !self.data_copy_in_flight(id));
-                        // `can_retransmit` counts as outstanding work for
-                        // the fresh-GVT gate: a cluster with a timed-out
-                        // transmission must recover it before re-entering
-                        // GVT, which keeps no-progress rounds finite.
-                        if self.requested && !(cl.fresh_gvt && (has_pending || can_retransmit)) {
-                            steps.push(Step::EnterGvt(c));
-                        }
-                        if has_pending {
-                            steps.push(Step::Execute(c));
-                        } else if !self.requested {
-                            steps.push(Step::RequestGvt(c));
-                        }
-                        if can_retransmit {
-                            steps.push(Step::Retransmit(c));
-                        }
-                    }
-                }
-                Phase::FlushDrain => {
-                    if cl.inbox.is_empty() {
-                        steps.push(Step::FlushArrive(c));
-                    } else {
-                        steps.push(Step::FlushDrain(c));
-                    }
-                }
-                Phase::MinPub => steps.push(Step::PublishMin(c)),
-                Phase::MigApply => steps.push(Step::MigApply(c)),
-                Phase::MigAdopt => steps.push(Step::MigAdopt(c)),
-                Phase::GvtEnterBar
-                | Phase::FlushBar
-                | Phase::MinBar
-                | Phase::MigApplyBar
-                | Phase::Exited => {}
-            }
+    /// Deliver `m` to its LP on cluster `c`. Returns the number of
+    /// anti-messages its rollback routed (the flush-round accounting
+    /// unit), or a violation.
+    fn deliver(&mut self, c: u8, m: Msg) -> Result<u32, String> {
+        let dst = m.dst as usize;
+        if !self.clusters[c as usize].owned.contains(&m.dst) {
+            return Err(format!(
+                "cluster {c} drained a message for LP {dst} it does not own (misrouted or stranded by migration)"
+            ));
         }
-    }
-
-    /// Deliver `m` to its LP on cluster `c`, cascading local by-products
-    /// via a worklist; remote by-products go to the owning inbox.
-    /// Returns the number of *remote* messages routed (the flush-round
-    /// accounting unit), or a violation.
-    fn deliver(&mut self, c: u8, m: Msg, cfg: &ModelConfig) -> Result<u32, String> {
         let mut remote = 0u32;
-        let mut work = VecDeque::from([m]);
-        while let Some(m) = work.pop_front() {
-            let dst = m.dst as usize;
-            if !self.clusters[c as usize].owned.contains(&m.dst) {
+        if m.kind != Kind::Anti {
+            if self.gvt != INF && m.time < self.gvt {
                 return Err(format!(
-                    "cluster {c} drained a message for LP {dst} it does not own (misrouted or stranded by migration)"
+                    "positive transmission id {} for LP {dst} arrived at t={} below GVT {} — lost across a flush",
+                    m.id, m.time, self.gvt
                 ));
             }
-            if !m.anti {
-                if self.gvt != INF && m.time < self.gvt {
-                    return Err(format!(
-                        "positive transmission id {} for LP {dst} arrived at t={} below GVT {} — lost across a flush",
-                        m.id, m.time, self.gvt
-                    ));
-                }
-                if self.lps[dst].orphans.remove(&m.id) {
-                    self.annihilated.insert(m.id);
-                    continue;
-                }
-                if m.time <= self.lps[dst].lvt {
-                    remote += self.rollback(c, m.dst, m.time, cfg)?;
-                }
+            if self.lps[dst].orphans.remove(&m.id) {
+                self.annihilated.insert(m.id);
+                return Ok(0);
+            }
+            if m.time <= self.lps[dst].lvt {
+                remote += self.rollback(c, m.dst, m.time)?;
+            }
+            self.lps[dst].q.insert((m.time, m.id, m.hops));
+        } else {
+            // Anti-message: annihilate wherever the positive lives.
+            if self.committed.contains(&m.id) {
+                return Err(format!(
+                    "anti-message for committed (fossil-collected) id {} — cancellation crossed GVT {}",
+                    m.id, self.gvt
+                ));
+            }
+            let lp = &mut self.lps[dst];
+            if let Some(i) = lp.q.pending.iter().position(|&(_, id, _)| id == m.id) {
+                lp.q.pending.remove(i);
+                self.annihilated.insert(m.id);
+            } else if let Some(&(t, _, _)) = lp.q.processed.iter().find(|&&(_, id, _)| id == m.id) {
+                // Secondary rollback, then annihilate from pending.
+                remote += self.rollback(c, m.dst, t)?;
                 let lp = &mut self.lps[dst];
-                let pos = lp.pending.partition_point(|&(t, id, _)| (t, id) < (m.time, m.id));
-                lp.pending.insert(pos, (m.time, m.id, m.hops));
-            } else {
-                // Anti-message: annihilate wherever the positive lives.
-                if self.committed.contains(&m.id) {
-                    return Err(format!(
-                        "anti-message for committed (fossil-collected) id {} — cancellation crossed GVT {}",
-                        m.id, self.gvt
-                    ));
-                }
-                if let Some(i) = self.lps[dst].pending.iter().position(|&(_, id, _)| id == m.id) {
-                    self.lps[dst].pending.remove(i);
-                    self.annihilated.insert(m.id);
-                } else if let Some(&(t, _, _)) =
-                    self.lps[dst].processed.iter().find(|&&(_, id, _)| id == m.id)
-                {
-                    // Secondary rollback, then annihilate from pending.
-                    remote += self.rollback(c, m.dst, t, cfg)?;
-                    let lp = &mut self.lps[dst];
-                    let i = lp
-                        .pending
+                let i =
+                    lp.q.pending
                         .iter()
                         .position(|&(_, id, _)| id == m.id)
                         .expect("rollback returned the positive to pending");
-                    lp.pending.remove(i);
-                    self.annihilated.insert(m.id);
-                } else {
-                    self.lps[dst].orphans.insert(m.id);
-                }
+                lp.q.pending.remove(i);
+                self.annihilated.insert(m.id);
+            } else {
+                lp.orphans.insert(m.id);
             }
         }
-        // Cascades from rollback are queued as sends inside `rollback`;
-        // local ones were pushed onto our own inbox? No — rollback routes
-        // directly (see below), so nothing further here.
         Ok(remote)
     }
 
     /// Roll LP `lp` (owned by cluster `c`) back to before `t`: unprocess
     /// every processed event with `time >= t` and cancel every
-    /// uncommitted output with `cause >= t` by routing anti-messages.
-    /// Returns remote messages routed.
-    fn rollback(&mut self, c: u8, lp_id: u8, t: u32, _cfg: &ModelConfig) -> Result<u32, String> {
+    /// uncommitted output with `cause >= t` by routing anti-messages
+    /// (through the wire even when the destination is local). Returns
+    /// the anti-messages routed.
+    fn rollback(&mut self, c: u8, lp_id: u8, t: u32) -> Result<u32, String> {
         let gvt = self.gvt;
         let lp = &mut self.lps[lp_id as usize];
         let mut i = 0;
-        while i < lp.processed.len() {
-            if lp.processed[i].0 >= t {
-                let ev = lp.processed.remove(i);
+        while i < lp.q.processed.len() {
+            if lp.q.processed[i].0 >= t {
+                let ev = lp.q.processed.remove(i);
                 if gvt != INF && ev.0 < gvt {
                     return Err(format!(
                         "rollback of LP {lp_id} to t={t} unprocessed an event at t={} below GVT {gvt}",
                         ev.0
                     ));
                 }
-                let pos = lp.pending.partition_point(|&(pt, id, _)| (pt, id) < (ev.0, ev.1));
-                lp.pending.insert(pos, ev);
+                lp.q.insert(ev);
             } else {
                 i += 1;
             }
         }
-        lp.lvt = lp.processed.iter().map(|&(pt, _, _)| pt).max().unwrap_or(0);
+        lp.lvt = lp.q.processed.iter().map(|&(pt, _, _)| pt).max().unwrap_or(0);
         // Cancel uncommitted outputs caused at or after t.
-        let cancelled: Vec<SentRec> = {
-            let lp = &mut self.lps[lp_id as usize];
-            let (keep, cancel): (Vec<SentRec>, Vec<SentRec>) =
-                lp.sent.iter().partition(|r| r.cause < t);
-            lp.sent = keep;
-            cancel
-        };
+        let (keep, cancelled): (Vec<SentRec>, Vec<SentRec>) =
+            lp.sent.iter().partition(|r| r.cause < t);
+        lp.sent = keep;
         let mut remote = 0u32;
         for r in cancelled {
             let anti = Msg {
@@ -599,215 +393,31 @@ impl State {
                 dst: r.dst,
                 time: r.time,
                 hops: 0,
-                anti: true,
-                ack: false,
+                kind: Kind::Anti,
                 origin: c,
+                color: 0,
             };
             let dest_cluster = self.clusters[c as usize].assignment[r.dst as usize];
             remote += 1;
-            self.clusters[dest_cluster as usize].inbox.push_back(anti);
+            self.wire.carry(dest_cluster, anti);
         }
         Ok(remote)
     }
 
-    /// Pop and process one inbox message for cluster `c`, applying the
-    /// lossy-mode wire protocol: acks clear the local retransmit record,
-    /// data messages are acknowledged to their origin and deduplicated
-    /// against [`State::delivered`] before delivery. Returns the number
-    /// of remote messages routed (acks included — a flush round must not
-    /// strand one in a channel).
+    /// Pop and process one inbox message for cluster `c`. Returns the
+    /// number of remote messages routed (acks included — a flush round
+    /// must not strand one in a channel).
     fn drain_one(&mut self, c: u8, cfg: &ModelConfig) -> Result<u32, String> {
-        let m = self.clusters[c as usize].inbox.pop_front().expect("drain needs a message");
-        if m.ack {
-            self.clusters[c as usize].unacked.remove(&m.id);
-            return Ok(0);
+        match self.wire.drain(c, &cfg.loss) {
+            Drained::Ack => Ok(0),
+            Drained::First { m, acks } => Ok(acks + self.deliver(c, m)?),
+            // The historical bug: the receiver forgets its dedup set
+            // and executes the retransmitted copy as a fresh event.
+            Drained::Duplicate(m) if cfg.bug == Some(Bug::RetransmitDoubleDelivery) => {
+                Ok(1 + self.deliver(c, m)?)
+            }
+            Drained::Duplicate(_) => Ok(1),
         }
-        if cfg.lossy && !m.anti {
-            let dup = self.delivered.contains(&m.id);
-            let ack = Msg {
-                id: m.id,
-                dst: m.dst,
-                time: m.time,
-                hops: 0,
-                anti: false,
-                ack: true,
-                origin: c,
-            };
-            self.clusters[m.origin as usize].inbox.push_back(ack);
-            if dup {
-                // The historical bug: the receiver forgets its dedup set
-                // and executes the retransmitted copy as a fresh event.
-                if cfg.bug == Some(Bug::RetransmitDoubleDelivery) {
-                    return Ok(1 + self.deliver(c, m, cfg)?);
-                }
-                return Ok(1);
-            }
-            self.delivered.insert(m.id);
-            return Ok(1 + self.deliver(c, m, cfg)?);
-        }
-        self.deliver(c, m, cfg)
-    }
-
-    /// Apply `step`. Returns the step label, or a violation message.
-    pub fn apply(&mut self, step: Step, cfg: &ModelConfig) -> Result<String, String> {
-        let label = step.label();
-        match step {
-            Step::Drain(c) => {
-                self.clusters[c as usize].fresh_gvt = false;
-                self.drain_one(c, cfg)?;
-            }
-            Step::Execute(c) => {
-                let cl = &self.clusters[c as usize];
-                let (_, lp_id) = cl
-                    .owned
-                    .iter()
-                    .filter_map(|&l| self.lps[l as usize].pending.first().map(|&(t, _, _)| (t, l)))
-                    .min()
-                    .expect("execute needs a pending event");
-                let (t, id, hops) = self.lps[lp_id as usize].pending.remove(0);
-                let lp = &mut self.lps[lp_id as usize];
-                lp.lvt = t;
-                lp.processed.push((t, id, hops));
-                if hops > 0 {
-                    let dst = ((lp_id as usize + 1) % self.lps.len()) as u8;
-                    let at = t + 1 + (lp_id as u32 % 2);
-                    let new_id = self.next_id;
-                    self.next_id += 1;
-                    self.lps[lp_id as usize].sent.push(SentRec {
-                        id: new_id,
-                        dst,
-                        time: at,
-                        cause: t,
-                    });
-                    let msg = Msg {
-                        id: new_id,
-                        dst,
-                        time: at,
-                        hops: hops - 1,
-                        anti: false,
-                        ack: false,
-                        origin: c,
-                    };
-                    let dest_cluster = self.clusters[c as usize].assignment[dst as usize];
-                    if dest_cluster == c {
-                        self.deliver(c, msg, cfg)?;
-                    } else {
-                        if cfg.lossy {
-                            // Remote sends go into the retransmit buffer
-                            // until acknowledged; local delivery is
-                            // in-process and cannot be lost.
-                            self.clusters[c as usize].unacked.insert(new_id, (dst, at, hops - 1));
-                        }
-                        self.clusters[dest_cluster as usize].inbox.push_back(msg);
-                    }
-                }
-                let cl = &mut self.clusters[c as usize];
-                cl.fresh_gvt = false;
-                cl.executed_since_gvt += 1;
-                if cl.executed_since_gvt >= cfg.gvt_period {
-                    self.requested = true;
-                }
-            }
-            Step::RequestGvt(_) => self.requested = true,
-            Step::EnterGvt(c) => {
-                self.clusters[c as usize].phase = Phase::GvtEnterBar;
-                if self.all_in(Phase::GvtEnterBar) {
-                    for cl in &mut self.clusters {
-                        cl.phase = Phase::FlushDrain;
-                        cl.routed_round = 0;
-                    }
-                }
-            }
-            Step::FlushDrain(c) => {
-                let routed = self.drain_one(c, cfg)?;
-                // The historical bug: anti-messages routed by a flush
-                // drain were not counted, so the flush could terminate
-                // with a transmission still in flight.
-                if cfg.bug != Some(Bug::DropFlushTransmission) {
-                    self.clusters[c as usize].routed_round += routed;
-                }
-            }
-            Step::FlushArrive(c) => {
-                self.clusters[c as usize].phase = Phase::FlushBar;
-                if self.all_in(Phase::FlushBar) {
-                    let total: u32 = self.clusters.iter().map(|cl| cl.routed_round).sum();
-                    for cl in &mut self.clusters {
-                        cl.routed_round = 0;
-                        cl.phase = if total == 0 { Phase::MinPub } else { Phase::FlushDrain };
-                    }
-                }
-            }
-            Step::PublishMin(c) => {
-                let cl = &self.clusters[c as usize];
-                // Unacknowledged transmissions are in doubt — possibly
-                // lost and awaiting retransmission — so their receive
-                // times bound the local minimum exactly like pending
-                // events (the runtime's `unacked_min_recv`).
-                let min = cl
-                    .owned
-                    .iter()
-                    .filter_map(|&l| self.lps[l as usize].pending.first().map(|&(t, _, _)| t))
-                    .chain(cl.unacked.values().map(|&(_, t, _)| t))
-                    .min()
-                    .unwrap_or(INF);
-                self.clusters[c as usize].local_min = min;
-                self.clusters[c as usize].phase = Phase::MinBar;
-                if self.all_in(Phase::MinBar) {
-                    self.finish_gvt_round(cfg)?;
-                }
-            }
-            Step::MigApply(c) => {
-                let plan = self.plan.clone();
-                for mv in &plan {
-                    if !move_is_valid(mv, &self.clusters[c as usize].assignment, cfg.clusters) {
-                        continue;
-                    }
-                    self.clusters[c as usize].assignment[mv.lp as usize] = mv.to;
-                    if mv.from == c {
-                        // The historical bug: the source keeps executing
-                        // the LP it just handed off.
-                        if cfg.bug != Some(Bug::DoubleOwnerMigration) {
-                            self.clusters[c as usize].owned.remove(&mv.lp);
-                        }
-                        self.movers[mv.to as usize].push(mv.lp);
-                    }
-                }
-                self.clusters[c as usize].phase = Phase::MigApplyBar;
-                if self.all_in(Phase::MigApplyBar) {
-                    for cl in &mut self.clusters {
-                        cl.phase = Phase::MigAdopt;
-                    }
-                }
-            }
-            Step::MigAdopt(c) => {
-                let arrivals = std::mem::take(&mut self.movers[c as usize]);
-                for lp in arrivals {
-                    self.clusters[c as usize].owned.insert(lp);
-                }
-                let cl = &mut self.clusters[c as usize];
-                cl.phase = Phase::Run;
-                cl.executed_since_gvt = 0;
-                cl.fresh_gvt = true;
-            }
-            Step::DropFront(c) => {
-                let m = self.clusters[c as usize].inbox.pop_front().expect("drop needs a message");
-                debug_assert!(!m.anti, "anti-messages travel the reliable channel");
-                self.drops_used += 1;
-            }
-            Step::Retransmit(c) => {
-                let (&id, &(dst, time, hops)) = self.clusters[c as usize]
-                    .unacked
-                    .first_key_value()
-                    .expect("retransmit needs an unacked record");
-                let msg = Msg { id, dst, time, hops, anti: false, ack: false, origin: c };
-                // Routed by the *current* table — the LP may have
-                // migrated since the original send.
-                let dest_cluster = self.clusters[c as usize].assignment[dst as usize];
-                self.clusters[dest_cluster as usize].inbox.push_back(msg);
-                self.retransmits_used += 1;
-            }
-        }
-        Ok(label)
     }
 
     /// The minima-barrier release: agree the GVT, fossil-collect, check
@@ -824,27 +434,19 @@ impl State {
         // zero in-flight transmissions at minima computation (that is
         // the entire point of the drain rounds), so any message still in
         // a channel here means the flush declared quiescence early.
-        for (ci, cl) in self.clusters.iter().enumerate() {
-            if let Some(m) = cl.inbox.front() {
+        for ci in 0..self.clusters.len() {
+            if let Some(m) = self.wire.inbox(ci as u8).front() {
                 return Err(format!(
                     "flush postcondition violated: transmission id {} (t={}) still in cluster {ci}'s channel at GVT agreement ({}) — flush exited early",
                     m.id,
                     m.time,
-                    if new_gvt == INF { "∞".to_string() } else { new_gvt.to_string() }
+                    fmt_t(new_gvt)
                 ));
             }
         }
         // Fossil collection: commit below GVT.
         for lp in &mut self.lps {
-            let mut i = 0;
-            while i < lp.processed.len() {
-                if lp.processed[i].0 < new_gvt {
-                    let (_, id, _) = lp.processed.remove(i);
-                    self.committed.insert(id);
-                } else {
-                    i += 1;
-                }
-            }
+            lp.q.commit_below(new_gvt, &mut self.committed);
             lp.sent.retain(|r| r.time >= new_gvt);
         }
         if new_gvt == INF {
@@ -876,21 +478,250 @@ impl State {
     fn all_in(&self, p: Phase) -> bool {
         self.clusters.iter().all(|cl| cl.phase == p)
     }
+}
 
-    /// Whether every cluster has exited.
-    pub fn terminated(&self) -> bool {
-        self.all_in(Phase::Exited)
+impl ProtocolModel for ModelConfig {
+    type State = State;
+    type Step = Step;
+
+    /// The initial state: LPs assigned round-robin, each seeded with one
+    /// event at time `1 + (lp % 2)` carrying `hops` hops.
+    fn initial(&self) -> State {
+        let assignment: Vec<u8> = (0..self.lps).map(|i| (i % self.clusters) as u8).collect();
+        let lps = (0..self.lps as u32)
+            .map(|i| LpState {
+                q: EventQueue::seeded(i, self.hops),
+                lvt: 0,
+                sent: Vec::new(),
+                orphans: BTreeSet::new(),
+            })
+            .collect();
+        let clusters = (0..self.clusters)
+            .map(|c| ClusterState {
+                phase: Phase::Run,
+                owned: (0..self.lps as u8).filter(|&l| assignment[l as usize] == c as u8).collect(),
+                assignment: assignment.clone(),
+                routed_round: 0,
+                executed_since_gvt: 0,
+                local_min: 0,
+                fresh_gvt: false,
+            })
+            .collect();
+        State {
+            clusters,
+            lps,
+            wire: Wire::new(self.clusters),
+            requested: false,
+            gvt: 0,
+            gvt_rounds: 0,
+            lb_round: 0,
+            plan: Vec::new(),
+            movers: vec![Vec::new(); self.clusters],
+            committed: BTreeSet::new(),
+            annihilated: BTreeSet::new(),
+            next_id: self.lps as u32,
+        }
+    }
+
+    /// Append every enabled scheduler choice to `steps`, in
+    /// deterministic order.
+    fn enabled(&self, s: &State, steps: &mut Vec<Step>) {
+        for (ci, cl) in s.clusters.iter().enumerate() {
+            let c = ci as u8;
+            match cl.phase {
+                Phase::Run => {
+                    if !s.wire.inbox(c).is_empty() {
+                        steps.push(Step::Drain(c));
+                        if s.wire.may_drop(c, &self.loss) {
+                            steps.push(Step::DropFront(c));
+                        }
+                    } else {
+                        let has_pending = s.next_event(c).is_some();
+                        let can_retransmit = s.wire.may_timeout(c, &self.loss);
+                        // `can_retransmit` counts as outstanding work for
+                        // the fresh-GVT gate: a cluster with a timed-out
+                        // transmission must recover it before re-entering
+                        // GVT, which keeps no-progress rounds finite.
+                        if s.requested && !(cl.fresh_gvt && (has_pending || can_retransmit)) {
+                            steps.push(Step::EnterGvt(c));
+                        }
+                        if has_pending {
+                            steps.push(Step::Execute(c));
+                        } else if !s.requested {
+                            steps.push(Step::RequestGvt(c));
+                        }
+                        if can_retransmit {
+                            steps.push(Step::Retransmit(c));
+                        }
+                    }
+                }
+                Phase::FlushDrain => {
+                    if s.wire.inbox(c).is_empty() {
+                        steps.push(Step::FlushArrive(c));
+                    } else {
+                        steps.push(Step::FlushDrain(c));
+                    }
+                }
+                Phase::MinPub => steps.push(Step::PublishMin(c)),
+                Phase::MigApply => steps.push(Step::MigApply(c)),
+                Phase::MigAdopt => steps.push(Step::MigAdopt(c)),
+                Phase::GvtEnterBar
+                | Phase::FlushBar
+                | Phase::MinBar
+                | Phase::MigApplyBar
+                | Phase::Exited => {}
+            }
+        }
+    }
+
+    /// Apply `step`. Returns the step label, or a violation message.
+    fn apply(&self, s: &mut State, step: Step) -> Result<String, String> {
+        let label = self.label(step);
+        match step {
+            Step::Drain(c) => {
+                s.clusters[c as usize].fresh_gvt = false;
+                s.drain_one(c, self)?;
+            }
+            Step::Execute(c) => {
+                let (_, lp_id) = s.next_event(c).expect("execute needs a pending event");
+                let lp = &mut s.lps[lp_id as usize];
+                let (t, successor) = lp.q.execute(lp_id);
+                lp.lvt = t;
+                if let Some((at, hops)) = successor {
+                    let dst = ((lp_id as usize + 1) % s.lps.len()) as u8;
+                    let id = s.next_id;
+                    s.next_id += 1;
+                    s.lps[lp_id as usize].sent.push(SentRec { id, dst, time: at, cause: t });
+                    let msg =
+                        Msg { id, dst, time: at, hops, kind: Kind::Data, origin: c, color: 0 };
+                    let dest_cluster = s.clusters[c as usize].assignment[dst as usize];
+                    if dest_cluster == c {
+                        // Local delivery is in-process and cannot be lost.
+                        s.deliver(c, msg)?;
+                    } else {
+                        s.wire.send(dest_cluster, msg, &self.loss);
+                    }
+                }
+                let cl = &mut s.clusters[c as usize];
+                cl.fresh_gvt = false;
+                cl.executed_since_gvt += 1;
+                if cl.executed_since_gvt >= self.gvt_period {
+                    s.requested = true;
+                }
+            }
+            Step::RequestGvt(_) => s.requested = true,
+            Step::EnterGvt(c) => {
+                s.clusters[c as usize].phase = Phase::GvtEnterBar;
+                if s.all_in(Phase::GvtEnterBar) {
+                    for cl in &mut s.clusters {
+                        cl.phase = Phase::FlushDrain;
+                        cl.routed_round = 0;
+                    }
+                }
+            }
+            Step::FlushDrain(c) => {
+                let routed = s.drain_one(c, self)?;
+                // The historical bug: anti-messages routed by a flush
+                // drain were not counted, so the flush could terminate
+                // with a transmission still in flight.
+                if self.bug != Some(Bug::DropFlushTransmission) {
+                    s.clusters[c as usize].routed_round += routed;
+                }
+            }
+            Step::FlushArrive(c) => {
+                s.clusters[c as usize].phase = Phase::FlushBar;
+                if s.all_in(Phase::FlushBar) {
+                    let total: u32 = s.clusters.iter().map(|cl| cl.routed_round).sum();
+                    for cl in &mut s.clusters {
+                        cl.routed_round = 0;
+                        cl.phase = if total == 0 { Phase::MinPub } else { Phase::FlushDrain };
+                    }
+                }
+            }
+            Step::PublishMin(c) => {
+                // Unacknowledged transmissions are in doubt — possibly
+                // lost and awaiting retransmission — so their receive
+                // times bound the local minimum exactly like pending
+                // events.
+                let pending_min = s.next_event(c).map_or(INF, |(t, _)| t);
+                let cl = &mut s.clusters[c as usize];
+                cl.local_min = pending_min.min(s.wire.unacked_min(c));
+                cl.phase = Phase::MinBar;
+                if s.all_in(Phase::MinBar) {
+                    s.finish_gvt_round(self)?;
+                }
+            }
+            Step::MigApply(c) => {
+                let plan = s.plan.clone();
+                for mv in &plan {
+                    if !move_is_valid(mv, &s.clusters[c as usize].assignment, self.clusters) {
+                        continue;
+                    }
+                    s.clusters[c as usize].assignment[mv.lp as usize] = mv.to;
+                    if mv.from == c {
+                        // The historical bug: the source keeps executing
+                        // the LP it just handed off.
+                        if self.bug != Some(Bug::DoubleOwnerMigration) {
+                            s.clusters[c as usize].owned.remove(&mv.lp);
+                        }
+                        s.movers[mv.to as usize].push(mv.lp);
+                    }
+                }
+                s.clusters[c as usize].phase = Phase::MigApplyBar;
+                if s.all_in(Phase::MigApplyBar) {
+                    for cl in &mut s.clusters {
+                        cl.phase = Phase::MigAdopt;
+                    }
+                }
+            }
+            Step::MigAdopt(c) => {
+                let arrivals = std::mem::take(&mut s.movers[c as usize]);
+                for lp in arrivals {
+                    s.clusters[c as usize].owned.insert(lp);
+                }
+                let cl = &mut s.clusters[c as usize];
+                cl.phase = Phase::Run;
+                cl.executed_since_gvt = 0;
+                cl.fresh_gvt = true;
+            }
+            Step::DropFront(c) => s.wire.drop_front(c),
+            Step::Retransmit(c) => {
+                let m = s.wire.timeout(c);
+                // Routed by the *current* table — the LP may have
+                // migrated since the original send.
+                let dest_cluster = s.clusters[c as usize].assignment[m.dst as usize];
+                s.wire.carry(dest_cluster, m);
+            }
+        }
+        Ok(label)
+    }
+
+    /// Human-readable label for counterexample traces.
+    fn label(&self, step: Step) -> String {
+        match step {
+            Step::Drain(c) => format!("c{c}:drain"),
+            Step::Execute(c) => format!("c{c}:execute"),
+            Step::RequestGvt(c) => format!("c{c}:request-gvt"),
+            Step::EnterGvt(c) => format!("c{c}:enter-gvt"),
+            Step::FlushDrain(c) => format!("c{c}:flush-drain"),
+            Step::FlushArrive(c) => format!("c{c}:flush-barrier"),
+            Step::PublishMin(c) => format!("c{c}:publish-min"),
+            Step::MigApply(c) => format!("c{c}:mig-apply"),
+            Step::MigAdopt(c) => format!("c{c}:mig-adopt"),
+            Step::DropFront(c) => format!("c{c}:drop-front"),
+            Step::Retransmit(c) => format!("c{c}:retransmit"),
+        }
     }
 
     /// Safety invariants checked at every reachable state. Returns a
     /// violation description, or `None`.
-    pub fn check_invariants(&self) -> Option<String> {
+    fn check_invariants(&self, s: &State) -> Option<String> {
         // 1. Every LP is owned by exactly one cluster, or is in exactly
         //    one movers buffer mid-handoff.
-        for lp in 0..self.lps.len() as u8 {
-            let owners = self.clusters.iter().filter(|cl| cl.owned.contains(&lp)).count();
+        for lp in 0..s.lps.len() as u8 {
+            let owners = s.clusters.iter().filter(|cl| cl.owned.contains(&lp)).count();
             let moving =
-                self.movers.iter().map(|m| m.iter().filter(|&&l| l == lp).count()).sum::<usize>();
+                s.movers.iter().map(|m| m.iter().filter(|&&l| l == lp).count()).sum::<usize>();
             if owners + moving != 1 {
                 return Some(format!(
                     "LP {lp} owned by {owners} cluster(s) and in {moving} handoff buffer(s) — must be exactly one total"
@@ -899,90 +730,34 @@ impl State {
         }
         // 2. Transmission conservation: every positive id lives in
         //    exactly one of {some inbox, some pending queue, some
-        //    processed queue, committed, annihilated}. Lossy mode
-        //    refines both sides: in-flight copies of an id already
-        //    delivered are redundant retransmissions (the dedup set
-        //    discards them), and an id found nowhere is tolerable only
-        //    while a retransmit record still guarantees its recovery.
-        let mut count = vec![0u32; self.next_id as usize];
-        for cl in &self.clusters {
-            for m in &cl.inbox {
-                if !m.anti && !m.ack && !self.delivered.contains(&m.id) {
-                    count[m.id as usize] += 1;
-                }
-            }
-        }
-        for lp in &self.lps {
-            for &(_, id, _) in lp.pending.iter().chain(lp.processed.iter()) {
-                count[id as usize] += 1;
-            }
-        }
-        for &id in self.committed.iter().chain(self.annihilated.iter()) {
-            count[id as usize] += 1;
-        }
-        for (id, &c) in count.iter().enumerate() {
-            if c == 0 {
-                let recoverable =
-                    self.clusters.iter().any(|cl| cl.unacked.contains_key(&(id as u32)));
-                if !recoverable {
-                    return Some(format!(
-                        "transmission id {id} found in 0 places with no retransmit record — lost across a GVT/migration boundary"
-                    ));
-                }
-            } else if c != 1 {
-                return Some(format!(
-                    "transmission id {id} found in {c} places — duplicated across a GVT/migration boundary"
-                ));
-            }
+        //    processed queue, committed, annihilated}, or is recoverable
+        //    from a retransmit record.
+        let ledgers = s.committed.iter().chain(&s.annihilated).copied();
+        let resident = s.lps.iter().flat_map(|lp| lp.q.ids()).chain(ledgers);
+        if let Some(fault) = s.wire.misplaced_id(s.next_id, resident) {
+            return Some(format!("transmission {fault} across a GVT/migration boundary"));
         }
         // 3. At termination nothing may remain in transit.
-        if self.terminated() {
-            if self.clusters.iter().any(|cl| !cl.inbox.is_empty()) {
-                return Some("terminated with a non-empty channel".into());
+        if self.terminated(s) {
+            if let Some(residue) = s.wire.residue() {
+                return Some(residue.into());
             }
-            if self.movers.iter().any(|m| !m.is_empty()) {
+            if s.movers.iter().any(|m| !m.is_empty()) {
                 return Some("terminated with an LP stuck in a handoff buffer".into());
             }
-            if self.lps.iter().any(|lp| !lp.orphans.is_empty()) {
+            if s.lps.iter().any(|lp| !lp.orphans.is_empty()) {
                 return Some("terminated with an unmatched anti-message".into());
             }
-            if self.clusters.iter().any(|cl| !cl.unacked.is_empty()) {
-                return Some("terminated with an unacknowledged transmission".into());
-            }
-            if self.lps.iter().any(|lp| !lp.pending.is_empty() || !lp.processed.is_empty()) {
+            if s.lps.iter().any(|lp| !lp.q.is_empty()) {
                 return Some("terminated with unprocessed or uncommitted events".into());
             }
         }
         None
     }
-}
 
-impl ProtocolModel for ModelConfig {
-    type State = State;
-    type Step = Step;
-
-    fn initial(&self) -> State {
-        State::initial(self)
-    }
-
-    fn enabled(&self, s: &State, out: &mut Vec<Step>) {
-        s.enabled(self, out);
-    }
-
-    fn apply(&self, s: &mut State, step: Step) -> Result<String, String> {
-        s.apply(step, self)
-    }
-
-    fn label(&self, step: Step) -> String {
-        step.label()
-    }
-
-    fn check_invariants(&self, s: &State) -> Option<String> {
-        s.check_invariants()
-    }
-
+    /// Whether every cluster has exited.
     fn terminated(&self, s: &State) -> bool {
-        s.terminated()
+        s.all_in(Phase::Exited)
     }
 
     fn max_states(&self) -> usize {

@@ -15,37 +15,47 @@
 //!   [`ProtocolModel`], with deterministic traversal order, scratch-
 //!   buffer reuse, and an optional full-state collision guard
 //!   ([`ExploreOptions::verify_hashes`]).
+//! * `substrate` (private) — what both protocol models stand on, each
+//!   written once: **the wire** (per-cluster FIFO inboxes plus the chaos
+//!   subsystem's ack/retransmit recovery protocol — the [`LossBudget`]
+//!   both configurations embed, the retransmit records, the dedup set,
+//!   the drop / timeout enabling rules, the drain rule, the in-doubt
+//!   minimum that bounds GVT, id conservation and the terminal-residue
+//!   checks) and **the event queue** (one LP's pending and processed
+//!   events under the fixed script, sorted insert, the skewed-delay
+//!   successor, the commit-below-GVT sweep).
 //! * [`barrier`] — the flush-and-barrier model of the threaded
-//!   executive: optimistic rollback with anti-messages, the repeated
-//!   drain-round GVT, the 4-phase LP migration handoff from
-//!   [`crate::dynlb`], and a lossy-channel variant running the chaos
-//!   subsystem's ack/retransmit wire protocol.
+//!   executive: what is its own is optimistic rollback with
+//!   anti-messages, the repeated drain-round GVT and the 4-phase LP
+//!   migration handoff from [`crate::dynlb`].
 //! * [`async_gvt`] — the asynchronous Mattern two-color token GVT the
-//!   future multi-process executive will implement: white/red message
-//!   coloring, per-cluster send/receive counters, a circulating token
-//!   carrying the outstanding-white count and clock/red-send minima,
-//!   and a commit wave — composed with the same lossy-channel machinery
-//!   (token and message loss + retransmit). The protocol is proved
-//!   exhaustively at small bounds *before* any distributed code is
-//!   written against it.
+//!   future multi-process executive will implement: what is its own is
+//!   white/red message coloring, per-cluster send/receive counters, a
+//!   circulating token carrying the outstanding-white count and
+//!   clock/red-send minima (its loss spends the wire's drop budget), and
+//!   a commit wave. The protocol is proved exhaustively at small bounds
+//!   *before* any distributed code is written against it.
 //!
 //! Historical bug shapes can be re-injected ([`Bug`], [`AsyncBug`]) to
-//! prove the checker actually detects them; `crates/timewarp/tests/`
-//! pins the counterexamples, and `pls-detlint mc` runs the clean
-//! configurations as a CI gate.
+//! prove the checker actually detects them. `pls-detlint mc` holds the
+//! one table of configurations it explores (nine, five at the small
+//! bound) and the one table of bug shapes its self-test must catch;
+//! `crates/timewarp/tests/modelcheck.rs` pins the explored state
+//! spaces and the counterexamples, `tests/mc_full.golden` the full
+//! bound.
 
 pub mod async_gvt;
 pub mod barrier;
 mod explore;
+mod substrate;
 
 use std::fmt::Debug;
 use std::hash::Hash;
 
 pub use async_gvt::{AsyncBug, AsyncGvtConfig};
-pub use barrier::{
-    Bug, ClusterState, LpState, ModelConfig, Msg, Phase, PlannedMove, SentRec, State, Step, INF,
-};
+pub use barrier::{Bug, ModelConfig, PlannedMove};
 pub use explore::{explore, explore_with, CheckReport, Counterexample, ExploreOptions};
+pub use substrate::LossBudget;
 
 /// A protocol small enough to check exhaustively.
 ///
@@ -94,81 +104,4 @@ pub trait ProtocolModel {
 
     /// Abort (incomplete) any single schedule longer than this.
     fn max_depth(&self) -> usize;
-}
-
-/// Model families selectable from `pls-detlint mc --model`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ModelSel {
-    /// The threaded executive's flush-and-barrier GVT + migration model.
-    // detlint: allow(D004, model-family name for the CLI, not a sync primitive)
-    Barrier,
-    /// The asynchronous Mattern two-color token GVT model.
-    Async,
-    /// Both families.
-    All,
-}
-
-impl ModelSel {
-    /// Valid `--model` names, for error messages (mirrors
-    /// `pls_partition::partitioner_names`).
-    pub const NAMES: [&'static str; 3] = ["barrier", "async", "all"];
-}
-
-impl std::str::FromStr for ModelSel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            // detlint: allow(D004, model-family name for the CLI, not a sync primitive)
-            "barrier" => Ok(ModelSel::Barrier),
-            "async" => Ok(ModelSel::Async),
-            "all" => Ok(ModelSel::All),
-            other => {
-                Err(format!("unknown model `{other}` (valid: {})", ModelSel::NAMES.join(", ")))
-            }
-        }
-    }
-}
-
-/// Named standard flush-and-barrier configurations for the CI gate and
-/// the CLI.
-///
-/// `full` adds a third, initially-empty cluster (which must still take
-/// part in every barrier) and a longer event chain.
-pub fn standard_configs(full: bool) -> Vec<(&'static str, ModelConfig)> {
-    let mut v = vec![
-        ("2 clusters x 2 LPs, GVT + migration", ModelConfig::small_2x2()),
-        ("3 clusters x 2 LPs, GVT + migration", ModelConfig::small_3x2()),
-        ("2 clusters x 2 LPs, lossy channel + retransmit", ModelConfig::lossy_2x2()),
-    ];
-    if full {
-        let mut deep = ModelConfig::small_2x2();
-        deep.hops = 3;
-        deep.plan.clear();
-        v.push(("2 clusters x 2 LPs, hops=3, GVT only", deep));
-        let mut lossier = ModelConfig::lossy_2x2();
-        lossier.max_drops = 2;
-        lossier.max_retransmits = 4;
-        v.push(("2 clusters x 2 LPs, lossy, 2 drops", lossier));
-    }
-    v
-}
-
-/// Named standard async-GVT configurations for the CI gate and the CLI.
-///
-/// `full` adds a third cluster and a lossier channel (token loss plus
-/// two message drops).
-pub fn async_configs(full: bool) -> Vec<(&'static str, AsyncGvtConfig)> {
-    let mut v = vec![
-        ("2 clusters, Mattern token GVT", AsyncGvtConfig::small_2()),
-        ("2 clusters, Mattern token, lossy + retransmit", AsyncGvtConfig::lossy_2()),
-    ];
-    if full {
-        v.push(("3 clusters, Mattern token GVT", AsyncGvtConfig::small_3()));
-        let mut lossier = AsyncGvtConfig::lossy_2();
-        lossier.max_drops = 2;
-        lossier.max_retransmits = 4;
-        v.push(("2 clusters, Mattern token, lossy, 2 drops", lossier));
-    }
-    v
 }

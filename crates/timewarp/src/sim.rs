@@ -275,7 +275,7 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
     /// if you need to inspect it afterwards, or use [`Self::record`] and
     /// read [`RunReport::telemetry`]).
     pub fn run(self, backend: Backend<'_>) -> Result<RunReport<A>, SimError> {
-        validate(self.app, &self.kernel, &self.cost, &backend)?;
+        validate(self.app, &self.kernel, &self.cost, self.chaos.as_ref(), &backend)?;
         let Simulator { app, kernel, cost, state_limit_per_node, record, dynlb, chaos, probe } =
             self;
         let pcfg = PlatformConfig { kernel, cost, state_limit_per_node };
@@ -302,6 +302,7 @@ fn validate<A: Application>(
     app: &A,
     kernel: &KernelConfig,
     cost: &CostModel,
+    chaos: Option<&FaultPlan>,
     backend: &Backend<'_>,
 ) -> Result<(), SimError> {
     // Zero would mean: state never saved, GVT never advanced, a collapsed
@@ -335,6 +336,16 @@ fn validate<A: Application>(
         return Err(SimError::InvalidConfig(format!(
             "assignment targets {what} {bad} but only {parts} {what}s exist"
         )));
+    }
+    // Only the platform executive runs fault plans; a clause aimed at a
+    // node that does not exist would otherwise report a healthy run.
+    if let (Backend::Platform { .. }, Some(plan)) = (backend, chaos) {
+        if let Some(s) = plan.scenarios.iter().find(|s| (s.node as usize) >= parts) {
+            return Err(SimError::InvalidConfig(format!(
+                "fault plan targets node {} but only {parts} nodes exist",
+                s.node
+            )));
+        }
     }
     Ok(())
 }

@@ -138,7 +138,7 @@ fn detects_retransmit_double_delivery() {
 fn lossy_exploration_actually_exercises_drops() {
     let clean = explore(&ModelConfig::lossy_2x2());
     let mut no_loss = ModelConfig::lossy_2x2();
-    no_loss.max_drops = 0;
+    no_loss.loss.max_drops = 0;
     let frozen = explore(&no_loss);
     assert!(clean.passed() && frozen.passed());
     assert!(
@@ -274,7 +274,7 @@ fn detects_async_stale_counter_snapshot() {
 fn async_lossy_exploration_actually_exercises_drops() {
     let clean = explore(&AsyncGvtConfig::lossy_2());
     let mut no_loss = AsyncGvtConfig::lossy_2();
-    no_loss.max_drops = 0;
+    no_loss.loss.max_drops = 0;
     let frozen = explore(&no_loss);
     assert!(clean.passed() && frozen.passed());
     assert!(

@@ -330,6 +330,10 @@ fn cmd_simulate(rest: &[String]) {
         cfg.replication = Some(ReplicationConfig::default());
     }
     cfg.faults = faults_of(rest);
+    if let Some(s) = cfg.faults.iter().flat_map(|p| &p.scenarios).find(|s| s.node as usize >= k) {
+        eprintln!("bad --faults spec: node {} does not exist (-k {k})", s.node);
+        exit(2);
+    }
     let seq = run_seq_baseline(&netlist, &cfg);
     out!("sequential: {} events, {:.3} modeled s", seq.events, seq.exec_time_s);
     let trace_path = flag(rest, "--trace");

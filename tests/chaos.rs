@@ -188,6 +188,16 @@ fn faults_are_inert_on_sequential_and_threaded_executives() {
         .unwrap();
     assert_eq!(app.fingerprint(&thr.states), want);
     assert_eq!(thr.stats.faults_injected, 0);
+    // The platform executive does run plans, so there a clause aimed at
+    // a node that does not exist is a typed error, not a healthy run.
+    let stray = FaultPlan::parse("drop:9:250", 1).unwrap();
+    match Simulator::new(&app)
+        .fault_plan(stray)
+        .run(Backend::Platform { assignment: &assignment, nodes: 3 })
+    {
+        Err(SimError::InvalidConfig(msg)) => assert!(msg.contains("node 9"), "{msg}"),
+        other => panic!("expected InvalidConfig naming node 9, got {:?}", other.map(|_| ())),
+    }
 }
 
 #[test]

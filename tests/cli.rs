@@ -105,6 +105,15 @@ fn simulate_rejects_unknown_exec_model() {
 }
 
 #[test]
+fn simulate_rejects_fault_on_missing_node() {
+    let out =
+        cli().args(["simulate", "s27", "-k", "8", "--faults", "drop:9:250"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("node 9 does not exist"), "{err}");
+}
+
+#[test]
 fn simulate_trace_writes_jsonl_series() {
     let dir = std::env::temp_dir().join("parlogsim_cli_trace_test");
     std::fs::create_dir_all(&dir).unwrap();
