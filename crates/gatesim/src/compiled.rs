@@ -83,10 +83,11 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use pls_logic::{DelayModel, InputStream, StimulusConfig, Value};
+use pls_logic::{InputStream, StimulusConfig, Value};
 use pls_netlist::{topo_order, GateId, GateKind, Netlist};
 use pls_timewarp::{EventSink, LpId, VTime};
 
+use crate::experiment::SimConfig;
 use crate::gatelp::{fnv_step, GateMsg, TickCfg, FNV_BASIS};
 use crate::model::ModelState;
 
@@ -533,9 +534,9 @@ pub struct CompiledSim {
 }
 
 impl CompiledSim {
-    /// Compile a netlist into per-block instruction buffers. `blocks`
-    /// maps each gate to a block id (`None` = one block); empty blocks
-    /// are skipped. Each `(gate, block)` pair in `replicas` fuses a copy
+    /// Compile a netlist into per-block instruction buffers under `cfg`'s
+    /// testbench. `blocks` maps each gate to a block id (`None` = one
+    /// block); empty blocks are skipped. Each `(gate, block)` pair in `replicas` fuses a copy
     /// of the gate into the consuming block: in-block readers read the
     /// copy's slot instead of a port, so the home block's route to that
     /// block (and the port itself) disappears. Replica slots carry their
@@ -543,10 +544,7 @@ impl CompiledSim {
     /// copies only.
     pub(crate) fn compile(
         netlist: &Netlist,
-        delay_model: DelayModel,
-        stim: StimulusConfig,
-        clock_period: u64,
-        end_time: u64,
+        cfg: &SimConfig,
         blocks: Option<&[u32]>,
         replicas: &[(GateId, u32)],
     ) -> CompiledSim {
@@ -669,7 +667,7 @@ impl CompiledSim {
                 }
             };
             let lower_delay = |kind: GateKind, arity: usize| -> u16 {
-                u16::try_from(delay_model.delay(kind, arity)).expect("gate delay must fit in u16")
+                u16::try_from(cfg.delay.delay(kind, arity)).expect("gate delay must fit in u16")
             };
             // Delay buckets: one agenda FIFO per distinct delay value.
             let mut delays: BTreeSet<u16> = BTreeSet::new();
@@ -803,8 +801,8 @@ impl CompiledSim {
 
         CompiledSim {
             blocks: built,
-            stim,
-            tick: TickCfg::new(stim.period, clock_period, end_time),
+            stim: cfg.stim,
+            tick: TickCfg::new(cfg),
             owner,
             tabs: EvalTabs::build(),
             num_replicas: replicas.len() as u64,
@@ -824,11 +822,6 @@ impl CompiledSim {
     /// Total replica slots fused across all blocks.
     pub fn num_replicas(&self) -> u64 {
         self.num_replicas
-    }
-
-    /// The configured simulation horizon.
-    pub fn end_time(&self) -> VTime {
-        self.tick.end_time
     }
 
     pub(crate) fn init_lp_state(&self, lp: LpId) -> ModelState {

@@ -8,16 +8,16 @@
 //! precomputed partitioning.
 
 use pls_logic::{DelayModel, StimulusConfig};
-use pls_netlist::Netlist;
+use pls_netlist::{GateId, Netlist};
 use pls_partition::{plan_replication, CircuitGraph, Partitioner, Partitioning, ReplicationConfig};
 use pls_timewarp::{
     platform::sequential_modeled_time_s, Backend, DynLbConfig, FaultPlan, KernelStats,
     PlatformConfig, SimError, Simulator, TimeSeries,
 };
 
-use crate::compiled::CompileOptions;
-use crate::gatelp::{GateSim, GateState};
-use crate::model::{ExecModel, GateModel, GateSimBuilder};
+use crate::compiled::CompiledSim;
+use crate::gatelp::GateSim;
+use crate::model::{ExecModel, GateModel};
 
 /// Simulation workload configuration (what the testbench does and which
 /// engine executes it).
@@ -71,13 +71,7 @@ impl Default for SimConfig {
 impl SimConfig {
     /// Build the Time Warp application for a netlist under this config.
     pub fn build_app(&self, netlist: &Netlist) -> GateModel {
-        GateSimBuilder::new(netlist)
-            .delay(self.delay)
-            .stimulus(self.stim)
-            .clock_period(self.clock_period)
-            .end_time(self.end_time)
-            .exec(self.exec.clone())
-            .build()
+        self.construct(netlist, None, &[])
     }
 
     /// Build the application against a finished partitioning: in
@@ -92,40 +86,44 @@ impl SimConfig {
         graph: &CircuitGraph,
         partitioning: &Partitioning,
     ) -> GateModel {
-        let plan_pairs: Vec<(u32, u32)> = match &self.replication {
+        let replicas = match &self.replication {
             Some(rc) => plan_replication(graph, partitioning, rc).pairs(),
             None => Vec::new(),
         };
-        let exec = match &self.exec {
-            ExecModel::CompiledBlocks(opts) if opts.blocks.is_none() => {
-                ExecModel::CompiledBlocks(CompileOptions {
-                    blocks: Some(partitioning.assignment.clone()),
-                })
-            }
-            e => e.clone(),
-        };
-        let mut builder = GateSimBuilder::new(netlist)
-            .delay(self.delay)
-            .stimulus(self.stim)
-            .clock_period(self.clock_period)
-            .end_time(self.end_time)
-            .exec(exec);
-        if !plan_pairs.is_empty() {
-            builder = builder.replicate(&partitioning.assignment, &plan_pairs);
-        }
-        builder.build()
+        self.construct(netlist, Some(&partitioning.assignment), &replicas)
     }
 
     /// Build the bare gate-per-LP engine regardless of [`Self::exec`] —
     /// for consumers that structurally need one state per gate (waveform
     /// recording, activity profiling).
     pub fn build_gate_sim(&self, netlist: &Netlist) -> GateSim {
-        GateSimBuilder::new(netlist)
-            .delay(self.delay)
-            .stimulus(self.stim)
-            .clock_period(self.clock_period)
-            .end_time(self.end_time)
-            .build_per_gate()
+        GateSim::new(netlist, self, None, &[])
+    }
+
+    /// The one construction path: [`Self::exec`]'s engine over `netlist`,
+    /// with `replicas` — `(gate, part)` duplications planned against
+    /// `gate_parts`, each gate's home part — applied. In gate-per-LP mode
+    /// each replica becomes an extra pinned LP in its target part; in
+    /// compiled mode it is fused into the consuming block, and
+    /// `gate_parts` is the block map unless [`Self::exec`] carries one.
+    /// Committed fingerprints are unchanged — replicas are never hashed.
+    pub(crate) fn construct(
+        &self,
+        netlist: &Netlist,
+        gate_parts: Option<&[u32]>,
+        replicas: &[(GateId, u32)],
+    ) -> GateModel {
+        match &self.exec {
+            ExecModel::GatePerLp => {
+                GateModel::PerGate(GateSim::new(netlist, self, gate_parts, replicas))
+            }
+            ExecModel::CompiledBlocks(opts) => GateModel::Compiled(CompiledSim::compile(
+                netlist,
+                self,
+                opts.blocks.as_deref().or(gate_parts),
+                replicas,
+            )),
+        }
     }
 }
 
@@ -168,13 +166,6 @@ pub struct SeqMetrics {
     pub events: u64,
     /// Per-gate trace hashes (the equivalence fingerprint).
     pub fingerprint: Vec<u64>,
-}
-
-/// Fingerprint of a per-gate run: every LP's committed output-transition
-/// hash. For [`GateModel`] runs use [`GateModel::fingerprint`], which is
-/// execution-mode independent.
-pub fn fingerprint(states: &[GateState]) -> Vec<u64> {
-    states.iter().map(|s| s.trace_hash).collect()
 }
 
 /// Run the sequential baseline and model its execution time.
@@ -313,6 +304,7 @@ impl<'a> Cell<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compiled::CompileOptions;
     use pls_netlist::IscasSynth;
     use pls_partition::{all_partitioners, MultilevelPartitioner, RandomPartitioner};
 

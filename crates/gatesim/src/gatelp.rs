@@ -48,9 +48,11 @@
 
 use std::collections::BTreeMap;
 
-use pls_logic::{eval_gate, DelayModel, InputStream, StimulusConfig, Value};
+use pls_logic::{eval_gate, InputStream, StimulusConfig, Value};
 use pls_netlist::{GateId, GateKind, Netlist};
 use pls_timewarp::{Application, EventSink, LpId, VTime};
+
+use crate::experiment::SimConfig;
 
 /// A signal-change or self-schedule message.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,12 +216,12 @@ pub(crate) struct TickCfg {
 }
 
 impl TickCfg {
-    pub(crate) fn new(stim_period: u64, clock_period: u64, end_time: u64) -> TickCfg {
+    pub(crate) fn new(cfg: &SimConfig) -> TickCfg {
         TickCfg {
-            stim_period: stim_period.max(1),
-            clock_period: clock_period.max(1),
-            clock_offset: (clock_period / 2).max(1),
-            end_time: VTime(end_time),
+            stim_period: cfg.stim.period.max(1),
+            clock_period: cfg.clock_period.max(1),
+            clock_offset: (cfg.clock_period / 2).max(1),
+            end_time: VTime(cfg.end_time),
         }
     }
 
@@ -241,10 +243,9 @@ impl TickCfg {
 }
 
 /// Static per-gate tables + configuration: the gate-per-LP [`Application`]
-/// driving the Time Warp kernel. Construct through
-/// [`crate::GateSimBuilder`] (this type is the
-/// [`crate::ExecModel::GatePerLp`] engine; the waveform recorder also
-/// wraps it directly via [`crate::GateSimBuilder::build_per_gate`]).
+/// driving the Time Warp kernel. Construct through [`SimConfig`] (this
+/// type is the [`crate::ExecModel::GatePerLp`] engine; the waveform
+/// recorder also wraps it directly, via [`SimConfig::build_gate_sim`]).
 #[derive(Debug)]
 pub struct GateSim {
     kinds: Vec<GateKind>,
@@ -266,107 +267,61 @@ pub struct GateSim {
 }
 
 impl GateSim {
-    pub(crate) fn from_parts(
+    /// Build the engine for `netlist` under `cfg`'s testbench, with a
+    /// (possibly empty) replica plan applied: each `(gate, part)` pair of
+    /// `replicas` becomes one extra replica LP (id `num_gates + i`),
+    /// readers in `part` are rewired to it, and its own pins read the home
+    /// drivers — or their same-part replicas, so replicated cones stay
+    /// local. `gate_parts` is each gate's home part; a non-empty plan
+    /// needs it.
+    pub(crate) fn new(
         netlist: &Netlist,
-        delay_model: DelayModel,
-        stim: StimulusConfig,
-        clock_period: u64,
-        end_time: u64,
+        cfg: &SimConfig,
+        gate_parts: Option<&[u32]>,
+        replicas: &[(GateId, u32)],
     ) -> GateSim {
         let n = netlist.len();
-        let mut readers: Vec<Vec<(LpId, u8)>> = vec![Vec::new(); n];
-        for id in netlist.ids() {
-            for (pin, &driver) in netlist.fanin(id).iter().enumerate() {
-                readers[driver as usize].push((id, pin as u8));
+        assert!(
+            replicas.is_empty() || gate_parts.is_some_and(|p| p.len() == n),
+            "a replica plan needs the home part of every gate"
+        );
+        let part_of = |g: GateId| gate_parts.map_or(0, |p| p[g as usize]);
+        let replica_lp: BTreeMap<(GateId, u32), LpId> =
+            replicas.iter().enumerate().map(|(i, &(g, q))| ((g, q), (n + i) as LpId)).collect();
+        assert_eq!(replica_lp.len(), replicas.len(), "replica pairs must be distinct");
+        for &(g, q) in replicas {
+            assert!(!netlist.is_dff(g), "DFFs cannot be replicated");
+            assert_ne!(part_of(g), q, "replica must land in a foreign part");
+        }
+
+        // The gate behind every LP and the part it sits in: the netlist's
+        // gates at home, then the replicas in plan order.
+        let lps = || netlist.ids().map(|g| (g, part_of(g))).chain(replicas.iter().copied());
+        // Every LP's pins read the home drivers, or a replica of the
+        // driver when the plan placed one in the LP's part.
+        let mut readers: Vec<Vec<(LpId, u8)>> = vec![Vec::new(); n + replicas.len()];
+        for (lp, (g, part)) in lps().enumerate() {
+            for (pin, &driver) in netlist.fanin(g).iter().enumerate() {
+                let src = replica_lp.get(&(driver, part)).copied().unwrap_or(driver);
+                readers[src as usize].push((lp as LpId, pin as u8));
             }
         }
         let mut input_index = vec![None; n];
         for (ix, &g) in netlist.inputs().iter().enumerate() {
             input_index[g as usize] = Some(ix as u32);
         }
-        let tick = TickCfg::new(stim.period, clock_period, end_time);
-        GateSim {
-            kinds: netlist.gates().iter().map(|g| g.kind).collect(),
-            readers,
-            fanin_len: netlist.gates().iter().map(|g| g.fanin.len() as u8).collect(),
-            delay: netlist
-                .gates()
-                .iter()
-                .map(|g| delay_model.delay(g.kind, g.fanin.len()))
-                .collect(),
-            stim,
-            input_index,
-            tick,
-            num_gates: n,
-            replica_parts: Vec::new(),
-        }
-    }
-
-    /// Build the model with a replica plan applied: each `(gate, part)`
-    /// pair becomes one extra replica LP (id `num_gates + i`), readers in
-    /// `part` are rewired to it, and its own pins read the home drivers —
-    /// or their same-part replicas, so replicated cones stay local.
-    pub(crate) fn from_parts_replicated(
-        netlist: &Netlist,
-        delay_model: DelayModel,
-        stim: StimulusConfig,
-        clock_period: u64,
-        end_time: u64,
-        gate_parts: &[u32],
-        replicas: &[(GateId, u32)],
-    ) -> GateSim {
-        let base = GateSim::from_parts(netlist, delay_model, stim, clock_period, end_time);
-        if replicas.is_empty() {
-            return base;
-        }
-        let n = netlist.len();
-        assert_eq!(gate_parts.len(), n, "gate parts must cover every gate");
-        let replica_lp: BTreeMap<(GateId, u32), LpId> =
-            replicas.iter().enumerate().map(|(i, &(g, q))| ((g, q), (n + i) as LpId)).collect();
-        assert_eq!(replica_lp.len(), replicas.len(), "replica pairs must be distinct");
-        for &(g, q) in replicas {
-            assert!(!netlist.is_dff(g), "DFFs cannot be replicated");
-            assert_ne!(gate_parts[g as usize], q, "replica must land in a foreign part");
-        }
-
-        let mut readers: Vec<Vec<(LpId, u8)>> = vec![Vec::new(); n + replicas.len()];
-        // Home edges, rewired to a local replica of the driver when the
-        // plan placed one in the reader's part.
-        for id in netlist.ids() {
-            for (pin, &driver) in netlist.fanin(id).iter().enumerate() {
-                let src =
-                    replica_lp.get(&(driver, gate_parts[id as usize])).copied().unwrap_or(driver);
-                readers[src as usize].push((id, pin as u8));
-            }
-        }
-        // Replica fanin imports: same drivers as the home gate, preferring
-        // a same-part replica of each driver (cone extension).
-        for (i, &(g, q)) in replicas.iter().enumerate() {
-            let lp = (n + i) as LpId;
-            for (pin, &driver) in netlist.fanin(g).iter().enumerate() {
-                let src = replica_lp.get(&(driver, q)).copied().unwrap_or(driver);
-                readers[src as usize].push((lp, pin as u8));
-            }
-        }
-
-        let mut kinds = base.kinds;
-        let mut fanin_len = base.fanin_len;
-        let mut delay = base.delay;
-        let mut input_index = base.input_index;
         for &(g, _) in replicas {
-            kinds.push(kinds[g as usize]);
-            fanin_len.push(fanin_len[g as usize]);
-            delay.push(delay[g as usize]);
             input_index.push(input_index[g as usize]);
         }
+        let gates = || lps().map(|(g, _)| netlist.gate(g));
         GateSim {
-            kinds,
+            kinds: gates().map(|g| g.kind).collect(),
             readers,
-            fanin_len,
-            delay,
-            stim: base.stim,
+            fanin_len: gates().map(|g| g.fanin.len() as u8).collect(),
+            delay: gates().map(|g| cfg.delay.delay(g.kind, g.fanin.len())).collect(),
+            stim: cfg.stim,
             input_index,
-            tick: base.tick,
+            tick: TickCfg::new(cfg),
             num_gates: n,
             replica_parts: replicas.iter().map(|&(_, q)| q).collect(),
         }
@@ -464,16 +419,6 @@ impl GateSim {
         }
     }
 
-    /// The configured simulation horizon.
-    pub fn end_time(&self) -> VTime {
-        self.tick.end_time
-    }
-
-    /// Kind of the gate behind an LP.
-    pub fn kind(&self, lp: LpId) -> GateKind {
-        self.kinds[lp as usize]
-    }
-
     /// Transport delay of an LP's gate.
     pub fn delay_of(&self, lp: LpId) -> u64 {
         self.delay[lp as usize]
@@ -560,7 +505,7 @@ impl Application for GateSim {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GateSimBuilder;
+    use pls_logic::DelayModel;
     use pls_netlist::bench_format::parse;
     use pls_timewarp::{Application, Backend, RunReport, Simulator};
 
@@ -569,11 +514,12 @@ mod tests {
     }
 
     fn sim(netlist: &Netlist, end: u64) -> GateSim {
-        GateSimBuilder::new(netlist)
-            .stimulus(StimulusConfig { seed: 7, period: 10, toggle_prob: 0.5 })
-            .clock_period(10)
-            .end_time(end)
-            .build_per_gate()
+        SimConfig {
+            stim: StimulusConfig { seed: 7, period: 10, toggle_prob: 0.5 },
+            end_time: end,
+            ..Default::default()
+        }
+        .build_gate_sim(netlist)
     }
 
     #[test]
@@ -595,11 +541,13 @@ mod tests {
     fn constant_input_produces_single_transition_per_gate() {
         // toggle_prob 0: the input drives once and holds.
         let n = parse("buf", "INPUT(A)\nOUTPUT(B)\nB = BUFF(A)\n").unwrap();
-        let app = GateSimBuilder::new(&n)
-            .delay(DelayModel::Unit(1))
-            .stimulus(StimulusConfig { seed: 1, period: 10, toggle_prob: 0.0 })
-            .end_time(200)
-            .build_per_gate();
+        let app = SimConfig {
+            delay: DelayModel::Unit(1),
+            stim: StimulusConfig { seed: 1, period: 10, toggle_prob: 0.0 },
+            end_time: 200,
+            ..Default::default()
+        }
+        .build_gate_sim(&n);
         let res = run_sequential(&app);
         let b = &res.states[n.find("B").unwrap() as usize];
         assert_eq!(b.transitions, 1, "B must change exactly once (X → value)");
@@ -628,13 +576,14 @@ mod tests {
     #[test]
     fn trace_hash_distinguishes_histories() {
         let n = parse("buf", "INPUT(A)\nOUTPUT(B)\nB = BUFF(A)\n").unwrap();
-        let stim = |seed| StimulusConfig { seed, period: 10, toggle_prob: 0.5 };
         let build = |seed| {
-            GateSimBuilder::new(&n)
-                .delay(DelayModel::Unit(1))
-                .stimulus(stim(seed))
-                .end_time(200)
-                .build_per_gate()
+            SimConfig {
+                delay: DelayModel::Unit(1),
+                stim: StimulusConfig { seed, period: 10, toggle_prob: 0.5 },
+                end_time: 200,
+                ..Default::default()
+            }
+            .build_gate_sim(&n)
         };
         let app1 = build(1);
         let app2 = build(2);

@@ -4,8 +4,8 @@
 //! the quantities the paper's evaluation reports (execution time,
 //! application messages, rollbacks).
 //!
-//! Two execution engines sit behind one [`GateSimBuilder`] API, selected
-//! by [`ExecModel`]:
+//! One [`SimConfig`] describes a run; two execution engines sit behind
+//! it, selected by [`SimConfig::exec`]:
 //!
 //! * [`ExecModel::GatePerLp`] — one LP per gate (the classic mode and
 //!   determinism oracle);
@@ -44,7 +44,7 @@ pub mod vcd;
 
 pub use activity::{activity_weighted_graph, ActivityProfile};
 pub use compiled::{BlockState, CompileOptions, CompiledSim};
-pub use experiment::{fingerprint, run_seq_baseline, Cell, RunMetrics, SeqMetrics, SimConfig};
+pub use experiment::{run_seq_baseline, Cell, RunMetrics, SeqMetrics, SimConfig};
 pub use gatelp::{GateMsg, GateSim, GateState};
-pub use model::{ExecModel, GateModel, GateSimBuilder, ModelState, UnknownExecModel};
+pub use model::{ExecModel, GateModel, ModelState, UnknownExecModel};
 pub use vcd::{write_vcd, WaveRecorder, Waveform};

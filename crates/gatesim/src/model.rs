@@ -1,37 +1,36 @@
-//! The redesigned gatesim construction API.
-//!
-//! [`GateSimBuilder`] replaces the old positional `GateSim::new(..)`
-//! constructor: configure the workload, pick an execution engine with
-//! [`ExecModel`], and get back a [`GateModel`] — a single
-//! [`Application`] that drives any kernel executive in either mode.
+//! The gate-level model: [`ExecModel`] names an execution engine,
+//! [`GateModel`] is the single [`Application`] that drives any kernel
+//! executive with either of them. Models are built from a
+//! [`SimConfig`](crate::SimConfig), the one description of a run.
 //!
 //! ```
-//! use pls_gatesim::{ExecModel, GateSimBuilder};
+//! use pls_gatesim::SimConfig;
 //! use pls_netlist::IscasSynth;
 //! use pls_timewarp::{Backend, Simulator};
 //!
+//! # fn main() -> Result<(), pls_gatesim::UnknownExecModel> {
 //! let netlist = IscasSynth::small(120, 1).build();
-//! let gate = GateSimBuilder::new(&netlist).end_time(100).build();
-//! let compiled = GateSimBuilder::new(&netlist)
-//!     .end_time(100)
-//!     .exec("compiled".parse::<ExecModel>().unwrap())
-//!     .build();
+//! let gate_cfg = SimConfig { end_time: 100, ..Default::default() };
+//! let compiled_cfg = SimConfig { exec: "compiled".parse()?, ..gate_cfg.clone() };
+//! assert_eq!(compiled_cfg.exec.to_string(), "compiled");
+//! let gate = gate_cfg.build_app(&netlist);
+//! let compiled = compiled_cfg.build_app(&netlist);
 //! let a = Simulator::new(&gate).run(Backend::Sequential).unwrap();
 //! let b = Simulator::new(&compiled).run(Backend::Sequential).unwrap();
 //! assert_eq!(gate.fingerprint(&a.states), compiled.fingerprint(&b.states));
+//! # Ok(())
+//! # }
 //! ```
 
 use std::fmt;
 use std::str::FromStr;
 
-use pls_logic::{DelayModel, StimulusConfig};
-use pls_netlist::{GateId, Netlist};
 use pls_timewarp::{Application, EventSink, LpId, VTime};
 
 use crate::compiled::{BlockState, CompileOptions, CompiledSim};
 use crate::gatelp::{GateMsg, GateSim, GateState};
 
-/// Which execution engine a [`GateSimBuilder`] produces.
+/// Which execution engine a [`SimConfig`](crate::SimConfig) builds.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum ExecModel {
     /// One Time Warp LP per gate (the classic mode; the oracle).
@@ -89,136 +88,6 @@ impl FromStr for ExecModel {
     }
 }
 
-/// Builder for gate-level simulation models. Defaults mirror
-/// [`crate::SimConfig`]: per-kind delays, default stimulus, clock period
-/// 10, horizon 400, [`ExecModel::GatePerLp`].
-#[derive(Debug)]
-pub struct GateSimBuilder<'a> {
-    netlist: &'a Netlist,
-    delay: DelayModel,
-    stim: StimulusConfig,
-    clock_period: u64,
-    end_time: u64,
-    exec: ExecModel,
-    gate_parts: Option<Vec<u32>>,
-    replicas: Vec<(GateId, u32)>,
-}
-
-impl<'a> GateSimBuilder<'a> {
-    /// Start building a model for `netlist`.
-    pub fn new(netlist: &'a Netlist) -> GateSimBuilder<'a> {
-        GateSimBuilder {
-            netlist,
-            delay: DelayModel::PerKind,
-            stim: StimulusConfig::default(),
-            clock_period: 10,
-            end_time: 400,
-            exec: ExecModel::default(),
-            gate_parts: None,
-            replicas: Vec::new(),
-        }
-    }
-
-    /// Gate delay model.
-    pub fn delay(mut self, delay: DelayModel) -> Self {
-        self.delay = delay;
-        self
-    }
-
-    /// Primary-input stimulus.
-    pub fn stimulus(mut self, stim: StimulusConfig) -> Self {
-        self.stim = stim;
-        self
-    }
-
-    /// DFF clock period.
-    pub fn clock_period(mut self, period: u64) -> Self {
-        self.clock_period = period;
-        self
-    }
-
-    /// Virtual-time horizon: no stimulus/clock activity after this.
-    pub fn end_time(mut self, end: u64) -> Self {
-        self.end_time = end;
-        self
-    }
-
-    /// Execution engine (default [`ExecModel::GatePerLp`]).
-    pub fn exec(mut self, exec: ExecModel) -> Self {
-        self.exec = exec;
-        self
-    }
-
-    /// Apply a logic-replication plan: `gate_parts` is each gate's home
-    /// part and `replicas` the planned `(gate, part)` duplications (e.g.
-    /// from `pls_partition::plan_replication`). In gate-per-LP mode each
-    /// replica becomes an extra pinned LP in its target part; in
-    /// compiled mode it is fused into the consuming block. Committed
-    /// fingerprints are unchanged — replicas are never hashed.
-    pub fn replicate(mut self, gate_parts: &[u32], replicas: &[(GateId, u32)]) -> Self {
-        self.gate_parts = Some(gate_parts.to_vec());
-        self.replicas = replicas.to_vec();
-        self
-    }
-
-    /// Build the model for the configured [`ExecModel`].
-    pub fn build(self) -> GateModel {
-        match self.exec {
-            ExecModel::GatePerLp => {
-                if self.replicas.is_empty() {
-                    GateModel::PerGate(GateSim::from_parts(
-                        self.netlist,
-                        self.delay,
-                        self.stim,
-                        self.clock_period,
-                        self.end_time,
-                    ))
-                } else {
-                    let parts =
-                        self.gate_parts.as_deref().expect("replicate() always records gate parts");
-                    GateModel::PerGate(GateSim::from_parts_replicated(
-                        self.netlist,
-                        self.delay,
-                        self.stim,
-                        self.clock_period,
-                        self.end_time,
-                        parts,
-                        &self.replicas,
-                    ))
-                }
-            }
-            ExecModel::CompiledBlocks(opts) => {
-                // Replication needs a block boundary; with no explicit
-                // block map, the partition the plan was made for is it.
-                let blocks = opts.blocks.or_else(|| {
-                    if self.replicas.is_empty() {
-                        None
-                    } else {
-                        self.gate_parts.clone()
-                    }
-                });
-                GateModel::Compiled(CompiledSim::compile(
-                    self.netlist,
-                    self.delay,
-                    self.stim,
-                    self.clock_period,
-                    self.end_time,
-                    blocks.as_deref(),
-                    &self.replicas,
-                ))
-            }
-        }
-    }
-
-    /// Build the bare gate-per-LP engine, ignoring [`Self::exec`]. Needed
-    /// where per-gate LP states are a structural requirement — the
-    /// waveform recorder ([`crate::WaveRecorder`]) and activity profiling
-    /// both read one state per gate.
-    pub fn build_per_gate(self) -> GateSim {
-        GateSim::from_parts(self.netlist, self.delay, self.stim, self.clock_period, self.end_time)
-    }
-}
-
 /// Per-LP state of a [`GateModel`]: a plain gate state or a compiled
 /// block state, depending on the LP and mode.
 #[derive(Debug, Clone)]
@@ -257,7 +126,7 @@ impl ModelState {
 }
 
 /// A gate-level simulation model in either execution mode — the
-/// [`Application`] produced by [`GateSimBuilder::build`]. Committed
+/// [`Application`] a [`SimConfig`](crate::SimConfig) builds. Committed
 /// fingerprints are mode-independent: [`GateModel::fingerprint`] returns
 /// per-*gate* hashes in netlist order for both engines.
 #[derive(Debug)]
@@ -283,14 +152,6 @@ impl GateModel {
         match self {
             GateModel::PerGate(sim) => sim.num_gates(),
             GateModel::Compiled(c) => c.num_gates(),
-        }
-    }
-
-    /// The configured simulation horizon.
-    pub fn end_time(&self) -> VTime {
-        match self {
-            GateModel::PerGate(sim) => sim.end_time(),
-            GateModel::Compiled(c) => c.end_time(),
         }
     }
 
@@ -424,12 +285,17 @@ impl Application for GateModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pls_netlist::IscasSynth;
+    use crate::SimConfig;
+    use pls_netlist::{GateId, IscasSynth, Netlist};
     use pls_partition::{
         plan_replication, CircuitGraph, Partitioner, RandomPartitioner, ReplicationConfig,
     };
     use pls_timewarp::{Backend, Cancellation, KernelConfig, Simulator};
     use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+
+    fn cfg(end_time: u64) -> SimConfig {
+        SimConfig { end_time, ..Default::default() }
+    }
 
     /// A workload with cut hub nets, its partitioning, and a non-empty plan.
     /// Random partitioning guarantees plenty of profitable candidates.
@@ -445,21 +311,13 @@ mod tests {
     #[test]
     fn replicated_models_match_the_unreplicated_oracle_in_both_modes() {
         let (netlist, parts, pairs) = replicated_setup();
-        let base = GateSimBuilder::new(&netlist).end_time(200).build();
-        let oracle = {
-            let r = Simulator::new(&base).run(Backend::Sequential).unwrap();
-            base.fingerprint(&r.states)
-        };
+        let oracle = crate::run_seq_baseline(&netlist, &cfg(200)).fingerprint;
         let execs = [
             ExecModel::GatePerLp,
             ExecModel::CompiledBlocks(CompileOptions { blocks: Some(parts.clone()) }),
         ];
         for exec in execs {
-            let app = GateSimBuilder::new(&netlist)
-                .end_time(200)
-                .exec(exec)
-                .replicate(&parts, &pairs)
-                .build();
+            let app = SimConfig { exec, ..cfg(200) }.construct(&netlist, Some(&parts), &pairs);
             assert_eq!(app.replicated_units(), pairs.len() as u64);
             let r = Simulator::new(&app).run(Backend::Sequential).unwrap();
             assert_eq!(
@@ -476,7 +334,7 @@ mod tests {
     #[test]
     fn replica_lps_are_pinned_and_assigned_to_their_target_part() {
         let (netlist, parts, pairs) = replicated_setup();
-        let app = GateSimBuilder::new(&netlist).end_time(100).replicate(&parts, &pairs).build();
+        let app = cfg(100).construct(&netlist, Some(&parts), &pairs);
         let n = netlist.len();
         assert_eq!(app.num_lps(), n + pairs.len());
         assert_eq!(app.num_gates(), n);
@@ -487,11 +345,9 @@ mod tests {
             assert_eq!(asg[n + i], q, "replica {i} must live in its target part");
         }
         // Compiled mode fuses replicas: no extra LPs, nothing pinned.
-        let compiled = GateSimBuilder::new(&netlist)
-            .end_time(100)
-            .exec(ExecModel::CompiledBlocks(CompileOptions { blocks: Some(parts.clone()) }))
-            .replicate(&parts, &pairs)
-            .build();
+        let compiled =
+            SimConfig { exec: ExecModel::CompiledBlocks(Default::default()), ..cfg(100) }
+                .construct(&netlist, Some(&parts), &pairs);
         assert!(compiled.pinned_lps().is_empty());
         assert_eq!(compiled.lp_assignment(&parts).len(), compiled.num_lps());
     }
@@ -504,12 +360,9 @@ mod tests {
             parse("fan", "INPUT(A)\nOUTPUT(B)\nOUTPUT(C)\nB = NOT(A)\nC = BUFF(A)\n").unwrap();
         let a = netlist.find("A").unwrap();
         let parts = vec![0u32, 1, 1];
-        let base = GateSimBuilder::new(&netlist).end_time(200).build();
-        let oracle = {
-            let r = Simulator::new(&base).run(Backend::Sequential).unwrap();
-            base.fingerprint(&r.states)
-        };
-        let app = GateSimBuilder::new(&netlist).end_time(200).replicate(&parts, &[(a, 1)]).build();
+        let oracle = crate::run_seq_baseline(&netlist, &cfg(200)).fingerprint;
+        // The hand-written plan is the point: the one construction function.
+        let app = cfg(200).construct(&netlist, Some(&parts), &[(a, 1)]);
         let r = Simulator::new(&app).run(Backend::Sequential).unwrap();
         assert_eq!(app.fingerprint(&r.states), oracle);
         assert!(r.stats.messages_saved > 0);
@@ -585,7 +438,7 @@ mod tests {
     #[test]
     fn a_gate_checkpoint_in_a_recycled_state_equals_a_fresh_clone() {
         let netlist = IscasSynth::small(300, 5).build();
-        let build = || GateSimBuilder::new(&netlist).end_time(300).build();
+        let build = || cfg(300).build_app(&netlist);
         let plain = build();
         let oracle = Simulator::new(&plain).run(Backend::Sequential).unwrap();
         let sizes: std::collections::BTreeSet<usize> =
@@ -724,14 +577,8 @@ mod tests {
             for b in blocks.iter_mut().step_by(3) {
                 *b = 0;
             }
-            let build = || {
-                GateSimBuilder::new(&netlist)
-                    .end_time(200)
-                    .exec(ExecModel::CompiledBlocks(CompileOptions {
-                        blocks: Some(blocks.clone()),
-                    }))
-                    .build()
-            };
+            let exec = ExecModel::CompiledBlocks(CompileOptions { blocks: Some(blocks.clone()) });
+            let build = || SimConfig { exec: exec.clone(), ..cfg(200) }.build_app(&netlist);
             let plain = build();
             let oracle = Simulator::new(&plain).run(Backend::Sequential).unwrap();
             let sizes: std::collections::BTreeSet<usize> =

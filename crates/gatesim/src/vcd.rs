@@ -184,15 +184,16 @@ fn vcd_char(v: Value) -> char {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::GateSimBuilder;
+    use crate::SimConfig;
     use pls_logic::StimulusConfig;
 
     fn build(netlist: &Netlist) -> GateSim {
-        GateSimBuilder::new(netlist)
-            .stimulus(StimulusConfig { seed: 3, period: 10, toggle_prob: 0.5 })
-            .clock_period(10)
-            .end_time(120)
-            .build_per_gate()
+        SimConfig {
+            stim: StimulusConfig { seed: 3, period: 10, toggle_prob: 0.5 },
+            end_time: 120,
+            ..Default::default()
+        }
+        .build_gate_sim(netlist)
     }
 
     fn record(netlist: &Netlist) -> Waveform {

@@ -2,7 +2,7 @@
 //! propagation, X-flush behaviour and determinism details that the
 //! top-level oracle tests would only catch indirectly.
 
-use pls_gatesim::{ExecModel, GateSim, GateSimBuilder, SimConfig};
+use pls_gatesim::{ExecModel, GateSim, SimConfig};
 use pls_logic::{DelayModel, StimulusConfig, Value};
 use pls_netlist::bench_format::parse;
 use pls_timewarp::{Application, Backend, RunReport, Simulator};
@@ -11,29 +11,26 @@ fn run_sequential<A: Application>(app: &A) -> RunReport<A> {
     Simulator::new(app).run(Backend::Sequential).unwrap()
 }
 
+/// Unit delays, stimulus period 10 (the default clock period).
+fn config(seed: u64, toggle: f64, end: u64) -> SimConfig {
+    SimConfig {
+        delay: DelayModel::Unit(1),
+        stim: StimulusConfig { seed, period: 10, toggle_prob: toggle },
+        end_time: end,
+        ..Default::default()
+    }
+}
+
 fn sim(text: &str, seed: u64, toggle: f64, end: u64) -> (pls_netlist::Netlist, GateSim) {
     let n = parse("t", text).unwrap();
-    let app = GateSimBuilder::new(&n)
-        .delay(DelayModel::Unit(1))
-        .stimulus(StimulusConfig { seed, period: 10, toggle_prob: toggle })
-        .clock_period(10)
-        .end_time(end)
-        .build_per_gate();
+    let app = config(seed, toggle, end).build_gate_sim(&n);
     (n, app)
 }
 
 /// Per-gate fingerprints of both engines on the same workload.
 fn both_fingerprints(text: &str, seed: u64, toggle: f64, end: u64) -> (Vec<u64>, Vec<u64>) {
     let n = parse("t", text).unwrap();
-    let build = |exec: ExecModel| {
-        GateSimBuilder::new(&n)
-            .delay(DelayModel::Unit(1))
-            .stimulus(StimulusConfig { seed, period: 10, toggle_prob: toggle })
-            .clock_period(10)
-            .end_time(end)
-            .exec(exec)
-            .build()
-    };
+    let build = |exec: ExecModel| SimConfig { exec, ..config(seed, toggle, end) }.build_app(&n);
     let gate = build(ExecModel::GatePerLp);
     let compiled = build("compiled".parse().unwrap());
     let gf = gate.fingerprint(&run_sequential(&gate).states);

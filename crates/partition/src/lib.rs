@@ -44,10 +44,7 @@ pub use graph::{CircuitGraph, VertexId};
 pub use multilevel::schemes::CoarsenScheme;
 pub use multilevel::{MultilevelConfig, MultilevelPartitioner, MultilevelReport};
 pub use partitioning::Partitioning;
-pub use replicate::{
-    plan_replication, PartitionConfig, Replica, ReplicaPlan, ReplicatedPartitioner,
-    ReplicationConfig,
-};
+pub use replicate::{plan_replication, Replica, ReplicaPlan, ReplicationConfig};
 
 /// A circuit partitioning strategy: split a weighted circuit graph into
 /// `k` parts. Implementations must be deterministic given `(g, k, seed)`.
@@ -62,10 +59,7 @@ pub trait Partitioner {
 
 /// All registered strategies: the six of the study in the paper's
 /// presentation order (Table 2 column order: Random, DFS, Cluster,
-/// Topological, Multilevel, Cone), plus the replication-aware extension
-/// (multilevel followed by the bounded logic-replication pass — through
-/// this registry it yields the underlying partitioning; use
-/// [`ReplicatedPartitioner::partition_with_replicas`] for the plan).
+/// Topological, Multilevel, Cone).
 pub fn all_partitioners() -> Vec<Box<dyn Partitioner + Send + Sync>> {
     vec![
         Box::new(RandomPartitioner),
@@ -74,7 +68,6 @@ pub fn all_partitioners() -> Vec<Box<dyn Partitioner + Send + Sync>> {
         Box::new(TopologicalPartitioner),
         Box::new(MultilevelPartitioner::default()),
         Box::new(ConePartitioner),
-        Box::new(ReplicatedPartitioner::default()),
     ]
 }
 
@@ -94,21 +87,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_has_seven_strategies() {
+    fn registry_has_six_strategies() {
         let all = all_partitioners();
-        assert_eq!(all.len(), 7);
+        assert_eq!(all.len(), 6);
         let names: Vec<&str> = all.iter().map(|p| p.name()).collect();
         assert_eq!(
             names,
-            vec![
-                "Random",
-                "DFS",
-                "Cluster",
-                "Topological",
-                "Multilevel",
-                "ConePartition",
-                "Replicated"
-            ]
+            vec!["Random", "DFS", "Cluster", "Topological", "Multilevel", "ConePartition"]
         );
     }
 
@@ -123,7 +108,7 @@ mod tests {
     fn lookup_by_name() {
         assert!(partitioner_by_name("multilevel").is_some());
         assert!(partitioner_by_name("Random").is_some());
-        assert!(partitioner_by_name("replicated").is_some());
+        assert!(partitioner_by_name("replicated").is_none());
         assert!(partitioner_by_name("metis").is_none());
     }
 }

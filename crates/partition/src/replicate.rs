@@ -28,9 +28,7 @@ use std::collections::BTreeSet;
 
 use crate::graph::{CircuitGraph, VertexId};
 use crate::metrics::edge_cut;
-use crate::multilevel::{MultilevelConfig, MultilevelPartitioner};
 use crate::partitioning::Partitioning;
-use crate::Partitioner;
 
 /// Bounds and costs of the replication pass.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,16 +61,6 @@ impl Default for ReplicationConfig {
             passes: 2,
         }
     }
-}
-
-/// Full configuration of a replication-aware partitioning run: the
-/// multilevel pipeline plus the duplication budget.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PartitionConfig {
-    /// The three-phase multilevel pipeline.
-    pub multilevel: MultilevelConfig,
-    /// The replication pass bounds.
-    pub replication: ReplicationConfig,
 }
 
 /// One planned duplication: evaluate a copy of `gate` inside `part`.
@@ -108,7 +96,7 @@ impl ReplicaPlan {
     }
 
     /// The plan as bare `(gate, part)` pairs — the shape the gatesim
-    /// builders consume.
+    /// engine constructors consume.
     pub fn pairs(&self) -> Vec<(u32, u32)> {
         self.replicas.iter().map(|r| (r.gate, r.part)).collect()
     }
@@ -219,47 +207,10 @@ pub fn plan_replication(
     plan
 }
 
-/// The replication-aware partitioner: the multilevel pipeline followed by
-/// the replication pass at the finest level (the last uncoarsening step).
-///
-/// Through the [`Partitioner`] trait it returns the plain partitioning
-/// (the trait has no channel for replicas); callers that consume the
-/// plan use [`ReplicatedPartitioner::partition_with_replicas`].
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReplicatedPartitioner {
-    /// Pipeline plus replication configuration.
-    pub config: PartitionConfig,
-}
-
-impl ReplicatedPartitioner {
-    /// Run the full pipeline and return both the partitioning and the
-    /// replica plan.
-    pub fn partition_with_replicas(
-        &self,
-        g: &CircuitGraph,
-        k: usize,
-        seed: u64,
-    ) -> (Partitioning, ReplicaPlan) {
-        let ml = MultilevelPartitioner { config: self.config.multilevel };
-        let p = ml.partition(g, k, seed);
-        let plan = plan_replication(g, &p, &self.config.replication);
-        (p, plan)
-    }
-}
-
-impl Partitioner for ReplicatedPartitioner {
-    fn name(&self) -> &'static str {
-        "Replicated"
-    }
-
-    fn partition(&self, g: &CircuitGraph, k: usize, seed: u64) -> Partitioning {
-        self.partition_with_replicas(g, k, seed).0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MultilevelPartitioner, Partitioner};
     use pls_netlist::IscasSynth;
 
     /// A hub driver (vertex 0) read by three gates in part 1 and three in
@@ -375,8 +326,13 @@ mod tests {
     fn deterministic_and_profitable_on_synthetic_circuits() {
         let n = IscasSynth::small(600, 9).build();
         let g = CircuitGraph::from_netlist(&n);
-        let (p1, plan1) = ReplicatedPartitioner::default().partition_with_replicas(&g, 4, 0);
-        let (p2, plan2) = ReplicatedPartitioner::default().partition_with_replicas(&g, 4, 0);
+        let run = || {
+            let p = MultilevelPartitioner::default().partition(&g, 4, 0);
+            let plan = plan_replication(&g, &p, &ReplicationConfig::default());
+            (p, plan)
+        };
+        let (p1, plan1) = run();
+        let (p2, plan2) = run();
         assert_eq!(p1.assignment, p2.assignment);
         assert_eq!(plan1, plan2);
         assert!(!plan1.is_empty(), "hub nets should attract replicas");

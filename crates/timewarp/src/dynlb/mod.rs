@@ -4,9 +4,9 @@
 //! The paper's partitioners are static — a placement computed before the
 //! run pays for every mispredicted hotspot until termination. This module
 //! closes the loop: the kernel's own telemetry (events executed, rollbacks
-//! and remote messages per LP, per GVT window) feeds a [`LoadBalancer`]
-//! that emits a bounded [`Migration`] plan, and the executives apply the
-//! plan at GVT commit.
+//! and remote messages per LP, per GVT window) feeds [`plan`], which emits
+//! a bounded [`Migration`] plan, and the executives apply the plan at GVT
+//! commit.
 //!
 //! # Why GVT commit is the safe migration point
 //!
@@ -83,7 +83,7 @@ pub struct LpWindow {
     pub fault_penalty: u64,
 }
 
-/// Everything a [`LoadBalancer`] sees at one balancing round.
+/// Everything [`plan`] sees at one balancing round.
 #[derive(Debug, Clone)]
 pub struct WindowStats {
     /// The GVT at which this round runs.
@@ -127,85 +127,52 @@ pub struct Migration {
     pub to: u32,
 }
 
-/// A dynamic load-balancing policy: map one window of observations to a
-/// bounded migration plan.
+/// The balancing policy: map one window of observations to a bounded
+/// migration plan. `assignment` is the current LP → part map; `parts` the
+/// node/cluster count.
 ///
-/// Implementations must be deterministic functions of their arguments —
-/// the virtual-platform executive's byte-reproducibility depends on it.
-/// Plans are validated by the executives: entries whose `from` does not
-/// match the LP's current placement, whose `to` is out of range, or that
-/// move an LP onto its own part are skipped.
-pub trait LoadBalancer: Send {
-    /// Produce a migration plan for the window. `assignment` is the
-    /// current LP → part map; `parts` the node/cluster count.
-    fn plan(
-        &mut self,
-        window: &WindowStats,
-        assignment: &[u32],
-        parts: usize,
-        cfg: &DynLbConfig,
-    ) -> Vec<Migration>;
-}
-
-/// The default policy: greedy incremental refinement
-/// ([`pls_partition::incremental`]) over a live graph whose vertex weights
-/// are the window's per-LP *net* event counts (processed minus rolled
-/// back) and whose edges are the window's observed remote traffic.
-/// Counting wasted work as load would make rollback victims look heavy
-/// and set up a migration → rollback → migration feedback loop; net load
-/// measures actual forward progress. Single-LP moves by best combined
-/// gain (traffic + load transfer), each LP moved at most once per round.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct GreedyBalancer;
-
-impl LoadBalancer for GreedyBalancer {
-    fn plan(
-        &mut self,
-        window: &WindowStats,
-        assignment: &[u32],
-        parts: usize,
-        cfg: &DynLbConfig,
-    ) -> Vec<Migration> {
-        let mut g = pls_partition::incremental::LoadGraph::new(
-            window
-                .lps
-                .iter()
-                .map(|w| w.events.saturating_sub(w.events_rolled_back) + w.fault_penalty)
-                .collect(),
-        );
-        for (&(a, b), &w) in &window.comm {
-            g.add_comm(a, b, w);
-        }
-        let mut asg = assignment.to_vec();
-        let icfg = pls_partition::incremental::IncrementalConfig {
-            max_moves: cfg.max_moves,
-            balance_eps: cfg.balance_eps,
-            min_comm_gain: cfg.min_comm_gain,
-        };
-        pls_partition::incremental::refine(&g, &mut asg, parts, &icfg)
-            .into_iter()
-            .map(|m| Migration { lp: m.lp, from: m.from, to: m.to })
-            .collect()
+/// Greedy incremental refinement ([`pls_partition::incremental`]) over a
+/// live graph whose vertex weights are the window's per-LP *net* event
+/// counts (processed minus rolled back) and whose edges are the window's
+/// observed remote traffic. Counting wasted work as load would make
+/// rollback victims look heavy and set up a migration → rollback →
+/// migration feedback loop; net load measures actual forward progress.
+/// Single-LP moves by best combined gain (traffic + load transfer), each
+/// LP moved at most once per round.
+///
+/// A deterministic function of its arguments — the virtual-platform
+/// executive's byte-reproducibility depends on it. The executives still
+/// check every entry (`move_is_valid`, the pinned mask) before applying it.
+pub fn plan(
+    window: &WindowStats,
+    assignment: &[u32],
+    parts: usize,
+    cfg: &DynLbConfig,
+) -> Vec<Migration> {
+    let mut g = pls_partition::incremental::LoadGraph::new(
+        window
+            .lps
+            .iter()
+            .map(|w| w.events.saturating_sub(w.events_rolled_back) + w.fault_penalty)
+            .collect(),
+    );
+    for (&(a, b), &w) in &window.comm {
+        g.add_comm(a, b, w);
     }
+    let mut asg = assignment.to_vec();
+    let icfg = pls_partition::incremental::IncrementalConfig {
+        max_moves: cfg.max_moves,
+        balance_eps: cfg.balance_eps,
+        min_comm_gain: cfg.min_comm_gain,
+    };
+    pls_partition::incremental::refine(&g, &mut asg, parts, &icfg)
+        .into_iter()
+        .map(|m| Migration { lp: m.lp, from: m.from, to: m.to })
+        .collect()
 }
 
-/// The configured balancing subsystem carried by
-/// [`crate::Simulator`]: the knobs plus the policy object.
-pub struct DynLb {
-    /// Balancing knobs.
-    pub cfg: DynLbConfig,
-    /// The policy (defaults to [`GreedyBalancer`]).
-    pub balancer: Box<dyn LoadBalancer>,
-}
-
-impl std::fmt::Debug for DynLb {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DynLb").field("cfg", &self.cfg).finish_non_exhaustive()
-    }
-}
-
-/// Validity filter the executives apply to plan entries, so a buggy or
-/// adversarial policy cannot corrupt routing state. Deterministic, and
+/// Validity filter the executives apply to plan entries, so a buggy
+/// policy cannot corrupt routing state. Deterministic, and
 /// identical on every cluster of the threaded executive (all clusters see
 /// the same plan and the same assignment copy).
 pub(crate) fn move_is_valid(mv: &Migration, assignment: &[u32], parts: usize) -> bool {
@@ -245,9 +212,9 @@ mod tests {
         // LPs 0..4 hot, all on part 0 of 2.
         let w = skewed_window(8, 0..4);
         let asg = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        let plan = GreedyBalancer.plan(&w, &asg, 2, &DynLbConfig::default());
-        assert!(!plan.is_empty());
-        for mv in &plan {
+        let moves = plan(&w, &asg, 2, &DynLbConfig::default());
+        assert!(!moves.is_empty());
+        for mv in &moves {
             assert_eq!(mv.from, 0, "only the hot part sheds load: {mv:?}");
             assert_eq!(mv.to, 1);
             assert!(mv.lp < 4, "a hot LP moves, not a cold one");
@@ -260,8 +227,8 @@ mod tests {
         w.comm.insert((2, 3), 11);
         w.comm.insert((8, 9), 7);
         let asg: Vec<u32> = (0..16).map(|i| (i / 4) as u32).collect();
-        let a = GreedyBalancer.plan(&w, &asg, 4, &DynLbConfig::default());
-        let b = GreedyBalancer.plan(&w, &asg, 4, &DynLbConfig::default());
+        let a = plan(&w, &asg, 4, &DynLbConfig::default());
+        let b = plan(&w, &asg, 4, &DynLbConfig::default());
         assert_eq!(a, b);
     }
 
@@ -272,7 +239,7 @@ mod tests {
             lp.events = 10;
         }
         let asg = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        assert!(GreedyBalancer.plan(&w, &asg, 2, &DynLbConfig::default()).is_empty());
+        assert!(plan(&w, &asg, 2, &DynLbConfig::default()).is_empty());
     }
 
     #[test]
@@ -280,7 +247,7 @@ mod tests {
         let w = skewed_window(32, 0..16);
         let asg = vec![0u32; 32];
         let cfg = DynLbConfig { max_moves: 3, ..Default::default() };
-        assert!(GreedyBalancer.plan(&w, &asg, 4, &cfg).len() <= 3);
+        assert!(plan(&w, &asg, 4, &cfg).len() <= 3);
     }
 
     #[test]

@@ -53,9 +53,7 @@ pub use app::{AppWork, Application, EventSink};
 pub use chaos::{FaultKind, FaultPlan, FaultScenario};
 pub use config::{Cancellation, KernelConfig};
 pub use cost::CostModel;
-pub use dynlb::{
-    DynLb, DynLbConfig, GreedyBalancer, LoadBalancer, LpWindow, Migration, WindowStats,
-};
+pub use dynlb::{DynLbConfig, LpWindow, Migration, WindowStats};
 pub use event::{AntiEvent, Event, EventId, LpId, Transmission};
 pub use hotspot::RotatingHotspot;
 pub use phold::Phold;

@@ -24,7 +24,7 @@ use crate::chaos::{ChaosRuntime, ChaosStep, FaultPlan};
 use crate::config::KernelConfig;
 use crate::core::{ClusterCore, Committed, Homes, Hop};
 use crate::cost::CostModel;
-use crate::dynlb::{move_is_valid, pinned_mask, DynLb, WindowStats};
+use crate::dynlb::{self, move_is_valid, pinned_mask, DynLbConfig, WindowStats};
 use crate::event::Transmission;
 use crate::probe::Probe;
 use crate::sim::{Outcome, RunReport, SimError};
@@ -228,17 +228,12 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     nodes: usize,
     cfg: &PlatformConfig,
     probe: &mut P,
-    mut dynlb: Option<&mut DynLb>,
+    dynlb: Option<DynLbConfig>,
     chaos_plan: Option<&FaultPlan>,
 ) -> Result<RunReport<A>, SimError> {
     let kernel = cfg.kernel;
     let cost = cfg.cost;
 
-    // With one node there is nowhere to migrate to; drop the balancer so
-    // behavior is bit-identical to "off".
-    if nodes < 2 {
-        dynlb = None;
-    }
     let pinned = pinned_mask(app);
 
     let mut totals =
@@ -406,8 +401,8 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
             // LP is a compact transferable closure (see `dynlb` module
             // docs): fossil collection just ran, so moving it is copying
             // its current state, surviving checkpoints and pending events.
-            if let Some(lb) = dynlb.as_deref_mut() {
-                if !gvt.is_inf() && stats.gvt_rounds.is_multiple_of(lb.cfg.period.max(1)) {
+            if let Some(lb) = &dynlb {
+                if !gvt.is_inf() && stats.gvt_rounds.is_multiple_of(lb.period.max(1)) {
                     let mut window = WindowStats::new(app.num_lps());
                     window.gvt = gvt;
                     for core in &mut cores {
@@ -416,7 +411,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                     plat.attribute_fault_time(&mut window);
                     stats.lb_rounds += 1;
                     window.round = stats.lb_rounds;
-                    let plan = lb.balancer.plan(&window, plat.homes.parts(), nodes, &lb.cfg);
+                    let plan = dynlb::plan(&window, plat.homes.parts(), nodes, lb);
                     for mv in plan {
                         if !move_is_valid(&mv, plat.homes.parts(), nodes) || pinned[mv.lp as usize]
                         {

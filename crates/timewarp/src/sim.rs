@@ -18,8 +18,7 @@ use std::time::Duration;
 use crate::app::Application;
 use crate::chaos::FaultPlan;
 use crate::config::KernelConfig;
-use crate::cost::CostModel;
-use crate::dynlb::{DynLb, DynLbConfig, GreedyBalancer, LoadBalancer};
+use crate::dynlb::DynLbConfig;
 use crate::platform::PlatformConfig;
 use crate::probe::{NoProbe, Probe, Tee};
 use crate::series::TimeSeries;
@@ -166,11 +165,9 @@ impl std::error::Error for SimError {}
 #[derive(Debug)]
 pub struct Simulator<'a, A: Application, P: Probe = NoProbe> {
     app: &'a A,
-    kernel: KernelConfig,
-    cost: CostModel,
-    state_limit_per_node: Option<u64>,
+    platform: PlatformConfig,
     record: Option<u64>,
-    dynlb: Option<DynLb>,
+    dynlb: Option<DynLbConfig>,
     chaos: Option<FaultPlan>,
     probe: P,
 }
@@ -181,9 +178,7 @@ impl<'a, A: Application> Simulator<'a, A, NoProbe> {
     pub fn new(app: &'a A) -> Simulator<'a, A, NoProbe> {
         Simulator {
             app,
-            kernel: KernelConfig::default(),
-            cost: CostModel::default(),
-            state_limit_per_node: None,
+            platform: PlatformConfig::default(),
             record: None,
             dynlb: None,
             chaos: None,
@@ -195,28 +190,13 @@ impl<'a, A: Application> Simulator<'a, A, NoProbe> {
 impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
     /// Set the Time Warp kernel knobs.
     pub fn config(mut self, kernel: KernelConfig) -> Self {
-        self.kernel = kernel;
-        self
-    }
-
-    /// Set the CPU/network cost model (platform backend only).
-    pub fn cost(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
+        self.platform.kernel = kernel;
         self
     }
 
     /// Adopt a whole [`PlatformConfig`] (kernel + cost + memory limit).
     pub fn platform_config(mut self, cfg: &PlatformConfig) -> Self {
-        self.kernel = cfg.kernel;
-        self.cost = cfg.cost;
-        self.state_limit_per_node = cfg.state_limit_per_node;
-        self
-    }
-
-    /// Abort when a platform node holds more than `limit` checkpoints at a
-    /// GVT round (`None` = unbounded memory).
-    pub fn state_limit_per_node(mut self, limit: Option<u64>) -> Self {
-        self.state_limit_per_node = limit;
+        self.platform = *cfg;
         self
     }
 
@@ -228,19 +208,13 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
         self
     }
 
-    /// Enable dynamic load balancing with the default policy
-    /// ([`GreedyBalancer`]): every `cfg.period` GVT rounds the last
-    /// window's per-LP statistics are refined into a migration plan and
-    /// applied at GVT commit. A no-op on [`Backend::Sequential`] (which
-    /// has no GVT rounds) and on single-node/cluster runs.
-    pub fn load_balancer(self, cfg: DynLbConfig) -> Self {
-        self.load_balancer_with(cfg, Box::new(GreedyBalancer))
-    }
-
-    /// Enable dynamic load balancing with a custom policy. The policy must
-    /// be deterministic (see [`LoadBalancer`]).
-    pub fn load_balancer_with(mut self, cfg: DynLbConfig, balancer: Box<dyn LoadBalancer>) -> Self {
-        self.dynlb = Some(DynLb { cfg, balancer });
+    /// Enable dynamic load balancing ([`crate::dynlb::plan`]): every
+    /// `cfg.period` GVT rounds the last window's per-LP statistics are
+    /// refined into a migration plan and applied at GVT commit. A no-op on
+    /// [`Backend::Sequential`] (which has no GVT rounds) and on
+    /// single-node/cluster runs.
+    pub fn load_balancer(mut self, cfg: DynLbConfig) -> Self {
+        self.dynlb = Some(cfg);
         self
     }
 
@@ -260,9 +234,7 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
     pub fn probe<Q: Probe>(self, probe: Q) -> Simulator<'a, A, Q> {
         Simulator {
             app: self.app,
-            kernel: self.kernel,
-            cost: self.cost,
-            state_limit_per_node: self.state_limit_per_node,
+            platform: self.platform,
             record: self.record,
             dynlb: self.dynlb,
             chaos: self.chaos,
@@ -275,22 +247,19 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
     /// if you need to inspect it afterwards, or use [`Self::record`] and
     /// read [`RunReport::telemetry`]).
     pub fn run(self, backend: Backend<'_>) -> Result<RunReport<A>, SimError> {
-        validate(self.app, &self.kernel, &self.cost, self.chaos.as_ref(), &backend)?;
-        let Simulator { app, kernel, cost, state_limit_per_node, record, dynlb, chaos, probe } =
-            self;
-        let pcfg = PlatformConfig { kernel, cost, state_limit_per_node };
-        let mut dynlb = dynlb;
+        validate(self.app, &self.platform, self.chaos.as_ref(), &backend)?;
+        let Simulator { app, platform, record, dynlb, chaos, probe } = self;
         match record {
             Some(width) => {
                 let mut tee = Tee::new(TimeSeries::new(width), probe);
                 let mut report =
-                    dispatch(app, &pcfg, &backend, &mut tee, dynlb.as_mut(), chaos.as_ref())?;
+                    dispatch(app, &platform, &backend, &mut tee, dynlb, chaos.as_ref())?;
                 report.telemetry = Some(tee.a);
                 Ok(report)
             }
             None => {
                 let mut probe = probe;
-                dispatch(app, &pcfg, &backend, &mut probe, dynlb.as_mut(), chaos.as_ref())
+                dispatch(app, &platform, &backend, &mut probe, dynlb, chaos.as_ref())
             }
         }
     }
@@ -300,11 +269,11 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
 /// executives assume what passes here.
 fn validate<A: Application>(
     app: &A,
-    kernel: &KernelConfig,
-    cost: &CostModel,
+    cfg: &PlatformConfig,
     chaos: Option<&FaultPlan>,
     backend: &Backend<'_>,
 ) -> Result<(), SimError> {
+    let (kernel, cost) = (&cfg.kernel, &cfg.cost);
     // Zero would mean: state never saved, GVT never advanced, a collapsed
     // modeled time axis.
     for (field, value) in [
@@ -355,19 +324,23 @@ fn dispatch<A: Application, P: Probe>(
     cfg: &PlatformConfig,
     backend: &Backend<'_>,
     probe: &mut P,
-    dynlb: Option<&mut DynLb>,
+    dynlb: Option<DynLbConfig>,
     chaos: Option<&FaultPlan>,
 ) -> Result<RunReport<A>, SimError> {
-    match backend {
-        // The sequential executive has no GVT rounds, so dynamic load
-        // balancing is trivially a no-op there — which is exactly what
-        // makes it the placement-independent oracle for migration tests.
+    // Balancing is off where it has nothing to do, and such a run is
+    // bit-identical to one that never asked: with one node or cluster
+    // there is nowhere to migrate to, and the sequential executive has no
+    // GVT rounds — which is exactly what makes it the
+    // placement-independent oracle for migration tests.
+    match *backend {
         Backend::Sequential => Ok(crate::sequential::sequential_core(app, probe)),
         Backend::Platform { assignment, nodes } => {
-            crate::platform::platform_core(app, assignment, *nodes, cfg, probe, dynlb, chaos)
+            let dynlb = dynlb.filter(|_| nodes > 1);
+            crate::platform::platform_core(app, assignment, nodes, cfg, probe, dynlb, chaos)
         }
         Backend::Threaded { assignment, clusters } => {
-            crate::threaded::threaded_core(app, assignment, *clusters, &cfg.kernel, probe, dynlb)
+            let dynlb = dynlb.filter(|_| clusters > 1);
+            crate::threaded::threaded_core(app, assignment, clusters, &cfg.kernel, probe, dynlb)
         }
     }
 }
@@ -375,6 +348,7 @@ fn dispatch<A: Application, P: Probe>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cost::CostModel;
     use crate::event::LpId;
     use crate::testkit::{round_robin, Ring, Tripwire};
 

@@ -54,9 +54,7 @@ use std::time::Duration;
 use crate::app::Application;
 use crate::config::KernelConfig;
 use crate::core::{ClusterCore, Homes, Hop, Mover};
-use crate::dynlb::{
-    move_is_valid, pinned_mask, DynLb, DynLbConfig, LoadBalancer, Migration, WindowStats,
-};
+use crate::dynlb::{self, move_is_valid, pinned_mask, DynLbConfig, Migration, WindowStats};
 use crate::event::Transmission;
 use crate::probe::Probe;
 use crate::sim::{Outcome, RunReport, SimError};
@@ -221,9 +219,8 @@ impl Drop for PoisonOnPanic<'_> {
 /// migrating LPs. All accesses happen inside the GVT round, where the
 /// flush protocol guarantees no message is in flight — see the `dynlb`
 /// module docs.
-struct LbShared<'b, A: Application> {
+struct LbShared<A: Application> {
     cfg: DynLbConfig,
-    balancer: Mutex<&'b mut dyn LoadBalancer>,
     window: Mutex<WindowStats>,
     plan: Mutex<Vec<Migration>>,
     movers: Vec<Mutex<Vec<Mover<A>>>>,
@@ -263,16 +260,10 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     clusters: usize,
     cfg: &KernelConfig,
     probe: &mut P,
-    mut dynlb: Option<&mut DynLb>,
+    dynlb: Option<DynLbConfig>,
 ) -> Result<RunReport<A>, SimError> {
-    // With one cluster there is nowhere to migrate to; drop the balancer
-    // so the run is indistinguishable from "off".
-    if clusters < 2 {
-        dynlb = None;
-    }
-    let lb_shared = dynlb.map(|d| LbShared::<A> {
-        cfg: d.cfg,
-        balancer: Mutex::new(&mut *d.balancer),
+    let lb_shared = dynlb.map(|cfg| LbShared::<A> {
+        cfg,
         window: Mutex::new(WindowStats::new(app.num_lps())),
         plan: Mutex::new(Vec::new()),
         movers: (0..clusters).map(|_| Mutex::new(Vec::new())).collect(),
@@ -451,7 +442,7 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
     fn run(
         mut self,
         cfg: &KernelConfig,
-        lb: Option<&LbShared<'_, A>>,
+        lb: Option<&LbShared<A>>,
         started: std::time::Instant,
     ) -> Result<Self, Poisoned> {
         let mut batches_since_gvt = 0u64;
@@ -559,7 +550,7 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
     /// One balancing round: the four-phase hand-off, its phases separated
     /// by rendezvous.
     // detlint: phase(migrate)
-    fn balance(&mut self, lbs: &LbShared<'_, A>, gvt: VTime) -> Result<(), Poisoned> {
+    fn balance(&mut self, lbs: &LbShared<A>, gvt: VTime) -> Result<(), Poisoned> {
         let clusters = self.senders.len();
         let rendezvous = &self.shared.rendezvous;
         // Phase 1: contribute this cluster's slice of the window (disjoint
@@ -577,7 +568,7 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
             let mut window = lbs.window.lock().unwrap();
             window.round = self.stats.lb_rounds;
             let parts = self.homes.parts();
-            let plan = lbs.balancer.lock().unwrap().plan(&window, parts, clusters, &lbs.cfg);
+            let plan = dynlb::plan(&window, parts, clusters, &lbs.cfg);
             window.reset();
             *lbs.plan.lock().unwrap() = plan;
         }

@@ -119,5 +119,9 @@ if [[ "$FAST" -eq 0 ]]; then
   run cargo test -q --manifest-path benchmark/Cargo.toml
 fi
 
+# ROADMAP's consolidation metric (informational, no threshold): quote
+# these figures, parent and change, in a PR that claims to simplify.
+run scripts/loc.sh
+
 echo
 echo "All checks passed."

@@ -59,9 +59,9 @@ pub use pls_timewarp as timewarp;
 /// The common imports for working with the full stack.
 pub mod prelude {
     pub use pls_gatesim::{
-        fingerprint, run_seq_baseline, BlockState, Cell, CompileOptions, CompiledSim, ExecModel,
-        GateModel, GateMsg, GateSim, GateSimBuilder, GateState, ModelState, RunMetrics, SeqMetrics,
-        SimConfig, UnknownExecModel,
+        run_seq_baseline, BlockState, Cell, CompileOptions, CompiledSim, ExecModel, GateModel,
+        GateMsg, GateSim, GateState, ModelState, RunMetrics, SeqMetrics, SimConfig,
+        UnknownExecModel,
     };
     pub use pls_logic::{eval_gate, DelayModel, StimulusConfig, Value};
     pub use pls_netlist::{
@@ -71,8 +71,8 @@ pub mod prelude {
     pub use pls_partition::{
         all_partitioners, metrics, partitioner_by_name, partitioner_names, plan_replication,
         CircuitGraph, ClusterPartitioner, ConePartitioner, DfsPartitioner, MultilevelPartitioner,
-        Partitioner, Partitioning, RandomPartitioner, ReplicaPlan, ReplicatedPartitioner,
-        ReplicationConfig, TopologicalPartitioner,
+        Partitioner, Partitioning, RandomPartitioner, ReplicaPlan, ReplicationConfig,
+        TopologicalPartitioner,
     };
     pub use pls_timewarp::{
         Application, Backend, Cancellation, CostModel, DynLbConfig, EventSink, FaultKind,

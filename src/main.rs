@@ -7,18 +7,8 @@ use std::process::exit;
 use parlogsim::gatesim::{write_vcd, WaveRecorder};
 use parlogsim::prelude::*;
 
-/// `println!` that exits quietly when stdout closes early (`… | head`):
+/// `print!` that exits quietly when stdout closes early (`… | head`):
 /// a CLI should end the pipeline, not panic on EPIPE.
-macro_rules! out {
-    ($($t:tt)*) => {{
-        use std::io::Write;
-        if writeln!(std::io::stdout(), $($t)*).is_err() {
-            std::process::exit(0);
-        }
-    }};
-}
-
-/// `print!` variant of [`out!`].
 macro_rules! outp {
     ($($t:tt)*) => {{
         use std::io::Write;
@@ -28,73 +18,288 @@ macro_rules! outp {
     }};
 }
 
-const USAGE: &str = "\
-parlogsim — multilevel partitioning for parallel logic simulation
+/// `println!` variant of [`outp!`].
+macro_rules! out {
+    ($($t:tt)*) => { outp!("{}\n", format_args!($($t)*)) };
+}
 
-USAGE:
-  parlogsim stats     <circuit>                       circuit characteristics (Table 1 row)
-  parlogsim generate  <s5378|s9234|s15850|clocktree|N> [-o F]
-                                                      synthetic benchmark to .bench
-  parlogsim partition <circuit> [-k K] [-s STRAT] [--replicate]
-                                                      partition and report quality
-                                                      (--replicate also plans bounded logic
-                                                       replication and reports the cut it leaves)
-  parlogsim simulate  <circuit> [-k K] [-s STRAT] [--end T] [--dynlb]
-                                [--exec MODE] [--replicate] [--trace F [--bucket W]]
-                                [--faults SPEC [--fault-seed N]]
-                                                      Time Warp run vs sequential baseline
-                                                      (--dynlb migrates LPs at GVT commit;
-                                                       --exec gate-per-lp|compiled selects the
-                                                       execution engine; --replicate duplicates
-                                                       profitable boundary gates into reading
-                                                       parts; --trace dumps a JSONL telemetry
-                                                       series; --faults injects seeded platform
-                                                       faults, e.g. \"drop:0:300,slow:1:4\" —
-                                                       clauses drop:NODE:PERMILLE[@A..B],
-                                                       jitter:NODE:SPIKE[:JIT][@A..B],
-                                                       slow:NODE:FACTOR[@A..B],
-                                                       pause:NODE@A..B, random:N; committed
-                                                       results are unchanged, only modeled
-                                                       time and message counts move)
-  parlogsim trace     <circuit> [-k K] [-s STRAT] [--end T] [--bucket W]
-                                [--format jsonl|csv] [-o F]
-                                                      virtual-time telemetry series
-                                                      (table by default)
-  parlogsim vcd       <circuit> [-o F] [--end T]      dump primary-output waveform as VCD
-  parlogsim hotspots  <circuit> [-k K] [-s STRAT] [--end T]
-                                                      per-gate rollback/load hotspots
-  parlogsim dot       <circuit> [-k K] [-s STRAT] [-o F]
-                                                      Graphviz view with partition colours
+/// What follows a flag's name on the command line.
+#[derive(Clone, Copy)]
+enum Takes {
+    /// Nothing: the flag is a switch.
+    Nothing,
+    /// One word; the string is its placeholder in the usage text.
+    Text(&'static str),
+    /// One non-negative integer, checked before the subcommand runs.
+    Number(&'static str),
+}
 
-  <circuit> is a .bench file path, one of the built-in names
-  (s27, c17, s5378, s9234, s15850), or `synth:N` for an N-gate synthetic.
-  STRAT ∈ random|dfs|cluster|topological|multilevel|conepartition|replicated
-  (default multilevel).
-";
+/// One flag — `(name, value, help)` — declared here once, accepted by the
+/// [`COMMANDS`] rows that name it, explained by `--help` in the order
+/// those rows first do, read through [`Args`].
+type Flag = (&'static str, Takes, &'static str);
+
+const K: Flag =
+    ("-k", Takes::Number("K"), "partitions, one per simulated node (default 8; dot: 4)");
+const STRATEGY: Flag = ("-s", Takes::Text("STRAT"), "partitioning strategy (default multilevel)");
+const OUT: Flag = ("-o", Takes::Text("F"), "write to file F instead of stdout");
+const END: Flag = ("--end", Takes::Number("T"), "virtual-time horizon (default 400)");
+const REPLICATE: Flag = (
+    "--replicate",
+    Takes::Nothing,
+    "duplicate profitable boundary gates into the parts that\n\
+     read them (partition: plan it, report the cut it leaves)",
+);
+const DYNLB: Flag = ("--dynlb", Takes::Nothing, "migrate LPs between nodes at GVT commit");
+const EXEC: Flag =
+    ("--exec", Takes::Text("MODE"), "execution engine: gate-per-lp (default) or compiled");
+const TRACE: Flag = ("--trace", Takes::Text("F"), "dump a JSONL telemetry series to F");
+const BUCKET: Flag =
+    ("--bucket", Takes::Number("W"), "telemetry bucket width in virtual time (default T/20)");
+const FORMAT: Flag =
+    ("--format", Takes::Text("jsonl|csv"), "machine-readable series instead of the table");
+const FAULTS: Flag = (
+    "--faults",
+    Takes::Text("SPEC"),
+    "seeded platform faults, e.g. \"drop:0:300,slow:1:4\" — clauses\n\
+     drop:NODE:PERMILLE[@A..B], jitter:NODE:SPIKE[:JIT][@A..B],\n\
+     slow:NODE:FACTOR[@A..B], pause:NODE@A..B, random:N; committed\n\
+     results are unchanged, only modeled time and message counts\n\
+     move",
+);
+const FAULT_SEED: Flag = ("--fault-seed", Takes::Number("N"), "seed of the fault plan (default 0)");
+
+/// One subcommand: its name, the placeholder of its one positional
+/// argument, one line of help, the flags it accepts and its entry point.
+type Command = (&'static str, &'static str, &'static str, &'static [Flag], fn(&Args));
+
+/// Every subcommand. The usage text and the whole of argument checking —
+/// which word is the positional, unknown flags, missing and non-numeric
+/// values — come from this table.
+const COMMANDS: [Command; 8] = [
+    ("stats", "<circuit>", "circuit characteristics (Table 1 row)", &[], cmd_stats),
+    (
+        "generate",
+        "<s5378|s9234|s15850|clocktree|N>",
+        "synthetic benchmark to .bench",
+        &[OUT],
+        cmd_generate,
+    ),
+    (
+        "partition",
+        "<circuit>",
+        "partition and report quality",
+        &[K, STRATEGY, REPLICATE],
+        cmd_partition,
+    ),
+    (
+        "simulate",
+        "<circuit>",
+        "Time Warp run vs sequential baseline",
+        &[K, STRATEGY, END, DYNLB, EXEC, REPLICATE, TRACE, BUCKET, FAULTS, FAULT_SEED],
+        cmd_simulate,
+    ),
+    (
+        "trace",
+        "<circuit>",
+        "virtual-time telemetry series (table by default)",
+        &[K, STRATEGY, END, BUCKET, FORMAT, OUT],
+        cmd_trace,
+    ),
+    ("vcd", "<circuit>", "dump primary-output waveform as VCD", &[OUT, END], cmd_vcd),
+    ("hotspots", "<circuit>", "per-gate rollback/load hotspots", &[K, STRATEGY, END], cmd_hotspots),
+    ("dot", "<circuit>", "Graphviz view with partition colours", &[K, STRATEGY, OUT], cmd_dot),
+];
+
+/// A flag as the usage text shows it: `-k K`, `--dynlb`.
+fn shown(&(name, takes, _): &Flag) -> String {
+    match takes {
+        Takes::Nothing => name.to_string(),
+        Takes::Text(value) | Takes::Number(value) => format!("{name} {value}"),
+    }
+}
+
+/// Synopsis and help line of one subcommand.
+fn usage_of(&(name, positional, help, flags, _): &Command) -> String {
+    let mut text = format!("  parlogsim {name} {positional}");
+    let mut width = text.len();
+    for f in flags {
+        let word = format!(" [{}]", shown(f));
+        if width + word.len() > 80 {
+            text.push_str("\n       ");
+            width = 7;
+        }
+        width += word.len();
+        text.push_str(&word);
+    }
+    text + &format!("\n      {help}\n")
+}
+
+/// `random|dfs|…`: the registered strategies, as `-s` takes them.
+fn strategy_names() -> String {
+    partitioner_names().iter().map(|n| n.to_lowercase()).collect::<Vec<_>>().join("|")
+}
+
+fn usage() -> String {
+    let mut text = String::from(
+        "parlogsim — multilevel partitioning for parallel logic simulation\n\nUSAGE:\n",
+    );
+    for cmd in &COMMANDS {
+        text.push_str(&usage_of(cmd));
+    }
+    text.push_str("\nFLAGS:\n");
+    let mut explained: Vec<&str> = Vec::new();
+    for f in COMMANDS.iter().flat_map(|cmd| cmd.3) {
+        if explained.contains(&f.0) {
+            continue;
+        }
+        explained.push(f.0);
+        let mut head = shown(f);
+        for line in f.2.lines() {
+            text.push_str(&format!("  {head:<18} {line}\n"));
+            head.clear();
+        }
+    }
+    text + &format!(
+        "\n  <circuit> is a .bench file path, one of the built-in names\n  \
+         (s27, c17, s5378, s9234, s15850), or `synth:N` for an N-gate synthetic.\n  \
+         STRAT ∈ {}.\n",
+        strategy_names()
+    )
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(cmd) = args.first() else {
-        eprint!("{USAGE}");
+    let name = args.first().map(String::as_str);
+    if matches!(name, Some("-h" | "--help" | "help")) {
+        outp!("{}", usage());
+        return;
+    }
+    let Some(cmd) = COMMANDS.iter().find(|cmd| Some(cmd.0) == name) else {
+        if let Some(bad) = name {
+            eprintln!("unknown command `{bad}`\n");
+        }
+        eprint!("{}", usage());
         exit(2);
     };
-    let rest = &args[1..];
-    match cmd.as_str() {
-        "stats" => cmd_stats(rest),
-        "generate" => cmd_generate(rest),
-        "partition" => cmd_partition(rest),
-        "simulate" => cmd_simulate(rest),
-        "trace" => cmd_trace(rest),
-        "vcd" => cmd_vcd(rest),
-        "hotspots" => cmd_hotspots(rest),
-        "dot" => cmd_dot(rest),
-        "-h" | "--help" | "help" => outp!("{USAGE}"),
-        other => {
-            eprintln!("unknown command `{other}`\n");
-            eprint!("{USAGE}");
+    (cmd.4)(&Args::parse(cmd, &args[1..]));
+}
+
+/// The checked command line of one subcommand.
+struct Args<'a> {
+    /// The flags the subcommand accepts.
+    flags: &'static [Flag],
+    positional: &'a str,
+    /// `(flag name, value)` as given; a switch has the value `""`.
+    given: Vec<(&'static str, &'a str)>,
+}
+
+impl<'a> Args<'a> {
+    /// Check `rest` against `cmd`'s row: exactly one positional, only the
+    /// row's flags, each at most once, each value present and — for
+    /// [`Takes::Number`] — numeric. Anything else names the offender on
+    /// stderr and exits with code 2.
+    fn parse(cmd: &'static Command, rest: &'a [String]) -> Args<'a> {
+        let fail = |msg: String| -> ! {
+            eprintln!("{msg}\n\nUSAGE:\n{}", usage_of(cmd));
+            exit(2);
+        };
+        let &(command, placeholder, _, flags, _) = cmd;
+        let mut positional = None;
+        let mut given: Vec<(&'static str, &'a str)> = Vec::new();
+        let mut words = rest.iter();
+        while let Some(word) = words.next() {
+            if !word.starts_with('-') {
+                if positional.replace(word.as_str()).is_some() {
+                    fail(format!("unexpected argument `{word}`"));
+                }
+                continue;
+            }
+            let Some(&(name, takes, _)) = flags.iter().find(|f| f.0 == word) else {
+                fail(format!("unknown flag `{word}` for `{command}`"));
+            };
+            if given.iter().any(|g| g.0 == name) {
+                fail(format!("flag `{name}` given twice"));
+            }
+            let value = match takes {
+                Takes::Nothing => "",
+                Takes::Text(_) | Takes::Number(_) => match words.next() {
+                    Some(v) => v.as_str(),
+                    None => fail(format!("flag `{name}` needs a value")),
+                },
+            };
+            if matches!(takes, Takes::Number(_)) && value.parse::<u64>().is_err() {
+                fail(format!("bad {name} `{value}` (need a non-negative integer)"));
+            }
+            given.push((name, value));
+        }
+        let Some(positional) = positional else {
+            fail(format!("missing {placeholder} argument"));
+        };
+        Args { flags, positional, given }
+    }
+
+    /// The value of a [`Takes::Text`] flag, if given.
+    fn text(&self, f: &Flag) -> Option<&'a str> {
+        debug_assert!(self.flags.iter().any(|own| own.0 == f.0), "{} is not in the row", f.0);
+        self.given.iter().find(|g| g.0 == f.0).map(|g| g.1)
+    }
+
+    /// The value of a [`Takes::Number`] flag, if given.
+    fn number(&self, f: &Flag) -> Option<u64> {
+        self.text(f).map(|v| v.parse().expect("checked by Args::parse"))
+    }
+
+    /// Whether the flag was given.
+    fn has(&self, f: &Flag) -> bool {
+        self.text(f).is_some()
+    }
+
+    /// A count flag's value or `default`; zero is a clean error.
+    fn at_least_one(&self, f: &Flag, default: u64) -> u64 {
+        let v = self.number(f).unwrap_or(default);
+        if v == 0 {
+            eprintln!("{} must be >= 1", f.0);
             exit(2);
         }
+        v
     }
+
+    fn end(&self) -> u64 {
+        self.number(&END).unwrap_or(400)
+    }
+
+    /// `--bucket`, defaulting to 1/20th of the horizon (≥ 1).
+    fn bucket(&self, end: u64) -> u64 {
+        self.at_least_one(&BUCKET, (end / 20).max(1))
+    }
+
+    fn strategy(&self) -> Box<dyn Partitioner + Send + Sync> {
+        let name = self.text(&STRATEGY).unwrap_or("multilevel");
+        partitioner_by_name(name).unwrap_or_else(|| {
+            eprintln!("unknown strategy `{name}` (valid: {})", strategy_names());
+            exit(2);
+        })
+    }
+
+    /// Write `text` to the `-o` file and say on stderr that `what` went
+    /// there, or print it when there is no `-o`.
+    fn emit(&self, text: &str, what: &str) {
+        match self.text(&OUT) {
+            Some(path) => {
+                write_file(path, text);
+                eprintln!("wrote {what} to {path}");
+            }
+            None => outp!("{text}"),
+        }
+    }
+}
+
+fn write_file(path: &str, text: &str) {
+    std::fs::write(path, text).unwrap_or_else(|e| {
+        eprintln!("cannot write `{path}`: {e}");
+        exit(1);
+    });
 }
 
 /// Resolve a circuit argument: file path, built-in name, or `synth:N`.
@@ -129,67 +334,8 @@ fn load_circuit(spec: &str) -> Netlist {
     })
 }
 
-fn flag<'a>(rest: &'a [String], name: &str) -> Option<&'a str> {
-    rest.iter().position(|a| a == name).and_then(|i| rest.get(i + 1)).map(String::as_str)
-}
-
-/// Parse `-k` with a default; reject 0 with a clean error.
-fn k_of(rest: &[String], default: usize) -> usize {
-    let k = flag(rest, "-k").and_then(|v| v.parse().ok()).unwrap_or(default);
-    if k == 0 {
-        eprintln!("-k must be >= 1");
-        exit(2);
-    }
-    k
-}
-
-fn required_circuit(rest: &[String]) -> Netlist {
-    // First positional argument, skipping flags *and their values* so
-    // `partition -k 4 s27` does not read "4" as the circuit.
-    let mut i = 0;
-    let mut spec: Option<&String> = None;
-    while i < rest.len() {
-        let a = &rest[i];
-        if matches!(
-            a.as_str(),
-            "-k" | "-s"
-                | "-o"
-                | "--end"
-                | "--trace"
-                | "--bucket"
-                | "--format"
-                | "--exec"
-                | "--faults"
-                | "--fault-seed"
-        ) {
-            i += 2;
-            continue;
-        }
-        if !a.starts_with('-') {
-            spec = Some(a);
-            break;
-        }
-        i += 1;
-    }
-    let Some(spec) = spec else {
-        eprintln!("missing circuit argument\n");
-        eprint!("{USAGE}");
-        exit(2);
-    };
-    load_circuit(spec)
-}
-
-fn strategy_of(rest: &[String]) -> Box<dyn Partitioner + Send + Sync> {
-    let name = flag(rest, "-s").unwrap_or("multilevel");
-    partitioner_by_name(name).unwrap_or_else(|| {
-        let valid: Vec<String> = partitioner_names().iter().map(|n| n.to_lowercase()).collect();
-        eprintln!("unknown strategy `{name}` (valid: {})", valid.join("|"));
-        exit(2);
-    })
-}
-
-fn cmd_stats(rest: &[String]) {
-    let netlist = required_circuit(rest);
+fn cmd_stats(args: &Args) {
+    let netlist = load_circuit(args.positional);
     let s = CircuitStats::of(&netlist);
     out!("circuit:    {}", s.name);
     out!("inputs:     {}", s.inputs);
@@ -209,12 +355,8 @@ fn cmd_stats(rest: &[String]) {
     }
 }
 
-fn cmd_generate(rest: &[String]) {
-    let Some(spec) = rest.iter().find(|a| !a.starts_with('-')) else {
-        eprintln!("generate needs a profile (s5378|s9234|s15850|clocktree|N)");
-        exit(2);
-    };
-    let netlist = match spec.as_str() {
+fn cmd_generate(args: &Args) {
+    let netlist = match args.positional {
         "s5378" => IscasSynth::s5378().build(),
         "s9234" => IscasSynth::s9234().build(),
         "s15850" => IscasSynth::s15850().build(),
@@ -229,23 +371,14 @@ fn cmd_generate(rest: &[String]) {
             }
         },
     };
-    let text = bench_format::write(&netlist);
-    match flag(rest, "-o") {
-        Some(path) => {
-            std::fs::write(path, text).unwrap_or_else(|e| {
-                eprintln!("cannot write `{path}`: {e}");
-                exit(1);
-            });
-            eprintln!("wrote {} ({} gates) to {path}", netlist.name(), netlist.len());
-        }
-        None => outp!("{text}"),
-    }
+    let what = format!("{} ({} gates)", netlist.name(), netlist.len());
+    args.emit(&bench_format::write(&netlist), &what);
 }
 
-fn cmd_partition(rest: &[String]) {
-    let netlist = required_circuit(rest);
-    let k = k_of(rest, 8);
-    let strategy = strategy_of(rest);
+fn cmd_partition(args: &Args) {
+    let netlist = load_circuit(args.positional);
+    let k = args.at_least_one(&K, 8) as usize;
+    let strategy = args.strategy();
     let graph = CircuitGraph::from_netlist(&netlist);
     let t0 = std::time::Instant::now();
     let part = strategy.partition(&graph, k, 0);
@@ -260,7 +393,7 @@ fn cmd_partition(rest: &[String]) {
         out!("concurrency: {c:.2}");
     }
     out!("sizes:       {:?}", part.sizes());
-    if rest.iter().any(|a| a == "--replicate") {
+    if args.has(&REPLICATE) {
         let plan = plan_replication(&graph, &part, &ReplicationConfig::default());
         out!(
             "replication: {} replicas, cut {} -> {} (est. {} pins/toggle saved)",
@@ -272,21 +405,10 @@ fn cmd_partition(rest: &[String]) {
     }
 }
 
-/// Parse `--bucket`, defaulting to 1/20th of the horizon (≥ 1).
-fn bucket_of(rest: &[String], end: u64) -> u64 {
-    let w =
-        flag(rest, "--bucket").and_then(|v| v.parse().ok()).unwrap_or_else(|| (end / 20).max(1));
-    if w == 0 {
-        eprintln!("--bucket must be >= 1");
-        exit(2);
-    }
-    w
-}
-
 /// Parse `--exec` into an [`ExecModel`]; exits with the valid names on a
 /// bad value.
-fn exec_of(rest: &[String]) -> ExecModel {
-    match flag(rest, "--exec") {
+fn exec_of(args: &Args) -> ExecModel {
+    match args.text(&EXEC) {
         None => ExecModel::default(),
         Some(name) => name.parse().unwrap_or_else(|e: UnknownExecModel| {
             eprintln!("{e}");
@@ -297,47 +419,39 @@ fn exec_of(rest: &[String]) -> ExecModel {
 
 /// Parse `--faults SPEC` (with `--fault-seed N`, default 0) into a
 /// [`FaultPlan`]; exits with the parse error on a bad spec.
-fn faults_of(rest: &[String]) -> Option<FaultPlan> {
-    let spec = flag(rest, "--faults")?;
-    let seed: u64 = match flag(rest, "--fault-seed") {
-        None => 0,
-        Some(v) => v.parse().unwrap_or_else(|_| {
-            eprintln!("bad --fault-seed `{v}` (need a u64)");
-            exit(2);
-        }),
-    };
-    match FaultPlan::parse(spec, seed) {
+fn faults_of(args: &Args) -> Option<FaultPlan> {
+    let spec = args.text(&FAULTS)?;
+    match FaultPlan::parse(spec, args.number(&FAULT_SEED).unwrap_or(0)) {
         Ok(plan) => Some(plan),
         Err(e) => {
-            eprintln!("bad --faults spec: {e}");
+            eprintln!("bad {} spec: {e}", FAULTS.0);
             exit(2);
         }
     }
 }
 
-fn cmd_simulate(rest: &[String]) {
-    let netlist = required_circuit(rest);
-    let k = k_of(rest, 8);
-    let end: u64 = flag(rest, "--end").and_then(|v| v.parse().ok()).unwrap_or(400);
-    let strategy = strategy_of(rest);
+fn cmd_simulate(args: &Args) {
+    let netlist = load_circuit(args.positional);
+    let k = args.at_least_one(&K, 8) as usize;
+    let end = args.end();
+    let strategy = args.strategy();
     let graph = CircuitGraph::from_netlist(&netlist);
-    let mut cfg = SimConfig { end_time: end, ..Default::default() };
-    cfg.exec = exec_of(rest);
-    if rest.iter().any(|a| a == "--dynlb") {
-        cfg.dynlb = Some(DynLbConfig::default());
-    }
-    if rest.iter().any(|a| a == "--replicate") {
-        cfg.replication = Some(ReplicationConfig::default());
-    }
-    cfg.faults = faults_of(rest);
+    let cfg = SimConfig {
+        end_time: end,
+        exec: exec_of(args),
+        dynlb: args.has(&DYNLB).then(DynLbConfig::default),
+        replication: args.has(&REPLICATE).then(ReplicationConfig::default),
+        faults: faults_of(args),
+        ..Default::default()
+    };
     if let Some(s) = cfg.faults.iter().flat_map(|p| &p.scenarios).find(|s| s.node as usize >= k) {
-        eprintln!("bad --faults spec: node {} does not exist (-k {k})", s.node);
+        eprintln!("bad {} spec: node {} does not exist ({} {k})", FAULTS.0, s.node, K.0);
         exit(2);
     }
+    let trace_path = args.text(&TRACE);
+    let bucket = trace_path.map(|_| args.bucket(end));
     let seq = run_seq_baseline(&netlist, &cfg);
     out!("sequential: {} events, {:.3} modeled s", seq.events, seq.exec_time_s);
-    let trace_path = flag(rest, "--trace");
-    let bucket = trace_path.map(|_| bucket_of(rest, end));
     let part = strategy.partition(&graph, k, 0);
     let mut cell = Cell::new(&netlist, &graph, &cfg).nodes(k);
     if let Some(w) = bucket {
@@ -379,10 +493,7 @@ fn cmd_simulate(rest: &[String]) {
     );
     if let Some(path) = trace_path {
         let series = m.telemetry.expect("recording was requested");
-        std::fs::write(path, series.to_jsonl()).unwrap_or_else(|e| {
-            eprintln!("cannot write `{path}`: {e}");
-            exit(1);
-        });
+        write_file(path, &series.to_jsonl());
         eprintln!(
             "wrote {} telemetry buckets (width {}) to {path}",
             series.len(),
@@ -391,12 +502,12 @@ fn cmd_simulate(rest: &[String]) {
     }
 }
 
-fn cmd_trace(rest: &[String]) {
-    let netlist = required_circuit(rest);
-    let k = k_of(rest, 8);
-    let end: u64 = flag(rest, "--end").and_then(|v| v.parse().ok()).unwrap_or(400);
-    let bucket = bucket_of(rest, end);
-    let strategy = strategy_of(rest);
+fn cmd_trace(args: &Args) {
+    let netlist = load_circuit(args.positional);
+    let k = args.at_least_one(&K, 8) as usize;
+    let end = args.end();
+    let bucket = args.bucket(end);
+    let strategy = args.strategy();
     let graph = CircuitGraph::from_netlist(&netlist);
     let cfg = SimConfig { end_time: end, ..Default::default() };
     let part = strategy.partition(&graph, k, 0);
@@ -407,8 +518,7 @@ fn cmd_trace(rest: &[String]) {
         exit(1);
     }
     let series = m.telemetry.clone().expect("recording was requested");
-    let format = flag(rest, "--format");
-    let rendered = match format {
+    let rendered = match args.text(&FORMAT) {
         Some("jsonl") => series.to_jsonl(),
         Some("csv") => series.to_csv(),
         Some(other) => {
@@ -427,13 +537,18 @@ fn cmd_trace(rest: &[String]) {
                 "{:>10} {:>8} {:>9} {:>7} {:>9} {:>9} {:>9} {:>8}\n",
                 "vt", "events", "committed", "rollbk", "antis", "messages", "states", "pending"
             ));
-            for (key, b) in series.buckets() {
+            // One row per bucket, then the totals (no pending high-water).
+            let total = series.totals();
+            let rows = series.buckets().map(|(key, b)| {
                 let vt = match key {
                     parlogsim::timewarp::BucketKey::At(i) => {
-                        format!("{}", i * series.bucket_width())
+                        (i * series.bucket_width()).to_string()
                     }
                     parlogsim::timewarp::BucketKey::Final => "final".to_string(),
                 };
+                (vt, b, b.pending_max.to_string())
+            });
+            for (vt, b, pending) in rows.chain([("total".to_string(), &total, String::new())]) {
                 s.push_str(&format!(
                     "{:>10} {:>8} {:>9} {:>7} {:>9} {:>9} {:>9} {:>8}\n",
                     vt,
@@ -443,44 +558,22 @@ fn cmd_trace(rest: &[String]) {
                     b.antis_sent,
                     b.app_messages,
                     b.states_saved,
-                    b.pending_max
+                    pending
                 ));
             }
-            let t = series.totals();
-            s.push_str(&format!(
-                "{:>10} {:>8} {:>9} {:>7} {:>9} {:>9} {:>9} {:>8}\n",
-                "total",
-                t.events,
-                t.events_committed,
-                t.rollbacks(),
-                t.antis_sent,
-                t.app_messages,
-                t.states_saved,
-                ""
-            ));
             s
         }
     };
-    match flag(rest, "-o") {
-        Some(path) => {
-            std::fs::write(path, rendered).unwrap_or_else(|e| {
-                eprintln!("cannot write `{path}`: {e}");
-                exit(1);
-            });
-            eprintln!("wrote {} buckets to {path}", series.len());
-        }
-        None => outp!("{rendered}"),
-    }
+    args.emit(&rendered, &format!("{} buckets", series.len()));
 }
 
-fn cmd_hotspots(rest: &[String]) {
-    let netlist = required_circuit(rest);
-    let k = k_of(rest, 8);
-    let end: u64 = flag(rest, "--end").and_then(|v| v.parse().ok()).unwrap_or(400);
-    let strategy = strategy_of(rest);
+fn cmd_hotspots(args: &Args) {
+    let netlist = load_circuit(args.positional);
+    let k = args.at_least_one(&K, 8) as usize;
+    let strategy = args.strategy();
     let graph = CircuitGraph::from_netlist(&netlist);
     let part = strategy.partition(&graph, k, 0);
-    let cfg = SimConfig { end_time: end, ..Default::default() };
+    let cfg = SimConfig { end_time: args.end(), ..Default::default() };
     let app = cfg.build_app(&netlist);
     let res = Simulator::new(&app)
         .platform_config(&cfg.platform)
@@ -524,43 +617,24 @@ fn cmd_hotspots(rest: &[String]) {
     }
 }
 
-fn cmd_dot(rest: &[String]) {
-    let netlist = required_circuit(rest);
-    let k = k_of(rest, 4);
-    let strategy = strategy_of(rest);
+fn cmd_dot(args: &Args) {
+    let netlist = load_circuit(args.positional);
+    let k = args.at_least_one(&K, 4) as usize;
+    let strategy = args.strategy();
     let graph = CircuitGraph::from_netlist(&netlist);
     let part = strategy.partition(&graph, k, 0);
     let names: Vec<String> = netlist.gates().iter().map(|g| g.name.clone()).collect();
     let dot = parlogsim::partition::to_dot(&graph, Some(&part), Some(&names));
-    match flag(rest, "-o") {
-        Some(path) => {
-            std::fs::write(path, dot).unwrap_or_else(|e| {
-                eprintln!("cannot write `{path}`: {e}");
-                exit(1);
-            });
-            eprintln!("wrote DOT for {} ({} gates) to {path}", netlist.name(), netlist.len());
-        }
-        None => outp!("{dot}"),
-    }
+    args.emit(&dot, &format!("DOT for {} ({} gates)", netlist.name(), netlist.len()));
 }
 
-fn cmd_vcd(rest: &[String]) {
-    let netlist = required_circuit(rest);
-    let end: u64 = flag(rest, "--end").and_then(|v| v.parse().ok()).unwrap_or(400);
-    let cfg = SimConfig { end_time: end, ..Default::default() };
+fn cmd_vcd(args: &Args) {
+    let netlist = load_circuit(args.positional);
+    let cfg = SimConfig { end_time: args.end(), ..Default::default() };
     // Waveforms are per-gate by construction: always record the per-gate
     // engine (identical committed history either way).
     let app = cfg.build_gate_sim(&netlist);
     let wave = WaveRecorder::new(app).record();
     let vcd = write_vcd(&netlist, &wave, netlist.outputs(), "1ns");
-    match flag(rest, "-o") {
-        Some(path) => {
-            std::fs::write(path, vcd).unwrap_or_else(|e| {
-                eprintln!("cannot write `{path}`: {e}");
-                exit(1);
-            });
-            eprintln!("wrote waveform of {} outputs to {path}", netlist.outputs().len());
-        }
-        None => outp!("{vcd}"),
-    }
+    args.emit(&vcd, &format!("waveform of {} outputs", netlist.outputs().len()));
 }
