@@ -137,6 +137,30 @@ pub fn detcheck(_args: &[String]) {
     println!("gates/plat4 fingerprint: {:?}", app.fingerprint(&gplat.states));
     println!("gates/plat4 telemetry:\n{}", gplat.telemetry.unwrap().to_jsonl());
 
+    // Gate-per-LP under lazy cancellation with sparse checkpoints: lazy
+    // regeneration compares re-sent payloads with the cancelled ones, so
+    // this is where a change to how a gate keeps its pins can move the
+    // counts without moving the fingerprint.
+    let lazy_cfg = PlatformConfig {
+        kernel: KernelConfig {
+            cancellation: Cancellation::Lazy,
+            checkpoint_interval: 4,
+            ..Default::default()
+        },
+        ..Default::default()
+    };
+    let glazy = Simulator::new(&app)
+        .platform_config(&lazy_cfg)
+        .run(Backend::Platform { assignment: &gasg, nodes: 4 })
+        .unwrap();
+    stats_line("gates/plat4/lazy_sparse", &glazy.stats);
+    println!(
+        "gates/plat4/lazy_sparse exec_time_s: {:.9} clocks: {:?}",
+        glazy.outcome.exec_time_s().unwrap(),
+        glazy.outcome.node_clocks_ns().unwrap()
+    );
+    println!("gates/plat4/lazy_sparse fingerprint: {:?}", app.fingerprint(&glazy.states));
+
     let gthr_asg: Vec<u32> = (0..app.num_lps()).map(|i| (i % 2) as u32).collect();
     let gthr =
         Simulator::new(&app).run(Backend::Threaded { assignment: &gthr_asg, clusters: 2 }).unwrap();
