@@ -329,7 +329,7 @@ pub struct BlockState {
     /// queue is time-ordered by construction (see module docs).
     pub(crate) agenda: Vec<VecDeque<(VTime, u32, Value)>>,
     /// Per DFF: armed sampling time ([`VTime::INF`] = none) — the
-    /// in-block analog of [`crate::gatelp::GateState::next_tick`].
+    /// in-block analog of a gate-per-LP DFF's pending sampling tick.
     pub(crate) next_sample: Vec<VTime>,
     /// Per stimulus element: its deterministic stream (part of state so
     /// rollbacks rewind the stream with everything else).
@@ -701,7 +701,7 @@ impl CompiledSim {
                 ops.push(Op {
                     lo,
                     delay,
-                    nargs: take as u8,
+                    nargs: u8::try_from(take).expect("`GateKind::arity` caps fan-in at 255"),
                     meta: base | (post << 2) | (bucket_of(delay) << 4),
                 });
             }

@@ -22,6 +22,15 @@
 //! hash of the *committed* history is identical across executives — the
 //! cross-kernel equivalence oracle used throughout the test suite.
 //!
+//! The kernel copies a gate's state at every checkpoint and every
+//! rollback, so [`GateState`] owns no heap memory (release builds): the
+//! output, the hash and the transition count, plus one slot for what only
+//! the gate's kind uses — a combinational gate's input pins, packed two
+//! bits each ([`PackedPins`], up to 255 pins, evaluated by popcount), a
+//! primary input's stimulus stream, or a DFF's D value and pending tick.
+//! The fan-out table the LPs send through is one flat arena
+//! (`reader_start` + `readers`).
+//!
 //! The compiled block executive ([`crate::compiled`]) replicates the
 //! primary-input and DFF step semantics below element-by-element inside
 //! its fused blocks (same streams, same sampling and emission times,
@@ -48,7 +57,7 @@
 
 use std::collections::BTreeMap;
 
-use pls_logic::{eval_gate, InputStream, StimulusConfig, Value};
+use pls_logic::{InputStream, PackedPins, StimulusConfig, Value};
 use pls_netlist::{GateId, GateKind, Netlist};
 use pls_timewarp::{Application, EventSink, LpId, VTime};
 
@@ -100,22 +109,36 @@ pub(crate) fn fnv_step(h: u64, t: VTime, v: Value) -> u64 {
     (h ^ v as u64).wrapping_mul(FNV_PRIME)
 }
 
-/// Per-gate LP state. `Clone` is the checkpoint operation, so it stays
-/// small: a few bytes per input pin plus counters. (No `PartialEq`: the
-/// stimulus stream's RNG is not comparable; run equivalence is checked
-/// through [`GateState::trace_hash`] fingerprints instead.)
-#[derive(Debug)]
+/// What only one kind of gate keeps: the fields the other kinds do not
+/// use share this one slot of [`GateState`].
+#[derive(Debug, Clone)]
+enum Role {
+    /// A combinational gate: the current value of every input pin.
+    Comb(PackedPins),
+    /// A primary input: its deterministic stimulus stream (part of state
+    /// so rollbacks rewind the stream with everything else).
+    Input(InputStream),
+    /// A DFF: the current value of its D input, and the pending
+    /// activity-driven sampling tick, if one is outstanding.
+    Dff {
+        /// Current D input.
+        d: Value,
+        /// Armed sampling tick.
+        next_tick: Option<VTime>,
+    },
+}
+
+/// Per-gate LP state. `Clone` is the checkpoint operation, and it is one
+/// flat copy: the state owns no heap memory (bar the debug-only history).
+/// (No `PartialEq`: the stimulus stream's RNG is not comparable; run
+/// equivalence is checked through [`GateState::trace_hash`] fingerprints
+/// instead.)
+#[derive(Debug, Clone)]
 pub struct GateState {
-    /// Current value of each input pin.
-    pub inputs: Vec<Value>,
+    /// Pins, stimulus stream or D input and tick, by the gate's kind.
+    role: Role,
     /// Last value scheduled on the output.
     pub output: Value,
-    /// For input LPs: the deterministic stimulus stream (part of state so
-    /// rollbacks rewind the stream with everything else).
-    pub stim: Option<InputStream>,
-    /// For DFFs: the pending activity-driven sampling tick, if one is
-    /// outstanding.
-    pub next_tick: Option<VTime>,
     /// FNV-1a rolling hash of `(time, output)` transitions.
     pub trace_hash: u64,
     /// Full transition history `(effective time, value char)` — debug aid,
@@ -126,64 +149,11 @@ pub struct GateState {
     pub transitions: u64,
 }
 
-/// Written by hand for `clone_from`: the kernel checkpoints into recycled
-/// states, and the derived one would allocate `inputs` anew every time.
-/// Both bodies name every field, so a new one cannot be forgotten.
-impl Clone for GateState {
-    fn clone(&self) -> Self {
-        let Self {
-            inputs,
-            output,
-            stim,
-            next_tick,
-            trace_hash,
-            #[cfg(debug_assertions)]
-            history,
-            transitions,
-        } = self;
-        GateState {
-            inputs: inputs.clone(),
-            output: *output,
-            stim: stim.clone(),
-            next_tick: *next_tick,
-            trace_hash: *trace_hash,
-            #[cfg(debug_assertions)]
-            history: history.clone(),
-            transitions: *transitions,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        let Self {
-            inputs,
-            output,
-            stim,
-            next_tick,
-            trace_hash,
-            #[cfg(debug_assertions)]
-            history,
-            transitions,
-        } = source;
-        self.inputs.clone_from(inputs);
-        self.output = *output;
-        self.stim.clone_from(stim);
-        self.next_tick = *next_tick;
-        self.trace_hash = *trace_hash;
-        #[cfg(debug_assertions)]
-        self.history.clone_from(history);
-        self.transitions = *transitions;
-    }
-}
-
 impl GateState {
-    /// A fresh state for a gate with `fanin_len` input pins; `stim` is the
-    /// stimulus stream for primary-input LPs.
-    pub(crate) fn fresh(fanin_len: usize, stim: Option<InputStream>) -> GateState {
+    fn fresh(role: Role) -> GateState {
         GateState {
-            inputs: vec![Value::X; fanin_len],
+            role,
             output: Value::X,
-            stim,
-            next_tick: None,
             trace_hash: FNV_BASIS,
             transitions: 0,
             #[cfg(debug_assertions)]
@@ -249,8 +219,11 @@ impl TickCfg {
 #[derive(Debug)]
 pub struct GateSim {
     kinds: Vec<GateKind>,
-    /// `(reader LP, reader pin)` for every gate's output signal.
-    readers: Vec<Vec<(LpId, u8)>>,
+    /// `(reader LP, reader pin)` for every LP's output signal: LP `i`'s
+    /// are `readers[reader_start[i]..reader_start[i + 1]]`, in LP order
+    /// of the reader, then pin order.
+    reader_start: Vec<u32>,
+    readers: Vec<(LpId, u8)>,
     fanin_len: Vec<u8>,
     delay: Vec<u64>,
     /// Stimulus stream configuration (primary inputs).
@@ -298,12 +271,28 @@ impl GateSim {
         // gates at home, then the replicas in plan order.
         let lps = || netlist.ids().map(|g| (g, part_of(g))).chain(replicas.iter().copied());
         // Every LP's pins read the home drivers, or a replica of the
-        // driver when the plan placed one in the LP's part.
-        let mut readers: Vec<Vec<(LpId, u8)>> = vec![Vec::new(); n + replicas.len()];
+        // driver when the plan placed one in the LP's part. One pass counts
+        // each driver's readers, the second files them.
+        let src = |driver: GateId, part: u32| -> usize {
+            replica_lp.get(&(driver, part)).copied().unwrap_or(driver) as usize
+        };
+        let mut reader_start = vec![0u32; n + replicas.len() + 1];
+        for (g, part) in lps() {
+            for &driver in netlist.fanin(g) {
+                reader_start[src(driver, part) + 1] += 1;
+            }
+        }
+        for i in 1..reader_start.len() {
+            reader_start[i] += reader_start[i - 1];
+        }
+        let mut next = reader_start.clone();
+        let mut readers = vec![(0, 0); *reader_start.last().expect("n + 1 entries") as usize];
         for (lp, (g, part)) in lps().enumerate() {
             for (pin, &driver) in netlist.fanin(g).iter().enumerate() {
-                let src = replica_lp.get(&(driver, part)).copied().unwrap_or(driver);
-                readers[src as usize].push((lp as LpId, pin as u8));
+                let at = &mut next[src(driver, part)];
+                // `GateKind::arity` caps fan-in at 255, so a pin fits a byte.
+                readers[*at as usize] = (lp as LpId, pin as u8);
+                *at += 1;
             }
         }
         let mut input_index = vec![None; n];
@@ -316,8 +305,11 @@ impl GateSim {
         let gates = || lps().map(|(g, _)| netlist.gate(g));
         GateSim {
             kinds: gates().map(|g| g.kind).collect(),
+            reader_start,
             readers,
-            fanin_len: gates().map(|g| g.fanin.len() as u8).collect(),
+            fanin_len: gates()
+                .map(|g| u8::try_from(g.fanin.len()).expect("`GateKind::arity` caps fan-in at 255"))
+                .collect(),
             delay: gates().map(|g| cfg.delay.delay(g.kind, g.fanin.len())).collect(),
             stim: cfg.stim,
             input_index,
@@ -341,7 +333,8 @@ impl GateSim {
         let delay = self.delay[lp as usize];
         state.output = v;
         state.note_transition(now.after(delay), v);
-        let readers = &self.readers[lp as usize];
+        let readers = &self.readers
+            [self.reader_start[lp as usize] as usize..self.reader_start[lp as usize + 1] as usize];
         for &(reader, pin) in readers {
             sink.schedule(reader, delay, GateMsg::Wire { pin, value: v });
         }
@@ -366,13 +359,10 @@ impl GateSim {
         // Only SelfTicks arrive here (inputs have no fanin).
         for (_, m) in msgs {
             debug_assert_eq!(*m, GateMsg::SelfTick);
-            let stream = state.stim.as_mut().expect("input LP has a stream");
-            let next = if state.transitions == 0 && state.output == Value::X {
-                // First tick: drive the initial value.
-                Some(stream.initial())
-            } else {
-                stream.tick()
-            };
+            // First tick: drive the initial value.
+            let first = state.transitions == 0 && state.output == Value::X;
+            let Role::Input(stream) = &mut state.role else { unreachable!("input LP state") };
+            let next = if first { Some(stream.initial()) } else { stream.tick() };
             if let Some(v) = next {
                 self.emit_output(lp, state, now, v, sink);
             }
@@ -396,27 +386,30 @@ impl GateSim {
         // Register semantics: a clock edge in this batch samples the D value
         // from *before* any same-time Wire update.
         let ticked = msgs.iter().any(|(_, m)| *m == GateMsg::SelfTick);
-        if ticked && state.next_tick == Some(now) {
-            state.next_tick = None;
-            let d = state.inputs[0].input_view();
-            if d != state.output {
-                self.emit_output(lp, state, now, d, sink);
+        let Role::Dff { mut d, mut next_tick } = state.role else { unreachable!("DFF LP state") };
+        if ticked && next_tick == Some(now) {
+            next_tick = None;
+            let q = d.input_view();
+            if q != state.output {
+                self.emit_output(lp, state, now, q, sink);
             }
         }
         for (_, m) in msgs {
             if let GateMsg::Wire { pin, value } = m {
-                if state.inputs[*pin as usize] != *value {
-                    state.inputs[*pin as usize] = *value;
+                debug_assert_eq!(*pin, 0, "a DFF has one input");
+                if d != *value {
+                    d = *value;
                     // Activity-driven clocking: ensure a sampling tick at the
                     // next clock edge after `now`.
                     let edge = self.tick.next_clock_edge(now);
-                    if edge <= self.tick.end_time && state.next_tick.is_none_or(|t| t > edge) {
-                        state.next_tick = Some(edge);
+                    if edge <= self.tick.end_time && next_tick.is_none_or(|t| t > edge) {
+                        next_tick = Some(edge);
                         sink.schedule_at(lp, edge, GateMsg::SelfTick);
                     }
                 }
             }
         }
+        state.role = Role::Dff { d, next_tick };
     }
 
     /// Transport delay of an LP's gate.
@@ -448,8 +441,14 @@ impl Application for GateSim {
     }
 
     fn init_state(&self, lp: LpId) -> GateState {
-        let stim = self.input_index[lp as usize].map(|ix| self.stim.stream(ix));
-        GateState::fresh(self.fanin_len[lp as usize] as usize, stim)
+        let lp = lp as usize;
+        GateState::fresh(match self.kinds[lp] {
+            GateKind::Input => {
+                Role::Input(self.stim.stream(self.input_index[lp].expect("inputs are indexed")))
+            }
+            GateKind::Dff => Role::Dff { d: Value::X, next_tick: None },
+            _ => Role::Comb(PackedPins::new(self.fanin_len[lp] as usize)),
+        })
     }
 
     fn init_events(&self, lp: LpId, _state: &mut GateState, sink: &mut EventSink<GateMsg>) {
@@ -474,18 +473,17 @@ impl Application for GateSim {
             GateKind::Dff => self.step_dff(lp, state, now, msgs, sink),
             _ => {
                 // Combinational: apply all updates, then evaluate once.
+                let Role::Comb(pins) = &mut state.role else { unreachable!("gate LP state") };
                 for (_, m) in msgs {
                     match m {
-                        GateMsg::Wire { pin, value } => {
-                            state.inputs[*pin as usize] = *value;
-                        }
+                        GateMsg::Wire { pin, value } => pins.set(*pin as usize, *value),
                         GateMsg::Port { .. } | GateMsg::Ports { .. } => {
                             unreachable!("per-gate LPs never receive Port")
                         }
                         GateMsg::SelfTick => unreachable!("combinational gates never tick"),
                     }
                 }
-                let v = eval_gate(kind, &state.inputs);
+                let v = pins.eval(kind, self.fanin_len[lp as usize] as usize);
                 if v != state.output {
                     self.emit_output(lp, state, now, v, sink);
                 }

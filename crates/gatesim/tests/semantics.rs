@@ -2,7 +2,7 @@
 //! propagation, X-flush behaviour and determinism details that the
 //! top-level oracle tests would only catch indirectly.
 
-use pls_gatesim::{ExecModel, GateSim, SimConfig};
+use pls_gatesim::{CompileOptions, ExecModel, GateSim, SimConfig};
 use pls_logic::{DelayModel, StimulusConfig, Value};
 use pls_netlist::bench_format::parse;
 use pls_timewarp::{Application, Backend, RunReport, Simulator};
@@ -163,4 +163,49 @@ fn compiled_mode_matches_on_multi_pin_and_reconvergence() {
         300,
     );
     assert_eq!(gf, cf);
+}
+
+#[test]
+fn widest_gates_match_across_engines_and_executives() {
+    // 255 inputs, the widest gate `GateKind::arity` allows: an XOR over
+    // all of them (every pin word of the packed state, every operand slot
+    // of a full compiled op) and a NAND reading one input on 254 pins and
+    // another on the last, so it toggles and a change of the first lands
+    // 254 pin updates in one batch.
+    let ins: Vec<String> = (0..255).map(|i| format!("I{i}")).collect();
+    let mut nand = vec!["I0"; 254];
+    nand.push("I1");
+    let text = format!(
+        "{}OUTPUT(Y)\nOUTPUT(Z)\nY = XOR({})\nZ = NAND({})\n",
+        ins.iter().map(|i| format!("INPUT({i})\n")).collect::<String>(),
+        ins.join(", "),
+        nand.join(", ")
+    );
+    let n = parse("wide", &text).unwrap();
+    let parts: Vec<u32> = (0..n.len() as u32).map(|g| g % 2).collect();
+    let gate = config(11, 0.5, 300).build_app(&n);
+    let seq = run_sequential(&gate);
+    let oracle = gate.fingerprint(&seq.states);
+    for out in ["Y", "Z"] {
+        let state = seq.states[n.find(out).unwrap() as usize].as_gate().unwrap();
+        assert!(state.transitions > 5, "{out} barely toggled: {}", state.transitions);
+    }
+    let exec = ExecModel::CompiledBlocks(CompileOptions { blocks: Some(parts.clone()) });
+    let compiled = SimConfig { exec, ..config(11, 0.5, 300) }.build_app(&n);
+    for app in [&gate, &compiled] {
+        let asg = app.lp_assignment(&parts);
+        let runs = [
+            Simulator::new(app).run(Backend::Sequential),
+            Simulator::new(app).run(Backend::Platform { assignment: &asg, nodes: 2 }),
+            Simulator::new(app).run(Backend::Threaded { assignment: &asg, clusters: 2 }),
+        ];
+        for (executive, run) in ["sequential", "platform", "threaded"].iter().zip(runs) {
+            assert_eq!(
+                app.fingerprint(&run.unwrap().states),
+                oracle,
+                "{} on the {executive} executive",
+                app.exec_name()
+            );
+        }
+    }
 }

@@ -1,4 +1,6 @@
-//! Combinational gate evaluation over four-valued logic.
+//! Combinational gate evaluation over four-valued logic: over a slice of
+//! pin values ([`eval_gate`], the reference), and over pins packed two
+//! bits each ([`PackedPins`], what a gate-per-LP gate keeps in its state).
 
 use pls_netlist::GateKind;
 
@@ -24,6 +26,89 @@ pub fn eval_gate(kind: GateKind, inputs: &[Value]) -> Value {
         GateKind::Buf => inputs[0].input_view(),
         GateKind::Input | GateKind::Dff => {
             panic!("{kind:?} is not combinationally evaluable")
+        }
+    }
+}
+
+/// The input pins of one gate, inline at two bits each: up to
+/// [`GateKind::MAX_ARITY`] pins in 64 bytes, so a gate's state owns no
+/// heap memory and a checkpoint of it is a flat copy. Each pin keeps its
+/// exact [`Value`]; evaluation reads `Z` as `X`, as [`eval_gate`] does.
+/// Pins past the gate's width stay `V0` and are never set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct PackedPins([u64; 8]);
+
+impl PackedPins {
+    /// `width` pins, every one `X` (not yet driven).
+    ///
+    /// # Panics
+    /// If `width` exceeds [`GateKind::MAX_ARITY`].
+    pub fn new(width: usize) -> PackedPins {
+        assert!(width <= GateKind::MAX_ARITY, "a gate has at most 255 pins, not {width}");
+        let mut pins = PackedPins([0; 8]);
+        for pin in 0..width {
+            pins.set(pin, Value::X);
+        }
+        pins
+    }
+
+    /// The value of pin `pin`.
+    pub fn get(&self, pin: usize) -> Value {
+        match (self.0[pin / 32] >> (2 * (pin % 32))) & 3 {
+            0 => Value::V0,
+            1 => Value::V1,
+            2 => Value::X,
+            _ => Value::Z,
+        }
+    }
+
+    /// Set pin `pin` to `v`.
+    pub fn set(&mut self, pin: usize, v: Value) {
+        let (word, shift) = (pin / 32, 2 * (pin % 32));
+        self.0[word] = (self.0[word] & !(3 << shift)) | ((v as u64) << shift);
+    }
+
+    /// [`eval_gate`] over the first `width` pins, from three popcounts:
+    /// the pins that are `V1`, the pins that are `X` or `Z`, and the rest,
+    /// which are `V0`. (The encoding is `Value`'s discriminant: `V0` = 00,
+    /// `V1` = 01, `X` = 10, `Z` = 11, so the high bit marks an unknown.)
+    ///
+    /// # Panics
+    /// As [`eval_gate`], and if `width` is zero or exceeds
+    /// [`GateKind::MAX_ARITY`].
+    pub fn eval(&self, kind: GateKind, width: usize) -> Value {
+        assert!((1..=GateKind::MAX_ARITY).contains(&width), "cannot evaluate {width} pins");
+        const LOW: u64 = 0x5555_5555_5555_5555;
+        let (mut ones, mut unknown) = (0, 0);
+        for &w in &self.0[..width.div_ceil(32)] {
+            let high = (w >> 1) & LOW;
+            unknown += high.count_ones() as usize;
+            ones += (w & !high & LOW).count_ones() as usize;
+        }
+        let zeros = width - ones - unknown;
+        let and = || match (zeros, unknown) {
+            (0, 0) => Value::V1,
+            (0, _) => Value::X,
+            _ => Value::V0,
+        };
+        let or = || match (ones, unknown) {
+            (0, 0) => Value::V0,
+            (0, _) => Value::X,
+            _ => Value::V1,
+        };
+        let xor = || if unknown > 0 { Value::X } else { Value::from_bool(ones % 2 == 1) };
+        match kind {
+            GateKind::And => and(),
+            GateKind::Nand => and().not(),
+            GateKind::Or => or(),
+            GateKind::Nor => or().not(),
+            GateKind::Xor => xor(),
+            GateKind::Xnor => xor().not(),
+            GateKind::Not => self.get(0).not(),
+            GateKind::Buf => self.get(0).input_view(),
+            GateKind::Input | GateKind::Dff => {
+                panic!("{kind:?} is not combinationally evaluable")
+            }
         }
     }
 }

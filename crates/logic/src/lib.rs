@@ -26,6 +26,6 @@ pub mod stimulus;
 pub mod value;
 
 pub use delay::DelayModel;
-pub use eval::eval_gate;
+pub use eval::{eval_gate, PackedPins};
 pub use stimulus::{InputStream, StimulusConfig};
 pub use value::Value;

@@ -3,7 +3,7 @@
 //! deterministic sweep of random vectors (the offline build has no
 //! proptest, so cases are generated with an explicit PRNG).
 
-use pls_logic::{eval_gate, Value};
+use pls_logic::{eval_gate, PackedPins, Value};
 use pls_netlist::GateKind;
 
 const VALUES: [Value; 4] = [Value::V0, Value::V1, Value::X, Value::Z];
@@ -133,5 +133,55 @@ fn stimulus_streams_are_independent_and_reproducible() {
             // over 32 ticks; equality would signal a seeding bug).
             assert_ne!(run(a), run(b));
         }
+    }
+}
+
+#[test]
+fn packed_evaluation_equals_eval_gate_at_every_width() {
+    // Every kind at every width `GateKind::arity` allows, up to the
+    // capacity: several random pin vectors each (X and Z included), plus
+    // the all-known and all-unknown corners where the counts are extreme.
+    let mut s = 8u64;
+    for kind in GateKind::ALL.into_iter().filter(|k| !matches!(k, GateKind::Input | GateKind::Dff))
+    {
+        let (lo, hi) = kind.arity();
+        for width in lo..=hi {
+            let mut cases: Vec<Vec<Value>> =
+                (0..4).map(|_| (0..width).map(|_| value(&mut s)).collect()).collect();
+            cases.push(vec![Value::V1; width]);
+            cases.push(vec![Value::Z; width]);
+            cases.push(
+                (0..width).map(|_| Value::from_bool(!mix(&mut s).is_multiple_of(64))).collect(),
+            );
+            for pins in cases {
+                let mut packed = PackedPins::new(width);
+                for (pin, &v) in pins.iter().enumerate() {
+                    packed.set(pin, v);
+                }
+                assert_eq!(
+                    packed.eval(kind, width),
+                    eval_gate(kind, &pins),
+                    "{kind:?} over {width} pins {pins:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn packed_pins_round_trip_across_word_boundaries() {
+    let mut s = 9u64;
+    let width = GateKind::MAX_ARITY;
+    let mut packed = PackedPins::new(width);
+    let mut reference = vec![Value::X; width];
+    for _ in 0..4 {
+        for pin in [0, 31, 32, 63, 64, 95, 96, 127, 128, 191, 192, 253, 254] {
+            let v = value(&mut s);
+            packed.set(pin, v);
+            reference[pin] = v;
+            assert_eq!(packed.get(pin), v, "pin {pin}");
+        }
+        // Setting one pin never disturbs its neighbours.
+        assert!((0..width).all(|pin| packed.get(pin) == reference[pin]));
     }
 }

@@ -331,6 +331,13 @@ mod tests {
         let a = b.add_input("a").unwrap();
         b.add_gate("g", GateKind::And, vec![a]).unwrap(); // AND needs >= 2
         assert!(matches!(b.build(), Err(NetlistError::BadArity { .. })));
+        // ... and at most 255, the widest gate the simulators represent.
+        for (width, ok) in [(255, true), (256, false)] {
+            let mut b = NetlistBuilder::new("wide");
+            let a = b.add_input("a").unwrap();
+            b.add_gate("g", GateKind::Xor, vec![a; width]).unwrap();
+            assert_eq!(b.build().is_ok(), ok, "{width} inputs");
+        }
     }
 
     #[test]

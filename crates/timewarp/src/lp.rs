@@ -4,17 +4,23 @@
 //! executives differ only in *where* LPs live and *how* transmissions
 //! travel between them.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 
 use crate::app::{Application, EventSink};
 use crate::config::{Cancellation, KernelConfig};
 use crate::dynlb::LpWindow;
 use crate::event::{AntiEvent, Event, EventId, LpId, Transmission};
-use crate::pool::{EventPool, IdHashMap, Loc, Slot};
+use crate::pool::IdHashMap;
 use crate::probe::{Probe, RollbackKind};
 use crate::stats::{KernelStats, LpCounters};
 use crate::time::VTime;
+
+/// The order of the pending and processed queues: receive time, then
+/// event id — within a batch, the `(src, seq)` order its messages reach
+/// [`Application::execute`] in.
+fn key<M>(e: &Event<M>) -> (VTime, EventId) {
+    (e.recv_time, e.id)
+}
 
 /// A checkpoint of LP state.
 #[derive(Debug, Clone)]
@@ -39,20 +45,11 @@ pub struct LpRuntime<A: Application> {
     /// are unique across the whole run even when sends are re-generated
     /// after a rollback.
     out_seq: u64,
-    /// Unprocessed events, slab-allocated; ordering lives in `heap`.
-    pool: EventPool<A::Msg>,
-    /// Index min-heap over the pool, keyed `(recv_time, id, slot)` so pop
-    /// order reproduces the old `BTreeMap<(VTime, EventId), _>` iteration
-    /// exactly. Entries go stale when their event is removed through the
-    /// annihilation index; stale entries are discarded lazily, and every
-    /// mutating method leaves the *top* valid (see [`Self::heap_skim`]) so
-    /// [`Self::next_time`] stays a pure peek.
-    heap: BinaryHeap<Reverse<(VTime, EventId, Slot)>>,
-    /// Annihilation index: where every live inbound event id is right now
-    /// (pending slot / processed / orphan anti). Turns anti-message
-    /// matching from a queue scan into one hash lookup.
-    index: IdHashMap<EventId, Loc>,
-    /// Processed events in execution order (non-decreasing recv_time).
+    /// Unprocessed events sorted by [`key`], the order batches execute
+    /// in. Every one of them sorts after every processed event: an arrival
+    /// at or below LVT rolls back first.
+    pending: VecDeque<Event<A::Msg>>,
+    /// Processed events in execution order, which is [`key`] order.
     processed: Vec<Event<A::Msg>>,
     /// State checkpoints, oldest first; index 0 is always usable.
     states: Vec<SavedState<A::State>>,
@@ -157,9 +154,7 @@ impl<A: Application> LpRuntime<A> {
             state,
             lvt: VTime::ZERO,
             out_seq: 0,
-            pool: EventPool::default(),
-            heap: BinaryHeap::new(),
-            index: IdHashMap::default(),
+            pending: VecDeque::new(),
             processed: Vec::new(),
             states: vec![SavedState { tag: None, processed_len: 0, state: initial }],
             outputs: Vec::new(),
@@ -203,14 +198,7 @@ impl<A: Application> LpRuntime<A> {
 
     /// Receive time of the earliest unprocessed event, or [`VTime::INF`].
     pub fn next_time(&self) -> VTime {
-        debug_assert!(
-            self.heap.peek().is_none_or(|&Reverse((_, id, slot))| self
-                .pool
-                .get(slot)
-                .is_some_and(|e| e.id == id)),
-            "heap top must be valid between mutations"
-        );
-        self.heap.peek().map(|&Reverse((t, _, _))| t).unwrap_or(VTime::INF)
+        self.pending.front().map_or(VTime::INF, |e| e.recv_time)
     }
 
     /// Contribution of this LP to the GVT estimate: its earliest
@@ -234,13 +222,13 @@ impl<A: Application> LpRuntime<A> {
 
     /// Total unprocessed events currently queued.
     pub fn pending_len(&self) -> usize {
-        self.pool.len()
+        self.pending.len()
     }
 
     /// `(state_queue_len, pending_len)`: this LP's share of its cluster's
     /// queue totals.
     pub(crate) fn queue_lens(&self) -> (u64, u64) {
-        (self.states.len() as u64, self.pool.len() as u64)
+        (self.states.len() as u64, self.pending.len() as u64)
     }
 
     /// Whether [`Self::fossil_collect`] could find anything to free or
@@ -291,42 +279,24 @@ impl<A: Application> LpRuntime<A> {
         Event { id, dst, send_time: send, recv_time: recv, msg }
     }
 
-    /// File `ev` as pending: slab slot + heap key + index entry. A fresh
-    /// heap entry is valid by construction, so the top stays valid.
+    /// File `ev` as pending at its [`key`]: an append when it is the
+    /// latest, otherwise a binary-search insert (which moves the shorter
+    /// side of the deque).
     fn pending_insert(&mut self, ev: Event<A::Msg>) {
-        let (t, id) = (ev.recv_time, ev.id);
-        let slot = self.pool.insert(ev);
-        self.heap.push(Reverse((t, id, slot)));
-        let prev = self.index.insert(id, Loc::Pending(slot));
-        debug_assert!(
-            matches!(prev, None | Some(Loc::Processed)),
-            "pending insert over a live pending/orphan id"
-        );
-    }
-
-    /// Restore the heap-top invariant after a removal: discard entries
-    /// whose slot was freed or re-used by a different event until the top
-    /// references a live pending event (or the heap is empty).
-    fn heap_skim(&mut self) {
-        while let Some(&Reverse((_, id, slot))) = self.heap.peek() {
-            if self.pool.get(slot).is_some_and(|e| e.id == id) {
-                break;
-            }
-            self.heap.pop();
+        let k = key(&ev);
+        if self.pending.back().is_none_or(|last| key(last) < k) {
+            self.pending.push_back(ev);
+        } else {
+            let at = self.pending.partition_point(|e| key(e) < k);
+            debug_assert!(key(&self.pending[at]) != k, "pending insert over a live pending id");
+            self.pending.insert(at, ev);
         }
     }
 
-    /// Annihilate a pending event by id in O(1) (plus heap-top upkeep).
-    fn remove_pending(&mut self, id: EventId) -> Option<Event<A::Msg>> {
-        match self.index.get(&id) {
-            Some(&Loc::Pending(slot)) => {
-                self.index.remove(&id);
-                let ev = self.pool.remove(slot);
-                self.heap_skim();
-                Some(ev)
-            }
-            _ => None,
-        }
+    /// Take the pending positive of `anti` out of the queue, if it is there.
+    fn remove_pending(&mut self, anti: &AntiEvent) -> Option<Event<A::Msg>> {
+        let at = self.pending.binary_search_by_key(&(anti.recv_time, anti.id), key).ok()?;
+        self.pending.remove(at)
     }
 
     fn cancel_key_inc(&mut self, dst: LpId, recv: VTime) {
@@ -378,13 +348,8 @@ impl<A: Application> LpRuntime<A> {
             eprintln!("[lp{}] recv+ {:?} @{} lvt={}", self.id, ev.id, ev.recv_time, self.lvt);
         }
         // An orphan anti may already be waiting for this positive.
-        if let Some(&Loc::OrphanAnti(pos)) = self.index.get(&ev.id) {
-            self.index.remove(&ev.id);
-            self.orphan_antis.swap_remove(pos as usize);
-            // swap_remove moved the former tail into `pos`: re-point it.
-            if let Some(moved_id) = self.orphan_antis.get(pos as usize).map(|a| a.id) {
-                self.index.insert(moved_id, Loc::OrphanAnti(pos));
-            }
+        if let Some(pos) = self.orphan_antis.iter().position(|a| a.id == ev.id) {
+            self.orphan_antis.swap_remove(pos);
             stats.annihilated_pending += 1;
             probe.annihilated(self.id, ev.recv_time);
             self.flush_lazy(self.next_time(), stats, outbox, probe);
@@ -421,59 +386,53 @@ impl<A: Application> LpRuntime<A> {
         if self.traced() {
             eprintln!("[lp{}] recv- {:?} @{} lvt={}", self.id, anti.id, anti.recv_time, self.lvt);
         }
-        // One index lookup decides the annihilation case — no queue scans.
-        match self.index.get(&anti.id).copied() {
-            Some(Loc::Pending(_)) => {
-                let removed = self.remove_pending(anti.id);
-                debug_assert!(removed.is_some_and(|e| e.recv_time == anti.recv_time));
-                stats.annihilated_pending += 1;
-                probe.annihilated(self.id, anti.recv_time);
-                // Removing the pending event may raise the earliest possible
-                // batch time; held cancellations below it must go out now.
-                self.flush_lazy(self.next_time(), stats, outbox, probe);
-            }
-            Some(Loc::Processed) => {
-                // The positive is already executed: cancellation requires a
-                // rollback to its receive time first.
-                debug_assert!(anti.recv_time <= self.lvt, "processed events sit at or below LVT");
-                stats.secondary_rollbacks += 1;
-                self.own.rollbacks += 1;
-                self.rollback_to(
-                    app,
-                    anti.recv_time,
-                    RollbackKind::Secondary,
-                    stats,
-                    outbox,
-                    scratch,
-                    probe,
-                );
-                // The rollback re-files the positive as pending. A miss here
-                // means the queues are corrupt, and limping on would
-                // re-execute a cancelled event — fail hard in release too.
-                let removed = self.remove_pending(anti.id);
-                assert!(
-                    removed.is_some(),
-                    "annihilation target {:?} missing from pending after secondary rollback",
-                    anti.id
-                );
-                stats.annihilated_pending += 1;
-                probe.annihilated(self.id, anti.recv_time);
-                // Annihilation may have emptied the queue (or moved next_time
-                // past held cancellations): close the regeneration window so
-                // the LP cannot park with unsent anti-messages.
-                self.flush_lazy(self.next_time(), stats, outbox, probe);
-            }
-            Some(Loc::OrphanAnti(_)) => {
-                // A second anti for the same id cannot occur on reliable
-                // transports; dropping it is strictly safer than queueing a
-                // duplicate orphan.
-                debug_assert!(false, "duplicate anti-message {:?}", anti.id);
-            }
-            None => {
-                // Anti before its positive: remember it.
-                self.index.insert(anti.id, Loc::OrphanAnti(self.orphan_antis.len() as u32));
-                self.orphan_antis.push(anti);
-            }
+        // The positive is pending, processed or not here yet: two binary
+        // searches (both queues are in key order) and, on a miss, a scan
+        // of the orphans, which FIFO transports never fill.
+        if self.remove_pending(&anti).is_some() {
+            stats.annihilated_pending += 1;
+            probe.annihilated(self.id, anti.recv_time);
+            // Removing the pending event may raise the earliest possible
+            // batch time; held cancellations below it must go out now.
+            self.flush_lazy(self.next_time(), stats, outbox, probe);
+        } else if self.processed.binary_search_by_key(&(anti.recv_time, anti.id), key).is_ok() {
+            // The positive is already executed: cancellation requires a
+            // rollback to its receive time first.
+            debug_assert!(anti.recv_time <= self.lvt, "processed events sit at or below LVT");
+            stats.secondary_rollbacks += 1;
+            self.own.rollbacks += 1;
+            self.rollback_to(
+                app,
+                anti.recv_time,
+                RollbackKind::Secondary,
+                stats,
+                outbox,
+                scratch,
+                probe,
+            );
+            // The rollback re-files the positive as pending. A miss here
+            // means the queues are corrupt, and limping on would
+            // re-execute a cancelled event — fail hard in release too.
+            let removed = self.remove_pending(&anti);
+            assert!(
+                removed.is_some(),
+                "annihilation target {:?} missing from pending after secondary rollback",
+                anti.id
+            );
+            stats.annihilated_pending += 1;
+            probe.annihilated(self.id, anti.recv_time);
+            // Annihilation may have emptied the queue (or moved next_time
+            // past held cancellations): close the regeneration window so
+            // the LP cannot park with unsent anti-messages.
+            self.flush_lazy(self.next_time(), stats, outbox, probe);
+        } else if self.orphan_antis.iter().any(|a| a.id == anti.id) {
+            // A second anti for the same id cannot occur on reliable
+            // transports; dropping it is strictly safer than queueing a
+            // duplicate orphan.
+            debug_assert!(false, "duplicate anti-message {:?}", anti.id);
+        } else {
+            // Anti before its positive: remember it.
+            self.orphan_antis.push(anti);
         }
     }
 
@@ -529,21 +488,11 @@ impl<A: Application> LpRuntime<A> {
     ) {
         let now = self.next_time();
         assert!(!now.is_inf(), "execute_next on an idle LP");
-        // Pop the batch. Heap order reproduces the old BTreeMap's
-        // deterministic (recv_time, src, seq) message order.
+        // Pop the batch: the front run of events at `now`, in key order.
         let Scratch { batch, msgs, sink_buf, .. } = scratch;
         batch.clear();
-        while let Some(&Reverse((t, id, slot))) = self.heap.peek() {
-            if t != now {
-                break;
-            }
-            self.heap.pop();
-            let ev = self.pool.remove(slot);
-            debug_assert_eq!(ev.id, id);
-            self.index.insert(id, Loc::Processed);
-            self.heap_skim();
-            batch.push(ev);
-        }
+        let len = self.pending.iter().take_while(|e| e.recv_time == now).count();
+        batch.extend(self.pending.drain(..len));
         if self.traced() {
             let keys: Vec<_> = batch.iter().map(|e| (e.recv_time, e.id)).collect();
             eprintln!("[lp{}] exec @{} batch={:?}", self.id, now, keys);
@@ -660,9 +609,11 @@ impl<A: Application> LpRuntime<A> {
         let undone = (self.processed.len() - cut) as u64;
         stats.events_rolled_back += undone;
         self.own.events_rolled_back += undone;
-        while self.processed.len() > cut {
-            let ev = self.processed.pop().expect("length checked");
-            self.pending_insert(ev);
+        // Every pending event sorts after every processed one, so the
+        // undone events go back on the front, newest first.
+        for ev in self.processed.drain(cut..).rev() {
+            debug_assert!(self.pending.front().is_none_or(|f| key(&ev) < key(f)));
+            self.pending.push_front(ev);
         }
 
         // 2. Restore the newest state strictly before `to` (`tag: None`,
@@ -753,20 +704,14 @@ impl<A: Application> LpRuntime<A> {
             s.processed_len -= floor;
         }
         let mut committed = floor as u64;
-        for ev in self.processed.drain(..floor) {
-            let prev = self.index.remove(&ev.id);
-            debug_assert_eq!(prev, Some(Loc::Processed), "committed event had a live index entry");
-        }
+        self.processed.drain(..floor);
 
         let ocut = self.outputs.partition_point(|e| e.send_time < gvt);
         self.outputs.drain(..ocut);
 
         if gvt.is_inf() {
             committed += self.processed.len() as u64;
-            for ev in self.processed.drain(..) {
-                let prev = self.index.remove(&ev.id);
-                debug_assert_eq!(prev, Some(Loc::Processed));
-            }
+            self.processed.clear();
             debug_assert!(
                 self.pending_cancel.is_empty(),
                 "unsent lazy antis would have held GVT below ∞"

@@ -1,100 +1,12 @@
-//! Slab-backed event storage for the per-LP pending queue, plus the fast
-//! event-id hash used by the annihilation index.
-//!
-//! The original `LpRuntime` kept unprocessed events in a
-//! `BTreeMap<(VTime, EventId), Event>` — one heap allocation and an
-//! O(log n) pointer chase per insert/remove, on the hottest path of the
-//! whole kernel. The replacement is a classic slab: events live in a flat
-//! `Vec` of slots recycled through a free list, so steady-state event
-//! traffic allocates nothing, and ordering is provided by a separate index
-//! min-heap of `(recv_time, id, slot)` keys owned by `LpRuntime` (stale
-//! heap entries are discarded lazily when they surface — see
-//! `DESIGN.md` § "Kernel data structures & hot path").
+//! The kernel's sanctioned hashing: a fast, seed-free hasher for event
+//! ids and small integer keys, and the two map aliases built on it.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
-use crate::event::Event;
-
-/// Index of a slot inside an [`EventPool`].
-pub type Slot = u32;
-
-/// A recycling slab of events. Insertion returns a [`Slot`] that stays
-/// valid until the event is removed; slots are reused, so long-lived
-/// external references must revalidate by [`crate::event::EventId`] (the
-/// pending index heap does exactly that).
-#[derive(Debug)]
-pub struct EventPool<M> {
-    slots: Vec<Option<Event<M>>>,
-    free: Vec<Slot>,
-}
-
-impl<M> Default for EventPool<M> {
-    fn default() -> Self {
-        EventPool { slots: Vec::new(), free: Vec::new() }
-    }
-}
-
-impl<M> EventPool<M> {
-    /// Store `ev`, reusing a free slot when one exists.
-    pub fn insert(&mut self, ev: Event<M>) -> Slot {
-        match self.free.pop() {
-            Some(s) => {
-                debug_assert!(self.slots[s as usize].is_none(), "free list slot occupied");
-                self.slots[s as usize] = Some(ev);
-                s
-            }
-            None => {
-                self.slots.push(Some(ev));
-                (self.slots.len() - 1) as Slot
-            }
-        }
-    }
-
-    /// Take the event out of `slot`. Panics if the slot is empty — callers
-    /// hold slots only through the annihilation index, which tracks
-    /// occupancy exactly.
-    pub fn remove(&mut self, slot: Slot) -> Event<M> {
-        let ev = self.slots[slot as usize].take().expect("pool slot occupied");
-        self.free.push(slot);
-        ev
-    }
-
-    /// The event in `slot`, if the slot is currently occupied.
-    pub fn get(&self, slot: Slot) -> Option<&Event<M>> {
-        self.slots.get(slot as usize).and_then(|s| s.as_ref())
-    }
-
-    /// Number of live events.
-    pub fn len(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
-
-    /// Whether the pool holds no live events.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-/// Where an inbound event id currently lives inside one `LpRuntime` — the
-/// value type of the annihilation index. Every id received by an LP is in
-/// exactly one of these states until it is committed (fossil-collected)
-/// or annihilated, which is what makes anti-message matching O(1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Loc {
-    /// Unprocessed, stored in the pending pool at this slot.
-    Pending(Slot),
-    /// Executed and sitting in the processed queue (position not tracked:
-    /// annihilation only needs membership; rollback re-locates by time).
-    Processed,
-    /// An anti-message that arrived before its positive, parked in
-    /// `orphan_antis` at this position.
-    OrphanAnti(u32),
-}
-
 /// A fast, deterministic hasher for [`crate::event::EventId`] keys
 /// (Fibonacci-style multiply-mix — the keys are already well distributed,
-/// SipHash's DoS resistance buys nothing on this internal index and costs
-/// ~3× per lookup).
+/// SipHash's DoS resistance buys nothing on internal maps and costs ~3×
+/// per lookup).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct IdHasher(u64);
 
@@ -120,8 +32,9 @@ impl Hasher for IdHasher {
     }
 }
 
-/// `BuildHasher` for the annihilation index and the lazy-cancellation key
-/// filter.
+/// `BuildHasher` for every [`IdHashMap`] and [`IdHashSet`] (the
+/// lazy-cancellation key filter, the sequential executive's payload map,
+/// the chaos layer's dedup set, the model checker's visited set).
 pub type IdHashBuilder = BuildHasherDefault<IdHasher>;
 
 /// The sanctioned hash map for kernel code: seed-free, so iteration can
@@ -138,52 +51,6 @@ pub type IdHashSet<T> = std::collections::HashSet<T, IdHashBuilder>;
 mod tests {
     use super::*;
     use crate::event::EventId;
-    use crate::time::VTime;
-
-    fn ev(seq: u64) -> Event<u8> {
-        Event {
-            id: EventId { src: 1, seq },
-            dst: 2,
-            send_time: VTime(1),
-            recv_time: VTime(5),
-            msg: seq as u8,
-        }
-    }
-
-    #[test]
-    fn insert_remove_recycles_slots() {
-        let mut pool: EventPool<u8> = EventPool::default();
-        let a = pool.insert(ev(1));
-        let b = pool.insert(ev(2));
-        assert_ne!(a, b);
-        assert_eq!(pool.len(), 2);
-        let out = pool.remove(a);
-        assert_eq!(out.id.seq, 1);
-        assert_eq!(pool.len(), 1);
-        let c = pool.insert(ev(3));
-        assert_eq!(c, a, "freed slot is reused");
-        assert_eq!(pool.get(c).unwrap().id.seq, 3);
-        assert_eq!(pool.get(b).unwrap().id.seq, 2);
-        assert_eq!(pool.len(), 2);
-    }
-
-    #[test]
-    fn get_on_freed_slot_is_none() {
-        let mut pool: EventPool<u8> = EventPool::default();
-        let a = pool.insert(ev(1));
-        pool.remove(a);
-        assert!(pool.get(a).is_none());
-        assert!(pool.is_empty());
-    }
-
-    #[test]
-    #[should_panic]
-    fn double_remove_panics() {
-        let mut pool: EventPool<u8> = EventPool::default();
-        let a = pool.insert(ev(1));
-        pool.remove(a);
-        pool.remove(a);
-    }
 
     #[test]
     fn id_hasher_spreads_sequential_ids() {

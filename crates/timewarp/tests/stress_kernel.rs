@@ -1,11 +1,14 @@
-//! Stress test of the kernel's annihilation index and slab event pool: a
-//! splitmix64-driven storm of random positives, stragglers, anti-messages
-//! and orphan antis is fed straight into one `LpRuntime`, and after every
-//! step the runtime's observables are compared against a naive reference
-//! model that resolves every annihilation by linear scan — the trivially
-//! correct data structure the index replaced. Any divergence in decision
-//! (annihilate pending / secondary rollback / orphan), queue contents,
-//! LVT or resulting state is a bug in the O(1) index.
+//! Stress test of the kernel's per-LP queues: a splitmix64-driven storm of
+//! random positives, stragglers, anti-messages and orphan antis is fed
+//! straight into one `LpRuntime`, and after every step the runtime's
+//! observables are compared against a naive reference model that keeps
+//! unsorted `Vec`s and resolves every annihilation by linear scan. The
+//! runtime keeps its pending events in one deque sorted by `(recv_time,
+//! id)`, inserts by binary search, finds an anti-message's positive by
+//! binary search in the pending and processed queues, and hands a
+//! rollback's undone events back on the deque's front. Any divergence in
+//! decision (annihilate pending / secondary rollback / orphan), queue
+//! contents, LVT or resulting state is a bug in that ordering.
 
 use pls_timewarp::lp::{LpRuntime, Scratch};
 use pls_timewarp::{
@@ -336,10 +339,11 @@ fn random_anti_storms_match_linear_scan_reference() {
     assert!(cov.coasted > 100, "too few coast-forward replays: {}", cov.coasted);
 }
 
-/// Long single run: enough slab churn to recycle slots many times over,
-/// catching any stale-heap-entry / slot-aliasing bug in the pool.
+/// Two long single runs: thousands of inserts into the middle of a deep
+/// pending queue, front re-insertions after rollbacks and removals from
+/// both queues, with the order checked against the reference throughout.
 #[test]
-fn slot_recycling_survives_long_runs() {
+fn long_runs_keep_the_queues_in_key_order() {
     let mut cov = Coverage::default();
     run_schedule(0xB0A7, 6_000, Cancellation::Aggressive, 3, &mut cov);
     run_schedule(0xB0A8, 6_000, Cancellation::Lazy, 1, &mut cov);

@@ -105,6 +105,36 @@ fn simulate_rejects_unknown_exec_model() {
 }
 
 #[test]
+fn gates_wider_than_255_inputs_are_parse_errors() {
+    let dir = std::env::temp_dir().join("parlogsim_cli_wide_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    for (kind, width) in [("XOR", 255), ("OR", 256), ("XOR", 300)] {
+        let ins: Vec<String> = (0..width).map(|i| format!("I{i}")).collect();
+        let text = format!(
+            "{}OUTPUT(Y)\nY = {kind}({})\n",
+            ins.iter().map(|i| format!("INPUT({i})\n")).collect::<String>(),
+            ins.join(", ")
+        );
+        let path = dir.join(format!("wide{width}.bench"));
+        std::fs::write(&path, text).unwrap();
+        let p = path.to_str().unwrap();
+        for exec in ["gate-per-lp", "compiled"] {
+            let args = ["simulate", p, "-k", "2", "--end", "60", "--exec", exec];
+            if width <= 255 {
+                run_ok(&args);
+                continue;
+            }
+            let out = cli().args(args).output().unwrap();
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(1), "{width} inputs, {exec}: {err}");
+            assert!(err.contains("parse error in"), "{err}");
+            assert!(err.contains(&format!("gate `Y` of kind {kind}")), "{err}");
+        }
+        std::fs::remove_file(&path).ok();
+    }
+}
+
+#[test]
 fn simulate_rejects_fault_on_missing_node() {
     let out =
         cli().args(["simulate", "s27", "-k", "8", "--faults", "drop:9:250"]).output().unwrap();
