@@ -363,6 +363,94 @@ mod tests {
         assert!(r.stats.messages_saved > 0);
     }
 
+    /// Runs a gate-per-LP [`GateModel`] while swapping, at seeded
+    /// activations, the live state of an LP for a checkpoint filed through
+    /// [`Application::checkpoint`] into a recycled state — what the kernel's
+    /// checkpoint pool does to a retired state. The recycled state starts as
+    /// the *final* state of a finished run of *another* LP: dirty, and of
+    /// another size.
+    struct Recycler {
+        inner: GateModel,
+        retired: Vec<ModelState>,
+        seed: u64,
+    }
+
+    #[derive(Clone)]
+    struct Recycling {
+        live: ModelState,
+        spare: Option<ModelState>,
+        rng: u64,
+    }
+
+    fn splitmix64(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    impl Application for Recycler {
+        type Msg = GateMsg;
+        type State = Recycling;
+
+        fn num_lps(&self) -> usize {
+            self.inner.num_lps()
+        }
+        fn init_state(&self, lp: LpId) -> Recycling {
+            let donor = (lp as usize + 1) % self.retired.len();
+            Recycling {
+                live: self.inner.init_state(lp),
+                spare: Some(self.retired[donor].clone()),
+                rng: self.seed ^ u64::from(lp),
+            }
+        }
+        fn init_events(&self, lp: LpId, state: &mut Recycling, sink: &mut EventSink<GateMsg>) {
+            self.inner.init_events(lp, &mut state.live, sink);
+        }
+        fn execute(
+            &self,
+            lp: LpId,
+            state: &mut Recycling,
+            now: VTime,
+            msgs: &[(LpId, GateMsg)],
+            sink: &mut EventSink<GateMsg>,
+        ) {
+            self.inner.execute(lp, &mut state.live, now, msgs, sink);
+            if splitmix64(&mut state.rng).is_multiple_of(3) {
+                let copy = self.inner.checkpoint(&mut state.live, state.spare.take());
+                assert_eq!(
+                    format!("{copy:?}"),
+                    format!("{:?}", state.live.clone()),
+                    "LP {lp} at {now}"
+                );
+                // The rest of the run continues on the recycled copy.
+                state.spare = Some(std::mem::replace(&mut state.live, copy));
+            }
+        }
+    }
+
+    #[test]
+    fn a_gate_checkpoint_in_a_recycled_state_equals_a_fresh_clone() {
+        let netlist = IscasSynth::small(300, 5).build();
+        let build = || cfg(300).build_app(&netlist);
+        let plain = build();
+        let oracle = Simulator::new(&plain).run(Backend::Sequential).unwrap();
+        let sizes: std::collections::BTreeSet<usize> =
+            oracle.states.iter().map(|s| format!("{s:?}").len()).collect();
+        assert!(sizes.len() > 1, "every state has one size");
+        for seed in 0..8 {
+            let app = Recycler { inner: build(), retired: oracle.states.clone(), seed };
+            let run = Simulator::new(&app).run(Backend::Sequential).unwrap();
+            let live: Vec<ModelState> = run.states.into_iter().map(|s| s.live).collect();
+            assert_eq!(
+                app.inner.fingerprint(&live),
+                plain.fingerprint(&oracle.states),
+                "seed {seed}: a recycled state changed the run"
+            );
+        }
+    }
+
     /// A compiled [`GateModel`] whose every checkpoint also carries a full
     /// `clone()` of the live state taken as it was filed, so that `restore`
     /// can compare what the journal rebuilt with it, field for field. The
