@@ -27,7 +27,7 @@
 //! * a front-end (`pls-detlint mc`) for the exhaustive interleaving
 //!   model checker in [`pls_timewarp::modelcheck`], which proves the
 //!   threaded executive's flush-and-barrier GVT and 4-phase migration
-//!   protocol safe under *all* schedules at small bounds.
+//!   protocol safe under *all* schedules of a few small configurations.
 //!
 //! See `docs/LINTS.md` for the rule catalog and waiver syntax.
 

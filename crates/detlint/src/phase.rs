@@ -21,7 +21,7 @@
 //! boundaries — each declares its own discipline, so a walk never
 //! crosses into one. An operation in a disciplined file that no
 //! annotated root reaches is flagged too: code outside any declared
-//! phase is exactly what a future async-GVT refactor would get wrong
+//! phase is exactly what a later protocol change would get wrong
 //! silently.
 //!
 //! Only files containing at least one `phase(...)` mark are checked —
@@ -39,20 +39,13 @@ pub const PHASES: [&str; 5] = ["compute", "flush", "gvt", "migrate", "fossil"];
 
 /// Phase-restricted operations: call-site name → phases allowed to
 /// reach it. Names are matched against call sites (method or free).
-pub const OPS: [(&str, &[&str]); 9] = [
+pub const OPS: [(&str, &[&str]); 6] = [
     ("send", &["compute", "flush", "migrate"]),
     ("receive", &["compute", "flush"]),
     ("execute_next", &["compute"]),
     ("fossil_collect", &["fossil"]),
     ("lp_migrated", &["migrate"]),
     ("arm_timer", &["compute", "gvt"]),
-    // Asynchronous Mattern-token GVT (the multi-process executive,
-    // verified ahead of implementation by `modelcheck::async_gvt`):
-    // token waves belong to the gvt phase, and committing an agreed
-    // GVT is the only operation allowed to trigger fossil collection.
-    ("token_send", &["gvt"]),
-    ("token_recv", &["gvt"]),
-    ("gvt_commit", &["gvt", "fossil"]),
 ];
 
 fn allowed_phases(op: &str) -> Option<&'static [&'static str]> {
@@ -314,30 +307,5 @@ mod tests {
              pub fn round(lp: &mut Lp) { lp.receive(); }\n");
         // receive is allowed in compute|flush; flush ∩ declared ≠ ∅.
         assert!(v.is_empty(), "{v:?}");
-    }
-
-    #[test]
-    fn async_gvt_token_ops_belong_to_the_gvt_phase() {
-        let v = run("// detlint: phase(gvt)\n\
-             pub fn circulate(tok: &mut Token) { tok.token_recv(); tok.token_send(); }\n");
-        assert!(v.is_empty(), "{v:?}");
-        let v = run("// detlint: phase(compute)\n\
-             pub fn step(tok: &mut Token) { tok.token_send(); }\n");
-        assert!(
-            v.iter()
-                .any(|f| f.violation.rule == RuleId::D010
-                    && f.violation.message.contains("token_send")),
-            "{v:?}"
-        );
-    }
-
-    #[test]
-    fn gvt_commit_allowed_from_gvt_and_fossil_only() {
-        let v = run("// detlint: phase(gvt|fossil)\n\
-             pub fn commit(g: &mut Gvt) { g.gvt_commit(); }\n");
-        assert!(v.is_empty(), "{v:?}");
-        let v = run("// detlint: phase(migrate)\n\
-             pub fn adopt(g: &mut Gvt) { g.gvt_commit(); }\n");
-        assert!(v.iter().any(|f| f.violation.message.contains("gvt_commit")), "{v:?}");
     }
 }

@@ -1,6 +1,6 @@
 //! Fixture corpus: one positive and one negative fixture per rule,
-//! waiver-syntax parsing, and the self-check that the shipped workspace
-//! is violation-free.
+//! waiver-syntax parsing, the self-check that the shipped workspace
+//! is violation-free, and the `mc` command line.
 
 use pls_detlint::{analyze_source, analyze_workspace, rules_for, Report, RuleId};
 
@@ -202,4 +202,25 @@ fn shipped_workspace_is_violation_free() {
     assert!(report.waiver_errors.is_empty(), "malformed waivers: {:?}", report.waiver_errors);
     assert!(report.unused_waivers.is_empty(), "stale waivers: {:?}", report.unused_waivers);
     assert!(report.parse_errors.is_empty(), "structural parse failures: {:?}", report.parse_errors);
+}
+
+/// `pls-detlint mc --self-test` catches both seeded bug shapes, and any
+/// other argument, such as `--model` or `--bound`, is a usage error, so
+/// a stale script fails loudly instead of running something else.
+#[test]
+fn mc_self_test_passes_and_unknown_flags_are_usage_errors() {
+    let mc = |args: &[&str]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_pls-detlint"))
+            .arg("mc")
+            .args(args)
+            .output()
+            .expect("pls-detlint runs")
+    };
+    let out = mc(&["--self-test"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "{stdout}");
+    assert_eq!(stdout.matches("[PASS]").count(), 2, "{stdout}");
+    for args in [["--model", "all"], ["--bound", "full"]] {
+        assert_eq!(mc(&args).status.code(), Some(2), "mc {args:?} must be a usage error");
+    }
 }

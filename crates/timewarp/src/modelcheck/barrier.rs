@@ -1,10 +1,8 @@
-//! The flush-and-barrier protocol family: a faithful small-scale state
-//! machine of the threaded executive's cluster loop — optimistic execution with
+//! The flush-and-barrier protocol: a faithful small-scale state machine
+//! of the threaded executive's cluster loop — optimistic execution with
 //! rollback and anti-messages, the flush-and-barrier GVT and the 4-phase
-//! LP migration handoff, over the shared wire and event queue of
-//! `substrate` (optionally lossy, with the chaos subsystem's
-//! ack/retransmit protocol) — with three injectable historical bug
-//! shapes.
+//! LP migration handoff, over per-cluster FIFO channels — with two
+//! injectable historical bug shapes.
 //!
 //! # Abstraction choices (and why they are sound)
 //!
@@ -17,8 +15,10 @@
 //!   one message to the next LP round-robin at `t + 1 + (lp % 2)`. The
 //!   unequal delays manufacture cross-cluster stragglers, so rollback and
 //!   anti-message cascades genuinely occur.
-//! * **Channel sends are atomic** — a message is in the destination
-//!   inbox the moment it is sent, exactly like in-process `mpsc`.
+//! * **Channel sends are atomic and reliable** — a message is in the
+//!   destination's FIFO inbox the moment it is sent, exactly like
+//!   in-process `mpsc`. Only the single-threaded platform executive has a
+//!   lossy wire; its recovery protocol is checked by `tests/chaos.rs`.
 //! * **Drain-priority partial-order reduction:** in the `Run` phase a
 //!   cluster with a non-empty inbox may only drain. In the real loop
 //!   every execute is preceded by a drain-to-empty pass; an "execute
@@ -36,18 +36,15 @@
 //!   cluster-0 planning step between the real phase-1 and phase-2
 //!   rendezvous is atomic too (they bracket purely cluster-0-local work,
 //!   so no distinct interleavings are lost).
-//! * **Lossy mode** ([`ModelConfig::loss`]) is the wire's: this model
-//!   only decides what a drain's outcome means to an LP, counts the acks
-//!   a flush round routes (a round must not strand one in a channel),
-//!   lets the retransmit buffer bound its local minimum, and routes a
-//!   retransmitted copy by its *current* table.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, VecDeque};
 
-use super::substrate::{fmt_t, Drained, EventQueue, Kind, LossBudget, Msg, Wire, INF};
 use super::ProtocolModel;
 
-/// The three re-injectable historical bug shapes.
+/// Virtual-time infinity inside the model.
+const INF: u32 = u32::MAX;
+
+/// The two re-injectable historical bug shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bug {
     /// During GVT flush rounds, anti-messages routed by a drain are not
@@ -59,11 +56,6 @@ pub enum Bug {
     /// source cluster's table while the destination still adopts it —
     /// a double-owner window.
     DoubleOwnerMigration,
-    /// The receiver forgets its dedup set: a transmission retransmitted
-    /// after its ack was lost is executed again as a fresh event — the
-    /// double-delivery shape the chaos runtime's `delivered` set exists
-    /// to prevent (only meaningful on a lossy [`ModelConfig::loss`]).
-    RetransmitDoubleDelivery,
 }
 
 /// A scripted migration for the model's load-balancing rounds.
@@ -96,9 +88,6 @@ pub struct ModelConfig {
     pub lb_period: u32,
     /// Scripted migration plan, consulted per balancing round.
     pub plan: Vec<PlannedMove>,
-    /// The inter-cluster channel: reliable, or lossy with the
-    /// ack/retransmit recovery protocol and its scheduler budgets.
-    pub loss: LossBudget,
     /// Injected bug, if any.
     pub bug: Option<Bug>,
     /// Abort (incomplete) past this many unique states.
@@ -121,23 +110,9 @@ impl ModelConfig {
                 PlannedMove { round: 1, lp: 0, from: 0, to: 1 },
                 PlannedMove { round: 2, lp: 0, from: 1, to: 0 },
             ],
-            loss: LossBudget::RELIABLE,
             bug: None,
             max_states: 40_000_000,
             max_depth: 100_000,
-        }
-    }
-
-    /// The lossy-channel acceptance configuration: 2 clusters / 2 LPs
-    /// with one droppable transmission and up to three retransmissions.
-    /// Migration is disabled to keep the cross product focused on the
-    /// recovery protocol.
-    pub fn lossy_2x2() -> ModelConfig {
-        ModelConfig {
-            lb_period: 0,
-            plan: Vec::new(),
-            loss: LossBudget { lossy: true, max_drops: 1, max_retransmits: 3 },
-            ..ModelConfig::small_2x2()
         }
     }
 
@@ -150,6 +125,21 @@ impl ModelConfig {
             ..ModelConfig::small_2x2()
         }
     }
+}
+
+/// One transmission on an inter-cluster channel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+struct Msg {
+    /// Unique id, shared between a positive and its anti-message.
+    id: u32,
+    /// Destination LP.
+    dst: u8,
+    /// Receive time.
+    time: u32,
+    /// Remaining hops of the script when this event executes.
+    hops: u8,
+    /// An anti-message chasing the positive with the same id.
+    anti: bool,
 }
 
 /// Sender-side record of an uncommitted output (for cancellation).
@@ -165,17 +155,47 @@ struct SentRec {
     cause: u32,
 }
 
+/// One pending or processed event: `(time, id, hops)`.
+type Ev = (u32, u32, u8);
+
 /// The Time Warp-relevant state of one LP.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct LpState {
-    /// Pending and processed events.
-    q: EventQueue,
+    /// Unprocessed events, sorted by `(time, id)`.
+    pending: Vec<Ev>,
+    /// Processed, uncommitted events in execution order.
+    processed: Vec<Ev>,
     /// Local virtual time (receive time of the last executed event).
     lvt: u32,
     /// Uncommitted outputs, for rollback cancellation.
     sent: Vec<SentRec>,
     /// Anti-messages that arrived before their positives.
     orphans: BTreeSet<u32>,
+}
+
+impl LpState {
+    /// The script's seed for LP `lp`: one event, id `lp`, at
+    /// `1 + (lp % 2)`, carrying `hops` hops.
+    fn seeded(lp: u32, hops: u8) -> LpState {
+        LpState {
+            pending: vec![(1 + lp % 2, lp, hops)],
+            processed: Vec::new(),
+            lvt: 0,
+            sent: Vec::new(),
+            orphans: BTreeSet::new(),
+        }
+    }
+
+    /// Insert `ev` into the pending set, keeping `(time, id)` order.
+    fn insert(&mut self, ev: Ev) {
+        let pos = self.pending.partition_point(|&(t, id, _)| (t, id) < (ev.0, ev.1));
+        self.pending.insert(pos, ev);
+    }
+
+    /// Ids resident in this LP, pending or processed.
+    fn ids(&self) -> impl Iterator<Item = u32> + '_ {
+        self.pending.iter().chain(&self.processed).map(|&(_, id, _)| id)
+    }
 }
 
 /// Where a cluster is in the protocol.
@@ -234,8 +254,8 @@ pub struct State {
     clusters: Vec<ClusterState>,
     /// All LPs (indexed by id; ownership decides who may execute them).
     lps: Vec<LpState>,
-    /// The inter-cluster channels.
-    wire: Wire,
+    /// Per-cluster FIFO channel from all other clusters.
+    inboxes: Vec<VecDeque<Msg>>,
     /// GVT-requested flag (any cluster may set it; cleared at the round
     /// end).
     requested: bool,
@@ -278,12 +298,6 @@ pub enum Step {
     MigApply(u8),
     /// Adopt arrived LPs (phase 4) and resume running.
     MigAdopt(u8),
-    /// Lose the front of this cluster's inbox (lossy mode; data or ack,
-    /// never an anti-message).
-    DropFront(u8),
-    /// Timer expiry: re-send the oldest unacknowledged transmission
-    /// (lossy mode; enabled only when no copy is in flight).
-    Retransmit(u8),
 }
 
 /// Mirror of the executives' plan validity filter.
@@ -299,7 +313,7 @@ impl State {
     /// `c` owns, with the LP that holds it.
     fn next_event(&self, c: u8) -> Option<(u32, u8)> {
         let owned = self.clusters[c as usize].owned.iter();
-        owned.filter_map(|&l| self.lps[l as usize].q.next_time().map(|t| (t, l))).min()
+        owned.filter_map(|&l| self.lps[l as usize].pending.first().map(|e| (e.0, l))).min()
     }
 
     /// Deliver `m` to its LP on cluster `c`. Returns the number of
@@ -313,7 +327,7 @@ impl State {
             ));
         }
         let mut remote = 0u32;
-        if m.kind != Kind::Anti {
+        if !m.anti {
             if self.gvt != INF && m.time < self.gvt {
                 return Err(format!(
                     "positive transmission id {} for LP {dst} arrived at t={} below GVT {} — lost across a flush",
@@ -327,7 +341,7 @@ impl State {
             if m.time <= self.lps[dst].lvt {
                 remote += self.rollback(c, m.dst, m.time)?;
             }
-            self.lps[dst].q.insert((m.time, m.id, m.hops));
+            self.lps[dst].insert((m.time, m.id, m.hops));
         } else {
             // Anti-message: annihilate wherever the positive lives.
             if self.committed.contains(&m.id) {
@@ -337,19 +351,19 @@ impl State {
                 ));
             }
             let lp = &mut self.lps[dst];
-            if let Some(i) = lp.q.pending.iter().position(|&(_, id, _)| id == m.id) {
-                lp.q.pending.remove(i);
+            if let Some(i) = lp.pending.iter().position(|&(_, id, _)| id == m.id) {
+                lp.pending.remove(i);
                 self.annihilated.insert(m.id);
-            } else if let Some(&(t, _, _)) = lp.q.processed.iter().find(|&&(_, id, _)| id == m.id) {
+            } else if let Some(&(t, _, _)) = lp.processed.iter().find(|&&(_, id, _)| id == m.id) {
                 // Secondary rollback, then annihilate from pending.
                 remote += self.rollback(c, m.dst, t)?;
                 let lp = &mut self.lps[dst];
-                let i =
-                    lp.q.pending
-                        .iter()
-                        .position(|&(_, id, _)| id == m.id)
-                        .expect("rollback returned the positive to pending");
-                lp.q.pending.remove(i);
+                let i = lp
+                    .pending
+                    .iter()
+                    .position(|&(_, id, _)| id == m.id)
+                    .expect("rollback returned the positive to pending");
+                lp.pending.remove(i);
                 self.annihilated.insert(m.id);
             } else {
                 lp.orphans.insert(m.id);
@@ -361,63 +375,44 @@ impl State {
     /// Roll LP `lp` (owned by cluster `c`) back to before `t`: unprocess
     /// every processed event with `time >= t` and cancel every
     /// uncommitted output with `cause >= t` by routing anti-messages
-    /// (through the wire even when the destination is local). Returns
+    /// (through a channel even when the destination is local). Returns
     /// the anti-messages routed.
     fn rollback(&mut self, c: u8, lp_id: u8, t: u32) -> Result<u32, String> {
         let gvt = self.gvt;
         let lp = &mut self.lps[lp_id as usize];
         let mut i = 0;
-        while i < lp.q.processed.len() {
-            if lp.q.processed[i].0 >= t {
-                let ev = lp.q.processed.remove(i);
+        while i < lp.processed.len() {
+            if lp.processed[i].0 >= t {
+                let ev = lp.processed.remove(i);
                 if gvt != INF && ev.0 < gvt {
                     return Err(format!(
                         "rollback of LP {lp_id} to t={t} unprocessed an event at t={} below GVT {gvt}",
                         ev.0
                     ));
                 }
-                lp.q.insert(ev);
+                lp.insert(ev);
             } else {
                 i += 1;
             }
         }
-        lp.lvt = lp.q.processed.iter().map(|&(pt, _, _)| pt).max().unwrap_or(0);
+        lp.lvt = lp.processed.iter().map(|&(pt, _, _)| pt).max().unwrap_or(0);
         // Cancel uncommitted outputs caused at or after t.
         let (keep, cancelled): (Vec<SentRec>, Vec<SentRec>) =
             lp.sent.iter().partition(|r| r.cause < t);
         lp.sent = keep;
-        let mut remote = 0u32;
-        for r in cancelled {
-            let anti = Msg {
-                id: r.id,
-                dst: r.dst,
-                time: r.time,
-                hops: 0,
-                kind: Kind::Anti,
-                origin: c,
-                color: 0,
-            };
+        for r in &cancelled {
+            let anti = Msg { id: r.id, dst: r.dst, time: r.time, hops: 0, anti: true };
             let dest_cluster = self.clusters[c as usize].assignment[r.dst as usize];
-            remote += 1;
-            self.wire.carry(dest_cluster, anti);
+            self.inboxes[dest_cluster as usize].push_back(anti);
         }
-        Ok(remote)
+        Ok(cancelled.len() as u32)
     }
 
-    /// Pop and process one inbox message for cluster `c`. Returns the
-    /// number of remote messages routed (acks included — a flush round
-    /// must not strand one in a channel).
-    fn drain_one(&mut self, c: u8, cfg: &ModelConfig) -> Result<u32, String> {
-        match self.wire.drain(c, &cfg.loss) {
-            Drained::Ack => Ok(0),
-            Drained::First { m, acks } => Ok(acks + self.deliver(c, m)?),
-            // The historical bug: the receiver forgets its dedup set
-            // and executes the retransmitted copy as a fresh event.
-            Drained::Duplicate(m) if cfg.bug == Some(Bug::RetransmitDoubleDelivery) => {
-                Ok(1 + self.deliver(c, m)?)
-            }
-            Drained::Duplicate(_) => Ok(1),
-        }
+    /// Pop and process the front of cluster `c`'s inbox. Returns the
+    /// number of anti-messages its delivery routed.
+    fn drain_one(&mut self, c: u8) -> Result<u32, String> {
+        let m = self.inboxes[c as usize].pop_front().expect("drain needs a message");
+        self.deliver(c, m)
     }
 
     /// The minima-barrier release: agree the GVT, fossil-collect, check
@@ -434,19 +429,24 @@ impl State {
         // zero in-flight transmissions at minima computation (that is
         // the entire point of the drain rounds), so any message still in
         // a channel here means the flush declared quiescence early.
-        for ci in 0..self.clusters.len() {
-            if let Some(m) = self.wire.inbox(ci as u8).front() {
+        for (ci, inbox) in self.inboxes.iter().enumerate() {
+            if let Some(m) = inbox.front() {
+                let gvt = if new_gvt == INF { "∞".to_string() } else { new_gvt.to_string() };
                 return Err(format!(
-                    "flush postcondition violated: transmission id {} (t={}) still in cluster {ci}'s channel at GVT agreement ({}) — flush exited early",
-                    m.id,
-                    m.time,
-                    fmt_t(new_gvt)
+                    "flush postcondition violated: transmission id {} (t={}) still in cluster {ci}'s channel at GVT agreement ({gvt}) — flush exited early",
+                    m.id, m.time
                 ));
             }
         }
         // Fossil collection: commit below GVT.
         for lp in &mut self.lps {
-            lp.q.commit_below(new_gvt, &mut self.committed);
+            let committed = &mut self.committed;
+            lp.processed.retain(|&(t, id, _)| {
+                if t < new_gvt {
+                    committed.insert(id);
+                }
+                t >= new_gvt
+            });
             lp.sent.retain(|r| r.time >= new_gvt);
         }
         if new_gvt == INF {
@@ -488,14 +488,7 @@ impl ProtocolModel for ModelConfig {
     /// event at time `1 + (lp % 2)` carrying `hops` hops.
     fn initial(&self) -> State {
         let assignment: Vec<u8> = (0..self.lps).map(|i| (i % self.clusters) as u8).collect();
-        let lps = (0..self.lps as u32)
-            .map(|i| LpState {
-                q: EventQueue::seeded(i, self.hops),
-                lvt: 0,
-                sent: Vec::new(),
-                orphans: BTreeSet::new(),
-            })
-            .collect();
+        let lps = (0..self.lps as u32).map(|i| LpState::seeded(i, self.hops)).collect();
         let clusters = (0..self.clusters)
             .map(|c| ClusterState {
                 phase: Phase::Run,
@@ -510,7 +503,7 @@ impl ProtocolModel for ModelConfig {
         State {
             clusters,
             lps,
-            wire: Wire::new(self.clusters),
+            inboxes: vec![VecDeque::new(); self.clusters],
             requested: false,
             gvt: 0,
             gvt_rounds: 0,
@@ -530,19 +523,11 @@ impl ProtocolModel for ModelConfig {
             let c = ci as u8;
             match cl.phase {
                 Phase::Run => {
-                    if !s.wire.inbox(c).is_empty() {
+                    if !s.inboxes[ci].is_empty() {
                         steps.push(Step::Drain(c));
-                        if s.wire.may_drop(c, &self.loss) {
-                            steps.push(Step::DropFront(c));
-                        }
                     } else {
                         let has_pending = s.next_event(c).is_some();
-                        let can_retransmit = s.wire.may_timeout(c, &self.loss);
-                        // `can_retransmit` counts as outstanding work for
-                        // the fresh-GVT gate: a cluster with a timed-out
-                        // transmission must recover it before re-entering
-                        // GVT, which keeps no-progress rounds finite.
-                        if s.requested && !(cl.fresh_gvt && (has_pending || can_retransmit)) {
+                        if s.requested && !(cl.fresh_gvt && has_pending) {
                             steps.push(Step::EnterGvt(c));
                         }
                         if has_pending {
@@ -550,13 +535,10 @@ impl ProtocolModel for ModelConfig {
                         } else if !s.requested {
                             steps.push(Step::RequestGvt(c));
                         }
-                        if can_retransmit {
-                            steps.push(Step::Retransmit(c));
-                        }
                     }
                 }
                 Phase::FlushDrain => {
-                    if s.wire.inbox(c).is_empty() {
+                    if s.inboxes[ci].is_empty() {
                         steps.push(Step::FlushArrive(c));
                     } else {
                         steps.push(Step::FlushDrain(c));
@@ -580,26 +562,28 @@ impl ProtocolModel for ModelConfig {
         match step {
             Step::Drain(c) => {
                 s.clusters[c as usize].fresh_gvt = false;
-                s.drain_one(c, self)?;
+                s.drain_one(c)?;
             }
             Step::Execute(c) => {
                 let (_, lp_id) = s.next_event(c).expect("execute needs a pending event");
                 let lp = &mut s.lps[lp_id as usize];
-                let (t, successor) = lp.q.execute(lp_id);
+                let (t, id, hops) = lp.pending.remove(0);
+                lp.processed.push((t, id, hops));
                 lp.lvt = t;
-                if let Some((at, hops)) = successor {
+                if hops > 0 {
+                    // The script's successor: the next LP, after an
+                    // unequal delay that manufactures stragglers.
+                    let at = t + 1 + u32::from(lp_id % 2);
                     let dst = ((lp_id as usize + 1) % s.lps.len()) as u8;
                     let id = s.next_id;
                     s.next_id += 1;
                     s.lps[lp_id as usize].sent.push(SentRec { id, dst, time: at, cause: t });
-                    let msg =
-                        Msg { id, dst, time: at, hops, kind: Kind::Data, origin: c, color: 0 };
+                    let msg = Msg { id, dst, time: at, hops: hops - 1, anti: false };
                     let dest_cluster = s.clusters[c as usize].assignment[dst as usize];
                     if dest_cluster == c {
-                        // Local delivery is in-process and cannot be lost.
                         s.deliver(c, msg)?;
                     } else {
-                        s.wire.send(dest_cluster, msg, &self.loss);
+                        s.inboxes[dest_cluster as usize].push_back(msg);
                     }
                 }
                 let cl = &mut s.clusters[c as usize];
@@ -620,7 +604,7 @@ impl ProtocolModel for ModelConfig {
                 }
             }
             Step::FlushDrain(c) => {
-                let routed = s.drain_one(c, self)?;
+                let routed = s.drain_one(c)?;
                 // The historical bug: anti-messages routed by a flush
                 // drain were not counted, so the flush could terminate
                 // with a transmission still in flight.
@@ -639,13 +623,9 @@ impl ProtocolModel for ModelConfig {
                 }
             }
             Step::PublishMin(c) => {
-                // Unacknowledged transmissions are in doubt — possibly
-                // lost and awaiting retransmission — so their receive
-                // times bound the local minimum exactly like pending
-                // events.
-                let pending_min = s.next_event(c).map_or(INF, |(t, _)| t);
+                let local_min = s.next_event(c).map_or(INF, |(t, _)| t);
                 let cl = &mut s.clusters[c as usize];
-                cl.local_min = pending_min.min(s.wire.unacked_min(c));
+                cl.local_min = local_min;
                 cl.phase = Phase::MinBar;
                 if s.all_in(Phase::MinBar) {
                     s.finish_gvt_round(self)?;
@@ -684,14 +664,6 @@ impl ProtocolModel for ModelConfig {
                 cl.executed_since_gvt = 0;
                 cl.fresh_gvt = true;
             }
-            Step::DropFront(c) => s.wire.drop_front(c),
-            Step::Retransmit(c) => {
-                let m = s.wire.timeout(c);
-                // Routed by the *current* table — the LP may have
-                // migrated since the original send.
-                let dest_cluster = s.clusters[c as usize].assignment[m.dst as usize];
-                s.wire.carry(dest_cluster, m);
-            }
         }
         Ok(label)
     }
@@ -708,8 +680,6 @@ impl ProtocolModel for ModelConfig {
             Step::PublishMin(c) => format!("c{c}:publish-min"),
             Step::MigApply(c) => format!("c{c}:mig-apply"),
             Step::MigAdopt(c) => format!("c{c}:mig-adopt"),
-            Step::DropFront(c) => format!("c{c}:drop-front"),
-            Step::Retransmit(c) => format!("c{c}:retransmit"),
         }
     }
 
@@ -730,17 +700,22 @@ impl ProtocolModel for ModelConfig {
         }
         // 2. Transmission conservation: every positive id lives in
         //    exactly one of {some inbox, some pending queue, some
-        //    processed queue, committed, annihilated}, or is recoverable
-        //    from a retransmit record.
+        //    processed queue, committed, annihilated}.
+        let mut copies = vec![0u32; s.next_id as usize];
+        let in_flight = s.inboxes.iter().flatten().filter(|m| !m.anti).map(|m| m.id);
+        let resident = s.lps.iter().flat_map(LpState::ids);
         let ledgers = s.committed.iter().chain(&s.annihilated).copied();
-        let resident = s.lps.iter().flat_map(|lp| lp.q.ids()).chain(ledgers);
-        if let Some(fault) = s.wire.misplaced_id(s.next_id, resident) {
-            return Some(format!("transmission {fault} across a GVT/migration boundary"));
+        in_flight.chain(resident).chain(ledgers).for_each(|id| copies[id as usize] += 1);
+        if let Some((id, &n)) = copies.iter().enumerate().find(|&(_, &n)| n != 1) {
+            let fate = if n == 0 { "lost" } else { "duplicated" };
+            return Some(format!(
+                "transmission id {id} found in {n} places — {fate} across a GVT/migration boundary"
+            ));
         }
         // 3. At termination nothing may remain in transit.
         if self.terminated(s) {
-            if let Some(residue) = s.wire.residue() {
-                return Some(residue.into());
+            if s.inboxes.iter().any(|inbox| !inbox.is_empty()) {
+                return Some("terminated with a non-empty channel".into());
             }
             if s.movers.iter().any(|m| !m.is_empty()) {
                 return Some("terminated with an LP stuck in a handoff buffer".into());
@@ -748,7 +723,7 @@ impl ProtocolModel for ModelConfig {
             if s.lps.iter().any(|lp| !lp.orphans.is_empty()) {
                 return Some("terminated with an unmatched anti-message".into());
             }
-            if s.lps.iter().any(|lp| !lp.q.is_empty()) {
+            if s.lps.iter().any(|lp| !lp.pending.is_empty() || !lp.processed.is_empty()) {
                 return Some("terminated with unprocessed or uncommitted events".into());
             }
         }

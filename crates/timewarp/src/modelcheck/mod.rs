@@ -1,9 +1,9 @@
-//! Exhaustive interleaving model checking for the executives'
-//! synchronization protocols.
+//! Exhaustive interleaving model checking for the threaded executive's
+//! synchronization protocol.
 //!
 //! Runtime tools (the `detcheck` golden diff, stress tests) only
 //! witness the schedules the OS happens to produce. This module instead
-//! *enumerates every schedule* of small abstracted protocol models — in
+//! *enumerates every schedule* of a small abstracted protocol model — in
 //! the tradition of loom and CDSChecker — and asserts safety invariants
 //! at every reachable state. It is layered:
 //!
@@ -15,47 +15,26 @@
 //!   [`ProtocolModel`], with deterministic traversal order, scratch-
 //!   buffer reuse, and an optional full-state collision guard
 //!   ([`ExploreOptions::verify_hashes`]).
-//! * `substrate` (private) — what both protocol models stand on, each
-//!   written once: **the wire** (per-cluster FIFO inboxes plus the chaos
-//!   subsystem's ack/retransmit recovery protocol — the [`LossBudget`]
-//!   both configurations embed, the retransmit records, the dedup set,
-//!   the drop / timeout enabling rules, the drain rule, the in-doubt
-//!   minimum that bounds GVT, id conservation and the terminal-residue
-//!   checks) and **the event queue** (one LP's pending and processed
-//!   events under the fixed script, sorted insert, the skewed-delay
-//!   successor, the commit-below-GVT sweep).
 //! * [`barrier`] — the flush-and-barrier model of the threaded
-//!   executive: what is its own is optimistic rollback with
-//!   anti-messages, the repeated drain-round GVT and the 4-phase LP
-//!   migration handoff from [`crate::dynlb`].
-//! * [`async_gvt`] — the asynchronous Mattern two-color token GVT the
-//!   future multi-process executive will implement: what is its own is
-//!   white/red message coloring, per-cluster send/receive counters, a
-//!   circulating token carrying the outstanding-white count and
-//!   clock/red-send minima (its loss spends the wire's drop budget), and
-//!   a commit wave. The protocol is proved exhaustively at small bounds
-//!   *before* any distributed code is written against it.
+//!   executive over reliable per-cluster FIFO channels: optimistic
+//!   rollback with anti-messages, the repeated drain-round GVT and the
+//!   4-phase LP migration handoff from [`crate::dynlb`].
 //!
-//! Historical bug shapes can be re-injected ([`Bug`], [`AsyncBug`]) to
-//! prove the checker actually detects them. `pls-detlint mc` holds the
-//! one table of configurations it explores (nine, five at the small
-//! bound) and the one table of bug shapes its self-test must catch;
-//! `crates/timewarp/tests/modelcheck.rs` pins the explored state
-//! spaces and the counterexamples, `tests/mc_full.golden` the full
-//! bound.
+//! Historical bug shapes can be re-injected ([`Bug`]) to prove the
+//! checker actually detects them. `pls-detlint mc` holds the one table
+//! of configurations it explores and the one table of bug shapes its
+//! self-test must catch; `crates/timewarp/tests/modelcheck.rs` pins the
+//! explored state spaces and the counterexamples, `tests/mc_full.golden`
+//! the table's output.
 
-pub mod async_gvt;
 pub mod barrier;
 mod explore;
-mod substrate;
 
 use std::fmt::Debug;
 use std::hash::Hash;
 
-pub use async_gvt::{AsyncBug, AsyncGvtConfig};
 pub use barrier::{Bug, ModelConfig, PlannedMove};
 pub use explore::{explore, explore_with, CheckReport, Counterexample, ExploreOptions};
-pub use substrate::LossBudget;
 
 /// A protocol small enough to check exhaustively.
 ///

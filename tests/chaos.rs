@@ -83,15 +83,24 @@ fn faults_never_change_the_committed_history() {
         let want = app.fingerprint(&seq.states);
 
         let assignment = arbitrary_assignment(netlist.len(), nodes, circuit_seed);
-        let res = Simulator::new(&app)
-            .fault_plan(nasty_plan(fault_seed, nodes as u32))
-            .run(Backend::Platform { assignment: &assignment, nodes })
-            .unwrap();
-        assert_eq!(app.fingerprint(&res.states), want, "faulted run diverged from oracle");
-        assert_eq!(res.stats.events_committed, seq.stats.events_processed);
-        total_faults += res.stats.faults_injected;
-        total_drops += res.stats.transmissions_dropped;
-        total_retx += res.stats.retransmissions;
+        // Each case runs at the default GVT period and with a round after
+        // every batch. The second lands rounds while a dropped
+        // transmission is in doubt: GVT must stay below its receive time
+        // until the retransmission arrives.
+        for gvt_period in [cfg.platform.kernel.gvt_period, 1] {
+            let mut platform = cfg.platform;
+            platform.kernel.gvt_period = gvt_period;
+            let res = Simulator::new(&app)
+                .platform_config(&platform)
+                .fault_plan(nasty_plan(fault_seed, nodes as u32))
+                .run(Backend::Platform { assignment: &assignment, nodes })
+                .unwrap();
+            assert_eq!(app.fingerprint(&res.states), want, "faulted run diverged from oracle");
+            assert_eq!(res.stats.events_committed, seq.stats.events_processed);
+            total_faults += res.stats.faults_injected;
+            total_drops += res.stats.transmissions_dropped;
+            total_retx += res.stats.retransmissions;
+        }
     }
     // The sweep must actually inject faults, or invariance was proven
     // for the healthy path only.
