@@ -53,29 +53,15 @@ pub struct BodyFacts {
     pub self_writes: Vec<u32>,
 }
 
-fn punct(lx: &Lexed, i: usize) -> Option<&str> {
-    match lx.toks.get(i)?.tok {
-        Tok::Punct(p) => Some(p),
-        _ => None,
-    }
-}
-
-fn ident(lx: &Lexed, i: usize) -> Option<&str> {
-    match &lx.toks.get(i)?.tok {
-        Tok::Ident(s) => Some(s),
-        _ => None,
-    }
-}
-
 /// For a turbofish `::<...>` whose `<` is at `open`, return the index
 /// just past the matching `>` when the angle brackets balance within a
 /// plausible type-argument list (`None` means `<` was a comparison).
 fn turbofish_paren(lx: &Lexed, open: usize) -> Option<usize> {
-    debug_assert_eq!(punct(lx, open), Some("<"));
+    debug_assert_eq!(lx.punct(open), Some("<"));
     let mut depth = 0usize;
     let mut j = open;
     while j < lx.toks.len() {
-        match punct(lx, j) {
+        match lx.punct(j) {
             Some("<") => depth += 1,
             Some(">") => {
                 depth -= 1;
@@ -113,27 +99,27 @@ pub fn scan_body(lx: &Lexed, start: usize, end: usize) -> BodyFacts {
             i += 1;
             continue;
         }
-        match punct(lx, i + 1) {
-            Some("!") if matches!(punct(lx, i + 2), Some("(") | Some("[") | Some("{")) => {
+        match lx.punct(i + 1) {
+            Some("!") if matches!(lx.punct(i + 2), Some("(") | Some("[") | Some("{")) => {
                 facts.macros.push((id.clone(), line));
             }
             Some("(") => {
-                let method = punct(lx, i.wrapping_sub(1)) == Some(".") && i > start;
-                let qualifier = if !method && i >= start + 2 && punct(lx, i - 1) == Some("::") {
-                    ident(lx, i - 2).map(str::to_string)
+                let method = lx.punct(i.wrapping_sub(1)) == Some(".") && i > start;
+                let qualifier = if !method && i >= start + 2 && lx.punct(i - 1) == Some("::") {
+                    lx.ident(i - 2).map(str::to_string)
                 } else {
                     None
                 };
                 facts.calls.push(CallSite { name: id.clone(), qualifier, method, line });
             }
             // Turbofish call: `name::<T, U>(...)` / `recv.name::<T>(...)`.
-            Some("::") if punct(lx, i + 2) == Some("<") => {
+            Some("::") if lx.punct(i + 2) == Some("<") => {
                 if let Some(open) = turbofish_paren(lx, i + 2) {
-                    if punct(lx, open) == Some("(") {
-                        let method = punct(lx, i.wrapping_sub(1)) == Some(".") && i > start;
+                    if lx.punct(open) == Some("(") {
+                        let method = lx.punct(i.wrapping_sub(1)) == Some(".") && i > start;
                         let qualifier =
-                            if !method && i >= start + 2 && punct(lx, i - 1) == Some("::") {
-                                ident(lx, i - 2).map(str::to_string)
+                            if !method && i >= start + 2 && lx.punct(i - 1) == Some("::") {
+                                lx.ident(i - 2).map(str::to_string)
                             } else {
                                 None
                             };
@@ -146,13 +132,13 @@ pub fn scan_body(lx: &Lexed, start: usize, end: usize) -> BodyFacts {
         // `self . field <assign>` — mutation through the receiver. A
         // following `(` means a method call, not a field; `==` is a
         // comparison, not an assignment.
-        if id == "self" && punct(lx, i + 1) == Some(".") {
-            if let Some(_field) = ident(lx, i + 2) {
-                if punct(lx, i + 3) != Some("(") {
-                    let wrote = match punct(lx, i + 3) {
-                        Some("=") => punct(lx, i + 4) != Some("="),
+        if id == "self" && lx.punct(i + 1) == Some(".") {
+            if let Some(_field) = lx.ident(i + 2) {
+                if lx.punct(i + 3) != Some("(") {
+                    let wrote = match lx.punct(i + 3) {
+                        Some("=") => lx.punct(i + 4) != Some("="),
                         Some("+") | Some("-") | Some("*") | Some("/") | Some("%") | Some("^")
-                        | Some("&") | Some("|") => punct(lx, i + 4) == Some("="),
+                        | Some("&") | Some("|") => lx.punct(i + 4) == Some("="),
                         _ => false,
                     };
                     if wrote {

@@ -36,20 +36,6 @@ use crate::lexer::{Lexed, Tok};
 use crate::rules::{RuleId, Violation};
 use crate::structural::FileViolation;
 
-fn ident(lx: &Lexed, i: usize) -> Option<&str> {
-    match &lx.toks.get(i)?.tok {
-        Tok::Ident(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn punct(lx: &Lexed, i: usize) -> Option<&str> {
-    match lx.toks.get(i)?.tok {
-        Tok::Punct(p) => Some(p),
-        _ => None,
-    }
-}
-
 /// One lock acquisition with its held interval `[tok, end)`.
 #[derive(Debug)]
 struct Acq {
@@ -75,13 +61,13 @@ struct FnConc {
 /// naming the lock: `lbs.movers[idx].lock()` → `movers`.
 fn lock_owner(lx: &Lexed, mut i: usize, start: usize) -> Option<String> {
     loop {
-        match punct(lx, i) {
+        match lx.punct(i) {
             Some("]") | Some(")") => {
                 // Skip the bracketed group backwards.
-                let (open, close) = if punct(lx, i) == Some("]") { ("[", "]") } else { ("(", ")") };
+                let (open, close) = if lx.punct(i) == Some("]") { ("[", "]") } else { ("(", ")") };
                 let mut depth = 0usize;
                 while i >= start {
-                    match punct(lx, i) {
+                    match lx.punct(i) {
                         Some(p) if p == close => depth += 1,
                         Some(p) if p == open => {
                             depth -= 1;
@@ -108,7 +94,7 @@ fn lock_owner(lx: &Lexed, mut i: usize, start: usize) -> Option<String> {
                 i -= 1;
             }
             _ => {
-                return ident(lx, i).map(str::to_string);
+                return lx.ident(i).map(str::to_string);
             }
         }
     }
@@ -131,7 +117,7 @@ fn scan_fn(
     {
         let mut stack = Vec::new();
         for j in open + 1..body_close {
-            match punct(lx, j) {
+            match lx.punct(j) {
                 Some("{") => stack.push(j),
                 Some("}") => {
                     if let Some(o) = stack.pop() {
@@ -158,12 +144,12 @@ fn scan_fn(
             Tok::Ident(id) => {
                 let line = lx.toks[i].line;
                 if id == "lock"
-                    && punct(lx, i + 1) == Some("(")
-                    && punct(lx, i.wrapping_sub(1)) == Some(".")
+                    && lx.punct(i + 1) == Some("(")
+                    && lx.punct(i.wrapping_sub(1)) == Some(".")
                     && i > open + 1
                 {
                     if let Some(name) = lock_owner(lx, i - 2, open + 1) {
-                        let is_let = ident(lx, stmt_start) == Some("let");
+                        let is_let = lx.ident(stmt_start) == Some("let");
                         let end = if is_let {
                             let block_end = blocks
                                 .last()
@@ -181,16 +167,16 @@ fn scan_fn(
                         fc.acqs.push(Acq { name, line, tok: i, end });
                     }
                 } else if (id == "send" || id == "try_send")
-                    && punct(lx, i + 1) == Some("(")
-                    && punct(lx, i.wrapping_sub(1)) == Some(".")
+                    && lx.punct(i + 1) == Some("(")
+                    && lx.punct(i.wrapping_sub(1)) == Some(".")
                 {
                     fc.direct_send = true;
-                } else if id == "channel" && punct(lx, i + 1) == Some("(") {
+                } else if id == "channel" && lx.punct(i + 1) == Some("(") {
                     check_channel_wiring(lx, stmt_start, i, body_close, out, unit);
                 }
                 // Record call sites for transitive lock/send lookups.
-                if punct(lx, i + 1) == Some("(")
-                    || (punct(lx, i + 1) == Some("::") && punct(lx, i + 2) == Some("<"))
+                if lx.punct(i + 1) == Some("(")
+                    || (lx.punct(i + 1) == Some("::") && lx.punct(i + 2) == Some("<"))
                 {
                     fc.calls.push(i);
                 }
@@ -206,20 +192,20 @@ fn scan_fn(
 /// identifier after `let`, skipping `mut`.
 fn guard_name(lx: &Lexed, stmt_start: usize) -> Option<String> {
     let mut j = stmt_start + 1;
-    while ident(lx, j) == Some("mut") {
+    while lx.ident(j) == Some("mut") {
         j += 1;
     }
-    ident(lx, j).map(str::to_string)
+    lx.ident(j).map(str::to_string)
 }
 
 /// First `drop(<guard>)` site in `(from, limit)`, if any.
 fn drop_site(lx: &Lexed, from: usize, limit: usize, guard: Option<&str>) -> Option<usize> {
     let guard = guard?;
     (from..limit).find(|&j| {
-        ident(lx, j) == Some("drop")
-            && punct(lx, j + 1) == Some("(")
-            && ident(lx, j + 2) == Some(guard)
-            && punct(lx, j + 3) == Some(")")
+        lx.ident(j) == Some("drop")
+            && lx.punct(j + 1) == Some("(")
+            && lx.ident(j + 2) == Some(guard)
+            && lx.punct(j + 3) == Some(")")
     })
 }
 
@@ -228,7 +214,7 @@ fn drop_site(lx: &Lexed, from: usize, limit: usize, guard: Option<&str>) -> Opti
 fn statement_end(lx: &Lexed, from: usize, body_close: usize) -> usize {
     let mut depth = 0isize;
     for j in from..body_close {
-        match punct(lx, j) {
+        match lx.punct(j) {
             Some("(") | Some("[") | Some("{") => depth += 1,
             Some(")") | Some("]") => depth -= 1,
             Some("}") => {
@@ -253,7 +239,7 @@ fn check_channel_wiring(
     out: &mut Vec<FileViolation>,
     unit: usize,
 ) {
-    if ident(lx, stmt_start) != Some("let") || punct(lx, stmt_start + 1) != Some("(") {
+    if lx.ident(stmt_start) != Some("let") || lx.punct(stmt_start + 1) != Some("(") {
         return;
     }
     let line = lx.toks[chan_tok].line;
@@ -283,7 +269,7 @@ fn check_channel_wiring(
             });
             continue;
         }
-        let used = (after..body_close).any(|k| ident(lx, k) == Some(ep.as_str()));
+        let used = (after..body_close).any(|k| lx.ident(k) == Some(ep.as_str()));
         if !used {
             out.push(FileViolation {
                 unit,
@@ -384,11 +370,11 @@ pub fn check_d009(units: &[Unit], graph: &Graph, out: &mut Vec<FileViolation>) {
                 if tok <= a.tok || tok >= a.end {
                     continue;
                 }
-                let Some(name) = ident(lx, tok) else { continue };
+                let Some(name) = lx.ident(tok) else { continue };
                 let line = lx.toks[tok].line;
-                let method = tok > 0 && punct(lx, tok - 1) == Some(".");
-                let qualifier = if !method && tok >= 2 && punct(lx, tok - 1) == Some("::") {
-                    ident(lx, tok - 2).map(str::to_string)
+                let method = tok > 0 && lx.punct(tok - 1) == Some(".");
+                let qualifier = if !method && tok >= 2 && lx.punct(tok - 1) == Some("::") {
+                    lx.ident(tok - 2).map(str::to_string)
                 } else {
                     None
                 };

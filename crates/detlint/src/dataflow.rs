@@ -38,7 +38,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{CallSite, Graph, Unit};
-use crate::lexer::{Lexed, Tok};
+use crate::lexer::{is_float_literal, Lexed, Tok};
 use crate::rules::{RuleId, Violation};
 use crate::structural::FileViolation;
 
@@ -108,28 +108,6 @@ pub struct Dataflow<'a> {
     graph: &'a Graph,
     /// Converged per-function summaries, indexed like `graph.fns`.
     pub summaries: Vec<Summary>,
-}
-
-fn ident(lx: &Lexed, i: usize) -> Option<&str> {
-    match &lx.toks.get(i)?.tok {
-        Tok::Ident(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn punct(lx: &Lexed, i: usize) -> Option<&str> {
-    match lx.toks.get(i)?.tok {
-        Tok::Punct(p) => Some(p),
-        _ => None,
-    }
-}
-
-fn is_float_literal(t: &str) -> bool {
-    if t.starts_with("0x") || t.starts_with("0b") || t.starts_with("0o") {
-        return false;
-    }
-    let t = t.trim_end_matches("f32").trim_end_matches("f64");
-    t.contains('.') || t[1..].contains(['e', 'E'])
 }
 
 /// Per-variable dataflow state inside one function body.
@@ -290,7 +268,7 @@ impl<'a> Dataflow<'a> {
         self.check_sinks(f, lx, s, e, st, sum, collect);
 
         // Classify the statement shape to find targets and RHS.
-        let first = ident(lx, s);
+        let first = lx.ident(s);
         let (targets, rhs, mark_unordered, is_return) = match first {
             Some("let") => {
                 let Some(eq) = top_level_eq(lx, s + 1, e) else { return };
@@ -304,13 +282,12 @@ impl<'a> Dataflow<'a> {
                 (targets, Some((eq + 1, e)), ty_unordered || rhs_unordered, false)
             }
             Some("for") => {
-                let Some(in_kw) = (s + 1..e).find(|&j| ident(lx, j) == Some("in")) else { return };
+                let Some(in_kw) = (s + 1..e).find(|&j| lx.ident(j) == Some("in")) else { return };
                 let targets = pattern_idents(lx, s + 1, in_kw);
                 // `for x in map` / `for x in map.iter()` is the
                 // unordered-iteration source when `map` is hashed.
                 let mut v = self.eval(f, lx, in_kw + 1, e, st);
-                if (in_kw + 1..e).any(|j| ident(lx, j).is_some_and(|id| st.unordered.contains(id)))
-                {
+                if (in_kw + 1..e).any(|j| lx.ident(j).is_some_and(|id| st.unordered.contains(id))) {
                     v.kinds.insert(Taint::UnorderedIter);
                 }
                 for t in &targets {
@@ -321,12 +298,12 @@ impl<'a> Dataflow<'a> {
             Some("return") => (Vec::new(), Some((s + 1, e)), false, true),
             _ => {
                 // Plain or compound assignment to a simple variable.
-                if let Some(id) = ident(lx, s) {
-                    let assign_rhs = match punct(lx, s + 1) {
-                        Some("=") if punct(lx, s + 2) != Some("=") => Some(s + 2),
+                if let Some(id) = lx.ident(s) {
+                    let assign_rhs = match lx.punct(s + 1) {
+                        Some("=") if lx.punct(s + 2) != Some("=") => Some(s + 2),
                         Some("+") | Some("-") | Some("*") | Some("/") | Some("%") | Some("^")
                         | Some("&") | Some("|")
-                            if punct(lx, s + 2) == Some("=") =>
+                            if lx.punct(s + 2) == Some("=") =>
                         {
                             Some(s + 3)
                         }
@@ -379,35 +356,35 @@ impl<'a> Dataflow<'a> {
                             v.kinds.insert(Taint::Float);
                         }
                         "Instant" | "SystemTime"
-                            if punct(lx, j + 1) == Some("::")
-                                && matches!(ident(lx, j + 2), Some("now" | "elapsed")) =>
+                            if lx.punct(j + 1) == Some("::")
+                                && matches!(lx.ident(j + 2), Some("now" | "elapsed")) =>
                         {
                             v.kinds.insert(Taint::HostTime);
                         }
                         "thread"
-                            if punct(lx, j + 1) == Some("::")
-                                && ident(lx, j + 2) == Some("current") =>
+                            if lx.punct(j + 1) == Some("::")
+                                && lx.ident(j + 2) == Some("current") =>
                         {
                             v.kinds.insert(Taint::ThreadId);
                         }
                         "env"
-                            if punct(lx, j + 1) == Some("::")
-                                && matches!(ident(lx, j + 2), Some("var" | "var_os" | "vars")) =>
+                            if lx.punct(j + 1) == Some("::")
+                                && matches!(lx.ident(j + 2), Some("var" | "var_os" | "vars")) =>
                         {
                             v.kinds.insert(Taint::Env);
                         }
                         "as_ptr" | "as_mut_ptr" | "addr_of" | "addr_of_mut" => {
                             v.kinds.insert(Taint::Addr);
                         }
-                        "as" if punct(lx, j + 1) == Some("*")
-                            && matches!(ident(lx, j + 2), Some("const" | "mut")) =>
+                        "as" if lx.punct(j + 1) == Some("*")
+                            && matches!(lx.ident(j + 2), Some("const" | "mut")) =>
                         {
                             v.kinds.insert(Taint::Addr);
                         }
                         _ => {
                             if st.unordered.contains(id.as_str())
-                                && punct(lx, j + 1) == Some(".")
-                                && ident(lx, j + 2).is_some_and(|m| ITER_METHODS.contains(&m))
+                                && lx.punct(j + 1) == Some(".")
+                                && lx.ident(j + 2).is_some_and(|m| ITER_METHODS.contains(&m))
                             {
                                 v.kinds.insert(Taint::UnorderedIter);
                             }
@@ -448,7 +425,7 @@ impl<'a> Dataflow<'a> {
     ) {
         let caller = &self.graph.fns[f];
         for j in s..e {
-            let Some(id) = ident(lx, j) else { continue };
+            let Some(id) = lx.ident(j) else { continue };
             let Some(site) = call_at(lx, j) else { continue };
             let Some(open) = call_open_paren(lx, j) else { continue };
             let Some(close) = match_paren(lx, open, e) else { continue };
@@ -548,8 +525,8 @@ fn merge_into(st: &mut VarState, target: &str, v: &Value) {
 fn pattern_idents(lx: &Lexed, s: usize, e: usize) -> Vec<String> {
     let mut out = Vec::new();
     for j in s..e {
-        if let Some(id) = ident(lx, j) {
-            if id != "mut" && id != "ref" && id != "_" && punct(lx, j + 1) != Some("::") {
+        if let Some(id) = lx.ident(j) {
+            if id != "mut" && id != "ref" && id != "_" && lx.punct(j + 1) != Some("::") {
                 out.push(id.to_string());
             }
         }
@@ -564,10 +541,10 @@ fn pattern_idents(lx: &Lexed, s: usize, e: usize) -> Vec<String> {
 fn top_level_eq(lx: &Lexed, s: usize, e: usize) -> Option<usize> {
     let mut depth = 0usize;
     for j in s..e {
-        match punct(lx, j) {
+        match lx.punct(j) {
             Some("(") | Some("[") | Some("<") => depth += 1,
             Some(")") | Some("]") | Some(">") => depth = depth.saturating_sub(1),
-            Some("=") if depth == 0 && punct(lx, j + 1) != Some("=") => return Some(j),
+            Some("=") if depth == 0 && lx.punct(j + 1) != Some("=") => return Some(j),
             _ => {}
         }
     }
@@ -578,7 +555,7 @@ fn top_level_eq(lx: &Lexed, s: usize, e: usize) -> Option<usize> {
 fn top_level_punct(lx: &Lexed, s: usize, e: usize, p: &str) -> Option<usize> {
     let mut depth = 0usize;
     for j in s..e {
-        match punct(lx, j) {
+        match lx.punct(j) {
             Some("(") | Some("[") | Some("<") => depth += 1,
             Some(")") | Some("]") | Some(">") => depth = depth.saturating_sub(1),
             Some(q) if q == p && depth == 0 => return Some(j),
@@ -590,13 +567,13 @@ fn top_level_punct(lx: &Lexed, s: usize, e: usize, p: &str) -> Option<usize> {
 
 /// Whether `[s, e)` mentions `HashMap`/`HashSet` (type position).
 fn range_mentions_hash(lx: &Lexed, s: usize, e: usize) -> bool {
-    (s..e).any(|j| matches!(ident(lx, j), Some("HashMap" | "HashSet")))
+    (s..e).any(|j| matches!(lx.ident(j), Some("HashMap" | "HashSet")))
 }
 
 /// Whether `[s, e)` constructs a `HashMap`/`HashSet` (`T::new()` etc).
 fn range_mentions_hash_ctor(lx: &Lexed, s: usize, e: usize) -> bool {
     (s..e).any(|j| {
-        matches!(ident(lx, j), Some("HashMap" | "HashSet")) && punct(lx, j + 1) == Some("::")
+        matches!(lx.ident(j), Some("HashMap" | "HashSet")) && lx.punct(j + 1) == Some("::")
     })
 }
 
@@ -604,10 +581,10 @@ fn range_mentions_hash_ctor(lx: &Lexed, s: usize, e: usize) -> bool {
 /// [`CallSite`] shape for resolution.
 fn call_at(lx: &Lexed, j: usize) -> Option<CallSite> {
     call_open_paren(lx, j)?;
-    let id = ident(lx, j)?;
-    let method = punct(lx, j.wrapping_sub(1)) == Some(".") && j > 0;
-    let qualifier = if !method && j >= 2 && punct(lx, j - 1) == Some("::") {
-        ident(lx, j - 2).map(str::to_string)
+    let id = lx.ident(j)?;
+    let method = lx.punct(j.wrapping_sub(1)) == Some(".") && j > 0;
+    let qualifier = if !method && j >= 2 && lx.punct(j - 1) == Some("::") {
+        lx.ident(j - 2).map(str::to_string)
     } else {
         None
     };
@@ -617,20 +594,20 @@ fn call_at(lx: &Lexed, j: usize) -> Option<CallSite> {
 /// Index of the `(` opening the argument list of a call headed at `j`
 /// (`name(`, `name::<T>(`), or `None` when `j` heads no call.
 fn call_open_paren(lx: &Lexed, j: usize) -> Option<usize> {
-    ident(lx, j)?;
-    if punct(lx, j + 1) == Some("(") {
+    lx.ident(j)?;
+    if lx.punct(j + 1) == Some("(") {
         return Some(j + 1);
     }
-    if punct(lx, j + 1) == Some("::") && punct(lx, j + 2) == Some("<") {
+    if lx.punct(j + 1) == Some("::") && lx.punct(j + 2) == Some("<") {
         let mut depth = 0usize;
         let mut k = j + 2;
         while k < lx.toks.len() {
-            match punct(lx, k) {
+            match lx.punct(k) {
                 Some("<") => depth += 1,
                 Some(">") => {
                     depth -= 1;
                     if depth == 0 {
-                        return if punct(lx, k + 1) == Some("(") { Some(k + 1) } else { None };
+                        return if lx.punct(k + 1) == Some("(") { Some(k + 1) } else { None };
                     }
                 }
                 Some(";") | Some("{") | Some("}") => return None,
@@ -647,7 +624,7 @@ fn call_open_paren(lx: &Lexed, j: usize) -> Option<usize> {
 fn match_paren(lx: &Lexed, open: usize, limit: usize) -> Option<usize> {
     let mut depth = 0usize;
     for j in open..limit.min(lx.toks.len()) {
-        match punct(lx, j) {
+        match lx.punct(j) {
             Some("(") => depth += 1,
             Some(")") => {
                 depth -= 1;
@@ -667,7 +644,7 @@ fn split_args(lx: &Lexed, open: usize, close: usize) -> Vec<(usize, usize)> {
     let mut depth = 0usize;
     let mut start = open + 1;
     for j in open + 1..close {
-        match punct(lx, j) {
+        match lx.punct(j) {
             Some("(") | Some("[") => depth += 1,
             Some(")") | Some("]") => depth = depth.saturating_sub(1),
             Some(",") if depth == 0 => {

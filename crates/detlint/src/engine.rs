@@ -1,16 +1,16 @@
 //! The analysis driver: file walking, waiver parsing, rule dispatch and
-//! report assembly (text and JSON; SARIF lives in [`crate::sarif`]).
+//! report assembly (text and JSON).
 //!
 //! Scope is two-tiered. The five kernel crates' `src/` trees
 //! (`timewarp`, `partition`, `logic`, `netlist`, `gatesim`) get the full
-//! catalog D001–D011 — that code's behavior reaches committed simulation
-//! output. Everything else that *feeds* the kernel — the remaining
-//! crates, `tests/`, `examples/`, the workspace CLI — gets the
-//! flow-aware rules D006–D008 only: an overflowing event schedule in a
-//! stress test or an impure probe in an example corrupts the histories
-//! we assert on just as surely as kernel code would, but RandomState
-//! maps or host clocks there are harmless. `fixtures/`, `shims/` and
-//! `target/` are out of scope by construction.
+//! catalog — that code's behavior reaches committed simulation output.
+//! Everything else that *feeds* the kernel — the remaining crates,
+//! `tests/`, `examples/`, the workspace CLI — gets D006–D008 only: an
+//! overflowing event schedule in a stress test or an impure probe in an
+//! example corrupts the histories we assert on just as surely as kernel
+//! code would, but a float-valued metric or a test harness lock there is
+//! harmless. `fixtures/`, `shims/` and `target/` are out of scope by
+//! construction.
 //!
 //! Analysis runs in three passes: (1) per-file lexical rules over the
 //! token stream, (2) a workspace-wide structural pass — parse every
@@ -21,7 +21,6 @@
 //! by that file's inline `// detlint: allow(...)` comments like any
 //! lexical one.
 
-use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 use crate::callgraph::{Graph, Unit};
@@ -30,10 +29,11 @@ use crate::parser::parse;
 use crate::rules::{self, RuleId, Violation};
 use crate::structural;
 
-/// Crates whose `src/` trees get the full rule catalog.
+/// Crates whose `src/` trees get the full rule catalog — and the
+/// per-crate clippy pass in `scripts/check.sh`.
 pub const KERNEL_CRATES: [&str; 5] = ["timewarp", "partition", "logic", "netlist", "gatesim"];
 
-/// An inline waiver: `// detlint: allow(D001, <reason>)`.
+/// An inline waiver: `// detlint: allow(D004, <reason>)`.
 #[derive(Debug, Clone)]
 pub struct Waiver {
     /// Line of the waiver comment itself.
@@ -160,14 +160,24 @@ pub fn parse_waivers(file: &str, lx: &Lexed) -> (Vec<Waiver>, Vec<FileIssue>) {
             err("expected `allow(RULES, reason)` with balanced parentheses".into());
             continue;
         };
-        // Leading comma-separated D-rule ids; everything after the first
-        // non-rule item (re-joined) is the reason text.
+        // Leading comma-separated rule ids; everything after the first
+        // non-id item (re-joined) is the reason text. An id that names
+        // no rule — misspelt, or retired to rustc/clippy — is an error,
+        // so a stale waiver fails loudly instead of silently covering
+        // nothing.
         let mut rules_list = Vec::new();
+        let mut unknown = Vec::new();
         let mut reason = String::new();
         for part in inner.split(',') {
             let part_trim = part.trim();
-            if reason.is_empty() && RuleId::parse(part_trim).is_some() {
-                rules_list.push(RuleId::parse(part_trim).unwrap());
+            let is_id = part_trim.len() == 4
+                && part_trim.starts_with('D')
+                && part_trim[1..].bytes().all(|b| b.is_ascii_digit());
+            if reason.is_empty() && is_id {
+                match RuleId::parse(part_trim) {
+                    Some(r) => rules_list.push(r),
+                    None => unknown.push(part_trim),
+                }
             } else if reason.is_empty() {
                 reason = part_trim.to_string();
             } else {
@@ -175,8 +185,15 @@ pub fn parse_waivers(file: &str, lx: &Lexed) -> (Vec<Waiver>, Vec<FileIssue>) {
                 reason.push_str(part);
             }
         }
+        if !unknown.is_empty() {
+            err(format!(
+                "waiver names unknown rule {} (retired or misspelt; see docs/LINTS.md)",
+                unknown.join("+")
+            ));
+            continue;
+        }
         if rules_list.is_empty() {
-            err("waiver names no rule (expected e.g. `allow(D001, reason)`)".into());
+            err("waiver names no rule (expected e.g. `allow(D004, reason)`)".into());
             continue;
         }
         if reason.trim().is_empty() {
@@ -208,16 +225,8 @@ pub fn parse_waivers(file: &str, lx: &Lexed) -> (Vec<Waiver>, Vec<FileIssue>) {
 /// Run the lexical rules among `active` over one token stream.
 fn lexical_pass(lx: &Lexed, active: &[RuleId], raw: &mut Vec<Violation>) {
     let skip = rules::test_skip_mask(lx);
-    for rule in active {
-        match rule {
-            RuleId::D001 => rules::check_d001(lx, &skip, raw),
-            RuleId::D002 => rules::check_d002(lx, &skip, raw),
-            RuleId::D003 => rules::check_d003(lx, &skip, raw),
-            RuleId::D004 => rules::check_d004(lx, &skip, raw),
-            RuleId::D005 => rules::check_d005(lx, &skip, raw),
-            RuleId::D007 => rules::check_d007(lx, &skip, raw),
-            RuleId::D006 | RuleId::D008 | RuleId::D009 | RuleId::D010 | RuleId::D011 => {} // structural pass
-        }
+    for check in active.iter().filter_map(|r| r.rule().lexical) {
+        check(lx, &skip, raw);
     }
 }
 
@@ -327,7 +336,7 @@ pub fn analyze_source(file: &str, src: &str, active: &[RuleId], report: &mut Rep
     let mut raw: Vec<Violation> = Vec::new();
     lexical_pass(&lx, active, &mut raw);
 
-    if active.iter().any(|r| RuleId::STRUCTURAL.contains(r)) {
+    if active.iter().any(|r| r.is_structural()) {
         let parsed = parse(&lx);
         for e in &parsed.errors {
             report.parse_errors.push(FileIssue {
@@ -386,44 +395,6 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
         inputs.push((rel, std::fs::read_to_string(&f)?));
     }
     Ok(analyze_sources(&inputs))
-}
-
-/// Workspace-relative paths of files differing from `git HEAD`:
-/// modified (staged or not) plus untracked-but-not-ignored. Powers
-/// `--changed` (the pre-commit mode — see `docs/LINTS.md`).
-pub fn changed_files(root: &Path) -> std::io::Result<BTreeSet<String>> {
-    use std::process::Command;
-    let mut set = BTreeSet::new();
-    for args in
-        [&["diff", "--name-only", "HEAD"][..], &["ls-files", "--others", "--exclude-standard"][..]]
-    {
-        let out = Command::new("git").arg("-C").arg(root).args(args).output()?;
-        if !out.status.success() {
-            return Err(std::io::Error::other(format!(
-                "git {} failed: {}",
-                args.join(" "),
-                String::from_utf8_lossy(&out.stderr).trim()
-            )));
-        }
-        for line in String::from_utf8_lossy(&out.stdout).lines() {
-            let line = line.trim();
-            if !line.is_empty() {
-                set.insert(line.replace('\\', "/"));
-            }
-        }
-    }
-    Ok(set)
-}
-
-/// Restrict a report's findings to files in `keep`. The analysis still
-/// ran workspace-wide (cross-file reachability needs the whole graph);
-/// only the *reporting* narrows. Parse errors are kept regardless —
-/// an incomplete graph invalidates the run whichever file broke it.
-pub fn retain_files(report: &mut Report, keep: &BTreeSet<String>) {
-    report.violations.retain(|f| keep.contains(&f.file));
-    report.waived.retain(|f| keep.contains(&f.file));
-    report.waiver_errors.retain(|e| keep.contains(&e.file));
-    report.unused_waivers.retain(|e| keep.contains(&e.file));
 }
 
 fn json_escape(s: &str) -> String {

@@ -8,7 +8,7 @@
 //!
 //! * line/block comments (nested), collected for waiver parsing;
 //! * string/char/raw-string/byte-string literals (skipped, so a
-//!   `"HashMap"` inside a string can never trip D001);
+//!   `"Mutex"` inside a string can never trip D004);
 //! * lifetimes vs. char literals (`'a` vs `'a'`);
 //! * the multi-char operators `::`, `->`, `=>` and `..` fused into one
 //!   token, so generic-argument walks don't mistake `->` for a closing
@@ -58,6 +58,34 @@ pub struct Lexed {
     pub toks: Vec<Spanned>,
     /// Comments in source order.
     pub comments: Vec<Comment>,
+}
+
+impl Lexed {
+    /// The identifier at token `i`, if that token is one.
+    pub fn ident(&self, i: usize) -> Option<&str> {
+        match &self.toks.get(i)?.tok {
+            Tok::Ident(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The punctuation at token `i`, if that token is one.
+    pub fn punct(&self, i: usize) -> Option<&'static str> {
+        match self.toks.get(i)?.tok {
+            Tok::Punct(p) => Some(p),
+            _ => None,
+        }
+    }
+}
+
+/// Whether the text of a [`Tok::Num`] is a float literal (`2.5`, `1e9`,
+/// `3f64`), as opposed to an integer one (`0x1e9`, `100_000`).
+pub fn is_float_literal(t: &str) -> bool {
+    if t.starts_with("0x") || t.starts_with("0b") || t.starts_with("0o") {
+        return false;
+    }
+    let t = t.trim_end_matches("f32").trim_end_matches("f64");
+    t.contains('.') || t[1..].contains(['e', 'E'])
 }
 
 fn is_ident_start(c: char) -> bool {

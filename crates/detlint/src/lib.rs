@@ -4,13 +4,15 @@
 //! committing byte-identical histories. That property was previously
 //! guarded only at runtime (the `detcheck` golden diff), which — like any
 //! dynamic checker — can only catch hazards on paths a test happens to
-//! execute. This crate rejects nondeterminism *at the source level*:
+//! execute. This crate rejects nondeterminism *at the source level*,
+//! checking only what rustc and clippy cannot (kernel crates are
+//! `#![forbid(unsafe_code)]`, and `clippy.toml` denies RandomState maps
+//! and host clocks in them):
 //!
 //! * a [rule engine](crate::engine) over a hand-rolled
-//!   [lexer]: lexical rules [`RuleId::D001`]–
-//!   [`RuleId::D005`] and [`RuleId::D007`], with inline
-//!   `// detlint: allow(D00x, reason)` waivers and `--json` / `--sarif`
-//!   machine reports;
+//!   [lexer]: lexical rules [`RuleId::D003`], [`RuleId::D004`] and
+//!   [`RuleId::D007`], with inline `// detlint: allow(D0xx, reason)`
+//!   waivers and a `--json` machine report;
 //! * a structural layer — a recursive-descent [item
 //!   parser](crate::parser), an intra-workspace [call
 //!   graph](crate::callgraph), and [reachability
@@ -23,13 +25,10 @@
 //!   annotations ([`crate::phase`]), and [`RuleId::D011`] interprocedural
 //!   nondeterminism-taint dataflow ([`crate::dataflow`]);
 //! * a [self-test](crate::selftest) (`--self-test`) that re-injects
-//!   seeded bug shapes and fails unless the rules catch them;
-//! * a front-end (`pls-detlint mc`) for the exhaustive interleaving
-//!   model checker in [`pls_timewarp::modelcheck`], which proves the
-//!   threaded executive's flush-and-barrier GVT and 4-phase migration
-//!   protocol safe under *all* schedules of a few small configurations.
+//!   seeded bug shapes and fails unless the rules catch them.
 //!
-//! See `docs/LINTS.md` for the rule catalog and waiver syntax.
+//! Each rule is one row of [`rules::RULES`]. See `docs/LINTS.md` for the
+//! rule catalog and waiver syntax.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -42,14 +41,12 @@ pub mod lexer;
 pub mod parser;
 pub mod phase;
 pub mod rules;
-pub mod sarif;
 pub mod selftest;
 pub mod structural;
 
 pub use engine::{
-    analyze_source, analyze_sources, analyze_workspace, changed_files, retain_files, rules_for,
-    to_json, to_text, FileIssue, Finding, Report,
+    analyze_source, analyze_sources, analyze_workspace, rules_for, to_json, to_text, FileIssue,
+    Finding, Report, KERNEL_CRATES,
 };
 pub use rules::RuleId;
-pub use sarif::to_sarif;
 pub use selftest::run_self_test;

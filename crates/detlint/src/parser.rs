@@ -139,20 +139,6 @@ pub fn parse(lx: &Lexed) -> ParsedFile {
 }
 
 impl<'a> Parser<'a> {
-    fn ident(&self, i: usize) -> Option<&str> {
-        match &self.lx.toks.get(i)?.tok {
-            Tok::Ident(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn punct(&self, i: usize) -> Option<&str> {
-        match self.lx.toks.get(i)?.tok {
-            Tok::Punct(p) => Some(p),
-            _ => None,
-        }
-    }
-
     fn line(&self, i: usize) -> u32 {
         self.lx.toks.get(i).map_or(0, |t| t.line)
     }
@@ -166,7 +152,7 @@ impl<'a> Parser<'a> {
     /// `[`→`]`). Angle brackets are handled by [`Parser::skip_generics`]
     /// instead (they nest differently). Returns `None` when unbalanced.
     fn match_delim(&self, open: usize) -> Option<usize> {
-        let (o, c) = match self.punct(open)? {
+        let (o, c) = match self.lx.punct(open)? {
             "{" => ("{", "}"),
             "(" => ("(", ")"),
             "[" => ("[", "]"),
@@ -175,7 +161,7 @@ impl<'a> Parser<'a> {
         let mut depth = 0usize;
         let mut j = open;
         while j < self.lx.toks.len() {
-            match self.punct(j) {
+            match self.lx.punct(j) {
                 Some(p) if p == o => depth += 1,
                 Some(p) if p == c => {
                     depth -= 1;
@@ -194,11 +180,11 @@ impl<'a> Parser<'a> {
     /// (which indexes the `<`). Round/square delimiters inside are
     /// matched; the fused `->` token can never be mistaken for a close.
     fn skip_generics(&self, open: usize) -> Option<usize> {
-        debug_assert_eq!(self.punct(open), Some("<"));
+        debug_assert_eq!(self.lx.punct(open), Some("<"));
         let mut depth = 0usize;
         let mut j = open;
         while j < self.lx.toks.len() {
-            match self.punct(j) {
+            match self.lx.punct(j) {
                 Some("<") => depth += 1,
                 Some(">") => {
                     depth -= 1;
@@ -222,7 +208,7 @@ impl<'a> Parser<'a> {
     /// bodiless declarations). Falls back to end-of-input.
     fn skip_to_semi(&mut self) {
         while self.i < self.lx.toks.len() {
-            match self.punct(self.i) {
+            match self.lx.punct(self.i) {
                 Some(";") => {
                     self.i += 1;
                     return;
@@ -243,19 +229,19 @@ impl<'a> Parser<'a> {
     /// Parse an attribute at `self.i` (`#[...]` / `#![...]`), returning
     /// whether it is `#[cfg(test)]`-like or `#[test]`.
     fn attr(&mut self) -> bool {
-        debug_assert_eq!(self.punct(self.i), Some("#"));
+        debug_assert_eq!(self.lx.punct(self.i), Some("#"));
         let mut j = self.i + 1;
-        if self.punct(j) == Some("!") {
+        if self.lx.punct(j) == Some("!") {
             j += 1;
         }
-        if self.punct(j) != Some("[") {
+        if self.lx.punct(j) != Some("[") {
             self.i = j;
             return false;
         }
-        let is_test = self.ident(j + 1) == Some("test")
-            || (self.ident(j + 1) == Some("cfg")
-                && self.punct(j + 2) == Some("(")
-                && self.ident(j + 3) == Some("test"));
+        let is_test = self.lx.ident(j + 1) == Some("test")
+            || (self.lx.ident(j + 1) == Some("cfg")
+                && self.lx.punct(j + 2) == Some("(")
+                && self.lx.ident(j + 3) == Some("test"));
         match self.match_delim(j) {
             Some(past) => self.i = past,
             None => {
@@ -270,7 +256,7 @@ impl<'a> Parser<'a> {
     fn items(&mut self, end: usize, ctx: &Ctx) {
         let mut pending_test = false;
         while self.i < end {
-            match (&self.lx.toks[self.i].tok, self.punct(self.i)) {
+            match (&self.lx.toks[self.i].tok, self.lx.punct(self.i)) {
                 (_, Some("#")) => pending_test |= self.attr(),
                 (Tok::Ident(id), _) => {
                     let id = id.clone();
@@ -278,7 +264,7 @@ impl<'a> Parser<'a> {
                         // Modifiers that may precede an item keyword.
                         "pub" => {
                             self.i += 1;
-                            if self.punct(self.i) == Some("(") {
+                            if self.lx.punct(self.i) == Some("(") {
                                 match self.match_delim(self.i) {
                                     Some(past) => self.i = past,
                                     None => {
@@ -301,7 +287,7 @@ impl<'a> Parser<'a> {
                             let item_test = std::mem::take(&mut pending_test);
                             self.i += 1; // `mod`
                             self.i += 1; // name
-                            if self.punct(self.i) == Some("{") {
+                            if self.lx.punct(self.i) == Some("{") {
                                 match self.match_delim(self.i) {
                                     Some(past) => {
                                         let inner = Ctx {
@@ -328,10 +314,10 @@ impl<'a> Parser<'a> {
                         "trait" => {
                             let item_test = std::mem::take(&mut pending_test);
                             self.i += 1; // `trait`
-                            let name = self.ident(self.i).unwrap_or("").to_string();
+                            let name = self.lx.ident(self.i).unwrap_or("").to_string();
                             // Skip to the body, over generics and bounds.
                             while self.i < self.lx.toks.len() {
-                                match self.punct(self.i) {
+                                match self.lx.punct(self.i) {
                                     Some("{") => break,
                                     Some(";") => break, // `trait X = ...;` alias-ish
                                     Some("<") => match self.skip_generics(self.i) {
@@ -341,7 +327,7 @@ impl<'a> Parser<'a> {
                                     _ => self.i += 1,
                                 }
                             }
-                            if self.punct(self.i) == Some("{") {
+                            if self.lx.punct(self.i) == Some("{") {
                                 match self.match_delim(self.i) {
                                     Some(past) => {
                                         let inner = Ctx {
@@ -367,7 +353,7 @@ impl<'a> Parser<'a> {
                             // Skip to `;` (unit/tuple struct) or past `{...}`.
                             self.i += 1;
                             while self.i < self.lx.toks.len() {
-                                match self.punct(self.i) {
+                                match self.lx.punct(self.i) {
                                     Some(";") => {
                                         self.i += 1;
                                         break;
@@ -428,9 +414,9 @@ impl<'a> Parser<'a> {
     fn parse_fn(&mut self, ctx: &Ctx, item_test: bool) {
         let line = self.line(self.i);
         self.i += 1; // `fn`
-        let name = self.ident(self.i).unwrap_or("").to_string();
+        let name = self.lx.ident(self.i).unwrap_or("").to_string();
         self.i += 1;
-        if self.punct(self.i) == Some("<") {
+        if self.lx.punct(self.i) == Some("<") {
             match self.skip_generics(self.i) {
                 Some(past) => self.i = past,
                 None => {
@@ -440,7 +426,7 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        if self.punct(self.i) != Some("(") {
+        if self.lx.punct(self.i) != Some("(") {
             self.err(self.i, "expected parameter list after fn name");
             return;
         }
@@ -456,7 +442,7 @@ impl<'a> Parser<'a> {
         // Scan over return type / where clause to the body (or `;`).
         let mut body = None;
         while self.i < self.lx.toks.len() {
-            match self.punct(self.i) {
+            match self.lx.punct(self.i) {
                 Some(";") => {
                     self.i += 1;
                     break;
@@ -529,7 +515,7 @@ impl<'a> Parser<'a> {
             }
         };
         while j < end {
-            match self.punct(j) {
+            match self.lx.punct(j) {
                 Some("(") | Some("[") | Some("<") => depth += 1,
                 Some(")") | Some("]") | Some(">") => depth = depth.saturating_sub(1),
                 Some(",") if depth == 0 => {
@@ -576,7 +562,7 @@ impl<'a> Parser<'a> {
     /// `self.i` indexes the `impl` keyword.
     fn parse_impl(&mut self, ctx: &Ctx, item_test: bool) {
         self.i += 1; // `impl`
-        if self.punct(self.i) == Some("<") {
+        if self.lx.punct(self.i) == Some("<") {
             match self.skip_generics(self.i) {
                 Some(past) => self.i = past,
                 None => {
@@ -589,7 +575,7 @@ impl<'a> Parser<'a> {
         // First path (trait in `impl T for S`, else the self type).
         let (first, after_first) = self.impl_path(self.i);
         self.i = after_first;
-        let (trait_ty, self_ty) = if self.ident(self.i) == Some("for") {
+        let (trait_ty, self_ty) = if self.lx.ident(self.i) == Some("for") {
             self.i += 1;
             let (second, after_second) = self.impl_path(self.i);
             self.i = after_second;
@@ -598,13 +584,13 @@ impl<'a> Parser<'a> {
             (None, first)
         };
         // Skip an optional where clause.
-        while self.i < self.lx.toks.len() && self.punct(self.i) != Some("{") {
-            if self.punct(self.i) == Some("<") {
+        while self.i < self.lx.toks.len() && self.lx.punct(self.i) != Some("{") {
+            if self.lx.punct(self.i) == Some("<") {
                 match self.skip_generics(self.i) {
                     Some(past) => self.i = past,
                     None => self.i += 1,
                 }
-            } else if self.punct(self.i) == Some(";") {
+            } else if self.lx.punct(self.i) == Some(";") {
                 // `impl Trait for Type;` — nothing to parse inside.
                 self.i += 1;
                 return;
@@ -659,16 +645,16 @@ impl<'a> Parser<'a> {
     fn parse_static(&mut self, ctx: &Ctx, item_test: bool) {
         let line = self.line(self.i);
         self.i += 1; // `static`
-        let is_mut = self.ident(self.i) == Some("mut");
+        let is_mut = self.lx.ident(self.i) == Some("mut");
         if is_mut {
             self.i += 1;
         }
-        let name = self.ident(self.i).unwrap_or("").to_string();
+        let name = self.lx.ident(self.i).unwrap_or("").to_string();
         self.i += 1;
         // Type tokens run until the initializer or the terminator.
         let mut interior = false;
         while self.i < self.lx.toks.len() {
-            match (&self.lx.toks[self.i].tok, self.punct(self.i)) {
+            match (&self.lx.toks[self.i].tok, self.lx.punct(self.i)) {
                 (_, Some("=")) | (_, Some(";")) => break,
                 (Tok::Ident(id), _) => {
                     interior |= is_interior_mut_type(id);

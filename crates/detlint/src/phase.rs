@@ -2,7 +2,7 @@
 //!
 //! The threaded and platform executives move through a fixed phase
 //! structure per GVT round — the same structure the model checker
-//! (`detlint mc`) explores abstractly: **compute** (execute events,
+//! (`pls_timewarp::modelcheck`) explores abstractly: **compute** (execute events,
 //! exchange batches), **flush** (drain in-flight transmissions before
 //! the reduction), **gvt** (the reduction itself / timer arming),
 //! **migrate** (LP hand-offs at the commit point) and **fossil**

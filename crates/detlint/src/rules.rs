@@ -1,6 +1,6 @@
-//! The determinism rule catalog (D001–D011).
+//! The determinism rule catalog: one [`RULES`] row per rule.
 //!
-//! D001–D005 and D007 are token-pattern matchers over [`crate::lexer`]
+//! D003, D004 and D007 are token-pattern matchers over [`crate::lexer`]
 //! output; D006 and D008 are flow-aware reachability passes over the
 //! [parser](crate::parser) / [call graph](crate::callgraph) and live in
 //! [`crate::structural`]; D009 ([`crate::concurrency`]) checks lock and
@@ -13,24 +13,22 @@
 //! into committed simulation output, not every use of a type). False
 //! positives are expected to be rare and are handled by inline waivers
 //! with written reasons — see `docs/LINTS.md`.
+//!
+//! What rustc and clippy already check is not repeated here: kernel
+//! crates are `#![forbid(unsafe_code)]`, and `clippy.toml` denies
+//! RandomState-hashed maps and host clocks in them (the retired D005,
+//! D001 and D002).
 
-use crate::lexer::{Lexed, Tok};
+use crate::lexer::{is_float_literal, Lexed, Tok};
 
-/// A rule identifier, e.g. `D001`.
+/// A rule identifier, e.g. `D003`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// `HashMap`/`HashSet` with the default `RandomState` hasher in
-    /// kernel code — iteration order leaks into observable output.
-    D001,
-    /// Host time (`Instant::now`, `SystemTime`) in kernel code.
-    D002,
     /// Float casts or float arithmetic on virtual-time values.
     D003,
     /// Thread/channel/lock primitives outside the audited threaded
     /// executive.
     D004,
-    /// `unsafe` without a waiver.
-    D005,
     /// Rollback soundness: I/O, writable statics, interior mutability or
     /// `&self` mutation reachable from an `Application` event handler.
     D006,
@@ -55,99 +53,128 @@ pub enum RuleId {
     D011,
 }
 
+/// A lexical rule's checker: token stream, test-skip mask, findings.
+pub type LexicalCheck = fn(&Lexed, &[bool], &mut Vec<Violation>);
+
+/// One catalog row: everything the engine, the reports and the waiver
+/// parser know about a rule.
+#[derive(Debug)]
+pub struct Rule {
+    /// The rule.
+    pub id: RuleId,
+    /// The canonical `D0xx` name, as waivers and reports spell it.
+    pub name: &'static str,
+    /// One-line summary for reports and `docs/LINTS.md`.
+    pub summary: &'static str,
+    /// The fix hint attached to every violation of this rule.
+    pub hint: &'static str,
+    /// The per-file token-stream checker of a lexical rule; `None` for
+    /// the flow-aware rules the workspace-wide structural pass runs.
+    pub lexical: Option<LexicalCheck>,
+}
+
+/// The catalog, in rule order.
+pub const RULES: [Rule; 8] = [
+    Rule {
+        id: RuleId::D003,
+        name: "D003",
+        summary: "float arithmetic on virtual time",
+        hint: "keep SimTime/VTime arithmetic in u64; convert to float only for derived reporting metrics, never back",
+        lexical: Some(check_d003),
+    },
+    Rule {
+        id: RuleId::D004,
+        name: "D004",
+        summary: "concurrency primitive outside the audited threaded executive",
+        hint: "threads, channels and locks live in timewarp/src/threaded.rs; everything else must stay single-threaded deterministic",
+        lexical: Some(check_d004),
+    },
+    Rule {
+        id: RuleId::D006,
+        name: "D006",
+        summary: "irreversible effect reachable from a rollback-able event handler",
+        hint: "confine handler effects to the checkpointed State or EventSink; defer irreversible output past GVT and waive that site with the reason",
+        lexical: None,
+    },
+    Rule {
+        id: RuleId::D007,
+        name: "D007",
+        summary: "raw u64 arithmetic on virtual time",
+        hint: "use VTime::after / checked_add / checked_mul / saturating_mul; silent u64 wraparound reorders every event behind it",
+        lexical: Some(check_d007),
+    },
+    Rule {
+        id: RuleId::D008,
+        name: "D008",
+        summary: "probe reaches kernel-mutating state or API",
+        hint: "probes observe: accumulate in the probe's own state and export after the run; never call into EventSink/LpRuntime",
+        lexical: None,
+    },
+    Rule {
+        id: RuleId::D009,
+        name: "D009",
+        summary: "lock/channel protocol violation in the concurrency surface",
+        hint: "acquire locks in one global order everywhere, release every guard before sending on a channel, and use both endpoints of every channel you create",
+        lexical: None,
+    },
+    Rule {
+        id: RuleId::D010,
+        name: "D010",
+        summary: "phase-restricted operation escapes its declared GVT phase",
+        hint: "annotate the function with `// detlint: phase(...)` naming a phase the operation is allowed in, or move the operation into the right phase function — see docs/LINTS.md",
+        lexical: None,
+    },
+    Rule {
+        id: RuleId::D011,
+        name: "D011",
+        summary: "nondeterministic value flows into a determinism-critical sink",
+        hint: "derive schedule delays, VTime values and fingerprint inputs from deterministic simulation state only; host-time telemetry must stay out of these flows or carry an audited waiver",
+        lexical: None,
+    },
+];
+
 impl RuleId {
     /// All rules, in catalog order.
-    pub const ALL: [RuleId; 11] = [
-        RuleId::D001,
-        RuleId::D002,
-        RuleId::D003,
-        RuleId::D004,
-        RuleId::D005,
-        RuleId::D006,
-        RuleId::D007,
-        RuleId::D008,
-        RuleId::D009,
-        RuleId::D010,
-        RuleId::D011,
-    ];
-
-    /// The purely lexical rules (dispatched per file over the token
-    /// stream; D006/D008–D011 run in the workspace-wide structural pass).
-    pub const LEXICAL: [RuleId; 6] =
-        [RuleId::D001, RuleId::D002, RuleId::D003, RuleId::D004, RuleId::D005, RuleId::D007];
-
-    /// The flow-aware rules that need the parsed call graph (and, for
-    /// D009–D011, the token streams of every unit).
-    pub const STRUCTURAL: [RuleId; 5] =
-        [RuleId::D006, RuleId::D008, RuleId::D009, RuleId::D010, RuleId::D011];
-
-    /// Parse `"D001"` → `RuleId::D001`.
-    pub fn parse(s: &str) -> Option<RuleId> {
-        match s {
-            "D001" => Some(RuleId::D001),
-            "D002" => Some(RuleId::D002),
-            "D003" => Some(RuleId::D003),
-            "D004" => Some(RuleId::D004),
-            "D005" => Some(RuleId::D005),
-            "D006" => Some(RuleId::D006),
-            "D007" => Some(RuleId::D007),
-            "D008" => Some(RuleId::D008),
-            "D009" => Some(RuleId::D009),
-            "D010" => Some(RuleId::D010),
-            "D011" => Some(RuleId::D011),
-            _ => None,
+    pub const ALL: [RuleId; RULES.len()] = {
+        let mut all = [RuleId::D003; RULES.len()];
+        let mut i = 0;
+        while i < RULES.len() {
+            all[i] = RULES[i].id;
+            i += 1;
         }
+        all
+    };
+
+    /// This rule's catalog row.
+    pub fn rule(self) -> &'static Rule {
+        RULES.iter().find(|r| r.id == self).expect("every RuleId has a RULES row")
     }
 
-    /// The canonical `D00x` name.
+    /// Parse `"D003"` → `RuleId::D003`; `None` for an unknown or retired
+    /// id.
+    pub fn parse(s: &str) -> Option<RuleId> {
+        RULES.iter().find(|r| r.name == s).map(|r| r.id)
+    }
+
+    /// The canonical `D0xx` name.
     pub fn name(self) -> &'static str {
-        match self {
-            RuleId::D001 => "D001",
-            RuleId::D002 => "D002",
-            RuleId::D003 => "D003",
-            RuleId::D004 => "D004",
-            RuleId::D005 => "D005",
-            RuleId::D006 => "D006",
-            RuleId::D007 => "D007",
-            RuleId::D008 => "D008",
-            RuleId::D009 => "D009",
-            RuleId::D010 => "D010",
-            RuleId::D011 => "D011",
-        }
+        self.rule().name
     }
 
     /// One-line summary for reports and `docs/LINTS.md`.
     pub fn summary(self) -> &'static str {
-        match self {
-            RuleId::D001 => "RandomState-hashed map/set in kernel code",
-            RuleId::D002 => "host time source in kernel code",
-            RuleId::D003 => "float arithmetic on virtual time",
-            RuleId::D004 => "concurrency primitive outside the audited threaded executive",
-            RuleId::D005 => "unwaived unsafe block",
-            RuleId::D006 => "irreversible effect reachable from a rollback-able event handler",
-            RuleId::D007 => "raw u64 arithmetic on virtual time",
-            RuleId::D008 => "probe reaches kernel-mutating state or API",
-            RuleId::D009 => "lock/channel protocol violation in the concurrency surface",
-            RuleId::D010 => "phase-restricted operation escapes its declared GVT phase",
-            RuleId::D011 => "nondeterministic value flows into a determinism-critical sink",
-        }
+        self.rule().summary
     }
 
     /// The fix hint attached to every violation of this rule.
     pub fn hint(self) -> &'static str {
-        match self {
-            RuleId::D001 => "use BTreeMap/BTreeSet, or HashMap<_, _, IdHashBuilder> (pls_timewarp::pool) when iteration order is provably unobservable",
-            RuleId::D002 => "virtual time comes from VTime; host time is allowed only in crates/bench and waived telemetry host-time columns",
-            RuleId::D003 => "keep SimTime/VTime arithmetic in u64; convert to float only for derived reporting metrics, never back",
-            RuleId::D004 => "threads, channels and locks live in timewarp/src/threaded.rs; everything else must stay single-threaded deterministic",
-            RuleId::D005 => "add `// detlint: allow(D005, <why this unsafe is sound and deterministic>)` or rewrite safely",
-            RuleId::D006 => "confine handler effects to the checkpointed State or EventSink; defer irreversible output past GVT and waive that site with the reason",
-            RuleId::D007 => "use VTime::after / checked_add / checked_mul / saturating_mul; silent u64 wraparound reorders every event behind it",
-            RuleId::D008 => "probes observe: accumulate in the probe's own state and export after the run; never call into EventSink/LpRuntime",
-            RuleId::D009 => "acquire locks in one global order everywhere, release every guard before sending on a channel, and use both endpoints of every channel you create",
-            RuleId::D010 => "annotate the function with `// detlint: phase(...)` naming a phase the operation is allowed in, or move the operation into the right phase function — see docs/LINTS.md",
-            RuleId::D011 => "derive schedule delays, VTime values and fingerprint inputs from deterministic simulation state only; host-time telemetry must stay out of these flows or carry an audited waiver",
-        }
+        self.rule().hint
+    }
+
+    /// Whether the rule runs in the workspace-wide structural pass (it
+    /// needs the parsed call graph) rather than per file over tokens.
+    pub fn is_structural(self) -> bool {
+        self.rule().lexical.is_none()
     }
 }
 
@@ -190,157 +217,6 @@ const D004_TYPES: [&str; 10] = [
     "AtomicI64",
 ];
 
-fn ident_at(lx: &Lexed, i: usize) -> Option<&str> {
-    match &lx.toks.get(i)?.tok {
-        Tok::Ident(s) => Some(s),
-        _ => None,
-    }
-}
-
-fn punct_at(lx: &Lexed, i: usize) -> Option<&str> {
-    match lx.toks.get(i)?.tok {
-        Tok::Punct(p) => Some(p),
-        _ => None,
-    }
-}
-
-fn num_at(lx: &Lexed, i: usize) -> Option<&str> {
-    match &lx.toks.get(i)?.tok {
-        Tok::Num(s) => Some(s),
-        _ => None,
-    }
-}
-
-/// Count top-level generic arguments of `Type<...>` where `open` indexes
-/// the `<`. Returns `(args, index_past_closing_angle)`; `None` when the
-/// angle brackets never close (lexer confusion — treated as "unknown, do
-/// not flag").
-fn generic_args(lx: &Lexed, open: usize) -> Option<(usize, usize)> {
-    debug_assert_eq!(punct_at(lx, open), Some("<"));
-    let mut depth = 1usize;
-    let mut paren = 0usize;
-    let mut args = 1usize;
-    let mut saw_any = false;
-    let mut i = open + 1;
-    while i < lx.toks.len() {
-        match &lx.toks[i].tok {
-            Tok::Punct("(") | Tok::Punct("[") => {
-                paren += 1;
-                saw_any = true;
-            }
-            Tok::Punct(")") | Tok::Punct("]") => paren = paren.saturating_sub(1),
-            Tok::Punct("<") => depth += 1,
-            Tok::Punct(">") => {
-                depth -= 1;
-                if depth == 0 {
-                    return if saw_any { Some((args, i + 1)) } else { Some((0, i + 1)) };
-                }
-            }
-            Tok::Punct(",") if depth == 1 && paren == 0 => {
-                // Ignore a trailing comma right before `>`.
-                if punct_at(lx, i + 1) != Some(">") {
-                    args += 1;
-                }
-            }
-            Tok::Punct(";") | Tok::Punct("{") => return None, // statement ended: comparison, not generics
-            _ => saw_any = true,
-        }
-        i += 1;
-    }
-    None
-}
-
-/// D001: `HashMap`/`HashSet` constructed with the default hasher.
-///
-/// Flags (a) type mentions `HashMap<K, V>` / `HashSet<T>` without an
-/// explicit third/second (hasher) parameter, and (b) the
-/// RandomState-only constructors `::new` / `::with_capacity` / `::from`.
-/// `use` items and `::default()` (hasher inferred from an annotation
-/// that is itself checked) are not flagged.
-// Rule walkers index by position: they look ahead (`i + 1`, `i + 2`) and
-// consult the parallel `skip` mask, so an iterator rewrite would obscure them.
-#[allow(clippy::needless_range_loop)]
-pub fn check_d001(lx: &Lexed, skip: &[bool], out: &mut Vec<Violation>) {
-    let mut in_use = false;
-    for i in 0..lx.toks.len() {
-        if skip[i] {
-            continue;
-        }
-        match &lx.toks[i].tok {
-            Tok::Ident(id) if id == "use" => in_use = true,
-            Tok::Punct(";") => in_use = false,
-            Tok::Ident(id) if (id == "HashMap" || id == "HashSet") && !in_use => {
-                let is_map = id == "HashMap";
-                let line = lx.toks[i].line;
-                if punct_at(lx, i + 1) == Some("<") {
-                    if let Some((args, _)) = generic_args(lx, i + 1) {
-                        let needed = if is_map { 3 } else { 2 };
-                        if args > 0 && args < needed {
-                            out.push(Violation {
-                                rule: RuleId::D001,
-                                line,
-                                message: format!(
-                                    "{id}<…> with {args} generic argument{} uses the default RandomState hasher",
-                                    if args == 1 { "" } else { "s" }
-                                ),
-                            });
-                        }
-                    }
-                } else if punct_at(lx, i + 1) == Some("::") {
-                    if let Some(m) = ident_at(lx, i + 2) {
-                        if matches!(m, "new" | "with_capacity" | "from") {
-                            out.push(Violation {
-                                rule: RuleId::D001,
-                                line,
-                                message: format!(
-                                    "{id}::{m} constructs a RandomState-hashed {}",
-                                    if is_map { "map" } else { "set" }
-                                ),
-                            });
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// D002: `Instant::now` / any `SystemTime` use.
-#[allow(clippy::needless_range_loop)]
-pub fn check_d002(lx: &Lexed, skip: &[bool], out: &mut Vec<Violation>) {
-    let mut in_use = false;
-    for i in 0..lx.toks.len() {
-        if skip[i] {
-            continue;
-        }
-        match &lx.toks[i].tok {
-            Tok::Ident(id) if id == "use" => in_use = true,
-            Tok::Punct(";") => in_use = false,
-            Tok::Ident(id)
-                if id == "Instant"
-                    && !in_use
-                    && punct_at(lx, i + 1) == Some("::")
-                    && ident_at(lx, i + 2) == Some("now") =>
-            {
-                out.push(Violation {
-                    rule: RuleId::D002,
-                    line: lx.toks[i].line,
-                    message: "Instant::now reads the host clock".into(),
-                });
-            }
-            Tok::Ident(id) if id == "SystemTime" && !in_use => {
-                out.push(Violation {
-                    rule: RuleId::D002,
-                    line: lx.toks[i].line,
-                    message: "SystemTime reads the host clock".into(),
-                });
-            }
-            _ => {}
-        }
-    }
-}
-
 /// D003: float taint on virtual time, detected by statement-level
 /// co-occurrence of a float marker (`f32`/`f64` ident or cast target,
 /// or a float literal) with a virtual-time marker identifier.
@@ -380,14 +256,6 @@ pub fn check_d003(lx: &Lexed, skip: &[bool], out: &mut Vec<Violation>) {
     }
 }
 
-fn is_float_literal(t: &str) -> bool {
-    if t.starts_with("0x") || t.starts_with("0b") || t.starts_with("0o") {
-        return false;
-    }
-    let t = t.trim_end_matches("f32").trim_end_matches("f64");
-    t.contains('.') || t[1..].contains(['e', 'E'])
-}
-
 /// D004: thread spawns, channels, locks and atomics.
 #[allow(clippy::needless_range_loop)]
 pub fn check_d004(lx: &Lexed, skip: &[bool], out: &mut Vec<Violation>) {
@@ -398,13 +266,13 @@ pub fn check_d004(lx: &Lexed, skip: &[bool], out: &mut Vec<Violation>) {
         let Tok::Ident(id) = &lx.toks[i].tok else { continue };
         let line = lx.toks[i].line;
         if id == "thread"
-            && punct_at(lx, i + 1) == Some("::")
-            && matches!(ident_at(lx, i + 2), Some("spawn" | "scope" | "Builder"))
+            && lx.punct(i + 1) == Some("::")
+            && matches!(lx.ident(i + 2), Some("spawn" | "scope" | "Builder"))
         {
             out.push(Violation {
                 rule: RuleId::D004,
                 line,
-                message: format!("thread::{} spawns OS threads", ident_at(lx, i + 2).unwrap()),
+                message: format!("thread::{} spawns OS threads", lx.ident(i + 2).unwrap()),
             });
         } else if D004_TYPES.contains(&id.as_str()) {
             out.push(Violation {
@@ -467,11 +335,13 @@ pub fn check_d007(lx: &Lexed, _skip: &[bool], out: &mut Vec<Violation>) {
         }
         for j in seg {
             // `<owner> . 0` with `+`/`*` on either side.
-            if punct_at(lx, j) != Some(".") || num_at(lx, j + 1) != Some("0") {
+            if lx.punct(j) != Some(".")
+                || !matches!(lx.toks.get(j + 1).map(|t| &t.tok), Some(Tok::Num(n)) if n == "0")
+            {
                 continue;
             }
-            let after = punct_at(lx, j + 2);
-            let before = j.checked_sub(2).and_then(|k| punct_at(lx, k));
+            let after = lx.punct(j + 2);
+            let before = j.checked_sub(2).and_then(|k| lx.punct(k));
             if matches!(after, Some("+" | "*")) || matches!(before, Some("+" | "*")) {
                 out.push(Violation {
                     rule: RuleId::D007,
@@ -483,7 +353,7 @@ pub fn check_d007(lx: &Lexed, _skip: &[bool], out: &mut Vec<Violation>) {
     }
     // Shape (b): arithmetic inside `VTime(...)`.
     for i in 0..lx.toks.len() {
-        if ident_at(lx, i) != Some("VTime") || punct_at(lx, i + 1) != Some("(") {
+        if lx.ident(i) != Some("VTime") || lx.punct(i + 1) != Some("(") {
             continue;
         }
         let mut depth = 0usize;
@@ -510,23 +380,6 @@ pub fn check_d007(lx: &Lexed, _skip: &[bool], out: &mut Vec<Violation>) {
                 rule: RuleId::D007,
                 line: lx.toks[i].line,
                 message: "unchecked `+`/`*` inside a VTime(..) constructor".into(),
-            });
-        }
-    }
-}
-
-/// D005: `unsafe`.
-#[allow(clippy::needless_range_loop)]
-pub fn check_d005(lx: &Lexed, skip: &[bool], out: &mut Vec<Violation>) {
-    for i in 0..lx.toks.len() {
-        if skip[i] {
-            continue;
-        }
-        if matches!(&lx.toks[i].tok, Tok::Ident(id) if id == "unsafe") {
-            out.push(Violation {
-                rule: RuleId::D005,
-                line: lx.toks[i].line,
-                message: "unsafe code".into(),
             });
         }
     }
@@ -575,16 +428,16 @@ pub fn test_skip_mask(lx: &Lexed) -> Vec<bool> {
 }
 
 fn is_attr_start(lx: &Lexed, i: usize) -> bool {
-    punct_at(lx, i) == Some("#") && punct_at(lx, i + 1) == Some("[")
+    lx.punct(i) == Some("#") && lx.punct(i + 1) == Some("[")
 }
 
 fn is_cfg_test_attr(lx: &Lexed, i: usize) -> bool {
     is_attr_start(lx, i)
-        && ident_at(lx, i + 2) == Some("cfg")
-        && punct_at(lx, i + 3) == Some("(")
-        && ident_at(lx, i + 4) == Some("test")
-        && punct_at(lx, i + 5) == Some(")")
-        && punct_at(lx, i + 6) == Some("]")
+        && lx.ident(i + 2) == Some("cfg")
+        && lx.punct(i + 3) == Some("(")
+        && lx.ident(i + 4) == Some("test")
+        && lx.punct(i + 5) == Some(")")
+        && lx.punct(i + 6) == Some("]")
 }
 
 fn skip_attr(lx: &Lexed, i: usize) -> usize {
@@ -608,7 +461,7 @@ fn skip_attr(lx: &Lexed, i: usize) -> usize {
 }
 
 fn match_brace(lx: &Lexed, open: usize) -> usize {
-    debug_assert_eq!(punct_at(lx, open), Some("{"));
+    debug_assert_eq!(lx.punct(open), Some("{"));
     let mut depth = 0usize;
     let mut j = open;
     while j < lx.toks.len() {

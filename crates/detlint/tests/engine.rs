@@ -1,8 +1,11 @@
 //! Fixture corpus: one positive and one negative fixture per rule,
 //! waiver-syntax parsing, the self-check that the shipped workspace
-//! is violation-free, and the `mc` command line.
+//! is violation-free, the checks handed to rustc and clippy, and the
+//! command line.
 
-use pls_detlint::{analyze_source, analyze_workspace, rules_for, Report, RuleId};
+use std::path::{Path, PathBuf};
+
+use pls_detlint::{analyze_source, analyze_workspace, rules_for, Report, RuleId, KERNEL_CRATES};
 
 const KERNEL_PATH: &str = "crates/timewarp/src/fixture.rs";
 
@@ -15,39 +18,6 @@ fn run_fixture(src: &str) -> Report {
 
 fn fired_lines(report: &Report, rule: RuleId) -> Vec<u32> {
     report.violations.iter().filter(|f| f.rule == rule).map(|f| f.line).collect()
-}
-
-#[test]
-fn d001_positive_fixture_fires_on_every_site() {
-    let r = run_fixture(include_str!("fixtures/d001_bad.rs"));
-    let lines = fired_lines(&r, RuleId::D001);
-    for expected in [5, 6, 7, 11, 13] {
-        assert!(lines.contains(&expected), "D001 must fire on line {expected}, got {lines:?}");
-    }
-    // The return-type mention on line 10 fires too; nothing else may.
-    assert!(lines.iter().all(|l| [5, 6, 7, 10, 11, 13].contains(l)), "unexpected: {lines:?}");
-}
-
-#[test]
-fn d001_negative_fixture_is_clean() {
-    let r = run_fixture(include_str!("fixtures/d001_ok.rs"));
-    assert!(r.violations.is_empty(), "false positives: {:?}", r.violations);
-}
-
-#[test]
-fn d002_positive_fixture_fires() {
-    let r = run_fixture(include_str!("fixtures/d002_bad.rs"));
-    let lines = fired_lines(&r, RuleId::D002);
-    assert!(lines.contains(&5), "Instant::now on line 5, got {lines:?}");
-    assert!(lines.contains(&6), "SystemTime on line 6, got {lines:?}");
-}
-
-#[test]
-fn d002_negative_fixture_is_clean_with_waiver() {
-    let r = run_fixture(include_str!("fixtures/d002_ok.rs"));
-    assert!(r.violations.is_empty(), "false positives: {:?}", r.violations);
-    assert_eq!(r.waived.len(), 1, "the waived Instant::now must be recorded");
-    assert_eq!(r.waived[0].rule, RuleId::D002);
 }
 
 #[test]
@@ -83,7 +53,7 @@ fn d004_negative_fixture_is_clean() {
 fn d004_is_exempt_in_threaded_rs() {
     let rules = rules_for("crates/timewarp/src/threaded.rs").expect("in scope");
     assert!(!rules.contains(&RuleId::D004), "threaded.rs is the audited threading surface");
-    assert!(rules.contains(&RuleId::D001), "other rules still apply there");
+    assert!(rules.contains(&RuleId::D007), "other rules still apply there");
 }
 
 #[test]
@@ -104,7 +74,7 @@ fn replication_modules_are_kernel_tier() {
     // planning decides *which* gates are duplicated, and replica
     // evaluation runs inside LP rollback scope — a nondeterministic plan
     // or replica sweep would silently break fingerprint parity with the
-    // unreplicated oracle. Every kernel-tier rule (D001–D008) must stay
+    // unreplicated oracle. Every kernel-tier rule must stay
     // active on each of these modules; none may drift to the relaxed
     // tests/examples tier.
     for path in [
@@ -129,51 +99,42 @@ fn replication_modules_are_kernel_tier() {
 }
 
 #[test]
-fn d005_positive_fixture_fires() {
-    let r = run_fixture(include_str!("fixtures/d005_bad.rs"));
-    assert_eq!(fired_lines(&r, RuleId::D005), vec![3]);
-}
-
-#[test]
-fn d005_negative_fixture_is_clean_with_waiver() {
-    let r = run_fixture(include_str!("fixtures/d005_ok.rs"));
-    assert!(r.violations.is_empty(), "false positives: {:?}", r.violations);
-    assert_eq!(r.waived.len(), 1);
-    assert_eq!(r.waived[0].rule, RuleId::D005);
-}
-
-#[test]
 fn waiver_syntax_round_trip() {
     let r = run_fixture(include_str!("fixtures/waivers.rs"));
-    // good_waiver (line 6) and both halves of multi_rule (line 18) waived.
+    // good_waiver (line 5) and both halves of multi_rule (line 17) waived.
     let waived: Vec<(RuleId, u32)> = r.waived.iter().map(|f| (f.rule, f.line)).collect();
-    assert!(waived.contains(&(RuleId::D001, 6)), "good waiver must cover line 6: {waived:?}");
-    assert!(waived.contains(&(RuleId::D001, 18)), "multi-rule waiver (D001): {waived:?}");
-    assert!(waived.contains(&(RuleId::D002, 18)), "multi-rule waiver (D002): {waived:?}");
+    assert!(waived.contains(&(RuleId::D004, 5)), "good waiver must cover line 5: {waived:?}");
+    assert!(waived.contains(&(RuleId::D004, 17)), "multi-rule waiver (D004): {waived:?}");
+    assert!(waived.contains(&(RuleId::D007, 17)), "multi-rule waiver (D007): {waived:?}");
     // missing_reason leaves its violation live and reports a bad waiver.
     assert!(
-        fired_lines(&r, RuleId::D001).contains(&12),
-        "missing-reason waiver must not suppress line 12"
+        fired_lines(&r, RuleId::D004).contains(&11),
+        "missing-reason waiver must not suppress line 11"
     );
     let err_lines: Vec<u32> = r.waiver_errors.iter().map(|e| e.line).collect();
-    assert!(err_lines.contains(&11), "missing reason is a waiver error: {err_lines:?}");
-    assert!(err_lines.contains(&22), "unknown rule id is a waiver error: {err_lines:?}");
-    // The D002 waiver that matches nothing is reported unused.
+    assert!(err_lines.contains(&10), "missing reason is a waiver error: {err_lines:?}");
+    assert!(err_lines.contains(&21), "unknown rule id is a waiver error: {err_lines:?}");
+    // A waiver naming a retired rule is an unknown-rule error too, and
+    // suppresses nothing — not even the live rule it also names.
+    let retired = r.waiver_errors.iter().find(|e| e.line == 34).expect("retired-rule waiver");
+    assert!(retired.message.contains("unknown rule D001"), "{}", retired.message);
+    assert!(fired_lines(&r, RuleId::D004).contains(&35), "stale waiver must not suppress");
+    // The D007 waiver that matches nothing is reported unused.
     assert!(
-        r.unused_waivers.iter().any(|e| e.line == 25),
-        "unused waiver on line 25: {:?}",
+        r.unused_waivers.iter().any(|e| e.line == 24),
+        "unused waiver on line 24: {:?}",
         r.unused_waivers
     );
-    // half_used: the two-rule waiver on line 29 covers a line where only
-    // D001 fires — the report must name D002 (and only D002) as unused.
-    assert!(waived.contains(&(RuleId::D001, 30)), "half-used waiver (D001 half): {waived:?}");
+    // half_used: the two-rule waiver on line 28 covers a line where only
+    // D004 fires — the report must name D007 (and only D007) as unused.
+    assert!(waived.contains(&(RuleId::D004, 29)), "half-used waiver (D004 half): {waived:?}");
     let half = r
         .unused_waivers
         .iter()
-        .find(|e| e.line == 29)
-        .expect("per-rule-instance unused report for line 29");
+        .find(|e| e.line == 28)
+        .expect("per-rule-instance unused report for line 28");
     assert!(
-        half.message.contains("D002") && !half.message.contains("D001"),
+        half.message.contains("D007") && !half.message.contains("D004"),
         "only the unused rule may be named: {}",
         half.message
     );
@@ -181,7 +142,7 @@ fn waiver_syntax_round_trip() {
 }
 
 /// Self-check: the workspace this crate ships in must pass its own lint
-/// gate — zero violations under D001–D011, zero malformed waivers,
+/// gate — zero violations under every rule, zero malformed waivers,
 /// every waiver actually covering something, and every in-scope file
 /// structurally parsed (an incomplete call graph silently weakens the
 /// reachability rules).
@@ -204,23 +165,79 @@ fn shipped_workspace_is_violation_free() {
     assert!(report.parse_errors.is_empty(), "structural parse failures: {:?}", report.parse_errors);
 }
 
-/// `pls-detlint mc --self-test` catches both seeded bug shapes, and any
-/// other argument, such as `--model` or `--bound`, is a usage error, so
-/// a stale script fails loudly instead of running something else.
+fn workspace_file(rel: &str) -> String {
+    let path: PathBuf = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..").join(rel);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+/// The retired rules are checked by rustc and clippy; a check that stops
+/// firing passes forever, so pin what keeps each one live. D005: every
+/// kernel crate forbids `unsafe`. D001/D002: `clippy.toml` denies
+/// RandomState maps and host clocks, and `scripts/check.sh` runs that
+/// clippy pass, with both lints denied, over exactly the kernel crates.
 #[test]
-fn mc_self_test_passes_and_unknown_flags_are_usage_errors() {
-    let mc = |args: &[&str]| {
+fn rustc_and_clippy_still_check_the_retired_rules() {
+    for c in KERNEL_CRATES {
+        let lib = workspace_file(&format!("crates/{c}/src/lib.rs"));
+        assert!(lib.contains("#![forbid(unsafe_code)]"), "crates/{c} must forbid unsafe code");
+    }
+
+    let clippy = workspace_file("clippy.toml");
+    let (types, methods) =
+        clippy.split_once("\ndisallowed-methods = [").expect("clippy.toml has disallowed-methods");
+    assert!(types.contains("\ndisallowed-types = ["), "disallowed-types comes first");
+    for path in ["std::collections::HashMap", "std::collections::HashSet", "std::time::SystemTime"]
+    {
+        assert!(types.contains(&format!("path = \"{path}\"")), "disallowed-types: {path}");
+    }
+    for path in ["std::time::Instant::now", "std::time::SystemTime::now"] {
+        assert!(methods.contains(&format!("path = \"{path}\"")), "disallowed-methods: {path}");
+    }
+
+    let check = workspace_file("scripts/check.sh");
+    let lines: Vec<&str> = check.lines().collect();
+    let at = lines
+        .iter()
+        .position(|l| l.starts_with("for p in pls-"))
+        .expect("check.sh has a per-crate clippy loop");
+    let mut looped: Vec<&str> = lines[at]
+        .trim_start_matches("for p in ")
+        .trim_end_matches("; do")
+        .split_whitespace()
+        .map(|p| p.trim_start_matches("pls-"))
+        .collect();
+    let mut kernel = KERNEL_CRATES.to_vec();
+    looped.sort_unstable();
+    kernel.sort_unstable();
+    assert_eq!(looped, kernel, "the clippy loop must cover exactly KERNEL_CRATES");
+    let body = lines[at + 1];
+    assert!(body.contains("clippy") && body.contains("--lib"), "loop body: {body}");
+    for lint in ["-D clippy::disallowed-types", "-D clippy::disallowed-methods"] {
+        assert!(body.contains(lint), "the per-crate clippy pass must {lint}: {body}");
+    }
+}
+
+/// The command line takes `--workspace [--root PATH] [--json]` or
+/// `--self-test` and nothing else: the retired `mc` subcommand and the
+/// `--sarif` / `--changed` flags are usage errors, so a stale script
+/// fails loudly instead of running something else.
+#[test]
+fn retired_subcommand_and_flags_are_usage_errors() {
+    let run = |args: &[&str]| {
         std::process::Command::new(env!("CARGO_BIN_EXE_pls-detlint"))
-            .arg("mc")
             .args(args)
             .output()
             .expect("pls-detlint runs")
     };
-    let out = mc(&["--self-test"]);
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(out.status.code(), Some(0), "{stdout}");
-    assert_eq!(stdout.matches("[PASS]").count(), 2, "{stdout}");
-    for args in [["--model", "all"], ["--bound", "full"]] {
-        assert_eq!(mc(&args).status.code(), Some(2), "mc {args:?} must be a usage error");
+    let out = run(&["--self-test"]);
+    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
+    for args in [
+        &["mc"][..],
+        &["mc", "--self-test"],
+        &["--workspace", "--sarif"],
+        &["--workspace", "--changed"],
+        &[],
+    ] {
+        assert_eq!(run(args).status.code(), Some(2), "{args:?} must be a usage error");
     }
 }

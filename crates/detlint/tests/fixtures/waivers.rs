@@ -1,32 +1,37 @@
 // Waiver-syntax fixture.
-use std::collections::HashMap;
 
-fn good_waiver() -> usize {
-    // detlint: allow(D001, lookup-only side table; iteration order never observed)
-    let m: HashMap<u32, u32> = HashMap::with_capacity(4);
-    m.len()
+fn good_waiver() -> bool {
+    // detlint: allow(D004, fixture lock; never shared across threads)
+    let m: Mutex<u32> = Mutex::new(4);
+    m.is_poisoned()
 }
 
-fn missing_reason() -> usize {
-    // detlint: allow(D001)
-    let m: HashMap<u32, u32> = HashMap::with_capacity(4);
-    m.len()
+fn missing_reason() -> bool {
+    // detlint: allow(D004)
+    let m: Mutex<u32> = Mutex::new(4);
+    m.is_poisoned()
 }
 
-fn multi_rule() -> usize {
-    // detlint: allow(D001, D002, scratch table stamped with a host time; both justified here)
-    let m: HashMap<u64, std::time::SystemTime> = HashMap::with_capacity(1);
-    m.len()
+fn multi_rule(now: VTime) -> bool {
+    // detlint: allow(D004, D007, scratch lock stamped with a raw time; both justified here)
+    let m: Mutex<u64> = Mutex::new(now.0 + 1);
+    m.is_poisoned()
 }
 
 // detlint: allow(D999, no such rule)
 fn unknown_rule() {}
 
-// detlint: allow(D002, waiver that matches nothing on the next line)
+// detlint: allow(D007, waiver that matches nothing on the next line)
 fn unused_waiver() {}
 
-fn half_used() -> usize {
-    // detlint: allow(D001, D002, only the map is actually on the next line)
-    let m: HashMap<u32, u32> = HashMap::with_capacity(2);
-    m.len()
+fn half_used() -> bool {
+    // detlint: allow(D004, D007, only the lock is actually on the next line)
+    let m: Mutex<u32> = Mutex::new(2);
+    m.is_poisoned()
+}
+
+fn retired_rule() -> bool {
+    // detlint: allow(D004, D001, the map rule moved to clippy; this waiver is stale)
+    let m: Mutex<u32> = Mutex::new(1);
+    m.is_poisoned()
 }

@@ -23,7 +23,7 @@
 //! cross-kernel equivalence oracle used throughout the test suite.
 //!
 //! The kernel copies a gate's state at every checkpoint and every
-//! rollback, so [`GateState`] owns no heap memory (release builds): the
+//! rollback, so [`GateState`] owns no heap memory: the
 //! output, the hash and the transition count, plus one slot for what only
 //! the gate's kind uses — a combinational gate's input pins, packed two
 //! bits each ([`PackedPins`], up to 255 pins, evaluated by popcount), a
@@ -129,7 +129,7 @@ enum Role {
 }
 
 /// Per-gate LP state. `Clone` is the checkpoint operation, and it is one
-/// flat copy: the state owns no heap memory (bar the debug-only history).
+/// flat copy: the state owns no heap memory.
 /// (No `PartialEq`: the stimulus stream's RNG is not comparable; run
 /// equivalence is checked through [`GateState::trace_hash`] fingerprints
 /// instead.)
@@ -141,31 +141,18 @@ pub struct GateState {
     pub output: Value,
     /// FNV-1a rolling hash of `(time, output)` transitions.
     pub trace_hash: u64,
-    /// Full transition history `(effective time, value char)` — debug aid,
-    /// kept only in debug builds to avoid checkpoint bloat.
-    #[cfg(debug_assertions)]
-    pub history: Vec<(u64, char)>,
     /// Number of output transitions produced.
     pub transitions: u64,
 }
 
 impl GateState {
     fn fresh(role: Role) -> GateState {
-        GateState {
-            role,
-            output: Value::X,
-            trace_hash: FNV_BASIS,
-            transitions: 0,
-            #[cfg(debug_assertions)]
-            history: Vec::new(),
-        }
+        GateState { role, output: Value::X, trace_hash: FNV_BASIS, transitions: 0 }
     }
 
     fn note_transition(&mut self, now: VTime, v: Value) {
         self.trace_hash = fnv_step(self.trace_hash, now, v);
         self.transitions += 1;
-        #[cfg(debug_assertions)]
-        self.history.push((now.0, v.as_char()));
     }
 }
 

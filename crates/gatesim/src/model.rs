@@ -101,11 +101,8 @@ pub enum ModelState {
 }
 
 // Every checkpoint, the sequential executive's state vector and every run
-// report hold one of these per LP. (Debug builds add `GateState::history`.)
-const _: () = assert!(
-    std::mem::size_of::<ModelState>()
-        <= 128 + cfg!(debug_assertions) as usize * std::mem::size_of::<Vec<(u64, char)>>()
-);
+// report hold one of these per LP.
+const _: () = assert!(std::mem::size_of::<ModelState>() <= 128);
 
 impl ModelState {
     /// The gate state, if this LP is a per-gate LP.
@@ -633,14 +630,12 @@ mod tests {
 
     /// The per-LP fixed cost of a gate-per-LP run, held as a limit: a
     /// cluster walks one of these per resident LP, and a million-gate model
-    /// holds a million. (Debug builds add `GateState::history` and the
-    /// trace flag.)
+    /// holds a million. Debug and release builds share the layout.
     #[test]
     fn lp_runtime_size_is_bounded() {
         let size = std::mem::size_of::<pls_timewarp::lp::LpRuntime<GateModel>>();
         let state = std::mem::size_of::<ModelState>();
         println!("size_of::<LpRuntime<GateModel>>() = {size} B, of which ModelState {state} B");
-        let debug_only = std::mem::size_of::<Vec<(u64, char)>>() + std::mem::size_of::<u64>();
-        assert!(size <= 384 + cfg!(debug_assertions) as usize * debug_only, "{size} B");
+        assert!(size <= 384, "{size} B");
     }
 }

@@ -75,9 +75,6 @@ pub struct LpRuntime<A: Application> {
     /// `own` as of the last [`Self::take_window`]. Part of the LP, so the
     /// dynlb window baseline migrates with it.
     window_base: LpCounters,
-    /// Whether `PLS_TRACE_LP` names this LP; read once, at construction.
-    #[cfg(debug_assertions)]
-    traced: bool,
 }
 
 /// What the LPs of one cluster share instead of owning a copy each: the
@@ -128,15 +125,6 @@ impl<A: Application> Scratch<A> {
 }
 
 impl<A: Application> LpRuntime<A> {
-    #[cfg(debug_assertions)]
-    fn traced(&self) -> bool {
-        self.traced
-    }
-    #[cfg(not(debug_assertions))]
-    fn traced(&self) -> bool {
-        false
-    }
-
     /// Create the runtime for LP `id`, collecting its initial events into
     /// `outbox` (routed by the kernel like any other send).
     ///
@@ -165,9 +153,6 @@ impl<A: Application> LpRuntime<A> {
             cfg,
             own: LpCounters::default(),
             window_base: LpCounters::default(),
-            #[cfg(debug_assertions)]
-            traced: std::env::var("PLS_TRACE_LP").ok().and_then(|v| v.parse::<u32>().ok())
-                == Some(id),
         };
         for (dst, at, msg) in sink.out {
             outbox.push(lp.make_event(dst, VTime::ZERO, at, msg));
@@ -344,9 +329,6 @@ impl<A: Application> LpRuntime<A> {
         probe: &mut P,
     ) {
         debug_assert_eq!(ev.dst, self.id);
-        if self.traced() {
-            eprintln!("[lp{}] recv+ {:?} @{} lvt={}", self.id, ev.id, ev.recv_time, self.lvt);
-        }
         // An orphan anti may already be waiting for this positive.
         if let Some(pos) = self.orphan_antis.iter().position(|a| a.id == ev.id) {
             self.orphan_antis.swap_remove(pos);
@@ -383,9 +365,6 @@ impl<A: Application> LpRuntime<A> {
         probe: &mut P,
     ) {
         debug_assert_eq!(anti.dst, self.id);
-        if self.traced() {
-            eprintln!("[lp{}] recv- {:?} @{} lvt={}", self.id, anti.id, anti.recv_time, self.lvt);
-        }
         // The positive is pending, processed or not here yet: two binary
         // searches (both queues are in key order) and, on a miss, a scan
         // of the orphans, which FIFO transports never fill.
@@ -454,7 +433,6 @@ impl<A: Application> LpRuntime<A> {
             return;
         }
         let cut = self.pending_cancel.partition_point(|e| e.send_time < bound);
-        let traced = self.traced();
         for i in 0..cut {
             let (dst, recv) = {
                 let e = &self.pending_cancel[i];
@@ -464,12 +442,6 @@ impl<A: Application> LpRuntime<A> {
             let e = &self.pending_cancel[i];
             stats.antis_sent += 1;
             probe.anti_sent(self.id, e.send_time);
-            if traced {
-                eprintln!(
-                    "[lp{}]   flush-anti {:?} ->{} @{} (bound {})",
-                    self.id, e.id, e.dst, e.recv_time, bound
-                );
-            }
             outbox.push(Transmission::Anti(e.anti()));
         }
         self.pending_cancel.drain(..cut);
@@ -493,10 +465,6 @@ impl<A: Application> LpRuntime<A> {
         batch.clear();
         let len = self.pending.iter().take_while(|e| e.recv_time == now).count();
         batch.extend(self.pending.drain(..len));
-        if self.traced() {
-            let keys: Vec<_> = batch.iter().map(|e| (e.recv_time, e.id)).collect();
-            eprintln!("[lp{}] exec @{} batch={:?}", self.id, now, keys);
-        }
         msgs.clear();
         msgs.extend(batch.iter().map(|e| (e.id.src, e.msg.clone())));
 
@@ -534,12 +502,6 @@ impl<A: Application> LpRuntime<A> {
                 {
                     let mut original = self.pending_cancel.remove(pos);
                     self.cancel_key_dec(dst, recv);
-                    if self.traced() {
-                        eprintln!(
-                            "[lp{}]   suppress {:?} ->{} @{}",
-                            self.id, original.id, dst, recv
-                        );
-                    }
                     // The original output record becomes valid again, and
                     // its ownership transfers to *this* batch: the send
                     // time must become `now`, or a later rollback between
@@ -558,9 +520,6 @@ impl<A: Application> LpRuntime<A> {
                 }
             }
             let ev = self.make_event(dst, now, recv, msg);
-            if self.traced() {
-                eprintln!("[lp{}]   send {:?} ->{} @{}", self.id, ev.id, dst, recv);
-            }
             self.outputs.push(ev.clone());
             outbox.push(Transmission::Positive(ev));
         }
@@ -600,9 +559,6 @@ impl<A: Application> LpRuntime<A> {
         scratch: &mut Scratch<A>,
         probe: &mut P,
     ) {
-        if self.traced() {
-            eprintln!("[lp{}] rollback to {} (lvt {})", self.id, to, self.lvt);
-        }
         probe.rollback_begun(self.id, kind, self.lvt, to);
         // 1. Unprocess events at recv_time >= to.
         let cut = self.processed.partition_point(|e| e.recv_time < to);

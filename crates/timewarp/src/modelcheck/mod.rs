@@ -21,11 +21,9 @@
 //!   4-phase LP migration handoff from [`crate::dynlb`].
 //!
 //! Historical bug shapes can be re-injected ([`Bug`]) to prove the
-//! checker actually detects them. `pls-detlint mc` holds the one table
-//! of configurations it explores and the one table of bug shapes its
-//! self-test must catch; `crates/timewarp/tests/modelcheck.rs` pins the
-//! explored state spaces and the counterexamples, `tests/mc_full.golden`
-//! the table's output.
+//! checker actually detects them. `crates/timewarp/tests/modelcheck.rs`
+//! explores the three acceptance configurations and both bug shapes,
+//! and pins their state spaces and counterexamples.
 
 pub mod barrier;
 mod explore;

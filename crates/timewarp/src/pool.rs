@@ -38,8 +38,8 @@ impl Hasher for IdHasher {
 pub type IdHashBuilder = BuildHasherDefault<IdHasher>;
 
 /// The sanctioned hash map for kernel code: seed-free, so iteration can
-/// never diverge between runs (detlint D001 / clippy `disallowed-types`
-/// enforce that every kernel map is either ordered or built on this).
+/// never diverge between runs (clippy `disallowed-types` enforces that
+/// every kernel map is either ordered or built on this).
 #[allow(clippy::disallowed_types)]
 pub type IdHashMap<K, V> = std::collections::HashMap<K, V, IdHashBuilder>;
 

@@ -293,7 +293,10 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
         probe,
     );
 
-    // detlint: allow(D002, host wall-clock feeds only RunReport/probe telemetry host-time columns and never virtual time)
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "host wall-clock feeds only RunReport/probe telemetry host-time columns and never virtual time"
+    )]
     let started = std::time::Instant::now();
 
     let joined: Vec<_> = std::thread::scope(|scope| {

@@ -7,15 +7,14 @@
 //! test asserts its report's `(states, transitions, terminals,
 //! peak_frontier)` and every bug-shape test the state count at detection
 //! and the violation message, so a change to either model that moves a
-//! reachable state, a scheduler choice or an invariant fails here. The
-//! three lines of `pls-detlint mc` are pinned the same way by
-//! `mc_full.golden` beside this file (diffed by `scripts/check.sh`).
+//! reachable state, a scheduler choice or an invariant fails here. This
+//! file is the only pin of the explored state spaces.
 
 use pls_timewarp::modelcheck::{
     explore, explore_with, Bug, CheckReport, ExploreOptions, ModelConfig,
 };
 
-/// The four numbers of a report that `pls-detlint mc` prints.
+/// The four numbers that identify an explored state space.
 fn shape(r: &CheckReport) -> (u64, u64, u64, usize) {
     (r.states, r.transitions, r.terminals, r.peak_frontier)
 }
