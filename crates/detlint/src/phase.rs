@@ -44,7 +44,7 @@ pub const OPS: [(&str, &[&str]); 6] = [
     ("receive", &["compute", "flush"]),
     ("execute_next", &["compute"]),
     ("fossil_collect", &["fossil"]),
-    ("lp_migrated", &["migrate"]),
+    ("evict", &["migrate"]),
     ("arm_timer", &["compute", "gvt"]),
 ];
 

@@ -49,7 +49,7 @@ const SEEDED_D008: &str = "\
 impl EventSink { pub fn schedule(&mut self) {} }\n\
 pub struct Steer { sink: EventSink }\n\
 impl Probe for Steer {\n\
-    fn batch_executed(&mut self, n: usize) { self.sink.schedule(); }\n\
+    fn on(&mut self, event: ProbeEvent) { self.sink.schedule(); }\n\
 }\n";
 
 const CLEAN_CONTROL: &str = "\
@@ -64,7 +64,7 @@ impl Application for App {\n\
 impl EventSink { pub fn schedule(&mut self) {} }\n\
 pub struct Count { n: u64 }\n\
 impl Probe for Count {\n\
-    fn batch_executed(&mut self, n: usize) { self.n += n as u64; }\n\
+    fn on(&mut self, event: ProbeEvent) { self.n += 1; }\n\
 }\n";
 
 /// The seeded deadlock shape: two functions taking the same pair of

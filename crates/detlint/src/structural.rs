@@ -302,7 +302,7 @@ mod tests {
             "impl EventSink { pub fn schedule(&mut self) {} }\n\
              struct Evil { sink: EventSink }\n\
              impl Probe for Evil {\n\
-                 fn batch_executed(&mut self) { self.sink.schedule(); }\n\
+                 fn on(&mut self, event: ProbeEvent) { self.sink.schedule(); }\n\
              }\n",
         )]);
         assert!(
@@ -317,7 +317,7 @@ mod tests {
             "m.rs",
             "struct Counter { n: u64 }\n\
              impl Probe for Counter {\n\
-                 fn batch_executed(&mut self) { self.n += 1; self.note(); }\n\
+                 fn on(&mut self, event: ProbeEvent) { self.n += 1; self.note(); }\n\
              }\n\
              impl Counter { fn note(&mut self) { self.n += 1; } }\n",
         )]);

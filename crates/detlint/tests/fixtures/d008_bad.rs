@@ -17,7 +17,7 @@ pub struct Steer {
 }
 
 impl Probe for Steer {
-    fn batch_executed(&mut self, n: usize) {
+    fn on(&mut self, event: ProbeEvent) {
         self.sink.schedule();
         self.indirect();
     }
@@ -32,7 +32,7 @@ impl Steer {
 pub struct Spy;
 
 impl Probe for Spy {
-    fn gvt_advanced(&mut self) {
+    fn on(&mut self, event: ProbeEvent) {
         unsafe {
             PEEKED += 1;
         }

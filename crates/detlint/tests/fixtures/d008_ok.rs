@@ -1,14 +1,22 @@
 //! D008 negative fixture: probes that accumulate in their own state and
-//! fan out to child probes — the Tee/Counter shapes the kernel ships.
+//! fan out to child probes — the Tee/KernelStats shapes the kernel ships.
 
 pub struct Counter {
     pub n: u64,
 }
 
 impl Probe for Counter {
-    fn batch_executed(&mut self, n: usize) {
-        self.n += n as u64;
+    fn on(&mut self, event: ProbeEvent) {
+        if let ProbeEvent::BatchExecuted { events, .. } = event {
+            self.n += events;
+        }
         self.note();
+    }
+    fn fork(&mut self) -> Counter {
+        Counter { n: 0 }
+    }
+    fn join(&mut self, child: Counter) {
+        self.n += child.n;
     }
 }
 
@@ -24,8 +32,15 @@ pub struct Pair {
 }
 
 impl Probe for Pair {
-    fn batch_executed(&mut self, n: usize) {
-        self.a.batch_executed(n);
-        self.b.batch_executed(n);
+    fn on(&mut self, event: ProbeEvent) {
+        self.a.on(event);
+        self.b.on(event);
+    }
+    fn fork(&mut self) -> Pair {
+        Pair { a: self.a.fork(), b: self.b.fork() }
+    }
+    fn join(&mut self, child: Pair) {
+        self.a.join(child.a);
+        self.b.join(child.b);
     }
 }

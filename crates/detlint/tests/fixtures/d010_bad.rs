@@ -12,6 +12,6 @@ fn reclaim(lp: &mut Lp) {
     lp.fossil_collect();
 }
 
-pub fn stray(lp: &mut Lp, probe: &mut P) {
-    probe.lp_migrated(1, 0, 1);
+pub fn stray(core: &mut Core, mv: &Migration) {
+    core.evict(mv);
 }

@@ -21,5 +21,5 @@ pub fn pump(ch: &Wire) {
 
 // detlint: phase(migrate)
 pub fn hand_off(ch: &Wire) {
-    ch.lp_migrated(1, 0, 1);
+    ch.evict(1);
 }

@@ -60,7 +60,7 @@ fn d010_positive_fixture_fires_on_escape_and_orphan() {
     );
     assert!(
         v.iter().any(|(l, m)| *l == 16 && m.contains("outside any declared phase")),
-        "the unannotated lp_migrated (line 16) is an orphan: {v:?}"
+        "the unannotated evict (line 16) is an orphan: {v:?}"
     );
 }
 

@@ -7,7 +7,6 @@
 //! * an ISCAS'89 [`bench_format`] reader/writer,
 //! * [`levelize()`] — topological levelization (the Topological
 //!   partitioner's substrate),
-//! * [`traverse`] — DFS/BFS gate orders (DFS and Cluster partitioners),
 //! * [`generate`] — a deterministic synthetic ISCAS'89-class benchmark
 //!   generator matched to the paper's Table 1 characteristics,
 //! * [`stats`] — circuit statistics (regenerates Table 1),
@@ -37,7 +36,6 @@ pub mod generate;
 pub mod levelize;
 pub mod netlist;
 pub mod stats;
-pub mod traverse;
 
 pub use error::NetlistError;
 pub use gate::{Gate, GateId, GateKind};

@@ -10,8 +10,7 @@ use crate::partitioning::Partitioning;
 
 /// Depth-first order over the fanout relation, rooted at the input
 /// vertices (declaration order), falling back to unvisited vertices in id
-/// order. Mirrors `pls_netlist::traverse::dfs_order` but works on any
-/// [`CircuitGraph`], including coarsened ones.
+/// order. Works on any [`CircuitGraph`], including coarsened ones.
 pub fn dfs_order(g: &CircuitGraph) -> Vec<VertexId> {
     let n = g.len();
     let mut visited = vec![false; n];

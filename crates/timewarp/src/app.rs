@@ -29,8 +29,8 @@ use crate::time::VTime;
 /// Application-level work performed during one `execute` call, reported
 /// through the [`EventSink`] (the kernel cannot see inside an event
 /// handler, so batched-evaluation models — e.g. compiled gate blocks —
-/// declare their work here and the executives fold it into
-/// [`crate::stats::KernelStats`]).
+/// declare their work here and the kernel emits it as one
+/// [`crate::probe::ProbeEvent::AppWork`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AppWork {
     /// Block (fused-LP) activations performed.

@@ -6,9 +6,10 @@
 //!
 //! The core decides *what* happens (which LP runs, which hop is local,
 //! what a commit frees); the driver decides *when*, what it costs and how
-//! remote hops travel. Statistics, the probe and the routing table
-//! ([`Homes`]) are borrowed per call: the platform threads one of each
-//! through all of its cores, each threaded cluster its own.
+//! remote hops travel. The probe — which counts the statistics too, see
+//! [`crate::probe`] — and the routing table ([`Homes`]) are borrowed per
+//! call: the platform threads one of each through all of its cores, each
+//! threaded cluster its own.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -18,8 +19,8 @@ use crate::config::KernelConfig;
 use crate::dynlb::{Migration, WindowStats};
 use crate::event::{Event, LpId, Transmission};
 use crate::lp::{LpRuntime, Scratch};
-use crate::probe::Probe;
-use crate::stats::{KernelStats, LpCounters};
+use crate::probe::{Probe, ProbeEvent};
+use crate::stats::LpCounters;
 use crate::time::VTime;
 
 /// The routing table: the cluster every LP lives on and its slot in that
@@ -152,7 +153,6 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         parts: usize,
         cfg: KernelConfig,
         track_windows: bool,
-        stats: &mut KernelStats,
         probe: &mut P,
     ) -> (Vec<Self>, Homes) {
         let mut cores: Vec<Self> = (0..parts as u32)
@@ -186,7 +186,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         // Delivered in LP id order of the sender, whatever the build order.
         init.sort_by_key(|ev| ev.id.src);
         for ev in init {
-            cores[homes.part(ev.dst)].receive(Transmission::Positive(ev), &homes, stats, probe);
+            cores[homes.part(ev.dst)].receive(Transmission::Positive(ev), &homes, probe);
         }
         (cores, homes)
     }
@@ -269,15 +269,9 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         assert_eq!(self.history, history, "cluster {}: history bitset", self.id);
     }
 
-    fn deliver<P: Probe>(
-        &mut self,
-        slot: usize,
-        tx: Transmission<A::Msg>,
-        stats: &mut KernelStats,
-        probe: &mut P,
-    ) {
+    fn deliver<P: Probe>(&mut self, slot: usize, tx: Transmission<A::Msg>, probe: &mut P) {
         let before = self.lps[slot].queue_lens();
-        self.lps[slot].receive(self.app, tx, stats, &mut self.outbox, &mut self.scratch, probe);
+        self.lps[slot].receive(self.app, tx, &mut self.outbox, &mut self.scratch, probe);
         self.settle(slot, before);
     }
 
@@ -285,16 +279,10 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     /// Rollback by-products land on the outbox: follow with
     /// [`Self::route_next`] until it runs dry.
     // detlint: phase(compute|flush)
-    pub fn receive<P: Probe>(
-        &mut self,
-        tx: Transmission<A::Msg>,
-        homes: &Homes,
-        stats: &mut KernelStats,
-        probe: &mut P,
-    ) {
+    pub fn receive<P: Probe>(&mut self, tx: Transmission<A::Msg>, homes: &Homes, probe: &mut P) {
         let dst = tx.dst() as usize;
         assert_eq!(homes.part[dst], self.id, "transmission for LP {dst} at the wrong cluster");
-        self.deliver(homes.slot[dst] as usize, tx, stats, probe);
+        self.deliver(homes.slot[dst] as usize, tx, probe);
     }
 
     /// Whether a ready-heap entry still describes the LP in its slot.
@@ -320,12 +308,12 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     /// dry. (Not plain `execute`: detlint resolves method calls by name,
     /// and would link every `Application::execute` body to this one.)
     // detlint: phase(compute)
-    pub fn execute_ready<P: Probe>(&mut self, stats: &mut KernelStats, probe: &mut P) {
+    pub fn execute_ready<P: Probe>(&mut self, probe: &mut P) {
         self.next_ready().expect("execute_ready needs a runnable LP");
         let (_, _, slot) = self.pop_ready().expect("next_ready left a current entry");
         let slot = slot as usize;
         let before = self.lps[slot].queue_lens();
-        self.lps[slot].execute_next(self.app, stats, &mut self.outbox, &mut self.scratch, probe);
+        self.lps[slot].execute_next(self.app, &mut self.outbox, &mut self.scratch, probe);
         put_bit(&mut self.history, slot, true);
         self.settle(slot, before);
     }
@@ -335,28 +323,19 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     /// through the same outbox; a remote one is counted and handed to the
     /// driver. `None` once the outbox is empty.
     // detlint: phase(compute|flush)
-    pub fn route_next<P: Probe>(
-        &mut self,
-        homes: &Homes,
-        stats: &mut KernelStats,
-        probe: &mut P,
-    ) -> Option<Hop<A::Msg>> {
+    pub fn route_next<P: Probe>(&mut self, homes: &Homes, probe: &mut P) -> Option<Hop<A::Msg>> {
         let tx = self.outbox.pop()?;
         let dst = tx.dst() as usize;
         if homes.part[dst] == self.id {
-            self.deliver(homes.slot[dst] as usize, tx, stats, probe);
+            self.deliver(homes.slot[dst] as usize, tx, probe);
             return Some(Hop::Local);
         }
-        if tx.is_positive() {
-            stats.app_messages += 1;
-            if let Some(log) = self.comm_log.as_mut() {
-                let (src, dst) = (tx.id().src, tx.dst());
-                log.push((src.min(dst), src.max(dst)));
-            }
-        } else {
-            stats.anti_messages_remote += 1;
+        let positive = tx.is_positive();
+        if let Some(log) = self.comm_log.as_mut().filter(|_| positive) {
+            let (src, dst) = (tx.id().src, tx.dst());
+            log.push((src.min(dst), src.max(dst)));
         }
-        probe.remote_message(tx.is_positive(), tx.recv_time());
+        probe.on(ProbeEvent::RemoteMessage { positive, at: tx.recv_time() });
         Some(Hop::Remote(tx))
     }
 
@@ -386,18 +365,13 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     /// something to commit, in slot order: the cost is proportional to the
     /// LPs with history, not to the cluster.
     // detlint: phase(fossil)
-    pub fn commit<P: Probe>(
-        &mut self,
-        gvt: VTime,
-        stats: &mut KernelStats,
-        probe: &mut P,
-    ) -> Committed {
+    pub fn commit<P: Probe>(&mut self, gvt: VTime, probe: &mut P) -> Committed {
         let held_before = self.held;
         for word in 0..self.history.len() {
             for slot in ones(word, self.history[word]) {
                 let lp = &mut self.lps[slot];
                 let before = lp.state_queue_len();
-                lp.fossil_collect(gvt, stats, &mut self.scratch, probe);
+                lp.fossil_collect(gvt, &mut self.scratch, probe);
                 self.held -= (before - lp.state_queue_len()) as u64;
                 put_bit(&mut self.history, slot, lp.has_history());
             }
@@ -433,7 +407,6 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         mv: &Migration,
         homes: &mut Homes,
         gvt: VTime,
-        stats: &mut KernelStats,
         probe: &mut P,
     ) -> Option<Mover<A>> {
         let from = std::mem::replace(&mut homes.part[mv.lp as usize], mv.to);
@@ -461,9 +434,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         self.pending -= pending;
         let bytes = pending * std::mem::size_of::<Event<A::Msg>>() as u64
             + (held + 1) * std::mem::size_of::<A::State>() as u64;
-        stats.migrations += 1;
-        stats.migrated_state_bytes += bytes;
-        probe.lp_migrated(mv.lp, mv.from, mv.to, gvt, bytes);
+        probe.on(ProbeEvent::LpMigrated { lp: mv.lp, from: mv.from, to: mv.to, gvt, bytes });
         Some(Mover { lp, units: 1 + pending + held })
     }
 
@@ -481,8 +452,8 @@ mod tests {
     use super::*;
     use crate::config::Cancellation;
     use crate::phold::Phold;
-    use crate::probe::NoProbe;
     use crate::sim::{Backend, Simulator};
+    use crate::stats::KernelStats;
     use crate::testkit::{round_robin, Ring};
 
     fn splitmix64(x: &mut u64) -> u64 {
@@ -516,10 +487,10 @@ mod tests {
             checkpoint_interval: 1 + (seed / 2 % 3) as u32,
             ..KernelConfig::default()
         };
-        let (mut stats, mut probe) = (KernelStats::default(), NoProbe);
+        let mut stats = KernelStats::default();
         let placement = round_robin(n, parts);
         let (mut cores, mut homes) =
-            ClusterCore::partition(app, &placement, parts, cfg, true, &mut stats, &mut probe);
+            ClusterCore::partition(app, &placement, parts, cfg, true, &mut stats);
         let mut mail: Vec<VecDeque<Transmission<A::Msg>>> = vec![VecDeque::new(); parts];
         let nomad = (seed % n as u64) as LpId;
         let mut stale_homecomings = 0;
@@ -544,7 +515,7 @@ mod tests {
             if runnable.len() + queued > 0 {
                 let pick = (splitmix64(&mut rng) % (runnable.len() + queued) as u64) as usize;
                 let active = if let Some(&c) = runnable.get(pick) {
-                    cores[c].execute_ready(&mut stats, &mut probe);
+                    cores[c].execute_ready(&mut stats);
                     c
                 } else {
                     let mut nth = pick - runnable.len();
@@ -555,10 +526,10 @@ mod tests {
                     });
                     let tx = mail[from.unwrap()].pop_front().unwrap();
                     let c = homes.part(tx.dst());
-                    cores[c].receive(tx, &homes, &mut stats, &mut probe);
+                    cores[c].receive(tx, &homes, &mut stats);
                     c
                 };
-                while let Some(hop) = cores[active].route_next(&homes, &mut stats, &mut probe) {
+                while let Some(hop) = cores[active].route_next(&homes, &mut stats) {
                     let Hop::Remote(tx) = hop else { continue };
                     if tx.is_positive() {
                         let (a, b) = (tx.id().src, tx.dst());
@@ -582,7 +553,7 @@ mod tests {
             let mut window = WindowStats::new(n);
             for core in &mut cores {
                 let before = (core.held, core.pending);
-                let seen = core.commit(gvt, &mut stats, &mut probe);
+                let seen = core.commit(gvt, &mut stats);
                 core.assert_tallies();
                 assert_eq!(
                     (seen.held_before, seen.held, seen.pending),
@@ -604,7 +575,7 @@ mod tests {
                 let from = homes.part(nomad);
                 let mv =
                     Migration { lp: nomad, from: from as u32, to: ((from + 1) % parts) as u32 };
-                let mover = cores[from].evict(&mv, &mut homes, gvt, &mut stats, &mut probe);
+                let mover = cores[from].evict(&mv, &mut homes, gvt, &mut stats);
                 cores[from].assert_tallies();
                 let dst = &mut cores[mv.to as usize];
                 stale_homecomings += u32::from(dst.ready.iter().any(|e| e.0 .1 == nomad));

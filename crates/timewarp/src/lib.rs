@@ -17,11 +17,13 @@
 //!
 //! Features: aggressive and lazy cancellation, periodic state saving with
 //! coast-forward, batched simultaneous events, exact or synchronized GVT
-//! with fossil collection, detailed statistics (rollbacks, anti and
-//! application messages — the paper's Figures 5 and 6), and pluggable
-//! telemetry: a zero-cost [`Probe`] trait invoked at every protocol point
-//! and a [`TimeSeries`] recorder that buckets the callbacks by virtual
-//! time and exports JSONL/CSV (see `docs/TELEMETRY.md`).
+//! with fossil collection, and one stream of [`ProbeEvent`]s, emitted at
+//! every protocol point, that is the kernel's only way of counting:
+//! [`KernelStats`] (rollbacks, anti and application messages — the
+//! paper's Figures 5 and 6) is a [`Probe`] over it, as is the
+//! [`TimeSeries`] recorder that buckets the events by virtual time and
+//! exports JSONL/CSV (see `docs/TELEMETRY.md`). With no probe attached
+//! an emit is the `KernelStats` increment and nothing else.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -58,8 +60,8 @@ pub use event::{AntiEvent, Event, EventId, LpId, Transmission};
 pub use hotspot::RotatingHotspot;
 pub use phold::Phold;
 pub use platform::PlatformConfig;
-pub use probe::{NoProbe, Probe, RollbackKind, Tee};
-pub use series::{Bucket, BucketKey, ColumnSpec, TimeSeries, COLUMNS};
+pub use probe::{NoProbe, Probe, ProbeEvent, RollbackKind, Tee};
+pub use series::{Bucket, BucketKey, TimeSeries};
 pub use sim::{Backend, Outcome, RunReport, SimError, Simulator};
 pub use stats::{Counter, KernelStats, LpCounters, Merge};
 pub use time::VTime;

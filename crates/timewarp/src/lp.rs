@@ -6,13 +6,13 @@
 
 use std::collections::VecDeque;
 
-use crate::app::{Application, EventSink};
+use crate::app::{AppWork, Application, EventSink};
 use crate::config::{Cancellation, KernelConfig};
 use crate::dynlb::LpWindow;
 use crate::event::{AntiEvent, Event, EventId, LpId, Transmission};
 use crate::pool::IdHashMap;
-use crate::probe::{Probe, RollbackKind};
-use crate::stats::{KernelStats, LpCounters};
+use crate::probe::{Probe, ProbeEvent, RollbackKind};
+use crate::stats::LpCounters;
 use crate::time::VTime;
 
 /// The order of the pending and processed queues: receive time, then
@@ -70,7 +70,8 @@ pub struct LpRuntime<A: Application> {
     orphan_antis: Vec<AntiEvent>,
     batches_since_checkpoint: u32,
     cfg: KernelConfig,
-    /// This LP's own counters (aggregates live in [`KernelStats`]).
+    /// This LP's own counters (the aggregates are counted from the probe
+    /// stream, by [`crate::stats::KernelStats`]).
     own: LpCounters,
     /// `own` as of the last [`Self::take_window`]. Part of the LP, so the
     /// dynlb window baseline migrates with it.
@@ -306,16 +307,13 @@ impl<A: Application> LpRuntime<A> {
         &mut self,
         app: &A,
         tx: Transmission<A::Msg>,
-        stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
         scratch: &mut Scratch<A>,
         probe: &mut P,
     ) {
         match tx {
-            Transmission::Positive(ev) => {
-                self.receive_positive(app, ev, stats, outbox, scratch, probe);
-            }
-            Transmission::Anti(anti) => self.receive_anti(app, anti, stats, outbox, scratch, probe),
+            Transmission::Positive(ev) => self.receive_positive(app, ev, outbox, scratch, probe),
+            Transmission::Anti(anti) => self.receive_anti(app, anti, outbox, scratch, probe),
         }
     }
 
@@ -323,7 +321,6 @@ impl<A: Application> LpRuntime<A> {
         &mut self,
         app: &A,
         ev: Event<A::Msg>,
-        stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
         scratch: &mut Scratch<A>,
         probe: &mut P,
@@ -332,34 +329,22 @@ impl<A: Application> LpRuntime<A> {
         // An orphan anti may already be waiting for this positive.
         if let Some(pos) = self.orphan_antis.iter().position(|a| a.id == ev.id) {
             self.orphan_antis.swap_remove(pos);
-            stats.annihilated_pending += 1;
-            probe.annihilated(self.id, ev.recv_time);
-            self.flush_lazy(self.next_time(), stats, outbox, probe);
+            probe.on(ProbeEvent::Annihilated { lp: self.id, at: ev.recv_time });
+            self.flush_lazy(self.next_time(), outbox, probe);
             return;
         }
         if ev.recv_time <= self.lvt {
             // Straggler: roll back to just before its receive time.
-            stats.primary_rollbacks += 1;
-            self.own.rollbacks += 1;
-            self.rollback_to(
-                app,
-                ev.recv_time,
-                RollbackKind::Primary,
-                stats,
-                outbox,
-                scratch,
-                probe,
-            );
+            self.rollback_to(app, ev.recv_time, RollbackKind::Primary, outbox, scratch, probe);
         }
         self.pending_insert(ev);
-        self.flush_lazy(self.next_time(), stats, outbox, probe);
+        self.flush_lazy(self.next_time(), outbox, probe);
     }
 
     fn receive_anti<P: Probe>(
         &mut self,
         app: &A,
         anti: AntiEvent,
-        stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
         scratch: &mut Scratch<A>,
         probe: &mut P,
@@ -369,26 +354,15 @@ impl<A: Application> LpRuntime<A> {
         // searches (both queues are in key order) and, on a miss, a scan
         // of the orphans, which FIFO transports never fill.
         if self.remove_pending(&anti).is_some() {
-            stats.annihilated_pending += 1;
-            probe.annihilated(self.id, anti.recv_time);
+            probe.on(ProbeEvent::Annihilated { lp: self.id, at: anti.recv_time });
             // Removing the pending event may raise the earliest possible
             // batch time; held cancellations below it must go out now.
-            self.flush_lazy(self.next_time(), stats, outbox, probe);
+            self.flush_lazy(self.next_time(), outbox, probe);
         } else if self.processed.binary_search_by_key(&(anti.recv_time, anti.id), key).is_ok() {
             // The positive is already executed: cancellation requires a
             // rollback to its receive time first.
             debug_assert!(anti.recv_time <= self.lvt, "processed events sit at or below LVT");
-            stats.secondary_rollbacks += 1;
-            self.own.rollbacks += 1;
-            self.rollback_to(
-                app,
-                anti.recv_time,
-                RollbackKind::Secondary,
-                stats,
-                outbox,
-                scratch,
-                probe,
-            );
+            self.rollback_to(app, anti.recv_time, RollbackKind::Secondary, outbox, scratch, probe);
             // The rollback re-files the positive as pending. A miss here
             // means the queues are corrupt, and limping on would
             // re-execute a cancelled event — fail hard in release too.
@@ -398,12 +372,11 @@ impl<A: Application> LpRuntime<A> {
                 "annihilation target {:?} missing from pending after secondary rollback",
                 anti.id
             );
-            stats.annihilated_pending += 1;
-            probe.annihilated(self.id, anti.recv_time);
+            probe.on(ProbeEvent::Annihilated { lp: self.id, at: anti.recv_time });
             // Annihilation may have emptied the queue (or moved next_time
             // past held cancellations): close the regeneration window so
             // the LP cannot park with unsent anti-messages.
-            self.flush_lazy(self.next_time(), stats, outbox, probe);
+            self.flush_lazy(self.next_time(), outbox, probe);
         } else if self.orphan_antis.iter().any(|a| a.id == anti.id) {
             // A second anti for the same id cannot occur on reliable
             // transports; dropping it is strictly safer than queueing a
@@ -425,7 +398,6 @@ impl<A: Application> LpRuntime<A> {
     fn flush_lazy<P: Probe>(
         &mut self,
         bound: VTime,
-        stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
         probe: &mut P,
     ) {
@@ -440,8 +412,7 @@ impl<A: Application> LpRuntime<A> {
             };
             self.cancel_key_dec(dst, recv);
             let e = &self.pending_cancel[i];
-            stats.antis_sent += 1;
-            probe.anti_sent(self.id, e.send_time);
+            probe.on(ProbeEvent::AntiSent { lp: self.id, sent: e.send_time });
             outbox.push(Transmission::Anti(e.anti()));
         }
         self.pending_cancel.drain(..cut);
@@ -453,7 +424,6 @@ impl<A: Application> LpRuntime<A> {
     pub fn execute_next<P: Probe>(
         &mut self,
         app: &A,
-        stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
         scratch: &mut Scratch<A>,
         probe: &mut P,
@@ -471,16 +441,12 @@ impl<A: Application> LpRuntime<A> {
         let mut sink = EventSink::with_buffer(now, std::mem::take(sink_buf));
         app.execute(self.id, &mut self.state, now, msgs, &mut sink);
 
-        stats.batches_executed += 1;
-        stats.events_processed += batch.len() as u64;
         self.own.events_processed += batch.len() as u64;
-        probe.batch_executed(self.id, now, batch.len() as u64);
+        probe.on(ProbeEvent::BatchExecuted { lp: self.id, now, events: batch.len() as u64 });
         let work = sink.take_work();
-        if work != crate::app::AppWork::default() {
-            stats.block_activations += work.activations;
-            stats.ops_executed += work.ops;
-            stats.messages_saved += work.saved;
-            probe.app_work(self.id, now, work.activations, work.ops);
+        if work != AppWork::default() {
+            let AppWork { activations, ops, saved } = work;
+            probe.on(ProbeEvent::AppWork { lp: self.id, now, activations, ops, saved });
         }
         self.lvt = now;
         self.processed.append(batch);
@@ -528,7 +494,7 @@ impl<A: Application> LpRuntime<A> {
         // Lazy cancellation flush: anything below the next possible batch
         // time can no longer be regenerated — send those antis now. (When
         // the queue just drained, that is *everything* still held.)
-        self.flush_lazy(self.next_time(), stats, outbox, probe);
+        self.flush_lazy(self.next_time(), outbox, probe);
 
         // Checkpoint policy.
         self.batches_since_checkpoint += 1;
@@ -539,8 +505,7 @@ impl<A: Application> LpRuntime<A> {
                 state: scratch.checkpoint(app, &mut self.state),
             });
             self.batches_since_checkpoint = 0;
-            stats.states_saved += 1;
-            probe.state_saved(self.id, now);
+            probe.on(ProbeEvent::StateSaved { lp: self.id, now });
         }
     }
 
@@ -548,22 +513,20 @@ impl<A: Application> LpRuntime<A> {
     /// receive times `>= to` is undone). Restores the newest checkpoint
     /// strictly older than `to` and coast-forwards over the retained
     /// processed events without re-sending.
-    #[allow(clippy::too_many_arguments)]
     fn rollback_to<P: Probe>(
         &mut self,
         app: &A,
         to: VTime,
         kind: RollbackKind,
-        stats: &mut KernelStats,
         outbox: &mut Vec<Transmission<A::Msg>>,
         scratch: &mut Scratch<A>,
         probe: &mut P,
     ) {
-        probe.rollback_begun(self.id, kind, self.lvt, to);
+        self.own.rollbacks += 1;
+        probe.on(ProbeEvent::RollbackBegun { lp: self.id, kind, from: self.lvt, to });
         // 1. Unprocess events at recv_time >= to.
         let cut = self.processed.partition_point(|e| e.recv_time < to);
         let undone = (self.processed.len() - cut) as u64;
-        stats.events_rolled_back += undone;
         self.own.events_rolled_back += undone;
         // Every pending event sorts after every processed one, so the
         // undone events go back on the front, newest first.
@@ -591,8 +554,7 @@ impl<A: Application> LpRuntime<A> {
         match self.cfg.cancellation {
             Cancellation::Aggressive => {
                 for e in &self.outputs[ocut..] {
-                    stats.antis_sent += 1;
-                    probe.anti_sent(self.id, e.send_time);
+                    probe.on(ProbeEvent::AntiSent { lp: self.id, sent: e.send_time });
                     outbox.push(Transmission::Anti(e.anti()));
                 }
                 self.outputs.truncate(ocut);
@@ -612,7 +574,6 @@ impl<A: Application> LpRuntime<A> {
         // 4. Coast-forward: silently re-execute the retained events between
         //    the checkpoint and `to` to rebuild the pre-straggler state.
         let coasted = (self.processed.len() - replay_from) as u64;
-        stats.events_coasted += coasted;
         let Scratch { msgs, sink_buf, .. } = scratch;
         let mut sink = EventSink::with_buffer(VTime::ZERO, std::mem::take(sink_buf));
         let mut i = replay_from;
@@ -635,7 +596,7 @@ impl<A: Application> LpRuntime<A> {
         // 5. Reset the local clock.
         self.lvt = self.processed.last().map(|e| e.recv_time).unwrap_or(VTime::ZERO);
         self.batches_since_checkpoint = 0;
-        probe.rollback_ended(self.id, to, undone, coasted);
+        probe.on(ProbeEvent::RollbackEnded { lp: self.id, to, undone, coasted });
     }
 
     /// Commit everything strictly below `gvt` and reclaim its memory
@@ -644,7 +605,6 @@ impl<A: Application> LpRuntime<A> {
     pub fn fossil_collect<P: Probe>(
         &mut self,
         gvt: VTime,
-        stats: &mut KernelStats,
         scratch: &mut Scratch<A>,
         probe: &mut P,
     ) {
@@ -677,9 +637,8 @@ impl<A: Application> LpRuntime<A> {
                 "cancel-key filter must drain with pending_cancel"
             );
         }
-        stats.events_committed += committed;
         if committed > 0 {
-            probe.fossil_collected(self.id, gvt, committed);
+            probe.on(ProbeEvent::FossilCollected { lp: self.id, gvt, committed });
         }
     }
 }
@@ -687,7 +646,7 @@ impl<A: Application> LpRuntime<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::probe::NoProbe;
+    use crate::stats::KernelStats;
 
     /// A toy accumulator model: each LP's state is a running sum; a message
     /// carries a u64 that is added; each execution forwards `value + 1` to
@@ -750,7 +709,7 @@ mod tests {
             // Deliver everything.
             for tx in std::mem::take(&mut outbox) {
                 let dst = tx.dst() as usize;
-                lps[dst].receive(&app, tx, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+                lps[dst].receive(&app, tx, &mut outbox, &mut scratch, &mut stats);
             }
             // Execute globally-lowest next event.
             let Some(best) = (0..lps.len())
@@ -759,7 +718,7 @@ mod tests {
             else {
                 break;
             };
-            lps[best].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+            lps[best].execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         }
         assert_eq!(stats.rollbacks(), 0);
         assert_eq!(stats.events_processed, 10);
@@ -790,15 +749,8 @@ mod tests {
             recv_time: VTime(3),
             msg: 7,
         };
-        lps[1].receive(
-            &app,
-            Transmission::Positive(e_late),
-            &mut stats,
-            &mut outbox,
-            &mut scratch,
-            &mut NoProbe,
-        );
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+        lps[1].receive(&app, Transmission::Positive(e_late), &mut outbox, &mut scratch, &mut stats);
+        lps[1].execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         assert_eq!(*lps[1].state(), 50);
         assert_eq!(lps[1].lvt(), VTime(5));
 
@@ -806,19 +758,18 @@ mod tests {
         lps[1].receive(
             &app,
             Transmission::Positive(e_early),
-            &mut stats,
             &mut outbox,
             &mut scratch,
-            &mut NoProbe,
+            &mut stats,
         );
         assert_eq!(stats.primary_rollbacks, 1);
         assert_eq!(stats.events_rolled_back, 1);
         assert_eq!(*lps[1].state(), 0, "state restored to before t=5");
 
         // Re-execute both in order.
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+        lps[1].execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         assert_eq!(*lps[1].state(), 7);
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+        lps[1].execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         assert_eq!(*lps[1].state(), 57);
     }
 
@@ -843,30 +794,23 @@ mod tests {
         };
         let mut lp = lps.pop().unwrap();
         for ev in [event(100, 5), event(101, 6)] {
-            lp.receive(
-                &app,
-                Transmission::Positive(ev),
-                &mut stats,
-                &mut outbox,
-                &mut scratch,
-                &mut NoProbe,
-            );
-            lp.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+            lp.receive(&app, Transmission::Positive(ev), &mut outbox, &mut scratch, &mut stats);
+            lp.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         }
         // A straggler undoes both.
         let early = Transmission::Positive(event(102, 3));
-        lp.receive(&app, early, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+        lp.receive(&app, early, &mut outbox, &mut scratch, &mut stats);
         assert_eq!(lp.take_window(), window(2, 1, 2));
 
         // Moved, as `ClusterCore::evict` / `adopt` move it, then re-executed:
         // the next window holds only the new work.
         let mut moved = Box::new(lp);
         for _ in 0..3 {
-            moved.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+            moved.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         }
         assert_eq!(moved.take_window(), window(3, 0, 0));
         let anti = Transmission::Anti(event(101, 6).anti());
-        moved.receive(&app, anti, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+        moved.receive(&app, anti, &mut outbox, &mut scratch, &mut stats);
         assert_eq!(moved.take_window(), window(0, 1, 1));
         assert_eq!(moved.take_window(), LpWindow::default(), "drained");
     }
@@ -887,19 +831,11 @@ mod tests {
         lps[1].receive(
             &app,
             Transmission::Positive(ev.clone()),
-            &mut stats,
             &mut outbox,
             &mut scratch,
-            &mut NoProbe,
-        );
-        lps[1].receive(
-            &app,
-            Transmission::Anti(ev.anti()),
             &mut stats,
-            &mut outbox,
-            &mut scratch,
-            &mut NoProbe,
         );
+        lps[1].receive(&app, Transmission::Anti(ev.anti()), &mut outbox, &mut scratch, &mut stats);
         assert_eq!(stats.annihilated_pending, 1);
         assert_eq!(stats.rollbacks(), 0);
         assert!(lps[1].next_time().is_inf());
@@ -922,21 +858,13 @@ mod tests {
         lps[1].receive(
             &app,
             Transmission::Positive(ev.clone()),
-            &mut stats,
             &mut outbox,
             &mut scratch,
-            &mut NoProbe,
+            &mut stats,
         );
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+        lps[1].execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         assert_eq!(*lps[1].state(), 9);
-        lps[1].receive(
-            &app,
-            Transmission::Anti(ev.anti()),
-            &mut stats,
-            &mut outbox,
-            &mut scratch,
-            &mut NoProbe,
-        );
+        lps[1].receive(&app, Transmission::Anti(ev.anti()), &mut outbox, &mut scratch, &mut stats);
         assert_eq!(stats.secondary_rollbacks, 1);
         assert_eq!(*lps[1].state(), 0);
         assert!(lps[1].next_time().is_inf(), "annihilated event must not re-execute");
@@ -955,22 +883,8 @@ mod tests {
             recv_time: VTime(4),
             msg: 9,
         };
-        lps[1].receive(
-            &app,
-            Transmission::Anti(ev.anti()),
-            &mut stats,
-            &mut outbox,
-            &mut scratch,
-            &mut NoProbe,
-        );
-        lps[1].receive(
-            &app,
-            Transmission::Positive(ev),
-            &mut stats,
-            &mut outbox,
-            &mut scratch,
-            &mut NoProbe,
-        );
+        lps[1].receive(&app, Transmission::Anti(ev.anti()), &mut outbox, &mut scratch, &mut stats);
+        lps[1].receive(&app, Transmission::Positive(ev), &mut outbox, &mut scratch, &mut stats);
         assert!(lps[1].next_time().is_inf());
         assert_eq!(stats.annihilated_pending, 1);
     }
@@ -991,12 +905,11 @@ mod tests {
         lps[1].receive(
             &app,
             Transmission::Positive(mk(1, 5, 2)),
-            &mut stats,
             &mut outbox,
             &mut scratch,
-            &mut NoProbe,
+            &mut stats,
         );
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+        lps[1].execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         // LP1 forwarded one event.
         assert_eq!(outbox.iter().filter(|t| t.is_positive()).count(), 1);
         outbox.clear();
@@ -1004,10 +917,9 @@ mod tests {
         lps[1].receive(
             &app,
             Transmission::Positive(mk(2, 3, 4)),
-            &mut stats,
             &mut outbox,
             &mut scratch,
-            &mut NoProbe,
+            &mut stats,
         );
         let antis: Vec<_> = outbox.iter().filter(|t| !t.is_positive()).collect();
         assert_eq!(antis.len(), 1);
@@ -1037,12 +949,11 @@ mod tests {
         lp1.receive(
             &app,
             Transmission::Positive(mk(1, 5, 2)),
-            &mut stats,
             &mut outbox,
             &mut scratch,
-            &mut NoProbe,
+            &mut stats,
         );
-        lp1.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+        lp1.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         let sent_before = outbox.len();
         assert_eq!(sent_before, 1);
 
@@ -1051,15 +962,14 @@ mod tests {
         lp1.receive(
             &app,
             Transmission::Positive(mk(2, 3, 7)),
-            &mut stats,
             &mut outbox,
             &mut scratch,
-            &mut NoProbe,
+            &mut stats,
         );
         assert_eq!(stats.antis_sent, 0, "lazy: no anti yet");
         // Re-execute t=3 then t=5.
-        lp1.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
-        lp1.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+        lp1.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
+        lp1.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         // The t=5 re-execution regenerated the same send for t=7 (value 3)
         // — it must have been suppressed, plus one NEW send from the t=3
         // event (value 8 at t=5... value 7+1 at t=3+2).
@@ -1083,21 +993,14 @@ mod tests {
                 recv_time: VTime(t.saturating_mul(2)),
                 msg: 1,
             };
-            lps[1].receive(
-                &app,
-                Transmission::Positive(ev),
-                &mut stats,
-                &mut outbox,
-                &mut scratch,
-                &mut NoProbe,
-            );
+            lps[1].receive(&app, Transmission::Positive(ev), &mut outbox, &mut scratch, &mut stats);
         }
         for _ in 0..20 {
-            lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+            lps[1].execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         }
         let before = lps[1].state_queue_len();
         assert!(before > 20);
-        lps[1].fossil_collect(VTime(30), &mut stats, &mut scratch, &mut NoProbe);
+        lps[1].fossil_collect(VTime(30), &mut scratch, &mut stats);
         assert!(lps[1].state_queue_len() < before);
         assert!(stats.events_committed > 0);
         // Still able to roll back to >= GVT: straggler at exactly 30.
@@ -1108,21 +1011,14 @@ mod tests {
             recv_time: VTime(30),
             msg: 5,
         };
-        lps[1].receive(
-            &app,
-            Transmission::Positive(s),
-            &mut stats,
-            &mut outbox,
-            &mut scratch,
-            &mut NoProbe,
-        );
+        lps[1].receive(&app, Transmission::Positive(s), &mut outbox, &mut scratch, &mut stats);
         assert_eq!(stats.primary_rollbacks, 1);
         // Replay to completion and verify the sum: 20 ones + 5.
         while !lps[1].next_time().is_inf() {
-            lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+            lps[1].execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         }
         assert_eq!(*lps[1].state(), 25);
-        lps[1].fossil_collect(VTime::INF, &mut stats, &mut scratch, &mut NoProbe);
+        lps[1].fossil_collect(VTime::INF, &mut scratch, &mut stats);
         assert_eq!(lps[1].state_queue_len(), 1);
     }
 
@@ -1145,17 +1041,10 @@ mod tests {
                 recv_time: VTime(t.saturating_mul(10)),
                 msg: t,
             };
-            lp1.receive(
-                &app,
-                Transmission::Positive(ev),
-                &mut stats,
-                &mut outbox,
-                &mut scratch,
-                &mut NoProbe,
-            );
+            lp1.receive(&app, Transmission::Positive(ev), &mut outbox, &mut scratch, &mut stats);
         }
         for _ in 0..10 {
-            lp1.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+            lp1.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         }
         assert_eq!(*lp1.state(), 55);
         // Straggler at t=55 (between checkpoints at batches 4 and 8).
@@ -1166,18 +1055,11 @@ mod tests {
             recv_time: VTime(55),
             msg: 100,
         };
-        lp1.receive(
-            &app,
-            Transmission::Positive(s),
-            &mut stats,
-            &mut outbox,
-            &mut scratch,
-            &mut NoProbe,
-        );
+        lp1.receive(&app, Transmission::Positive(s), &mut outbox, &mut scratch, &mut stats);
         // State must equal the sum of messages at t < 55: 1+2+3+4+5 = 15.
         assert_eq!(*lp1.state(), 15, "coast-forward must rebuild mid-interval state");
         while !lp1.next_time().is_inf() {
-            lp1.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+            lp1.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         }
         assert_eq!(*lp1.state(), 155);
     }
@@ -1199,22 +1081,20 @@ mod tests {
         lps[1].receive(
             &app,
             Transmission::Positive(mk(1, 5, 2)),
-            &mut stats,
             &mut outbox,
             &mut scratch,
-            &mut NoProbe,
+            &mut stats,
         );
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+        lps[1].execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         lps[1].receive(
             &app,
             Transmission::Positive(mk(2, 3, 4)),
-            &mut stats,
             &mut outbox,
             &mut scratch,
-            &mut NoProbe,
+            &mut stats,
         );
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
-        lps[1].execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut NoProbe);
+        lps[1].execute_next(&app, &mut outbox, &mut scratch, &mut stats);
+        lps[1].execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         for tx in &outbox {
             if let Transmission::Positive(e) = tx {
                 assert!(seen.insert(e.id), "duplicate id {:?}", e.id);

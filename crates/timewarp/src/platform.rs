@@ -26,7 +26,7 @@ use crate::core::{ClusterCore, Committed, Homes, Hop};
 use crate::cost::CostModel;
 use crate::dynlb::{self, move_is_valid, pinned_mask, DynLbConfig, WindowStats};
 use crate::event::Transmission;
-use crate::probe::Probe;
+use crate::probe::{Probe, ProbeEvent, Tee};
 use crate::sim::{Outcome, RunReport, SimError};
 use crate::stats::KernelStats;
 use crate::time::VTime;
@@ -99,7 +99,6 @@ impl<M: Clone> Platform<M> {
         tx: Transmission<M>,
         mut wire_id: u64,
         attempt: u32,
-        stats: &mut KernelStats,
         probe: &mut P,
     ) {
         self.charge(from, self.cost.msg_send_ns);
@@ -115,8 +114,8 @@ impl<M: Clone> Platform<M> {
             if ch.should_drop(dst_node, wire_at, wire_id, attempt) {
                 ch.note_drop(dst_node, attempt);
                 ch.arm_timer(wire_id, wire_at + ch.rto_for(attempt));
-                stats.transmissions_dropped += 1;
-                probe.transmission_dropped(tx.is_positive(), tx.recv_time());
+                let (positive, at) = (tx.is_positive(), tx.recv_time());
+                probe.on(ProbeEvent::TransmissionDropped { positive, at });
                 return; // no flight; the RTO will retransmit
             }
             extra_ns = ch.degrade_extra(dst_node, wire_at, wire_id, attempt);
@@ -145,13 +144,12 @@ impl<M: Clone> Platform<M> {
         &mut self,
         core: &mut ClusterCore<'_, A>,
         from: usize,
-        stats: &mut KernelStats,
         probe: &mut P,
     ) {
-        while let Some(hop) = core.route_next(&self.homes, stats, probe) {
+        while let Some(hop) = core.route_next(&self.homes, probe) {
             match hop {
                 Hop::Local => self.charge(from, self.cost.local_enqueue_ns),
-                Hop::Remote(tx) => self.transmit(from, tx, u64::MAX, 0, stats, probe),
+                Hop::Remote(tx) => self.transmit(from, tx, u64::MAX, 0, probe),
             }
         }
     }
@@ -219,28 +217,29 @@ impl<M: Clone> Platform<M> {
     }
 }
 
-/// The executive proper, generic over the telemetry probe. `sim::validate`
-/// has already checked `cfg`, and `assignment` against `app` and `nodes`.
-// detlint: phase(compute|gvt)
+/// The executive proper, generic over the telemetry probe; returns the
+/// probe with the report. `sim::validate` has already checked `cfg`, and
+/// `assignment` against `app` and `nodes`.
+// detlint: phase(compute|gvt|migrate)
 pub(crate) fn platform_core<A: Application, P: Probe>(
     app: &A,
     assignment: &[u32],
     nodes: usize,
     cfg: &PlatformConfig,
-    probe: &mut P,
+    probe: P,
     dynlb: Option<DynLbConfig>,
     chaos_plan: Option<&FaultPlan>,
-) -> Result<RunReport<A>, SimError> {
+) -> Result<(RunReport<A>, P), SimError> {
     let kernel = cfg.kernel;
     let cost = cfg.cost;
 
     let pinned = pinned_mask(app);
 
-    let mut totals =
-        KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
-    let stats = &mut totals;
+    let stats = KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
+    let mut tee = Tee::new(stats, probe);
+    let probe = &mut tee;
     let (mut cores, homes) =
-        ClusterCore::partition(app, assignment, nodes, kernel, dynlb.is_some(), stats, probe);
+        ClusterCore::partition(app, assignment, nodes, kernel, dynlb.is_some(), probe);
     let mut plat = Platform {
         cost,
         clocks: vec![0; nodes],
@@ -300,18 +299,14 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
             match plat.chaos.as_mut().expect("chaos due").pop_step().expect("chaos item due") {
                 ChaosStep::Ack => {}
                 ChaosStep::FaultEdge { node, onset, active_now } => {
-                    if onset {
-                        stats.faults_injected += 1;
-                    }
-                    probe.fault_event(node, onset, active_now, last_gvt);
+                    probe.on(ProbeEvent::FaultEvent { node, onset, active_now, gvt: last_gvt });
                 }
                 ChaosStep::Retransmit { wire_id, tx, from_node, attempt, at_ns } => {
-                    stats.retransmissions += 1;
-                    probe.retransmitted(tx.recv_time());
+                    probe.on(ProbeEvent::Retransmitted { at: tx.recv_time() });
                     // The sender's CPU re-sends when the timer fires (or
                     // as soon as it is free after that).
                     plat.clocks[from_node] = plat.clocks[from_node].max(at_ns);
-                    plat.transmit(from_node, tx, wire_id, attempt, stats, probe);
+                    plat.transmit(from_node, tx, wire_id, attempt, probe);
                 }
             }
         } else if deliver_first {
@@ -327,8 +322,8 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                 // always inside the retransmit deadline.
                 let v = ch.on_flight_arrival(flight.wire_id, dnode, arrive);
                 if v.ack_dropped {
-                    stats.transmissions_dropped += 1;
-                    probe.transmission_dropped(flight.tx.is_positive(), flight.tx.recv_time());
+                    let (positive, at) = (flight.tx.is_positive(), flight.tx.recv_time());
+                    probe.on(ProbeEvent::TransmissionDropped { positive, at });
                 }
                 if !v.fresh {
                     // Duplicate of a transmission already delivered: the
@@ -336,10 +331,11 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                     continue;
                 }
             }
-            let rb_before = stats.rollbacks();
-            let undone_before = stats.events_rolled_back;
-            let coasted_before = stats.events_coasted;
-            cores[dnode].receive(flight.tx, &plat.homes, stats, probe);
+            let rb_before = probe.a.rollbacks();
+            let undone_before = probe.a.events_rolled_back;
+            let coasted_before = probe.a.events_coasted;
+            cores[dnode].receive(flight.tx, &plat.homes, probe);
+            let stats = &probe.a;
             if stats.rollbacks() > rb_before {
                 plat.charge(
                     dnode,
@@ -348,11 +344,12 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                         + cost.event_exec_ns * (stats.events_coasted - coasted_before),
                 );
             }
-            plat.route_outbox(&mut cores[dnode], dnode, stats, probe);
+            plat.route_outbox(&mut cores[dnode], dnode, probe);
         } else if let Some(ni) = best_node {
-            let pe_before = stats.events_processed;
-            let saves_before = stats.states_saved;
-            cores[ni].execute_ready(stats, probe);
+            let pe_before = probe.a.events_processed;
+            let saves_before = probe.a.states_saved;
+            cores[ni].execute_ready(probe);
+            let stats = &probe.a;
             plat.charge(
                 ni,
                 cost.batch_overhead_ns
@@ -360,7 +357,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                     + cost.state_save_ns * (stats.states_saved - saves_before),
             );
             batches_since_gvt += 1;
-            plat.route_outbox(&mut cores[ni], ni, stats, probe);
+            plat.route_outbox(&mut cores[ni], ni, probe);
         } else if any_ready {
             // No executable work, yet not quiescent: all remaining events
             // sit beyond the optimism window — a GVT round must advance
@@ -382,35 +379,34 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                 .unwrap_or(VTime::INF)
                 .min(plat.in_flight_min());
             last_gvt = gvt;
-            stats.gvt_rounds += 1;
             let per_node: Vec<Committed> =
-                cores.iter_mut().map(|core| core.commit(gvt, stats, probe)).collect();
-            let held_total = per_node.iter().map(|c| c.held).sum();
-            let pending_total = per_node.iter().map(|c| c.pending).sum();
-            stats.state_queue_high_water = stats.state_queue_high_water.max(held_total);
+                cores.iter_mut().map(|core| core.commit(gvt, probe)).collect();
+            let states_held = per_node.iter().map(|c| c.held).sum();
+            let pending = per_node.iter().map(|c| c.pending).sum();
+            probe.a.state_queue_high_water = probe.a.state_queue_high_water.max(states_held);
             for (i, c) in per_node.iter().enumerate() {
                 plat.charge(i, cost.gvt_round_ns);
                 if cfg.state_limit_per_node.is_some_and(|limit| c.held > limit) {
                     return Err(SimError::OutOfMemory { node: i, states_held: c.held });
                 }
             }
-            let round_clock = plat.clocks.iter().copied().max().unwrap_or(0);
-            probe.gvt_advanced(gvt, held_total, pending_total, round_clock);
+            let wall_ns = plat.clocks.iter().copied().max().unwrap_or(0);
+            probe.on(ProbeEvent::GvtAdvanced { gvt, states_held, pending, wall_ns });
 
             // Dynamic load balancing. GVT commit is the one point where an
             // LP is a compact transferable closure (see `dynlb` module
             // docs): fossil collection just ran, so moving it is copying
             // its current state, surviving checkpoints and pending events.
             if let Some(lb) = &dynlb {
-                if !gvt.is_inf() && stats.gvt_rounds.is_multiple_of(lb.period.max(1)) {
+                if !gvt.is_inf() && probe.a.gvt_rounds.is_multiple_of(lb.period.max(1)) {
                     let mut window = WindowStats::new(app.num_lps());
                     window.gvt = gvt;
                     for core in &mut cores {
                         core.window_slice(&mut window);
                     }
                     plat.attribute_fault_time(&mut window);
-                    stats.lb_rounds += 1;
-                    window.round = stats.lb_rounds;
+                    probe.a.lb_rounds += 1;
+                    window.round = probe.a.lb_rounds;
                     let plan = dynlb::plan(&window, plat.homes.parts(), nodes, lb);
                     for mv in plan {
                         if !move_is_valid(&mv, plat.homes.parts(), nodes) || pinned[mv.lp as usize]
@@ -419,7 +415,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                         }
                         let (src, dst) = (mv.from as usize, mv.to as usize);
                         let mover = cores[src]
-                            .evict(&mv, &mut plat.homes, gvt, stats, probe)
+                            .evict(&mv, &mut plat.homes, gvt, probe)
                             .expect("a valid move names the node its LP lives on");
                         plat.ship(src, dst, mover.units);
                         cores[dst].adopt(mover, &mut plat.homes);
@@ -434,22 +430,16 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
         plat.chaos.as_mut().is_none_or(|ch| ch.next_protocol_ns().is_none()),
         "terminated with unacked transmissions or in-flight acks"
     );
-    let held_total = cores.iter_mut().map(|c| c.commit(VTime::INF, stats, probe).held_before).sum();
+    let held_total = cores.iter_mut().map(|c| c.commit(VTime::INF, probe).held_before).sum();
+    let Tee { a: mut stats, b: probe } = tee;
     stats.state_queue_high_water = stats.state_queue_high_water.max(held_total);
     stats.final_gvt = VTime::INF;
 
     let (states, lp_stats) = ClusterCore::finish(cores);
     let max_clock = plat.clocks.iter().copied().max().unwrap_or(0);
-    Ok(RunReport {
-        stats: totals,
-        lp_stats,
-        states,
-        outcome: Outcome::Platform {
-            exec_time_s: max_clock as f64 / 1e9,
-            node_clocks_ns: plat.clocks,
-        },
-        telemetry: None,
-    })
+    let outcome =
+        Outcome::Platform { exec_time_s: max_clock as f64 / 1e9, node_clocks_ns: plat.clocks };
+    Ok((RunReport { stats, lp_stats, states, outcome, telemetry: None }, probe))
 }
 
 /// Modeled execution time of the sequential baseline under the same cost

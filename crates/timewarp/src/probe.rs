@@ -1,25 +1,32 @@
-//! Pluggable kernel telemetry: the [`Probe`] trait.
+//! Pluggable kernel telemetry: the [`Probe`] trait and the
+//! [`ProbeEvent`]s it observes.
 //!
-//! Every executive invokes a probe at the well-defined protocol points of
-//! Time Warp — batch executed, rollback begun/ended, anti-message
-//! sent/annihilated, state saved, fossil collection, GVT advance, remote
-//! message crossing a cluster/node boundary, queue-depth samples. A probe
-//! observes; it must never influence the simulation (the test suite
-//! enforces that committed trace hashes are identical with and without a
-//! recording probe, and `pls-detlint` rule **D008** statically rejects
-//! any probe impl that reaches kernel-mutating API or shared writable
-//! state — even on paths no test executes).
+//! Every executive emits one [`ProbeEvent`] at each well-defined protocol
+//! point of Time Warp — batch executed, rollback begun/ended,
+//! anti-message sent/annihilated, state saved, fossil collection, GVT
+//! advance, remote message crossing a cluster/node boundary, migration,
+//! injected fault. The stream is the kernel's only way of counting:
+//! [`KernelStats`] is itself a probe, and the executives run the kernel
+//! against `Tee<KernelStats, P>`, so the aggregate counters and any
+//! attached probe see exactly the same events. A probe observes; it must
+//! never influence the simulation (the test suite enforces that
+//! committed trace hashes are identical with and without a recording
+//! probe, and `pls-detlint` rule **D008** statically rejects any probe
+//! impl that reaches kernel-mutating API or shared writable state — even
+//! on paths no test executes).
 //!
-//! The default probe is [`NoProbe`], a zero-sized type whose callbacks are
+//! The default probe is [`NoProbe`], a zero-sized type whose handler is
 //! empty: executives are generic over `P: Probe`, so with `NoProbe` every
-//! call site monomorphizes to nothing — telemetry costs exactly zero when
-//! off. [`crate::series::TimeSeries`] is the bundled recording probe.
+//! emit monomorphizes to the `KernelStats` increments alone.
+//! [`crate::series::TimeSeries`] is the bundled recording probe.
 //!
 //! Concurrency model: the threaded executive calls [`Probe::fork`] once
 //! per cluster to obtain an independent child probe (no locking on the hot
 //! path) and merges the children back with [`Probe::join`] in cluster-id
 //! order after the run — so a recording probe sees a deterministic merge
 //! even though thread interleavings differ run to run.
+//!
+//! [`KernelStats`]: crate::stats::KernelStats
 
 use crate::event::LpId;
 use crate::time::VTime;
@@ -33,73 +40,192 @@ pub enum RollbackKind {
     Secondary,
 }
 
-/// Observer of kernel protocol events. All callbacks default to no-ops;
-/// implement only what you need. See the module docs for the contract.
-#[allow(unused_variables)]
-pub trait Probe: Send {
+/// One kernel protocol event.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ProbeEvent {
     /// A batch of `events` simultaneous events was executed at `now`.
-    fn batch_executed(&mut self, lp: LpId, now: VTime, events: u64) {}
-
-    /// The batch just executed declared application-level work through the
-    /// `EventSink`: `activations` block activations sweeping `ops`
-    /// fine-grained operations (compiled gate evaluations). Fires only
-    /// when the application declared work — gate-per-LP and PHOLD runs
-    /// never see it.
-    fn app_work(&mut self, lp: LpId, now: VTime, activations: u64, ops: u64) {}
-
+    BatchExecuted {
+        /// The executing LP.
+        lp: LpId,
+        /// The batch's receive time.
+        now: VTime,
+        /// Events in the batch.
+        events: u64,
+    },
+    /// The batch just executed declared application-level work through
+    /// the `EventSink`: `activations` block activations sweeping `ops`
+    /// fine-grained operations (compiled gate evaluations), and `saved`
+    /// boundary messages elided by logic replication. Emitted only when
+    /// the application declared work — gate-per-LP and PHOLD runs never
+    /// see it.
+    AppWork {
+        /// The executing LP.
+        lp: LpId,
+        /// The batch's receive time.
+        now: VTime,
+        /// Block activations.
+        activations: u64,
+        /// Operations swept by those activations.
+        ops: u64,
+        /// Boundary messages a replica made unnecessary.
+        saved: u64,
+    },
     /// A rollback is starting: `lp` unwinds from `from` so the next batch
     /// executes at `to`.
-    fn rollback_begun(&mut self, lp: LpId, kind: RollbackKind, from: VTime, to: VTime) {}
-
+    RollbackBegun {
+        /// The rolling-back LP.
+        lp: LpId,
+        /// Straggler or anti-message.
+        kind: RollbackKind,
+        /// LVT before the rollback.
+        from: VTime,
+        /// Receive time of the next batch to execute.
+        to: VTime,
+    },
     /// The rollback that just began has finished: `undone` events were
     /// unprocessed and `coasted` silently re-executed during coast-forward.
-    fn rollback_ended(&mut self, lp: LpId, to: VTime, undone: u64, coasted: u64) {}
-
+    RollbackEnded {
+        /// The rolled-back LP.
+        lp: LpId,
+        /// As in the matching `RollbackBegun`.
+        to: VTime,
+        /// Events un-processed.
+        undone: u64,
+        /// Events re-executed to rebuild the state.
+        coasted: u64,
+    },
     /// An anti-message was emitted for an output originally sent at `sent`.
-    fn anti_sent(&mut self, lp: LpId, sent: VTime) {}
-
+    AntiSent {
+        /// The cancelling LP.
+        lp: LpId,
+        /// Send time of the cancelled output.
+        sent: VTime,
+    },
     /// An anti-message annihilated a positive (pending or orphan-matched)
     /// with receive time `at`.
-    fn annihilated(&mut self, lp: LpId, at: VTime) {}
-
+    Annihilated {
+        /// The receiving LP.
+        lp: LpId,
+        /// Receive time of the annihilated positive.
+        at: VTime,
+    },
     /// A state checkpoint was written after the batch at `now`.
-    fn state_saved(&mut self, lp: LpId, now: VTime) {}
-
-    /// Fossil collection committed `committed` events below `gvt` on `lp`.
-    fn fossil_collected(&mut self, lp: LpId, gvt: VTime, committed: u64) {}
-
+    StateSaved {
+        /// The checkpointing LP.
+        lp: LpId,
+        /// Receive time of the batch the checkpoint follows.
+        now: VTime,
+    },
+    /// Fossil collection committed `committed` (> 0) events below `gvt`
+    /// on `lp`.
+    FossilCollected {
+        /// The committing LP.
+        lp: LpId,
+        /// The GVT committed against.
+        gvt: VTime,
+        /// Events committed.
+        committed: u64,
+    },
     /// A GVT round completed. `states_held` / `pending` are the queue
     /// depths visible to the caller (per cluster on the threaded
     /// executive, global on the platform); `wall_ns` is the executive's
     /// clock — modeled nanoseconds on the virtual platform, elapsed real
-    /// nanoseconds on the threaded executive, 0 on the sequential one.
-    fn gvt_advanced(&mut self, gvt: VTime, states_held: u64, pending: u64, wall_ns: u64) {}
-
+    /// nanoseconds on the threaded executive.
+    GvtAdvanced {
+        /// The agreed GVT.
+        gvt: VTime,
+        /// Checkpoints held after the commit.
+        states_held: u64,
+        /// Events still unprocessed.
+        pending: u64,
+        /// The executive's clock.
+        wall_ns: u64,
+    },
     /// A transmission crossed a cluster/node boundary (positive
     /// application event or anti-message) with receive time `at`.
-    fn remote_message(&mut self, positive: bool, at: VTime) {}
-
+    RemoteMessage {
+        /// Application event (`true`) or anti-message.
+        positive: bool,
+        /// Receive time of the transmission.
+        at: VTime,
+    },
     /// Dynamic load balancing migrated `lp` from node/cluster `from` to
     /// `to` at the GVT round that agreed on `gvt`; `bytes` is the modeled
     /// size of the transferred closure (state + checkpoints + pending
-    /// events). On the threaded executive only the *source* cluster's
-    /// probe observes the migration.
-    fn lp_migrated(&mut self, lp: LpId, from: u32, to: u32, gvt: VTime, bytes: u64) {}
-
+    /// events). On the threaded executive only the *source* cluster emits
+    /// it.
+    LpMigrated {
+        /// The migrating LP.
+        lp: LpId,
+        /// Source node/cluster.
+        from: u32,
+        /// Destination node/cluster.
+        to: u32,
+        /// The GVT of the balancing round.
+        gvt: VTime,
+        /// Modeled closure size.
+        bytes: u64,
+    },
     /// An injected fault window opened (`onset`) or closed on platform
     /// `node`; `active_now` is the number of windows active after the
-    /// edge and `gvt` the last computed GVT (used for bucketing). Fires
+    /// edge and `gvt` the last computed GVT (used for bucketing). Emitted
     /// only when a [`crate::chaos::FaultPlan`] is installed.
-    fn fault_event(&mut self, node: u32, onset: bool, active_now: u64, gvt: VTime) {}
-
+    FaultEvent {
+        /// The faulted node.
+        node: u32,
+        /// Window opened (`true`) or closed.
+        onset: bool,
+        /// Windows active after the edge.
+        active_now: u64,
+        /// The last computed GVT.
+        gvt: VTime,
+    },
     /// Injected link loss dropped a transmission with receive time `at`
-    /// (`positive` distinguishes application events from anti-messages;
-    /// dropped *acks* report the original transmission's polarity).
-    fn transmission_dropped(&mut self, positive: bool, at: VTime) {}
-
+    /// (dropped *acks* report the original transmission's polarity).
+    TransmissionDropped {
+        /// Application event (`true`) or anti-message.
+        positive: bool,
+        /// Receive time of the transmission.
+        at: VTime,
+    },
     /// The ack/retransmit protocol re-sent an unacked transmission with
     /// receive time `at`.
-    fn retransmitted(&mut self, at: VTime) {}
+    Retransmitted {
+        /// Receive time of the transmission.
+        at: VTime,
+    },
+}
+
+impl ProbeEvent {
+    /// The virtual time a time series files this event under: executed
+    /// work by its execution time, rollbacks by their restore target,
+    /// anti-messages by their original send time, commits, GVT rounds,
+    /// migrations and fault edges by their GVT, transmissions by their
+    /// receive time.
+    pub fn time(&self) -> VTime {
+        match *self {
+            ProbeEvent::BatchExecuted { now, .. }
+            | ProbeEvent::AppWork { now, .. }
+            | ProbeEvent::StateSaved { now, .. } => now,
+            ProbeEvent::RollbackBegun { to, .. } | ProbeEvent::RollbackEnded { to, .. } => to,
+            ProbeEvent::AntiSent { sent, .. } => sent,
+            ProbeEvent::FossilCollected { gvt, .. }
+            | ProbeEvent::GvtAdvanced { gvt, .. }
+            | ProbeEvent::LpMigrated { gvt, .. }
+            | ProbeEvent::FaultEvent { gvt, .. } => gvt,
+            ProbeEvent::Annihilated { at, .. }
+            | ProbeEvent::RemoteMessage { at, .. }
+            | ProbeEvent::TransmissionDropped { at, .. }
+            | ProbeEvent::Retransmitted { at } => at,
+        }
+    }
+}
+
+/// Observer of kernel protocol events. See the module docs for the
+/// contract.
+pub trait Probe: Send {
+    /// Observe one protocol event, after the protocol has acted on it.
+    fn on(&mut self, event: ProbeEvent);
 
     /// Create an independent child probe for one cluster thread.
     fn fork(&mut self) -> Self
@@ -112,11 +238,13 @@ pub trait Probe: Send {
         Self: Sized;
 }
 
-/// The zero-cost default probe: every callback compiles to nothing.
+/// The zero-cost default probe: its handler compiles to nothing.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoProbe;
 
 impl Probe for NoProbe {
+    #[inline]
+    fn on(&mut self, _event: ProbeEvent) {}
     fn fork(&mut self) -> NoProbe {
         NoProbe
     }
@@ -126,9 +254,9 @@ impl Probe for NoProbe {
 /// Fan a probe stream out to two probes (`recorder` + custom, say).
 #[derive(Debug, Clone, Default)]
 pub struct Tee<P, Q> {
-    /// First receiver of every callback.
+    /// First receiver of every event.
     pub a: P,
-    /// Second receiver of every callback.
+    /// Second receiver of every event.
     pub b: Q,
 }
 
@@ -140,61 +268,10 @@ impl<P, Q> Tee<P, Q> {
 }
 
 impl<P: Probe, Q: Probe> Probe for Tee<P, Q> {
-    fn batch_executed(&mut self, lp: LpId, now: VTime, events: u64) {
-        self.a.batch_executed(lp, now, events);
-        self.b.batch_executed(lp, now, events);
-    }
-    fn app_work(&mut self, lp: LpId, now: VTime, activations: u64, ops: u64) {
-        self.a.app_work(lp, now, activations, ops);
-        self.b.app_work(lp, now, activations, ops);
-    }
-    fn rollback_begun(&mut self, lp: LpId, kind: RollbackKind, from: VTime, to: VTime) {
-        self.a.rollback_begun(lp, kind, from, to);
-        self.b.rollback_begun(lp, kind, from, to);
-    }
-    fn rollback_ended(&mut self, lp: LpId, to: VTime, undone: u64, coasted: u64) {
-        self.a.rollback_ended(lp, to, undone, coasted);
-        self.b.rollback_ended(lp, to, undone, coasted);
-    }
-    fn anti_sent(&mut self, lp: LpId, sent: VTime) {
-        self.a.anti_sent(lp, sent);
-        self.b.anti_sent(lp, sent);
-    }
-    fn annihilated(&mut self, lp: LpId, at: VTime) {
-        self.a.annihilated(lp, at);
-        self.b.annihilated(lp, at);
-    }
-    fn state_saved(&mut self, lp: LpId, now: VTime) {
-        self.a.state_saved(lp, now);
-        self.b.state_saved(lp, now);
-    }
-    fn fossil_collected(&mut self, lp: LpId, gvt: VTime, committed: u64) {
-        self.a.fossil_collected(lp, gvt, committed);
-        self.b.fossil_collected(lp, gvt, committed);
-    }
-    fn gvt_advanced(&mut self, gvt: VTime, states_held: u64, pending: u64, wall_ns: u64) {
-        self.a.gvt_advanced(gvt, states_held, pending, wall_ns);
-        self.b.gvt_advanced(gvt, states_held, pending, wall_ns);
-    }
-    fn remote_message(&mut self, positive: bool, at: VTime) {
-        self.a.remote_message(positive, at);
-        self.b.remote_message(positive, at);
-    }
-    fn lp_migrated(&mut self, lp: LpId, from: u32, to: u32, gvt: VTime, bytes: u64) {
-        self.a.lp_migrated(lp, from, to, gvt, bytes);
-        self.b.lp_migrated(lp, from, to, gvt, bytes);
-    }
-    fn fault_event(&mut self, node: u32, onset: bool, active_now: u64, gvt: VTime) {
-        self.a.fault_event(node, onset, active_now, gvt);
-        self.b.fault_event(node, onset, active_now, gvt);
-    }
-    fn transmission_dropped(&mut self, positive: bool, at: VTime) {
-        self.a.transmission_dropped(positive, at);
-        self.b.transmission_dropped(positive, at);
-    }
-    fn retransmitted(&mut self, at: VTime) {
-        self.a.retransmitted(at);
-        self.b.retransmitted(at);
+    #[inline]
+    fn on(&mut self, event: ProbeEvent) {
+        self.a.on(event);
+        self.b.on(event);
     }
     fn fork(&mut self) -> Tee<P, Q> {
         Tee { a: self.a.fork(), b: self.b.fork() }
@@ -208,82 +285,66 @@ impl<P: Probe, Q: Probe> Probe for Tee<P, Q> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::series::{TimeSeries, COLUMNS};
+    use crate::series::TimeSeries;
+    use crate::stats::KernelStats;
 
-    /// A probe that counts callbacks (exercises fork/join plumbing).
-    #[derive(Debug, Default, Clone, PartialEq)]
-    struct Counter {
-        batches: u64,
-        rollbacks: u64,
-        antis: u64,
+    /// One of every event, each with distinct nonzero payloads.
+    fn every_event() -> Vec<ProbeEvent> {
+        let (lp, t) = (3, VTime(5));
+        vec![
+            ProbeEvent::BatchExecuted { lp, now: t, events: 2 },
+            ProbeEvent::AppWork { lp, now: t, activations: 1, ops: 4, saved: 3 },
+            ProbeEvent::RollbackBegun { lp, kind: RollbackKind::Primary, from: t, to: VTime(3) },
+            ProbeEvent::RollbackBegun { lp, kind: RollbackKind::Secondary, from: t, to: VTime(3) },
+            ProbeEvent::RollbackEnded { lp, to: VTime(3), undone: 2, coasted: 1 },
+            ProbeEvent::AntiSent { lp, sent: t },
+            ProbeEvent::Annihilated { lp, at: t },
+            ProbeEvent::StateSaved { lp, now: t },
+            ProbeEvent::FossilCollected { lp, gvt: t, committed: 3 },
+            ProbeEvent::GvtAdvanced { gvt: t, states_held: 6, pending: 2, wall_ns: 900 },
+            ProbeEvent::RemoteMessage { positive: true, at: t },
+            ProbeEvent::RemoteMessage { positive: false, at: t },
+            ProbeEvent::LpMigrated { lp, from: 0, to: 1, gvt: t, bytes: 64 },
+            ProbeEvent::FaultEvent { node: 1, onset: true, active_now: 1, gvt: t },
+            ProbeEvent::TransmissionDropped { positive: true, at: t },
+            ProbeEvent::Retransmitted { at: t },
+        ]
     }
 
-    impl Probe for Counter {
-        fn batch_executed(&mut self, _lp: LpId, _now: VTime, _events: u64) {
-            self.batches += 1;
+    #[test]
+    fn every_event_moves_a_counter_or_a_gauge() {
+        // An arm that forgets its increment would compile and silently
+        // drop telemetry: each event alone must move something.
+        for event in every_event() {
+            let mut series = TimeSeries::new(10);
+            series.on(event);
+            let totals = series.totals();
+            assert!(totals.columns().any(|(_, v)| v != 0), "{event:?} moved nothing");
+            let mut stats = KernelStats::default();
+            stats.on(event);
+            assert_eq!(totals.counts, stats, "{event:?}: a bucket counts like KernelStats");
         }
-        fn rollback_begun(&mut self, _lp: LpId, _k: RollbackKind, _f: VTime, _t: VTime) {
-            self.rollbacks += 1;
-        }
-        fn anti_sent(&mut self, _lp: LpId, _sent: VTime) {
-            self.antis += 1;
-        }
-        fn fork(&mut self) -> Counter {
-            Counter::default()
-        }
-        fn join(&mut self, child: Counter) {
-            self.batches += child.batches;
-            self.rollbacks += child.rollbacks;
-            self.antis += child.antis;
+        // Together they move every exported column.
+        let mut series = TimeSeries::new(10);
+        every_event().into_iter().for_each(|e| series.on(e));
+        for (name, value) in series.totals().columns() {
+            assert_ne!(value, 0, "column {name} never moved");
         }
     }
 
     #[test]
-    fn fork_join_accumulates() {
-        let mut root = Counter::default();
-        root.batch_executed(0, VTime(1), 1);
-        let mut child = root.fork();
-        assert_eq!(child, Counter::default(), "children start empty");
-        child.batch_executed(1, VTime(2), 3);
-        child.anti_sent(1, VTime(2));
-        root.join(child);
-        assert_eq!(root, Counter { batches: 2, rollbacks: 0, antis: 1 });
-    }
-
-    #[test]
-    fn tee_forwards_every_callback() {
-        // Probe methods default to no-ops, so a forward missing from
-        // `impl Probe for Tee` would compile and silently drop telemetry.
-        // Drive every callback once: both sides must agree, and every
-        // column of the recorded totals must have moved.
-        let mut tee = Tee::new(TimeSeries::new(10), TimeSeries::new(10));
-        let t = VTime(5);
-        tee.batch_executed(0, t, 2);
-        tee.app_work(0, t, 1, 4);
-        tee.rollback_begun(0, RollbackKind::Primary, t, VTime(3));
-        tee.rollback_begun(0, RollbackKind::Secondary, t, VTime(3));
-        tee.rollback_ended(0, VTime(3), 2, 1);
-        tee.anti_sent(0, t);
-        tee.annihilated(1, t);
-        tee.state_saved(0, t);
-        tee.fossil_collected(0, t, 3);
-        tee.gvt_advanced(t, 6, 2, 900);
-        tee.remote_message(true, t);
-        tee.remote_message(false, t);
-        tee.lp_migrated(0, 0, 1, t, 64);
-        tee.fault_event(1, true, 1, t);
-        tee.transmission_dropped(true, t);
-        tee.retransmitted(t);
+    fn tee_forks_and_joins_both_sides() {
+        let mut tee = Tee::new(KernelStats::default(), TimeSeries::new(10));
+        let event = ProbeEvent::BatchExecuted { lp: 0, now: VTime(1), events: 1 };
+        tee.on(event);
         let mut child = tee.fork();
-        child.batch_executed(1, VTime(25), 1);
+        assert_eq!(child.a, KernelStats::default(), "children start empty");
+        assert!(child.b.is_empty());
+        child.on(ProbeEvent::BatchExecuted { lp: 1, now: VTime(25), events: 3 });
         tee.join(child);
-
-        assert_eq!(tee.a, tee.b);
-        assert_eq!(tee.a.len(), 2, "the joined child's bucket arrived");
-        let totals = tee.a.totals();
-        for c in COLUMNS {
-            assert_ne!((c.get)(&totals), 0, "column {} never moved", c.name);
-        }
+        assert_eq!((tee.a.batches_executed, tee.a.events_processed), (2, 4));
+        assert_eq!(tee.b.len(), 2, "the joined child's bucket arrived");
+        assert_eq!(tee.b.totals().counts, tee.a);
     }
 
     #[test]

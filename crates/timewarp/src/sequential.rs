@@ -5,10 +5,10 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crate::app::{Application, EventSink};
+use crate::app::{AppWork, Application, EventSink};
 use crate::event::{EventId, LpId};
 use crate::pool::IdHashMap;
-use crate::probe::Probe;
+use crate::probe::{Probe, ProbeEvent, Tee};
 use crate::sim::{Outcome, RunReport};
 use crate::stats::{KernelStats, LpCounters};
 use crate::time::VTime;
@@ -18,15 +18,16 @@ use crate::time::VTime;
 /// and this is the benchmarked hot path of the baseline executive.
 type Payloads<M> = IdHashMap<u64, (LpId, VTime, LpId, M)>;
 
-/// The executive proper, generic over the telemetry probe. Every batch is
-/// committed the moment it executes (a sequential run cannot roll back),
-/// so the probe sees `batch_executed` + `fossil_collected` pairs and
-/// nothing else.
-pub(crate) fn sequential_core<A: Application, P: Probe>(app: &A, probe: &mut P) -> RunReport<A> {
+/// The executive proper, generic over the telemetry probe; returns the
+/// probe with the report. Every batch is committed the moment it
+/// executes (a sequential run cannot roll back), so the probe sees
+/// `BatchExecuted` (+ `AppWork`) + `FossilCollected` runs and nothing
+/// else.
+pub(crate) fn sequential_core<A: Application, P: Probe>(app: &A, probe: P) -> (RunReport<A>, P) {
     let n = app.num_lps();
     let mut states: Vec<A::State> = (0..n as LpId).map(|i| app.init_state(i)).collect();
-    let mut stats =
-        KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
+    let stats = KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
+    let mut probe = Tee::new(stats, probe);
     let mut lp_stats: Vec<LpCounters> = vec![LpCounters::default(); n];
 
     // Global queue keyed by (recv_time, dst, src-id) so batch grouping and
@@ -76,32 +77,24 @@ pub(crate) fn sequential_core<A: Application, P: Probe>(app: &A, probe: &mut P) 
         }
         let mut sink = EventSink::new(t);
         app.execute(dst, &mut states[dst as usize], t, &batch, &mut sink);
-        stats.batches_executed += 1;
-        stats.events_processed += batch.len() as u64;
-        stats.events_committed += batch.len() as u64;
-        lp_stats[dst as usize].events_processed += batch.len() as u64;
-        probe.batch_executed(dst, t, batch.len() as u64);
+        let events = batch.len() as u64;
+        lp_stats[dst as usize].events_processed += events;
+        probe.on(ProbeEvent::BatchExecuted { lp: dst, now: t, events });
         let work = sink.take_work();
-        if work != crate::app::AppWork::default() {
-            stats.block_activations += work.activations;
-            stats.ops_executed += work.ops;
-            stats.messages_saved += work.saved;
-            probe.app_work(dst, t, work.activations, work.ops);
+        if work != AppWork::default() {
+            let AppWork { activations, ops, saved } = work;
+            probe.on(ProbeEvent::AppWork { lp: dst, now: t, activations, ops, saved });
         }
-        probe.fossil_collected(dst, t, batch.len() as u64);
+        probe.on(ProbeEvent::FossilCollected { lp: dst, gvt: t, committed: events });
         end_time = t;
         for (d2, at, msg) in sink.out {
             push(&mut heap, &mut payloads, &mut uid, &mut seqs, dst, d2, at, msg);
         }
     }
+    let Tee { a: mut stats, b: probe } = probe;
     stats.final_gvt = VTime::INF;
-    RunReport {
-        stats,
-        states,
-        lp_stats,
-        outcome: Outcome::Sequential { end_time },
-        telemetry: None,
-    }
+    let outcome = Outcome::Sequential { end_time };
+    (RunReport { stats, states, lp_stats, outcome, telemetry: None }, probe)
 }
 
 #[cfg(test)]

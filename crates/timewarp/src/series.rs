@@ -7,111 +7,75 @@
 //! queue depths evolve — the signals that reveal a bad partition melting
 //! down mid-run (e.g. the paper's s15850 2-node state-queue blowup).
 //!
-//! Invariant (checked by the test suite): for every additive counter, the
+//! Invariant (checked by the test suite): for every bucketed counter, the
 //! sum over all buckets equals the run's aggregate [`KernelStats`] value.
-//! Bucket counters are updated only from [`Probe`] callbacks, which fire
-//! exactly once per `KernelStats` increment.
-//!
-//! [`KernelStats`]: crate::stats::KernelStats
+//! Each bucket counts with the `KernelStats` handler itself, fed the same
+//! event stream as the run's aggregate.
 
 use std::collections::BTreeMap;
 
-use crate::event::LpId;
-use crate::probe::{Probe, RollbackKind};
-use crate::stats::{kernel_counters, KernelStats, Merge};
+use crate::probe::{Probe, ProbeEvent};
+use crate::stats::KernelStats;
 use crate::time::VTime;
 
-/// One telemetry column: a single table entry drives bucket merging,
-/// JSONL/CSV export *and* the stats-conservation test, so a new counter
-/// cannot be exported but forgotten by the invariant check (or vice
-/// versa).
-pub struct ColumnSpec {
-    /// Column name as exported in JSONL keys and the CSV header.
-    pub name: &'static str,
-    /// How buckets combine: counters [`Merge::Sum`] (and their sum over
-    /// all buckets must equal the matching [`KernelStats`] aggregate),
-    /// gauges [`Merge::Max`] (no summation invariant).
-    pub merge: Merge,
-    /// Read the column from a bucket.
-    pub get: fn(&Bucket) -> u64,
-    /// Mutable access for merging.
-    pub get_mut: fn(&mut Bucket) -> &mut u64,
-    /// The run-aggregate this column reconciles with (`None` for gauges).
-    pub stats: Option<fn(&KernelStats) -> u64>,
+/// Everything one virtual-time bucket accumulated: the kernel counters,
+/// counted by the same handler as the run's aggregate, and four gauges
+/// that sample queue depths and so have no [`KernelStats`] counterpart.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Bucket {
+    /// The counters of the events filed in this bucket. The bucketed rows
+    /// of the `kernel_counters!` table are exported, under their column
+    /// names.
+    pub counts: KernelStats,
+    /// High-water mark of saved states observed at GVT rounds here.
+    pub states_held_max: u64,
+    /// High-water mark of pending (unprocessed) events at GVT rounds here.
+    pub pending_max: u64,
+    /// Largest executive clock observed at GVT rounds here (modeled ns on
+    /// the platform, elapsed real ns on the threaded executive).
+    pub wall_ns_max: u64,
+    /// Largest number of simultaneously active fault windows observed.
+    pub fault_active: u64,
 }
-
-macro_rules! gauge {
-    ($field:ident) => {
-        ColumnSpec {
-            name: stringify!($field),
-            merge: Merge::Max,
-            get: |b| b.$field,
-            get_mut: |b| &mut b.$field,
-            stats: None,
-        }
-    };
-}
-
-/// Derive [`Bucket`] and [`COLUMNS`] from the `kernel_counters!` table:
-/// one field and one additive column per bucketed counter, under its
-/// column name, followed by the four gauges — the only columns declared
-/// here, because they sample queue depths rather than count protocol
-/// events and so have no `KernelStats` counterpart.
-macro_rules! define_bucket {
-    (
-        bucketed { $($(#[$doc:meta])* $field:ident: $rule:ident => $column:ident;)* }
-        aggregate_only { $($rest:tt)* }
-    ) => {
-        /// Counters accumulated for one virtual-time bucket: every
-        /// bucketed row of the `kernel_counters!` table in `stats.rs`
-        /// (under its column name), then the gauges.
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct Bucket {
-            $($(#[$doc])* pub $column: u64,)*
-            /// High-water mark of saved states observed at GVT rounds here.
-            pub states_held_max: u64,
-            /// High-water mark of pending (unprocessed) events at GVT
-            /// rounds here.
-            pub pending_max: u64,
-            /// Largest executive clock observed at GVT rounds here (modeled
-            /// ns on the platform, elapsed real ns on the threaded
-            /// executive).
-            pub wall_ns_max: u64,
-            /// Largest number of simultaneously active fault windows
-            /// observed.
-            pub fault_active: u64,
-        }
-
-        /// The registry of exported stat columns, in export order.
-        pub const COLUMNS: &[ColumnSpec] = &[
-            $(ColumnSpec {
-                name: stringify!($column),
-                merge: Merge::Sum,
-                get: |b| b.$column,
-                get_mut: |b| &mut b.$column,
-                stats: Some(|s| s.$field),
-            },)*
-            gauge!(states_held_max),
-            gauge!(pending_max),
-            gauge!(wall_ns_max),
-            gauge!(fault_active),
-        ];
-    };
-}
-
-kernel_counters!(define_bucket);
 
 impl Bucket {
-    /// Total rollbacks (primary + secondary).
-    pub fn rollbacks(&self) -> u64 {
-        self.primary_rollbacks + self.secondary_rollbacks
+    /// Every exported column as `(name, value)`, in export order: the
+    /// bucketed counters, then the gauges.
+    pub fn columns(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
+        let counters = KernelStats::COUNTERS.iter();
+        counters.filter_map(|c| Some((c.column?, (c.get)(&self.counts)))).chain([
+            ("states_held_max", self.states_held_max),
+            ("pending_max", self.pending_max),
+            ("wall_ns_max", self.wall_ns_max),
+            ("fault_active", self.fault_active),
+        ])
     }
 
-    fn merge(&mut self, o: &Bucket) {
-        for c in COLUMNS {
-            let slot = (c.get_mut)(self);
-            *slot = c.merge.combine(*slot, (c.get)(o));
+    fn observe(&mut self, event: ProbeEvent) {
+        self.counts.on(event);
+        match event {
+            ProbeEvent::GvtAdvanced { states_held, pending, wall_ns, .. } => {
+                self.states_held_max = self.states_held_max.max(states_held);
+                self.pending_max = self.pending_max.max(pending);
+                self.wall_ns_max = self.wall_ns_max.max(wall_ns);
+            }
+            ProbeEvent::FaultEvent { active_now, .. } => {
+                self.fault_active = self.fault_active.max(active_now);
+            }
+            _ => {}
         }
+    }
+
+    /// Counters sum — a threaded series counts each cluster's GVT rounds
+    /// — and gauges keep the max.
+    fn merge(&mut self, o: &Bucket) {
+        for c in KernelStats::COUNTERS {
+            *(c.get_mut)(&mut self.counts) += (c.get)(&o.counts);
+        }
+        self.states_held_max = self.states_held_max.max(o.states_held_max);
+        self.pending_max = self.pending_max.max(o.pending_max);
+        self.wall_ns_max = self.wall_ns_max.max(o.wall_ns_max);
+        self.fault_active = self.fault_active.max(o.fault_active);
     }
 }
 
@@ -128,8 +92,8 @@ pub enum BucketKey {
 
 /// A recording probe that buckets kernel activity by virtual time.
 ///
-/// `bucket_width` is in virtual-time units; every callback lands in the
-/// bucket of its virtual timestamp. Merging (used by the threaded
+/// `bucket_width` is in virtual-time units; every event lands in the
+/// bucket of its [`ProbeEvent::time`]. Merging (used by the threaded
 /// executive's per-cluster [`Probe::fork`]/[`Probe::join`]) sums counters
 /// bucket-by-bucket, keyed by bucket index — deterministic regardless of
 /// thread interleaving.
@@ -179,8 +143,8 @@ impl TimeSeries {
         self.buckets.is_empty()
     }
 
-    /// Sum every additive counter across buckets (the aggregate this
-    /// series must reconcile with [`crate::stats::KernelStats`]).
+    /// Merge every bucket: the counters sum to the aggregate this series
+    /// reconciles with [`KernelStats`], the gauges keep their maxima.
     pub fn totals(&self) -> Bucket {
         let mut t = Bucket::default();
         for b in self.buckets.values() {
@@ -203,8 +167,8 @@ impl TimeSeries {
         }
     }
 
-    /// Render one bucket as a JSON object (shared by JSONL export).
-    /// Column order and names come from [`COLUMNS`].
+    /// Render one bucket as a JSON object (shared by JSONL export), in
+    /// [`Bucket::columns`] order.
     fn json_object(&self, k: BucketKey, b: &Bucket) -> String {
         let (bucket, vt_lo, vt_hi) = match k {
             BucketKey::At(i) => (
@@ -215,8 +179,8 @@ impl TimeSeries {
             BucketKey::Final => ("\"final\"".into(), "null".into(), "null".into()),
         };
         let mut out = format!("{{\"bucket\":{bucket},\"vt_lo\":{vt_lo},\"vt_hi\":{vt_hi}");
-        for c in COLUMNS {
-            out.push_str(&format!(",\"{}\":{}", c.name, (c.get)(b)));
+        for (name, value) in b.columns() {
+            out.push_str(&format!(",\"{name}\":{value}"));
         }
         out.push('}');
         out
@@ -233,14 +197,14 @@ impl TimeSeries {
         out
     }
 
-    /// Export as CSV with a header row ([`COLUMNS`] order). The `Final`
-    /// bucket renders with an empty `vt_lo`/`vt_hi` and bucket label
-    /// `final`.
+    /// Export as CSV with a header row ([`Bucket::columns`] order). The
+    /// `Final` bucket renders with an empty `vt_lo`/`vt_hi` and bucket
+    /// label `final`.
     pub fn to_csv(&self) -> String {
         let mut out = String::from("bucket,vt_lo,vt_hi");
-        for c in COLUMNS {
+        for (name, _) in Bucket::default().columns() {
             out.push(',');
-            out.push_str(c.name);
+            out.push_str(name);
         }
         out.push('\n');
         for (k, b) in self.buckets() {
@@ -253,8 +217,8 @@ impl TimeSeries {
                 BucketKey::Final => ("final".into(), String::new(), String::new()),
             };
             out.push_str(&format!("{bucket},{vt_lo},{vt_hi}"));
-            for c in COLUMNS {
-                out.push_str(&format!(",{}", (c.get)(b)));
+            for (_, value) in b.columns() {
+                out.push_str(&format!(",{value}"));
             }
             out.push('\n');
         }
@@ -263,87 +227,8 @@ impl TimeSeries {
 }
 
 impl Probe for TimeSeries {
-    fn batch_executed(&mut self, _lp: LpId, now: VTime, events: u64) {
-        let b = self.at(now);
-        b.batches += 1;
-        b.events += events;
-    }
-
-    fn app_work(&mut self, _lp: LpId, now: VTime, activations: u64, ops: u64) {
-        let b = self.at(now);
-        b.block_activations += activations;
-        b.ops_executed += ops;
-    }
-
-    fn rollback_begun(&mut self, _lp: LpId, kind: RollbackKind, _from: VTime, to: VTime) {
-        let b = self.at(to);
-        match kind {
-            RollbackKind::Primary => b.primary_rollbacks += 1,
-            RollbackKind::Secondary => b.secondary_rollbacks += 1,
-        }
-    }
-
-    fn rollback_ended(&mut self, _lp: LpId, to: VTime, undone: u64, coasted: u64) {
-        let b = self.at(to);
-        b.events_rolled_back += undone;
-        b.events_coasted += coasted;
-    }
-
-    fn anti_sent(&mut self, _lp: LpId, sent: VTime) {
-        self.at(sent).antis_sent += 1;
-    }
-
-    fn annihilated(&mut self, _lp: LpId, at: VTime) {
-        self.at(at).annihilations += 1;
-    }
-
-    fn state_saved(&mut self, _lp: LpId, now: VTime) {
-        self.at(now).states_saved += 1;
-    }
-
-    fn fossil_collected(&mut self, _lp: LpId, gvt: VTime, committed: u64) {
-        if committed > 0 {
-            self.at(gvt).events_committed += committed;
-        }
-    }
-
-    fn gvt_advanced(&mut self, gvt: VTime, states_held: u64, pending: u64, wall_ns: u64) {
-        let b = self.at(gvt);
-        b.gvt_rounds += 1;
-        b.states_held_max = b.states_held_max.max(states_held);
-        b.pending_max = b.pending_max.max(pending);
-        b.wall_ns_max = b.wall_ns_max.max(wall_ns);
-    }
-
-    fn remote_message(&mut self, positive: bool, at: VTime) {
-        let b = self.at(at);
-        if positive {
-            b.app_messages += 1;
-        } else {
-            b.remote_antis += 1;
-        }
-    }
-
-    fn lp_migrated(&mut self, _lp: LpId, _from: u32, _to: u32, gvt: VTime, bytes: u64) {
-        let b = self.at(gvt);
-        b.migrations += 1;
-        b.migrated_bytes += bytes;
-    }
-
-    fn fault_event(&mut self, _node: u32, onset: bool, active_now: u64, gvt: VTime) {
-        let b = self.at(gvt);
-        if onset {
-            b.faults_injected += 1;
-        }
-        b.fault_active = b.fault_active.max(active_now);
-    }
-
-    fn transmission_dropped(&mut self, _positive: bool, at: VTime) {
-        self.at(at).transmissions_dropped += 1;
-    }
-
-    fn retransmitted(&mut self, at: VTime) {
-        self.at(at).retransmissions += 1;
+    fn on(&mut self, event: ProbeEvent) {
+        self.at(event.time()).observe(event);
     }
 
     fn fork(&mut self) -> TimeSeries {
@@ -358,24 +243,40 @@ impl Probe for TimeSeries {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::probe::ProbeEvent::*;
+    use crate::probe::RollbackKind;
+
+    fn record(ts: &mut TimeSeries, events: &[ProbeEvent]) {
+        events.iter().for_each(|&e| ts.on(e));
+    }
 
     fn sample() -> TimeSeries {
         let mut ts = TimeSeries::new(10);
-        ts.batch_executed(0, VTime(3), 2);
-        ts.batch_executed(1, VTime(7), 1);
-        ts.batch_executed(0, VTime(15), 4);
-        ts.app_work(0, VTime(3), 1, 5);
-        ts.app_work(0, VTime(15), 1, 9);
-        ts.rollback_begun(0, RollbackKind::Primary, VTime(15), VTime(12));
-        ts.rollback_ended(0, VTime(12), 3, 1);
-        ts.anti_sent(0, VTime(15));
-        ts.annihilated(1, VTime(22));
-        ts.state_saved(0, VTime(3));
-        ts.remote_message(true, VTime(7));
-        ts.remote_message(false, VTime(7));
-        ts.gvt_advanced(VTime(10), 5, 2, 1_000);
-        ts.fossil_collected(0, VTime(10), 3);
-        ts.fossil_collected(0, VTime::INF, 4);
+        record(
+            &mut ts,
+            &[
+                BatchExecuted { lp: 0, now: VTime(3), events: 2 },
+                BatchExecuted { lp: 1, now: VTime(7), events: 1 },
+                BatchExecuted { lp: 0, now: VTime(15), events: 4 },
+                AppWork { lp: 0, now: VTime(3), activations: 1, ops: 5, saved: 0 },
+                AppWork { lp: 0, now: VTime(15), activations: 1, ops: 9, saved: 0 },
+                RollbackBegun {
+                    lp: 0,
+                    kind: RollbackKind::Primary,
+                    from: VTime(15),
+                    to: VTime(12),
+                },
+                RollbackEnded { lp: 0, to: VTime(12), undone: 3, coasted: 1 },
+                AntiSent { lp: 0, sent: VTime(15) },
+                Annihilated { lp: 1, at: VTime(22) },
+                StateSaved { lp: 0, now: VTime(3) },
+                RemoteMessage { positive: true, at: VTime(7) },
+                RemoteMessage { positive: false, at: VTime(7) },
+                GvtAdvanced { gvt: VTime(10), states_held: 5, pending: 2, wall_ns: 1_000 },
+                FossilCollected { lp: 0, gvt: VTime(10), committed: 3 },
+                FossilCollected { lp: 0, gvt: VTime::INF, committed: 4 },
+            ],
+        );
         ts
     }
 
@@ -387,26 +288,26 @@ mod tests {
             keys,
             vec![BucketKey::At(0), BucketKey::At(1), BucketKey::At(2), BucketKey::Final]
         );
-        let b0 = ts.buckets().next().unwrap().1;
-        assert_eq!(b0.batches, 2);
-        assert_eq!(b0.events, 3);
+        let b0 = &ts.buckets().next().unwrap().1.counts;
+        assert_eq!(b0.batches_executed, 2);
+        assert_eq!(b0.events_processed, 3);
         assert_eq!(b0.states_saved, 1);
         assert_eq!(b0.app_messages, 1);
-        assert_eq!(b0.remote_antis, 1);
+        assert_eq!(b0.anti_messages_remote, 1);
     }
 
     #[test]
     fn totals_sum_all_buckets() {
-        let t = sample().totals();
-        assert_eq!(t.batches, 3);
-        assert_eq!(t.events, 7);
+        let t = sample().totals().counts;
+        assert_eq!(t.batches_executed, 3);
+        assert_eq!(t.events_processed, 7);
         assert_eq!(t.block_activations, 2);
         assert_eq!(t.ops_executed, 14);
         assert_eq!(t.rollbacks(), 1);
         assert_eq!(t.events_rolled_back, 3);
         assert_eq!(t.events_coasted, 1);
         assert_eq!(t.antis_sent, 1);
-        assert_eq!(t.annihilations, 1);
+        assert_eq!(t.annihilated_pending, 1);
         assert_eq!(t.events_committed, 7);
         assert_eq!(t.gvt_rounds, 1);
     }
@@ -414,13 +315,18 @@ mod tests {
     #[test]
     fn inf_goes_to_final_bucket() {
         let mut ts = TimeSeries::new(5);
-        ts.fossil_collected(0, VTime::INF, 9);
-        ts.gvt_advanced(VTime::INF, 0, 0, 42);
+        record(
+            &mut ts,
+            &[
+                FossilCollected { lp: 0, gvt: VTime::INF, committed: 9 },
+                GvtAdvanced { gvt: VTime::INF, states_held: 0, pending: 0, wall_ns: 42 },
+            ],
+        );
         assert_eq!(ts.len(), 1);
         let (k, b) = ts.buckets().next().unwrap();
         assert_eq!(k, BucketKey::Final);
-        assert_eq!(b.events_committed, 9);
-        assert_eq!(b.gvt_rounds, 1);
+        assert_eq!(b.counts.events_committed, 9);
+        assert_eq!(b.counts.gvt_rounds, 1);
     }
 
     #[test]
@@ -432,22 +338,32 @@ mod tests {
     #[test]
     fn merge_is_bucketwise_and_commutative() {
         let mut a = TimeSeries::new(10);
-        a.batch_executed(0, VTime(3), 2);
-        a.gvt_advanced(VTime(12), 7, 1, 500);
+        record(
+            &mut a,
+            &[
+                BatchExecuted { lp: 0, now: VTime(3), events: 2 },
+                GvtAdvanced { gvt: VTime(12), states_held: 7, pending: 1, wall_ns: 500 },
+            ],
+        );
         let mut b = TimeSeries::new(10);
-        b.batch_executed(1, VTime(5), 1);
-        b.gvt_advanced(VTime(13), 4, 9, 900);
+        record(
+            &mut b,
+            &[
+                BatchExecuted { lp: 1, now: VTime(5), events: 1 },
+                GvtAdvanced { gvt: VTime(13), states_held: 4, pending: 9, wall_ns: 900 },
+            ],
+        );
 
         let mut ab = a.clone();
         ab.merge(&b);
         let mut ba = b.clone();
         ba.merge(&a);
         assert_eq!(ab, ba);
-        assert_eq!(ab.totals().events, 3);
+        assert_eq!(ab.totals().counts.events_processed, 3);
         let b1 = ab.buckets().find(|(k, _)| *k == BucketKey::At(1)).unwrap().1;
-        assert_eq!(b1.states_held_max, 7, "max-type fields take the max");
+        assert_eq!(b1.states_held_max, 7, "gauges take the max");
         assert_eq!(b1.pending_max, 9);
-        assert_eq!(b1.gvt_rounds, 2);
+        assert_eq!(b1.counts.gvt_rounds, 2, "counters sum, GVT rounds included");
     }
 
     #[test]
@@ -459,37 +375,46 @@ mod tests {
 
     #[test]
     fn fork_join_equals_single_recorder() {
-        // Recording callbacks on the root vs recording on forked children
+        // Recording events on the root vs recording on forked children
         // and joining must yield the identical series.
+        let first = [
+            BatchExecuted { lp: 0, now: VTime(3), events: 2 },
+            AntiSent { lp: 0, sent: VTime(14) },
+        ];
+        let second = [
+            BatchExecuted { lp: 1, now: VTime(4), events: 1 },
+            RemoteMessage { positive: true, at: VTime(3) },
+        ];
         let mut root = TimeSeries::new(10);
         let mut c1 = root.fork();
         let mut c2 = root.fork();
-        c1.batch_executed(0, VTime(3), 2);
-        c1.anti_sent(0, VTime(14));
-        c2.batch_executed(1, VTime(4), 1);
-        c2.remote_message(true, VTime(3));
+        record(&mut c1, &first);
+        record(&mut c2, &second);
         root.join(c1);
         root.join(c2);
 
         let mut single = TimeSeries::new(10);
-        single.batch_executed(0, VTime(3), 2);
-        single.anti_sent(0, VTime(14));
-        single.batch_executed(1, VTime(4), 1);
-        single.remote_message(true, VTime(3));
+        record(&mut single, &first);
+        record(&mut single, &second);
         assert_eq!(root, single);
     }
 
     #[test]
     fn migrations_bucket_by_gvt() {
         let mut ts = TimeSeries::new(10);
-        ts.lp_migrated(3, 0, 1, VTime(25), 640);
-        ts.lp_migrated(4, 1, 0, VTime(25), 320);
-        let t = ts.totals();
+        record(
+            &mut ts,
+            &[
+                LpMigrated { lp: 3, from: 0, to: 1, gvt: VTime(25), bytes: 640 },
+                LpMigrated { lp: 4, from: 1, to: 0, gvt: VTime(25), bytes: 320 },
+            ],
+        );
+        let t = ts.totals().counts;
         assert_eq!(t.migrations, 2);
-        assert_eq!(t.migrated_bytes, 960);
+        assert_eq!(t.migrated_state_bytes, 960);
         let (k, b) = ts.buckets().next().unwrap();
         assert_eq!(k, BucketKey::At(2));
-        assert_eq!(b.migrations, 2);
+        assert_eq!(b.counts.migrations, 2);
         let jsonl = ts.to_jsonl();
         assert!(jsonl.contains("\"migrations\":2"));
         assert!(jsonl.contains("\"migrated_bytes\":960"));
@@ -516,40 +441,47 @@ mod tests {
     }
 
     #[test]
-    fn registry_drives_export_and_merge() {
-        // Every registered column appears in both export formats, in
-        // registry order, and merge respects the declared kind.
+    fn columns_drive_both_exports_and_merge() {
+        // The bucketed counters, under their column names, then the
+        // gauges: in both export formats, in that order.
         let ts = sample();
         let jsonl = ts.to_jsonl();
         let csv_header = ts.to_csv().lines().next().unwrap().to_string();
-        let mut expect_header = String::from("bucket,vt_lo,vt_hi");
-        for c in COLUMNS {
-            assert!(jsonl.contains(&format!("\"{}\":", c.name)), "{} missing in JSONL", c.name);
-            expect_header.push(',');
-            expect_header.push_str(c.name);
+        let names: Vec<&str> = Bucket::default().columns().map(|(n, _)| n).collect();
+        let bucketed = KernelStats::COUNTERS.iter().filter_map(|c| c.column);
+        let gauges = ["states_held_max", "pending_max", "wall_ns_max", "fault_active"];
+        assert_eq!(names, bucketed.chain(gauges).collect::<Vec<_>>());
+        for name in &names {
+            assert!(jsonl.contains(&format!("\"{name}\":")), "{name} missing in JSONL");
         }
-        assert_eq!(csv_header, expect_header);
+        assert_eq!(csv_header, format!("bucket,vt_lo,vt_hi,{}", names.join(",")));
 
-        let mut a = Bucket { batches: 2, states_held_max: 7, ..Default::default() };
-        let b = Bucket { batches: 3, states_held_max: 5, ..Default::default() };
+        let counts = |batches_executed| KernelStats { batches_executed, ..Default::default() };
+        let mut a = Bucket { counts: counts(2), states_held_max: 7, ..Default::default() };
+        let b = Bucket { counts: counts(3), states_held_max: 5, ..Default::default() };
         a.merge(&b);
-        assert_eq!(a.batches, 5, "additive columns sum");
-        assert_eq!(a.states_held_max, 7, "max columns take the max");
+        assert_eq!(a.counts.batches_executed, 5, "counters sum");
+        assert_eq!(a.states_held_max, 7, "gauges take the max");
     }
 
     #[test]
-    fn chaos_callbacks_bucket_their_columns() {
+    fn chaos_events_bucket_their_columns() {
         let mut ts = TimeSeries::new(10);
-        ts.fault_event(0, true, 1, VTime(12));
-        ts.fault_event(1, true, 2, VTime(14));
-        ts.fault_event(0, false, 1, VTime(25));
-        ts.transmission_dropped(true, VTime(3));
-        ts.retransmitted(VTime(4));
+        record(
+            &mut ts,
+            &[
+                FaultEvent { node: 0, onset: true, active_now: 1, gvt: VTime(12) },
+                FaultEvent { node: 1, onset: true, active_now: 2, gvt: VTime(14) },
+                FaultEvent { node: 0, onset: false, active_now: 1, gvt: VTime(25) },
+                TransmissionDropped { positive: true, at: VTime(3) },
+                Retransmitted { at: VTime(4) },
+            ],
+        );
         let t = ts.totals();
-        assert_eq!(t.faults_injected, 2, "recovery edges are not onsets");
+        assert_eq!(t.counts.faults_injected, 2, "recovery edges are not onsets");
         assert_eq!(t.fault_active, 2);
-        assert_eq!(t.transmissions_dropped, 1);
-        assert_eq!(t.retransmissions, 1);
+        assert_eq!(t.counts.transmissions_dropped, 1);
+        assert_eq!(t.counts.retransmissions, 1);
         let b1 = ts.buckets().find(|(k, _)| *k == BucketKey::At(1)).unwrap().1;
         assert_eq!(b1.fault_active, 2);
         assert!(ts.to_jsonl().contains("\"fault_active\":2"));

@@ -1,5 +1,6 @@
 //! Simulation statistics — the quantities the paper's Figures 4–6 plot.
 
+use crate::probe::{Probe, ProbeEvent, RollbackKind};
 use crate::time::VTime;
 
 /// Per-LP counters, for locating rollback and load hotspots (the paper's
@@ -15,8 +16,7 @@ pub struct LpCounters {
     pub events_rolled_back: u64,
 }
 
-/// How a counter combines when per-cluster [`KernelStats`] (or telemetry
-/// buckets) merge.
+/// How a counter combines when per-cluster [`KernelStats`] merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Merge {
     /// Counted where it happens: totals add up.
@@ -35,116 +35,6 @@ impl Merge {
         }
     }
 }
-
-/// The one declaration of every kernel counter. A row is
-/// `/// doc` + `field: rule` and, for counters that are also bucketed by
-/// virtual time, `=> column` — the name the telemetry series exports it
-/// under. `$with` is handed the whole table: `define_kernel_stats!`
-/// below derives [`KernelStats`] and [`KernelStats::COUNTERS`] from it,
-/// and `series.rs` derives the additive half of `Bucket` and its column
-/// registry. Row order is the export order of both.
-///
-/// Adding a counter is one row here plus its increment site (and, for a
-/// bucketed one, the `TimeSeries` callback line that records it).
-macro_rules! kernel_counters {
-    ($with:ident) => {
-        $with! {
-            bucketed {
-                /// Event batches executed (including ones later rolled back).
-                batches_executed: Sum => batches;
-                /// Individual events processed (including ones later rolled
-                /// back).
-                events_processed: Sum => events;
-                /// Block activations: batches in which a fused
-                /// (compiled-block) LP swept its instruction buffer. Zero for
-                /// models that do not declare app-level work (e.g.
-                /// gate-per-LP mode, PHOLD).
-                block_activations: Sum => block_activations;
-                /// Fine-grained application operations (compiled gate
-                /// evaluations) executed inside block activations, including
-                /// later-rolled-back work; coast-forward replays are excluded
-                /// (they are counted as `events_coasted`).
-                ops_executed: Sum => ops_executed;
-                /// Rollbacks caused by a straggler positive event.
-                primary_rollbacks: Sum => primary_rollbacks;
-                /// Rollbacks caused by an anti-message (cancellation chasing).
-                secondary_rollbacks: Sum => secondary_rollbacks;
-                /// Events that were processed and later un-processed by a
-                /// rollback (wasted optimistic work).
-                events_rolled_back: Sum => events_rolled_back;
-                /// Events re-executed silently during coast-forward (rollback
-                /// repair between sparse checkpoints).
-                events_coasted: Sum => events_coasted;
-                /// Anti-messages sent.
-                antis_sent: Sum => antis_sent;
-                /// Positive events annihilated by anti-messages before
-                /// execution.
-                annihilated_pending: Sum => annihilations;
-                /// State checkpoints written.
-                states_saved: Sum => states_saved;
-                /// Events committed (fossil-collected below GVT or remaining
-                /// at a clean termination).
-                events_committed: Sum => events_committed;
-                /// Positive application events that crossed cluster/node
-                /// boundaries — the "Number of Application Messages" of the
-                /// paper's Figure 5.
-                app_messages: Sum => app_messages;
-                /// Anti-messages that crossed cluster/node boundaries.
-                anti_messages_remote: Sum => remote_antis;
-                /// GVT computation rounds. A synchronized round is counted
-                /// once by every cluster, hence `Max` (a threaded run's series
-                /// still sums every cluster's callback).
-                gvt_rounds: Max => gvt_rounds;
-                /// LPs migrated between nodes/clusters by dynamic load
-                /// balancing (counted by the source cluster only).
-                migrations: Sum => migrations;
-                /// Modeled bytes of LP closure (current state + checkpoints +
-                /// pending events) moved by migrations.
-                migrated_state_bytes: Sum => migrated_bytes;
-                /// Fault windows opened by an injected
-                /// [`crate::chaos::FaultPlan`] (onsets whose platform time the
-                /// run actually reached). Zero when chaos is off.
-                faults_injected: Sum => faults_injected;
-                /// Transmissions (data or acks) dropped by injected link loss.
-                /// Each drop costs one RTO of modeled latency before the
-                /// retransmit.
-                transmissions_dropped: Sum => transmissions_dropped;
-                /// Retransmissions performed by the ack/retransmit protocol.
-                retransmissions: Sum => retransmissions;
-            }
-            aggregate_only {
-                /// Channel sends performed by the threaded executive (remote
-                /// messages are coalesced into one batch per destination
-                /// cluster per routing pass, so this is ≤ `app_messages +
-                /// anti_messages_remote`; zero on the sequential and platform
-                /// executives, which use no channels).
-                comm_batches: Sum;
-                /// Dynamic load-balancing rounds executed (0 unless a balancer
-                /// was configured via [`crate::Simulator::load_balancer`]).
-                /// Synchronized like `gvt_rounds`, hence `Max`.
-                lb_rounds: Max;
-                /// Gate replicas materialised by the application (the extra
-                /// LPs/ops that exist only to evaluate a copied gate locally;
-                /// see logic replication in `pls-partition`). A static per-run
-                /// property recorded identically by every cluster, hence
-                /// `Max`. Zero for models without replication.
-                replicated_gates: Max;
-                /// Boundary messages elided by logic replication: each time a
-                /// replica's output toggles, the messages its home copy would
-                /// have sent to that part are not sent. Counted where the
-                /// replica executes, under the same processed-work accounting
-                /// as `app_messages` (rolled-back work stays counted,
-                /// coast-forward replays do not).
-                messages_saved: Sum;
-                /// High-water mark of total saved states held at once (memory
-                /// proxy; the paper's s15850 2-node runs died on this). Each
-                /// cluster holds its own states, so the marks add.
-                state_queue_high_water: Sum;
-            }
-        }
-    };
-}
-pub(crate) use kernel_counters;
 
 /// One row of the counter table, as data: see [`KernelStats::COUNTERS`].
 #[derive(Debug)]
@@ -174,7 +64,17 @@ macro_rules! counter {
     };
 }
 
-macro_rules! define_kernel_stats {
+/// Derives [`KernelStats`] and [`KernelStats::COUNTERS`] from the one
+/// table of kernel counters below. A row is `/// doc` + `field: rule`
+/// and, for counters that are also bucketed by virtual time, `=> column`
+/// — the name the telemetry series exports it under. Row order is the
+/// export order of both.
+///
+/// Adding a counter is one row here plus, for a counter the kernel
+/// counts, its arm in `impl Probe for KernelStats` (and the
+/// [`ProbeEvent`] variant, with its emit site, if no event carries it
+/// yet).
+macro_rules! kernel_counters {
     (
         bucketed { $($(#[$bdoc:meta])* $bfield:ident: $brule:ident => $column:ident;)* }
         aggregate_only { $($(#[$adoc:meta])* $afield:ident: $arule:ident;)* }
@@ -200,7 +100,100 @@ macro_rules! define_kernel_stats {
     };
 }
 
-kernel_counters!(define_kernel_stats);
+kernel_counters! {
+    bucketed {
+        /// Event batches executed (including ones later rolled back).
+        batches_executed: Sum => batches;
+        /// Individual events processed (including ones later rolled
+        /// back).
+        events_processed: Sum => events;
+        /// Block activations: batches in which a fused
+        /// (compiled-block) LP swept its instruction buffer. Zero for
+        /// models that do not declare app-level work (e.g.
+        /// gate-per-LP mode, PHOLD).
+        block_activations: Sum => block_activations;
+        /// Fine-grained application operations (compiled gate
+        /// evaluations) executed inside block activations, including
+        /// later-rolled-back work; coast-forward replays are excluded
+        /// (they are counted as `events_coasted`).
+        ops_executed: Sum => ops_executed;
+        /// Rollbacks caused by a straggler positive event.
+        primary_rollbacks: Sum => primary_rollbacks;
+        /// Rollbacks caused by an anti-message (cancellation chasing).
+        secondary_rollbacks: Sum => secondary_rollbacks;
+        /// Events that were processed and later un-processed by a
+        /// rollback (wasted optimistic work).
+        events_rolled_back: Sum => events_rolled_back;
+        /// Events re-executed silently during coast-forward (rollback
+        /// repair between sparse checkpoints).
+        events_coasted: Sum => events_coasted;
+        /// Anti-messages sent.
+        antis_sent: Sum => antis_sent;
+        /// Positive events annihilated by anti-messages before
+        /// execution.
+        annihilated_pending: Sum => annihilations;
+        /// State checkpoints written.
+        states_saved: Sum => states_saved;
+        /// Events committed (fossil-collected below GVT or remaining
+        /// at a clean termination).
+        events_committed: Sum => events_committed;
+        /// Positive application events that crossed cluster/node
+        /// boundaries — the "Number of Application Messages" of the
+        /// paper's Figure 5.
+        app_messages: Sum => app_messages;
+        /// Anti-messages that crossed cluster/node boundaries.
+        anti_messages_remote: Sum => remote_antis;
+        /// GVT computation rounds. A synchronized round is counted
+        /// once by every cluster, hence `Max` (a threaded run's series
+        /// still sums every cluster's rounds).
+        gvt_rounds: Max => gvt_rounds;
+        /// LPs migrated between nodes/clusters by dynamic load
+        /// balancing (counted by the source cluster only).
+        migrations: Sum => migrations;
+        /// Modeled bytes of LP closure (current state + checkpoints +
+        /// pending events) moved by migrations.
+        migrated_state_bytes: Sum => migrated_bytes;
+        /// Fault windows opened by an injected
+        /// [`crate::chaos::FaultPlan`] (onsets whose platform time the
+        /// run actually reached). Zero when chaos is off.
+        faults_injected: Sum => faults_injected;
+        /// Transmissions (data or acks) dropped by injected link loss.
+        /// Each drop costs one RTO of modeled latency before the
+        /// retransmit.
+        transmissions_dropped: Sum => transmissions_dropped;
+        /// Retransmissions performed by the ack/retransmit protocol.
+        retransmissions: Sum => retransmissions;
+    }
+    aggregate_only {
+        /// Channel sends performed by the threaded executive (remote
+        /// messages are coalesced into one batch per destination
+        /// cluster per routing pass, so this is ≤ `app_messages +
+        /// anti_messages_remote`; zero on the sequential and platform
+        /// executives, which use no channels).
+        comm_batches: Sum;
+        /// Dynamic load-balancing rounds executed (0 unless a balancer
+        /// was configured via [`crate::Simulator::load_balancer`]).
+        /// Synchronized like `gvt_rounds`, hence `Max`.
+        lb_rounds: Max;
+        /// Gate replicas materialised by the application (the extra
+        /// LPs/ops that exist only to evaluate a copied gate locally;
+        /// see logic replication in `pls-partition`). A static per-run
+        /// property recorded identically by every cluster, hence
+        /// `Max`. Zero for models without replication.
+        replicated_gates: Max;
+        /// Boundary messages elided by logic replication: each time a
+        /// replica's output toggles, the messages its home copy would
+        /// have sent to that part are not sent. Counted where the
+        /// replica executes, under the same processed-work accounting
+        /// as `app_messages` (rolled-back work stays counted,
+        /// coast-forward replays do not).
+        messages_saved: Sum;
+        /// High-water mark of total saved states held at once (memory
+        /// proxy; the paper's s15850 2-node runs died on this). Each
+        /// cluster holds its own states, so the marks add.
+        state_queue_high_water: Sum;
+    }
+}
 
 impl KernelStats {
     /// Total rollbacks (primary + secondary) — the paper's Figure 6 metric.
@@ -231,6 +224,60 @@ impl KernelStats {
             *slot = c.merge.combine(*slot, (c.get)(other));
         }
         self.final_gvt = self.final_gvt.max(other.final_gvt);
+    }
+}
+
+/// The kernel's one counting path: every bucketed counter is incremented
+/// here and nowhere else. The executives run the kernel against
+/// `Tee<KernelStats, P>`, and a time-series bucket is a `KernelStats`
+/// counted by this same handler, so aggregates and series cannot drift
+/// apart.
+impl Probe for KernelStats {
+    #[inline]
+    fn on(&mut self, event: ProbeEvent) {
+        match event {
+            ProbeEvent::BatchExecuted { events, .. } => {
+                self.batches_executed += 1;
+                self.events_processed += events;
+            }
+            ProbeEvent::AppWork { activations, ops, saved, .. } => {
+                self.block_activations += activations;
+                self.ops_executed += ops;
+                self.messages_saved += saved;
+            }
+            ProbeEvent::RollbackBegun { kind: RollbackKind::Primary, .. } => {
+                self.primary_rollbacks += 1;
+            }
+            ProbeEvent::RollbackBegun { kind: RollbackKind::Secondary, .. } => {
+                self.secondary_rollbacks += 1;
+            }
+            ProbeEvent::RollbackEnded { undone, coasted, .. } => {
+                self.events_rolled_back += undone;
+                self.events_coasted += coasted;
+            }
+            ProbeEvent::AntiSent { .. } => self.antis_sent += 1,
+            ProbeEvent::Annihilated { .. } => self.annihilated_pending += 1,
+            ProbeEvent::StateSaved { .. } => self.states_saved += 1,
+            ProbeEvent::FossilCollected { committed, .. } => self.events_committed += committed,
+            ProbeEvent::GvtAdvanced { .. } => self.gvt_rounds += 1,
+            ProbeEvent::RemoteMessage { positive: true, .. } => self.app_messages += 1,
+            ProbeEvent::RemoteMessage { positive: false, .. } => self.anti_messages_remote += 1,
+            ProbeEvent::LpMigrated { bytes, .. } => {
+                self.migrations += 1;
+                self.migrated_state_bytes += bytes;
+            }
+            ProbeEvent::FaultEvent { onset, .. } => self.faults_injected += u64::from(onset),
+            ProbeEvent::TransmissionDropped { .. } => self.transmissions_dropped += 1,
+            ProbeEvent::Retransmitted { .. } => self.retransmissions += 1,
+        }
+    }
+
+    fn fork(&mut self) -> KernelStats {
+        KernelStats::default()
+    }
+
+    fn join(&mut self, child: KernelStats) {
+        self.merge(&child);
     }
 }
 

@@ -25,11 +25,12 @@
 //! the clusters share the `requested` flag and one mail counter per
 //! cluster, nothing else.
 //!
-//! Telemetry: the root probe is [`Probe::fork`]ed once per cluster, each
-//! cluster thread feeds its own child (no locking on the hot path), and
-//! the children are [`Probe::join`]ed back in cluster-id order — so a
-//! recording probe sees a deterministic merge even though thread
-//! interleavings differ run to run.
+//! Counting and telemetry: the root probe — the run's [`KernelStats`]
+//! teed with the caller's probe — is [`Probe::fork`]ed once per cluster,
+//! each cluster thread feeds its own child (no locking on the hot path),
+//! and the children are [`Probe::join`]ed back in cluster-id order — so
+//! the statistics and a recording probe see a deterministic merge even
+//! though thread interleavings differ run to run.
 //!
 //! Comms: channels carry `Vec<Transmission>` batches, not single
 //! messages. Each routing pass coalesces its remote traffic into one
@@ -56,7 +57,7 @@ use crate::config::KernelConfig;
 use crate::core::{ClusterCore, Homes, Hop, Mover};
 use crate::dynlb::{self, move_is_valid, pinned_mask, DynLbConfig, Migration, WindowStats};
 use crate::event::Transmission;
-use crate::probe::Probe;
+use crate::probe::{Probe, ProbeEvent, Tee};
 use crate::sim::{Outcome, RunReport, SimError};
 use crate::stats::KernelStats;
 use crate::time::VTime;
@@ -249,8 +250,9 @@ struct Shared {
     mail: Vec<Mail>,
 }
 
-/// The executive proper, generic over the telemetry probe. `sim::validate`
-/// has already checked `cfg`, and `assignment` against `app` and `clusters`.
+/// The executive proper, generic over the telemetry probe; returns the
+/// probe with the report. `sim::validate` has already checked `cfg`, and
+/// `assignment` against `app` and `clusters`.
 /// A panic on a cluster thread (the application's, or a kernel assert)
 /// tears the run down and comes back as [`SimError::ClusterPanicked`].
 // detlint: phase(compute)
@@ -259,9 +261,9 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     assignment: &[u32],
     clusters: usize,
     cfg: &KernelConfig,
-    probe: &mut P,
+    probe: P,
     dynlb: Option<DynLbConfig>,
-) -> Result<RunReport<A>, SimError> {
+) -> Result<(RunReport<A>, P), SimError> {
     let lb_shared = dynlb.map(|cfg| LbShared::<A> {
         cfg,
         window: Mutex::new(WindowStats::new(app.num_lps())),
@@ -281,17 +283,10 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
         mail: (0..clusters).map(|_| Mail(AtomicU64::new(0))).collect(),
     };
 
-    let mut stats =
-        KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
-    let (cores, homes) = ClusterCore::partition(
-        app,
-        assignment,
-        clusters,
-        *cfg,
-        lb_shared.is_some(),
-        &mut stats,
-        probe,
-    );
+    let stats = KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
+    let mut probe = Tee::new(stats, probe);
+    let (cores, homes) =
+        ClusterCore::partition(app, assignment, clusters, *cfg, lb_shared.is_some(), &mut probe);
 
     #[allow(
         clippy::disallowed_methods,
@@ -311,7 +306,6 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
                 out_bufs: (0..clusters).map(|_| Vec::new()).collect(),
                 senders: senders.clone(),
                 homes: homes.clone(),
-                stats: KernelStats::default(),
                 probe: probe.fork(),
             };
             let (rendezvous, lb) = (&shared.rendezvous, lb_shared.as_ref());
@@ -335,20 +329,21 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     for (cid, joined) in joined.into_iter().enumerate() {
         let Ok(Ok(cluster)) = joined else { unreachable!("only a panic poisons the rendezvous") };
         // Rounds are lockstep, which is why the counter merges by `Max`.
+        let rounds = cluster.probe.a.gvt_rounds;
         assert!(
-            cid == 0 || cluster.stats.gvt_rounds == stats.gvt_rounds,
-            "cluster {cid} counted {} GVT rounds, cluster 0 {}",
-            cluster.stats.gvt_rounds,
-            stats.gvt_rounds
+            cid == 0 || rounds == probe.a.gvt_rounds,
+            "cluster {cid} counted {rounds} GVT rounds, cluster 0 {}",
+            probe.a.gvt_rounds
         );
-        stats.merge(&cluster.stats);
         probe.join(cluster.probe);
         finished.push(cluster.core);
     }
 
+    let Tee { a: mut stats, b: probe } = probe;
     stats.final_gvt = VTime::INF;
     let (states, lp_stats) = ClusterCore::finish(finished);
-    Ok(RunReport { stats, states, lp_stats, outcome: Outcome::Threaded { wall }, telemetry: None })
+    let outcome = Outcome::Threaded { wall };
+    Ok((RunReport { stats, states, lp_stats, outcome, telemetry: None }, probe))
 }
 
 /// Everything one cluster thread owns.
@@ -364,8 +359,8 @@ struct Cluster<'a, A: Application, P: Probe> {
     out_bufs: Vec<TxBatch<A::Msg>>,
     /// This cluster's copy of the routing table (see [`Homes`]).
     homes: Homes,
-    stats: KernelStats,
-    probe: P,
+    /// This cluster's statistics and its child of the caller's probe.
+    probe: Tee<KernelStats, P>,
 }
 
 impl<A: Application, P: Probe> Cluster<'_, A, P> {
@@ -385,7 +380,7 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
     // detlint: phase(compute|flush)
     fn route(&mut self) -> u64 {
         let mut routed = 0;
-        while let Some(hop) = self.core.route_next(&self.homes, &mut self.stats, &mut self.probe) {
+        while let Some(hop) = self.core.route_next(&self.homes, &mut self.probe) {
             if let Hop::Remote(tx) = hop {
                 routed += 1;
                 self.out_bufs[self.homes.part(tx.dst())].push(tx);
@@ -393,7 +388,7 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
         }
         for dc in 0..self.out_bufs.len() {
             if !self.out_bufs[dc].is_empty() {
-                self.stats.comm_batches += 1;
+                self.probe.a.comm_batches += 1;
                 let batch = std::mem::take(&mut self.out_bufs[dc]);
                 self.post(dc, batch);
             }
@@ -407,7 +402,7 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
     fn accept(&mut self, batch: TxBatch<A::Msg>) -> u64 {
         self.received += 1;
         for tx in batch {
-            self.core.receive(tx, &self.homes, &mut self.stats, &mut self.probe);
+            self.core.receive(tx, &self.homes, &mut self.probe);
         }
         self.route()
     }
@@ -466,12 +461,12 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
             if self.shared.requested.load(SeqCst) {
                 batches_since_gvt = 0;
                 gvt = self.gvt_round()?;
-                self.stats.gvt_rounds += 1;
-                let seen = self.core.commit(gvt, &mut self.stats, &mut self.probe);
-                let held = seen.held_before;
-                self.stats.state_queue_high_water = self.stats.state_queue_high_water.max(held);
+                let seen = self.core.commit(gvt, &mut self.probe);
+                let (states_held, pending) = (seen.held_before, seen.pending);
+                let stats = &mut self.probe.a;
+                stats.state_queue_high_water = stats.state_queue_high_water.max(states_held);
                 let wall_ns = started.elapsed().as_nanos() as u64;
-                self.probe.gvt_advanced(gvt, held, seen.pending, wall_ns);
+                self.probe.on(ProbeEvent::GvtAdvanced { gvt, states_held, pending, wall_ns });
 
                 // Dynamic load balancing, inside the GVT round where the
                 // flush protocol guarantees zero in-flight messages (see
@@ -480,8 +475,8 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
                 // count, the static period), so every cluster takes the
                 // same branch — the rendezvous inside stay matched.
                 if let Some(lbs) = lb {
-                    if !gvt.is_inf() && self.stats.gvt_rounds.is_multiple_of(lbs.cfg.period.max(1))
-                    {
+                    let rounds = self.probe.a.gvt_rounds;
+                    if !gvt.is_inf() && rounds.is_multiple_of(lbs.cfg.period.max(1)) {
                         self.balance(lbs, gvt)?;
                     }
                 }
@@ -513,7 +508,7 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
             let horizon = cfg.window.map_or(VTime::INF, |w| gvt.after(w));
             match next {
                 Some(t) if t <= horizon => {
-                    self.core.execute_ready(&mut self.stats, &mut self.probe);
+                    self.core.execute_ready(&mut self.probe);
                     batches_since_gvt += 1;
                     self.route();
                 }
@@ -566,10 +561,10 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
         rendezvous.sync()?;
         // Phase 2: cluster 0 plans from the merged window. Any cluster's
         // assignment copy would do — they are identical by construction.
-        self.stats.lb_rounds += 1;
+        self.probe.a.lb_rounds += 1;
         if self.cid == 0 {
             let mut window = lbs.window.lock().unwrap();
-            window.round = self.stats.lb_rounds;
+            window.round = self.probe.a.lb_rounds;
             let parts = self.homes.parts();
             let plan = dynlb::plan(&window, parts, clusters, &lbs.cfg);
             window.reset();
@@ -583,7 +578,7 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
             if !move_is_valid(mv, self.homes.parts(), clusters) || lbs.pinned[mv.lp as usize] {
                 continue;
             }
-            let left = self.core.evict(mv, &mut self.homes, gvt, &mut self.stats, &mut self.probe);
+            let left = self.core.evict(mv, &mut self.homes, gvt, &mut self.probe);
             if let Some(mover) = left {
                 lbs.movers[mv.to as usize].lock().unwrap().push(mover);
             }

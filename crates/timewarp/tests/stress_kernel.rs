@@ -13,7 +13,7 @@
 use pls_timewarp::lp::{LpRuntime, Scratch};
 use pls_timewarp::{
     AntiEvent, Application, Cancellation, Event, EventId, EventSink, KernelConfig, KernelStats,
-    LpId, NoProbe, Transmission, VTime,
+    LpId, Transmission, VTime,
 };
 
 /// splitmix64 — drives the schedule generation deterministically.
@@ -183,7 +183,6 @@ fn run_schedule(
     let mut reference = Reference::default();
     let mut stats = KernelStats::default();
     let mut outbox: Vec<Transmission<u64>> = Vec::new();
-    let mut probe = NoProbe;
     let mut scratch = Scratch::default();
 
     let mut rng = seed;
@@ -216,14 +215,7 @@ fn run_schedule(
                 let ev = fresh(&mut rng, &mut seqs);
                 live.push(ev.clone());
                 reference.receive_positive(ev.clone());
-                lp.receive(
-                    &app,
-                    Transmission::Positive(ev),
-                    &mut stats,
-                    &mut outbox,
-                    &mut scratch,
-                    &mut probe,
-                );
+                lp.receive(&app, Transmission::Positive(ev), &mut outbox, &mut scratch, &mut stats);
             }
             // Anti-message for a random live positive: hits the pending or
             // the processed (secondary rollback) path depending on whether
@@ -235,14 +227,7 @@ fn run_schedule(
                 let k = (mix(&mut rng) % live.len() as u64) as usize;
                 let anti = live.swap_remove(k).anti();
                 reference.receive_anti(anti);
-                lp.receive(
-                    &app,
-                    Transmission::Anti(anti),
-                    &mut stats,
-                    &mut outbox,
-                    &mut scratch,
-                    &mut probe,
-                );
+                lp.receive(&app, Transmission::Anti(anti), &mut outbox, &mut scratch, &mut stats);
             }
             // Anti-message *before* its positive (orphan path): generate an
             // event, deliver only the anti, stash the positive.
@@ -252,14 +237,7 @@ fn run_schedule(
                 stashed.push(ev);
                 cov.orphaned += 1;
                 reference.receive_anti(anti);
-                lp.receive(
-                    &app,
-                    Transmission::Anti(anti),
-                    &mut stats,
-                    &mut outbox,
-                    &mut scratch,
-                    &mut probe,
-                );
+                lp.receive(&app, Transmission::Anti(anti), &mut outbox, &mut scratch, &mut stats);
             }
             // Deliver a stashed positive onto its waiting orphan anti.
             7 => {
@@ -269,14 +247,7 @@ fn run_schedule(
                 let k = (mix(&mut rng) % stashed.len() as u64) as usize;
                 let ev = stashed.swap_remove(k);
                 reference.receive_positive(ev.clone());
-                lp.receive(
-                    &app,
-                    Transmission::Positive(ev),
-                    &mut stats,
-                    &mut outbox,
-                    &mut scratch,
-                    &mut probe,
-                );
+                lp.receive(&app, Transmission::Positive(ev), &mut outbox, &mut scratch, &mut stats);
             }
             // Execute the earliest pending batch.
             _ => {
@@ -284,7 +255,7 @@ fn run_schedule(
                     continue;
                 }
                 reference.execute_next();
-                lp.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut probe);
+                lp.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
             }
         }
 
@@ -306,7 +277,7 @@ fn run_schedule(
     // must agree (order-sensitive hash ⇒ same events in the same order).
     while !lp.next_time().is_inf() {
         reference.execute_next();
-        lp.execute_next(&app, &mut stats, &mut outbox, &mut scratch, &mut probe);
+        lp.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         assert!(outbox.is_empty());
     }
     assert!(reference.pending.is_empty(), "seed {seed}: reference kept events the kernel drained");

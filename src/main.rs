@@ -538,7 +538,7 @@ fn cmd_trace(args: &Args) {
                 "vt", "events", "committed", "rollbk", "antis", "messages", "states", "pending"
             ));
             // One row per bucket, then the totals (no pending high-water).
-            let total = series.totals();
+            let total = series.totals().counts;
             let rows = series.buckets().map(|(key, b)| {
                 let vt = match key {
                     parlogsim::timewarp::BucketKey::At(i) => {
@@ -546,18 +546,18 @@ fn cmd_trace(args: &Args) {
                     }
                     parlogsim::timewarp::BucketKey::Final => "final".to_string(),
                 };
-                (vt, b, b.pending_max.to_string())
+                (vt, &b.counts, b.pending_max.to_string())
             });
-            for (vt, b, pending) in rows.chain([("total".to_string(), &total, String::new())]) {
+            for (vt, c, pending) in rows.chain([("total".to_string(), &total, String::new())]) {
                 s.push_str(&format!(
                     "{:>10} {:>8} {:>9} {:>7} {:>9} {:>9} {:>9} {:>8}\n",
                     vt,
-                    b.events,
-                    b.events_committed,
-                    b.rollbacks(),
-                    b.antis_sent,
-                    b.app_messages,
-                    b.states_saved,
+                    c.events_processed,
+                    c.events_committed,
+                    c.rollbacks(),
+                    c.antis_sent,
+                    c.app_messages,
+                    c.states_saved,
                     pending
                 ));
             }

@@ -52,7 +52,8 @@ fn loc_skips_each_test_item_and_counts_the_rest() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let report = String::from_utf8(out.stdout).unwrap();
     let count = |label: &str| -> u64 {
-        let line = report.lines().find(|l| l.ends_with(label)).unwrap_or_else(|| panic!("{report}"));
+        let line =
+            report.lines().find(|l| l.ends_with(label)).unwrap_or_else(|| panic!("{report}"));
         line.split_whitespace().next().unwrap().parse().unwrap()
     };
     assert_eq!(count("crates/demo"), 10, "{report}");

@@ -9,7 +9,8 @@
 //!    the series is a lossless decomposition of the aggregates by virtual
 //!    time. (On the threaded executive `gvt_rounds` is excluded: every
 //!    cluster participates in every synchronized round, so the aggregate
-//!    keeps the max across clusters while the series sums all callbacks.)
+//!    keeps the max across clusters while the series sums every cluster's
+//!    rounds.)
 //! 3. **Determinism** — the merged series of a threaded run is identical
 //!    across repeated runs despite thread interleaving.
 //!
@@ -17,7 +18,7 @@
 //! [`KernelStats`]: parlogsim::timewarp::KernelStats
 
 use parlogsim::prelude::*;
-use parlogsim::timewarp::{Bucket, Merge, COLUMNS};
+use parlogsim::timewarp::Bucket;
 
 const BUCKET: u64 = 25;
 
@@ -30,21 +31,15 @@ fn assignment(n: usize, k: usize) -> Vec<u32> {
 }
 
 /// Assert every bucketed counter reconciles with the aggregate — driven
-/// by the column registry and counted against the counter table, so a
-/// counter added to either cannot silently skip the invariant.
+/// by the counter table, so a counter added to it cannot silently skip
+/// the invariant.
 fn assert_conserved(totals: &Bucket, stats: &KernelStats, sum_gvt_rounds: bool, tag: &str) {
-    let mut checked = 0;
-    for c in COLUMNS {
-        let Some(agg) = c.stats else { continue };
-        assert_eq!(c.merge, Merge::Sum, "{tag}: {} maps to stats but is a gauge", c.name);
-        checked += 1;
+    for c in KernelStats::COUNTERS.iter().filter(|c| c.column.is_some()) {
         if c.name == "gvt_rounds" && !sum_gvt_rounds {
             continue;
         }
-        assert_eq!((c.get)(totals), agg(stats), "{tag}: {}", c.name);
+        assert_eq!((c.get)(&totals.counts), (c.get)(stats), "{tag}: {}", c.name);
     }
-    let bucketed = KernelStats::COUNTERS.iter().filter(|c| c.column.is_some()).count();
-    assert_eq!(checked, bucketed, "{tag}: a bucketed counter has no column to check");
 }
 
 #[test]
@@ -129,7 +124,7 @@ fn bucket_sums_match_aggregates_across_configs() {
         let ts = res.telemetry.expect("recording was on");
         let tag = format!("{cancellation:?}/ckpt{checkpoint}");
         assert_conserved(&ts.totals(), &res.stats, true, &tag);
-        assert!(ts.totals().rollbacks() > 0 || res.stats.rollbacks() == 0);
+        assert!(ts.totals().counts.rollbacks() > 0 || res.stats.rollbacks() == 0);
     }
 }
 
@@ -199,9 +194,9 @@ fn threaded_series_merge_is_deterministic() {
     let execution_side = |ts: &TimeSeries| -> Vec<(parlogsim::timewarp::BucketKey, Bucket)> {
         ts.buckets()
             .map(|(k, bk)| {
-                let mut bk = *bk;
-                bk.events_committed = 0;
-                bk.gvt_rounds = 0;
+                let mut bk = bk.clone();
+                bk.counts.events_committed = 0;
+                bk.counts.gvt_rounds = 0;
                 bk.states_held_max = 0;
                 bk.pending_max = 0;
                 bk.wall_ns_max = 0;
@@ -211,9 +206,10 @@ fn threaded_series_merge_is_deterministic() {
             .collect()
     };
     assert_eq!(execution_side(&a), execution_side(&b));
-    assert!(a.totals().events > 0);
-    assert_eq!(a.totals().events_committed, b.totals().events_committed);
-    assert_eq!(a.totals().app_messages, 0, "locality 100% must stay local");
+    let (a, b) = (a.totals().counts, b.totals().counts);
+    assert!(a.events_processed > 0);
+    assert_eq!(a.events_committed, b.events_committed);
+    assert_eq!(a.app_messages, 0, "locality 100% must stay local");
 }
 
 #[test]
@@ -247,7 +243,7 @@ fn chaos_counters_are_conserved_and_exported() {
     assert_conserved(&ts.totals(), &res.stats, true, "faulted platform");
     assert!(res.stats.transmissions_dropped > 0, "plan must actually drop");
     assert!(res.stats.faults_injected > 0);
-    assert_eq!(ts.totals().faults_injected, res.stats.faults_injected);
+    assert_eq!(ts.totals().counts.faults_injected, res.stats.faults_injected);
     assert!(ts.to_jsonl().contains("\"retransmissions\":"));
     assert!(ts.to_csv().lines().next().unwrap().contains("transmissions_dropped"));
 }
