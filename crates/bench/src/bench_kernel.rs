@@ -1,5 +1,5 @@
 //! Kernel hot-path benchmark tracker: runs the scenario suite of
-//! [`crate::kernel_scenarios`] and writes `BENCH_kernel.json` at the repo
+//! `kernel_scenarios.rs` and writes `BENCH_kernel.json` at the repo
 //! root (median ns per processed event per scenario), so every PR's perf
 //! delta is visible against the recorded baseline.
 //!
@@ -57,40 +57,14 @@ fn extract_object(text: &str, name: &str) -> Option<String> {
     None
 }
 
-/// ```text
-/// bench_kernel                  # full suite, update BENCH_kernel.json
-/// bench_kernel --set-baseline   # also (re)record current medians as
-///                               # the baseline to compare against
-/// bench_kernel --smoke          # reduced sizes, print JSON to stdout
-///                               # only (the CI perf-smoke step)
-/// bench_kernel --only PREFIX    # run the scenarios whose name starts
-///                               # with PREFIX, print to stdout only
-///                               # (A/B timing during development —
-///                               # e.g. --only dynlb_hotspot runs all
-///                               # four hotspot scenarios)
-/// ```
-pub fn bench_kernel(args: &[String]) {
-    let mut smoke = false;
-    let mut set_baseline = false;
-    let mut only: Option<&str> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--set-baseline" => set_baseline = true,
-            "--only" => match it.next() {
-                Some(name) => only = Some(name),
-                None => {
-                    eprintln!("--only needs a scenario name prefix");
-                    std::process::exit(2);
-                }
-            },
-            bad => {
-                eprintln!("unknown flag {bad}; valid: --smoke --set-baseline --only PREFIX");
-                std::process::exit(2);
-            }
-        }
-    }
+/// Run the suite and update `BENCH_kernel.json`, also recording the
+/// medians as its baseline when `set_baseline`. A `smoke` run (reduced
+/// sizes: the CI perf-smoke step) or an `only` run (the scenarios whose
+/// name starts with the prefix: A/B timing during development — e.g.
+/// `dynlb_hotspot` runs all four hotspot scenarios) prints its JSON to
+/// stdout and leaves the file alone. A prefix that names no scenario
+/// lists the valid names and exits with code 2.
+pub fn bench_kernel(smoke: bool, set_baseline: bool, only: Option<&str>) {
     let mut suite = kernel_scenarios(smoke);
     let selected = |name: &str| only.is_none_or(|o| name.starts_with(o));
     if !suite.iter().any(|(name, _)| selected(name)) {

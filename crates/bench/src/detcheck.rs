@@ -22,7 +22,7 @@ fn stats_line(tag: &str, s: &KernelStats) {
 }
 
 /// Print the fingerprint.
-pub fn detcheck(_args: &[String]) {
+pub fn detcheck() {
     // --- PHOLD on the deterministic executives, all cancellation modes.
     let model = Phold {
         lps: 12,

@@ -1,96 +1,31 @@
-//! The experiment harness behind the one `pls-bench` binary: every table,
-//! figure, study, benchmark and the determinism fingerprint is a row of
-//! [`COMMANDS`].
+//! The experiment harness: every table, figure, study, benchmark and the
+//! determinism fingerprint, each one entry point that `parlogsim` runs as
+//! a subcommand of the same name.
 //!
-//! The table/figure subcommands (`table2`, `fig4`, `fig5`, `fig6`,
-//! `report`, `all`) draw their cells from one [`Grid`] runner that caches
-//! [`RunMetrics`] rows in a CSV under `target/experiments/`, so re-running
-//! a figure after the table has run costs nothing and all outputs come
-//! from the same runs — exactly how the paper derives Figures 4–6 and
-//! Table 2 from the same experiments.
+//! The table/figure entry points ([`paper`]: `table2`, `fig4`, `fig5`,
+//! `fig6`, `report`, `all`) draw their cells from one [`Grid`] runner that
+//! caches [`RunMetrics`] rows in a CSV under `target/experiments/`, so
+//! re-running a figure after the table has run costs nothing and all
+//! outputs come from the same runs — exactly how the paper derives
+//! Figures 4–6 and Table 2 from the same experiments.
 
 #![warn(missing_docs)]
 
-mod bench_kernel;
-mod detcheck;
+pub mod bench_kernel;
+pub mod detcheck;
 mod kernel_scenarios;
-mod micro;
-mod paper;
-mod studies;
+pub mod micro;
+pub mod paper;
+pub mod studies;
 
 use std::collections::HashMap;
 use std::io::Write;
 use std::path::PathBuf;
-use std::process::ExitCode;
 
 use pls_gatesim::{run_seq_baseline, Cell, RunMetrics, SeqMetrics, SimConfig};
 use pls_netlist::{IscasSynth, Netlist};
 use pls_partition::CircuitGraph;
-use pls_timewarp::{KernelStats, TimeSeries, VTime};
-
-/// One `pls-bench` subcommand: its name (those of the sixteen programs
-/// this binary replaced), one line for `--help` with its flags, and the
-/// entry point, which receives the arguments after the name.
-pub type Command = (&'static str, &'static str, fn(&[String]));
-
-/// Every subcommand. `--help` and the unknown-subcommand error are
-/// rendered from this table.
-pub const COMMANDS: [Command; 16] = [
-    ("all", "run the full experiment grid into target/experiments/grid.csv", paper::all),
-    ("table1", "Table 1: benchmark characteristics", paper::table1),
-    ("table2", "Table 2: simulation time per partitioning strategy", paper::table2),
-    ("fig4", "Figure 4: s9234 execution time vs nodes", |_| {
-        paper::figure(&paper::FIGURES[0], &mut Grid::open())
-    }),
-    ("fig5", "Figure 5: s9234 application messages vs nodes [--trace]", |args| {
-        paper::traced_figure(&paper::FIGURES[1], args)
-    }),
-    ("fig6", "Figure 6: s9234 rollbacks vs nodes [--trace]", |args| {
-        paper::traced_figure(&paper::FIGURES[2], args)
-    }),
-    ("report", "paper-vs-measured markdown of every table and figure", paper::report),
-    ("sensitivity", "cost-model study: paper platform vs modern cluster", studies::sensitivity),
-    ("replicate", "the s9234 column of Table 2 under five stimulus seeds", studies::replicate),
-    ("dynlb", "static vs dynamic load balancing on a rotating hotspot [--smoke]", studies::dynlb),
-    (
-        "bench_kernel",
-        "kernel scenario suite -> BENCH_kernel.json [--smoke | --only PREFIX | --set-baseline]",
-        bench_kernel::bench_kernel,
-    ),
-    ("partitioners", "micro-bench: partitioner runtime, multilevel ns/pin", micro::partitioners),
-    ("refinement", "micro-bench: greedy vs KL vs FM refinement", micro::refinement),
-    ("coarsening", "micro-bench: fanout vs heavy-edge vs random coarsening", micro::coarsening),
-    ("kernel", "micro-bench: single kernel runs (cancellation, checkpoints)", micro::kernel),
-    ("detcheck", "print every deterministic observable (see detcheck.golden)", detcheck::detcheck),
-];
-
-fn usage() -> String {
-    let mut text = String::from("usage: pls-bench <subcommand> [flags]\n\nsubcommands:\n");
-    for (name, help, _) in COMMANDS {
-        text.push_str(&format!("  {name:<13} {help}\n"));
-    }
-    text
-}
-
-/// Run `pls-bench` on its command-line arguments (program name stripped).
-/// No or an unknown subcommand prints the usage to stderr and fails with
-/// exit code 2.
-pub fn run(args: &[String]) -> ExitCode {
-    let name = args.first().map(String::as_str);
-    if name == Some("--help") {
-        print!("{}", usage());
-        return ExitCode::SUCCESS;
-    }
-    let Some((_, _, command)) = COMMANDS.iter().find(|c| Some(c.0) == name) else {
-        if let Some(bad) = name {
-            eprintln!("unknown subcommand `{bad}`");
-        }
-        eprint!("{}", usage());
-        return ExitCode::from(2);
-    };
-    command(&args[1..]);
-    ExitCode::SUCCESS
-}
+use pls_timewarp::{KernelStats, VTime};
 
 /// Strategy display order of the paper's Table 2 columns.
 pub const STRATEGY_ORDER: [&str; 6] =
@@ -161,21 +96,13 @@ impl Grid {
         grid
     }
 
-    /// The simulation configuration in force.
-    pub fn config(&self) -> &SimConfig {
-        &self.cfg
-    }
-
     fn circuit(&mut self, name: &str) -> usize {
         if let Some(i) = self.circuits.iter().position(|(n, _)| n.name() == name) {
             return i;
         }
-        let synth = match name {
-            "s5378" => IscasSynth::s5378(),
-            "s9234" => IscasSynth::s9234(),
-            "s15850" => IscasSynth::s15850(),
-            other => panic!("unknown paper circuit `{other}`"),
-        };
+        let synth = IscasSynth::by_name(name).unwrap_or_else(|| {
+            panic!("unknown paper circuit `{name}` (valid: {})", PAPER_CIRCUITS.join(", "))
+        });
         let netlist = synth.build();
         let graph = CircuitGraph::from_netlist(&netlist);
         self.circuits.push((netlist, graph));
@@ -194,26 +121,6 @@ impl Grid {
         m
     }
 
-    /// Run one cell, with the [`TimeSeries`] probe attached when a bucket
-    /// width is given.
-    fn run_cell(
-        &mut self,
-        circuit: &str,
-        strategy: &str,
-        nodes: usize,
-        bucket: Option<u64>,
-    ) -> RunMetrics {
-        let ix = self.circuit(circuit);
-        let part = pls_partition::partitioner_by_name(strategy)
-            .unwrap_or_else(|| panic!("unknown strategy `{strategy}`"));
-        let (netlist, graph) = &self.circuits[ix];
-        let mut cell = Cell::new(netlist, graph, &self.cfg).nodes(nodes);
-        if let Some(width) = bucket {
-            cell = cell.record(width);
-        }
-        cell.run(part.as_ref())
-    }
-
     /// One grid cell, from cache or by running it.
     pub fn cell(&mut self, circuit: &str, strategy: &str, nodes: usize) -> RunMetrics {
         let key = (circuit.to_string(), strategy.to_string(), nodes);
@@ -221,31 +128,14 @@ impl Grid {
             return m.clone();
         }
         eprintln!("  running {circuit} / {strategy} / {nodes} nodes …");
-        let m = self.run_cell(circuit, strategy, nodes, None);
+        let ix = self.circuit(circuit);
+        let part = pls_partition::partitioner_by_name(strategy)
+            .unwrap_or_else(|| panic!("unknown strategy `{strategy}`"));
+        let (netlist, graph) = &self.circuits[ix];
+        let m = Cell::new(netlist, graph, &self.cfg).nodes(nodes).run(part.as_ref());
         self.cells.insert(key, m.clone());
         self.save_cache();
         m
-    }
-
-    /// Re-run one cell with the [`TimeSeries`] probe attached and return
-    /// the per-virtual-time-bucket telemetry, or `None` when the run dies
-    /// out of memory. Not cached (the CSV cache holds aggregates only);
-    /// intended for the figures' `--trace` mode, which dumps a handful of
-    /// series.
-    pub fn trace_cell(
-        &mut self,
-        circuit: &str,
-        strategy: &str,
-        nodes: usize,
-        bucket_width: u64,
-    ) -> Option<TimeSeries> {
-        eprintln!("  tracing {circuit} / {strategy} / {nodes} nodes …");
-        self.run_cell(circuit, strategy, nodes, Some(bucket_width)).telemetry
-    }
-
-    /// Directory the cache (and any trace exports) live in.
-    pub fn experiments_dir(&self) -> PathBuf {
-        self.cache_path.parent().expect("cache has a parent dir").to_path_buf()
     }
 
     /// Run (or load) every cell of the full grid: all circuits × all

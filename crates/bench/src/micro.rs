@@ -45,7 +45,7 @@ fn timed_per_pin<T>(label: &str, samples: usize, g: &CircuitGraph, mut f: impl F
 /// runtime should scale with circuit size like the trivially-linear
 /// Random partitioner does, across the three paper benchmarks, and its
 /// cost per pin should stay flat from 1k to 100k gates.
-pub fn partitioners(_args: &[String]) {
+pub fn partitioners() {
     for synth in IscasSynth::paper_suite() {
         let graph = CircuitGraph::from_netlist(&synth.build());
         for strategy in all_partitioners() {
@@ -84,7 +84,7 @@ type Refiner<'a> = &'a dyn Fn(&mut Partitioning, bool);
 /// refinement algorithms (e.g., Kernighan-Lin and Fiduccia-Mattheyses)".
 /// Reproduces that comparison from the same random start: the cut each
 /// refiner achieves (stderr, once) and its wall time.
-pub fn refinement(_args: &[String]) {
+pub fn refinement() {
     let (_, g) = s9234();
     let start = RandomPartitioner.partition(&g, 8, 0);
     let refiners: [(&str, Refiner); 3] = [
@@ -122,7 +122,7 @@ pub fn refinement(_args: &[String]) {
 /// with heavy-edge matching \[12\] and random matching \[8\]: the final cut
 /// and the simulated concurrency each scheme's partition achieves (stderr,
 /// once) and the pipeline's wall time.
-pub fn coarsening(_args: &[String]) {
+pub fn coarsening() {
     let (_, g) = s9234();
     for (name, scheme) in [
         ("fanout", CoarsenScheme::Fanout),
@@ -149,7 +149,7 @@ pub fn coarsening(_args: &[String]) {
 /// interval sensitivity (WARPED's periodic state saving, one of the design
 /// choices DESIGN.md calls out). The tracked hot-path suite itself is
 /// `bench_kernel`.
-pub fn kernel(_args: &[String]) {
+pub fn kernel() {
     let gates = GateSetup::synthetic(false);
     let app = gates.config(ExecModel::GatePerLp, None).build_app(&gates.netlist);
     let platform = Backend::Platform { assignment: &gates.part.assignment, nodes: 4 };

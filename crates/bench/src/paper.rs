@@ -11,8 +11,8 @@ use crate::{
 
 /// Run the full experiment grid (every cell behind Table 2 and Figures
 /// 4–6) and leave the results in `target/experiments/grid.csv`; the
-/// table/figure subcommands then render instantly from the cache.
-pub fn all(_args: &[String]) {
+/// table/figure entry points then render instantly from the cache.
+pub fn all() {
     let t0 = std::time::Instant::now();
     let mut grid = Grid::open();
     for c in PAPER_CIRCUITS {
@@ -21,13 +21,13 @@ pub fn all(_args: &[String]) {
     }
     let rows = grid.run_all();
     eprintln!("grid complete: {} cells in {:?}", rows.len(), t0.elapsed());
-    eprintln!("render with: cargo run --release -p pls-bench -- table2 (fig4, fig5, fig6)");
+    eprintln!("render with: parlogsim table2 (fig4, fig5, fig6)");
 }
 
 /// The paper's **Table 1** — characteristics of the benchmark circuits
 /// (inputs / gates / outputs), plus the extra structural statistics our
 /// synthetic substitutes are matched on.
-pub fn table1(_args: &[String]) {
+pub fn table1() {
     println!("Table 1. Characteristics of benchmarks");
     println!("{:<10} {:>6} {:>6} {:>7}", "Circuit", "Inputs", "Gates", "Outputs");
     let stats: Vec<CircuitStats> = paper_circuits().iter().map(CircuitStats::of).collect();
@@ -55,7 +55,7 @@ pub fn table1(_args: &[String]) {
 /// The paper omitted the s15850 2-node cell because those runs exhausted
 /// the 128 MB workstations; our virtual nodes have no such limit, so the
 /// cell is reported with a footnote.
-pub fn table2(_args: &[String]) {
+pub fn table2() {
     let mut grid = Grid::open();
     println!("Table 2. Simulation time (modeled secs) per partitioning algorithm");
     println!(
@@ -102,8 +102,6 @@ pub fn table2(_args: &[String]) {
 /// One of the paper's s9234 figures: a metric of every strategy's cell
 /// over the node counts.
 pub struct Figure {
-    /// Subcommand name and `--trace` file prefix.
-    name: &'static str,
     /// Title and y-axis label of the ASCII rendering.
     title: &'static str,
     ylabel: &'static str,
@@ -119,7 +117,6 @@ pub struct Figure {
 /// messages, **Figure 6** — total rollbacks, each vs number of nodes.
 pub const FIGURES: [Figure; 3] = [
     Figure {
-        name: "fig4",
         title: "Figure 4. s9234 Execution Times",
         ylabel: "Execution Time - secs",
         heading: "Figure 4 — s9234 execution time (modeled secs) vs nodes",
@@ -128,7 +125,6 @@ pub const FIGURES: [Figure; 3] = [
         metric: |m| m.exec_time_s,
     },
     Figure {
-        name: "fig5",
         title: "Figure 5. Messaging statistics for s9234 model",
         ylabel: "Number of Application Messages",
         heading: "Figure 5 — s9234 application messages vs nodes",
@@ -137,7 +133,6 @@ pub const FIGURES: [Figure; 3] = [
         metric: |m| m.stats.app_messages as f64,
     },
     Figure {
-        name: "fig6",
         title: "Figure 6. Rollback behaviour of s9234",
         ylabel: "Total Number of Rollbacks",
         heading: "Figure 6 — s9234 total rollbacks vs nodes",
@@ -148,7 +143,8 @@ pub const FIGURES: [Figure; 3] = [
 ];
 
 /// Render one figure as an ASCII series table.
-pub fn figure(fig: &Figure, grid: &mut Grid) {
+pub fn figure(fig: &Figure) {
+    let mut grid = Grid::open();
     let mut series = Vec::new();
     if fig.sequential_line {
         let seq = grid.sequential("s9234").exec_time_s;
@@ -159,30 +155,6 @@ pub fn figure(fig: &Figure, grid: &mut Grid) {
         series.push((s.to_string(), vals));
     }
     print!("{}", render_series(fig.title, fig.ylabel, &FIGURE_NODES, &series));
-}
-
-/// [`figure`], and with `--trace` additionally re-run the 8-node cell of
-/// every strategy with the telemetry probe attached and write one JSONL
-/// time series per strategy under `target/experiments/` — showing *when*
-/// in virtual time the traffic or the rollbacks cluster, not just their
-/// total.
-pub fn traced_figure(fig: &Figure, args: &[String]) {
-    let mut grid = Grid::open();
-    figure(fig, &mut grid);
-    if !args.iter().any(|a| a == "--trace") {
-        return;
-    }
-    let bucket = grid.config().end_time / 20;
-    let dir = grid.experiments_dir();
-    for s in STRATEGY_ORDER {
-        let Some(ts) = grid.trace_cell("s9234", s, 8, bucket) else {
-            eprintln!("  {s}: out of memory, no series");
-            continue;
-        };
-        let path = dir.join(format!("{}_{}_s9234_8n.jsonl", fig.name, s.to_lowercase()));
-        std::fs::write(&path, ts.to_jsonl()).expect("write trace");
-        eprintln!("  wrote {} buckets to {}", ts.len(), path.display());
-    }
 }
 
 /// One circuit's block of the paper's Table 2: per node count, the six
@@ -229,7 +201,7 @@ const PAPER_TABLE2: [(&str, f64, PaperRows); 3] = [
 /// table and figure, measured from the grid cache, formatted next to the
 /// paper's published values where the paper gives them numerically
 /// (Table 2); figures are compared by shape.
-pub fn report(_args: &[String]) {
+pub fn report() {
     let mut grid = Grid::open();
 
     println!("## Table 1 — benchmark characteristics\n");

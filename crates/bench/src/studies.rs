@@ -17,7 +17,7 @@ use crate::{paper_sim_config, s9234};
 /// effect the paper's conclusions anticipate when it calls the multilevel
 /// heuristic's balance between concurrency and communication an
 /// "equilibrium" for its platform.
-pub fn sensitivity(_args: &[String]) {
+pub fn sensitivity() {
     let (netlist, graph) = s9234();
 
     for (label, cost) in [
@@ -64,7 +64,7 @@ const SEEDS: [u64; 5] = [0xCAFE, 0xBEEF, 0xF00D, 0x5EED, 0xD1CE];
 /// five different input-vector seeds and report mean and spread per
 /// strategy, showing which conclusions are robust to the workload draw
 /// (all of them, it turns out).
-pub fn replicate(_args: &[String]) {
+pub fn replicate() {
     let (netlist, graph) = s9234();
     let nodes = 8;
     let cfgs = SEEDS.map(|seed| {
@@ -124,7 +124,7 @@ fn block(n: usize, parts: usize) -> Vec<u32> {
 
 /// Static vs dynamic load balancing on the rotating-hotspot workload —
 /// the experiment behind the "static vs dynamic partitioning" appendix
-/// in `EXPERIMENTS.md` (`--smoke` shrinks it).
+/// in `EXPERIMENTS.md` (`smoke` shrinks it).
 ///
 /// Four configurations of the exact same workload:
 ///
@@ -139,8 +139,7 @@ fn block(n: usize, parts: usize) -> Vec<u32> {
 /// clock), rollbacks, remote messages, migrations, and host ns per
 /// *committed* event (committed, not processed: the useful work is the
 /// same across all four, the wasted work is not).
-pub fn dynlb(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
+pub fn dynlb(smoke: bool) {
     let samples = if smoke { 3 } else { 7 };
     let (model, pcfg, lb) = hotspot_setup(smoke);
     eprintln!(

@@ -23,9 +23,7 @@
 //!   lock/channel protocol analysis ([`crate::concurrency`]),
 //!   [`RuleId::D010`] GVT phase discipline over `// detlint: phase(...)`
 //!   annotations ([`crate::phase`]), and [`RuleId::D011`] interprocedural
-//!   nondeterminism-taint dataflow ([`crate::dataflow`]);
-//! * a [self-test](crate::selftest) (`--self-test`) that re-injects
-//!   seeded bug shapes and fails unless the rules catch them.
+//!   nondeterminism-taint dataflow ([`crate::dataflow`]).
 //!
 //! Each rule is one row of [`rules::RULES`]. See `docs/LINTS.md` for the
 //! rule catalog and waiver syntax.
@@ -41,7 +39,6 @@ pub mod lexer;
 pub mod parser;
 pub mod phase;
 pub mod rules;
-pub mod selftest;
 pub mod structural;
 
 pub use engine::{
@@ -49,4 +46,3 @@ pub use engine::{
     Finding, Report, KERNEL_CRATES,
 };
 pub use rules::RuleId;
-pub use selftest::run_self_test;

@@ -2,23 +2,20 @@
 //!
 //! ```text
 //! pls-detlint --workspace [--root PATH] [--json]  # static determinism lint
-//! pls-detlint --self-test                         # seeded-bug lint self-test
 //! ```
 //!
 //! Exit status contract (relied on by `scripts/check.sh` and CI): 0
-//! means clean; 1 means rule violations (or a failed self-test); 2 means
+//! means clean; 1 means rule violations; 2 means
 //! the tool itself could not do its job — bad usage, I/O failure, or a
 //! structural parse error that leaves the call graph incomplete.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use pls_detlint::{analyze_workspace, run_self_test, to_json, to_text};
+use pls_detlint::{analyze_workspace, to_json, to_text};
 
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: pls-detlint --workspace [--root PATH] [--json]\n       pls-detlint --self-test"
-    );
+    eprintln!("usage: pls-detlint --workspace [--root PATH] [--json]");
     ExitCode::from(2)
 }
 
@@ -31,11 +28,6 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--workspace" => workspace = true,
             "--json" => json = true,
-            "--self-test" => {
-                let (ok, transcript) = run_self_test();
-                print!("{transcript}");
-                return if ok { ExitCode::SUCCESS } else { ExitCode::FAILURE };
-            }
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage(),

@@ -217,10 +217,11 @@ fn rustc_and_clippy_still_check_the_retired_rules() {
     }
 }
 
-/// The command line takes `--workspace [--root PATH] [--json]` or
-/// `--self-test` and nothing else: the retired `mc` subcommand and the
-/// `--sarif` / `--changed` flags are usage errors, so a stale script
-/// fails loudly instead of running something else.
+/// The command line takes `--workspace [--root PATH] [--json]` and
+/// nothing else: the retired `mc` subcommand, `--self-test` (the fixture
+/// tests cover its seeded bug shapes) and the `--sarif` / `--changed`
+/// flags are usage errors, so a stale script fails loudly instead of
+/// running something else.
 #[test]
 fn retired_subcommand_and_flags_are_usage_errors() {
     let run = |args: &[&str]| {
@@ -229,10 +230,9 @@ fn retired_subcommand_and_flags_are_usage_errors() {
             .output()
             .expect("pls-detlint runs")
     };
-    let out = run(&["--self-test"]);
-    assert_eq!(out.status.code(), Some(0), "{}", String::from_utf8_lossy(&out.stdout));
     for args in [
         &["mc"][..],
+        &["--self-test"],
         &["mc", "--self-test"],
         &["--workspace", "--sarif"],
         &["--workspace", "--changed"],

@@ -1,6 +1,6 @@
 //! D011 positive fixture: nondeterministic values flowing into
 //! determinism-critical sinks — directly, through a float cast, and
-//! through a helper's return value.
+//! through a helper's return value (an address, and host time).
 
 pub fn skewed(sink: &mut EventSink) {
     let skew = std::env::var("PLS_SKEW").unwrap().parse().unwrap();
@@ -21,6 +21,15 @@ fn keyed(seed: u64) -> u64 {
 pub fn addressed(sink: &mut EventSink) {
     let k = keyed(7);
     sink.schedule(3, k, 0);
+}
+
+fn jitter_ns() -> u64 {
+    Instant::now().elapsed().as_nanos() as u64
+}
+
+pub fn jittered(sink: &mut EventSink) {
+    let d = jitter_ns();
+    sink.schedule(4, d, 0);
 }
 
 impl EventSink {

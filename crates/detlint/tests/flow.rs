@@ -71,7 +71,7 @@ fn d010_negative_fixture_is_clean() {
 }
 
 #[test]
-fn d011_positive_fixture_fires_on_all_three_flows() {
+fn d011_positive_fixture_fires_on_all_four_flows() {
     let r = run_fixture(include_str!("fixtures/d011_bad.rs"));
     let v = messages(&r, RuleId::D011);
     assert!(
@@ -85,6 +85,10 @@ fn d011_positive_fixture_fires_on_all_three_flows() {
     assert!(
         v.iter().any(|(l, m)| *l == 23 && m.contains("address")),
         "address taint through the helper return (line 23): {v:?}"
+    );
+    assert!(
+        v.iter().any(|(l, m)| *l == 32 && m.contains("host-time")),
+        "host time through the helper return (line 32): {v:?}"
     );
 }
 

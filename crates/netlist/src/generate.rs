@@ -75,6 +75,12 @@ impl IscasSynth {
         vec![IscasSynth::s5378(), IscasSynth::s9234(), IscasSynth::s15850()]
     }
 
+    /// The [`paper_suite`](Self::paper_suite) profile called `name`
+    /// (`s5378`, `s9234` or `s15850`), if there is one.
+    pub fn by_name(name: &str) -> Option<IscasSynth> {
+        IscasSynth::paper_suite().into_iter().find(|s| s.name == name)
+    }
+
     /// A small circuit profile for tests: `inputs ≈ gates/20`, a handful of
     /// DFFs, shallow. Deterministic for a given `(gates, seed)`.
     pub fn small(gates: usize, seed: u64) -> Self {
@@ -427,16 +433,16 @@ mod tests {
 
     #[test]
     fn table1_characteristics_match_exactly() {
-        for (synth, ins, gates, outs) in [
-            (IscasSynth::s5378(), 35, 2779, 49),
-            (IscasSynth::s9234(), 36, 5597, 39),
-            (IscasSynth::s15850(), 77, 10383, 150),
-        ] {
-            let n = synth.build();
+        for (name, ins, gates, outs) in
+            [("s5378", 35, 2779, 49), ("s9234", 36, 5597, 39), ("s15850", 77, 10383, 150)]
+        {
+            let n = IscasSynth::by_name(name).expect("a paper circuit").build();
+            assert_eq!(n.name(), name);
             assert_eq!(n.inputs().len(), ins, "{}", n.name());
             assert_eq!(n.num_logic_gates() - n.dffs().len(), gates, "{}", n.name());
             assert_eq!(n.outputs().len(), outs, "{}", n.name());
         }
+        assert!(IscasSynth::by_name("s27").is_none());
     }
 
     #[test]

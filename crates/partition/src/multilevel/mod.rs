@@ -21,7 +21,7 @@
 //! square of a net's size — and the number of levels is bounded
 //! (`max_levels`), which is what makes this the "fast linear time
 //! heuristic" of Section 1: measured at ~0.6–1.0 µs per pin from 1k to
-//! 100k gates (`cargo bench --bench partitioners`, `multilevel_scaling`).
+//! 100k gates (`parlogsim partitioners`, the `multilevel_scaling` rows).
 
 pub mod coarsen;
 pub mod initial;

@@ -462,9 +462,9 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
                 batches_since_gvt = 0;
                 gvt = self.gvt_round()?;
                 let seen = self.core.commit(gvt, &mut self.probe);
-                let (states_held, pending) = (seen.held_before, seen.pending);
+                let (states_held, pending) = (seen.held, seen.pending);
                 let stats = &mut self.probe.a;
-                stats.state_queue_high_water = stats.state_queue_high_water.max(states_held);
+                stats.state_queue_high_water = stats.state_queue_high_water.max(seen.held_before);
                 let wall_ns = started.elapsed().as_nanos() as u64;
                 self.probe.on(ProbeEvent::GvtAdvanced { gvt, states_held, pending, wall_ns });
 
@@ -597,6 +597,8 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
     use crate::phold::Phold;
     use crate::sim::{Backend, Simulator};
@@ -686,6 +688,41 @@ mod tests {
         let seq = Simulator::new(&app).run(Backend::Sequential).unwrap();
         let res = threaded(&app, &round_robin(8, 2), 2, &KernelConfig::default());
         assert_eq!(res.states, seq.states, "threaded must commit the same history");
+    }
+
+    /// A GVT round reports the checkpoints held after its commit, as on
+    /// the platform. After the final commit at ∞ every LP keeps exactly
+    /// one, so each cluster's ∞ round reports its resident LP count.
+    #[test]
+    fn final_round_reports_one_checkpoint_per_resident_lp() {
+        #[derive(Default)]
+        struct FinalHeld(Arc<Mutex<Vec<u64>>>);
+        impl Probe for FinalHeld {
+            fn on(&mut self, event: ProbeEvent) {
+                if let ProbeEvent::GvtAdvanced { gvt, states_held, .. } = event {
+                    if gvt.is_inf() {
+                        self.0.lock().unwrap().push(states_held);
+                    }
+                }
+            }
+            fn fork(&mut self) -> FinalHeld {
+                FinalHeld(Arc::clone(&self.0))
+            }
+            fn join(&mut self, _child: FinalHeld) {}
+        }
+
+        let app = Ring { n: 8, hops: 30 };
+        let held = FinalHeld::default();
+        let seen = Arc::clone(&held.0);
+        let assignment = [0, 0, 0, 0, 0, 1, 1, 1];
+        let res = Simulator::new(&app)
+            .probe(held)
+            .run(Backend::Threaded { assignment: &assignment, clusters: 2 })
+            .unwrap();
+        let mut seen = seen.lock().unwrap().clone();
+        seen.sort_unstable();
+        assert_eq!(seen, [3, 5], "one ∞ round per cluster, one checkpoint per LP");
+        assert!(res.stats.state_queue_high_water >= 5, "the high water is taken before a commit");
     }
 
     #[test]

@@ -34,16 +34,15 @@ done
 # item fails here instead of rotting.
 RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps
 
-# Determinism static analysis — see docs/LINTS.md. First prove the
-# linter itself still catches the seeded bug shapes (a lint that stops
-# firing passes forever), then require the workspace (kernel crates plus
-# tests/examples/CLI under the flow-aware rules) to be violation-free,
+# Determinism static analysis — see docs/LINTS.md. The fixture tests that
+# `cargo test` ran above prove every rule still fires (a lint that stops
+# firing passes forever); here the workspace (kernel crates plus
+# tests/examples/CLI under the flow-aware rules) must be violation-free,
 # every waiver carrying a written reason. The workspace run is timed:
 # the gate only stays on every commit if it stays fast, so a fixpoint
 # regression that balloons the dataflow pass is itself a failure. (The
 # protocol model's explored state spaces are pinned by
 # crates/timewarp/tests/modelcheck.rs, which `cargo test` ran above.)
-run cargo run -q -p pls-detlint -- --self-test
 echo
 echo "==> pls-detlint --workspace (timed)"
 detlint_start=$(date +%s)
@@ -85,15 +84,15 @@ if [[ "$FAST" -eq 0 ]]; then
   # BENCH_kernel.json (refresh with `bench_kernel --set-baseline`); the
   # smoke suite's counts and modeled seconds are gated exactly by the
   # detcheck golden below.
-  run cargo run --release -p pls-bench -- bench_kernel --smoke
+  run ./target/release/parlogsim bench_kernel --smoke
 
   # Determinism gate: every observable detcheck prints (stats, states,
   # modeled clocks, telemetry) must match the committed golden byte for
   # byte. Refresh the golden deliberately after a behavior-changing PR:
-  #   cargo run --release -p pls-bench -- detcheck > crates/bench/src/detcheck.golden
+  #   target/release/parlogsim detcheck > crates/bench/src/detcheck.golden
   echo
   echo "==> detcheck vs golden"
-  cargo run --release -q -p pls-bench -- detcheck \
+  ./target/release/parlogsim detcheck \
     | diff -u crates/bench/src/detcheck.golden - \
     || { echo "detcheck drifted from crates/bench/src/detcheck.golden"; exit 1; }
 

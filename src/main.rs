@@ -1,11 +1,13 @@
 //! `parlogsim` — command-line front end for the parallel logic simulation
 //! stack: inspect circuits, generate synthetic benchmarks, partition,
-//! simulate, and dump waveforms.
+//! simulate and dump waveforms, and regenerate every table, figure, study
+//! and benchmark of the evaluation (the `pls-bench` library).
 
 use std::process::exit;
 
 use parlogsim::gatesim::{write_vcd, WaveRecorder};
 use parlogsim::prelude::*;
+use pls_bench::{bench_kernel, detcheck, micro, paper, studies};
 
 /// `print!` that exits quietly when stdout closes early (`… | head`):
 /// a CLI should end the pipeline, not panic on EPIPE.
@@ -68,15 +70,31 @@ const FAULTS: Flag = (
      move",
 );
 const FAULT_SEED: Flag = ("--fault-seed", Takes::Number("N"), "seed of the fault plan (default 0)");
+const SMOKE: Flag = (
+    "--smoke",
+    Takes::Nothing,
+    "reduced sizes (bench_kernel: print the JSON, leave\n\
+     BENCH_kernel.json alone)",
+);
+const ONLY: Flag = (
+    "--only",
+    Takes::Text("PREFIX"),
+    "run only the scenarios whose name starts with PREFIX;\n\
+     print the JSON, leave BENCH_kernel.json alone",
+);
+const SET_BASELINE: Flag =
+    ("--set-baseline", Takes::Nothing, "also record the medians as BENCH_kernel.json's baseline");
 
 /// One subcommand: its name, the placeholder of its one positional
-/// argument, one line of help, the flags it accepts and its entry point.
+/// argument (empty: it takes none), one line of help, the flags it accepts
+/// and its entry point.
 type Command = (&'static str, &'static str, &'static str, &'static [Flag], fn(&Args));
 
 /// Every subcommand. The usage text and the whole of argument checking —
 /// which word is the positional, unknown flags, missing and non-numeric
-/// values — come from this table.
-const COMMANDS: [Command; 8] = [
+/// values — come from this table. The rows after `dot` run the evaluation:
+/// tables and figures render from the cached grid of `all`.
+const COMMANDS: [Command; 24] = [
     ("stats", "<circuit>", "circuit characteristics (Table 1 row)", &[], cmd_stats),
     (
         "generate",
@@ -109,6 +127,52 @@ const COMMANDS: [Command; 8] = [
     ("vcd", "<circuit>", "dump primary-output waveform as VCD", &[OUT, END], cmd_vcd),
     ("hotspots", "<circuit>", "per-gate rollback/load hotspots", &[K, STRATEGY, END], cmd_hotspots),
     ("dot", "<circuit>", "Graphviz view with partition colours", &[K, STRATEGY, OUT], cmd_dot),
+    ("all", "", "run the full experiment grid into target/experiments/grid.csv", &[], |_| {
+        paper::all()
+    }),
+    ("table1", "", "Table 1: benchmark characteristics", &[], |_| paper::table1()),
+    ("table2", "", "Table 2: simulation time per partitioning strategy", &[], |_| paper::table2()),
+    ("fig4", "", "Figure 4: s9234 execution time vs nodes", &[], |_| {
+        paper::figure(&paper::FIGURES[0])
+    }),
+    ("fig5", "", "Figure 5: s9234 application messages vs nodes", &[], |_| {
+        paper::figure(&paper::FIGURES[1])
+    }),
+    ("fig6", "", "Figure 6: s9234 rollbacks vs nodes", &[], |_| paper::figure(&paper::FIGURES[2])),
+    ("report", "", "paper-vs-measured markdown of every table and figure", &[], |_| {
+        paper::report()
+    }),
+    ("sensitivity", "", "cost-model study: paper platform vs modern cluster", &[], |_| {
+        studies::sensitivity()
+    }),
+    ("replicate", "", "the s9234 column of Table 2 under five stimulus seeds", &[], |_| {
+        studies::replicate()
+    }),
+    ("dynlb", "", "static vs dynamic load balancing on a rotating hotspot", &[SMOKE], |args| {
+        studies::dynlb(args.has(&SMOKE))
+    }),
+    (
+        "bench_kernel",
+        "",
+        "kernel scenario suite -> BENCH_kernel.json",
+        &[SMOKE, ONLY, SET_BASELINE],
+        |args| {
+            bench_kernel::bench_kernel(args.has(&SMOKE), args.has(&SET_BASELINE), args.text(&ONLY))
+        },
+    ),
+    ("partitioners", "", "micro-bench: partitioner runtime, multilevel ns/pin", &[], |_| {
+        micro::partitioners()
+    }),
+    ("refinement", "", "micro-bench: greedy vs KL vs FM refinement", &[], |_| micro::refinement()),
+    ("coarsening", "", "micro-bench: fanout vs heavy-edge vs random coarsening", &[], |_| {
+        micro::coarsening()
+    }),
+    ("kernel", "", "micro-bench: single kernel runs (cancellation, checkpoints)", &[], |_| {
+        micro::kernel()
+    }),
+    ("detcheck", "", "print every deterministic observable (see detcheck.golden)", &[], |_| {
+        detcheck::detcheck()
+    }),
 ];
 
 /// A flag as the usage text shows it: `-k K`, `--dynlb`.
@@ -121,7 +185,7 @@ fn shown(&(name, takes, _): &Flag) -> String {
 
 /// Synopsis and help line of one subcommand.
 fn usage_of(&(name, positional, help, flags, _): &Command) -> String {
-    let mut text = format!("  parlogsim {name} {positional}");
+    let mut text = format!("  parlogsim {name} {positional}").trim_end().to_string();
     let mut width = text.len();
     for f in flags {
         let word = format!(" [{}]", shown(f));
@@ -195,10 +259,10 @@ struct Args<'a> {
 }
 
 impl<'a> Args<'a> {
-    /// Check `rest` against `cmd`'s row: exactly one positional, only the
-    /// row's flags, each at most once, each value present and — for
-    /// [`Takes::Number`] — numeric. Anything else names the offender on
-    /// stderr and exits with code 2.
+    /// Check `rest` against `cmd`'s row: exactly one positional (none if
+    /// the row has no placeholder), only the row's flags, each at most
+    /// once, each value present and — for [`Takes::Number`] — numeric.
+    /// Anything else names the offender on stderr and exits with code 2.
     fn parse(cmd: &'static Command, rest: &'a [String]) -> Args<'a> {
         let fail = |msg: String| -> ! {
             eprintln!("{msg}\n\nUSAGE:\n{}", usage_of(cmd));
@@ -210,7 +274,7 @@ impl<'a> Args<'a> {
         let mut words = rest.iter();
         while let Some(word) = words.next() {
             if !word.starts_with('-') {
-                if positional.replace(word.as_str()).is_some() {
+                if placeholder.is_empty() || positional.replace(word.as_str()).is_some() {
                     fail(format!("unexpected argument `{word}`"));
                 }
                 continue;
@@ -233,8 +297,10 @@ impl<'a> Args<'a> {
             }
             given.push((name, value));
         }
-        let Some(positional) = positional else {
-            fail(format!("missing {placeholder} argument"));
+        let positional = match positional {
+            Some(word) => word,
+            None if placeholder.is_empty() => "",
+            None => fail(format!("missing {placeholder} argument")),
         };
         Args { flags, positional, given }
     }
@@ -307,10 +373,10 @@ fn load_circuit(spec: &str) -> Netlist {
     match spec {
         "s27" => return parlogsim::netlist::data::s27(),
         "c17" => return parlogsim::netlist::data::c17(),
-        "s5378" => return IscasSynth::s5378().build(),
-        "s9234" => return IscasSynth::s9234().build(),
-        "s15850" => return IscasSynth::s15850().build(),
         _ => {}
+    }
+    if let Some(synth) = IscasSynth::by_name(spec) {
+        return synth.build();
     }
     if let Some(n) = spec.strip_prefix("synth:") {
         let gates: usize = n.parse().unwrap_or_else(|_| {
@@ -356,12 +422,10 @@ fn cmd_stats(args: &Args) {
 }
 
 fn cmd_generate(args: &Args) {
-    let netlist = match args.positional {
-        "s5378" => IscasSynth::s5378().build(),
-        "s9234" => IscasSynth::s9234().build(),
-        "s15850" => IscasSynth::s15850().build(),
-        "clocktree" => ClockTreeSynth::platform_demo().build(),
-        n => match n.parse::<usize>() {
+    let netlist = match (args.positional, IscasSynth::by_name(args.positional)) {
+        (_, Some(synth)) => synth.build(),
+        ("clocktree", None) => ClockTreeSynth::platform_demo().build(),
+        (n, None) => match n.parse::<usize>() {
             Ok(gates) if gates >= 1 => IscasSynth::small(gates, 1).build(),
             _ => {
                 eprintln!(

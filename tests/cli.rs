@@ -1,6 +1,40 @@
 //! Integration tests for the `parlogsim` command-line binary.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+/// Every subcommand, in table order, with a positional it accepts (empty
+/// for the rows that take none).
+const ROWS: [(&str, &str); 24] = [
+    ("stats", "s27"),
+    ("generate", "50"),
+    ("partition", "s27"),
+    ("simulate", "s27"),
+    ("trace", "s27"),
+    ("vcd", "s27"),
+    ("hotspots", "s27"),
+    ("dot", "s27"),
+    ("all", ""),
+    ("table1", ""),
+    ("table2", ""),
+    ("fig4", ""),
+    ("fig5", ""),
+    ("fig6", ""),
+    ("report", ""),
+    ("sensitivity", ""),
+    ("replicate", ""),
+    ("dynlb", ""),
+    ("bench_kernel", ""),
+    ("partitioners", ""),
+    ("refinement", ""),
+    ("coarsening", ""),
+    ("kernel", ""),
+    ("detcheck", ""),
+];
+
+fn repo_root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_parlogsim"))
@@ -20,14 +54,21 @@ fn run_ok(args: &[&str]) -> String {
 #[test]
 fn no_args_prints_usage_and_fails() {
     let out = cli().output().unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
     assert!(String::from_utf8_lossy(&out.stderr).contains("USAGE"));
 }
 
 #[test]
 fn unknown_command_fails() {
     let out = cli().arg("frobnicate").output().unwrap();
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty());
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.starts_with("unknown command `frobnicate`"), "{err}");
+    for (name, _) in ROWS {
+        assert!(err.contains(&format!("\n  parlogsim {name}")), "usage lacks {name}");
+    }
 }
 
 #[test]
@@ -194,6 +235,40 @@ fn hotspots_lists_offenders() {
 }
 
 #[test]
+fn table1_prints_the_three_paper_circuits() {
+    let out = run_ok(&["table1"]);
+    for (circuit, gates) in [("s5378", "2779"), ("s9234", "5597"), ("s15850", "10383")] {
+        let row = out.lines().find(|l| l.starts_with(circuit)).expect(circuit);
+        assert!(row.contains(gates), "{row}");
+    }
+}
+
+#[test]
+fn bench_kernel_smoke_only_prints_one_scenario_and_leaves_the_tracked_file_alone() {
+    let tracked = repo_root().join("BENCH_kernel.json");
+    let stamp =
+        |p: &PathBuf| (std::fs::read(p).unwrap(), p.metadata().unwrap().modified().unwrap());
+    let before = stamp(&tracked);
+    // `--only` takes a prefix; this one names exactly one scenario.
+    let out = run_ok(&["bench_kernel", "--smoke", "--only", "sequential_gates_compiled"]);
+    assert!(out.contains("\"schema\": \"pls-bench-kernel/2\""), "{out}");
+    assert!(out.contains("\"sequential_gates_compiled\": {"), "{out}");
+    assert_eq!(out.matches("\"median_ns_per_event\"").count(), 1, "{out}");
+    assert!(stamp(&tracked) == before, "a partial smoke run rewrote BENCH_kernel.json");
+}
+
+#[test]
+fn bench_kernel_only_with_no_match_exits_2_and_lists_the_scenarios() {
+    let out = cli().args(["bench_kernel", "--only", "nope"]).output().unwrap();
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no scenario name starts with `nope`"), "{stderr}");
+    for name in ["sequential_gates", "anti_heavy", "dynlb_hotspot_sick_node_dynamic"] {
+        assert!(stderr.contains(&format!("\n  {name}\n")), "{stderr}");
+    }
+}
+
+#[test]
 fn dot_renders_partitioned_graph() {
     let out = run_ok(&["dot", "s27", "-k", "2", "-s", "dfs"]);
     assert!(out.starts_with("digraph"));
@@ -203,23 +278,15 @@ fn dot_renders_partitioned_graph() {
 
 /// Every way to get a flag wrong is exit code 2, nothing on stdout and a
 /// first stderr line naming the flag — never a run on silent defaults.
+/// A surplus positional is refused the same way.
 #[test]
 fn bad_flags_are_rejected_by_name() {
-    let subcommands = [
-        ("stats", "s27"),
-        ("generate", "50"),
-        ("partition", "s27"),
-        ("simulate", "s27"),
-        ("trace", "s27"),
-        ("vcd", "s27"),
-        ("hotspots", "s27"),
-        ("dot", "s27"),
-    ];
-    // (arguments after the positional, the flag stderr must name)
+    // (arguments after the positional, the word stderr must name)
     let mut rows: Vec<(&str, &str, Vec<&str>, &str)> = Vec::new();
-    for (cmd, arg) in subcommands {
+    for (cmd, arg) in ROWS {
         rows.push((cmd, arg, vec!["--bogus"], "--bogus"));
         rows.push((cmd, arg, vec!["--replicat"], "--replicat"));
+        rows.push((cmd, arg, vec!["extra"], "extra"));
     }
     // A flag of another subcommand.
     rows.push(("stats", "s27", vec!["--dynlb"], "--dynlb"));
@@ -230,6 +297,10 @@ fn bad_flags_are_rejected_by_name() {
     rows.push(("vcd", "s27", vec!["-k", "2"], "-k"));
     rows.push(("hotspots", "s27", vec!["--replicate"], "--replicate"));
     rows.push(("dot", "s27", vec!["--trace", "t.jsonl"], "--trace"));
+    rows.push(("table1", "", vec!["--smoke"], "--smoke"));
+    rows.push(("dynlb", "", vec!["--only", "x"], "--only"));
+    rows.push(("bench_kernel", "", vec!["-k", "2"], "-k"));
+    rows.push(("fig5", "", vec!["--trace"], "--trace"));
     // A value flag at the end of the line.
     rows.push(("generate", "50", vec!["-o"], "-o"));
     rows.push(("partition", "s27", vec!["-k"], "-k"));
@@ -239,6 +310,7 @@ fn bad_flags_are_rejected_by_name() {
     rows.push(("vcd", "s27", vec!["--end"], "--end"));
     rows.push(("hotspots", "s27", vec!["-s"], "-s"));
     rows.push(("dot", "s27", vec!["-k", "2", "-o"], "-o"));
+    rows.push(("bench_kernel", "", vec!["--smoke", "--only"], "--only"));
     // A value that is not a number.
     for cmd in ["partition", "simulate", "trace", "hotspots", "dot"] {
         rows.push((cmd, "s27", vec!["-k", "abc"], "-k"));
@@ -260,8 +332,10 @@ fn bad_flags_are_rejected_by_name() {
     ));
 
     for (cmd, arg, flags, named) in rows {
-        let line = format!("parlogsim {cmd} {arg} {}", flags.join(" "));
-        let out = cli().arg(cmd).arg(arg).args(&flags).output().unwrap();
+        let words: Vec<&str> =
+            [cmd, arg].into_iter().filter(|w| !w.is_empty()).chain(flags).collect();
+        let line = format!("parlogsim {}", words.join(" "));
+        let out = cli().args(&words).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "`{line}`:\n{err}");
         assert!(out.stdout.is_empty(), "`{line}` printed to stdout");
@@ -317,13 +391,18 @@ fn accepted_flags() -> std::collections::BTreeMap<String, Vec<String>> {
 
 #[test]
 fn help_lists_every_subcommand_with_its_flags() {
+    let out = cli().arg("--help").output().unwrap();
+    assert_eq!(out.status.code(), Some(0));
     let accepted = accepted_flags();
     let names: Vec<&str> = accepted.keys().map(String::as_str).collect();
-    assert_eq!(
-        names,
-        ["dot", "generate", "hotspots", "partition", "simulate", "stats", "trace", "vcd"]
-    );
-    assert_eq!(accepted["stats"], Vec::<String>::new());
+    let mut rows: Vec<&str> = ROWS.iter().map(|r| r.0).collect();
+    rows.sort_unstable();
+    assert_eq!(names, rows);
+    for name in ["stats", "table1", "fig5", "detcheck"] {
+        assert_eq!(accepted[name], Vec::<String>::new(), "{name}");
+    }
+    assert_eq!(accepted["dynlb"], ["--smoke"]);
+    assert_eq!(accepted["bench_kernel"], ["--smoke", "--only", "--set-baseline"]);
     assert_eq!(accepted["vcd"], ["-o", "--end"]);
     assert_eq!(
         accepted["simulate"],
@@ -347,14 +426,29 @@ fn help_lists_every_subcommand_with_its_flags() {
 }
 
 /// Every `parlogsim <subcommand> …` command line the docs show names a
-/// subcommand that exists and only flags that subcommand accepts.
+/// subcommand that exists and only flags that subcommand accepts, and no
+/// doc still runs the retired `pls-bench` binary or `cargo bench` (the
+/// workspace has no bench target).
 #[test]
 fn the_docs_name_only_command_lines_that_exist() {
     let accepted = accepted_flags();
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut checked = 0;
-    for doc in ["README.md", "docs/TELEMETRY.md", ".claude/skills/verify/SKILL.md"] {
-        let text = std::fs::read_to_string(root.join(doc)).expect(doc);
+    for doc in [
+        "README.md",
+        "EXPERIMENTS.md",
+        "DESIGN.md",
+        "docs/TELEMETRY.md",
+        "docs/LINTS.md",
+        ".claude/skills/verify/SKILL.md",
+    ] {
+        let text = std::fs::read_to_string(repo_root().join(doc)).expect(doc);
+        for (i, line) in text.lines().enumerate() {
+            let retired = line.contains("cargo bench")
+                || line.contains("-p pls-bench")
+                || line.contains("pls-bench --")
+                || ROWS.iter().any(|(name, _)| line.contains(&format!("pls-bench {name}")));
+            assert!(!retired, "{doc}:{}: {line}", i + 1);
+        }
         for (at, _) in text.match_indices("parlogsim ") {
             // A command line starts a line (perhaps as `target/release/…`)
             // and runs to its end, or sits in backticks and runs to the
