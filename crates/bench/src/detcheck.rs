@@ -42,9 +42,10 @@ pub fn detcheck() {
         ("aggr", Cancellation::Aggressive, 1u32, None),
         ("lazy", Cancellation::Lazy, 1, None),
         ("lazy_sparse", Cancellation::Lazy, 4, None),
-        // A lossy ingress link on node 1 and a slow CPU on node 2: the one
-        // gated run in which the chaos counters move.
-        ("faulted", Cancellation::Aggressive, 1, Some("drop:1:250,slow:2:3@1ms..30ms")),
+        // A jittery ingress link on node 1 and a slow CPU on node 2: the
+        // one gated run in which the chaos counters move and deliveries
+        // reorder.
+        ("faulted", Cancellation::Aggressive, 1, Some("jitter:1:100us:50us,slow:2:3@1ms..30ms")),
     ] {
         let pcfg = PlatformConfig {
             kernel: KernelConfig { cancellation, checkpoint_interval: ckpt, ..Default::default() },

@@ -39,13 +39,12 @@ pub const PHASES: [&str; 5] = ["compute", "flush", "gvt", "migrate", "fossil"];
 
 /// Phase-restricted operations: call-site name → phases allowed to
 /// reach it. Names are matched against call sites (method or free).
-pub const OPS: [(&str, &[&str]); 6] = [
+pub const OPS: [(&str, &[&str]); 5] = [
     ("send", &["compute", "flush", "migrate"]),
     ("receive", &["compute", "flush"]),
     ("execute_next", &["compute"]),
     ("fossil_collect", &["fossil"]),
     ("evict", &["migrate"]),
-    ("arm_timer", &["compute", "gvt"]),
 ];
 
 fn allowed_phases(op: &str) -> Option<&'static [&'static str]> {

@@ -45,8 +45,7 @@ pub struct SimConfig {
     /// applies it to the built model; `None` runs unreplicated.
     pub replication: Option<ReplicationConfig>,
     /// Seeded fault injection: `Some` degrades the virtual platform per
-    /// the plan (link loss with ack/retransmit, latency spikes, node
-    /// slowdowns/pauses). Only modeled time and message counts change —
+    /// the plan (latency spikes and jitter, node slowdowns/pauses). Only modeled time and message counts change —
     /// committed gate histories stay byte-identical to the healthy run.
     /// Ignored by the sequential baseline.
     pub faults: Option<FaultPlan>,

@@ -7,50 +7,42 @@
 //! the plan itself never touches kernel state, so the same value can be
 //! reused across runs and executives.
 
-/// A transmission (or its ack) is never dropped from this attempt on:
-/// the hash-sampled loss model must not be able to starve a message
-/// forever, or a sick link could wedge GVT below the message's receive
-/// time for the rest of the run.
-pub const MAX_DROP_ATTEMPTS: u32 = 16;
+use std::fmt;
 
-/// Exponential backoff cap: the RTO stops doubling after this many
-/// attempts (so timer arithmetic cannot overflow).
-pub(crate) const MAX_BACKOFF_EXP: u32 = 10;
+/// Largest platform time a plan may name: one hour of modeled ns. It
+/// bounds every finite window edge and every per-arrival spike + jitter,
+/// so a plan can stretch a run but never push a node clock towards
+/// `u64::MAX`. Benchmark runs last milliseconds of platform time.
+pub const MAX_FAULT_NS: u64 = 3_600 * 1_000_000_000;
+
+/// Largest [`FaultKind::NodeSlow`] factor.
+pub const MAX_SLOW_FACTOR: u32 = 1_000;
+
+/// Largest `random:N` count: each sampled window is scanned on every
+/// modeled CPU charge, so the count bounds the cost of the fault model.
+pub const MAX_RANDOM_SCENARIOS: u32 = 1_000;
 
 /// What a fault window does while it is active.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The node's ingress link adds `spike_ns` to every arrival, plus a
-    /// seeded jitter sample in `0..=jitter_ns` per transmission attempt.
+    /// seeded jitter sample in `0..=jitter_ns` per transmission.
     LinkDegrade {
         /// Fixed extra latency per arrival (ns).
         spike_ns: u64,
-        /// Upper bound of the per-attempt jitter sample (ns).
+        /// Upper bound of the per-transmission jitter sample (ns).
         jitter_ns: u64,
-    },
-    /// The node's ingress link drops transmissions (and acks headed the
-    /// other way) with probability `drop_per_mille`/1000 per attempt,
-    /// decided by a seeded hash of `(wire id, attempt)`.
-    LinkLoss {
-        /// Loss probability in 0..=1000 (clamped to
-        /// [`MAX_DROP_PER_MILLE`] so retransmission always wins).
-        drop_per_mille: u32,
     },
     /// Every modeled CPU charge on the node costs `factor` times as
     /// much (transient slowdown: thermal throttling, a co-tenant, ...).
     NodeSlow {
-        /// Multiplier >= 2 (1 would be a no-op).
+        /// Multiplier in `2..=MAX_SLOW_FACTOR` (1 would be a no-op).
         factor: u32,
     },
     /// The node executes nothing during the window: any charge landing
     /// inside it is deferred to the window's end (OS stall, GC pause).
     NodePause,
 }
-
-/// Loss probabilities are clamped here: a link that drops everything
-/// would only terminate thanks to [`MAX_DROP_ATTEMPTS`], and the run
-/// would be all retransmission and no progress.
-pub const MAX_DROP_PER_MILLE: u32 = 950;
 
 /// One fault window: `kind` is active on `node` for platform times in
 /// `start_ns..end_ns`.
@@ -73,16 +65,49 @@ impl FaultScenario {
     }
 }
 
+/// The scenario as a `--faults` clause, so errors name a clause in the
+/// grammar the user wrote it in.
+impl fmt::Display for FaultScenario {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let node = self.node;
+        match self.kind {
+            FaultKind::LinkDegrade { spike_ns, jitter_ns: 0 } => {
+                write!(f, "jitter:{node}:{}", Ns(spike_ns))?;
+            }
+            FaultKind::LinkDegrade { spike_ns, jitter_ns } => {
+                write!(f, "jitter:{node}:{}:{}", Ns(spike_ns), Ns(jitter_ns))?;
+            }
+            FaultKind::NodeSlow { factor } => write!(f, "slow:{node}:{factor}")?,
+            FaultKind::NodePause => write!(f, "pause:{node}")?,
+        }
+        match (self.start_ns, self.end_ns) {
+            (0, u64::MAX) if self.kind != FaultKind::NodePause => Ok(()),
+            (start, u64::MAX) => write!(f, "@{}..", Ns(start)),
+            (start, end) => write!(f, "@{}..{}", Ns(start), Ns(end)),
+        }
+    }
+}
+
+/// A platform time in the largest unit that writes it exactly.
+struct Ns(u64);
+
+impl fmt::Display for Ns {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let units = [(1_000_000_000, "s"), (1_000_000, "ms"), (1_000, "us")];
+        match units.into_iter().find(|&(unit, _)| self.0 != 0 && self.0.is_multiple_of(unit)) {
+            Some((unit, suffix)) => write!(f, "{}{suffix}", self.0 / unit),
+            None => write!(f, "{}", self.0),
+        }
+    }
+}
+
 /// A seeded, byte-reproducible fault model: scripted scenarios plus an
-/// optional count of seed-sampled random ones, and the retransmission
-/// protocol's timing knobs.
+/// optional count of seed-sampled random ones.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
-    /// Seed for every sampled decision (drops, jitter, random
-    /// scenarios). Two runs with equal plans are byte-identical.
+    /// Seed for every sampled decision (jitter, random scenarios). Two
+    /// runs with equal plans are byte-identical.
     pub seed: u64,
-    /// Initial retransmission timeout (ns); doubles per attempt.
-    pub rto_ns: u64,
     /// Scripted fault windows.
     pub scenarios: Vec<FaultScenario>,
     /// Extra seed-sampled scenarios, materialized by the runtime once
@@ -91,29 +116,14 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan with the given seed: the ack/retransmit protocol
-    /// runs (every remote transmission is tracked and acked) but no
-    /// fault window ever opens.
+    /// An empty plan with the given seed: no fault window ever opens.
     pub fn new(seed: u64) -> FaultPlan {
-        FaultPlan {
-            seed,
-            // ~2.5x the default round trip: retransmits fire on real
-            // loss, not on ordinary congestion.
-            rto_ns: 500_000,
-            scenarios: Vec::new(),
-            random_scenarios: 0,
-        }
+        FaultPlan { seed, scenarios: Vec::new(), random_scenarios: 0 }
     }
 
     /// Add a scripted fault window.
     pub fn scenario(mut self, s: FaultScenario) -> FaultPlan {
         self.scenarios.push(s);
-        self
-    }
-
-    /// Set the initial retransmission timeout.
-    pub fn rto_ns(mut self, ns: u64) -> FaultPlan {
-        self.rto_ns = ns.max(1);
         self
     }
 
@@ -123,10 +133,45 @@ impl FaultPlan {
         self
     }
 
+    /// Whether the plan can run on `nodes` platform nodes: every scripted
+    /// window names an existing node, every finite window edge and every
+    /// spike + jitter is at most [`MAX_FAULT_NS`], every slowdown factor is
+    /// in `2..=`[`MAX_SLOW_FACTOR`], and the random count is at most
+    /// [`MAX_RANDOM_SCENARIOS`]. The error names the offending clause.
+    pub fn check(&self, nodes: usize) -> Result<(), String> {
+        if self.random_scenarios > MAX_RANDOM_SCENARIOS {
+            return Err(format!(
+                "`random:{}`: at most {MAX_RANDOM_SCENARIOS} random scenarios",
+                self.random_scenarios
+            ));
+        }
+        for s in &self.scenarios {
+            let too_late = |ns: u64| ns != u64::MAX && ns > MAX_FAULT_NS;
+            let problem = match s.kind {
+                _ if s.node as usize >= nodes => {
+                    format!("node {} does not exist (only {nodes} nodes)", s.node)
+                }
+                _ if too_late(s.start_ns) || too_late(s.end_ns) => {
+                    format!("window edges must be at most {MAX_FAULT_NS} ns (one hour)")
+                }
+                FaultKind::LinkDegrade { spike_ns, jitter_ns }
+                    if spike_ns.saturating_add(jitter_ns) > MAX_FAULT_NS =>
+                {
+                    format!("spike + jitter must be at most {MAX_FAULT_NS} ns (one hour)")
+                }
+                FaultKind::NodeSlow { factor } if !(2..=MAX_SLOW_FACTOR).contains(&factor) => {
+                    format!("slow factor must be in 2..={MAX_SLOW_FACTOR}")
+                }
+                _ => continue,
+            };
+            return Err(format!("`{s}`: {problem}"));
+        }
+        Ok(())
+    }
+
     /// Parse a CLI fault spec: comma-separated clauses, each
     ///
     /// ```text
-    /// drop:NODE:PERMILLE[@START..END]     lossy ingress link
     /// jitter:NODE:SPIKE[:JITTER][@..]     slow ingress link
     /// slow:NODE:FACTOR[@START..END]       node CPU slowdown
     /// pause:NODE@START..END               node stall window
@@ -135,7 +180,8 @@ impl FaultPlan {
     ///
     /// Times accept `ns`/`us`/`ms`/`s` suffixes (bare numbers are ns);
     /// omitting `@START..END` means the whole run, and an empty END
-    /// (`@5ms..`) means "until the run finishes".
+    /// (`@5ms..`) means "until the run finishes". Parsing checks the
+    /// grammar; [`Self::check`] checks the values against a node count.
     pub fn parse(spec: &str, seed: u64) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::new(seed);
         for clause in spec.split(',') {
@@ -160,60 +206,27 @@ impl FaultPlan {
             let node = |s: &str| -> Result<u32, String> {
                 s.parse::<u32>().map_err(|_| format!("`{clause}`: bad node `{s}`"))
             };
-            match kind_name {
-                "drop" => {
-                    let n = node(field(0, "node")?)?;
-                    let p: u32 = field(1, "per-mille")?
-                        .parse()
-                        .map_err(|_| format!("`{clause}`: bad per-mille"))?;
-                    plan.scenarios.push(FaultScenario {
-                        node: n,
-                        start_ns,
-                        end_ns,
-                        kind: FaultKind::LinkLoss { drop_per_mille: p.min(MAX_DROP_PER_MILLE) },
-                    });
-                }
+            let kind = match kind_name {
                 "jitter" => {
-                    let n = node(field(0, "node")?)?;
                     let spike =
                         parse_time(field(1, "spike")?).map_err(|e| format!("`{clause}`: {e}"))?;
                     let jit = match fields.get(2) {
                         Some(s) => parse_time(s).map_err(|e| format!("`{clause}`: {e}"))?,
                         None => 0,
                     };
-                    plan.scenarios.push(FaultScenario {
-                        node: n,
-                        start_ns,
-                        end_ns,
-                        kind: FaultKind::LinkDegrade { spike_ns: spike, jitter_ns: jit },
-                    });
+                    FaultKind::LinkDegrade { spike_ns: spike, jitter_ns: jit }
                 }
                 "slow" => {
-                    let n = node(field(0, "node")?)?;
                     let f: u32 = field(1, "factor")?
                         .parse()
                         .map_err(|_| format!("`{clause}`: bad factor"))?;
-                    if f < 2 {
-                        return Err(format!("`{clause}`: slow factor must be >= 2"));
-                    }
-                    plan.scenarios.push(FaultScenario {
-                        node: n,
-                        start_ns,
-                        end_ns,
-                        kind: FaultKind::NodeSlow { factor: f },
-                    });
+                    FaultKind::NodeSlow { factor: f }
                 }
                 "pause" => {
                     if window.is_none() {
                         return Err(format!("`{clause}`: pause needs @START..END"));
                     }
-                    let n = node(field(0, "node")?)?;
-                    plan.scenarios.push(FaultScenario {
-                        node: n,
-                        start_ns,
-                        end_ns,
-                        kind: FaultKind::NodePause,
-                    });
+                    FaultKind::NodePause
                 }
                 "random" => {
                     let n: u32 =
@@ -222,9 +235,12 @@ impl FaultPlan {
                         .random_scenarios
                         .checked_add(n)
                         .ok_or(format!("`{clause}`: random scenario count overflows"))?;
+                    continue;
                 }
                 other => return Err(format!("unknown fault kind `{other}` in `{clause}`")),
-            }
+            };
+            let node = node(field(0, "node")?)?;
+            plan.scenarios.push(FaultScenario { node, start_ns, end_ns, kind });
         }
         Ok(plan)
     }
@@ -281,15 +297,12 @@ mod tests {
 
     #[test]
     fn parse_full_grammar() {
-        let p = FaultPlan::parse(
-            "drop:1:200@1ms..5ms, slow:0:4, pause:2@10us..20us, jitter:3:50us:10us@..",
-            7,
-        );
+        let p = FaultPlan::parse("slow:0:4, pause:2@10us..20us, jitter:3:50us:10us@..", 7);
         // `jitter:...@..` has an empty START — that is an error (START is
         // required when `@` is present).
         assert!(p.is_err());
         let p = FaultPlan::parse(
-            "drop:1:200@1ms..5ms, slow:0:4, pause:2@10us..20us, jitter:3:50us:10us@0..",
+            "slow:1:3@1ms..5ms, slow:0:4, pause:2@10us..20us, jitter:3:50us:10us@0..",
             7,
         )
         .unwrap();
@@ -301,7 +314,7 @@ mod tests {
                 node: 1,
                 start_ns: 1_000_000,
                 end_ns: 5_000_000,
-                kind: FaultKind::LinkLoss { drop_per_mille: 200 },
+                kind: FaultKind::NodeSlow { factor: 3 },
             }
         );
         assert_eq!(p.scenarios[1].end_ns, u64::MAX);
@@ -313,19 +326,22 @@ mod tests {
     }
 
     #[test]
-    fn parse_random_and_clamps() {
-        let p = FaultPlan::parse("random:3, drop:0:1000", 1).unwrap();
-        assert_eq!(p.random_scenarios, 3);
-        assert_eq!(p.scenarios[0].kind, FaultKind::LinkLoss { drop_per_mille: MAX_DROP_PER_MILLE });
+    fn display_round_trips_through_parse() {
+        let spec =
+            "slow:1:3@1ms..5ms,jitter:3:50us:10us@7..,pause:2@0..1500us,jitter:0:2s,slow:0:4";
+        let p = FaultPlan::parse(spec, 0).unwrap();
+        let shown: Vec<String> = p.scenarios.iter().map(ToString::to_string).collect();
+        assert_eq!(shown.join(","), spec);
+        assert_eq!(FaultPlan::parse(&shown.join(","), 0).unwrap(), p);
     }
 
     #[test]
     fn parse_rejects_garbage() {
         assert!(FaultPlan::parse("explode:1", 0).is_err());
-        assert!(FaultPlan::parse("slow:0:1", 0).is_err(), "factor 1 is a no-op");
+        assert!(FaultPlan::parse("drop:0:300", 0).unwrap_err().contains("`drop`"));
         assert!(FaultPlan::parse("pause:1", 0).is_err(), "pause needs a window");
-        assert!(FaultPlan::parse("drop:1:200@5ms..1ms", 0).is_err(), "inverted window");
-        assert!(FaultPlan::parse("drop:x:200", 0).is_err());
+        assert!(FaultPlan::parse("slow:1:2@5ms..1ms", 0).is_err(), "inverted window");
+        assert!(FaultPlan::parse("slow:x:2", 0).is_err());
         assert!(
             FaultPlan::parse("random:4000000000,random:4000000000", 0).is_err(),
             "the summed count overflows u32"
@@ -333,11 +349,32 @@ mod tests {
     }
 
     #[test]
+    fn check_rejects_out_of_range_values_by_clause() {
+        let check = |spec: &str| FaultPlan::parse(spec, 0).unwrap().check(3);
+        for ok in ["slow:2:1000", "jitter:0:1800s:1800s", "pause:1@1ms..3600s", "random:1000"] {
+            assert_eq!(check(ok), Ok(()), "{ok}");
+        }
+        for (bad, names) in [
+            ("slow:3:2", "`slow:3:2`: node 3 does not exist"),
+            ("slow:0:1", "`slow:0:1`: slow factor"),
+            ("slow:0:4294967295", "`slow:0:4294967295`: slow factor"),
+            ("pause:0@0..18446744073709551614ns", "`pause:0@0..18446744073709551614`: window"),
+            ("pause:0@3600000000001..", "`pause:0@3600000000001..`: window"),
+            ("jitter:1:18446744073s", "`jitter:1:18446744073s`: spike + jitter"),
+            ("jitter:1:1800s:1801s", "spike + jitter"),
+            ("random:1001", "`random:1001`"),
+        ] {
+            let err = check(bad).unwrap_err();
+            assert!(err.contains(names), "{bad}: {err}");
+        }
+    }
+
+    #[test]
     fn mix_is_deterministic_and_spread() {
         assert_eq!(mix(1, 2, 3), mix(1, 2, 3));
         assert_ne!(mix(1, 2, 3), mix(1, 2, 4));
         assert_ne!(mix(1, 2, 3), mix(2, 2, 3));
-        // Crude uniformity check on the low bits used for per-mille rolls.
+        // Crude uniformity check on the low bits used for bounded samples.
         let hits = (0..1000).filter(|&i| mix(42, i, 0) % 1000 < 100).count();
         assert!((50..200).contains(&hits), "~10% expected, got {hits}/1000");
     }

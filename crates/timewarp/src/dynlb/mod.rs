@@ -75,7 +75,7 @@ pub struct LpWindow {
     /// Events undone on this LP during the window.
     pub events_rolled_back: u64,
     /// Event-equivalents of modeled latency the LP's node lost to
-    /// injected faults during the window (retransmit RTOs, slowdown
+    /// injected faults during the window (latency spikes, slowdown
     /// surcharges, pause stalls), apportioned across the node's LPs by
     /// the platform executive. Zero when chaos is off. Counted as load:
     /// an LP on a sick node really is slower, and migrating it off is

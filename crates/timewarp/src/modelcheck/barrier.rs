@@ -17,8 +17,8 @@
 //!   anti-message cascades genuinely occur.
 //! * **Channel sends are atomic and reliable** — a message is in the
 //!   destination's FIFO inbox the moment it is sent, exactly like
-//!   in-process `mpsc`. Only the single-threaded platform executive has a
-//!   lossy wire; its recovery protocol is checked by `tests/chaos.rs`.
+//!   in-process `mpsc`. The platform executive's wire is reliable too;
+//!   its timing faults are checked by `tests/chaos.rs`.
 //! * **Drain-priority partial-order reduction:** in the `Run` phase a
 //!   cluster with a non-empty inbox may only drain. In the real loop
 //!   every execute is preceded by a drain-to-empty pass; an "execute

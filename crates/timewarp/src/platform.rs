@@ -20,7 +20,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::app::Application;
-use crate::chaos::{ChaosRuntime, ChaosStep, FaultPlan};
+use crate::chaos::{ChaosRuntime, FaultPlan};
 use crate::config::KernelConfig;
 use crate::core::{ClusterCore, Committed, Homes, Hop};
 use crate::cost::CostModel;
@@ -44,14 +44,6 @@ pub struct PlatformConfig {
     pub state_limit_per_node: Option<u64>,
 }
 
-/// In-flight network message.
-struct Flight<M> {
-    /// Chaos wire id for dedup/ack tracking (`u64::MAX` = no fault plan
-    /// installed; such flights bypass the chaos filter entirely).
-    wire_id: u64,
-    tx: Transmission<M>,
-}
-
 /// What is genuinely platform: the modeled hardware the clusters run on.
 struct Platform<M> {
     cost: CostModel,
@@ -64,13 +56,13 @@ struct Platform<M> {
     /// Seeded fault engine (`None` = healthy platform, the default). It
     /// perturbs only modeled time and message counts; committed history
     /// must stay byte-identical (see the `chaos` module docs).
-    chaos: Option<ChaosRuntime<M>>,
+    chaos: Option<ChaosRuntime>,
     /// In-flight messages live in a slab; the wire heap orders them by
     /// `(arrival, send sequence)` and carries the slot. Slots recycle
     /// through a free list, so the steady-state wire path does no hashing
     /// and no allocation.
     net: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    flights: Vec<Option<Flight<M>>>,
+    flights: Vec<Option<Transmission<M>>>,
     free_flights: Vec<usize>,
     flight_seq: u64,
     /// Ingress link occupancy per node: messages serialize onto the
@@ -78,7 +70,7 @@ struct Platform<M> {
     link_free_ns: Vec<u64>,
 }
 
-impl<M: Clone> Platform<M> {
+impl<M> Platform<M> {
     /// Charge modeled CPU work to a node, letting an active fault window
     /// inflate it (slowdown) or defer it (pause). With no plan installed
     /// this is exactly `clock += work`.
@@ -89,51 +81,24 @@ impl<M: Clone> Platform<M> {
         };
     }
 
-    /// Send `tx` from node `from` (attempt 0 = first transmission, whose
-    /// `wire_id` is assigned here): charge the sender's CPU, let the
-    /// destination's ingress link drop or degrade the attempt, and queue
-    /// the survivor on the wire.
-    fn transmit<P: Probe>(
-        &mut self,
-        from: usize,
-        tx: Transmission<M>,
-        mut wire_id: u64,
-        attempt: u32,
-        probe: &mut P,
-    ) {
+    /// Send `tx` from node `from`: charge the sender's CPU, let the
+    /// destination's ingress link delay it, and queue it on the wire.
+    fn transmit(&mut self, from: usize, tx: Transmission<M>) {
         self.charge(from, self.cost.msg_send_ns);
-        // Re-resolved on every attempt, so retransmits follow migrated LPs.
         let dst_node = self.homes.part(tx.dst());
         let wire_at = self.clocks[from] + self.cost.net_latency_ns;
-        let mut extra_ns = 0;
-        if let Some(ch) = self.chaos.as_mut() {
-            if attempt == 0 {
-                // Track every remote transmission for ack/retransmit.
-                wire_id = ch.register_send(&tx, from);
-            }
-            if ch.should_drop(dst_node, wire_at, wire_id, attempt) {
-                ch.note_drop(dst_node, attempt);
-                ch.arm_timer(wire_id, wire_at + ch.rto_for(attempt));
-                let (positive, at) = (tx.is_positive(), tx.recv_time());
-                probe.on(ProbeEvent::TransmissionDropped { positive, at });
-                return; // no flight; the RTO will retransmit
-            }
-            extra_ns = ch.degrade_extra(dst_node, wire_at, wire_id, attempt);
-        }
+        let extra_ns = self
+            .chaos
+            .as_mut()
+            .map_or(0, |ch| ch.degrade_extra(dst_node, wire_at, self.flight_seq));
         let arrive = (wire_at + extra_ns).max(self.link_free_ns[dst_node]) + self.cost.msg_wire_ns;
         self.link_free_ns[dst_node] = arrive;
-        if let Some(ch) = self.chaos.as_mut() {
-            // Deadline past the attempt's actual ack round trip: a healthy
-            // link never spuriously retransmits, no matter the wire
-            // backlog.
-            ch.arm_timer(wire_id, arrive + self.cost.net_latency_ns + ch.rto_for(attempt));
-        }
         let key = self.free_flights.pop().unwrap_or_else(|| {
             self.flights.push(None);
             self.flights.len() - 1
         });
         debug_assert!(self.flights[key].is_none());
-        self.flights[key] = Some(Flight { wire_id, tx });
+        self.flights[key] = Some(tx);
         self.net.push(Reverse((arrive, self.flight_seq, key)));
         self.flight_seq += 1;
     }
@@ -149,32 +114,20 @@ impl<M: Clone> Platform<M> {
         while let Some(hop) = core.route_next(&self.homes, probe) {
             match hop {
                 Hop::Local => self.charge(from, self.cost.local_enqueue_ns),
-                Hop::Remote(tx) => self.transmit(from, tx, u64::MAX, 0, probe),
+                Hop::Remote(tx) => self.transmit(from, tx),
             }
         }
     }
 
     /// Lower bound on the receive time of anything the wire still owes an
-    /// LP. Two chaos refinements: (a) flights whose wire id was already
-    /// delivered are duplicates — their stale receive times must not drag
-    /// GVT below the committed frontier; (b) unacked transmissions (e.g.
-    /// dropped ones with no flight on the wire) WILL be retransmitted, so
-    /// GVT must not pass their receive times.
+    /// LP. The wire is reliable, so that is every flight and nothing else.
     fn in_flight_min(&self) -> VTime {
-        let chaos = self.chaos.as_ref();
-        self.flights
-            .iter()
-            .flatten()
-            .filter(|f| !chaos.is_some_and(|ch| ch.is_delivered(f.wire_id)))
-            .map(|f| f.tx.recv_time())
-            .min()
-            .unwrap_or(VTime::INF)
-            .min(chaos.map_or(VTime::INF, |ch| ch.unacked_min_recv()))
+        self.flights.iter().flatten().map(Transmission::recv_time).min().unwrap_or(VTime::INF)
     }
 
     /// Attribute the modeled latency each node lost to faults since the
-    /// last balancing round (pause stalls, slowdown surcharges, drop RTOs,
-    /// degrade spikes) to its LPs as event equivalents, so the balancer
+    /// last balancing round (pause stalls, slowdown surcharges, degrade
+    /// spikes) to its LPs as event equivalents, so the balancer
     /// sees a sick node as overloaded and routes LPs off it.
     fn attribute_fault_time(&mut self, window: &mut WindowStats) {
         let Some(ch) = self.chaos.as_mut() else { return };
@@ -244,7 +197,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
         cost,
         clocks: vec![0; nodes],
         homes,
-        chaos: chaos_plan.map(|p| ChaosRuntime::new(p, nodes, cost.net_latency_ns)),
+        chaos: chaos_plan.map(|p| ChaosRuntime::new(p, nodes)),
         net: BinaryHeap::new(),
         flights: Vec::new(),
         free_flights: Vec::new(),
@@ -279,62 +232,30 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
         let next_arrival = plat.net.peek().map(|&Reverse((a, _, _))| a);
         let exec_clock = best_node.map(|i| plat.clocks[i]);
 
-        // Chaos agenda: while protocol work (unacked transmissions,
-        // in-flight acks) remains it must drain even when nothing else
-        // is runnable; once the platform is otherwise quiescent, leftover
-        // fault edges are telemetry-only and die with the run. A chaos
-        // item runs when strictly earliest — at ties wire/exec work goes
-        // first, so a plan whose windows never fire is byte-identical to
-        // no plan at all.
-        let next_chaos = match (exec_clock, next_arrival) {
-            (None, None) => plat.chaos.as_mut().and_then(|ch| ch.next_protocol_ns()),
-            _ => plat.chaos.as_mut().and_then(|ch| ch.next_ns()),
-        };
-        let chaos_due = next_chaos.is_some_and(|c| {
-            c < exec_clock.unwrap_or(u64::MAX) && c < next_arrival.unwrap_or(u64::MAX)
-        });
+        // Fault edges: once the platform is quiescent, leftover edges are
+        // telemetry-only and die with the run. An edge runs when strictly
+        // earliest — at ties wire/exec work goes first, so a plan whose
+        // windows never fire is byte-identical to no plan at all.
+        let edge_due = (exec_clock.is_some() || next_arrival.is_some())
+            && plat.chaos.as_ref().and_then(ChaosRuntime::next_edge_ns).is_some_and(|e| {
+                e < exec_clock.unwrap_or(u64::MAX) && e < next_arrival.unwrap_or(u64::MAX)
+            });
         let deliver_first = next_arrival.is_some_and(|a| exec_clock.is_none_or(|c| a < c));
 
-        if chaos_due {
-            match plat.chaos.as_mut().expect("chaos due").pop_step().expect("chaos item due") {
-                ChaosStep::Ack => {}
-                ChaosStep::FaultEdge { node, onset, active_now } => {
-                    probe.on(ProbeEvent::FaultEvent { node, onset, active_now, gvt: last_gvt });
-                }
-                ChaosStep::Retransmit { wire_id, tx, from_node, attempt, at_ns } => {
-                    probe.on(ProbeEvent::Retransmitted { at: tx.recv_time() });
-                    // The sender's CPU re-sends when the timer fires (or
-                    // as soon as it is free after that).
-                    plat.clocks[from_node] = plat.clocks[from_node].max(at_ns);
-                    plat.transmit(from_node, tx, wire_id, attempt, probe);
-                }
-            }
+        if edge_due {
+            let (node, onset, active_now) = plat.chaos.as_mut().expect("edge due").pop_edge();
+            probe.on(ProbeEvent::FaultEvent { node, onset, active_now, gvt: last_gvt });
         } else if deliver_first {
             let Reverse((arrive, _, key)) = plat.net.pop().expect("peeked above");
-            let flight = plat.flights[key].take().expect("wire heap entry without flight");
+            let tx = plat.flights[key].take().expect("wire heap entry without flight");
             plat.free_flights.push(key);
-            let dnode = plat.homes.part(flight.tx.dst());
+            let dnode = plat.homes.part(tx.dst());
             plat.clocks[dnode] = plat.clocks[dnode].max(arrive);
             plat.charge(dnode, cost.msg_recv_ns);
-            if let Some(ch) = plat.chaos.as_mut().filter(|_| flight.wire_id != u64::MAX) {
-                // The ack launches at the *wire* arrival (NIC-level,
-                // CPU-free): it lands exactly one ack latency later,
-                // always inside the retransmit deadline.
-                let v = ch.on_flight_arrival(flight.wire_id, dnode, arrive);
-                if v.ack_dropped {
-                    let (positive, at) = (flight.tx.is_positive(), flight.tx.recv_time());
-                    probe.on(ProbeEvent::TransmissionDropped { positive, at });
-                }
-                if !v.fresh {
-                    // Duplicate of a transmission already delivered: the
-                    // kernel assumes exactly-once per event id — discard.
-                    continue;
-                }
-            }
             let rb_before = probe.a.rollbacks();
             let undone_before = probe.a.events_rolled_back;
             let coasted_before = probe.a.events_coasted;
-            cores[dnode].receive(flight.tx, &plat.homes, probe);
+            cores[dnode].receive(tx, &plat.homes, probe);
             let stats = &probe.a;
             if stats.rollbacks() > rb_before {
                 plat.charge(
@@ -426,10 +347,6 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     }
 
     // Final commit.
-    debug_assert!(
-        plat.chaos.as_mut().is_none_or(|ch| ch.next_protocol_ns().is_none()),
-        "terminated with unacked transmissions or in-flight acks"
-    );
     let held_total = cores.iter_mut().map(|c| c.commit(VTime::INF, probe).held_before).sum();
     let Tee { a: mut stats, b: probe } = tee;
     stats.state_queue_high_water = stats.state_queue_high_water.max(held_total);

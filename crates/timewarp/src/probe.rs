@@ -180,20 +180,6 @@ pub enum ProbeEvent {
         /// The last computed GVT.
         gvt: VTime,
     },
-    /// Injected link loss dropped a transmission with receive time `at`
-    /// (dropped *acks* report the original transmission's polarity).
-    TransmissionDropped {
-        /// Application event (`true`) or anti-message.
-        positive: bool,
-        /// Receive time of the transmission.
-        at: VTime,
-    },
-    /// The ack/retransmit protocol re-sent an unacked transmission with
-    /// receive time `at`.
-    Retransmitted {
-        /// Receive time of the transmission.
-        at: VTime,
-    },
 }
 
 impl ProbeEvent {
@@ -213,10 +199,7 @@ impl ProbeEvent {
             | ProbeEvent::GvtAdvanced { gvt, .. }
             | ProbeEvent::LpMigrated { gvt, .. }
             | ProbeEvent::FaultEvent { gvt, .. } => gvt,
-            ProbeEvent::Annihilated { at, .. }
-            | ProbeEvent::RemoteMessage { at, .. }
-            | ProbeEvent::TransmissionDropped { at, .. }
-            | ProbeEvent::Retransmitted { at } => at,
+            ProbeEvent::Annihilated { at, .. } | ProbeEvent::RemoteMessage { at, .. } => at,
         }
     }
 }
@@ -306,8 +289,6 @@ mod tests {
             ProbeEvent::RemoteMessage { positive: false, at: t },
             ProbeEvent::LpMigrated { lp, from: 0, to: 1, gvt: t, bytes: 64 },
             ProbeEvent::FaultEvent { node: 1, onset: true, active_now: 1, gvt: t },
-            ProbeEvent::TransmissionDropped { positive: true, at: t },
-            ProbeEvent::Retransmitted { at: t },
         ]
     }
 

@@ -473,15 +473,11 @@ mod tests {
                 FaultEvent { node: 0, onset: true, active_now: 1, gvt: VTime(12) },
                 FaultEvent { node: 1, onset: true, active_now: 2, gvt: VTime(14) },
                 FaultEvent { node: 0, onset: false, active_now: 1, gvt: VTime(25) },
-                TransmissionDropped { positive: true, at: VTime(3) },
-                Retransmitted { at: VTime(4) },
             ],
         );
         let t = ts.totals();
         assert_eq!(t.counts.faults_injected, 2, "recovery edges are not onsets");
         assert_eq!(t.fault_active, 2);
-        assert_eq!(t.counts.transmissions_dropped, 1);
-        assert_eq!(t.counts.retransmissions, 1);
         let b1 = ts.buckets().find(|(k, _)| *k == BucketKey::At(1)).unwrap().1;
         assert_eq!(b1.fault_active, 2);
         assert!(ts.to_jsonl().contains("\"fault_active\":2"));

@@ -220,12 +220,12 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
     }
 
     /// Install a seeded fault plan (see [`crate::chaos`]): the platform
-    /// executive injects the plan's link loss / latency / node
-    /// degradation faults and runs an ack/retransmit protocol over the
-    /// wire. Only modeled time and message counts may change — committed
-    /// states stay byte-identical to the healthy run. Ignored by the
-    /// sequential and threaded executives (no modeled network to
-    /// degrade), which trivially preserves the invariant there.
+    /// executive injects the plan's latency and node degradation faults;
+    /// its wire stays reliable. Only modeled time and message counts may
+    /// change — committed states stay byte-identical to the healthy run.
+    /// There, [`Self::run`] rejects a plan that fails [`FaultPlan::check`].
+    /// Ignored by the sequential and threaded executives (no modeled
+    /// network to degrade), which trivially preserves the invariant there.
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.chaos = Some(plan);
         self
@@ -305,16 +305,14 @@ fn validate<A: Application>(
         )));
     }
     // Only the platform executive runs fault plans; a clause aimed at a
-    // node that does not exist would otherwise report a healthy run.
-    if let (Backend::Platform { .. }, Some(plan)) = (backend, chaos) {
-        if let Some(s) = plan.scenarios.iter().find(|s| (s.node as usize) >= parts) {
-            return Err(SimError::InvalidConfig(format!(
-                "fault plan targets node {} but only {parts} nodes exist",
-                s.node
-            )));
+    // node that does not exist would otherwise report a healthy run, and
+    // an out-of-range value would wrap a node clock.
+    match (backend, chaos) {
+        (Backend::Platform { .. }, Some(plan)) => {
+            plan.check(parts).map_err(|e| SimError::InvalidConfig(format!("fault plan: {e}")))
         }
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 fn dispatch<A: Application, P: Probe>(

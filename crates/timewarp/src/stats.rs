@@ -157,12 +157,6 @@ kernel_counters! {
         /// [`crate::chaos::FaultPlan`] (onsets whose platform time the
         /// run actually reached). Zero when chaos is off.
         faults_injected: Sum => faults_injected;
-        /// Transmissions (data or acks) dropped by injected link loss.
-        /// Each drop costs one RTO of modeled latency before the
-        /// retransmit.
-        transmissions_dropped: Sum => transmissions_dropped;
-        /// Retransmissions performed by the ack/retransmit protocol.
-        retransmissions: Sum => retransmissions;
     }
     aggregate_only {
         /// Channel sends performed by the threaded executive (remote
@@ -267,8 +261,6 @@ impl Probe for KernelStats {
                 self.migrated_state_bytes += bytes;
             }
             ProbeEvent::FaultEvent { onset, .. } => self.faults_injected += u64::from(onset),
-            ProbeEvent::TransmissionDropped { .. } => self.transmissions_dropped += 1,
-            ProbeEvent::Retransmitted { .. } => self.retransmissions += 1,
         }
     }
 

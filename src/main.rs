@@ -63,11 +63,10 @@ const FORMAT: Flag =
 const FAULTS: Flag = (
     "--faults",
     Takes::Text("SPEC"),
-    "seeded platform faults, e.g. \"drop:0:300,slow:1:4\" — clauses\n\
-     drop:NODE:PERMILLE[@A..B], jitter:NODE:SPIKE[:JIT][@A..B],\n\
-     slow:NODE:FACTOR[@A..B], pause:NODE@A..B, random:N; committed\n\
-     results are unchanged, only modeled time and message counts\n\
-     move",
+    "seeded platform faults, e.g. \"jitter:1:100us,slow:0:4\";\n\
+     clauses jitter:NODE:SPIKE[:JIT][@A..B], pause:NODE@A..B,\n\
+     slow:NODE:FACTOR[@A..B], random:N; committed results are\n\
+     unchanged, only modeled time and message counts move",
 );
 const FAULT_SEED: Flag = ("--fault-seed", Takes::Number("N"), "seed of the fault plan (default 0)");
 const SMOKE: Flag = (
@@ -482,10 +481,12 @@ fn exec_of(args: &Args) -> ExecModel {
 }
 
 /// Parse `--faults SPEC` (with `--fault-seed N`, default 0) into a
-/// [`FaultPlan`]; exits with the parse error on a bad spec.
-fn faults_of(args: &Args) -> Option<FaultPlan> {
+/// [`FaultPlan`] checked against `nodes`; exits with the error, which
+/// names the clause, on a bad spec.
+fn faults_of(args: &Args, nodes: usize) -> Option<FaultPlan> {
     let spec = args.text(&FAULTS)?;
-    match FaultPlan::parse(spec, args.number(&FAULT_SEED).unwrap_or(0)) {
+    let plan = FaultPlan::parse(spec, args.number(&FAULT_SEED).unwrap_or(0));
+    match plan.and_then(|p| p.check(nodes).map(|()| p)) {
         Ok(plan) => Some(plan),
         Err(e) => {
             eprintln!("bad {} spec: {e}", FAULTS.0);
@@ -505,13 +506,9 @@ fn cmd_simulate(args: &Args) {
         exec: exec_of(args),
         dynlb: args.has(&DYNLB).then(DynLbConfig::default),
         replication: args.has(&REPLICATE).then(ReplicationConfig::default),
-        faults: faults_of(args),
+        faults: faults_of(args, k),
         ..Default::default()
     };
-    if let Some(s) = cfg.faults.iter().flat_map(|p| &p.scenarios).find(|s| s.node as usize >= k) {
-        eprintln!("bad {} spec: node {} does not exist ({} {k})", FAULTS.0, s.node, K.0);
-        exit(2);
-    }
     let trace_path = args.text(&TRACE);
     let bucket = trace_path.map(|_| args.bucket(end));
     let seq = run_seq_baseline(&netlist, &cfg);

@@ -3,6 +3,8 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use parlogsim::timewarp::FaultPlan;
+
 /// Every subcommand, in table order, with a positional it accepts (empty
 /// for the rows that take none).
 const ROWS: [(&str, &str); 24] = [
@@ -177,11 +179,29 @@ fn gates_wider_than_255_inputs_are_parse_errors() {
 
 #[test]
 fn simulate_rejects_fault_on_missing_node() {
-    let out =
-        cli().args(["simulate", "s27", "-k", "8", "--faults", "drop:9:250"]).output().unwrap();
+    let out = cli().args(["simulate", "s27", "-k", "8", "--faults", "slow:9:2"]).output().unwrap();
     assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("node 9 does not exist"), "{err}");
+}
+
+/// Values that would wrap a modeled clock, and the retired loss clause, are
+/// refused before the run, naming the clause.
+#[test]
+fn simulate_rejects_out_of_range_and_unknown_fault_clauses_by_name() {
+    for (spec, named) in [
+        ("pause:0@0..18446744073709551614ns", "`pause:0@0..18446744073709551614`"),
+        ("jitter:1:18446744073s", "`jitter:1:18446744073s`"),
+        ("slow:0:4294967295", "`slow:0:4294967295`"),
+        ("drop:0:300", "`drop`"),
+    ] {
+        let args = ["simulate", "s27", "-k", "3", "--end", "200", "--faults", spec];
+        let out = cli().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {err}");
+        assert!(out.stdout.is_empty(), "{spec} printed to stdout");
+        assert!(err.lines().next().unwrap_or_default().contains(named), "{spec}: {err}");
+    }
 }
 
 #[test]
@@ -425,13 +445,31 @@ fn help_lists_every_subcommand_with_its_flags() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
+/// The fault specs a text shows after `--faults`: the first double-quoted
+/// string on the same line, else the next word if it reads as a clause.
+fn fault_specs(text: &str) -> Vec<&str> {
+    let lines = text.match_indices("--faults").map(|(at, flag)| {
+        let rest = &text[at + flag.len()..];
+        &rest[..rest.find('\n').unwrap_or(rest.len())]
+    });
+    lines
+        .filter_map(|line| {
+            line.split('"').nth(1).or(line.split_whitespace().next().filter(|w| w.contains(':')))
+        })
+        .collect()
+}
+
 /// Every `parlogsim <subcommand> …` command line the docs show names a
-/// subcommand that exists and only flags that subcommand accepts, and no
-/// doc still runs the retired `pls-bench` binary or `cargo bench` (the
-/// workspace has no bench target).
+/// subcommand that exists and only flags that subcommand accepts, every
+/// fault spec they and `--help` show parses, and no doc still runs the
+/// retired `pls-bench` binary or `cargo bench` (the workspace has no bench
+/// target).
 #[test]
 fn the_docs_name_only_command_lines_that_exist() {
     let accepted = accepted_flags();
+    let help = run_ok(&["--help"]);
+    let mut specs: Vec<(String, String)> =
+        fault_specs(&help).into_iter().map(|s| ("--help".to_string(), s.to_string())).collect();
     let mut checked = 0;
     for doc in [
         "README.md",
@@ -442,6 +480,7 @@ fn the_docs_name_only_command_lines_that_exist() {
         ".claude/skills/verify/SKILL.md",
     ] {
         let text = std::fs::read_to_string(repo_root().join(doc)).expect(doc);
+        specs.extend(fault_specs(&text).into_iter().map(|s| (doc.to_string(), s.to_string())));
         for (i, line) in text.lines().enumerate() {
             let retired = line.contains("cargo bench")
                 || line.contains("-p pls-bench")
@@ -480,4 +519,8 @@ fn the_docs_name_only_command_lines_that_exist() {
         }
     }
     assert!(checked >= 20, "only {checked} command lines found: the docs moved or the scan broke");
+    assert!(specs.len() >= 3, "only {} fault specs found: {specs:?}", specs.len());
+    for (doc, spec) in specs {
+        assert!(FaultPlan::parse(&spec, 0).is_ok(), "{doc}: `--faults \"{spec}\"` does not parse");
+    }
 }

@@ -214,26 +214,14 @@ fn threaded_series_merge_is_deterministic() {
 
 #[test]
 fn chaos_counters_are_conserved_and_exported() {
-    // A faulted platform run: the three new counters must decompose
-    // losslessly into buckets like every other column, and the exports
-    // must carry them.
+    // A faulted platform run: the fault counter must decompose losslessly
+    // into buckets like every other column, the active-window gauge must
+    // see the window, and the exports must carry both.
     let netlist = IscasSynth::small(150, 7).build();
     let cfg = SimConfig { end_time: 200, ..Default::default() };
     let app = cfg.build_app(&netlist);
     let asg = assignment(netlist.len(), 3);
-    let plan = FaultPlan::new(11)
-        .scenario(FaultScenario {
-            node: 0,
-            start_ns: 0,
-            end_ns: u64::MAX,
-            kind: FaultKind::LinkLoss { drop_per_mille: 350 },
-        })
-        .scenario(FaultScenario {
-            node: 1,
-            start_ns: 0,
-            end_ns: 2_000_000,
-            kind: FaultKind::NodeSlow { factor: 3 },
-        });
+    let plan = FaultPlan::parse("slow:1:3@0..2ms", 11).unwrap();
     let res = Simulator::new(&app)
         .fault_plan(plan)
         .record(BUCKET)
@@ -241,11 +229,11 @@ fn chaos_counters_are_conserved_and_exported() {
         .unwrap();
     let ts = res.telemetry.expect("recording was on");
     assert_conserved(&ts.totals(), &res.stats, true, "faulted platform");
-    assert!(res.stats.transmissions_dropped > 0, "plan must actually drop");
-    assert!(res.stats.faults_injected > 0);
-    assert_eq!(ts.totals().counts.faults_injected, res.stats.faults_injected);
-    assert!(ts.to_jsonl().contains("\"retransmissions\":"));
-    assert!(ts.to_csv().lines().next().unwrap().contains("transmissions_dropped"));
+    assert_eq!(res.stats.faults_injected, 1, "the one window opened once");
+    assert_eq!(ts.totals().counts.faults_injected, 1);
+    assert_eq!(ts.totals().fault_active, 1);
+    assert!(ts.to_jsonl().contains("\"faults_injected\":1,"));
+    assert!(ts.to_csv().lines().next().unwrap().ends_with(",fault_active"));
 }
 
 #[test]
