@@ -96,6 +96,16 @@ if [[ "$FAST" -eq 0 ]]; then
     | diff -u crates/bench/src/detcheck.golden - \
     || { echo "detcheck drifted from crates/bench/src/detcheck.golden"; exit 1; }
 
+  # Per-LP gate: the hotspot table pins per-LP events, rollbacks and
+  # events undone of the paper's largest circuit, which detcheck's
+  # aggregates cannot see. Refresh it like the detcheck golden:
+  #   target/release/parlogsim hotspots s15850 -k 8 > tests/golden/hotspots_s15850_k8.txt
+  echo
+  echo "==> hotspots s15850 vs golden"
+  ./target/release/parlogsim hotspots s15850 -k 8 \
+    | diff -u tests/golden/hotspots_s15850_k8.txt - \
+    || { echo "hotspots drifted from tests/golden/hotspots_s15850_k8.txt"; exit 1; }
+
   # Pipeline benchmark harness (benchmark/ is a workspace of its own, so
   # nothing above builds it): unit tests plus a --smoke run of the real
   # binary — all five workloads, all three executives, every committed

@@ -247,11 +247,31 @@ fn trace_rejects_unknown_format() {
     assert!(!out.status.success());
 }
 
+/// The whole table, pinned: every per-LP count it prints, and the order
+/// ties sort in.
 #[test]
 fn hotspots_lists_offenders() {
     let out = run_ok(&["hotspots", "synth:150", "-k", "4", "--end", "120"]);
-    assert!(out.contains("rollbacks total"));
-    assert!(out.contains("gate"));
+    let want = "\
+synth150 / Multilevel on 4 nodes: 40 rollbacks total; top offenders:
+gate             kind   part  rollbacks   undone   events
+G128             OR        2          4        4       28
+G136             AND       1          3        3       17
+G0               NOR       3          2        3       17
+G10              NAND      3          2        2        6
+G11              NAND      1          2        2       17
+G28              OR        3          2        2       13
+G104             XNOR      2          2        2       18
+G116             NAND      2          2        2       12
+G125             AND       1          2        2       12
+G9               OR        2          1        4       13
+FF9              DFF       3          1        1        7
+G8               NAND      2          1        1        7
+G13              AND       0          1        1       11
+G39              AND       0          1        1       15
+G57              OR        1          1        1       12
+";
+    assert_eq!(out, want);
 }
 
 #[test]
