@@ -636,6 +636,6 @@ mod tests {
         let size = std::mem::size_of::<pls_timewarp::lp::LpRuntime<GateModel>>();
         let state = std::mem::size_of::<ModelState>();
         println!("size_of::<LpRuntime<GateModel>>() = {size} B, of which ModelState {state} B");
-        assert!(size <= 384, "{size} B");
+        assert!(size <= 320, "{size} B");
     }
 }

@@ -53,7 +53,7 @@ pub(crate) struct ChaosRuntime {
     clock: FaultClock,
     /// Modeled ns each node has lost to faults since the last balancing
     /// round (pause stalls, slowdown surcharges, degrade spikes) —
-    /// drained into `LpWindow::fault_penalty`.
+    /// drained into `WindowStats::fault_penalty`.
     pub fault_ns: Vec<u64>,
 }
 

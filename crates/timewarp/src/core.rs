@@ -16,11 +16,10 @@ use std::collections::BinaryHeap;
 
 use crate::app::Application;
 use crate::config::KernelConfig;
-use crate::dynlb::{Migration, WindowStats};
+use crate::dynlb::Migration;
 use crate::event::{Event, LpId, Transmission};
 use crate::lp::{LpRuntime, Scratch};
 use crate::probe::{Probe, ProbeEvent};
-use crate::stats::LpCounters;
 use crate::time::VTime;
 
 /// The routing table: the cluster every LP lives on and its slot in that
@@ -122,13 +121,8 @@ pub(crate) struct ClusterCore<'a, A: Application> {
     /// Transmissions produced by the last step, consumed LIFO by
     /// [`Self::route_next`].
     outbox: Vec<Transmission<A::Msg>>,
-    /// Remote traffic of the current balancing window, one unordered LP
-    /// pair per message; kept only when a balancer will ask. Aggregated
-    /// when the window closes: the push sits on the hot send path, so it
-    /// must not pay a map lookup per message.
-    comm_log: Option<Vec<(LpId, LpId)>>,
-    /// Call buffers and the checkpoint free list, shared by every resident
-    /// LP.
+    /// The kernel configuration, call buffers and the checkpoint free
+    /// list, shared by every resident LP.
     scratch: Scratch<A>,
     /// Bitset over slots: set while the LP there may hold history (see
     /// [`LpRuntime::has_history`]), so that [`Self::commit`] visits those
@@ -152,7 +146,6 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         assignment: &[u32],
         parts: usize,
         cfg: KernelConfig,
-        track_windows: bool,
         probe: &mut P,
     ) -> (Vec<Self>, Homes) {
         let mut cores: Vec<Self> = (0..parts as u32)
@@ -165,8 +158,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
                 ready: BinaryHeap::new(),
                 queued: Vec::new(),
                 outbox: Vec::new(),
-                comm_log: track_windows.then(Vec::new),
-                scratch: Scratch::default(),
+                scratch: Scratch::new(cfg),
                 history: Vec::new(),
                 held: 0,
                 pending: 0,
@@ -181,7 +173,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         let mut init = Vec::new();
         for lp in order {
             let part = assignment[lp as usize] as usize;
-            cores[part].insert(LpRuntime::new(app, lp, cfg, &mut init), &mut homes);
+            cores[part].insert(LpRuntime::new(app, lp, &mut init), &mut homes);
         }
         // Delivered in LP id order of the sender, whatever the build order.
         init.sort_by_key(|ev| ev.id.src);
@@ -191,22 +183,19 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         (cores, homes)
     }
 
-    /// Collect the committed states and per-LP counters of a finished run,
-    /// in LP id order (the inverse of [`Self::partition`]).
-    pub fn finish(cores: Vec<Self>) -> (Vec<A::State>, Vec<LpCounters>) {
+    /// Collect the committed states of a finished run, in LP id order (the
+    /// inverse of [`Self::partition`]).
+    pub fn finish(cores: Vec<Self>) -> Vec<A::State> {
         let n = cores.iter().map(|c| c.lps.len()).sum();
         let mut states: Vec<Option<A::State>> = (0..n).map(|_| None).collect();
-        let mut lp_stats = vec![LpCounters::default(); n];
         for lp in cores.into_iter().flat_map(|c| c.lps) {
             debug_assert_eq!(lp.pending_cancel_len(), 0, "LP {} parked with unsent antis", lp.id());
             debug_assert_eq!(lp.orphan_antis_len(), 0, "LP {} has orphan antis", lp.id());
             debug_assert_eq!(lp.pending_len(), 0, "LP {} has unprocessed events", lp.id());
             let id = lp.id() as usize;
-            lp_stats[id] = lp.own_stats();
             states[id] = Some(lp.into_state());
         }
-        let states = states.into_iter().map(|s| s.expect("every LP lives on exactly one cluster"));
-        (states.collect(), lp_stats)
+        states.into_iter().map(|s| s.expect("every LP lives on exactly one cluster")).collect()
     }
 
     fn insert(&mut self, lp: LpRuntime<A>, homes: &mut Homes) {
@@ -330,12 +319,8 @@ impl<'a, A: Application> ClusterCore<'a, A> {
             self.deliver(homes.slot[dst] as usize, tx, probe);
             return Some(Hop::Local);
         }
-        let positive = tx.is_positive();
-        if let Some(log) = self.comm_log.as_mut().filter(|_| positive) {
-            let (src, dst) = (tx.id().src, tx.dst());
-            log.push((src.min(dst), src.max(dst)));
-        }
-        probe.on(ProbeEvent::RemoteMessage { positive, at: tx.recv_time() });
+        let (at, src, dst) = (tx.recv_time(), tx.id().src, tx.dst());
+        probe.on(ProbeEvent::RemoteMessage { positive: tx.is_positive(), at, src, dst });
         Some(Hop::Remote(tx))
     }
 
@@ -381,19 +366,6 @@ impl<'a, A: Application> ClusterCore<'a, A> {
             self.assert_tallies();
         }
         Committed { held_before, held: self.held, pending: self.pending }
-    }
-
-    /// Close the balancing window: write each resident LP's activity
-    /// since the last call into its slot of `window` and add this
-    /// cluster's remote traffic to `window.comm`.
-    pub fn window_slice(&mut self, window: &mut WindowStats) {
-        for lp in &mut self.lps {
-            window.lps[lp.id() as usize] = lp.take_window();
-        }
-        let log = self.comm_log.as_mut().expect("window tracking was requested at partition");
-        for pair in log.drain(..) {
-            *window.comm.entry(pair).or_insert(0) += 1;
-        }
     }
 
     /// Apply migration `mv` to `homes` and, if this is the cluster the LP
@@ -452,8 +424,9 @@ mod tests {
     use super::*;
     use crate::config::Cancellation;
     use crate::phold::Phold;
+    use crate::probe::Tee;
     use crate::sim::{Backend, Simulator};
-    use crate::stats::KernelStats;
+    use crate::stats::{KernelStats, LpLedger};
     use crate::testkit::{round_robin, Ring};
 
     fn splitmix64(x: &mut u64) -> u64 {
@@ -468,9 +441,10 @@ mod tests {
     /// scheduler. Remote hops wait in one FIFO mailbox per *sending* core
     /// and resolve their destination when delivered, so a message may land
     /// arbitrarily late, behind traffic from other cores, and after its
-    /// target LP has moved. Returns the committed states, the statistics
-    /// and how often the nomad LP was adopted by a core whose ready heap
-    /// still held entries from its previous stay.
+    /// target LP has moved. Every commit closes a balancing window, drained
+    /// from a ledger teed next to the statistics. Returns the committed
+    /// states, the statistics and how often the nomad LP was adopted by a
+    /// core whose ready heap still held entries from its previous stay.
     fn run_interleaved<A: Application>(
         app: &A,
         parts: usize,
@@ -487,18 +461,20 @@ mod tests {
             checkpoint_interval: 1 + (seed / 2 % 3) as u32,
             ..KernelConfig::default()
         };
-        let mut stats = KernelStats::default();
+        // The window ledger, and one that sees the whole run.
+        let mut probe =
+            Tee::new(KernelStats::default(), Tee::new(LpLedger::default(), LpLedger::default()));
         let placement = round_robin(n, parts);
         let (mut cores, mut homes) =
-            ClusterCore::partition(app, &placement, parts, cfg, true, &mut stats);
+            ClusterCore::partition(app, &placement, parts, cfg, &mut probe);
         let mut mail: Vec<VecDeque<Transmission<A::Msg>>> = vec![VecDeque::new(); parts];
         let nomad = (seed % n as u64) as LpId;
         let mut stale_homecomings = 0;
         // What the balancing windows must report: the remote messages this
         // driver was handed since the last one, per unordered LP pair, and
-        // — summed over all windows — each LP's final counters.
+        // — summed over all windows — the whole run.
         let mut sent = BTreeMap::new();
-        let mut windowed = vec![LpCounters::default(); n];
+        let mut windowed = LpLedger::default();
 
         for step in 0u32.. {
             assert!(step < 1_000_000, "seed {seed}: optimism outran delivery (livelock)");
@@ -515,7 +491,7 @@ mod tests {
             if runnable.len() + queued > 0 {
                 let pick = (splitmix64(&mut rng) % (runnable.len() + queued) as u64) as usize;
                 let active = if let Some(&c) = runnable.get(pick) {
-                    cores[c].execute_ready(&mut stats);
+                    cores[c].execute_ready(&mut probe);
                     c
                 } else {
                     let mut nth = pick - runnable.len();
@@ -526,10 +502,10 @@ mod tests {
                     });
                     let tx = mail[from.unwrap()].pop_front().unwrap();
                     let c = homes.part(tx.dst());
-                    cores[c].receive(tx, &homes, &mut stats);
+                    cores[c].receive(tx, &homes, &mut probe);
                     c
                 };
-                while let Some(hop) = cores[active].route_next(&homes, &mut stats) {
+                while let Some(hop) = cores[active].route_next(&homes, &mut probe) {
                     let Hop::Remote(tx) = hop else { continue };
                     if tx.is_positive() {
                         let (a, b) = (tx.id().src, tx.dst());
@@ -550,24 +526,20 @@ mod tests {
                 .chain(mail.iter().flatten().map(|tx| tx.recv_time()))
                 .min()
                 .unwrap_or(VTime::INF);
-            let mut window = WindowStats::new(n);
             for core in &mut cores {
                 let before = (core.held, core.pending);
-                let seen = core.commit(gvt, &mut stats);
+                let seen = core.commit(gvt, &mut probe);
                 core.assert_tallies();
                 assert_eq!(
                     (seen.held_before, seen.held, seen.pending),
                     (before.0, core.held, before.1),
                     "seed {seed}: commit reports the running totals"
                 );
-                core.window_slice(&mut window);
             }
-            assert_eq!(window.comm, std::mem::take(&mut sent), "seed {seed}: window traffic");
-            for (total, lp) in windowed.iter_mut().zip(&window.lps) {
-                total.events_processed += lp.events;
-                total.rollbacks += lp.rollbacks;
-                total.events_rolled_back += lp.events_rolled_back;
-            }
+            let window = std::mem::take(&mut probe.b.a);
+            windowed.join(window.clone());
+            let window_traffic = window.into_parts().1;
+            assert_eq!(window_traffic, std::mem::take(&mut sent), "seed {seed}: window traffic");
             if gvt.is_inf() {
                 break;
             }
@@ -575,7 +547,7 @@ mod tests {
                 let from = homes.part(nomad);
                 let mv =
                     Migration { lp: nomad, from: from as u32, to: ((from + 1) % parts) as u32 };
-                let mover = cores[from].evict(&mv, &mut homes, gvt, &mut stats);
+                let mover = cores[from].evict(&mv, &mut homes, gvt, &mut probe);
                 cores[from].assert_tallies();
                 let dst = &mut cores[mv.to as usize];
                 stale_homecomings += u32::from(dst.ready.iter().any(|e| e.0 .1 == nomad));
@@ -584,11 +556,11 @@ mod tests {
             }
         }
 
-        // Windows tile the run, migrations included (an LP's baseline
-        // travels with it): nothing is counted twice, nothing is missed.
-        let (states, lp_stats) = ClusterCore::finish(cores);
-        assert_eq!(windowed, lp_stats, "seed {seed}: per-LP windows");
-        (states, stats, stale_homecomings)
+        // Windows tile the run, migrations included: nothing is counted
+        // twice, nothing is missed.
+        let Tee { a: stats, b: Tee { b: whole, .. } } = probe;
+        assert_eq!(windowed.into_parts(), whole.into_parts(), "seed {seed}: windows");
+        (ClusterCore::finish(cores), stats, stale_homecomings)
     }
 
     fn sweep<A: Application>(app: &A, parts: usize)

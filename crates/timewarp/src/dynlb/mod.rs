@@ -4,9 +4,9 @@
 //! The paper's partitioners are static — a placement computed before the
 //! run pays for every mispredicted hotspot until termination. This module
 //! closes the loop: the kernel's own telemetry (events executed, rollbacks
-//! and remote messages per LP, per GVT window) feeds [`plan`], which emits
-//! a bounded [`Migration`] plan, and the executives apply the plan at GVT
-//! commit.
+//! and remote messages per LP, per GVT window: an [`LpLedger`] drained at
+//! each balancing round) feeds [`plan`], which emits a bounded
+//! [`Migration`] plan, and the executives apply the plan at GVT commit.
 //!
 //! # Why GVT commit is the safe migration point
 //!
@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 
 use crate::app::Application;
 use crate::event::LpId;
-use crate::time::VTime;
+use crate::stats::{LpActivity, LpLedger};
 
 /// Knobs for dynamic load balancing, set via
 /// [`crate::Simulator::load_balancer`].
@@ -64,34 +64,20 @@ impl Default for DynLbConfig {
     }
 }
 
-/// Per-LP activity observed during one GVT window.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LpWindow {
-    /// Events this LP executed during the window (including work later
-    /// rolled back — it occupied the CPU either way).
-    pub events: u64,
-    /// Rollbacks this LP suffered during the window.
-    pub rollbacks: u64,
-    /// Events undone on this LP during the window.
-    pub events_rolled_back: u64,
-    /// Event-equivalents of modeled latency the LP's node lost to
+/// Everything [`plan`] sees at one balancing round: what the ledger
+/// drained at the window's close counted, and the platform's fault time.
+#[derive(Debug, Clone)]
+pub struct WindowStats {
+    /// Per-LP activity during the window, indexed by LP id. Events include
+    /// work later rolled back — it occupied the CPU either way.
+    pub lps: Vec<LpActivity>,
+    /// Per LP: event-equivalents of modeled latency its node lost to
     /// injected faults during the window (latency spikes, slowdown
     /// surcharges, pause stalls), apportioned across the node's LPs by
     /// the platform executive. Zero when chaos is off. Counted as load:
     /// an LP on a sick node really is slower, and migrating it off is
     /// exactly the response the balancer should produce.
-    pub fault_penalty: u64,
-}
-
-/// Everything [`plan`] sees at one balancing round.
-#[derive(Debug, Clone)]
-pub struct WindowStats {
-    /// The GVT at which this round runs.
-    pub gvt: VTime,
-    /// 1-based index of this balancing round.
-    pub round: u64,
-    /// Per-LP window activity, indexed by LP id.
-    pub lps: Vec<LpWindow>,
+    pub fault_penalty: Vec<u64>,
     /// Remote messages per LP pair during the window, keyed by the
     /// *unordered* pair `(min, max)` — a `BTreeMap` so iteration order is
     /// deterministic.
@@ -99,20 +85,11 @@ pub struct WindowStats {
 }
 
 impl WindowStats {
-    /// An empty window over `n` LPs.
-    pub fn new(n: usize) -> WindowStats {
-        WindowStats {
-            gvt: VTime::ZERO,
-            round: 0,
-            lps: vec![LpWindow::default(); n],
-            comm: BTreeMap::new(),
-        }
-    }
-
-    /// Clear all per-LP and per-pair activity (between rounds).
-    pub fn reset(&mut self) {
-        self.lps.fill(LpWindow::default());
-        self.comm.clear();
+    /// The window over `n` LPs that `ledger` counted.
+    pub fn new(n: usize, ledger: LpLedger) -> WindowStats {
+        let (mut lps, comm) = ledger.into_parts();
+        lps.resize(n, LpActivity::default());
+        WindowStats { lps, fault_penalty: vec![0; n], comm }
     }
 }
 
@@ -150,10 +127,8 @@ pub fn plan(
     cfg: &DynLbConfig,
 ) -> Vec<Migration> {
     let mut g = pls_partition::incremental::LoadGraph::new(
-        window
-            .lps
-            .iter()
-            .map(|w| w.events.saturating_sub(w.events_rolled_back) + w.fault_penalty)
+        (window.lps.iter().zip(&window.fault_penalty))
+            .map(|(w, pen)| w.events.saturating_sub(w.events_rolled_back) + pen)
             .collect(),
     );
     for (&(a, b), &w) in &window.comm {
@@ -200,7 +175,7 @@ mod tests {
     use super::*;
 
     fn skewed_window(n: usize, hot: std::ops::Range<usize>) -> WindowStats {
-        let mut w = WindowStats::new(n);
+        let mut w = WindowStats::new(n, LpLedger::default());
         for (i, lp) in w.lps.iter_mut().enumerate() {
             lp.events = if hot.contains(&i) { 100 } else { 2 };
         }
@@ -234,7 +209,7 @@ mod tests {
 
     #[test]
     fn balanced_window_yields_empty_plan() {
-        let mut w = WindowStats::new(8);
+        let mut w = WindowStats::new(8, LpLedger::default());
         for lp in w.lps.iter_mut() {
             lp.events = 10;
         }

@@ -154,6 +154,7 @@ impl Application for RotatingHotspot {
 mod tests {
     use super::*;
     use crate::sim::{Backend, Simulator};
+    use crate::stats::LpLedger;
 
     fn block(n: usize, parts: usize) -> Vec<u32> {
         let per = n.div_ceil(parts);
@@ -185,9 +186,12 @@ mod tests {
         // During phase 0, the hot window's LPs must do far more work than
         // the rest — otherwise the scenario has no hotspot to balance.
         let m = RotatingHotspot { lps: 32, phases: 1, ..Default::default() };
-        let seq = Simulator::new(&m).run(Backend::Sequential).unwrap();
-        let hot: u64 = (0..m.hot_width).map(|i| seq.lp_stats[i].events_processed).sum();
-        let cold: u64 = (m.hot_width..m.lps).map(|i| seq.lp_stats[i].events_processed).sum();
+        let (_, ledger) =
+            Simulator::new(&m).probe(LpLedger::default()).run_probed(Backend::Sequential).unwrap();
+        let activity = ledger.into_parts().0;
+        let events =
+            |lps: std::ops::Range<usize>| -> u64 { activity[lps].iter().map(|a| a.events).sum() };
+        let (hot, cold) = (events(0..m.hot_width), events(m.hot_width..m.lps));
         let hot_avg = hot / m.hot_width as u64;
         let cold_avg = cold / (m.lps - m.hot_width) as u64;
         assert!(

@@ -20,10 +20,11 @@
 //! with fossil collection, and one stream of [`ProbeEvent`]s, emitted at
 //! every protocol point, that is the kernel's only way of counting:
 //! [`KernelStats`] (rollbacks, anti and application messages — the
-//! paper's Figures 5 and 6) is a [`Probe`] over it, as is the
-//! [`TimeSeries`] recorder that buckets the events by virtual time and
-//! exports JSONL/CSV (see `docs/TELEMETRY.md`). With no probe attached
-//! an emit is the `KernelStats` increment and nothing else.
+//! paper's Figures 5 and 6) is a [`Probe`] over it, as are the per-LP
+//! [`LpLedger`] and the [`TimeSeries`] recorder, which buckets the events by
+//! virtual time and exports JSONL/CSV (see `docs/TELEMETRY.md`). With no
+//! probe attached an emit is the `KernelStats` increment and at most one
+//! untaken branch (for the ledger of a balancing run).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -55,7 +56,7 @@ pub use app::{AppWork, Application, EventSink};
 pub use chaos::{FaultKind, FaultPlan, FaultScenario};
 pub use config::{Cancellation, KernelConfig};
 pub use cost::CostModel;
-pub use dynlb::{DynLbConfig, LpWindow, Migration, WindowStats};
+pub use dynlb::{DynLbConfig, Migration, WindowStats};
 pub use event::{AntiEvent, Event, EventId, LpId, Transmission};
 pub use hotspot::RotatingHotspot;
 pub use phold::Phold;
@@ -63,5 +64,5 @@ pub use platform::PlatformConfig;
 pub use probe::{NoProbe, Probe, ProbeEvent, RollbackKind, Tee};
 pub use series::{Bucket, BucketKey, TimeSeries};
 pub use sim::{Backend, Outcome, RunReport, SimError, Simulator};
-pub use stats::{Counter, KernelStats, LpCounters, Merge};
+pub use stats::{Counter, KernelStats, LpActivity, LpLedger, Merge};
 pub use time::VTime;

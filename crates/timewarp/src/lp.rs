@@ -8,11 +8,9 @@ use std::collections::VecDeque;
 
 use crate::app::{AppWork, Application, EventSink};
 use crate::config::{Cancellation, KernelConfig};
-use crate::dynlb::LpWindow;
 use crate::event::{AntiEvent, Event, EventId, LpId, Transmission};
 use crate::pool::IdHashMap;
 use crate::probe::{Probe, ProbeEvent, RollbackKind};
-use crate::stats::LpCounters;
 use crate::time::VTime;
 
 /// The order of the pending and processed queues: receive time, then
@@ -69,23 +67,18 @@ pub struct LpRuntime<A: Application> {
     /// FIFO transports, handled for robustness).
     orphan_antis: Vec<AntiEvent>,
     batches_since_checkpoint: u32,
-    cfg: KernelConfig,
-    /// This LP's own counters (the aggregates are counted from the probe
-    /// stream, by [`crate::stats::KernelStats`]).
-    own: LpCounters,
-    /// `own` as of the last [`Self::take_window`]. Part of the LP, so the
-    /// dynlb window baseline migrates with it.
-    window_base: LpCounters,
 }
 
 /// What the LPs of one cluster share instead of owning a copy each: the
-/// buffers of one `execute_next` / `rollback_to` call, dead between calls,
-/// and the free list of retired checkpoints. One per cluster keeps the
-/// buffers hot whichever LP runs next, keeps an [`LpRuntime`] small, and
-/// lets a checkpoint reuse — allocation and all — a state that fossil
-/// collection or a rollback retired on any LP of the cluster.
+/// kernel configuration, the buffers of one `execute_next` / `rollback_to`
+/// call, dead between calls, and the free list of retired checkpoints. One
+/// per cluster keeps the buffers hot whichever LP runs next, keeps an
+/// [`LpRuntime`] small, and lets a checkpoint reuse — allocation and all —
+/// a state that fossil collection or a rollback retired on any LP of the
+/// cluster.
 #[derive(Debug)]
 pub struct Scratch<A: Application> {
+    cfg: KernelConfig,
     batch: Vec<Event<A::Msg>>,
     msgs: Vec<(LpId, A::Msg)>,
     sink_buf: Vec<(LpId, VTime, A::Msg)>,
@@ -95,9 +88,16 @@ pub struct Scratch<A: Application> {
     taken: usize,
 }
 
-impl<A: Application> Default for Scratch<A> {
-    fn default() -> Self {
+impl<A: Application> Scratch<A> {
+    /// The shared part of a cluster whose LPs run under `cfg`.
+    ///
+    /// # Panics
+    /// If `cfg.checkpoint_interval` is zero (state would never be saved);
+    /// `Simulator::run` rejects that as a `SimError` before getting here.
+    pub fn new(cfg: KernelConfig) -> Self {
+        assert!(cfg.checkpoint_interval >= 1, "checkpoint_interval must be >= 1");
         Scratch {
+            cfg,
             batch: Vec::new(),
             msgs: Vec::new(),
             sink_buf: Vec::new(),
@@ -105,9 +105,7 @@ impl<A: Application> Default for Scratch<A> {
             taken: 0,
         }
     }
-}
 
-impl<A: Application> Scratch<A> {
     /// A checkpoint of `live` to file ([`Application::checkpoint`]), built
     /// in a retired state's buffers when one is spare.
     fn checkpoint(&mut self, app: &A, live: &mut A::State) -> A::State {
@@ -128,12 +126,7 @@ impl<A: Application> Scratch<A> {
 impl<A: Application> LpRuntime<A> {
     /// Create the runtime for LP `id`, collecting its initial events into
     /// `outbox` (routed by the kernel like any other send).
-    ///
-    /// # Panics
-    /// If `cfg.checkpoint_interval` is zero (state would never be saved);
-    /// `Simulator::run` rejects that as a `SimError` before getting here.
-    pub fn new(app: &A, id: LpId, cfg: KernelConfig, outbox: &mut Vec<Event<A::Msg>>) -> Self {
-        assert!(cfg.checkpoint_interval >= 1, "checkpoint_interval must be >= 1");
+    pub fn new(app: &A, id: LpId, outbox: &mut Vec<Event<A::Msg>>) -> Self {
         let mut state = app.init_state(id);
         let mut sink = EventSink::new(VTime::ZERO);
         app.init_events(id, &mut state, &mut sink);
@@ -151,9 +144,6 @@ impl<A: Application> LpRuntime<A> {
             cancel_keys: IdHashMap::default(),
             orphan_antis: Vec::new(),
             batches_since_checkpoint: 0,
-            cfg,
-            own: LpCounters::default(),
-            window_base: LpCounters::default(),
         };
         for (dst, at, msg) in sink.out {
             outbox.push(lp.make_event(dst, VTime::ZERO, at, msg));
@@ -225,25 +215,6 @@ impl<A: Application> LpRuntime<A> {
             || !self.processed.is_empty()
             || !self.outputs.is_empty()
             || !self.pending_cancel.is_empty()
-    }
-
-    /// This LP's own counters (hotspot analysis).
-    pub fn own_stats(&self) -> LpCounters {
-        self.own
-    }
-
-    /// This LP's activity since the previous call — one dynamic
-    /// load-balancing window.
-    pub fn take_window(&mut self) -> LpWindow {
-        let base = std::mem::replace(&mut self.window_base, self.own);
-        LpWindow {
-            events: self.own.events_processed - base.events_processed,
-            rollbacks: self.own.rollbacks - base.rollbacks,
-            events_rolled_back: self.own.events_rolled_back - base.events_rolled_back,
-            // Filled in by the platform executive when a fault plan is
-            // installed (an LP never sees node-level fault time).
-            fault_penalty: 0,
-        }
     }
 
     /// Held lazy cancellations not yet resolved (diagnostics; must be zero
@@ -388,7 +359,8 @@ impl<A: Application> LpRuntime<A> {
         }
     }
 
-    /// Send the held anti-messages whose regeneration window has closed:
+    /// Send the held anti-messages whose regeneration window has closed
+    /// (only lazy cancellation holds any):
     /// a pending cancellation at send time `S` can only be regenerated by
     /// a batch executing at exactly `S`, so once the earliest possible
     /// batch time passes `S` the anti must go out. (Should a later
@@ -401,7 +373,7 @@ impl<A: Application> LpRuntime<A> {
         outbox: &mut Vec<Transmission<A::Msg>>,
         probe: &mut P,
     ) {
-        if self.cfg.cancellation != Cancellation::Lazy || self.pending_cancel.is_empty() {
+        if self.pending_cancel.is_empty() {
             return;
         }
         let cut = self.pending_cancel.partition_point(|e| e.send_time < bound);
@@ -430,6 +402,7 @@ impl<A: Application> LpRuntime<A> {
     ) {
         let now = self.next_time();
         assert!(!now.is_inf(), "execute_next on an idle LP");
+        let lazy = scratch.cfg.cancellation == Cancellation::Lazy;
         // Pop the batch: the front run of events at `now`, in key order.
         let Scratch { batch, msgs, sink_buf, .. } = scratch;
         batch.clear();
@@ -441,7 +414,6 @@ impl<A: Application> LpRuntime<A> {
         let mut sink = EventSink::with_buffer(now, std::mem::take(sink_buf));
         app.execute(self.id, &mut self.state, now, msgs, &mut sink);
 
-        self.own.events_processed += batch.len() as u64;
         probe.on(ProbeEvent::BatchExecuted { lp: self.id, now, events: batch.len() as u64 });
         let work = sink.take_work();
         if work != AppWork::default() {
@@ -453,9 +425,7 @@ impl<A: Application> LpRuntime<A> {
 
         // Route the new sends.
         for (dst, recv, msg) in sink.out.drain(..) {
-            if self.cfg.cancellation == Cancellation::Lazy
-                && self.cancel_keys.contains_key(&(dst, recv))
-            {
+            if lazy && self.cancel_keys.contains_key(&(dst, recv)) {
                 // Regeneration check: an identical event is already live at
                 // the receiver — drop both the send and the held anti. (The
                 // key filter above rejects the common no-candidate case in
@@ -498,7 +468,7 @@ impl<A: Application> LpRuntime<A> {
 
         // Checkpoint policy.
         self.batches_since_checkpoint += 1;
-        if self.batches_since_checkpoint >= self.cfg.checkpoint_interval {
+        if self.batches_since_checkpoint >= scratch.cfg.checkpoint_interval {
             self.states.push(SavedState {
                 tag: Some(now),
                 processed_len: self.processed.len(),
@@ -522,12 +492,10 @@ impl<A: Application> LpRuntime<A> {
         scratch: &mut Scratch<A>,
         probe: &mut P,
     ) {
-        self.own.rollbacks += 1;
         probe.on(ProbeEvent::RollbackBegun { lp: self.id, kind, from: self.lvt, to });
         // 1. Unprocess events at recv_time >= to.
         let cut = self.processed.partition_point(|e| e.recv_time < to);
         let undone = (self.processed.len() - cut) as u64;
-        self.own.events_rolled_back += undone;
         // Every pending event sorts after every processed one, so the
         // undone events go back on the front, newest first.
         for ev in self.processed.drain(cut..).rev() {
@@ -551,7 +519,7 @@ impl<A: Application> LpRuntime<A> {
 
         // 3. Cancel in-flight outputs sent at or after `to`.
         let ocut = self.outputs.partition_point(|e| e.send_time < to);
-        match self.cfg.cancellation {
+        match scratch.cfg.cancellation {
             Cancellation::Aggressive => {
                 for e in &self.outputs[ocut..] {
                     probe.on(ProbeEvent::AntiSent { lp: self.id, sent: e.send_time });
@@ -692,11 +660,10 @@ mod tests {
 
     fn setup(app: &Accum) -> Rig {
         let mut init = Vec::new();
-        let lps: Vec<LpRuntime<Accum>> = (0..app.n as LpId)
-            .map(|i| LpRuntime::new(app, i, KernelConfig::default(), &mut init))
-            .collect();
+        let lps: Vec<LpRuntime<Accum>> =
+            (0..app.n as LpId).map(|i| LpRuntime::new(app, i, &mut init)).collect();
         let outbox: Vec<Transmission<u64>> = init.into_iter().map(Transmission::Positive).collect();
-        (lps, KernelStats::default(), outbox, Scratch::default())
+        (lps, KernelStats::default(), outbox, Scratch::new(KernelConfig::default()))
     }
 
     /// Drive the toy model sequentially (always lowest timestamp first) —
@@ -771,48 +738,6 @@ mod tests {
         assert_eq!(*lps[1].state(), 7);
         lps[1].execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         assert_eq!(*lps[1].state(), 57);
-    }
-
-    /// Successive windows are differences in all three counters, and the
-    /// baseline is part of the LP, so it survives a move.
-    #[test]
-    fn take_window_diffs_and_carries_its_baseline() {
-        let app = Accum { n: 2, bound: 0 };
-        let (mut lps, mut stats, mut outbox, mut scratch) = setup(&app);
-        let event = |seq, t| Event {
-            id: EventId { src: 0, seq },
-            dst: 1,
-            send_time: VTime(1),
-            recv_time: VTime(t),
-            msg: 1,
-        };
-        let window = |events, rollbacks, events_rolled_back| LpWindow {
-            events,
-            rollbacks,
-            events_rolled_back,
-            fault_penalty: 0,
-        };
-        let mut lp = lps.pop().unwrap();
-        for ev in [event(100, 5), event(101, 6)] {
-            lp.receive(&app, Transmission::Positive(ev), &mut outbox, &mut scratch, &mut stats);
-            lp.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
-        }
-        // A straggler undoes both.
-        let early = Transmission::Positive(event(102, 3));
-        lp.receive(&app, early, &mut outbox, &mut scratch, &mut stats);
-        assert_eq!(lp.take_window(), window(2, 1, 2));
-
-        // Moved, as `ClusterCore::evict` / `adopt` move it, then re-executed:
-        // the next window holds only the new work.
-        let mut moved = Box::new(lp);
-        for _ in 0..3 {
-            moved.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
-        }
-        assert_eq!(moved.take_window(), window(3, 0, 0));
-        let anti = Transmission::Anti(event(101, 6).anti());
-        moved.receive(&app, anti, &mut outbox, &mut scratch, &mut stats);
-        assert_eq!(moved.take_window(), window(0, 1, 1));
-        assert_eq!(moved.take_window(), LpWindow::default(), "drained");
     }
 
     /// An anti-message for a pending event annihilates it silently.
@@ -933,10 +858,10 @@ mod tests {
         let app = Accum { n: 2, bound: 10 };
         let cfg = KernelConfig { cancellation: Cancellation::Lazy, ..Default::default() };
         let mut init = Vec::new();
-        let mut lp1: LpRuntime<Accum> = LpRuntime::new(&app, 1, cfg, &mut init);
+        let mut lp1: LpRuntime<Accum> = LpRuntime::new(&app, 1, &mut init);
         let mut stats = KernelStats::default();
         let mut outbox: Vec<Transmission<u64>> = Vec::new();
-        let mut scratch = Scratch::default();
+        let mut scratch = Scratch::new(cfg);
 
         let mk = |seq, t, v| Event {
             id: EventId { src: 0, seq },
@@ -1029,10 +954,10 @@ mod tests {
         let app = Accum { n: 2, bound: 0 };
         let cfg = KernelConfig { checkpoint_interval: 4, ..Default::default() };
         let mut init = Vec::new();
-        let mut lp1: LpRuntime<Accum> = LpRuntime::new(&app, 1, cfg, &mut init);
+        let mut lp1: LpRuntime<Accum> = LpRuntime::new(&app, 1, &mut init);
         let mut stats = KernelStats::default();
         let mut outbox: Vec<Transmission<u64>> = Vec::new();
-        let mut scratch = Scratch::default();
+        let mut scratch = Scratch::new(cfg);
         for t in 1..=10u64 {
             let ev = Event {
                 id: EventId { src: 0, seq: t },

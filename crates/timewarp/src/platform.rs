@@ -28,7 +28,7 @@ use crate::dynlb::{self, move_is_valid, pinned_mask, DynLbConfig, WindowStats};
 use crate::event::Transmission;
 use crate::probe::{Probe, ProbeEvent, Tee};
 use crate::sim::{Outcome, RunReport, SimError};
-use crate::stats::KernelStats;
+use crate::stats::{KernelStats, LpLedger};
 use crate::time::VTime;
 
 /// Platform-level configuration.
@@ -145,8 +145,7 @@ impl<M> Platform<M> {
             }
             let total: u64 = members.iter().map(|&l| window.lps[l].events).sum();
             for (k, &l) in members.iter().enumerate() {
-                window.lps[l].fault_penalty = match (pen * window.lps[l].events).checked_div(total)
-                {
+                window.fault_penalty[l] = match (pen * window.lps[l].events).checked_div(total) {
                     Some(share) => share,
                     None => {
                         pen / members.len() as u64
@@ -188,11 +187,11 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
 
     let pinned = pinned_mask(app);
 
+    // Balancing windows are drains of the run's own ledger.
     let stats = KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
-    let mut tee = Tee::new(stats, probe);
+    let mut tee = Tee::new(stats, Tee::new(dynlb.map(|_| LpLedger::default()), probe));
     let probe = &mut tee;
-    let (mut cores, homes) =
-        ClusterCore::partition(app, assignment, nodes, kernel, dynlb.is_some(), probe);
+    let (mut cores, homes) = ClusterCore::partition(app, assignment, nodes, kernel, probe);
     let mut plat = Platform {
         cost,
         clocks: vec![0; nodes],
@@ -320,14 +319,11 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
             // its current state, surviving checkpoints and pending events.
             if let Some(lb) = &dynlb {
                 if !gvt.is_inf() && probe.a.gvt_rounds.is_multiple_of(lb.period.max(1)) {
-                    let mut window = WindowStats::new(app.num_lps());
-                    window.gvt = gvt;
-                    for core in &mut cores {
-                        core.window_slice(&mut window);
-                    }
+                    let ledger =
+                        probe.b.a.as_mut().map(std::mem::take).expect("kept when balancing");
+                    let mut window = WindowStats::new(app.num_lps(), ledger);
                     plat.attribute_fault_time(&mut window);
                     probe.a.lb_rounds += 1;
-                    window.round = probe.a.lb_rounds;
                     let plan = dynlb::plan(&window, plat.homes.parts(), nodes, lb);
                     for mv in plan {
                         if !move_is_valid(&mv, plat.homes.parts(), nodes) || pinned[mv.lp as usize]
@@ -348,15 +344,15 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
 
     // Final commit.
     let held_total = cores.iter_mut().map(|c| c.commit(VTime::INF, probe).held_before).sum();
-    let Tee { a: mut stats, b: probe } = tee;
+    let Tee { a: mut stats, b: Tee { b: probe, .. } } = tee;
     stats.state_queue_high_water = stats.state_queue_high_water.max(held_total);
     stats.final_gvt = VTime::INF;
 
-    let (states, lp_stats) = ClusterCore::finish(cores);
+    let states = ClusterCore::finish(cores);
     let max_clock = plat.clocks.iter().copied().max().unwrap_or(0);
     let outcome =
         Outcome::Platform { exec_time_s: max_clock as f64 / 1e9, node_clocks_ns: plat.clocks };
-    Ok((RunReport { stats, lp_stats, states, outcome, telemetry: None }, probe))
+    Ok((RunReport { stats, states, outcome, telemetry: None }, probe))
 }
 
 /// Modeled execution time of the sequential baseline under the same cost

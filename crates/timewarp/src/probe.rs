@@ -17,8 +17,10 @@
 //!
 //! The default probe is [`NoProbe`], a zero-sized type whose handler is
 //! empty: executives are generic over `P: Probe`, so with `NoProbe` every
-//! emit monomorphizes to the `KernelStats` increments alone.
-//! [`crate::series::TimeSeries`] is the bundled recording probe.
+//! emit monomorphizes to the `KernelStats` increments alone (plus, on the
+//! optimistic executives, one untaken branch for the ledger a balancing
+//! run keeps). The bundled probes are [`crate::series::TimeSeries`] and
+//! [`crate::stats::LpLedger`].
 //!
 //! Concurrency model: the threaded executive calls [`Probe::fork`] once
 //! per cluster to obtain an independent child probe (no locking on the hot
@@ -141,13 +143,17 @@ pub enum ProbeEvent {
         /// The executive's clock.
         wall_ns: u64,
     },
-    /// A transmission crossed a cluster/node boundary (positive
-    /// application event or anti-message) with receive time `at`.
+    /// A transmission `src` → `dst` (application event or anti-message)
+    /// crossed a cluster/node boundary with receive time `at`.
     RemoteMessage {
         /// Application event (`true`) or anti-message.
         positive: bool,
         /// Receive time of the transmission.
         at: VTime,
+        /// The sending LP.
+        src: LpId,
+        /// The receiving LP.
+        dst: LpId,
     },
     /// Dynamic load balancing migrated `lp` from node/cluster `from` to
     /// `to` at the GVT round that agreed on `gvt`; `bytes` is the modeled
@@ -250,6 +256,20 @@ impl<P, Q> Tee<P, Q> {
     }
 }
 
+/// An optional probe: `None` observes nothing, for one branch per event.
+impl<P: Probe> Probe for Option<P> {
+    #[inline]
+    fn on(&mut self, event: ProbeEvent) {
+        self.iter_mut().for_each(|probe| probe.on(event));
+    }
+    fn fork(&mut self) -> Option<P> {
+        self.as_mut().map(P::fork)
+    }
+    fn join(&mut self, child: Option<P>) {
+        self.iter_mut().zip(child).for_each(|(probe, child)| probe.join(child));
+    }
+}
+
 impl<P: Probe, Q: Probe> Probe for Tee<P, Q> {
     #[inline]
     fn on(&mut self, event: ProbeEvent) {
@@ -285,8 +305,8 @@ mod tests {
             ProbeEvent::StateSaved { lp, now: t },
             ProbeEvent::FossilCollected { lp, gvt: t, committed: 3 },
             ProbeEvent::GvtAdvanced { gvt: t, states_held: 6, pending: 2, wall_ns: 900 },
-            ProbeEvent::RemoteMessage { positive: true, at: t },
-            ProbeEvent::RemoteMessage { positive: false, at: t },
+            ProbeEvent::RemoteMessage { positive: true, at: t, src: 1, dst: lp },
+            ProbeEvent::RemoteMessage { positive: false, at: t, src: 1, dst: lp },
             ProbeEvent::LpMigrated { lp, from: 0, to: 1, gvt: t, bytes: 64 },
             ProbeEvent::FaultEvent { node: 1, onset: true, active_now: 1, gvt: t },
         ]

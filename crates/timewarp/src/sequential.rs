@@ -10,7 +10,7 @@ use crate::event::{EventId, LpId};
 use crate::pool::IdHashMap;
 use crate::probe::{Probe, ProbeEvent, Tee};
 use crate::sim::{Outcome, RunReport};
-use crate::stats::{KernelStats, LpCounters};
+use crate::stats::KernelStats;
 use crate::time::VTime;
 
 /// Payload side-table for the global queue, keyed by insertion uid.
@@ -28,7 +28,6 @@ pub(crate) fn sequential_core<A: Application, P: Probe>(app: &A, probe: P) -> (R
     let mut states: Vec<A::State> = (0..n as LpId).map(|i| app.init_state(i)).collect();
     let stats = KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
     let mut probe = Tee::new(stats, probe);
-    let mut lp_stats: Vec<LpCounters> = vec![LpCounters::default(); n];
 
     // Global queue keyed by (recv_time, dst, src-id) so batch grouping and
     // in-batch order are deterministic.
@@ -78,7 +77,6 @@ pub(crate) fn sequential_core<A: Application, P: Probe>(app: &A, probe: P) -> (R
         let mut sink = EventSink::new(t);
         app.execute(dst, &mut states[dst as usize], t, &batch, &mut sink);
         let events = batch.len() as u64;
-        lp_stats[dst as usize].events_processed += events;
         probe.on(ProbeEvent::BatchExecuted { lp: dst, now: t, events });
         let work = sink.take_work();
         if work != AppWork::default() {
@@ -94,7 +92,7 @@ pub(crate) fn sequential_core<A: Application, P: Probe>(app: &A, probe: P) -> (R
     let Tee { a: mut stats, b: probe } = probe;
     stats.final_gvt = VTime::INF;
     let outcome = Outcome::Sequential { end_time };
-    (RunReport { stats, states, lp_stats, outcome, telemetry: None }, probe)
+    (RunReport { stats, states, outcome, telemetry: None }, probe)
 }
 
 #[cfg(test)]

@@ -270,8 +270,8 @@ mod tests {
                 AntiSent { lp: 0, sent: VTime(15) },
                 Annihilated { lp: 1, at: VTime(22) },
                 StateSaved { lp: 0, now: VTime(3) },
-                RemoteMessage { positive: true, at: VTime(7) },
-                RemoteMessage { positive: false, at: VTime(7) },
+                RemoteMessage { positive: true, at: VTime(7), src: 0, dst: 1 },
+                RemoteMessage { positive: false, at: VTime(7), src: 0, dst: 1 },
                 GvtAdvanced { gvt: VTime(10), states_held: 5, pending: 2, wall_ns: 1_000 },
                 FossilCollected { lp: 0, gvt: VTime(10), committed: 3 },
                 FossilCollected { lp: 0, gvt: VTime::INF, committed: 4 },
@@ -383,7 +383,7 @@ mod tests {
         ];
         let second = [
             BatchExecuted { lp: 1, now: VTime(4), events: 1 },
-            RemoteMessage { positive: true, at: VTime(3) },
+            RemoteMessage { positive: true, at: VTime(3), src: 1, dst: 0 },
         ];
         let mut root = TimeSeries::new(10);
         let mut c1 = root.fork();

@@ -23,7 +23,7 @@ use crate::dynlb::DynLbConfig;
 use crate::platform::PlatformConfig;
 use crate::probe::{NoProbe, Probe, Tee};
 use crate::series::TimeSeries;
-use crate::stats::{KernelStats, LpCounters};
+use crate::stats::KernelStats;
 use crate::time::VTime;
 
 /// Which executive runs the application.
@@ -106,15 +106,14 @@ impl Outcome {
 }
 
 /// What every executive returns: one shape for all three backends.
+/// Per-LP counts come from an attached [`LpLedger`](crate::LpLedger),
+/// read back with [`Simulator::run_probed`].
 #[derive(Debug)]
 pub struct RunReport<A: Application> {
     /// Aggregated Time Warp statistics.
     pub stats: KernelStats,
     /// Final committed state of every LP (id order).
     pub states: Vec<A::State>,
-    /// Per-LP counters (rollback/load hotspots); `rollbacks` is always 0
-    /// for sequential runs.
-    pub lp_stats: Vec<LpCounters>,
     /// Executive-specific measurements.
     pub outcome: Outcome,
     /// The recorded time series when [`Simulator::record`] was enabled.
@@ -243,11 +242,15 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
         }
     }
 
-    /// Execute the run on the chosen backend. Consumes the builder; the
-    /// attached probe is consumed with it (wrap shared state in your probe
-    /// if you need to inspect it afterwards, or use [`Self::record`] and
-    /// read [`RunReport::telemetry`]).
+    /// Execute the run on the chosen backend. Consumes the builder and the
+    /// attached probe; [`Self::run_probed`] hands the probe back.
     pub fn run(self, backend: Backend<'_>) -> Result<RunReport<A>, SimError> {
+        Ok(self.run_probed(backend)?.0)
+    }
+
+    /// [`Self::run`], handing back the attached probe (every cluster's fork
+    /// joined into it) with the report.
+    pub fn run_probed(self, backend: Backend<'_>) -> Result<(RunReport<A>, P), SimError> {
         validate(self.app, &self.platform, self.chaos.as_ref(), &backend)?;
         let Simulator { app, platform, record, dynlb, chaos, probe } = self;
         let chaos = chaos.as_ref();
@@ -256,9 +259,9 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
                 let tee = Tee::new(TimeSeries::new(width), probe);
                 let (mut report, tee) = dispatch(app, &platform, &backend, tee, dynlb, chaos)?;
                 report.telemetry = Some(tee.a);
-                Ok(report)
+                Ok((report, tee.b))
             }
-            None => Ok(dispatch(app, &platform, &backend, probe, dynlb, chaos)?.0),
+            None => dispatch(app, &platform, &backend, probe, dynlb, chaos),
         }
     }
 }
@@ -532,11 +535,12 @@ mod tests {
         assert!(t.migrations > 0);
     }
 
-    /// A custom probe composes with `record` (both observe every event).
+    /// A custom probe composes with `record` (both observe every event)
+    /// and comes back from `run_probed` with its forks joined.
     #[test]
     fn custom_probe_composes_with_record() {
         #[derive(Default)]
-        struct CountBatches(u64, std::sync::Arc<std::sync::atomic::AtomicU64>);
+        struct CountBatches(u64);
         impl Probe for CountBatches {
             fn on(&mut self, event: ProbeEvent) {
                 if let ProbeEvent::BatchExecuted { .. } = event {
@@ -544,33 +548,24 @@ mod tests {
                 }
             }
             fn fork(&mut self) -> CountBatches {
-                CountBatches(0, self.1.clone())
+                CountBatches(0)
             }
             fn join(&mut self, child: CountBatches) {
                 self.0 += child.0;
             }
         }
-        impl Drop for CountBatches {
-            fn drop(&mut self) {
-                // Publish on drop so the test can read the root's total
-                // after `run` consumed the probe.
-                self.1.fetch_add(self.0, std::sync::atomic::Ordering::SeqCst);
-            }
-        }
 
         let app = Ring { n: 8, hops: 20 };
         let asg = round_robin(8, 2);
-        let total = std::sync::Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let report = Simulator::new(&app)
-            .probe(CountBatches(0, total.clone()))
-            .record(10)
-            .run(Backend::Platform { assignment: &asg, nodes: 2 })
-            .unwrap();
-        // Drop adds each fork's count once; children's counts are folded
-        // into the root by join() and then dropped at 0... so guard by
-        // comparing against the recorded series instead of stats.
-        let batches = report.telemetry.unwrap().totals().counts.batches_executed;
-        assert_eq!(batches, report.stats.batches_executed);
-        assert!(total.load(std::sync::atomic::Ordering::SeqCst) >= batches);
+        for backend in [
+            Backend::Platform { assignment: &asg, nodes: 2 },
+            Backend::Threaded { assignment: &asg, clusters: 2 },
+        ] {
+            let (report, counted) =
+                Simulator::new(&app).probe(CountBatches(0)).record(10).run_probed(backend).unwrap();
+            let batches = report.telemetry.unwrap().totals().counts.batches_executed;
+            assert_eq!(batches, report.stats.batches_executed, "{backend:?}");
+            assert_eq!(counted.0, report.stats.batches_executed, "{backend:?}");
+        }
     }
 }

@@ -1,20 +1,10 @@
-//! Simulation statistics — the quantities the paper's Figures 4–6 plot.
+//! Simulation statistics: the paper's Figures 4–6, in total and per LP.
 
+use std::collections::BTreeMap;
+
+use crate::event::LpId;
 use crate::probe::{Probe, ProbeEvent, RollbackKind};
 use crate::time::VTime;
-
-/// Per-LP counters, for locating rollback and load hotspots (the paper's
-/// framework reported aggregate numbers; per-LP breakdowns are what one
-/// actually debugs a bad partition with).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LpCounters {
-    /// Events this LP processed (including rolled-back work).
-    pub events_processed: u64,
-    /// Rollbacks this LP suffered (primary + secondary).
-    pub rollbacks: u64,
-    /// Events undone on this LP.
-    pub events_rolled_back: u64,
-}
 
 /// How a counter combines when per-cluster [`KernelStats`] merge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,9 +263,93 @@ impl Probe for KernelStats {
     }
 }
 
+/// One LP's counts in an [`LpLedger`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LpActivity {
+    /// Events executed (including ones later rolled back).
+    pub events: u64,
+    /// Rollbacks suffered (primary + secondary).
+    pub rollbacks: u64,
+    /// Events undone by those rollbacks.
+    pub events_rolled_back: u64,
+}
+
+/// A probe that counts [`LpActivity`] per LP and positive remote messages
+/// per unordered LP pair — where a bad partition shows. Attach one with
+/// [`crate::Simulator::probe`]; [`crate::Simulator::run_probed`] returns it.
+#[derive(Debug, Clone, Default)]
+pub struct LpLedger {
+    /// Indexed by LP id, up to the highest one seen.
+    lps: Vec<LpActivity>,
+    pairs: BTreeMap<(LpId, LpId), u64>,
+    /// Pairs sent since the last `GvtAdvanced`: a send, on the routing hot
+    /// path, only pushes, and the next round folds the log into `pairs`.
+    log: Vec<(LpId, LpId)>,
+}
+
+impl LpLedger {
+    /// The counts of every LP, indexed by LP id (an LP past the end did
+    /// nothing), and the positive remote messages per LP pair `(min, max)`.
+    pub fn into_parts(mut self) -> (Vec<LpActivity>, BTreeMap<(LpId, LpId), u64>) {
+        self.fold();
+        (self.lps, self.pairs)
+    }
+
+    fn at(&mut self, lp: LpId) -> &mut LpActivity {
+        let i = lp as usize;
+        if i >= self.lps.len() {
+            self.lps.resize(i + 1, LpActivity::default());
+        }
+        &mut self.lps[i]
+    }
+
+    fn fold(&mut self) {
+        for pair in self.log.drain(..) {
+            *self.pairs.entry(pair).or_insert(0) += 1;
+        }
+    }
+}
+
+impl Probe for LpLedger {
+    #[inline]
+    fn on(&mut self, event: ProbeEvent) {
+        match event {
+            ProbeEvent::BatchExecuted { lp, events, .. } => self.at(lp).events += events,
+            ProbeEvent::RollbackBegun { lp, .. } => self.at(lp).rollbacks += 1,
+            ProbeEvent::RollbackEnded { lp, undone: n, .. } => self.at(lp).events_rolled_back += n,
+            ProbeEvent::RemoteMessage { positive: true, src, dst, .. } => {
+                self.log.push((src.min(dst), src.max(dst)));
+            }
+            ProbeEvent::GvtAdvanced { .. } => self.fold(),
+            _ => {}
+        }
+    }
+
+    fn fork(&mut self) -> LpLedger {
+        LpLedger::default()
+    }
+
+    fn join(&mut self, child: LpLedger) {
+        let (lps, pairs) = child.into_parts();
+        for (lp, a) in (0..).zip(lps) {
+            let mine = self.at(lp);
+            mine.events += a.events;
+            mine.rollbacks += a.rollbacks;
+            mine.events_rolled_back += a.events_rolled_back;
+        }
+        for (pair, n) in pairs {
+            *self.pairs.entry(pair).or_insert(0) += n;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynlb::DynLbConfig;
+    use crate::sim::{Backend, Simulator};
+    use crate::testkit::{round_robin, Ring};
+    use crate::KernelConfig;
 
     #[test]
     fn rollbacks_sum_primary_and_secondary() {
@@ -355,5 +429,78 @@ mod tests {
         unique.dedup();
         assert_eq!(unique.len(), KernelStats::COUNTERS.len(), "duplicate counter name");
         assert_eq!(names[0], "batches_executed");
+    }
+
+    /// A ledger attached to a run of `backend` agrees with the run's
+    /// `KernelStats`: summed over LPs, its events, rollbacks and events
+    /// undone are the aggregates, and its pair total is the application
+    /// messages. Returns the run's migrations.
+    fn ledger_agrees_with_kernel_stats(
+        app: &Ring,
+        backend: Backend<'_>,
+        dynlb: Option<DynLbConfig>,
+    ) -> u64 {
+        let mut sim = Simulator::new(app)
+            .config(KernelConfig { gvt_period: 4, ..Default::default() })
+            .probe(LpLedger::default());
+        if let Some(lb) = dynlb {
+            sim = sim.load_balancer(lb);
+        }
+        let (report, ledger) = sim.run_probed(backend).unwrap();
+        let stats = &report.stats;
+        let (lps, pairs) = ledger.into_parts();
+        let sum = |f: fn(&LpActivity) -> u64| lps.iter().map(f).sum::<u64>();
+        assert_eq!(sum(|a| a.events), stats.events_processed, "{backend:?}");
+        assert_eq!(sum(|a| a.rollbacks), stats.rollbacks(), "{backend:?}");
+        assert_eq!(sum(|a| a.events_rolled_back), stats.events_rolled_back, "{backend:?}");
+        assert!(lps.len() <= app.n, "{backend:?}");
+        assert_eq!(pairs.values().sum::<u64>(), stats.app_messages, "{backend:?}");
+        stats.migrations
+    }
+
+    #[test]
+    fn ledger_agrees_with_kernel_stats_on_every_executive() {
+        let app = Ring { n: 12, hops: 40 };
+        let striped = round_robin(12, 4);
+        let skewed = vec![0u32; 12];
+        let lb = Some(DynLbConfig { period: 1, ..Default::default() });
+        ledger_agrees_with_kernel_stats(&app, Backend::Sequential, None);
+        ledger_agrees_with_kernel_stats(
+            &app,
+            Backend::Platform { assignment: &striped, nodes: 4 },
+            None,
+        );
+        // Four cluster threads: each counts into its own fork.
+        ledger_agrees_with_kernel_stats(
+            &app,
+            Backend::Threaded { assignment: &striped, clusters: 4 },
+            None,
+        );
+        // Balanced runs, where an LP's activity is split across the
+        // clusters it lived on.
+        let platform = Backend::Platform { assignment: &skewed, nodes: 3 };
+        assert!(ledger_agrees_with_kernel_stats(&app, platform, lb) > 0, "no migration");
+        let threaded = Backend::Threaded { assignment: &skewed, clusters: 3 };
+        assert!(ledger_agrees_with_kernel_stats(&app, threaded, lb) > 0, "no migration");
+    }
+
+    #[test]
+    fn pairs_fold_at_gvt_and_on_read() {
+        let mut ledger = LpLedger::default();
+        let send =
+            |positive, src, dst| ProbeEvent::RemoteMessage { positive, at: VTime(3), src, dst };
+        ledger.on(send(true, 4, 1));
+        ledger.on(send(true, 1, 4));
+        ledger.on(send(false, 1, 2));
+        ledger.on(ProbeEvent::GvtAdvanced {
+            gvt: VTime(2),
+            states_held: 0,
+            pending: 0,
+            wall_ns: 0,
+        });
+        assert!(ledger.log.is_empty(), "a GVT round folds the log");
+        ledger.on(send(true, 2, 0));
+        let (_, pairs) = ledger.into_parts();
+        assert_eq!(pairs, BTreeMap::from([((0, 2), 1), ((1, 4), 2)]), "and so does a read");
     }
 }

@@ -59,7 +59,7 @@ use crate::dynlb::{self, move_is_valid, pinned_mask, DynLbConfig, Migration, Win
 use crate::event::Transmission;
 use crate::probe::{Probe, ProbeEvent, Tee};
 use crate::sim::{Outcome, RunReport, SimError};
-use crate::stats::KernelStats;
+use crate::stats::{KernelStats, LpLedger};
 use crate::time::VTime;
 
 /// A batch of transmissions — the unit that travels on inter-cluster
@@ -215,14 +215,14 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// Shared dynamic load-balancing state: the merged per-window statistics,
-/// the plan agreed by cluster 0, and per-destination handoff buffers for
-/// migrating LPs. All accesses happen inside the GVT round, where the
-/// flush protocol guarantees no message is in flight — see the `dynlb`
-/// module docs.
+/// Shared dynamic load-balancing state: the window's ledger, which every
+/// cluster joins its slice into, the plan agreed by cluster 0, and
+/// per-destination handoff buffers for migrating LPs. All accesses
+/// happen inside the GVT round, where the flush protocol guarantees no
+/// message is in flight — see the `dynlb` module docs.
 struct LbShared<A: Application> {
     cfg: DynLbConfig,
-    window: Mutex<WindowStats>,
+    window: Mutex<LpLedger>,
     plan: Mutex<Vec<Migration>>,
     movers: Vec<Mutex<Vec<Mover<A>>>>,
     /// LPs the model forbids migrating.
@@ -266,7 +266,7 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
 ) -> Result<(RunReport<A>, P), SimError> {
     let lb_shared = dynlb.map(|cfg| LbShared::<A> {
         cfg,
-        window: Mutex::new(WindowStats::new(app.num_lps())),
+        window: Mutex::default(),
         plan: Mutex::new(Vec::new()),
         movers: (0..clusters).map(|_| Mutex::new(Vec::new())).collect(),
         pinned: pinned_mask(app),
@@ -283,10 +283,10 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
         mail: (0..clusters).map(|_| Mail(AtomicU64::new(0))).collect(),
     };
 
+    // Balancing windows are drains of each cluster's fork of the ledger.
     let stats = KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
-    let mut probe = Tee::new(stats, probe);
-    let (cores, homes) =
-        ClusterCore::partition(app, assignment, clusters, *cfg, lb_shared.is_some(), &mut probe);
+    let mut probe = Tee::new(stats, Tee::new(dynlb.map(|_| LpLedger::default()), probe));
+    let (cores, homes) = ClusterCore::partition(app, assignment, clusters, *cfg, &mut probe);
 
     #[allow(
         clippy::disallowed_methods,
@@ -339,11 +339,11 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
         finished.push(cluster.core);
     }
 
-    let Tee { a: mut stats, b: probe } = probe;
+    let Tee { a: mut stats, b: Tee { b: probe, .. } } = probe;
     stats.final_gvt = VTime::INF;
-    let (states, lp_stats) = ClusterCore::finish(finished);
+    let states = ClusterCore::finish(finished);
     let outcome = Outcome::Threaded { wall };
-    Ok((RunReport { stats, states, lp_stats, outcome, telemetry: None }, probe))
+    Ok((RunReport { stats, states, outcome, telemetry: None }, probe))
 }
 
 /// Everything one cluster thread owns.
@@ -359,8 +359,8 @@ struct Cluster<'a, A: Application, P: Probe> {
     out_bufs: Vec<TxBatch<A::Msg>>,
     /// This cluster's copy of the routing table (see [`Homes`]).
     homes: Homes,
-    /// This cluster's statistics and its child of the caller's probe.
-    probe: Tee<KernelStats, P>,
+    /// This cluster's statistics, ledger and child of the caller's probe.
+    probe: Tee<KernelStats, Tee<Option<LpLedger>, P>>,
 }
 
 impl<A: Application, P: Probe> Cluster<'_, A, P> {
@@ -551,24 +551,18 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
     fn balance(&mut self, lbs: &LbShared<A>, gvt: VTime) -> Result<(), Poisoned> {
         let clusters = self.senders.len();
         let rendezvous = &self.shared.rendezvous;
-        // Phase 1: contribute this cluster's slice of the window (disjoint
-        // LP slots; traffic maps add).
-        {
-            let mut window = lbs.window.lock().unwrap();
-            window.gvt = gvt;
-            self.core.window_slice(&mut window);
-        }
+        // Phase 1: contribute this cluster's slice of the window.
+        let slice = self.probe.b.a.as_mut().map(std::mem::take).expect("kept when balancing");
+        lbs.window.lock().unwrap().join(slice);
         rendezvous.sync()?;
         // Phase 2: cluster 0 plans from the merged window. Any cluster's
         // assignment copy would do — they are identical by construction.
         self.probe.a.lb_rounds += 1;
         if self.cid == 0 {
-            let mut window = lbs.window.lock().unwrap();
-            window.round = self.probe.a.lb_rounds;
             let parts = self.homes.parts();
-            let plan = dynlb::plan(&window, parts, clusters, &lbs.cfg);
-            window.reset();
-            *lbs.plan.lock().unwrap() = plan;
+            let window =
+                WindowStats::new(parts.len(), std::mem::take(&mut *lbs.window.lock().unwrap()));
+            *lbs.plan.lock().unwrap() = dynlb::plan(&window, parts, clusters, &lbs.cfg);
         }
         rendezvous.sync()?;
         // Phase 3: every cluster applies the same plan to its own routing
@@ -597,8 +591,6 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
     use super::*;
     use crate::phold::Phold;
     use crate::sim::{Backend, Simulator};
@@ -696,32 +688,30 @@ mod tests {
     #[test]
     fn final_round_reports_one_checkpoint_per_resident_lp() {
         #[derive(Default)]
-        struct FinalHeld(Arc<Mutex<Vec<u64>>>);
+        struct FinalHeld(Vec<u64>);
         impl Probe for FinalHeld {
             fn on(&mut self, event: ProbeEvent) {
                 if let ProbeEvent::GvtAdvanced { gvt, states_held, .. } = event {
                     if gvt.is_inf() {
-                        self.0.lock().unwrap().push(states_held);
+                        self.0.push(states_held);
                     }
                 }
             }
             fn fork(&mut self) -> FinalHeld {
-                FinalHeld(Arc::clone(&self.0))
+                FinalHeld::default()
             }
-            fn join(&mut self, _child: FinalHeld) {}
+            fn join(&mut self, child: FinalHeld) {
+                self.0.extend(child.0);
+            }
         }
 
         let app = Ring { n: 8, hops: 30 };
-        let held = FinalHeld::default();
-        let seen = Arc::clone(&held.0);
         let assignment = [0, 0, 0, 0, 0, 1, 1, 1];
-        let res = Simulator::new(&app)
-            .probe(held)
-            .run(Backend::Threaded { assignment: &assignment, clusters: 2 })
+        let (res, held) = Simulator::new(&app)
+            .probe(FinalHeld::default())
+            .run_probed(Backend::Threaded { assignment: &assignment, clusters: 2 })
             .unwrap();
-        let mut seen = seen.lock().unwrap().clone();
-        seen.sort_unstable();
-        assert_eq!(seen, [3, 5], "one ∞ round per cluster, one checkpoint per LP");
+        assert_eq!(held.0, [5, 3], "one ∞ round per cluster, one checkpoint per LP");
         assert!(res.stats.state_queue_high_water >= 5, "the high water is taken before a commit");
     }
 

@@ -177,13 +177,13 @@ fn run_schedule(
     let app = Sponge;
     let cfg = KernelConfig { cancellation, checkpoint_interval: checkpoint, ..Default::default() };
     let mut init = Vec::new();
-    let mut lp: LpRuntime<Sponge> = LpRuntime::new(&app, 0, cfg, &mut init);
+    let mut lp: LpRuntime<Sponge> = LpRuntime::new(&app, 0, &mut init);
     assert!(init.is_empty(), "Sponge seeds no events");
 
     let mut reference = Reference::default();
     let mut stats = KernelStats::default();
     let mut outbox: Vec<Transmission<u64>> = Vec::new();
-    let mut scratch = Scratch::default();
+    let mut scratch = Scratch::new(cfg);
 
     let mut rng = seed;
     // Per-sender sequence counters (senders 1..=3).

@@ -636,9 +636,10 @@ fn cmd_hotspots(args: &Args) {
     let part = strategy.partition(&graph, k, 0);
     let cfg = SimConfig { end_time: args.end(), ..Default::default() };
     let app = cfg.build_app(&netlist);
-    let res = Simulator::new(&app)
+    let (res, ledger) = Simulator::new(&app)
         .platform_config(&cfg.platform)
-        .run(Backend::Platform { assignment: &part.assignment, nodes: k })
+        .probe(parlogsim::timewarp::LpLedger::default())
+        .run_probed(Backend::Platform { assignment: &part.assignment, nodes: k })
         .unwrap_or_else(|e| {
             eprintln!("run failed: {e}");
             exit(1);
@@ -649,8 +650,7 @@ fn cmd_hotspots(args: &Args) {
         strategy.name(),
         res.stats.rollbacks()
     );
-    let mut by_rollbacks: Vec<(u32, parlogsim::timewarp::LpCounters)> =
-        res.lp_stats.iter().enumerate().map(|(i, &c)| (i as u32, c)).collect();
+    let mut by_rollbacks: Vec<(u32, _)> = (0..).zip(ledger.into_parts().0).collect();
     by_rollbacks.sort_by_key(|&(_, c)| std::cmp::Reverse((c.rollbacks, c.events_rolled_back)));
     out!(
         "{:<16} {:<6} {:>4} {:>10} {:>8} {:>8}",
@@ -673,7 +673,7 @@ fn cmd_hotspots(args: &Args) {
             part.part(*lp),
             c.rollbacks,
             c.events_rolled_back,
-            c.events_processed
+            c.events
         );
     }
 }
