@@ -211,7 +211,7 @@ fn render_cache(cfg: &SimConfig, rows: &[&RunMetrics]) -> String {
         for (_, v) in m.stats.iter() {
             text.push_str(&format!(",{v}"));
         }
-        text.push_str(&format!(",{}\n", m.stats.final_gvt.0));
+        text.push_str(&format!(",{}\n", m.stats.final_gvt.ticks()));
     }
     text
 }
@@ -243,7 +243,7 @@ fn parse_cache_row(line: &str) -> Option<RunMetrics> {
     for c in KernelStats::COUNTERS {
         *(c.get_mut)(&mut m.stats) = f.next()?.parse().ok()?;
     }
-    m.stats.final_gvt = VTime(f.next()?.parse().ok()?);
+    m.stats.final_gvt = VTime::from(f.next()?.parse::<u64>().ok()?);
     f.next().is_none().then_some(m)
 }
 

@@ -1,9 +1,9 @@
-//! Intra-workspace call graph and reachability over parsed items.
+//! Intra-workspace call graph over parsed items.
 //!
 //! The graph is a deliberate *over-approximation*: call sites resolve by
 //! name (restricted by an explicit `Type::` qualifier or a `.method()`
 //! receiver shape when available), so an edge may connect a call to a
-//! same-named function it can never reach at runtime. For reachability
+//! same-named function it can never reach at runtime. For the flow
 //! rules that is the safe direction — a hazard can only be *found*, not
 //! hidden, by a spurious edge — and false positives carry an explicit
 //! waiver channel. Calls that resolve to nothing (std functions, tuple
@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::lexer::{Lexed, Tok};
-use crate::parser::{FnDef, ParsedFile, Receiver, StaticDef};
+use crate::parser::{FnDef, ParsedFile, Receiver};
 
 /// One analysis unit: a lexed + parsed source file.
 #[derive(Debug)]
@@ -36,21 +36,6 @@ pub struct CallSite {
     pub method: bool,
     /// 1-based line.
     pub line: u32,
-}
-
-/// Effect-relevant facts extracted from one function body.
-#[derive(Debug, Clone, Default)]
-pub struct BodyFacts {
-    /// Call sites, in source order.
-    pub calls: Vec<CallSite>,
-    /// Macro invocations (`name!`), in source order.
-    pub macros: Vec<(String, u32)>,
-    /// Every identifier mentioned, with one representative line
-    /// (first occurrence) — used to match static-item references.
-    pub idents: BTreeMap<String, u32>,
-    /// Lines carrying an assignment through `self.field` (plain or
-    /// compound) — the `&self` mutation check for D006.
-    pub self_writes: Vec<u32>,
 }
 
 /// For a turbofish `::<...>` whose `<` is at `open`, return the index
@@ -83,10 +68,9 @@ const KEYWORDS: [&str; 18] = [
     "as", "break", "continue", "ref", "where", "unsafe",
 ];
 
-/// Scan a body token range `[start, end)` for calls, macros, identifier
-/// references and `self.field` writes.
-pub fn scan_body(lx: &Lexed, start: usize, end: usize) -> BodyFacts {
-    let mut facts = BodyFacts::default();
+/// Scan a body token range `[start, end)` for call sites.
+pub fn scan_body(lx: &Lexed, start: usize, end: usize) -> Vec<CallSite> {
+    let mut calls = Vec::new();
     let mut i = start;
     while i < end {
         let Tok::Ident(id) = &lx.toks[i].tok else {
@@ -94,15 +78,11 @@ pub fn scan_body(lx: &Lexed, start: usize, end: usize) -> BodyFacts {
             continue;
         };
         let line = lx.toks[i].line;
-        facts.idents.entry(id.clone()).or_insert(line);
         if KEYWORDS.contains(&id.as_str()) {
             i += 1;
             continue;
         }
         match lx.punct(i + 1) {
-            Some("!") if matches!(lx.punct(i + 2), Some("(") | Some("[") | Some("{")) => {
-                facts.macros.push((id.clone(), line));
-            }
             Some("(") => {
                 let method = lx.punct(i.wrapping_sub(1)) == Some(".") && i > start;
                 let qualifier = if !method && i >= start + 2 && lx.punct(i - 1) == Some("::") {
@@ -110,7 +90,7 @@ pub fn scan_body(lx: &Lexed, start: usize, end: usize) -> BodyFacts {
                 } else {
                     None
                 };
-                facts.calls.push(CallSite { name: id.clone(), qualifier, method, line });
+                calls.push(CallSite { name: id.clone(), qualifier, method, line });
             }
             // Turbofish call: `name::<T, U>(...)` / `recv.name::<T>(...)`.
             Some("::") if lx.punct(i + 2) == Some("<") => {
@@ -123,33 +103,15 @@ pub fn scan_body(lx: &Lexed, start: usize, end: usize) -> BodyFacts {
                             } else {
                                 None
                             };
-                        facts.calls.push(CallSite { name: id.clone(), qualifier, method, line });
+                        calls.push(CallSite { name: id.clone(), qualifier, method, line });
                     }
                 }
             }
             _ => {}
         }
-        // `self . field <assign>` — mutation through the receiver. A
-        // following `(` means a method call, not a field; `==` is a
-        // comparison, not an assignment.
-        if id == "self" && lx.punct(i + 1) == Some(".") {
-            if let Some(_field) = lx.ident(i + 2) {
-                if lx.punct(i + 3) != Some("(") {
-                    let wrote = match lx.punct(i + 3) {
-                        Some("=") => lx.punct(i + 4) != Some("="),
-                        Some("+") | Some("-") | Some("*") | Some("/") | Some("%") | Some("^")
-                        | Some("&") | Some("|") => lx.punct(i + 4) == Some("="),
-                        _ => false,
-                    };
-                    if wrote {
-                        facts.self_writes.push(line);
-                    }
-                }
-            }
-        }
         i += 1;
     }
-    facts
+    calls
 }
 
 /// A function node in the workspace graph.
@@ -159,8 +121,8 @@ pub struct FnNode {
     pub unit: usize,
     /// The parsed definition.
     pub def: FnDef,
-    /// Body facts (empty for bodiless signatures).
-    pub facts: BodyFacts,
+    /// Call sites, in source order (none for bodiless signatures).
+    pub calls: Vec<CallSite>,
 }
 
 impl FnNode {
@@ -178,8 +140,6 @@ impl FnNode {
 pub struct Graph {
     /// All function nodes, in unit order then source order.
     pub fns: Vec<FnNode>,
-    /// All static items, with their owning unit.
-    pub statics: Vec<(usize, StaticDef)>,
     /// Adjacency: `edges[f]` = callees of `fns[f]`, sorted and deduped.
     pub edges: Vec<Vec<usize>>,
     by_name: BTreeMap<String, Vec<usize>>,
@@ -191,15 +151,9 @@ impl Graph {
         let mut g = Graph::default();
         for (u, unit) in units.iter().enumerate() {
             for def in &unit.parsed.fns {
-                let facts = match def.body {
-                    Some((s, e)) => scan_body(&unit.lx, s, e),
-                    None => BodyFacts::default(),
-                };
+                let calls = def.body.map_or_else(Vec::new, |(s, e)| scan_body(&unit.lx, s, e));
                 g.by_name.entry(def.name.clone()).or_default().push(g.fns.len());
-                g.fns.push(FnNode { unit: u, def: def.clone(), facts });
-            }
-            for st in &unit.parsed.statics {
-                g.statics.push((u, st.clone()));
+                g.fns.push(FnNode { unit: u, def: def.clone(), calls });
             }
         }
         g.edges = g.fns.iter().map(|f| g.resolve_all(f)).collect();
@@ -209,7 +163,7 @@ impl Graph {
     /// Candidate callees of every call site in `f`, merged and deduped.
     fn resolve_all(&self, f: &FnNode) -> Vec<usize> {
         let mut out = BTreeSet::new();
-        for call in &f.facts.calls {
+        for call in &f.calls {
             out.extend(self.resolve(f, call));
         }
         out.into_iter().collect()
@@ -257,72 +211,6 @@ impl Graph {
                 .collect(),
         };
         filtered
-    }
-
-    /// Function indices implementing `trait_name` (any method name).
-    pub fn trait_impl_fns(&self, trait_name: &str) -> Vec<usize> {
-        self.fns
-            .iter()
-            .enumerate()
-            .filter(|(_, f)| {
-                f.def.trait_ty.as_deref() == Some(trait_name)
-                    && f.def.self_ty.is_some()
-                    && f.def.body.is_some()
-            })
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Breadth-first reachability from `seeds`, never traversing *into*
-    /// functions for which `boundary` returns true (sanctioned sinks like
-    /// `EventSink::schedule` — effects behind them are the kernel's
-    /// responsibility, not the handler's).
-    ///
-    /// Returns `reached fn → (caller fn, seed fn)`; seeds map to
-    /// themselves.
-    pub fn reach(
-        &self,
-        seeds: &[usize],
-        boundary: impl Fn(&FnNode) -> bool,
-    ) -> BTreeMap<usize, (usize, usize)> {
-        let mut out: BTreeMap<usize, (usize, usize)> = BTreeMap::new();
-        let mut queue: Vec<usize> = Vec::new();
-        for &s in seeds {
-            if out.insert(s, (s, s)).is_none() {
-                queue.push(s);
-            }
-        }
-        let mut qi = 0;
-        while qi < queue.len() {
-            let f = queue[qi];
-            qi += 1;
-            let seed = out[&f].1;
-            for &callee in &self.edges[f] {
-                if boundary(&self.fns[callee]) {
-                    continue;
-                }
-                if let std::collections::btree_map::Entry::Vacant(e) = out.entry(callee) {
-                    e.insert((f, seed));
-                    queue.push(callee);
-                }
-            }
-        }
-        out
-    }
-
-    /// Render the call chain `seed → … → f` for diagnostics.
-    pub fn chain(&self, reach: &BTreeMap<usize, (usize, usize)>, f: usize) -> String {
-        let mut names = vec![self.fns[f].qualified()];
-        let mut cur = f;
-        while let Some(&(parent, _)) = reach.get(&cur) {
-            if parent == cur {
-                break;
-            }
-            names.push(self.fns[parent].qualified());
-            cur = parent;
-        }
-        names.reverse();
-        names.join(" → ")
     }
 }
 
@@ -406,41 +294,6 @@ mod tests {
     }
 
     #[test]
-    fn reachability_is_transitive_with_chain() {
-        let u = units(&[(
-            "a.rs",
-            "fn seed() { mid(); }\nfn mid() { leaf(); }\nfn leaf() {}\nfn island() {}\n",
-        )]);
-        let g = Graph::build(&u);
-        let r = g.reach(&[idx(&g, "seed")], |_| false);
-        assert!(r.contains_key(&idx(&g, "leaf")));
-        assert!(!r.contains_key(&idx(&g, "island")));
-        assert_eq!(g.chain(&r, idx(&g, "leaf")), "seed → mid → leaf");
-    }
-
-    #[test]
-    fn boundary_stops_traversal() {
-        let u = units(&[(
-            "a.rs",
-            "impl EventSink { fn schedule(&mut self) { internal(); } }\n\
-             fn seed(s: &mut EventSink) { s.schedule(); }\nfn internal() {}\n",
-        )]);
-        let g = Graph::build(&u);
-        let r = g.reach(&[idx(&g, "seed")], |f| f.def.self_ty.as_deref() == Some("EventSink"));
-        assert!(!r.contains_key(&idx(&g, "schedule")), "boundary fn not entered");
-        assert!(!r.contains_key(&idx(&g, "internal")), "nothing behind the boundary");
-    }
-
-    #[test]
-    fn self_writes_detected_only_for_assignments() {
-        let lx = lex("fn f(&self) { self.a = 1; self.b += 2; if self.c == 3 {} self.d(); }");
-        let p = parse(&lx);
-        let (s, e) = p.fns[0].body.unwrap();
-        let facts = scan_body(&lx, s, e);
-        assert_eq!(facts.self_writes.len(), 2, "{:?}", facts.self_writes);
-    }
-
-    #[test]
     fn turbofish_call_resolves() {
         let u = units(&[(
             "a.rs",
@@ -449,15 +302,5 @@ mod tests {
         )]);
         let g = Graph::build(&u);
         assert_eq!(g.edges[idx(&g, "caller")], vec![idx(&g, "helper")]);
-    }
-
-    #[test]
-    fn macro_uses_are_recorded() {
-        let lx = lex("fn f() { println!(\"x\"); assert_eq!(1, 1); vec![1]; }");
-        let p = parse(&lx);
-        let (s, e) = p.fns[0].body.unwrap();
-        let facts = scan_body(&lx, s, e);
-        let names: Vec<&str> = facts.macros.iter().map(|(n, _)| n.as_str()).collect();
-        assert_eq!(names, vec!["println", "assert_eq", "vec"]);
     }
 }

@@ -33,8 +33,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{Graph, Unit};
 use crate::lexer::{Lexed, Tok};
-use crate::rules::{RuleId, Violation};
-use crate::structural::FileViolation;
+use crate::rules::{FileViolation, RuleId, Violation};
 
 /// One lock acquisition with its held interval `[tok, end)`.
 #[derive(Debug)]

@@ -1,9 +1,9 @@
 //! Interprocedural forward-taint dataflow, and rule D011
 //! (nondeterminism taint) built on top of it.
 //!
-//! The engine works on the same IR the structural rules use — the
+//! The engine works on the same IR as the other rules — the
 //! [lexer](crate::lexer) token stream segmented into statements (the
-//! D003/D007 technique) plus the [call graph](crate::callgraph):
+//! D003 technique) plus the [call graph](crate::callgraph):
 //!
 //! 1. **Per-function def/use extraction.** Each body is split into
 //!    statements at `;`/`{`/`}` boundaries; `let` bindings, plain and
@@ -30,33 +30,31 @@
 //! (`// detlint: allow(D011, reason)`) absorbs the audited exceptions.
 //!
 //! **D011 sinks:** `EventSink::schedule` / `schedule_at` argument
-//! positions, `VTime(..)` construction, and `fingerprint(..)` inputs
-//! (detcheck's oracle). **Sources:** host time, thread identity,
-//! environment reads, addresses, float literals/casts, and iteration
-//! over RandomState-hashed containers.
+//! positions, `VTime` construction (`VTime::from(..)`, and the `VTime(..)`
+//! inside `time.rs` that `after` reaches), and `fingerprint(..)` inputs
+//! (detcheck's oracle). **Sources:** host time, addresses and float
+//! literals/casts. The other host-dependent sources — environment
+//! reads, thread identity, RandomState-hashed containers — are banned
+//! outright in kernel code by clippy (`clippy.toml`), so no flow from
+//! them needs tracking.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{CallSite, Graph, Unit};
 use crate::lexer::{is_float_literal, Lexed, Tok};
-use crate::rules::{RuleId, Violation};
-use crate::structural::FileViolation;
+use crate::rules::{FileViolation, RuleId, Violation};
 
 /// A nondeterminism-source category tracked by the taint engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Taint {
-    /// Host wall-clock (`Instant::now`, `SystemTime::now`).
+    /// Host wall-clock (`Instant::now`, `SystemTime::now`): clippy bans
+    /// both in kernel code, but the threaded executive's telemetry clock
+    /// is a sanctioned read whose value must not reach a sink.
     HostTime,
-    /// OS thread identity (`thread::current`).
-    ThreadId,
-    /// Process environment (`env::var` family).
-    Env,
     /// Machine addresses (`as_ptr`, `addr_of!`, raw-pointer casts).
     Addr,
     /// Floating-point values (literals, `f32`/`f64` idents or casts).
     Float,
-    /// Iteration order of a RandomState-hashed container.
-    UnorderedIter,
 }
 
 impl Taint {
@@ -64,11 +62,8 @@ impl Taint {
     pub fn label(self) -> &'static str {
         match self {
             Taint::HostTime => "host-time",
-            Taint::ThreadId => "thread-id",
-            Taint::Env => "environment",
             Taint::Addr => "address",
             Taint::Float => "float",
-            Taint::UnorderedIter => "unordered-iteration",
         }
     }
 }
@@ -78,12 +73,8 @@ fn labels(kinds: &BTreeSet<Taint>) -> String {
 }
 
 /// Free or method call names that are D011 sinks when any argument is
-/// tainted. `VTime` tuple construction is handled separately.
+/// tainted. `VTime` construction is handled separately.
 const SINK_CALLS: [&str; 3] = ["schedule", "schedule_at", "fingerprint"];
-
-/// Method names that yield iteration-ordered views of their receiver.
-const ITER_METHODS: [&str; 7] =
-    ["iter", "iter_mut", "keys", "values", "values_mut", "into_iter", "drain"];
 
 /// What one function does with taint, as seen by its callers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -117,9 +108,6 @@ struct VarState {
     taint: BTreeMap<String, BTreeSet<Taint>>,
     /// Variable → parameter indices whose value it may carry.
     origin: BTreeMap<String, BTreeSet<usize>>,
-    /// Variables bound to a RandomState-hashed container (iterating
-    /// them is the `UnorderedIter` source).
-    unordered: BTreeSet<String>,
 }
 
 /// What one right-hand side evaluates to.
@@ -269,33 +257,22 @@ impl<'a> Dataflow<'a> {
 
         // Classify the statement shape to find targets and RHS.
         let first = lx.ident(s);
-        let (targets, rhs, mark_unordered, is_return) = match first {
+        let (targets, rhs, is_return) = match first {
             Some("let") => {
                 let Some(eq) = top_level_eq(lx, s + 1, e) else { return };
-                let colon = top_level_punct(lx, s + 1, eq, ":");
-                let pat_end = colon.unwrap_or(eq);
-                let targets = pattern_idents(lx, s + 1, pat_end);
-                // `let m: HashMap<..> = ..` / `= HashMap::new()` marks the
-                // bindings as unordered containers.
-                let ty_unordered = colon.is_some_and(|c| range_mentions_hash(lx, c, eq));
-                let rhs_unordered = range_mentions_hash_ctor(lx, eq + 1, e);
-                (targets, Some((eq + 1, e)), ty_unordered || rhs_unordered, false)
+                let pat_end = top_level_punct(lx, s + 1, eq, ":").unwrap_or(eq);
+                (pattern_idents(lx, s + 1, pat_end), Some((eq + 1, e)), false)
             }
             Some("for") => {
                 let Some(in_kw) = (s + 1..e).find(|&j| lx.ident(j) == Some("in")) else { return };
                 let targets = pattern_idents(lx, s + 1, in_kw);
-                // `for x in map` / `for x in map.iter()` is the
-                // unordered-iteration source when `map` is hashed.
-                let mut v = self.eval(f, lx, in_kw + 1, e, st);
-                if (in_kw + 1..e).any(|j| lx.ident(j).is_some_and(|id| st.unordered.contains(id))) {
-                    v.kinds.insert(Taint::UnorderedIter);
-                }
+                let v = self.eval(f, lx, in_kw + 1, e, st);
                 for t in &targets {
                     merge_into(st, t, &v);
                 }
                 return;
             }
-            Some("return") => (Vec::new(), Some((s + 1, e)), false, true),
+            Some("return") => (Vec::new(), Some((s + 1, e)), true),
             _ => {
                 // Plain or compound assignment to a simple variable.
                 if let Some(id) = lx.ident(s) {
@@ -310,12 +287,12 @@ impl<'a> Dataflow<'a> {
                         _ => None,
                     };
                     if let Some(r) = assign_rhs {
-                        (vec![id.to_string()], Some((r, e)), false, false)
+                        (vec![id.to_string()], Some((r, e)), false)
                     } else {
-                        (Vec::new(), if is_tail { Some((s, e)) } else { None }, false, is_tail)
+                        (Vec::new(), if is_tail { Some((s, e)) } else { None }, is_tail)
                     }
                 } else {
-                    (Vec::new(), if is_tail { Some((s, e)) } else { None }, false, is_tail)
+                    (Vec::new(), if is_tail { Some((s, e)) } else { None }, is_tail)
                 }
             }
         };
@@ -332,9 +309,6 @@ impl<'a> Dataflow<'a> {
         }
         for t in &targets {
             merge_into(st, t, &v);
-            if mark_unordered {
-                st.unordered.insert(t.clone());
-            }
         }
     }
 
@@ -361,18 +335,6 @@ impl<'a> Dataflow<'a> {
                         {
                             v.kinds.insert(Taint::HostTime);
                         }
-                        "thread"
-                            if lx.punct(j + 1) == Some("::")
-                                && lx.ident(j + 2) == Some("current") =>
-                        {
-                            v.kinds.insert(Taint::ThreadId);
-                        }
-                        "env"
-                            if lx.punct(j + 1) == Some("::")
-                                && matches!(lx.ident(j + 2), Some("var" | "var_os" | "vars")) =>
-                        {
-                            v.kinds.insert(Taint::Env);
-                        }
                         "as_ptr" | "as_mut_ptr" | "addr_of" | "addr_of_mut" => {
                             v.kinds.insert(Taint::Addr);
                         }
@@ -382,12 +344,6 @@ impl<'a> Dataflow<'a> {
                             v.kinds.insert(Taint::Addr);
                         }
                         _ => {
-                            if st.unordered.contains(id.as_str())
-                                && lx.punct(j + 1) == Some(".")
-                                && lx.ident(j + 2).is_some_and(|m| ITER_METHODS.contains(&m))
-                            {
-                                v.kinds.insert(Taint::UnorderedIter);
-                            }
                             if let Some(k) = st.taint.get(id.as_str()) {
                                 v.kinds.extend(k.iter().copied());
                             }
@@ -430,8 +386,12 @@ impl<'a> Dataflow<'a> {
             let Some(open) = call_open_paren(lx, j) else { continue };
             let Some(close) = match_paren(lx, open, e) else { continue };
             let line = lx.toks[j].line;
-            let direct_sink = SINK_CALLS.contains(&id) || id == "VTime";
-            if direct_sink {
+            // `VTime(..)` exists only inside `time.rs`; through the
+            // summaries of `after` and `From::from` it makes their
+            // arguments sinks too.
+            let from = id == "from" && site.qualifier.as_deref() == Some("VTime");
+            let id = if from { "VTime::from" } else { id };
+            if SINK_CALLS.contains(&id) || from || id == "VTime" {
                 let v = self.eval(f, lx, open + 1, close, st);
                 if !v.kinds.is_empty() {
                     self.flag(
@@ -563,18 +523,6 @@ fn top_level_punct(lx: &Lexed, s: usize, e: usize, p: &str) -> Option<usize> {
         }
     }
     None
-}
-
-/// Whether `[s, e)` mentions `HashMap`/`HashSet` (type position).
-fn range_mentions_hash(lx: &Lexed, s: usize, e: usize) -> bool {
-    (s..e).any(|j| matches!(lx.ident(j), Some("HashMap" | "HashSet")))
-}
-
-/// Whether `[s, e)` constructs a `HashMap`/`HashSet` (`T::new()` etc).
-fn range_mentions_hash_ctor(lx: &Lexed, s: usize, e: usize) -> bool {
-    (s..e).any(|j| {
-        matches!(lx.ident(j), Some("HashMap" | "HashSet")) && lx.punct(j + 1) == Some("::")
-    })
 }
 
 /// When the ident at `j` heads a call (plain or turbofish), return its
@@ -744,12 +692,14 @@ mod tests {
 
     #[test]
     fn float_into_vtime_fires_and_integer_is_clean() {
-        let v =
-            run(&[("a.rs", "fn scale(r: u64) -> VTime { let s = (r * 2) as u64; VTime(s) }\n")]);
+        let v = run(&[(
+            "a.rs",
+            "fn scale(r: u64) -> VTime { let s = (r * 2) as u64; VTime::from(s) }\n",
+        )]);
         assert!(v.is_empty(), "integer math is clean: {v:?}");
         let v = run(&[(
             "a.rs",
-            "fn scale(r: f64) -> VTime { let s = (1000.0 * r) as u64; VTime(s) }\n",
+            "fn scale(r: f64) -> VTime { let s = (1000.0 * r) as u64; VTime::from(s) }\n",
         )]);
         assert!(
             v.iter()
@@ -757,20 +707,6 @@ mod tests {
                     && f.violation.message.contains("VTime")),
             "{v:?}"
         );
-    }
-
-    #[test]
-    fn unordered_iteration_into_fingerprint_fires() {
-        let v = run(&[(
-            "a.rs",
-            "fn digest() -> u64 {\n\
-                 let m: HashMap<u32, u64> = HashMap::new();\n\
-                 let mut acc = 0u64;\n\
-                 for v in m.values() { acc ^= v; }\n\
-                 fingerprint(acc)\n\
-             }\nfn fingerprint(x: u64) -> u64 { x }\n",
-        )]);
-        assert!(v.iter().any(|f| f.violation.message.contains("unordered-iteration")), "{v:?}");
     }
 
     #[test]

@@ -1,39 +1,30 @@
 //! The analysis driver: file walking, waiver parsing, rule dispatch and
 //! report assembly (text and JSON).
 //!
-//! Scope is two-tiered. The five kernel crates' `src/` trees
-//! (`timewarp`, `partition`, `logic`, `netlist`, `gatesim`) get the full
-//! catalog — that code's behavior reaches committed simulation output.
-//! Everything else that *feeds* the kernel — the remaining crates,
-//! `tests/`, `examples/`, the workspace CLI — gets D006–D008 only: an
-//! overflowing event schedule in a stress test or an impure probe in an
-//! example corrupts the histories we assert on just as surely as kernel
-//! code would, but a float-valued metric or a test harness lock there is
-//! harmless. `fixtures/`, `shims/` and `target/` are out of scope by
-//! construction.
+//! Scope is the five kernel crates' `src/` trees (`timewarp`,
+//! `partition`, `logic`, `netlist`, `gatesim`): that code's behavior
+//! reaches committed simulation output, and every rule applies to all of
+//! it.
 //!
-//! Analysis runs in three passes: (1) per-file lexical rules over the
-//! token stream, (2) a workspace-wide structural pass — parse every
-//! in-scope file, build one call graph, run the reachability rules plus
-//! the concurrency (D009), phase (D010) and taint-dataflow (D011)
-//! analyses — and (3) per-file waiver application over the merged
-//! findings, so a structural violation landing in any file is waivable
-//! by that file's inline `// detlint: allow(...)` comments like any
-//! lexical one.
+//! Analysis runs in two passes: (1) parse every in-scope file, build one
+//! call graph and run every rule over it — D003 over each function body,
+//! the concurrency (D009) and taint-dataflow (D011) analyses across
+//! bodies — and (2) per-file waiver application over the merged
+//! findings, so a violation landing in any file is waivable by that
+//! file's inline `// detlint: allow(...)` comments.
 
 use std::path::{Path, PathBuf};
 
 use crate::callgraph::{Graph, Unit};
 use crate::lexer::{lex, Lexed};
 use crate::parser::parse;
-use crate::rules::{self, RuleId, Violation};
-use crate::structural;
+use crate::rules::{FileViolation, RuleId, Violation};
 
-/// Crates whose `src/` trees get the full rule catalog — and the
-/// per-crate clippy pass in `scripts/check.sh`.
+/// Crates whose `src/` trees detlint checks — and the per-crate clippy
+/// pass in `scripts/check.sh`.
 pub const KERNEL_CRATES: [&str; 5] = ["timewarp", "partition", "logic", "netlist", "gatesim"];
 
-/// An inline waiver: `// detlint: allow(D004, <reason>)`.
+/// An inline waiver: `// detlint: allow(D003, <reason>)`.
 #[derive(Debug, Clone)]
 pub struct Waiver {
     /// Line of the waiver comment itself.
@@ -87,8 +78,8 @@ pub struct Report {
     pub waiver_errors: Vec<FileIssue>,
     /// Waivers that matched nothing (informational).
     pub unused_waivers: Vec<FileIssue>,
-    /// Item-parse failures from the structural pass — nonzero means the
-    /// call graph is incomplete and the run exits 2, not 0.
+    /// Item-parse failures — nonzero means the call graph is incomplete
+    /// and the run exits 2, not 0.
     pub parse_errors: Vec<FileIssue>,
 }
 
@@ -99,31 +90,11 @@ impl Report {
     }
 }
 
-/// Which rules apply to a file, by workspace-relative path. `None` means
-/// the file is out of scope entirely.
-pub fn rules_for(rel: &str) -> Option<Vec<RuleId>> {
+/// Whether a file, by workspace-relative path, is checked: it sits in a
+/// kernel crate's `src/` tree.
+pub fn in_scope(rel: &str) -> bool {
     let rel = rel.replace('\\', "/");
-    if rel.contains("/fixtures/") || rel.starts_with("shims/") || rel.starts_with("target/") {
-        return None;
-    }
-    let in_kernel = KERNEL_CRATES.iter().any(|c| rel.starts_with(&format!("crates/{c}/src/")));
-    if in_kernel {
-        let mut rules: Vec<RuleId> = RuleId::ALL.to_vec();
-        if rel == "crates/timewarp/src/threaded.rs" {
-            // The audited concurrency surface: D004 is *about* keeping
-            // threads confined to this file.
-            rules.retain(|r| *r != RuleId::D004);
-        }
-        return Some(rules);
-    }
-    if rel.starts_with("crates/")
-        || rel.starts_with("src/")
-        || rel.starts_with("tests/")
-        || rel.starts_with("examples/")
-    {
-        return Some(vec![RuleId::D006, RuleId::D007, RuleId::D008]);
-    }
-    None
+    KERNEL_CRATES.iter().any(|c| rel.starts_with(&format!("crates/{c}/src/")))
 }
 
 /// Parse every waiver in a lexed file. Returns `(waivers, errors)`.
@@ -143,16 +114,11 @@ pub fn parse_waivers(file: &str, lx: &Lexed) -> (Vec<Waiver>, Vec<FileIssue>) {
         // waiver.
         let Some(body) = c.text.trim_start().strip_prefix("detlint:") else { continue };
         let body = body.trim();
-        if body.starts_with("phase") {
-            // `// detlint: phase(...)` annotations belong to D010
-            // (crate::phase), which also diagnoses malformed ones.
-            continue;
-        }
         let mut err = |message: String| {
             errors.push(FileIssue { file: file.to_string(), line: c.line, message });
         };
         let Some(args) = body.strip_prefix("allow") else {
-            err(format!("expected `allow(...)` or `phase(...)` after `detlint:`, found `{body}`"));
+            err(format!("expected `allow(...)` after `detlint:`, found `{body}`"));
             continue;
         };
         let args = args.trim_start();
@@ -193,7 +159,7 @@ pub fn parse_waivers(file: &str, lx: &Lexed) -> (Vec<Waiver>, Vec<FileIssue>) {
             continue;
         }
         if rules_list.is_empty() {
-            err("waiver names no rule (expected e.g. `allow(D004, reason)`)".into());
+            err("waiver names no rule (expected e.g. `allow(D003, reason)`)".into());
             continue;
         }
         if reason.trim().is_empty() {
@@ -222,12 +188,13 @@ pub fn parse_waivers(file: &str, lx: &Lexed) -> (Vec<Waiver>, Vec<FileIssue>) {
     (waivers, errors)
 }
 
-/// Run the lexical rules among `active` over one token stream.
-fn lexical_pass(lx: &Lexed, active: &[RuleId], raw: &mut Vec<Violation>) {
-    let skip = rules::test_skip_mask(lx);
-    for check in active.iter().filter_map(|r| r.rule().lexical) {
-        check(lx, &skip, raw);
-    }
+/// Run every rule over every unit.
+fn check_all(units: &[Unit], graph: &Graph) -> Vec<FileViolation> {
+    let mut raw = Vec::new();
+    crate::rules::check_d003(units, &mut raw);
+    crate::concurrency::check_d009(units, graph, &mut raw);
+    crate::dataflow::check_d011(units, graph, &mut raw);
+    raw
 }
 
 /// Match `raw` violations against `waivers`, filing each as waived or
@@ -278,23 +245,19 @@ fn apply_waivers(file: &str, waivers: &[Waiver], mut raw: Vec<Violation>, report
 }
 
 /// Analyze a set of `(workspace-relative path, source)` pairs as one
-/// unit: per-file lexical rules, one structural pass over the combined
-/// call graph, then per-file waiver application.
+/// unit: every rule over the combined call graph, then per-file waiver
+/// application. Files out of scope are skipped.
 pub fn analyze_sources(inputs: &[(String, String)]) -> Report {
     let mut report = Report::default();
     let mut units: Vec<Unit> = Vec::new();
-    let mut active: Vec<Vec<RuleId>> = Vec::new();
     let mut waivers: Vec<Vec<Waiver>> = Vec::new();
     let mut raws: Vec<Vec<Violation>> = Vec::new();
 
-    for (rel, src) in inputs {
-        let Some(rules) = rules_for(rel) else { continue };
+    for (rel, src) in inputs.iter().filter(|(rel, _)| in_scope(rel)) {
         report.files += 1;
         let lx = lex(src);
         let (w, mut werrs) = parse_waivers(rel, &lx);
         report.waiver_errors.append(&mut werrs);
-        let mut raw = Vec::new();
-        lexical_pass(&lx, &rules, &mut raw);
         let parsed = parse(&lx);
         for e in &parsed.errors {
             report.parse_errors.push(FileIssue {
@@ -304,13 +267,12 @@ pub fn analyze_sources(inputs: &[(String, String)]) -> Report {
             });
         }
         units.push(Unit { file: rel.clone(), lx, parsed });
-        active.push(rules);
         waivers.push(w);
-        raws.push(raw);
+        raws.push(Vec::new());
     }
 
     let graph = Graph::build(&units);
-    for fv in structural::check_structural(&units, &graph, |u, r| active[u].contains(&r)) {
+    for fv in check_all(&units, &graph) {
         raws[fv.unit].push(fv.violation);
     }
 
@@ -324,50 +286,14 @@ pub fn analyze_sources(inputs: &[(String, String)]) -> Report {
     report
 }
 
-/// Analyze one file's source under the given rules, applying waivers.
-/// Appends findings/errors to `report`. Structural rules see only this
-/// file's call graph — the fixture-test entry point; workspace runs go
-/// through [`analyze_sources`] for cross-file reachability.
-pub fn analyze_source(file: &str, src: &str, active: &[RuleId], report: &mut Report) {
-    let lx = lex(src);
-    let (waivers, mut werrs) = parse_waivers(file, &lx);
-    report.waiver_errors.append(&mut werrs);
-
-    let mut raw: Vec<Violation> = Vec::new();
-    lexical_pass(&lx, active, &mut raw);
-
-    if active.iter().any(|r| r.is_structural()) {
-        let parsed = parse(&lx);
-        for e in &parsed.errors {
-            report.parse_errors.push(FileIssue {
-                file: file.to_string(),
-                line: e.line,
-                message: format!("structural parse failed: {}", e.message),
-            });
-        }
-        let units = [Unit { file: file.to_string(), lx, parsed }];
-        let graph = Graph::build(&units);
-        for fv in structural::check_structural(&units, &graph, |_, r| active.contains(&r)) {
-            raw.push(fv.violation);
-        }
-    }
-
-    apply_waivers(file, &waivers, raw, report);
-}
-
 /// Recursively collect `.rs` files under `dir`, sorted for deterministic
-/// reports; `fixtures`, `shims` and `target` directories are skipped
-/// (deliberate-violation fixtures and out-of-scope trees).
+/// reports.
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     let mut entries: Vec<PathBuf> =
         std::fs::read_dir(dir)?.filter_map(|e| e.ok().map(|e| e.path())).collect();
     entries.sort();
     for p in entries {
         if p.is_dir() {
-            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
-            if matches!(name, "fixtures" | "shims" | "target") {
-                continue;
-            }
             collect_rs(&p, out)?;
         } else if p.extension().and_then(|e| e.to_str()) == Some("rs") {
             out.push(p);
@@ -376,12 +302,12 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
     Ok(())
 }
 
-/// Analyze the whole workspace rooted at `root`: every `.rs` under
-/// `crates/`, `src/`, `tests/` and `examples/` (scope per [`rules_for`]).
+/// Analyze the whole workspace rooted at `root`: every `.rs` under the
+/// kernel crates' `src/` trees.
 pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
     let mut files = Vec::new();
-    for top in ["crates", "src", "tests", "examples"] {
-        let dir = root.join(top);
+    for c in KERNEL_CRATES {
+        let dir = root.join("crates").join(c).join("src");
         if dir.is_dir() {
             collect_rs(&dir, &mut files)?;
         }
@@ -389,9 +315,6 @@ pub fn analyze_workspace(root: &Path) -> std::io::Result<Report> {
     let mut inputs = Vec::new();
     for f in files {
         let rel = f.strip_prefix(root).unwrap_or(&f).to_string_lossy().replace('\\', "/");
-        if rules_for(&rel).is_none() {
-            continue;
-        }
         inputs.push((rel, std::fs::read_to_string(&f)?));
     }
     Ok(analyze_sources(&inputs))

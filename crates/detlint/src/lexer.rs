@@ -8,7 +8,7 @@
 //!
 //! * line/block comments (nested), collected for waiver parsing;
 //! * string/char/raw-string/byte-string literals (skipped, so a
-//!   `"Mutex"` inside a string can never trip D004);
+//!   `"f64"` inside a string can never trip D003);
 //! * lifetimes vs. char literals (`'a` vs `'a'`);
 //! * the multi-char operators `::`, `->`, `=>` and `..` fused into one
 //!   token, so generic-argument walks don't mistake `->` for a closing

@@ -1,13 +1,12 @@
 //! A recursive-descent *item* parser over [`crate::lexer`] output.
 //!
 //! This is not a full Rust grammar — it recovers exactly the structure
-//! the flow-aware rules (D006–D008) need from a token stream:
+//! the call graph and the flow rules (D009, D011) need from a token
+//! stream:
 //!
 //! * every function definition, with its name, receiver shape
 //!   (`&self` / `&mut self` / `self` / free), enclosing `impl` type and
 //!   trait, source line and body token range;
-//! * every `static` item, with mutability and whether its type carries
-//!   interior mutability;
 //! * which items sit under `#[cfg(test)]` / `#[test]`.
 //!
 //! The parser is *error-tolerant*: constructs it does not model
@@ -59,23 +58,6 @@ pub struct FnDef {
     pub params: Vec<String>,
 }
 
-/// One parsed `static` item.
-#[derive(Debug, Clone)]
-pub struct StaticDef {
-    /// Item name.
-    pub name: String,
-    /// 1-based line.
-    pub line: u32,
-    /// `static mut`.
-    pub is_mut: bool,
-    /// The declared type mentions an interior-mutability cell
-    /// (`AtomicU64`, `Mutex`, `RefCell`, …), so the static is writable
-    /// through `&`.
-    pub interior: bool,
-    /// Whether the item is under `#[cfg(test)]`.
-    pub in_test: bool,
-}
-
 /// A structural-parse failure (unbalanced delimiters and the like).
 #[derive(Debug, Clone)]
 pub struct ParseError {
@@ -85,35 +67,13 @@ pub struct ParseError {
     pub message: String,
 }
 
-/// Everything the structural pass needs from one file.
+/// Everything the call graph needs from one file.
 #[derive(Debug, Default)]
 pub struct ParsedFile {
     /// Function definitions, in source order.
     pub fns: Vec<FnDef>,
-    /// Static items, in source order.
-    pub statics: Vec<StaticDef>,
     /// Parse failures (fatal to the gate, exit code 2).
     pub errors: Vec<ParseError>,
-}
-
-/// Type names whose presence in a `static` type makes it writable
-/// through a shared reference.
-pub const INTERIOR_MUT_TYPES: [&str; 9] = [
-    "RefCell",
-    "Cell",
-    "OnceCell",
-    "OnceLock",
-    "LazyLock",
-    "UnsafeCell",
-    "Mutex",
-    "RwLock",
-    "SyncUnsafeCell",
-];
-
-/// Whether `id` names an interior-mutability cell type (including the
-/// `Atomic*` family).
-pub fn is_interior_mut_type(id: &str) -> bool {
-    INTERIOR_MUT_TYPES.contains(&id) || (id.starts_with("Atomic") && id.len() > "Atomic".len())
 }
 
 struct Parser<'a> {
@@ -307,10 +267,6 @@ impl<'a> Parser<'a> {
                                 self.skip_to_semi();
                             }
                         }
-                        "static" => {
-                            let item_test = std::mem::take(&mut pending_test);
-                            self.parse_static(ctx, item_test);
-                        }
                         "trait" => {
                             let item_test = std::mem::take(&mut pending_test);
                             self.i += 1; // `trait`
@@ -384,7 +340,9 @@ impl<'a> Parser<'a> {
                                 }
                             }
                         }
-                        "use" | "type" | "const" | "macro_rules" => {
+                        // `const fn`: a qualifier, like `unsafe`.
+                        "const" if self.lx.ident(self.i + 1) == Some("fn") => self.i += 1,
+                        "use" | "type" | "const" | "static" | "macro_rules" => {
                             pending_test = false;
                             self.i += 1;
                             self.skip_to_semi();
@@ -640,52 +598,6 @@ impl<'a> Parser<'a> {
         }
         (last, j)
     }
-
-    /// `self.i` indexes the `static` keyword.
-    fn parse_static(&mut self, ctx: &Ctx, item_test: bool) {
-        let line = self.line(self.i);
-        self.i += 1; // `static`
-        let is_mut = self.lx.ident(self.i) == Some("mut");
-        if is_mut {
-            self.i += 1;
-        }
-        let name = self.lx.ident(self.i).unwrap_or("").to_string();
-        self.i += 1;
-        // Type tokens run until the initializer or the terminator.
-        let mut interior = false;
-        while self.i < self.lx.toks.len() {
-            match (&self.lx.toks[self.i].tok, self.lx.punct(self.i)) {
-                (_, Some("=")) | (_, Some(";")) => break,
-                (Tok::Ident(id), _) => {
-                    interior |= is_interior_mut_type(id);
-                    self.i += 1;
-                }
-                (_, Some("<")) => match self.skip_generics(self.i) {
-                    Some(past) => {
-                        // Inspect the generic arguments too (Vec<Mutex<_>>).
-                        for k in self.i..past {
-                            if let Tok::Ident(id) = &self.lx.toks[k].tok {
-                                interior |= is_interior_mut_type(id);
-                            }
-                        }
-                        self.i = past;
-                    }
-                    None => self.i += 1,
-                },
-                _ => self.i += 1,
-            }
-        }
-        self.skip_to_semi();
-        if !name.is_empty() {
-            self.out.statics.push(StaticDef {
-                name,
-                line,
-                is_mut,
-                interior,
-                in_test: ctx.in_test || item_test,
-            });
-        }
-    }
 }
 
 #[cfg(test)]
@@ -749,18 +661,12 @@ mod tests {
     }
 
     #[test]
-    fn statics_with_interior_mutability() {
+    fn const_fn_is_a_function_not_a_const_item() {
         let p = parse_src(
-            "static PLAIN: u64 = 0;\n\
-             static mut COUNTER: u64 = 0;\n\
-             static CELL: AtomicU64 = AtomicU64::new(0);\n\
-             static TABLE: Mutex<Vec<u8>> = Mutex::new(Vec::new());\n",
+            "impl T {\n    pub const fn a(self) -> u64 { 1 }\n    pub fn b(self) {}\n}\n",
         );
-        assert_eq!(p.statics.len(), 4);
-        assert!(!p.statics[0].is_mut && !p.statics[0].interior);
-        assert!(p.statics[1].is_mut);
-        assert!(p.statics[2].interior);
-        assert!(p.statics[3].interior);
+        let names: Vec<&str> = p.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
     }
 
     #[test]

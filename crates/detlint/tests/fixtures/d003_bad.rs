@@ -6,6 +6,6 @@ fn skew(gvt: u64, factor: f64) -> u64 {
 }
 
 fn window(lvt: VTime) -> VTime {
-    let scaled = lvt.0 as f32 * 1.5;       // line 9: float literal times lvt
-    VTime(scaled as u64)
+    let scaled = lvt.ticks() as f32 * 1.5;       // line 9: float literal times lvt
+    VTime::from(scaled as u64)
 }

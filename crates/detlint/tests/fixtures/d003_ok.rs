@@ -3,7 +3,7 @@
 use crate::time::VTime;
 
 fn advance(gvt: VTime, delta: u64) -> VTime {
-    VTime(gvt.0.saturating_add(delta))
+    gvt.after(delta)
 }
 
 fn throughput(events: u64, max_clock: u64) -> f64 {

@@ -1,9 +1,9 @@
 //! D011 positive fixture: nondeterministic values flowing into
-//! determinism-critical sinks — directly, through a float cast, and
-//! through a helper's return value (an address, and host time).
+//! determinism-critical sinks — directly (an address), through a float
+//! cast, and through a helper's return value (an address, and host time).
 
 pub fn skewed(sink: &mut EventSink) {
-    let skew = std::env::var("PLS_SKEW").unwrap().parse().unwrap();
+    let skew = sink as *const EventSink as u64;
     sink.schedule(1, skew, 0);
 }
 

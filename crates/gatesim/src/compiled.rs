@@ -357,7 +357,7 @@ impl BlockState {
     fn fresh(b: &Block, stim: &StimulusConfig) -> BlockState {
         let ncomb = b.ops.len();
         let owned = ncomb + b.dffs.len() + b.stims.len();
-        let start = if b.stims.is_empty() { VTime::INF } else { VTime(1) };
+        let start = if b.stims.is_empty() { VTime::INF } else { VTime::from(1) };
         BlockState {
             vals: vec![Value::X; owned + b.num_ports as usize],
             outs: vec![Value::X; owned],
@@ -518,6 +518,59 @@ fn mark_readers(b: &Block, state: &mut BlockState, tick: &TickCfg, slot: usize, 
     }
 }
 
+/// Why a block cannot be compiled: it outgrows one of the fixed-width
+/// fields of the instruction encoding. `block` is the part id the block
+/// was built from (0 for the single block of an unpartitioned model).
+/// Blocks are never split to fit; use more, smaller parts.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CompileError {
+    /// More value slots (gates, replicas and ports) than a `u16` indexes.
+    TooManySlots {
+        /// The offending block.
+        block: u32,
+        /// Its value slots.
+        slots: usize,
+    },
+    /// More distinct gate delays than the 16 agenda buckets.
+    TooManyDelays {
+        /// The offending block.
+        block: u32,
+        /// Its distinct delays.
+        delays: usize,
+    },
+    /// Routes to more blocks than a `u16` indexes.
+    TooManyRoutes {
+        /// The offending block.
+        block: u32,
+        /// The blocks it routes to.
+        dsts: usize,
+    },
+}
+
+impl std::fmt::Display for CompileError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            CompileError::TooManySlots { block, slots } => {
+                write!(f, "compiled block {block} needs {slots} value slots (at most {MAX_SLOTS})")
+            }
+            CompileError::TooManyDelays { block, delays } => write!(
+                f,
+                "compiled block {block} has {delays} distinct gate delays (at most {MAX_DELAYS})"
+            ),
+            CompileError::TooManyRoutes { block, dsts } => {
+                write!(f, "compiled block {block} routes to {dsts} blocks (at most {MAX_SLOTS})")
+            }
+        }
+    }
+}
+
+impl std::error::Error for CompileError {}
+
+/// Value slots and route destinations a block may index (`u16`).
+const MAX_SLOTS: usize = 1 << 16;
+/// Agenda buckets per block (a 4-bit field of [`Op::meta`]).
+const MAX_DELAYS: usize = 16;
+
 /// The compiled-blocks [`crate::GateModel`] engine: one LP per non-empty
 /// block of fused gates — no other LPs exist.
 #[derive(Debug)]
@@ -541,13 +594,13 @@ impl CompiledSim {
     /// copy's slot instead of a port, so the home block's route to that
     /// block (and the port itself) disappears. Replica slots carry their
     /// own trace hash but are never owned — fingerprints hash home
-    /// copies only.
+    /// copies only. Fails when a block outgrows the instruction encoding.
     pub(crate) fn compile(
         netlist: &Netlist,
         cfg: &SimConfig,
         blocks: Option<&[u32]>,
         replicas: &[(GateId, u32)],
-    ) -> CompiledSim {
+    ) -> Result<CompiledSim, CompileError> {
         let n = netlist.len();
         if let Some(map) = blocks {
             assert_eq!(map.len(), n, "block map must cover every gate");
@@ -659,7 +712,9 @@ impl CompiledSim {
             let ncomb = comb.len();
             let owned = ncomb + dffs.len() + stims.len();
             let total_slots = owned + port_of[b].len();
-            assert!(total_slots <= 1 << 16, "compiled block exceeds 65536 value slots");
+            if total_slots > MAX_SLOTS {
+                return Err(CompileError::TooManySlots { block: part_ids[b], slots: total_slots });
+            }
             let slot_of = |d: GateId| -> u16 {
                 match local_slot[b].get(&d) {
                     Some(&s) => s as u16,
@@ -676,7 +731,10 @@ impl CompiledSim {
                 delays.insert(lower_delay(gate.kind, gate.fanin.len()));
             }
             let delays: Vec<u16> = delays.into_iter().collect();
-            assert!(delays.len() <= 16, "compiled block exceeds 16 distinct delays");
+            if delays.len() > MAX_DELAYS {
+                let delays = delays.len();
+                return Err(CompileError::TooManyDelays { block: part_ids[b], delays });
+            }
             let bucket_of =
                 |d: u16| -> u8 { delays.binary_search(&d).expect("delay registered") as u8 };
 
@@ -765,7 +823,9 @@ impl CompiledSim {
                 }
             }
             let dsts: Vec<u32> = dst_set.into_iter().collect();
-            assert!(dsts.len() <= 1 << 16, "compiled block routes to more than 65536 blocks");
+            if dsts.len() > MAX_SLOTS {
+                return Err(CompileError::TooManyRoutes { block: part_ids[b], dsts: dsts.len() });
+            }
             let rows: Vec<Vec<Route>> = owned_gates
                 .iter()
                 .map(|&g| {
@@ -799,14 +859,14 @@ impl CompiledSim {
             blk.dsts = dsts.into_iter().map(|x| x as LpId).collect();
         }
 
-        CompiledSim {
+        Ok(CompiledSim {
             blocks: built,
             stim: cfg.stim,
             tick: TickCfg::new(cfg),
             owner,
             tabs: EvalTabs::build(),
             num_replicas: replicas.len() as u64,
-        }
+        })
     }
 
     /// Total LPs: one per block.
@@ -833,7 +893,7 @@ impl CompiledSim {
         // poll, exactly as primary-input LPs do in gate-per-LP mode; all
         // other blocks are driven entirely by arriving ports.
         if !self.blocks[lp as usize].stims.is_empty() {
-            sink.schedule_at(lp, VTime(1), GateMsg::SelfTick);
+            sink.schedule_at(lp, VTime::from(1), GateMsg::SelfTick);
         }
     }
 

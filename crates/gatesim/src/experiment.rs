@@ -15,7 +15,7 @@ use pls_timewarp::{
     PlatformConfig, SimError, Simulator, TimeSeries,
 };
 
-use crate::compiled::CompiledSim;
+use crate::compiled::{CompileError, CompiledSim};
 use crate::gatelp::GateSim;
 use crate::model::{ExecModel, GateModel};
 
@@ -68,8 +68,15 @@ impl Default for SimConfig {
 }
 
 impl SimConfig {
-    /// Build the Time Warp application for a netlist under this config.
+    /// Build the Time Warp application for a netlist under this config;
+    /// panics where [`Self::try_build_app`] fails.
     pub fn build_app(&self, netlist: &Netlist) -> GateModel {
+        self.try_build_app(netlist).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::build_app`], failing when a compiled block outgrows the
+    /// instruction encoding (a circuit too large for one block).
+    pub fn try_build_app(&self, netlist: &Netlist) -> Result<GateModel, CompileError> {
         self.construct(netlist, None, &[])
     }
 
@@ -78,13 +85,26 @@ impl SimConfig {
     /// from the partitioning (one block per part); with
     /// [`Self::replication`] set, a replica plan is made against the
     /// partitioning and applied to the model. This is the construction
-    /// path [`Cell::run_with`] uses.
+    /// path [`Cell::run_with`] uses. Panics where
+    /// [`Self::try_build_app_partitioned`] fails.
     pub fn build_app_partitioned(
         &self,
         netlist: &Netlist,
         graph: &CircuitGraph,
         partitioning: &Partitioning,
     ) -> GateModel {
+        self.try_build_app_partitioned(netlist, graph, partitioning)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Self::build_app_partitioned`], failing when a compiled block
+    /// outgrows the instruction encoding.
+    pub fn try_build_app_partitioned(
+        &self,
+        netlist: &Netlist,
+        graph: &CircuitGraph,
+        partitioning: &Partitioning,
+    ) -> Result<GateModel, CompileError> {
         let replicas = match &self.replication {
             Some(rc) => plan_replication(graph, partitioning, rc).pairs(),
             None => Vec::new(),
@@ -111,8 +131,8 @@ impl SimConfig {
         netlist: &Netlist,
         gate_parts: Option<&[u32]>,
         replicas: &[(GateId, u32)],
-    ) -> GateModel {
-        match &self.exec {
+    ) -> Result<GateModel, CompileError> {
+        Ok(match &self.exec {
             ExecModel::GatePerLp => {
                 GateModel::PerGate(GateSim::new(netlist, self, gate_parts, replicas))
             }
@@ -121,8 +141,8 @@ impl SimConfig {
                 self,
                 opts.blocks.as_deref().or(gate_parts),
                 replicas,
-            )),
-        }
+            )?),
+        })
     }
 }
 

@@ -105,7 +105,7 @@ pub(crate) const FNV_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
 /// definition so committed fingerprints are byte-identical across them.
 pub(crate) fn fnv_step(h: u64, t: VTime, v: Value) -> u64 {
     const FNV_PRIME: u64 = 0x100_0000_01b3;
-    let h = (h ^ t.0).wrapping_mul(FNV_PRIME);
+    let h = (h ^ t.ticks()).wrapping_mul(FNV_PRIME);
     (h ^ v as u64).wrapping_mul(FNV_PRIME)
 }
 
@@ -178,22 +178,22 @@ impl TickCfg {
             stim_period: cfg.stim.period.max(1),
             clock_period: cfg.clock_period.max(1),
             clock_offset: (cfg.clock_period / 2).max(1),
-            end_time: VTime(cfg.end_time),
+            end_time: VTime::from(cfg.end_time),
         }
     }
 
     /// First clock edge strictly after `now` (edges at
     /// `clock_offset + i * clock_period`).
     pub(crate) fn next_clock_edge(&self, now: VTime) -> VTime {
-        if now.0 < self.clock_offset {
-            return VTime(self.clock_offset);
+        if now.ticks() < self.clock_offset {
+            return VTime::from(self.clock_offset);
         }
-        let i = (now.0 - self.clock_offset) / self.clock_period + 1;
+        let i = (now.ticks() - self.clock_offset) / self.clock_period + 1;
         // Near the end of u64 range the next edge does not exist; INF
         // (never scheduled) beats a wrapped edge in the past, which
         // would silently reorder every event behind it.
         match i.checked_mul(self.clock_period).and_then(|t| t.checked_add(self.clock_offset)) {
-            Some(t) => VTime(t),
+            Some(t) => VTime::from(t),
             None => VTime::INF,
         }
     }
@@ -442,7 +442,7 @@ impl Application for GateSim {
         // Only inputs self-start; DFFs are activity-driven (their first
         // sampling tick is scheduled by the first D change).
         if self.kinds[lp as usize] == GateKind::Input {
-            sink.schedule_at(lp, VTime(1), GateMsg::SelfTick);
+            sink.schedule_at(lp, VTime::from(1), GateMsg::SelfTick);
         }
     }
 
@@ -555,7 +555,7 @@ mod tests {
         let app = sim(&n, 50);
         let res = run_sequential(&app);
         // Nothing can execute later than horizon + total pipeline delay.
-        assert!(res.outcome.end_time().unwrap().0 <= 50 + 4);
+        assert!(res.outcome.end_time().unwrap().ticks() <= 50 + 4);
     }
 
     #[test]

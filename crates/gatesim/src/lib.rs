@@ -43,7 +43,7 @@ pub mod model;
 pub mod vcd;
 
 pub use activity::{activity_weighted_graph, ActivityProfile};
-pub use compiled::{BlockState, CompileOptions, CompiledSim};
+pub use compiled::{BlockState, CompileError, CompileOptions, CompiledSim};
 pub use experiment::{run_seq_baseline, Cell, RunMetrics, SeqMetrics, SimConfig};
 pub use gatelp::{GateMsg, GateSim, GateState};
 pub use model::{ExecModel, GateModel, ModelState, UnknownExecModel};

@@ -309,7 +309,8 @@ mod tests {
             ExecModel::CompiledBlocks(CompileOptions { blocks: Some(parts.clone()) }),
         ];
         for exec in execs {
-            let app = SimConfig { exec, ..cfg(200) }.construct(&netlist, Some(&parts), &pairs);
+            let app =
+                SimConfig { exec, ..cfg(200) }.construct(&netlist, Some(&parts), &pairs).unwrap();
             assert_eq!(app.replicated_units(), pairs.len() as u64);
             let r = Simulator::new(&app).run(Backend::Sequential).unwrap();
             assert_eq!(
@@ -326,7 +327,7 @@ mod tests {
     #[test]
     fn replica_lps_are_pinned_and_assigned_to_their_target_part() {
         let (netlist, parts, pairs) = replicated_setup();
-        let app = cfg(100).construct(&netlist, Some(&parts), &pairs);
+        let app = cfg(100).construct(&netlist, Some(&parts), &pairs).unwrap();
         let n = netlist.len();
         assert_eq!(app.num_lps(), n + pairs.len());
         assert_eq!(app.num_gates(), n);
@@ -339,7 +340,8 @@ mod tests {
         // Compiled mode fuses replicas: no extra LPs, nothing pinned.
         let compiled =
             SimConfig { exec: ExecModel::CompiledBlocks(Default::default()), ..cfg(100) }
-                .construct(&netlist, Some(&parts), &pairs);
+                .construct(&netlist, Some(&parts), &pairs)
+                .unwrap();
         assert!(compiled.pinned_lps().is_empty());
         assert_eq!(compiled.lp_assignment(&parts).len(), compiled.num_lps());
     }
@@ -354,7 +356,7 @@ mod tests {
         let parts = vec![0u32, 1, 1];
         let oracle = crate::run_seq_baseline(&netlist, &cfg(200)).fingerprint;
         // The hand-written plan is the point: the one construction function.
-        let app = cfg(200).construct(&netlist, Some(&parts), &[(a, 1)]);
+        let app = cfg(200).construct(&netlist, Some(&parts), &[(a, 1)]).unwrap();
         let r = Simulator::new(&app).run(Backend::Sequential).unwrap();
         assert_eq!(app.fingerprint(&r.states), oracle);
         assert!(r.stats.messages_saved > 0);

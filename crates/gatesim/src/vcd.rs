@@ -103,7 +103,7 @@ impl Application for WaveRecorder {
         if state.gate.trace_hash != state.last_hash {
             // The transition is stamped with its effective (delayed) time,
             // matching what downstream gates observe.
-            state.history.push((now.after(self.inner.delay_of(lp)).0, state.gate.output));
+            state.history.push((now.after(self.inner.delay_of(lp)).ticks(), state.gate.output));
             state.last_hash = state.gate.trace_hash;
             state.last_output = state.gate.output;
         }

@@ -8,14 +8,13 @@
 //! because Time Warp re-executes events after rollbacks and the re-run
 //! must reproduce the original sends exactly.
 //!
-//! This contract is *statically enforced* by `pls-detlint` rule **D006**
-//! (rollback soundness): no I/O, writable statics, interior mutability
-//! or `&self` field mutation may be reachable from any
-//! [`Application::execute`] / [`Application::init_events`] impl — every
-//! effect must land in the checkpointed `State` or flow through the
-//! [`EventSink`]. Output that is genuinely deferred past GVT (and so
-//! can no longer roll back) is waived inline with
-//! `// detlint: allow(D006, reason)`. See `docs/LINTS.md`.
+//! In the kernel crates the toolchain enforces the effect half of this
+//! contract: clippy denies I/O, interior-mutability cells, locks and
+//! atomics there, `unsafe` (and so a `static mut`) is forbidden, and
+//! without interior mutability `&self` cannot be mutated — so every
+//! effect of [`Application::execute`] / [`Application::init_events`]
+//! lands in the checkpointed `State` or flows through the
+//! [`EventSink`]. See `docs/LINTS.md`.
 //!
 //! *How* state is saved is the application's choice too: by default a
 //! checkpoint is a `clone` and a rollback a `clone_from`, and an
@@ -96,7 +95,7 @@ impl<M> EventSink<M> {
     }
 
     /// Schedule `msg` for `dst` at `now.after(delay)` — saturating at
-    /// [`VTime::INF`], never wrapping (D007). `delay` must be positive:
+    /// [`VTime::INF`], never wrapping. `delay` must be positive:
     /// zero-delay events would admit same-time cycles, which discrete event
     /// kernels built on timestamp order cannot execute.
     pub fn schedule(&mut self, dst: LpId, delay: u64, msg: M) {
@@ -152,9 +151,8 @@ impl<M> EventSink<M> {
 ///
 /// Implementations are shared by every cluster/thread (`Sync`), so all
 /// mutable simulation state must live in `State`. Handlers are
-/// rollback-able: detlint's D006 reachability pass rejects any
-/// irreversible effect reachable from `execute`/`init_events` (see the
-/// module docs).
+/// rollback-able, so no irreversible effect may be reachable from
+/// `execute`/`init_events` (see the module docs).
 pub trait Application: Send + Sync + 'static {
     /// Event payload. `PartialEq` is required by lazy cancellation (a
     /// regenerated event annihilates a pending cancellation only if it is
@@ -202,7 +200,7 @@ pub trait Application: Send + Sync + 'static {
     /// checkpoint: it only hands it back to `restore`, to this method as
     /// `spare`, or drops it (fossil collection), so what a checkpoint omits
     /// is the application's business alone. The log must live in `State`
-    /// (D006 applies unchanged: `execute` writes nowhere else) and must not
+    /// (`execute` writes nowhere else) and must not
     /// feed back: what `execute` sends and computes stays a pure function
     /// of `(lp, state, now, msgs)` whatever the log holds and wherever
     /// checkpoints fell — a coast-forward replays batches across other
@@ -252,26 +250,26 @@ mod tests {
 
     #[test]
     fn sink_stamps_receive_times() {
-        let mut s: EventSink<u8> = EventSink::new(VTime(10));
+        let mut s: EventSink<u8> = EventSink::new(VTime::from(10));
         assert!(s.is_empty());
         s.schedule(3, 5, 42);
-        s.schedule_at(4, VTime(100), 43);
+        s.schedule_at(4, VTime::from(100), 43);
         assert_eq!(s.len(), 2);
-        assert_eq!(s.out[0], (3, VTime(15), 42));
-        assert_eq!(s.out[1], (4, VTime(100), 43));
+        assert_eq!(s.out[0], (3, VTime::from(15), 42));
+        assert_eq!(s.out[1], (4, VTime::from(100), 43));
     }
 
     #[test]
     #[should_panic]
     fn zero_delay_rejected() {
-        let mut s: EventSink<u8> = EventSink::new(VTime(10));
+        let mut s: EventSink<u8> = EventSink::new(VTime::from(10));
         s.schedule(3, 0, 42);
     }
 
     #[test]
     #[should_panic]
     fn scheduling_in_the_past_rejected() {
-        let mut s: EventSink<u8> = EventSink::new(VTime(10));
-        s.schedule_at(3, VTime(10), 42);
+        let mut s: EventSink<u8> = EventSink::new(VTime::from(10));
+        s.schedule_at(3, VTime::from(10), 42);
     }
 }

@@ -267,7 +267,6 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     /// Deliver a transmission that arrived from outside the cluster.
     /// Rollback by-products land on the outbox: follow with
     /// [`Self::route_next`] until it runs dry.
-    // detlint: phase(compute|flush)
     pub fn receive<P: Probe>(&mut self, tx: Transmission<A::Msg>, homes: &Homes, probe: &mut P) {
         let dst = tx.dst() as usize;
         assert_eq!(homes.part[dst], self.id, "transmission for LP {dst} at the wrong cluster");
@@ -296,7 +295,6 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     /// land on the outbox: follow with [`Self::route_next`] until it runs
     /// dry. (Not plain `execute`: detlint resolves method calls by name,
     /// and would link every `Application::execute` body to this one.)
-    // detlint: phase(compute)
     pub fn execute_ready<P: Probe>(&mut self, probe: &mut P) {
         self.next_ready().expect("execute_ready needs a runnable LP");
         let (_, _, slot) = self.pop_ready().expect("next_ready left a current entry");
@@ -311,7 +309,6 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     /// delivered on the spot — a secondary rollback it triggers cascades
     /// through the same outbox; a remote one is counted and handed to the
     /// driver. `None` once the outbox is empty.
-    // detlint: phase(compute|flush)
     pub fn route_next<P: Probe>(&mut self, homes: &Homes, probe: &mut P) -> Option<Hop<A::Msg>> {
         let tx = self.outbox.pop()?;
         let dst = tx.dst() as usize;
@@ -349,7 +346,6 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     /// Commit everything below `gvt` on every resident LP that has
     /// something to commit, in slot order: the cost is proportional to the
     /// LPs with history, not to the cluster.
-    // detlint: phase(fossil)
     pub fn commit<P: Probe>(&mut self, gvt: VTime, probe: &mut P) -> Committed {
         let held_before = self.held;
         for word in 0..self.history.len() {
@@ -373,7 +369,6 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     /// bystander — a threaded cluster updating its own copy of the table).
     /// Only sound at a GVT commit point, right after [`Self::commit`],
     /// when the LP is a compact closure (see the `dynlb` module docs).
-    // detlint: phase(migrate)
     pub fn evict<P: Probe>(
         &mut self,
         mv: &Migration,
@@ -411,7 +406,6 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     }
 
     /// Take over an LP evicted elsewhere and schedule it.
-    // detlint: phase(migrate)
     pub fn adopt(&mut self, mover: Mover<A>, homes: &mut Homes) {
         self.insert(mover.lp, homes);
     }

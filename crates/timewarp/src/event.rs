@@ -115,8 +115,8 @@ mod tests {
         Event {
             id: EventId { src: 1, seq },
             dst: 2,
-            send_time: VTime(3),
-            recv_time: VTime(7),
+            send_time: VTime::from(3),
+            recv_time: VTime::from(7),
             msg: 42,
         }
     }
@@ -134,8 +134,8 @@ mod tests {
     fn transmission_accessors() {
         let t: Transmission<u8> = Transmission::Positive(ev(1));
         assert_eq!(t.dst(), 2);
-        assert_eq!(t.recv_time(), VTime(7));
-        assert_eq!(t.send_time(), VTime(3));
+        assert_eq!(t.recv_time(), VTime::from(7));
+        assert_eq!(t.send_time(), VTime::from(3));
         assert!(t.is_positive());
         let a: Transmission<u8> = Transmission::Anti(ev(1).anti());
         assert!(!a.is_positive());

@@ -66,7 +66,7 @@ impl RotatingHotspot {
 
     /// Whether `lp` is inside the hot window at virtual time `now`.
     pub fn is_hot(&self, lp: LpId, now: VTime) -> bool {
-        let phase = (now.0 / self.phase_len.max(1)) as usize;
+        let phase = (now.ticks() / self.phase_len.max(1)) as usize;
         let start = (phase * self.hot_width) % self.lps;
         let offset = (lp as usize + self.lps - start) % self.lps;
         offset < self.hot_width
@@ -110,7 +110,7 @@ impl Application for RotatingHotspot {
 
     fn init_events(&self, lp: LpId, state: &mut HotspotState, sink: &mut EventSink<u32>) {
         let jitter = xorshift(&mut state.rng) % 3;
-        sink.schedule_at(lp, VTime(1).after(jitter), 0);
+        sink.schedule_at(lp, VTime::from(1).after(jitter), 0);
     }
 
     fn execute(
@@ -128,20 +128,20 @@ impl Application for RotatingHotspot {
                 if self.is_hot(lp, now) {
                     for _ in 0..self.hot_factor {
                         let delay = 1 + xorshift(&mut state.rng) % 3;
-                        if now.after(delay).0 <= horizon {
+                        if now.after(delay).ticks() <= horizon {
                             sink.schedule(lp, delay, self.work_hops);
                         }
                     }
                 }
                 let beat = 4 + xorshift(&mut state.rng) % 3;
-                if now.after(beat).0 <= horizon {
+                if now.after(beat).ticks() <= horizon {
                     sink.schedule(lp, beat, 0);
                 }
             } else {
                 state.work += 1;
                 if msg > 1 {
                     let delay = 1 + xorshift(&mut state.rng) % 2;
-                    if now.after(delay).0 <= horizon {
+                    if now.after(delay).ticks() <= horizon {
                         sink.schedule((lp + 1) % self.lps as LpId, delay, msg - 1);
                     }
                 }
@@ -164,11 +164,11 @@ mod tests {
     #[test]
     fn hot_window_rotates() {
         let m = RotatingHotspot { lps: 16, hot_width: 4, phase_len: 100, ..Default::default() };
-        assert!(m.is_hot(0, VTime(10)));
-        assert!(!m.is_hot(8, VTime(10)));
+        assert!(m.is_hot(0, VTime::from(10)));
+        assert!(!m.is_hot(8, VTime::from(10)));
         // Next phase: window starts at 4.
-        assert!(m.is_hot(4, VTime(150)));
-        assert!(!m.is_hot(0, VTime(150)));
+        assert!(m.is_hot(4, VTime::from(150)));
+        assert!(!m.is_hot(0, VTime::from(150)));
     }
 
     #[test]

@@ -636,7 +636,7 @@ mod tests {
         }
         fn init_events(&self, lp: LpId, _state: &mut u64, sink: &mut EventSink<u64>) {
             if lp == 0 {
-                sink.schedule_at(0, VTime(1), 1);
+                sink.schedule_at(0, VTime::from(1), 1);
             }
         }
         fn execute(
@@ -705,21 +705,21 @@ mod tests {
         let e_late = Event {
             id: EventId { src: 0, seq: 100 },
             dst: 1,
-            send_time: VTime(1),
-            recv_time: VTime(5),
+            send_time: VTime::from(1),
+            recv_time: VTime::from(5),
             msg: 50,
         };
         let e_early = Event {
             id: EventId { src: 0, seq: 101 },
             dst: 1,
-            send_time: VTime(1),
-            recv_time: VTime(3),
+            send_time: VTime::from(1),
+            recv_time: VTime::from(3),
             msg: 7,
         };
         lps[1].receive(&app, Transmission::Positive(e_late), &mut outbox, &mut scratch, &mut stats);
         lps[1].execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         assert_eq!(*lps[1].state(), 50);
-        assert_eq!(lps[1].lvt(), VTime(5));
+        assert_eq!(lps[1].lvt(), VTime::from(5));
 
         // Straggler at t=3.
         lps[1].receive(
@@ -749,8 +749,8 @@ mod tests {
         let ev = Event {
             id: EventId { src: 0, seq: 7 },
             dst: 1,
-            send_time: VTime(1),
-            recv_time: VTime(4),
+            send_time: VTime::from(1),
+            recv_time: VTime::from(4),
             msg: 9,
         };
         lps[1].receive(
@@ -776,8 +776,8 @@ mod tests {
         let ev = Event {
             id: EventId { src: 0, seq: 7 },
             dst: 1,
-            send_time: VTime(1),
-            recv_time: VTime(4),
+            send_time: VTime::from(1),
+            recv_time: VTime::from(4),
             msg: 9,
         };
         lps[1].receive(
@@ -804,8 +804,8 @@ mod tests {
         let ev = Event {
             id: EventId { src: 0, seq: 9 },
             dst: 1,
-            send_time: VTime(1),
-            recv_time: VTime(4),
+            send_time: VTime::from(1),
+            recv_time: VTime::from(4),
             msg: 9,
         };
         lps[1].receive(&app, Transmission::Anti(ev.anti()), &mut outbox, &mut scratch, &mut stats);
@@ -823,8 +823,8 @@ mod tests {
         let mk = |seq, t, v| Event {
             id: EventId { src: 0, seq },
             dst: 1,
-            send_time: VTime(1),
-            recv_time: VTime(t),
+            send_time: VTime::from(1),
+            recv_time: VTime::from(t),
             msg: v,
         };
         lps[1].receive(
@@ -866,8 +866,8 @@ mod tests {
         let mk = |seq, t, v| Event {
             id: EventId { src: 0, seq },
             dst: 1,
-            send_time: VTime(1),
-            recv_time: VTime(t),
+            send_time: VTime::from(1),
+            recv_time: VTime::from(t),
             msg: v,
         };
         // Execute at t=5, forwarding an event.
@@ -914,8 +914,8 @@ mod tests {
             let ev = Event {
                 id: EventId { src: 0, seq: t },
                 dst: 1,
-                send_time: VTime(1),
-                recv_time: VTime(t.saturating_mul(2)),
+                send_time: VTime::from(1),
+                recv_time: VTime::from(t.saturating_mul(2)),
                 msg: 1,
             };
             lps[1].receive(&app, Transmission::Positive(ev), &mut outbox, &mut scratch, &mut stats);
@@ -925,15 +925,15 @@ mod tests {
         }
         let before = lps[1].state_queue_len();
         assert!(before > 20);
-        lps[1].fossil_collect(VTime(30), &mut scratch, &mut stats);
+        lps[1].fossil_collect(VTime::from(30), &mut scratch, &mut stats);
         assert!(lps[1].state_queue_len() < before);
         assert!(stats.events_committed > 0);
         // Still able to roll back to >= GVT: straggler at exactly 30.
         let s = Event {
             id: EventId { src: 0, seq: 99 },
             dst: 1,
-            send_time: VTime(1),
-            recv_time: VTime(30),
+            send_time: VTime::from(1),
+            recv_time: VTime::from(30),
             msg: 5,
         };
         lps[1].receive(&app, Transmission::Positive(s), &mut outbox, &mut scratch, &mut stats);
@@ -962,8 +962,8 @@ mod tests {
             let ev = Event {
                 id: EventId { src: 0, seq: t },
                 dst: 1,
-                send_time: VTime(1),
-                recv_time: VTime(t.saturating_mul(10)),
+                send_time: VTime::from(1),
+                recv_time: VTime::from(t.saturating_mul(10)),
                 msg: t,
             };
             lp1.receive(&app, Transmission::Positive(ev), &mut outbox, &mut scratch, &mut stats);
@@ -976,8 +976,8 @@ mod tests {
         let s = Event {
             id: EventId { src: 0, seq: 99 },
             dst: 1,
-            send_time: VTime(1),
-            recv_time: VTime(55),
+            send_time: VTime::from(1),
+            recv_time: VTime::from(55),
             msg: 100,
         };
         lp1.receive(&app, Transmission::Positive(s), &mut outbox, &mut scratch, &mut stats);
@@ -998,8 +998,8 @@ mod tests {
         let mk = |seq, t, v| Event {
             id: EventId { src: 0, seq },
             dst: 1,
-            send_time: VTime(1),
-            recv_time: VTime(t),
+            send_time: VTime::from(1),
+            recv_time: VTime::from(t),
             msg: v,
         };
         let mut seen = std::collections::HashSet::new();

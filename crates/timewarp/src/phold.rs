@@ -83,7 +83,7 @@ impl Application for Phold {
     fn init_events(&self, lp: LpId, state: &mut PholdState, sink: &mut EventSink<u64>) {
         for j in 0..self.population_per_lp {
             let delay = 1 + xorshift(&mut state.rng) % (2 * self.mean_delay);
-            sink.schedule_at(lp, VTime(delay), u64::from(lp) * 10_000 + j as u64);
+            sink.schedule_at(lp, VTime::from(delay), u64::from(lp) * 10_000 + j as u64);
         }
     }
 
@@ -98,7 +98,7 @@ impl Application for Phold {
         for &(_, job) in msgs {
             state.handled += 1;
             let delay = 1 + xorshift(&mut state.rng) % (2 * self.mean_delay);
-            if now.after(delay).0 > self.horizon {
+            if now.after(delay).ticks() > self.horizon {
                 continue; // job retires at the horizon
             }
             let dst = if xorshift(&mut state.rng) % 100 < u64::from(self.locality_pct) {

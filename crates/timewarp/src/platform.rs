@@ -172,7 +172,6 @@ impl<M> Platform<M> {
 /// The executive proper, generic over the telemetry probe; returns the
 /// probe with the report. `sim::validate` has already checked `cfg`, and
 /// `assignment` against `app` and `nodes`.
-// detlint: phase(compute|gvt|migrate)
 pub(crate) fn platform_core<A: Application, P: Probe>(
     app: &A,
     assignment: &[u32],
@@ -532,7 +531,7 @@ mod tests {
                 0
             }
             fn init_events(&self, lp: LpId, _s: &mut u64, sink: &mut EventSink<u64>) {
-                sink.schedule_at(lp, VTime(1), 100);
+                sink.schedule_at(lp, VTime::from(1), 100);
             }
             fn execute(
                 &self,

@@ -11,9 +11,9 @@
 //! attached probe see exactly the same events. A probe observes; it must
 //! never influence the simulation (the test suite enforces that
 //! committed trace hashes are identical with and without a recording
-//! probe, and `pls-detlint` rule **D008** statically rejects any probe
-//! impl that reaches kernel-mutating API or shared writable state — even
-//! on paths no test executes).
+//! probe; and no probe callback is handed a kernel handle, while clippy
+//! denies the shared cells, locks and atomics through which a kernel-crate
+//! probe could reach one — even on paths no test executes).
 //!
 //! The default probe is [`NoProbe`], a zero-sized type whose handler is
 //! empty: executives are generic over `P: Probe`, so with `NoProbe` every
@@ -293,13 +293,23 @@ mod tests {
 
     /// One of every event, each with distinct nonzero payloads.
     fn every_event() -> Vec<ProbeEvent> {
-        let (lp, t) = (3, VTime(5));
+        let (lp, t) = (3, VTime::from(5));
         vec![
             ProbeEvent::BatchExecuted { lp, now: t, events: 2 },
             ProbeEvent::AppWork { lp, now: t, activations: 1, ops: 4, saved: 3 },
-            ProbeEvent::RollbackBegun { lp, kind: RollbackKind::Primary, from: t, to: VTime(3) },
-            ProbeEvent::RollbackBegun { lp, kind: RollbackKind::Secondary, from: t, to: VTime(3) },
-            ProbeEvent::RollbackEnded { lp, to: VTime(3), undone: 2, coasted: 1 },
+            ProbeEvent::RollbackBegun {
+                lp,
+                kind: RollbackKind::Primary,
+                from: t,
+                to: VTime::from(3),
+            },
+            ProbeEvent::RollbackBegun {
+                lp,
+                kind: RollbackKind::Secondary,
+                from: t,
+                to: VTime::from(3),
+            },
+            ProbeEvent::RollbackEnded { lp, to: VTime::from(3), undone: 2, coasted: 1 },
             ProbeEvent::AntiSent { lp, sent: t },
             ProbeEvent::Annihilated { lp, at: t },
             ProbeEvent::StateSaved { lp, now: t },
@@ -336,12 +346,12 @@ mod tests {
     #[test]
     fn tee_forks_and_joins_both_sides() {
         let mut tee = Tee::new(KernelStats::default(), TimeSeries::new(10));
-        let event = ProbeEvent::BatchExecuted { lp: 0, now: VTime(1), events: 1 };
+        let event = ProbeEvent::BatchExecuted { lp: 0, now: VTime::from(1), events: 1 };
         tee.on(event);
         let mut child = tee.fork();
         assert_eq!(child.a, KernelStats::default(), "children start empty");
         assert!(child.b.is_empty());
-        child.on(ProbeEvent::BatchExecuted { lp: 1, now: VTime(25), events: 3 });
+        child.on(ProbeEvent::BatchExecuted { lp: 1, now: VTime::from(25), events: 3 });
         tee.join(child);
         assert_eq!((tee.a.batches_executed, tee.a.events_processed), (2, 4));
         assert_eq!(tee.b.len(), 2, "the joined child's bucket arrived");

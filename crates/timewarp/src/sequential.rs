@@ -117,7 +117,7 @@ mod tests {
         }
         fn init_events(&self, lp: LpId, _s: &mut u64, sink: &mut EventSink<u64>) {
             if lp == 0 {
-                sink.schedule_at(1, VTime(1), self.start);
+                sink.schedule_at(1, VTime::from(1), self.start);
             }
         }
         fn execute(
@@ -144,7 +144,7 @@ mod tests {
         assert_eq!(res.stats.rollbacks(), 0);
         // LP1 receives messages 9,7,5,3,1 → 5; LP0 receives 8,6,4,2,0 → 5.
         assert_eq!(res.states, vec![5, 5]);
-        assert_eq!(res.outcome.end_time(), Some(VTime(1 + 9 * 3)));
+        assert_eq!(res.outcome.end_time(), Some(VTime::from(1 + 9 * 3)));
     }
 
     /// Simultaneous events to the same LP arrive as one batch.
@@ -162,7 +162,7 @@ mod tests {
         fn init_events(&self, lp: LpId, _s: &mut Vec<usize>, sink: &mut EventSink<u8>) {
             if lp < 2 {
                 // Both senders target LP2 at the same instant.
-                sink.schedule_at(2, VTime(10), lp as u8);
+                sink.schedule_at(2, VTime::from(10), lp as u8);
             }
         }
         fn execute(

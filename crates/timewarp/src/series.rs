@@ -119,7 +119,7 @@ impl TimeSeries {
         if t.is_inf() {
             BucketKey::Final
         } else {
-            BucketKey::At(t.0 / self.bucket_width)
+            BucketKey::At(t.ticks() / self.bucket_width)
         }
     }
 
@@ -255,25 +255,25 @@ mod tests {
         record(
             &mut ts,
             &[
-                BatchExecuted { lp: 0, now: VTime(3), events: 2 },
-                BatchExecuted { lp: 1, now: VTime(7), events: 1 },
-                BatchExecuted { lp: 0, now: VTime(15), events: 4 },
-                AppWork { lp: 0, now: VTime(3), activations: 1, ops: 5, saved: 0 },
-                AppWork { lp: 0, now: VTime(15), activations: 1, ops: 9, saved: 0 },
+                BatchExecuted { lp: 0, now: VTime::from(3), events: 2 },
+                BatchExecuted { lp: 1, now: VTime::from(7), events: 1 },
+                BatchExecuted { lp: 0, now: VTime::from(15), events: 4 },
+                AppWork { lp: 0, now: VTime::from(3), activations: 1, ops: 5, saved: 0 },
+                AppWork { lp: 0, now: VTime::from(15), activations: 1, ops: 9, saved: 0 },
                 RollbackBegun {
                     lp: 0,
                     kind: RollbackKind::Primary,
-                    from: VTime(15),
-                    to: VTime(12),
+                    from: VTime::from(15),
+                    to: VTime::from(12),
                 },
-                RollbackEnded { lp: 0, to: VTime(12), undone: 3, coasted: 1 },
-                AntiSent { lp: 0, sent: VTime(15) },
-                Annihilated { lp: 1, at: VTime(22) },
-                StateSaved { lp: 0, now: VTime(3) },
-                RemoteMessage { positive: true, at: VTime(7), src: 0, dst: 1 },
-                RemoteMessage { positive: false, at: VTime(7), src: 0, dst: 1 },
-                GvtAdvanced { gvt: VTime(10), states_held: 5, pending: 2, wall_ns: 1_000 },
-                FossilCollected { lp: 0, gvt: VTime(10), committed: 3 },
+                RollbackEnded { lp: 0, to: VTime::from(12), undone: 3, coasted: 1 },
+                AntiSent { lp: 0, sent: VTime::from(15) },
+                Annihilated { lp: 1, at: VTime::from(22) },
+                StateSaved { lp: 0, now: VTime::from(3) },
+                RemoteMessage { positive: true, at: VTime::from(7), src: 0, dst: 1 },
+                RemoteMessage { positive: false, at: VTime::from(7), src: 0, dst: 1 },
+                GvtAdvanced { gvt: VTime::from(10), states_held: 5, pending: 2, wall_ns: 1_000 },
+                FossilCollected { lp: 0, gvt: VTime::from(10), committed: 3 },
                 FossilCollected { lp: 0, gvt: VTime::INF, committed: 4 },
             ],
         );
@@ -341,16 +341,16 @@ mod tests {
         record(
             &mut a,
             &[
-                BatchExecuted { lp: 0, now: VTime(3), events: 2 },
-                GvtAdvanced { gvt: VTime(12), states_held: 7, pending: 1, wall_ns: 500 },
+                BatchExecuted { lp: 0, now: VTime::from(3), events: 2 },
+                GvtAdvanced { gvt: VTime::from(12), states_held: 7, pending: 1, wall_ns: 500 },
             ],
         );
         let mut b = TimeSeries::new(10);
         record(
             &mut b,
             &[
-                BatchExecuted { lp: 1, now: VTime(5), events: 1 },
-                GvtAdvanced { gvt: VTime(13), states_held: 4, pending: 9, wall_ns: 900 },
+                BatchExecuted { lp: 1, now: VTime::from(5), events: 1 },
+                GvtAdvanced { gvt: VTime::from(13), states_held: 4, pending: 9, wall_ns: 900 },
             ],
         );
 
@@ -378,12 +378,12 @@ mod tests {
         // Recording events on the root vs recording on forked children
         // and joining must yield the identical series.
         let first = [
-            BatchExecuted { lp: 0, now: VTime(3), events: 2 },
-            AntiSent { lp: 0, sent: VTime(14) },
+            BatchExecuted { lp: 0, now: VTime::from(3), events: 2 },
+            AntiSent { lp: 0, sent: VTime::from(14) },
         ];
         let second = [
-            BatchExecuted { lp: 1, now: VTime(4), events: 1 },
-            RemoteMessage { positive: true, at: VTime(3), src: 1, dst: 0 },
+            BatchExecuted { lp: 1, now: VTime::from(4), events: 1 },
+            RemoteMessage { positive: true, at: VTime::from(3), src: 1, dst: 0 },
         ];
         let mut root = TimeSeries::new(10);
         let mut c1 = root.fork();
@@ -405,8 +405,8 @@ mod tests {
         record(
             &mut ts,
             &[
-                LpMigrated { lp: 3, from: 0, to: 1, gvt: VTime(25), bytes: 640 },
-                LpMigrated { lp: 4, from: 1, to: 0, gvt: VTime(25), bytes: 320 },
+                LpMigrated { lp: 3, from: 0, to: 1, gvt: VTime::from(25), bytes: 640 },
+                LpMigrated { lp: 4, from: 1, to: 0, gvt: VTime::from(25), bytes: 320 },
             ],
         );
         let t = ts.totals().counts;
@@ -470,9 +470,9 @@ mod tests {
         record(
             &mut ts,
             &[
-                FaultEvent { node: 0, onset: true, active_now: 1, gvt: VTime(12) },
-                FaultEvent { node: 1, onset: true, active_now: 2, gvt: VTime(14) },
-                FaultEvent { node: 0, onset: false, active_now: 1, gvt: VTime(25) },
+                FaultEvent { node: 0, onset: true, active_now: 1, gvt: VTime::from(12) },
+                FaultEvent { node: 1, onset: true, active_now: 2, gvt: VTime::from(14) },
+                FaultEvent { node: 0, onset: false, active_now: 1, gvt: VTime::from(25) },
             ],
         );
         let t = ts.totals();

@@ -406,8 +406,8 @@ mod tests {
     fn every_counter_merges_by_its_declared_rule() {
         // Distinct values per counter and per side, so a row wired to the
         // wrong field or the wrong rule cannot cancel out.
-        let mut a = KernelStats { final_gvt: VTime(7), ..Default::default() };
-        let mut b = KernelStats { final_gvt: VTime(3), ..Default::default() };
+        let mut a = KernelStats { final_gvt: VTime::from(7), ..Default::default() };
+        let mut b = KernelStats { final_gvt: VTime::from(3), ..Default::default() };
         for (i, c) in (0u64..).zip(KernelStats::COUNTERS) {
             *(c.get_mut)(&mut a) = 100 + i;
             *(c.get_mut)(&mut b) = 1000 - 7 * i;
@@ -422,7 +422,7 @@ mod tests {
             };
             assert_eq!((c.get)(&merged), want, "{} ({:?})", c.name, c.merge);
         }
-        assert_eq!(merged.final_gvt, VTime(7));
+        assert_eq!(merged.final_gvt, VTime::from(7));
         let names: Vec<&str> = merged.iter().map(|(n, _)| n).collect();
         let mut unique = names.clone();
         unique.sort_unstable();
@@ -487,13 +487,17 @@ mod tests {
     #[test]
     fn pairs_fold_at_gvt_and_on_read() {
         let mut ledger = LpLedger::default();
-        let send =
-            |positive, src, dst| ProbeEvent::RemoteMessage { positive, at: VTime(3), src, dst };
+        let send = |positive, src, dst| ProbeEvent::RemoteMessage {
+            positive,
+            at: VTime::from(3),
+            src,
+            dst,
+        };
         ledger.on(send(true, 4, 1));
         ledger.on(send(true, 1, 4));
         ledger.on(send(false, 1, 2));
         ledger.on(ProbeEvent::GvtAdvanced {
-            gvt: VTime(2),
+            gvt: VTime::from(2),
             states_held: 0,
             pending: 0,
             wall_ns: 0,

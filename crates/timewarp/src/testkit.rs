@@ -24,7 +24,7 @@ impl Application for Ring {
     }
     fn init_events(&self, lp: LpId, _s: &mut u64, sink: &mut EventSink<u64>) {
         // Every LP launches a token.
-        sink.schedule_at(lp, VTime(1).after(lp as u64 % 3), self.hops);
+        sink.schedule_at(lp, VTime::from(1).after(lp as u64 % 3), self.hops);
     }
     fn execute(
         &self,

@@ -47,8 +47,21 @@
 //! that announces a GVT request — wakes it at once.
 
 use std::sync::atomic::Ordering::SeqCst;
+#[allow(
+    clippy::disallowed_types,
+    reason = "the threaded executive is the one audited concurrency surface"
+)]
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64};
+#[allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "the threaded executive is the one audited concurrency surface"
+)]
 use std::sync::mpsc::{channel, Receiver, Sender};
+#[allow(
+    clippy::disallowed_types,
+    reason = "the threaded executive is the one audited concurrency surface"
+)]
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
@@ -101,6 +114,7 @@ const SPINS: u32 = 300;
 /// waiter writes `sleepers` then reads `generation`; one of them must see
 /// the other), and a rendezvous is a handful of accesses per GVT round,
 /// not a hot path worth a weaker proof.
+#[allow(clippy::disallowed_types, reason = "the executive's one synchronisation primitive")]
 struct Rendezvous {
     parties: u64,
     /// Parties counted in to the generation in progress.
@@ -121,6 +135,7 @@ struct Rendezvous {
 }
 
 impl Rendezvous {
+    #[allow(clippy::disallowed_types, reason = "the executive's one synchronisation primitive")]
     fn new(parties: usize) -> Self {
         Rendezvous {
             parties: parties as u64,
@@ -220,6 +235,10 @@ impl Drop for PoisonOnPanic<'_> {
 /// per-destination handoff buffers for migrating LPs. All accesses
 /// happen inside the GVT round, where the flush protocol guarantees no
 /// message is in flight — see the `dynlb` module docs.
+#[allow(
+    clippy::disallowed_types,
+    reason = "locked only inside `balance`, between its rendezvous syncs"
+)]
 struct LbShared<A: Application> {
     cfg: DynLbConfig,
     window: Mutex<LpLedger>,
@@ -232,11 +251,19 @@ struct LbShared<A: Application> {
 /// One cluster's mail counter, on a cache line of its own: its owner
 /// reads it once per executed batch, and a neighbour's counter changing
 /// must not make that read miss.
+#[allow(
+    clippy::disallowed_types,
+    reason = "the threaded executive is the one audited concurrency surface"
+)]
 #[repr(align(64))]
 struct Mail(AtomicU64);
 
 /// Everything the cluster threads share besides channels (and, when
 /// balancing, [`LbShared`]).
+#[allow(
+    clippy::disallowed_types,
+    reason = "the threaded executive is the one audited concurrency surface"
+)]
 struct Shared {
     /// Set by any cluster that wants a GVT round, checked by every cluster
     /// once per loop iteration, cleared by cluster 0 at the round's first
@@ -255,7 +282,6 @@ struct Shared {
 /// `assignment` against `app` and `clusters`.
 /// A panic on a cluster thread (the application's, or a kernel assert)
 /// tears the run down and comes back as [`SimError::ClusterPanicked`].
-// detlint: phase(compute)
 pub(crate) fn threaded_core<A: Application, P: Probe>(
     app: &A,
     assignment: &[u32],
@@ -264,6 +290,10 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     probe: P,
     dynlb: Option<DynLbConfig>,
 ) -> Result<(RunReport<A>, P), SimError> {
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the threaded executive is the one audited concurrency surface"
+    )]
     let lb_shared = dynlb.map(|cfg| LbShared::<A> {
         cfg,
         window: Mutex::default(),
@@ -274,9 +304,17 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
 
     // Channels: one receiver per cluster (moved into its thread), senders
     // shared by everyone. Channels carry transmission *batches*.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the threaded executive is the one audited concurrency surface"
+    )]
     let (senders, receivers): (Vec<_>, Vec<_>) =
         (0..clusters).map(|_| channel::<TxBatch<A::Msg>>()).unzip();
 
+    #[allow(
+        clippy::disallowed_types,
+        reason = "the threaded executive is the one audited concurrency surface"
+    )]
     let shared = Shared {
         requested: AtomicBool::new(false),
         rendezvous: Rendezvous::new(clusters),
@@ -294,6 +332,7 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     )]
     let started = std::time::Instant::now();
 
+    #[allow(clippy::disallowed_methods, reason = "one OS thread per cluster")]
     let joined: Vec<_> = std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(clusters);
         for ((cid, core), rx) in cores.into_iter().enumerate().zip(receivers) {
@@ -347,6 +386,7 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
 }
 
 /// Everything one cluster thread owns.
+#[allow(clippy::disallowed_types, reason = "a cluster thread's two channel endpoints")]
 struct Cluster<'a, A: Application, P: Probe> {
     cid: usize,
     core: ClusterCore<'a, A>,
@@ -377,7 +417,6 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
     /// flushed with one channel send before returning (never parked — the
     /// GVT flush protocol depends on it). Returns transmissions sent
     /// (messages, not batches).
-    // detlint: phase(compute|flush)
     fn route(&mut self) -> u64 {
         let mut routed = 0;
         while let Some(hop) = self.core.route_next(&self.homes, &mut self.probe) {
@@ -398,7 +437,6 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
 
     /// Deliver one batch taken from the inbox and route its by-products.
     /// Returns transmissions sent.
-    // detlint: phase(compute|flush)
     fn accept(&mut self, batch: TxBatch<A::Msg>) -> u64 {
         self.received += 1;
         for tx in batch {
@@ -409,7 +447,6 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
 
     /// Receive everything waiting in the inbox, routing the by-products of
     /// each batch. Returns transmissions sent.
-    // detlint: phase(compute|flush)
     fn drain_inbox(&mut self) -> u64 {
         if self.shared.mail[self.cid].0.load(SeqCst) == self.received {
             return 0;
@@ -425,7 +462,6 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
     /// sends each peer an empty batch, which wakes one that is blocked in
     /// its idle wait; an empty batch carries no transmission, so GVT
     /// accounting does not see it.
-    // detlint: phase(compute)
     fn request_gvt(&self) {
         if !self.shared.requested.swap(true, SeqCst) {
             for dc in (0..self.senders.len()).filter(|&dc| dc != self.cid) {
@@ -436,7 +472,6 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
 
     /// The cluster thread's main loop: drain, synchronize when asked,
     /// execute. Returns the cluster for the merge once GVT reaches ∞.
-    // detlint: phase(compute)
     fn run(
         mut self,
         cfg: &KernelConfig,
@@ -534,7 +569,6 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
     ///    the rendezvous that precedes it, so a round whose sum is 0 sent
     ///    nothing and left nothing behind: no message is in flight;
     /// 3. all-reduce the local minima: the result is the GVT.
-    // detlint: phase(flush|gvt)
     fn gvt_round(&mut self) -> Result<VTime, Poisoned> {
         let rendezvous = &self.shared.rendezvous;
         rendezvous.sync()?;
@@ -542,12 +576,11 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
             self.shared.requested.store(false, SeqCst);
         }
         while rendezvous.reduce(self.drain_inbox(), u64::MAX)?.sum != 0 {}
-        Ok(VTime(rendezvous.reduce(0, self.core.local_min().0)?.min))
+        Ok(VTime::from(rendezvous.reduce(0, self.core.local_min().ticks())?.min))
     }
 
     /// One balancing round: the four-phase hand-off, its phases separated
     /// by rendezvous.
-    // detlint: phase(migrate)
     fn balance(&mut self, lbs: &LbShared<A>, gvt: VTime) -> Result<(), Poisoned> {
         let clusters = self.senders.len();
         let rendezvous = &self.shared.rendezvous;
@@ -567,8 +600,10 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
         rendezvous.sync()?;
         // Phase 3: every cluster applies the same plan to its own routing
         // table; sources deposit their evicted LPs in the destination's
-        // movers buffer.
-        for mv in lbs.plan.lock().unwrap().iter() {
+        // movers buffer. The plan is copied out first, so no guard is held
+        // across an eviction or a movers lock.
+        let plan = lbs.plan.lock().unwrap().clone();
+        for mv in &plan {
             if !move_is_valid(mv, self.homes.parts(), clusters) || lbs.pinned[mv.lp as usize] {
                 continue;
             }

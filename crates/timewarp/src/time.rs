@@ -5,13 +5,18 @@
 /// `VTime::INF` is the distinguished "plus infinity" used for GVT of a
 /// finished simulation and for LPs with no pending events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-pub struct VTime(pub u64);
+pub struct VTime(u64);
 
 impl VTime {
     /// Time zero, the start of every simulation.
     pub const ZERO: VTime = VTime(0);
     /// Plus infinity: later than every real event time.
     pub const INF: VTime = VTime(u64::MAX);
+
+    /// Ticks since zero (`u64::MAX` for [`VTime::INF`]).
+    pub const fn ticks(self) -> u64 {
+        self.0
+    }
 
     /// Add a delay, saturating at infinity.
     pub fn after(self, delay: u64) -> VTime {

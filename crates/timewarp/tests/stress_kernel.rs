@@ -33,7 +33,7 @@ struct Sponge;
 fn fold(state: u64, now: VTime, msgs: &[(LpId, u64)]) -> u64 {
     let mut h = state;
     for &(src, payload) in msgs {
-        let mut x = h ^ now.0 ^ ((src as u64) << 32) ^ payload;
+        let mut x = h ^ now.ticks() ^ ((src as u64) << 32) ^ payload;
         h = mix(&mut x);
     }
     h
@@ -197,11 +197,11 @@ fn run_schedule(
         let src = 1 + (mix(rng) % 3) as LpId;
         let seq = seqs[(src - 1) as usize];
         seqs[(src - 1) as usize] += 1;
-        let recv = VTime(1).after(mix(rng) % 60);
+        let recv = VTime::from(1).after(mix(rng) % 60);
         Event {
             id: EventId { src, seq },
             dst: 0,
-            send_time: VTime(recv.0.saturating_sub(1)),
+            send_time: VTime::from(recv.ticks().saturating_sub(1)),
             recv_time: recv,
             msg: mix(rng),
         }

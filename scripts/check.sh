@@ -21,14 +21,17 @@ run cargo build --workspace --tests --examples
 run cargo test -q --workspace
 run cargo fmt --all -- --check
 # disallowed-types and disallowed-methods (clippy.toml: RandomState maps,
-# host clocks) are enforced per kernel crate below; the workspace-wide run
-# allows them so the bench/CLI crates can keep HashMap and time
-# themselves. The crate list is detlint's KERNEL_CRATES (a detlint test
-# holds the two equal); rustc's `#![forbid(unsafe_code)]` in each of
-# their lib.rs is the unsafe check.
+# host clocks, threads, channels, locks, atomics, interior-mutability
+# cells, file and stdio handles, environment reads, thread identity) and
+# the print/dbg lints are enforced per kernel crate below; the
+# workspace-wide run allows the two disallowed lints so the bench/CLI
+# crates can keep HashMap, threads and time themselves. The crate list is
+# detlint's KERNEL_CRATES (a detlint test holds the two equal and pins
+# every lint); rustc's `#![forbid(unsafe_code)]` in each of their lib.rs
+# is the unsafe check, and VTime's private field the wraparound check.
 run cargo clippy --workspace --all-targets -- -D warnings -A clippy::disallowed-types -A clippy::disallowed-methods
 for p in pls-timewarp pls-partition pls-logic pls-netlist pls-gatesim; do
-  run cargo clippy -q -p "$p" --lib -- -D warnings -D clippy::disallowed-types -D clippy::disallowed-methods
+  run cargo clippy -q -p "$p" --lib -- -D warnings -D clippy::disallowed-types -D clippy::disallowed-methods -D clippy::print_stdout -D clippy::print_stderr -D clippy::dbg_macro
 done
 # Rustdoc link gate: an intra-doc link to a deleted, renamed or private
 # item fails here instead of rotting.
@@ -36,9 +39,8 @@ RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps
 
 # Determinism static analysis — see docs/LINTS.md. The fixture tests that
 # `cargo test` ran above prove every rule still fires (a lint that stops
-# firing passes forever); here the workspace (kernel crates plus
-# tests/examples/CLI under the flow-aware rules) must be violation-free,
-# every waiver carrying a written reason. The workspace run is timed:
+# firing passes forever); here the kernel crates must be
+# violation-free, every waiver carrying a written reason. The workspace run is timed:
 # the gate only stays on every commit if it stays fast, so a fixpoint
 # regression that balloons the dataflow pass is itself a failure. (The
 # protocol model's explored state spaces are pinned by

@@ -59,8 +59,8 @@ pub use pls_timewarp as timewarp;
 /// The common imports for working with the full stack.
 pub mod prelude {
     pub use pls_gatesim::{
-        run_seq_baseline, BlockState, Cell, CompileOptions, CompiledSim, ExecModel, GateModel,
-        GateMsg, GateSim, GateState, ModelState, RunMetrics, SeqMetrics, SimConfig,
+        run_seq_baseline, BlockState, Cell, CompileError, CompileOptions, CompiledSim, ExecModel,
+        GateModel, GateMsg, GateSim, GateState, ModelState, RunMetrics, SeqMetrics, SimConfig,
         UnknownExecModel,
     };
     pub use pls_logic::{eval_gate, DelayModel, StimulusConfig, Value};

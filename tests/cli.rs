@@ -177,6 +177,38 @@ fn gates_wider_than_255_inputs_are_parse_errors() {
     }
 }
 
+/// A compiled block that outgrows its instruction encoding is a typed
+/// error naming the block and the count, exit 1 — never a panic.
+#[test]
+fn oversized_compiled_blocks_are_errors_not_panics() {
+    // Unpartitioned, the sequential baseline is one block of every gate.
+    let out = cli().args(["simulate", "synth:100000", "--exec", "compiled"]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert_eq!(
+        err.trim_end(),
+        "cannot simulate `synth:100000`: compiled block 0 needs 111666 value slots (at most 65536)"
+    );
+    assert!(out.stdout.is_empty(), "nothing runs: {}", String::from_utf8_lossy(&out.stdout));
+
+    // AND gates of fan-in 2..=20 have 19 distinct per-kind delays, the
+    // primary inputs one more; a block has 16 agenda buckets.
+    let ins: Vec<String> = (0..20).map(|i| format!("I{i}")).collect();
+    let mut text: String = ins.iter().map(|i| format!("INPUT({i})\n")).collect();
+    for a in 2..=20 {
+        text.push_str(&format!("OUTPUT(G{a})\nG{a} = AND({})\n", ins[..a].join(", ")));
+    }
+    let path = std::env::temp_dir().join("parlogsim_cli_delays_test.bench");
+    std::fs::write(&path, text).unwrap();
+    let p = path.to_str().unwrap();
+    let out = cli().args(["simulate", p, "-k", "1", "--exec", "compiled"]).output().unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("compiled block 0 has 20 distinct gate delays (at most 16)"), "{err}");
+    run_ok(&["simulate", p, "-k", "1", "--end", "60"]);
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn simulate_rejects_fault_on_missing_node() {
     let out = cli().args(["simulate", "s27", "-k", "8", "--faults", "slow:9:2"]).output().unwrap();

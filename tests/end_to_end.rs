@@ -150,6 +150,94 @@ fn bench_format_round_trips_generated_circuits() {
     }
 }
 
+/// One seeded mutation of `.bench` text: one to four of a bit flip, a
+/// truncation, a deleted or duplicated line, a run of digits, a stray
+/// delimiter, a swapped gate kind or a non-ASCII character.
+fn mutate_bench(text: &str, s: &mut u64) -> String {
+    fn mix(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    let mut t = text.to_string();
+    for _ in 0..1 + mix(s) % 4 {
+        let mut at = (mix(s) % (t.len() as u64 + 1)) as usize;
+        while !t.is_char_boundary(at) {
+            at -= 1;
+        }
+        let line_start = t[..at].rfind('\n').map_or(0, |i| i + 1);
+        let line_end = t[at..].find('\n').map_or(t.len(), |i| at + i + 1);
+        match mix(s) % 8 {
+            0 => {
+                let mut b = t.into_bytes();
+                if let Some(byte) = b.get_mut(at) {
+                    *byte ^= 1 << (mix(s) % 7);
+                }
+                t = String::from_utf8_lossy(&b).into_owned();
+            }
+            1 => t.truncate(at),
+            2 => t.replace_range(line_start..line_end, ""),
+            3 => {
+                let line = t[line_start..line_end].to_string();
+                t.insert_str(line_start, &line);
+            }
+            4 => {
+                let run: String =
+                    (0..1 + mix(s) % 12).map(|_| char::from(b'0' + (mix(s) % 10) as u8)).collect();
+                t.insert_str(at, &run);
+            }
+            5 => t.insert_str(at, ["(", ")", ",", "=", " = ", "#", "\n"][(mix(s) % 7) as usize]),
+            6 => {
+                const KINDS: [&str; 8] = ["AND", "NAND", "OR", "NOR", "NOT", "DFF", "XOR", "BUFF"];
+                if let Some(k) = KINDS.iter().find(|k| t[line_start..line_end].contains(**k)) {
+                    let line = t[line_start..line_end].replacen(k, KINDS[(mix(s) % 8) as usize], 1);
+                    t.replace_range(line_start..line_end, &line);
+                }
+            }
+            _ => t.insert(at, 'µ'),
+        }
+    }
+    t
+}
+
+/// `.bench` parsing fails typed, never panics: every seeded mutation of
+/// real netlist text is a `NetlistError` or a netlist whose written text
+/// parses back to itself.
+#[test]
+fn mutated_bench_text_is_rejected_or_round_trips() {
+    use parlogsim::netlist::bench_format::{parse, write};
+    let bases: Vec<String> = [
+        parlogsim::netlist::data::s27(),
+        parlogsim::netlist::data::c17(),
+        IscasSynth::small(60, 5).build(),
+    ]
+    .iter()
+    .map(write)
+    .collect();
+    let mut s = 17u64;
+    let (mut rejected, mut parsed) = (0, 0);
+    for i in 0..3000 {
+        let text = mutate_bench(&bases[i % bases.len()], &mut s);
+        match parse("fuzz", &text) {
+            Err(e) => {
+                assert!(!e.to_string().is_empty());
+                rejected += 1;
+            }
+            Ok(n) => {
+                let written = write(&n);
+                let again = parse("fuzz", &written).unwrap_or_else(|e| {
+                    panic!("written netlist does not parse back: {e}\n{written}")
+                });
+                assert_eq!(write(&again), written, "round trip changed the netlist of:\n{text}");
+                parsed += 1;
+            }
+        }
+    }
+    assert!(rejected > 1000 && parsed > 100, "{rejected} rejected, {parsed} parsed");
+}
+
 #[test]
 fn memory_limit_kills_memory_hungry_runs_only() {
     let netlist = IscasSynth::small(300, 12).build();
