@@ -14,12 +14,13 @@
 //! lists each retired rule and its replacement).
 
 use crate::callgraph::Unit;
-use crate::lexer::{is_float_literal, Tok};
+use crate::lexer::{is_float_literal, Lexed, Tok};
 
 /// A rule identifier, e.g. `D003`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RuleId {
-    /// Float casts or float arithmetic on virtual-time values.
+    /// Float casts or float arithmetic on virtual-time values, or
+    /// wrapping `+`/`*` on them.
     D003,
     /// Concurrency discipline: inconsistent lock acquisition order,
     /// channel sends while a lock is held, or half-wired channels.
@@ -49,8 +50,8 @@ pub const RULES: [Rule; 3] = [
     Rule {
         id: RuleId::D003,
         name: "D003",
-        summary: "float arithmetic on virtual time",
-        hint: "keep SimTime/VTime arithmetic in u64; convert to float only for derived reporting metrics, never back",
+        summary: "float or wrapping arithmetic on virtual time",
+        hint: "keep SimTime/VTime arithmetic in u64 and add delays with VTime::after, which saturates at VTime::INF; convert to float only for derived reporting metrics, never back",
     },
     Rule {
         id: RuleId::D009,
@@ -133,11 +134,16 @@ const VTIME_MARKERS: [&str; 9] = [
 /// co-occurrence of a float marker (`f32`/`f64` ident or cast target,
 /// or a float literal) with a virtual-time marker identifier, in the
 /// body of every non-test function. Statements are token runs between
-/// `;`, `{` and `}`.
+/// `;`, `{` and `}`. The same bodies are checked for wrapping sums
+/// (`wrapping_sums`).
 pub fn check_d003(units: &[Unit], out: &mut Vec<FileViolation>) {
     for (unit, u) in units.iter().enumerate() {
         let lx = &u.lx;
         for (s, e) in u.parsed.fns.iter().filter(|f| !f.in_test).filter_map(|f| f.body) {
+            wrapping_sums(lx, s, e, |line, message| {
+                let violation = Violation { rule: RuleId::D003, line, message: message.into() };
+                out.push(FileViolation { unit, violation });
+            });
             let mut float = false;
             let mut vtime_line = None;
             for i in s..e {
@@ -158,6 +164,76 @@ pub fn check_d003(units: &[Unit], out: &mut Vec<FileViolation>) {
                     }
                     _ => {}
                 }
+            }
+        }
+    }
+}
+
+/// D003's integer shape, in tokens `s..e` of a function body. `VTime`'s
+/// private field rules out `VTime(a + b)` and `.0` arithmetic, but not
+/// the same sum spelt through the public API: a `+`, `*`, `+=` or `*=`
+/// next to a `.ticks()` read (`now.ticks() + d`, `d * now.ticks()`), or
+/// at the top level of a `VTime::from(..)` argument that is not all
+/// literals; a line is flagged once. In a release build such a sum wraps past `VTime::INF` into
+/// an early time; `VTime::after` saturates instead. A `-` is not
+/// flagged: a difference of two times is a span, not a time.
+fn wrapping_sums(lx: &Lexed, s: usize, e: usize, mut flag: impl FnMut(u32, &'static str)) {
+    // `+=` and `*=` lex as two tokens.
+    let sum = |j: usize| matches!(lx.punct(j), Some("+" | "*"));
+    let is_op = |j: usize| sum(j) || (lx.punct(j) == Some("=") && j > 0 && sum(j - 1));
+    let mut flagged = None;
+    let mut flag = |line: u32, message| {
+        if flagged.replace(line) != Some(line) {
+            flag(line, message);
+        }
+    };
+    for i in s..e {
+        let line = lx.toks[i].line;
+        if lx.ident(i) == Some("ticks")
+            && i > s
+            && lx.punct(i - 1) == Some(".")
+            && lx.punct(i + 1) == Some("(")
+            && lx.punct(i + 2) == Some(")")
+        {
+            // Walk back over the receiver chain (`self.clock[k].now`) to
+            // the token before it.
+            let (mut j, mut depth) = (i - 1, 0usize);
+            while j > s {
+                j -= 1;
+                match &lx.toks[j].tok {
+                    Tok::Punct(")" | "]") => depth += 1,
+                    Tok::Punct("(" | "[") if depth > 0 => depth -= 1,
+                    _ if depth > 0 => {}
+                    Tok::Punct("." | "::") | Tok::Ident(_) | Tok::Num(_) => {}
+                    _ => break,
+                }
+            }
+            if is_op(i + 3) || is_op(j) {
+                flag(line, "wrapping `+`/`*` on a `ticks()` read");
+            }
+        }
+        if lx.ident(i) == Some("VTime")
+            && lx.punct(i + 1) == Some("::")
+            && lx.ident(i + 2) == Some("from")
+            && lx.punct(i + 3) == Some("(")
+        {
+            let (mut depth, mut op, mut named) = (0usize, false, false);
+            for j in i + 3..e {
+                match &lx.toks[j].tok {
+                    Tok::Punct("(" | "[") => depth += 1,
+                    Tok::Punct(")" | "]") => {
+                        depth -= 1;
+                        if depth == 0 {
+                            break;
+                        }
+                    }
+                    Tok::Ident(_) => named = true,
+                    _ if depth == 1 && is_op(j) => op = true,
+                    _ => {}
+                }
+            }
+            if op && named {
+                flag(line, "wrapping `+`/`*` inside `VTime::from(..)`");
             }
         }
     }

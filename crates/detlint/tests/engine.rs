@@ -23,6 +23,14 @@ fn d003_positive_fixture_fires() {
     let lines = fired_lines(&r, RuleId::D003);
     assert!(lines.contains(&5), "f64 on gvt (line 5), got {lines:?}");
     assert!(lines.contains(&9), "f32 on lvt (line 9), got {lines:?}");
+    for (line, what) in [
+        (14, "`+` after ticks()"),
+        (18, "`*` before a receiver chain"),
+        (19, "`+=` before ticks()"),
+        (24, "`*` inside VTime::from"),
+    ] {
+        assert!(lines.contains(&line), "{what} (line {line}), got {lines:?}");
+    }
 }
 
 #[test]
@@ -142,7 +150,8 @@ fn workspace_file(rel: &str) -> String {
 /// `scripts/check.sh` runs that clippy pass, with the lints denied, over
 /// exactly the kernel crates; the threaded executive's sanctioned sites
 /// are waived item by item, never for the whole module. D007: `VTime`'s
-/// field is private, so raw arithmetic on it does not compile.
+/// field is private, so `.0` arithmetic on it does not compile (D003
+/// checks the `ticks()` spelling of the same sum).
 #[test]
 fn rustc_and_clippy_still_check_the_retired_rules() {
     for c in KERNEL_CRATES {
@@ -173,10 +182,24 @@ fn rustc_and_clippy_still_check_the_retired_rules() {
         "std::sync::atomic::AtomicUsize",
         "std::sync::atomic::AtomicI64",
         "std::thread::Builder",
-        // D006, D008
+        // D006, D008: every std atomic, cell and once-set global, and
+        // file handles
+        "std::sync::atomic::AtomicI8",
+        "std::sync::atomic::AtomicI16",
+        "std::sync::atomic::AtomicI32",
+        "std::sync::atomic::AtomicIsize",
+        "std::sync::atomic::AtomicU8",
+        "std::sync::atomic::AtomicU16",
+        "std::sync::atomic::AtomicPtr",
         "std::cell::Cell",
         "std::cell::RefCell",
         "std::cell::OnceCell",
+        "std::cell::LazyCell",
+        "std::cell::UnsafeCell",
+        "std::cell::SyncUnsafeCell",
+        "std::sync::Once",
+        "std::sync::OnceLock",
+        "std::sync::LazyLock",
         "std::fs::File",
     ] {
         assert!(types.contains(&format!("path = \"{path}\"")), "disallowed-types: {path}");
@@ -193,6 +216,9 @@ fn rustc_and_clippy_still_check_the_retired_rules() {
         // D006
         "std::io::stdout",
         "std::io::stderr",
+        "std::io::stdin",
+        "std::env::set_var",
+        "std::env::remove_var",
         // D011 sources
         "std::env::var",
         "std::env::var_os",

@@ -69,15 +69,9 @@ impl Default for SimConfig {
 
 impl SimConfig {
     /// Build the Time Warp application for a netlist under this config;
-    /// panics where [`Self::try_build_app`] fails.
+    /// panics where [`Self::try_build`] fails.
     pub fn build_app(&self, netlist: &Netlist) -> GateModel {
-        self.try_build_app(netlist).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`Self::build_app`], failing when a compiled block outgrows the
-    /// instruction encoding (a circuit too large for one block).
-    pub fn try_build_app(&self, netlist: &Netlist) -> Result<GateModel, CompileError> {
-        self.construct(netlist, None, &[])
+        self.try_build(netlist, None).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Build the application against a finished partitioning: in
@@ -85,26 +79,29 @@ impl SimConfig {
     /// from the partitioning (one block per part); with
     /// [`Self::replication`] set, a replica plan is made against the
     /// partitioning and applied to the model. This is the construction
-    /// path [`Cell::run_with`] uses. Panics where
-    /// [`Self::try_build_app_partitioned`] fails.
+    /// path [`Cell::run_with`] uses. Panics where [`Self::try_build`]
+    /// fails.
     pub fn build_app_partitioned(
         &self,
         netlist: &Netlist,
         graph: &CircuitGraph,
         partitioning: &Partitioning,
     ) -> GateModel {
-        self.try_build_app_partitioned(netlist, graph, partitioning)
-            .unwrap_or_else(|e| panic!("{e}"))
+        self.try_build(netlist, Some((graph, partitioning))).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// [`Self::build_app_partitioned`], failing when a compiled block
-    /// outgrows the instruction encoding.
-    pub fn try_build_app_partitioned(
+    /// [`Self::build_app`] (`partitioned` is `None`) or
+    /// [`Self::build_app_partitioned`], failing instead of panicking when
+    /// a compiled block outgrows the instruction encoding. Gate-per-LP
+    /// construction cannot fail.
+    pub fn try_build(
         &self,
         netlist: &Netlist,
-        graph: &CircuitGraph,
-        partitioning: &Partitioning,
+        partitioned: Option<(&CircuitGraph, &Partitioning)>,
     ) -> Result<GateModel, CompileError> {
+        let Some((graph, partitioning)) = partitioned else {
+            return self.construct(netlist, None, &[]);
+        };
         let replicas = match &self.replication {
             Some(rc) => plan_replication(graph, partitioning, rc).pairs(),
             None => Vec::new(),

@@ -22,7 +22,8 @@ run cargo test -q --workspace
 run cargo fmt --all -- --check
 # disallowed-types and disallowed-methods (clippy.toml: RandomState maps,
 # host clocks, threads, channels, locks, atomics, interior-mutability
-# cells, file and stdio handles, environment reads, thread identity) and
+# cells, once-set globals, file and stdio handles, environment reads and
+# writes, thread identity) and
 # the print/dbg lints are enforced per kernel crate below; the
 # workspace-wide run allows the two disallowed lints so the bench/CLI
 # crates can keep HashMap, threads and time themselves. The crate list is

@@ -511,15 +511,18 @@ fn cmd_simulate(args: &Args) {
     };
     let trace_path = args.text(&TRACE);
     let bucket = trace_path.map(|_| args.bucket(end));
-    // Both models this command builds — the sequential baseline's and the
-    // partitioned one — must compile before either runs.
-    let cannot = |e: CompileError| -> ! {
-        eprintln!("cannot simulate `{}`: {e}", args.positional);
-        exit(1);
-    };
-    cfg.try_build_app(&netlist).unwrap_or_else(|e| cannot(e));
     let part = strategy.partition(&graph, k, 0);
-    cfg.try_build_app_partitioned(&netlist, &graph, &part).unwrap_or_else(|e| cannot(e));
+    // Compiled blocks have an encoding limit: both models this command
+    // builds, the sequential baseline's and the partitioned one, must
+    // compile before either runs. Gate-per-LP construction cannot fail.
+    if matches!(cfg.exec, ExecModel::CompiledBlocks(_)) {
+        for partitioned in [None, Some((&graph, &part))] {
+            if let Err(e) = cfg.try_build(&netlist, partitioned) {
+                eprintln!("cannot simulate `{}`: {e}", args.positional);
+                exit(1);
+            }
+        }
+    }
     let seq = run_seq_baseline(&netlist, &cfg);
     out!("sequential: {} events, {:.3} modeled s", seq.events, seq.exec_time_s);
     let mut cell = Cell::new(&netlist, &graph, &cfg).nodes(k);
