@@ -174,9 +174,10 @@ pub fn check_d003(units: &[Unit], out: &mut Vec<FileViolation>) {
 /// the same sum spelt through the public API: a `+`, `*`, `+=` or `*=`
 /// next to a `.ticks()` read (`now.ticks() + d`, `d * now.ticks()`), or
 /// at the top level of a `VTime::from(..)` argument that is not all
-/// literals; a line is flagged once. In a release build such a sum wraps past `VTime::INF` into
-/// an early time; `VTime::after` saturates instead. A `-` is not
-/// flagged: a difference of two times is a span, not a time.
+/// literals; a line is flagged once. In a release build such a sum
+/// wraps past `VTime::INF` into an early time; `VTime::after` saturates
+/// instead. A `-` is not flagged: a difference of two times is a span,
+/// not a time.
 fn wrapping_sums(lx: &Lexed, s: usize, e: usize, mut flag: impl FnMut(u32, &'static str)) {
     // `+=` and `*=` lex as two tokens.
     let sum = |j: usize| matches!(lx.punct(j), Some("+" | "*"));

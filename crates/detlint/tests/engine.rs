@@ -237,7 +237,6 @@ fn rustc_and_clippy_still_check_the_retired_rules() {
 
     let time = workspace_file("crates/timewarp/src/time.rs");
     assert!(time.contains("pub struct VTime(u64);"), "VTime's field must stay private");
-    assert!(!time.contains("VTime(pub"), "VTime's field must stay private");
 
     let check = workspace_file("scripts/check.sh");
     let lines: Vec<&str> = check.lines().collect();

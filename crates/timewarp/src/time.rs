@@ -4,6 +4,28 @@
 ///
 /// `VTime::INF` is the distinguished "plus infinity" used for GVT of a
 /// finished simulation and for LPs with no pending events.
+///
+/// The field is private, so virtual time is summed only through
+/// [`VTime::after`], which saturates:
+///
+/// ```
+/// use pls_timewarp::VTime;
+/// assert_eq!(VTime::from(3).after(4).ticks(), 7);
+/// ```
+///
+/// A raw `.0` sum does not compile outside this module:
+///
+/// ```compile_fail,E0616
+/// use pls_timewarp::VTime;
+/// let _ = VTime::from(3).0 + 4;
+/// ```
+///
+/// nor does a tuple construction:
+///
+/// ```compile_fail,E0603
+/// use pls_timewarp::VTime;
+/// let _ = VTime(3 + 4);
+/// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct VTime(u64);
 
