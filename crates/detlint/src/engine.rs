@@ -8,8 +8,8 @@
 //!
 //! Analysis runs in two passes: (1) parse every in-scope file, build one
 //! call graph and run every rule over it — D003 over each function body,
-//! the concurrency (D009) and taint-dataflow (D011) analyses across
-//! bodies — and (2) per-file waiver application over the merged
+//! the taint-dataflow analysis (D011) across bodies — and (2) per-file
+//! waiver application over the merged
 //! findings, so a violation landing in any file is waivable by that
 //! file's inline `// detlint: allow(...)` comments.
 
@@ -192,7 +192,6 @@ pub fn parse_waivers(file: &str, lx: &Lexed) -> (Vec<Waiver>, Vec<FileIssue>) {
 fn check_all(units: &[Unit], graph: &Graph) -> Vec<FileViolation> {
     let mut raw = Vec::new();
     crate::rules::check_d003(units, &mut raw);
-    crate::concurrency::check_d009(units, graph, &mut raw);
     crate::dataflow::check_d011(units, graph, &mut raw);
     raw
 }

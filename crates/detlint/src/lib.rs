@@ -14,10 +14,9 @@
 //!   lexical rule [`RuleId::D003`], inline `// detlint: allow(D0xx,
 //!   reason)` waivers and a `--json` machine report;
 //! * a recursive-descent [item parser](crate::parser) and an
-//!   intra-workspace [call graph](crate::callgraph), under two flow
-//!   analyses — [`RuleId::D009`] lock/channel protocol discipline
-//!   ([`crate::concurrency`]) and [`RuleId::D011`] interprocedural
-//!   nondeterminism-taint dataflow ([`crate::dataflow`]).
+//!   intra-workspace [call graph](crate::callgraph), under the flow
+//!   analysis [`RuleId::D011`], interprocedural nondeterminism-taint
+//!   dataflow ([`crate::dataflow`]).
 //!
 //! Each rule is one row of [`rules::RULES`]. See `docs/LINTS.md` for the
 //! rule catalog and waiver syntax.
@@ -26,7 +25,6 @@
 #![forbid(unsafe_code)]
 
 pub mod callgraph;
-pub mod concurrency;
 pub mod dataflow;
 pub mod engine;
 pub mod lexer;

@@ -1,7 +1,7 @@
 //! A recursive-descent *item* parser over [`crate::lexer`] output.
 //!
 //! This is not a full Rust grammar — it recovers exactly the structure
-//! the call graph and the flow rules (D009, D011) need from a token
+//! the call graph and the flow rule (D011) needs from a token
 //! stream:
 //!
 //! * every function definition, with its name, receiver shape

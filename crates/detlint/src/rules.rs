@@ -1,10 +1,9 @@
 //! The determinism rule catalog: one [`RULES`] row per rule.
 //!
 //! D003 is a token-pattern matcher over the [`crate::lexer`] output of
-//! each parsed function body; D009 ([`crate::concurrency`]) checks lock
-//! and channel protocol discipline over the [parser](crate::parser) /
-//! [call graph](crate::callgraph), and D011 ([`crate::dataflow`]) is an
-//! interprocedural nondeterminism-taint analysis over the same graph. Rules are deliberately conservative in
+//! each parsed function body, and D011 ([`crate::dataflow`]) is an
+//! interprocedural nondeterminism-taint analysis over the
+//! [parser](crate::parser) / [call graph](crate::callgraph). Rules are deliberately conservative in
 //! *pattern* (they flag the constructions that can leak nondeterminism
 //! into committed simulation output, not every use of a type). False
 //! positives are expected to be rare and are handled by inline waivers
@@ -22,9 +21,6 @@ pub enum RuleId {
     /// Float casts or float arithmetic on virtual-time values, or
     /// wrapping `+`/`*` on them.
     D003,
-    /// Concurrency discipline: inconsistent lock acquisition order,
-    /// channel sends while a lock is held, or half-wired channels.
-    D009,
     /// Nondeterminism taint: a value derived from host time, an address
     /// or a float flows into an event schedule, a `VTime` constructor or
     /// a fingerprint.
@@ -46,18 +42,12 @@ pub struct Rule {
 }
 
 /// The catalog, in rule order.
-pub const RULES: [Rule; 3] = [
+pub const RULES: [Rule; 2] = [
     Rule {
         id: RuleId::D003,
         name: "D003",
         summary: "float or wrapping arithmetic on virtual time",
         hint: "keep SimTime/VTime arithmetic in u64 and add delays with VTime::after, which saturates at VTime::INF; convert to float only for derived reporting metrics, never back",
-    },
-    Rule {
-        id: RuleId::D009,
-        name: "D009",
-        summary: "lock/channel protocol violation in the concurrency surface",
-        hint: "acquire locks in one global order everywhere, release every guard before sending on a channel, and use both endpoints of every channel you create",
     },
     Rule {
         id: RuleId::D011,

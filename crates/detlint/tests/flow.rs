@@ -1,7 +1,6 @@
-//! Fixture corpus for the flow rules over the call graph: D009
-//! (lock/channel protocol) and D011 (nondeterminism taint). One positive
-//! and one negative fixture per rule, plus a workspace self-check that
-//! the shipped tree stays clean with both rules active.
+//! Fixture corpus for the flow rule over the call graph, D011
+//! (nondeterminism taint): one positive and one negative fixture, plus a
+//! workspace self-check that the shipped tree stays clean under it.
 
 use pls_detlint::{analyze_sources, analyze_workspace, Report, RuleId};
 
@@ -18,30 +17,6 @@ fn messages(report: &Report, rule: RuleId) -> Vec<(u32, String)> {
         .filter(|f| f.rule == rule)
         .map(|f| (f.line, f.message.clone()))
         .collect()
-}
-
-#[test]
-fn d009_positive_fixture_fires_on_all_three_shapes() {
-    let r = run_fixture(include_str!("fixtures/d009_bad.rs"));
-    let v = messages(&r, RuleId::D009);
-    assert!(
-        v.iter().any(|(_, m)| m.contains("inversion")),
-        "opposite lock orders must be an inversion: {v:?}"
-    );
-    assert!(
-        v.iter().any(|(l, m)| *l == 12 && m.contains("holding lock")),
-        "send under the held guards (line 12): {v:?}"
-    );
-    assert!(
-        v.iter().any(|(_, m)| m.contains("`rx`") && m.contains("half-wired")),
-        "the never-used receiver must be flagged: {v:?}"
-    );
-}
-
-#[test]
-fn d009_negative_fixture_is_clean() {
-    let r = run_fixture(include_str!("fixtures/d009_ok.rs"));
-    assert!(r.violations.is_empty(), "false positives: {:?}", r.violations);
 }
 
 #[test]
@@ -75,13 +50,11 @@ fn d011_negative_fixture_is_clean_with_audited_waiver() {
     assert!(r.unused_waivers.is_empty(), "waiver must bind: {:?}", r.unused_waivers);
 }
 
-/// The shipped workspace must stay clean with D009 and D011 active.
+/// The shipped workspace must stay clean with D011 active.
 #[test]
 fn shipped_workspace_is_clean_under_flow_rules() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let report = analyze_workspace(&root).expect("workspace readable");
-    for rule in [RuleId::D009, RuleId::D011] {
-        let hits: Vec<_> = report.violations.iter().filter(|f| f.rule == rule).collect();
-        assert!(hits.is_empty(), "{} must not fire on the shipped tree: {hits:?}", rule.name());
-    }
+    let hits: Vec<_> = report.violations.iter().filter(|f| f.rule == RuleId::D011).collect();
+    assert!(hits.is_empty(), "D011 must not fire on the shipped tree: {hits:?}");
 }

@@ -8,8 +8,8 @@
 //! what a commit frees); the driver decides *when*, what it costs and how
 //! remote hops travel. The probe — which counts the statistics too, see
 //! [`crate::probe`] — and the routing table ([`Homes`]) are borrowed per
-//! call: the platform threads one of each through all of its cores, each
-//! threaded cluster its own.
+//! call: the platform threads one of each through all of its cores; each
+//! threaded cluster feeds its own probe and reads the run's one table.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -25,15 +25,12 @@ use crate::time::VTime;
 /// The routing table: the cluster every LP lives on and its slot in that
 /// cluster's LP vector. Only [`ClusterCore::partition`],
 /// [`ClusterCore::evict`] and [`ClusterCore::adopt`] write it, so "where
-/// do messages for this LP go" and "who holds it" cannot disagree. The
-/// platform has one table for all of its cores; each threaded cluster has
-/// a copy, kept identical by applying the same plan inside the GVT
-/// round.
-#[derive(Clone)]
+/// do messages for this LP go" and "who holds it" cannot disagree. A run
+/// has one table: the platform lends it to every core step, the threaded
+/// executive lends it read-only to its cluster threads during an epoch
+/// and migrates (writes it) only between epochs.
 pub(crate) struct Homes {
     part: Vec<u32>,
-    /// Read only by the cluster `part` names (so a threaded cluster's copy
-    /// need only be right about its own residents).
     slot: Vec<u32>,
 }
 
@@ -364,23 +361,25 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         Committed { held_before, held: self.held, pending: self.pending }
     }
 
-    /// Apply migration `mv` to `homes` and, if this is the cluster the LP
-    /// leaves, detach it for the driver to carry to `mv.to` (`None` on a
-    /// bystander — a threaded cluster updating its own copy of the table).
-    /// Only sound at a GVT commit point, right after [`Self::commit`],
-    /// when the LP is a compact closure (see the `dynlb` module docs).
+    /// Apply migration `mv`, whose LP lives on this cluster, to `homes` and
+    /// detach the LP for the driver to carry to `mv.to`. Only sound at a
+    /// GVT commit point, right after [`Self::commit`], when the LP is a
+    /// compact closure (see the `dynlb` module docs).
     pub fn evict<P: Probe>(
         &mut self,
         mv: &Migration,
         homes: &mut Homes,
         gvt: VTime,
         probe: &mut P,
-    ) -> Option<Mover<A>> {
+    ) -> Mover<A> {
         let from = std::mem::replace(&mut homes.part[mv.lp as usize], mv.to);
-        assert_eq!(from, mv.from, "migrating LP {} is not where the plan says", mv.lp);
-        if from != self.id {
-            return None;
-        }
+        assert!(
+            from == mv.from && from == self.id,
+            "migrating LP {} lives on {from}; the plan says {}, the caller {}",
+            mv.lp,
+            mv.from,
+            self.id
+        );
         let slot = homes.slot[mv.lp as usize] as usize;
         let lp = self.lps.swap_remove(slot);
         // Drop the last slot's history bit; if an LP sat there (any but the
@@ -402,7 +401,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         let bytes = pending * std::mem::size_of::<Event<A::Msg>>() as u64
             + (held + 1) * std::mem::size_of::<A::State>() as u64;
         probe.on(ProbeEvent::LpMigrated { lp: mv.lp, from: mv.from, to: mv.to, gvt, bytes });
-        Some(Mover { lp, units: 1 + pending + held })
+        Mover { lp, units: 1 + pending + held }
     }
 
     /// Take over an LP evicted elsewhere and schedule it.
@@ -545,7 +544,7 @@ mod tests {
                 cores[from].assert_tallies();
                 let dst = &mut cores[mv.to as usize];
                 stale_homecomings += u32::from(dst.ready.iter().any(|e| e.0 .1 == nomad));
-                dst.adopt(mover.expect("the nomad lives on `from`"), &mut homes);
+                dst.adopt(mover, &mut homes);
                 dst.assert_tallies();
             }
         }

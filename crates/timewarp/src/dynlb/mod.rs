@@ -17,10 +17,12 @@
 //! its past. Moving that closure between nodes/clusters cannot violate
 //! causality, because every message below GVT is already committed and
 //! every message above it will be routed by the post-migration tables.
-//! The threaded executive additionally relies on its flush-and-barrier
-//! GVT: the flush guarantees **zero in-flight messages** at the barrier,
-//! so swapping routing tables inside the barrier can never strand a
-//! message at a stale cluster.
+//! Both optimistic executives run the same step, `Balancer::step`, at
+//! such a round. The threaded executive runs it between thread epochs:
+//! its cluster threads leave their loop at a balancing round, after the
+//! flush has emptied every channel, and the caller migrates while no
+//! thread runs — so no message can be stranded at a stale cluster, and
+//! the run keeps one routing table that only the caller writes.
 //!
 //! # Determinism
 //!
@@ -36,8 +38,11 @@
 use std::collections::BTreeMap;
 
 use crate::app::Application;
+use crate::core::{ClusterCore, Homes};
 use crate::event::LpId;
-use crate::stats::{LpActivity, LpLedger};
+use crate::probe::{Probe, Tee};
+use crate::stats::{KernelStats, LpActivity, LpLedger};
+use crate::time::VTime;
 
 /// Knobs for dynamic load balancing, set via
 /// [`crate::Simulator::load_balancer`].
@@ -91,6 +96,26 @@ impl WindowStats {
         lps.resize(n, LpActivity::default());
         WindowStats { lps, fault_penalty: vec![0; n], comm }
     }
+
+    /// Apportion `per_node[k]`, the event equivalents node `k` lost to
+    /// faults, across the LPs `parts` places on it: by their events in
+    /// the window, or evenly when none ran.
+    fn charge_faults(&mut self, parts: &[u32], per_node: &[u64]) {
+        for (node, &pen) in per_node.iter().enumerate().filter(|&(_, &pen)| pen > 0) {
+            let members: Vec<usize> =
+                (0..parts.len()).filter(|&l| parts[l] as usize == node).collect();
+            let total: u64 = members.iter().map(|&l| self.lps[l].events).sum();
+            for (k, &l) in members.iter().enumerate() {
+                self.fault_penalty[l] = match (pen * self.lps[l].events).checked_div(total) {
+                    Some(share) => share,
+                    None => {
+                        pen / members.len() as u64
+                            + u64::from((k as u64) < pen % members.len() as u64)
+                    }
+                };
+            }
+        }
+    }
 }
 
 /// One planned migration: move `lp` from part `from` to part `to`.
@@ -118,8 +143,9 @@ pub struct Migration {
 /// LP moved at most once per round.
 ///
 /// A deterministic function of its arguments — the virtual-platform
-/// executive's byte-reproducibility depends on it. The executives still
-/// check every entry (`move_is_valid`, the pinned mask) before applying it.
+/// executive's byte-reproducibility depends on it. `Balancer::step`
+/// still checks every entry (`move_is_valid`, the pinned LPs) before
+/// applying it.
 pub fn plan(
     window: &WindowStats,
     assignment: &[u32],
@@ -146,28 +172,70 @@ pub fn plan(
         .collect()
 }
 
-/// Validity filter the executives apply to plan entries, so a buggy
-/// policy cannot corrupt routing state. Deterministic, and
-/// identical on every cluster of the threaded executive (all clusters see
-/// the same plan and the same assignment copy).
-pub(crate) fn move_is_valid(mv: &Migration, assignment: &[u32], parts: usize) -> bool {
+/// Validity filter `Balancer::step` applies to plan entries, so a buggy
+/// policy cannot corrupt routing state.
+fn move_is_valid(mv: &Migration, assignment: &[u32], parts: usize) -> bool {
     (mv.lp as usize) < assignment.len()
         && (mv.to as usize) < parts
         && mv.from != mv.to
         && assignment[mv.lp as usize] == mv.from
 }
 
-/// Per-LP "must not migrate" flags from [`Application::pinned_lps`]
-/// (replica LPs: moving one would reintroduce the boundary traffic it
-/// exists to remove).
-pub(crate) fn pinned_mask<A: Application>(app: &A) -> Vec<bool> {
-    let mut pinned = vec![false; app.num_lps()];
-    for lp in app.pinned_lps() {
-        if let Some(slot) = pinned.get_mut(lp as usize) {
-            *slot = true;
+/// A run's balancer: its knobs and the LPs it must leave in place.
+pub(crate) struct Balancer {
+    cfg: DynLbConfig,
+    /// Per LP: [`Application::pinned_lps`] names it (a replica LP: moving
+    /// one would reintroduce the boundary traffic it exists to remove).
+    pinned: Vec<bool>,
+}
+
+impl Balancer {
+    pub fn new<A: Application>(app: &A, cfg: DynLbConfig) -> Balancer {
+        let mut pinned = vec![false; app.num_lps()];
+        for lp in app.pinned_lps() {
+            if let Some(slot) = pinned.get_mut(lp as usize) {
+                *slot = true;
+            }
+        }
+        Balancer { cfg, pinned }
+    }
+
+    /// Whether the GVT round that agreed `gvt`, the run's `rounds`-th,
+    /// balances. A function of agreed values only, so the threaded
+    /// executive's clusters all stop at the same round.
+    pub fn due(&self, gvt: VTime, rounds: u64) -> bool {
+        !gvt.is_inf() && rounds.is_multiple_of(self.cfg.period.max(1))
+    }
+
+    /// The one migration step, run right after the commit of a balancing
+    /// round while nothing is in flight. Drains the window from the run's
+    /// ledger, charges each node the event equivalents `fault_events` it
+    /// lost to faults, plans, filters, then evicts and adopts each valid
+    /// move, passing `(src, dst, units)` to `ship` after each eviction
+    /// for the driver to price.
+    pub fn step<A: Application, P: Probe>(
+        &self,
+        cores: &mut [ClusterCore<'_, A>],
+        homes: &mut Homes,
+        gvt: VTime,
+        fault_events: &[u64],
+        probe: &mut Tee<KernelStats, Tee<Option<LpLedger>, P>>,
+        mut ship: impl FnMut(usize, usize, u64),
+    ) {
+        let ledger = probe.b.a.as_mut().map(std::mem::take).expect("kept when balancing");
+        let mut window = WindowStats::new(homes.parts().len(), ledger);
+        window.charge_faults(homes.parts(), fault_events);
+        probe.a.lb_rounds += 1;
+        for mv in plan(&window, homes.parts(), cores.len(), &self.cfg) {
+            if !move_is_valid(&mv, homes.parts(), cores.len()) || self.pinned[mv.lp as usize] {
+                continue;
+            }
+            let (src, dst) = (mv.from as usize, mv.to as usize);
+            let mover = cores[src].evict(&mv, homes, gvt, probe);
+            ship(src, dst, mover.units);
+            cores[dst].adopt(mover, homes);
         }
     }
-    pinned
 }
 
 #[cfg(test)]

@@ -1,8 +1,8 @@
 //! The flush-and-barrier protocol: a faithful small-scale state machine
 //! of the threaded executive's cluster loop — optimistic execution with
-//! rollback and anti-messages, the flush-and-barrier GVT and the 4-phase
-//! LP migration handoff, over per-cluster FIFO channels — with two
-//! injectable historical bug shapes.
+//! rollback and anti-messages, the flush-and-barrier GVT and LP migration
+//! between epochs, over per-cluster FIFO channels — with two injectable
+//! bug shapes.
 //!
 //! # Abstraction choices (and why they are sound)
 //!
@@ -32,10 +32,12 @@
 //!   and minimum (the GVT) that every party reads. The implementation
 //!   clears the `requested` flag at the round's first rendezvous, the
 //!   model at its last (the minima release); no cluster reads or sets
-//!   the flag between the two, so the difference is unobservable. The
-//!   cluster-0 planning step between the real phase-1 and phase-2
-//!   rendezvous is atomic too (they bracket purely cluster-0-local work,
-//!   so no distinct interleavings are lost).
+//!   the flag between the two, so the difference is unobservable.
+//! * **Migration is part of the minima release.** At a balancing round
+//!   every cluster thread leaves its loop right after its commit and the
+//!   caller migrates before it spawns the next epoch, so no cluster step
+//!   can interleave with a migration: the release plans, evicts and
+//!   adopts in one atomic step over the run's one routing table.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -44,7 +46,7 @@ use super::ProtocolModel;
 /// Virtual-time infinity inside the model.
 const INF: u32 = u32::MAX;
 
-/// The two re-injectable historical bug shapes.
+/// The two re-injectable bug shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bug {
     /// During GVT flush rounds, anti-messages routed by a drain are not
@@ -52,9 +54,8 @@ pub enum Bug {
     /// terminate with a transmission still in flight, and the GVT
     /// computed past it.
     DropFlushTransmission,
-    /// Phase 3 of migration forgets to remove the migrating LP from the
-    /// source cluster's table while the destination still adopts it —
-    /// a double-owner window.
+    /// The migration step adopts the LP at its destination without
+    /// evicting it from its source: two clusters own it.
     DoubleOwnerMigration,
 }
 
@@ -213,12 +214,6 @@ enum Phase {
     MinPub,
     /// Arrived at the minima barrier.
     MinBar,
-    /// Migration phase 3: applying the plan to the local routing copy.
-    MigApply,
-    /// Arrived at the phase-3 barrier.
-    MigApplyBar,
-    /// Migration phase 4: adopting arrivals (no trailing barrier).
-    MigAdopt,
     /// Terminated (GVT = ∞).
     Exited,
 }
@@ -230,8 +225,6 @@ struct ClusterState {
     phase: Phase,
     /// LPs this cluster currently executes.
     owned: BTreeSet<u8>,
-    /// This cluster's own routing-table copy (LP → cluster).
-    assignment: Vec<u8>,
     /// Messages this cluster routed during the current flush round.
     routed_round: u32,
     /// Executes since the last GVT round (the `due` trigger).
@@ -256,6 +249,8 @@ pub struct State {
     lps: Vec<LpState>,
     /// Per-cluster FIFO channel from all other clusters.
     inboxes: Vec<VecDeque<Msg>>,
+    /// The run's one routing table (LP → cluster).
+    assignment: Vec<u8>,
     /// GVT-requested flag (any cluster may set it; cleared at the round
     /// end).
     requested: bool,
@@ -265,10 +260,6 @@ pub struct State {
     gvt_rounds: u32,
     /// Completed balancing rounds.
     lb_round: u32,
-    /// The plan agreed at the current migration round.
-    plan: Vec<PlannedMove>,
-    /// Per-destination handoff buffers: LP ids in transit.
-    movers: Vec<Vec<u8>>,
     /// Fossil-collected (committed) positive ids.
     committed: BTreeSet<u32>,
     /// Ids consumed by positive/anti annihilation.
@@ -292,15 +283,12 @@ pub enum Step {
     FlushDrain(u8),
     /// Arrive at the flush-round barrier (inbox observed empty).
     FlushArrive(u8),
-    /// Compute and publish the local minimum.
+    /// Compute and publish the local minimum; the last to publish
+    /// releases the round (and migrates at a balancing round).
     PublishMin(u8),
-    /// Apply the migration plan to the local routing copy (phase 3).
-    MigApply(u8),
-    /// Adopt arrived LPs (phase 4) and resume running.
-    MigAdopt(u8),
 }
 
-/// Mirror of the executives' plan validity filter.
+/// Mirror of the migration step's plan validity filter.
 fn move_is_valid(mv: &PlannedMove, assignment: &[u8], parts: usize) -> bool {
     (mv.lp as usize) < assignment.len()
         && (mv.to as usize) < parts
@@ -339,7 +327,7 @@ impl State {
                 return Ok(0);
             }
             if m.time <= self.lps[dst].lvt {
-                remote += self.rollback(c, m.dst, m.time)?;
+                remote += self.rollback(m.dst, m.time)?;
             }
             self.lps[dst].insert((m.time, m.id, m.hops));
         } else {
@@ -356,7 +344,7 @@ impl State {
                 self.annihilated.insert(m.id);
             } else if let Some(&(t, _, _)) = lp.processed.iter().find(|&&(_, id, _)| id == m.id) {
                 // Secondary rollback, then annihilate from pending.
-                remote += self.rollback(c, m.dst, t)?;
+                remote += self.rollback(m.dst, t)?;
                 let lp = &mut self.lps[dst];
                 let i = lp
                     .pending
@@ -372,12 +360,12 @@ impl State {
         Ok(remote)
     }
 
-    /// Roll LP `lp` (owned by cluster `c`) back to before `t`: unprocess
+    /// Roll LP `lp_id` back to before `t`: unprocess
     /// every processed event with `time >= t` and cancel every
     /// uncommitted output with `cause >= t` by routing anti-messages
     /// (through a channel even when the destination is local). Returns
     /// the anti-messages routed.
-    fn rollback(&mut self, c: u8, lp_id: u8, t: u32) -> Result<u32, String> {
+    fn rollback(&mut self, lp_id: u8, t: u32) -> Result<u32, String> {
         let gvt = self.gvt;
         let lp = &mut self.lps[lp_id as usize];
         let mut i = 0;
@@ -402,7 +390,7 @@ impl State {
         lp.sent = keep;
         for r in &cancelled {
             let anti = Msg { id: r.id, dst: r.dst, time: r.time, hops: 0, anti: true };
-            let dest_cluster = self.clusters[c as usize].assignment[r.dst as usize];
+            let dest_cluster = self.assignment[r.dst as usize];
             self.inboxes[dest_cluster as usize].push_back(anti);
         }
         Ok(cancelled.len() as u32)
@@ -416,7 +404,8 @@ impl State {
     }
 
     /// The minima-barrier release: agree the GVT, fossil-collect, check
-    /// the flush postcondition, and dispatch to exit / migration / run.
+    /// the flush postcondition, migrate at a balancing round, and
+    /// dispatch to exit or run.
     fn finish_gvt_round(&mut self, cfg: &ModelConfig) -> Result<(), String> {
         let new_gvt = self.clusters.iter().map(|cl| cl.local_min).min().unwrap_or(INF);
         if new_gvt < self.gvt {
@@ -455,22 +444,25 @@ impl State {
             }
             return Ok(());
         }
-        let migrate = cfg.lb_period > 0 && self.gvt_rounds.is_multiple_of(cfg.lb_period);
-        if migrate {
+        if cfg.lb_period > 0 && self.gvt_rounds.is_multiple_of(cfg.lb_period) {
             self.lb_round += 1;
             let round = self.lb_round;
-            // Cluster 0 plans between the phase-1 and phase-2 barriers;
-            // collapsed into this release (cluster-0-local work only).
-            self.plan = cfg.plan.iter().filter(|m| m.round == round).copied().collect();
-            for cl in &mut self.clusters {
-                cl.phase = Phase::MigApply;
+            for mv in cfg.plan.iter().filter(|m| m.round == round) {
+                if !move_is_valid(mv, &self.assignment, cfg.clusters) {
+                    continue;
+                }
+                self.assignment[mv.lp as usize] = mv.to;
+                // The bug shape: the LP is adopted but never evicted.
+                if cfg.bug != Some(Bug::DoubleOwnerMigration) {
+                    self.clusters[mv.from as usize].owned.remove(&mv.lp);
+                }
+                self.clusters[mv.to as usize].owned.insert(mv.lp);
             }
-        } else {
-            for cl in &mut self.clusters {
-                cl.phase = Phase::Run;
-                cl.executed_since_gvt = 0;
-                cl.fresh_gvt = true;
-            }
+        }
+        for cl in &mut self.clusters {
+            cl.phase = Phase::Run;
+            cl.executed_since_gvt = 0;
+            cl.fresh_gvt = true;
         }
         Ok(())
     }
@@ -493,7 +485,6 @@ impl ProtocolModel for ModelConfig {
             .map(|c| ClusterState {
                 phase: Phase::Run,
                 owned: (0..self.lps as u8).filter(|&l| assignment[l as usize] == c as u8).collect(),
-                assignment: assignment.clone(),
                 routed_round: 0,
                 executed_since_gvt: 0,
                 local_min: 0,
@@ -504,12 +495,11 @@ impl ProtocolModel for ModelConfig {
             clusters,
             lps,
             inboxes: vec![VecDeque::new(); self.clusters],
+            assignment,
             requested: false,
             gvt: 0,
             gvt_rounds: 0,
             lb_round: 0,
-            plan: Vec::new(),
-            movers: vec![Vec::new(); self.clusters],
             committed: BTreeSet::new(),
             annihilated: BTreeSet::new(),
             next_id: self.lps as u32,
@@ -545,13 +535,7 @@ impl ProtocolModel for ModelConfig {
                     }
                 }
                 Phase::MinPub => steps.push(Step::PublishMin(c)),
-                Phase::MigApply => steps.push(Step::MigApply(c)),
-                Phase::MigAdopt => steps.push(Step::MigAdopt(c)),
-                Phase::GvtEnterBar
-                | Phase::FlushBar
-                | Phase::MinBar
-                | Phase::MigApplyBar
-                | Phase::Exited => {}
+                Phase::GvtEnterBar | Phase::FlushBar | Phase::MinBar | Phase::Exited => {}
             }
         }
     }
@@ -579,7 +563,7 @@ impl ProtocolModel for ModelConfig {
                     s.next_id += 1;
                     s.lps[lp_id as usize].sent.push(SentRec { id, dst, time: at, cause: t });
                     let msg = Msg { id, dst, time: at, hops: hops - 1, anti: false };
-                    let dest_cluster = s.clusters[c as usize].assignment[dst as usize];
+                    let dest_cluster = s.assignment[dst as usize];
                     if dest_cluster == c {
                         s.deliver(c, msg)?;
                     } else {
@@ -631,39 +615,6 @@ impl ProtocolModel for ModelConfig {
                     s.finish_gvt_round(self)?;
                 }
             }
-            Step::MigApply(c) => {
-                let plan = s.plan.clone();
-                for mv in &plan {
-                    if !move_is_valid(mv, &s.clusters[c as usize].assignment, self.clusters) {
-                        continue;
-                    }
-                    s.clusters[c as usize].assignment[mv.lp as usize] = mv.to;
-                    if mv.from == c {
-                        // The historical bug: the source keeps executing
-                        // the LP it just handed off.
-                        if self.bug != Some(Bug::DoubleOwnerMigration) {
-                            s.clusters[c as usize].owned.remove(&mv.lp);
-                        }
-                        s.movers[mv.to as usize].push(mv.lp);
-                    }
-                }
-                s.clusters[c as usize].phase = Phase::MigApplyBar;
-                if s.all_in(Phase::MigApplyBar) {
-                    for cl in &mut s.clusters {
-                        cl.phase = Phase::MigAdopt;
-                    }
-                }
-            }
-            Step::MigAdopt(c) => {
-                let arrivals = std::mem::take(&mut s.movers[c as usize]);
-                for lp in arrivals {
-                    s.clusters[c as usize].owned.insert(lp);
-                }
-                let cl = &mut s.clusters[c as usize];
-                cl.phase = Phase::Run;
-                cl.executed_since_gvt = 0;
-                cl.fresh_gvt = true;
-            }
         }
         Ok(label)
     }
@@ -678,24 +629,17 @@ impl ProtocolModel for ModelConfig {
             Step::FlushDrain(c) => format!("c{c}:flush-drain"),
             Step::FlushArrive(c) => format!("c{c}:flush-barrier"),
             Step::PublishMin(c) => format!("c{c}:publish-min"),
-            Step::MigApply(c) => format!("c{c}:mig-apply"),
-            Step::MigAdopt(c) => format!("c{c}:mig-adopt"),
         }
     }
 
     /// Safety invariants checked at every reachable state. Returns a
     /// violation description, or `None`.
     fn check_invariants(&self, s: &State) -> Option<String> {
-        // 1. Every LP is owned by exactly one cluster, or is in exactly
-        //    one movers buffer mid-handoff.
+        // 1. Every LP is owned by exactly one cluster.
         for lp in 0..s.lps.len() as u8 {
             let owners = s.clusters.iter().filter(|cl| cl.owned.contains(&lp)).count();
-            let moving =
-                s.movers.iter().map(|m| m.iter().filter(|&&l| l == lp).count()).sum::<usize>();
-            if owners + moving != 1 {
-                return Some(format!(
-                    "LP {lp} owned by {owners} cluster(s) and in {moving} handoff buffer(s) — must be exactly one total"
-                ));
+            if owners != 1 {
+                return Some(format!("LP {lp} owned by {owners} cluster(s) — must be exactly one"));
             }
         }
         // 2. Transmission conservation: every positive id lives in
@@ -716,9 +660,6 @@ impl ProtocolModel for ModelConfig {
         if self.terminated(s) {
             if s.inboxes.iter().any(|inbox| !inbox.is_empty()) {
                 return Some("terminated with a non-empty channel".into());
-            }
-            if s.movers.iter().any(|m| !m.is_empty()) {
-                return Some("terminated with an LP stuck in a handoff buffer".into());
             }
             if s.lps.iter().any(|lp| !lp.orphans.is_empty()) {
                 return Some("terminated with an unmatched anti-message".into());

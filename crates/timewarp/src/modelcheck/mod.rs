@@ -17,10 +17,10 @@
 //!   ([`ExploreOptions::verify_hashes`]).
 //! * [`barrier`] — the flush-and-barrier model of the threaded
 //!   executive over reliable per-cluster FIFO channels: optimistic
-//!   rollback with anti-messages, the repeated drain-round GVT and the
-//!   4-phase LP migration handoff from [`crate::dynlb`].
+//!   rollback with anti-messages, the repeated drain-round GVT and LP
+//!   migration ([`crate::dynlb`]) as one step between thread epochs.
 //!
-//! Historical bug shapes can be re-injected ([`Bug`]) to prove the
+//! Bug shapes can be re-injected ([`Bug`]) to prove the
 //! checker actually detects them. `crates/timewarp/tests/modelcheck.rs`
 //! explores the three acceptance configurations and both bug shapes,
 //! and pins their state spaces and counterexamples.

@@ -24,7 +24,7 @@ use crate::chaos::{ChaosRuntime, FaultPlan};
 use crate::config::KernelConfig;
 use crate::core::{ClusterCore, Committed, Homes, Hop};
 use crate::cost::CostModel;
-use crate::dynlb::{self, move_is_valid, pinned_mask, DynLbConfig, WindowStats};
+use crate::dynlb::{Balancer, DynLbConfig};
 use crate::event::Transmission;
 use crate::probe::{Probe, ProbeEvent, Tee};
 use crate::sim::{Outcome, RunReport, SimError};
@@ -49,10 +49,6 @@ struct Platform<M> {
     cost: CostModel,
     /// One virtual CPU clock per node.
     clocks: Vec<u64>,
-    /// Where every LP lives (dynamic load balancing rewrites it at GVT
-    /// commit). Remote hops resolve their node here when they are sent
-    /// *and* when they land, so traffic follows migrated LPs.
-    homes: Homes,
     /// Seeded fault engine (`None` = healthy platform, the default). It
     /// perturbs only modeled time and message counts; committed history
     /// must stay byte-identical (see the `chaos` module docs).
@@ -81,11 +77,11 @@ impl<M> Platform<M> {
         };
     }
 
-    /// Send `tx` from node `from`: charge the sender's CPU, let the
-    /// destination's ingress link delay it, and queue it on the wire.
-    fn transmit(&mut self, from: usize, tx: Transmission<M>) {
+    /// Send `tx` from node `from` to node `dst_node`: charge the sender's
+    /// CPU, let the destination's ingress link delay it, and queue it on
+    /// the wire.
+    fn transmit(&mut self, from: usize, dst_node: usize, tx: Transmission<M>) {
         self.charge(from, self.cost.msg_send_ns);
-        let dst_node = self.homes.part(tx.dst());
         let wire_at = self.clocks[from] + self.cost.net_latency_ns;
         let extra_ns = self
             .chaos
@@ -109,12 +105,13 @@ impl<M> Platform<M> {
         &mut self,
         core: &mut ClusterCore<'_, A>,
         from: usize,
+        homes: &Homes,
         probe: &mut P,
     ) {
-        while let Some(hop) = core.route_next(&self.homes, probe) {
+        while let Some(hop) = core.route_next(homes, probe) {
             match hop {
                 Hop::Local => self.charge(from, self.cost.local_enqueue_ns),
-                Hop::Remote(tx) => self.transmit(from, tx),
+                Hop::Remote(tx) => self.transmit(from, homes.part(tx.dst()), tx),
             }
         }
     }
@@ -125,35 +122,14 @@ impl<M> Platform<M> {
         self.flights.iter().flatten().map(Transmission::recv_time).min().unwrap_or(VTime::INF)
     }
 
-    /// Attribute the modeled latency each node lost to faults since the
-    /// last balancing round (pause stalls, slowdown surcharges, degrade
-    /// spikes) to its LPs as event equivalents, so the balancer
-    /// sees a sick node as overloaded and routes LPs off it.
-    fn attribute_fault_time(&mut self, window: &mut WindowStats) {
-        let Some(ch) = self.chaos.as_mut() else { return };
-        for node in 0..self.clocks.len() {
-            let pen = ch.fault_ns[node] / self.cost.event_exec_ns;
-            ch.fault_ns[node] = 0;
-            if pen == 0 {
-                continue;
-            }
-            let parts = self.homes.parts();
-            let members: Vec<usize> =
-                (0..parts.len()).filter(|&l| parts[l] as usize == node).collect();
-            if members.is_empty() {
-                continue;
-            }
-            let total: u64 = members.iter().map(|&l| window.lps[l].events).sum();
-            for (k, &l) in members.iter().enumerate() {
-                window.fault_penalty[l] = match (pen * window.lps[l].events).checked_div(total) {
-                    Some(share) => share,
-                    None => {
-                        pen / members.len() as u64
-                            + u64::from((k as u64) < pen % members.len() as u64)
-                    }
-                };
-            }
-        }
+    /// The modeled latency each node lost to faults since the last
+    /// balancing round (pause stalls, slowdown surcharges, degrade spikes),
+    /// in event equivalents, so the balancer sees a sick node as
+    /// overloaded and routes LPs off it. Empty on a healthy platform.
+    fn take_fault_events(&mut self) -> Vec<u64> {
+        let Some(ch) = self.chaos.as_mut() else { return Vec::new() };
+        let per_event = self.cost.event_exec_ns;
+        ch.fault_ns.iter_mut().map(|ns| std::mem::take(ns) / per_event).collect()
     }
 
     /// Ship a migrating LP's closure (`units` messages) from `src` to
@@ -184,17 +160,18 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     let kernel = cfg.kernel;
     let cost = cfg.cost;
 
-    let pinned = pinned_mask(app);
-
     // Balancing windows are drains of the run's own ledger.
     let stats = KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
     let mut tee = Tee::new(stats, Tee::new(dynlb.map(|_| LpLedger::default()), probe));
     let probe = &mut tee;
-    let (mut cores, homes) = ClusterCore::partition(app, assignment, nodes, kernel, probe);
+    // Where every LP lives (dynamic load balancing rewrites it at GVT
+    // commit). Remote hops resolve their node here when they are sent
+    // *and* when they land, so traffic follows migrated LPs.
+    let (mut cores, mut homes) = ClusterCore::partition(app, assignment, nodes, kernel, probe);
+    let balancer = dynlb.map(|cfg| Balancer::new(app, cfg));
     let mut plat = Platform {
         cost,
         clocks: vec![0; nodes],
-        homes,
         chaos: chaos_plan.map(|p| ChaosRuntime::new(p, nodes)),
         net: BinaryHeap::new(),
         flights: Vec::new(),
@@ -247,13 +224,13 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
             let Reverse((arrive, _, key)) = plat.net.pop().expect("peeked above");
             let tx = plat.flights[key].take().expect("wire heap entry without flight");
             plat.free_flights.push(key);
-            let dnode = plat.homes.part(tx.dst());
+            let dnode = homes.part(tx.dst());
             plat.clocks[dnode] = plat.clocks[dnode].max(arrive);
             plat.charge(dnode, cost.msg_recv_ns);
             let rb_before = probe.a.rollbacks();
             let undone_before = probe.a.events_rolled_back;
             let coasted_before = probe.a.events_coasted;
-            cores[dnode].receive(tx, &plat.homes, probe);
+            cores[dnode].receive(tx, &homes, probe);
             let stats = &probe.a;
             if stats.rollbacks() > rb_before {
                 plat.charge(
@@ -263,7 +240,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                         + cost.event_exec_ns * (stats.events_coasted - coasted_before),
                 );
             }
-            plat.route_outbox(&mut cores[dnode], dnode, probe);
+            plat.route_outbox(&mut cores[dnode], dnode, &homes, probe);
         } else if let Some(ni) = best_node {
             let pe_before = probe.a.events_processed;
             let saves_before = probe.a.states_saved;
@@ -276,7 +253,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                     + cost.state_save_ns * (stats.states_saved - saves_before),
             );
             batches_since_gvt += 1;
-            plat.route_outbox(&mut cores[ni], ni, probe);
+            plat.route_outbox(&mut cores[ni], ni, &homes, probe);
         } else if any_ready {
             // No executable work, yet not quiescent: all remaining events
             // sit beyond the optimism window — a GVT round must advance
@@ -316,27 +293,11 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
             // LP is a compact transferable closure (see `dynlb` module
             // docs): fossil collection just ran, so moving it is copying
             // its current state, surviving checkpoints and pending events.
-            if let Some(lb) = &dynlb {
-                if !gvt.is_inf() && probe.a.gvt_rounds.is_multiple_of(lb.period.max(1)) {
-                    let ledger =
-                        probe.b.a.as_mut().map(std::mem::take).expect("kept when balancing");
-                    let mut window = WindowStats::new(app.num_lps(), ledger);
-                    plat.attribute_fault_time(&mut window);
-                    probe.a.lb_rounds += 1;
-                    let plan = dynlb::plan(&window, plat.homes.parts(), nodes, lb);
-                    for mv in plan {
-                        if !move_is_valid(&mv, plat.homes.parts(), nodes) || pinned[mv.lp as usize]
-                        {
-                            continue;
-                        }
-                        let (src, dst) = (mv.from as usize, mv.to as usize);
-                        let mover = cores[src]
-                            .evict(&mv, &mut plat.homes, gvt, probe)
-                            .expect("a valid move names the node its LP lives on");
-                        plat.ship(src, dst, mover.units);
-                        cores[dst].adopt(mover, &mut plat.homes);
-                    }
-                }
+            if let Some(lb) = balancer.as_ref().filter(|lb| lb.due(gvt, probe.a.gvt_rounds)) {
+                let faults = plat.take_fault_events();
+                lb.step(&mut cores, &mut homes, gvt, &faults, probe, |src, dst, units| {
+                    plat.ship(src, dst, units)
+                });
             }
         }
     }

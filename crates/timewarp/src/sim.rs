@@ -523,16 +523,22 @@ mod tests {
         let app = Ring { n: 12, hops: 40 };
         let skewed = vec![0u32; 12];
         let cfg = KernelConfig { gvt_period: 4, ..Default::default() };
-        let report = Simulator::new(&app)
-            .config(cfg)
-            .record(10)
-            .load_balancer(DynLbConfig { period: 1, ..Default::default() })
-            .run(Backend::Platform { assignment: &skewed, nodes: 3 })
-            .unwrap();
-        let t = report.telemetry.expect("record() fills telemetry").totals().counts;
-        assert_eq!(t.migrations, report.stats.migrations);
-        assert_eq!(t.migrated_state_bytes, report.stats.migrated_state_bytes);
-        assert!(t.migrations > 0);
+        for backend in [
+            Backend::Platform { assignment: &skewed, nodes: 3 },
+            Backend::Threaded { assignment: &skewed, clusters: 3 },
+        ] {
+            let report = Simulator::new(&app)
+                .config(cfg)
+                .record(10)
+                .load_balancer(DynLbConfig { period: 1, ..Default::default() })
+                .run(backend)
+                .unwrap();
+            let t = report.telemetry.expect("record() fills telemetry").totals().counts;
+            assert!(report.stats.lb_rounds > 0, "{backend:?}: balancing rounds must run");
+            assert!(report.stats.migrations > 0, "{backend:?}: a skewed placement must migrate");
+            assert_eq!(t.migrations, report.stats.migrations, "{backend:?}");
+            assert_eq!(t.migrated_state_bytes, report.stats.migrated_state_bytes, "{backend:?}");
+        }
     }
 
     /// A custom probe composes with `record` (both observe every event)

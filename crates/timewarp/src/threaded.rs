@@ -17,20 +17,27 @@
 //! all-reduce barrier over the cluster threads — every cluster contributes
 //! an addend and a candidate minimum and gets the sum and the minimum
 //! back. A GVT round is `2 + F` of them (`F` flush rounds, see
-//! `Cluster::gvt_round`); a balancing round adds three. A waiter spins
-//! briefly and then parks, so a host with fewer cores than clusters is not
-//! starved by its own waiters. A cluster thread that panics poisons the
-//! rendezvous: its peers leave their wait and the run ends in
-//! [`SimError::ClusterPanicked`] — never a hang. Besides the rendezvous
-//! the clusters share the `requested` flag and one mail counter per
-//! cluster, nothing else.
+//! `Cluster::gvt_round`). A waiter spins briefly and then parks, so a
+//! host with fewer cores than clusters is not starved by its own waiters;
+//! its parking lot is the executive's only lock. A cluster thread that
+//! panics poisons the rendezvous: its peers leave their wait and the run
+//! ends in [`SimError::ClusterPanicked`] — never a hang. Besides the
+//! rendezvous the clusters share the `requested` flag, one mail counter
+//! per cluster and the run's routing table, which they only read.
+//!
+//! Balancing: the cluster threads run in epochs. At a balancing GVT round
+//! every thread leaves its loop after its commit, with every channel
+//! empty; the caller joins them, runs the migration step the platform
+//! runs ([`crate::dynlb`]) — the only writer of the routing table — and
+//! spawns the next epoch. A run without a balancer is one epoch.
 //!
 //! Counting and telemetry: the root probe — the run's [`KernelStats`]
 //! teed with the caller's probe — is [`Probe::fork`]ed once per cluster,
-//! each cluster thread feeds its own child (no locking on the hot path),
-//! and the children are [`Probe::join`]ed back in cluster-id order — so
-//! the statistics and a recording probe see a deterministic merge even
-//! though thread interleavings differ run to run.
+//! each cluster thread feeds its own child (no locking on the hot path)
+//! across every epoch, and the children are [`Probe::join`]ed back in
+//! cluster-id order — so the statistics and a recording probe see a
+//! deterministic merge even though thread interleavings differ run to
+//! run. The migration step reports to the root probe itself.
 //!
 //! Comms: channels carry `Vec<Transmission>` batches, not single
 //! messages. Each routing pass coalesces its remote traffic into one
@@ -67,8 +74,8 @@ use std::time::Duration;
 
 use crate::app::Application;
 use crate::config::KernelConfig;
-use crate::core::{ClusterCore, Homes, Hop, Mover};
-use crate::dynlb::{self, move_is_valid, pinned_mask, DynLbConfig, Migration, WindowStats};
+use crate::core::{ClusterCore, Homes, Hop};
+use crate::dynlb::{Balancer, DynLbConfig};
 use crate::event::Transmission;
 use crate::probe::{Probe, ProbeEvent, Tee};
 use crate::sim::{Outcome, RunReport, SimError};
@@ -230,24 +237,6 @@ impl Drop for PoisonOnPanic<'_> {
     }
 }
 
-/// Shared dynamic load-balancing state: the window's ledger, which every
-/// cluster joins its slice into, the plan agreed by cluster 0, and
-/// per-destination handoff buffers for migrating LPs. All accesses
-/// happen inside the GVT round, where the flush protocol guarantees no
-/// message is in flight — see the `dynlb` module docs.
-#[allow(
-    clippy::disallowed_types,
-    reason = "locked only inside `balance`, between its rendezvous syncs"
-)]
-struct LbShared<A: Application> {
-    cfg: DynLbConfig,
-    window: Mutex<LpLedger>,
-    plan: Mutex<Vec<Migration>>,
-    movers: Vec<Mutex<Vec<Mover<A>>>>,
-    /// LPs the model forbids migrating.
-    pinned: Vec<bool>,
-}
-
 /// One cluster's mail counter, on a cache line of its own: its owner
 /// reads it once per executed batch, and a neighbour's counter changing
 /// must not make that read miss.
@@ -258,8 +247,8 @@ struct LbShared<A: Application> {
 #[repr(align(64))]
 struct Mail(AtomicU64);
 
-/// Everything the cluster threads share besides channels (and, when
-/// balancing, [`LbShared`]).
+/// Everything the cluster threads share besides channels and the
+/// routing table.
 #[allow(
     clippy::disallowed_types,
     reason = "the threaded executive is the one audited concurrency surface"
@@ -282,6 +271,7 @@ struct Shared {
 /// `assignment` against `app` and `clusters`.
 /// A panic on a cluster thread (the application's, or a kernel assert)
 /// tears the run down and comes back as [`SimError::ClusterPanicked`].
+/// Balancing runs between thread epochs (see the module docs).
 pub(crate) fn threaded_core<A: Application, P: Probe>(
     app: &A,
     assignment: &[u32],
@@ -290,20 +280,8 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     probe: P,
     dynlb: Option<DynLbConfig>,
 ) -> Result<(RunReport<A>, P), SimError> {
-    #[allow(
-        clippy::disallowed_types,
-        reason = "the threaded executive is the one audited concurrency surface"
-    )]
-    let lb_shared = dynlb.map(|cfg| LbShared::<A> {
-        cfg,
-        window: Mutex::default(),
-        plan: Mutex::new(Vec::new()),
-        movers: (0..clusters).map(|_| Mutex::new(Vec::new())).collect(),
-        pinned: pinned_mask(app),
-    });
-
-    // Channels: one receiver per cluster (moved into its thread), senders
-    // shared by everyone. Channels carry transmission *batches*.
+    // Channels: one receiver per cluster, senders shared by everyone.
+    // Channels carry transmission *batches*.
     #[allow(
         clippy::disallowed_methods,
         reason = "the threaded executive is the one audited concurrency surface"
@@ -321,10 +299,17 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
         mail: (0..clusters).map(|_| Mail(AtomicU64::new(0))).collect(),
     };
 
-    // Balancing windows are drains of each cluster's fork of the ledger.
+    // Balancing windows are drains of the run's ledger, into which the
+    // clusters' slices are merged at each balancing round.
     let stats = KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
     let mut probe = Tee::new(stats, Tee::new(dynlb.map(|_| LpLedger::default()), probe));
-    let (cores, homes) = ClusterCore::partition(app, assignment, clusters, *cfg, &mut probe);
+    let (mut cores, mut homes) =
+        ClusterCore::partition(app, assignment, clusters, *cfg, &mut probe);
+    let balancer = dynlb.map(|cfg| Balancer::new(app, cfg));
+    let mut lanes: Vec<Lane<A::Msg, _>> = receivers
+        .into_iter()
+        .map(|rx| Lane { rx, received: 0, gvt: VTime::ZERO, idle_rounds: 0, probe: probe.fork() })
+        .collect();
 
     #[allow(
         clippy::disallowed_methods,
@@ -332,78 +317,105 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     )]
     let started = std::time::Instant::now();
 
-    #[allow(clippy::disallowed_methods, reason = "one OS thread per cluster")]
-    let joined: Vec<_> = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(clusters);
-        for ((cid, core), rx) in cores.into_iter().enumerate().zip(receivers) {
-            let cluster = Cluster {
-                cid,
-                core,
-                shared: &shared,
-                rx,
-                received: 0,
-                out_bufs: (0..clusters).map(|_| Vec::new()).collect(),
-                senders: senders.clone(),
-                homes: homes.clone(),
-                probe: probe.fork(),
-            };
-            let (rendezvous, lb) = (&shared.rendezvous, lb_shared.as_ref());
-            handles.push(scope.spawn(move || {
-                let _poison = PoisonOnPanic(rendezvous);
-                cluster.run(cfg, lb, started)
-            }));
+    loop {
+        // Each thread owns its core and lane for the epoch, on its own
+        // stack: side by side in one vector, two clusters' hot fields
+        // would share cache lines.
+        #[allow(clippy::disallowed_methods, reason = "one OS thread per cluster")]
+        let joined: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (cores.drain(..).zip(lanes.drain(..)).enumerate())
+                .map(|(cid, (core, lane))| {
+                    let cluster = Cluster {
+                        cid,
+                        core,
+                        lane,
+                        homes: &homes,
+                        shared: &shared,
+                        senders: &senders,
+                        out_bufs: (0..clusters).map(|_| Vec::new()).collect(),
+                    };
+                    let (rendezvous, lb) = (&shared.rendezvous, balancer.as_ref());
+                    scope.spawn(move || {
+                        let _poison = PoisonOnPanic(rendezvous);
+                        cluster.run(cfg, lb, started)
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        // The peers of a panicked cluster came back `Err(Poisoned)`, or
+        // finished; either way there is no run to report.
+        if let Some(cluster) = joined.iter().position(|j| j.is_err()) {
+            return Err(SimError::ClusterPanicked { cluster });
         }
-        handles.into_iter().map(|h| h.join()).collect()
-    });
+        for joined in joined {
+            let Ok(Ok(cluster)) = joined else { unreachable!("only a panic poisons") };
+            cores.push(cluster.core);
+            lanes.push(cluster.lane);
+        }
+        // Rounds are lockstep: every cluster left at the same one.
+        let gvt = lanes[0].gvt;
+        if gvt.is_inf() {
+            break;
+        }
+        let lb = balancer.as_ref().expect("only a balancing round ends an epoch early");
+        for lane in &mut lanes {
+            let slice = lane.probe.b.a.as_mut().map(std::mem::take);
+            probe.b.a.join(slice);
+        }
+        lb.step(&mut cores, &mut homes, gvt, &[], &mut probe, |_, _, _| {});
+    }
     let wall = started.elapsed();
 
-    // The peers of a panicked cluster came back `Err(Poisoned)`, or
-    // finished; either way there is no run to report.
-    if let Some(cluster) = joined.iter().position(|j| j.is_err()) {
-        return Err(SimError::ClusterPanicked { cluster });
-    }
     // Merged in cluster-id order — deterministic regardless of which
     // thread finished first.
-    let mut finished = Vec::with_capacity(clusters);
-    for (cid, joined) in joined.into_iter().enumerate() {
-        let Ok(Ok(cluster)) = joined else { unreachable!("only a panic poisons the rendezvous") };
+    for (cid, lane) in lanes.into_iter().enumerate() {
         // Rounds are lockstep, which is why the counter merges by `Max`.
-        let rounds = cluster.probe.a.gvt_rounds;
+        let rounds = lane.probe.a.gvt_rounds;
         assert!(
             cid == 0 || rounds == probe.a.gvt_rounds,
             "cluster {cid} counted {rounds} GVT rounds, cluster 0 {}",
             probe.a.gvt_rounds
         );
-        probe.join(cluster.probe);
-        finished.push(cluster.core);
+        probe.join(lane.probe);
     }
 
     let Tee { a: mut stats, b: Tee { b: probe, .. } } = probe;
     stats.final_gvt = VTime::INF;
-    let states = ClusterCore::finish(finished);
+    let states = ClusterCore::finish(cores);
     let outcome = Outcome::Threaded { wall };
     Ok((RunReport { stats, states, outcome, telemetry: None }, probe))
 }
 
-/// Everything one cluster thread owns.
-#[allow(clippy::disallowed_types, reason = "a cluster thread's two channel endpoints")]
-struct Cluster<'a, A: Application, P: Probe> {
-    cid: usize,
-    core: ClusterCore<'a, A>,
-    shared: &'a Shared,
-    rx: Receiver<TxBatch<A::Msg>>,
+/// What a cluster keeps from one epoch to the next.
+#[allow(clippy::disallowed_types, reason = "a cluster thread's receiving channel endpoint")]
+struct Lane<M, P> {
+    rx: Receiver<TxBatch<M>>,
     /// Batches taken from `rx` so far; see [`Shared::mail`].
     received: u64,
-    senders: Vec<Sender<TxBatch<A::Msg>>>,
-    /// Per-destination coalescing buffers, reused across routing passes.
-    out_bufs: Vec<TxBatch<A::Msg>>,
-    /// This cluster's copy of the routing table (see [`Homes`]).
-    homes: Homes,
+    /// The GVT agreed in the last round: the optimism window's base.
+    gvt: VTime,
+    /// Idle waits in a row, each after a round: the patience of the next.
+    idle_rounds: u32,
     /// This cluster's statistics, ledger and child of the caller's probe.
     probe: Tee<KernelStats, Tee<Option<LpLedger>, P>>,
 }
 
-impl<A: Application, P: Probe> Cluster<'_, A, P> {
+/// One cluster thread's view of the run for one epoch.
+#[allow(clippy::disallowed_types, reason = "a cluster thread's sending channel endpoints")]
+struct Cluster<'e, 'a, A: Application, P: Probe> {
+    cid: usize,
+    core: ClusterCore<'a, A>,
+    lane: Lane<A::Msg, P>,
+    /// The run's routing table (see [`Homes`]), read-only for the epoch.
+    homes: &'e Homes,
+    shared: &'e Shared,
+    senders: &'e [Sender<TxBatch<A::Msg>>],
+    /// Per-destination coalescing buffers, reused across routing passes.
+    out_bufs: Vec<TxBatch<A::Msg>>,
+}
+
+impl<A: Application, P: Probe> Cluster<'_, '_, A, P> {
     /// Announce, then send, one batch to cluster `dc`.
     fn post(&self, dc: usize, batch: TxBatch<A::Msg>) {
         self.shared.mail[dc].0.fetch_add(1, SeqCst);
@@ -419,7 +431,7 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
     /// (messages, not batches).
     fn route(&mut self) -> u64 {
         let mut routed = 0;
-        while let Some(hop) = self.core.route_next(&self.homes, &mut self.probe) {
+        while let Some(hop) = self.core.route_next(self.homes, &mut self.lane.probe) {
             if let Hop::Remote(tx) = hop {
                 routed += 1;
                 self.out_bufs[self.homes.part(tx.dst())].push(tx);
@@ -427,7 +439,7 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
         }
         for dc in 0..self.out_bufs.len() {
             if !self.out_bufs[dc].is_empty() {
-                self.probe.a.comm_batches += 1;
+                self.lane.probe.a.comm_batches += 1;
                 let batch = std::mem::take(&mut self.out_bufs[dc]);
                 self.post(dc, batch);
             }
@@ -438,9 +450,9 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
     /// Deliver one batch taken from the inbox and route its by-products.
     /// Returns transmissions sent.
     fn accept(&mut self, batch: TxBatch<A::Msg>) -> u64 {
-        self.received += 1;
+        self.lane.received += 1;
         for tx in batch {
-            self.core.receive(tx, &self.homes, &mut self.probe);
+            self.core.receive(tx, self.homes, &mut self.lane.probe);
         }
         self.route()
     }
@@ -448,11 +460,11 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
     /// Receive everything waiting in the inbox, routing the by-products of
     /// each batch. Returns transmissions sent.
     fn drain_inbox(&mut self) -> u64 {
-        if self.shared.mail[self.cid].0.load(SeqCst) == self.received {
+        if self.shared.mail[self.cid].0.load(SeqCst) == self.lane.received {
             return 0;
         }
         let mut routed = 0;
-        while let Ok(batch) = self.rx.try_recv() {
+        while let Ok(batch) = self.lane.rx.try_recv() {
             routed += self.accept(batch);
         }
         routed
@@ -470,21 +482,40 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
         }
     }
 
+    /// Nothing to do after a GVT round until mail arrives: wait for it,
+    /// with a growing patience so that an idle cluster does not drag the
+    /// busy ones into a GVT round every loop iteration. A message or a
+    /// peer's GVT request ends the wait at once.
+    fn idle(&mut self) {
+        if self.core.next_ready().is_some() {
+            self.lane.idle_rounds = 0;
+            return;
+        }
+        self.lane.idle_rounds = (self.lane.idle_rounds + 1).min(10);
+        let patience = Duration::from_micros(20 << self.lane.idle_rounds);
+        if let Ok(batch) = self.lane.rx.recv_timeout(patience) {
+            self.accept(batch);
+        }
+    }
+
     /// The cluster thread's main loop: drain, synchronize when asked,
-    /// execute. Returns the cluster for the merge once GVT reaches ∞.
+    /// execute. Returns the cluster once a GVT round agrees ∞ or balances.
     fn run(
         mut self,
         cfg: &KernelConfig,
-        lb: Option<&LbShared<A>>,
+        lb: Option<&Balancer>,
         started: std::time::Instant,
     ) -> Result<Self, Poisoned> {
         let mut batches_since_gvt = 0u64;
-        let mut idle_rounds = 0u32;
-        // The GVT agreed in the last round: the optimism window's base.
-        let mut gvt = VTime::ZERO;
+        // An epoch after the first starts where a GVT round ended.
+        let mut after_round = self.lane.probe.a.gvt_rounds > 0;
 
         loop {
-            // 1. Drain the inbox.
+            // 1. Drain the inbox — after a round that left nothing to do,
+            //    once mail has come.
+            if std::mem::take(&mut after_round) {
+                self.idle();
+            }
             self.drain_inbox();
 
             // 2. GVT round when due locally, when idle, or when any
@@ -495,55 +526,35 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
             }
             if self.shared.requested.load(SeqCst) {
                 batches_since_gvt = 0;
-                gvt = self.gvt_round()?;
-                let seen = self.core.commit(gvt, &mut self.probe);
+                let gvt = self.gvt_round()?;
+                self.lane.gvt = gvt;
+                let probe = &mut self.lane.probe;
+                let seen = self.core.commit(gvt, probe);
                 let (states_held, pending) = (seen.held, seen.pending);
-                let stats = &mut self.probe.a;
-                stats.state_queue_high_water = stats.state_queue_high_water.max(seen.held_before);
+                probe.a.state_queue_high_water =
+                    probe.a.state_queue_high_water.max(seen.held_before);
                 let wall_ns = started.elapsed().as_nanos() as u64;
-                self.probe.on(ProbeEvent::GvtAdvanced { gvt, states_held, pending, wall_ns });
+                probe.on(ProbeEvent::GvtAdvanced { gvt, states_held, pending, wall_ns });
 
-                // Dynamic load balancing, inside the GVT round where the
-                // flush protocol guarantees zero in-flight messages (see
-                // the `dynlb` module docs). The gate is a function of
-                // shared state only (`gvt`, the lockstep `gvt_rounds`
-                // count, the static period), so every cluster takes the
-                // same branch — the rendezvous inside stay matched.
-                if let Some(lbs) = lb {
-                    let rounds = self.probe.a.gvt_rounds;
-                    if !gvt.is_inf() && rounds.is_multiple_of(lbs.cfg.period.max(1)) {
-                        self.balance(lbs, gvt)?;
-                    }
-                }
-
-                if gvt.is_inf() {
+                // The epoch ends for the caller to balance. The gate is a
+                // function of agreed values only (`gvt`, the lockstep
+                // `gvt_rounds` count, the static period), so every cluster
+                // leaves at the same round, and the flush has emptied
+                // every channel (see the `dynlb` module docs).
+                if gvt.is_inf() || lb.is_some_and(|lb| lb.due(gvt, probe.a.gvt_rounds)) {
                     return Ok(self);
                 }
-                if self.core.next_ready().is_none() {
-                    // Nothing to do until mail arrives: wait for it, with
-                    // a growing patience so that an idle cluster does not
-                    // drag the busy ones into a GVT round every loop
-                    // iteration. A message or a peer's GVT request ends
-                    // the wait at once.
-                    idle_rounds = (idle_rounds + 1).min(10);
-                    if let Ok(batch) =
-                        self.rx.recv_timeout(Duration::from_micros(20 << idle_rounds))
-                    {
-                        self.accept(batch);
-                    }
-                } else {
-                    idle_rounds = 0;
-                }
+                after_round = true;
                 continue;
             }
 
             // 3. Execute the lowest-timestamp local batch — within the
             //    optimism window, when one is configured (horizon = the
             //    GVT agreed in the last round + window).
-            let horizon = cfg.window.map_or(VTime::INF, |w| gvt.after(w));
+            let horizon = cfg.window.map_or(VTime::INF, |w| self.lane.gvt.after(w));
             match next {
                 Some(t) if t <= horizon => {
-                    self.core.execute_ready(&mut self.probe);
+                    self.core.execute_ready(&mut self.lane.probe);
                     batches_since_gvt += 1;
                     self.route();
                 }
@@ -577,50 +588,6 @@ impl<A: Application, P: Probe> Cluster<'_, A, P> {
         }
         while rendezvous.reduce(self.drain_inbox(), u64::MAX)?.sum != 0 {}
         Ok(VTime::from(rendezvous.reduce(0, self.core.local_min().ticks())?.min))
-    }
-
-    /// One balancing round: the four-phase hand-off, its phases separated
-    /// by rendezvous.
-    fn balance(&mut self, lbs: &LbShared<A>, gvt: VTime) -> Result<(), Poisoned> {
-        let clusters = self.senders.len();
-        let rendezvous = &self.shared.rendezvous;
-        // Phase 1: contribute this cluster's slice of the window.
-        let slice = self.probe.b.a.as_mut().map(std::mem::take).expect("kept when balancing");
-        lbs.window.lock().unwrap().join(slice);
-        rendezvous.sync()?;
-        // Phase 2: cluster 0 plans from the merged window. Any cluster's
-        // assignment copy would do — they are identical by construction.
-        self.probe.a.lb_rounds += 1;
-        if self.cid == 0 {
-            let parts = self.homes.parts();
-            let window =
-                WindowStats::new(parts.len(), std::mem::take(&mut *lbs.window.lock().unwrap()));
-            *lbs.plan.lock().unwrap() = dynlb::plan(&window, parts, clusters, &lbs.cfg);
-        }
-        rendezvous.sync()?;
-        // Phase 3: every cluster applies the same plan to its own routing
-        // table; sources deposit their evicted LPs in the destination's
-        // movers buffer. The plan is copied out first, so no guard is held
-        // across an eviction or a movers lock.
-        let plan = lbs.plan.lock().unwrap().clone();
-        for mv in &plan {
-            if !move_is_valid(mv, self.homes.parts(), clusters) || lbs.pinned[mv.lp as usize] {
-                continue;
-            }
-            let left = self.core.evict(mv, &mut self.homes, gvt, &mut self.probe);
-            if let Some(mover) = left {
-                lbs.movers[mv.to as usize].lock().unwrap().push(mover);
-            }
-        }
-        rendezvous.sync()?;
-        // Phase 4: adopt arrivals. No trailing rendezvous needed — every
-        // deposit happened before the phase-3 one, and any message a fast
-        // cluster routes to a migrated LP just waits in the owner's
-        // channel.
-        for mover in lbs.movers[self.cid].lock().unwrap().drain(..) {
-            self.core.adopt(mover, &mut self.homes);
-        }
-        Ok(())
     }
 }
 

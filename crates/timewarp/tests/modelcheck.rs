@@ -1,5 +1,5 @@
 //! Model-checker regression suite: the acceptance configurations of
-//! the flush-and-barrier model pass exhaustively, both historical bug
+//! the flush-and-barrier model pass exhaustively, both bug
 //! shapes are detected with a counterexample trace, and exploration is
 //! fully deterministic.
 //!
@@ -25,7 +25,7 @@ fn exhaustive_2_clusters_2_lps_gvt_and_migration() {
     assert!(report.complete, "state space must be fully enumerated");
     assert!(report.violation.is_none(), "violation: {:?}", report.violation);
     assert!(report.terminals > 0, "at least one schedule must terminate");
-    assert_eq!(shape(&report), (8_759, 13_558, 140, 53));
+    assert_eq!(shape(&report), (6_037, 9_114, 140, 41));
 }
 
 #[test]
@@ -34,7 +34,7 @@ fn exhaustive_3_clusters_2_lps_gvt_and_migration() {
     assert!(report.complete, "state space must be fully enumerated");
     assert!(report.violation.is_none(), "violation: {:?}", report.violation);
     assert!(report.terminals > 0);
-    assert_eq!(shape(&report), (56_630, 118_688, 250, 155));
+    assert_eq!(shape(&report), (32_838, 63_126, 250, 113));
 }
 
 /// A longer event chain with migration off: deeper rollback and
@@ -44,7 +44,7 @@ fn exhaustive_2_clusters_2_lps_hops_3_gvt_only() {
     let report = explore(&ModelConfig { hops: 3, plan: Vec::new(), ..ModelConfig::small_2x2() });
     assert!(report.complete, "state space must be fully enumerated");
     assert!(report.violation.is_none(), "violation: {:?}", report.violation);
-    assert_eq!(shape(&report), (109_059, 169_900, 1_182, 84));
+    assert_eq!(shape(&report), (79_878, 122_874, 1_182, 66));
 }
 
 /// Historical bug shape #1: anti-messages routed during a GVT flush
@@ -58,7 +58,7 @@ fn detects_dropped_flush_transmission() {
     let report = explore(&cfg);
     let cx = report.violation.expect("the dropped-transmission bug must be detected");
     assert!(!cx.trace.is_empty(), "counterexample must carry a schedule trace");
-    assert_eq!(report.states, 226);
+    assert_eq!(report.states, 154);
     assert_eq!(
         cx.message,
         "flush postcondition violated: transmission id 4 (t=5) still in cluster 1's channel at GVT agreement (4) — flush exited early"
@@ -84,24 +84,16 @@ fn detects_dropped_flush_transmission_without_migration() {
     );
 }
 
-/// Historical bug shape #2: migration phase 3 leaves the LP in the
-/// source cluster's table while the destination adopts it.
+/// Bug shape #2: the migration step adopts the LP at its destination
+/// without evicting it from its source.
 #[test]
 fn detects_double_owner_migration_window() {
     let mut cfg = ModelConfig::small_2x2();
     cfg.bug = Some(Bug::DoubleOwnerMigration);
     let report = explore(&cfg);
     let cx = report.violation.expect("the double-owner bug must be detected");
-    assert!(
-        cx.message.contains("owned by") || cx.message.contains("handoff"),
-        "expected an ownership symptom, got: {}",
-        cx.message
-    );
-    assert_eq!(report.states, 10);
-    assert_eq!(
-        cx.message,
-        "LP 0 owned by 1 cluster(s) and in 1 handoff buffer(s) — must be exactly one total"
-    );
+    assert_eq!(report.states, 9);
+    assert_eq!(cx.message, "LP 0 owned by 2 cluster(s) — must be exactly one");
 }
 
 /// Exploration must be bit-for-bit deterministic: two runs of the same

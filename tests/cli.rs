@@ -576,3 +576,73 @@ fn the_docs_name_only_command_lines_that_exist() {
         assert!(FaultPlan::parse(&spec, 0).is_ok(), "{doc}: `--faults \"{spec}\"` does not parse");
     }
 }
+
+/// A seeded mutation sweep over the argument vectors of the cheap rows
+/// on s27 and c17: flags dropped, duplicated or swapped, numbers garbled
+/// and unknown words inserted. Every run ends in exit 0 with output, or
+/// exit 1 or 2 with a message — never a panic (101) or a signal. No base
+/// vector writes a file, and no mutation can add a flag that does.
+#[test]
+fn mutated_argument_vectors_exit_cleanly() {
+    fn mix(x: &mut u64) -> u64 {
+        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *x;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+    const BASES: [&[&str]; 10] = [
+        &["stats", "s27"],
+        &["stats", "c17"],
+        &["partition", "c17", "-k", "3", "-s", "multilevel", "--replicate"],
+        &["partition", "s27", "-k", "2", "-s", "random"],
+        &["simulate", "s27", "-k", "2", "--end", "60", "--dynlb", "--exec", "compiled"],
+        &["simulate", "c17", "-k", "3", "--replicate", "--faults", "slow:1:2", "--fault-seed", "4"],
+        &["trace", "c17", "-k", "2", "--end", "40", "--bucket", "5", "--format", "csv"],
+        &["vcd", "s27", "--end", "40"],
+        &["hotspots", "c17", "-k", "2", "-s", "multilevel", "--end", "40"],
+        &["dot", "s27", "-k", "3", "-s", "multilevel"],
+    ];
+    // Garbled numbers are malformed, out of range or small: a valid
+    // horizon or part count stays cheap.
+    const GARBLED: [&str; 10] =
+        ["", "x", "-1", "3.5", "1e3", "0x10", "+", "99999999999999999999999", "0", "1"];
+    const UNKNOWN: [&str; 6] = ["--bogus", "frob", "-x", "--", "-", "--k"];
+    let mut s = 34u64;
+    let mut codes = [0u32; 3];
+    for i in 0..400 {
+        let mut words: Vec<&str> = BASES[i % BASES.len()].to_vec();
+        for _ in 0..1 + mix(&mut s) % 2 {
+            let at = (mix(&mut s) % words.len() as u64) as usize;
+            match mix(&mut s) % 5 {
+                0 if words.len() > 1 => {
+                    words.remove(at);
+                }
+                1 => words.insert(at, words[at]),
+                2 => {
+                    let other = (mix(&mut s) % words.len() as u64) as usize;
+                    words.swap(at, other);
+                }
+                3 => {
+                    let numbers: Vec<usize> =
+                        (0..words.len()).filter(|&n| words[n].parse::<u64>().is_ok()).collect();
+                    if !numbers.is_empty() {
+                        let n = numbers[(mix(&mut s) % numbers.len() as u64) as usize];
+                        words[n] = GARBLED[(mix(&mut s) % GARBLED.len() as u64) as usize];
+                    }
+                }
+                _ => words.insert(at, UNKNOWN[(mix(&mut s) % UNKNOWN.len() as u64) as usize]),
+            }
+        }
+        let line = format!("parlogsim {}", words.join(" "));
+        let out = cli().args(&words).output().unwrap();
+        let code = out.status.code();
+        let said = if code == Some(0) { &out.stdout } else { &out.stderr };
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(matches!(code, Some(0..=2)), "`{line}` exited {code:?}:\n{err}");
+        assert!(!said.is_empty(), "`{line}` exited {code:?} without a word");
+        codes[code.unwrap() as usize] += 1;
+    }
+    // Most mutants stop at argument checking; enough must get past it.
+    assert!(codes[0] > 20 && codes[1] > 0, "exit 0 / 1 / 2 counts: {codes:?}");
+}

@@ -178,6 +178,7 @@ fn migration_never_changes_the_committed_history() {
     // balancer active.
     let mut s = 60u64;
     let mut block_migrations = 0;
+    let mut windowed_lb_rounds = 0;
     for round in 0..8 {
         let gates = (40 + mix(&mut s) % 140) as usize;
         let circuit_seed = mix(&mut s) % 400;
@@ -239,13 +240,21 @@ fn migration_never_changes_the_committed_history() {
                 assert_eq!(again.stats, plat.stats, "platform {what} not reproducible");
                 assert_eq!(again.outcome.node_clocks_ns(), plat.outcome.node_clocks_ns());
 
-                let thr = Simulator::new(&app)
-                    .config(kernel)
-                    .load_balancer(lb)
-                    .run(Backend::Threaded { assignment: &assignment, clusters: nodes })
-                    .unwrap();
-                assert_eq!(app.fingerprint(&thr.states), want, "threaded {what} diverged");
-                assert_eq!(thr.stats.events_committed, seq.stats.events_processed);
+                // Windowed too: the window's base, the last agreed GVT,
+                // lives on across the epoch boundary of a balancing round.
+                for window in [None, Some(2)] {
+                    let thr = Simulator::new(&app)
+                        .config(KernelConfig { window, ..kernel })
+                        .load_balancer(lb)
+                        .run(Backend::Threaded { assignment: &assignment, clusters: nodes })
+                        .unwrap();
+                    let what = format!("threaded {what} window {window:?}");
+                    assert_eq!(app.fingerprint(&thr.states), want, "{what} diverged");
+                    assert_eq!(thr.stats.events_committed, seq.stats.events_processed, "{what}");
+                    if window.is_some() {
+                        windowed_lb_rounds += thr.stats.lb_rounds;
+                    }
+                }
 
                 // At least some sweep rounds must actually migrate, or this
                 // test proves nothing; round-robin through a few it always
@@ -262,6 +271,7 @@ fn migration_never_changes_the_committed_history() {
         }
     }
     assert!(block_migrations > 0, "no compiled block ever migrated");
+    assert!(windowed_lb_rounds > 0, "no windowed threaded run ever balanced");
 }
 
 #[test]
