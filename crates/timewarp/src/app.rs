@@ -94,19 +94,21 @@ impl<M> EventSink<M> {
         self.now
     }
 
-    /// Schedule `msg` for `dst` at `now.after(delay)` — saturating at
-    /// [`VTime::INF`], never wrapping. `delay` must be positive:
-    /// zero-delay events would admit same-time cycles, which discrete event
-    /// kernels built on timestamp order cannot execute.
+    /// Schedule `msg` for `dst` at `now.after(delay)`. `delay` must be
+    /// positive — zero-delay events would admit same-time cycles, which
+    /// discrete event kernels built on timestamp order cannot execute —
+    /// and the receive time finite: a delay that reaches [`VTime::INF`],
+    /// which every executive reads as "idle", panics instead of saturating.
     pub fn schedule(&mut self, dst: LpId, delay: u64, msg: M) {
         assert!(delay > 0, "zero-delay events are not allowed");
-        self.out.push((dst, self.now.after(delay), msg));
+        self.schedule_at(dst, self.now.after(delay), msg);
     }
 
-    /// Schedule `msg` for `dst` at absolute time `at` (must be `> now`).
-    /// Mainly used by `init_events` to seed the event population.
+    /// Schedule `msg` for `dst` at absolute time `at` (must be `> now` and
+    /// finite). Mainly used by `init_events` to seed the event population.
     pub fn schedule_at(&mut self, dst: LpId, at: VTime, msg: M) {
         assert!(at > self.now, "events must be scheduled in the future");
+        assert!(!at.is_inf(), "events must be scheduled at a finite time");
         self.out.push((dst, at, msg));
     }
 
@@ -264,6 +266,15 @@ mod tests {
     fn zero_delay_rejected() {
         let mut s: EventSink<u8> = EventSink::new(VTime::from(10));
         s.schedule(3, 0, 42);
+    }
+
+    /// An event at `VTime::INF` would be committed by the sequential
+    /// executive and never by the optimistic ones, which read INF as idle.
+    #[test]
+    #[should_panic(expected = "finite time")]
+    fn infinite_delay_rejected() {
+        let mut s: EventSink<u8> = EventSink::new(VTime::from(5));
+        s.schedule(3, u64::MAX, 42);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! optimistic ones are thin drivers over one cluster engine (`ClusterCore`:
 //! schedule, route, commit and migrate over [`lp::LpRuntime`]s):
 //!
-//! * [`Backend::Sequential`] — single event queue, the baseline and
+//! * [`Backend::Sequential`] — a calendar queue, the baseline and
 //!   determinism oracle (deliberately shares no code with the others);
 //! * [`Backend::Platform`] — a deterministic virtual platform that models
 //!   N workstation nodes (CPU cost model + network latency) running the

@@ -33,8 +33,8 @@ impl Hasher for IdHasher {
 }
 
 /// `BuildHasher` for every [`IdHashMap`] and [`IdHashSet`] (the
-/// lazy-cancellation key filter, the sequential executive's payload map,
-/// the chaos layer's dedup set, the model checker's visited set).
+/// lazy-cancellation key filter, the model checker's visited set and
+/// shadow map).
 pub type IdHashBuilder = BuildHasherDefault<IdHasher>;
 
 /// The sanctioned hash map for kernel code: seed-free, so iteration can

@@ -29,7 +29,7 @@ use crate::time::VTime;
 /// Which executive runs the application.
 #[derive(Debug, Clone, Copy)]
 pub enum Backend<'a> {
-    /// Single global event queue — the baseline and determinism oracle.
+    /// Calendar queue, one bucket per receive time — the baseline and oracle.
     Sequential,
     /// Deterministic virtual platform of `nodes` modeled workstations
     /// (`assignment[lp] = node`). All paper tables/figures use this.
