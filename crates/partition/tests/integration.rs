@@ -5,6 +5,7 @@
 
 use pls_netlist::data::s27;
 use pls_netlist::IscasSynth;
+use pls_partition::multilevel::refine::RefineStats;
 use pls_partition::{
     all_partitioners, metrics, partitioner_by_name, partitioner_names, CircuitGraph,
     MultilevelPartitioner, Partitioner, Partitioning, RandomPartitioner,
@@ -121,4 +122,108 @@ fn registry_round_trips_every_name() {
         assert!(partitioner_by_name(&name.to_uppercase()).is_some());
     }
     assert!(partitioner_by_name("no-such-strategy").is_none());
+}
+
+/// FNV-1a over the little-endian bytes of an assignment.
+fn fnv1a(assignment: &[u32]) -> u64 {
+    assignment
+        .iter()
+        .flat_map(|a| a.to_le_bytes())
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+#[test]
+fn multilevel_output_is_pinned() {
+    // The multilevel pipeline's whole output on two paper circuits, as
+    // literals: a speed-up of coarsening or refinement must leave every
+    // level, every move count and the final assignment exactly as they
+    // are. Each stats row is `(cut_before, cut_after, moves, iters)`,
+    // coarsest level first.
+    type Row = (u64, u64, usize, usize);
+    type Case = (IscasSynth, usize, u64, &'static [usize], &'static [Row]);
+    let cases: [Case; 3] = [
+        (
+            IscasSynth::s9234(),
+            2,
+            0x9cbb_4f8b_47bc_19d5,
+            &[5844, 2759, 1216, 585, 396, 298, 276, 250, 233, 220, 216, 210, 209, 203, 202],
+            &[
+                (2915, 2838, 44, 2),
+                (2838, 2838, 0, 1),
+                (2838, 2838, 0, 1),
+                (2838, 2838, 0, 1),
+                (2838, 2743, 33, 2),
+                (2743, 2743, 0, 1),
+                (2743, 2736, 5, 2),
+                (2736, 2674, 24, 3),
+                (2674, 2641, 9, 2),
+                (2641, 2641, 0, 1),
+                (2641, 2451, 66, 4),
+                (2451, 2213, 75, 5),
+                (2213, 1669, 171, 7),
+                (1669, 1219, 210, 5),
+                (1219, 878, 244, 4),
+            ],
+        ),
+        (
+            IscasSynth::s9234(),
+            8,
+            0x73d3_a6a7_09fe_58a0,
+            &[5844, 2759, 1234, 598, 376, 296, 257, 225, 209, 181, 174, 166, 160, 159],
+            &[
+                (5116, 4998, 91, 3),
+                (4998, 4998, 1, 2),
+                (4998, 4986, 4, 2),
+                (4986, 4982, 4, 2),
+                (4982, 4975, 3, 2),
+                (4975, 4960, 19, 3),
+                (4960, 4957, 4, 3),
+                (4957, 4916, 27, 5),
+                (4916, 4855, 30, 3),
+                (4855, 4641, 119, 8),
+                (4641, 4347, 185, 6),
+                (4347, 3991, 314, 7),
+                (3991, 3737, 304, 8),
+                (3737, 3570, 254, 5),
+            ],
+        ),
+        (
+            IscasSynth::s15850(),
+            8,
+            0x291d_ac2c_ea1d_4a45,
+            &[10994, 5260, 2388, 1161, 767, 621, 523, 487, 460, 442, 419, 390, 381],
+            &[
+                (9534, 9270, 203, 4),
+                (9270, 9262, 11, 3),
+                (9262, 9250, 19, 2),
+                (9250, 9245, 7, 2),
+                (9245, 9239, 4, 2),
+                (9239, 9169, 64, 4),
+                (9169, 9150, 30, 4),
+                (9150, 8868, 155, 6),
+                (8868, 8273, 305, 7),
+                (8273, 7413, 511, 8),
+                (7413, 6787, 473, 7),
+                (6787, 6285, 536, 7),
+                (6285, 5985, 386, 4),
+            ],
+        ),
+    ];
+    for (circuit, k, hash, level_sizes, rows) in cases {
+        let g = CircuitGraph::from_netlist(&circuit.build());
+        let rep = MultilevelPartitioner::default().partition_with_report(&g, k, 7);
+        let what = format!("{} k={k}", g.name());
+        let stats: Vec<RefineStats> = rows
+            .iter()
+            .map(|&(cut_before, cut_after, moves, iters)| RefineStats {
+                cut_before,
+                cut_after,
+                moves,
+                iters,
+            })
+            .collect();
+        assert_eq!(rep.level_sizes, level_sizes, "level sizes: {what}");
+        assert_eq!(rep.refine_stats, stats, "refine stats: {what}");
+        assert_eq!(fnv1a(&rep.partitioning.assignment), hash, "assignment hash: {what}");
+    }
 }
