@@ -18,10 +18,13 @@ pub type VertexId = u32;
 pub struct CircuitGraph {
     name: String,
     vweight: Vec<u64>,
-    /// Directed out-edges `(reader, weight)`, deduplicated.
-    fanout: Vec<Vec<(VertexId, u64)>>,
-    /// Directed in-edges `(driver, weight)`, deduplicated.
-    fanin: Vec<Vec<(VertexId, u64)>>,
+    /// Directed out-edges `(reader, weight)` of each vertex, one flat
+    /// array for the whole graph. Deduplicated (parallel signals merged
+    /// into the weight) on graphs built from a netlist or by contraction.
+    fanout: Csr,
+    /// Directed in-edges `(driver, weight)`: the transpose of `fanout`,
+    /// each vertex's drivers in ascending id order.
+    fanin: Csr,
     /// Whether the vertex contains a primary input of the original circuit
     /// (the multilevel "input globule" property).
     is_input: Vec<bool>,
@@ -43,31 +46,25 @@ impl CircuitGraph {
     /// merged into the edge weight).
     pub fn from_netlist(netlist: &Netlist) -> CircuitGraph {
         let n = netlist.len();
-        let mut fanout: Vec<Vec<(VertexId, u64)>> = vec![Vec::new(); n];
-        let mut fanin: Vec<Vec<(VertexId, u64)>> = vec![Vec::new(); n];
+        let mut fanout = Csr::with_capacity(n, netlist.num_edges());
+        let mut readers: Vec<VertexId> = Vec::new();
         for id in netlist.ids() {
-            let mut outs: Vec<VertexId> = netlist.fanout(id).to_vec();
-            outs.sort_unstable();
-            let mut i = 0;
-            while i < outs.len() {
-                let mut j = i;
-                while j < outs.len() && outs[j] == outs[i] {
-                    j += 1;
-                }
-                let w = (j - i) as u64;
-                fanout[id as usize].push((outs[i], w));
-                fanin[outs[i] as usize].push((id, w));
-                i = j;
+            readers.clear();
+            readers.extend_from_slice(netlist.fanout(id));
+            readers.sort_unstable();
+            for &r in &readers {
+                fanout.push(id, r, 1);
             }
         }
+        let fanout = fanout.finish(n);
         let lv = levelize(netlist);
         let is_input = netlist.ids().map(|g| netlist.is_input(g)).collect();
         let replicable = netlist.ids().map(|g| !netlist.is_dff(g)).collect();
         CircuitGraph {
             name: netlist.name().to_string(),
             vweight: vec![1; n],
+            fanin: fanout.transpose(),
             fanout,
-            fanin,
             is_input,
             replicable,
             level: Some(lv.level),
@@ -75,31 +72,55 @@ impl CircuitGraph {
         }
     }
 
-    /// Assemble a graph from raw parts (used by the coarsener and tests).
+    /// Assemble a graph from raw parts (used by tests); each fanout list
+    /// is kept as given.
     pub fn from_parts(
         name: String,
         vweight: Vec<u64>,
         fanout: Vec<Vec<(VertexId, u64)>>,
         is_input: Vec<bool>,
     ) -> CircuitGraph {
-        let n = vweight.len();
-        assert_eq!(fanout.len(), n);
-        assert_eq!(is_input.len(), n);
-        let mut fanin: Vec<Vec<(VertexId, u64)>> = vec![Vec::new(); n];
-        for (v, outs) in fanout.iter().enumerate() {
-            for &(w, ew) in outs {
-                fanin[w as usize].push((v as VertexId, ew));
-            }
+        assert_eq!(fanout.len(), vweight.len());
+        let mut flat = Csr::with_capacity(fanout.len(), fanout.iter().map(Vec::len).sum());
+        for row in &fanout {
+            flat.edges.extend_from_slice(row);
+            flat.start.push(flat.edges.len());
         }
+        CircuitGraph::assemble(name, vweight, flat, is_input)
+    }
+
+    /// Assemble a graph from its `(driver, reader, weight)` edges sorted
+    /// by `(driver, reader)`; a run of equal `(driver, reader)` pairs
+    /// becomes one edge carrying their summed weight (used by the
+    /// coarsener, which writes its contracted edges straight in).
+    pub(crate) fn from_sorted_edges(
+        name: String,
+        vweight: Vec<u64>,
+        edges: impl IntoIterator<Item = (VertexId, VertexId, u64)>,
+        is_input: Vec<bool>,
+    ) -> CircuitGraph {
+        let n = vweight.len();
+        let edges = edges.into_iter();
+        let mut fanout = Csr::with_capacity(n, edges.size_hint().0);
+        for (from, to, w) in edges {
+            fanout.push(from, to, w);
+        }
+        CircuitGraph::assemble(name, vweight, fanout.finish(n), is_input)
+    }
+
+    /// A level-less, all-replicable graph over a finished fanout table.
+    fn assemble(name: String, vweight: Vec<u64>, fanout: Csr, is_input: Vec<bool>) -> CircuitGraph {
+        let n = vweight.len();
+        assert_eq!(fanout.start.len(), n + 1);
+        assert_eq!(is_input.len(), n);
         let total_weight = vweight.iter().sum();
-        let replicable = vec![true; n];
         CircuitGraph {
             name,
             vweight,
+            fanin: fanout.transpose(),
             fanout,
-            fanin,
             is_input,
-            replicable,
+            replicable: vec![true; n],
             level: None,
             total_weight,
         }
@@ -147,12 +168,12 @@ impl CircuitGraph {
 
     /// Directed out-edges of `v`.
     pub fn fanout(&self, v: VertexId) -> &[(VertexId, u64)] {
-        &self.fanout[v as usize]
+        self.fanout.row(v)
     }
 
     /// Directed in-edges of `v`.
     pub fn fanin(&self, v: VertexId) -> &[(VertexId, u64)] {
-        &self.fanin[v as usize]
+        self.fanin.row(v)
     }
 
     /// Undirected neighbourhood: fanout then fanin. A vertex pair
@@ -160,7 +181,7 @@ impl CircuitGraph {
     /// directed edge once, so this is only used for gain computations
     /// where the duplication is intentional (both signals would cross).
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, u64)> + '_ {
-        self.fanout[v as usize].iter().copied().chain(self.fanin[v as usize].iter().copied())
+        self.fanout(v).iter().copied().chain(self.fanin(v).iter().copied())
     }
 
     /// Whether the vertex contains a primary input.
@@ -193,7 +214,74 @@ impl CircuitGraph {
 
     /// Number of distinct undirected edges (each driver→reader pair once).
     pub fn num_edges(&self) -> usize {
-        self.fanout.iter().map(|o| o.len()).sum()
+        self.fanout.edges.len()
+    }
+}
+
+/// Compressed sparse rows: vertex `v`'s edges are
+/// `edges[start[v]..start[v + 1]]`, so a whole adjacency is two
+/// allocations however many vertices it has.
+#[derive(Debug, Clone)]
+struct Csr {
+    start: Vec<usize>,
+    edges: Vec<(VertexId, u64)>,
+}
+
+impl Csr {
+    /// An empty table to be filled row by row, in vertex order.
+    fn with_capacity(n: usize, edges: usize) -> Csr {
+        let mut start = Vec::with_capacity(n + 1);
+        start.push(0);
+        Csr { start, edges: Vec::with_capacity(edges) }
+    }
+
+    /// Append `from → to` to row `from`, closing the rows before it. Rows
+    /// are filled in ascending order; an edge to the row's last reader
+    /// merges into that edge by weight.
+    fn push(&mut self, from: VertexId, to: VertexId, w: u64) {
+        let from = from as usize;
+        debug_assert!(self.start.len() <= from + 1, "rows filled out of order");
+        while self.start.len() <= from {
+            self.start.push(self.edges.len());
+        }
+        match self.edges[self.start[from]..].last_mut() {
+            Some(last) if last.0 == to => last.1 += w,
+            _ => self.edges.push((to, w)),
+        }
+    }
+
+    /// Close every row up to vertex `n`.
+    fn finish(mut self, n: usize) -> Csr {
+        while self.start.len() <= n {
+            self.start.push(self.edges.len());
+        }
+        self
+    }
+
+    fn row(&self, v: VertexId) -> &[(VertexId, u64)] {
+        &self.edges[self.start[v as usize]..self.start[v as usize + 1]]
+    }
+
+    /// The reversed table: row `w` lists `(v, weight)` for every edge
+    /// `v → w`, in ascending `v`. A counting sort, `O(N_V + N_E)`.
+    fn transpose(&self) -> Csr {
+        let n = self.start.len() - 1;
+        let mut start = vec![0usize; n + 1];
+        for &(w, _) in &self.edges {
+            start[w as usize + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut edges = vec![(0, 0); self.edges.len()];
+        for v in 0..n as VertexId {
+            for &(w, ew) in self.row(v) {
+                edges[next[w as usize]] = (v, ew);
+                next[w as usize] += 1;
+            }
+        }
+        Csr { start, edges }
     }
 }
 

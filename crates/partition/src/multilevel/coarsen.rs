@@ -193,17 +193,10 @@ pub(crate) fn contract(g: &CircuitGraph, group_of: Vec<u32>, groups: usize) -> C
         }
     }
     // One sort brings parallel edges together and leaves every fanout
-    // list ordered by reader id.
+    // row ordered by reader id; the graph merges each run as it fills its
+    // flat adjacency.
     edges.sort_unstable_by_key(|&(from, to, _)| (from, to));
-    let mut fanout: Vec<Vec<(VertexId, u64)>> = vec![Vec::new(); groups];
-    for (from, to, ew) in edges {
-        match fanout[from as usize].last_mut() {
-            Some(last) if last.0 == to => last.1 += ew,
-            _ => fanout[from as usize].push((to, ew)),
-        }
-    }
-
-    let graph = CircuitGraph::from_parts(g.name().to_string(), vweight, fanout, is_input);
+    let graph = CircuitGraph::from_sorted_edges(g.name().to_string(), vweight, edges, is_input);
     let merged = members.iter().map(|&m| m > 1).collect();
     CoarseLevel { graph, map: group_of, merged }
 }

@@ -14,13 +14,14 @@
 //!
 //! Cost per level, with `pins = N_V + N_E` of that level's graph: a
 //! coarsening round is one DFS plus one sort of the surviving edges,
-//! `O(pins + N_E log N_E)`; a refinement pass is `O(k·pins)` at worst
-//! and `O(k·N_V + N_E)` plus the boundary's share of that in practice
+//! `O(pins + N_E log N_E)`; a refinement's first pass evaluates every
+//! vertex, `O(k·pins)` at worst, and each later pass only the
+//! neighbourhoods of the previous pass's moves plus an `O(N_V)` shuffle
 //! (see [`refine`]), with at most `max_iters` passes. For a fixed `k`
 //! nothing grows faster than the graph — in particular not with the
 //! square of a net's size — and the number of levels is bounded
 //! (`max_levels`), which is what makes this the "fast linear time
-//! heuristic" of Section 1: measured at ~0.6–1.0 µs per pin from 1k to
+//! heuristic" of Section 1: measured at ~0.5–1.0 µs per pin from 1k to
 //! 100k gates (`parlogsim partitioners`, the `multilevel_scaling` rows).
 
 pub mod coarsen;

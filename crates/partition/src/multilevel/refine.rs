@@ -28,14 +28,24 @@
 //! The λ gain is read from a net × part pin-count table (`PinTable`)
 //! built once per call in `O(pins)` (`pins = N_V + N_E`: one per driver
 //! plus one per edge) and kept current in `O(fanin + 1)` per applied
-//! move. A pass visits every vertex once: `O(k + degree)` to find the
-//! adjacent parts with room, and only a vertex that has such a target
-//! goes on to read one table row per incident net, `O(fanin + 1)` per
-//! target. A pass is therefore `O(k·N_V + N_E)` for the scan plus
-//! `O(targets · fanin)` per boundary vertex — `O(k·pins)` at worst,
-//! linear in the graph for a fixed `k`, with no term in the square of a
-//! net's size (recounting each incident net per vertex, as this module
-//! did before the table, costs `Σ |net|²` a pass).
+//! move.
+//!
+//! A pass shuffles every vertex but evaluates only the *dirty* ones (all
+//! of them in the first pass). An evaluation costs `O(degree)` for an
+//! interior vertex; a boundary vertex pays `O(k + degree)` for its
+//! connectivity and one table row per incident net, `O(fanin + 1)`, per
+//! adjacent part. It leaves the vertex clean unless some adjacent part
+//! would take it, room or not — loads change during a pass, so a blocked
+//! target can open later. A move re-dirties the moved vertex, its
+//! neighbours and those readers of its fanin nets whose λ gain it can
+//! raise (see `mark_dirty`). So after the first pass a pass costs
+//! `O(N_V)` for the shuffle plus the neighbourhoods of the last pass's
+//! moves, instead of the whole boundary again. The partition is the one
+//! evaluating every vertex every pass gives, move for move: the
+//! `#[cfg(test)]` reference refiner is that oracle, and debug builds
+//! re-evaluate every clean vertex from scratch after each pass. Nothing
+//! grows with the square of a net's size (recounting each incident net
+//! per vertex, as the reference does, costs `Σ |net|²` a pass).
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -130,25 +140,19 @@ impl PinTable {
         }
     }
 
-    /// Add to each `(to, gain)` of `targets` the change in `Σ (λ−1)` from
-    /// moving `v` out of `from` into `to`, positive = improvement: a net
+    /// Add to each target's `lgain` the change in `Σ (λ−1)` from moving
+    /// `v` out of `from` into its part, positive = improvement: a net
     /// whose only `from` pins are `v`'s leaves the part (λ−1), a net with
     /// no pin in the target yet enters it (λ+1). A self-loop makes `v`'s
     /// own net one of its fanin nets too, with two of `v`'s pins in it.
-    fn add_lambda_gains(
-        &self,
-        g: &CircuitGraph,
-        v: VertexId,
-        from: u32,
-        targets: &mut [(u32, i64)],
-    ) {
+    fn add_lambda_gains(&self, g: &CircuitGraph, v: VertexId, from: u32, targets: &mut [Target]) {
         let self_loop = self_loop_weight(g, v) > 0;
         for d in incident_nets(g, v) {
             let row = self.row(d);
             let mine = 1 + u32::from(d == v && self_loop);
             let leaves = i64::from(row[from as usize] == mine);
-            for (to, gain) in targets.iter_mut() {
-                *gain += leaves - i64::from(row[*to as usize] == 0);
+            for t in targets.iter_mut() {
+                t.lgain += leaves - i64::from(row[t.to as usize] == 0);
             }
         }
     }
@@ -165,6 +169,110 @@ fn self_loop_weight(g: &CircuitGraph, v: VertexId) -> u64 {
     g.fanin(v).iter().find(|&&(u, _)| u == v).map_or(0, |&(_, w)| w)
 }
 
+/// λ gains are bounded by the number of incident nets (≤ fanin + 1), far
+/// below this scale, so edge gain stays strictly primary.
+const EDGE_SCALE: i64 = 1 << 20;
+
+/// Moving the vertex in hand to an adjacent part `to`.
+#[derive(Debug, Clone, Copy)]
+struct Target {
+    to: u32,
+    /// Change in edge cut, positive = improvement.
+    egain: i64,
+    /// Change in `Σ (λ−1)`, positive = improvement.
+    lgain: i64,
+}
+
+impl Target {
+    /// Edge gain first; the λ gain ranks moves within an edge-gain class.
+    fn rank(self, hyperedge_factor: u32) -> i64 {
+        self.egain * EDGE_SCALE + i64::from(hyperedge_factor) * self.lgain
+    }
+
+    /// Whether the move is taken when it is the best one with room: it
+    /// never increases the edge cut, and a zero-edge-gain move must
+    /// strictly improve connectivity.
+    fn improves(self, hyperedge_factor: u32) -> bool {
+        self.egain > 0 || (self.egain == 0 && self.rank(hyperedge_factor) > 0)
+    }
+}
+
+/// Fill `targets` with every part adjacent to `v` except its own, room or
+/// not (moving to a non-adjacent part never reduces the cut). An interior
+/// vertex has none and never touches the pin table.
+fn adjacent_targets(
+    g: &CircuitGraph,
+    p: &Partitioning,
+    table: Option<&PinTable>,
+    v: VertexId,
+    conn: &mut [u64],
+    targets: &mut Vec<Target>,
+) {
+    let from = p.part(v);
+    targets.clear();
+    if g.neighbors(v).all(|(w, _)| p.part(w) == from) {
+        return;
+    }
+    connectivity(g, p, v, conn);
+    targets.extend((0..p.k as u32).filter(|&to| to != from && conn[to as usize] > 0).map(|to| {
+        let egain = conn[to as usize] as i64 - conn[from as usize] as i64;
+        Target { to, egain, lgain: 0 }
+    }));
+    if let Some(table) = table {
+        table.add_lambda_gains(g, v, from, targets);
+    }
+}
+
+/// Mark dirty every vertex the move of `v` from `from` to `to` can have
+/// given an improving move: a clean vertex stays clean while none of its
+/// gains rises. `v` and its neighbours (their connectivity moved) are
+/// marked outright, which covers the pins of the net `v`
+/// drives and the driver of each fanin net. Any other reader of a fanin
+/// net sees the net only through its pin-table row (already updated),
+/// and its λ gain rises only where the move left a single pin in `from`
+/// (that reader may now empty the part) or put the first pin in `to`
+/// (readers elsewhere may now join the part for free).
+fn mark_dirty(
+    g: &CircuitGraph,
+    table: Option<&PinTable>,
+    v: VertexId,
+    from: u32,
+    to: u32,
+    dirty: &mut [bool],
+) {
+    dirty[v as usize] = true;
+    for (w, _) in g.neighbors(v) {
+        dirty[w as usize] = true;
+    }
+    let Some(table) = table else { return };
+    for &(u, _) in g.fanin(v) {
+        let row = table.row(u);
+        if row[from as usize] == 1 || row[to as usize] == 1 {
+            for &(r, _) in g.fanout(u) {
+                dirty[r as usize] = true;
+            }
+        }
+    }
+}
+
+/// Whether every clean vertex, re-evaluated from scratch, still has no
+/// adjacent part it would move to. The dirty set's invariant, for debug
+/// builds.
+fn clean_vertices_stay_put(
+    g: &CircuitGraph,
+    p: &Partitioning,
+    cfg: &GreedyConfig,
+    dirty: &[bool],
+) -> bool {
+    let table = (cfg.hyperedge_factor > 0).then(|| PinTable::build(g, p));
+    let mut conn = vec![0u64; p.k];
+    let mut targets = Vec::with_capacity(p.k);
+    g.vertices().filter(|&v| !dirty[v as usize]).all(|v| {
+        adjacent_targets(g, p, table.as_ref(), v, &mut conn, &mut targets);
+        !targets.iter().any(|t| t.improves(cfg.hyperedge_factor))
+    })
+}
+
 /// Run greedy k-way refinement in place. Returns statistics.
 pub fn greedy_refine(
     g: &CircuitGraph,
@@ -173,6 +281,7 @@ pub fn greedy_refine(
     seed: u64,
 ) -> RefineStats {
     let k = p.k;
+    let factor = cfg.hyperedge_factor;
     let cut_before = edge_cut(g, p);
     let mut cut = cut_before as i64;
     let mut loads = p.loads(g);
@@ -181,14 +290,14 @@ pub fn greedy_refine(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut order: Vec<VertexId> = g.vertices().collect();
     let mut conn = vec![0u64; k];
-    let mut table = (cfg.hyperedge_factor > 0).then(|| PinTable::build(g, p));
-    // Candidate targets of the vertex in hand, each with its λ gain.
-    let mut targets: Vec<(u32, i64)> = Vec::with_capacity(k);
+    let mut table = (factor > 0).then(|| PinTable::build(g, p));
+    let mut targets: Vec<Target> = Vec::with_capacity(k);
+    // A vertex is clean when its last evaluation found no adjacent part
+    // it would move to and no move since can have raised one of its
+    // gains: evaluating it again would find the same, so a pass skips it.
+    let mut dirty = vec![true; g.len()];
     let mut moves = 0usize;
     let mut iters = 0usize;
-    // λ gains are bounded by the number of incident nets (≤ fanin + 1),
-    // far below this scale, so edge gain stays strictly primary.
-    const EDGE_SCALE: i64 = 1 << 20;
 
     for _ in 0..cfg.max_iters {
         iters += 1;
@@ -197,60 +306,51 @@ pub fn greedy_refine(
         // Locks are per-iteration: a moved vertex stays put until the next
         // pass.
         for &v in &order {
-            let from = p.part(v);
-            connectivity(g, p, v, &mut conn);
-            // Candidate targets: adjacent (moving to a non-adjacent
-            // partition never reduces cut) and with room for `v`. An
-            // interior vertex has none and never touches the pin table.
-            targets.clear();
-            targets.extend(
-                (0..k as u32)
-                    .filter(|&to| {
-                        to != from
-                            && conn[to as usize] > 0
-                            && loads[to as usize] + g.vweight(v) <= lmax
-                    })
-                    .map(|to| (to, 0)),
-            );
-            if targets.is_empty() {
+            if !dirty[v as usize] {
                 continue;
             }
-            if let Some(table) = &table {
-                table.add_lambda_gains(g, v, from, &mut targets);
+            adjacent_targets(g, p, table.as_ref(), v, &mut conn, &mut targets);
+            // Cleanliness ignores room: loads change during a pass, and a
+            // full part that would take `v` can gain room later.
+            if !targets.iter().any(|t| t.improves(factor)) {
+                dirty[v as usize] = false;
+                continue;
             }
-            // Best target by edge gain = conn[to] - conn[from], with the
-            // hyperedge (λ) gain ranking within an edge-gain class.
-            let mut best: Option<(u32, i64, i64)> = None;
-            for &(to, lgain) in &targets {
-                let egain = conn[to as usize] as i64 - conn[from as usize] as i64;
-                let ranked = egain * EDGE_SCALE + cfg.hyperedge_factor as i64 * lgain;
+            // Best target with room by rank, the lighter part on a tie.
+            let weight = g.vweight(v);
+            let mut best: Option<Target> = None;
+            for &t in targets.iter().filter(|t| loads[t.to as usize] + weight <= lmax) {
                 match best {
-                    Some((bt, _, br))
-                        if ranked < br
-                            || (ranked == br && loads[to as usize] >= loads[bt as usize]) => {}
-                    _ => best = Some((to, egain, ranked)),
+                    Some(b)
+                        if t.rank(factor) < b.rank(factor)
+                            || (t.rank(factor) == b.rank(factor)
+                                && loads[t.to as usize] >= loads[b.to as usize]) => {}
+                    _ => best = Some(t),
                 }
             }
-            if let Some((to, egain, ranked)) = best {
-                // Never increase the edge cut; a zero-edge-gain move is
-                // taken only when it strictly improves connectivity.
-                if egain > 0 || (egain == 0 && ranked > 0) {
-                    loads[from as usize] -= g.vweight(v);
-                    loads[to as usize] += g.vweight(v);
-                    p.set(v, to);
-                    if let Some(table) = &mut table {
-                        table.apply_move(g, v, from, to);
-                    }
-                    // `conn[from]` counts a self-loop edge in both
-                    // directions although it can never be cut.
-                    cut -= egain + 2 * self_loop_weight(g, v) as i64;
-                    moved_this_iter += 1;
-                }
+            let Some(best) = best.filter(|b| b.improves(factor)) else {
+                continue;
+            };
+            let from = p.part(v);
+            loads[from as usize] -= weight;
+            loads[best.to as usize] += weight;
+            p.set(v, best.to);
+            if let Some(table) = &mut table {
+                table.apply_move(g, v, from, best.to);
             }
+            // `conn[from]` counts a self-loop edge in both directions
+            // although it can never be cut.
+            cut -= best.egain + 2 * self_loop_weight(g, v) as i64;
+            mark_dirty(g, table.as_ref(), v, from, best.to, &mut dirty);
+            moved_this_iter += 1;
         }
         debug_assert!(
             table.as_ref().is_none_or(|t| t.pins == PinTable::build(g, p).pins),
             "incremental pin counts drifted from a from-scratch rebuild"
+        );
+        debug_assert!(
+            clean_vertices_stay_put(g, p, cfg, &dirty),
+            "a clean vertex has an improving move: a move did not mark it dirty"
         );
         moves += moved_this_iter;
         if moved_this_iter == 0 {
@@ -378,7 +478,6 @@ mod reference {
         let mut net_scratch: Vec<Vec<u32>> = Vec::new();
         let mut moves = 0usize;
         let mut iters = 0usize;
-        const EDGE_SCALE: i64 = 1 << 20;
 
         for _ in 0..cfg.max_iters {
             iters += 1;
@@ -538,6 +637,35 @@ mod tests {
             let start = RandomPartitioner.partition(&g, k, 3);
             assert_matches_reference(&g, &start, &GreedyConfig::default());
         }
+    }
+
+    #[test]
+    fn matches_reference_when_a_full_part_gains_room() {
+        // Vertex 3 ("v") sits in part 0 while both its drivers, 6 and 7,
+        // sit in part 1, which is full (load 5 = lmax; vertex 4 weighs 2).
+        // Vertex 5 ("x") sits in part 1 while both its drivers, 1 and 2,
+        // sit in part 0, which has room; x shares no net with v. Seed 7
+        // visits v before x, so in the first pass v's only improving
+        // move is blocked, then x's move frees room in part 1, and v must
+        // move in the second pass. Judging v clean over the parts with
+        // room alone would skip it from then on.
+        let mut fanout: Vec<Vec<(VertexId, u64)>> = vec![Vec::new(); 8];
+        fanout[1] = vec![(0, 5), (5, 1)];
+        fanout[2] = vec![(0, 5), (5, 1)];
+        fanout[6] = vec![(3, 1), (4, 5)];
+        fanout[7] = vec![(3, 1), (4, 5)];
+        let is_input = vec![false, true, true, false, false, false, true, true];
+        let g =
+            CircuitGraph::from_parts("room".into(), vec![1, 1, 1, 1, 2, 1, 1, 1], fanout, is_input);
+        let start = Partitioning::new(2, vec![0, 0, 0, 0, 1, 1, 1, 1]);
+        let cfg = GreedyConfig::default();
+        let mut one_pass = start.clone();
+        reference::greedy_refine(&g, &mut one_pass, &GreedyConfig { max_iters: 1, ..cfg }, 7);
+        assert_eq!((one_pass.part(3), one_pass.part(5)), (0, 0), "pass 1 moves x, not v");
+        let mut converged = start.clone();
+        let stats = reference::greedy_refine(&g, &mut converged, &cfg, 7);
+        assert_eq!((converged.part(3), stats.moves, stats.iters), (1, 2, 3), "pass 2 moves v");
+        assert_matches_reference(&g, &start, &cfg);
     }
 
     #[test]
