@@ -72,8 +72,8 @@ impl CircuitGraph {
         }
     }
 
-    /// Assemble a graph from raw parts (used by tests); each fanout list
-    /// is kept as given.
+    /// Assemble a graph from raw parts (used by tests); parallel edges
+    /// listed next to each other merge by weight.
     pub fn from_parts(
         name: String,
         vweight: Vec<u64>,
@@ -81,38 +81,32 @@ impl CircuitGraph {
         is_input: Vec<bool>,
     ) -> CircuitGraph {
         assert_eq!(fanout.len(), vweight.len());
-        let mut flat = Csr::with_capacity(fanout.len(), fanout.iter().map(Vec::len).sum());
-        for row in &fanout {
-            flat.edges.extend_from_slice(row);
-            flat.start.push(flat.edges.len());
-        }
-        CircuitGraph::assemble(name, vweight, flat, is_input)
+        let edges = fanout
+            .iter()
+            .enumerate()
+            .flat_map(|(v, outs)| outs.iter().map(move |&(w, ew)| (v as VertexId, w, ew)));
+        CircuitGraph::from_edges(name, vweight, edges, is_input)
     }
 
-    /// Assemble a graph from its `(driver, reader, weight)` edges sorted
-    /// by `(driver, reader)`; a run of equal `(driver, reader)` pairs
-    /// becomes one edge carrying their summed weight (used by the
-    /// coarsener, which writes its contracted edges straight in).
-    pub(crate) fn from_sorted_edges(
+    /// A level-less, all-replicable graph over `(driver, reader, weight)`
+    /// edges in ascending driver order. Consecutive edges between the same
+    /// pair merge by weight, so edges sorted by `(driver, reader)` come out
+    /// deduplicated: the coarsener writes its contracted edges straight in.
+    pub(crate) fn from_edges(
         name: String,
         vweight: Vec<u64>,
         edges: impl IntoIterator<Item = (VertexId, VertexId, u64)>,
         is_input: Vec<bool>,
     ) -> CircuitGraph {
         let n = vweight.len();
+        assert_eq!(is_input.len(), n);
         let edges = edges.into_iter();
         let mut fanout = Csr::with_capacity(n, edges.size_hint().0);
         for (from, to, w) in edges {
             fanout.push(from, to, w);
         }
-        CircuitGraph::assemble(name, vweight, fanout.finish(n), is_input)
-    }
-
-    /// A level-less, all-replicable graph over a finished fanout table.
-    fn assemble(name: String, vweight: Vec<u64>, fanout: Csr, is_input: Vec<bool>) -> CircuitGraph {
-        let n = vweight.len();
-        assert_eq!(fanout.start.len(), n + 1);
-        assert_eq!(is_input.len(), n);
+        let fanout = fanout.finish(n);
+        assert_eq!(fanout.start.len(), n + 1, "an edge's driver is out of range");
         let total_weight = vweight.iter().sum();
         CircuitGraph {
             name,

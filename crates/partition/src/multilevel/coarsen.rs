@@ -196,7 +196,7 @@ pub(crate) fn contract(g: &CircuitGraph, group_of: Vec<u32>, groups: usize) -> C
     // row ordered by reader id; the graph merges each run as it fills its
     // flat adjacency.
     edges.sort_unstable_by_key(|&(from, to, _)| (from, to));
-    let graph = CircuitGraph::from_sorted_edges(g.name().to_string(), vweight, edges, is_input);
+    let graph = CircuitGraph::from_edges(g.name().to_string(), vweight, edges, is_input);
     let merged = members.iter().map(|&m| m > 1).collect();
     CoarseLevel { graph, map: group_of, merged }
 }

@@ -21,7 +21,7 @@
 //! nothing grows faster than the graph — in particular not with the
 //! square of a net's size — and the number of levels is bounded
 //! (`max_levels`), which is what makes this the "fast linear time
-//! heuristic" of Section 1: measured at ~0.5–1.0 µs per pin from 1k to
+//! heuristic" of Section 1: measured at ~0.4–0.8 µs per pin from 1k to
 //! 100k gates (`parlogsim partitioners`, the `multilevel_scaling` rows).
 
 pub mod coarsen;

@@ -350,7 +350,7 @@ pub fn greedy_refine(
         );
         debug_assert!(
             clean_vertices_stay_put(g, p, cfg, &dirty),
-            "a clean vertex has an improving move: a move did not mark it dirty"
+            "a vertex left clean has an improving move"
         );
         moves += moved_this_iter;
         if moved_this_iter == 0 {
