@@ -1151,3 +1151,107 @@ impl CompiledSim {
         self.blocks.iter().map(|b| gate_parts[b.home_gate as usize]).collect()
     }
 }
+
+#[cfg(test)]
+impl CompiledSim {
+    /// FNV-1a over every table of every block and the owner map, each
+    /// field in declaration order: a pin for compiler rewrites, which
+    /// must keep slot, port and route numbering and op order as they are.
+    fn table_hash(&self) -> u64 {
+        fn words(h: u64, ws: impl IntoIterator<Item = u64>) -> u64 {
+            ws.into_iter().fold(h, |h, w| {
+                w.to_le_bytes()
+                    .iter()
+                    .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+            })
+        }
+        fn jagged<T>(h: u64, j: &Jagged<T>, f: impl Fn(&T) -> u64) -> u64 {
+            let h = words(h, j.index.iter().map(|&i| u64::from(i)));
+            words(h, j.flat.iter().map(f))
+        }
+        let mut h = FNV_BASIS;
+        for b in &self.blocks {
+            h = words(
+                h,
+                b.ops.iter().flat_map(|o| {
+                    [u64::from(o.lo), u64::from(o.delay), u64::from(o.nargs), u64::from(o.meta)]
+                }),
+            );
+            h = words(
+                h,
+                b.dffs
+                    .iter()
+                    .flat_map(|d| [u64::from(d.d_slot), u64::from(d.delay), u64::from(d.bucket)]),
+            );
+            h = words(
+                h,
+                b.stims.iter().flat_map(|s| {
+                    [u64::from(s.input_index), u64::from(s.delay), u64::from(s.bucket)]
+                }),
+            );
+            h = words(h, b.args.iter().map(|&a| u64::from(a)));
+            h = jagged(h, &b.comb_readers, |&r| u64::from(r));
+            h = jagged(h, &b.dff_readers, |&r| u64::from(r));
+            h = jagged(h, &b.routes, |r| u64::from(r.dst_index) << 32 | u64::from(r.port));
+            h = words(h, b.has_internal.iter().chain(&b.has_routes).chain(&b.is_replica).copied());
+            h = words(h, [u64::from(b.home_gate), u64::from(b.ncomb), u64::from(b.num_ports)]);
+            h = words(h, [u64::from(b.num_buckets)]);
+            h = words(h, b.bucket_delays.iter().map(|&d| u64::from(d)));
+            h = words(h, b.dsts.iter().map(|&d| u64::from(d)));
+        }
+        words(h, self.owner.iter().flat_map(|o| [u64::from(o.block), u64::from(o.slot)]))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use pls_netlist::IscasSynth;
+    use pls_partition::{CircuitGraph, MultilevelPartitioner, Partitioner, ReplicationConfig};
+    use pls_timewarp::{Backend, Simulator};
+
+    use crate::model::{ExecModel, GateModel};
+    use crate::SimConfig;
+
+    #[test]
+    fn compiled_replicated_model_is_pinned() {
+        // A ~20 k-gate circuit with the benchmark front-end workload's
+        // interface ratios, compiled into k = 8 blocks with replication
+        // and run briefly on the platform executive. Its tables, its
+        // fingerprint and its counters are literals: a rewrite of the
+        // compiler or the replication planner must leave them all as
+        // they are.
+        let gates = 20_000;
+        let netlist = IscasSynth::new("synth20k", gates / 150, gates, gates / 70).build();
+        let graph = CircuitGraph::from_netlist(&netlist);
+        let parts = MultilevelPartitioner::default().partition(&graph, 8, 0);
+        let cfg = SimConfig {
+            end_time: 60,
+            exec: ExecModel::CompiledBlocks(Default::default()),
+            replication: Some(ReplicationConfig::default()),
+            ..Default::default()
+        };
+        let app = cfg.build_app_partitioned(&netlist, &graph, &parts);
+        let GateModel::Compiled(compiled) = &app else { panic!("compiled model expected") };
+        let assignment = app.lp_assignment(&parts.assignment);
+        let run = Simulator::new(&app)
+            .platform_config(&cfg.platform)
+            .run(Backend::Platform { assignment: &assignment, nodes: 8 })
+            .expect("platform run");
+        let fingerprint = app
+            .fingerprint(&run.states)
+            .iter()
+            .flat_map(|h| h.to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+            });
+        let s = &run.stats;
+        assert_eq!(compiled.num_replicas(), 68);
+        assert_eq!(compiled.table_hash(), 0xabb2_02bb_ce2e_6e34, "block tables");
+        assert_eq!(fingerprint, 0x67a1_5ee9_e2f1_bbe3, "committed fingerprint");
+        assert_eq!(
+            (s.ops_executed, s.block_activations, s.messages_saved, s.app_messages),
+            (178_480, 2_241, 462, 13_128),
+            "(ops_executed, block_activations, messages_saved, app_messages)"
+        );
+    }
+}

@@ -7,8 +7,9 @@ use pls_netlist::data::s27;
 use pls_netlist::IscasSynth;
 use pls_partition::multilevel::refine::RefineStats;
 use pls_partition::{
-    all_partitioners, metrics, partitioner_by_name, partitioner_names, CircuitGraph,
-    MultilevelPartitioner, Partitioner, Partitioning, RandomPartitioner,
+    all_partitioners, metrics, partitioner_by_name, partitioner_names, plan_replication,
+    CircuitGraph, MultilevelPartitioner, Partitioner, Partitioning, RandomPartitioner,
+    ReplicationConfig,
 };
 
 fn graphs() -> Vec<(&'static str, CircuitGraph)> {
@@ -225,5 +226,67 @@ fn multilevel_output_is_pinned() {
         assert_eq!(rep.level_sizes, level_sizes, "level sizes: {what}");
         assert_eq!(rep.refine_stats, stats, "refine stats: {what}");
         assert_eq!(fnv1a(&rep.partitioning.assignment), hash, "assignment hash: {what}");
+    }
+}
+
+/// FNV-1a folded over a byte stream.
+fn fnv1a_bytes(h: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// FNV-1a over everything a netlist exposes: every gate's name, kind,
+/// fanin in pin order and fanout in order (each list length-prefixed),
+/// then the input, output and DFF lists.
+fn netlist_hash(n: &pls_netlist::Netlist) -> u64 {
+    let ids = |h: u64, list: &[u32]| {
+        let h = fnv1a_bytes(h, &(list.len() as u32).to_le_bytes());
+        list.iter().fold(h, |h, id| fnv1a_bytes(h, &id.to_le_bytes()))
+    };
+    let mut h = fnv1a_bytes(0xcbf2_9ce4_8422_2325, &(n.len() as u32).to_le_bytes());
+    for id in n.ids() {
+        let g = n.gate(id);
+        h = fnv1a_bytes(h, g.name.as_bytes());
+        h = fnv1a_bytes(h, &[0xff, g.kind as u8]);
+        h = ids(h, n.fanin(id));
+        h = ids(h, n.fanout(id));
+    }
+    ids(ids(ids(h, n.inputs()), n.outputs()), n.dffs())
+}
+
+/// ~20 k gates with the interface ratios of the benchmark's 100 k-gate
+/// front-end workload.
+fn synth20k() -> IscasSynth {
+    let gates = 20_000;
+    IscasSynth::new("synth20k", gates / 150, gates, gates / 70)
+}
+
+#[test]
+fn front_end_output_is_pinned() {
+    // The netlists the generator builds and `parse(write(..))` returns,
+    // and the replica plan at k = 8 (Multilevel, seed 0), as literals: a
+    // rewrite of the netlist storage, the `.bench` parser or the
+    // replication planner must leave every name, pin, fanout order, list
+    // and replica as it is. Each case is (circuit, netlist hash of both
+    // netlists, plan hash, replicas, est_messages_saved).
+    type Case = (IscasSynth, u64, u64, usize, u64);
+    let cases: [Case; 3] = [
+        (IscasSynth::s9234(), 0x94d4_828d_c94a_ab90, 0xf21b_44b0_728d_714c, 24, 103),
+        (IscasSynth::s15850(), 0xbb36_b3b3_d3d8_f81c, 0x8b74_3e7c_c6d2_8076, 42, 220),
+        (synth20k(), 0x9d47_8de2_d760_9946, 0xb467_c546_ff19_cb5d, 68, 498),
+    ];
+    for (circuit, netlist_pin, plan_pin, replicas, saved) in cases {
+        let built = circuit.build();
+        let what = built.name().to_string();
+        assert_eq!(netlist_hash(&built), netlist_pin, "generated netlist: {what}");
+        let text = pls_netlist::bench_format::write(&built);
+        let parsed = pls_netlist::bench_format::parse(built.name(), &text).expect("round trip");
+        assert_eq!(netlist_hash(&parsed), netlist_pin, "parsed netlist: {what}");
+        let g = CircuitGraph::from_netlist(&parsed);
+        let p = MultilevelPartitioner::default().partition(&g, 8, 0);
+        let plan = plan_replication(&g, &p, &ReplicationConfig::default());
+        let flat: Vec<u32> = plan.pairs().into_iter().flat_map(|(g, q)| [g, q]).collect();
+        assert_eq!(fnv1a(&flat), plan_pin, "replica plan: {what}");
+        assert_eq!(plan.len(), replicas, "replicas: {what}");
+        assert_eq!(plan.est_messages_saved, saved, "est_messages_saved: {what}");
     }
 }
