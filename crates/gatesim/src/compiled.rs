@@ -81,7 +81,7 @@
 //! made once per activation between two monomorphised bodies of the
 //! sweep, not per write.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 use pls_logic::{InputStream, StimulusConfig, Value};
 use pls_netlist::{topo_order, GateId, GateKind, Netlist};
@@ -199,34 +199,56 @@ fn lower_kind(kind: GateKind) -> (u8, u8, bool) {
 /// (driver, reading block), regardless of how many pins read it inside;
 /// updates with the same destination and arrival time are bundled into
 /// one kernel message per activation ([`GateMsg::Ports`]).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Route {
     dst_index: u16,
     port: u32,
 }
 
-/// Compact jagged array: row `i` of the construction-time `Vec<Vec<T>>`
-/// is stored contiguously in `flat[index[i]..index[i+1]]`.
+/// Compact jagged array (compressed sparse rows): row `i` is stored
+/// contiguously in `flat[index[i]..index[i+1]]`.
 #[derive(Debug, Clone)]
 struct Jagged<T> {
     index: Vec<u32>,
     flat: Vec<T>,
 }
 
-impl<T> Jagged<T> {
-    fn from_rows(rows: Vec<Vec<T>>) -> Jagged<T> {
-        let mut index = Vec::with_capacity(rows.len() + 1);
-        index.push(0u32);
-        let mut flat = Vec::new();
-        for mut row in rows {
-            flat.append(&mut row);
-            index.push(flat.len() as u32);
+impl<T: Copy + Default> Jagged<T> {
+    /// No rows yet; append them with [`Self::push_row`].
+    fn new() -> Jagged<T> {
+        Jagged { index: vec![0], flat: Vec::new() }
+    }
+
+    fn push_row(&mut self, row: impl IntoIterator<Item = T>) {
+        self.flat.extend(row);
+        self.index.push(self.flat.len() as u32);
+    }
+
+    /// `rows` rows holding each `(row, value)` of `entries`, by counting
+    /// sort: a row keeps its entries in iteration order.
+    fn by_row(rows: usize, entries: impl Iterator<Item = (usize, T)> + Clone) -> Jagged<T> {
+        let mut index = vec![0u32; rows + 1];
+        for (r, _) in entries.clone() {
+            index[r + 1] += 1;
+        }
+        for r in 0..rows {
+            index[r + 1] += index[r];
+        }
+        let mut next = index.clone();
+        let mut flat = vec![T::default(); index[rows] as usize];
+        for (r, v) in entries {
+            flat[next[r] as usize] = v;
+            next[r] += 1;
         }
         Jagged { index, flat }
     }
 
     fn row(&self, i: usize) -> &[T] {
         &self.flat[self.index[i] as usize..self.index[i + 1] as usize]
+    }
+
+    fn row_mut(&mut self, i: usize) -> &mut [T] {
+        &mut self.flat[self.index[i] as usize..self.index[i + 1] as usize]
     }
 }
 
@@ -611,94 +633,109 @@ impl CompiledSim {
         );
         let part_of = |g: GateId| blocks.map_or(0, |m| m[g as usize]);
 
-        // Replica targets per gate, ascending block id.
-        let mut replica_into: BTreeMap<GateId, Vec<u32>> = BTreeMap::new();
+        // One block per part id in use (a home part or a replica
+        // target), in ascending part id; `block_of` is each gate's home.
+        let mut part_ids: Vec<u32> = blocks.map_or_else(|| vec![0], <[u32]>::to_vec);
+        part_ids.extend(replicas.iter().map(|&(_, q)| q));
+        part_ids.sort_unstable();
+        part_ids.dedup();
+        let block_index =
+            |part: u32| part_ids.binary_search(&part).expect("part id registered") as u32;
+        let block_of: Vec<u32> = (0..n as GateId).map(|g| block_index(part_of(g))).collect();
+
+        // Replicas per gate as `(block, slot)`, ascending block; the
+        // slots are filled in once the blocks' members are known.
         for &(g, q) in replicas {
             assert!(!netlist.is_dff(g), "DFFs cannot be replicated");
             assert_ne!(part_of(g), q, "replica must land in a foreign block");
-            let row = replica_into.entry(g).or_default();
-            assert!(!row.contains(&q), "duplicate replica pair");
-            row.push(q);
         }
-        for row in replica_into.values_mut() {
+        let mut copies =
+            Jagged::by_row(n, replicas.iter().map(|&(g, q)| (g as usize, (block_index(q), 0u32))));
+        for g in 0..n {
+            let row = copies.row_mut(g);
             row.sort_unstable();
+            assert!(row.windows(2).all(|w| w[0].0 != w[1].0), "duplicate replica pair");
         }
 
-        // Group gates by block id: combinational gates in global
+        // Group gates by block: combinational gates in global
         // topological order (levelize-based), then DFFs and primary
         // inputs each in ascending gate id. A replicated gate joins every
         // target block's list too (restricting one global topological
         // order keeps each block's comb list topological).
         type Members = (Vec<GateId>, Vec<GateId>, Vec<GateId>);
-        let mut by_part: BTreeMap<u32, Members> = BTreeMap::new();
+        let mut block_gates: Vec<Members> = vec![Members::default(); part_ids.len()];
         for g in topo_order(netlist) {
             if !netlist.is_input(g) && !netlist.is_dff(g) {
-                by_part.entry(part_of(g)).or_default().0.push(g);
-                if let Some(qs) = replica_into.get(&g) {
-                    for &q in qs {
-                        by_part.entry(q).or_default().0.push(g);
-                    }
+                block_gates[block_of[g as usize] as usize].0.push(g);
+                for &(b, _) in copies.row(g as usize) {
+                    block_gates[b as usize].0.push(g);
                 }
             }
         }
         for id in netlist.ids() {
             if netlist.is_dff(id) {
-                by_part.entry(part_of(id)).or_default().1.push(id);
+                block_gates[block_of[id as usize] as usize].1.push(id);
             } else if netlist.is_input(id) {
-                by_part.entry(part_of(id)).or_default().2.push(id);
-                if let Some(qs) = replica_into.get(&id) {
-                    for &q in qs {
-                        by_part.entry(q).or_default().2.push(id);
-                    }
+                block_gates[block_of[id as usize] as usize].2.push(id);
+                for &(b, _) in copies.row(id as usize) {
+                    block_gates[b as usize].2.push(id);
                 }
             }
         }
-        let part_ids: Vec<u32> = by_part.keys().copied().collect();
-        let block_gates: Vec<Members> = by_part.into_values().collect();
-        let members = |m: &Members| {
-            m.0.iter().chain(m.1.iter()).chain(m.2.iter()).copied().collect::<Vec<_>>()
-        };
+        /// A block's members in slot order.
+        fn members(m: &Members) -> impl Iterator<Item = GateId> + '_ {
+            m.0.iter().chain(&m.1).chain(&m.2).copied()
+        }
 
         // Ownership (fingerprint identity) stays with the home block; a
         // gate's slots in other blocks are replicas.
-        let mut owner: Vec<Option<Owner>> = vec![None; n];
+        let mut owner = vec![Owner { block: 0, slot: 0 }; n];
         for (b, m) in block_gates.iter().enumerate() {
-            for (i, g) in members(m).into_iter().enumerate() {
-                if part_of(g) == part_ids[b] {
-                    owner[g as usize] = Some(Owner { block: b as u32, slot: i as u32 });
+            for (i, g) in members(m).enumerate() {
+                if block_of[g as usize] == b as u32 {
+                    owner[g as usize] = Owner { block: b as u32, slot: i as u32 };
+                } else {
+                    let copy = copies.row_mut(g as usize).iter_mut().find(|c| c.0 == b as u32);
+                    copy.expect("replica registered").1 = i as u32;
                 }
             }
         }
-        let owner: Vec<Owner> = owner.into_iter().map(|o| o.expect("every gate owned")).collect();
+        // Slot of gate `d` in block `b`, if `b` holds it (home or copy).
+        let local_slot = |b: u32, d: GateId| -> Option<u32> {
+            if block_of[d as usize] == b {
+                return Some(owner[d as usize].slot);
+            }
+            copies.row(d as usize).iter().find(|c| c.0 == b).map(|c| c.1)
+        };
 
-        // Per block: every member gate (home or replica) and its slot.
-        let local_slot: Vec<BTreeMap<GateId, u32>> = block_gates
-            .iter()
-            .map(|m| members(m).into_iter().enumerate().map(|(i, g)| (g, i as u32)).collect())
-            .collect();
-
-        // Which foreign blocks read each gate through a port: the blocks
-        // with a member pin fed by the gate and no local copy of it.
-        let mut reader_blocks: Vec<BTreeSet<u32>> = vec![BTreeSet::new(); n];
+        // Which foreign blocks read each gate through a port, as
+        // `(block, port)` in ascending block: the blocks with a member pin
+        // fed by the gate and no local copy of it. Blocks are visited in
+        // ascending order, so one last-reader mark per gate deduplicates.
+        let mut last_reader = vec![u32::MAX; n];
+        let mut reads: Vec<(usize, (u32, u32))> = Vec::new();
         for (b, m) in block_gates.iter().enumerate() {
+            let b = b as u32;
             for g in members(m) {
                 for &d in netlist.fanin(g) {
-                    if !local_slot[b].contains_key(&d) {
-                        reader_blocks[d as usize].insert(b as u32);
+                    if last_reader[d as usize] != b && local_slot(b, d).is_none() {
+                        last_reader[d as usize] = b;
+                        reads.push((d as usize, (b, 0)));
                     }
                 }
             }
         }
-
+        let mut readers = Jagged::by_row(n, reads.into_iter());
         // Port tables: the external drivers feeding each block, one port
         // per driver (not per reading pin), in ascending gate-id order.
-        let mut port_of: Vec<BTreeMap<GateId, u32>> = vec![BTreeMap::new(); block_gates.len()];
-        for (d, readers) in reader_blocks.iter().enumerate() {
-            for &b in readers {
-                let next = port_of[b as usize].len() as u32;
-                port_of[b as usize].insert(d as GateId, next);
-            }
+        let mut num_ports = vec![0u32; block_gates.len()];
+        for (b, port) in &mut readers.flat {
+            *port = num_ports[*b as usize];
+            num_ports[*b as usize] += 1;
         }
+        let port_of = |b: u32, d: GateId| -> u32 {
+            readers.row(d as usize).iter().find(|r| r.0 == b).expect("port registered").1
+        };
 
         let mut input_index = vec![0u32; n];
         for (ix, &g) in netlist.inputs().iter().enumerate() {
@@ -711,26 +748,28 @@ impl CompiledSim {
             let (comb, dffs, stims) = m;
             let ncomb = comb.len();
             let owned = ncomb + dffs.len() + stims.len();
-            let total_slots = owned + port_of[b].len();
+            let total_slots = owned + num_ports[b] as usize;
             if total_slots > MAX_SLOTS {
                 return Err(CompileError::TooManySlots { block: part_ids[b], slots: total_slots });
             }
             let slot_of = |d: GateId| -> u16 {
-                match local_slot[b].get(&d) {
-                    Some(&s) => s as u16,
-                    None => (owned as u32 + port_of[b][&d]) as u16,
+                match local_slot(b as u32, d) {
+                    Some(s) => s as u16,
+                    None => (owned as u32 + port_of(b as u32, d)) as u16,
                 }
             };
             let lower_delay = |kind: GateKind, arity: usize| -> u16 {
                 u16::try_from(cfg.delay.delay(kind, arity)).expect("gate delay must fit in u16")
             };
-            // Delay buckets: one agenda FIFO per distinct delay value.
-            let mut delays: BTreeSet<u16> = BTreeSet::new();
-            for &g in comb.iter().chain(dffs.iter()).chain(stims.iter()) {
-                let gate = netlist.gate(g);
-                delays.insert(lower_delay(gate.kind, gate.fanin.len()));
+            // Delay buckets: one agenda FIFO per distinct delay value,
+            // ascending.
+            let mut delays: Vec<u16> = Vec::new();
+            for g in members(m) {
+                let delay = lower_delay(netlist.gate(g).kind, netlist.fanin(g).len());
+                if let Err(at) = delays.binary_search(&delay) {
+                    delays.insert(at, delay);
+                }
             }
-            let delays: Vec<u16> = delays.into_iter().collect();
             if delays.len() > MAX_DELAYS {
                 let delays = delays.len();
                 return Err(CompileError::TooManyDelays { block: part_ids[b], delays });
@@ -740,9 +779,7 @@ impl CompiledSim {
 
             let mut ops = Vec::with_capacity(ncomb);
             let mut args: Vec<u16> = Vec::new();
-            let mut comb_rows: Vec<Vec<u16>> = vec![Vec::new(); total_slots];
-            let mut dff_rows: Vec<Vec<u16>> = vec![Vec::new(); total_slots];
-            for (i, &g) in comb.iter().enumerate() {
+            for &g in comb {
                 let kind = netlist.gate(g).kind;
                 let fanin = netlist.fanin(g);
                 let (base, post, unary) = lower_kind(kind);
@@ -750,11 +787,7 @@ impl CompiledSim {
                 // `eval_gate` does — extra pins are ignored.
                 let take = if unary { 1 } else { fanin.len() };
                 let lo = args.len() as u32;
-                for &d in &fanin[..take] {
-                    let s = slot_of(d);
-                    args.push(s);
-                    comb_rows[s as usize].push(i as u16);
-                }
+                args.extend(fanin[..take].iter().map(|&d| slot_of(d)));
                 let delay = lower_delay(kind, fanin.len());
                 ops.push(Op {
                     lo,
@@ -763,14 +796,14 @@ impl CompiledSim {
                     meta: base | (post << 2) | (bucket_of(delay) << 4),
                 });
             }
-            let mut dff_tab = Vec::with_capacity(dffs.len());
-            for (i, &g) in dffs.iter().enumerate() {
-                let fanin = netlist.fanin(g);
-                let d_slot = slot_of(fanin[0]);
-                dff_rows[d_slot as usize].push(i as u16);
-                let delay = lower_delay(GateKind::Dff, fanin.len());
-                dff_tab.push(Dff { d_slot, delay, bucket: bucket_of(delay) });
-            }
+            let dff_tab: Vec<Dff> = dffs
+                .iter()
+                .map(|&g| {
+                    let fanin = netlist.fanin(g);
+                    let delay = lower_delay(GateKind::Dff, fanin.len());
+                    Dff { d_slot: slot_of(fanin[0]), delay, bucket: bucket_of(delay) }
+                })
+                .collect();
             let stim_tab = stims
                 .iter()
                 .map(|&g| {
@@ -778,33 +811,44 @@ impl CompiledSim {
                     Stim { input_index: input_index[g as usize], delay, bucket: bucket_of(delay) }
                 })
                 .collect();
+            // Per slot: the ops (ascending, once per reading pin) and the
+            // DFFs reading it.
+            let comb_readers = Jagged::by_row(
+                total_slots,
+                ops.iter().enumerate().flat_map(|(i, op)| {
+                    let lo = op.lo as usize;
+                    args[lo..lo + op.nargs as usize].iter().map(move |&s| (s as usize, i as u16))
+                }),
+            );
+            let dff_readers = Jagged::by_row(
+                total_slots,
+                dff_tab.iter().enumerate().map(|(i, d)| (d.d_slot as usize, i as u16)),
+            );
             // Replica slots and the block's home identity. Blocks are
             // created by home members, so a home gate always exists.
-            let all_members = members(m);
             let mut is_replica = vec![0u64; owned.div_ceil(64)];
-            for (i, &g) in all_members.iter().enumerate() {
-                if part_of(g) != part_ids[b] {
+            for (i, g) in members(m).enumerate() {
+                if block_of[g as usize] != b as u32 {
                     is_replica[i >> 6] |= 1u64 << (i & 63);
                 }
             }
-            let home_gate = *all_members
-                .iter()
-                .find(|&&g| part_of(g) == part_ids[b])
+            let home_gate = members(m)
+                .find(|&g| block_of[g as usize] == b as u32)
                 .expect("block has a home gate");
             built.push(Block {
                 ops,
                 dffs: dff_tab,
                 stims: stim_tab,
                 args,
-                comb_readers: Jagged::from_rows(comb_rows),
-                dff_readers: Jagged::from_rows(dff_rows),
-                routes: Jagged::from_rows(vec![Vec::new(); owned]),
+                comb_readers,
+                dff_readers,
+                routes: Jagged::new(),
                 has_internal: Vec::new(),
                 has_routes: Vec::new(),
                 is_replica,
                 home_gate,
                 ncomb: ncomb as u32,
-                num_ports: port_of[b].len() as u32,
+                num_ports: num_ports[b],
                 num_buckets: delays.len() as u8,
                 bucket_delays: delays.clone(),
                 dsts: Vec::new(),
@@ -815,47 +859,39 @@ impl CompiledSim {
         // driver's HOME slot only — replica slots serve in-block readers
         // and never route (routing them would double-deliver).
         for (b, m) in block_gates.iter().enumerate() {
-            let owned_gates = members(m);
-            let mut dst_set: BTreeSet<u32> = BTreeSet::new();
-            for &g in &owned_gates {
-                if part_of(g) == part_ids[b] {
-                    dst_set.extend(reader_blocks[g as usize].iter().copied());
-                }
-            }
-            let dsts: Vec<u32> = dst_set.into_iter().collect();
+            let home = |g: GateId| block_of[g as usize] == b as u32;
+            let mut dsts: Vec<u32> = members(m)
+                .filter(|&g| home(g))
+                .flat_map(|g| readers.row(g as usize).iter().map(|r| r.0))
+                .collect();
+            dsts.sort_unstable();
+            dsts.dedup();
             if dsts.len() > MAX_SLOTS {
                 return Err(CompileError::TooManyRoutes { block: part_ids[b], dsts: dsts.len() });
             }
-            let rows: Vec<Vec<Route>> = owned_gates
-                .iter()
-                .map(|&g| {
-                    if part_of(g) != part_ids[b] {
-                        return Vec::new();
-                    }
-                    reader_blocks[g as usize]
-                        .iter()
-                        .map(|&blk| Route {
-                            dst_index: dsts.binary_search(&blk).expect("dst registered") as u16,
-                            port: port_of[blk as usize][&g],
-                        })
-                        .collect()
-                })
-                .collect();
+            let mut routes = Jagged::new();
+            for g in members(m) {
+                let row = if home(g) { readers.row(g as usize) } else { &[] };
+                routes.push_row(row.iter().map(|&(blk, port)| Route {
+                    dst_index: dsts.binary_search(&blk).expect("dst registered") as u16,
+                    port,
+                }));
+            }
             let blk = &mut built[b];
-            let owned = owned_gates.len();
+            let owned = routes.index.len() - 1;
             let mut has_internal = vec![0u64; owned.div_ceil(64)];
             let mut has_routes = vec![0u64; owned.div_ceil(64)];
             for slot in 0..owned {
                 if !blk.comb_readers.row(slot).is_empty() || !blk.dff_readers.row(slot).is_empty() {
                     has_internal[slot >> 6] |= 1u64 << (slot & 63);
                 }
-                if !rows[slot].is_empty() {
+                if !routes.row(slot).is_empty() {
                     has_routes[slot >> 6] |= 1u64 << (slot & 63);
                 }
             }
             blk.has_internal = has_internal;
             blk.has_routes = has_routes;
-            blk.routes = Jagged::from_rows(rows);
+            blk.routes = routes;
             blk.dsts = dsts.into_iter().map(|x| x as LpId).collect();
         }
 

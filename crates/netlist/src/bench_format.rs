@@ -11,8 +11,11 @@
 //! G11 = DFF(G10)
 //! ```
 //!
-//! Parsing is two-pass so signals may be used before they are defined,
-//! which real benchmark files do freely.
+//! Parsing scans the text once, keeping every name as a slice of it,
+//! then fills the netlist's flat tables: names are declared (so signals
+//! may be used before they are defined, which real benchmark files do
+//! freely) and each gate's fanin names resolve through the name index
+//! straight into its fanin row.
 
 use crate::error::NetlistError;
 use crate::gate::{GateId, GateKind};
@@ -25,13 +28,14 @@ fn input_names(args: &str) -> impl Iterator<Item = &str> {
 
 /// Parse `.bench` text into a [`Netlist`] with the given circuit name.
 pub fn parse(name: &str, text: &str) -> Result<Netlist, NetlistError> {
-    // Statements by kind, with the line number wherever a later pass can
-    // still fail on them. Names stay slices of `text` until the builder
-    // takes ownership of them.
+    // Statements by kind, with the line number wherever a later step can
+    // still fail on them. Every syntax error is found here, before any
+    // name is declared.
     let mut inputs: Vec<&str> = Vec::new();
     let mut outputs: Vec<(usize, &str)> = Vec::new();
     // (line, output signal, kind, unsplit input list)
     let mut gates: Vec<(usize, &str, GateKind, &str)> = Vec::new();
+    let (mut name_bytes, mut pins) = (0, 0);
 
     for (lineno, raw) in text.lines().enumerate() {
         let line = raw.trim();
@@ -41,6 +45,7 @@ pub fn parse(name: &str, text: &str) -> Result<Netlist, NetlistError> {
         }
         if let Some(rest) = strip_call(line, "INPUT") {
             inputs.push(rest);
+            name_bytes += rest.len();
         } else if let Some(rest) = strip_call(line, "OUTPUT") {
             outputs.push((lineno, rest));
         } else if let Some(eq) = line.find('=') {
@@ -62,13 +67,16 @@ pub fn parse(name: &str, text: &str) -> Result<Netlist, NetlistError> {
                 msg: format!("unknown gate kind `{kind_str}`"),
             })?;
             let args = &rhs[open + 1..close];
-            if input_names(args).next().is_none() {
+            let arity = input_names(args).count();
+            if arity == 0 {
                 return Err(NetlistError::Parse {
                     line: lineno,
                     msg: format!("gate `{out}` has no inputs"),
                 });
             }
             gates.push((lineno, out, kind, args));
+            name_bytes += out.len();
+            pins += arity;
         } else {
             return Err(NetlistError::Parse {
                 line: lineno,
@@ -77,32 +85,32 @@ pub fn parse(name: &str, text: &str) -> Result<Netlist, NetlistError> {
         }
     }
 
-    // Pass 1: allocate ids for every defined signal, inputs first so that
-    // `Netlist::inputs()` preserves declaration order; gate fanins wait
-    // for pass 2 (forward references are allowed).
-    let mut builder = NetlistBuilder::new(name);
-    for n in inputs {
-        builder.add_input(n)?;
+    // Declare every defined signal, inputs first so that
+    // `Netlist::inputs()` preserves declaration order.
+    let mut builder =
+        NetlistBuilder::with_capacity(name, inputs.len() + gates.len(), name_bytes, pins);
+    for &n in &inputs {
+        builder.declare(n, GateKind::Input)?;
     }
-    let mut gate_ids: Vec<GateId> = Vec::with_capacity(gates.len());
     for &(_, out, kind, _) in &gates {
-        gate_ids.push(builder.add_gate(out, kind, Vec::new())?);
+        builder.declare(out, kind)?;
     }
 
-    // Pass 2: resolve fanin names through the builder's name map.
-    let mut resolved: Vec<(GateId, Vec<GateId>)> = Vec::with_capacity(gates.len());
-    for (&(lineno, out, _, args), &id) in gates.iter().zip(&gate_ids) {
-        let fanin = input_names(args)
-            .map(|i| {
-                builder.find(i).ok_or_else(|| NetlistError::Parse {
-                    line: lineno,
-                    msg: format!("gate `{out}` references undefined signal `{i}`"),
-                })
-            })
-            .collect::<Result<Vec<GateId>, _>>()?;
-        resolved.push((id, fanin));
+    // Fanin rows in id order: the inputs' are empty, a gate's names
+    // resolve now that every signal is declared.
+    for _ in &inputs {
+        builder.close_row();
     }
-    builder.set_fanins(resolved);
+    for &(lineno, out, _, args) in &gates {
+        for i in input_names(args) {
+            let driver: GateId = builder.find(i).ok_or_else(|| NetlistError::Parse {
+                line: lineno,
+                msg: format!("gate `{out}` references undefined signal `{i}`"),
+            })?;
+            builder.push_pin(driver);
+        }
+        builder.close_row();
+    }
 
     for (lineno, n) in outputs {
         let id = builder.find(n).ok_or_else(|| NetlistError::Parse {
@@ -133,12 +141,11 @@ pub fn write(netlist: &Netlist) -> String {
     for &o in netlist.outputs() {
         out.push_str(&format!("OUTPUT({})\n", netlist.gate(o).name));
     }
-    for id in netlist.ids() {
-        let g = netlist.gate(id);
+    for g in netlist.gates() {
         if g.kind == GateKind::Input {
             continue;
         }
-        let ins: Vec<&str> = g.fanin.iter().map(|&f| netlist.gate(f).name.as_str()).collect();
+        let ins: Vec<&str> = g.fanin.iter().map(|&f| netlist.gate(f).name).collect();
         out.push_str(&format!("{} = {}({})\n", g.name, g.kind.bench_name(), ins.join(", ")));
     }
     out
@@ -190,11 +197,11 @@ Y = NOT(N)
         assert_eq!(n1.len(), n2.len());
         for id in n1.ids() {
             let g1 = n1.gate(id);
-            let g2id = n2.find(&g1.name).unwrap();
+            let g2id = n2.find(g1.name).unwrap();
             let g2 = n2.gate(g2id);
             assert_eq!(g1.kind, g2.kind);
-            let f1: Vec<&str> = g1.fanin.iter().map(|&f| n1.gate(f).name.as_str()).collect();
-            let f2: Vec<&str> = g2.fanin.iter().map(|&f| n2.gate(f).name.as_str()).collect();
+            let f1: Vec<&str> = g1.fanin.iter().map(|&f| n1.gate(f).name).collect();
+            let f2: Vec<&str> = g2.fanin.iter().map(|&f| n2.gate(f).name).collect();
             assert_eq!(f1, f2);
         }
         assert_eq!(n1.outputs().len(), n2.outputs().len());
@@ -273,5 +280,65 @@ Y = NOT(N)
         let text = "INPUT(D)\nOUTPUT(Q)\nQ = DFF(D)\n";
         let n = parse("ff", text).unwrap();
         assert_eq!(n.dffs().len(), 1);
+    }
+
+    /// Every name, kind, pin, fanout row and list of `a` equals `b`'s.
+    fn assert_same(a: &Netlist, b: &Netlist) {
+        assert_eq!(a.len(), b.len());
+        for id in a.ids() {
+            assert_eq!(a.gate(id), b.gate(id));
+            assert_eq!(a.fanout(id), b.fanout(id));
+        }
+        assert_eq!((a.inputs(), a.outputs(), a.dffs()), (b.inputs(), b.outputs(), b.dffs()));
+    }
+
+    #[test]
+    fn crlf_tabs_trailing_blanks_and_comment_lines_parse_like_plain_text() {
+        let plain = parse("s27", crate::data::S27_BENCH).unwrap();
+        let crlf = crate::data::S27_BENCH.replace('\n', "\r\n");
+        assert_same(&plain, &parse("s27", &crlf).unwrap());
+        let loose = crate::data::S27_BENCH
+            .lines()
+            .map(|l| l.replace('(', "\t(\t").replace(',', "\t,").replace('=', "\t=\t"))
+            .map(|l| format!("\t{l} \t \r\n#   comment only\r\n   \t\r\n"))
+            .collect::<String>();
+        assert_same(&plain, &parse("s27", &loose).unwrap());
+    }
+
+    #[test]
+    fn every_name_round_trips_through_find() {
+        let gates = 20_000;
+        for n in [
+            crate::IscasSynth::s15850().build(),
+            crate::IscasSynth::new("synth20k", gates / 150, gates, gates / 70).build(),
+        ] {
+            let parsed = parse(n.name(), &write(&n)).unwrap();
+            for id in parsed.ids() {
+                assert_eq!(parsed.find(parsed.gate(id).name), Some(id), "{}", n.name());
+            }
+        }
+    }
+
+    #[test]
+    fn absent_names_are_not_found() {
+        let n = parse("s27", crate::data::S27_BENCH).unwrap();
+        assert!(n.find("G17").is_some() && n.find("G1").is_some());
+        // The empty string, proper prefixes and extensions of real names.
+        for absent in ["", "G", "G170", "G17 ", "G0G1", "g17"] {
+            assert_eq!(n.find(absent), None, "{absent:?}");
+        }
+    }
+
+    #[test]
+    fn names_differing_in_their_last_byte_are_distinct() {
+        let n = parse("last", "INPUT(sig_a)\nINPUT(sig_b)\nOUTPUT(y)\ny = AND(sig_b, sig_a)\n")
+            .unwrap();
+        let (a, b) = (n.find("sig_a").unwrap(), n.find("sig_b").unwrap());
+        assert_ne!(a, b);
+        assert_eq!(n.fanin(n.find("y").unwrap()), &[b, a]);
+        for dup in ["sig_a", "sig_b"] {
+            let text = format!("INPUT(sig_a)\nINPUT(sig_b)\nINPUT({dup})\n");
+            assert_eq!(parse("dup", &text).unwrap_err(), NetlistError::DuplicateName(dup.into()));
+        }
     }
 }

@@ -36,8 +36,6 @@ pub enum NetlistError {
         /// Human-readable description.
         msg: String,
     },
-    /// An OUTPUT declaration names an unknown signal.
-    UnknownOutput(String),
     /// The netlist is empty.
     Empty,
 }
@@ -56,7 +54,6 @@ impl fmt::Display for NetlistError {
                 write!(f, "combinational cycle detected through `{through}`")
             }
             NetlistError::Parse { line, msg } => write!(f, "parse error at line {line}: {msg}"),
-            NetlistError::UnknownOutput(n) => write!(f, "OUTPUT names unknown signal `{n}`"),
             NetlistError::Empty => write!(f, "netlist has no gates"),
         }
     }

@@ -73,17 +73,21 @@ impl GateKind {
     /// Parse a `.bench` gate keyword (case-insensitive). `BUF` and `BUFF`
     /// are both accepted; real ISCAS'89 files use `BUFF`.
     pub fn from_bench_name(s: &str) -> Option<GateKind> {
-        let up = s.to_ascii_uppercase();
-        Some(match up.as_str() {
-            "AND" => GateKind::And,
-            "NAND" => GateKind::Nand,
-            "OR" => GateKind::Or,
-            "NOR" => GateKind::Nor,
-            "XOR" => GateKind::Xor,
-            "XNOR" => GateKind::Xnor,
-            "NOT" | "INV" => GateKind::Not,
-            "BUF" | "BUFF" => GateKind::Buf,
-            "DFF" => GateKind::Dff,
+        // Every keyword is at most four bytes: uppercase into a stack
+        // buffer rather than a new string.
+        let mut up = [0u8; 4];
+        up.get_mut(..s.len())?.copy_from_slice(s.as_bytes());
+        up.make_ascii_uppercase();
+        Some(match &up[..s.len()] {
+            b"AND" => GateKind::And,
+            b"NAND" => GateKind::Nand,
+            b"OR" => GateKind::Or,
+            b"NOR" => GateKind::Nor,
+            b"XOR" => GateKind::Xor,
+            b"XNOR" => GateKind::Xnor,
+            b"NOT" | b"INV" => GateKind::Not,
+            b"BUF" | b"BUFF" => GateKind::Buf,
+            b"DFF" => GateKind::Dff,
             _ => return None,
         })
     }
@@ -113,27 +117,19 @@ impl GateKind {
     }
 }
 
-/// One vertex of the circuit graph: a logic gate, flip-flop or primary input.
+/// One vertex of the circuit graph — a logic gate, flip-flop or primary
+/// input — as a view borrowed from the [`crate::Netlist`]'s tables.
 ///
 /// Fanin order is significant (it defines input pin numbering for
-/// simulation); fanout is derived and stored by the [`crate::Netlist`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Gate {
+/// simulation); fanout is derived and stored by the netlist.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Gate<'a> {
     /// Signal name of this gate's output (its `.bench` identifier).
-    pub name: String,
+    pub name: &'a str,
     /// Functional kind.
     pub kind: GateKind,
     /// Driving gates, one per input pin, in pin order.
-    pub fanin: Vec<GateId>,
-}
-
-impl Gate {
-    /// Create a gate record. Arity is validated later by the netlist
-    /// builder, not here, so that partially-constructed netlists can exist
-    /// while parsing.
-    pub fn new(name: impl Into<String>, kind: GateKind, fanin: Vec<GateId>) -> Self {
-        Gate { name: name.into(), kind, fanin }
-    }
+    pub fanin: &'a [GateId],
 }
 
 #[cfg(test)]
@@ -162,6 +158,17 @@ mod tests {
     fn unknown_kind_rejected() {
         assert_eq!(GateKind::from_bench_name("MUX"), None);
         assert_eq!(GateKind::from_bench_name(""), None);
+        assert_eq!(GateKind::from_bench_name("FROB"), None);
+        assert_eq!(GateKind::from_bench_name("BUFFER"), None);
+        assert_eq!(GateKind::from_bench_name("AN"), None);
+    }
+
+    #[test]
+    fn mixed_case_keywords_parse() {
+        assert_eq!(GateKind::from_bench_name("nAnD"), Some(GateKind::Nand));
+        assert_eq!(GateKind::from_bench_name("buff"), Some(GateKind::Buf));
+        assert_eq!(GateKind::from_bench_name("Inv"), Some(GateKind::Not));
+        assert_eq!(GateKind::from_bench_name("dff"), Some(GateKind::Dff));
     }
 
     #[test]

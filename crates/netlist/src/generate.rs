@@ -113,7 +113,7 @@ impl IscasSynth {
         // feedback of the real circuits comes from). D inputs are wired at
         // the end to deep combinational gates.
         let dff_ids: Vec<GateId> = (0..self.dffs)
-            .map(|i| b.add_gate(format!("FF{i}"), GateKind::Dff, vec![0]).unwrap())
+            .map(|i| b.add_gate(format!("FF{i}"), GateKind::Dff, [0]).unwrap())
             .collect();
 
         // Distribute combinational gates across levels 1..=depth with a
@@ -266,12 +266,10 @@ impl IscasSynth {
         let deep_start = depth / 2;
         let deep_pool: Vec<GateId> =
             (deep_start..=depth).flat_map(|l| by_level[l].iter().copied()).collect();
-        let mut resolved = Vec::with_capacity(self.dffs);
         for &ff in &dff_ids {
             let d = pick_from_level(&mut rng, &deep_pool, &mut fanout_count);
-            resolved.push((ff, vec![d]));
+            b.set_fanin(ff, 0, d);
         }
-        b.set_fanins(resolved);
 
         // Primary outputs: the deepest unread combinational gates first,
         // then (if the profile asks for more outputs than there are unread
@@ -390,10 +388,9 @@ impl ClockTreeSynth {
         // end) so their outputs join the local driver pool, then the
         // combinational gates. Every gate reads its leaf buffer on pin
         // 0 — the clock-gating pattern that makes leaves hubs.
-        let mut resolved = Vec::new();
         for (li, &leaf) in leaf_bufs.iter().enumerate() {
             let ffs: Vec<GateId> = (0..self.dffs_per_leaf)
-                .map(|i| b.add_gate(format!("FF{li}_{i}"), GateKind::Dff, vec![0]).unwrap())
+                .map(|i| b.add_gate(format!("FF{li}_{i}"), GateKind::Dff, [0]).unwrap())
                 .collect();
             let mut local: Vec<GateId> = ffs.clone();
             local.push(data[li % data.len()]);
@@ -415,12 +412,11 @@ impl ClockTreeSynth {
             // Feedback: each DFF samples one of the deepest cluster gates.
             let deep = &local[local.len() - self.cluster / 2..];
             for &ff in &ffs {
-                resolved.push((ff, vec![deep[rng.gen_range(0..deep.len())]]));
+                b.set_fanin(ff, 0, deep[rng.gen_range(0..deep.len())]);
             }
             // The last cluster gate is the cluster's observable output.
             b.mark_output(*local.last().unwrap());
         }
-        b.set_fanins(resolved);
         b.build().expect("generator must produce a valid netlist")
     }
 }

@@ -2,14 +2,151 @@
 //!
 //! This is the directed graph `G = (V, E)` of the paper's Section 3:
 //! vertices are logic gates (and primary inputs and flip-flops), edges are
-//! the signals that interconnect them. Fanin is stored per gate in pin
-//! order; fanout adjacency is derived when the netlist is frozen by the
-//! builder.
-
-use std::collections::btree_map::{BTreeMap, Entry};
+//! the signals that interconnect them.
+//!
+//! Storage is a handful of flat arrays, whatever the gate count: every
+//! gate name in one string arena cut by offsets, one kind per gate, and
+//! fanin and fanout as compressed sparse rows (one offsets array and one
+//! id array each). Fanin rows are in pin order; the fanout table is the
+//! counting-sort transpose of fanin, derived when the builder freezes
+//! the netlist. Names resolve through a deterministic open-addressing
+//! index over the arena, so a lookup hashes the borrowed key and compares
+//! it against arena slices — no owned key is ever made.
 
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateId, GateKind};
+
+/// A jagged table of gate ids in compressed sparse rows: row `i` is
+/// `ids[start[i]..start[i + 1]]`.
+#[derive(Debug, Clone, Default)]
+struct Csr {
+    start: Vec<u32>,
+    ids: Vec<GateId>,
+}
+
+impl Csr {
+    fn row(&self, i: GateId) -> &[GateId] {
+        &self.ids[self.start[i as usize] as usize..self.start[i as usize + 1] as usize]
+    }
+
+    fn rows(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The transpose of a square table, by counting sort: row `j` lists
+    /// every `i` with `j` in row `i`, ascending `i`, once per occurrence.
+    fn transpose(&self) -> Csr {
+        let rows = self.rows();
+        let mut start = vec![0u32; rows + 1];
+        for &j in &self.ids {
+            start[j as usize + 1] += 1;
+        }
+        for j in 0..rows {
+            start[j + 1] += start[j];
+        }
+        let mut next = start.clone();
+        let mut ids = vec![0; self.ids.len()];
+        for i in 0..self.rows() as GateId {
+            for &j in self.row(i) {
+                ids[next[j as usize] as usize] = i;
+                next[j as usize] += 1;
+            }
+        }
+        Csr { start, ids }
+    }
+}
+
+/// An arena offset or table length as `u32`, the width every flat table
+/// of the netlist indexes with.
+fn offset(len: usize) -> u32 {
+    u32::try_from(len).expect("netlist tables are indexed by u32")
+}
+
+/// Gate names: one arena, cut by offsets, and an open-addressing index
+/// over it (linear probing, load at most one half, FNV-1a hashes, so the
+/// table is the same on every run).
+#[derive(Debug, Clone)]
+struct Names {
+    arena: String,
+    /// Name `id` is `arena[start[id]..start[id + 1]]`.
+    start: Vec<u32>,
+    /// Power-of-two probe table of ids; [`Names::EMPTY`] marks a free slot.
+    slots: Vec<GateId>,
+}
+
+impl Names {
+    const EMPTY: GateId = GateId::MAX;
+
+    /// Room for `names` names of `bytes` bytes in total without regrowth.
+    fn with_capacity(names: usize, bytes: usize) -> Names {
+        let mut start = Vec::with_capacity(names + 1);
+        start.push(0);
+        Names {
+            arena: String::with_capacity(bytes),
+            start,
+            slots: vec![Self::EMPTY; (2 * names).next_power_of_two().max(16)],
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    fn get(&self, id: GateId) -> &str {
+        &self.arena[self.start[id as usize] as usize..self.start[id as usize + 1] as usize]
+    }
+
+    fn hash(name: &str) -> usize {
+        let h = name.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        });
+        // Fold the high bits in: the mask keeps only the low ones.
+        (h ^ (h >> 32)) as usize
+    }
+
+    /// The probe slot holding `name`, or the free slot it would take.
+    fn probe(&self, name: &str) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = Self::hash(name) & mask;
+        loop {
+            let id = self.slots[i];
+            if id == Self::EMPTY || self.get(id) == name {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    fn find(&self, name: &str) -> Option<GateId> {
+        Some(self.slots[self.probe(name)]).filter(|&id| id != Self::EMPTY)
+    }
+
+    /// Append `name` as the next id, or `None` if it is taken.
+    fn push(&mut self, name: &str) -> Option<GateId> {
+        if 2 * (self.len() + 1) > self.slots.len() {
+            self.grow();
+        }
+        let slot = self.probe(name);
+        if self.slots[slot] != Self::EMPTY {
+            return None;
+        }
+        let id = offset(self.len());
+        assert!(id != Self::EMPTY, "gate ids are u32");
+        self.arena.push_str(name);
+        self.start.push(offset(self.arena.len()));
+        self.slots[slot] = id;
+        Some(id)
+    }
+
+    /// Double the probe table and re-insert every name.
+    fn grow(&mut self) {
+        self.slots = vec![Self::EMPTY; self.slots.len() * 2];
+        for id in 0..offset(self.len()) {
+            let slot = self.probe(self.get(id));
+            self.slots[slot] = id;
+        }
+    }
+}
 
 /// An immutable, validated gate-level circuit.
 ///
@@ -19,15 +156,18 @@ use crate::gate::{Gate, GateId, GateKind};
 #[derive(Debug, Clone)]
 pub struct Netlist {
     name: String,
-    gates: Vec<Gate>,
-    /// Derived fanout adjacency: `fanout[g]` lists every gate with `g` in
-    /// its fanin, once per pin that reads it (a gate reading the same
-    /// signal on two pins appears twice, matching event routing needs).
-    fanout: Vec<Vec<GateId>>,
+    names: Names,
+    kinds: Vec<GateKind>,
+    /// Driving gates of each gate, in pin order.
+    fanin: Csr,
+    /// Derived fanout adjacency: row `g` lists every gate with `g` in its
+    /// fanin, ascending, once per pin that reads it (a gate reading the
+    /// same signal on two pins appears twice, matching event routing
+    /// needs).
+    fanout: Csr,
     inputs: Vec<GateId>,
     outputs: Vec<GateId>,
     dffs: Vec<GateId>,
-    by_name: BTreeMap<String, GateId>,
 }
 
 impl Netlist {
@@ -38,37 +178,37 @@ impl Netlist {
 
     /// Number of gates (vertices), counting primary inputs and DFFs.
     pub fn len(&self) -> usize {
-        self.gates.len()
+        self.kinds.len()
     }
 
     /// True if the netlist has no gates (never true for a built netlist).
     pub fn is_empty(&self) -> bool {
-        self.gates.is_empty()
+        self.kinds.is_empty()
     }
 
-    /// The gate with the given id.
-    pub fn gate(&self, id: GateId) -> &Gate {
-        &self.gates[id as usize]
+    /// The gate with the given id, borrowed from the netlist's tables.
+    pub fn gate(&self, id: GateId) -> Gate<'_> {
+        Gate { name: self.names.get(id), kind: self.kinds[id as usize], fanin: self.fanin(id) }
     }
 
     /// All gates in id order.
-    pub fn gates(&self) -> &[Gate] {
-        &self.gates
+    pub fn gates(&self) -> impl ExactSizeIterator<Item = Gate<'_>> + '_ {
+        (0..self.len() as GateId).map(|id| self.gate(id))
     }
 
     /// Ids of all gates, `0..len`.
     pub fn ids(&self) -> impl Iterator<Item = GateId> + '_ {
-        0..self.gates.len() as GateId
+        0..self.len() as GateId
     }
 
     /// Fanout of a gate: every reader, once per reading pin.
     pub fn fanout(&self, id: GateId) -> &[GateId] {
-        &self.fanout[id as usize]
+        self.fanout.row(id)
     }
 
     /// Fanin of a gate in pin order.
     pub fn fanin(&self, id: GateId) -> &[GateId] {
-        &self.gates[id as usize].fanin
+        self.fanin.row(id)
     }
 
     /// Primary inputs, in declaration order.
@@ -88,136 +228,178 @@ impl Netlist {
 
     /// Look a gate up by its output signal name.
     pub fn find(&self, name: &str) -> Option<GateId> {
-        self.by_name.get(name).copied()
+        self.names.find(name)
     }
 
     /// Number of directed edges (sum of fanin arities). This is the `N_E`
     /// of the paper's complexity claim for the multilevel heuristic.
     pub fn num_edges(&self) -> usize {
-        self.gates.iter().map(|g| g.fanin.len()).sum()
+        self.fanin.ids.len()
     }
 
     /// Number of logic gates excluding primary inputs (the paper's Table 1
     /// "Gates" column counts the circuit's gates, not its input pads).
     pub fn num_logic_gates(&self) -> usize {
-        self.gates.len() - self.inputs.len()
+        self.len() - self.inputs.len()
     }
 
     /// Whether `id` is a primary input.
     pub fn is_input(&self, id: GateId) -> bool {
-        self.gates[id as usize].kind.is_input()
+        self.kinds[id as usize].is_input()
     }
 
     /// Whether `id` is a DFF.
     pub fn is_dff(&self, id: GateId) -> bool {
-        self.gates[id as usize].kind.is_sequential()
+        self.kinds[id as usize].is_sequential()
     }
 }
 
 /// Mutable builder for [`Netlist`]. Validates on [`NetlistBuilder::build`]:
 /// names unique, arities legal, no dangling references, and no
 /// combinational cycles (cycles must pass through a DFF).
-#[derive(Debug, Default)]
+///
+/// The builder fills the netlist's flat tables directly. Every gate but
+/// the last declared has a closed fanin row; [`NetlistBuilder::add_gate`]
+/// declares a gate and closes its row at once, while the parser declares
+/// every name first and then closes the rows in id order.
+#[derive(Debug)]
 pub struct NetlistBuilder {
     name: String,
-    gates: Vec<Gate>,
+    names: Names,
+    kinds: Vec<GateKind>,
+    /// Fanin rows closed so far (one per gate once all are closed).
+    fanin: Csr,
     outputs: Vec<GateId>,
-    by_name: BTreeMap<String, GateId>,
+    is_output: Vec<bool>,
 }
 
 impl NetlistBuilder {
     /// Start building a circuit with the given name.
     pub fn new(name: impl Into<String>) -> Self {
-        NetlistBuilder { name: name.into(), ..Default::default() }
+        Self::with_capacity(name, 0, 0, 0)
+    }
+
+    /// Start building a circuit with room for `gates` gates whose names
+    /// total `name_bytes` bytes and `pins` fanin pins in all.
+    pub(crate) fn with_capacity(
+        name: impl Into<String>,
+        gates: usize,
+        name_bytes: usize,
+        pins: usize,
+    ) -> Self {
+        let mut start = Vec::with_capacity(gates + 1);
+        start.push(0);
+        NetlistBuilder {
+            name: name.into(),
+            names: Names::with_capacity(gates, name_bytes),
+            kinds: Vec::with_capacity(gates),
+            fanin: Csr { start, ids: Vec::with_capacity(pins) },
+            outputs: Vec::new(),
+            is_output: Vec::with_capacity(gates),
+        }
     }
 
     /// Number of gates added so far.
     pub fn len(&self) -> usize {
-        self.gates.len()
+        self.kinds.len()
     }
 
     /// True if no gates were added yet.
     pub fn is_empty(&self) -> bool {
-        self.gates.is_empty()
+        self.kinds.is_empty()
     }
 
     /// Declare a primary input. Returns its id.
-    pub fn add_input(&mut self, name: impl Into<String>) -> Result<GateId, NetlistError> {
-        self.add_gate(name, GateKind::Input, vec![])
+    pub fn add_input(&mut self, name: impl AsRef<str>) -> Result<GateId, NetlistError> {
+        self.add_gate(name, GateKind::Input, [])
     }
 
     /// Add a gate with explicit fanin ids. Returns its id.
     pub fn add_gate(
         &mut self,
-        name: impl Into<String>,
+        name: impl AsRef<str>,
         kind: GateKind,
-        fanin: Vec<GateId>,
+        fanin: impl AsRef<[GateId]>,
     ) -> Result<GateId, NetlistError> {
-        let id = self.gates.len() as GateId;
-        match self.by_name.entry(name.into()) {
-            Entry::Occupied(taken) => Err(NetlistError::DuplicateName(taken.key().clone())),
-            Entry::Vacant(free) => {
-                self.gates.push(Gate::new(free.key().clone(), kind, fanin));
-                free.insert(id);
-                Ok(id)
-            }
-        }
+        debug_assert_eq!(self.fanin.rows(), self.len(), "a fanin row is still open");
+        let id = self.declare(name.as_ref(), kind)?;
+        self.fanin.ids.extend_from_slice(fanin.as_ref());
+        self.close_row();
+        Ok(id)
     }
 
-    /// Mark an existing gate's output signal as a primary output.
+    /// Append a gate without closing its fanin row.
+    pub(crate) fn declare(&mut self, name: &str, kind: GateKind) -> Result<GateId, NetlistError> {
+        let id = self.names.push(name).ok_or_else(|| NetlistError::DuplicateName(name.into()))?;
+        self.kinds.push(kind);
+        self.is_output.push(false);
+        Ok(id)
+    }
+
+    /// Append one pin to the first open fanin row.
+    pub(crate) fn push_pin(&mut self, driver: GateId) {
+        self.fanin.ids.push(driver);
+    }
+
+    /// Close the first open fanin row with the pins pushed since the last.
+    pub(crate) fn close_row(&mut self) {
+        debug_assert!(self.fanin.rows() < self.len(), "no fanin row is open");
+        self.fanin.start.push(offset(self.fanin.ids.len()));
+    }
+
+    /// Rewire pin `pin` of an added gate to `driver`. Generators add
+    /// flip-flops with a placeholder D input and wire it once the logic
+    /// that feeds it exists.
+    pub fn set_fanin(&mut self, id: GateId, pin: usize, driver: GateId) {
+        let row = self.fanin.start[id as usize] as usize;
+        assert!(
+            row + pin < self.fanin.start[id as usize + 1] as usize,
+            "no pin {pin} on gate {id}"
+        );
+        self.fanin.ids[row + pin] = driver;
+    }
+
+    /// Mark an existing gate's output signal as a primary output. Outputs
+    /// keep their first-declaration order; marking one twice is a no-op.
     pub fn mark_output(&mut self, id: GateId) {
-        if !self.outputs.contains(&id) {
+        if !std::mem::replace(&mut self.is_output[id as usize], true) {
             self.outputs.push(id);
         }
     }
 
     /// Look up a gate id by name (for parsers resolving forward refs).
     pub fn find(&self, name: &str) -> Option<GateId> {
-        self.by_name.get(name).copied()
-    }
-
-    /// Replace the fanin lists of previously-added gates. Used by parsers
-    /// that allocate all gate ids first and resolve references second.
-    pub fn set_fanins(&mut self, resolved: Vec<(GateId, Vec<GateId>)>) {
-        for (id, fanin) in resolved {
-            self.gates[id as usize].fanin = fanin;
-        }
+        self.names.find(name)
     }
 
     /// Validate and freeze into an immutable [`Netlist`].
     pub fn build(self) -> Result<Netlist, NetlistError> {
-        if self.gates.is_empty() {
+        if self.kinds.is_empty() {
             return Err(NetlistError::Empty);
         }
-        let n = self.gates.len();
+        assert_eq!(self.fanin.rows(), self.len(), "every fanin row must be closed");
+        let n = self.kinds.len();
 
         // Arity and reference validation.
-        for g in &self.gates {
-            let (lo, hi) = g.kind.arity();
-            if g.fanin.len() < lo || g.fanin.len() > hi {
+        for id in 0..n as GateId {
+            let (kind, fanin) = (self.kinds[id as usize], self.fanin.row(id));
+            let (lo, hi) = kind.arity();
+            if fanin.len() < lo || fanin.len() > hi {
                 return Err(NetlistError::BadArity {
-                    gate: g.name.clone(),
-                    kind: g.kind.bench_name(),
-                    got: g.fanin.len(),
+                    gate: self.names.get(id).into(),
+                    kind: kind.bench_name(),
+                    got: fanin.len(),
                 });
             }
-            for &f in &g.fanin {
-                if f as usize >= n {
-                    return Err(NetlistError::UndefinedSignal {
-                        gate: g.name.clone(),
-                        signal: format!("#{f}"),
-                    });
-                }
+            if let Some(f) = fanin.iter().find(|&&f| f as usize >= n) {
+                return Err(NetlistError::UndefinedSignal {
+                    gate: self.names.get(id).into(),
+                    signal: format!("#{f}"),
+                });
             }
         }
 
-        // Derive fanout adjacency.
-        let mut fanout: Vec<Vec<GateId>> = vec![Vec::new(); n];
-        for (i, g) in self.gates.iter().enumerate() {
-            for &f in &g.fanin {
-                fanout[f as usize].push(i as GateId);
-            }
-        }
+        let fanout = self.fanin.transpose();
 
         // Combinational cycle check: DFS over the graph with DFF outputs
         // treated as sources (a DFF's fanin edge does not propagate
@@ -235,11 +417,8 @@ impl NetlistBuilder {
                 // A DFF breaks combinational propagation: do not traverse
                 // its fanout from within this DFS — its readers see a
                 // registered value.
-                let outs: &[GateId] = if self.gates[v as usize].kind.is_sequential() {
-                    &[]
-                } else {
-                    &fanout[v as usize]
-                };
+                let outs: &[GateId] =
+                    if self.kinds[v as usize].is_sequential() { &[] } else { fanout.row(v) };
                 if *next < outs.len() {
                     let w = outs[*next];
                     *next += 1;
@@ -250,7 +429,7 @@ impl NetlistBuilder {
                         }
                         1 => {
                             return Err(NetlistError::CombinationalCycle {
-                                through: self.gates[w as usize].name.clone(),
+                                through: self.names.get(w).into(),
                             });
                         }
                         _ => {}
@@ -262,29 +441,21 @@ impl NetlistBuilder {
             }
         }
 
-        let inputs: Vec<GateId> = self
-            .gates
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.kind.is_input())
-            .map(|(i, _)| i as GateId)
-            .collect();
-        let dffs: Vec<GateId> = self
-            .gates
-            .iter()
-            .enumerate()
-            .filter(|(_, g)| g.kind.is_sequential())
-            .map(|(i, _)| i as GateId)
-            .collect();
+        let having = |pred: fn(GateKind) -> bool| -> Vec<GateId> {
+            (0..n as GateId).filter(|&id| pred(self.kinds[id as usize])).collect()
+        };
+        let inputs = having(GateKind::is_input);
+        let dffs = having(GateKind::is_sequential);
 
         Ok(Netlist {
             name: self.name,
-            gates: self.gates,
+            names: self.names,
+            kinds: self.kinds,
+            fanin: self.fanin,
             fanout,
             inputs,
             outputs: self.outputs,
             dffs,
-            by_name: self.by_name,
         })
     }
 }
@@ -394,5 +565,46 @@ mod tests {
         b.mark_output(g);
         b.mark_output(g);
         assert_eq!(b.build().unwrap().outputs().len(), 1);
+    }
+
+    #[test]
+    fn outputs_keep_first_declaration_order() {
+        let mut b = NetlistBuilder::new("order");
+        let a = b.add_input("a").unwrap();
+        let g = b.add_gate("g", GateKind::Not, [a]).unwrap();
+        let h = b.add_gate("h", GateKind::Buf, [a]).unwrap();
+        for id in [h, a, h, g, a] {
+            b.mark_output(id);
+        }
+        assert_eq!(b.build().unwrap().outputs(), &[h, a, g]);
+    }
+
+    #[test]
+    fn set_fanin_rewires_one_pin() {
+        let mut b = NetlistBuilder::new("rewire");
+        let a = b.add_input("a").unwrap();
+        let q = b.add_gate("q", GateKind::Dff, [a]).unwrap();
+        let g = b.add_gate("g", GateKind::Not, [q]).unwrap();
+        b.set_fanin(q, 0, g);
+        let n = b.build().unwrap();
+        assert_eq!(n.fanin(q), &[g]);
+        assert_eq!(n.fanout(g), &[q]);
+        assert!(n.fanout(a).is_empty());
+    }
+
+    #[test]
+    fn the_name_index_survives_growth() {
+        // From an empty builder the probe table doubles many times; every
+        // name stays found and no absent one appears.
+        let mut b = NetlistBuilder::new("grow");
+        for i in 0..5000 {
+            assert_eq!(b.add_input(format!("n{i}")).unwrap(), i);
+        }
+        for i in 0..5000 {
+            assert_eq!(b.find(&format!("n{i}")), Some(i));
+        }
+        assert_eq!(b.find("n5000"), None);
+        assert_eq!(b.find(""), None);
+        assert!(matches!(b.add_input("n4999"), Err(NetlistError::DuplicateName(_))));
     }
 }

@@ -47,15 +47,15 @@ fn bench_format_round_trips() {
         // Structure identical under name mapping.
         for id in n1.ids() {
             let g1 = n1.gate(id);
-            let id2 = n2.find(&g1.name).expect("same names");
+            let id2 = n2.find(g1.name).expect("same names");
             let g2 = n2.gate(id2);
             assert_eq!(g1.kind, g2.kind);
-            let f1: Vec<&str> = g1.fanin.iter().map(|&f| n1.gate(f).name.as_str()).collect();
-            let f2: Vec<&str> = g2.fanin.iter().map(|&f| n2.gate(f).name.as_str()).collect();
+            let f1: Vec<&str> = g1.fanin.iter().map(|&f| n1.gate(f).name).collect();
+            let f2: Vec<&str> = g2.fanin.iter().map(|&f| n2.gate(f).name).collect();
             assert_eq!(f1, f2);
         }
-        let o1: Vec<&str> = n1.outputs().iter().map(|&o| n1.gate(o).name.as_str()).collect();
-        let o2: Vec<&str> = n2.outputs().iter().map(|&o| n2.gate(o).name.as_str()).collect();
+        let o1: Vec<&str> = n1.outputs().iter().map(|&o| n1.gate(o).name).collect();
+        let o2: Vec<&str> = n2.outputs().iter().map(|&o| n2.gate(o).name).collect();
         assert_eq!(o1, o2);
     }
 }

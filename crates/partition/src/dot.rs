@@ -88,7 +88,7 @@ mod tests {
     fn names_appear_when_given() {
         let netlist = pls_netlist::data::c17();
         let g = CircuitGraph::from_netlist(&netlist);
-        let names: Vec<String> = netlist.gates().iter().map(|gate| gate.name.clone()).collect();
+        let names: Vec<String> = netlist.gates().map(|gate| gate.name.to_string()).collect();
         let dot = to_dot(&g, None, Some(&names));
         assert!(dot.contains("label=\"22\""));
     }

@@ -24,8 +24,6 @@
 //! copies. DFFs are never replicated ([`CircuitGraph::is_replicable`]);
 //! primary inputs may be (a replica replays the same stimulus stream).
 
-use std::collections::BTreeSet;
-
 use crate::graph::{CircuitGraph, VertexId};
 use crate::metrics::edge_cut;
 use crate::partitioning::Partitioning;
@@ -102,27 +100,64 @@ impl ReplicaPlan {
     }
 }
 
+/// Planned replicas grouped by gate: `parts[start[v]..start[v + 1]]`
+/// are the parts holding a copy of `v`. Linear in gates plus replicas;
+/// a lookup scans one gate's row, which holds at most `k - 1` parts.
+struct ReplicaIndex {
+    start: Vec<u32>,
+    parts: Vec<u32>,
+}
+
+impl ReplicaIndex {
+    /// Group `pairs` by gate (counting sort: each row keeps the pairs'
+    /// order).
+    fn new(n: usize, pairs: &[(VertexId, u32)]) -> ReplicaIndex {
+        let mut start = vec![0u32; n + 1];
+        for &(v, _) in pairs {
+            start[v as usize + 1] += 1;
+        }
+        for v in 0..n {
+            start[v + 1] += start[v];
+        }
+        let mut next = start.clone();
+        let mut parts = vec![0; pairs.len()];
+        for &(v, q) in pairs {
+            parts[next[v as usize] as usize] = q;
+            next[v as usize] += 1;
+        }
+        ReplicaIndex { start, parts }
+    }
+
+    fn parts(&self, v: VertexId) -> &[u32] {
+        &self.parts[self.start[v as usize] as usize..self.start[v as usize + 1] as usize]
+    }
+
+    fn contains(&self, v: VertexId, q: u32) -> bool {
+        self.parts(v).contains(&q)
+    }
+}
+
 /// Remaining crossing reader pins under a replica plan: for every edge
 /// `d → r`, the read is local when `part(r) == part(d)` *or* the plan
 /// puts a replica of `d` in `part(r)`; each replica in turn imports its
 /// own fanins unless they (or their replicas) are local to its part.
 /// With an empty plan this equals [`edge_cut`].
 pub fn replicated_edge_cut(g: &CircuitGraph, p: &Partitioning, plan: &ReplicaPlan) -> u64 {
-    let planned: BTreeSet<(VertexId, u32)> =
-        plan.replicas.iter().map(|r| (r.gate, r.part)).collect();
+    let pairs: Vec<(VertexId, u32)> = plan.replicas.iter().map(|r| (r.gate, r.part)).collect();
+    let planned = ReplicaIndex::new(g.len(), &pairs);
     let mut cut = 0u64;
     for d in g.vertices() {
         let pd = p.part(d);
         for &(r, w) in g.fanout(d) {
             let pr = p.part(r);
-            if pr != pd && !planned.contains(&(d, pr)) {
+            if pr != pd && !planned.contains(d, pr) {
                 cut += w;
             }
         }
     }
     for &Replica { gate, part } in &plan.replicas {
         for &(u, w) in g.fanin(gate) {
-            if p.part(u) != part && !planned.contains(&(u, part)) {
+            if p.part(u) != part && !planned.contains(u, part) {
                 cut += w;
             }
         }
@@ -139,8 +174,13 @@ pub fn plan_replication(
     cfg: &ReplicationConfig,
 ) -> ReplicaPlan {
     let base_cut = edge_cut(g, p);
-    let mut planned: BTreeSet<(VertexId, u32)> = BTreeSet::new();
+    // Accepted `(gate, part)` pairs, and the same grouped by gate as of
+    // the end of the last pass (a pass reads only earlier passes' plan).
+    let mut accepted: Vec<(VertexId, u32)> = Vec::new();
+    let mut planned = ReplicaIndex::new(g.len(), &accepted);
     let mut budget = vec![cfg.budget_per_part; p.k];
+    // Reader-pin weight of the current candidate into each part.
+    let mut saved = vec![0i64; p.k];
 
     for _ in 0..cfg.passes.max(1) {
         // Collect every profitable (gate, part) candidate under the
@@ -157,24 +197,25 @@ pub fn plan_replication(
             // Reader-pin weight of v into each foreign part, counting
             // already-planned replicas of v's readers as readers in their
             // replica part (a replica's fanin read is a real message).
-            let mut saved = vec![0i64; p.k];
+            saved.fill(0);
             for &(r, w) in g.fanout(v) {
-                saved[p.part(r) as usize] += w as i64;
-                for q in 0..p.k as u32 {
-                    if q != p.part(r) && planned.contains(&(r, q)) {
+                let pr = p.part(r);
+                saved[pr as usize] += w as i64;
+                for &q in planned.parts(r) {
+                    if q != pr {
                         saved[q as usize] += w as i64;
                     }
                 }
             }
             for q in 0..p.k as u32 {
-                if q == pv || saved[q as usize] == 0 || planned.contains(&(v, q)) {
+                if q == pv || saved[q as usize] == 0 || planned.contains(v, q) {
                     continue;
                 }
                 // Messages the replica imports: each fanin pin whose
                 // driver (or a replica of it) is not local to q.
                 let mut added = 0i64;
                 for &(u, w) in g.fanin(v) {
-                    if p.part(u) != q && !planned.contains(&(u, q)) {
+                    if p.part(u) != q && !planned.contains(u, q) {
                         added += w as i64;
                     }
                 }
@@ -185,22 +226,24 @@ pub fn plan_replication(
             }
         }
         candidates.sort_by_key(|&(gain, v, q)| (std::cmp::Reverse(gain), v, q));
-        let mut accepted_this_pass = 0usize;
+        let before = accepted.len();
         for (_, v, q) in candidates {
             if budget[q as usize] < g.vweight(v) {
                 continue;
             }
             budget[q as usize] -= g.vweight(v);
-            planned.insert((v, q));
-            accepted_this_pass += 1;
+            accepted.push((v, q));
         }
-        if accepted_this_pass == 0 {
+        if accepted.len() == before {
             break;
         }
+        planned = ReplicaIndex::new(g.len(), &accepted);
     }
 
+    // A candidate is never already planned, so the pairs are distinct.
+    accepted.sort_unstable();
     let mut plan = ReplicaPlan {
-        replicas: planned.into_iter().map(|(gate, part)| Replica { gate, part }).collect(),
+        replicas: accepted.into_iter().map(|(gate, part)| Replica { gate, part }).collect(),
         est_messages_saved: 0,
     };
     plan.est_messages_saved = base_cut.saturating_sub(replicated_edge_cut(g, p, &plan));

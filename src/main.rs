@@ -695,7 +695,7 @@ fn cmd_dot(args: &Args) {
     let strategy = args.strategy();
     let graph = CircuitGraph::from_netlist(&netlist);
     let part = strategy.partition(&graph, k, 0);
-    let names: Vec<String> = netlist.gates().iter().map(|g| g.name.clone()).collect();
+    let names: Vec<String> = netlist.gates().map(|g| g.name.to_string()).collect();
     let dot = parlogsim::partition::to_dot(&graph, Some(&part), Some(&names));
     args.emit(&dot, &format!("DOT for {} ({} gates)", netlist.name(), netlist.len()));
 }

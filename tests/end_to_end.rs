@@ -208,7 +208,7 @@ fn mutate_bench(text: &str, s: &mut u64) -> String {
 #[test]
 fn mutated_bench_text_is_rejected_or_round_trips() {
     use parlogsim::netlist::bench_format::{parse, write};
-    let bases: Vec<String> = [
+    let mut bases: Vec<String> = [
         parlogsim::netlist::data::s27(),
         parlogsim::netlist::data::c17(),
         IscasSynth::small(60, 5).build(),
@@ -216,6 +216,8 @@ fn mutated_bench_text_is_rejected_or_round_trips() {
     .iter()
     .map(write)
     .collect();
+    // The same text with Windows line endings.
+    bases.push(bases[0].replace('\n', "\r\n"));
     let mut s = 17u64;
     let (mut rejected, mut parsed) = (0, 0);
     for i in 0..3000 {
