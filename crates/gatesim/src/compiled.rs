@@ -84,7 +84,7 @@
 use std::collections::VecDeque;
 
 use pls_logic::{InputStream, StimulusConfig, Value};
-use pls_netlist::{topo_order, GateId, GateKind, Netlist};
+use pls_netlist::{topo_order, Csr, GateId, GateKind, Netlist};
 use pls_timewarp::{EventSink, LpId, VTime};
 
 use crate::experiment::SimConfig;
@@ -199,57 +199,10 @@ fn lower_kind(kind: GateKind) -> (u8, u8, bool) {
 /// (driver, reading block), regardless of how many pins read it inside;
 /// updates with the same destination and arrival time are bundled into
 /// one kernel message per activation ([`GateMsg::Ports`]).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Route {
     dst_index: u16,
     port: u32,
-}
-
-/// Compact jagged array (compressed sparse rows): row `i` is stored
-/// contiguously in `flat[index[i]..index[i+1]]`.
-#[derive(Debug, Clone)]
-struct Jagged<T> {
-    index: Vec<u32>,
-    flat: Vec<T>,
-}
-
-impl<T: Copy + Default> Jagged<T> {
-    /// No rows yet; append them with [`Self::push_row`].
-    fn new() -> Jagged<T> {
-        Jagged { index: vec![0], flat: Vec::new() }
-    }
-
-    fn push_row(&mut self, row: impl IntoIterator<Item = T>) {
-        self.flat.extend(row);
-        self.index.push(self.flat.len() as u32);
-    }
-
-    /// `rows` rows holding each `(row, value)` of `entries`, by counting
-    /// sort: a row keeps its entries in iteration order.
-    fn by_row(rows: usize, entries: impl Iterator<Item = (usize, T)> + Clone) -> Jagged<T> {
-        let mut index = vec![0u32; rows + 1];
-        for (r, _) in entries.clone() {
-            index[r + 1] += 1;
-        }
-        for r in 0..rows {
-            index[r + 1] += index[r];
-        }
-        let mut next = index.clone();
-        let mut flat = vec![T::default(); index[rows] as usize];
-        for (r, v) in entries {
-            flat[next[r] as usize] = v;
-            next[r] += 1;
-        }
-        Jagged { index, flat }
-    }
-
-    fn row(&self, i: usize) -> &[T] {
-        &self.flat[self.index[i] as usize..self.index[i + 1] as usize]
-    }
-
-    fn row_mut(&mut self, i: usize) -> &mut [T] {
-        &mut self.flat[self.index[i] as usize..self.index[i + 1] as usize]
-    }
 }
 
 /// One compiled block: the instruction buffer plus the adjacency needed
@@ -269,11 +222,11 @@ struct Block {
     /// Packed operand slot refs for all ops.
     args: Vec<u16>,
     /// Per slot (owned + ports): combinational ops reading it.
-    comb_readers: Jagged<u16>,
+    comb_readers: Csr<u16>,
     /// Per slot (owned + ports): DFFs whose D input reads it.
-    dff_readers: Jagged<u16>,
+    dff_readers: Csr<u16>,
     /// Outgoing routes of each owned slot.
-    routes: Jagged<Route>,
+    routes: Csr<Route>,
     /// Bitset over owned slots: has at least one in-block reader — a
     /// change only enters the agenda behind these bits.
     has_internal: Vec<u64>,
@@ -650,7 +603,7 @@ impl CompiledSim {
             assert_ne!(part_of(g), q, "replica must land in a foreign block");
         }
         let mut copies =
-            Jagged::by_row(n, replicas.iter().map(|&(g, q)| (g as usize, (block_index(q), 0u32))));
+            Csr::by_row(n, replicas.iter().map(|&(g, q)| (g as usize, (block_index(q), 0u32))));
         for g in 0..n {
             let row = copies.row_mut(g);
             row.sort_unstable();
@@ -725,11 +678,11 @@ impl CompiledSim {
                 }
             }
         }
-        let mut readers = Jagged::by_row(n, reads.into_iter());
+        let mut readers = Csr::by_row(n, reads.into_iter());
         // Port tables: the external drivers feeding each block, one port
         // per driver (not per reading pin), in ascending gate-id order.
         let mut num_ports = vec![0u32; block_gates.len()];
-        for (b, port) in &mut readers.flat {
+        for (b, port) in readers.values_mut() {
             *port = num_ports[*b as usize];
             num_ports[*b as usize] += 1;
         }
@@ -813,14 +766,14 @@ impl CompiledSim {
                 .collect();
             // Per slot: the ops (ascending, once per reading pin) and the
             // DFFs reading it.
-            let comb_readers = Jagged::by_row(
+            let comb_readers = Csr::by_row(
                 total_slots,
                 ops.iter().enumerate().flat_map(|(i, op)| {
                     let lo = op.lo as usize;
                     args[lo..lo + op.nargs as usize].iter().map(move |&s| (s as usize, i as u16))
                 }),
             );
-            let dff_readers = Jagged::by_row(
+            let dff_readers = Csr::by_row(
                 total_slots,
                 dff_tab.iter().enumerate().map(|(i, d)| (d.d_slot as usize, i as u16)),
             );
@@ -842,7 +795,7 @@ impl CompiledSim {
                 args,
                 comb_readers,
                 dff_readers,
-                routes: Jagged::new(),
+                routes: Csr::default(),
                 has_internal: Vec::new(),
                 has_routes: Vec::new(),
                 is_replica,
@@ -869,7 +822,7 @@ impl CompiledSim {
             if dsts.len() > MAX_SLOTS {
                 return Err(CompileError::TooManyRoutes { block: part_ids[b], dsts: dsts.len() });
             }
-            let mut routes = Jagged::new();
+            let mut routes = Csr::default();
             for g in members(m) {
                 let row = if home(g) { readers.row(g as usize) } else { &[] };
                 routes.push_row(row.iter().map(|&(blk, port)| Route {
@@ -878,7 +831,7 @@ impl CompiledSim {
                 }));
             }
             let blk = &mut built[b];
-            let owned = routes.index.len() - 1;
+            let owned = routes.rows();
             let mut has_internal = vec![0u64; owned.div_ceil(64)];
             let mut has_routes = vec![0u64; owned.div_ceil(64)];
             for slot in 0..owned {
@@ -1201,9 +1154,9 @@ impl CompiledSim {
                     .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
             })
         }
-        fn jagged<T>(h: u64, j: &Jagged<T>, f: impl Fn(&T) -> u64) -> u64 {
-            let h = words(h, j.index.iter().map(|&i| u64::from(i)));
-            words(h, j.flat.iter().map(f))
+        fn csr<T>(h: u64, j: &Csr<T>, f: impl Fn(&T) -> u64) -> u64 {
+            let h = words(h, j.offsets().iter().map(|&i| u64::from(i)));
+            words(h, j.values().iter().map(f))
         }
         let mut h = FNV_BASIS;
         for b in &self.blocks {
@@ -1226,9 +1179,9 @@ impl CompiledSim {
                 }),
             );
             h = words(h, b.args.iter().map(|&a| u64::from(a)));
-            h = jagged(h, &b.comb_readers, |&r| u64::from(r));
-            h = jagged(h, &b.dff_readers, |&r| u64::from(r));
-            h = jagged(h, &b.routes, |r| u64::from(r.dst_index) << 32 | u64::from(r.port));
+            h = csr(h, &b.comb_readers, |&r| u64::from(r));
+            h = csr(h, &b.dff_readers, |&r| u64::from(r));
+            h = csr(h, &b.routes, |r| u64::from(r.dst_index) << 32 | u64::from(r.port));
             h = words(h, b.has_internal.iter().chain(&b.has_routes).chain(&b.is_replica).copied());
             h = words(h, [u64::from(b.home_gate), u64::from(b.ncomb), u64::from(b.num_ports)]);
             h = words(h, [u64::from(b.num_buckets)]);

@@ -29,6 +29,7 @@
 #![deny(missing_debug_implementations)]
 
 pub mod bench_format;
+pub mod csr;
 pub mod data;
 pub mod error;
 pub mod gate;
@@ -37,6 +38,7 @@ pub mod levelize;
 pub mod netlist;
 pub mod stats;
 
+pub use csr::Csr;
 pub use error::NetlistError;
 pub use gate::{Gate, GateId, GateKind};
 pub use generate::{ClockTreeSynth, IscasSynth};

@@ -13,48 +13,9 @@
 //! index over the arena, so a lookup hashes the borrowed key and compares
 //! it against arena slices — no owned key is ever made.
 
+use crate::csr::Csr;
 use crate::error::NetlistError;
 use crate::gate::{Gate, GateId, GateKind};
-
-/// A jagged table of gate ids in compressed sparse rows: row `i` is
-/// `ids[start[i]..start[i + 1]]`.
-#[derive(Debug, Clone, Default)]
-struct Csr {
-    start: Vec<u32>,
-    ids: Vec<GateId>,
-}
-
-impl Csr {
-    fn row(&self, i: GateId) -> &[GateId] {
-        &self.ids[self.start[i as usize] as usize..self.start[i as usize + 1] as usize]
-    }
-
-    fn rows(&self) -> usize {
-        self.start.len() - 1
-    }
-
-    /// The transpose of a square table, by counting sort: row `j` lists
-    /// every `i` with `j` in row `i`, ascending `i`, once per occurrence.
-    fn transpose(&self) -> Csr {
-        let rows = self.rows();
-        let mut start = vec![0u32; rows + 1];
-        for &j in &self.ids {
-            start[j as usize + 1] += 1;
-        }
-        for j in 0..rows {
-            start[j + 1] += start[j];
-        }
-        let mut next = start.clone();
-        let mut ids = vec![0; self.ids.len()];
-        for i in 0..self.rows() as GateId {
-            for &j in self.row(i) {
-                ids[next[j as usize] as usize] = i;
-                next[j as usize] += 1;
-            }
-        }
-        Csr { start, ids }
-    }
-}
 
 /// An arena offset or table length as `u32`, the width every flat table
 /// of the netlist indexes with.
@@ -159,12 +120,12 @@ pub struct Netlist {
     names: Names,
     kinds: Vec<GateKind>,
     /// Driving gates of each gate, in pin order.
-    fanin: Csr,
+    fanin: Csr<GateId>,
     /// Derived fanout adjacency: row `g` lists every gate with `g` in its
     /// fanin, ascending, once per pin that reads it (a gate reading the
     /// same signal on two pins appears twice, matching event routing
     /// needs).
-    fanout: Csr,
+    fanout: Csr<GateId>,
     inputs: Vec<GateId>,
     outputs: Vec<GateId>,
     dffs: Vec<GateId>,
@@ -203,12 +164,12 @@ impl Netlist {
 
     /// Fanout of a gate: every reader, once per reading pin.
     pub fn fanout(&self, id: GateId) -> &[GateId] {
-        self.fanout.row(id)
+        self.fanout.row(id as usize)
     }
 
     /// Fanin of a gate in pin order.
     pub fn fanin(&self, id: GateId) -> &[GateId] {
-        self.fanin.row(id)
+        self.fanin.row(id as usize)
     }
 
     /// Primary inputs, in declaration order.
@@ -234,7 +195,7 @@ impl Netlist {
     /// Number of directed edges (sum of fanin arities). This is the `N_E`
     /// of the paper's complexity claim for the multilevel heuristic.
     pub fn num_edges(&self) -> usize {
-        self.fanin.ids.len()
+        self.fanin.values().len()
     }
 
     /// Number of logic gates excluding primary inputs (the paper's Table 1
@@ -268,7 +229,7 @@ pub struct NetlistBuilder {
     names: Names,
     kinds: Vec<GateKind>,
     /// Fanin rows closed so far (one per gate once all are closed).
-    fanin: Csr,
+    fanin: Csr<GateId>,
     outputs: Vec<GateId>,
     is_output: Vec<bool>,
 }
@@ -287,13 +248,11 @@ impl NetlistBuilder {
         name_bytes: usize,
         pins: usize,
     ) -> Self {
-        let mut start = Vec::with_capacity(gates + 1);
-        start.push(0);
         NetlistBuilder {
             name: name.into(),
             names: Names::with_capacity(gates, name_bytes),
             kinds: Vec::with_capacity(gates),
-            fanin: Csr { start, ids: Vec::with_capacity(pins) },
+            fanin: Csr::with_capacity(gates, pins),
             outputs: Vec::new(),
             is_output: Vec::with_capacity(gates),
         }
@@ -323,8 +282,7 @@ impl NetlistBuilder {
     ) -> Result<GateId, NetlistError> {
         debug_assert_eq!(self.fanin.rows(), self.len(), "a fanin row is still open");
         let id = self.declare(name.as_ref(), kind)?;
-        self.fanin.ids.extend_from_slice(fanin.as_ref());
-        self.close_row();
+        self.fanin.push_row(fanin.as_ref().iter().copied());
         Ok(id)
     }
 
@@ -338,25 +296,20 @@ impl NetlistBuilder {
 
     /// Append one pin to the first open fanin row.
     pub(crate) fn push_pin(&mut self, driver: GateId) {
-        self.fanin.ids.push(driver);
+        self.fanin.push(driver);
     }
 
     /// Close the first open fanin row with the pins pushed since the last.
     pub(crate) fn close_row(&mut self) {
         debug_assert!(self.fanin.rows() < self.len(), "no fanin row is open");
-        self.fanin.start.push(offset(self.fanin.ids.len()));
+        self.fanin.close_row();
     }
 
     /// Rewire pin `pin` of an added gate to `driver`. Generators add
     /// flip-flops with a placeholder D input and wire it once the logic
     /// that feeds it exists.
     pub fn set_fanin(&mut self, id: GateId, pin: usize, driver: GateId) {
-        let row = self.fanin.start[id as usize] as usize;
-        assert!(
-            row + pin < self.fanin.start[id as usize + 1] as usize,
-            "no pin {pin} on gate {id}"
-        );
-        self.fanin.ids[row + pin] = driver;
+        self.fanin.row_mut(id as usize)[pin] = driver;
     }
 
     /// Mark an existing gate's output signal as a primary output. Outputs
@@ -382,7 +335,7 @@ impl NetlistBuilder {
 
         // Arity and reference validation.
         for id in 0..n as GateId {
-            let (kind, fanin) = (self.kinds[id as usize], self.fanin.row(id));
+            let (kind, fanin) = (self.kinds[id as usize], self.fanin.row(id as usize));
             let (lo, hi) = kind.arity();
             if fanin.len() < lo || fanin.len() > hi {
                 return Err(NetlistError::BadArity {
@@ -399,7 +352,12 @@ impl NetlistBuilder {
             }
         }
 
-        let fanout = self.fanin.transpose();
+        // Fanout: the transpose of fanin, readers ascending.
+        let fanin = &self.fanin;
+        let fanout = Csr::by_row(
+            n,
+            (0..n).flat_map(|i| fanin.row(i).iter().map(move |&f| (f as usize, i as GateId))),
+        );
 
         // Combinational cycle check: DFS over the graph with DFF outputs
         // treated as sources (a DFF's fanin edge does not propagate
@@ -417,8 +375,11 @@ impl NetlistBuilder {
                 // A DFF breaks combinational propagation: do not traverse
                 // its fanout from within this DFS — its readers see a
                 // registered value.
-                let outs: &[GateId] =
-                    if self.kinds[v as usize].is_sequential() { &[] } else { fanout.row(v) };
+                let outs: &[GateId] = if self.kinds[v as usize].is_sequential() {
+                    &[]
+                } else {
+                    fanout.row(v as usize)
+                };
                 if *next < outs.len() {
                     let w = outs[*next];
                     *next += 1;

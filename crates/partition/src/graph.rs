@@ -8,7 +8,7 @@
 //! DFS, Cluster, Cone, Topological and fanout coarsening — are inherently
 //! directional; cut and refinement computations use the undirected view.
 
-use pls_netlist::{levelize, Netlist};
+use pls_netlist::{levelize, Csr, Netlist};
 
 /// Vertex id within a [`CircuitGraph`].
 pub type VertexId = u32;
@@ -21,10 +21,10 @@ pub struct CircuitGraph {
     /// Directed out-edges `(reader, weight)` of each vertex, one flat
     /// array for the whole graph. Deduplicated (parallel signals merged
     /// into the weight) on graphs built from a netlist or by contraction.
-    fanout: Csr,
+    fanout: Adjacency,
     /// Directed in-edges `(driver, weight)`: the transpose of `fanout`,
     /// each vertex's drivers in ascending id order.
-    fanin: Csr,
+    fanin: Adjacency,
     /// Whether the vertex contains a primary input of the original circuit
     /// (the multilevel "input globule" property).
     is_input: Vec<bool>,
@@ -53,17 +53,17 @@ impl CircuitGraph {
             readers.extend_from_slice(netlist.fanout(id));
             readers.sort_unstable();
             for &r in &readers {
-                fanout.push(id, r, 1);
+                push_edge(&mut fanout, id, r, 1);
             }
         }
-        let fanout = fanout.finish(n);
+        let fanout = finish(fanout, n);
         let lv = levelize(netlist);
         let is_input = netlist.ids().map(|g| netlist.is_input(g)).collect();
         let replicable = netlist.ids().map(|g| !netlist.is_dff(g)).collect();
         CircuitGraph {
             name: netlist.name().to_string(),
             vweight: vec![1; n],
-            fanin: fanout.transpose(),
+            fanin: transpose(&fanout),
             fanout,
             is_input,
             replicable,
@@ -103,15 +103,14 @@ impl CircuitGraph {
         let edges = edges.into_iter();
         let mut fanout = Csr::with_capacity(n, edges.size_hint().0);
         for (from, to, w) in edges {
-            fanout.push(from, to, w);
+            push_edge(&mut fanout, from, to, w);
         }
-        let fanout = fanout.finish(n);
-        assert_eq!(fanout.start.len(), n + 1, "an edge's driver is out of range");
+        let fanout = finish(fanout, n);
         let total_weight = vweight.iter().sum();
         CircuitGraph {
             name,
             vweight,
-            fanin: fanout.transpose(),
+            fanin: transpose(&fanout),
             fanout,
             is_input,
             replicable: vec![true; n],
@@ -162,12 +161,12 @@ impl CircuitGraph {
 
     /// Directed out-edges of `v`.
     pub fn fanout(&self, v: VertexId) -> &[(VertexId, u64)] {
-        self.fanout.row(v)
+        self.fanout.row(v as usize)
     }
 
     /// Directed in-edges of `v`.
     pub fn fanin(&self, v: VertexId) -> &[(VertexId, u64)] {
-        self.fanin.row(v)
+        self.fanin.row(v as usize)
     }
 
     /// Undirected neighbourhood: fanout then fanin. A vertex pair
@@ -208,75 +207,49 @@ impl CircuitGraph {
 
     /// Number of distinct undirected edges (each driver→reader pair once).
     pub fn num_edges(&self) -> usize {
-        self.fanout.edges.len()
+        self.fanout.values().len()
     }
 }
 
-/// Compressed sparse rows: vertex `v`'s edges are
-/// `edges[start[v]..start[v + 1]]`, so a whole adjacency is two
-/// allocations however many vertices it has.
-#[derive(Debug, Clone)]
-struct Csr {
-    start: Vec<usize>,
-    edges: Vec<(VertexId, u64)>,
+/// Directed edges `(other end, weight)` of each vertex, as compressed
+/// sparse rows: a whole adjacency is two allocations however many
+/// vertices it has.
+type Adjacency = Csr<(VertexId, u64)>;
+
+/// Append `from → to` to `table`, whose rows are filled in ascending
+/// `from`: the rows before `from` are closed first, and an edge to the
+/// open row's last reader merges into that edge by weight.
+fn push_edge(table: &mut Adjacency, from: VertexId, to: VertexId, w: u64) {
+    debug_assert!(table.rows() <= from as usize, "rows filled out of order");
+    while table.rows() < from as usize {
+        table.close_row();
+    }
+    let open = table.offsets()[table.rows()] as usize;
+    match table.values_mut()[open..].last_mut() {
+        Some(last) if last.0 == to => last.1 += w,
+        _ => table.push((to, w)),
+    }
 }
 
-impl Csr {
-    /// An empty table to be filled row by row, in vertex order.
-    fn with_capacity(n: usize, edges: usize) -> Csr {
-        let mut start = Vec::with_capacity(n + 1);
-        start.push(0);
-        Csr { start, edges: Vec::with_capacity(edges) }
+/// Close every row of `table` up to vertex `n`.
+fn finish(mut table: Adjacency, n: usize) -> Adjacency {
+    while table.rows() < n {
+        table.close_row();
     }
+    assert_eq!(table.rows(), n, "an edge's driver is out of range");
+    table
+}
 
-    /// Append `from → to` to row `from`, closing the rows before it. Rows
-    /// are filled in ascending order; an edge to the row's last reader
-    /// merges into that edge by weight.
-    fn push(&mut self, from: VertexId, to: VertexId, w: u64) {
-        let from = from as usize;
-        debug_assert!(self.start.len() <= from + 1, "rows filled out of order");
-        while self.start.len() <= from {
-            self.start.push(self.edges.len());
-        }
-        match self.edges[self.start[from]..].last_mut() {
-            Some(last) if last.0 == to => last.1 += w,
-            _ => self.edges.push((to, w)),
-        }
-    }
-
-    /// Close every row up to vertex `n`.
-    fn finish(mut self, n: usize) -> Csr {
-        while self.start.len() <= n {
-            self.start.push(self.edges.len());
-        }
-        self
-    }
-
-    fn row(&self, v: VertexId) -> &[(VertexId, u64)] {
-        &self.edges[self.start[v as usize]..self.start[v as usize + 1]]
-    }
-
-    /// The reversed table: row `w` lists `(v, weight)` for every edge
-    /// `v → w`, in ascending `v`. A counting sort, `O(N_V + N_E)`.
-    fn transpose(&self) -> Csr {
-        let n = self.start.len() - 1;
-        let mut start = vec![0usize; n + 1];
-        for &(w, _) in &self.edges {
-            start[w as usize + 1] += 1;
-        }
-        for v in 0..n {
-            start[v + 1] += start[v];
-        }
-        let mut next = start.clone();
-        let mut edges = vec![(0, 0); self.edges.len()];
-        for v in 0..n as VertexId {
-            for &(w, ew) in self.row(v) {
-                edges[next[w as usize]] = (v, ew);
-                next[w as usize] += 1;
-            }
-        }
-        Csr { start, edges }
-    }
+/// The reversed table: row `w` lists `(v, weight)` for every edge
+/// `v → w`, in ascending `v`. A counting sort, `O(N_V + N_E)`.
+fn transpose(table: &Adjacency) -> Adjacency {
+    let rows = table.rows();
+    Csr::by_row(
+        rows,
+        (0..rows).flat_map(|v| {
+            table.row(v).iter().map(move |&(w, ew)| (w as usize, (v as VertexId, ew)))
+        }),
+    )
 }
 
 #[cfg(test)]

@@ -24,6 +24,8 @@
 //! copies. DFFs are never replicated ([`CircuitGraph::is_replicable`]);
 //! primary inputs may be (a replica replays the same stimulus stream).
 
+use pls_netlist::Csr;
+
 use crate::graph::{CircuitGraph, VertexId};
 use crate::metrics::edge_cut;
 use crate::partitioning::Partitioning;
@@ -100,41 +102,11 @@ impl ReplicaPlan {
     }
 }
 
-/// Planned replicas grouped by gate: `parts[start[v]..start[v + 1]]`
-/// are the parts holding a copy of `v`. Linear in gates plus replicas;
-/// a lookup scans one gate's row, which holds at most `k - 1` parts.
-struct ReplicaIndex {
-    start: Vec<u32>,
-    parts: Vec<u32>,
-}
-
-impl ReplicaIndex {
-    /// Group `pairs` by gate (counting sort: each row keeps the pairs'
-    /// order).
-    fn new(n: usize, pairs: &[(VertexId, u32)]) -> ReplicaIndex {
-        let mut start = vec![0u32; n + 1];
-        for &(v, _) in pairs {
-            start[v as usize + 1] += 1;
-        }
-        for v in 0..n {
-            start[v + 1] += start[v];
-        }
-        let mut next = start.clone();
-        let mut parts = vec![0; pairs.len()];
-        for &(v, q) in pairs {
-            parts[next[v as usize] as usize] = q;
-            next[v as usize] += 1;
-        }
-        ReplicaIndex { start, parts }
-    }
-
-    fn parts(&self, v: VertexId) -> &[u32] {
-        &self.parts[self.start[v as usize] as usize..self.start[v as usize + 1] as usize]
-    }
-
-    fn contains(&self, v: VertexId, q: u32) -> bool {
-        self.parts(v).contains(&q)
-    }
+/// Planned replicas grouped by gate: row `v` lists the parts holding a
+/// copy of `v`. Linear in gates plus replicas; a lookup scans one gate's
+/// row, which holds at most `k - 1` parts.
+fn replica_index(n: usize, pairs: impl Iterator<Item = (VertexId, u32)> + Clone) -> Csr<u32> {
+    Csr::by_row(n, pairs.map(|(v, q)| (v as usize, q)))
 }
 
 /// Remaining crossing reader pins under a replica plan: for every edge
@@ -143,21 +115,20 @@ impl ReplicaIndex {
 /// own fanins unless they (or their replicas) are local to its part.
 /// With an empty plan this equals [`edge_cut`].
 pub fn replicated_edge_cut(g: &CircuitGraph, p: &Partitioning, plan: &ReplicaPlan) -> u64 {
-    let pairs: Vec<(VertexId, u32)> = plan.replicas.iter().map(|r| (r.gate, r.part)).collect();
-    let planned = ReplicaIndex::new(g.len(), &pairs);
+    let planned = replica_index(g.len(), plan.replicas.iter().map(|r| (r.gate, r.part)));
     let mut cut = 0u64;
     for d in g.vertices() {
         let pd = p.part(d);
         for &(r, w) in g.fanout(d) {
             let pr = p.part(r);
-            if pr != pd && !planned.contains(d, pr) {
+            if pr != pd && !planned.row(d as usize).contains(&pr) {
                 cut += w;
             }
         }
     }
     for &Replica { gate, part } in &plan.replicas {
         for &(u, w) in g.fanin(gate) {
-            if p.part(u) != part && !planned.contains(u, part) {
+            if p.part(u) != part && !planned.row(u as usize).contains(&part) {
                 cut += w;
             }
         }
@@ -177,7 +148,7 @@ pub fn plan_replication(
     // Accepted `(gate, part)` pairs, and the same grouped by gate as of
     // the end of the last pass (a pass reads only earlier passes' plan).
     let mut accepted: Vec<(VertexId, u32)> = Vec::new();
-    let mut planned = ReplicaIndex::new(g.len(), &accepted);
+    let mut planned = replica_index(g.len(), accepted.iter().copied());
     let mut budget = vec![cfg.budget_per_part; p.k];
     // Reader-pin weight of the current candidate into each part.
     let mut saved = vec![0i64; p.k];
@@ -201,21 +172,21 @@ pub fn plan_replication(
             for &(r, w) in g.fanout(v) {
                 let pr = p.part(r);
                 saved[pr as usize] += w as i64;
-                for &q in planned.parts(r) {
+                for &q in planned.row(r as usize) {
                     if q != pr {
                         saved[q as usize] += w as i64;
                     }
                 }
             }
             for q in 0..p.k as u32 {
-                if q == pv || saved[q as usize] == 0 || planned.contains(v, q) {
+                if q == pv || saved[q as usize] == 0 || planned.row(v as usize).contains(&q) {
                     continue;
                 }
                 // Messages the replica imports: each fanin pin whose
                 // driver (or a replica of it) is not local to q.
                 let mut added = 0i64;
                 for &(u, w) in g.fanin(v) {
-                    if p.part(u) != q && !planned.contains(u, q) {
+                    if p.part(u) != q && !planned.row(u as usize).contains(&q) {
                         added += w as i64;
                     }
                 }
@@ -237,7 +208,7 @@ pub fn plan_replication(
         if accepted.len() == before {
             break;
         }
-        planned = ReplicaIndex::new(g.len(), &accepted);
+        planned = replica_index(g.len(), accepted.iter().copied());
     }
 
     // A candidate is never already planned, so the pairs are distinct.
