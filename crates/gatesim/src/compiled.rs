@@ -718,7 +718,7 @@ impl CompiledSim {
             // ascending.
             let mut delays: Vec<u16> = Vec::new();
             for g in members(m) {
-                let delay = lower_delay(netlist.gate(g).kind, netlist.fanin(g).len());
+                let delay = lower_delay(netlist.kind(g), netlist.fanin(g).len());
                 if let Err(at) = delays.binary_search(&delay) {
                     delays.insert(at, delay);
                 }
@@ -733,7 +733,7 @@ impl CompiledSim {
             let mut ops = Vec::with_capacity(ncomb);
             let mut args: Vec<u16> = Vec::new();
             for &g in comb {
-                let kind = netlist.gate(g).kind;
+                let kind = netlist.kind(g);
                 let fanin = netlist.fanin(g);
                 let (base, post, unary) = lower_kind(kind);
                 // Unary kinds read only their first operand, exactly as

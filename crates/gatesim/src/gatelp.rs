@@ -289,15 +289,17 @@ impl GateSim {
         for &(g, _) in replicas {
             input_index.push(input_index[g as usize]);
         }
-        let gates = || lps().map(|(g, _)| netlist.gate(g));
+        let gates = || lps().map(|(g, _)| (netlist.kind(g), netlist.fanin(g).len()));
         GateSim {
-            kinds: gates().map(|g| g.kind).collect(),
+            kinds: gates().map(|(kind, _)| kind).collect(),
             reader_start,
             readers,
             fanin_len: gates()
-                .map(|g| u8::try_from(g.fanin.len()).expect("`GateKind::arity` caps fan-in at 255"))
+                .map(|(_, arity)| {
+                    u8::try_from(arity).expect("`GateKind::arity` caps fan-in at 255")
+                })
                 .collect(),
-            delay: gates().map(|g| cfg.delay.delay(g.kind, g.fanin.len())).collect(),
+            delay: gates().map(|(kind, arity)| cfg.delay.delay(kind, arity)).collect(),
             stim: cfg.stim,
             input_index,
             tick: TickCfg::new(cfg),

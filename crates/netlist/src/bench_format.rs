@@ -18,7 +18,7 @@
 //! straight into its fanin row.
 
 use crate::error::NetlistError;
-use crate::gate::{GateId, GateKind};
+use crate::gate::GateKind;
 use crate::netlist::{Netlist, NetlistBuilder};
 
 /// The non-empty, trimmed names of a gate's comma-separated input list.
@@ -103,7 +103,7 @@ pub fn parse(name: &str, text: &str) -> Result<Netlist, NetlistError> {
     }
     for &(lineno, out, _, args) in &gates {
         for i in input_names(args) {
-            let driver: GateId = builder.find(i).ok_or_else(|| NetlistError::Parse {
+            let driver = builder.find(i).ok_or_else(|| NetlistError::Parse {
                 line: lineno,
                 msg: format!("gate `{out}` references undefined signal `{i}`"),
             })?;

@@ -1,7 +1,7 @@
 //! Compressed sparse rows: a jagged table in two flat buffers, whatever
-//! its row count. The netlist's fanin and fanout, the replication
-//! planner's per-gate replica rows and the compiled blocks' reader and
-//! route tables are all stored this way.
+//! its row count. The netlist's fanin and fanout, the partitioner's graph
+//! adjacency, the replication planner's per-gate replica rows and the
+//! compiled blocks' reader and route tables are all stored this way.
 
 /// A jagged table stored flat: row `i` is `values[offsets[i]..offsets[i + 1]]`.
 ///

@@ -5,6 +5,9 @@
 //! edges = interconnecting signals), together with:
 //!
 //! * an ISCAS'89 [`bench_format`] reader/writer,
+//! * [`Csr`] — the compressed-sparse-row table the netlist stores its
+//!   fanin and fanout in (and that the partitioner and the block compiler
+//!   reuse),
 //! * [`levelize()`] — topological levelization (the Topological
 //!   partitioner's substrate),
 //! * [`generate`] — a deterministic synthetic ISCAS'89-class benchmark

@@ -53,8 +53,12 @@ impl Names {
         self.start.len() - 1
     }
 
+    fn range(&self, id: GateId) -> std::ops::Range<usize> {
+        self.start[id as usize] as usize..self.start[id as usize + 1] as usize
+    }
+
     fn get(&self, id: GateId) -> &str {
-        &self.arena[self.start[id as usize] as usize..self.start[id as usize + 1] as usize]
+        &self.arena[self.range(id)]
     }
 
     fn hash(name: &str) -> usize {
@@ -71,7 +75,8 @@ impl Names {
         let mut i = Self::hash(name) & mask;
         loop {
             let id = self.slots[i];
-            if id == Self::EMPTY || self.get(id) == name {
+            // Bytes, not `str`: a probe need not check char boundaries.
+            if id == Self::EMPTY || self.arena.as_bytes()[self.range(id)] == *name.as_bytes() {
                 return i;
             }
             i = (i + 1) & mask;
@@ -149,7 +154,12 @@ impl Netlist {
 
     /// The gate with the given id, borrowed from the netlist's tables.
     pub fn gate(&self, id: GateId) -> Gate<'_> {
-        Gate { name: self.names.get(id), kind: self.kinds[id as usize], fanin: self.fanin(id) }
+        Gate { name: self.names.get(id), kind: self.kind(id), fanin: self.fanin(id) }
+    }
+
+    /// The kind of a gate (without building its [`Gate`] view).
+    pub fn kind(&self, id: GateId) -> GateKind {
+        self.kinds[id as usize]
     }
 
     /// All gates in id order.
@@ -206,12 +216,12 @@ impl Netlist {
 
     /// Whether `id` is a primary input.
     pub fn is_input(&self, id: GateId) -> bool {
-        self.kinds[id as usize].is_input()
+        self.kind(id).is_input()
     }
 
     /// Whether `id` is a DFF.
     pub fn is_dff(&self, id: GateId) -> bool {
-        self.kinds[id as usize].is_sequential()
+        self.kind(id).is_sequential()
     }
 }
 
@@ -219,10 +229,10 @@ impl Netlist {
 /// names unique, arities legal, no dangling references, and no
 /// combinational cycles (cycles must pass through a DFF).
 ///
-/// The builder fills the netlist's flat tables directly. Every gate but
-/// the last declared has a closed fanin row; [`NetlistBuilder::add_gate`]
-/// declares a gate and closes its row at once, while the parser declares
-/// every name first and then closes the rows in id order.
+/// The builder fills the netlist's flat tables directly, fanin rows in id
+/// order. [`NetlistBuilder::add_gate`] declares a gate and closes its row
+/// at once; the parser declares every name first (forward references are
+/// legal) and then closes the rows one by one.
 #[derive(Debug)]
 pub struct NetlistBuilder {
     name: String,
