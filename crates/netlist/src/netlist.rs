@@ -317,13 +317,14 @@ impl NetlistBuilder {
 
     /// Rewire pin `pin` of an added gate to `driver`. Generators add
     /// flip-flops with a placeholder D input and wire it once the logic
-    /// that feeds it exists.
+    /// that feeds it exists. Panics if gate `id` has no pin `pin`.
     pub fn set_fanin(&mut self, id: GateId, pin: usize, driver: GateId) {
         self.fanin.row_mut(id as usize)[pin] = driver;
     }
 
     /// Mark an existing gate's output signal as a primary output. Outputs
     /// keep their first-declaration order; marking one twice is a no-op.
+    /// Panics if no gate `id` was added.
     pub fn mark_output(&mut self, id: GateId) {
         if !std::mem::replace(&mut self.is_output[id as usize], true) {
             self.outputs.push(id);
