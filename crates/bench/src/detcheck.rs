@@ -252,7 +252,7 @@ pub fn detcheck() {
     for synth in [IscasSynth::s9234(), IscasSynth::s15850()] {
         let graph = CircuitGraph::from_netlist(&synth.build());
         for k in [2usize, 8] {
-            let rep = MultilevelPartitioner::default().partition_with_report(&graph, k, 0);
+            let rep = MultilevelPartitioner.partition_with_report(&graph, k, 0);
             let p = &rep.partitioning;
             // FNV-1a over the little-endian bytes of every part id.
             let hash = p

@@ -113,7 +113,7 @@ pub struct GateSetup {
 impl GateSetup {
     fn new(netlist: Netlist, end_time: u64) -> GateSetup {
         let graph = CircuitGraph::from_netlist(&netlist);
-        let part = MultilevelPartitioner::default().partition(&graph, 4, 0);
+        let part = MultilevelPartitioner.partition(&graph, 4, 0);
         GateSetup { netlist, graph, part, end_time }
     }
 

@@ -6,16 +6,11 @@ use std::hint::black_box;
 
 use pls_gatesim::ExecModel;
 use pls_netlist::IscasSynth;
-use pls_partition::multilevel::refine::{greedy_refine, GreedyConfig};
-use pls_partition::refiners::{fm_refine, kl_refine};
-use pls_partition::{
-    all_partitioners, metrics, CircuitGraph, CoarsenScheme, MultilevelConfig,
-    MultilevelPartitioner, Partitioner, Partitioning, RandomPartitioner,
-};
+use pls_partition::{all_partitioners, CircuitGraph, MultilevelPartitioner, Partitioner};
 use pls_timewarp::{Backend, Cancellation, KernelConfig, Simulator};
 
+use crate::bench_events;
 use crate::kernel_scenarios::GateSetup;
-use crate::{bench_events, s9234};
 
 /// Time `f`, which returns how many `unit`s of work it did, and print one
 /// line. The work's result must be consumed inside `f`.
@@ -68,78 +63,9 @@ pub fn partitioners() {
         )]);
     for (label, synth, samples) in series {
         let g = CircuitGraph::from_netlist(&synth.build());
-        let ml = MultilevelPartitioner::default();
+        let ml = MultilevelPartitioner;
         let label = format!("multilevel_scaling/{label}");
         timed_per_pin(&label, samples, &g, || ml.partition(&g, 8, 0));
-    }
-}
-
-/// A refiner at full strength (for the cut it reaches) or bounded (for
-/// timing: full-strength KL takes seconds per run).
-type Refiner<'a> = &'a dyn Fn(&mut Partitioning, bool);
-
-/// Refinement ablation — the paper (§3, citing \[12\]) chose the greedy
-/// refiner because it "converges in a few iterations" and "has been shown
-/// to yield better partitions with reduced edge-cut compared to other
-/// refinement algorithms (e.g., Kernighan-Lin and Fiduccia-Mattheyses)".
-/// Reproduces that comparison from the same random start: the cut each
-/// refiner achieves (stderr, once) and its wall time.
-pub fn refinement() {
-    let (_, g) = s9234();
-    let start = RandomPartitioner.partition(&g, 8, 0);
-    let refiners: [(&str, Refiner); 3] = [
-        ("greedy", &|p, _| {
-            greedy_refine(&g, p, &GreedyConfig::default(), 0);
-        }),
-        ("kl", &|p, full| {
-            kl_refine(&g, p, if full { 4 } else { 1 }, if full { 64 } else { 24 });
-        }),
-        ("fm", &|p, full| {
-            fm_refine(&g, p, if full { 4 } else { 2 }, 0.03);
-        }),
-    ];
-    let refined = |refine: Refiner, full| {
-        let mut p = start.clone();
-        refine(&mut p, full);
-        p
-    };
-
-    let cuts = refiners.map(|(_, refine)| metrics::edge_cut(&g, &refined(refine, true)));
-    eprintln!(
-        "refinement quality on s9234 k=8 from random cut {}: greedy → {}, KL → {}, FM → {}",
-        metrics::edge_cut(&g, &start),
-        cuts[0],
-        cuts[1],
-        cuts[2]
-    );
-    for (name, refine) in refiners {
-        timed_per_pin(&format!("refine_s9234_k8/{name}"), 10, &g, || refined(refine, false));
-    }
-}
-
-/// Coarsening-scheme ablation — the paper's §6 lists "different schemes
-/// for coarsening" as ongoing research. Compares the paper's fanout scheme
-/// with heavy-edge matching \[12\] and random matching \[8\]: the final cut
-/// and the simulated concurrency each scheme's partition achieves (stderr,
-/// once) and the pipeline's wall time.
-pub fn coarsening() {
-    let (_, g) = s9234();
-    for (name, scheme) in [
-        ("fanout", CoarsenScheme::Fanout),
-        ("heavy_edge", CoarsenScheme::HeavyEdge),
-        ("random_matching", CoarsenScheme::Random),
-    ] {
-        let ml = MultilevelPartitioner { config: MultilevelConfig { scheme } };
-        let q = metrics::quality(&g, &ml.partition(&g, 8, 0));
-        eprintln!(
-            "coarsening {:?} on s9234 k=8: cut={} imbalance={:.3} concurrency={:.2}",
-            scheme,
-            q.edge_cut,
-            q.imbalance,
-            q.concurrency.unwrap_or(0.0)
-        );
-        let label = format!("multilevel_coarsening_s9234_k8/{name}");
-        timed_per_pin(&label, 15, &g, || ml.partition(&g, 8, 0));
     }
 }
 

@@ -136,7 +136,7 @@ mod tests {
         let plain = CircuitGraph::from_netlist(&netlist);
         let hot = activity_weighted_graph(&netlist, &profile);
 
-        let ml = MultilevelPartitioner::default();
+        let ml = MultilevelPartitioner;
         let p_plain = ml.partition(&plain, 8, 0);
         let p_hot = ml.partition(&hot, 8, 0);
         // Evaluate BOTH on the activity-weighted graph: predicted traffic.

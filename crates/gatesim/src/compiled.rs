@@ -1212,7 +1212,7 @@ mod tests {
         let gates = 20_000;
         let netlist = IscasSynth::new("synth20k", gates / 150, gates, gates / 70).build();
         let graph = CircuitGraph::from_netlist(&netlist);
-        let parts = MultilevelPartitioner::default().partition(&graph, 8, 0);
+        let parts = MultilevelPartitioner.partition(&graph, 8, 0);
         let cfg = SimConfig {
             end_time: 60,
             exec: ExecModel::CompiledBlocks(Default::default()),

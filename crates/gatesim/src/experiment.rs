@@ -208,7 +208,7 @@ pub fn run_seq_baseline(netlist: &Netlist, cfg: &SimConfig) -> SeqMetrics {
 /// let netlist = IscasSynth::small(150, 1).build();
 /// let graph = CircuitGraph::from_netlist(&netlist);
 /// let cfg = SimConfig { end_time: 100, ..Default::default() };
-/// let m = Cell::new(&netlist, &graph, &cfg).nodes(4).run(&MultilevelPartitioner::default());
+/// let m = Cell::new(&netlist, &graph, &cfg).nodes(4).run(&MultilevelPartitioner);
 /// assert!(m.stats.events_committed > 0);
 /// ```
 #[derive(Debug)]
@@ -361,11 +361,8 @@ mod tests {
         compiled_cfg.exec = ExecModel::CompiledBlocks(CompileOptions::default());
         // `checked()` asserts each mode against its own sequential oracle;
         // the baselines assert the modes against each other.
-        let g =
-            Cell::new(&netlist, &graph, &gate_cfg).checked().run(&MultilevelPartitioner::default());
-        let c = Cell::new(&netlist, &graph, &compiled_cfg)
-            .checked()
-            .run(&MultilevelPartitioner::default());
+        let g = Cell::new(&netlist, &graph, &gate_cfg).checked().run(&MultilevelPartitioner);
+        let c = Cell::new(&netlist, &graph, &compiled_cfg).checked().run(&MultilevelPartitioner);
         assert_eq!(
             run_seq_baseline(&netlist, &gate_cfg).fingerprint,
             run_seq_baseline(&netlist, &compiled_cfg).fingerprint,
@@ -397,7 +394,7 @@ mod tests {
         let netlist = IscasSynth::small(400, 5).build();
         let graph = CircuitGraph::from_netlist(&netlist);
         let cfg = small_cfg();
-        let ml = Cell::new(&netlist, &graph, &cfg).run(&MultilevelPartitioner::default());
+        let ml = Cell::new(&netlist, &graph, &cfg).run(&MultilevelPartitioner);
         let rnd = Cell::new(&netlist, &graph, &cfg).run(&RandomPartitioner);
         assert!(
             ml.stats.app_messages < rnd.stats.app_messages,

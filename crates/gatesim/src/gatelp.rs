@@ -28,8 +28,7 @@
 //! the gate's kind uses — a combinational gate's input pins, packed two
 //! bits each ([`PackedPins`], up to 255 pins, evaluated by popcount), a
 //! primary input's stimulus stream, or a DFF's D value and pending tick.
-//! The fan-out table the LPs send through is one flat arena
-//! (`reader_start` + `readers`).
+//! The fan-out table the LPs send through is one [`Csr`] (`readers`).
 //!
 //! The compiled block executive ([`crate::compiled`]) replicates the
 //! primary-input and DFF step semantics below element-by-element inside
@@ -58,7 +57,7 @@
 use std::collections::BTreeMap;
 
 use pls_logic::{InputStream, PackedPins, StimulusConfig, Value};
-use pls_netlist::{GateId, GateKind, Netlist};
+use pls_netlist::{Csr, GateId, GateKind, Netlist};
 use pls_timewarp::{Application, EventSink, LpId, VTime};
 
 use crate::experiment::SimConfig;
@@ -207,10 +206,8 @@ impl TickCfg {
 pub struct GateSim {
     kinds: Vec<GateKind>,
     /// `(reader LP, reader pin)` for every LP's output signal: LP `i`'s
-    /// are `readers[reader_start[i]..reader_start[i + 1]]`, in LP order
-    /// of the reader, then pin order.
-    reader_start: Vec<u32>,
-    readers: Vec<(LpId, u8)>,
+    /// are row `i`, in LP order of the reader, then pin order.
+    readers: Csr<(LpId, u8)>,
     fanin_len: Vec<u8>,
     delay: Vec<u64>,
     /// Stimulus stream configuration (primary inputs).
@@ -258,30 +255,17 @@ impl GateSim {
         // gates at home, then the replicas in plan order.
         let lps = || netlist.ids().map(|g| (g, part_of(g))).chain(replicas.iter().copied());
         // Every LP's pins read the home drivers, or a replica of the
-        // driver when the plan placed one in the LP's part. One pass counts
-        // each driver's readers, the second files them.
+        // driver when the plan placed one in the LP's part.
         let src = |driver: GateId, part: u32| -> usize {
             replica_lp.get(&(driver, part)).copied().unwrap_or(driver) as usize
         };
-        let mut reader_start = vec![0u32; n + replicas.len() + 1];
-        for (g, part) in lps() {
-            for &driver in netlist.fanin(g) {
-                reader_start[src(driver, part) + 1] += 1;
-            }
-        }
-        for i in 1..reader_start.len() {
-            reader_start[i] += reader_start[i - 1];
-        }
-        let mut next = reader_start.clone();
-        let mut readers = vec![(0, 0); *reader_start.last().expect("n + 1 entries") as usize];
-        for (lp, (g, part)) in lps().enumerate() {
-            for (pin, &driver) in netlist.fanin(g).iter().enumerate() {
-                let at = &mut next[src(driver, part)];
+        let pins = lps().enumerate().flat_map(|(lp, (g, part))| {
+            netlist.fanin(g).iter().enumerate().map(move |(pin, &driver)| {
                 // `GateKind::arity` caps fan-in at 255, so a pin fits a byte.
-                readers[*at as usize] = (lp as LpId, pin as u8);
-                *at += 1;
-            }
-        }
+                (src(driver, part), (lp as LpId, pin as u8))
+            })
+        });
+        let readers = Csr::by_row(n + replicas.len(), pins);
         let mut input_index = vec![None; n];
         for (ix, &g) in netlist.inputs().iter().enumerate() {
             input_index[g as usize] = Some(ix as u32);
@@ -292,7 +276,6 @@ impl GateSim {
         let gates = || lps().map(|(g, _)| (netlist.kind(g), netlist.fanin(g).len()));
         GateSim {
             kinds: gates().map(|(kind, _)| kind).collect(),
-            reader_start,
             readers,
             fanin_len: gates()
                 .map(|(_, arity)| {
@@ -322,8 +305,7 @@ impl GateSim {
         let delay = self.delay[lp as usize];
         state.output = v;
         state.note_transition(now.after(delay), v);
-        let readers = &self.readers
-            [self.reader_start[lp as usize] as usize..self.reader_start[lp as usize + 1] as usize];
+        let readers = self.readers.row(lp as usize);
         for &(reader, pin) in readers {
             sink.schedule(reader, delay, GateMsg::Wire { pin, value: v });
         }

@@ -28,7 +28,7 @@
 //! let graph = CircuitGraph::from_netlist(&netlist);
 //! let cfg = SimConfig { end_time: 100, ..Default::default() };
 //! let seq = run_seq_baseline(&netlist, &cfg);
-//! let par = Cell::new(&netlist, &graph, &cfg).nodes(4).run(&MultilevelPartitioner::default());
+//! let par = Cell::new(&netlist, &graph, &cfg).nodes(4).run(&MultilevelPartitioner);
 //! assert!(par.stats.events_committed > 0 && seq.events > 0);
 //! ```
 

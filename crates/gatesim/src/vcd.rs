@@ -51,7 +51,6 @@ pub struct RecordedState {
     /// Output transitions so far.
     pub history: Vec<(u64, Value)>,
     last_hash: u64,
-    last_output: Value,
 }
 
 impl WaveRecorder {
@@ -79,12 +78,7 @@ impl Application for WaveRecorder {
 
     fn init_state(&self, lp: LpId) -> RecordedState {
         let gate = self.inner.init_state(lp);
-        RecordedState {
-            last_hash: gate.trace_hash,
-            last_output: gate.output,
-            gate,
-            history: Vec::new(),
-        }
+        RecordedState { last_hash: gate.trace_hash, gate, history: Vec::new() }
     }
 
     fn init_events(&self, lp: LpId, state: &mut RecordedState, sink: &mut EventSink<GateMsg>) {
@@ -105,7 +99,6 @@ impl Application for WaveRecorder {
             // matching what downstream gates observe.
             state.history.push((now.after(self.inner.delay_of(lp)).ticks(), state.gate.output));
             state.last_hash = state.gate.trace_hash;
-            state.last_output = state.gate.output;
         }
     }
 }

@@ -168,7 +168,7 @@ impl Netlist {
     }
 
     /// Ids of all gates, `0..len`.
-    pub fn ids(&self) -> impl Iterator<Item = GateId> + '_ {
+    pub fn ids(&self) -> impl Iterator<Item = GateId> + Clone + '_ {
         0..self.len() as GateId
     }
 

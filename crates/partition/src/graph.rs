@@ -120,9 +120,10 @@ impl CircuitGraph {
     }
 
     /// Override the per-vertex replication eligibility (see
-    /// [`Self::is_replicable`]). Graphs built with [`Self::from_parts`]
-    /// default to all-replicable; tests and coarseners use this to model
-    /// sequential elements.
+    /// [`Self::is_replicable`]), so a test can mark vertices of a graph
+    /// built with [`Self::from_parts`] (all-replicable) as sequential
+    /// elements the planner must never copy.
+    #[cfg(test)]
     pub fn with_replicable(mut self, replicable: Vec<bool>) -> CircuitGraph {
         assert_eq!(replicable.len(), self.len());
         self.replicable = replicable;

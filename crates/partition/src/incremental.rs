@@ -1,10 +1,10 @@
 //! Incremental (online) refinement for dynamic load balancing.
 //!
-//! The offline refiners in [`crate::refiners`] minimise *edge cut* over a
-//! structural circuit graph. At run time the quantity that matters is the
-//! *observed* load: events executed per LP in the last GVT window, and the
-//! messages actually exchanged — not the static fanout structure. This
-//! module applies the same FM-style single-vertex gain machinery to a
+//! The offline refiner ([`crate::multilevel::refine`]) minimises *edge
+//! cut* over a structural circuit graph. At run time the quantity that
+//! matters is the *observed* load: events executed per LP in the last GVT
+//! window, and the messages actually exchanged — not the static fanout
+//! structure. This module applies FM-style single-vertex gains to a
 //! [`LoadGraph`] built from those observations, producing a bounded list
 //! of single-LP moves that simultaneously reduces remote traffic and load
 //! imbalance.
@@ -103,8 +103,8 @@ impl Default for IncrementalConfig {
 }
 
 /// D-value of `v` toward `to`: external traffic toward `to` minus internal
-/// traffic kept inside `from` (identical in spirit to the FM gain in
-/// [`crate::refiners`], but over all k parts at once).
+/// traffic kept inside `from` (the D-value of Fiduccia–Mattheyses, over
+/// all k parts at once).
 fn comm_gain(g: &LoadGraph, assignment: &[u32], v: u32, from: u32, to: u32) -> i64 {
     let mut ext = 0i64;
     let mut int = 0i64;

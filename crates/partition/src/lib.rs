@@ -4,8 +4,7 @@
 //! [`RandomPartitioner`], [`TopologicalPartitioner`], [`DfsPartitioner`],
 //! [`ClusterPartitioner`] (breadth-first), [`ConePartitioner`]
 //! (fanout-cone) and the paper's contribution, the three-phase
-//! [`MultilevelPartitioner`] — plus Kernighan–Lin and Fiduccia–Mattheyses
-//! refiners as ablation comparators, and partition quality [`metrics`].
+//! [`MultilevelPartitioner`] — and partition quality [`metrics`].
 //!
 //! # Example
 //!
@@ -15,7 +14,7 @@
 //!
 //! let netlist = IscasSynth::small(200, 1).build();
 //! let graph = CircuitGraph::from_netlist(&netlist);
-//! let part = MultilevelPartitioner::default().partition(&graph, 4, 0);
+//! let part = MultilevelPartitioner.partition(&graph, 4, 0);
 //! assert!(part.is_valid_for(&graph));
 //! let q = metrics::quality(&graph, &part);
 //! assert!(q.imbalance < 1.15);
@@ -32,7 +31,6 @@ pub mod incremental;
 pub mod metrics;
 pub mod multilevel;
 pub mod partitioning;
-pub mod refiners;
 pub mod replicate;
 pub mod util;
 
@@ -41,8 +39,7 @@ pub use baselines::{
 };
 pub use dot::to_dot;
 pub use graph::{CircuitGraph, VertexId};
-pub use multilevel::schemes::CoarsenScheme;
-pub use multilevel::{MultilevelConfig, MultilevelPartitioner, MultilevelReport};
+pub use multilevel::{MultilevelPartitioner, MultilevelReport};
 pub use partitioning::Partitioning;
 pub use replicate::{plan_replication, Replica, ReplicaPlan, ReplicationConfig};
 
@@ -66,7 +63,7 @@ pub fn all_partitioners() -> Vec<Box<dyn Partitioner + Send + Sync>> {
         Box::new(DfsPartitioner),
         Box::new(ClusterPartitioner),
         Box::new(TopologicalPartitioner),
-        Box::new(MultilevelPartitioner::default()),
+        Box::new(MultilevelPartitioner),
         Box::new(ConePartitioner),
     ]
 }

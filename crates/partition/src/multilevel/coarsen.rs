@@ -64,36 +64,26 @@ impl CoarsenConfig {
     }
 }
 
-/// Run the coarsening phase, returning the hierarchy `[G0→G1, G1→G2, …]`.
-/// The returned vector is empty when `g0` is already below the threshold.
+/// Run the coarsening phase, returning the hierarchy `[G0→G1, G1→G2, …]`:
+/// one round at a time, each over the coarsest graph so far (borrowed from
+/// the level that owns it), until the graph is at most `cfg.threshold`
+/// vertices, `cfg.max_levels` is reached, or a round finds nothing to
+/// combine. The returned vector is empty when `g0` is already below the
+/// threshold.
 pub fn coarsen(g0: &CircuitGraph, cfg: &CoarsenConfig) -> Vec<CoarseLevel> {
-    coarsen_with(g0, cfg, |g, levels| {
+    let mut levels: Vec<CoarseLevel> = Vec::new();
+    while levels.len() < cfg.max_levels {
+        let g = levels.last().map_or(g0, |l| &l.graph);
+        if g.len() <= cfg.threshold {
+            break;
+        }
         let seeds: Vec<VertexId> = match levels.last() {
             // Round 1 starts from the primary inputs.
             None => g.input_vertices(),
             // Later rounds: globules formed by a merge, in id order.
             Some(prev) => g.vertices().filter(|&v| prev.merged[v as usize]).collect(),
         };
-        coarsen_round(g, &seeds, cfg)
-    })
-}
-
-/// Grow a hierarchy one `round` at a time — each round sees the coarsest
-/// graph so far (borrowed from the level that owns it) and the levels
-/// built before it — until the graph is at most `cfg.threshold` vertices,
-/// `cfg.max_levels` is reached, or a round finds nothing to combine.
-pub(crate) fn coarsen_with(
-    g0: &CircuitGraph,
-    cfg: &CoarsenConfig,
-    mut round: impl FnMut(&CircuitGraph, &[CoarseLevel]) -> Option<CoarseLevel>,
-) -> Vec<CoarseLevel> {
-    let mut levels: Vec<CoarseLevel> = Vec::new();
-    while levels.len() < cfg.max_levels {
-        let current = levels.last().map_or(g0, |l| &l.graph);
-        if current.len() <= cfg.threshold {
-            break;
-        }
-        match round(current, &levels) {
+        match coarsen_round(g, &seeds, cfg) {
             Some(level) => levels.push(level),
             None => break, // no combination possible (e.g. all input globules)
         }
@@ -102,7 +92,7 @@ pub(crate) fn coarsen_with(
 }
 
 /// Marks a vertex no globule has claimed yet in a round's `group_of` map.
-pub(crate) const UNGROUPED: u32 = u32::MAX;
+const UNGROUPED: u32 = u32::MAX;
 
 /// One coarsening round over `g`. Returns `None` if no merge happened.
 fn coarsen_round(g: &CircuitGraph, seeds: &[VertexId], cfg: &CoarsenConfig) -> Option<CoarseLevel> {
@@ -175,7 +165,7 @@ fn coarsen_round(g: &CircuitGraph, seeds: &[VertexId], cfg: &CoarsenConfig) -> O
 /// "becomes the union of the edges of the vertices … from which it was
 /// originally composed" (paper §3), with internal edges dropped and
 /// parallel edges merged by weight.
-pub(crate) fn contract(g: &CircuitGraph, group_of: Vec<u32>, groups: usize) -> CoarseLevel {
+fn contract(g: &CircuitGraph, group_of: Vec<u32>, groups: usize) -> CoarseLevel {
     let mut vweight = vec![0u64; groups];
     let mut is_input = vec![false; groups];
     let mut members = vec![0u32; groups];

@@ -27,31 +27,18 @@
 pub mod coarsen;
 pub mod initial;
 pub mod refine;
-pub mod schemes;
 
 use crate::graph::CircuitGraph;
 use crate::partitioning::Partitioning;
 use crate::Partitioner;
 use coarsen::{coarsen, CoarsenConfig};
 use refine::{greedy_refine, rebalance, GreedyConfig, RefineStats};
-use schemes::{coarsen_matching, CoarsenScheme};
 
-/// Configuration of the full multilevel pipeline. The coarsening
-/// threshold is [`CoarsenConfig::for_k`]'s and the refiner runs with
+/// The multilevel partitioner. The coarsening threshold is
+/// [`CoarsenConfig::for_k`]'s and the refiner runs with
 /// [`GreedyConfig::default`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct MultilevelConfig {
-    /// Coarsening scheme (the paper's fanout scheme by default; matching
-    /// variants for the ablation study).
-    pub scheme: CoarsenScheme,
-}
-
-/// The multilevel partitioner.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MultilevelPartitioner {
-    /// Pipeline configuration.
-    pub config: MultilevelConfig,
-}
+pub struct MultilevelPartitioner;
 
 /// Detailed result of a multilevel run, for analysis and benches.
 #[derive(Debug, Clone)]
@@ -71,10 +58,7 @@ impl MultilevelPartitioner {
         let gcfg = GreedyConfig::default();
 
         // Phase 1: coarsen.
-        let hierarchy = match self.config.scheme {
-            CoarsenScheme::Fanout => coarsen(g, &ccfg),
-            scheme => coarsen_matching(g, scheme, &ccfg, seed),
-        };
+        let hierarchy = coarsen(g, &ccfg);
         let mut level_sizes = vec![g.len()];
         level_sizes.extend(hierarchy.iter().map(|l| l.graph.len()));
 
@@ -128,7 +112,7 @@ mod tests {
     fn produces_valid_balanced_partitions() {
         let g = g0(500, 1);
         for k in [2, 4, 8] {
-            let p = MultilevelPartitioner::default().partition(&g, k, 0);
+            let p = MultilevelPartitioner.partition(&g, k, 0);
             assert!(p.is_valid_for(&g));
             assert!(p.sizes().iter().all(|&s| s > 0), "empty partition at k={k}");
             assert!(imbalance(&g, &p) <= 1.12, "imbalance {} at k={k}", imbalance(&g, &p));
@@ -138,7 +122,7 @@ mod tests {
     #[test]
     fn beats_random_on_cut() {
         let g = g0(600, 2);
-        let ml = MultilevelPartitioner::default().partition(&g, 8, 0);
+        let ml = MultilevelPartitioner.partition(&g, 8, 0);
         let rand = RandomPartitioner.partition(&g, 8, 0);
         assert!(
             edge_cut(&g, &ml) < edge_cut(&g, &rand) / 2,
@@ -151,7 +135,7 @@ mod tests {
     #[test]
     fn beats_topological_on_cut() {
         let g = g0(600, 3);
-        let ml = MultilevelPartitioner::default().partition(&g, 8, 0);
+        let ml = MultilevelPartitioner.partition(&g, 8, 0);
         let topo = TopologicalPartitioner.partition(&g, 8, 0);
         assert!(edge_cut(&g, &ml) < edge_cut(&g, &topo));
     }
@@ -160,7 +144,7 @@ mod tests {
     fn keeps_reasonable_concurrency() {
         // The design claim: multilevel balances cut *and* concurrency.
         let g = g0(600, 4);
-        let ml = MultilevelPartitioner::default().partition(&g, 4, 0);
+        let ml = MultilevelPartitioner.partition(&g, 4, 0);
         let c = concurrency(&g, &ml);
         assert!(c > 0.4, "concurrency {c} too low — input cones were not separated");
     }
@@ -168,7 +152,7 @@ mod tests {
     #[test]
     fn report_shows_shrinking_levels_and_improving_cut() {
         let g = g0(800, 5);
-        let rep = MultilevelPartitioner::default().partition_with_report(&g, 4, 0);
+        let rep = MultilevelPartitioner.partition_with_report(&g, 4, 0);
         assert!(rep.level_sizes.len() >= 2, "expected at least one coarse level");
         assert!(rep.level_sizes.windows(2).all(|w| w[1] < w[0]));
         for rs in &rep.refine_stats {
@@ -179,7 +163,7 @@ mod tests {
     #[test]
     fn works_when_graph_already_tiny() {
         let g = g0(30, 6);
-        let p = MultilevelPartitioner::default().partition(&g, 2, 0);
+        let p = MultilevelPartitioner.partition(&g, 2, 0);
         assert!(p.is_valid_for(&g));
         assert!(p.sizes().iter().all(|&s| s > 0));
     }
@@ -187,8 +171,8 @@ mod tests {
     #[test]
     fn deterministic_for_seed() {
         let g = g0(400, 7);
-        let a = MultilevelPartitioner::default().partition(&g, 4, 11);
-        let b = MultilevelPartitioner::default().partition(&g, 4, 11);
+        let a = MultilevelPartitioner.partition(&g, 4, 11);
+        let b = MultilevelPartitioner.partition(&g, 4, 11);
         assert_eq!(a.assignment, b.assignment);
     }
 
@@ -196,7 +180,7 @@ mod tests {
     fn scales_to_paper_benchmarks() {
         let n = IscasSynth::s9234().build();
         let g = CircuitGraph::from_netlist(&n);
-        let p = MultilevelPartitioner::default().partition(&g, 8, 0);
+        let p = MultilevelPartitioner.partition(&g, 8, 0);
         assert!(p.is_valid_for(&g));
         assert!(imbalance(&g, &p) <= 1.12);
     }

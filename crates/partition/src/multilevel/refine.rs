@@ -16,12 +16,11 @@
 //! connectivity-1 objective (`Σ (λ−1)`, see
 //! [`crate::metrics::connectivity_cut`]) — pulling the last pin of a net
 //! out of a part drops λ, pushing the first pin into a new part raises
-//! it. The λ gain ranks moves *within* the edge-gain classes
-//! ([`GreedyConfig::hyperedge_factor`]): the edge gain stays primary and
-//! a move is only taken when it does not increase the edge cut, so the
-//! classic invariant (cut never increases) is preserved while ties break
-//! toward fewer distinct boundary nets — exactly what the compiled-block
-//! engine's bundled messages reward.
+//! it. The λ gain ranks moves *within* the edge-gain classes: the edge
+//! gain stays primary and a move is only taken when it does not increase
+//! the edge cut, so the classic invariant (cut never increases) is
+//! preserved while ties break toward fewer distinct boundary nets —
+//! exactly what the compiled-block engine's bundled messages reward.
 //!
 //! # Cost
 //!
@@ -63,10 +62,6 @@ pub struct GreedyConfig {
     /// Maximum iterations (passes); the paper observes convergence "in a
     /// few iterations", so the default is small.
     pub max_iters: usize,
-    /// Weight of the hyperedge (λ−1) gain relative to one unit of edge
-    /// gain when ranking equal-edge-gain moves; `0` disables hyperedge
-    /// awareness and restores the pure edge-gain refiner.
-    pub hyperedge_factor: u32,
 }
 
 impl Default for GreedyConfig {
@@ -74,7 +69,7 @@ impl Default for GreedyConfig {
         // A tight balance bound matters more than the last few cut points:
         // the makespan of an optimistic simulation tracks the most-loaded
         // node directly, so 3% slack beats the customary 10%.
-        GreedyConfig { balance_eps: 0.03, max_iters: 8, hyperedge_factor: 1 }
+        GreedyConfig { balance_eps: 0.03, max_iters: 8 }
     }
 }
 
@@ -185,15 +180,15 @@ struct Target {
 
 impl Target {
     /// Edge gain first; the λ gain ranks moves within an edge-gain class.
-    fn rank(self, hyperedge_factor: u32) -> i64 {
-        self.egain * EDGE_SCALE + i64::from(hyperedge_factor) * self.lgain
+    fn rank(self) -> i64 {
+        self.egain * EDGE_SCALE + self.lgain
     }
 
     /// Whether the move is taken when it is the best one with room: it
     /// never increases the edge cut, and a zero-edge-gain move must
     /// strictly improve connectivity.
-    fn improves(self, hyperedge_factor: u32) -> bool {
-        self.egain > 0 || (self.egain == 0 && self.rank(hyperedge_factor) > 0)
+    fn improves(self) -> bool {
+        self.egain > 0 || (self.egain == 0 && self.lgain > 0)
     }
 }
 
@@ -203,7 +198,7 @@ impl Target {
 fn adjacent_targets(
     g: &CircuitGraph,
     p: &Partitioning,
-    table: Option<&PinTable>,
+    table: &PinTable,
     v: VertexId,
     conn: &mut [u64],
     targets: &mut Vec<Target>,
@@ -218,9 +213,7 @@ fn adjacent_targets(
         let egain = conn[to as usize] as i64 - conn[from as usize] as i64;
         Target { to, egain, lgain: 0 }
     }));
-    if let Some(table) = table {
-        table.add_lambda_gains(g, v, from, targets);
-    }
+    table.add_lambda_gains(g, v, from, targets);
 }
 
 /// Mark dirty every vertex the move of `v` from `from` to `to` can have
@@ -234,7 +227,7 @@ fn adjacent_targets(
 /// (readers elsewhere may now join the part for free).
 fn mark_dirty(
     g: &CircuitGraph,
-    table: Option<&PinTable>,
+    table: &PinTable,
     v: VertexId,
     from: u32,
     to: u32,
@@ -244,7 +237,6 @@ fn mark_dirty(
     for (w, _) in g.neighbors(v) {
         dirty[w as usize] = true;
     }
-    let Some(table) = table else { return };
     for &(u, _) in g.fanin(v) {
         let row = table.row(u);
         if row[from as usize] == 1 || row[to as usize] == 1 {
@@ -258,18 +250,13 @@ fn mark_dirty(
 /// Whether every clean vertex, re-evaluated from scratch, still has no
 /// adjacent part it would move to. The dirty set's invariant, for debug
 /// builds.
-fn clean_vertices_stay_put(
-    g: &CircuitGraph,
-    p: &Partitioning,
-    cfg: &GreedyConfig,
-    dirty: &[bool],
-) -> bool {
-    let table = (cfg.hyperedge_factor > 0).then(|| PinTable::build(g, p));
+fn clean_vertices_stay_put(g: &CircuitGraph, p: &Partitioning, dirty: &[bool]) -> bool {
+    let table = PinTable::build(g, p);
     let mut conn = vec![0u64; p.k];
     let mut targets = Vec::with_capacity(p.k);
     g.vertices().filter(|&v| !dirty[v as usize]).all(|v| {
-        adjacent_targets(g, p, table.as_ref(), v, &mut conn, &mut targets);
-        !targets.iter().any(|t| t.improves(cfg.hyperedge_factor))
+        adjacent_targets(g, p, &table, v, &mut conn, &mut targets);
+        !targets.iter().any(|t| t.improves())
     })
 }
 
@@ -281,7 +268,6 @@ pub fn greedy_refine(
     seed: u64,
 ) -> RefineStats {
     let k = p.k;
-    let factor = cfg.hyperedge_factor;
     let cut_before = edge_cut(g, p);
     let mut cut = cut_before as i64;
     let mut loads = p.loads(g);
@@ -290,7 +276,7 @@ pub fn greedy_refine(
     let mut rng = StdRng::seed_from_u64(seed);
     let mut order: Vec<VertexId> = g.vertices().collect();
     let mut conn = vec![0u64; k];
-    let mut table = (factor > 0).then(|| PinTable::build(g, p));
+    let mut table = PinTable::build(g, p);
     let mut targets: Vec<Target> = Vec::with_capacity(k);
     // A vertex is clean when its last evaluation found no adjacent part
     // it would move to and no move since can have raised one of its
@@ -309,10 +295,10 @@ pub fn greedy_refine(
             if !dirty[v as usize] {
                 continue;
             }
-            adjacent_targets(g, p, table.as_ref(), v, &mut conn, &mut targets);
+            adjacent_targets(g, p, &table, v, &mut conn, &mut targets);
             // Cleanliness ignores room: loads change during a pass, and a
             // full part that would take `v` can gain room later.
-            if !targets.iter().any(|t| t.improves(factor)) {
+            if !targets.iter().any(|t| t.improves()) {
                 dirty[v as usize] = false;
                 continue;
             }
@@ -322,34 +308,32 @@ pub fn greedy_refine(
             for &t in targets.iter().filter(|t| loads[t.to as usize] + weight <= lmax) {
                 match best {
                     Some(b)
-                        if t.rank(factor) < b.rank(factor)
-                            || (t.rank(factor) == b.rank(factor)
+                        if t.rank() < b.rank()
+                            || (t.rank() == b.rank()
                                 && loads[t.to as usize] >= loads[b.to as usize]) => {}
                     _ => best = Some(t),
                 }
             }
-            let Some(best) = best.filter(|b| b.improves(factor)) else {
+            let Some(best) = best.filter(|b| b.improves()) else {
                 continue;
             };
             let from = p.part(v);
             loads[from as usize] -= weight;
             loads[best.to as usize] += weight;
             p.set(v, best.to);
-            if let Some(table) = &mut table {
-                table.apply_move(g, v, from, best.to);
-            }
+            table.apply_move(g, v, from, best.to);
             // `conn[from]` counts a self-loop edge in both directions
             // although it can never be cut.
             cut -= best.egain + 2 * self_loop_weight(g, v) as i64;
-            mark_dirty(g, table.as_ref(), v, from, best.to, &mut dirty);
+            mark_dirty(g, &table, v, from, best.to, &mut dirty);
             moved_this_iter += 1;
         }
         debug_assert!(
-            table.as_ref().is_none_or(|t| t.pins == PinTable::build(g, p).pins),
+            table.pins == PinTable::build(g, p).pins,
             "incremental pin counts drifted from a from-scratch rebuild"
         );
         debug_assert!(
-            clean_vertices_stay_put(g, p, cfg, &dirty),
+            clean_vertices_stay_put(g, p, &dirty),
             "a vertex left clean has an improving move"
         );
         moves += moved_this_iter;
@@ -486,11 +470,7 @@ mod reference {
             for &v in &order {
                 let from = p.part(v);
                 connectivity(g, p, v, &mut conn);
-                let nets = if cfg.hyperedge_factor > 0 {
-                    incident_net_counts(g, p, v, k, &mut net_scratch)
-                } else {
-                    0
-                };
+                let nets = incident_net_counts(g, p, v, k, &mut net_scratch);
                 let mut best: Option<(u32, i64, i64)> = None;
                 for to in 0..k as u32 {
                     if to == from || conn[to as usize] == 0 {
@@ -500,8 +480,7 @@ mod reference {
                     if loads[to as usize] + g.vweight(v) > lmax {
                         continue;
                     }
-                    let ranked = egain * EDGE_SCALE
-                        + cfg.hyperedge_factor as i64 * lambda_gain(&net_scratch, nets, from, to);
+                    let ranked = egain * EDGE_SCALE + lambda_gain(&net_scratch, nets, from, to);
                     match best {
                         Some((bt, _, br))
                             if ranked < br
@@ -547,25 +526,18 @@ mod tests {
         let (mut fast, mut slow) = (start.clone(), start.clone());
         let fast_stats = greedy_refine(g, &mut fast, cfg, 7);
         let slow_stats = reference::greedy_refine(g, &mut slow, cfg, 7);
-        let what =
-            format!("{} n={} k={} factor={}", g.name(), g.len(), start.k, cfg.hyperedge_factor);
+        let what = format!("{} n={} k={}", g.name(), g.len(), start.k);
         assert_eq!(fast.assignment, slow.assignment, "assignment differs: {what}");
         assert_eq!(fast_stats, slow_stats, "stats differ: {what}");
     }
 
-    fn with_factor(hyperedge_factor: u32) -> GreedyConfig {
-        GreedyConfig { hyperedge_factor, ..Default::default() }
-    }
-
     #[test]
-    fn matches_reference_across_sizes_parts_and_factors() {
+    fn matches_reference_across_sizes_and_parts() {
         for gates in [300, 800, 2_000, 5_000] {
             let g = g0(gates, gates as u64);
             for k in [2, 3, 4, 8, 16] {
                 let start = RandomPartitioner.partition(&g, k, 1);
-                for factor in [0, 1, 3] {
-                    assert_matches_reference(&g, &start, &with_factor(factor));
-                }
+                assert_matches_reference(&g, &start, &GreedyConfig::default());
             }
         }
     }
@@ -745,20 +717,15 @@ mod tests {
             vec![true, false, true, false, false, false],
         );
         use crate::metrics::connectivity_cut;
-        let asg = vec![0, 0, 1, 1, 1, 0];
-        let mut with = Partitioning::new(2, asg.clone());
-        let mut without = Partitioning::new(2, asg);
-        let cfg_on = GreedyConfig { balance_eps: 0.2, ..Default::default() };
-        let cfg_off = GreedyConfig { hyperedge_factor: 0, ..cfg_on };
-        greedy_refine(&g, &mut with, &cfg_on, 1);
-        greedy_refine(&g, &mut without, &cfg_off, 1);
-        // The edge-only refiner finds no strict edge gain anywhere and
-        // leaves both nets cut; the hyperedge-aware one consolidates.
-        assert_eq!(edge_cut(&g, &without), 2);
-        assert_eq!(connectivity_cut(&g, &without), 2);
-        assert!(connectivity_cut(&g, &with) < 2, "λ should drop via zero-edge-gain moves");
+        let start = Partitioning::new(2, vec![0, 0, 1, 1, 1, 0]);
+        // No move has a strict edge gain, and both nets are cut.
+        let (cut, lambda) = (edge_cut(&g, &start), connectivity_cut(&g, &start));
+        assert_eq!((cut, lambda), (2, 2));
+        let mut p = start.clone();
+        greedy_refine(&g, &mut p, &GreedyConfig { balance_eps: 0.2, ..Default::default() }, 1);
+        assert!(connectivity_cut(&g, &p) < lambda, "λ should drop via zero-edge-gain moves");
         // And never at the price of edge cut.
-        assert!(edge_cut(&g, &with) <= edge_cut(&g, &without));
+        assert!(edge_cut(&g, &p) <= cut);
     }
 
     #[test]

@@ -341,7 +341,7 @@ mod tests {
         let n = IscasSynth::small(600, 9).build();
         let g = CircuitGraph::from_netlist(&n);
         let run = || {
-            let p = MultilevelPartitioner::default().partition(&g, 4, 0);
+            let p = MultilevelPartitioner.partition(&g, 4, 0);
             let plan = plan_replication(&g, &p, &ReplicationConfig::default());
             (p, plan)
         };

@@ -94,7 +94,7 @@ fn multilevel_beats_random_on_edge_cut() {
     // The paper's core claim, in miniature: the multilevel heuristic cuts
     // fewer edges than a random assignment at comparable balance.
     for (name, g) in graphs() {
-        let ml = MultilevelPartitioner::default().partition(&g, 4, 0);
+        let ml = MultilevelPartitioner.partition(&g, 4, 0);
         let ml_q = metrics::quality(&g, &ml);
         // Average random over a few seeds so one lucky draw can't pass.
         let mut rnd_cut = 0u64;
@@ -212,7 +212,7 @@ fn multilevel_output_is_pinned() {
     ];
     for (circuit, k, hash, level_sizes, rows) in cases {
         let g = CircuitGraph::from_netlist(&circuit.build());
-        let rep = MultilevelPartitioner::default().partition_with_report(&g, k, 7);
+        let rep = MultilevelPartitioner.partition_with_report(&g, k, 7);
         let what = format!("{} k={k}", g.name());
         let stats: Vec<RefineStats> = rows
             .iter()
@@ -282,7 +282,7 @@ fn front_end_output_is_pinned() {
         let parsed = pls_netlist::bench_format::parse(built.name(), &text).expect("round trip");
         assert_eq!(netlist_hash(&parsed), netlist_pin, "parsed netlist: {what}");
         let g = CircuitGraph::from_netlist(&parsed);
-        let p = MultilevelPartitioner::default().partition(&g, 8, 0);
+        let p = MultilevelPartitioner.partition(&g, 8, 0);
         let plan = plan_replication(&g, &p, &ReplicationConfig::default());
         let flat: Vec<u32> = plan.pairs().into_iter().flat_map(|(g, q)| [g, q]).collect();
         assert_eq!(fnv1a(&flat), plan_pin, "replica plan: {what}");

@@ -25,7 +25,7 @@ fn main() {
 
     let plain_graph = CircuitGraph::from_netlist(&netlist);
     let hot_graph = activity_weighted_graph(&netlist, &profile);
-    let ml = MultilevelPartitioner::default();
+    let ml = MultilevelPartitioner;
 
     let seq = run_seq_baseline(&netlist, &cfg);
     println!("sequential: {:.2} modeled s\n", seq.exec_time_s);

@@ -15,7 +15,7 @@ fn run(
     kernel: KernelConfig,
     label: &str,
 ) {
-    let part = MultilevelPartitioner::default().partition(graph, nodes, 0);
+    let part = MultilevelPartitioner.partition(graph, nodes, 0);
     let mut cfg = SimConfig { end_time: 400, ..Default::default() };
     cfg.platform.kernel = kernel;
     let m = Cell::new(netlist, graph, &cfg).nodes(nodes).run_with(&part, label);

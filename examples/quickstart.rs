@@ -21,7 +21,7 @@ fn main() {
     // 2. Partition it 8 ways with the paper's three-phase multilevel
     //    algorithm and look at the static quality.
     let graph = CircuitGraph::from_netlist(&netlist);
-    let report = MultilevelPartitioner::default().partition_with_report(&graph, 8, 0);
+    let report = MultilevelPartitioner.partition_with_report(&graph, 8, 0);
     println!(
         "multilevel hierarchy: {:?} vertices per level, final cut {}",
         report.level_sizes,

@@ -28,7 +28,7 @@
 //! let graph = CircuitGraph::from_netlist(&netlist);
 //!
 //! // Partition it 4 ways with the paper's multilevel heuristic.
-//! let part = MultilevelPartitioner::default().partition(&graph, 4, 0);
+//! let part = MultilevelPartitioner.partition(&graph, 4, 0);
 //! let quality = parlogsim::partition::metrics::quality(&graph, &part);
 //! assert!(quality.imbalance < 1.15);
 //!

@@ -93,7 +93,7 @@ type Command = (&'static str, &'static str, &'static str, &'static [Flag], fn(&A
 /// which word is the positional, unknown flags, missing and non-numeric
 /// values — come from this table. The rows after `dot` run the evaluation:
 /// tables and figures render from the cached grid of `all`.
-const COMMANDS: [Command; 24] = [
+const COMMANDS: [Command; 22] = [
     ("stats", "<circuit>", "circuit characteristics (Table 1 row)", &[], cmd_stats),
     (
         "generate",
@@ -161,10 +161,6 @@ const COMMANDS: [Command; 24] = [
     ),
     ("partitioners", "", "micro-bench: partitioner runtime, multilevel ns/pin", &[], |_| {
         micro::partitioners()
-    }),
-    ("refinement", "", "micro-bench: greedy vs KL vs FM refinement", &[], |_| micro::refinement()),
-    ("coarsening", "", "micro-bench: fanout vs heavy-edge vs random coarsening", &[], |_| {
-        micro::coarsening()
     }),
     ("kernel", "", "micro-bench: single kernel runs (cancellation, checkpoints)", &[], |_| {
         micro::kernel()

@@ -249,7 +249,7 @@ fn cell_driver_applies_fault_plans() {
     let graph = CircuitGraph::from_netlist(&netlist);
     let mut cfg = SimConfig { end_time: 80, ..Default::default() };
     cfg.faults = Some(nasty_plan(5, 4));
-    let m = Cell::new(&netlist, &graph, &cfg).checked().run(&MultilevelPartitioner::default());
+    let m = Cell::new(&netlist, &graph, &cfg).checked().run(&MultilevelPartitioner);
     assert!(!m.out_of_memory);
     assert!(m.stats.events_committed > 0);
 }

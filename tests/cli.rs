@@ -7,7 +7,7 @@ use parlogsim::timewarp::FaultPlan;
 
 /// Every subcommand, in table order, with a positional it accepts (empty
 /// for the rows that take none).
-const ROWS: [(&str, &str); 24] = [
+const ROWS: [(&str, &str); 22] = [
     ("stats", "s27"),
     ("generate", "50"),
     ("partition", "s27"),
@@ -28,8 +28,6 @@ const ROWS: [(&str, &str); 24] = [
     ("dynlb", ""),
     ("bench_kernel", ""),
     ("partitioners", ""),
-    ("refinement", ""),
-    ("coarsening", ""),
     ("kernel", ""),
     ("detcheck", ""),
 ];

@@ -52,7 +52,7 @@ fn multilevel_dominates_on_communication() {
     let netlist = IscasSynth::small(800, 5).build();
     let graph = CircuitGraph::from_netlist(&netlist);
     let cfg = SimConfig { end_time: 150, ..Default::default() };
-    let ml = Cell::new(&netlist, &graph, &cfg).nodes(8).run(&MultilevelPartitioner::default());
+    let ml = Cell::new(&netlist, &graph, &cfg).nodes(8).run(&MultilevelPartitioner);
     let rnd = Cell::new(&netlist, &graph, &cfg).nodes(8).run(&RandomPartitioner);
     let topo = Cell::new(&netlist, &graph, &cfg).nodes(8).run(&TopologicalPartitioner);
     assert!(
@@ -73,7 +73,7 @@ fn multilevel_dominates_on_communication() {
 fn lazy_and_sparse_checkpoints_preserve_committed_history() {
     let netlist = IscasSynth::small(300, 9).build();
     let graph = CircuitGraph::from_netlist(&netlist);
-    let part = MultilevelPartitioner::default().partition(&graph, 4, 0);
+    let part = MultilevelPartitioner.partition(&graph, 4, 0);
 
     let base_cfg = SimConfig { end_time: 150, ..Default::default() };
     let seq = run_seq_baseline(&netlist, &base_cfg);
@@ -125,7 +125,7 @@ fn threaded_executive_matches_sequential_gate_sim() {
     let cfg = SimConfig { end_time: 100, ..Default::default() };
     let app = cfg.build_app(&netlist);
     let seq = Simulator::new(&app).run(Backend::Sequential).unwrap();
-    let part = MultilevelPartitioner::default().partition(&graph, 2, 0);
+    let part = MultilevelPartitioner.partition(&graph, 2, 0);
     let res = Simulator::new(&app)
         .run(Backend::Threaded { assignment: &part.assignment, clusters: 2 })
         .unwrap();

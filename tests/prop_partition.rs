@@ -58,7 +58,7 @@ fn balanced_strategies_respect_balance() {
         let slack = 1.0 + 16.0 / (g.len() as f64 / k as f64); // integer rounding allowance
         let p = RandomPartitioner.partition(&g, k, 3);
         assert!(metrics::imbalance(&g, &p) <= slack.max(1.05));
-        let p = MultilevelPartitioner::default().partition(&g, k, 3);
+        let p = MultilevelPartitioner.partition(&g, k, 3);
         assert!(
             metrics::imbalance(&g, &p) <= slack.max(1.06),
             "multilevel imbalance {}",
@@ -160,7 +160,7 @@ fn cut_metric_is_symmetric_in_relabeling() {
 #[test]
 fn multilevel_cut_never_worse_than_random() {
     for (g, k) in cases() {
-        let ml = MultilevelPartitioner::default().partition(&g, k, 0);
+        let ml = MultilevelPartitioner.partition(&g, k, 0);
         let rnd = RandomPartitioner.partition(&g, k, 0);
         assert!(
             metrics::edge_cut(&g, &ml) <= metrics::edge_cut(&g, &rnd),

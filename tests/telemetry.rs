@@ -105,7 +105,7 @@ fn bucket_sums_match_aggregates_across_configs() {
     // rollback/anti/coast counters are actually exercised.
     let netlist = IscasSynth::small(200, 3).build();
     let graph = CircuitGraph::from_netlist(&netlist);
-    let part = MultilevelPartitioner::default().partition(&graph, 4, 0);
+    let part = MultilevelPartitioner.partition(&graph, 4, 0);
     for (cancellation, checkpoint) in [
         (Cancellation::Aggressive, 1),
         (Cancellation::Aggressive, 4),
@@ -135,7 +135,7 @@ fn compiled_app_work_counters_reconcile_across_executives() {
     // executive, and committed work must be executive-independent.
     let netlist = IscasSynth::small(200, 3).build();
     let graph = CircuitGraph::from_netlist(&netlist);
-    let part = MultilevelPartitioner::default().partition(&graph, 4, 0);
+    let part = MultilevelPartitioner.partition(&graph, 4, 0);
     let mut cfg = SimConfig { end_time: 200, ..Default::default() };
     cfg.exec = ExecModel::CompiledBlocks(CompileOptions { blocks: Some(part.assignment.clone()) });
     let app = cfg.build_app(&netlist);
