@@ -10,6 +10,13 @@ use pls_timewarp::CostModel;
 use crate::kernel_scenarios::{committed, hotspot_setup, measure, platform4, round_robin};
 use crate::{paper_sim_config, s9234};
 
+/// Ratio of remote-message total cost to local event execution — the
+/// knob that decides how much a large cut-set hurts.
+fn comm_compute_ratio(cost: &CostModel) -> f64 {
+    (cost.msg_send_ns + cost.net_latency_ns + cost.msg_wire_ns + cost.msg_recv_ns) as f64
+        / cost.event_exec_ns as f64
+}
+
 /// Cost-model sensitivity study: how the partitioning ranking shifts when
 /// the platform changes from the paper's 1999 workstation cluster to a
 /// modern one (events ~170× cheaper, network ~40× cheaper, and a *lower*
@@ -29,7 +36,7 @@ pub fn sensitivity() {
         let seq = run_seq_baseline(&netlist, &cfg);
         println!(
             "\n== {label} (comm/compute ratio {:.1}, sequential {:.3}s)",
-            cost.comm_compute_ratio(),
+            comm_compute_ratio(&cost),
             seq.exec_time_s
         );
         println!(

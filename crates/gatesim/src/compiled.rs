@@ -332,7 +332,7 @@ impl BlockState {
     fn fresh(b: &Block, stim: &StimulusConfig) -> BlockState {
         let ncomb = b.ops.len();
         let owned = ncomb + b.dffs.len() + b.stims.len();
-        let start = if b.stims.is_empty() { VTime::INF } else { VTime::from(1) };
+        let start = if b.stims.is_empty() { VTime::INF } else { VTime::ZERO.after(1) };
         BlockState {
             vals: vec![Value::X; owned + b.num_ports as usize],
             outs: vec![Value::X; owned],
@@ -366,6 +366,10 @@ impl BlockState {
     /// `outs` and `hashes` are written, so that no write escapes the
     /// journal. `J` is [`Self::journaling`], hoisted out of the sweep.
     #[inline]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "slots fit `u16`: `compile` rejects larger blocks"
+    )]
     fn set_out<const J: bool>(&mut self, slot: usize, eff: VTime, v: Value) {
         let hash = self.hashes[slot];
         if J {
@@ -570,6 +574,10 @@ impl CompiledSim {
     /// block (and the port itself) disappears. Replica slots carry their
     /// own trace hash but are never owned — fingerprints hash home
     /// copies only. Fails when a block outgrows the instruction encoding.
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "slot, delay and route indices are checked against their `u16`/`u8` range (the `CompileError`s) and block and gate ids fit `u32`"
+    )]
     pub(crate) fn compile(
         netlist: &Netlist,
         cfg: &SimConfig,
@@ -882,7 +890,7 @@ impl CompiledSim {
         // poll, exactly as primary-input LPs do in gate-per-LP mode; all
         // other blocks are driven entirely by arriving ports.
         if !self.blocks[lp as usize].stims.is_empty() {
-            sink.schedule_at(lp, VTime::from(1), GateMsg::SelfTick);
+            sink.schedule_at(lp, VTime::ZERO.after(1), GateMsg::SelfTick);
         }
     }
 
@@ -1092,6 +1100,10 @@ impl CompiledSim {
     /// outbox rows of the foreign blocks that read it (flushed as bundled
     /// messages at the end of the activation).
     #[inline]
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "slots fit `u16` and outbox rows `u32`: `compile` rejects larger blocks"
+    )]
     fn publish(
         &self,
         b: &Block,

@@ -8,7 +8,7 @@
 //! precomputed partitioning.
 
 use pls_logic::{DelayModel, StimulusConfig};
-use pls_netlist::{GateId, Netlist};
+use pls_netlist::{topo_order, GateId, Netlist};
 use pls_partition::{plan_replication, CircuitGraph, Partitioner, Partitioning, ReplicationConfig};
 use pls_timewarp::{
     platform::sequential_modeled_time_s, Backend, DynLbConfig, FaultPlan, KernelStats,
@@ -92,21 +92,52 @@ impl SimConfig {
 
     /// [`Self::build_app`] (`partitioned` is `None`) or
     /// [`Self::build_app_partitioned`], failing instead of panicking when
-    /// a compiled block outgrows the instruction encoding. Gate-per-LP
-    /// construction cannot fail.
+    /// an event could fall due at [`pls_timewarp::VTime::INF`] or a
+    /// compiled block outgrows the instruction encoding.
     pub fn try_build(
         &self,
         netlist: &Netlist,
         partitioned: Option<(&CircuitGraph, &Partitioning)>,
-    ) -> Result<GateModel, CompileError> {
+    ) -> Result<GateModel, BuildError> {
+        // A path visits each gate at most once, so the sum of all gate
+        // delays bounds the longest one; only a horizon within that sum of
+        // infinity pays for the exact path.
+        let delay = |g| self.delay.delay(netlist.kind(g), netlist.fanin(g).len());
+        let total_delay = netlist.ids().map(delay).fold(0, u64::saturating_add);
+        if self.end_time.saturating_add(total_delay) == u64::MAX {
+            let longest_path = self.longest_delay_path(netlist);
+            if self.end_time.saturating_add(longest_path) == u64::MAX {
+                return Err(BuildError::Horizon { end_time: self.end_time, longest_path });
+            }
+        }
         let Some((graph, partitioning)) = partitioned else {
-            return self.construct(netlist, None, &[]);
+            return Ok(self.construct(netlist, None, &[])?);
         };
         let replicas = match &self.replication {
             Some(rc) => plan_replication(graph, partitioning, rc).pairs(),
             None => Vec::new(),
         };
-        self.construct(netlist, Some(&partitioning.assignment), &replicas)
+        Ok(self.construct(netlist, Some(&partitioning.assignment), &replicas)?)
+    }
+
+    /// The longest sum of gate delays along a path from a level source
+    /// (a primary input or a DFF, its own delay included) through
+    /// combinational gates. Stimulus polls and clock edges fall at most
+    /// at [`Self::end_time`], so no event falls due later than
+    /// `end_time` plus this.
+    fn longest_delay_path(&self, netlist: &Netlist) -> u64 {
+        let mut arrival = vec![0u64; netlist.len()];
+        for g in topo_order(netlist) {
+            let kind = netlist.kind(g);
+            let before = if netlist.is_input(g) || netlist.is_dff(g) {
+                0
+            } else {
+                netlist.fanin(g).iter().map(|&f| arrival[f as usize]).max().unwrap_or(0)
+            };
+            let delay = self.delay.delay(kind, netlist.fanin(g).len());
+            arrival[g as usize] = before.saturating_add(delay);
+        }
+        arrival.into_iter().max().unwrap_or(0)
     }
 
     /// Build the bare gate-per-LP engine regardless of [`Self::exec`] —
@@ -140,6 +171,45 @@ impl SimConfig {
                 replicas,
             )?),
         })
+    }
+}
+
+/// Why [`SimConfig::try_build`] cannot build a model.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum BuildError {
+    /// The horizon plus the circuit's longest delay path reaches
+    /// `u64::MAX`, the tick of [`pls_timewarp::VTime::INF`]: an event
+    /// could fall due at infinity, where none may be scheduled.
+    Horizon {
+        /// [`SimConfig::end_time`].
+        end_time: u64,
+        /// The longest sum of gate delays along a path through the
+        /// circuit under [`SimConfig::delay`].
+        longest_path: u64,
+    },
+    /// A compiled block outgrows the instruction encoding.
+    Compile(CompileError),
+}
+
+impl std::fmt::Display for BuildError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            BuildError::Horizon { end_time, longest_path } => write!(
+                f,
+                "end time {end_time} plus the longest delay path {longest_path} reaches the \
+                 largest tick {}: events would fall due at infinity",
+                u64::MAX
+            ),
+            BuildError::Compile(e) => e.fmt(f),
+        }
+    }
+}
+
+impl std::error::Error for BuildError {}
+
+impl From<CompileError> for BuildError {
+    fn from(e: CompileError) -> BuildError {
+        BuildError::Compile(e)
     }
 }
 
@@ -377,6 +447,48 @@ mod tests {
             c.stats.events_processed,
             g.stats.events_processed
         );
+    }
+
+    /// Each of these horizons used to panic in `EventSink::schedule_at`
+    /// ("events must be scheduled at a finite time") once an event fell
+    /// due at `VTime::INF`.
+    #[test]
+    fn horizons_that_reach_infinity_are_build_errors() {
+        let netlist = pls_netlist::data::s27();
+        let with = |end_time, period, delay| {
+            let mut cfg = SimConfig { end_time, delay, ..SimConfig::default() };
+            cfg.stim.period = period;
+            cfg
+        };
+        let mut late = vec![with(u64::MAX - 1, u64::MAX - 2, DelayModel::PerKind)];
+        for b in [2, 3, 4, 5, 6, 8] {
+            late.push(with(u64::MAX, u64::MAX - b, DelayModel::PerKind));
+        }
+        late.push(with(400, 1, DelayModel::Unit(u64::MAX)));
+        for cfg in &late {
+            for exec in [ExecModel::GatePerLp, ExecModel::CompiledBlocks(CompileOptions::default())]
+            {
+                let cfg = SimConfig { exec, ..cfg.clone() };
+                let err = cfg.try_build(&netlist, None).expect_err("must not build");
+                assert!(matches!(err, BuildError::Horizon { .. }), "{err}");
+                let panic = std::panic::catch_unwind(|| cfg.build_app(&netlist))
+                    .expect_err("build_app must panic");
+                assert_eq!(panic.downcast_ref::<String>(), Some(&err.to_string()));
+            }
+        }
+        // The latest horizon that builds leaves exactly the longest delay
+        // path before the largest tick, and runs to the end.
+        let Err(BuildError::Horizon { longest_path, .. }) = late[0].try_build(&netlist, None)
+        else {
+            panic!("must not build");
+        };
+        let edge = u64::MAX - longest_path;
+        assert!(with(edge, edge - 2, DelayModel::PerKind).try_build(&netlist, None).is_err());
+        let seq = run_seq_baseline(&netlist, &with(edge - 1, edge - 3, DelayModel::PerKind));
+        assert!(seq.events > 0);
+        let plain = SimConfig { end_time: 400, ..SimConfig::default() };
+        assert!(plain.try_build(&netlist, None).is_ok());
+        assert_eq!(run_seq_baseline(&netlist, &plain).fingerprint.len(), netlist.len());
     }
 
     #[test]

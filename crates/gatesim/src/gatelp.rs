@@ -177,24 +177,14 @@ impl TickCfg {
             stim_period: cfg.stim.period.max(1),
             clock_period: cfg.clock_period.max(1),
             clock_offset: (cfg.clock_period / 2).max(1),
-            end_time: VTime::from(cfg.end_time),
+            end_time: VTime::ZERO.after(cfg.end_time),
         }
     }
 
     /// First clock edge strictly after `now` (edges at
     /// `clock_offset + i * clock_period`).
     pub(crate) fn next_clock_edge(&self, now: VTime) -> VTime {
-        if now.ticks() < self.clock_offset {
-            return VTime::from(self.clock_offset);
-        }
-        let i = (now.ticks() - self.clock_offset) / self.clock_period + 1;
-        // Near the end of u64 range the next edge does not exist; INF
-        // (never scheduled) beats a wrapped edge in the past, which
-        // would silently reorder every event behind it.
-        match i.checked_mul(self.clock_period).and_then(|t| t.checked_add(self.clock_offset)) {
-            Some(t) => VTime::from(t),
-            None => VTime::INF,
-        }
+        now.next_edge(self.clock_offset, self.clock_period)
     }
 }
 
@@ -231,6 +221,10 @@ impl GateSim {
     /// drivers — or their same-part replicas, so replicated cones stay
     /// local. `gate_parts` is each gate's home part; a non-empty plan
     /// needs it.
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "LP ids fit `u32` (`LpId` is `u32`) and pins `u8` (the parser caps fan-in at 255)"
+    )]
     pub(crate) fn new(
         netlist: &Netlist,
         cfg: &SimConfig,
@@ -426,7 +420,7 @@ impl Application for GateSim {
         // Only inputs self-start; DFFs are activity-driven (their first
         // sampling tick is scheduled by the first D change).
         if self.kinds[lp as usize] == GateKind::Input {
-            sink.schedule_at(lp, VTime::from(1), GateMsg::SelfTick);
+            sink.schedule_at(lp, VTime::ZERO.after(1), GateMsg::SelfTick);
         }
     }
 
@@ -466,6 +460,7 @@ impl Application for GateSim {
         (self.kinds.len() - self.num_gates) as u64
     }
 
+    #[allow(clippy::cast_possible_truncation, reason = "LP ids fit `u32`: `LpId` is `u32`")]
     fn pinned_lps(&self) -> Vec<LpId> {
         (self.num_gates as LpId..self.kinds.len() as LpId).collect()
     }

@@ -34,6 +34,10 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::float_arithmetic, clippy::cast_precision_loss, clippy::cast_possible_truncation)
+)]
 
 pub mod activity;
 pub mod compiled;
@@ -44,7 +48,7 @@ pub mod vcd;
 
 pub use activity::{activity_weighted_graph, ActivityProfile};
 pub use compiled::{BlockState, CompileError, CompileOptions, CompiledSim};
-pub use experiment::{run_seq_baseline, Cell, RunMetrics, SeqMetrics, SimConfig};
+pub use experiment::{run_seq_baseline, BuildError, Cell, RunMetrics, SeqMetrics, SimConfig};
 pub use gatelp::{GateMsg, GateSim, GateState};
 pub use model::{ExecModel, GateModel, ModelState, UnknownExecModel};
 pub use vcd::{write_vcd, WaveRecorder, Waveform};

@@ -152,6 +152,7 @@ pub fn write_vcd(
 }
 
 /// VCD identifier code for the n-th signal (printable ASCII 33..=126).
+#[allow(clippy::cast_possible_truncation, reason = "a printable byte, `33 + n % 94`")]
 fn vcd_id(mut n: usize) -> String {
     let mut s = String::new();
     loop {

@@ -158,6 +158,10 @@ impl ChaosRuntime {
 /// Sample random scenario `k`: kind, node and window are all pure
 /// hashes of the seed. Windows land in the first ~50 ms of platform
 /// time (the scale of every benchmark run) and last 1-10 ms.
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "a node index below `nodes`, which is a `usize` count of nodes"
+)]
 fn sample_scenario(seed: u64, k: u64, nodes: usize) -> FaultScenario {
     let r = |salt: u64| mix(seed ^ SCENARIO_SALT, k, salt);
     let node = (r(0) % nodes as u64) as u32;

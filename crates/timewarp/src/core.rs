@@ -138,6 +138,10 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     /// `assignment` and deliver their init events — directly: start-up
     /// traffic is neither routed nor counted (the paper's framework
     /// partitions after elaboration; set-up cost is not measured).
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "LP ids, slots and counts index vectors of at most `u32::MAX` LPs (`LpId` is `u32`)"
+    )]
     pub fn partition<P: Probe>(
         app: &'a A,
         assignment: &[u32],
@@ -195,6 +199,10 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         states.into_iter().map(|s| s.expect("every LP lives on exactly one cluster")).collect()
     }
 
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "LP ids, slots and counts index vectors of at most `u32::MAX` LPs (`LpId` is `u32`)"
+    )]
     fn insert(&mut self, lp: LpRuntime<A>, homes: &mut Homes) {
         debug_assert_eq!(homes.part[lp.id() as usize], self.id);
         let slot = self.lps.len();
@@ -206,6 +214,10 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         self.settle(slot, (0, 0));
     }
 
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "LP ids, slots and counts index vectors of at most `u32::MAX` LPs (`LpId` is `u32`)"
+    )]
     fn reschedule(&mut self, slot: usize) {
         let lp = &self.lps[slot];
         let t = lp.next_time();
@@ -290,10 +302,9 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     /// Execute the lowest-timestamp runnable batch — the one
     /// [`Self::next_ready`] reports; panics if there is none. Its sends
     /// land on the outbox: follow with [`Self::route_next`] until it runs
-    /// dry. (Not plain `execute`: detlint resolves method calls by name,
-    /// and would link every `Application::execute` body to this one.)
-    pub fn execute_ready<P: Probe>(&mut self, probe: &mut P) {
-        self.next_ready().expect("execute_ready needs a runnable LP");
+    /// dry.
+    pub fn execute<P: Probe>(&mut self, probe: &mut P) {
+        self.next_ready().expect("execute needs a runnable LP");
         let (_, _, slot) = self.pop_ready().expect("next_ready left a current entry");
         let slot = slot as usize;
         let before = self.lps[slot].queue_lens();
@@ -365,6 +376,10 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     /// detach the LP for the driver to carry to `mv.to`. Only sound at a
     /// GVT commit point, right after [`Self::commit`], when the LP is a
     /// compact closure (see the `dynlb` module docs).
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "LP ids, slots and counts index vectors of at most `u32::MAX` LPs (`LpId` is `u32`)"
+    )]
     pub fn evict<P: Probe>(
         &mut self,
         mv: &Migration,
@@ -484,7 +499,7 @@ mod tests {
             if runnable.len() + queued > 0 {
                 let pick = (splitmix64(&mut rng) % (runnable.len() + queued) as u64) as usize;
                 let active = if let Some(&c) = runnable.get(pick) {
-                    cores[c].execute_ready(&mut probe);
+                    cores[c].execute(&mut probe);
                     c
                 } else {
                     let mut nth = pick - runnable.len();

@@ -53,9 +53,6 @@ pub struct DynLbConfig {
     /// Maximum LP migrations per balancing round (bounds migration
     /// traffic).
     pub max_moves: usize,
-    /// Balance slack passed to the refiner: no move may push a part's
-    /// observed load above `avg * (1 + balance_eps)`.
-    pub balance_eps: f64,
     /// Minimum traffic gain (messages per window) for a migration that is
     /// not fixing an overload. Migration costs a state transfer up front;
     /// gains below this threshold never pay it back and just flap LPs
@@ -65,7 +62,7 @@ pub struct DynLbConfig {
 
 impl Default for DynLbConfig {
     fn default() -> DynLbConfig {
-        DynLbConfig { period: 4, max_moves: 8, balance_eps: 0.10, min_comm_gain: 4 }
+        DynLbConfig { period: 4, max_moves: 8, min_comm_gain: 4 }
     }
 }
 
@@ -163,8 +160,8 @@ pub fn plan(
     let mut asg = assignment.to_vec();
     let icfg = pls_partition::incremental::IncrementalConfig {
         max_moves: cfg.max_moves,
-        balance_eps: cfg.balance_eps,
         min_comm_gain: cfg.min_comm_gain,
+        ..Default::default()
     };
     pls_partition::incremental::refine(&g, &mut asg, parts, &icfg)
         .into_iter()

@@ -65,6 +65,10 @@ impl RotatingHotspot {
     }
 
     /// Whether `lp` is inside the hot window at virtual time `now`.
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "virtual time divided into phases; `usize` is 64 bits on every supported host"
+    )]
     pub fn is_hot(&self, lp: LpId, now: VTime) -> bool {
         let phase = (now.ticks() / self.phase_len.max(1)) as usize;
         let start = (phase * self.hot_width) % self.lps;
@@ -110,7 +114,7 @@ impl Application for RotatingHotspot {
 
     fn init_events(&self, lp: LpId, state: &mut HotspotState, sink: &mut EventSink<u32>) {
         let jitter = xorshift(&mut state.rng) % 3;
-        sink.schedule_at(lp, VTime::from(1).after(jitter), 0);
+        sink.schedule_at(lp, VTime::ZERO.after(1 + jitter), 0);
     }
 
     fn execute(
@@ -142,7 +146,9 @@ impl Application for RotatingHotspot {
                 if msg > 1 {
                     let delay = 1 + xorshift(&mut state.rng) % 2;
                     if now.after(delay).ticks() <= horizon {
-                        sink.schedule((lp + 1) % self.lps as LpId, delay, msg - 1);
+                        #[allow(clippy::cast_possible_truncation, reason = "an LP id below `lps`")]
+                        let next = (lp + 1) % self.lps as LpId;
+                        sink.schedule(next, delay, msg - 1);
                     }
                 }
             }

@@ -28,6 +28,10 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(clippy::float_arithmetic, clippy::cast_precision_loss, clippy::cast_possible_truncation)
+)]
 
 pub mod app;
 pub mod chaos;
@@ -38,6 +42,10 @@ pub mod dynlb;
 pub mod event;
 pub mod hotspot;
 pub mod lp;
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "the protocol model has no virtual time; its LP, cluster and message counts are small"
+)]
 pub mod modelcheck;
 pub mod phold;
 pub mod platform;

@@ -16,6 +16,10 @@ use crate::time::VTime;
 /// executes (a sequential run cannot roll back), so the probe sees
 /// `BatchExecuted` (+ `AppWork`) + `FossilCollected` runs and nothing
 /// else.
+#[allow(
+    clippy::cast_possible_truncation,
+    reason = "LP ids, slots and counts index vectors of at most `u32::MAX` LPs (`LpId` is `u32`)"
+)]
 pub(crate) fn sequential_core<A: Application, P: Probe>(app: &A, probe: P) -> (RunReport<A>, P) {
     let n = app.num_lps();
     let mut states: Vec<A::State> = (0..n as LpId).map(|i| app.init_state(i)).collect();

@@ -58,9 +58,6 @@ pub enum Outcome {
     },
     /// From [`Backend::Platform`].
     Platform {
-        /// Makespan: the largest node clock, in modeled seconds — the
-        /// paper's "Execution Time - secs" axis.
-        exec_time_s: f64,
         /// Final clock of every node, in nanoseconds.
         node_clocks_ns: Vec<u64>,
     },
@@ -80,12 +77,16 @@ impl Outcome {
         }
     }
 
-    /// Modeled makespan in seconds, if this was a platform run.
+    /// Modeled makespan in seconds, if this was a platform run: the
+    /// largest node clock — the paper's "Execution Time - secs" axis.
+    #[allow(
+        clippy::cast_precision_loss,
+        clippy::float_arithmetic,
+        reason = "a reported figure; never converted back to virtual time"
+    )]
     pub fn exec_time_s(&self) -> Option<f64> {
-        match self {
-            Outcome::Platform { exec_time_s, .. } => Some(*exec_time_s),
-            _ => None,
-        }
+        let max_clock = self.node_clocks_ns()?.iter().copied().max().unwrap_or(0);
+        Some(max_clock as f64 / 1e9)
     }
 
     /// Per-node final clocks, if this was a platform run.

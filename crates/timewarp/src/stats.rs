@@ -185,15 +185,6 @@ impl KernelStats {
         self.primary_rollbacks + self.secondary_rollbacks
     }
 
-    /// Efficiency: committed / processed events (1.0 = no wasted work).
-    pub fn efficiency(&self) -> f64 {
-        if self.events_processed == 0 {
-            1.0
-        } else {
-            self.events_committed as f64 / self.events_processed as f64
-        }
-    }
-
     /// Every counter as `(name, value)`, in [`Self::COUNTERS`] order.
     pub fn iter(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
         Self::COUNTERS.iter().map(move |c| (c.name, (c.get)(self)))
@@ -355,14 +346,6 @@ mod tests {
     fn rollbacks_sum_primary_and_secondary() {
         let s = KernelStats { primary_rollbacks: 3, secondary_rollbacks: 2, ..Default::default() };
         assert_eq!(s.rollbacks(), 5);
-    }
-
-    #[test]
-    fn efficiency_bounds() {
-        let s = KernelStats::default();
-        assert_eq!(s.efficiency(), 1.0);
-        let s = KernelStats { events_processed: 10, events_committed: 7, ..Default::default() };
-        assert!((s.efficiency() - 0.7).abs() < 1e-9);
     }
 
     #[test]

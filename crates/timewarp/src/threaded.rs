@@ -500,6 +500,10 @@ impl<A: Application, P: Probe> Cluster<'_, '_, A, P> {
 
     /// The cluster thread's main loop: drain, synchronize when asked,
     /// execute. Returns the cluster once a GVT round agrees ∞ or balances.
+    #[allow(
+        clippy::cast_possible_truncation,
+        reason = "telemetry wall time in nanoseconds; a `u64` holds 584 years"
+    )]
     fn run(
         mut self,
         cfg: &KernelConfig,
@@ -554,7 +558,7 @@ impl<A: Application, P: Probe> Cluster<'_, '_, A, P> {
             let horizon = cfg.window.map_or(VTime::INF, |w| self.lane.gvt.after(w));
             match next {
                 Some(t) if t <= horizon => {
-                    self.core.execute_ready(&mut self.lane.probe);
+                    self.core.execute(&mut self.lane.probe);
                     batches_since_gvt += 1;
                     self.route();
                 }
@@ -580,6 +584,10 @@ impl<A: Application, P: Probe> Cluster<'_, '_, A, P> {
     ///    the rendezvous that precedes it, so a round whose sum is 0 sent
     ///    nothing and left nothing behind: no message is in flight;
     /// 3. all-reduce the local minima: the result is the GVT.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the GVT is the all-reduced minimum of `ticks()` reads; no sum"
+    )]
     fn gvt_round(&mut self) -> Result<VTime, Poisoned> {
         let rendezvous = &self.shared.rendezvous;
         rendezvous.sync()?;

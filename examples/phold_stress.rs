@@ -39,7 +39,7 @@ fn main() {
             res.stats.app_messages,
             res.stats.rollbacks(),
             res.outcome.exec_time_s().unwrap(),
-            100.0 * res.stats.efficiency()
+            100.0 * res.stats.events_committed as f64 / res.stats.events_processed as f64
         );
     }
 

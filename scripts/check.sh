@@ -18,18 +18,22 @@ if [[ "$FAST" -eq 0 ]]; then
   run cargo build --workspace --release
 fi
 run cargo build --workspace --tests --examples
+# (The protocol model's explored state spaces are pinned by
+# crates/timewarp/tests/modelcheck.rs, which this runs.)
 run cargo test -q --workspace
 run cargo fmt --all -- --check
 # disallowed-types and disallowed-methods (clippy.toml: RandomState maps,
 # host clocks, threads, channels, locks, atomics, interior-mutability
 # cells, once-set globals, file and stdio handles, environment reads and
-# writes, thread identity) and
+# writes, thread identity, raw `VTime::from` tick sums) and
 # the print/dbg lints are enforced per kernel crate below; the
 # workspace-wide run allows the two disallowed lints so the bench/CLI
 # crates can keep HashMap, threads and time themselves. The crate list is
-# detlint's KERNEL_CRATES (a detlint test holds the two equal and pins
-# every lint); rustc's `#![forbid(unsafe_code)]` in each of their lib.rs
-# is the unsafe check, and VTime's private field the wraparound check.
+# KERNEL_CRATES in tests/toolchain_guard.rs, which holds the two equal and
+# pins every lint. Rustc's `#![forbid(unsafe_code)]` in each of their
+# lib.rs is the unsafe check, VTime's private field and the `VTime::from`
+# ban the wraparound check, and the float lints that pls-timewarp and
+# pls-gatesim deny in their lib.rs the float check (docs/LINTS.md).
 run cargo clippy --workspace --all-targets -- -D warnings -A clippy::disallowed-types -A clippy::disallowed-methods
 for p in pls-timewarp pls-partition pls-logic pls-netlist pls-gatesim; do
   run cargo clippy -q -p "$p" --lib -- -D warnings -D clippy::disallowed-types -D clippy::disallowed-methods -D clippy::print_stdout -D clippy::print_stderr -D clippy::dbg_macro
@@ -38,32 +42,13 @@ done
 # item fails here instead of rotting.
 RUSTDOCFLAGS="-D warnings" run cargo doc --workspace --no-deps
 
-# Determinism static analysis — see docs/LINTS.md. The fixture tests that
-# `cargo test` ran above prove every rule still fires (a lint that stops
-# firing passes forever); here the kernel crates must be
-# violation-free, every waiver carrying a written reason. The workspace run is timed:
-# the gate only stays on every commit if it stays fast, so a fixpoint
-# regression that balloons the dataflow pass is itself a failure. (The
-# protocol model's explored state spaces are pinned by
-# crates/timewarp/tests/modelcheck.rs, which `cargo test` ran above.)
-echo
-echo "==> pls-detlint --workspace (timed)"
-detlint_start=$(date +%s)
-./target/debug/pls-detlint --workspace
-detlint_secs=$(( $(date +%s) - detlint_start ))
-echo "detlint workspace wall time: ${detlint_secs}s (budget 30s)"
-if [[ "$detlint_secs" -gt 30 ]]; then
-  echo "pls-detlint --workspace exceeded its 30s budget"
-  exit 1
-fi
-
 if [[ "$FAST" -eq 0 ]]; then
   # One-core gate for the threaded executive: a rendezvous waiter must
   # park, not spin or yield, once the peer it waits for needs the core it
   # sits on. Pinned to a single core the threaded unit tests (rendezvous
   # hammer with 8 parties, GVT round after every batch on up to 8
   # clusters) take ~3 s; a spin-then-yield waiter took them from 0.2 s
-  # to 23 s. Timed like the workspace lint.
+  # to 23 s. Timed, so a waiter that spins fails here.
   if command -v taskset >/dev/null; then
     run cargo test --release -q -p pls-timewarp --lib --no-run
     echo

@@ -508,15 +508,14 @@ fn cmd_simulate(args: &Args) {
     let trace_path = args.text(&TRACE);
     let bucket = trace_path.map(|_| args.bucket(end));
     let part = strategy.partition(&graph, k, 0);
-    // Compiled blocks have an encoding limit: both models this command
-    // builds, the sequential baseline's and the partitioned one, must
-    // compile before either runs. Gate-per-LP construction cannot fail.
-    if matches!(cfg.exec, ExecModel::CompiledBlocks(_)) {
-        for partitioned in [None, Some((&graph, &part))] {
-            if let Err(e) = cfg.try_build(&netlist, partitioned) {
-                eprintln!("cannot simulate `{}`: {e}", args.positional);
-                exit(1);
-            }
+    // Both models this command builds, the sequential baseline's and the
+    // partitioned one, must build before either runs: the horizon must
+    // leave room for the longest delay path, and a compiled block must
+    // fit the instruction encoding.
+    for partitioned in [None, Some((&graph, &part))] {
+        if let Err(e) = cfg.try_build(&netlist, partitioned) {
+            eprintln!("cannot simulate `{}`: {e}", args.positional);
+            exit(1);
         }
     }
     let seq = run_seq_baseline(&netlist, &cfg);
