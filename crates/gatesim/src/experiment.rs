@@ -256,8 +256,13 @@ pub struct SeqMetrics {
 
 /// Run the sequential baseline and model its execution time.
 pub fn run_seq_baseline(netlist: &Netlist, cfg: &SimConfig) -> SeqMetrics {
-    let app = cfg.build_app(netlist);
-    let res = Simulator::new(&app).run(Backend::Sequential).expect("sequential runs cannot fail");
+    run_seq_model(netlist, cfg, &cfg.build_app(netlist))
+}
+
+/// [`run_seq_baseline`] over `app`, the model [`SimConfig::try_build`]
+/// built of `netlist` unpartitioned.
+pub fn run_seq_model(netlist: &Netlist, cfg: &SimConfig, app: &GateModel) -> SeqMetrics {
+    let res = Simulator::new(app).run(Backend::Sequential).expect("sequential runs cannot fail");
     SeqMetrics {
         circuit: netlist.name().to_string(),
         exec_time_s: sequential_modeled_time_s(res.stats.events_processed, &cfg.platform.cost),
@@ -336,12 +341,23 @@ impl<'a> Cell<'a> {
     /// [`SimConfig::replication`] set, a replica plan is made against
     /// this partitioning and applied to the model.
     pub fn run_with(self, partitioning: &Partitioning, strategy_name: &str) -> RunMetrics {
-        assert!(partitioning.is_valid_for(self.graph));
         let app = self.cfg.build_app_partitioned(self.netlist, self.graph, partitioning);
+        self.run_model(&app, partitioning, strategy_name)
+    }
+
+    /// [`Self::run_with`] over `app`, the model [`SimConfig::try_build`]
+    /// built against `partitioning`.
+    pub fn run_model(
+        self,
+        app: &GateModel,
+        partitioning: &Partitioning,
+        strategy_name: &str,
+    ) -> RunMetrics {
+        assert!(partitioning.is_valid_for(self.graph));
         let assignment = app.lp_assignment(&partitioning.assignment);
         let edge_cut = pls_partition::metrics::edge_cut(self.graph, partitioning);
         let connectivity_cut = pls_partition::metrics::connectivity_cut(self.graph, partitioning);
-        let mut sim = Simulator::new(&app).platform_config(&self.cfg.platform);
+        let mut sim = Simulator::new(app).platform_config(&self.cfg.platform);
         if let Some(w) = self.bucket {
             sim = sim.record(w);
         }
@@ -355,7 +371,7 @@ impl<'a> Cell<'a> {
         let (exec_time_s, stats, telemetry, out_of_memory) = match run {
             Ok(res) => {
                 if self.check {
-                    let seq = Simulator::new(&app)
+                    let seq = Simulator::new(app)
                         .run(Backend::Sequential)
                         .expect("sequential runs cannot fail");
                     assert_eq!(

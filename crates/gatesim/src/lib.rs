@@ -48,7 +48,9 @@ pub mod vcd;
 
 pub use activity::{activity_weighted_graph, ActivityProfile};
 pub use compiled::{BlockState, CompileError, CompileOptions, CompiledSim};
-pub use experiment::{run_seq_baseline, BuildError, Cell, RunMetrics, SeqMetrics, SimConfig};
+pub use experiment::{
+    run_seq_baseline, run_seq_model, BuildError, Cell, RunMetrics, SeqMetrics, SimConfig,
+};
 pub use gatelp::{GateMsg, GateSim, GateState};
 pub use model::{ExecModel, GateModel, ModelState, UnknownExecModel};
 pub use vcd::{write_vcd, WaveRecorder, Waveform};

@@ -29,6 +29,7 @@ use crate::time::VTime;
 /// has one table: the platform lends it to every core step, the threaded
 /// executive lends it read-only to its cluster threads during an epoch
 /// and migrates (writes it) only between epochs.
+#[cfg_attr(test, derive(Clone))]
 pub(crate) struct Homes {
     part: Vec<u32>,
     slot: Vec<u32>,
@@ -98,6 +99,7 @@ fn ones(word: usize, mut bits: u64) -> impl Iterator<Item = usize> {
 }
 
 /// The LPs of one cluster and the protocol steps over them.
+#[cfg_attr(test, derive(Clone))]
 pub(crate) struct ClusterCore<'a, A: Application> {
     app: &'a A,
     /// This cluster's value in [`Homes::parts`].
@@ -131,6 +133,9 @@ pub(crate) struct ClusterCore<'a, A: Application> {
     held: u64,
     /// Unprocessed events queued at the resident LPs, kept likewise.
     pending: u64,
+    /// Bug hook: [`Self::evict`] hands over a copy of the LP and keeps it.
+    #[cfg(test)]
+    pub keep_evicted: bool,
 }
 
 impl<'a, A: Application> ClusterCore<'a, A> {
@@ -163,6 +168,8 @@ impl<'a, A: Application> ClusterCore<'a, A> {
                 history: Vec::new(),
                 held: 0,
                 pending: 0,
+                #[cfg(test)]
+                keep_evicted: false,
             })
             .collect();
         let mut homes = Homes { part: assignment.to_vec(), slot: vec![0; assignment.len()] };
@@ -396,6 +403,10 @@ impl<'a, A: Application> ClusterCore<'a, A> {
             self.id
         );
         let slot = homes.slot[mv.lp as usize] as usize;
+        #[cfg(test)]
+        if self.keep_evicted {
+            return Mover { lp: self.lps[slot].clone(), units: 0 };
+        }
         let lp = self.lps.swap_remove(slot);
         // Drop the last slot's history bit; if an LP sat there (any but the
         // one leaving), it has filled the gap and takes over that slot's.
@@ -423,6 +434,12 @@ impl<'a, A: Application> ClusterCore<'a, A> {
     pub fn adopt(&mut self, mover: Mover<A>, homes: &mut Homes) {
         self.insert(mover.lp, homes);
     }
+
+    /// The resident LPs, in slot order.
+    #[cfg(test)]
+    pub fn lps(&self) -> &[LpRuntime<A>] {
+        &self.lps
+    }
 }
 
 #[cfg(test)]
@@ -435,15 +452,7 @@ mod tests {
     use crate::probe::Tee;
     use crate::sim::{Backend, Simulator};
     use crate::stats::{KernelStats, LpLedger};
-    use crate::testkit::{round_robin, Ring};
-
-    fn splitmix64(x: &mut u64) -> u64 {
-        *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = *x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
+    use crate::testkit::{round_robin, splitmix64, Ring};
 
     /// Drive `parts` real cores in one thread under a seeded adversarial
     /// scheduler. Remote hops wait in one FIFO mailbox per *sending* core

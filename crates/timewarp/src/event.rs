@@ -20,6 +20,7 @@ pub struct EventId {
 
 /// A positive event message.
 #[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(test, derive(Eq, Hash))]
 pub struct Event<M> {
     /// Identity (also identifies the matching anti-message).
     pub id: EventId,
@@ -35,6 +36,7 @@ pub struct Event<M> {
 
 /// An anti-message: cancels the positive event with the same [`EventId`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[cfg_attr(test, derive(Hash))]
 pub struct AntiEvent {
     /// Identity of the positive event to annihilate.
     pub id: EventId,
@@ -48,6 +50,7 @@ pub struct AntiEvent {
 
 /// What travels between clusters: a positive event or an anti-message.
 #[derive(Debug, Clone, PartialEq)]
+#[cfg_attr(test, derive(Eq, Hash))]
 pub enum Transmission<M> {
     /// A positive application event.
     Positive(Event<M>),

@@ -42,11 +42,8 @@ pub mod dynlb;
 pub mod event;
 pub mod hotspot;
 pub mod lp;
-#[allow(
-    clippy::cast_possible_truncation,
-    reason = "the protocol model has no virtual time; its LP, cluster and message counts are small"
-)]
-pub mod modelcheck;
+#[cfg(test)]
+mod modelcheck;
 pub mod phold;
 pub mod platform;
 pub mod pool;

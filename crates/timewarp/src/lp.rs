@@ -22,6 +22,7 @@ fn key<M>(e: &Event<M>) -> (VTime, EventId) {
 
 /// A checkpoint of LP state.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq, Eq, Hash))]
 struct SavedState<S> {
     /// Virtual time of the batch after which this state was saved;
     /// `None` marks the initial (pre-simulation) state.
@@ -77,6 +78,7 @@ pub struct LpRuntime<A: Application> {
 /// a state that fossil collection or a rollback retired on any LP of the
 /// cluster.
 #[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
 pub struct Scratch<A: Application> {
     cfg: KernelConfig,
     batch: Vec<Event<A::Msg>>,
@@ -608,6 +610,57 @@ impl<A: Application> LpRuntime<A> {
         if committed > 0 {
             probe.on(ProbeEvent::FossilCollected { lp: self.id, gvt, committed });
         }
+    }
+}
+
+/// A copy of an LP — for the model checker's states, and for its
+/// re-injected migration that adopts an LP without evicting it.
+#[cfg(test)]
+impl<A: Application> Clone for LpRuntime<A> {
+    fn clone(&self) -> Self {
+        LpRuntime {
+            id: self.id,
+            state: self.state.clone(),
+            lvt: self.lvt,
+            out_seq: self.out_seq,
+            pending: self.pending.clone(),
+            processed: self.processed.clone(),
+            states: self.states.clone(),
+            outputs: self.outputs.clone(),
+            pending_cancel: self.pending_cancel.clone(),
+            cancel_keys: self.cancel_keys.clone(),
+            orphan_antis: self.orphan_antis.clone(),
+            batches_since_checkpoint: self.batches_since_checkpoint,
+        }
+    }
+}
+
+#[cfg(test)]
+impl<A: Application> LpRuntime<A>
+where
+    A::State: std::hash::Hash + Eq,
+    A::Msg: std::hash::Hash + Eq,
+{
+    /// Everything that decides this LP's future, for the model checker's
+    /// state hash and equality (`cancel_keys` is derived from
+    /// `pending_cancel`).
+    pub(crate) fn key(&self) -> impl std::hash::Hash + Eq + '_ {
+        let queues = (&self.pending, &self.processed, &self.states, &self.outputs);
+        let cancels = (&self.pending_cancel, &self.orphan_antis, self.batches_since_checkpoint);
+        (self.id, &self.state, self.lvt, self.out_seq, queues, cancels)
+    }
+}
+
+#[cfg(test)]
+impl<A: Application> LpRuntime<A> {
+    /// Ids of the events queued here, pending or processed.
+    pub(crate) fn resident(&self) -> impl Iterator<Item = EventId> + '_ {
+        self.pending.iter().chain(&self.processed).map(|e| e.id)
+    }
+
+    /// Sent positives that no rollback has cancelled and no commit freed.
+    pub(crate) fn outputs(&self) -> &[Event<A::Msg>] {
+        &self.outputs
     }
 }
 

@@ -1,11 +1,12 @@
-//! Exhaustive interleaving model checking for the threaded executive's
-//! synchronization protocol.
+//! Exhaustive interleaving model checking of the threaded executive's
+//! own code.
 //!
 //! Runtime tools (the `detcheck` golden diff, stress tests) only
 //! witness the schedules the OS happens to produce. This module instead
-//! *enumerates every schedule* of a small abstracted protocol model — in
-//! the tradition of loom and CDSChecker — and asserts safety invariants
-//! at every reachable state. It is layered:
+//! *enumerates every schedule* of a small run — in the tradition of loom
+//! and of the FoundationDB/desim recipe of running the real node code
+//! under a deterministic scheduler — and asserts safety invariants at
+//! every reachable state. It is layered:
 //!
 //! * [`ProtocolModel`] — the trait a checkable protocol implements:
 //!   initial state, enabled steps, step application, per-state
@@ -15,37 +16,32 @@
 //!   [`ProtocolModel`], with deterministic traversal order, scratch-
 //!   buffer reuse, and an optional full-state collision guard
 //!   ([`ExploreOptions::verify_hashes`]).
-//! * [`barrier`] — the flush-and-barrier model of the threaded
-//!   executive over reliable per-cluster FIFO channels: optimistic
-//!   rollback with anti-messages, the repeated drain-round GVT and LP
-//!   migration ([`crate::dynlb`]) as one step between thread epochs.
+//! * [`threads`] — the threaded executive's cluster step function
+//!   (`threaded::Lane::step`) over real cores, FIFO queues and a scripted
+//!   barrier, with migration between epochs through the real
+//!   `evict`/`adopt`. Its tests explore the acceptance configurations,
+//!   pin their state spaces, detect both re-injected bug shapes (test-only
+//!   hooks in the real code) and walk seeded schedules of larger runs.
 //!
-//! Bug shapes can be re-injected ([`Bug`]) to prove the
-//! checker actually detects them. `crates/timewarp/tests/modelcheck.rs`
-//! explores the three acceptance configurations and both bug shapes,
-//! and pins their state spaces and counterexamples.
+//! Test-only: nothing outside this crate's tests uses it.
 
-pub mod barrier;
 mod explore;
+pub(crate) mod threads;
 
 use std::fmt::Debug;
 use std::hash::Hash;
 
-pub use barrier::{Bug, ModelConfig, PlannedMove};
-pub use explore::{explore, explore_with, CheckReport, Counterexample, ExploreOptions};
+pub(crate) use explore::{explore, explore_with, CheckReport, ExploreOptions};
 
 /// A protocol small enough to check exhaustively.
 ///
-/// Implementations are *abstracted* state machines of a real protocol:
-/// application payloads dropped, workloads scripted, budgets finite —
-/// small enough that every scheduler interleaving can be enumerated,
-/// faithful enough that a protocol bug still manifests. The explorer
-/// owns the traversal; the model owns the semantics.
-pub trait ProtocolModel {
+/// The explorer owns the traversal; the model owns the semantics and
+/// keeps its runs small enough that every interleaving can be enumerated.
+pub(crate) trait ProtocolModel {
     /// Complete protocol state. `Hash` feeds the explorer's 64-bit
     /// hash-compaction pruning; `Eq` backs the optional full-state
     /// collision guard.
-    type State: Clone + Eq + Hash + Debug;
+    type State: Clone + Eq + Hash;
     /// One atomic scheduler choice.
     type Step: Copy + Debug;
 

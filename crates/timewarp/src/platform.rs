@@ -93,7 +93,7 @@ impl<M> Platform<M> {
             self.flights.push(None);
             self.flights.len() - 1
         });
-        debug_assert!(self.flights[key].is_none());
+        debug_assert!(self.flights[key].is_none(), "invariant: a free flight slot is empty");
         self.flights[key] = Some(tx);
         self.net.push(Reverse((arrive, self.flight_seq, key)));
         self.flight_seq += 1;
@@ -218,11 +218,13 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
         let deliver_first = next_arrival.is_some_and(|a| exec_clock.is_none_or(|c| a < c));
 
         if edge_due {
-            let (node, onset, active_now) = plat.chaos.as_mut().expect("edge due").pop_edge();
+            let (node, onset, active_now) =
+                plat.chaos.as_mut().expect("invariant: an edge is due").pop_edge();
             probe.on(ProbeEvent::FaultEvent { node, onset, active_now, gvt: last_gvt });
         } else if deliver_first {
-            let Reverse((arrive, _, key)) = plat.net.pop().expect("peeked above");
-            let tx = plat.flights[key].take().expect("wire heap entry without flight");
+            let Reverse((arrive, _, key)) = plat.net.pop().expect("invariant: peeked above");
+            let tx =
+                plat.flights[key].take().expect("invariant: every wire heap entry has its flight");
             plat.free_flights.push(key);
             let dnode = homes.part(tx.dst());
             plat.clocks[dnode] = plat.clocks[dnode].max(arrive);

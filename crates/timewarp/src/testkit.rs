@@ -6,7 +6,7 @@ use crate::time::VTime;
 
 /// A ring of LPs passing tokens with per-hop jitter in virtual time:
 /// enough structure for cross-cluster causality violations.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub(crate) struct Ring {
     pub n: usize,
     pub hops: u64,
@@ -106,4 +106,14 @@ impl Application for Idle {
 /// LP `i` → part `i % parts`.
 pub(crate) fn round_robin(n: usize, parts: usize) -> Vec<u32> {
     (0..n).map(|i| (i % parts) as u32).collect()
+}
+
+/// The splitmix64 step: a seeded stream for the schedulers of the
+/// interleaving tests.
+pub(crate) fn splitmix64(x: &mut u64) -> u64 {
+    *x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *x;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }

@@ -13,17 +13,28 @@
 //! interleaving decides how much optimistic work is wasted, so its counts
 //! are medians and only its committed fingerprint is asserted.
 //!
+//! The cluster loop is one step function, `Lane::step`, over a
+//! `ClusterCore` and its `Lane`: drain, execute, flush, arrive,
+//! release, commit. It reaches the other clusters only through a `Seam`
+//! — the wire, the GVT request flag and the rendezvous. Here each cluster
+//! thread calls it in a loop over `mpsc` channels and the `Rendezvous`;
+//! the model checker (`crate::modelcheck`) calls it one step at a time
+//! over FIFO queues and a scripted barrier, so the protocol it explores is
+//! this code. The seam is a generic parameter: the thread loop is
+//! monomorphised and dispatches nothing dynamically.
+//!
 //! Synchronization: the one primitive is the private `Rendezvous`, an
 //! all-reduce barrier over the cluster threads — every cluster contributes
 //! an addend and a candidate minimum and gets the sum and the minimum
-//! back. A GVT round is `2 + F` of them (`F` flush rounds, see
-//! `Cluster::gvt_round`). A waiter spins briefly and then parks, so a
-//! host with fewer cores than clusters is not starved by its own waiters;
-//! its parking lot is the executive's only lock. A cluster thread that
-//! panics poisons the rendezvous: its peers leave their wait and the run
-//! ends in [`SimError::ClusterPanicked`] — never a hang. Besides the
-//! rendezvous the clusters share the `requested` flag, one mail counter
-//! per cluster and the run's routing table, which they only read.
+//! back. A cluster *arrives* and is later *released*; between the two a
+//! thread waits. A GVT round is `2 + F` rendezvous (`F` flush rounds, see
+//! `Phase`). A waiter spins briefly and then parks, so a host with fewer
+//! cores than clusters is not starved by its own waiters; its parking lot
+//! is the executive's only lock. A cluster thread that panics poisons the
+//! rendezvous: its peers leave their wait and the run ends in
+//! [`SimError::ClusterPanicked`] — never a hang. Besides the rendezvous
+//! the clusters share the `requested` flag, one mail counter per cluster
+//! and the run's routing table, which they only read.
 //!
 //! Balancing: the cluster threads run in epochs. At a balancing GVT round
 //! every thread leaves its loop after its commit, with every channel
@@ -70,7 +81,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
     reason = "the threaded executive is the one audited concurrency surface"
 )]
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crate::app::Application;
 use crate::config::KernelConfig;
@@ -84,20 +95,20 @@ use crate::time::VTime;
 
 /// A batch of transmissions — the unit that travels on inter-cluster
 /// channels.
-type TxBatch<M> = Vec<Transmission<M>>;
+pub(crate) type TxBatch<M> = Vec<Transmission<M>>;
 
-/// Why a [`Rendezvous::reduce`] did not complete: a cluster thread
-/// panicked, so some party will never arrive.
+/// Why a rendezvous did not release: a cluster thread panicked, so some
+/// party will never arrive.
 #[derive(Debug)]
-struct Poisoned;
+pub(crate) struct Poisoned;
 
-/// What every party gets back from one [`Rendezvous::reduce`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Reduced {
+/// What every party gets back from one rendezvous.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) struct Reduced {
     /// Sum of the parties' addends.
-    sum: u64,
+    pub sum: u64,
     /// Minimum of the parties' candidates.
-    min: u64,
+    pub min: u64,
 }
 
 /// Polls of the generation counter before a waiter parks: about ten
@@ -166,20 +177,18 @@ impl Rendezvous {
         self.parked.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Wait for all parties; return the sum of their `add`s and the
-    /// minimum of their `min`s. Fails, now or on arrival, for every party
-    /// waiting on a poisoned rendezvous.
-    fn reduce(&self, add: u64, min: u64) -> Result<Reduced, Poisoned> {
+    /// Count in with an addend and a candidate minimum; returns the
+    /// generation joined, for [`Self::release`]. The last arriver
+    /// completes the generation and releases everyone.
+    fn arrive(&self, add: u64, min: u64) -> u64 {
         // Stable until this party counts itself in.
         let generation = self.generation.load(SeqCst);
         self.sum.fetch_add(add, SeqCst);
         self.min.fetch_min(min, SeqCst);
         if self.arrived.fetch_add(1, SeqCst) + 1 == self.parties {
-            let out =
-                Reduced { sum: self.sum.swap(0, SeqCst), min: self.min.swap(u64::MAX, SeqCst) };
             self.arrived.store(0, SeqCst);
-            self.out_sum.store(out.sum, SeqCst);
-            self.out_min.store(out.min, SeqCst);
+            self.out_sum.store(self.sum.swap(0, SeqCst), SeqCst);
+            self.out_min.store(self.min.swap(u64::MAX, SeqCst), SeqCst);
             self.generation.store(generation + 1, SeqCst);
             if self.sleepers.load(SeqCst) != 0 {
                 // Taking the lock waits out a sleeper that has checked the
@@ -187,9 +196,14 @@ impl Rendezvous {
                 drop(self.lock_parked());
                 self.wake.notify_all();
             }
-            return Ok(out);
         }
+        generation
+    }
 
+    /// Wait until `generation` completes; return the sum of its parties'
+    /// addends and the minimum of their candidates. Fails, now or on
+    /// arrival, for every party waiting on a poisoned rendezvous.
+    fn release(&self, generation: u64) -> Result<Reduced, Poisoned> {
         let released = || self.generation.load(SeqCst) != generation;
         let over = || released() || self.poisoned.load(SeqCst);
         let mut spins = 0;
@@ -210,11 +224,6 @@ impl Rendezvous {
         } else {
             Err(Poisoned)
         }
-    }
-
-    /// A rendezvous that reduces nothing: a plain barrier.
-    fn sync(&self) -> Result<(), Poisoned> {
-        self.reduce(0, u64::MAX).map(drop)
     }
 
     /// Fail every waiter, now and from now on.
@@ -266,6 +275,92 @@ struct Shared {
     mail: Vec<Mail>,
 }
 
+/// Everything a cluster's step reaches outside its own core and lane.
+pub(crate) trait Seam<M> {
+    /// Send one batch to cluster `dc`.
+    fn post(&mut self, dc: usize, batch: TxBatch<M>);
+    /// The next batch in this cluster's inbox, if one has arrived.
+    fn take(&mut self) -> Option<TxBatch<M>>;
+    /// [`Self::take`], waiting up to `patience` for a batch.
+    fn wait(&mut self, patience: Duration) -> Option<TxBatch<M>>;
+    /// Raise the GVT request flag; whether this call raised it.
+    fn raise(&mut self) -> bool;
+    /// Whether the GVT request flag is up.
+    fn raised(&self) -> bool;
+    /// Lower the GVT request flag.
+    fn lower(&mut self);
+    /// Count in at the next rendezvous.
+    fn arrive(&mut self, add: u64, min: u64);
+    /// The reduction of the rendezvous this cluster last arrived at, once
+    /// every cluster has arrived there.
+    fn release(&mut self) -> Result<Reduced, Poisoned>;
+}
+
+/// A cluster's receiving end, kept from one epoch to the next.
+#[allow(clippy::disallowed_types, reason = "a cluster thread's receiving channel endpoint")]
+struct Inbox<M> {
+    rx: Receiver<TxBatch<M>>,
+    /// Batches taken from `rx` so far; see [`Shared::mail`].
+    received: u64,
+}
+
+/// The cluster threads' [`Seam`]: channels, the shared flag and the
+/// rendezvous, for one epoch.
+#[allow(clippy::disallowed_types, reason = "a cluster thread's sending channel endpoints")]
+struct Wire<'e, M> {
+    cid: usize,
+    inbox: Inbox<M>,
+    shared: &'e Shared,
+    senders: &'e [Sender<TxBatch<M>>],
+    /// The generation of the rendezvous last arrived at.
+    generation: u64,
+}
+
+impl<M> Seam<M> for Wire<'_, M> {
+    /// Announce, then send.
+    fn post(&mut self, dc: usize, batch: TxBatch<M>) {
+        self.shared.mail[dc].0.fetch_add(1, SeqCst);
+        // A receiver only goes away when its cluster leaves a poisoned
+        // run (after GVT = ∞ nobody sends); the next rendezvous says so.
+        let _ = self.senders[dc].send(batch);
+    }
+
+    fn take(&mut self) -> Option<TxBatch<M>> {
+        if self.shared.mail[self.cid].0.load(SeqCst) == self.inbox.received {
+            return None;
+        }
+        let batch = self.inbox.rx.try_recv().ok()?;
+        self.inbox.received += 1;
+        Some(batch)
+    }
+
+    fn wait(&mut self, patience: Duration) -> Option<TxBatch<M>> {
+        let batch = self.inbox.rx.recv_timeout(patience).ok()?;
+        self.inbox.received += 1;
+        Some(batch)
+    }
+
+    fn raise(&mut self) -> bool {
+        !self.shared.requested.swap(true, SeqCst)
+    }
+
+    fn raised(&self) -> bool {
+        self.shared.requested.load(SeqCst)
+    }
+
+    fn lower(&mut self) {
+        self.shared.requested.store(false, SeqCst);
+    }
+
+    fn arrive(&mut self, add: u64, min: u64) {
+        self.generation = self.shared.rendezvous.arrive(add, min);
+    }
+
+    fn release(&mut self) -> Result<Reduced, Poisoned> {
+        self.shared.rendezvous.release(self.generation)
+    }
+}
+
 /// The executive proper, generic over the telemetry probe; returns the
 /// probe with the report. `sim::validate` has already checked `cfg`, and
 /// `assignment` against `app` and `clusters`.
@@ -306,38 +401,31 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     let (mut cores, mut homes) =
         ClusterCore::partition(app, assignment, clusters, *cfg, &mut probe);
     let balancer = dynlb.map(|cfg| Balancer::new(app, cfg));
-    let mut lanes: Vec<Lane<A::Msg, _>> = receivers
-        .into_iter()
-        .map(|rx| Lane { rx, received: 0, gvt: VTime::ZERO, idle_rounds: 0, probe: probe.fork() })
-        .collect();
+    let mut lanes: Vec<Lane<A::Msg, _>> =
+        (0..clusters).map(|cid| Lane::new(cid, clusters, probe.fork())).collect();
+    let mut inboxes: Vec<_> = receivers.into_iter().map(|rx| Inbox { rx, received: 0 }).collect();
 
     #[allow(
         clippy::disallowed_methods,
         reason = "host wall-clock feeds only RunReport/probe telemetry host-time columns and never virtual time"
     )]
-    let started = std::time::Instant::now();
+    let started = Instant::now();
 
     loop {
+        let epoch = Epoch { homes: &homes, cfg, lb: balancer.as_ref(), started };
         // Each thread owns its core and lane for the epoch, on its own
         // stack: side by side in one vector, two clusters' hot fields
         // would share cache lines.
         #[allow(clippy::disallowed_methods, reason = "one OS thread per cluster")]
         let joined: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (cores.drain(..).zip(lanes.drain(..)).enumerate())
-                .map(|(cid, (core, lane))| {
-                    let cluster = Cluster {
-                        cid,
-                        core,
-                        lane,
-                        homes: &homes,
-                        shared: &shared,
-                        senders: &senders,
-                        out_bufs: (0..clusters).map(|_| Vec::new()).collect(),
-                    };
-                    let (rendezvous, lb) = (&shared.rendezvous, balancer.as_ref());
+            let handles: Vec<_> = (cores.drain(..).zip(lanes.drain(..)).zip(inboxes.drain(..)))
+                .map(|((mut core, mut lane), inbox)| {
+                    let (shared, senders, epoch) = (&shared, &senders[..], &epoch);
+                    let mut wire = Wire { cid: lane.cid, inbox, shared, senders, generation: 0 };
                     scope.spawn(move || {
-                        let _poison = PoisonOnPanic(rendezvous);
-                        cluster.run(cfg, lb, started)
+                        let _poison = PoisonOnPanic(&shared.rendezvous);
+                        while !lane.step(&mut core, epoch, &mut wire)? {}
+                        Ok::<_, Poisoned>((core, lane, wire.inbox))
                     })
                 })
                 .collect();
@@ -349,16 +437,19 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
             return Err(SimError::ClusterPanicked { cluster });
         }
         for joined in joined {
-            let Ok(Ok(cluster)) = joined else { unreachable!("only a panic poisons") };
-            cores.push(cluster.core);
-            lanes.push(cluster.lane);
+            let Ok(Ok((core, lane, inbox))) = joined else {
+                unreachable!("invariant: only a panic poisons the rendezvous")
+            };
+            cores.push(core);
+            lanes.push(lane);
+            inboxes.push(inbox);
         }
         // Rounds are lockstep: every cluster left at the same one.
         let gvt = lanes[0].gvt;
         if gvt.is_inf() {
             break;
         }
-        let lb = balancer.as_ref().expect("only a balancing round ends an epoch early");
+        let lb = balancer.as_ref().expect("invariant: only a balancing round ends an epoch early");
         for lane in &mut lanes {
             let slice = lane.probe.b.a.as_mut().map(std::mem::take);
             probe.b.a.join(slice);
@@ -374,7 +465,7 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
         let rounds = lane.probe.a.gvt_rounds;
         assert!(
             cid == 0 || rounds == probe.a.gvt_rounds,
-            "cluster {cid} counted {rounds} GVT rounds, cluster 0 {}",
+            "invariant: cluster {cid} counted {rounds} GVT rounds, cluster 0 {}",
             probe.a.gvt_rounds
         );
         probe.join(lane.probe);
@@ -387,61 +478,115 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     Ok((RunReport { stats, states, outcome, telemetry: None }, probe))
 }
 
-/// What a cluster keeps from one epoch to the next.
-#[allow(clippy::disallowed_types, reason = "a cluster thread's receiving channel endpoint")]
-struct Lane<M, P> {
-    rx: Receiver<TxBatch<M>>,
-    /// Batches taken from `rx` so far; see [`Shared::mail`].
-    received: u64,
+/// What every cluster's step reads and none writes during an epoch.
+pub(crate) struct Epoch<'e> {
+    /// The run's routing table (see [`Homes`]).
+    pub homes: &'e Homes,
+    pub cfg: &'e KernelConfig,
+    /// Ends the epoch at each balancing round.
+    pub lb: Option<&'e Balancer>,
+    /// Telemetry wall-clock origin.
+    pub started: Instant,
+}
+
+/// Where a cluster is in its loop: the step function's program counter.
+/// A GVT round is entry, `F ≥ 1` flush rounds and the minima, each ended
+/// by a rendezvous:
+///
+/// 1. entry — everyone has stopped normal processing, so every send of
+///    normal processing (wake-up batches included) happens-before it.
+///    Nobody raises the request flag inside a round and nobody leaves the
+///    round before cluster 0 arrives at the next rendezvous, so cluster 0
+///    lowers the flag on release;
+/// 2. flush — drain the inbox and route by-products (rollback antis can
+///    cascade), then all-reduce the number of transmissions routed. Each
+///    round drains everything sent before the rendezvous that precedes
+///    it, so a round whose sum is 0 sent nothing and left nothing behind:
+///    no message is in flight;
+/// 3. minima — all-reduce the local minima: the result is the GVT.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Phase {
+    /// Out of a GVT round: wait for mail if nothing is ready.
+    Idle,
+    /// Normal processing: drain the inbox a batch a step, then request or
+    /// enter a GVT round, or execute one batch.
+    Run,
+    /// Arrived at a round's entry rendezvous.
+    Entered,
+    /// In a flush round: drain the inbox a batch a step, then arrive with
+    /// the transmissions routed.
+    Flush,
+    /// Arrived at a flush rendezvous.
+    Flushed,
+    /// Arrived at the minima rendezvous.
+    Minimum,
+}
+
+/// One cluster's loop state, kept from one epoch to the next.
+#[cfg_attr(test, derive(Clone))]
+pub(crate) struct Lane<M, P> {
+    pub cid: usize,
+    pub phase: Phase,
     /// The GVT agreed in the last round: the optimism window's base.
-    gvt: VTime,
+    pub gvt: VTime,
+    batches_since_gvt: u64,
+    /// Transmissions routed in the flush round in progress.
+    routed: u64,
     /// Idle waits in a row, each after a round: the patience of the next.
     idle_rounds: u32,
-    /// This cluster's statistics, ledger and child of the caller's probe.
-    probe: Tee<KernelStats, Tee<Option<LpLedger>, P>>,
-}
-
-/// One cluster thread's view of the run for one epoch.
-#[allow(clippy::disallowed_types, reason = "a cluster thread's sending channel endpoints")]
-struct Cluster<'e, 'a, A: Application, P: Probe> {
-    cid: usize,
-    core: ClusterCore<'a, A>,
-    lane: Lane<A::Msg, P>,
-    /// The run's routing table (see [`Homes`]), read-only for the epoch.
-    homes: &'e Homes,
-    shared: &'e Shared,
-    senders: &'e [Sender<TxBatch<A::Msg>>],
     /// Per-destination coalescing buffers, reused across routing passes.
-    out_bufs: Vec<TxBatch<A::Msg>>,
+    out_bufs: Vec<TxBatch<M>>,
+    /// This cluster's statistics, ledger and child of the caller's probe.
+    pub probe: Tee<KernelStats, Tee<Option<LpLedger>, P>>,
+    /// Bug hook: a flush round does not count the antis it routes.
+    #[cfg(test)]
+    pub uncounted_antis: bool,
 }
 
-impl<A: Application, P: Probe> Cluster<'_, '_, A, P> {
-    /// Announce, then send, one batch to cluster `dc`.
-    fn post(&self, dc: usize, batch: TxBatch<A::Msg>) {
-        self.shared.mail[dc].0.fetch_add(1, SeqCst);
-        // A receiver only goes away when its cluster leaves a poisoned
-        // run (after GVT = ∞ nobody sends); the next rendezvous says so.
-        let _ = self.senders[dc].send(batch);
+impl<M, P: Probe> Lane<M, P> {
+    pub fn new(
+        cid: usize,
+        clusters: usize,
+        probe: Tee<KernelStats, Tee<Option<LpLedger>, P>>,
+    ) -> Self {
+        Lane {
+            cid,
+            phase: Phase::Run,
+            gvt: VTime::ZERO,
+            batches_since_gvt: 0,
+            routed: 0,
+            idle_rounds: 0,
+            out_bufs: (0..clusters).map(|_| Vec::new()).collect(),
+            probe,
+            #[cfg(test)]
+            uncounted_antis: false,
+        }
     }
 
     /// Run the core's outbox dry: local hops are the core's business,
     /// remote ones coalesce per destination and every non-empty buffer is
-    /// flushed with one channel send before returning (never parked — the
-    /// GVT flush protocol depends on it). Returns transmissions sent
-    /// (messages, not batches).
-    fn route(&mut self) -> u64 {
+    /// posted before returning (never parked — the flush depends on it).
+    /// Returns transmissions sent (messages, not batches).
+    fn route<A, S>(&mut self, core: &mut ClusterCore<'_, A>, homes: &Homes, seam: &mut S) -> u64
+    where
+        A: Application<Msg = M>,
+        S: Seam<M>,
+    {
         let mut routed = 0;
-        while let Some(hop) = self.core.route_next(self.homes, &mut self.lane.probe) {
+        while let Some(hop) = core.route_next(homes, &mut self.probe) {
             if let Hop::Remote(tx) = hop {
                 routed += 1;
-                self.out_bufs[self.homes.part(tx.dst())].push(tx);
+                #[cfg(test)]
+                if self.uncounted_antis && !tx.is_positive() {
+                    routed -= 1;
+                }
+                self.out_bufs[homes.part(tx.dst())].push(tx);
             }
         }
         for dc in 0..self.out_bufs.len() {
             if !self.out_bufs[dc].is_empty() {
-                self.lane.probe.a.comm_batches += 1;
-                let batch = std::mem::take(&mut self.out_bufs[dc]);
-                self.post(dc, batch);
+                self.probe.a.comm_batches += 1;
+                seam.post(dc, std::mem::take(&mut self.out_bufs[dc]));
             }
         }
         routed
@@ -449,153 +594,155 @@ impl<A: Application, P: Probe> Cluster<'_, '_, A, P> {
 
     /// Deliver one batch taken from the inbox and route its by-products.
     /// Returns transmissions sent.
-    fn accept(&mut self, batch: TxBatch<A::Msg>) -> u64 {
-        self.lane.received += 1;
+    fn accept<A, S>(
+        &mut self,
+        batch: TxBatch<M>,
+        core: &mut ClusterCore<'_, A>,
+        homes: &Homes,
+        seam: &mut S,
+    ) -> u64
+    where
+        A: Application<Msg = M>,
+        S: Seam<M>,
+    {
         for tx in batch {
-            self.core.receive(tx, self.homes, &mut self.lane.probe);
+            core.receive(tx, homes, &mut self.probe);
         }
-        self.route()
+        self.route(core, homes, seam)
     }
 
-    /// Receive everything waiting in the inbox, routing the by-products of
-    /// each batch. Returns transmissions sent.
-    fn drain_inbox(&mut self) -> u64 {
-        if self.shared.mail[self.cid].0.load(SeqCst) == self.lane.received {
-            return 0;
-        }
-        let mut routed = 0;
-        while let Ok(batch) = self.lane.rx.try_recv() {
-            routed += self.accept(batch);
-        }
-        routed
-    }
-
-    /// Ask every cluster into a GVT round. Whoever turns the flag on also
+    /// Ask every cluster into a GVT round. Whoever raises the flag also
     /// sends each peer an empty batch, which wakes one that is blocked in
     /// its idle wait; an empty batch carries no transmission, so GVT
     /// accounting does not see it.
-    fn request_gvt(&self) {
-        if !self.shared.requested.swap(true, SeqCst) {
-            for dc in (0..self.senders.len()).filter(|&dc| dc != self.cid) {
-                self.post(dc, Vec::new());
+    fn request_gvt<S: Seam<M>>(&self, seam: &mut S) {
+        if seam.raise() {
+            for dc in (0..self.out_bufs.len()).filter(|&dc| dc != self.cid) {
+                seam.post(dc, Vec::new());
             }
         }
     }
 
-    /// Nothing to do after a GVT round until mail arrives: wait for it,
-    /// with a growing patience so that an idle cluster does not drag the
-    /// busy ones into a GVT round every loop iteration. A message or a
-    /// peer's GVT request ends the wait at once.
-    fn idle(&mut self) {
-        if self.core.next_ready().is_some() {
-            self.lane.idle_rounds = 0;
-            return;
-        }
-        self.lane.idle_rounds = (self.lane.idle_rounds + 1).min(10);
-        let patience = Duration::from_micros(20 << self.lane.idle_rounds);
-        if let Ok(batch) = self.lane.rx.recv_timeout(patience) {
-            self.accept(batch);
-        }
-    }
-
-    /// The cluster thread's main loop: drain, synchronize when asked,
-    /// execute. Returns the cluster once a GVT round agrees ∞ or balances.
+    /// One step of the cluster loop; see [`Phase`]. Returns whether the
+    /// cluster leaves its loop: a GVT round agreed ∞ or balances.
     #[allow(
         clippy::cast_possible_truncation,
-        reason = "telemetry wall time in nanoseconds; a `u64` holds 584 years"
+        clippy::disallowed_methods,
+        reason = "telemetry wall time in nanoseconds (a `u64` holds 584 years); \
+                  the GVT is the all-reduced minimum of `ticks()` reads, no sum"
     )]
-    fn run(
-        mut self,
-        cfg: &KernelConfig,
-        lb: Option<&Balancer>,
-        started: std::time::Instant,
-    ) -> Result<Self, Poisoned> {
-        let mut batches_since_gvt = 0u64;
-        // An epoch after the first starts where a GVT round ended.
-        let mut after_round = self.lane.probe.a.gvt_rounds > 0;
-
-        loop {
-            // 1. Drain the inbox — after a round that left nothing to do,
-            //    once mail has come.
-            if std::mem::take(&mut after_round) {
-                self.idle();
+    pub fn step<A, S>(
+        &mut self,
+        core: &mut ClusterCore<'_, A>,
+        epoch: &Epoch<'_>,
+        seam: &mut S,
+    ) -> Result<bool, Poisoned>
+    where
+        A: Application<Msg = M>,
+        S: Seam<M>,
+    {
+        let homes = epoch.homes;
+        match self.phase {
+            // Nothing to do after a round until mail arrives: wait for it,
+            // with a growing patience so that an idle cluster does not drag
+            // the busy ones into a GVT round every loop iteration. A
+            // message or a peer's GVT request ends the wait at once.
+            Phase::Idle => {
+                if core.next_ready().is_some() {
+                    self.idle_rounds = 0;
+                } else {
+                    self.idle_rounds = (self.idle_rounds + 1).min(10);
+                    let patience = Duration::from_micros(20 << self.idle_rounds);
+                    if let Some(batch) = seam.wait(patience) {
+                        self.accept(batch, core, homes, seam);
+                    }
+                }
+                self.phase = Phase::Run;
             }
-            self.drain_inbox();
-
-            // 2. GVT round when due locally, when idle, or when any
-            //    cluster requested one.
-            let next = self.core.next_ready();
-            if batches_since_gvt >= cfg.gvt_period || next.is_none() {
-                self.request_gvt();
+            Phase::Run => {
+                if let Some(batch) = seam.take() {
+                    self.accept(batch, core, homes, seam);
+                    return Ok(false);
+                }
+                // A GVT round when due locally, when idle, or when any
+                // cluster requested one.
+                let next = core.next_ready();
+                if self.batches_since_gvt >= epoch.cfg.gvt_period || next.is_none() {
+                    self.request_gvt(seam);
+                }
+                if seam.raised() {
+                    self.batches_since_gvt = 0;
+                    seam.arrive(0, u64::MAX);
+                    self.phase = Phase::Entered;
+                    return Ok(false);
+                }
+                // Execute the lowest-timestamp local batch — within the
+                // optimism window, when one is configured (horizon = the
+                // GVT agreed in the last round + window).
+                let horizon = epoch.cfg.window.map_or(VTime::INF, |w| self.gvt.after(w));
+                match next {
+                    Some(t) if t <= horizon => {
+                        core.execute(&mut self.probe);
+                        self.batches_since_gvt += 1;
+                        self.route(core, homes, seam);
+                    }
+                    // Blocked at the window edge: a GVT round advances it.
+                    Some(_) => self.request_gvt(seam),
+                    None => {}
+                }
             }
-            if self.shared.requested.load(SeqCst) {
-                batches_since_gvt = 0;
-                let gvt = self.gvt_round()?;
-                self.lane.gvt = gvt;
-                let probe = &mut self.lane.probe;
-                let seen = self.core.commit(gvt, probe);
+            Phase::Entered => {
+                seam.release()?;
+                if self.cid == 0 {
+                    seam.lower();
+                }
+                self.phase = Phase::Flush;
+            }
+            Phase::Flush => {
+                if let Some(batch) = seam.take() {
+                    self.routed += self.accept(batch, core, homes, seam);
+                    return Ok(false);
+                }
+                seam.arrive(std::mem::take(&mut self.routed), u64::MAX);
+                self.phase = Phase::Flushed;
+            }
+            Phase::Flushed => {
+                if seam.release()?.sum != 0 {
+                    self.phase = Phase::Flush;
+                } else {
+                    seam.arrive(0, core.local_min().ticks());
+                    self.phase = Phase::Minimum;
+                }
+            }
+            Phase::Minimum => {
+                let gvt = VTime::from(seam.release()?.min);
+                self.gvt = gvt;
+                let probe = &mut self.probe;
+                let seen = core.commit(gvt, probe);
                 let (states_held, pending) = (seen.held, seen.pending);
                 probe.a.state_queue_high_water =
                     probe.a.state_queue_high_water.max(seen.held_before);
-                let wall_ns = started.elapsed().as_nanos() as u64;
+                let wall_ns = epoch.started.elapsed().as_nanos() as u64;
                 probe.on(ProbeEvent::GvtAdvanced { gvt, states_held, pending, wall_ns });
-
+                self.phase = Phase::Idle;
                 // The epoch ends for the caller to balance. The gate is a
                 // function of agreed values only (`gvt`, the lockstep
                 // `gvt_rounds` count, the static period), so every cluster
                 // leaves at the same round, and the flush has emptied
                 // every channel (see the `dynlb` module docs).
-                if gvt.is_inf() || lb.is_some_and(|lb| lb.due(gvt, probe.a.gvt_rounds)) {
-                    return Ok(self);
-                }
-                after_round = true;
-                continue;
-            }
-
-            // 3. Execute the lowest-timestamp local batch — within the
-            //    optimism window, when one is configured (horizon = the
-            //    GVT agreed in the last round + window).
-            let horizon = cfg.window.map_or(VTime::INF, |w| self.lane.gvt.after(w));
-            match next {
-                Some(t) if t <= horizon => {
-                    self.core.execute(&mut self.lane.probe);
-                    batches_since_gvt += 1;
-                    self.route();
-                }
-                // Blocked at the window edge: a GVT round advances it.
-                Some(_) => self.request_gvt(),
-                None => {}
+                return Ok(
+                    gvt.is_inf() || epoch.lb.is_some_and(|lb| lb.due(gvt, probe.a.gvt_rounds))
+                );
             }
         }
+        Ok(false)
     }
 
-    /// One synchronized GVT round. All clusters call this together
-    /// (guaranteed by the `requested` flag being checked every loop
-    /// iteration). Protocol, `2 + F` rendezvous:
-    ///
-    /// 1. rendezvous — everyone has stopped normal processing, so every
-    ///    send of normal processing (wake-up batches included)
-    ///    happens-before it. Nobody sets `requested` inside a round and
-    ///    nobody leaves the round before cluster 0 joins the next
-    ///    rendezvous, so cluster 0 clears the flag here;
-    /// 2. `F ≥ 1` flush rounds: drain the inbox and route by-products
-    ///    (rollback antis can cascade), then all-reduce the number of
-    ///    transmissions routed. Each round drains everything sent before
-    ///    the rendezvous that precedes it, so a round whose sum is 0 sent
-    ///    nothing and left nothing behind: no message is in flight;
-    /// 3. all-reduce the local minima: the result is the GVT.
-    #[allow(
-        clippy::disallowed_methods,
-        reason = "the GVT is the all-reduced minimum of `ticks()` reads; no sum"
-    )]
-    fn gvt_round(&mut self) -> Result<VTime, Poisoned> {
-        let rendezvous = &self.shared.rendezvous;
-        rendezvous.sync()?;
-        if self.cid == 0 {
-            self.shared.requested.store(false, SeqCst);
-        }
-        while rendezvous.reduce(self.drain_inbox(), u64::MAX)?.sum != 0 {}
-        Ok(VTime::from(rendezvous.reduce(0, self.core.local_min().ticks())?.min))
+    /// What decides this lane's future, for the model checker's state
+    /// hash and equality (the idle patience only decides host timing).
+    #[cfg(test)]
+    pub fn key(&self) -> impl std::hash::Hash + Eq {
+        (self.phase, self.gvt, self.batches_since_gvt, self.routed)
     }
 }
 
@@ -605,6 +752,10 @@ mod tests {
     use crate::phold::Phold;
     use crate::sim::{Backend, Simulator};
     use crate::testkit::{round_robin, Idle, Ring};
+
+    fn reduce(rendezvous: &Rendezvous, add: u64, min: u64) -> Result<Reduced, Poisoned> {
+        rendezvous.release(rendezvous.arrive(add, min))
+    }
 
     /// `parties` threads meet 10 000 times; every one of them checks every
     /// generation's sum and minimum against the closed form. Contributions
@@ -619,7 +770,7 @@ mod tests {
                     // A failed assert must fail the test, not hang the peers.
                     let _poison = PoisonOnPanic(rendezvous);
                     for g in 0..10_000 {
-                        let got = rendezvous.reduce(g * (id + 1), 7 * g + (id + g) % parties);
+                        let got = reduce(rendezvous, g * (id + 1), 7 * g + (id + g) % parties);
                         let want = Reduced { sum: g * parties * (parties + 1) / 2, min: 7 * g };
                         assert_eq!(got.unwrap(), want, "party {id}, generation {g}");
                     }
@@ -641,7 +792,7 @@ mod tests {
         // Parked: the waiter has counted itself a sleeper.
         let rendezvous = Rendezvous::new(2);
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| rendezvous.reduce(1, 1));
+            let waiter = scope.spawn(|| reduce(&rendezvous, 1, 1));
             while rendezvous.sleepers.load(SeqCst) == 0 {
                 std::thread::yield_now();
             }
@@ -653,7 +804,7 @@ mod tests {
         // parked after all, and the case above covers it).
         let rendezvous = Rendezvous::new(2);
         std::thread::scope(|scope| {
-            let waiter = scope.spawn(|| rendezvous.reduce(1, 1));
+            let waiter = scope.spawn(|| reduce(&rendezvous, 1, 1));
             while rendezvous.arrived.load(SeqCst) == 0 {
                 std::hint::spin_loop();
             }
@@ -663,7 +814,7 @@ mod tests {
         // Late: the waiter arrives at a rendezvous already poisoned.
         let rendezvous = Rendezvous::new(2);
         rendezvous.poison();
-        assert!(rendezvous.sync().is_err());
+        assert!(reduce(&rendezvous, 0, u64::MAX).is_err());
     }
 
     fn threaded<A: Application>(

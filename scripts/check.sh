@@ -18,8 +18,9 @@ if [[ "$FAST" -eq 0 ]]; then
   run cargo build --workspace --release
 fi
 run cargo build --workspace --tests --examples
-# (The protocol model's explored state spaces are pinned by
-# crates/timewarp/tests/modelcheck.rs, which this runs.)
+# (The model checker's explored state spaces are pinned by the
+# `threaded_*` tests of crates/timewarp/src/modelcheck/threads.rs, which
+# this runs; the one-core gate below times them again.)
 run cargo test -q --workspace
 run cargo fmt --all -- --check
 # disallowed-types and disallowed-methods (clippy.toml: RandomState maps,
@@ -47,8 +48,10 @@ if [[ "$FAST" -eq 0 ]]; then
   # park, not spin or yield, once the peer it waits for needs the core it
   # sits on. Pinned to a single core the threaded unit tests (rendezvous
   # hammer with 8 parties, GVT round after every batch on up to 8
-  # clusters) take ~3 s; a spin-then-yield waiter took them from 0.2 s
-  # to 23 s. Timed, so a waiter that spins fails here.
+  # clusters, the model checker's exhaustive explorations of the cluster
+  # step function) take ~6 s; a spin-then-yield waiter took the thread
+  # tests alone from 0.2 s to 23 s. Timed, so a waiter that spins fails
+  # here.
   if command -v taskset >/dev/null; then
     run cargo test --release -q -p pls-timewarp --lib --no-run
     echo

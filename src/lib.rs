@@ -59,9 +59,9 @@ pub use pls_timewarp as timewarp;
 /// The common imports for working with the full stack.
 pub mod prelude {
     pub use pls_gatesim::{
-        run_seq_baseline, BlockState, Cell, CompileError, CompileOptions, CompiledSim, ExecModel,
-        GateModel, GateMsg, GateSim, GateState, ModelState, RunMetrics, SeqMetrics, SimConfig,
-        UnknownExecModel,
+        run_seq_baseline, run_seq_model, BlockState, Cell, CompileError, CompileOptions,
+        CompiledSim, ExecModel, GateModel, GateMsg, GateSim, GateState, ModelState, RunMetrics,
+        SeqMetrics, SimConfig, UnknownExecModel,
     };
     pub use pls_logic::{eval_gate, DelayModel, StimulusConfig, Value};
     pub use pls_netlist::{

@@ -491,6 +491,21 @@ fn faults_of(args: &Args, nodes: usize) -> Option<FaultPlan> {
     }
 }
 
+/// `cfg`'s model of `netlist`, `partitioned` or not. A horizon within the
+/// longest delay path of infinity, or a compiled block that outgrows the
+/// instruction encoding, is exit 1 with the reason.
+fn build(
+    args: &Args,
+    cfg: &SimConfig,
+    netlist: &Netlist,
+    partitioned: Option<(&CircuitGraph, &Partitioning)>,
+) -> GateModel {
+    cfg.try_build(netlist, partitioned).unwrap_or_else(|e| {
+        eprintln!("cannot simulate `{}`: {e}", args.positional);
+        exit(1);
+    })
+}
+
 fn cmd_simulate(args: &Args) {
     let netlist = load_circuit(args.positional);
     let k = args.at_least_one(&K, 8) as usize;
@@ -508,23 +523,19 @@ fn cmd_simulate(args: &Args) {
     let trace_path = args.text(&TRACE);
     let bucket = trace_path.map(|_| args.bucket(end));
     let part = strategy.partition(&graph, k, 0);
-    // Both models this command builds, the sequential baseline's and the
-    // partitioned one, must build before either runs: the horizon must
-    // leave room for the longest delay path, and a compiled block must
-    // fit the instruction encoding.
-    for partitioned in [None, Some((&graph, &part))] {
-        if let Err(e) = cfg.try_build(&netlist, partitioned) {
-            eprintln!("cannot simulate `{}`: {e}", args.positional);
-            exit(1);
-        }
-    }
-    let seq = run_seq_baseline(&netlist, &cfg);
+    // Both models, the sequential baseline's and the partitioned one, are
+    // built before either runs; the baseline's is freed before the
+    // partitioned run.
+    let seq_app = build(args, &cfg, &netlist, None);
+    let app = build(args, &cfg, &netlist, Some((&graph, &part)));
+    let seq = run_seq_model(&netlist, &cfg, &seq_app);
+    drop(seq_app);
     out!("sequential: {} events, {:.3} modeled s", seq.events, seq.exec_time_s);
     let mut cell = Cell::new(&netlist, &graph, &cfg).nodes(k);
     if let Some(w) = bucket {
         cell = cell.record(w);
     }
-    let m = cell.run_with(&part, strategy.name());
+    let m = cell.run_model(&app, &part, strategy.name());
     if m.out_of_memory {
         out!("{} on {k} nodes: OUT OF MEMORY", m.strategy);
         exit(1);
@@ -578,8 +589,9 @@ fn cmd_trace(args: &Args) {
     let graph = CircuitGraph::from_netlist(&netlist);
     let cfg = SimConfig { end_time: end, ..Default::default() };
     let part = strategy.partition(&graph, k, 0);
-    let m =
-        Cell::new(&netlist, &graph, &cfg).nodes(k).record(bucket).run_with(&part, strategy.name());
+    let app = build(args, &cfg, &netlist, Some((&graph, &part)));
+    let cell = Cell::new(&netlist, &graph, &cfg).nodes(k).record(bucket);
+    let m = cell.run_model(&app, &part, strategy.name());
     if m.out_of_memory {
         eprintln!("{} on {k} nodes: OUT OF MEMORY", m.strategy);
         exit(1);
@@ -641,7 +653,7 @@ fn cmd_hotspots(args: &Args) {
     let graph = CircuitGraph::from_netlist(&netlist);
     let part = strategy.partition(&graph, k, 0);
     let cfg = SimConfig { end_time: args.end(), ..Default::default() };
-    let app = cfg.build_app(&netlist);
+    let app = build(args, &cfg, &netlist, None);
     let (res, ledger) = Simulator::new(&app)
         .platform_config(&cfg.platform)
         .probe(parlogsim::timewarp::LpLedger::default())
@@ -698,9 +710,10 @@ fn cmd_dot(args: &Args) {
 fn cmd_vcd(args: &Args) {
     let netlist = load_circuit(args.positional);
     let cfg = SimConfig { end_time: args.end(), ..Default::default() };
-    // Waveforms are per-gate by construction: always record the per-gate
-    // engine (identical committed history either way).
-    let app = cfg.build_gate_sim(&netlist);
+    // Waveforms are per-gate by construction: the default engine.
+    let GateModel::PerGate(app) = build(args, &cfg, &netlist, None) else {
+        unreachable!("invariant: the default engine is gate-per-LP")
+    };
     let wave = WaveRecorder::new(app).record();
     let vcd = write_vcd(&netlist, &wave, netlist.outputs(), "1ns");
     args.emit(&vcd, &format!("waveform of {} outputs", netlist.outputs().len()));

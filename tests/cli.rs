@@ -207,6 +207,36 @@ fn oversized_compiled_blocks_are_errors_not_panics() {
     std::fs::remove_file(&path).ok();
 }
 
+/// A horizon whose longest delay path reaches infinity is a build error
+/// on every command that builds a model, in both engines where the
+/// command has `--exec`: exit 1 and the reason, before anything runs.
+#[test]
+fn horizons_that_reach_infinity_exit_1_on_every_model_command() {
+    let end = u64::MAX.to_string();
+    let end = end.as_str();
+    let runs: [&[&str]; 5] = [
+        &["simulate", "s27", "-k", "2", "--end", end],
+        &["simulate", "s27", "-k", "2", "--end", end, "--exec", "compiled"],
+        &["trace", "s27", "-k", "2", "--end", end, "--bucket", "50"],
+        &["hotspots", "s27", "-k", "2", "--end", end],
+        &["vcd", "s27", "--end", end],
+    ];
+    for args in runs {
+        let out = cli().args(args).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+        assert_eq!(
+            err.trim_end(),
+            format!(
+                "cannot simulate `s27`: end time {end} plus the longest delay path 12 reaches \
+                 the largest tick {end}: events would fall due at infinity"
+            ),
+            "{args:?}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}: nothing runs");
+    }
+}
+
 #[test]
 fn simulate_rejects_fault_on_missing_node() {
     let out = cli().args(["simulate", "s27", "-k", "8", "--faults", "slow:9:2"]).output().unwrap();
