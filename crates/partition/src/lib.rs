@@ -27,7 +27,6 @@
 pub mod baselines;
 pub mod dot;
 pub mod graph;
-pub mod incremental;
 pub mod metrics;
 pub mod multilevel;
 pub mod partitioning;

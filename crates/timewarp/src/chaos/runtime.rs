@@ -53,7 +53,7 @@ pub(crate) struct ChaosRuntime {
     clock: FaultClock,
     /// Modeled ns each node has lost to faults since the last balancing
     /// round (pause stalls, slowdown surcharges, degrade spikes) —
-    /// drained into `WindowStats::fault_penalty`.
+    /// drained into the load the `dynlb` planner balances.
     pub fault_ns: Vec<u64>,
 }
 

@@ -5,8 +5,9 @@
 //! run pays for every mispredicted hotspot until termination. This module
 //! closes the loop: the kernel's own telemetry (events executed, rollbacks
 //! and remote messages per LP, per GVT window: an [`LpLedger`] drained at
-//! each balancing round) feeds [`plan`], which emits a bounded
-//! [`Migration`] plan, and the executives apply the plan at GVT commit.
+//! each balancing round) feeds a greedy planner, which emits a bounded
+//! list of single-LP migrations, and the executives apply them at GVT
+//! commit.
 //!
 //! # Why GVT commit is the safe migration point
 //!
@@ -48,7 +49,8 @@ use crate::time::VTime;
 /// [`crate::Simulator::load_balancer`].
 #[derive(Debug, Clone, Copy)]
 pub struct DynLbConfig {
-    /// Run the balancer every `period` GVT rounds.
+    /// Run the balancer every `period` GVT rounds; at least 1, or the run
+    /// is a [`crate::SimError::InvalidConfig`].
     pub period: u64,
     /// Maximum LP migrations per balancing round (bounds migration
     /// traffic).
@@ -66,58 +68,9 @@ impl Default for DynLbConfig {
     }
 }
 
-/// Everything [`plan`] sees at one balancing round: what the ledger
-/// drained at the window's close counted, and the platform's fault time.
-#[derive(Debug, Clone)]
-pub struct WindowStats {
-    /// Per-LP activity during the window, indexed by LP id. Events include
-    /// work later rolled back — it occupied the CPU either way.
-    pub lps: Vec<LpActivity>,
-    /// Per LP: event-equivalents of modeled latency its node lost to
-    /// injected faults during the window (latency spikes, slowdown
-    /// surcharges, pause stalls), apportioned across the node's LPs by
-    /// the platform executive. Zero when chaos is off. Counted as load:
-    /// an LP on a sick node really is slower, and migrating it off is
-    /// exactly the response the balancer should produce.
-    pub fault_penalty: Vec<u64>,
-    /// Remote messages per LP pair during the window, keyed by the
-    /// *unordered* pair `(min, max)` — a `BTreeMap` so iteration order is
-    /// deterministic.
-    pub comm: BTreeMap<(LpId, LpId), u64>,
-}
-
-impl WindowStats {
-    /// The window over `n` LPs that `ledger` counted.
-    pub fn new(n: usize, ledger: LpLedger) -> WindowStats {
-        let (mut lps, comm) = ledger.into_parts();
-        lps.resize(n, LpActivity::default());
-        WindowStats { lps, fault_penalty: vec![0; n], comm }
-    }
-
-    /// Apportion `per_node[k]`, the event equivalents node `k` lost to
-    /// faults, across the LPs `parts` places on it: by their events in
-    /// the window, or evenly when none ran.
-    fn charge_faults(&mut self, parts: &[u32], per_node: &[u64]) {
-        for (node, &pen) in per_node.iter().enumerate().filter(|&(_, &pen)| pen > 0) {
-            let members: Vec<usize> =
-                (0..parts.len()).filter(|&l| parts[l] as usize == node).collect();
-            let total: u64 = members.iter().map(|&l| self.lps[l].events).sum();
-            for (k, &l) in members.iter().enumerate() {
-                self.fault_penalty[l] = match (pen * self.lps[l].events).checked_div(total) {
-                    Some(share) => share,
-                    None => {
-                        pen / members.len() as u64
-                            + u64::from((k as u64) < pen % members.len() as u64)
-                    }
-                };
-            }
-        }
-    }
-}
-
 /// One planned migration: move `lp` from part `from` to part `to`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Migration {
+pub(crate) struct Migration {
     /// The LP to move.
     pub lp: LpId,
     /// Its current node/cluster.
@@ -126,51 +79,135 @@ pub struct Migration {
     pub to: u32,
 }
 
-/// The balancing policy: map one window of observations to a bounded
-/// migration plan. `assignment` is the current LP → part map; `parts` the
-/// node/cluster count.
+/// Per LP, the load one window put on it: its *net* events (processed
+/// minus rolled back) plus its share of the event equivalents
+/// `fault_events[k]` that node `k` lost to injected faults (latency
+/// spikes, slowdown surcharges, pause stalls; empty when chaos is off).
+/// A node's loss is apportioned across the LPs `parts` places on it by
+/// their events in the window, or evenly when none ran.
 ///
-/// Greedy incremental refinement ([`pls_partition::incremental`]) over a
-/// live graph whose vertex weights are the window's per-LP *net* event
-/// counts (processed minus rolled back) and whose edges are the window's
-/// observed remote traffic. Counting wasted work as load would make
-/// rollback victims look heavy and set up a migration → rollback →
-/// migration feedback loop; net load measures actual forward progress.
-/// Single-LP moves by best combined gain (traffic + load transfer), each
-/// LP moved at most once per round.
+/// Counting wasted work as load would make rollback victims look heavy
+/// and set up a migration → rollback → migration feedback loop; net load
+/// measures actual forward progress. Fault time does count: an LP on a
+/// sick node really is slower, and migrating it off is exactly the
+/// response the balancer should produce.
+fn window_loads(lps: &[LpActivity], parts: &[u32], fault_events: &[u64]) -> Vec<u64> {
+    let mut loads: Vec<u64> =
+        lps.iter().map(|a| a.events.saturating_sub(a.events_rolled_back)).collect();
+    for (node, &pen) in fault_events.iter().enumerate().filter(|&(_, &pen)| pen > 0) {
+        let members: Vec<usize> = (0..parts.len()).filter(|&l| parts[l] as usize == node).collect();
+        let total: u64 = members.iter().map(|&l| lps[l].events).sum();
+        for (k, &l) in members.iter().enumerate() {
+            loads[l] += match (pen * lps[l].events).checked_div(total) {
+                Some(share) => share,
+                None => {
+                    pen / members.len() as u64 + u64::from((k as u64) < pen % members.len() as u64)
+                }
+            };
+        }
+    }
+    loads
+}
+
+/// The balance ceiling: no move may lift a part above
+/// `ceil(11·total / (10·parts))`, its average load plus 10 %. Split as
+/// `total = q·d + r` with `d = 10·parts`, so no product can overflow.
+fn balance_ceiling(total: u64, parts: usize) -> u64 {
+    let d = 10 * parts as u64;
+    total / d * 11 + (total % d * 11).div_ceil(d)
+}
+
+/// The balancing policy: map one window's per-LP `loads`
+/// ([`window_loads`]) and remote traffic `comm` (messages per unordered
+/// LP pair) to at most `cfg.max_moves` single-LP moves off `assignment`
+/// over `parts` nodes/clusters.
+///
+/// Greedy Fiduccia–Mattheyses refinement over the observed load graph,
+/// not the static circuit: repeatedly take the feasible move with the
+/// best positive gain, where gain is the traffic gain (messages to the
+/// target part minus messages kept inside the source part) plus the
+/// load-transfer gain (the source's load minus the target's minus the
+/// LP's own: positive when the move narrows the gap), both in events per
+/// window. A move is feasible when it keeps the target at or under
+/// [`balance_ceiling`]. Each LP moves at most once per round (it is
+/// locked after its move).
+///
+/// Anti-churn rule: a move whose source part is at or under the ceiling
+/// must gain more than `cfg.min_comm_gain` in traffic. Without it, once
+/// the overloaded part has been drained the small residual load
+/// differences keep generating positive-gain shuffles whose migration
+/// cost dwarfs their benefit.
 ///
 /// A deterministic function of its arguments — the virtual-platform
-/// executive's byte-reproducibility depends on it. `Balancer::step`
-/// still checks every entry (`move_is_valid`, the pinned LPs) before
-/// applying it.
-pub fn plan(
-    window: &WindowStats,
+/// executive's byte-reproducibility depends on it: LPs are scanned in id
+/// order, targets in part order, and ties keep the lowest
+/// `(lp, target)`.
+fn plan(
+    loads: &[u64],
+    comm: &BTreeMap<(LpId, LpId), u64>,
     assignment: &[u32],
     parts: usize,
     cfg: &DynLbConfig,
 ) -> Vec<Migration> {
-    let mut g = pls_partition::incremental::LoadGraph::new(
-        (window.lps.iter().zip(&window.fault_penalty))
-            .map(|(w, pen)| w.events.saturating_sub(w.events_rolled_back) + pen)
-            .collect(),
-    );
-    for (&(a, b), &w) in &window.comm {
-        g.add_comm(a, b, w);
+    assert_eq!(assignment.len(), loads.len(), "one load per assigned LP");
+    if parts < 2 || loads.is_empty() {
+        return Vec::new();
+    }
+    let mut adj: Vec<Vec<(LpId, u64)>> = vec![Vec::new(); loads.len()];
+    for (&(a, b), &w) in comm.iter().filter(|&(&(a, b), _)| a != b) {
+        adj[a as usize].push((b, w));
+        adj[b as usize].push((a, w));
     }
     let mut asg = assignment.to_vec();
-    let icfg = pls_partition::incremental::IncrementalConfig {
-        max_moves: cfg.max_moves,
-        min_comm_gain: cfg.min_comm_gain,
-        ..Default::default()
-    };
-    pls_partition::incremental::refine(&g, &mut asg, parts, &icfg)
-        .into_iter()
-        .map(|m| Migration { lp: m.lp, from: m.from, to: m.to })
-        .collect()
+    let mut part_load = vec![0u64; parts];
+    for (&p, &l) in asg.iter().zip(loads) {
+        part_load[p as usize] += l;
+    }
+    let lmax = balance_ceiling(loads.iter().sum(), parts);
+
+    let mut locked = vec![false; loads.len()];
+    let mut moves = Vec::new();
+    while moves.len() < cfg.max_moves {
+        // Strict `>` keeps the first of equal gains: the lowest (lp, to).
+        let mut best: Option<(LpId, u32, i64)> = None;
+        for v in (0..).take(loads.len()).filter(|&v: &LpId| !locked[v as usize]) {
+            let (from, w) = (asg[v as usize], loads[v as usize]);
+            for to in (0..).take(parts).filter(|&to: &u32| to != from) {
+                if part_load[to as usize] + w > lmax {
+                    continue;
+                }
+                let balance =
+                    part_load[from as usize] as i64 - part_load[to as usize] as i64 - w as i64;
+                let mut cg = 0i64;
+                for &(u, ew) in &adj[v as usize] {
+                    let pu = asg[u as usize];
+                    if pu == to {
+                        cg += ew as i64;
+                    } else if pu == from {
+                        cg -= ew as i64;
+                    }
+                }
+                if part_load[from as usize] <= lmax && cg <= cfg.min_comm_gain as i64 {
+                    continue; // anti-churn
+                }
+                let gain = cg + balance;
+                if best.is_none_or(|(_, _, bg)| gain > bg) {
+                    best = Some((v, to, gain));
+                }
+            }
+        }
+        let Some((lp, to, _)) = best.filter(|&(_, _, gain)| gain > 0) else { break };
+        let from = std::mem::replace(&mut asg[lp as usize], to);
+        part_load[from as usize] -= loads[lp as usize];
+        part_load[to as usize] += loads[lp as usize];
+        locked[lp as usize] = true;
+        moves.push(Migration { lp, from, to });
+    }
+    moves
 }
 
-/// Validity filter `Balancer::step` applies to plan entries, so a buggy
-/// policy cannot corrupt routing state.
+/// Whether `mv` fits `assignment` over `parts`: a real LP, moving from
+/// where it lives to another existing part.
 fn move_is_valid(mv: &Migration, assignment: &[u32], parts: usize) -> bool {
     (mv.lp as usize) < assignment.len()
         && (mv.to as usize) < parts
@@ -201,15 +238,15 @@ impl Balancer {
     /// balances. A function of agreed values only, so the threaded
     /// executive's clusters all stop at the same round.
     pub fn due(&self, gvt: VTime, rounds: u64) -> bool {
-        !gvt.is_inf() && rounds.is_multiple_of(self.cfg.period.max(1))
+        !gvt.is_inf() && rounds.is_multiple_of(self.cfg.period)
     }
 
     /// The one migration step, run right after the commit of a balancing
     /// round while nothing is in flight. Drains the window from the run's
     /// ledger, charges each node the event equivalents `fault_events` it
-    /// lost to faults, plans, filters, then evicts and adopts each valid
-    /// move, passing `(src, dst, units)` to `ship` after each eviction
-    /// for the driver to price.
+    /// lost to faults, plans, then evicts and adopts each move of an LP
+    /// that is not pinned, passing `(src, dst, units)` to `ship` after
+    /// each eviction for the driver to price.
     pub fn step<A: Application, P: Probe>(
         &self,
         cores: &mut [ClusterCore<'_, A>],
@@ -220,11 +257,16 @@ impl Balancer {
         mut ship: impl FnMut(usize, usize, u64),
     ) {
         let ledger = probe.b.a.as_mut().map(std::mem::take).expect("kept when balancing");
-        let mut window = WindowStats::new(homes.parts().len(), ledger);
-        window.charge_faults(homes.parts(), fault_events);
+        let (mut lps, comm) = ledger.into_parts();
+        lps.resize(homes.parts().len(), LpActivity::default());
+        let loads = window_loads(&lps, homes.parts(), fault_events);
         probe.a.lb_rounds += 1;
-        for mv in plan(&window, homes.parts(), cores.len(), &self.cfg) {
-            if !move_is_valid(&mv, homes.parts(), cores.len()) || self.pinned[mv.lp as usize] {
+        for mv in plan(&loads, &comm, homes.parts(), cores.len(), &self.cfg) {
+            assert!(
+                move_is_valid(&mv, homes.parts(), cores.len()),
+                "the planner's move {mv:?} does not fit the assignment"
+            );
+            if self.pinned[mv.lp as usize] {
                 continue;
             }
             let (src, dst) = (mv.from as usize, mv.to as usize);
@@ -239,20 +281,41 @@ impl Balancer {
 mod tests {
     use super::*;
 
-    fn skewed_window(n: usize, hot: std::ops::Range<usize>) -> WindowStats {
-        let mut w = WindowStats::new(n, LpLedger::default());
-        for (i, lp) in w.lps.iter_mut().enumerate() {
-            lp.events = if hot.contains(&i) { 100 } else { 2 };
+    /// The planner with no anti-churn threshold and `max_moves` moves.
+    fn refine(
+        loads: &[u64],
+        comm: &[((LpId, LpId), u64)],
+        asg: &mut [u32],
+        parts: usize,
+        max_moves: usize,
+    ) -> Vec<Migration> {
+        let cfg = DynLbConfig { max_moves, min_comm_gain: 0, ..Default::default() };
+        let moves = plan(loads, &comm.iter().copied().collect(), asg, parts, &cfg);
+        for mv in &moves {
+            assert!(move_is_valid(mv, asg, parts), "{mv:?}");
+            asg[mv.lp as usize] = mv.to;
         }
-        w
+        moves
+    }
+
+    fn part_loads(loads: &[u64], asg: &[u32], parts: usize) -> Vec<u64> {
+        let mut pl = vec![0u64; parts];
+        for (&p, &l) in asg.iter().zip(loads) {
+            pl[p as usize] += l;
+        }
+        pl
+    }
+
+    fn skewed(n: usize, hot: std::ops::Range<usize>) -> Vec<u64> {
+        (0..n).map(|i| if hot.contains(&i) { 100 } else { 2 }).collect()
     }
 
     #[test]
     fn greedy_sheds_load_from_the_hot_part() {
         // LPs 0..4 hot, all on part 0 of 2.
-        let w = skewed_window(8, 0..4);
+        let loads = skewed(8, 0..4);
         let asg = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        let moves = plan(&w, &asg, 2, &DynLbConfig::default());
+        let moves = plan(&loads, &BTreeMap::new(), &asg, 2, &DynLbConfig::default());
         assert!(!moves.is_empty());
         for mv in &moves {
             assert_eq!(mv.from, 0, "only the hot part sheds load: {mv:?}");
@@ -263,31 +326,132 @@ mod tests {
 
     #[test]
     fn greedy_is_deterministic() {
-        let mut w = skewed_window(16, 3..9);
-        w.comm.insert((2, 3), 11);
-        w.comm.insert((8, 9), 7);
+        let loads = skewed(16, 3..9);
+        let comm = BTreeMap::from([((2, 3), 11), ((8, 9), 7)]);
         let asg: Vec<u32> = (0..16).map(|i| (i / 4) as u32).collect();
-        let a = plan(&w, &asg, 4, &DynLbConfig::default());
-        let b = plan(&w, &asg, 4, &DynLbConfig::default());
+        let a = plan(&loads, &comm, &asg, 4, &DynLbConfig::default());
+        let b = plan(&loads, &comm, &asg, 4, &DynLbConfig::default());
         assert_eq!(a, b);
     }
 
     #[test]
     fn balanced_window_yields_empty_plan() {
-        let mut w = WindowStats::new(8, LpLedger::default());
-        for lp in w.lps.iter_mut() {
-            lp.events = 10;
-        }
         let asg = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        assert!(plan(&w, &asg, 2, &DynLbConfig::default()).is_empty());
+        assert!(plan(&[10; 8], &BTreeMap::new(), &asg, 2, &DynLbConfig::default()).is_empty());
     }
 
     #[test]
     fn plan_respects_max_moves() {
-        let w = skewed_window(32, 0..16);
-        let asg = vec![0u32; 32];
+        let loads = skewed(32, 0..16);
         let cfg = DynLbConfig { max_moves: 3, ..Default::default() };
-        assert!(plan(&w, &asg, 4, &cfg).len() <= 3);
+        assert!(plan(&loads, &BTreeMap::new(), &[0; 32], 4, &cfg).len() <= 3);
+    }
+
+    #[test]
+    fn window_loads_are_net_events_plus_the_fault_share() {
+        let lps = [(10, 4), (30, 0), (0, 0), (5, 5)].map(|(events, events_rolled_back)| {
+            LpActivity { events, rollbacks: 0, events_rolled_back }
+        });
+        // Node 0 (LPs 0, 1) lost 8 event equivalents, shared 10:30;
+        // node 1 (LPs 2, 3) lost 3, shared 0:5.
+        assert_eq!(window_loads(&lps, &[0, 0, 1, 1], &[8, 3]), vec![6 + 2, 30 + 6, 0, 3]);
+        // No events on node 1: its 3 are split evenly, the remainder to
+        // the first.
+        let idle = [LpActivity::default(); 4];
+        assert_eq!(window_loads(&idle, &[0, 0, 1, 1], &[0, 3]), vec![0, 0, 2, 1]);
+        assert_eq!(window_loads(&lps, &[0, 0, 1, 1], &[]), vec![6, 30, 0, 0]);
+    }
+
+    #[test]
+    fn empty_graph_no_moves() {
+        assert!(refine(&[], &[], &mut [], 4, 8).is_empty());
+    }
+
+    #[test]
+    fn balanced_input_is_left_alone() {
+        let moves = refine(&[10, 10, 10, 10], &[], &mut [0, 0, 1, 1], 2, 8);
+        assert!(moves.is_empty(), "{moves:?}");
+    }
+
+    #[test]
+    fn skewed_load_is_spread_out() {
+        // All the load on part 0; refinement must shed it.
+        let loads = [100, 100, 100, 100, 1, 1, 1, 1];
+        let mut asg = [0, 0, 0, 0, 1, 1, 1, 1];
+        let max_load = |asg: &[u32]| part_loads(&loads, asg, 2).into_iter().max().unwrap();
+        let before = max_load(&asg);
+        let moves = refine(&loads, &[], &mut asg, 2, 8);
+        assert!(!moves.is_empty());
+        assert!(max_load(&asg) < before);
+        for m in &moves {
+            assert_eq!(asg[m.lp as usize], m.to);
+        }
+    }
+
+    #[test]
+    fn comm_affinity_picks_the_connected_vertex() {
+        // Two equal-load candidates on the hot part; the one that talks to
+        // part 1 is the one that should move there.
+        let moves = refine(&[50, 50, 1], &[((1, 2), 40)], &mut [0, 0, 1], 2, 1);
+        assert_eq!(moves, vec![Migration { lp: 1, from: 0, to: 1 }]);
+    }
+
+    #[test]
+    fn respects_max_moves_and_balance_bound() {
+        let loads = [30; 12];
+        let mut asg = [0u32; 12];
+        let moves = refine(&loads, &[], &mut asg, 3, 3);
+        assert!(moves.len() <= 3);
+        let lmax = balance_ceiling(loads.iter().sum(), 3);
+        for (p, l) in part_loads(&loads, &asg, 3).into_iter().enumerate() {
+            // Part 0 started over the bound; it may only have shrunk.
+            assert!(l <= lmax || p == 0, "part {p} load {l} > lmax {lmax}");
+        }
+    }
+
+    #[test]
+    fn no_churn_when_within_balance_tolerance() {
+        // Part 0 carries 13, part 1 carries 11, lmax = 14: moving the
+        // weight-1 vertex would be a positive-gain move, but both parts
+        // are inside the tolerance and there is no traffic to save.
+        let moves = refine(&[6, 6, 1, 5, 5, 1], &[], &mut [0, 0, 0, 1, 1, 1], 2, 8);
+        assert!(moves.is_empty(), "{moves:?}");
+    }
+
+    #[test]
+    fn deterministic_across_calls() {
+        let loads = [9, 7, 5, 3, 2, 8, 1, 6];
+        let comm = [((0, 5), 4), ((1, 2), 3), ((3, 7), 2)];
+        let run = || {
+            let mut asg = [0, 0, 0, 0, 1, 1, 1, 1];
+            let m = refine(&loads, &comm, &mut asg, 2, 8);
+            (asg, m)
+        };
+        assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn single_part_never_moves() {
+        let mut asg = [0, 0, 0];
+        assert!(refine(&[5, 50, 500], &[], &mut asg, 1, 8).is_empty());
+        assert_eq!(asg, [0, 0, 0]);
+    }
+
+    #[test]
+    fn the_balance_ceiling_is_exact_at_its_boundary() {
+        // 200 units over 4 parts: 10 % over the average of 50 is exactly
+        // 55 (a float `50.0 * 1.1` rounds above 55 and would allow 56).
+        assert_eq!(balance_ceiling(200, 4), 55);
+        assert_eq!(balance_ceiling(201, 4), 56);
+        assert_eq!(balance_ceiling(u64::MAX, 2), u64::MAX / 20 * 11 + 9);
+        // Four parts of 50. LP 0 talks to LP 2 on part 1, so moving it
+        // there gains traffic: it may lift part 1 to exactly 55, never to
+        // 56, and every other move breaks the ceiling.
+        for (w, want) in [(5, vec![Migration { lp: 0, from: 0, to: 1 }]), (6, vec![])] {
+            let loads = [w, 50 - w, 50, 50, 50];
+            let moves = refine(&loads, &[((0, 2), 10)], &mut [0, 0, 1, 2, 3], 4, 8);
+            assert_eq!(moves, want, "LP 0 carrying {w}");
+        }
     }
 
     #[test]

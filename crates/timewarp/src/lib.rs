@@ -61,7 +61,7 @@ pub use app::{AppWork, Application, EventSink};
 pub use chaos::{FaultKind, FaultPlan, FaultScenario};
 pub use config::{Cancellation, KernelConfig};
 pub use cost::CostModel;
-pub use dynlb::{DynLbConfig, Migration, WindowStats};
+pub use dynlb::DynLbConfig;
 pub use event::{AntiEvent, Event, EventId, LpId, Transmission};
 pub use hotspot::RotatingHotspot;
 pub use phold::Phold;

@@ -209,7 +209,7 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
         self
     }
 
-    /// Enable dynamic load balancing ([`crate::dynlb::plan`]): every
+    /// Enable dynamic load balancing ([`crate::dynlb`]): every
     /// `cfg.period` GVT rounds the last window's per-LP statistics are
     /// refined into a migration plan and applied at GVT commit. A no-op on
     /// [`Backend::Sequential`] (which has no GVT rounds) and on
@@ -252,7 +252,7 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
     /// [`Self::run`], handing back the attached probe (every cluster's fork
     /// joined into it) with the report.
     pub fn run_probed(self, backend: Backend<'_>) -> Result<(RunReport<A>, P), SimError> {
-        validate(self.app, &self.platform, self.chaos.as_ref(), &backend)?;
+        validate(self.app, &self.platform, self.dynlb.as_ref(), self.chaos.as_ref(), &backend)?;
         let Simulator { app, platform, record, dynlb, chaos, probe } = self;
         let chaos = chaos.as_ref();
         match record {
@@ -272,17 +272,19 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
 fn validate<A: Application>(
     app: &A,
     cfg: &PlatformConfig,
+    dynlb: Option<&DynLbConfig>,
     chaos: Option<&FaultPlan>,
     backend: &Backend<'_>,
 ) -> Result<(), SimError> {
     let (kernel, cost) = (&cfg.kernel, &cfg.cost);
     // Zero would mean: state never saved, GVT never advanced, a collapsed
-    // modeled time axis.
+    // modeled time axis, a balancer with no period.
     for (field, value) in [
         ("checkpoint_interval", u64::from(kernel.checkpoint_interval)),
         ("gvt_period", kernel.gvt_period),
         ("cost.event_exec_ns", cost.event_exec_ns),
         ("cost.seq_event_ns", cost.seq_event_ns),
+        ("dynlb.period", dynlb.map_or(1, |lb| lb.period)),
     ] {
         if value == 0 {
             return Err(SimError::InvalidConfig(format!("{field} must be >= 1")));
@@ -413,22 +415,29 @@ mod tests {
         let d = PlatformConfig::default();
         let zero_kernel = |kernel| PlatformConfig { kernel, ..d };
         let zero_cost = |cost| PlatformConfig { cost, ..d };
+        let lb = DynLbConfig::default();
         let cases = [
             (
                 "checkpoint_interval",
                 zero_kernel(KernelConfig { checkpoint_interval: 0, ..d.kernel }),
+                lb,
             ),
-            ("gvt_period", zero_kernel(KernelConfig { gvt_period: 0, ..d.kernel })),
-            ("cost.event_exec_ns", zero_cost(CostModel { event_exec_ns: 0, ..d.cost })),
-            ("cost.seq_event_ns", zero_cost(CostModel { seq_event_ns: 0, ..d.cost })),
+            ("gvt_period", zero_kernel(KernelConfig { gvt_period: 0, ..d.kernel }), lb),
+            ("cost.event_exec_ns", zero_cost(CostModel { event_exec_ns: 0, ..d.cost }), lb),
+            ("cost.seq_event_ns", zero_cost(CostModel { seq_event_ns: 0, ..d.cost }), lb),
+            ("dynlb.period", d, DynLbConfig { period: 0, ..lb }),
         ];
-        for (field, cfg) in &cases {
+        for (field, cfg, lb) in &cases {
             for backend in [
                 Backend::Sequential,
                 Backend::Platform { assignment: &asg, nodes: 2 },
                 Backend::Threaded { assignment: &asg, clusters: 2 },
             ] {
-                let err = Simulator::new(&app).platform_config(cfg).run(backend).unwrap_err();
+                let err = Simulator::new(&app)
+                    .platform_config(cfg)
+                    .load_balancer(*lb)
+                    .run(backend)
+                    .unwrap_err();
                 assert_eq!(
                     err,
                     SimError::InvalidConfig(format!("{field} must be >= 1")),

@@ -1,6 +1,7 @@
 //! The determinism checks that live in the toolchain: rustc, clippy and
 //! the `VTime` type. A check that stops firing passes forever, so this
-//! test pins what keeps each one live (docs/LINTS.md).
+//! test pins what keeps each one live (docs/LINTS.md). It also pins the
+//! kernel as a leaf crate.
 
 use std::path::Path;
 
@@ -163,5 +164,22 @@ fn rustc_and_clippy_still_check_the_retired_rules() {
         "-D clippy::dbg_macro",
     ] {
         assert!(body.contains(lint), "the per-crate clippy pass must {lint}: {body}");
+    }
+}
+
+/// The Time Warp kernel is a leaf crate (DESIGN §2): as in the paper,
+/// where WARPED knows nothing of the partitioner, `pls-timewarp` depends
+/// on no crate, so it cannot quietly grow a workspace dependency again.
+#[test]
+fn the_time_warp_kernel_depends_on_no_crate() {
+    let manifest = workspace_file("crates/timewarp/Cargo.toml");
+    let mut in_deps = false;
+    for line in manifest.lines().map(str::trim).filter(|l| !l.is_empty() && !l.starts_with('#')) {
+        if line.starts_with('[') {
+            in_deps = line.contains("dependencies") && !line.contains("dev-dependencies");
+            assert!(!(in_deps && line.contains("dependencies.")), "pls-timewarp: {line}");
+        } else {
+            assert!(!in_deps, "pls-timewarp must list no dependencies, found `{line}`");
+        }
     }
 }
