@@ -281,8 +281,9 @@ impl Balancer {
 mod tests {
     use super::*;
 
-    /// The planner with no anti-churn threshold and `max_moves` moves.
-    fn refine(
+    /// Plans with no anti-churn threshold and at most `max_moves` moves,
+    /// and applies the plan to `asg`.
+    fn plan_and_apply(
         loads: &[u64],
         comm: &[((LpId, LpId), u64)],
         asg: &mut [u32],
@@ -364,12 +365,12 @@ mod tests {
 
     #[test]
     fn empty_graph_no_moves() {
-        assert!(refine(&[], &[], &mut [], 4, 8).is_empty());
+        assert!(plan_and_apply(&[], &[], &mut [], 4, 8).is_empty());
     }
 
     #[test]
     fn balanced_input_is_left_alone() {
-        let moves = refine(&[10, 10, 10, 10], &[], &mut [0, 0, 1, 1], 2, 8);
+        let moves = plan_and_apply(&[10, 10, 10, 10], &[], &mut [0, 0, 1, 1], 2, 8);
         assert!(moves.is_empty(), "{moves:?}");
     }
 
@@ -380,7 +381,7 @@ mod tests {
         let mut asg = [0, 0, 0, 0, 1, 1, 1, 1];
         let max_load = |asg: &[u32]| part_loads(&loads, asg, 2).into_iter().max().unwrap();
         let before = max_load(&asg);
-        let moves = refine(&loads, &[], &mut asg, 2, 8);
+        let moves = plan_and_apply(&loads, &[], &mut asg, 2, 8);
         assert!(!moves.is_empty());
         assert!(max_load(&asg) < before);
         for m in &moves {
@@ -392,7 +393,7 @@ mod tests {
     fn comm_affinity_picks_the_connected_vertex() {
         // Two equal-load candidates on the hot part; the one that talks to
         // part 1 is the one that should move there.
-        let moves = refine(&[50, 50, 1], &[((1, 2), 40)], &mut [0, 0, 1], 2, 1);
+        let moves = plan_and_apply(&[50, 50, 1], &[((1, 2), 40)], &mut [0, 0, 1], 2, 1);
         assert_eq!(moves, vec![Migration { lp: 1, from: 0, to: 1 }]);
     }
 
@@ -400,7 +401,7 @@ mod tests {
     fn respects_max_moves_and_balance_bound() {
         let loads = [30; 12];
         let mut asg = [0u32; 12];
-        let moves = refine(&loads, &[], &mut asg, 3, 3);
+        let moves = plan_and_apply(&loads, &[], &mut asg, 3, 3);
         assert!(moves.len() <= 3);
         let lmax = balance_ceiling(loads.iter().sum(), 3);
         for (p, l) in part_loads(&loads, &asg, 3).into_iter().enumerate() {
@@ -414,7 +415,7 @@ mod tests {
         // Part 0 carries 13, part 1 carries 11, lmax = 14: moving the
         // weight-1 vertex would be a positive-gain move, but both parts
         // are inside the tolerance and there is no traffic to save.
-        let moves = refine(&[6, 6, 1, 5, 5, 1], &[], &mut [0, 0, 0, 1, 1, 1], 2, 8);
+        let moves = plan_and_apply(&[6, 6, 1, 5, 5, 1], &[], &mut [0, 0, 0, 1, 1, 1], 2, 8);
         assert!(moves.is_empty(), "{moves:?}");
     }
 
@@ -424,7 +425,7 @@ mod tests {
         let comm = [((0, 5), 4), ((1, 2), 3), ((3, 7), 2)];
         let run = || {
             let mut asg = [0, 0, 0, 0, 1, 1, 1, 1];
-            let m = refine(&loads, &comm, &mut asg, 2, 8);
+            let m = plan_and_apply(&loads, &comm, &mut asg, 2, 8);
             (asg, m)
         };
         assert_eq!(run(), run());
@@ -433,7 +434,7 @@ mod tests {
     #[test]
     fn single_part_never_moves() {
         let mut asg = [0, 0, 0];
-        assert!(refine(&[5, 50, 500], &[], &mut asg, 1, 8).is_empty());
+        assert!(plan_and_apply(&[5, 50, 500], &[], &mut asg, 1, 8).is_empty());
         assert_eq!(asg, [0, 0, 0]);
     }
 
@@ -449,7 +450,7 @@ mod tests {
         // 56, and every other move breaks the ceiling.
         for (w, want) in [(5, vec![Migration { lp: 0, from: 0, to: 1 }]), (6, vec![])] {
             let loads = [w, 50 - w, 50, 50, 50];
-            let moves = refine(&loads, &[((0, 2), 10)], &mut [0, 0, 1, 2, 3], 4, 8);
+            let moves = plan_and_apply(&loads, &[((0, 2), 10)], &mut [0, 0, 1, 2, 3], 4, 8);
             assert_eq!(moves, want, "LP 0 carrying {w}");
         }
     }
