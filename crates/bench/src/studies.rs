@@ -143,9 +143,12 @@ fn block(n: usize, parts: usize) -> Vec<u32> {
 ///   placement rather than inheriting a lucky start
 ///
 /// For each, this prints the modeled execution time (the virtual-cluster
-/// clock), rollbacks, remote messages, migrations, and host ns per
-/// *committed* event (committed, not processed: the useful work is the
-/// same across all four, the wasted work is not).
+/// clock), rollbacks, remote messages, migrations, and the median host ns
+/// per *committed* event over the samples (committed, not processed: the
+/// useful work is the same across all four, the wasted work is not). The
+/// dynamic rows are then compared with the best static one on modeled time
+/// only: that comparison is exact, while a few host-time samples on a
+/// shared machine are not a result.
 pub fn dynlb(smoke: bool) {
     let samples = if smoke { 3 } else { 7 };
     let (model, pcfg, lb) = hotspot_setup(smoke);
@@ -169,7 +172,7 @@ pub fn dynlb(smoke: bool) {
     });
 
     println!(
-        "{:<22} {:>10} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>12}",
+        "{:<22} {:>10} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>24}",
         "placement",
         "modeled s",
         "rollbk",
@@ -178,11 +181,11 @@ pub fn dynlb(smoke: bool) {
         "committed",
         "rounds",
         "migr",
-        "ns/committed"
+        format!("host ns/committed (n={samples})")
     );
     for (name, ns_per_committed, o) in &rows {
         println!(
-            "{:<22} {:>10.4} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>12.1}",
+            "{:<22} {:>10.4} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>24.1}",
             name,
             o.modeled_s,
             o.stats.rollbacks(),
@@ -195,15 +198,14 @@ pub fn dynlb(smoke: bool) {
         );
     }
 
-    let (best, best_ns, best_static) = rows[..2]
+    let (best, _, best_static) = rows[..2]
         .iter()
         .min_by(|a, b| a.2.modeled_s.total_cmp(&b.2.modeled_s))
         .expect("two static rows");
-    for (name, ns_per_committed, o) in &rows[2..] {
+    for (name, _, o) in &rows[2..] {
         println!(
-            "{name} vs best static ({best}): modeled {:+.1}%, ns/committed {:+.1}%",
+            "{name} vs best static ({best}): modeled {:+.1}%",
             100.0 * (o.modeled_s / best_static.modeled_s - 1.0),
-            100.0 * (ns_per_committed / best_ns - 1.0),
         );
     }
 }

@@ -35,7 +35,10 @@ impl ActivityProfile {
         let app = probe_cfg.build_gate_sim(netlist);
         let res =
             Simulator::new(&app).run(Backend::Sequential).expect("sequential runs cannot fail");
-        ActivityProfile { transitions: res.states.iter().map(|s| s.transitions).collect(), window }
+        ActivityProfile {
+            transitions: res.states.iter().map(|s| u64::from(s.transitions)).collect(),
+            window,
+        }
     }
 
     /// Activity of one gate's output signal.

@@ -23,11 +23,15 @@
 //! cross-kernel equivalence oracle used throughout the test suite.
 //!
 //! The kernel copies a gate's state at every checkpoint and every
-//! rollback, so [`GateState`] owns no heap memory: the
-//! output, the hash and the transition count, plus one slot for what only
-//! the gate's kind uses — a combinational gate's input pins, packed two
-//! bits each ([`PackedPins`], up to 255 pins, evaluated by popcount), a
-//! primary input's stimulus stream, or a DFF's D value and pending tick.
+//! rollback, so [`GateState`] is 32 bytes: the output, the hash and the
+//! transition count, plus one slot for what only the gate's kind uses — a
+//! combinational gate's input pins, packed two bits each ([`PackedPins`],
+//! evaluated by popcount), a primary input's stimulus stream, or a DFF's D
+//! value and pending tick. Pins of a gate with at most 32 inputs and a
+//! DFF's fields sit inline, so checkpointing such a gate is one flat copy;
+//! a primary input's stream and the pins of a gate with 33 to 255 inputs
+//! are boxed, and only their checkpoints allocate (77 of s15850's 10 994
+//! LPs are inputs, and none of its gates is that wide).
 //! The fan-out table the LPs send through is one [`Csr`] (`readers`).
 //!
 //! The compiled block executive ([`crate::compiled`]) replicates the
@@ -109,26 +113,31 @@ pub(crate) fn fnv_step(h: u64, t: VTime, v: Value) -> u64 {
 }
 
 /// What only one kind of gate keeps: the fields the other kinds do not
-/// use share this one slot of [`GateState`].
+/// use share this one 16-byte slot of [`GateState`].
 #[derive(Debug, Clone)]
 enum Role {
-    /// A combinational gate: the current value of every input pin.
-    Comb(PackedPins),
+    /// A combinational gate of at most 32 inputs: the current value of
+    /// every input pin, inline.
+    Narrow(PackedPins<1>),
+    /// A combinational gate of 33 to 255 inputs: the same, boxed.
+    Wide(Box<PackedPins<8>>),
     /// A primary input: its deterministic stimulus stream (part of state
-    /// so rollbacks rewind the stream with everything else).
-    Input(InputStream),
+    /// so rollbacks rewind the stream with everything else), boxed.
+    Input(Box<InputStream>),
     /// A DFF: the current value of its D input, and the pending
-    /// activity-driven sampling tick, if one is outstanding.
+    /// activity-driven sampling tick.
     Dff {
         /// Current D input.
         d: Value,
-        /// Armed sampling tick.
-        next_tick: Option<VTime>,
+        /// Armed sampling tick, [`VTime::INF`] when none is (the compiled
+        /// engine's `next_sample` convention).
+        next_tick: VTime,
     },
 }
 
-/// Per-gate LP state. `Clone` is the checkpoint operation, and it is one
-/// flat copy: the state owns no heap memory.
+/// Per-gate LP state, 32 bytes. `Clone` is the checkpoint operation: one
+/// flat copy, plus one allocation for a primary input or a gate wider
+/// than 32 inputs (see the module docs).
 /// (No `PartialEq`: the stimulus stream's RNG is not comparable; run
 /// equivalence is checked through [`GateState::trace_hash`] fingerprints
 /// instead.)
@@ -141,7 +150,7 @@ pub struct GateState {
     /// FNV-1a rolling hash of `(time, output)` transitions.
     pub trace_hash: u64,
     /// Number of output transitions produced.
-    pub transitions: u64,
+    pub transitions: u32,
 }
 
 impl GateState {
@@ -151,7 +160,8 @@ impl GateState {
 
     fn note_transition(&mut self, now: VTime, v: Value) {
         self.trace_hash = fnv_step(self.trace_hash, now, v);
-        self.transitions += 1;
+        self.transitions =
+            self.transitions.checked_add(1).expect("invariant: a gate makes < 2^32 transitions");
     }
 }
 
@@ -352,8 +362,8 @@ impl GateSim {
         // from *before* any same-time Wire update.
         let ticked = msgs.iter().any(|(_, m)| *m == GateMsg::SelfTick);
         let Role::Dff { mut d, mut next_tick } = state.role else { unreachable!("DFF LP state") };
-        if ticked && next_tick == Some(now) {
-            next_tick = None;
+        if ticked && next_tick == now {
+            next_tick = VTime::INF;
             let q = d.input_view();
             if q != state.output {
                 self.emit_output(lp, state, now, q, sink);
@@ -367,8 +377,8 @@ impl GateSim {
                     // Activity-driven clocking: ensure a sampling tick at the
                     // next clock edge after `now`.
                     let edge = self.tick.next_clock_edge(now);
-                    if edge <= self.tick.end_time && next_tick.is_none_or(|t| t > edge) {
-                        next_tick = Some(edge);
+                    if edge <= self.tick.end_time && next_tick > edge {
+                        next_tick = edge;
                         sink.schedule_at(lp, edge, GateMsg::SelfTick);
                     }
                 }
@@ -408,11 +418,14 @@ impl Application for GateSim {
     fn init_state(&self, lp: LpId) -> GateState {
         let lp = lp as usize;
         GateState::fresh(match self.kinds[lp] {
-            GateKind::Input => {
-                Role::Input(self.stim.stream(self.input_index[lp].expect("inputs are indexed")))
-            }
-            GateKind::Dff => Role::Dff { d: Value::X, next_tick: None },
-            _ => Role::Comb(PackedPins::new(self.fanin_len[lp] as usize)),
+            GateKind::Input => Role::Input(Box::new(
+                self.stim.stream(self.input_index[lp].expect("inputs are indexed")),
+            )),
+            GateKind::Dff => Role::Dff { d: Value::X, next_tick: VTime::INF },
+            _ => match self.fanin_len[lp] as usize {
+                width if width <= PackedPins::<1>::CAPACITY => Role::Narrow(PackedPins::new(width)),
+                width => Role::Wide(Box::new(PackedPins::new(width))),
+            },
         })
     }
 
@@ -437,18 +450,12 @@ impl Application for GateSim {
             GateKind::Input => self.step_input(lp, state, now, msgs, sink),
             GateKind::Dff => self.step_dff(lp, state, now, msgs, sink),
             _ => {
-                // Combinational: apply all updates, then evaluate once.
-                let Role::Comb(pins) = &mut state.role else { unreachable!("gate LP state") };
-                for (_, m) in msgs {
-                    match m {
-                        GateMsg::Wire { pin, value } => pins.set(*pin as usize, *value),
-                        GateMsg::Port { .. } | GateMsg::Ports { .. } => {
-                            unreachable!("per-gate LPs never receive Port")
-                        }
-                        GateMsg::SelfTick => unreachable!("combinational gates never tick"),
-                    }
-                }
-                let v = pins.eval(kind, self.fanin_len[lp as usize] as usize);
+                let width = self.fanin_len[lp as usize] as usize;
+                let v = match &mut state.role {
+                    Role::Narrow(pins) => settle(pins, kind, width, msgs),
+                    Role::Wide(pins) => settle(pins, kind, width, msgs),
+                    Role::Input(_) | Role::Dff { .. } => unreachable!("gate LP state"),
+                };
                 if v != state.output {
                     self.emit_output(lp, state, now, v, sink);
                 }
@@ -464,6 +471,26 @@ impl Application for GateSim {
     fn pinned_lps(&self) -> Vec<LpId> {
         (self.num_gates as LpId..self.kinds.len() as LpId).collect()
     }
+}
+
+/// A combinational gate's batch: apply all pin updates, then evaluate
+/// once.
+fn settle<const W: usize>(
+    pins: &mut PackedPins<W>,
+    kind: GateKind,
+    width: usize,
+    msgs: &[(LpId, GateMsg)],
+) -> Value {
+    for (_, m) in msgs {
+        match m {
+            GateMsg::Wire { pin, value } => pins.set(*pin as usize, *value),
+            GateMsg::Port { .. } | GateMsg::Ports { .. } => {
+                unreachable!("per-gate LPs never receive Port")
+            }
+            GateMsg::SelfTick => unreachable!("combinational gates never tick"),
+        }
+    }
+    pins.eval(kind, width)
 }
 
 #[cfg(test)]

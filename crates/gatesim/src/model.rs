@@ -102,7 +102,7 @@ pub enum ModelState {
 
 // Every checkpoint, the sequential executive's state vector and every run
 // report hold one of these per LP.
-const _: () = assert!(std::mem::size_of::<ModelState>() <= 128);
+const _: () = assert!(std::mem::size_of::<ModelState>() <= 32);
 
 impl ModelState {
     /// The gate state, if this LP is a per-gate LP.
@@ -228,8 +228,9 @@ impl Application for GateModel {
         }
     }
 
-    /// Gate states are one flat copy (a gate spare holds nothing worth
-    /// reusing); block states file an incremental snapshot
+    /// Gate states are one flat copy, plus one box for a primary input or
+    /// a gate wider than 32 pins (so few that the spare is not reused);
+    /// block states file an incremental snapshot
     /// (`BlockState::snapshot`) in the spare's buffers. Inlined into the
     /// kernel's batch loop with the gate arm first: a gate-per-LP run
     /// files one of these per event.
@@ -632,12 +633,19 @@ mod tests {
 
     /// The per-LP fixed cost of a gate-per-LP run, held as a limit: a
     /// cluster walks one of these per resident LP, and a million-gate model
-    /// holds a million. Debug and release builds share the layout.
+    /// holds a million; each of its checkpoints files one more state.
+    /// Debug and release builds share the layout.
     #[test]
     fn lp_runtime_size_is_bounded() {
-        let size = std::mem::size_of::<pls_timewarp::lp::LpRuntime<GateModel>>();
+        type Lp = pls_timewarp::lp::LpRuntime<GateModel>;
+        let size = std::mem::size_of::<Lp>();
         let state = std::mem::size_of::<ModelState>();
-        println!("size_of::<LpRuntime<GateModel>>() = {size} B, of which ModelState {state} B");
-        assert!(size <= 320, "{size} B");
+        let checkpoint = Lp::CHECKPOINT_BYTES;
+        println!(
+            "size_of::<LpRuntime<GateModel>>() = {size} B, of which ModelState {state} B; \
+             a checkpoint {checkpoint} B"
+        );
+        assert!(size <= 176, "{size} B");
+        assert!(checkpoint <= 48, "{checkpoint} B");
     }
 }

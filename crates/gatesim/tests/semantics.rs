@@ -5,7 +5,9 @@
 use pls_gatesim::{CompileOptions, ExecModel, GateSim, SimConfig};
 use pls_logic::{DelayModel, StimulusConfig, Value};
 use pls_netlist::bench_format::parse;
-use pls_timewarp::{Application, Backend, RunReport, Simulator};
+use pls_timewarp::{
+    Application, Backend, Cancellation, KernelConfig, LpLedger, RunReport, Simulator,
+};
 
 fn run_sequential<A: Application>(app: &A) -> RunReport<A> {
     Simulator::new(app).run(Backend::Sequential).unwrap()
@@ -206,6 +208,55 @@ fn widest_gates_match_across_engines_and_executives() {
                 "{} on the {executive} executive",
                 app.exec_name()
             );
+        }
+    }
+}
+
+#[test]
+fn wide_gates_roll_back_alike_on_every_executive_and_cancellation() {
+    // A gate keeps up to 32 pins inline and boxes any wider: a 32-pin AND
+    // and a 33-pin OR sit either side of that boundary, and a 255-pin XOR
+    // fills every word of the boxed pins.
+    // A NAND reads all three. Each wide gate has a part of its own with
+    // one in eight of the inputs, and the fourth part holds the rest; so
+    // the gates' parts run ahead of most of their pins, take stragglers and
+    // roll back, restoring their pins from checkpoints.
+    let ins: Vec<String> = (0..255).map(|i| format!("I{i}")).collect();
+    let text = format!(
+        "{}OUTPUT(Z)\nA = AND({})\nB = OR({})\nY = XOR({})\nZ = NAND(A, B, Y)\n",
+        ins.iter().map(|i| format!("INPUT({i})\n")).collect::<String>(),
+        ins[..32].join(", "),
+        ins[..33].join(", "),
+        ins.join(", "),
+    );
+    let n = parse("wide", &text).unwrap();
+    let wide = ["A", "B", "Y"].map(|g| n.find(g).unwrap());
+    let mut parts: Vec<u32> = (0..n.len() as u32).map(|g| (g % 8).min(3)).collect();
+    for (part, g) in (0..).zip(wide) {
+        parts[g as usize] = part;
+    }
+    let app = config(13, 0.5, 400).build_app(&n);
+    let oracle = app.fingerprint(&run_sequential(&app).states);
+    let asg = app.lp_assignment(&parts);
+    for cancellation in [Cancellation::Aggressive, Cancellation::Lazy] {
+        let kernel = KernelConfig { cancellation, ..Default::default() };
+        let sim = || Simulator::new(&app).config(kernel);
+        let (platform, ledger) = sim()
+            .probe(LpLedger::default())
+            .run_probed(Backend::Platform { assignment: &asg, nodes: 4 })
+            .unwrap();
+        let (activity, _) = ledger.into_parts();
+        for g in wide {
+            assert!(activity[g as usize].rollbacks > 0, "gate {g} never rolled back");
+        }
+        let threaded = sim().run(Backend::Threaded { assignment: &asg, clusters: 4 }).unwrap();
+        let sequential = sim().run(Backend::Sequential).unwrap();
+        for (executive, states) in [
+            ("sequential", sequential.states),
+            ("platform", platform.states),
+            ("threaded", threaded.states),
+        ] {
+            assert_eq!(app.fingerprint(&states), oracle, "{executive}, {cancellation:?}");
         }
     }
 }

@@ -30,22 +30,33 @@ pub fn eval_gate(kind: GateKind, inputs: &[Value]) -> Value {
     }
 }
 
-/// The input pins of one gate, inline at two bits each: up to
-/// [`GateKind::MAX_ARITY`] pins in 64 bytes, so a gate's state owns no
-/// heap memory and a checkpoint of it is a flat copy. Each pin keeps its
-/// exact [`Value`]; evaluation reads `Z` as `X`, as [`eval_gate`] does.
-/// Pins past the gate's width stay `V0` and are never set.
+/// The input pins of one gate at two bits each, in `W` words: up to
+/// `32·W` pins, and never more than [`GateKind::MAX_ARITY`]. A gate-per-LP
+/// gate keeps up to 32 pins as one `PackedPins<1>` inline in its state and
+/// boxes the `PackedPins<8>` that holds any wider gate; both are the same
+/// code. Each pin keeps its exact [`Value`]; evaluation reads `Z` as `X`,
+/// as [`eval_gate`] does. Pins past the gate's width stay `V0` and are
+/// never set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PackedPins([u64; 8]);
+pub struct PackedPins<const W: usize>([u64; W]);
 
-impl PackedPins {
+impl<const W: usize> PackedPins<W> {
+    /// The most pins `W` words hold: `32·W`, capped at
+    /// [`GateKind::MAX_ARITY`].
+    pub const CAPACITY: usize =
+        if 32 * W < GateKind::MAX_ARITY { 32 * W } else { GateKind::MAX_ARITY };
+
     /// `width` pins, every one `X` (not yet driven).
     ///
     /// # Panics
-    /// If `width` exceeds [`GateKind::MAX_ARITY`].
-    pub fn new(width: usize) -> PackedPins {
-        assert!(width <= GateKind::MAX_ARITY, "a gate has at most 255 pins, not {width}");
-        let mut pins = PackedPins([0; 8]);
+    /// If `width` exceeds [`Self::CAPACITY`].
+    pub fn new(width: usize) -> Self {
+        assert!(
+            width <= Self::CAPACITY,
+            "{W} word(s) hold at most {} pins, not {width}",
+            Self::CAPACITY
+        );
+        let mut pins = PackedPins([0; W]);
         for pin in 0..width {
             pins.set(pin, Value::X);
         }
@@ -75,9 +86,9 @@ impl PackedPins {
     ///
     /// # Panics
     /// As [`eval_gate`], and if `width` is zero or exceeds
-    /// [`GateKind::MAX_ARITY`].
+    /// [`Self::CAPACITY`].
     pub fn eval(&self, kind: GateKind, width: usize) -> Value {
-        assert!((1..=GateKind::MAX_ARITY).contains(&width), "cannot evaluate {width} pins");
+        assert!((1..=Self::CAPACITY).contains(&width), "cannot evaluate {width} pins");
         const LOW: u64 = 0x5555_5555_5555_5555;
         let (mut ones, mut unknown) = (0, 0);
         for &w in &self.0[..width.div_ceil(32)] {

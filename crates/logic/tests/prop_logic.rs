@@ -154,28 +154,61 @@ fn packed_evaluation_equals_eval_gate_at_every_width() {
                 (0..width).map(|_| Value::from_bool(!mix(&mut s).is_multiple_of(64))).collect(),
             );
             for pins in cases {
-                let mut packed = PackedPins::new(width);
-                for (pin, &v) in pins.iter().enumerate() {
-                    packed.set(pin, v);
-                }
+                let reference = eval_gate(kind, &pins);
                 assert_eq!(
-                    packed.eval(kind, width),
-                    eval_gate(kind, &pins),
+                    packed::<8>(kind, &pins),
+                    reference,
                     "{kind:?} over {width} pins {pins:?}"
                 );
+                if width <= PackedPins::<1>::CAPACITY {
+                    assert_eq!(
+                        packed::<1>(kind, &pins),
+                        reference,
+                        "{kind:?} over {width} pins {pins:?}"
+                    );
+                }
             }
         }
     }
 }
 
+/// `kind` over `pins`, evaluated from a `PackedPins<W>`.
+fn packed<const W: usize>(kind: GateKind, pins: &[Value]) -> Value {
+    let mut packed = PackedPins::<W>::new(pins.len());
+    for (pin, &v) in pins.iter().enumerate() {
+        packed.set(pin, v);
+    }
+    packed.eval(kind, pins.len())
+}
+
+#[test]
+fn packed_capacities_are_one_word_and_the_widest_gate() {
+    assert_eq!(PackedPins::<1>::CAPACITY, 32);
+    assert_eq!(PackedPins::<8>::CAPACITY, GateKind::MAX_ARITY);
+    assert_eq!(std::mem::size_of::<PackedPins<1>>(), 8);
+}
+
+#[test]
+#[should_panic(expected = "at most 32 pins")]
+fn one_word_refuses_a_33rd_pin() {
+    PackedPins::<1>::new(33);
+}
+
 #[test]
 fn packed_pins_round_trip_across_word_boundaries() {
+    round_trip::<8>(&[0, 31, 32, 63, 64, 95, 96, 127, 128, 191, 192, 253, 254]);
+    round_trip::<1>(&[0, 1, 15, 16, 30, 31]);
+}
+
+/// Set `probes` of a full-width `PackedPins<W>` at random, checking each
+/// read-back and that no other pin moved.
+fn round_trip<const W: usize>(probes: &[usize]) {
     let mut s = 9u64;
-    let width = GateKind::MAX_ARITY;
-    let mut packed = PackedPins::new(width);
+    let width = PackedPins::<W>::CAPACITY;
+    let mut packed = PackedPins::<W>::new(width);
     let mut reference = vec![Value::X; width];
     for _ in 0..4 {
-        for pin in [0, 31, 32, 63, 64, 95, 96, 127, 128, 191, 192, 253, 254] {
+        for &pin in probes {
             let v = value(&mut s);
             packed.set(pin, v);
             reference[pin] = v;

@@ -120,7 +120,7 @@ fn balance_ceiling(total: u64, parts: usize) -> u64 {
 /// The balancing policy: map one window's per-LP `loads`
 /// ([`window_loads`]) and remote traffic `comm` (messages per unordered
 /// LP pair) to at most `cfg.max_moves` single-LP moves off `assignment`
-/// over `parts` nodes/clusters.
+/// over `parts` nodes/clusters. An LP `pinned` names never moves.
 ///
 /// Greedy Fiduccia–Mattheyses refinement over the observed load graph,
 /// not the static circuit: repeatedly take the feasible move with the
@@ -130,7 +130,8 @@ fn balance_ceiling(total: u64, parts: usize) -> u64 {
 /// LP's own: positive when the move narrows the gap), both in events per
 /// window. A move is feasible when it keeps the target at or under
 /// [`balance_ceiling`]. Each LP moves at most once per round (it is
-/// locked after its move).
+/// locked after its move); a pinned LP starts locked, so it never takes
+/// one of the `max_moves` and no later move is planned around it.
 ///
 /// Anti-churn rule: a move whose source part is at or under the ceiling
 /// must gain more than `cfg.min_comm_gain` in traffic. Without it, once
@@ -146,10 +147,12 @@ fn plan(
     loads: &[u64],
     comm: &BTreeMap<(LpId, LpId), u64>,
     assignment: &[u32],
+    pinned: &[bool],
     parts: usize,
     cfg: &DynLbConfig,
 ) -> Vec<Migration> {
     assert_eq!(assignment.len(), loads.len(), "one load per assigned LP");
+    assert_eq!(pinned.len(), loads.len(), "one pin flag per LP");
     if parts < 2 || loads.is_empty() {
         return Vec::new();
     }
@@ -165,7 +168,7 @@ fn plan(
     }
     let lmax = balance_ceiling(loads.iter().sum(), parts);
 
-    let mut locked = vec![false; loads.len()];
+    let mut locked = pinned.to_vec();
     let mut moves = Vec::new();
     while moves.len() < cfg.max_moves {
         // Strict `>` keeps the first of equal gains: the lowest (lp, to).
@@ -244,9 +247,9 @@ impl Balancer {
     /// The one migration step, run right after the commit of a balancing
     /// round while nothing is in flight. Drains the window from the run's
     /// ledger, charges each node the event equivalents `fault_events` it
-    /// lost to faults, plans, then evicts and adopts each move of an LP
-    /// that is not pinned, passing `(src, dst, units)` to `ship` after
-    /// each eviction for the driver to price.
+    /// lost to faults, plans around the pinned LPs, then evicts and adopts
+    /// each move, passing `(src, dst, units)` to `ship` after each
+    /// eviction for the driver to price.
     pub fn step<A: Application, P: Probe>(
         &self,
         cores: &mut [ClusterCore<'_, A>],
@@ -261,14 +264,11 @@ impl Balancer {
         lps.resize(homes.parts().len(), LpActivity::default());
         let loads = window_loads(&lps, homes.parts(), fault_events);
         probe.a.lb_rounds += 1;
-        for mv in plan(&loads, &comm, homes.parts(), cores.len(), &self.cfg) {
+        for mv in plan(&loads, &comm, homes.parts(), &self.pinned, cores.len(), &self.cfg) {
             assert!(
-                move_is_valid(&mv, homes.parts(), cores.len()),
-                "the planner's move {mv:?} does not fit the assignment"
+                move_is_valid(&mv, homes.parts(), cores.len()) && !self.pinned[mv.lp as usize],
+                "the planner's move {mv:?} does not fit the assignment or moves a pinned LP"
             );
-            if self.pinned[mv.lp as usize] {
-                continue;
-            }
             let (src, dst) = (mv.from as usize, mv.to as usize);
             let mover = cores[src].evict(&mv, homes, gvt, probe);
             ship(src, dst, mover.units);
@@ -291,7 +291,8 @@ mod tests {
         max_moves: usize,
     ) -> Vec<Migration> {
         let cfg = DynLbConfig { max_moves, min_comm_gain: 0, ..Default::default() };
-        let moves = plan(loads, &comm.iter().copied().collect(), asg, parts, &cfg);
+        let pinned = vec![false; loads.len()];
+        let moves = plan(loads, &comm.iter().copied().collect(), asg, &pinned, parts, &cfg);
         for mv in &moves {
             assert!(move_is_valid(mv, asg, parts), "{mv:?}");
             asg[mv.lp as usize] = mv.to;
@@ -316,7 +317,7 @@ mod tests {
         // LPs 0..4 hot, all on part 0 of 2.
         let loads = skewed(8, 0..4);
         let asg = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        let moves = plan(&loads, &BTreeMap::new(), &asg, 2, &DynLbConfig::default());
+        let moves = plan(&loads, &BTreeMap::new(), &asg, &[false; 8], 2, &DynLbConfig::default());
         assert!(!moves.is_empty());
         for mv in &moves {
             assert_eq!(mv.from, 0, "only the hot part sheds load: {mv:?}");
@@ -330,22 +331,39 @@ mod tests {
         let loads = skewed(16, 3..9);
         let comm = BTreeMap::from([((2, 3), 11), ((8, 9), 7)]);
         let asg: Vec<u32> = (0..16).map(|i| (i / 4) as u32).collect();
-        let a = plan(&loads, &comm, &asg, 4, &DynLbConfig::default());
-        let b = plan(&loads, &comm, &asg, 4, &DynLbConfig::default());
+        let a = plan(&loads, &comm, &asg, &[false; 16], 4, &DynLbConfig::default());
+        let b = plan(&loads, &comm, &asg, &[false; 16], 4, &DynLbConfig::default());
         assert_eq!(a, b);
     }
 
     #[test]
     fn balanced_window_yields_empty_plan() {
         let asg = vec![0, 0, 0, 0, 1, 1, 1, 1];
-        assert!(plan(&[10; 8], &BTreeMap::new(), &asg, 2, &DynLbConfig::default()).is_empty());
+        let cfg = DynLbConfig::default();
+        assert!(plan(&[10; 8], &BTreeMap::new(), &asg, &[false; 8], 2, &cfg).is_empty());
     }
 
     #[test]
     fn plan_respects_max_moves() {
         let loads = skewed(32, 0..16);
         let cfg = DynLbConfig { max_moves: 3, ..Default::default() };
-        assert!(plan(&loads, &BTreeMap::new(), &[0; 32], 4, &cfg).len() <= 3);
+        assert!(plan(&loads, &BTreeMap::new(), &[0; 32], &[false; 32], 4, &cfg).len() <= 3);
+    }
+
+    #[test]
+    fn a_pinned_lp_is_never_planned_and_spends_no_move() {
+        // Three equal LPs on the overloaded part; LP 0 also talks to part
+        // 1, so the best move is LP 0's. Pinned, the one move allowed goes
+        // to the next best.
+        let loads = [60, 60, 60, 1, 1, 1];
+        let asg = [0, 0, 0, 1, 1, 1];
+        let comm = BTreeMap::from([((0, 3), 40)]);
+        let cfg = DynLbConfig { max_moves: 1, min_comm_gain: 0, ..Default::default() };
+        let free = plan(&loads, &comm, &asg, &[false; 6], 2, &cfg);
+        assert_eq!(free, vec![Migration { lp: 0, from: 0, to: 1 }]);
+        let pinned = [true, false, false, false, false, false];
+        let moves = plan(&loads, &comm, &asg, &pinned, 2, &cfg);
+        assert_eq!(moves, vec![Migration { lp: 1, from: 0, to: 1 }]);
     }
 
     #[test]

@@ -20,16 +20,72 @@ fn key<M>(e: &Event<M>) -> (VTime, EventId) {
     (e.recv_time, e.id)
 }
 
-/// A checkpoint of LP state.
+/// A checkpoint of LP state: at most 16 bytes more than the state.
 #[derive(Debug, Clone)]
 #[cfg_attr(test, derive(PartialEq, Eq, Hash))]
 struct SavedState<S> {
     /// Virtual time of the batch after which this state was saved;
-    /// `None` marks the initial (pre-simulation) state.
-    tag: Option<VTime>,
+    /// [`VTime::ZERO`] marks the initial (pre-simulation) state. No batch
+    /// runs at time 0 ([`EventSink::schedule_at`] files every event after
+    /// its sender's now, which is at least 0), so the initial checkpoint
+    /// is older than every other.
+    tag: VTime,
     /// Number of processed events at save time (coast-forward anchor).
-    processed_len: usize,
+    processed_len: u32,
     state: S,
+}
+
+/// What only lazy cancellation and non-FIFO transports use, allocated on
+/// an LP's first held cancellation or orphan anti. Aggressive cancellation
+/// over FIFO transports never allocates it.
+#[derive(Debug)]
+#[cfg_attr(test, derive(Clone))]
+struct Cancels<M> {
+    /// Lazy cancellation: outputs cancelled by a rollback, awaiting either
+    /// regeneration (annihilate silently) or an explicit anti-message once
+    /// LVT passes their send time. Sorted by `send_time`.
+    pending_cancel: Vec<Event<M>>,
+    /// Held-cancellation count per `(dst, recv_time)`: O(1) rejection in
+    /// front of the linear regeneration scan over `pending_cancel` (the
+    /// message payload is only `PartialEq`, so a full hash key over the
+    /// triple is not available).
+    cancel_keys: IdHashMap<(LpId, VTime), u32>,
+    /// Anti-messages that arrived before their positives (cannot happen on
+    /// FIFO transports, handled for robustness).
+    orphan_antis: Vec<AntiEvent>,
+}
+
+impl<M> Default for Cancels<M> {
+    fn default() -> Self {
+        Cancels {
+            pending_cancel: Vec::new(),
+            cancel_keys: IdHashMap::default(),
+            orphan_antis: Vec::new(),
+        }
+    }
+}
+
+impl<M> Cancels<M> {
+    /// Hold `e`, cancelled by a rollback. Insert-after-equals keeps the
+    /// relative order of equal send times, which the first-match
+    /// regeneration scan depends on.
+    fn hold(&mut self, e: Event<M>) {
+        *self.cancel_keys.entry((e.dst, e.recv_time)).or_insert(0) += 1;
+        let at = self.pending_cancel.partition_point(|x| x.send_time <= e.send_time);
+        self.pending_cancel.insert(at, e);
+    }
+}
+
+/// Drop one held cancellation to `(dst, recv)` from the key filter.
+fn unkey(keys: &mut IdHashMap<(LpId, VTime), u32>, dst: LpId, recv: VTime) {
+    if let Some(c) = keys.get_mut(&(dst, recv)) {
+        *c -= 1;
+        if *c == 0 {
+            keys.remove(&(dst, recv));
+        }
+    } else {
+        debug_assert!(false, "cancel-key filter out of sync with pending_cancel");
+    }
 }
 
 /// The Time Warp runtime of one logical process.
@@ -55,18 +111,8 @@ pub struct LpRuntime<A: Application> {
     /// Positive copies of sent events, sorted by `send_time` (for
     /// cancellation on rollback).
     outputs: Vec<Event<A::Msg>>,
-    /// Lazy cancellation: outputs cancelled by a rollback, awaiting either
-    /// regeneration (annihilate silently) or an explicit anti-message once
-    /// LVT passes their send time. Sorted by `send_time`.
-    pending_cancel: Vec<Event<A::Msg>>,
-    /// Held-cancellation count per `(dst, recv_time)`: O(1) rejection in
-    /// front of the linear regeneration scan over `pending_cancel` (the
-    /// message payload is only `PartialEq`, so a full hash key over the
-    /// triple is not available).
-    cancel_keys: IdHashMap<(LpId, VTime), u32>,
-    /// Anti-messages that arrived before their positives (cannot happen on
-    /// FIFO transports, handled for robustness).
-    orphan_antis: Vec<AntiEvent>,
+    /// Held lazy cancellations and orphan antis, `None` until the first.
+    cancels: Option<Box<Cancels<A::Msg>>>,
     batches_since_checkpoint: u32,
 }
 
@@ -126,6 +172,10 @@ impl<A: Application> Scratch<A> {
 }
 
 impl<A: Application> LpRuntime<A> {
+    /// Bytes of one checkpoint record in an LP's state queue: the state
+    /// plus its tag and coast-forward anchor.
+    pub const CHECKPOINT_BYTES: usize = std::mem::size_of::<SavedState<A::State>>();
+
     /// Create the runtime for LP `id`, collecting its initial events into
     /// `outbox` (routed by the kernel like any other send).
     pub fn new(app: &A, id: LpId, outbox: &mut Vec<Event<A::Msg>>) -> Self {
@@ -140,11 +190,9 @@ impl<A: Application> LpRuntime<A> {
             out_seq: 0,
             pending: VecDeque::new(),
             processed: Vec::new(),
-            states: vec![SavedState { tag: None, processed_len: 0, state: initial }],
+            states: vec![SavedState { tag: VTime::ZERO, processed_len: 0, state: initial }],
             outputs: Vec::new(),
-            pending_cancel: Vec::new(),
-            cancel_keys: IdHashMap::default(),
-            orphan_antis: Vec::new(),
+            cancels: None,
             batches_since_checkpoint: 0,
         };
         for (dst, at, msg) in sink.out {
@@ -190,7 +238,17 @@ impl<A: Application> LpRuntime<A> {
     /// [`VTime::INF`]: the half of [`Self::local_min`] that no scheduler
     /// heap knows.
     pub(crate) fn pending_cancel_min(&self) -> VTime {
-        self.pending_cancel.iter().map(|e| e.recv_time).min().unwrap_or(VTime::INF)
+        self.pending_cancel().iter().map(|e| e.recv_time).min().unwrap_or(VTime::INF)
+    }
+
+    /// The held lazy cancellations, in send-time order.
+    fn pending_cancel(&self) -> &[Event<A::Msg>] {
+        self.cancels.as_deref().map_or(&[], |c| &c.pending_cancel)
+    }
+
+    /// The anti-messages still waiting for their positives.
+    fn orphan_antis(&self) -> &[AntiEvent] {
+        self.cancels.as_deref().map_or(&[], |c| &c.orphan_antis)
     }
 
     /// Number of checkpoints currently held (memory accounting).
@@ -216,20 +274,20 @@ impl<A: Application> LpRuntime<A> {
         self.states.len() > 1
             || !self.processed.is_empty()
             || !self.outputs.is_empty()
-            || !self.pending_cancel.is_empty()
+            || !self.pending_cancel().is_empty()
     }
 
     /// Held lazy cancellations not yet resolved (diagnostics; must be zero
     /// at clean termination).
     pub fn pending_cancel_len(&self) -> usize {
-        self.pending_cancel.len()
+        self.pending_cancel().len()
     }
 
     /// Anti-messages that arrived before their positives and are still
     /// waiting (diagnostics; must be zero at clean termination on FIFO
     /// transports).
     pub fn orphan_antis_len(&self) -> usize {
-        self.orphan_antis.len()
+        self.orphan_antis().len()
     }
 
     fn make_event(&mut self, dst: LpId, send: VTime, recv: VTime, msg: A::Msg) -> Event<A::Msg> {
@@ -256,21 +314,6 @@ impl<A: Application> LpRuntime<A> {
     fn remove_pending(&mut self, anti: &AntiEvent) -> Option<Event<A::Msg>> {
         let at = self.pending.binary_search_by_key(&(anti.recv_time, anti.id), key).ok()?;
         self.pending.remove(at)
-    }
-
-    fn cancel_key_inc(&mut self, dst: LpId, recv: VTime) {
-        *self.cancel_keys.entry((dst, recv)).or_insert(0) += 1;
-    }
-
-    fn cancel_key_dec(&mut self, dst: LpId, recv: VTime) {
-        if let Some(c) = self.cancel_keys.get_mut(&(dst, recv)) {
-            *c -= 1;
-            if *c == 0 {
-                self.cancel_keys.remove(&(dst, recv));
-            }
-        } else {
-            debug_assert!(false, "cancel-key filter out of sync with pending_cancel");
-        }
     }
 
     /// Deliver a transmission to this LP. Performs annihilation and (if the
@@ -300,8 +343,8 @@ impl<A: Application> LpRuntime<A> {
     ) {
         debug_assert_eq!(ev.dst, self.id);
         // An orphan anti may already be waiting for this positive.
-        if let Some(pos) = self.orphan_antis.iter().position(|a| a.id == ev.id) {
-            self.orphan_antis.swap_remove(pos);
+        if let Some(pos) = self.orphan_antis().iter().position(|a| a.id == ev.id) {
+            self.cancels.as_mut().expect("an orphan is held").orphan_antis.swap_remove(pos);
             probe.on(ProbeEvent::Annihilated { lp: self.id, at: ev.recv_time });
             self.flush_lazy(self.next_time(), outbox, probe);
             return;
@@ -350,14 +393,14 @@ impl<A: Application> LpRuntime<A> {
             // past held cancellations): close the regeneration window so
             // the LP cannot park with unsent anti-messages.
             self.flush_lazy(self.next_time(), outbox, probe);
-        } else if self.orphan_antis.iter().any(|a| a.id == anti.id) {
+        } else if self.orphan_antis().iter().any(|a| a.id == anti.id) {
             // A second anti for the same id cannot occur on reliable
             // transports; dropping it is strictly safer than queueing a
             // duplicate orphan.
             debug_assert!(false, "duplicate anti-message {:?}", anti.id);
         } else {
             // Anti before its positive: remember it.
-            self.orphan_antis.push(anti);
+            self.cancels.get_or_insert_default().orphan_antis.push(anti);
         }
     }
 
@@ -375,21 +418,13 @@ impl<A: Application> LpRuntime<A> {
         outbox: &mut Vec<Transmission<A::Msg>>,
         probe: &mut P,
     ) {
-        if self.pending_cancel.is_empty() {
-            return;
-        }
-        let cut = self.pending_cancel.partition_point(|e| e.send_time < bound);
-        for i in 0..cut {
-            let (dst, recv) = {
-                let e = &self.pending_cancel[i];
-                (e.dst, e.recv_time)
-            };
-            self.cancel_key_dec(dst, recv);
-            let e = &self.pending_cancel[i];
+        let Some(c) = self.cancels.as_deref_mut() else { return };
+        let cut = c.pending_cancel.partition_point(|e| e.send_time < bound);
+        for e in c.pending_cancel.drain(..cut) {
+            unkey(&mut c.cancel_keys, e.dst, e.recv_time);
             probe.on(ProbeEvent::AntiSent { lp: self.id, sent: e.send_time });
             outbox.push(Transmission::Anti(e.anti()));
         }
-        self.pending_cancel.drain(..cut);
     }
 
     /// Execute the earliest pending batch (all events sharing the minimum
@@ -427,19 +462,23 @@ impl<A: Application> LpRuntime<A> {
 
         // Route the new sends.
         for (dst, recv, msg) in sink.out.drain(..) {
-            if lazy && self.cancel_keys.contains_key(&(dst, recv)) {
+            if let Some(c) = self
+                .cancels
+                .as_deref_mut()
+                .filter(|c| lazy && c.cancel_keys.contains_key(&(dst, recv)))
+            {
                 // Regeneration check: an identical event is already live at
                 // the receiver — drop both the send and the held anti. (The
                 // key filter above rejects the common no-candidate case in
                 // O(1); the scan only runs when (dst, recv_time) matches a
                 // held cancellation.)
-                if let Some(pos) = self
+                if let Some(pos) = c
                     .pending_cancel
                     .iter()
                     .position(|e| e.dst == dst && e.recv_time == recv && e.msg == msg)
                 {
-                    let mut original = self.pending_cancel.remove(pos);
-                    self.cancel_key_dec(dst, recv);
+                    let mut original = c.pending_cancel.remove(pos);
+                    unkey(&mut c.cancel_keys, dst, recv);
                     // The original output record becomes valid again, and
                     // its ownership transfers to *this* batch: the send
                     // time must become `now`, or a later rollback between
@@ -472,8 +511,9 @@ impl<A: Application> LpRuntime<A> {
         self.batches_since_checkpoint += 1;
         if self.batches_since_checkpoint >= scratch.cfg.checkpoint_interval {
             self.states.push(SavedState {
-                tag: Some(now),
-                processed_len: self.processed.len(),
+                tag: now,
+                processed_len: u32::try_from(self.processed.len())
+                    .expect("invariant: an LP holds fewer than 2^32 uncommitted events"),
                 state: scratch.checkpoint(app, &mut self.state),
             });
             self.batches_since_checkpoint = 0;
@@ -505,18 +545,16 @@ impl<A: Application> LpRuntime<A> {
             self.pending.push_front(ev);
         }
 
-        // 2. Restore the newest state strictly before `to` (`tag: None`,
-        //    the initial state, is before everything).
-        let si = self
-            .states
-            .iter()
-            .rposition(|s| s.tag.is_none_or(|t| t < to))
-            .expect("initial state always qualifies");
+        // 2. Restore the newest state strictly before `to` (the initial
+        //    state, tagged 0, is before every receive time).
+        debug_assert!(to > VTime::ZERO, "no event is received at time 0");
+        let si =
+            self.states.iter().rposition(|s| s.tag < to).expect("initial state always qualifies");
         let retired = scratch.spares.len();
         scratch.spares.extend(self.states.drain(si + 1..).map(|s| s.state));
         let anchor = &self.states[si];
         app.restore(&mut self.state, &anchor.state, &scratch.spares[retired..]);
-        let replay_from = anchor.processed_len;
+        let replay_from = anchor.processed_len as usize;
         debug_assert!(replay_from <= cut);
 
         // 3. Cancel in-flight outputs sent at or after `to`.
@@ -530,13 +568,9 @@ impl<A: Application> LpRuntime<A> {
                 self.outputs.truncate(ocut);
             }
             Cancellation::Lazy => {
-                // Forward order + insert-after-equals keeps the relative
-                // order of equal send times, which the first-match
-                // regeneration scan depends on.
+                // Forward order, so equal send times keep their order.
                 for e in self.outputs.split_off(ocut) {
-                    self.cancel_key_inc(e.dst, e.recv_time);
-                    let at = self.pending_cancel.partition_point(|x| x.send_time <= e.send_time);
-                    self.pending_cancel.insert(at, e);
+                    self.cancels.get_or_insert_default().hold(e);
                 }
             }
         }
@@ -579,18 +613,16 @@ impl<A: Application> LpRuntime<A> {
         probe: &mut P,
     ) {
         // Newest checkpoint strictly below GVT becomes the new floor.
-        let si = self
-            .states
-            .iter()
-            .rposition(|s| s.tag.is_none_or(|t| t < gvt))
-            .expect("initial state always qualifies");
+        debug_assert!(gvt > VTime::ZERO, "GVT is the time of an event, and none is at 0");
+        let si =
+            self.states.iter().rposition(|s| s.tag < gvt).expect("initial state always qualifies");
         let floor = self.states[si].processed_len;
         scratch.spares.extend(self.states.drain(..si).map(|s| s.state));
         for s in &mut self.states {
             s.processed_len -= floor;
         }
-        let mut committed = floor as u64;
-        self.processed.drain(..floor);
+        let mut committed = u64::from(floor);
+        self.processed.drain(..floor as usize);
 
         let ocut = self.outputs.partition_point(|e| e.send_time < gvt);
         self.outputs.drain(..ocut);
@@ -599,11 +631,11 @@ impl<A: Application> LpRuntime<A> {
             committed += self.processed.len() as u64;
             self.processed.clear();
             debug_assert!(
-                self.pending_cancel.is_empty(),
+                self.pending_cancel().is_empty(),
                 "unsent lazy antis would have held GVT below ∞"
             );
             debug_assert!(
-                self.cancel_keys.is_empty(),
+                self.cancels.as_ref().is_none_or(|c| c.cancel_keys.is_empty()),
                 "cancel-key filter must drain with pending_cancel"
             );
         }
@@ -627,9 +659,7 @@ impl<A: Application> Clone for LpRuntime<A> {
             processed: self.processed.clone(),
             states: self.states.clone(),
             outputs: self.outputs.clone(),
-            pending_cancel: self.pending_cancel.clone(),
-            cancel_keys: self.cancel_keys.clone(),
-            orphan_antis: self.orphan_antis.clone(),
+            cancels: self.cancels.clone(),
             batches_since_checkpoint: self.batches_since_checkpoint,
         }
     }
@@ -643,10 +673,11 @@ where
 {
     /// Everything that decides this LP's future, for the model checker's
     /// state hash and equality (`cancel_keys` is derived from
-    /// `pending_cancel`).
+    /// `pending_cancel`; no [`Cancels`] box and an empty one are the same
+    /// state).
     pub(crate) fn key(&self) -> impl std::hash::Hash + Eq + '_ {
         let queues = (&self.pending, &self.processed, &self.states, &self.outputs);
-        let cancels = (&self.pending_cancel, &self.orphan_antis, self.batches_since_checkpoint);
+        let cancels = (self.pending_cancel(), self.orphan_antis(), self.batches_since_checkpoint);
         (self.id, &self.state, self.lvt, self.out_seq, queues, cancels)
     }
 }
@@ -865,6 +896,18 @@ mod tests {
         lps[1].receive(&app, Transmission::Positive(ev), &mut outbox, &mut scratch, &mut stats);
         assert!(lps[1].next_time().is_inf());
         assert_eq!(stats.annihilated_pending, 1);
+        // The orphan allocated the box, which is empty again: the model
+        // checker must see the same state as an LP that never had one.
+        let mut unboxed = lps[1].clone();
+        unboxed.cancels = None;
+        assert!(lps[1].cancels.as_ref().is_some_and(|c| c.orphan_antis.is_empty()));
+        assert!(lps[1].key() == unboxed.key());
+        let hash = |lp: &LpRuntime<Accum>| {
+            use std::hash::{BuildHasher, BuildHasherDefault};
+            BuildHasherDefault::<std::collections::hash_map::DefaultHasher>::default()
+                .hash_one(lp.key())
+        };
+        assert_eq!(hash(&lps[1]), hash(&unboxed));
     }
 
     /// Rollback must cancel sent outputs (aggressive: antis emitted).
@@ -902,6 +945,7 @@ mod tests {
         let antis: Vec<_> = outbox.iter().filter(|t| !t.is_positive()).collect();
         assert_eq!(antis.len(), 1);
         assert_eq!(stats.antis_sent, 1);
+        assert!(lps[1].cancels.is_none(), "aggressive cancellation held nothing");
     }
 
     /// Lazy cancellation: if re-execution regenerates the identical event,
@@ -945,6 +989,7 @@ mod tests {
             &mut stats,
         );
         assert_eq!(stats.antis_sent, 0, "lazy: no anti yet");
+        assert_eq!(lp1.pending_cancel_len(), 1);
         // Re-execute t=3 then t=5.
         lp1.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         lp1.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
@@ -1040,6 +1085,19 @@ mod tests {
             lp1.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         }
         assert_eq!(*lp1.state(), 155);
+    }
+
+    /// A checkpoint record costs its state plus at most 16 bytes (tag and
+    /// coast-forward anchor), whatever the state's size and alignment.
+    #[test]
+    fn a_checkpoint_adds_at_most_16_bytes_to_its_state() {
+        fn overhead<S>() -> usize {
+            std::mem::size_of::<SavedState<S>>() - std::mem::size_of::<S>()
+        }
+        let overheads =
+            [overhead::<u8>(), overhead::<u64>(), overhead::<[u64; 4]>(), overhead::<(u64, u32)>()];
+        assert!(overheads.iter().all(|&o| o <= 16), "{overheads:?}");
+        assert!(overhead::<Vec<u8>>() <= 16 && overhead::<Box<[u8; 3]>>() <= 16);
     }
 
     /// Event ids stay unique even across rollbacks (monotonic out_seq).

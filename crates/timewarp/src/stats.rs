@@ -141,7 +141,8 @@ kernel_counters! {
         /// balancing (counted by the source cluster only).
         migrations: Sum => migrations;
         /// Modeled bytes of LP closure (current state + checkpoints +
-        /// pending events) moved by migrations.
+        /// pending events) moved by migrations, each state counted at its
+        /// inline size (see `ProbeEvent::LpMigrated`).
         migrated_state_bytes: Sum => migrated_bytes;
         /// Fault windows opened by an injected
         /// [`crate::chaos::FaultPlan`] (onsets whose platform time the
