@@ -13,9 +13,8 @@ use pls_partition::{
     CircuitGraph, MultilevelPartitioner, Partitioner, Partitioning, ReplicationConfig,
 };
 use pls_timewarp::{
-    Application, Backend, Cancellation, CostModel, DynLbConfig, FaultKind, FaultPlan,
-    FaultScenario, KernelConfig, KernelStats, Phold, PlatformConfig, RotatingHotspot, RunReport,
-    Simulator,
+    Application, Backend, Cancellation, CostModel, DynLbConfig, KernelConfig, KernelStats, Phold,
+    PlatformConfig, RotatingHotspot, RunReport, Simulator,
 };
 
 use crate::{bench_events, BenchSummary};
@@ -72,16 +71,12 @@ pub fn platform4<A: Application + 'static>(
     assignment: Vec<u32>,
     pcfg: PlatformConfig,
     lb: Option<DynLbConfig>,
-    faults: Option<FaultPlan>,
     units: fn(&KernelStats) -> u64,
 ) -> Run {
     Box::new(move || {
         let mut sim = Simulator::new(&app).platform_config(&pcfg);
         if let Some(lb) = lb {
             sim = sim.load_balancer(lb);
-        }
-        if let Some(plan) = &faults {
-            sim = sim.fault_plan(plan.clone());
         }
         let rep = sim.run(Backend::Platform { assignment: &assignment, nodes: 4 }).unwrap();
         outcome(units, &rep)
@@ -152,7 +147,7 @@ impl GateSetup {
             &self.part,
         );
         let assignment = app.lp_assignment(&self.part.assignment);
-        platform4(app, assignment, pcfg, None, None, work)
+        platform4(app, assignment, pcfg, None, work)
     }
 }
 
@@ -187,7 +182,7 @@ pub fn kernel_scenarios(smoke: bool) -> Vec<(&'static str, Run)> {
     let phold = |population_per_lp, mean_delay, locality_pct, horizon, seed, pcfg| {
         let lps = scale(48, 16) as usize;
         let model = Phold { lps, population_per_lp, mean_delay, locality_pct, horizon, seed };
-        platform4(model, striped(lps, 4), pcfg, None, None, work)
+        platform4(model, striped(lps, 4), pcfg, None, work)
     };
     // The rotating hotspot from the same starting placement — round-robin
     // striped, the *best* static choice for this workload (block loses ~2×
@@ -195,11 +190,10 @@ pub fn kernel_scenarios(smoke: bool) -> Vec<(&'static str, Run)> {
     // timing alone cannot separate a static/dynamic pair (the virtual
     // platform runs the same host work either way); the recorded
     // `modeled_s` makespan is where migration's win shows up.
-    let hotspot = |dynamic: bool, sick_node: bool| {
+    let hotspot = |dynamic: bool| {
         let (model, pcfg, lb) = hotspot_setup(smoke);
-        let faults = sick_node.then(sick_node_plan);
         let lb = dynamic.then_some(lb);
-        platform4(model, round_robin(model.lps, 4), pcfg, lb, faults, committed)
+        platform4(model, round_robin(model.lps, 4), pcfg, lb, committed)
     };
 
     vec![
@@ -253,16 +247,8 @@ pub fn kernel_scenarios(smoke: bool) -> Vec<(&'static str, Run)> {
         // Lazy cancellation with sparse checkpoints: the pending_cancel
         // regeneration filter plus coast-forward replay dominate.
         ("lazy_sparse_ckpt", phold(4, 4, 10, scale(1000, 250), 0x1A2B, lazy(None, 4))),
-        ("dynlb_hotspot_static", hotspot(false, false)),
-        ("dynlb_hotspot_dynamic", hotspot(true, false)),
-        // Sick node: a whole-run 6× CPU slowdown injected on node 1 by the
-        // chaos subsystem. The static placement stays pinned to the
-        // degraded node; the dynamic balancer charges the fault time to the
-        // resident LPs' `fault_penalty` and routes them off it, so the
-        // modeled makespan separates the pair (committed work is identical
-        // either way — faults never change results).
-        ("dynlb_hotspot_sick_node_static", hotspot(false, true)),
-        ("dynlb_hotspot_sick_node_dynamic", hotspot(true, true)),
+        ("dynlb_hotspot_static", hotspot(false)),
+        ("dynlb_hotspot_dynamic", hotspot(true)),
     ]
 }
 
@@ -323,33 +309,20 @@ pub fn hotspot_setup(smoke: bool) -> (RotatingHotspot, PlatformConfig, DynLbConf
     (model, pcfg, lb)
 }
 
-/// The fault plan of the `dynlb_hotspot_sick_node_*` pair: node 1 runs
-/// its modeled CPU 6× slower for the whole simulation. Deterministic
-/// (no sampled scenarios), so the seed is cosmetic.
-pub fn sick_node_plan() -> FaultPlan {
-    FaultPlan::new(0x51CC).scenario(FaultScenario {
-        node: 1,
-        start_ns: 0,
-        end_ns: u64::MAX,
-        kind: FaultKind::NodeSlow { factor: 6 },
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The premise of the sick-node scenario pair: on the same workload,
-    /// the same placement, and the same degraded node, dynamic balancing
-    /// must finish sooner than static — and without touching the useful
-    /// (committed) work.
+    /// The premise of the `dynlb_hotspot_*` pair: on the same workload
+    /// and the same starting placement, dynamic balancing must finish
+    /// sooner than static — and without touching the useful (committed)
+    /// work.
     #[test]
-    fn dynamic_balancing_escapes_the_sick_node() {
+    fn dynamic_balancing_beats_the_static_placement() {
         let run = |dynlb: bool| {
             let (model, pcfg, lb) = hotspot_setup(true);
             let assignment = round_robin(model.lps, 4);
-            let mut sim =
-                Simulator::new(&model).platform_config(&pcfg).fault_plan(sick_node_plan());
+            let mut sim = Simulator::new(&model).platform_config(&pcfg);
             if dynlb {
                 sim = sim.load_balancer(lb);
             }
@@ -368,7 +341,7 @@ mod tests {
         );
         assert!(
             balanced_s < fixed_s,
-            "dynamic ({balanced_s:.4}s) must beat static ({fixed_s:.4}s) on a sick node"
+            "dynamic ({balanced_s:.4}s) must beat static ({fixed_s:.4}s) on the hotspot"
         );
     }
 }

@@ -360,7 +360,6 @@ mod tests {
     fn fingerprint_covers_every_config_field() {
         use pls_logic::DelayModel;
         use pls_partition::ReplicationConfig;
-        use pls_timewarp::FaultPlan;
 
         let base = Grid::config_fingerprint(&paper_sim_config());
         let flip = |field: &str, edit: fn(&mut SimConfig)| {
@@ -370,7 +369,6 @@ mod tests {
         };
         flip("delay", |c| c.delay = DelayModel::Unit(1));
         flip("replication", |c| c.replication = Some(ReplicationConfig::default()));
-        flip("faults", |c| c.faults = Some(FaultPlan::new(1)));
         flip("state_limit_per_node", |c| c.platform.state_limit_per_node = Some(1 << 20));
         assert!(!base.contains('\n'), "the fingerprint must stay one cache line");
     }

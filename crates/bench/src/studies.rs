@@ -166,7 +166,7 @@ pub fn dynlb(smoke: bool) {
         ("dynamic (from striped)", &striped, Some(lb)),
     ]
     .map(|(name, assignment, lb)| {
-        let mut run = platform4(model, assignment.clone(), pcfg, lb, None, committed);
+        let mut run = platform4(model, assignment.clone(), pcfg, lb, committed);
         let (m, o) = measure(samples, &mut run);
         (name, m.median_ns_per_event, o)
     });

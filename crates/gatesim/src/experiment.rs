@@ -11,8 +11,8 @@ use pls_logic::{DelayModel, StimulusConfig};
 use pls_netlist::{topo_order, GateId, Netlist};
 use pls_partition::{plan_replication, CircuitGraph, Partitioner, Partitioning, ReplicationConfig};
 use pls_timewarp::{
-    platform::sequential_modeled_time_s, Backend, DynLbConfig, FaultPlan, KernelStats,
-    PlatformConfig, SimError, Simulator, TimeSeries,
+    platform::sequential_modeled_time_s, Backend, DynLbConfig, KernelStats, PlatformConfig,
+    SimError, Simulator, TimeSeries,
 };
 
 use crate::compiled::{CompileError, CompiledSim};
@@ -44,11 +44,6 @@ pub struct SimConfig {
     /// the run's partitioning (`pls_partition::plan_replication`) and
     /// applies it to the built model; `None` runs unreplicated.
     pub replication: Option<ReplicationConfig>,
-    /// Seeded fault injection: `Some` degrades the virtual platform per
-    /// the plan (latency spikes and jitter, node slowdowns/pauses). Only modeled time and message counts change —
-    /// committed gate histories stay byte-identical to the healthy run.
-    /// Ignored by the sequential baseline.
-    pub faults: Option<FaultPlan>,
 }
 
 impl Default for SimConfig {
@@ -62,7 +57,6 @@ impl Default for SimConfig {
             dynlb: None,
             exec: ExecModel::GatePerLp,
             replication: None,
-            faults: None,
         }
     }
 }
@@ -363,9 +357,6 @@ impl<'a> Cell<'a> {
         }
         if let Some(d) = self.cfg.dynlb {
             sim = sim.load_balancer(d);
-        }
-        if let Some(f) = &self.cfg.faults {
-            sim = sim.fault_plan(f.clone());
         }
         let run = sim.run(Backend::Platform { assignment: &assignment, nodes: self.nodes });
         let (exec_time_s, stats, telemetry, out_of_memory) = match run {

@@ -30,7 +30,8 @@ pub struct CostModel {
     /// Ingress serialization: each arriving message occupies the receiving
     /// node's link for this long, so bursts queue up (Fast-Ethernet frame
     /// time + interrupt handling). Models congestion: message-heavy
-    /// partitionings see jittery, delayed delivery under load.
+    /// partitionings see delivery delayed under load, still in send order
+    /// at each node.
     pub msg_wire_ns: u64,
     /// Inserting an event into a local (same-node) LP's queue.
     pub local_enqueue_ns: u64,

@@ -80,33 +80,13 @@ pub(crate) struct Migration {
 }
 
 /// Per LP, the load one window put on it: its *net* events (processed
-/// minus rolled back) plus its share of the event equivalents
-/// `fault_events[k]` that node `k` lost to injected faults (latency
-/// spikes, slowdown surcharges, pause stalls; empty when chaos is off).
-/// A node's loss is apportioned across the LPs `parts` places on it by
-/// their events in the window, or evenly when none ran.
+/// minus rolled back).
 ///
 /// Counting wasted work as load would make rollback victims look heavy
 /// and set up a migration → rollback → migration feedback loop; net load
-/// measures actual forward progress. Fault time does count: an LP on a
-/// sick node really is slower, and migrating it off is exactly the
-/// response the balancer should produce.
-fn window_loads(lps: &[LpActivity], parts: &[u32], fault_events: &[u64]) -> Vec<u64> {
-    let mut loads: Vec<u64> =
-        lps.iter().map(|a| a.events.saturating_sub(a.events_rolled_back)).collect();
-    for (node, &pen) in fault_events.iter().enumerate().filter(|&(_, &pen)| pen > 0) {
-        let members: Vec<usize> = (0..parts.len()).filter(|&l| parts[l] as usize == node).collect();
-        let total: u64 = members.iter().map(|&l| lps[l].events).sum();
-        for (k, &l) in members.iter().enumerate() {
-            loads[l] += match (pen * lps[l].events).checked_div(total) {
-                Some(share) => share,
-                None => {
-                    pen / members.len() as u64 + u64::from((k as u64) < pen % members.len() as u64)
-                }
-            };
-        }
-    }
-    loads
+/// measures actual forward progress.
+fn window_loads(lps: &[LpActivity]) -> Vec<u64> {
+    lps.iter().map(|a| a.events.saturating_sub(a.events_rolled_back)).collect()
 }
 
 /// The balance ceiling: no move may lift a part above
@@ -246,8 +226,7 @@ impl Balancer {
 
     /// The one migration step, run right after the commit of a balancing
     /// round while nothing is in flight. Drains the window from the run's
-    /// ledger, charges each node the event equivalents `fault_events` it
-    /// lost to faults, plans around the pinned LPs, then evicts and adopts
+    /// ledger, plans around the pinned LPs, then evicts and adopts
     /// each move, passing `(src, dst, units)` to `ship` after each
     /// eviction for the driver to price.
     pub fn step<A: Application, P: Probe>(
@@ -255,14 +234,13 @@ impl Balancer {
         cores: &mut [ClusterCore<'_, A>],
         homes: &mut Homes,
         gvt: VTime,
-        fault_events: &[u64],
         probe: &mut Tee<KernelStats, Tee<Option<LpLedger>, P>>,
         mut ship: impl FnMut(usize, usize, u64),
     ) {
         let ledger = probe.b.a.as_mut().map(std::mem::take).expect("kept when balancing");
         let (mut lps, comm) = ledger.into_parts();
         lps.resize(homes.parts().len(), LpActivity::default());
-        let loads = window_loads(&lps, homes.parts(), fault_events);
+        let loads = window_loads(&lps);
         probe.a.lb_rounds += 1;
         for mv in plan(&loads, &comm, homes.parts(), &self.pinned, cores.len(), &self.cfg) {
             assert!(
@@ -367,18 +345,11 @@ mod tests {
     }
 
     #[test]
-    fn window_loads_are_net_events_plus_the_fault_share() {
+    fn window_loads_are_net_events() {
         let lps = [(10, 4), (30, 0), (0, 0), (5, 5)].map(|(events, events_rolled_back)| {
             LpActivity { events, rollbacks: 0, events_rolled_back }
         });
-        // Node 0 (LPs 0, 1) lost 8 event equivalents, shared 10:30;
-        // node 1 (LPs 2, 3) lost 3, shared 0:5.
-        assert_eq!(window_loads(&lps, &[0, 0, 1, 1], &[8, 3]), vec![6 + 2, 30 + 6, 0, 3]);
-        // No events on node 1: its 3 are split evenly, the remainder to
-        // the first.
-        let idle = [LpActivity::default(); 4];
-        assert_eq!(window_loads(&idle, &[0, 0, 1, 1], &[0, 3]), vec![0, 0, 2, 1]);
-        assert_eq!(window_loads(&lps, &[0, 0, 1, 1], &[]), vec![6, 30, 0, 0]);
+        assert_eq!(window_loads(&lps), vec![6, 30, 0, 0]);
     }
 
     #[test]

@@ -34,7 +34,6 @@
 )]
 
 pub mod app;
-pub mod chaos;
 pub mod config;
 mod core;
 pub mod cost;
@@ -58,7 +57,6 @@ pub mod threaded;
 pub mod time;
 
 pub use app::{AppWork, Application, EventSink};
-pub use chaos::{FaultKind, FaultPlan, FaultScenario};
 pub use config::{Cancellation, KernelConfig};
 pub use cost::CostModel;
 pub use dynlb::DynLbConfig;

@@ -20,7 +20,6 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::app::Application;
-use crate::chaos::{ChaosRuntime, FaultPlan};
 use crate::config::KernelConfig;
 use crate::core::{ClusterCore, Committed, Homes, Hop};
 use crate::cost::CostModel;
@@ -49,10 +48,6 @@ struct Platform<M> {
     cost: CostModel,
     /// One virtual CPU clock per node.
     clocks: Vec<u64>,
-    /// Seeded fault engine (`None` = healthy platform, the default). It
-    /// perturbs only modeled time and message counts; committed history
-    /// must stay byte-identical (see the `chaos` module docs).
-    chaos: Option<ChaosRuntime>,
     /// In-flight messages live in a slab; the wire heap orders them by
     /// `(arrival, send sequence)` and carries the slot. Slots recycle
     /// through a free list, so the steady-state wire path does no hashing
@@ -67,14 +62,22 @@ struct Platform<M> {
 }
 
 impl<M> Platform<M> {
-    /// Charge modeled CPU work to a node, letting an active fault window
-    /// inflate it (slowdown) or defer it (pause). With no plan installed
-    /// this is exactly `clock += work`.
+    /// `nodes` idle nodes at modeled time zero with an empty wire.
+    fn new(cost: CostModel, nodes: usize) -> Platform<M> {
+        Platform {
+            cost,
+            clocks: vec![0; nodes],
+            net: BinaryHeap::new(),
+            flights: Vec::new(),
+            free_flights: Vec::new(),
+            flight_seq: 0,
+            link_free_ns: vec![0; nodes],
+        }
+    }
+
+    /// Charge modeled CPU work to a node.
     fn charge(&mut self, node: usize, work_ns: u64) {
-        self.clocks[node] = match self.chaos.as_mut() {
-            Some(ch) => ch.charge(node, self.clocks[node], work_ns),
-            None => self.clocks[node] + work_ns,
-        };
+        self.clocks[node] += work_ns;
     }
 
     /// Send `tx` from node `from` to node `dst_node`: charge the sender's
@@ -83,11 +86,7 @@ impl<M> Platform<M> {
     fn transmit(&mut self, from: usize, dst_node: usize, tx: Transmission<M>) {
         self.charge(from, self.cost.msg_send_ns);
         let wire_at = self.clocks[from] + self.cost.net_latency_ns;
-        let extra_ns = self
-            .chaos
-            .as_mut()
-            .map_or(0, |ch| ch.degrade_extra(dst_node, wire_at, self.flight_seq));
-        let arrive = (wire_at + extra_ns).max(self.link_free_ns[dst_node]) + self.cost.msg_wire_ns;
+        let arrive = wire_at.max(self.link_free_ns[dst_node]) + self.cost.msg_wire_ns;
         self.link_free_ns[dst_node] = arrive;
         let key = self.free_flights.pop().unwrap_or_else(|| {
             self.flights.push(None);
@@ -97,6 +96,15 @@ impl<M> Platform<M> {
         self.flights[key] = Some(tx);
         self.net.push(Reverse((arrive, self.flight_seq, key)));
         self.flight_seq += 1;
+    }
+
+    /// Take the earliest flight off the wire: its arrival time and the
+    /// transmission.
+    fn land(&mut self) -> Option<(u64, Transmission<M>)> {
+        let Reverse((arrive, _, key)) = self.net.pop()?;
+        let tx = self.flights[key].take().expect("invariant: every wire heap entry has its flight");
+        self.free_flights.push(key);
+        Some((arrive, tx))
     }
 
     /// Run node `from`'s outbox dry, charging its clock per hop and
@@ -122,16 +130,6 @@ impl<M> Platform<M> {
         self.flights.iter().flatten().map(Transmission::recv_time).min().unwrap_or(VTime::INF)
     }
 
-    /// The modeled latency each node lost to faults since the last
-    /// balancing round (pause stalls, slowdown surcharges, degrade spikes),
-    /// in event equivalents, so the balancer sees a sick node as
-    /// overloaded and routes LPs off it. Empty on a healthy platform.
-    fn take_fault_events(&mut self) -> Vec<u64> {
-        let Some(ch) = self.chaos.as_mut() else { return Vec::new() };
-        let per_event = self.cost.event_exec_ns;
-        ch.fault_ns.iter_mut().map(|ns| std::mem::take(ns) / per_event).collect()
-    }
-
     /// Ship a migrating LP's closure (`units` messages) from `src` to
     /// `dst`. Migration traffic goes through the same network cost model
     /// as application messages, so its price shows up in modeled time.
@@ -155,7 +153,6 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     cfg: &PlatformConfig,
     probe: P,
     dynlb: Option<DynLbConfig>,
-    chaos_plan: Option<&FaultPlan>,
 ) -> Result<(RunReport<A>, P), SimError> {
     let kernel = cfg.kernel;
     let cost = cfg.cost;
@@ -169,16 +166,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     // *and* when they land, so traffic follows migrated LPs.
     let (mut cores, mut homes) = ClusterCore::partition(app, assignment, nodes, kernel, probe);
     let balancer = dynlb.map(|cfg| Balancer::new(app, cfg));
-    let mut plat = Platform {
-        cost,
-        clocks: vec![0; nodes],
-        chaos: chaos_plan.map(|p| ChaosRuntime::new(p, nodes)),
-        net: BinaryHeap::new(),
-        flights: Vec::new(),
-        free_flights: Vec::new(),
-        flight_seq: 0,
-        link_free_ns: vec![0; nodes],
-    };
+    let mut plat = Platform::new(cost, nodes);
 
     let mut batches_since_gvt = 0u64;
     let gvt_every = kernel.gvt_period * nodes as u64;
@@ -206,26 +194,10 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
         }
         let next_arrival = plat.net.peek().map(|&Reverse((a, _, _))| a);
         let exec_clock = best_node.map(|i| plat.clocks[i]);
-
-        // Fault edges: once the platform is quiescent, leftover edges are
-        // telemetry-only and die with the run. An edge runs when strictly
-        // earliest — at ties wire/exec work goes first, so a plan whose
-        // windows never fire is byte-identical to no plan at all.
-        let edge_due = (exec_clock.is_some() || next_arrival.is_some())
-            && plat.chaos.as_ref().and_then(ChaosRuntime::next_edge_ns).is_some_and(|e| {
-                e < exec_clock.unwrap_or(u64::MAX) && e < next_arrival.unwrap_or(u64::MAX)
-            });
         let deliver_first = next_arrival.is_some_and(|a| exec_clock.is_none_or(|c| a < c));
 
-        if edge_due {
-            let (node, onset, active_now) =
-                plat.chaos.as_mut().expect("invariant: an edge is due").pop_edge();
-            probe.on(ProbeEvent::FaultEvent { node, onset, active_now, gvt: last_gvt });
-        } else if deliver_first {
-            let Reverse((arrive, _, key)) = plat.net.pop().expect("invariant: peeked above");
-            let tx =
-                plat.flights[key].take().expect("invariant: every wire heap entry has its flight");
-            plat.free_flights.push(key);
+        if deliver_first {
+            let (arrive, tx) = plat.land().expect("invariant: peeked above");
             let dnode = homes.part(tx.dst());
             plat.clocks[dnode] = plat.clocks[dnode].max(arrive);
             plat.charge(dnode, cost.msg_recv_ns);
@@ -296,8 +268,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
             // docs): fossil collection just ran, so moving it is copying
             // its current state, surviving checkpoints and pending events.
             if let Some(lb) = balancer.as_ref().filter(|lb| lb.due(gvt, probe.a.gvt_rounds)) {
-                let faults = plat.take_fault_events();
-                lb.step(&mut cores, &mut homes, gvt, &faults, probe, |src, dst, units| {
+                lb.step(&mut cores, &mut homes, gvt, probe, |src, dst, units| {
                     plat.ship(src, dst, units)
                 });
             }
@@ -330,7 +301,7 @@ pub fn sequential_modeled_time_s(events: u64, cost: &CostModel) -> f64 {
 mod tests {
     use super::*;
     use crate::app::EventSink;
-    use crate::event::LpId;
+    use crate::event::{Event, EventId, LpId};
     use crate::sim::{Backend, Simulator};
     use crate::testkit::{round_robin, Ring};
 
@@ -341,6 +312,40 @@ mod tests {
         cfg: &PlatformConfig,
     ) -> Result<RunReport<A>, SimError> {
         Simulator::new(app).platform_config(cfg).run(Backend::Platform { assignment, nodes })
+    }
+
+    #[test]
+    fn an_ingress_link_delivers_in_send_order() {
+        // Three senders burst at node 0, and each later send leaves a
+        // sender whose clock is further behind, so by wire time alone the
+        // messages would land out of order. The destination's ingress link
+        // queues them: node 0 receives every message in send order. A delay
+        // added before the link can postpone an arrival, never reorder one.
+        let mut plat = Platform::new(CostModel::default(), 4);
+        plat.clocks = vec![0, 3_000_000, 2_000_000, 1_000_000];
+        let mut wire_at = Vec::new();
+        for seq in 0..4 {
+            for from in 1..4 {
+                let id = EventId { src: from as LpId, seq };
+                let at = VTime::from(10 + seq);
+                let event = Event { id, dst: 0, send_time: at, recv_time: at, msg: wire_at.len() };
+                plat.transmit(from, 0, Transmission::Positive(event));
+                wire_at.push(plat.clocks[from] + plat.cost.net_latency_ns);
+            }
+        }
+        assert!(!wire_at.is_sorted(), "the senders' clocks alone must disagree with send order");
+        let landed: Vec<(u64, usize)> = std::iter::from_fn(|| plat.land())
+            .map(|(at, tx)| match tx {
+                Transmission::Positive(e) => (at, e.msg),
+                Transmission::Anti(_) => unreachable!("only positives were sent"),
+            })
+            .collect();
+        let order: Vec<usize> = landed.iter().map(|&(_, sent)| sent).collect();
+        assert_eq!(order, (0..wire_at.len()).collect::<Vec<_>>(), "received out of send order");
+        assert!(
+            landed.windows(2).all(|w| w[0].0 < w[1].0),
+            "one link carries one message at a time"
+        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! Every executive emits one [`ProbeEvent`] at each well-defined protocol
 //! point of Time Warp — batch executed, rollback begun/ended,
 //! anti-message sent/annihilated, state saved, fossil collection, GVT
-//! advance, remote message crossing a cluster/node boundary, migration,
-//! injected fault. The stream is the kernel's only way of counting:
+//! advance, remote message crossing a cluster/node boundary, migration.
+//! The stream is the kernel's only way of counting:
 //! [`KernelStats`] is itself a probe, and the executives run the kernel
 //! against `Tee<KernelStats, P>`, so the aggregate counters and any
 //! attached probe see exactly the same events. A probe observes; it must
@@ -175,27 +175,13 @@ pub enum ProbeEvent {
         /// Modeled closure size.
         bytes: u64,
     },
-    /// An injected fault window opened (`onset`) or closed on platform
-    /// `node`; `active_now` is the number of windows active after the
-    /// edge and `gvt` the last computed GVT (used for bucketing). Emitted
-    /// only when a [`crate::chaos::FaultPlan`] is installed.
-    FaultEvent {
-        /// The faulted node.
-        node: u32,
-        /// Window opened (`true`) or closed.
-        onset: bool,
-        /// Windows active after the edge.
-        active_now: u64,
-        /// The last computed GVT.
-        gvt: VTime,
-    },
 }
 
 impl ProbeEvent {
     /// The virtual time a time series files this event under: executed
     /// work by its execution time, rollbacks by their restore target,
     /// anti-messages by their original send time, commits, GVT rounds,
-    /// migrations and fault edges by their GVT, transmissions by their
+    /// and migrations by their GVT, transmissions by their
     /// receive time.
     pub fn time(&self) -> VTime {
         match *self {
@@ -206,8 +192,7 @@ impl ProbeEvent {
             ProbeEvent::AntiSent { sent, .. } => sent,
             ProbeEvent::FossilCollected { gvt, .. }
             | ProbeEvent::GvtAdvanced { gvt, .. }
-            | ProbeEvent::LpMigrated { gvt, .. }
-            | ProbeEvent::FaultEvent { gvt, .. } => gvt,
+            | ProbeEvent::LpMigrated { gvt, .. } => gvt,
             ProbeEvent::Annihilated { at, .. } | ProbeEvent::RemoteMessage { at, .. } => at,
         }
     }
@@ -321,7 +306,6 @@ mod tests {
             ProbeEvent::RemoteMessage { positive: true, at: t, src: 1, dst: lp },
             ProbeEvent::RemoteMessage { positive: false, at: t, src: 1, dst: lp },
             ProbeEvent::LpMigrated { lp, from: 0, to: 1, gvt: t, bytes: 64 },
-            ProbeEvent::FaultEvent { node: 1, onset: true, active_now: 1, gvt: t },
         ]
     }
 

@@ -19,7 +19,7 @@ use crate::stats::KernelStats;
 use crate::time::VTime;
 
 /// Everything one virtual-time bucket accumulated: the kernel counters,
-/// counted by the same handler as the run's aggregate, and four gauges
+/// counted by the same handler as the run's aggregate, and three gauges
 /// that sample queue depths and so have no [`KernelStats`] counterpart.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Bucket {
@@ -34,8 +34,6 @@ pub struct Bucket {
     /// Largest executive clock observed at GVT rounds here (modeled ns on
     /// the platform, elapsed real ns on the threaded executive).
     pub wall_ns_max: u64,
-    /// Largest number of simultaneously active fault windows observed.
-    pub fault_active: u64,
 }
 
 impl Bucket {
@@ -47,22 +45,15 @@ impl Bucket {
             ("states_held_max", self.states_held_max),
             ("pending_max", self.pending_max),
             ("wall_ns_max", self.wall_ns_max),
-            ("fault_active", self.fault_active),
         ])
     }
 
     fn observe(&mut self, event: ProbeEvent) {
         self.counts.on(event);
-        match event {
-            ProbeEvent::GvtAdvanced { states_held, pending, wall_ns, .. } => {
-                self.states_held_max = self.states_held_max.max(states_held);
-                self.pending_max = self.pending_max.max(pending);
-                self.wall_ns_max = self.wall_ns_max.max(wall_ns);
-            }
-            ProbeEvent::FaultEvent { active_now, .. } => {
-                self.fault_active = self.fault_active.max(active_now);
-            }
-            _ => {}
+        if let ProbeEvent::GvtAdvanced { states_held, pending, wall_ns, .. } = event {
+            self.states_held_max = self.states_held_max.max(states_held);
+            self.pending_max = self.pending_max.max(pending);
+            self.wall_ns_max = self.wall_ns_max.max(wall_ns);
         }
     }
 
@@ -75,7 +66,6 @@ impl Bucket {
         self.states_held_max = self.states_held_max.max(o.states_held_max);
         self.pending_max = self.pending_max.max(o.pending_max);
         self.wall_ns_max = self.wall_ns_max.max(o.wall_ns_max);
-        self.fault_active = self.fault_active.max(o.fault_active);
     }
 }
 
@@ -449,7 +439,7 @@ mod tests {
         let csv_header = ts.to_csv().lines().next().unwrap().to_string();
         let names: Vec<&str> = Bucket::default().columns().map(|(n, _)| n).collect();
         let bucketed = KernelStats::COUNTERS.iter().filter_map(|c| c.column);
-        let gauges = ["states_held_max", "pending_max", "wall_ns_max", "fault_active"];
+        let gauges = ["states_held_max", "pending_max", "wall_ns_max"];
         assert_eq!(names, bucketed.chain(gauges).collect::<Vec<_>>());
         for name in &names {
             assert!(jsonl.contains(&format!("\"{name}\":")), "{name} missing in JSONL");
@@ -462,25 +452,6 @@ mod tests {
         a.merge(&b);
         assert_eq!(a.counts.batches_executed, 5, "counters sum");
         assert_eq!(a.states_held_max, 7, "gauges take the max");
-    }
-
-    #[test]
-    fn chaos_events_bucket_their_columns() {
-        let mut ts = TimeSeries::new(10);
-        record(
-            &mut ts,
-            &[
-                FaultEvent { node: 0, onset: true, active_now: 1, gvt: VTime::from(12) },
-                FaultEvent { node: 1, onset: true, active_now: 2, gvt: VTime::from(14) },
-                FaultEvent { node: 0, onset: false, active_now: 1, gvt: VTime::from(25) },
-            ],
-        );
-        let t = ts.totals();
-        assert_eq!(t.counts.faults_injected, 2, "recovery edges are not onsets");
-        assert_eq!(t.fault_active, 2);
-        let b1 = ts.buckets().find(|(k, _)| *k == BucketKey::At(1)).unwrap().1;
-        assert_eq!(b1.fault_active, 2);
-        assert!(ts.to_jsonl().contains("\"fault_active\":2"));
     }
 
     #[test]

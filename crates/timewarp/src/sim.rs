@@ -17,7 +17,6 @@
 use std::time::Duration;
 
 use crate::app::Application;
-use crate::chaos::FaultPlan;
 use crate::config::KernelConfig;
 use crate::dynlb::DynLbConfig;
 use crate::platform::PlatformConfig;
@@ -169,7 +168,6 @@ pub struct Simulator<'a, A: Application, P: Probe = NoProbe> {
     platform: PlatformConfig,
     record: Option<u64>,
     dynlb: Option<DynLbConfig>,
-    chaos: Option<FaultPlan>,
     probe: P,
 }
 
@@ -182,7 +180,6 @@ impl<'a, A: Application> Simulator<'a, A, NoProbe> {
             platform: PlatformConfig::default(),
             record: None,
             dynlb: None,
-            chaos: None,
             probe: NoProbe,
         }
     }
@@ -219,18 +216,6 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
         self
     }
 
-    /// Install a seeded fault plan (see [`crate::chaos`]): the platform
-    /// executive injects the plan's latency and node degradation faults;
-    /// its wire stays reliable. Only modeled time and message counts may
-    /// change — committed states stay byte-identical to the healthy run.
-    /// There, [`Self::run`] rejects a plan that fails [`FaultPlan::check`].
-    /// Ignored by the sequential and threaded executives (no modeled
-    /// network to degrade), which trivially preserves the invariant there.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.chaos = Some(plan);
-        self
-    }
-
     /// Attach a custom probe (replaces any previously attached probe).
     pub fn probe<Q: Probe>(self, probe: Q) -> Simulator<'a, A, Q> {
         Simulator {
@@ -238,7 +223,6 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
             platform: self.platform,
             record: self.record,
             dynlb: self.dynlb,
-            chaos: self.chaos,
             probe,
         }
     }
@@ -252,17 +236,16 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
     /// [`Self::run`], handing back the attached probe (every cluster's fork
     /// joined into it) with the report.
     pub fn run_probed(self, backend: Backend<'_>) -> Result<(RunReport<A>, P), SimError> {
-        validate(self.app, &self.platform, self.dynlb.as_ref(), self.chaos.as_ref(), &backend)?;
-        let Simulator { app, platform, record, dynlb, chaos, probe } = self;
-        let chaos = chaos.as_ref();
+        validate(self.app, &self.platform, self.dynlb.as_ref(), &backend)?;
+        let Simulator { app, platform, record, dynlb, probe } = self;
         match record {
             Some(width) => {
                 let tee = Tee::new(TimeSeries::new(width), probe);
-                let (mut report, tee) = dispatch(app, &platform, &backend, tee, dynlb, chaos)?;
+                let (mut report, tee) = dispatch(app, &platform, &backend, tee, dynlb)?;
                 report.telemetry = Some(tee.a);
                 Ok((report, tee.b))
             }
-            None => dispatch(app, &platform, &backend, probe, dynlb, chaos),
+            None => dispatch(app, &platform, &backend, probe, dynlb),
         }
     }
 }
@@ -273,7 +256,6 @@ fn validate<A: Application>(
     app: &A,
     cfg: &PlatformConfig,
     dynlb: Option<&DynLbConfig>,
-    chaos: Option<&FaultPlan>,
     backend: &Backend<'_>,
 ) -> Result<(), SimError> {
     let (kernel, cost) = (&cfg.kernel, &cfg.cost);
@@ -310,15 +292,7 @@ fn validate<A: Application>(
             "assignment targets {what} {bad} but only {parts} {what}s exist"
         )));
     }
-    // Only the platform executive runs fault plans; a clause aimed at a
-    // node that does not exist would otherwise report a healthy run, and
-    // an out-of-range value would wrap a node clock.
-    match (backend, chaos) {
-        (Backend::Platform { .. }, Some(plan)) => {
-            plan.check(parts).map_err(|e| SimError::InvalidConfig(format!("fault plan: {e}")))
-        }
-        _ => Ok(()),
-    }
+    Ok(())
 }
 
 fn dispatch<A: Application, P: Probe>(
@@ -327,7 +301,6 @@ fn dispatch<A: Application, P: Probe>(
     backend: &Backend<'_>,
     probe: P,
     dynlb: Option<DynLbConfig>,
-    chaos: Option<&FaultPlan>,
 ) -> Result<(RunReport<A>, P), SimError> {
     // Balancing is off where it has nothing to do, and such a run is
     // bit-identical to one that never asked: with one node or cluster
@@ -338,7 +311,7 @@ fn dispatch<A: Application, P: Probe>(
         Backend::Sequential => Ok(crate::sequential::sequential_core(app, probe)),
         Backend::Platform { assignment, nodes } => {
             let dynlb = dynlb.filter(|_| nodes > 1);
-            crate::platform::platform_core(app, assignment, nodes, cfg, probe, dynlb, chaos)
+            crate::platform::platform_core(app, assignment, nodes, cfg, probe, dynlb)
         }
         Backend::Threaded { assignment, clusters } => {
             let dynlb = dynlb.filter(|_| clusters > 1);

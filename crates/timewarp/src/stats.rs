@@ -144,10 +144,6 @@ kernel_counters! {
         /// pending events) moved by migrations, each state counted at its
         /// inline size (see `ProbeEvent::LpMigrated`).
         migrated_state_bytes: Sum => migrated_bytes;
-        /// Fault windows opened by an injected
-        /// [`crate::chaos::FaultPlan`] (onsets whose platform time the
-        /// run actually reached). Zero when chaos is off.
-        faults_injected: Sum => faults_injected;
     }
     aggregate_only {
         /// Channel sends performed by the threaded executive (remote
@@ -242,7 +238,6 @@ impl Probe for KernelStats {
                 self.migrations += 1;
                 self.migrated_state_bytes += bytes;
             }
-            ProbeEvent::FaultEvent { onset, .. } => self.faults_injected += u64::from(onset),
         }
     }
 

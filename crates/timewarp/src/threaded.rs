@@ -454,7 +454,7 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
             let slice = lane.probe.b.a.as_mut().map(std::mem::take);
             probe.b.a.join(slice);
         }
-        lb.step(&mut cores, &mut homes, gvt, &[], &mut probe, |_, _, _| {});
+        lb.step(&mut cores, &mut homes, gvt, &mut probe, |_, _, _| {});
     }
     let wall = started.elapsed();
 

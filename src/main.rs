@@ -60,15 +60,6 @@ const BUCKET: Flag =
     ("--bucket", Takes::Number("W"), "telemetry bucket width in virtual time (default T/20)");
 const FORMAT: Flag =
     ("--format", Takes::Text("jsonl|csv"), "machine-readable series instead of the table");
-const FAULTS: Flag = (
-    "--faults",
-    Takes::Text("SPEC"),
-    "seeded platform faults, e.g. \"jitter:1:100us,slow:0:4\";\n\
-     clauses jitter:NODE:SPIKE[:JIT][@A..B], pause:NODE@A..B,\n\
-     slow:NODE:FACTOR[@A..B], random:N; committed results are\n\
-     unchanged, only modeled time and message counts move",
-);
-const FAULT_SEED: Flag = ("--fault-seed", Takes::Number("N"), "seed of the fault plan (default 0)");
 const SMOKE: Flag = (
     "--smoke",
     Takes::Nothing,
@@ -113,7 +104,7 @@ const COMMANDS: [Command; 22] = [
         "simulate",
         "<circuit>",
         "Time Warp run vs sequential baseline",
-        &[K, STRATEGY, END, DYNLB, EXEC, REPLICATE, TRACE, BUCKET, FAULTS, FAULT_SEED],
+        &[K, STRATEGY, END, DYNLB, EXEC, REPLICATE, TRACE, BUCKET],
         cmd_simulate,
     ),
     (
@@ -476,21 +467,6 @@ fn exec_of(args: &Args) -> ExecModel {
     }
 }
 
-/// Parse `--faults SPEC` (with `--fault-seed N`, default 0) into a
-/// [`FaultPlan`] checked against `nodes`; exits with the error, which
-/// names the clause, on a bad spec.
-fn faults_of(args: &Args, nodes: usize) -> Option<FaultPlan> {
-    let spec = args.text(&FAULTS)?;
-    let plan = FaultPlan::parse(spec, args.number(&FAULT_SEED).unwrap_or(0));
-    match plan.and_then(|p| p.check(nodes).map(|()| p)) {
-        Ok(plan) => Some(plan),
-        Err(e) => {
-            eprintln!("bad {} spec: {e}", FAULTS.0);
-            exit(2);
-        }
-    }
-}
-
 /// `cfg`'s model of `netlist`, `partitioned` or not. A horizon within the
 /// longest delay path of infinity, or a compiled block that outgrows the
 /// instruction encoding, is exit 1 with the reason.
@@ -517,7 +493,6 @@ fn cmd_simulate(args: &Args) {
         exec: exec_of(args),
         dynlb: args.has(&DYNLB).then(DynLbConfig::default),
         replication: args.has(&REPLICATE).then(ReplicationConfig::default),
-        faults: faults_of(args, k),
         ..Default::default()
     };
     let trace_path = args.text(&TRACE);

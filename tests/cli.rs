@@ -3,8 +3,6 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use parlogsim::timewarp::FaultPlan;
-
 /// Every subcommand, in table order, with a positional it accepts (empty
 /// for the rows that take none).
 const ROWS: [(&str, &str); 22] = [
@@ -238,33 +236,6 @@ fn horizons_that_reach_infinity_exit_1_on_every_model_command() {
 }
 
 #[test]
-fn simulate_rejects_fault_on_missing_node() {
-    let out = cli().args(["simulate", "s27", "-k", "8", "--faults", "slow:9:2"]).output().unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("node 9 does not exist"), "{err}");
-}
-
-/// Values that would wrap a modeled clock, and the retired loss clause, are
-/// refused before the run, naming the clause.
-#[test]
-fn simulate_rejects_out_of_range_and_unknown_fault_clauses_by_name() {
-    for (spec, named) in [
-        ("pause:0@0..18446744073709551614ns", "`pause:0@0..18446744073709551614`"),
-        ("jitter:1:18446744073s", "`jitter:1:18446744073s`"),
-        ("slow:0:4294967295", "`slow:0:4294967295`"),
-        ("drop:0:300", "`drop`"),
-    ] {
-        let args = ["simulate", "s27", "-k", "3", "--end", "200", "--faults", spec];
-        let out = cli().args(args).output().unwrap();
-        let err = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(2), "{spec}: {err}");
-        assert!(out.stdout.is_empty(), "{spec} printed to stdout");
-        assert!(err.lines().next().unwrap_or_default().contains(named), "{spec}: {err}");
-    }
-}
-
-#[test]
 fn simulate_trace_writes_jsonl_series() {
     let dir = std::env::temp_dir().join("parlogsim_cli_trace_test");
     std::fs::create_dir_all(&dir).unwrap();
@@ -363,7 +334,7 @@ fn bench_kernel_only_with_no_match_exits_2_and_lists_the_scenarios() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("no scenario name starts with `nope`"), "{stderr}");
-    for name in ["sequential_gates", "anti_heavy", "dynlb_hotspot_sick_node_dynamic"] {
+    for name in ["sequential_gates", "anti_heavy", "dynlb_hotspot_dynamic"] {
         assert!(stderr.contains(&format!("\n  {name}\n")), "{stderr}");
     }
 }
@@ -405,7 +376,7 @@ fn bad_flags_are_rejected_by_name() {
     rows.push(("generate", "50", vec!["-o"], "-o"));
     rows.push(("partition", "s27", vec!["-k"], "-k"));
     rows.push(("simulate", "s27", vec!["--end"], "--end"));
-    rows.push(("simulate", "s27", vec!["--dynlb", "--fault-seed"], "--fault-seed"));
+    rows.push(("simulate", "s27", vec!["--dynlb", "--bucket"], "--bucket"));
     rows.push(("trace", "s27", vec!["--bucket"], "--bucket"));
     rows.push(("vcd", "s27", vec!["--end"], "--end"));
     rows.push(("hotspots", "s27", vec!["-s"], "-s"));
@@ -421,7 +392,6 @@ fn bad_flags_are_rejected_by_name() {
     for cmd in ["simulate", "trace"] {
         rows.push((cmd, "s27", vec!["--bucket", "wide"], "--bucket"));
     }
-    rows.push(("simulate", "s27", vec!["--fault-seed", "lucky"], "--fault-seed"));
     rows.push(("simulate", "s27", vec!["--end", "-5"], "--end"));
     // The first offender is named.
     rows.push((
@@ -506,18 +476,7 @@ fn help_lists_every_subcommand_with_its_flags() {
     assert_eq!(accepted["vcd"], ["-o", "--end"]);
     assert_eq!(
         accepted["simulate"],
-        [
-            "-k",
-            "-s",
-            "--end",
-            "--dynlb",
-            "--exec",
-            "--replicate",
-            "--trace",
-            "--bucket",
-            "--faults",
-            "--fault-seed"
-        ]
+        ["-k", "-s", "--end", "--dynlb", "--exec", "--replicate", "--trace", "--bucket"]
     );
     // What the synopsis offers is accepted: a run with every flag of the
     // subcommand passes argument checking (exit 2 is reserved for it).
@@ -525,31 +484,13 @@ fn help_lists_every_subcommand_with_its_flags() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
 
-/// The fault specs a text shows after `--faults`: the first double-quoted
-/// string on the same line, else the next word if it reads as a clause.
-fn fault_specs(text: &str) -> Vec<&str> {
-    let lines = text.match_indices("--faults").map(|(at, flag)| {
-        let rest = &text[at + flag.len()..];
-        &rest[..rest.find('\n').unwrap_or(rest.len())]
-    });
-    lines
-        .filter_map(|line| {
-            line.split('"').nth(1).or(line.split_whitespace().next().filter(|w| w.contains(':')))
-        })
-        .collect()
-}
-
 /// Every `parlogsim <subcommand> …` command line the docs show names a
-/// subcommand that exists and only flags that subcommand accepts, every
-/// fault spec they and `--help` show parses, and no doc still runs the
-/// retired `pls-bench` binary or `cargo bench` (the workspace has no bench
-/// target).
+/// subcommand that exists and only flags that subcommand accepts, and no
+/// doc still runs the retired `pls-bench` binary or `cargo bench` (the
+/// workspace has no bench target).
 #[test]
 fn the_docs_name_only_command_lines_that_exist() {
     let accepted = accepted_flags();
-    let help = run_ok(&["--help"]);
-    let mut specs: Vec<(String, String)> =
-        fault_specs(&help).into_iter().map(|s| ("--help".to_string(), s.to_string())).collect();
     let mut checked = 0;
     for doc in [
         "README.md",
@@ -560,7 +501,6 @@ fn the_docs_name_only_command_lines_that_exist() {
         ".claude/skills/verify/SKILL.md",
     ] {
         let text = std::fs::read_to_string(repo_root().join(doc)).expect(doc);
-        specs.extend(fault_specs(&text).into_iter().map(|s| (doc.to_string(), s.to_string())));
         for (i, line) in text.lines().enumerate() {
             let retired = line.contains("cargo bench")
                 || line.contains("-p pls-bench")
@@ -599,10 +539,6 @@ fn the_docs_name_only_command_lines_that_exist() {
         }
     }
     assert!(checked >= 20, "only {checked} command lines found: the docs moved or the scan broke");
-    assert!(specs.len() >= 3, "only {} fault specs found: {specs:?}", specs.len());
-    for (doc, spec) in specs {
-        assert!(FaultPlan::parse(&spec, 0).is_ok(), "{doc}: `--faults \"{spec}\"` does not parse");
-    }
 }
 
 /// A seeded mutation sweep over the argument vectors of the cheap rows
@@ -625,7 +561,7 @@ fn mutated_argument_vectors_exit_cleanly() {
         &["partition", "c17", "-k", "3", "-s", "multilevel", "--replicate"],
         &["partition", "s27", "-k", "2", "-s", "random"],
         &["simulate", "s27", "-k", "2", "--end", "60", "--dynlb", "--exec", "compiled"],
-        &["simulate", "c17", "-k", "3", "--replicate", "--faults", "slow:1:2", "--fault-seed", "4"],
+        &["simulate", "c17", "-k", "3", "--replicate"],
         &["trace", "c17", "-k", "2", "--end", "40", "--bucket", "5", "--format", "csv"],
         &["vcd", "s27", "--end", "40"],
         &["hotspots", "c17", "-k", "2", "-s", "multilevel", "--end", "40"],

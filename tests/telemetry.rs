@@ -213,30 +213,6 @@ fn threaded_series_merge_is_deterministic() {
 }
 
 #[test]
-fn chaos_counters_are_conserved_and_exported() {
-    // A faulted platform run: the fault counter must decompose losslessly
-    // into buckets like every other column, the active-window gauge must
-    // see the window, and the exports must carry both.
-    let netlist = IscasSynth::small(150, 7).build();
-    let cfg = SimConfig { end_time: 200, ..Default::default() };
-    let app = cfg.build_app(&netlist);
-    let asg = assignment(netlist.len(), 3);
-    let plan = FaultPlan::parse("slow:1:3@0..2ms", 11).unwrap();
-    let res = Simulator::new(&app)
-        .fault_plan(plan)
-        .record(BUCKET)
-        .run(Backend::Platform { assignment: &asg, nodes: 3 })
-        .unwrap();
-    let ts = res.telemetry.expect("recording was on");
-    assert_conserved(&ts.totals(), &res.stats, true, "faulted platform");
-    assert_eq!(res.stats.faults_injected, 1, "the one window opened once");
-    assert_eq!(ts.totals().counts.faults_injected, 1);
-    assert_eq!(ts.totals().fault_active, 1);
-    assert!(ts.to_jsonl().contains("\"faults_injected\":1,"));
-    assert!(ts.to_csv().lines().next().unwrap().ends_with(",fault_active"));
-}
-
-#[test]
 fn exported_series_row_counts_match() {
     let netlist = parlogsim::netlist::data::s27();
     let cfg = SimConfig { end_time: 300, ..Default::default() };
