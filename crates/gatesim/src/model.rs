@@ -645,7 +645,7 @@ mod tests {
             "size_of::<LpRuntime<GateModel>>() = {size} B, of which ModelState {state} B; \
              a checkpoint {checkpoint} B"
         );
-        assert!(size <= 176, "{size} B");
+        assert!(size <= 152, "{size} B");
         assert!(checkpoint <= 48, "{checkpoint} B");
     }
 }

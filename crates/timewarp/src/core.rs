@@ -123,11 +123,15 @@ pub(crate) struct ClusterCore<'a, A: Application> {
     /// The kernel configuration, call buffers and the checkpoint free
     /// list, shared by every resident LP.
     scratch: Scratch<A>,
-    /// Bitset over slots: set while the LP there may hold history (see
-    /// [`LpRuntime::has_history`]), so that [`Self::commit`] visits those
-    /// and no others. Only executing a batch creates history; a commit
-    /// that leaves none clears the bit.
+    /// Bitset over slots: set exactly while the LP there holds history (see
+    /// [`LpRuntime::has_history`]), so that [`Self::commit`] and
+    /// [`Self::local_min`] look at those LPs and no others. Kept by
+    /// [`Self::settle`] after every step and by every commit visit.
     history: Vec<u64>,
+    /// Per slot: the LP's [`LpRuntime::fossil_due`], kept likewise, so that
+    /// [`Self::commit`] below ∞ skips an LP it would find nothing to free
+    /// in without touching it.
+    due: Vec<VTime>,
     /// Checkpoints held by the resident LPs, kept current by
     /// [`Self::settle`] around every step that can change an LP's queues.
     held: u64,
@@ -166,6 +170,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
                 outbox: Vec::new(),
                 scratch: Scratch::new(cfg),
                 history: Vec::new(),
+                due: Vec::new(),
                 held: 0,
                 pending: 0,
                 #[cfg(test)]
@@ -216,7 +221,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         homes.slot[lp.id() as usize] = slot as u32;
         self.history.resize((slot + 1).div_ceil(64), 0);
         self.queued.push(VTime::INF);
-        put_bit(&mut self.history, slot, lp.has_history());
+        self.due.push(VTime::INF);
         self.lps.push(lp);
         self.settle(slot, (0, 0));
     }
@@ -248,19 +253,21 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         Some(top)
     }
 
-    /// Bring the queue totals and the ready heap up to date after a step
-    /// on the LP in `slot`, whose [`LpRuntime::queue_lens`] were `before`.
+    /// Bring the queue totals, the history bit, the commit due time and
+    /// the ready heap up to date after a step on the LP in `slot`, whose
+    /// [`LpRuntime::queue_lens`] were `before`.
     fn settle(&mut self, slot: usize, (held, pending): (u64, u64)) {
-        let (held_now, pending_now) = self.lps[slot].queue_lens();
+        let lp = &self.lps[slot];
+        let (held_now, pending_now) = lp.queue_lens();
         self.held = self.held + held_now - held;
         self.pending = self.pending + pending_now - pending;
+        put_bit(&mut self.history, slot, lp.has_history());
+        self.due[slot] = lp.fossil_due();
         self.reschedule(slot);
     }
 
-    /// Panic unless `held`, `pending` and the history bitset equal a count
-    /// from scratch over the resident LPs. The bitset is exact right after
-    /// a commit or a migration; between commits a rollback can undo all of
-    /// an LP's history and leave its bit set.
+    /// Panic unless `held`, `pending`, the history bitset and the due
+    /// times equal a count from scratch over the resident LPs.
     fn assert_tallies(&self) {
         let mut history = vec![0u64; self.lps.len().div_ceil(64)];
         let (mut held, mut pending) = (0, 0);
@@ -270,8 +277,10 @@ impl<'a, A: Application> ClusterCore<'a, A> {
             pending += lp_pending;
             put_bit(&mut history, slot, lp.has_history());
         }
+        let due: Vec<VTime> = self.lps.iter().map(LpRuntime::fossil_due).collect();
         assert_eq!((self.held, self.pending), (held, pending), "cluster {}: queue totals", self.id);
         assert_eq!(self.history, history, "cluster {}: history bitset", self.id);
+        assert_eq!(self.due, due, "cluster {}: commit due times", self.id);
     }
 
     fn deliver<P: Probe>(&mut self, slot: usize, tx: Transmission<A::Msg>, probe: &mut P) {
@@ -316,7 +325,6 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         let slot = slot as usize;
         let before = self.lps[slot].queue_lens();
         self.lps[slot].execute_next(self.app, &mut self.outbox, &mut self.scratch, probe);
-        put_bit(&mut self.history, slot, true);
         self.settle(slot, before);
     }
 
@@ -360,16 +368,21 @@ impl<'a, A: Application> ClusterCore<'a, A> {
 
     /// Commit everything below `gvt` on every resident LP that has
     /// something to commit, in slot order: the cost is proportional to the
-    /// LPs with history, not to the cluster.
+    /// LPs with history, not to the cluster. Below ∞ an LP whose due time
+    /// is not below `gvt` is skipped; visiting it would change nothing.
     pub fn commit<P: Probe>(&mut self, gvt: VTime, probe: &mut P) -> Committed {
         let held_before = self.held;
         for word in 0..self.history.len() {
             for slot in ones(word, self.history[word]) {
+                if self.due[slot] >= gvt && !gvt.is_inf() {
+                    continue;
+                }
                 let lp = &mut self.lps[slot];
                 let before = lp.state_queue_len();
                 lp.fossil_collect(gvt, &mut self.scratch, probe);
                 self.held -= (before - lp.state_queue_len()) as u64;
                 put_bit(&mut self.history, slot, lp.has_history());
+                self.due[slot] = lp.fossil_due();
             }
         }
         self.scratch.trim();
@@ -414,6 +427,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         put_bit(&mut self.history, last, false);
         self.history.truncate(last.div_ceil(64));
         self.queued.truncate(last);
+        self.due.swap_remove(slot);
         if let Some(moved) = self.lps.get(slot) {
             put_bit(&mut self.history, slot, moved.has_history());
             // Its heap entries name the old slot.
@@ -530,6 +544,9 @@ mod tests {
                     }
                     mail[active].push_back(tx);
                 }
+                // The history bitset and the due times are exact after
+                // every step, not only after a commit.
+                cores[active].assert_tallies();
                 if !splitmix64(&mut rng).is_multiple_of(8) {
                     continue;
                 }
@@ -552,6 +569,10 @@ mod tests {
                     (before.0, core.held, before.1),
                     "seed {seed}: commit reports the running totals"
                 );
+                // Nothing a visit could collect is left behind by a skip.
+                for lp in core.lps() {
+                    assert!(lp.fossil_due() >= gvt, "seed {seed}: LP {} skipped", lp.id());
+                }
             }
             let window = std::mem::take(&mut probe.b.a);
             windowed.join(window.clone());

@@ -13,8 +13,8 @@ use crate::pool::IdHashMap;
 use crate::probe::{Probe, ProbeEvent, RollbackKind};
 use crate::time::VTime;
 
-/// The order of the pending and processed queues: receive time, then
-/// event id — within a batch, the `(src, seq)` order its messages reach
+/// The order of an LP's event queue: receive time, then event id — within
+/// a batch, the `(src, seq)` order its messages reach
 /// [`Application::execute`] in.
 fn key<M>(e: &Event<M>) -> (VTime, EventId) {
     (e.recv_time, e.id)
@@ -30,7 +30,8 @@ struct SavedState<S> {
     /// its sender's now, which is at least 0), so the initial checkpoint
     /// is older than every other.
     tag: VTime,
-    /// Number of processed events at save time (coast-forward anchor).
+    /// The event cursor at save time: the processed events it covers
+    /// (coast-forward anchor). The oldest checkpoint's is always 0.
     processed_len: u32,
     state: S,
 }
@@ -100,12 +101,14 @@ pub struct LpRuntime<A: Application> {
     /// are unique across the whole run even when sends are re-generated
     /// after a rollback.
     out_seq: u64,
-    /// Unprocessed events sorted by [`key`], the order batches execute
-    /// in. Every one of them sorts after every processed event: an arrival
-    /// at or below LVT rolls back first.
-    pending: VecDeque<Event<A::Msg>>,
-    /// Processed events in execution order, which is [`key`] order.
-    processed: Vec<Event<A::Msg>>,
+    /// Uncommitted events sorted by [`key`]: the processed ones before
+    /// [`Self::next`], in execution order, and the pending ones from it, in
+    /// the order batches execute in. Executing a batch and rolling back
+    /// move only the cursor; an arrival at or below LVT rolls back before
+    /// it is filed, so it lands at or after the cursor.
+    events: VecDeque<Event<A::Msg>>,
+    /// Index in [`Self::events`] of the first pending event.
+    next: u32,
     /// State checkpoints, oldest first; index 0 is always usable.
     states: Vec<SavedState<A::State>>,
     /// Positive copies of sent events, sorted by `send_time` (for
@@ -117,17 +120,16 @@ pub struct LpRuntime<A: Application> {
 }
 
 /// What the LPs of one cluster share instead of owning a copy each: the
-/// kernel configuration, the buffers of one `execute_next` / `rollback_to`
-/// call, dead between calls, and the free list of retired checkpoints. One
-/// per cluster keeps the buffers hot whichever LP runs next, keeps an
-/// [`LpRuntime`] small, and lets a checkpoint reuse — allocation and all —
-/// a state that fossil collection or a rollback retired on any LP of the
-/// cluster.
+/// kernel configuration, the two buffers of one `execute_next` /
+/// `rollback_to` call (a batch's messages and its sends), dead between
+/// calls, and the free list of retired checkpoints. One per cluster keeps
+/// the buffers hot whichever LP runs next, keeps an [`LpRuntime`] small,
+/// and lets a checkpoint reuse — allocation and all — a state that fossil
+/// collection or a rollback retired on any LP of the cluster.
 #[derive(Debug)]
 #[cfg_attr(test, derive(Clone))]
 pub struct Scratch<A: Application> {
     cfg: KernelConfig,
-    batch: Vec<Event<A::Msg>>,
     msgs: Vec<(LpId, A::Msg)>,
     sink_buf: Vec<(LpId, VTime, A::Msg)>,
     /// Retired checkpoint states, newest last.
@@ -144,14 +146,7 @@ impl<A: Application> Scratch<A> {
     /// `Simulator::run` rejects that as a `SimError` before getting here.
     pub fn new(cfg: KernelConfig) -> Self {
         assert!(cfg.checkpoint_interval >= 1, "checkpoint_interval must be >= 1");
-        Scratch {
-            cfg,
-            batch: Vec::new(),
-            msgs: Vec::new(),
-            sink_buf: Vec::new(),
-            spares: Vec::new(),
-            taken: 0,
-        }
+        Scratch { cfg, msgs: Vec::new(), sink_buf: Vec::new(), spares: Vec::new(), taken: 0 }
     }
 
     /// A checkpoint of `live` to file ([`Application::checkpoint`]), built
@@ -188,8 +183,8 @@ impl<A: Application> LpRuntime<A> {
             state,
             lvt: VTime::ZERO,
             out_seq: 0,
-            pending: VecDeque::new(),
-            processed: Vec::new(),
+            events: VecDeque::new(),
+            next: 0,
             states: vec![SavedState { tag: VTime::ZERO, processed_len: 0, state: initial }],
             outputs: Vec::new(),
             cancels: None,
@@ -224,7 +219,7 @@ impl<A: Application> LpRuntime<A> {
 
     /// Receive time of the earliest unprocessed event, or [`VTime::INF`].
     pub fn next_time(&self) -> VTime {
-        self.pending.front().map_or(VTime::INF, |e| e.recv_time)
+        self.events.get(self.next as usize).map_or(VTime::INF, |e| e.recv_time)
     }
 
     /// Contribution of this LP to the GVT estimate: its earliest
@@ -258,13 +253,13 @@ impl<A: Application> LpRuntime<A> {
 
     /// Total unprocessed events currently queued.
     pub fn pending_len(&self) -> usize {
-        self.pending.len()
+        self.events.len() - self.next as usize
     }
 
     /// `(state_queue_len, pending_len)`: this LP's share of its cluster's
     /// queue totals.
     pub(crate) fn queue_lens(&self) -> (u64, u64) {
-        (self.states.len() as u64, self.pending.len() as u64)
+        (self.states.len() as u64, self.pending_len() as u64)
     }
 
     /// Whether [`Self::fossil_collect`] could find anything to free or
@@ -272,9 +267,20 @@ impl<A: Application> LpRuntime<A> {
     /// committed, has none.
     pub(crate) fn has_history(&self) -> bool {
         self.states.len() > 1
-            || !self.processed.is_empty()
+            || self.next > 0
             || !self.outputs.is_empty()
             || !self.pending_cancel().is_empty()
+    }
+
+    /// The GVT from which [`Self::fossil_collect`] has work below ∞: the
+    /// second checkpoint's tag or the oldest output's send time, whichever
+    /// is earlier, [`VTime::INF`] with neither. A commit at a finite GVT at
+    /// or below it frees nothing and commits nothing, because the oldest
+    /// checkpoint anchors no processed event.
+    pub(crate) fn fossil_due(&self) -> VTime {
+        debug_assert_eq!(self.states[0].processed_len, 0, "the floor anchors no event");
+        let checkpoint = self.states.get(1).map_or(VTime::INF, |s| s.tag);
+        checkpoint.min(self.outputs.first().map_or(VTime::INF, |e| e.send_time))
     }
 
     /// Held lazy cancellations not yet resolved (diagnostics; must be zero
@@ -301,19 +307,14 @@ impl<A: Application> LpRuntime<A> {
     /// side of the deque).
     fn pending_insert(&mut self, ev: Event<A::Msg>) {
         let k = key(&ev);
-        if self.pending.back().is_none_or(|last| key(last) < k) {
-            self.pending.push_back(ev);
+        if self.events.back().is_none_or(|last| key(last) < k) {
+            self.events.push_back(ev);
         } else {
-            let at = self.pending.partition_point(|e| key(e) < k);
-            debug_assert!(key(&self.pending[at]) != k, "pending insert over a live pending id");
-            self.pending.insert(at, ev);
+            let at = self.events.partition_point(|e| key(e) < k);
+            debug_assert!(at >= self.next as usize, "pending insert below LVT");
+            debug_assert!(key(&self.events[at]) != k, "pending insert over a live pending id");
+            self.events.insert(at, ev);
         }
-    }
-
-    /// Take the pending positive of `anti` out of the queue, if it is there.
-    fn remove_pending(&mut self, anti: &AntiEvent) -> Option<Event<A::Msg>> {
-        let at = self.pending.binary_search_by_key(&(anti.recv_time, anti.id), key).ok()?;
-        self.pending.remove(at)
     }
 
     /// Deliver a transmission to this LP. Performs annihilation and (if the
@@ -366,32 +367,37 @@ impl<A: Application> LpRuntime<A> {
         probe: &mut P,
     ) {
         debug_assert_eq!(anti.dst, self.id);
-        // The positive is pending, processed or not here yet: two binary
-        // searches (both queues are in key order) and, on a miss, a scan
-        // of the orphans, which FIFO transports never fill.
-        if self.remove_pending(&anti).is_some() {
+        // The positive is pending, processed or not here yet: one binary
+        // search (the queue is in key order) and, on a miss, a scan of the
+        // orphans, which FIFO transports never fill.
+        if let Ok(at) = self.events.binary_search_by_key(&(anti.recv_time, anti.id), key) {
+            if at < self.next as usize {
+                // The positive is already executed: cancellation requires a
+                // rollback to its receive time first.
+                debug_assert!(anti.recv_time <= self.lvt, "processed events sit at or below LVT");
+                self.rollback_to(
+                    app,
+                    anti.recv_time,
+                    RollbackKind::Secondary,
+                    outbox,
+                    scratch,
+                    probe,
+                );
+                // The rollback leaves the positive where it is and lowers the
+                // cursor to it or below. A cursor still past it means the
+                // queue is corrupt, and limping on would re-execute a
+                // cancelled event — fail hard in release too.
+                assert!(
+                    at >= self.next as usize,
+                    "annihilation target {:?} still processed after secondary rollback",
+                    anti.id
+                );
+            }
+            self.events.remove(at);
             probe.on(ProbeEvent::Annihilated { lp: self.id, at: anti.recv_time });
             // Removing the pending event may raise the earliest possible
-            // batch time; held cancellations below it must go out now.
-            self.flush_lazy(self.next_time(), outbox, probe);
-        } else if self.processed.binary_search_by_key(&(anti.recv_time, anti.id), key).is_ok() {
-            // The positive is already executed: cancellation requires a
-            // rollback to its receive time first.
-            debug_assert!(anti.recv_time <= self.lvt, "processed events sit at or below LVT");
-            self.rollback_to(app, anti.recv_time, RollbackKind::Secondary, outbox, scratch, probe);
-            // The rollback re-files the positive as pending. A miss here
-            // means the queues are corrupt, and limping on would
-            // re-execute a cancelled event — fail hard in release too.
-            let removed = self.remove_pending(&anti);
-            assert!(
-                removed.is_some(),
-                "annihilation target {:?} missing from pending after secondary rollback",
-                anti.id
-            );
-            probe.on(ProbeEvent::Annihilated { lp: self.id, at: anti.recv_time });
-            // Annihilation may have emptied the queue (or moved next_time
-            // past held cancellations): close the regeneration window so
-            // the LP cannot park with unsent anti-messages.
+            // batch time (or empty the queue): held cancellations below it
+            // must go out now, so the LP cannot park with unsent antis.
             self.flush_lazy(self.next_time(), outbox, probe);
         } else if self.orphan_antis().iter().any(|a| a.id == anti.id) {
             // A second anti for the same id cannot occur on reliable
@@ -440,25 +446,29 @@ impl<A: Application> LpRuntime<A> {
         let now = self.next_time();
         assert!(!now.is_inf(), "execute_next on an idle LP");
         let lazy = scratch.cfg.cancellation == Cancellation::Lazy;
-        // Pop the batch: the front run of events at `now`, in key order.
-        let Scratch { batch, msgs, sink_buf, .. } = scratch;
-        batch.clear();
-        let len = self.pending.iter().take_while(|e| e.recv_time == now).count();
-        batch.extend(self.pending.drain(..len));
+        // The batch: the run of pending events at `now`, in key order.
+        let Scratch { msgs, sink_buf, .. } = scratch;
+        let start = self.next as usize;
         msgs.clear();
-        msgs.extend(batch.iter().map(|e| (e.id.src, e.msg.clone())));
+        msgs.extend(
+            self.events
+                .range(start..)
+                .take_while(|e| e.recv_time == now)
+                .map(|e| (e.id.src, e.msg.clone())),
+        );
 
         let mut sink = EventSink::with_buffer(now, std::mem::take(sink_buf));
         app.execute(self.id, &mut self.state, now, msgs, &mut sink);
 
-        probe.on(ProbeEvent::BatchExecuted { lp: self.id, now, events: batch.len() as u64 });
+        probe.on(ProbeEvent::BatchExecuted { lp: self.id, now, events: msgs.len() as u64 });
         let work = sink.take_work();
         if work != AppWork::default() {
             let AppWork { activations, ops, saved } = work;
             probe.on(ProbeEvent::AppWork { lp: self.id, now, activations, ops, saved });
         }
         self.lvt = now;
-        self.processed.append(batch);
+        self.next = u32::try_from(start + msgs.len())
+            .expect("invariant: an LP holds fewer than 2^32 uncommitted events");
 
         // Route the new sends.
         for (dst, recv, msg) in sink.out.drain(..) {
@@ -512,8 +522,7 @@ impl<A: Application> LpRuntime<A> {
         if self.batches_since_checkpoint >= scratch.cfg.checkpoint_interval {
             self.states.push(SavedState {
                 tag: now,
-                processed_len: u32::try_from(self.processed.len())
-                    .expect("invariant: an LP holds fewer than 2^32 uncommitted events"),
+                processed_len: self.next,
                 state: scratch.checkpoint(app, &mut self.state),
             });
             self.batches_since_checkpoint = 0;
@@ -522,9 +531,9 @@ impl<A: Application> LpRuntime<A> {
     }
 
     /// Roll back so that the next executed batch is at `to` (all work at
-    /// receive times `>= to` is undone). Restores the newest checkpoint
-    /// strictly older than `to` and coast-forwards over the retained
-    /// processed events without re-sending.
+    /// receive times `>= to` is undone). Lowers the event cursor, restores
+    /// the newest checkpoint strictly older than `to` and coast-forwards
+    /// over the retained processed events without re-sending.
     fn rollback_to<P: Probe>(
         &mut self,
         app: &A,
@@ -535,15 +544,13 @@ impl<A: Application> LpRuntime<A> {
         probe: &mut P,
     ) {
         probe.on(ProbeEvent::RollbackBegun { lp: self.id, kind, from: self.lvt, to });
-        // 1. Unprocess events at recv_time >= to.
-        let cut = self.processed.partition_point(|e| e.recv_time < to);
-        let undone = (self.processed.len() - cut) as u64;
-        // Every pending event sorts after every processed one, so the
-        // undone events go back on the front, newest first.
-        for ev in self.processed.drain(cut..).rev() {
-            debug_assert!(self.pending.front().is_none_or(|f| key(&ev) < key(f)));
-            self.pending.push_front(ev);
-        }
+        // 1. Unprocess events at recv_time >= to: every pending event is
+        //    later than LVT, which is at or after `to`, so the cut lies
+        //    among the processed ones and the cursor drops to it.
+        let cut = self.events.partition_point(|e| e.recv_time < to);
+        debug_assert!(cut <= self.next as usize, "rollback to {to:?} above LVT {:?}", self.lvt);
+        let undone = (self.next as usize - cut) as u64;
+        self.next = u32::try_from(cut).expect("invariant: the cut lies at or below the cursor");
 
         // 2. Restore the newest state strictly before `to` (the initial
         //    state, tagged 0, is before every receive time).
@@ -577,28 +584,24 @@ impl<A: Application> LpRuntime<A> {
 
         // 4. Coast-forward: silently re-execute the retained events between
         //    the checkpoint and `to` to rebuild the pre-straggler state.
-        let coasted = (self.processed.len() - replay_from) as u64;
+        let coasted = (cut - replay_from) as u64;
         let Scratch { msgs, sink_buf, .. } = scratch;
         let mut sink = EventSink::with_buffer(VTime::ZERO, std::mem::take(sink_buf));
-        let mut i = replay_from;
-        while i < self.processed.len() {
-            let t = self.processed[i].recv_time;
-            let mut j = i;
-            while j < self.processed.len() && self.processed[j].recv_time == t {
-                j += 1;
-            }
+        let mut replay = self.events.range(replay_from..cut).peekable();
+        while let Some(t) = replay.peek().map(|e| e.recv_time) {
             msgs.clear();
-            msgs.extend(self.processed[i..j].iter().map(|e| (e.id.src, e.msg.clone())));
+            while let Some(e) = replay.next_if(|e| e.recv_time == t) {
+                msgs.push((e.id.src, e.msg.clone()));
+            }
             sink.reset(t);
             app.execute(self.id, &mut self.state, t, msgs, &mut sink);
             // Sends are NOT re-emitted: the originals (sent before `to`)
             // were never cancelled and still stand.
-            i = j;
         }
         *sink_buf = sink.into_buf();
 
         // 5. Reset the local clock.
-        self.lvt = self.processed.last().map(|e| e.recv_time).unwrap_or(VTime::ZERO);
+        self.lvt = cut.checked_sub(1).map_or(VTime::ZERO, |last| self.events[last].recv_time);
         self.batches_since_checkpoint = 0;
         probe.on(ProbeEvent::RollbackEnded { lp: self.id, to, undone, coasted });
     }
@@ -621,15 +624,15 @@ impl<A: Application> LpRuntime<A> {
         for s in &mut self.states {
             s.processed_len -= floor;
         }
-        let mut committed = u64::from(floor);
-        self.processed.drain(..floor as usize);
-
         let ocut = self.outputs.partition_point(|e| e.send_time < gvt);
         self.outputs.drain(..ocut);
 
+        // The processed events below the new floor commit; at ∞ all do (and
+        // only the newest checkpoint is left, now anchored at 0).
+        let committed = if gvt.is_inf() { self.next } else { floor };
+        self.events.drain(..committed as usize);
+        self.next -= committed;
         if gvt.is_inf() {
-            committed += self.processed.len() as u64;
-            self.processed.clear();
             debug_assert!(
                 self.pending_cancel().is_empty(),
                 "unsent lazy antis would have held GVT below ∞"
@@ -640,6 +643,7 @@ impl<A: Application> LpRuntime<A> {
             );
         }
         if committed > 0 {
+            let committed = u64::from(committed);
             probe.on(ProbeEvent::FossilCollected { lp: self.id, gvt, committed });
         }
     }
@@ -655,8 +659,8 @@ impl<A: Application> Clone for LpRuntime<A> {
             state: self.state.clone(),
             lvt: self.lvt,
             out_seq: self.out_seq,
-            pending: self.pending.clone(),
-            processed: self.processed.clone(),
+            events: self.events.clone(),
+            next: self.next,
             states: self.states.clone(),
             outputs: self.outputs.clone(),
             cancels: self.cancels.clone(),
@@ -676,7 +680,7 @@ where
     /// `pending_cancel`; no [`Cancels`] box and an empty one are the same
     /// state).
     pub(crate) fn key(&self) -> impl std::hash::Hash + Eq + '_ {
-        let queues = (&self.pending, &self.processed, &self.states, &self.outputs);
+        let queues = (&self.events, self.next, &self.states, &self.outputs);
         let cancels = (self.pending_cancel(), self.orphan_antis(), self.batches_since_checkpoint);
         (self.id, &self.state, self.lvt, self.out_seq, queues, cancels)
     }
@@ -684,9 +688,9 @@ where
 
 #[cfg(test)]
 impl<A: Application> LpRuntime<A> {
-    /// Ids of the events queued here, pending or processed.
+    /// Ids of the events queued here, processed then pending, in key order.
     pub(crate) fn resident(&self) -> impl Iterator<Item = EventId> + '_ {
-        self.pending.iter().chain(&self.processed).map(|e| e.id)
+        self.events.iter().map(|e| e.id)
     }
 
     /// Sent positives that no rollback has cancelled and no commit freed.
@@ -1085,6 +1089,54 @@ mod tests {
             lp1.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         }
         assert_eq!(*lp1.state(), 155);
+    }
+
+    /// A rollback, primary or secondary, moves no event: the queue keeps
+    /// its ids in their order, and only the cursor and LVT go back (with
+    /// the state they restore). Through `receive`, the straggler is then
+    /// filed at the cursor and the cancelled positive taken out in place.
+    #[test]
+    fn rollbacks_move_only_the_cursor_and_lvt() {
+        let app = Accum { n: 2, bound: 0 };
+        let (mut lps, mut stats, mut outbox, mut scratch) = setup(&app);
+        outbox.clear();
+        let mk = |seq: u64, t: u64| Event {
+            id: EventId { src: 0, seq },
+            dst: 1,
+            send_time: VTime::from(1),
+            recv_time: VTime::from(t),
+            msg: seq,
+        };
+        let lp = &mut lps[1];
+        for seq in 1..=4 {
+            let ev = Transmission::Positive(mk(seq, 10 * seq));
+            lp.receive(&app, ev, &mut outbox, &mut scratch, &mut stats);
+        }
+        for _ in 0..3 {
+            lp.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
+        }
+        let ids: Vec<EventId> = lp.resident().collect();
+        assert_eq!((lp.next, lp.lvt, lp.state), (3, VTime::from(30), 1 + 2 + 3));
+        for kind in [RollbackKind::Primary, RollbackKind::Secondary] {
+            lp.rollback_to(&app, VTime::from(20), kind, &mut outbox, &mut scratch, &mut stats);
+            assert!(lp.resident().eq(ids.iter().copied()), "{kind:?}");
+            assert_eq!((lp.next, lp.lvt, lp.state), (1, VTime::from(10), 1), "{kind:?}");
+            while lp.next < 3 {
+                lp.execute_next(&app, &mut outbox, &mut scratch, &mut stats);
+            }
+        }
+
+        let straggler = mk(5, 15);
+        let id = straggler.id;
+        lp.receive(&app, Transmission::Positive(straggler), &mut outbox, &mut scratch, &mut stats);
+        assert!(lp.resident().eq([ids[0], id, ids[1], ids[2], ids[3]]));
+        assert_eq!((lp.next, lp.lvt, lp.state), (1, VTime::from(10), 1));
+        let anti = Transmission::Anti(mk(1, 10).anti());
+        lp.receive(&app, anti, &mut outbox, &mut scratch, &mut stats);
+        assert!(lp.resident().eq([id, ids[1], ids[2], ids[3]]));
+        assert_eq!((lp.next, lp.lvt, lp.state), (0, VTime::ZERO, 0));
+        assert_eq!((stats.primary_rollbacks, stats.secondary_rollbacks), (2, 2));
+        assert!(outbox.is_empty(), "a rollback re-sends nothing");
     }
 
     /// A checkpoint record costs its state plus at most 16 bytes (tag and

@@ -536,6 +536,10 @@ pub(crate) struct Lane<M, P> {
     idle_rounds: u32,
     /// Per-destination coalescing buffers, reused across routing passes.
     out_bufs: Vec<TxBatch<M>>,
+    /// Emptied inbox batches, at most one per cluster: a posted buffer is
+    /// replaced by one of these, so a send reuses a received batch's
+    /// allocation instead of making a new one.
+    spares: Vec<TxBatch<M>>,
     /// This cluster's statistics, ledger and child of the caller's probe.
     pub probe: Tee<KernelStats, Tee<Option<LpLedger>, P>>,
     /// Bug hook: a flush round does not count the antis it routes.
@@ -557,6 +561,7 @@ impl<M, P: Probe> Lane<M, P> {
             routed: 0,
             idle_rounds: 0,
             out_bufs: (0..clusters).map(|_| Vec::new()).collect(),
+            spares: Vec::new(),
             probe,
             #[cfg(test)]
             uncounted_antis: false,
@@ -586,17 +591,18 @@ impl<M, P: Probe> Lane<M, P> {
         for dc in 0..self.out_bufs.len() {
             if !self.out_bufs[dc].is_empty() {
                 self.probe.a.comm_batches += 1;
-                seam.post(dc, std::mem::take(&mut self.out_bufs[dc]));
+                let spare = self.spares.pop().unwrap_or_default();
+                seam.post(dc, std::mem::replace(&mut self.out_bufs[dc], spare));
             }
         }
         routed
     }
 
-    /// Deliver one batch taken from the inbox and route its by-products.
-    /// Returns transmissions sent.
+    /// Deliver one batch taken from the inbox, keep its buffer as a spare
+    /// and route the delivery's by-products. Returns transmissions sent.
     fn accept<A, S>(
         &mut self,
-        batch: TxBatch<M>,
+        mut batch: TxBatch<M>,
         core: &mut ClusterCore<'_, A>,
         homes: &Homes,
         seam: &mut S,
@@ -605,8 +611,11 @@ impl<M, P: Probe> Lane<M, P> {
         A: Application<Msg = M>,
         S: Seam<M>,
     {
-        for tx in batch {
+        for tx in batch.drain(..) {
             core.receive(tx, homes, &mut self.probe);
+        }
+        if batch.capacity() > 0 && self.spares.len() < self.out_bufs.len() {
+            self.spares.push(batch);
         }
         self.route(core, homes, seam)
     }
@@ -749,7 +758,9 @@ impl<M, P: Probe> Lane<M, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{Event, EventId};
     use crate::phold::Phold;
+    use crate::probe::NoProbe;
     use crate::sim::{Backend, Simulator};
     use crate::testkit::{round_robin, Idle, Ring};
 
@@ -959,6 +970,68 @@ mod tests {
             let res = threaded(&app, &assignment, 2, &cfg);
             assert_eq!(res.states, seq.states);
         }
+    }
+
+    /// A seam that hands out scripted batches and keeps what is posted;
+    /// no peer ever asks for a GVT round.
+    struct Script<M> {
+        inbox: std::collections::VecDeque<TxBatch<M>>,
+        posted: Vec<(usize, TxBatch<M>)>,
+    }
+
+    impl<M> Seam<M> for Script<M> {
+        fn post(&mut self, dc: usize, batch: TxBatch<M>) {
+            self.posted.push((dc, batch));
+        }
+        fn take(&mut self) -> Option<TxBatch<M>> {
+            self.inbox.pop_front()
+        }
+        fn wait(&mut self, _: Duration) -> Option<TxBatch<M>> {
+            self.take()
+        }
+        fn raise(&mut self) -> bool {
+            false
+        }
+        fn raised(&self) -> bool {
+            false
+        }
+        fn lower(&mut self) {}
+        fn arrive(&mut self, _: u64, _: u64) {}
+        fn release(&mut self) -> Result<Reduced, Poisoned> {
+            unreachable!("a scripted lane never enters a GVT round")
+        }
+    }
+
+    /// A received batch's buffer carries a later send: cluster 0 of a
+    /// two-LP ring takes a batch holding one token, then executes its own
+    /// token and the received one, each of which goes on to cluster 1.
+    #[test]
+    fn a_posted_batch_reuses_a_drained_batch() {
+        let app = Ring { n: 2, hops: 3 };
+        let cfg = KernelConfig::default();
+        let mut probe = Tee::new(KernelStats::default(), Tee::new(None, NoProbe));
+        let (mut cores, homes) = ClusterCore::partition(&app, &[0, 1], 2, cfg, &mut probe);
+        let mut lane = Lane::new(0, 2, probe.fork());
+        #[allow(clippy::disallowed_methods, reason = "the epoch's telemetry origin")]
+        let epoch = Epoch { homes: &homes, cfg: &cfg, lb: None, started: Instant::now() };
+        let token = Event {
+            id: EventId { src: 1, seq: 100 },
+            dst: 0,
+            send_time: VTime::from(1),
+            recv_time: VTime::from(5),
+            msg: 2,
+        };
+        let mut batch = Vec::with_capacity(4);
+        batch.push(Transmission::Positive(token));
+        let drained = batch.as_ptr();
+        let mut seam = Script { inbox: [batch].into(), posted: Vec::new() };
+        for _ in 0..3 {
+            assert!(!lane.step(&mut cores[0], &epoch, &mut seam).unwrap());
+        }
+        let posted: Vec<_> = seam.posted.iter().map(|(dc, b)| (*dc, b.len())).collect();
+        assert_eq!(posted, [(1, 1), (1, 1)], "the ring's own token, then the received one");
+        assert_eq!(seam.posted[1].1.as_ptr(), drained, "the second send reused the batch");
+        assert_eq!(lane.probe.a.comm_batches, 2);
     }
 
     #[test]

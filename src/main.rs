@@ -52,7 +52,8 @@ const REPLICATE: Flag = (
     "duplicate profitable boundary gates into the parts that\n\
      read them (partition: plan it, report the cut it leaves)",
 );
-const DYNLB: Flag = ("--dynlb", Takes::Nothing, "migrate LPs between nodes at GVT commit");
+const DYNLB: Flag =
+    ("--dynlb", Takes::Nothing, "migrate LPs between nodes at GVT commit (gate-per-lp only)");
 const EXEC: Flag =
     ("--exec", Takes::Text("MODE"), "execution engine: gate-per-lp (default) or compiled");
 const TRACE: Flag = ("--trace", Takes::Text("F"), "dump a JSONL telemetry series to F");
@@ -483,6 +484,16 @@ fn build(
 }
 
 fn cmd_simulate(args: &Args) {
+    let exec = exec_of(args);
+    // A compiled model has one block LP per partition part, and the parts
+    // are the nodes: every node holds one LP, so a balancer can move none.
+    if args.has(&DYNLB) && matches!(exec, ExecModel::CompiledBlocks(_)) {
+        eprintln!(
+            "`--dynlb` cannot be used with `--exec compiled`: the compiled model is one block \
+             LP per node, so there is no LP a balancer could move"
+        );
+        exit(2);
+    }
     let netlist = load_circuit(args.positional);
     let k = args.at_least_one(&K, 8) as usize;
     let end = args.end();
@@ -490,7 +501,7 @@ fn cmd_simulate(args: &Args) {
     let graph = CircuitGraph::from_netlist(&netlist);
     let cfg = SimConfig {
         end_time: end,
-        exec: exec_of(args),
+        exec,
         dynlb: args.has(&DYNLB).then(DynLbConfig::default),
         replication: args.has(&REPLICATE).then(ReplicationConfig::default),
         ..Default::default()

@@ -134,6 +134,22 @@ fn simulate_compiled_exec_reports_block_work() {
     assert!(out.contains("ops"), "{out}");
 }
 
+/// A compiled run is one block LP per node, which no balancer can move:
+/// asking for both is a usage error that says why, before anything runs.
+#[test]
+fn simulate_rejects_dynlb_with_compiled_blocks() {
+    let out = cli().args(["simulate", "s27", "-k", "2", "--exec", "compiled", "--dynlb"]).output();
+    let out = out.unwrap();
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(out.stdout.is_empty(), "nothing ran");
+    assert!(err.contains("`--dynlb`") && err.contains("`--exec compiled`"), "{err}");
+    assert!(err.contains("one block LP per node"), "{err}");
+    // Each flag alone still runs.
+    run_ok(&["simulate", "s27", "-k", "2", "--exec", "compiled"]);
+    run_ok(&["simulate", "s27", "-k", "2", "--dynlb"]);
+}
+
 #[test]
 fn simulate_rejects_unknown_exec_model() {
     let out = cli().args(["simulate", "s27", "--exec", "jit"]).output().unwrap();
