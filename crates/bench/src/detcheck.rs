@@ -11,7 +11,7 @@ use pls_partition::metrics::{connectivity_cut, edge_cut};
 use pls_partition::{CircuitGraph, MultilevelPartitioner, Partitioning, ReplicationConfig};
 use pls_timewarp::{
     Application, Backend, Cancellation, DynLbConfig, KernelConfig, KernelStats, Phold,
-    PlatformConfig, Simulator,
+    PlatformConfig, Simulator, TimeSeries,
 };
 
 use crate::kernel_scenarios::kernel_scenarios;
@@ -47,8 +47,9 @@ pub fn detcheck() {
             kernel: KernelConfig { cancellation, checkpoint_interval: ckpt, ..Default::default() },
             ..Default::default()
         };
-        let sim = Simulator::new(&model).platform_config(&pcfg).record(50);
-        let rep = sim.run(Backend::Platform { assignment: &assignment, nodes: 3 }).unwrap();
+        let sim = Simulator::new(&model).platform_config(&pcfg).probe(TimeSeries::new(50));
+        let (rep, series) =
+            sim.run_probed(Backend::Platform { assignment: &assignment, nodes: 3 }).unwrap();
         stats_line(&format!("phold/plat3/{tag}"), &rep.stats);
         println!("phold/plat3/{tag} states_match_seq: {}", rep.states == seq.states);
         println!(
@@ -56,7 +57,7 @@ pub fn detcheck() {
             rep.outcome.exec_time_s().unwrap(),
             rep.outcome.node_clocks_ns().unwrap()
         );
-        println!("phold/plat3/{tag} telemetry:\n{}", rep.telemetry.unwrap().to_jsonl());
+        println!("phold/plat3/{tag} telemetry:\n{}", series.to_jsonl());
     }
 
     let thr_asg: Vec<u32> = (0..model.lps).map(|i| (i % 2) as u32).collect();
@@ -78,12 +79,12 @@ pub fn detcheck() {
             Simulator::new(&model)
                 .platform_config(&pcfg)
                 .load_balancer(lb)
-                .record(50)
-                .run(Backend::Platform { assignment: &assignment, nodes: 3 })
+                .probe(TimeSeries::new(50))
+                .run_probed(Backend::Platform { assignment: &assignment, nodes: 3 })
                 .unwrap()
         };
-        let a = run();
-        let b = run();
+        let (a, a_series) = run();
+        let (b, b_series) = run();
         stats_line("phold/plat3/dynlb", &a.stats);
         println!("phold/plat3/dynlb states_match_seq: {}", a.states == seq.states);
         println!(
@@ -96,10 +97,9 @@ pub fn detcheck() {
             a.stats == b.stats
                 && a.states == b.states
                 && a.outcome.node_clocks_ns() == b.outcome.node_clocks_ns()
-                && a.telemetry.as_ref().map(|t| t.to_jsonl())
-                    == b.telemetry.as_ref().map(|t| t.to_jsonl())
+                && a_series.to_jsonl() == b_series.to_jsonl()
         );
-        println!("phold/plat3/dynlb telemetry:\n{}", a.telemetry.unwrap().to_jsonl());
+        println!("phold/plat3/dynlb telemetry:\n{}", a_series.to_jsonl());
 
         let dthr = Simulator::new(&model)
             .load_balancer(lb)
@@ -123,13 +123,13 @@ pub fn detcheck() {
     let gate_fp = app.fingerprint(&gseq.states);
     println!("gates/seq fingerprint: {gate_fp:?}");
 
-    let gplat = Simulator::new(&app)
-        .record(20)
-        .run(Backend::Platform { assignment: &gasg, nodes: 4 })
+    let (gplat, gseries) = Simulator::new(&app)
+        .probe(TimeSeries::new(20))
+        .run_probed(Backend::Platform { assignment: &gasg, nodes: 4 })
         .unwrap();
     stats_line("gates/plat4", &gplat.stats);
     println!("gates/plat4 fingerprint: {:?}", app.fingerprint(&gplat.states));
-    println!("gates/plat4 telemetry:\n{}", gplat.telemetry.unwrap().to_jsonl());
+    println!("gates/plat4 telemetry:\n{}", gseries.to_jsonl());
 
     // Gate-per-LP under lazy cancellation with sparse checkpoints: lazy
     // regeneration compares re-sent payloads with the cancelled ones, so
@@ -176,16 +176,16 @@ pub fn detcheck() {
     );
 
     let casg = capp.lp_assignment(&blocks);
-    let cplat = Simulator::new(&capp)
-        .record(20)
-        .run(Backend::Platform { assignment: &casg, nodes: 4 })
+    let (cplat, cseries) = Simulator::new(&capp)
+        .probe(TimeSeries::new(20))
+        .run_probed(Backend::Platform { assignment: &casg, nodes: 4 })
         .unwrap();
     stats_line("compiled/plat4", &cplat.stats);
     println!(
         "compiled/plat4 fingerprint_matches_gate: {}",
         capp.fingerprint(&cplat.states) == gate_fp
     );
-    println!("compiled/plat4 telemetry:\n{}", cplat.telemetry.unwrap().to_jsonl());
+    println!("compiled/plat4 telemetry:\n{}", cseries.to_jsonl());
 
     let cthr =
         Simulator::new(&capp).run(Backend::Threaded { assignment: &casg, clusters: 4 }).unwrap();
@@ -212,10 +212,10 @@ pub fn detcheck() {
         },
         ..Default::default()
     };
-    let rplat = Simulator::new(&rapp)
+    let (rplat, rseries) = Simulator::new(&rapp)
         .platform_config(&rpcfg)
-        .record(20)
-        .run(Backend::Platform { assignment: &rasg, nodes: 4 })
+        .probe(TimeSeries::new(20))
+        .run_probed(Backend::Platform { assignment: &rasg, nodes: 4 })
         .unwrap();
     stats_line("compiled_repl/plat4/lazy_sparse", &rplat.stats);
     println!(
@@ -227,7 +227,7 @@ pub fn detcheck() {
         rplat.outcome.exec_time_s().unwrap(),
         rplat.outcome.node_clocks_ns().unwrap()
     );
-    println!("compiled_repl/plat4/lazy_sparse telemetry:\n{}", rplat.telemetry.unwrap().to_jsonl());
+    println!("compiled_repl/plat4/lazy_sparse telemetry:\n{}", rseries.to_jsonl());
 
     let rthr =
         Simulator::new(&rapp).run(Backend::Threaded { assignment: &rasg, clusters: 4 }).unwrap();

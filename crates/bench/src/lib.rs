@@ -1,13 +1,13 @@
-//! The experiment harness: every table, figure, study, benchmark and the
-//! determinism fingerprint, each one entry point that `parlogsim` runs as
-//! a subcommand of the same name.
+//! The experiment harness: the paper's evaluation, the studies,
+//! benchmarks and the determinism fingerprint, each one entry point that
+//! `parlogsim` runs as a subcommand of the same name.
 //!
-//! The table/figure entry points ([`paper`]: `table2`, `fig4`, `fig5`,
-//! `fig6`, `report`, `all`) draw their cells from one [`Grid`] runner that
-//! caches [`RunMetrics`] rows in a CSV under `target/experiments/`, so
-//! re-running a figure after the table has run costs nothing and all
-//! outputs come from the same runs — exactly how the paper derives
-//! Figures 4–6 and Table 2 from the same experiments.
+//! The paper's tables and figures are one report ([`paper::report`]),
+//! which draws every cell from one [`Grid`] runner that caches
+//! [`RunMetrics`] rows in a CSV under `target/experiments/`, so a second
+//! report costs nothing and every table and figure comes from the same
+//! runs — exactly how the paper derives Figures 4–6 and Table 2 from the
+//! same experiments.
 
 #![warn(missing_docs)]
 
@@ -136,22 +136,6 @@ impl Grid {
         self.cells.insert(key, m.clone());
         self.save_cache();
         m
-    }
-
-    /// Run (or load) every cell of the full grid: all circuits × all
-    /// strategies × the union of Table 2 and Figure node counts (figures
-    /// only use s9234).
-    pub fn run_all(&mut self) -> Vec<RunMetrics> {
-        let mut out = Vec::new();
-        for c in PAPER_CIRCUITS {
-            let nodes: &[usize] = if c == "s9234" { &FIGURE_NODES } else { &TABLE2_NODES };
-            for &n in nodes {
-                for s in STRATEGY_ORDER {
-                    out.push(self.cell(c, s, n));
-                }
-            }
-        }
-        out
     }
 
     fn load_cache(&mut self) {
@@ -288,49 +272,6 @@ pub fn bench_events(samples: usize, mut f: impl FnMut() -> u64) -> BenchSummary 
     BenchSummary { median_ns_per_event: median, min_ns_per_event: rates[0], events, samples }
 }
 
-/// Render a simple ASCII series table: one labelled row of values per
-/// strategy over the node counts, plus a bar to eyeball the shape at the
-/// highest node count.
-pub fn render_series(
-    title: &str,
-    ylabel: &str,
-    nodes: &[usize],
-    series: &[(String, Vec<f64>)],
-) -> String {
-    let mut out = format!("{title}\n");
-    out.push_str(&format!("{:<14}", "nodes"));
-    for n in nodes {
-        out.push_str(&format!("{n:>10}"));
-    }
-    out.push('\n');
-    let max = series
-        .iter()
-        .flat_map(|(_, v)| v.iter().copied())
-        .filter(|x| x.is_finite())
-        .fold(0.0f64, f64::max);
-    for (name, vals) in series {
-        out.push_str(&format!("{name:<14}"));
-        for v in vals {
-            if v.is_nan() {
-                out.push_str(&format!("{:>10}", "OOM"));
-            } else if *v == v.round() && *v < 1e9 {
-                out.push_str(&format!("{:>10}", *v as u64));
-            } else {
-                out.push_str(&format!("{v:>10.2}"));
-            }
-        }
-        out.push('\n');
-        if max > 0.0 {
-            if let Some(last) = vals.last().filter(|v| v.is_finite()) {
-                let w = ((last / max) * 40.0).round() as usize;
-                out.push_str(&format!("{:<14}{}\n", "", "#".repeat(w.max(1))));
-            }
-        }
-    }
-    out.push_str(&format!("({ylabel})\n"));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -342,18 +283,6 @@ mod tests {
         for s in STRATEGY_ORDER {
             assert!(names.contains(&s), "{s} missing from registry");
         }
-    }
-
-    #[test]
-    fn render_series_handles_nan_and_ints() {
-        let s = render_series(
-            "t",
-            "secs",
-            &[2, 4],
-            &[("A".into(), vec![1.0, f64::NAN]), ("B".into(), vec![0.5, 2.0])],
-        );
-        assert!(s.contains("OOM"));
-        assert!(s.contains('A') && s.contains('B'));
     }
 
     #[test]

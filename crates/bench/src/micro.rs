@@ -7,7 +7,7 @@ use std::hint::black_box;
 use pls_gatesim::ExecModel;
 use pls_netlist::IscasSynth;
 use pls_partition::{all_partitioners, CircuitGraph, MultilevelPartitioner, Partitioner};
-use pls_timewarp::{Backend, Cancellation, KernelConfig, Simulator};
+use pls_timewarp::{Backend, Cancellation, KernelConfig, Simulator, TimeSeries};
 
 use crate::bench_events;
 use crate::kernel_scenarios::GateSetup;
@@ -79,25 +79,24 @@ pub fn kernel() {
     let gates = GateSetup::synthetic(false);
     let app = gates.config(ExecModel::GatePerLp, None).build_app(&gates.netlist);
     let platform = Backend::Platform { assignment: &gates.part.assignment, nodes: 4 };
-    let case = |name: &str, backend: Backend<'_>, record: bool, kernel: KernelConfig| {
+    let case = |name: &str, backend: Backend<'_>, kernel: KernelConfig| {
         timed(&format!("kernel/{name}"), "event", 10, || {
-            let mut sim = Simulator::new(&app).config(kernel);
-            if record {
-                sim = sim.record(10);
-            }
-            sim.run(backend).unwrap().stats.events_processed
+            Simulator::new(&app).config(kernel).run(backend).unwrap().stats.events_processed
         });
     };
 
     let default = KernelConfig::default();
-    case("sequential_800g", Backend::Sequential, false, default);
-    case("platform4_800g", platform, false, default);
+    case("sequential_800g", Backend::Sequential, default);
+    case("platform4_800g", platform, default);
     // The difference vs the line above is the telemetry overhead.
-    case("platform4_800g_recorded", platform, true, default);
+    timed("kernel/platform4_800g_recorded", "event", 10, || {
+        let sim = Simulator::new(&app).probe(TimeSeries::new(10));
+        sim.run(platform).unwrap().stats.events_processed
+    });
     let lazy = KernelConfig { cancellation: Cancellation::Lazy, ..default };
-    case("platform4_800g_lazy", platform, false, lazy);
+    case("platform4_800g_lazy", platform, lazy);
     for checkpoint_interval in [1u32, 4, 16] {
         let name = format!("checkpoint_interval/{checkpoint_interval}");
-        case(&name, platform, false, KernelConfig { checkpoint_interval, ..default });
+        case(&name, platform, KernelConfig { checkpoint_interval, ..default });
     }
 }

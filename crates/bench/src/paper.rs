@@ -1,111 +1,17 @@
-//! The paper's evaluation — Tables 1–2, Figures 4–6 and the
-//! paper-vs-measured report — rendered from the one cached [`Grid`] of
-//! runs, exactly how the paper derives them from the same experiments.
+//! The paper's evaluation — Tables 1–2 and Figures 4–6 next to the
+//! paper's published values — as one markdown report, [`report`], whose
+//! cells all come from the one cached [`Grid`] of runs, exactly how the
+//! paper derives them from the same experiments.
 
 use pls_gatesim::RunMetrics;
-use pls_netlist::CircuitStats;
+use pls_netlist::{CircuitStats, Netlist};
 
-use crate::{
-    paper_circuits, render_series, Grid, FIGURE_NODES, PAPER_CIRCUITS, STRATEGY_ORDER, TABLE2_NODES,
-};
-
-/// Run the full experiment grid (every cell behind Table 2 and Figures
-/// 4–6) and leave the results in `target/experiments/grid.csv`; the
-/// table/figure entry points then render instantly from the cache.
-pub fn all() {
-    let t0 = std::time::Instant::now();
-    let mut grid = Grid::open();
-    for c in PAPER_CIRCUITS {
-        let seq = grid.sequential(c);
-        eprintln!("{c}: sequential = {:.2} modeled secs ({} events)", seq.exec_time_s, seq.events);
-    }
-    let rows = grid.run_all();
-    eprintln!("grid complete: {} cells in {:?}", rows.len(), t0.elapsed());
-    eprintln!("render with: parlogsim table2 (fig4, fig5, fig6)");
-}
-
-/// The paper's **Table 1** — characteristics of the benchmark circuits
-/// (inputs / gates / outputs), plus the extra structural statistics our
-/// synthetic substitutes are matched on.
-pub fn table1() {
-    println!("Table 1. Characteristics of benchmarks");
-    println!("{:<10} {:>6} {:>6} {:>7}", "Circuit", "Inputs", "Gates", "Outputs");
-    let stats: Vec<CircuitStats> = paper_circuits().iter().map(CircuitStats::of).collect();
-    for s in &stats {
-        println!("{}", s.table1_row());
-    }
-    println!();
-    println!("Structural detail (synthetic ISCAS'89-class substitutes):");
-    println!(
-        "{:<10} {:>6} {:>7} {:>7} {:>10} {:>10}",
-        "Circuit", "DFFs", "Edges", "Depth", "AvgFanout", "MaxFanout"
-    );
-    for s in &stats {
-        println!(
-            "{:<10} {:>6} {:>7} {:>7} {:>10.2} {:>10}",
-            s.name, s.dffs, s.edges, s.depth, s.avg_fanout, s.max_fanout
-        );
-    }
-}
-
-/// The paper's **Table 2** — simulation time (modeled seconds) for every
-/// circuit × partitioning strategy × node count, with the sequential
-/// baseline.
-///
-/// The paper omitted the s15850 2-node cell because those runs exhausted
-/// the 128 MB workstations; our virtual nodes have no such limit, so the
-/// cell is reported with a footnote.
-pub fn table2() {
-    let mut grid = Grid::open();
-    println!("Table 2. Simulation time (modeled secs) per partitioning algorithm");
-    println!(
-        "{:<8} {:>9} {:>5} {:>9} {:>9} {:>9} {:>11} {:>10} {:>9}",
-        "Circuit",
-        "SeqTime",
-        "Nodes",
-        "Random",
-        "DFS",
-        "Cluster",
-        "Topological",
-        "Multilevel",
-        "Cone"
-    );
-    for circuit in PAPER_CIRCUITS {
-        let seq = grid.sequential(circuit);
-        for (i, &nodes) in TABLE2_NODES.iter().enumerate() {
-            let mut row = if i == 0 {
-                format!("{:<8} {:>9.2} {:>5}", circuit, seq.exec_time_s, nodes)
-            } else {
-                format!("{:<8} {:>9} {:>5}", "", "", nodes)
-            };
-            for s in STRATEGY_ORDER {
-                let m = grid.cell(circuit, s, nodes);
-                let w = match s {
-                    "Topological" => 11,
-                    "Multilevel" => 10,
-                    _ => 9,
-                };
-                if m.out_of_memory {
-                    row.push_str(&format!(" {:>w$}", "OOM", w = w));
-                } else {
-                    row.push_str(&format!(" {:>w$.2}", m.exec_time_s, w = w));
-                }
-            }
-            println!("{row}");
-        }
-    }
-    println!();
-    println!("note: the paper omitted s15850 at 2 nodes (its 128 MB workstations ran");
-    println!("out of memory); the virtual platform reports the cell normally.");
-}
+use crate::{paper_circuits, Grid, FIGURE_NODES, PAPER_CIRCUITS, STRATEGY_ORDER, TABLE2_NODES};
 
 /// One of the paper's s9234 figures: a metric of every strategy's cell
 /// over the node counts.
-pub struct Figure {
-    /// Title and y-axis label of the ASCII rendering.
-    title: &'static str,
-    ylabel: &'static str,
-    /// Heading and cell precision of the report's markdown table.
+struct Figure {
+    /// Heading and cell precision of the markdown table.
     heading: &'static str,
     decimals: usize,
     /// Whether the figure carries the flat sequential line.
@@ -115,47 +21,26 @@ pub struct Figure {
 
 /// **Figure 4** — execution time, **Figure 5** — inter-node application
 /// messages, **Figure 6** — total rollbacks, each vs number of nodes.
-pub const FIGURES: [Figure; 3] = [
+const FIGURES: [Figure; 3] = [
     Figure {
-        title: "Figure 4. s9234 Execution Times",
-        ylabel: "Execution Time - secs",
         heading: "Figure 4 — s9234 execution time (modeled secs) vs nodes",
         decimals: 2,
         sequential_line: true,
         metric: |m| m.exec_time_s,
     },
     Figure {
-        title: "Figure 5. Messaging statistics for s9234 model",
-        ylabel: "Number of Application Messages",
         heading: "Figure 5 — s9234 application messages vs nodes",
         decimals: 0,
         sequential_line: false,
         metric: |m| m.stats.app_messages as f64,
     },
     Figure {
-        title: "Figure 6. Rollback behaviour of s9234",
-        ylabel: "Total Number of Rollbacks",
         heading: "Figure 6 — s9234 total rollbacks vs nodes",
         decimals: 0,
         sequential_line: false,
         metric: |m| m.stats.rollbacks() as f64,
     },
 ];
-
-/// Render one figure as an ASCII series table.
-pub fn figure(fig: &Figure) {
-    let mut grid = Grid::open();
-    let mut series = Vec::new();
-    if fig.sequential_line {
-        let seq = grid.sequential("s9234").exec_time_s;
-        series.push(("Sequential".to_string(), vec![seq; FIGURE_NODES.len()]));
-    }
-    for s in STRATEGY_ORDER {
-        let vals = FIGURE_NODES.iter().map(|&n| (fig.metric)(&grid.cell("s9234", s, n))).collect();
-        series.push((s.to_string(), vals));
-    }
-    print!("{}", render_series(fig.title, fig.ylabel, &FIGURE_NODES, &series));
-}
 
 /// One circuit's block of the paper's Table 2: per node count, the six
 /// strategy columns (`None` = a row the paper omitted after running out of
@@ -197,26 +82,43 @@ const PAPER_TABLE2: [(&str, f64, PaperRows); 3] = [
     ),
 ];
 
-/// The paper-vs-measured markdown report consumed by EXPERIMENTS.md: every
-/// table and figure, measured from the grid cache, formatted next to the
-/// paper's published values where the paper gives them numerically
-/// (Table 2); figures are compared by shape.
+/// The paper's **Table 1** over `circuits` (the three of
+/// [`paper_circuits`]): the paper's inputs, gates and outputs next to
+/// ours, then the structural statistics the synthetic substitutes are
+/// matched on, which the paper does not give.
+fn table1(circuits: &[Netlist]) -> String {
+    let mut text = String::from("## Table 1 — benchmark characteristics\n\n");
+    text.push_str(
+        "| Circuit | Inputs (paper / ours) | Gates (paper / ours) | Outputs (paper / ours) \
+         | DFFs | Edges | Depth | Avg fanout | Max fanout |\n",
+    );
+    text.push_str("|---|---|---|---|---|---|---|---|---|\n");
+    for (netlist, (pi, pg, po)) in
+        circuits.iter().zip([(35, 2779, 49), (36, 5597, 39), (77, 10383, 150)])
+    {
+        let s = CircuitStats::of(netlist);
+        text.push_str(&format!(
+            "| {} | {pi} / {} | {pg} / {} | {po} / {} |",
+            s.name, s.inputs, s.gates, s.outputs
+        ));
+        text.push_str(&format!(
+            " {} | {} | {} | {:.2} | {} |\n",
+            s.dffs, s.edges, s.depth, s.avg_fanout, s.max_fanout
+        ));
+    }
+    text
+}
+
+/// The paper-vs-measured markdown report consumed by EXPERIMENTS.md, and
+/// the one renderer of the experiment grid: every table and figure,
+/// measured from the grid cache (each missing cell is run and cached
+/// first), formatted next to the paper's published values where the
+/// paper gives them numerically (Tables 1–2); figures are compared by
+/// shape.
 pub fn report() {
     let mut grid = Grid::open();
 
-    println!("## Table 1 — benchmark characteristics\n");
-    println!("| Circuit | Inputs (paper / ours) | Gates (paper / ours) | Outputs (paper / ours) |");
-    println!("|---|---|---|---|");
-    for (netlist, (pi, pg, po)) in
-        paper_circuits().iter().zip([(35, 2779, 49), (36, 5597, 39), (77, 10383, 150)])
-    {
-        let s = CircuitStats::of(netlist);
-        println!(
-            "| {} | {pi} / {} | {pg} / {} | {po} / {} |",
-            s.name, s.inputs, s.gates, s.outputs
-        );
-    }
-
+    print!("{}", table1(&paper_circuits()));
     println!("\n## Table 2 — simulation time per strategy (paper secs / our modeled secs)\n");
     println!("| Circuit | Nodes | Random | DFS | Cluster | Topological | Multilevel | Cone |");
     println!("|---|---|---|---|---|---|---|---|");
@@ -284,6 +186,28 @@ pub fn report() {
         if fig.sequential_line {
             let seq = grid.sequential("s9234");
             println!("\nSequential line: {:.2} s at every x.", seq.exec_time_s);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn table1_lists_the_paper_circuits_with_paper_and_our_counts() {
+        let text = table1(&paper_circuits());
+        let mut lines = text.lines().skip_while(|l| !l.starts_with("| Circuit |"));
+        let header: Vec<&str> = lines.next().expect("header").split(" | ").collect();
+        assert_eq!(header[4], "DFFs", "{text}");
+        let rows: Vec<Vec<&str>> = lines.skip(1).map(|l| l.split(" | ").collect()).collect();
+        assert_eq!(rows.len(), 3, "{text}");
+        for (row, (circuit, gates, dffs)) in
+            rows.iter().zip([("s5378", 2779, 179), ("s9234", 5597, 211), ("s15850", 10383, 534)])
+        {
+            assert_eq!(row[0], format!("| {circuit}"));
+            assert_eq!(row[2], format!("{gates} / {gates}"), "{circuit}: paper / ours");
+            assert_eq!(row[4], dffs.to_string(), "{circuit}: DFFs");
         }
     }
 }

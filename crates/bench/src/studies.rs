@@ -7,7 +7,7 @@ use pls_logic::StimulusConfig;
 use pls_partition::all_partitioners;
 use pls_timewarp::CostModel;
 
-use crate::kernel_scenarios::{committed, hotspot_setup, measure, platform4, round_robin};
+use crate::kernel_scenarios::{committed, hotspot_setup, platform4, round_robin};
 use crate::{paper_sim_config, s9234};
 
 /// Ratio of remote-message total cost to local event execution — the
@@ -142,18 +142,15 @@ fn block(n: usize, parts: usize) -> Vec<u32> {
 ///   converging from both extremes shows the balancer finds the tracking
 ///   placement rather than inheriting a lucky start
 ///
-/// For each, this prints the modeled execution time (the virtual-cluster
-/// clock), rollbacks, remote messages, migrations, and the median host ns
-/// per *committed* event over the samples (committed, not processed: the
-/// useful work is the same across all four, the wasted work is not). The
-/// dynamic rows are then compared with the best static one on modeled time
-/// only: that comparison is exact, while a few host-time samples on a
-/// shared machine are not a result.
+/// Each runs once, and this prints what repeats exactly from run to run:
+/// the modeled execution time (the virtual-cluster clock), rollbacks,
+/// remote messages, events processed and committed, balancing rounds and
+/// migrations. The dynamic rows are then compared with the best static
+/// one on modeled time.
 pub fn dynlb(smoke: bool) {
-    let samples = if smoke { 3 } else { 7 };
     let (model, pcfg, lb) = hotspot_setup(smoke);
     eprintln!(
-        "rotating hotspot: {} LPs, {} phases x {} vt, hot window {}, 4 nodes, {samples} samples",
+        "rotating hotspot: {} LPs, {} phases x {} vt, hot window {}, 4 nodes",
         model.lps, model.phases, model.phase_len, model.hot_width
     );
 
@@ -166,26 +163,16 @@ pub fn dynlb(smoke: bool) {
         ("dynamic (from striped)", &striped, Some(lb)),
     ]
     .map(|(name, assignment, lb)| {
-        let mut run = platform4(model, assignment.clone(), pcfg, lb, committed);
-        let (m, o) = measure(samples, &mut run);
-        (name, m.median_ns_per_event, o)
+        (name, platform4(model, assignment.clone(), pcfg, lb, committed)())
     });
 
     println!(
-        "{:<22} {:>10} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>24}",
-        "placement",
-        "modeled s",
-        "rollbk",
-        "remote",
-        "processed",
-        "committed",
-        "rounds",
-        "migr",
-        format!("host ns/committed (n={samples})")
+        "{:<22} {:>10} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7}",
+        "placement", "modeled s", "rollbk", "remote", "processed", "committed", "rounds", "migr"
     );
-    for (name, ns_per_committed, o) in &rows {
+    for (name, o) in &rows {
         println!(
-            "{:<22} {:>10.4} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7} {:>24.1}",
+            "{:<22} {:>10.4} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7}",
             name,
             o.modeled_s,
             o.stats.rollbacks(),
@@ -194,15 +181,14 @@ pub fn dynlb(smoke: bool) {
             o.stats.events_committed,
             o.stats.lb_rounds,
             o.stats.migrations,
-            ns_per_committed,
         );
     }
 
-    let (best, _, best_static) = rows[..2]
+    let (best, best_static) = rows[..2]
         .iter()
-        .min_by(|a, b| a.2.modeled_s.total_cmp(&b.2.modeled_s))
+        .min_by(|a, b| a.1.modeled_s.total_cmp(&b.1.modeled_s))
         .expect("two static rows");
-    for (name, _, o) in &rows[2..] {
+    for (name, o) in &rows[2..] {
         println!(
             "{name} vs best static ({best}): modeled {:+.1}%",
             100.0 * (o.modeled_s / best_static.modeled_s - 1.0),

@@ -351,16 +351,15 @@ impl<'a> Cell<'a> {
         let assignment = app.lp_assignment(&partitioning.assignment);
         let edge_cut = pls_partition::metrics::edge_cut(self.graph, partitioning);
         let connectivity_cut = pls_partition::metrics::connectivity_cut(self.graph, partitioning);
-        let mut sim = Simulator::new(app).platform_config(&self.cfg.platform);
-        if let Some(w) = self.bucket {
-            sim = sim.record(w);
-        }
+        let mut sim = Simulator::new(app)
+            .platform_config(&self.cfg.platform)
+            .probe(self.bucket.map(TimeSeries::new));
         if let Some(d) = self.cfg.dynlb {
             sim = sim.load_balancer(d);
         }
-        let run = sim.run(Backend::Platform { assignment: &assignment, nodes: self.nodes });
+        let run = sim.run_probed(Backend::Platform { assignment: &assignment, nodes: self.nodes });
         let (exec_time_s, stats, telemetry, out_of_memory) = match run {
-            Ok(res) => {
+            Ok((res, telemetry)) => {
                 if self.check {
                     let seq = Simulator::new(app)
                         .run(Backend::Sequential)
@@ -375,7 +374,7 @@ impl<'a> Cell<'a> {
                     );
                 }
                 let exec_time_s = res.outcome.exec_time_s().expect("platform outcome");
-                (exec_time_s, res.stats, res.telemetry, false)
+                (exec_time_s, res.stats, telemetry, false)
             }
             Err(SimError::OutOfMemory { .. }) => (f64::NAN, KernelStats::default(), None, true),
             Err(e) => panic!("misconfigured cell: {e}"),

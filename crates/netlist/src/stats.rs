@@ -63,11 +63,6 @@ impl CircuitStats {
             kind_histogram,
         }
     }
-
-    /// One row of the paper's Table 1: `Circuit | Inputs | Gates | Outputs`.
-    pub fn table1_row(&self) -> String {
-        format!("{:<10} {:>6} {:>6} {:>7}", self.name, self.inputs, self.gates, self.outputs)
-    }
 }
 
 #[cfg(test)]
@@ -95,13 +90,5 @@ mod tests {
         let s = CircuitStats::of(&n);
         let total: usize = s.kind_histogram.iter().map(|(_, c)| c).sum();
         assert_eq!(total, n.len());
-    }
-
-    #[test]
-    fn table1_row_contains_fields() {
-        let n = parse("s000", "INPUT(A)\nOUTPUT(Y)\nY = NOT(A)\n").unwrap();
-        let row = CircuitStats::of(&n).table1_row();
-        assert!(row.contains("s000"));
-        assert!(row.contains('1'));
     }
 }

@@ -283,7 +283,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
 
     let states = ClusterCore::finish(cores);
     let outcome = Outcome::Platform { node_clocks_ns: plat.clocks };
-    Ok((RunReport { stats, states, outcome, telemetry: None }, probe))
+    Ok((RunReport { stats, states, outcome }, probe))
 }
 
 /// Modeled execution time of the sequential baseline under the same cost

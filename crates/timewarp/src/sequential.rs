@@ -63,7 +63,7 @@ pub(crate) fn sequential_core<A: Application, P: Probe>(app: &A, probe: P) -> (R
     let Tee { a: mut stats, b: probe } = probe;
     stats.final_gvt = VTime::INF;
     let outcome = Outcome::Sequential { end_time };
-    (RunReport { stats, states, outcome, telemetry: None }, probe)
+    (RunReport { stats, states, outcome }, probe)
 }
 
 /// Pending events, one bucket of `(dst, id, msg)` per receive time, taken

@@ -2,15 +2,15 @@
 //! [`RunReport`] result, three interchangeable [`Backend`]s.
 //!
 //! ```
-//! use pls_timewarp::{Backend, Phold, Simulator};
+//! use pls_timewarp::{Backend, Phold, Simulator, TimeSeries};
 //!
 //! let app = Phold { lps: 8, horizon: 200, ..Default::default() };
 //! let assignment: Vec<u32> = (0..8).map(|i| i % 2).collect();
-//! let report = Simulator::new(&app)
-//!     .record(100) // bucket telemetry by 100 virtual-time units
-//!     .run(Backend::Platform { assignment: &assignment, nodes: 2 })
+//! let (report, series) = Simulator::new(&app)
+//!     .probe(TimeSeries::new(100)) // bucket telemetry by 100 virtual-time units
+//!     .run_probed(Backend::Platform { assignment: &assignment, nodes: 2 })
 //!     .unwrap();
-//! let totals = report.telemetry.unwrap().totals();
+//! let totals = series.totals();
 //! assert_eq!(report.stats.events_committed, totals.counts.events_committed);
 //! ```
 
@@ -20,8 +20,7 @@ use crate::app::Application;
 use crate::config::KernelConfig;
 use crate::dynlb::DynLbConfig;
 use crate::platform::PlatformConfig;
-use crate::probe::{NoProbe, Probe, Tee};
-use crate::series::TimeSeries;
+use crate::probe::{NoProbe, Probe};
 use crate::stats::KernelStats;
 use crate::time::VTime;
 
@@ -106,8 +105,10 @@ impl Outcome {
 }
 
 /// What every executive returns: one shape for all three backends.
-/// Per-LP counts come from an attached [`LpLedger`](crate::LpLedger),
-/// read back with [`Simulator::run_probed`].
+/// Anything more is observed by a probe read back with
+/// [`Simulator::run_probed`]: per-LP counts by an
+/// [`LpLedger`](crate::LpLedger), a time series by a
+/// [`TimeSeries`](crate::TimeSeries).
 #[derive(Debug)]
 pub struct RunReport<A: Application> {
     /// Aggregated Time Warp statistics.
@@ -116,8 +117,6 @@ pub struct RunReport<A: Application> {
     pub states: Vec<A::State>,
     /// Executive-specific measurements.
     pub outcome: Outcome,
-    /// The recorded time series when [`Simulator::record`] was enabled.
-    pub telemetry: Option<TimeSeries>,
 }
 
 /// Why a run failed.
@@ -166,22 +165,15 @@ impl std::error::Error for SimError {}
 pub struct Simulator<'a, A: Application, P: Probe = NoProbe> {
     app: &'a A,
     platform: PlatformConfig,
-    record: Option<u64>,
     dynlb: Option<DynLbConfig>,
     probe: P,
 }
 
 impl<'a, A: Application> Simulator<'a, A, NoProbe> {
     /// Start configuring a run of `app` (defaults: default kernel config
-    /// and cost model, no memory limit, no telemetry).
+    /// and cost model, no memory limit, no probe).
     pub fn new(app: &'a A) -> Simulator<'a, A, NoProbe> {
-        Simulator {
-            app,
-            platform: PlatformConfig::default(),
-            record: None,
-            dynlb: None,
-            probe: NoProbe,
-        }
+        Simulator { app, platform: PlatformConfig::default(), dynlb: None, probe: NoProbe }
     }
 }
 
@@ -198,14 +190,6 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
         self
     }
 
-    /// Record a [`TimeSeries`] with the given virtual-time bucket width;
-    /// it is returned in [`RunReport::telemetry`]. Composes with
-    /// [`Self::probe`]: both observe every event.
-    pub fn record(mut self, bucket_width: u64) -> Self {
-        self.record = Some(bucket_width);
-        self
-    }
-
     /// Enable dynamic load balancing ([`crate::dynlb`]): every
     /// `cfg.period` GVT rounds the last window's per-LP statistics are
     /// refined into a migration plan and applied at GVT commit. A no-op on
@@ -216,15 +200,11 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
         self
     }
 
-    /// Attach a custom probe (replaces any previously attached probe).
+    /// Attach a probe (replaces any previously attached probe): a
+    /// [`TimeSeries`](crate::TimeSeries) records telemetry, and
+    /// [`Tee`](crate::Tee) fans the stream out to two probes.
     pub fn probe<Q: Probe>(self, probe: Q) -> Simulator<'a, A, Q> {
-        Simulator {
-            app: self.app,
-            platform: self.platform,
-            record: self.record,
-            dynlb: self.dynlb,
-            probe,
-        }
+        Simulator { app: self.app, platform: self.platform, dynlb: self.dynlb, probe }
     }
 
     /// Execute the run on the chosen backend. Consumes the builder and the
@@ -237,16 +217,8 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
     /// joined into it) with the report.
     pub fn run_probed(self, backend: Backend<'_>) -> Result<(RunReport<A>, P), SimError> {
         validate(self.app, &self.platform, self.dynlb.as_ref(), &backend)?;
-        let Simulator { app, platform, record, dynlb, probe } = self;
-        match record {
-            Some(width) => {
-                let tee = Tee::new(TimeSeries::new(width), probe);
-                let (mut report, tee) = dispatch(app, &platform, &backend, tee, dynlb)?;
-                report.telemetry = Some(tee.a);
-                Ok((report, tee.b))
-            }
-            None => dispatch(app, &platform, &backend, probe, dynlb),
-        }
+        let Simulator { app, platform, dynlb, probe } = self;
+        dispatch(app, &platform, &backend, probe, dynlb)
     }
 }
 
@@ -324,7 +296,8 @@ fn dispatch<A: Application, P: Probe>(
 mod tests {
     use super::*;
     use crate::cost::CostModel;
-    use crate::probe::ProbeEvent;
+    use crate::probe::{ProbeEvent, Tee};
+    use crate::series::TimeSeries;
     use crate::testkit::{round_robin, Ring, Tripwire};
 
     #[test]
@@ -427,7 +400,7 @@ mod tests {
         let bare =
             Simulator::new(&app).run(Backend::Platform { assignment: &asg, nodes: 4 }).unwrap();
         let recorded = Simulator::new(&app)
-            .record(10)
+            .probe(TimeSeries::new(10))
             .run(Backend::Platform { assignment: &asg, nodes: 4 })
             .unwrap();
         assert_eq!(bare.states, recorded.states);
@@ -510,13 +483,13 @@ mod tests {
             Backend::Platform { assignment: &skewed, nodes: 3 },
             Backend::Threaded { assignment: &skewed, clusters: 3 },
         ] {
-            let report = Simulator::new(&app)
+            let (report, series) = Simulator::new(&app)
                 .config(cfg)
-                .record(10)
+                .probe(TimeSeries::new(10))
                 .load_balancer(DynLbConfig { period: 1, ..Default::default() })
-                .run(backend)
+                .run_probed(backend)
                 .unwrap();
-            let t = report.telemetry.expect("record() fills telemetry").totals().counts;
+            let t = series.totals().counts;
             assert!(report.stats.lb_rounds > 0, "{backend:?}: balancing rounds must run");
             assert!(report.stats.migrations > 0, "{backend:?}: a skewed placement must migrate");
             assert_eq!(t.migrations, report.stats.migrations, "{backend:?}");
@@ -524,10 +497,11 @@ mod tests {
         }
     }
 
-    /// A custom probe composes with `record` (both observe every event)
-    /// and comes back from `run_probed` with its forks joined.
+    /// A custom probe composes with a recording one through a [`Tee`]
+    /// (both observe every event) and comes back from `run_probed` with
+    /// its forks joined.
     #[test]
-    fn custom_probe_composes_with_record() {
+    fn custom_probe_composes_with_a_time_series() {
         #[derive(Default)]
         struct CountBatches(u64);
         impl Probe for CountBatches {
@@ -550,9 +524,10 @@ mod tests {
             Backend::Platform { assignment: &asg, nodes: 2 },
             Backend::Threaded { assignment: &asg, clusters: 2 },
         ] {
-            let (report, counted) =
-                Simulator::new(&app).probe(CountBatches(0)).record(10).run_probed(backend).unwrap();
-            let batches = report.telemetry.unwrap().totals().counts.batches_executed;
+            let probe = Tee::new(CountBatches(0), TimeSeries::new(10));
+            let (report, Tee { a: counted, b: series }) =
+                Simulator::new(&app).probe(probe).run_probed(backend).unwrap();
+            let batches = series.totals().counts.batches_executed;
             assert_eq!(batches, report.stats.batches_executed, "{backend:?}");
             assert_eq!(counted.0, report.stats.batches_executed, "{backend:?}");
         }

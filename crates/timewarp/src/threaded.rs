@@ -475,7 +475,7 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
     stats.final_gvt = VTime::INF;
     let states = ClusterCore::finish(cores);
     let outcome = Outcome::Threaded { wall };
-    Ok((RunReport { stats, states, outcome, telemetry: None }, probe))
+    Ok((RunReport { stats, states, outcome }, probe))
 }
 
 /// What every cluster's step reads and none writes during an epoch.

@@ -84,8 +84,9 @@ type Command = (&'static str, &'static str, &'static str, &'static [Flag], fn(&A
 /// Every subcommand. The usage text and the whole of argument checking —
 /// which word is the positional, unknown flags, missing and non-numeric
 /// values — come from this table. The rows after `dot` run the evaluation:
-/// tables and figures render from the cached grid of `all`.
-const COMMANDS: [Command; 22] = [
+/// `report` renders every table and figure of the paper from one cached
+/// grid of runs.
+const COMMANDS: [Command; 16] = [
     ("stats", "<circuit>", "circuit characteristics (Table 1 row)", &[], cmd_stats),
     (
         "generate",
@@ -118,18 +119,6 @@ const COMMANDS: [Command; 22] = [
     ("vcd", "<circuit>", "dump primary-output waveform as VCD", &[OUT, END], cmd_vcd),
     ("hotspots", "<circuit>", "per-gate rollback/load hotspots", &[K, STRATEGY, END], cmd_hotspots),
     ("dot", "<circuit>", "Graphviz view with partition colours", &[K, STRATEGY, OUT], cmd_dot),
-    ("all", "", "run the full experiment grid into target/experiments/grid.csv", &[], |_| {
-        paper::all()
-    }),
-    ("table1", "", "Table 1: benchmark characteristics", &[], |_| paper::table1()),
-    ("table2", "", "Table 2: simulation time per partitioning strategy", &[], |_| paper::table2()),
-    ("fig4", "", "Figure 4: s9234 execution time vs nodes", &[], |_| {
-        paper::figure(&paper::FIGURES[0])
-    }),
-    ("fig5", "", "Figure 5: s9234 application messages vs nodes", &[], |_| {
-        paper::figure(&paper::FIGURES[1])
-    }),
-    ("fig6", "", "Figure 6: s9234 rollbacks vs nodes", &[], |_| paper::figure(&paper::FIGURES[2])),
     ("report", "", "paper-vs-measured markdown of every table and figure", &[], |_| {
         paper::report()
     }),

@@ -5,7 +5,7 @@ use std::process::Command;
 
 /// Every subcommand, in table order, with a positional it accepts (empty
 /// for the rows that take none).
-const ROWS: [(&str, &str); 22] = [
+const ROWS: [(&str, &str); 16] = [
     ("stats", "s27"),
     ("generate", "50"),
     ("partition", "s27"),
@@ -14,12 +14,6 @@ const ROWS: [(&str, &str); 22] = [
     ("vcd", "s27"),
     ("hotspots", "s27"),
     ("dot", "s27"),
-    ("all", ""),
-    ("table1", ""),
-    ("table2", ""),
-    ("fig4", ""),
-    ("fig5", ""),
-    ("fig6", ""),
     ("report", ""),
     ("sensitivity", ""),
     ("replicate", ""),
@@ -321,13 +315,25 @@ G57              OR        1          1        1       12
     assert_eq!(out, want);
 }
 
+/// The paper's tables and figures are one report: the six subcommands
+/// that once rendered them one by one are unknown commands.
 #[test]
-fn table1_prints_the_three_paper_circuits() {
-    let out = run_ok(&["table1"]);
-    for (circuit, gates) in [("s5378", "2779"), ("s9234", "5597"), ("s15850", "10383")] {
-        let row = out.lines().find(|l| l.starts_with(circuit)).expect(circuit);
-        assert!(row.contains(gates), "{row}");
+fn retired_report_subcommands_are_unknown() {
+    for name in ["all", "table1", "table2", "fig4", "fig5", "fig6"] {
+        let out = cli().arg(name).output().unwrap();
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {err}");
+        assert!(out.stdout.is_empty(), "{name} printed to stdout");
+        assert!(err.starts_with(&format!("unknown command `{name}`")), "{err}");
     }
+}
+
+/// `dynlb` prints only what a run repeats exactly: no host timing.
+#[test]
+fn dynlb_smoke_prints_the_same_bytes_twice() {
+    let first = run_ok(&["dynlb", "--smoke"]);
+    assert!(first.contains("dynamic (from striped) vs best static"), "{first}");
+    assert_eq!(run_ok(&["dynlb", "--smoke"]), first);
 }
 
 #[test]
@@ -384,10 +390,10 @@ fn bad_flags_are_rejected_by_name() {
     rows.push(("vcd", "s27", vec!["-k", "2"], "-k"));
     rows.push(("hotspots", "s27", vec!["--replicate"], "--replicate"));
     rows.push(("dot", "s27", vec!["--trace", "t.jsonl"], "--trace"));
-    rows.push(("table1", "", vec!["--smoke"], "--smoke"));
+    rows.push(("report", "", vec!["--smoke"], "--smoke"));
     rows.push(("dynlb", "", vec!["--only", "x"], "--only"));
     rows.push(("bench_kernel", "", vec!["-k", "2"], "-k"));
-    rows.push(("fig5", "", vec!["--trace"], "--trace"));
+    rows.push(("report", "", vec!["--trace"], "--trace"));
     // A value flag at the end of the line.
     rows.push(("generate", "50", vec!["-o"], "-o"));
     rows.push(("partition", "s27", vec!["-k"], "-k"));
@@ -484,7 +490,7 @@ fn help_lists_every_subcommand_with_its_flags() {
     let mut rows: Vec<&str> = ROWS.iter().map(|r| r.0).collect();
     rows.sort_unstable();
     assert_eq!(names, rows);
-    for name in ["stats", "table1", "fig5", "detcheck"] {
+    for name in ["stats", "report", "detcheck"] {
         assert_eq!(accepted[name], Vec::<String>::new(), "{name}");
     }
     assert_eq!(accepted["dynlb"], ["--smoke"]);

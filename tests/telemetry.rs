@@ -48,10 +48,12 @@ fn recording_probe_does_not_perturb_sequential() {
         let cfg = SimConfig { end_time: 300, ..Default::default() };
         let app = cfg.build_app(&netlist);
         let plain = Simulator::new(&app).run(Backend::Sequential).unwrap();
-        let recorded = Simulator::new(&app).record(BUCKET).run(Backend::Sequential).unwrap();
+        let (recorded, ts) = Simulator::new(&app)
+            .probe(TimeSeries::new(BUCKET))
+            .run_probed(Backend::Sequential)
+            .unwrap();
         assert_eq!(app.fingerprint(&recorded.states), app.fingerprint(&plain.states));
         assert_eq!(recorded.stats, plain.stats);
-        let ts = recorded.telemetry.expect("recording was on");
         assert_conserved(&ts.totals(), &recorded.stats, true, netlist.name());
     }
 }
@@ -65,7 +67,8 @@ fn recording_probe_does_not_perturb_platform() {
             let asg = assignment(netlist.len(), nodes);
             let backend = Backend::Platform { assignment: &asg, nodes };
             let plain = Simulator::new(&app).run(backend).unwrap();
-            let recorded = Simulator::new(&app).record(BUCKET).run(backend).unwrap();
+            let (recorded, ts) =
+                Simulator::new(&app).probe(TimeSeries::new(BUCKET)).run_probed(backend).unwrap();
             assert_eq!(
                 app.fingerprint(&recorded.states),
                 app.fingerprint(&plain.states),
@@ -74,7 +77,6 @@ fn recording_probe_does_not_perturb_platform() {
             );
             assert_eq!(recorded.stats, plain.stats);
             assert_eq!(recorded.outcome, plain.outcome, "modeled time must not move");
-            let ts = recorded.telemetry.expect("recording was on");
             assert_conserved(&ts.totals(), &recorded.stats, true, netlist.name());
         }
     }
@@ -91,10 +93,10 @@ fn recording_probe_does_not_perturb_threaded() {
         let asg = assignment(netlist.len(), 2);
         let backend = Backend::Threaded { assignment: &asg, clusters: 2 };
         let plain = Simulator::new(&app).run(backend).unwrap();
-        let recorded = Simulator::new(&app).record(BUCKET).run(backend).unwrap();
+        let (recorded, ts) =
+            Simulator::new(&app).probe(TimeSeries::new(BUCKET)).run_probed(backend).unwrap();
         assert_eq!(app.fingerprint(&recorded.states), app.fingerprint(&plain.states));
         assert_eq!(recorded.stats.events_committed, plain.stats.events_committed);
-        let ts = recorded.telemetry.expect("recording was on");
         assert_conserved(&ts.totals(), &recorded.stats, false, netlist.name());
     }
 }
@@ -116,12 +118,11 @@ fn bucket_sums_match_aggregates_across_configs() {
         cfg.platform.kernel.cancellation = cancellation;
         cfg.platform.kernel.checkpoint_interval = checkpoint;
         let app = cfg.build_app(&netlist);
-        let res = Simulator::new(&app)
+        let (res, ts) = Simulator::new(&app)
             .platform_config(&cfg.platform)
-            .record(BUCKET)
-            .run(Backend::Platform { assignment: &part.assignment, nodes: 4 })
+            .probe(TimeSeries::new(BUCKET))
+            .run_probed(Backend::Platform { assignment: &part.assignment, nodes: 4 })
             .unwrap();
-        let ts = res.telemetry.expect("recording was on");
         let tag = format!("{cancellation:?}/ckpt{checkpoint}");
         assert_conserved(&ts.totals(), &res.stats, true, &tag);
         assert!(ts.totals().counts.rollbacks() > 0 || res.stats.rollbacks() == 0);
@@ -140,23 +141,21 @@ fn compiled_app_work_counters_reconcile_across_executives() {
     cfg.exec = ExecModel::CompiledBlocks(CompileOptions { blocks: Some(part.assignment.clone()) });
     let app = cfg.build_app(&netlist);
 
-    let seq = Simulator::new(&app).record(BUCKET).run(Backend::Sequential).unwrap();
+    let (seq, seq_ts) = Simulator::new(&app)
+        .probe(TimeSeries::new(BUCKET))
+        .run_probed(Backend::Sequential)
+        .unwrap();
     assert!(seq.stats.block_activations > 0, "compiled run must activate blocks");
     assert!(seq.stats.ops_executed >= seq.stats.block_activations);
-    assert_conserved(&seq.telemetry.as_ref().unwrap().totals(), &seq.stats, true, "seq/compiled");
+    assert_conserved(&seq_ts.totals(), &seq.stats, true, "seq/compiled");
 
     let asg = app.lp_assignment(&part.assignment);
-    let plat = Simulator::new(&app)
+    let (plat, plat_ts) = Simulator::new(&app)
         .platform_config(&cfg.platform)
-        .record(BUCKET)
-        .run(Backend::Platform { assignment: &asg, nodes: 4 })
+        .probe(TimeSeries::new(BUCKET))
+        .run_probed(Backend::Platform { assignment: &asg, nodes: 4 })
         .unwrap();
-    assert_conserved(
-        &plat.telemetry.as_ref().unwrap().totals(),
-        &plat.stats,
-        true,
-        "platform/compiled",
-    );
+    assert_conserved(&plat_ts.totals(), &plat.stats, true, "platform/compiled");
     // Speculative activations can exceed the sequential count, never
     // undercut it.
     assert!(plat.stats.block_activations >= seq.stats.block_activations);
@@ -181,14 +180,8 @@ fn threaded_series_merge_is_deterministic() {
     };
     let asg = assignment(model.lps, 3);
     let backend = Backend::Threaded { assignment: &asg, clusters: 3 };
-    let run = || {
-        Simulator::new(&model)
-            .record(BUCKET)
-            .run(backend)
-            .unwrap()
-            .telemetry
-            .expect("recording was on")
-    };
+    let run =
+        || Simulator::new(&model).probe(TimeSeries::new(BUCKET)).run_probed(backend).unwrap().1;
     let a = run();
     let b = run();
     let execution_side = |ts: &TimeSeries| -> Vec<(parlogsim::timewarp::BucketKey, Bucket)> {
@@ -218,11 +211,10 @@ fn exported_series_row_counts_match() {
     let cfg = SimConfig { end_time: 300, ..Default::default() };
     let app = cfg.build_app(&netlist);
     let asg = assignment(netlist.len(), 2);
-    let res = Simulator::new(&app)
-        .record(BUCKET)
-        .run(Backend::Platform { assignment: &asg, nodes: 2 })
+    let (_, ts) = Simulator::new(&app)
+        .probe(TimeSeries::new(BUCKET))
+        .run_probed(Backend::Platform { assignment: &asg, nodes: 2 })
         .unwrap();
-    let ts = res.telemetry.expect("recording was on");
     assert!(!ts.is_empty());
     assert_eq!(ts.to_jsonl().lines().count(), ts.len());
     assert_eq!(ts.to_csv().lines().count(), ts.len() + 1);
