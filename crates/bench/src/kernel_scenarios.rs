@@ -186,9 +186,9 @@ pub fn kernel_scenarios(smoke: bool) -> Vec<(&'static str, Run)> {
     };
     // The rotating hotspot from the same starting placement — round-robin
     // striped, the *best* static choice for this workload (block loses ~2×
-    // to imbalance; see the `dynlb` subcommand for the full table). Host
-    // timing alone cannot separate a static/dynamic pair (the virtual
-    // platform runs the same host work either way); the recorded
+    // to imbalance; see the report's load-balancing section for the full
+    // table). Host timing alone cannot separate a static/dynamic pair (the
+    // virtual platform runs the same host work either way); the recorded
     // `modeled_s` makespan is where migration's win shows up.
     let hotspot = |dynamic: bool| {
         let (model, pcfg, lb) = hotspot_setup(smoke);
@@ -279,9 +279,9 @@ pub fn round_robin(n: usize, parts: usize) -> Vec<u32> {
     (0..n).map(|i| (i % parts) as u32).collect()
 }
 
-/// The shared workload of the `dynlb_hotspot_*` rows (and the `dynlb`
-/// subcommand): a rotating hot window over a 4-node ring, with a
-/// GVT cadence tight enough for the balancer to track the rotation, a
+/// The shared workload of the `dynlb_hotspot_*` rows (and the report's
+/// load-balancing section): a rotating hot window over a 4-node ring, with
+/// a GVT cadence tight enough for the balancer to track the rotation, a
 /// bounded optimism window so migration shocks cannot snowball into deep
 /// rollbacks, and a balancing period of ~once per hot-window shift.
 pub fn hotspot_setup(smoke: bool) -> (RotatingHotspot, PlatformConfig, DynLbConfig) {

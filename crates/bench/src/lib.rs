@@ -1,13 +1,13 @@
-//! The experiment harness: the paper's evaluation, the studies,
-//! benchmarks and the determinism fingerprint, each one entry point that
-//! `parlogsim` runs as a subcommand of the same name.
+//! The experiment harness: the paper's evaluation with its extension
+//! studies, benchmarks and the determinism fingerprint, each one entry
+//! point that `parlogsim` runs as a subcommand of the same name.
 //!
-//! The paper's tables and figures are one report ([`paper::report`]),
-//! which draws every cell from one [`Grid`] runner that caches
-//! [`RunMetrics`] rows in a CSV under `target/experiments/`, so a second
-//! report costs nothing and every table and figure comes from the same
-//! runs — exactly how the paper derives Figures 4–6 and Table 2 from the
-//! same experiments.
+//! The paper's tables and figures and the studies beyond them are one
+//! report ([`paper::report`]), which draws every cell from in-memory
+//! [`Grid`] runners, so every table, figure and study that reads a cell
+//! reads the same run — exactly how the paper derives Figures 4–6 and
+//! Table 2 from the same experiments. Its output is checked in as
+//! `tests/golden/report.md`.
 
 #![warn(missing_docs)]
 
@@ -16,16 +16,13 @@ pub mod detcheck;
 mod kernel_scenarios;
 pub mod micro;
 pub mod paper;
-pub mod studies;
+mod studies;
 
 use std::collections::HashMap;
-use std::io::Write;
-use std::path::PathBuf;
 
 use pls_gatesim::{run_seq_baseline, Cell, RunMetrics, SeqMetrics, SimConfig};
 use pls_netlist::{IscasSynth, Netlist};
 use pls_partition::CircuitGraph;
-use pls_timewarp::{KernelStats, VTime};
 
 /// Strategy display order of the paper's Table 2 columns.
 pub const STRATEGY_ORDER: [&str; 6] =
@@ -48,52 +45,31 @@ pub fn paper_sim_config() -> SimConfig {
 /// Names of the three benchmark circuits of the paper's Table 1.
 pub const PAPER_CIRCUITS: [&str; 3] = ["s5378", "s9234", "s15850"];
 
-/// The paper's figure circuit and its graph.
-pub fn s9234() -> (Netlist, CircuitGraph) {
-    let netlist = IscasSynth::s9234().build();
-    let graph = CircuitGraph::from_netlist(&netlist);
-    (netlist, graph)
-}
-
 /// The three benchmark circuits of the paper's Table 1.
 pub fn paper_circuits() -> Vec<Netlist> {
     IscasSynth::paper_suite().iter().map(|s| s.build()).collect()
 }
 
-/// Cached experiment-grid runner.
+/// Experiment-grid runner over one [`SimConfig`]: it builds each circuit,
+/// sequential baseline and cell at most once and keeps them in memory, so
+/// every table, figure and study of a report that reads the same cell
+/// reads the same run.
 pub struct Grid {
     cfg: SimConfig,
-    cache_path: PathBuf,
     cells: HashMap<(String, String, usize), RunMetrics>,
     seq: HashMap<String, SeqMetrics>,
     circuits: Vec<(Netlist, CircuitGraph)>,
 }
 
 impl Grid {
-    /// Fingerprint of everything that affects cell values: the whole
-    /// configuration, field for field. A cache written under a different
-    /// fingerprint is stale and must be discarded, not silently reused.
-    fn config_fingerprint(cfg: &SimConfig) -> String {
-        format!("# {cfg:?}")
+    /// An empty grid whose every run uses `cfg`.
+    pub fn new(cfg: SimConfig) -> Grid {
+        Grid { cfg, cells: HashMap::new(), seq: HashMap::new(), circuits: Vec::new() }
     }
 
-    /// Open (or create) the grid with the standard configuration and cache
-    /// location `target/experiments/grid.csv`.
-    pub fn open() -> Grid {
-        let dir =
-            PathBuf::from(std::env::var("CARGO_TARGET_DIR").unwrap_or_else(|_| "target".into()))
-                .join("experiments");
-        std::fs::create_dir_all(&dir).expect("create experiments dir");
-        let cache_path = dir.join("grid.csv");
-        let mut grid = Grid {
-            cfg: paper_sim_config(),
-            cache_path,
-            cells: HashMap::new(),
-            seq: HashMap::new(),
-            circuits: Vec::new(),
-        };
-        grid.load_cache();
-        grid
+    /// The configuration every run of this grid uses.
+    pub fn config(&self) -> &SimConfig {
+        &self.cfg
     }
 
     fn circuit(&mut self, name: &str) -> usize {
@@ -109,8 +85,7 @@ impl Grid {
         self.circuits.len() - 1
     }
 
-    /// Sequential baseline for a circuit (cached in memory only — it takes
-    /// well under a second).
+    /// Sequential baseline for a circuit, run on first use.
     pub fn sequential(&mut self, circuit: &str) -> SeqMetrics {
         if let Some(m) = self.seq.get(circuit) {
             return m.clone();
@@ -121,7 +96,7 @@ impl Grid {
         m
     }
 
-    /// One grid cell, from cache or by running it.
+    /// One grid cell, run on first use.
     pub fn cell(&mut self, circuit: &str, strategy: &str, nodes: usize) -> RunMetrics {
         let key = (circuit.to_string(), strategy.to_string(), nodes);
         if let Some(m) = self.cells.get(&key) {
@@ -134,101 +109,8 @@ impl Grid {
         let (netlist, graph) = &self.circuits[ix];
         let m = Cell::new(netlist, graph, &self.cfg).nodes(nodes).run(part.as_ref());
         self.cells.insert(key, m.clone());
-        self.save_cache();
         m
     }
-
-    fn load_cache(&mut self) {
-        let Ok(text) = std::fs::read_to_string(&self.cache_path) else { return };
-        let Some(rows) = parse_cache(&self.cfg, &text) else {
-            eprintln!("experiment cache is from a different configuration; discarding");
-            return;
-        };
-        for m in rows {
-            self.cells.insert((m.circuit.clone(), m.strategy.clone(), m.nodes), m);
-        }
-    }
-
-    fn save_cache(&self) {
-        let mut rows: Vec<&RunMetrics> = self.cells.values().collect();
-        rows.sort_by(|a, b| {
-            (&a.circuit, &a.strategy, a.nodes).cmp(&(&b.circuit, &b.strategy, b.nodes))
-        });
-        let text = render_cache(&self.cfg, &rows);
-        let tmp = self.cache_path.with_extension("csv.tmp");
-        let mut f = std::fs::File::create(&tmp).expect("write cache");
-        f.write_all(text.as_bytes()).expect("write cache");
-        std::fs::rename(&tmp, &self.cache_path).expect("replace cache");
-    }
-}
-
-/// The cache columns that are not kernel counters, in row order; the
-/// counters follow under their [`KernelStats::COUNTERS`] names, then
-/// `final_gvt`.
-const CACHE_KEY_COLUMNS: &str =
-    "circuit,strategy,nodes,exec_time_s,edge_cut,connectivity_cut,out_of_memory";
-
-fn cache_header() -> String {
-    let mut h = String::from(CACHE_KEY_COLUMNS);
-    for c in KernelStats::COUNTERS {
-        h.push(',');
-        h.push_str(c.name);
-    }
-    h.push_str(",final_gvt");
-    h
-}
-
-/// The cache file: config fingerprint, header, one row per cell.
-fn render_cache(cfg: &SimConfig, rows: &[&RunMetrics]) -> String {
-    let mut text = format!("{}\n{}\n", Grid::config_fingerprint(cfg), cache_header());
-    for m in rows {
-        text.push_str(&format!(
-            "{},{},{},{},{},{},{}",
-            m.circuit,
-            m.strategy,
-            m.nodes,
-            m.exec_time_s,
-            m.edge_cut,
-            m.connectivity_cut,
-            m.out_of_memory
-        ));
-        for (_, v) in m.stats.iter() {
-            text.push_str(&format!(",{v}"));
-        }
-        text.push_str(&format!(",{}\n", m.stats.final_gvt.ticks()));
-    }
-    text
-}
-
-/// Rows of a cache file, or `None` when it was written under another
-/// configuration or another set of columns (a counter added, removed or
-/// renamed since) — stale either way.
-fn parse_cache(cfg: &SimConfig, text: &str) -> Option<Vec<RunMetrics>> {
-    let mut lines = text.lines();
-    if lines.next()? != Grid::config_fingerprint(cfg) || lines.next()? != cache_header() {
-        return None;
-    }
-    Some(lines.filter_map(parse_cache_row).collect())
-}
-
-fn parse_cache_row(line: &str) -> Option<RunMetrics> {
-    let mut f = line.split(',');
-    let mut m = RunMetrics {
-        circuit: f.next()?.to_string(),
-        strategy: f.next()?.to_string(),
-        nodes: f.next()?.parse().ok()?,
-        exec_time_s: f.next()?.parse().ok()?,
-        edge_cut: f.next()?.parse().ok()?,
-        connectivity_cut: f.next()?.parse().ok()?,
-        out_of_memory: f.next()?.parse().ok()?,
-        stats: KernelStats::default(),
-        telemetry: None,
-    };
-    for c in KernelStats::COUNTERS {
-        *(c.get_mut)(&mut m.stats) = f.next()?.parse().ok()?;
-    }
-    m.stats.final_gvt = VTime::from(f.next()?.parse::<u64>().ok()?);
-    f.next().is_none().then_some(m)
 }
 
 /// Summary of repeated samples of one scenario, in ns per processed event
@@ -283,80 +165,5 @@ mod tests {
         for s in STRATEGY_ORDER {
             assert!(names.contains(&s), "{s} missing from registry");
         }
-    }
-
-    #[test]
-    fn fingerprint_covers_every_config_field() {
-        use pls_logic::DelayModel;
-        use pls_partition::ReplicationConfig;
-
-        let base = Grid::config_fingerprint(&paper_sim_config());
-        let flip = |field: &str, edit: fn(&mut SimConfig)| {
-            let mut cfg = paper_sim_config();
-            edit(&mut cfg);
-            assert_ne!(Grid::config_fingerprint(&cfg), base, "{field} is not fingerprinted");
-        };
-        flip("delay", |c| c.delay = DelayModel::Unit(1));
-        flip("replication", |c| c.replication = Some(ReplicationConfig::default()));
-        flip("state_limit_per_node", |c| c.platform.state_limit_per_node = Some(1 << 20));
-        assert!(!base.contains('\n'), "the fingerprint must stay one cache line");
-    }
-
-    fn cached_row(stats: KernelStats) -> RunMetrics {
-        RunMetrics {
-            circuit: "s9234".into(),
-            strategy: "Multilevel".into(),
-            nodes: 8,
-            exec_time_s: 1.25,
-            stats,
-            edge_cut: 321,
-            connectivity_cut: 300,
-            out_of_memory: false,
-            telemetry: None,
-        }
-    }
-
-    #[test]
-    fn cache_round_trips_normal_and_oom_rows() {
-        let cfg = paper_sim_config();
-        let mut stats = KernelStats { final_gvt: VTime::INF, ..Default::default() };
-        for (i, c) in (1u64..).zip(KernelStats::COUNTERS) {
-            *(c.get_mut)(&mut stats) = 1000 * i + 7;
-        }
-        let ok = cached_row(stats);
-        let oom = RunMetrics {
-            strategy: "DFS".into(),
-            nodes: 2,
-            exec_time_s: f64::NAN,
-            stats: KernelStats::default(),
-            out_of_memory: true,
-            ..ok.clone()
-        };
-        let text = render_cache(&cfg, &[&ok, &oom]);
-        let mut back = parse_cache(&cfg, &text).expect("same config, same columns");
-        assert_eq!(back.len(), 2);
-        assert_eq!(back[0], ok);
-        // NaN != NaN: check it, then compare the rest of the row.
-        assert!(back[1].exec_time_s.is_nan());
-        back[1].exec_time_s = 0.0;
-        assert_eq!(back[1], RunMetrics { exec_time_s: 0.0, ..oom });
-    }
-
-    #[test]
-    fn cache_with_another_header_or_config_is_discarded() {
-        let cfg = paper_sim_config();
-        let row = cached_row(KernelStats::default());
-        let text = render_cache(&cfg, &[&row]);
-        assert_eq!(parse_cache(&cfg, &text).map(|r| r.len()), Some(1));
-
-        // A counter renamed since the file was written: same width, other
-        // header — the rows must not be read positionally.
-        let renamed = text.replacen("app_messages", "application_msgs", 1);
-        assert!(parse_cache(&cfg, &renamed).is_none());
-        let other_cfg = SimConfig { end_time: 401, ..paper_sim_config() };
-        assert!(parse_cache(&other_cfg, &text).is_none());
-        // A truncated row is skipped, not zero-filled.
-        let cut = &text[..text.trim_end().rfind(',').unwrap()];
-        assert_eq!(parse_cache(&cfg, cut).map(|r| r.len()), Some(0));
     }
 }

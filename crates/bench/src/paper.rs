@@ -1,12 +1,16 @@
 //! The paper's evaluation — Tables 1–2 and Figures 4–6 next to the
-//! paper's published values — as one markdown report, [`report`], whose
-//! cells all come from the one cached [`Grid`] of runs, exactly how the
-//! paper derives them from the same experiments.
+//! paper's published values — and the extension studies after it, as one
+//! markdown report, [`report`], whose cells all come from one in-memory
+//! [`Grid`] of runs, exactly how the paper derives them from the same
+//! experiments. `tests/golden/report.md` is its checked-in output.
 
 use pls_gatesim::RunMetrics;
 use pls_netlist::{CircuitStats, Netlist};
 
-use crate::{paper_circuits, Grid, FIGURE_NODES, PAPER_CIRCUITS, STRATEGY_ORDER, TABLE2_NODES};
+use crate::{
+    paper_circuits, paper_sim_config, studies, Grid, FIGURE_NODES, PAPER_CIRCUITS, STRATEGY_ORDER,
+    TABLE2_NODES,
+};
 
 /// One of the paper's s9234 figures: a metric of every strategy's cell
 /// over the node counts.
@@ -110,13 +114,13 @@ fn table1(circuits: &[Netlist]) -> String {
 }
 
 /// The paper-vs-measured markdown report consumed by EXPERIMENTS.md, and
-/// the one renderer of the experiment grid: every table and figure,
-/// measured from the grid cache (each missing cell is run and cached
-/// first), formatted next to the paper's published values where the
-/// paper gives them numerically (Tables 1–2); figures are compared by
-/// shape.
+/// the one renderer of every deterministic study on it: every table and
+/// figure, each cell run once, formatted next to the paper's published
+/// values where the paper gives them numerically (Tables 1–2; figures
+/// are compared by shape), then the cost-model sensitivity, seed
+/// replication and static-vs-dynamic load-balancing studies.
 pub fn report() {
-    let mut grid = Grid::open();
+    let mut grid = Grid::new(paper_sim_config());
 
     print!("{}", table1(&paper_circuits()));
     println!("\n## Table 2 — simulation time per strategy (paper secs / our modeled secs)\n");
@@ -188,6 +192,10 @@ pub fn report() {
             println!("\nSequential line: {:.2} s at every x.", seq.exec_time_s);
         }
     }
+
+    studies::sensitivity(&mut grid);
+    studies::replicate(&mut grid);
+    studies::dynlb();
 }
 
 #[cfg(test)]
@@ -208,6 +216,35 @@ mod tests {
             assert_eq!(row[0], format!("| {circuit}"));
             assert_eq!(row[2], format!("{gates} / {gates}"), "{circuit}: paper / ours");
             assert_eq!(row[4], dffs.to_string(), "{circuit}: DFFs");
+        }
+    }
+
+    /// EXPERIMENTS.md's Table 2 is the report's, row for row: each row of
+    /// the page's Table 2 block appears verbatim in the checked-in report
+    /// that `scripts/check.sh` holds `parlogsim report` to.
+    #[test]
+    fn experiments_table2_rows_are_the_golden_reports() {
+        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+        let read = |f: &str| std::fs::read_to_string(format!("{root}/{f}")).expect(f);
+        let (page, golden) = (read("EXPERIMENTS.md"), read("tests/golden/report.md"));
+        let rows: Vec<&str> = page
+            .lines()
+            .skip_while(|l| !l.starts_with("## Table 2"))
+            .skip(1)
+            .skip_while(|l| !l.starts_with('|'))
+            .take_while(|l| l.starts_with('|'))
+            .collect();
+        assert_eq!(
+            rows.len(),
+            2 + 12,
+            "EXPERIMENTS.md's Table 2 block moved:\n{}",
+            rows.join("\n")
+        );
+        for row in rows {
+            assert!(
+                golden.lines().any(|l| l == row),
+                "EXPERIMENTS.md row not in the report: {row}"
+            );
         }
     }
 }

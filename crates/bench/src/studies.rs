@@ -1,14 +1,15 @@
-//! Extension studies beyond the paper's evaluation: cost-model
+//! The report's sections beyond the paper's evaluation: cost-model
 //! sensitivity, robustness across stimulus seeds, and static vs dynamic
-//! load balancing. Each runs its own cells (nothing here is cached).
+//! load balancing. The first two read their paper-platform, seed-0xCAFE
+//! cells from the report's own [`Grid`] and run only the cells whose
+//! configuration differs.
 
-use pls_gatesim::{run_seq_baseline, Cell, SimConfig};
+use pls_gatesim::SimConfig;
 use pls_logic::StimulusConfig;
-use pls_partition::all_partitioners;
 use pls_timewarp::CostModel;
 
 use crate::kernel_scenarios::{committed, hotspot_setup, platform4, round_robin};
-use crate::{paper_sim_config, s9234};
+use crate::{Grid, STRATEGY_ORDER};
 
 /// Ratio of remote-message total cost to local event execution — the
 /// knob that decides how much a large cut-set hurts.
@@ -18,109 +19,89 @@ fn comm_compute_ratio(cost: &CostModel) -> f64 {
 }
 
 /// Cost-model sensitivity study: how the partitioning ranking shifts when
-/// the platform changes from the paper's 1999 workstation cluster to a
-/// modern one (events ~170× cheaper, network ~40× cheaper, and a *lower*
-/// communication-to-computation ratio). The crossovers move — exactly the
-/// effect the paper's conclusions anticipate when it calls the multilevel
-/// heuristic's balance between concurrency and communication an
-/// "equilibrium" for its platform.
-pub fn sensitivity() {
-    let (netlist, graph) = s9234();
+/// the platform changes from the paper's 1999 workstation cluster (the
+/// report grid `paper`) to a modern one (events ~170× cheaper, network
+/// ~40× cheaper, and a *lower* communication-to-computation ratio). The
+/// crossovers move — exactly the effect the paper's conclusions
+/// anticipate when it calls the multilevel heuristic's balance between
+/// concurrency and communication an "equilibrium" for its platform.
+pub(crate) fn sensitivity(paper: &mut Grid) {
+    let mut cfg = paper.config().clone();
+    cfg.platform.cost = CostModel::modern_cluster();
+    let mut modern = Grid::new(cfg);
 
-    for (label, cost) in [
-        ("Pentium II + Fast Ethernet (paper platform)", CostModel::pentium_ii_fast_ethernet()),
-        ("modern cluster", CostModel::modern_cluster()),
-    ] {
-        let mut cfg = paper_sim_config();
-        cfg.platform.cost = cost;
-        let seq = run_seq_baseline(&netlist, &cfg);
-        println!(
-            "\n== {label} (comm/compute ratio {:.1}, sequential {:.3}s)",
-            comm_compute_ratio(&cost),
-            seq.exec_time_s
-        );
-        println!(
-            "{:<14} {:>10} {:>10} {:>10} {:>9}",
-            "strategy", "time(s)", "messages", "rollbacks", "speedup"
-        );
-        let mut rows = Vec::new();
-        for strategy in all_partitioners() {
-            let m = Cell::new(&netlist, &graph, &cfg).nodes(8).run(strategy.as_ref());
-            rows.push(m);
-        }
+    println!("\n## Cost-model sensitivity — s9234 on 8 nodes, paper platform vs modern cluster");
+    for (label, grid) in
+        [("Pentium II + Fast Ethernet (paper platform)", paper), ("modern cluster", &mut modern)]
+    {
+        let ratio = comm_compute_ratio(&grid.config().platform.cost);
+        let seq = grid.sequential("s9234").exec_time_s;
+        println!("\n### {label}: comm/compute ratio {ratio:.1}, sequential {seq:.3} s\n");
+        println!("| Strategy | Time (s) | Messages | Rollbacks | Speedup |");
+        println!("|---|---|---|---|---|");
+        let mut rows = STRATEGY_ORDER.map(|s| grid.cell("s9234", s, 8));
         rows.sort_by(|a, b| a.exec_time_s.total_cmp(&b.exec_time_s));
         for m in rows {
             println!(
-                "{:<14} {:>10.3} {:>10} {:>10} {:>8.2}x",
+                "| {} | {:.3} | {} | {} | {:.2}x |",
                 m.strategy,
                 m.exec_time_s,
                 m.stats.app_messages,
                 m.stats.rollbacks(),
-                seq.exec_time_s / m.exec_time_s
+                seq / m.exec_time_s
             );
         }
     }
 }
 
-const SEEDS: [u64; 5] = [0xCAFE, 0xBEEF, 0xF00D, 0x5EED, 0xD1CE];
+/// Stimulus seeds of the replication study after the report grid's own.
+const MORE_SEEDS: [u64; 4] = [0xBEEF, 0xF00D, 0x5EED, 0xD1CE];
 
 /// Replication study — the paper "repeated \[experiments\] five times and
 /// the average was used as the representative value". Our platform is
 /// deterministic for a fixed stimulus, so the analog of run-to-run noise
-/// is *stimulus-seed* variation: re-run the s9234 column of Table 2 under
-/// five different input-vector seeds and report mean and spread per
-/// strategy, showing which conclusions are robust to the workload draw
-/// (all of them, it turns out).
-pub fn replicate() {
-    let (netlist, graph) = s9234();
-    let nodes = 8;
-    let cfgs = SEEDS.map(|seed| {
-        let cfg = paper_sim_config();
-        SimConfig { stim: StimulusConfig { seed, ..cfg.stim }, ..cfg }
+/// is *stimulus-seed* variation: the s9234 column of Table 2 at 8 nodes
+/// under the report grid's seed and four more, with mean and spread per
+/// strategy, showing which conclusions are robust to the workload draw.
+pub(crate) fn replicate(grid: &mut Grid) {
+    let base = grid.config().clone();
+    let mut more = MORE_SEEDS.map(|seed| {
+        Grid::new(SimConfig { stim: StimulusConfig { seed, ..base.stim }, ..base.clone() })
     });
+    let mut grids: Vec<&mut Grid> = std::iter::once(grid).chain(&mut more).collect();
+    let runs = grids.len();
+    let seeds: Vec<String> = grids.iter().map(|g| format!("{:#X}", g.config().stim.seed)).collect();
 
-    println!("s9234 on {nodes} nodes, {} stimulus seeds\n", SEEDS.len());
-    println!(
-        "{:<14} {:>9} {:>9} {:>9} {:>11} {:>10}",
-        "strategy", "mean(s)", "min(s)", "max(s)", "mean msgs", "mean rb"
-    );
+    println!("\n## Seed replication — s9234 on 8 nodes, {runs} stimulus seeds\n");
+    println!("Seeds {} (the first is every other section's).\n", seeds.join(", "));
+    println!("| Strategy | Mean (s) | Min (s) | Max (s) | Mean msgs | Mean rollbacks |");
+    println!("|---|---|---|---|---|---|");
 
-    let seq_times = cfgs.each_ref().map(|cfg| run_seq_baseline(&netlist, cfg).exec_time_s);
-    let seq_mean = seq_times.iter().sum::<f64>() / SEEDS.len() as f64;
-
-    let mut summary: Vec<(String, f64)> = Vec::new();
-    for strategy in all_partitioners() {
-        let mut times = Vec::new();
-        let mut msgs = 0u64;
-        let mut rbs = 0u64;
-        for cfg in &cfgs {
-            let m = Cell::new(&netlist, &graph, cfg).nodes(nodes).run(strategy.as_ref());
-            times.push(m.exec_time_s);
-            msgs += m.stats.app_messages;
-            rbs += m.stats.rollbacks();
-        }
-        let mean = times.iter().sum::<f64>() / times.len() as f64;
+    let seq_mean =
+        grids.iter_mut().map(|g| g.sequential("s9234").exec_time_s).sum::<f64>() / runs as f64;
+    let mut summary: Vec<(&str, f64)> = Vec::new();
+    for strategy in STRATEGY_ORDER {
+        let cells: Vec<_> = grids.iter_mut().map(|g| g.cell("s9234", strategy, 8)).collect();
+        let times: Vec<f64> = cells.iter().map(|m| m.exec_time_s).collect();
+        let msgs: u64 = cells.iter().map(|m| m.stats.app_messages).sum();
+        let rbs: u64 = cells.iter().map(|m| m.stats.rollbacks()).sum();
+        let mean = times.iter().sum::<f64>() / runs as f64;
         let min = times.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = times.iter().cloned().fold(0.0f64, f64::max);
         println!(
-            "{:<14} {:>9.2} {:>9.2} {:>9.2} {:>11} {:>10}",
-            strategy.name(),
-            mean,
-            min,
-            max,
-            msgs / SEEDS.len() as u64,
-            rbs / SEEDS.len() as u64
+            "| {strategy} | {mean:.2} | {min:.2} | {max:.2} | {} | {} |",
+            msgs / runs as u64,
+            rbs / runs as u64
         );
-        summary.push((strategy.name().to_string(), mean));
+        summary.push((strategy, mean));
     }
 
     summary.sort_by(|a, b| a.1.total_cmp(&b.1));
+    let (fastest, mean) = summary[0];
     println!(
-        "\nsequential mean: {seq_mean:.2}s; fastest strategy across seeds: {} \
-         ({:.2}s mean, {:.2}x speedup)",
-        summary[0].0,
-        summary[0].1,
-        seq_mean / summary[0].1
+        "\nSequential mean: {seq_mean:.2} s; fastest strategy across seeds: {fastest} \
+         ({mean:.2} s mean, {:.2}x speedup).",
+        seq_mean / mean
     );
 }
 
@@ -131,7 +112,7 @@ fn block(n: usize, parts: usize) -> Vec<u32> {
 
 /// Static vs dynamic load balancing on the rotating-hotspot workload —
 /// the experiment behind the "static vs dynamic partitioning" appendix
-/// in `EXPERIMENTS.md` (`smoke` shrinks it).
+/// in `EXPERIMENTS.md`.
 ///
 /// Four configurations of the exact same workload:
 ///
@@ -147,10 +128,11 @@ fn block(n: usize, parts: usize) -> Vec<u32> {
 /// remote messages, events processed and committed, balancing rounds and
 /// migrations. The dynamic rows are then compared with the best static
 /// one on modeled time.
-pub fn dynlb(smoke: bool) {
-    let (model, pcfg, lb) = hotspot_setup(smoke);
-    eprintln!(
-        "rotating hotspot: {} LPs, {} phases x {} vt, hot window {}, 4 nodes",
+pub(crate) fn dynlb() {
+    let (model, pcfg, lb) = hotspot_setup(false);
+    println!("\n## Static vs dynamic load balancing — rotating hotspot\n");
+    println!(
+        "{} LPs, {} phases x {} vt, hot window {}, 4 nodes; modeled seconds.\n",
         model.lps, model.phases, model.phase_len, model.hot_width
     );
 
@@ -167,13 +149,12 @@ pub fn dynlb(smoke: bool) {
     });
 
     println!(
-        "{:<22} {:>10} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7}",
-        "placement", "modeled s", "rollbk", "remote", "processed", "committed", "rounds", "migr"
+        "| Placement | Modeled s | Rollbacks | Remote | Processed | Committed | Rounds | Migrations |"
     );
+    println!("|---|---|---|---|---|---|---|---|");
     for (name, o) in &rows {
         println!(
-            "{:<22} {:>10.4} {:>9} {:>9} {:>9} {:>9} {:>7} {:>7}",
-            name,
+            "| {name} | {:.4} | {} | {} | {} | {} | {} | {} |",
             o.modeled_s,
             o.stats.rollbacks(),
             o.stats.app_messages,
@@ -188,9 +169,10 @@ pub fn dynlb(smoke: bool) {
         .iter()
         .min_by(|a, b| a.1.modeled_s.total_cmp(&b.1.modeled_s))
         .expect("two static rows");
+    println!();
     for (name, o) in &rows[2..] {
         println!(
-            "{name} vs best static ({best}): modeled {:+.1}%",
+            "- {name} vs best static ({best}): modeled {:+.1}%",
             100.0 * (o.modeled_s / best_static.modeled_s - 1.0),
         );
     }

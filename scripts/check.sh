@@ -97,6 +97,16 @@ if [[ "$FAST" -eq 0 ]]; then
     | diff -u tests/golden/hotspots_s15850_k8.txt - \
     || { echo "hotspots drifted from tests/golden/hotspots_s15850_k8.txt"; exit 1; }
 
+  # Report gate: the paper's tables and figures and the studies after
+  # them, the page EXPERIMENTS.md quotes, must match the checked-in report
+  # byte for byte. Refresh it like the goldens above:
+  #   target/release/parlogsim report > tests/golden/report.md
+  echo
+  echo "==> report vs golden"
+  ./target/release/parlogsim report \
+    | diff -u tests/golden/report.md - \
+    || { echo "report drifted from tests/golden/report.md"; exit 1; }
+
   # Pipeline benchmark harness (benchmark/ is a workspace of its own, so
   # nothing above builds it): unit tests plus a --smoke run of the real
   # binary — all five workloads, all three executives, every committed

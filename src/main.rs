@@ -7,7 +7,7 @@ use std::process::exit;
 
 use parlogsim::gatesim::{write_vcd, WaveRecorder};
 use parlogsim::prelude::*;
-use pls_bench::{bench_kernel, detcheck, micro, paper, studies};
+use pls_bench::{bench_kernel, detcheck, micro, paper};
 
 /// `print!` that exits quietly when stdout closes early (`… | head`):
 /// a CLI should end the pipeline, not panic on EPIPE.
@@ -64,8 +64,8 @@ const FORMAT: Flag =
 const SMOKE: Flag = (
     "--smoke",
     Takes::Nothing,
-    "reduced sizes (bench_kernel: print the JSON, leave\n\
-     BENCH_kernel.json alone)",
+    "reduced sizes; print the JSON and leave\n\
+     BENCH_kernel.json alone",
 );
 const ONLY: Flag = (
     "--only",
@@ -84,9 +84,9 @@ type Command = (&'static str, &'static str, &'static str, &'static [Flag], fn(&A
 /// Every subcommand. The usage text and the whole of argument checking —
 /// which word is the positional, unknown flags, missing and non-numeric
 /// values — come from this table. The rows after `dot` run the evaluation:
-/// `report` renders every table and figure of the paper from one cached
-/// grid of runs.
-const COMMANDS: [Command; 16] = [
+/// `report` renders every table and figure of the paper and every study
+/// beyond it from one grid of runs.
+const COMMANDS: [Command; 13] = [
     ("stats", "<circuit>", "circuit characteristics (Table 1 row)", &[], cmd_stats),
     (
         "generate",
@@ -119,17 +119,8 @@ const COMMANDS: [Command; 16] = [
     ("vcd", "<circuit>", "dump primary-output waveform as VCD", &[OUT, END], cmd_vcd),
     ("hotspots", "<circuit>", "per-gate rollback/load hotspots", &[K, STRATEGY, END], cmd_hotspots),
     ("dot", "<circuit>", "Graphviz view with partition colours", &[K, STRATEGY, OUT], cmd_dot),
-    ("report", "", "paper-vs-measured markdown of every table and figure", &[], |_| {
+    ("report", "", "paper-vs-measured markdown of every table, figure and study", &[], |_| {
         paper::report()
-    }),
-    ("sensitivity", "", "cost-model study: paper platform vs modern cluster", &[], |_| {
-        studies::sensitivity()
-    }),
-    ("replicate", "", "the s9234 column of Table 2 under five stimulus seeds", &[], |_| {
-        studies::replicate()
-    }),
-    ("dynlb", "", "static vs dynamic load balancing on a rotating hotspot", &[SMOKE], |args| {
-        studies::dynlb(args.has(&SMOKE))
     }),
     (
         "bench_kernel",

@@ -5,7 +5,7 @@ use std::process::Command;
 
 /// Every subcommand, in table order, with a positional it accepts (empty
 /// for the rows that take none).
-const ROWS: [(&str, &str); 16] = [
+const ROWS: [(&str, &str); 13] = [
     ("stats", "s27"),
     ("generate", "50"),
     ("partition", "s27"),
@@ -15,9 +15,6 @@ const ROWS: [(&str, &str); 16] = [
     ("hotspots", "s27"),
     ("dot", "s27"),
     ("report", ""),
-    ("sensitivity", ""),
-    ("replicate", ""),
-    ("dynlb", ""),
     ("bench_kernel", ""),
     ("partitioners", ""),
     ("kernel", ""),
@@ -315,25 +312,20 @@ G57              OR        1          1        1       12
     assert_eq!(out, want);
 }
 
-/// The paper's tables and figures are one report: the six subcommands
-/// that once rendered them one by one are unknown commands.
+/// The paper's tables, figures and studies are one report: the six
+/// subcommands that once rendered the paper's one by one and the three
+/// that ran a study each are unknown commands.
 #[test]
 fn retired_report_subcommands_are_unknown() {
-    for name in ["all", "table1", "table2", "fig4", "fig5", "fig6"] {
+    for name in
+        ["all", "table1", "table2", "fig4", "fig5", "fig6", "sensitivity", "replicate", "dynlb"]
+    {
         let out = cli().arg(name).output().unwrap();
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{name}: {err}");
         assert!(out.stdout.is_empty(), "{name} printed to stdout");
         assert!(err.starts_with(&format!("unknown command `{name}`")), "{err}");
     }
-}
-
-/// `dynlb` prints only what a run repeats exactly: no host timing.
-#[test]
-fn dynlb_smoke_prints_the_same_bytes_twice() {
-    let first = run_ok(&["dynlb", "--smoke"]);
-    assert!(first.contains("dynamic (from striped) vs best static"), "{first}");
-    assert_eq!(run_ok(&["dynlb", "--smoke"]), first);
 }
 
 #[test]
@@ -391,7 +383,7 @@ fn bad_flags_are_rejected_by_name() {
     rows.push(("hotspots", "s27", vec!["--replicate"], "--replicate"));
     rows.push(("dot", "s27", vec!["--trace", "t.jsonl"], "--trace"));
     rows.push(("report", "", vec!["--smoke"], "--smoke"));
-    rows.push(("dynlb", "", vec!["--only", "x"], "--only"));
+    rows.push(("detcheck", "", vec!["--only", "x"], "--only"));
     rows.push(("bench_kernel", "", vec!["-k", "2"], "-k"));
     rows.push(("report", "", vec!["--trace"], "--trace"));
     // A value flag at the end of the line.
@@ -493,7 +485,6 @@ fn help_lists_every_subcommand_with_its_flags() {
     for name in ["stats", "report", "detcheck"] {
         assert_eq!(accepted[name], Vec::<String>::new(), "{name}");
     }
-    assert_eq!(accepted["dynlb"], ["--smoke"]);
     assert_eq!(accepted["bench_kernel"], ["--smoke", "--only", "--set-baseline"]);
     assert_eq!(accepted["vcd"], ["-o", "--end"]);
     assert_eq!(
