@@ -158,6 +158,16 @@ impl GateState {
         GateState { role, output: Value::X, trace_hash: FNV_BASIS, transitions: 0 }
     }
 
+    /// Bytes this state owns beyond its 32 inline ones: the box of a
+    /// primary input or of a gate wider than 32 pins, none otherwise.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        match &self.role {
+            Role::Narrow(_) | Role::Dff { .. } => 0,
+            Role::Wide(pins) => std::mem::size_of_val(&**pins),
+            Role::Input(stream) => std::mem::size_of_val(&**stream),
+        }
+    }
+
     fn note_transition(&mut self, now: VTime, v: Value) {
         self.trace_hash = fnv_step(self.trace_hash, now, v);
         self.transitions =

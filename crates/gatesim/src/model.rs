@@ -257,6 +257,16 @@ impl Application for GateModel {
         }
     }
 
+    /// A gate state owns a box only as a primary input or a gate wider
+    /// than 32 pins; a block state is a box of buffers.
+    #[inline]
+    fn heap_bytes(&self, state: &ModelState) -> usize {
+        match state {
+            ModelState::Gate(g) => g.heap_bytes(),
+            ModelState::Block(b) => std::mem::size_of_val(&**b) + b.heap_bytes(),
+        }
+    }
+
     fn replicated_units(&self) -> u64 {
         match self {
             GateModel::PerGate(sim) => sim.replicated_units(),
@@ -531,6 +541,10 @@ mod tests {
             Audited { model, reference: Some(live.model.clone()), filed, open: 0 }
         }
 
+        fn heap_bytes(&self, state: &Audited) -> usize {
+            self.inner.heap_bytes(&state.model)
+        }
+
         fn restore(&self, live: &mut Audited, anchor: &Audited, undone: &[Audited]) {
             self.restores.fetch_add(1, Relaxed);
             self.to_initial.fetch_add(u64::from(anchor.filed == 0), Relaxed);
@@ -629,6 +643,85 @@ mod tests {
         assert!(open > 0, "no rollback began in an un-checkpointed interval");
         assert!(across > 0, "no rollback discarded more than one checkpoint");
         assert!(foreign > 0, "no checkpoint was built in another block's retired one");
+    }
+
+    /// A gate owns heap only as a primary input (its stimulus stream) or a
+    /// gate wider than 32 pins (its boxed pins); a block state owns its box
+    /// and its buffers, and its checkpoint all of them but the per-slot
+    /// arrays.
+    #[test]
+    fn heap_bytes_follow_each_gate_role_and_block_snapshot() {
+        use pls_logic::{InputStream, PackedPins};
+        use pls_netlist::bench_format::parse;
+        use std::mem::{size_of, size_of_val};
+        let wide: Vec<String> = (0..33).map(|i| format!("I{i}")).collect();
+        let mut text: String = wide.iter().map(|i| format!("INPUT({i})\n")).collect();
+        text += &format!(
+            "OUTPUT(W)\nOUTPUT(N)\nW = AND({})\nN = NAND(I0, I1)\nQ = DFF(N)\n",
+            wide.join(", ")
+        );
+        let netlist = parse("roles", &text).unwrap();
+        let app = cfg(100).build_app(&netlist);
+        let heap = |name: &str| app.heap_bytes(&app.init_state(netlist.find(name).unwrap()));
+        assert_eq!(heap("I0"), size_of::<InputStream>(), "primary input");
+        assert_eq!(heap("W"), size_of::<PackedPins<8>>(), "33-input gate");
+        assert_eq!(heap("N"), 0, "2-input gate");
+        assert_eq!(heap("Q"), 0, "DFF");
+
+        let exec = ExecModel::CompiledBlocks(CompileOptions::default());
+        let app = SimConfig { exec, ..cfg(100) }.build_app(&netlist);
+        let mut live = app.init_state(0);
+        let snap = app.checkpoint(&mut live, None);
+        let (b, s) = (block(&live), block(&snap));
+        assert_eq!(app.heap_bytes(&live), size_of::<BlockState>() + b.heap_bytes());
+        assert_eq!(app.heap_bytes(&snap), size_of::<BlockState>() + s.heap_bytes());
+        assert!(s.heap_bytes() >= size_of_val(&b.vals[..]), "a snapshot carries the slot values");
+        assert!(s.heap_bytes() <= b.heap_bytes() - b.per_slot_bytes(), "and no per-slot array");
+    }
+
+    /// A compiled block migrates with its buffers and those of every
+    /// checkpoint it holds, so its price is at least the live state's
+    /// fixed buffers plus one more copy of the slot values (the commit
+    /// floor's) — far above the inline 32 B per state.
+    #[test]
+    fn a_migrating_block_is_priced_by_its_heap() {
+        use pls_timewarp::{DynLbConfig, Probe, ProbeEvent};
+        #[derive(Default)]
+        struct Moves(Vec<(LpId, u64)>);
+        impl Probe for Moves {
+            fn on(&mut self, event: ProbeEvent) {
+                if let ProbeEvent::LpMigrated { lp, bytes, .. } = event {
+                    self.0.push((lp, bytes));
+                }
+            }
+            fn fork(&mut self) -> Moves {
+                Moves::default()
+            }
+            fn join(&mut self, child: Moves) {
+                self.0.extend(child.0);
+            }
+        }
+        let netlist = IscasSynth::small(1200, 9).build();
+        let g = CircuitGraph::from_netlist(&netlist);
+        let blocks = RandomPartitioner.partition(&g, 6, 9).assignment;
+        let exec = ExecModel::CompiledBlocks(CompileOptions { blocks: Some(blocks) });
+        let app = SimConfig { exec, ..cfg(120) }.build_app(&netlist);
+        let assignment: Vec<u32> = (0..app.num_lps() as u32).map(|lp| u32::from(lp > 3)).collect();
+        let lb = DynLbConfig { period: 1, max_moves: 2, min_comm_gain: 0 };
+        let (run, moves) = Simulator::new(&app)
+            .config(KernelConfig { gvt_period: 8, ..Default::default() })
+            .load_balancer(lb)
+            .probe(Moves::default())
+            .run_probed(Backend::Platform { assignment: &assignment, nodes: 2 })
+            .unwrap();
+        assert!(!moves.0.is_empty(), "no block migrated");
+        for &(lp, bytes) in &moves.0 {
+            let b = block(&run.states[lp as usize]);
+            let slots = std::mem::size_of_val(&b.vals[..]);
+            let floor = 2 * (size_of::<ModelState>() + size_of::<BlockState>() + slots);
+            assert!(bytes >= (floor + b.per_slot_bytes()) as u64, "block {lp}: {bytes} B");
+        }
+        assert_eq!(run.stats.migrated_state_bytes, moves.0.iter().map(|m| m.1).sum::<u64>());
     }
 
     /// The per-LP fixed cost of a gate-per-LP run, held as a limit: a

@@ -230,6 +230,20 @@ pub trait Application: Send + Sync + 'static {
         live.clone_from(anchor);
     }
 
+    /// Bytes `state` — a live state or a checkpoint — owns beyond its
+    /// inline `size_of::<State>()`: its boxes and buffers. The kernel adds
+    /// it up over the checkpoints a cluster files, so that a GVT round
+    /// comes due once they pin [`crate::config::CHECKPOINT_HEAP_BUDGET`]
+    /// bytes, and prices a migrating LP by it; a retired checkpoint that
+    /// owns none is dropped rather than kept for reuse. An override of
+    /// [`Self::checkpoint`] that builds in `spare` needs this to report
+    /// its states' buffers, or it is never handed one. Default: none.
+    #[inline]
+    fn heap_bytes(&self, state: &Self::State) -> usize {
+        let _ = state;
+        0
+    }
+
     /// Number of replicated gates (or other duplicated units) this model
     /// materialised — a static per-run property recorded into
     /// `KernelStats::replicated_gates` at startup. Default: none.

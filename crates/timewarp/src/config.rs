@@ -24,7 +24,8 @@ pub struct KernelConfig {
     /// re-execution — for state-queue memory).
     pub checkpoint_interval: u32,
     /// Trigger a GVT round every `gvt_period` executed batches per
-    /// cluster/node.
+    /// cluster/node — or earlier, once a cluster has filed
+    /// [`CHECKPOINT_HEAP_BUDGET`] bytes of checkpoint heap.
     pub gvt_period: u64,
     /// Bounded-window optimism control: when set, an LP may only execute
     /// events with `recv_time <= GVT + window` (using the last computed
@@ -34,6 +35,18 @@ pub struct KernelConfig {
     /// and threaded executives.
     pub window: Option<u64>,
 }
+
+/// Bytes of checkpoint heap ([`crate::Application::heap_bytes`]) one
+/// cluster may file between two commits before it makes a GVT round due,
+/// whatever `gvt_period` says. A thin LP files next to none — a gate
+/// checkpoint is a flat copy unless the gate is a primary input or wider
+/// than 32 pins — so gate-per-LP runs keep the batch cadence alone; a fat
+/// LP (a compiled block) files kilobytes per batch, and without this its
+/// whole uncommitted history stays pinned until the batch count comes
+/// round. 1 MiB per cluster: every thin-LP run measured stays far below
+/// it (under 6 KB between commits), while fat-LP runs that filed tens of
+/// megabytes now commit every megabyte (DESIGN.md §2.4).
+pub const CHECKPOINT_HEAP_BUDGET: usize = 1 << 20;
 
 impl Default for KernelConfig {
     fn default() -> Self {

@@ -15,9 +15,9 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::app::Application;
-use crate::config::KernelConfig;
+use crate::config::{KernelConfig, CHECKPOINT_HEAP_BUDGET};
 use crate::dynlb::Migration;
-use crate::event::{Event, LpId, Transmission};
+use crate::event::{LpId, Transmission};
 use crate::lp::{LpRuntime, Scratch};
 use crate::probe::{Probe, ProbeEvent};
 use crate::time::VTime;
@@ -366,10 +366,18 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         self.lps.iter().map(|lp| lp.local_min()).min().unwrap_or(VTime::INF)
     }
 
+    /// Whether the checkpoints this cluster filed since its last
+    /// [`Self::commit`] pin [`CHECKPOINT_HEAP_BUDGET`] bytes of heap or
+    /// more, so that a GVT round is due whatever the batch count says.
+    pub fn heap_due(&self) -> bool {
+        self.scratch.filed >= CHECKPOINT_HEAP_BUDGET
+    }
+
     /// Commit everything below `gvt` on every resident LP that has
     /// something to commit, in slot order: the cost is proportional to the
     /// LPs with history, not to the cluster. Below ∞ an LP whose due time
     /// is not below `gvt` is skipped; visiting it would change nothing.
+    /// Restarts the count behind [`Self::heap_due`].
     pub fn commit<P: Probe>(&mut self, gvt: VTime, probe: &mut P) -> Committed {
         let held_before = self.held;
         for word in 0..self.history.len() {
@@ -379,7 +387,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
                 }
                 let lp = &mut self.lps[slot];
                 let before = lp.state_queue_len();
-                lp.fossil_collect(gvt, &mut self.scratch, probe);
+                lp.fossil_collect(self.app, gvt, &mut self.scratch, probe);
                 self.held -= (before - lp.state_queue_len()) as u64;
                 put_bit(&mut self.history, slot, lp.has_history());
                 self.due[slot] = lp.fossil_due();
@@ -438,8 +446,7 @@ impl<'a, A: Application> ClusterCore<'a, A> {
         let (held, pending) = lp.queue_lens();
         self.held -= held;
         self.pending -= pending;
-        let bytes = pending * std::mem::size_of::<Event<A::Msg>>() as u64
-            + (held + 1) * std::mem::size_of::<A::State>() as u64;
+        let bytes = lp.closure_bytes(self.app);
         probe.on(ProbeEvent::LpMigrated { lp: mv.lp, from: mv.from, to: mv.to, gvt, bytes });
         Mover { lp, units: 1 + pending + held }
     }
@@ -462,11 +469,12 @@ mod tests {
 
     use super::*;
     use crate::config::Cancellation;
+    use crate::event::Event;
     use crate::phold::Phold;
     use crate::probe::Tee;
     use crate::sim::{Backend, Simulator};
     use crate::stats::{KernelStats, LpLedger};
-    use crate::testkit::{round_robin, splitmix64, Ring};
+    use crate::testkit::{round_robin, splitmix64, Heavy, Ring};
 
     /// Drive `parts` real cores in one thread under a seeded adversarial
     /// scheduler. Remote hops wait in one FIFO mailbox per *sending* core
@@ -617,6 +625,40 @@ mod tests {
         }
         assert!(rollbacks > 0, "the scheduler must provoke stragglers");
         assert!(stale_homecomings > 0, "no LP ever returned to a heap that remembered it");
+    }
+
+    /// A migrating LP is priced by what it carries: its live state and each
+    /// held checkpoint, inline and on the heap, and its pending events.
+    #[test]
+    fn a_migration_prices_every_state_by_its_heap() {
+        let heap = 1000;
+        let app = Heavy { ring: Ring { n: 8, hops: 30 }, heap };
+        let mut stats = KernelStats::default();
+        // Every LP on cluster 0, so that every hop is local; cluster 1 only
+        // receives the migrant.
+        let (mut cores, mut homes) =
+            ClusterCore::partition(&app, &[0; 8], 2, KernelConfig::default(), &mut stats);
+        for _ in 0..40 {
+            cores[0].execute(&mut stats);
+            while cores[0].route_next(&homes, &mut stats).is_some() {}
+        }
+        // No commit: one would leave an LP with pending events only its
+        // floor checkpoint, and the price must count every one it holds.
+        let gvt = cores[0].local_min();
+        let lp = cores[0].lps().iter().max_by_key(|lp| {
+            let (held, pending) = lp.queue_lens();
+            (pending.min(1), held)
+        });
+        let lp = lp.unwrap();
+        let (id, (held, pending)) = (lp.id(), lp.queue_lens());
+        assert!(held > 1 && pending > 0, "LP {id}: {held} checkpoints, {pending} pending");
+        let mv = Migration { lp: id, from: 0, to: 1 };
+        let mover = cores[0].evict(&mv, &mut homes, gvt, &mut stats);
+        cores[1].adopt(mover, &mut homes);
+        let state = std::mem::size_of::<u64>() + heap;
+        let events = std::mem::size_of::<Event<u64>>();
+        let want = (held + 1) * state as u64 + pending * events as u64;
+        assert_eq!(stats.migrated_state_bytes, want);
     }
 
     #[test]

@@ -122,20 +122,24 @@ pub struct LpRuntime<A: Application> {
 /// What the LPs of one cluster share instead of owning a copy each: the
 /// kernel configuration, the two buffers of one `execute_next` /
 /// `rollback_to` call (a batch's messages and its sends), dead between
-/// calls, and the free list of retired checkpoints. One per cluster keeps
-/// the buffers hot whichever LP runs next, keeps an [`LpRuntime`] small,
-/// and lets a checkpoint reuse — allocation and all — a state that fossil
-/// collection or a rollback retired on any LP of the cluster.
+/// calls, the free list of retired checkpoints and the heap filed since
+/// the last commit. One per cluster keeps the buffers hot whichever LP
+/// runs next, keeps an [`LpRuntime`] small, and lets a checkpoint reuse —
+/// allocation and all — a state that fossil collection or a rollback
+/// retired on any LP of the cluster.
 #[derive(Debug)]
 #[cfg_attr(test, derive(Clone))]
 pub struct Scratch<A: Application> {
     cfg: KernelConfig,
     msgs: Vec<(LpId, A::Msg)>,
     sink_buf: Vec<(LpId, VTime, A::Msg)>,
-    /// Retired checkpoint states, newest last.
+    /// Retired checkpoint states that own heap, newest last.
     spares: Vec<A::State>,
     /// Checkpoints taken since the last [`Self::trim`].
     taken: usize,
+    /// [`Application::heap_bytes`] of the checkpoints filed since the last
+    /// [`Self::trim`].
+    pub(crate) filed: usize,
 }
 
 impl<A: Application> Scratch<A> {
@@ -146,23 +150,34 @@ impl<A: Application> Scratch<A> {
     /// `Simulator::run` rejects that as a `SimError` before getting here.
     pub fn new(cfg: KernelConfig) -> Self {
         assert!(cfg.checkpoint_interval >= 1, "checkpoint_interval must be >= 1");
-        Scratch { cfg, msgs: Vec::new(), sink_buf: Vec::new(), spares: Vec::new(), taken: 0 }
+        Scratch {
+            cfg,
+            msgs: Vec::new(),
+            sink_buf: Vec::new(),
+            spares: Vec::new(),
+            taken: 0,
+            filed: 0,
+        }
     }
 
     /// A checkpoint of `live` to file ([`Application::checkpoint`]), built
     /// in a retired state's buffers when one is spare.
     fn checkpoint(&mut self, app: &A, live: &mut A::State) -> A::State {
         self.taken += 1;
-        app.checkpoint(live, self.spares.pop())
+        let saved = app.checkpoint(live, self.spares.pop());
+        self.filed += app.heap_bytes(&saved);
+        saved
     }
 
-    /// Drop the spares beyond the number of checkpoints taken since the
-    /// previous call: a GVT interval cannot want more than the last one
-    /// took unless the run changes pace, so what a burst left behind goes
-    /// back to the allocator instead of counting towards peak memory.
+    /// Close a GVT interval. Drop the spares beyond the number of
+    /// checkpoints taken since the previous call: an interval cannot want
+    /// more than the last one took unless the run changes pace, so what a
+    /// burst left behind goes back to the allocator instead of counting
+    /// towards peak memory. And start the heap count of the next interval.
     pub(crate) fn trim(&mut self) {
         self.spares.truncate(self.taken);
         self.taken = 0;
+        self.filed = 0;
     }
 }
 
@@ -249,6 +264,16 @@ impl<A: Application> LpRuntime<A> {
     /// Number of checkpoints currently held (memory accounting).
     pub fn state_queue_len(&self) -> usize {
         self.states.len()
+    }
+
+    /// Bytes a migration of this LP carries: the live state and every held
+    /// checkpoint, inline and on the heap ([`Application::heap_bytes`]),
+    /// and the pending events.
+    pub(crate) fn closure_bytes(&self, app: &A) -> u64 {
+        let states = std::iter::once(&self.state).chain(self.states.iter().map(|s| &s.state));
+        let state_bytes: usize =
+            states.map(|s| std::mem::size_of::<A::State>() + app.heap_bytes(s)).sum();
+        (state_bytes + self.pending_len() * std::mem::size_of::<Event<A::Msg>>()) as u64
     }
 
     /// Total unprocessed events currently queued.
@@ -562,6 +587,13 @@ impl<A: Application> LpRuntime<A> {
         let anchor = &self.states[si];
         app.restore(&mut self.state, &anchor.state, &scratch.spares[retired..]);
         let replay_from = anchor.processed_len as usize;
+        // Only the undone states that own heap stay spare: a flat copy has
+        // no buffers to lend.
+        let mut at = 0;
+        scratch.spares.retain(|s| {
+            at += 1;
+            at <= retired || app.heap_bytes(s) > 0
+        });
         debug_assert!(replay_from <= cut);
 
         // 3. Cancel in-flight outputs sent at or after `to`.
@@ -611,16 +643,19 @@ impl<A: Application> LpRuntime<A> {
     /// over and everything commits.
     pub fn fossil_collect<P: Probe>(
         &mut self,
+        app: &A,
         gvt: VTime,
         scratch: &mut Scratch<A>,
         probe: &mut P,
     ) {
-        // Newest checkpoint strictly below GVT becomes the new floor.
+        // Newest checkpoint strictly below GVT becomes the new floor; the
+        // older ones retire, and those that own heap become spares.
         debug_assert!(gvt > VTime::ZERO, "GVT is the time of an event, and none is at 0");
         let si =
             self.states.iter().rposition(|s| s.tag < gvt).expect("initial state always qualifies");
         let floor = self.states[si].processed_len;
-        scratch.spares.extend(self.states.drain(..si).map(|s| s.state));
+        let retired = self.states.drain(..si).map(|s| s.state);
+        scratch.spares.extend(retired.filter(|s| app.heap_bytes(s) > 0));
         for s in &mut self.states {
             s.processed_len -= floor;
         }
@@ -1027,7 +1062,7 @@ mod tests {
         }
         let before = lps[1].state_queue_len();
         assert!(before > 20);
-        lps[1].fossil_collect(VTime::from(30), &mut scratch, &mut stats);
+        lps[1].fossil_collect(&app, VTime::from(30), &mut scratch, &mut stats);
         assert!(lps[1].state_queue_len() < before);
         assert!(stats.events_committed > 0);
         // Still able to roll back to >= GVT: straggler at exactly 30.
@@ -1045,7 +1080,7 @@ mod tests {
             lps[1].execute_next(&app, &mut outbox, &mut scratch, &mut stats);
         }
         assert_eq!(*lps[1].state(), 25);
-        lps[1].fossil_collect(VTime::INF, &mut scratch, &mut stats);
+        lps[1].fossil_collect(&app, VTime::INF, &mut scratch, &mut stats);
         assert_eq!(lps[1].state_queue_len(), 1);
     }
 

@@ -171,8 +171,10 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     let mut batches_since_gvt = 0u64;
     let gvt_every = kernel.gvt_period * nodes as u64;
     // Bounded-window optimism control: LPs may only execute events up to
-    // `last_gvt + window`. `force_gvt` re-synchronizes when every node is
-    // blocked at the window edge.
+    // `last_gvt + window`. `force_gvt` starts a round before the batch
+    // count comes round: it re-synchronizes when every node is blocked at
+    // the window edge, and it commits as soon as one node's checkpoints
+    // pin the heap budget (`CHECKPOINT_HEAP_BUDGET`).
     let mut last_gvt = VTime::ZERO;
     let mut force_gvt = false;
 
@@ -227,6 +229,7 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
                     + cost.state_save_ns * (stats.states_saved - saves_before),
             );
             batches_since_gvt += 1;
+            force_gvt |= cores[ni].heap_due();
             plat.route_outbox(&mut cores[ni], ni, &homes, probe);
         } else if any_ready {
             // No executable work, yet not quiescent: all remaining events
@@ -237,8 +240,8 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
             break; // quiescent: done
         }
 
-        // Periodic GVT + fossil collection (exact: the platform sees
-        // everything). Models the cost of a token round on every node.
+        // Periodic or forced GVT + fossil collection (exact: the platform
+        // sees everything). Models the cost of a token round on every node.
         if batches_since_gvt >= gvt_every || force_gvt {
             batches_since_gvt = 0;
             force_gvt = false;
@@ -301,9 +304,10 @@ pub fn sequential_modeled_time_s(events: u64, cost: &CostModel) -> f64 {
 mod tests {
     use super::*;
     use crate::app::EventSink;
+    use crate::config::CHECKPOINT_HEAP_BUDGET;
     use crate::event::{Event, EventId, LpId};
     use crate::sim::{Backend, Simulator};
-    use crate::testkit::{round_robin, Ring};
+    use crate::testkit::{round_robin, Heavy, Ring};
 
     fn platform<A: Application>(
         app: &A,
@@ -358,6 +362,27 @@ mod tests {
             assert_eq!(res.states, seq.states, "{nodes}-node platform diverged");
             assert_eq!(res.stats.events_committed, seq.stats.events_processed);
         }
+    }
+
+    #[test]
+    fn checkpoint_heap_paces_gvt_rounds() {
+        // The ring runs fewer batches than one batch-count period, so thin
+        // states see no GVT round before the final commit. States that
+        // declare a quarter of the budget each make a round due by the
+        // fourth checkpoint a node files since its last commit.
+        let ring = Ring { n: 12, hops: 40 };
+        let seq = Simulator::new(&ring).run(Backend::Sequential).unwrap();
+        let nodes = 3;
+        let assignment = round_robin(12, nodes);
+        let cfg = PlatformConfig::default();
+        let thin = platform(&ring, &assignment, nodes, &cfg).unwrap();
+        assert_eq!(thin.stats.gvt_rounds, 0);
+        let heavy = Heavy { ring, heap: CHECKPOINT_HEAP_BUDGET / 4 };
+        let fat = platform(&heavy, &assignment, nodes, &cfg).unwrap();
+        assert_eq!(fat.states, seq.states);
+        assert_eq!(fat.stats.events_committed, seq.stats.events_processed);
+        let (rounds, saved) = (fat.stats.gvt_rounds, fat.stats.states_saved);
+        assert!(rounds > 0 && saved <= 4 * nodes as u64 * (rounds + 1), "{saved} saves, {rounds}");
     }
 
     #[test]

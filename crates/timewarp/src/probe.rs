@@ -158,11 +158,11 @@ pub enum ProbeEvent {
     /// Dynamic load balancing migrated `lp` from node/cluster `from` to
     /// `to` at the GVT round that agreed on `gvt`; `bytes` is the modeled
     /// size of the transferred closure: `size_of::<Event<Msg>>()` per
-    /// pending event plus the inline `size_of::<State>()` per state (the
-    /// current one and each checkpoint). Heap a state owns is not counted:
-    /// a gate-per-LP state counts 32 B, and a compiled block the same
-    /// 32 B for its boxed `BlockState`. On the threaded executive only the
-    /// *source* cluster emits it.
+    /// pending event plus, per state (the current one and each
+    /// checkpoint), its inline `size_of::<State>()` and the heap it owns
+    /// ([`crate::Application::heap_bytes`]): a narrow gate counts 32 B, a
+    /// compiled block 32 B plus its boxed buffers. On the threaded
+    /// executive only the *source* cluster emits it.
     LpMigrated {
         /// The migrating LP.
         lp: LpId,

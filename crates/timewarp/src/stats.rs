@@ -142,7 +142,7 @@ kernel_counters! {
         migrations: Sum => migrations;
         /// Modeled bytes of LP closure (current state + checkpoints +
         /// pending events) moved by migrations, each state counted at its
-        /// inline size (see `ProbeEvent::LpMigrated`).
+        /// inline size plus the heap it owns (see `ProbeEvent::LpMigrated`).
         migrated_state_bytes: Sum => migrated_bytes;
     }
     aggregate_only {

@@ -80,6 +80,43 @@ impl Application for Tripwire {
     }
 }
 
+/// A [`Ring`] whose every state, live or filed, declares `heap` bytes of
+/// heap: a fat LP as the kernel's memory pacing and migration pricing see
+/// it, with a thin LP's dynamics.
+#[derive(Debug)]
+pub(crate) struct Heavy {
+    pub ring: Ring,
+    pub heap: usize,
+}
+
+impl Application for Heavy {
+    type Msg = u64;
+    type State = u64;
+
+    fn num_lps(&self) -> usize {
+        self.ring.num_lps()
+    }
+    fn init_state(&self, lp: LpId) -> u64 {
+        self.ring.init_state(lp)
+    }
+    fn init_events(&self, lp: LpId, s: &mut u64, sink: &mut EventSink<u64>) {
+        self.ring.init_events(lp, s, sink);
+    }
+    fn execute(
+        &self,
+        lp: LpId,
+        state: &mut u64,
+        now: VTime,
+        msgs: &[(LpId, u64)],
+        sink: &mut EventSink<u64>,
+    ) {
+        self.ring.execute(lp, state, now, msgs, sink);
+    }
+    fn heap_bytes(&self, _state: &u64) -> usize {
+        self.heap
+    }
+}
+
 /// Four LPs that never schedule anything.
 pub(crate) struct Idle;
 

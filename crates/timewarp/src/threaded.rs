@@ -673,10 +673,14 @@ impl<M, P: Probe> Lane<M, P> {
                     self.accept(batch, core, homes, seam);
                     return Ok(false);
                 }
-                // A GVT round when due locally, when idle, or when any
-                // cluster requested one.
+                // A GVT round when due locally — by batch count or by the
+                // checkpoint heap filed since the last commit — when idle,
+                // or when any cluster requested one.
                 let next = core.next_ready();
-                if self.batches_since_gvt >= epoch.cfg.gvt_period || next.is_none() {
+                if self.batches_since_gvt >= epoch.cfg.gvt_period
+                    || core.heap_due()
+                    || next.is_none()
+                {
                     self.request_gvt(seam);
                 }
                 if seam.raised() {
@@ -758,11 +762,12 @@ impl<M, P: Probe> Lane<M, P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::CHECKPOINT_HEAP_BUDGET;
     use crate::event::{Event, EventId};
     use crate::phold::Phold;
     use crate::probe::NoProbe;
     use crate::sim::{Backend, Simulator};
-    use crate::testkit::{round_robin, Idle, Ring};
+    use crate::testkit::{round_robin, Heavy, Idle, Ring};
 
     fn reduce(rendezvous: &Rendezvous, add: u64, min: u64) -> Result<Reduced, Poisoned> {
         rendezvous.release(rendezvous.arrive(add, min))
@@ -947,6 +952,25 @@ mod tests {
     fn a_round_after_every_batch_commits_the_sequential_history() {
         round_per_batch_sweep(&Ring { n: 8, hops: 20 });
         round_per_batch_sweep(&Phold { lps: 8, horizon: 60, ..Default::default() });
+    }
+
+    /// States that each pin the whole heap budget make a round due after
+    /// every checkpoint: however the threads interleave, no cluster files
+    /// two between commits, so the rounds outnumber the checkpoints per
+    /// cluster — where the batch count alone (`gvt_period` 512) asks for
+    /// none.
+    #[test]
+    fn threaded_checkpoint_heap_paces_gvt_rounds() {
+        let ring = Ring { n: 12, hops: 20 };
+        let seq = Simulator::new(&ring).run(Backend::Sequential).unwrap();
+        let heavy = Heavy { ring, heap: CHECKPOINT_HEAP_BUDGET };
+        for clusters in [2, 3] {
+            let res = threaded(&heavy, &round_robin(12, clusters), clusters, &Default::default());
+            assert_eq!(res.states, seq.states, "{clusters} clusters");
+            assert_eq!(res.stats.events_committed, seq.stats.events_processed);
+            let (rounds, saved) = (res.stats.gvt_rounds, res.stats.states_saved);
+            assert!(saved <= clusters as u64 * rounds, "{saved} saves in {rounds} rounds");
+        }
     }
 
     #[test]
