@@ -123,6 +123,7 @@ mod tests {
         let hot = activity_weighted_graph(&netlist, &profile);
         for v in hot.vertices() {
             for &(_, w) in hot.fanout(v) {
+                let w = u64::from(w);
                 assert!(w >= 1);
                 assert!(w > profile.of(v) || w % (profile.of(v) + 1) == 0);
             }

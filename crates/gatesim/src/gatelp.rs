@@ -114,7 +114,7 @@ pub(crate) fn fnv_step(h: u64, t: VTime, v: Value) -> u64 {
 
 /// What only one kind of gate keeps: the fields the other kinds do not
 /// use share this one 16-byte slot of [`GateState`].
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 enum Role {
     /// A combinational gate of at most 32 inputs: the current value of
     /// every input pin, inline.
@@ -135,13 +135,38 @@ enum Role {
     },
 }
 
+impl Clone for Role {
+    #[inline]
+    fn clone(&self) -> Role {
+        match self {
+            Role::Narrow(pins) => Role::Narrow(*pins),
+            Role::Wide(pins) => Role::Wide(pins.clone()),
+            Role::Input(stream) => Role::Input(stream.clone()),
+            &Role::Dff { d, next_tick } => Role::Dff { d, next_tick },
+        }
+    }
+
+    /// Copies a boxed role into `self`'s box when both have the same kind,
+    /// so a checkpoint or restore of a primary input or a wide gate through
+    /// a spare allocates nothing (the derived `clone_from` would).
+    #[inline]
+    fn clone_from(&mut self, source: &Role) {
+        match (self, source) {
+            (Role::Wide(mine), Role::Wide(theirs)) => mine.clone_from(theirs),
+            (Role::Input(mine), Role::Input(theirs)) => mine.clone_from(theirs),
+            (me, _) => *me = source.clone(),
+        }
+    }
+}
+
 /// Per-gate LP state, 32 bytes. `Clone` is the checkpoint operation: one
 /// flat copy, plus one allocation for a primary input or a gate wider
-/// than 32 inputs (see the module docs).
+/// than 32 inputs (see the module docs); `clone_from` into a state of the
+/// same gate reuses that allocation.
 /// (No `PartialEq`: the stimulus stream's RNG is not comparable; run
 /// equivalence is checked through [`GateState::trace_hash`] fingerprints
 /// instead.)
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct GateState {
     /// Pins, stimulus stream or D input and tick, by the gate's kind.
     role: Role,
@@ -153,6 +178,26 @@ pub struct GateState {
     pub transitions: u32,
 }
 
+impl Clone for GateState {
+    #[inline]
+    fn clone(&self) -> GateState {
+        GateState {
+            role: self.role.clone(),
+            output: self.output,
+            trace_hash: self.trace_hash,
+            transitions: self.transitions,
+        }
+    }
+
+    #[inline]
+    fn clone_from(&mut self, source: &GateState) {
+        self.role.clone_from(&source.role);
+        self.output = source.output;
+        self.trace_hash = source.trace_hash;
+        self.transitions = source.transitions;
+    }
+}
+
 impl GateState {
     fn fresh(role: Role) -> GateState {
         GateState { role, output: Value::X, trace_hash: FNV_BASIS, transitions: 0 }
@@ -160,11 +205,23 @@ impl GateState {
 
     /// Bytes this state owns beyond its 32 inline ones: the box of a
     /// primary input or of a gate wider than 32 pins, none otherwise.
+    #[inline]
     pub(crate) fn heap_bytes(&self) -> usize {
         match &self.role {
             Role::Narrow(_) | Role::Dff { .. } => 0,
             Role::Wide(pins) => std::mem::size_of_val(&**pins),
             Role::Input(stream) => std::mem::size_of_val(&**stream),
+        }
+    }
+
+    /// Address of the box this state owns, if any: two states that share
+    /// one allocation over time report the same address.
+    #[cfg(test)]
+    pub(crate) fn heap_address(&self) -> Option<*const u8> {
+        match &self.role {
+            Role::Narrow(_) | Role::Dff { .. } => None,
+            Role::Wide(pins) => Some(std::ptr::from_ref(&**pins).cast()),
+            Role::Input(stream) => Some(std::ptr::from_ref(&**stream).cast()),
         }
     }
 

@@ -229,15 +229,21 @@ impl Application for GateModel {
     }
 
     /// Gate states are one flat copy, plus one box for a primary input or
-    /// a gate wider than 32 pins (so few that the spare is not reused);
-    /// block states file an incremental snapshot
+    /// a gate wider than 32 pins, built in the spare's box when one is
+    /// handed in; block states file an incremental snapshot
     /// (`BlockState::snapshot`) in the spare's buffers. Inlined into the
     /// kernel's batch loop with the gate arm first: a gate-per-LP run
     /// files one of these per event.
     #[inline]
     fn checkpoint(&self, live: &mut ModelState, spare: Option<ModelState>) -> ModelState {
         match live {
-            ModelState::Gate(g) => ModelState::Gate(g.clone()),
+            ModelState::Gate(g) => ModelState::Gate(match spare {
+                Some(ModelState::Gate(mut s)) => {
+                    s.clone_from(g);
+                    s
+                }
+                _ => g.clone(),
+            }),
             ModelState::Block(b) => ModelState::Block(b.snapshot(match spare {
                 Some(ModelState::Block(s)) => Some(s),
                 _ => None,
@@ -677,6 +683,26 @@ mod tests {
         assert_eq!(app.heap_bytes(&snap), size_of::<BlockState>() + s.heap_bytes());
         assert!(s.heap_bytes() >= size_of_val(&b.vals[..]), "a snapshot carries the slot values");
         assert!(s.heap_bytes() <= b.heap_bytes() - b.per_slot_bytes(), "and no per-slot array");
+    }
+
+    /// A primary input's checkpoint is built in the box of the spare it is
+    /// handed: two checkpoints of one input through one spare share one
+    /// allocation. A restore copies into the live state's own box.
+    #[test]
+    fn an_input_checkpoint_reuses_its_spares_box() {
+        let netlist = IscasSynth::small(40, 3).build();
+        let app = cfg(100).build_app(&netlist);
+        let input = netlist.ids().find(|&g| netlist.is_input(g)).unwrap();
+        let mut live = app.init_state(input);
+        let address = |s: &ModelState| s.as_gate().and_then(|g| g.heap_address()).unwrap();
+        let first = app.checkpoint(&mut live, None);
+        let boxed = address(&first);
+        assert_ne!(boxed, address(&live), "a fresh checkpoint owns its own box");
+        let second = app.checkpoint(&mut live, Some(first));
+        assert_eq!(address(&second), boxed, "the spare's box was freed and another allocated");
+        let before = address(&live);
+        app.restore(&mut live, &second, &[]);
+        assert_eq!(address(&live), before, "a restore reallocated the live state's box");
     }
 
     /// A compiled block migrates with its buffers and those of every

@@ -7,17 +7,27 @@
 //! (fanout/fanin) is preserved because several of the paper's algorithms —
 //! DFS, Cluster, Cone, Topological and fanout coarsening — are inherently
 //! directional; cut and refinement computations use the undirected view.
+//!
+//! Weights are stored in 32 bits, so an adjacency entry is 8 bytes. Every
+//! constructor checks that the graph's total vertex weight and total edge
+//! weight fit in a [`Weight`]; a coarse graph's totals are at most its
+//! finer graph's, so no merge of vertices or parallel edges can overflow.
+//! Sums over many vertices or edges (loads, cuts, [`CircuitGraph::total_weight`])
+//! are `u64`.
 
 use pls_netlist::{levelize, Csr, Netlist};
 
 /// Vertex id within a [`CircuitGraph`].
 pub type VertexId = u32;
 
+/// Weight of a vertex or an edge as stored.
+pub type Weight = u32;
+
 /// A weighted, directed circuit graph (with undirected iteration helpers).
 #[derive(Debug, Clone)]
 pub struct CircuitGraph {
     name: String,
-    vweight: Vec<u64>,
+    vweight: Vec<Weight>,
     /// Directed out-edges `(reader, weight)` of each vertex, one flat
     /// array for the whole graph. Deduplicated (parallel signals merged
     /// into the weight) on graphs built from a netlist or by contraction.
@@ -46,6 +56,8 @@ impl CircuitGraph {
     /// merged into the edge weight).
     pub fn from_netlist(netlist: &Netlist) -> CircuitGraph {
         let n = netlist.len();
+        // Every pin read weighs 1.
+        assert_weights_fit(netlist.name(), n as u64, netlist.num_edges() as u64);
         let mut fanout = Csr::with_capacity(n, netlist.num_edges());
         let mut readers: Vec<VertexId> = Vec::new();
         for id in netlist.ids() {
@@ -72,8 +84,14 @@ impl CircuitGraph {
         }
     }
 
-    /// Assemble a graph from raw parts (used by tests); parallel edges
-    /// listed next to each other merge by weight.
+    /// Assemble a graph from raw parts (used by tests and by
+    /// activity-weighted graphs); parallel edges listed next to each other
+    /// merge by weight.
+    ///
+    /// # Panics
+    ///
+    /// If the total vertex weight or the total edge weight exceeds
+    /// [`Weight::MAX`].
     pub fn from_parts(
         name: String,
         vweight: Vec<u64>,
@@ -81,10 +99,14 @@ impl CircuitGraph {
         is_input: Vec<bool>,
     ) -> CircuitGraph {
         assert_eq!(fanout.len(), vweight.len());
-        let edges = fanout
-            .iter()
-            .enumerate()
-            .flat_map(|(v, outs)| outs.iter().map(move |&(w, ew)| (v as VertexId, w, ew)));
+        let vertex_total = vweight.iter().fold(0u64, |t, &w| t.saturating_add(w));
+        let edge_total = fanout.iter().flatten().fold(0u64, |t, &(_, ew)| t.saturating_add(ew));
+        assert_weights_fit(&name, vertex_total, edge_total);
+        // Each weight is at most its total, so none is truncated.
+        let vweight = vweight.into_iter().map(|w| w as Weight).collect();
+        let edges = fanout.iter().enumerate().flat_map(|(v, outs)| {
+            outs.iter().map(move |&(w, ew)| (v as VertexId, w, ew as Weight))
+        });
         CircuitGraph::from_edges(name, vweight, edges, is_input)
     }
 
@@ -92,10 +114,12 @@ impl CircuitGraph {
     /// edges in ascending driver order. Consecutive edges between the same
     /// pair merge by weight, so edges sorted by `(driver, reader)` come out
     /// deduplicated: the coarsener writes its contracted edges straight in.
+    /// The weights must come from a checked graph (a contraction's totals
+    /// are at most its finer graph's), so no merge overflows.
     pub(crate) fn from_edges(
         name: String,
-        vweight: Vec<u64>,
-        edges: impl IntoIterator<Item = (VertexId, VertexId, u64)>,
+        vweight: Vec<Weight>,
+        edges: impl IntoIterator<Item = (VertexId, VertexId, Weight)>,
         is_input: Vec<bool>,
     ) -> CircuitGraph {
         let n = vweight.len();
@@ -106,7 +130,7 @@ impl CircuitGraph {
             push_edge(&mut fanout, from, to, w);
         }
         let fanout = finish(fanout, n);
-        let total_weight = vweight.iter().sum();
+        let total_weight = vweight.iter().map(|&w| u64::from(w)).sum();
         CircuitGraph {
             name,
             vweight,
@@ -150,9 +174,9 @@ impl CircuitGraph {
         0..self.len() as VertexId
     }
 
-    /// Weight of a vertex.
+    /// Weight of a vertex, widened so that loads sum without casts.
     pub fn vweight(&self, v: VertexId) -> u64 {
-        self.vweight[v as usize]
+        u64::from(self.vweight[v as usize])
     }
 
     /// Sum of all vertex weights.
@@ -161,12 +185,12 @@ impl CircuitGraph {
     }
 
     /// Directed out-edges of `v`.
-    pub fn fanout(&self, v: VertexId) -> &[(VertexId, u64)] {
+    pub fn fanout(&self, v: VertexId) -> &[(VertexId, Weight)] {
         self.fanout.row(v as usize)
     }
 
     /// Directed in-edges of `v`.
-    pub fn fanin(&self, v: VertexId) -> &[(VertexId, u64)] {
+    pub fn fanin(&self, v: VertexId) -> &[(VertexId, Weight)] {
         self.fanin.row(v as usize)
     }
 
@@ -174,7 +198,7 @@ impl CircuitGraph {
     /// connected in both directions appears twice; cut metrics count each
     /// directed edge once, so this is only used for gain computations
     /// where the duplication is intentional (both signals would cross).
-    pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, u64)> + '_ {
+    pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = (VertexId, Weight)> + '_ {
         self.fanout(v).iter().copied().chain(self.fanin(v).iter().copied())
     }
 
@@ -214,13 +238,29 @@ impl CircuitGraph {
 
 /// Directed edges `(other end, weight)` of each vertex, as compressed
 /// sparse rows: a whole adjacency is two allocations however many
-/// vertices it has.
-type Adjacency = Csr<(VertexId, u64)>;
+/// vertices it has, and 8 bytes per edge.
+type Adjacency = Csr<(VertexId, Weight)>;
+
+const _: () = assert!(std::mem::size_of::<(VertexId, Weight)>() == 8);
+const _: () = assert!(std::mem::size_of::<Weight>() == 4);
+
+/// The one overflow check on a graph's weights: its total vertex weight
+/// and total edge weight fit in a [`Weight`], so every vertex, every edge
+/// and every sum of them a contraction or a parallel-edge merge forms does
+/// too.
+fn assert_weights_fit(name: &str, vertex_total: u64, edge_total: u64) {
+    let max = u64::from(Weight::MAX);
+    assert!(
+        vertex_total <= max && edge_total <= max,
+        "graph `{name}`: total vertex weight {vertex_total} or total edge weight \
+         {edge_total} exceeds the 32-bit weight limit {max}"
+    );
+}
 
 /// Append `from → to` to `table`, whose rows are filled in ascending
 /// `from`: the rows before `from` are closed first, and an edge to the
 /// open row's last reader merges into that edge by weight.
-fn push_edge(table: &mut Adjacency, from: VertexId, to: VertexId, w: u64) {
+fn push_edge(table: &mut Adjacency, from: VertexId, to: VertexId, w: Weight) {
     debug_assert!(table.rows() <= from as usize, "rows filled out of order");
     while table.rows() < from as usize {
         table.close_row();
@@ -325,5 +365,20 @@ mod tests {
         assert_eq!(g.total_weight(), 5);
         assert_eq!(g.fanin(1), &[(0, 5)]);
         assert!(!g.has_levels());
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "graph `heavy`: total vertex weight 2 or total edge weight 4294967296"
+    )]
+    fn total_edge_weight_beyond_32_bits_is_refused() {
+        // Each edge fits in 32 bits; merged, they would not.
+        let half = 1u64 << 31;
+        CircuitGraph::from_parts(
+            "heavy".into(),
+            vec![1, 1],
+            vec![vec![(1, half), (1, half)], vec![]],
+            vec![true, false],
+        );
     }
 }

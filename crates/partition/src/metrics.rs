@@ -34,7 +34,7 @@ pub fn edge_cut(g: &CircuitGraph, p: &Partitioning) -> u64 {
         let pv = p.part(v);
         for &(w, ew) in g.fanout(v) {
             if p.part(w) != pv {
-                cut += ew;
+                cut += u64::from(ew);
             }
         }
     }

@@ -20,9 +20,12 @@
 //! must deliver (without a cap, a high-fanout net would swallow thousands
 //! of gates into one unsplittable vertex).
 
-use crate::graph::{CircuitGraph, VertexId};
+use crate::graph::{CircuitGraph, VertexId, Weight};
 
-/// One level of the coarsening hierarchy.
+/// One level of the coarsening hierarchy: ≈ 15 bytes per coarse vertex,
+/// 16 per coarse edge and 4 per fine vertex (see the memory paragraph of
+/// [`crate::multilevel`]). The multilevel partitioner drops a level once
+/// uncoarsening has projected through it.
 #[derive(Debug, Clone)]
 pub struct CoarseLevel {
     /// The coarse graph `G_{i+1}`.
@@ -69,7 +72,10 @@ impl CoarsenConfig {
 /// the level that owns it), until the graph is at most `cfg.threshold`
 /// vertices, `cfg.max_levels` is reached, or a round finds nothing to
 /// combine. The returned vector is empty when `g0` is already below the
-/// threshold.
+/// threshold. A round costs `O(pins + N_E log N_E)` time and a transient
+/// 12-byte record per edge of the graph it contracts; every returned
+/// level stays alive until the caller drops it, so the hierarchy holds
+/// the sum of its levels' bytes.
 pub fn coarsen(g0: &CircuitGraph, cfg: &CoarsenConfig) -> Vec<CoarseLevel> {
     let mut levels: Vec<CoarseLevel> = Vec::new();
     while levels.len() < cfg.max_levels {
@@ -108,7 +114,7 @@ fn coarsen_round(g: &CircuitGraph, seeds: &[VertexId], cfg: &CoarsenConfig) -> O
     // the primary inputs in round one), then every remaining vertex.
     let mut visited = vec![false; n];
     let mut stack: Vec<VertexId> = Vec::new();
-    let mut outs: Vec<(VertexId, u64)> = Vec::new();
+    let mut outs: Vec<(VertexId, Weight)> = Vec::new();
 
     for root in seeds.iter().copied().chain(g.vertices()) {
         if visited[root as usize] {
@@ -166,13 +172,14 @@ fn coarsen_round(g: &CircuitGraph, seeds: &[VertexId], cfg: &CoarsenConfig) -> O
 /// originally composed" (paper §3), with internal edges dropped and
 /// parallel edges merged by weight.
 fn contract(g: &CircuitGraph, group_of: Vec<u32>, groups: usize) -> CoarseLevel {
-    let mut vweight = vec![0u64; groups];
+    let mut vweight: Vec<Weight> = vec![0; groups];
     let mut is_input = vec![false; groups];
     let mut members = vec![0u32; groups];
-    let mut edges: Vec<(u32, u32, u64)> = Vec::with_capacity(g.num_edges());
+    let mut edges: Vec<(u32, u32, Weight)> = Vec::with_capacity(g.num_edges());
     for v in g.vertices() {
         let gv = group_of[v as usize];
-        vweight[gv as usize] += g.vweight(v);
+        // `g`'s checked total bounds every globule's weight.
+        vweight[gv as usize] += g.vweight(v) as Weight;
         is_input[gv as usize] |= g.is_input(v);
         members[gv as usize] += 1;
         for &(w, ew) in g.fanout(v) {
@@ -277,7 +284,7 @@ mod tests {
             for &(w, ew) in g.fanout(v) {
                 let (cv, cw) = (l.map[v as usize], l.map[w as usize]);
                 if cv != cw {
-                    *expect.entry((cv, cw)).or_insert(0u64) += ew;
+                    *expect.entry((cv, cw)).or_insert(0) += ew;
                 }
             }
         }

@@ -91,7 +91,7 @@ pub struct RefineStats {
 fn connectivity(g: &CircuitGraph, p: &Partitioning, v: VertexId, conn: &mut [u64]) {
     conn.iter_mut().for_each(|c| *c = 0);
     for (w, ew) in g.neighbors(v) {
-        conn[p.part(w) as usize] += ew;
+        conn[p.part(w) as usize] += u64::from(ew);
     }
 }
 
@@ -161,7 +161,7 @@ fn incident_nets(g: &CircuitGraph, v: VertexId) -> impl Iterator<Item = VertexId
 
 /// Weight of the edge `v → v`, 0 if `v` does not read its own output.
 fn self_loop_weight(g: &CircuitGraph, v: VertexId) -> u64 {
-    g.fanin(v).iter().find(|&&(u, _)| u == v).map_or(0, |&(_, w)| w)
+    g.fanin(v).iter().find(|&&(u, _)| u == v).map_or(0, |&(_, w)| u64::from(w))
 }
 
 /// λ gains are bounded by the number of incident nets (≤ fanin + 1), far

@@ -122,14 +122,14 @@ pub fn replicated_edge_cut(g: &CircuitGraph, p: &Partitioning, plan: &ReplicaPla
         for &(r, w) in g.fanout(d) {
             let pr = p.part(r);
             if pr != pd && !planned.row(d as usize).contains(&pr) {
-                cut += w;
+                cut += u64::from(w);
             }
         }
     }
     for &Replica { gate, part } in &plan.replicas {
         for &(u, w) in g.fanin(gate) {
             if p.part(u) != part && !planned.row(u as usize).contains(&part) {
-                cut += w;
+                cut += u64::from(w);
             }
         }
     }
@@ -171,10 +171,10 @@ pub fn plan_replication(
             saved.fill(0);
             for &(r, w) in g.fanout(v) {
                 let pr = p.part(r);
-                saved[pr as usize] += w as i64;
+                saved[pr as usize] += i64::from(w);
                 for &q in planned.row(r as usize) {
                     if q != pr {
-                        saved[q as usize] += w as i64;
+                        saved[q as usize] += i64::from(w);
                     }
                 }
             }
@@ -187,7 +187,7 @@ pub fn plan_replication(
                 let mut added = 0i64;
                 for &(u, w) in g.fanin(v) {
                     if p.part(u) != q && !planned.row(u as usize).contains(&q) {
-                        added += w as i64;
+                        added += i64::from(w);
                     }
                 }
                 let gain = saved[q as usize] - added - cfg.gate_cost;

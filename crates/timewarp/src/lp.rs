@@ -135,7 +135,8 @@ pub struct Scratch<A: Application> {
     sink_buf: Vec<(LpId, VTime, A::Msg)>,
     /// Retired checkpoint states that own heap, newest last.
     spares: Vec<A::State>,
-    /// Checkpoints taken since the last [`Self::trim`].
+    /// Checkpoints of heap-owning states (the ones that take a spare)
+    /// since the last [`Self::trim`].
     taken: usize,
     /// [`Application::heap_bytes`] of the checkpoints filed since the last
     /// [`Self::trim`].
@@ -161,17 +162,24 @@ impl<A: Application> Scratch<A> {
     }
 
     /// A checkpoint of `live` to file ([`Application::checkpoint`]), built
-    /// in a retired state's buffers when one is spare.
+    /// in a retired state's buffers when one is spare. A spare is taken
+    /// only for a state that owns heap: a flat copy has no buffer to
+    /// build in, and would free the spare for nothing.
     fn checkpoint(&mut self, app: &A, live: &mut A::State) -> A::State {
-        self.taken += 1;
-        let saved = app.checkpoint(live, self.spares.pop());
+        let spare = if app.heap_bytes(live) > 0 {
+            self.taken += 1;
+            self.spares.pop()
+        } else {
+            None
+        };
+        let saved = app.checkpoint(live, spare);
         self.filed += app.heap_bytes(&saved);
         saved
     }
 
     /// Close a GVT interval. Drop the spares beyond the number of
-    /// checkpoints taken since the previous call: an interval cannot want
-    /// more than the last one took unless the run changes pace, so what a
+    /// spare-taking checkpoints since the previous call: an interval cannot
+    /// want more than the last one took unless the run changes pace, so what a
     /// burst left behind goes back to the allocator instead of counting
     /// towards peak memory. And start the heap count of the next interval.
     pub(crate) fn trim(&mut self) {
@@ -588,12 +596,16 @@ impl<A: Application> LpRuntime<A> {
         app.restore(&mut self.state, &anchor.state, &scratch.spares[retired..]);
         let replay_from = anchor.processed_len as usize;
         // Only the undone states that own heap stay spare: a flat copy has
-        // no buffers to lend.
-        let mut at = 0;
-        scratch.spares.retain(|s| {
-            at += 1;
-            at <= retired || app.heap_bytes(s) > 0
-        });
+        // no buffers to lend. Compacting just the undone tail keeps a
+        // rollback's cost independent of how many spares wait.
+        let mut kept = retired;
+        for i in retired..scratch.spares.len() {
+            if app.heap_bytes(&scratch.spares[i]) > 0 {
+                scratch.spares.swap(kept, i);
+                kept += 1;
+            }
+        }
+        scratch.spares.truncate(kept);
         debug_assert!(replay_from <= cut);
 
         // 3. Cancel in-flight outputs sent at or after `to`.
