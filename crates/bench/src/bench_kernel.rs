@@ -61,8 +61,8 @@ fn extract_object(text: &str, name: &str) -> Option<String> {
 /// medians as its baseline when `set_baseline`. A `smoke` run (reduced
 /// sizes: the CI perf-smoke step) or an `only` run (the scenarios whose
 /// name starts with the prefix: A/B timing during development — e.g.
-/// `dynlb_hotspot` runs both hotspot scenarios) prints its JSON to
-/// stdout and leaves the file alone. A prefix that names no scenario
+/// `gates_platform4` runs the three rows over that set-up) prints its
+/// JSON to stdout and leaves the file alone. A prefix that names no scenario
 /// lists the valid names and exits with code 2.
 pub fn bench_kernel(smoke: bool, set_baseline: bool, only: Option<&str>) {
     let mut suite = kernel_scenarios(smoke);

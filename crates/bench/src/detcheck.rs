@@ -10,8 +10,8 @@ use pls_netlist::IscasSynth;
 use pls_partition::metrics::{connectivity_cut, edge_cut};
 use pls_partition::{CircuitGraph, MultilevelPartitioner, Partitioning, ReplicationConfig};
 use pls_timewarp::{
-    Application, Backend, Cancellation, DynLbConfig, KernelConfig, KernelStats, Phold,
-    PlatformConfig, Simulator, TimeSeries,
+    Application, Backend, Cancellation, KernelConfig, KernelStats, Phold, PlatformConfig,
+    Simulator, TimeSeries,
 };
 
 use crate::kernel_scenarios::kernel_scenarios;
@@ -65,52 +65,6 @@ pub fn detcheck() {
         .run(Backend::Threaded { assignment: &thr_asg, clusters: 2 })
         .unwrap();
     println!("phold/thr2 states_match_seq: {}", thr.states == seq.states);
-
-    // --- Dynamic load balancing on the platform executive: must migrate,
-    // must commit the sequential history, and must be byte-reproducible
-    // (two identical runs, field-for-field identical reports).
-    {
-        let pcfg = PlatformConfig {
-            kernel: KernelConfig { gvt_period: 4, ..Default::default() },
-            ..Default::default()
-        };
-        let lb = DynLbConfig { period: 1, ..Default::default() };
-        let run = || {
-            Simulator::new(&model)
-                .platform_config(&pcfg)
-                .load_balancer(lb)
-                .probe(TimeSeries::new(50))
-                .run_probed(Backend::Platform { assignment: &assignment, nodes: 3 })
-                .unwrap()
-        };
-        let (a, a_series) = run();
-        let (b, b_series) = run();
-        stats_line("phold/plat3/dynlb", &a.stats);
-        println!("phold/plat3/dynlb states_match_seq: {}", a.states == seq.states);
-        println!(
-            "phold/plat3/dynlb exec_time_s: {:.9} clocks: {:?}",
-            a.outcome.exec_time_s().unwrap(),
-            a.outcome.node_clocks_ns().unwrap()
-        );
-        println!(
-            "phold/plat3/dynlb reproducible: {}",
-            a.stats == b.stats
-                && a.states == b.states
-                && a.outcome.node_clocks_ns() == b.outcome.node_clocks_ns()
-                && a_series.to_jsonl() == b_series.to_jsonl()
-        );
-        println!("phold/plat3/dynlb telemetry:\n{}", a_series.to_jsonl());
-
-        let dthr = Simulator::new(&model)
-            .load_balancer(lb)
-            .run(Backend::Threaded { assignment: &thr_asg, clusters: 2 })
-            .unwrap();
-        println!(
-            "phold/thr2/dynlb states_match_seq: {} migrated: {}",
-            dthr.states == seq.states,
-            dthr.stats.migrations > 0
-        );
-    }
 
     // --- Gate-level circuit.
     let netlist = IscasSynth::small(120, 3).build();

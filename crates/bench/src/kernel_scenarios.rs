@@ -13,17 +13,16 @@ use pls_partition::{
     CircuitGraph, MultilevelPartitioner, Partitioner, Partitioning, ReplicationConfig,
 };
 use pls_timewarp::{
-    Application, Backend, Cancellation, CostModel, DynLbConfig, KernelConfig, KernelStats, Phold,
-    PlatformConfig, RotatingHotspot, RunReport, Simulator,
+    Application, Backend, Cancellation, CostModel, KernelConfig, KernelStats, Phold,
+    PlatformConfig, RunReport, Simulator,
 };
 
 use crate::{bench_events, BenchSummary};
 
 /// What one scenario execution measured. `units` is the ns/unit
 /// denominator; the rest disambiguates pairs whose host timing is
-/// indistinguishable — the modeled makespan separates
-/// `dynlb_hotspot_static/dynamic`, and the message counts in `stats`
-/// separate the replication on/off pairs.
+/// indistinguishable — the message counts in `stats` separate the
+/// replication on/off pairs.
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioOutcome {
     /// Work units for the ns/unit denominator.
@@ -47,18 +46,10 @@ fn work(s: &KernelStats) -> u64 {
     s.ops_executed + s.events_processed
 }
 
-/// The hotspot denominator: events *committed*. The useful work is
-/// identical within a static/dynamic pair, processed counts are not
-/// (rollback waste is part of what migration removes), so these ns/event
-/// are comparable within the pair but not against other rows.
-pub fn committed(s: &KernelStats) -> u64 {
-    s.events_committed
-}
-
 /// Fold a kernel run report into a [`ScenarioOutcome`].
-fn outcome<A: Application>(units: fn(&KernelStats) -> u64, rep: &RunReport<A>) -> ScenarioOutcome {
+fn outcome<A: Application>(rep: &RunReport<A>) -> ScenarioOutcome {
     ScenarioOutcome {
-        units: units(&rep.stats),
+        units: work(&rep.stats),
         modeled_s: rep.outcome.exec_time_s().unwrap_or(0.0),
         stats: rep.stats.clone(),
     }
@@ -66,20 +57,10 @@ fn outcome<A: Application>(units: fn(&KernelStats) -> u64, rep: &RunReport<A>) -
 
 /// The one platform-run constructor: `app` on 4 virtual nodes under
 /// `assignment`, with whatever a row adds to the default run.
-pub fn platform4<A: Application + 'static>(
-    app: A,
-    assignment: Vec<u32>,
-    pcfg: PlatformConfig,
-    lb: Option<DynLbConfig>,
-    units: fn(&KernelStats) -> u64,
-) -> Run {
+fn platform4<A: Application + 'static>(app: A, assignment: Vec<u32>, pcfg: PlatformConfig) -> Run {
     Box::new(move || {
-        let mut sim = Simulator::new(&app).platform_config(&pcfg);
-        if let Some(lb) = lb {
-            sim = sim.load_balancer(lb);
-        }
-        let rep = sim.run(Backend::Platform { assignment: &assignment, nodes: 4 }).unwrap();
-        outcome(units, &rep)
+        let sim = Simulator::new(&app).platform_config(&pcfg);
+        outcome(&sim.run(Backend::Platform { assignment: &assignment, nodes: 4 }).unwrap())
     })
 }
 
@@ -129,7 +110,7 @@ impl GateSetup {
     /// edge is internal.
     fn sequential(&self, exec: ExecModel) -> Run {
         let app = self.config(exec, None).build_app(&self.netlist);
-        Box::new(move || outcome(work, &Simulator::new(&app).run(Backend::Sequential).unwrap()))
+        Box::new(move || outcome(&Simulator::new(&app).run(Backend::Sequential).unwrap()))
     }
 
     /// On 4 virtual nodes under the multilevel partition; compiled blocks
@@ -147,7 +128,7 @@ impl GateSetup {
             &self.part,
         );
         let assignment = app.lp_assignment(&self.part.assignment);
-        platform4(app, assignment, pcfg, None, work)
+        platform4(app, assignment, pcfg)
     }
 }
 
@@ -182,18 +163,7 @@ pub fn kernel_scenarios(smoke: bool) -> Vec<(&'static str, Run)> {
     let phold = |population_per_lp, mean_delay, locality_pct, horizon, seed, pcfg| {
         let lps = scale(48, 16) as usize;
         let model = Phold { lps, population_per_lp, mean_delay, locality_pct, horizon, seed };
-        platform4(model, striped(lps, 4), pcfg, None, work)
-    };
-    // The rotating hotspot from the same starting placement — round-robin
-    // striped, the *best* static choice for this workload (block loses ~2×
-    // to imbalance; see the report's load-balancing section for the full
-    // table). Host timing alone cannot separate a static/dynamic pair (the
-    // virtual platform runs the same host work either way); the recorded
-    // `modeled_s` makespan is where migration's win shows up.
-    let hotspot = |dynamic: bool| {
-        let (model, pcfg, lb) = hotspot_setup(smoke);
-        let lb = dynamic.then_some(lb);
-        platform4(model, round_robin(model.lps, 4), pcfg, lb, committed)
+        platform4(model, striped(lps, 4), pcfg)
     };
 
     vec![
@@ -247,8 +217,6 @@ pub fn kernel_scenarios(smoke: bool) -> Vec<(&'static str, Run)> {
         // Lazy cancellation with sparse checkpoints: the pending_cancel
         // regeneration filter plus coast-forward replay dominate.
         ("lazy_sparse_ckpt", phold(4, 4, 10, scale(1000, 250), 0x1A2B, lazy(None, 4))),
-        ("dynlb_hotspot_static", hotspot(false)),
-        ("dynlb_hotspot_dynamic", hotspot(true)),
     ]
 }
 
@@ -271,77 +239,4 @@ fn striped(n: usize, parts: usize) -> Vec<u32> {
 /// already minimized.
 fn scenario_replication() -> ReplicationConfig {
     ReplicationConfig { budget_per_part: 128, min_fanout: 1, max_fanin: 5, gate_cost: 0, passes: 4 }
-}
-
-/// Round-robin assignment: perfect load spread, worst-case locality
-/// (every ring edge crosses a node boundary).
-pub fn round_robin(n: usize, parts: usize) -> Vec<u32> {
-    (0..n).map(|i| (i % parts) as u32).collect()
-}
-
-/// The shared workload of the `dynlb_hotspot_*` rows (and the report's
-/// load-balancing section): a rotating hot window over a 4-node ring, with
-/// a GVT cadence tight enough for the balancer to track the rotation, a
-/// bounded optimism window so migration shocks cannot snowball into deep
-/// rollbacks, and a balancing period of ~once per hot-window shift.
-pub fn hotspot_setup(smoke: bool) -> (RotatingHotspot, PlatformConfig, DynLbConfig) {
-    let model = if smoke {
-        RotatingHotspot {
-            lps: 32,
-            phases: 3,
-            phase_len: 150,
-            hot_width: 8,
-            hot_factor: 8,
-            work_hops: 9,
-            ..Default::default()
-        }
-    } else {
-        RotatingHotspot {
-            phase_len: 200,
-            hot_width: 14,
-            hot_factor: 8,
-            work_hops: 15,
-            ..Default::default()
-        }
-    };
-    let pcfg = with_kernel(KernelConfig { gvt_period: 4, window: Some(4), ..Default::default() });
-    let lb = DynLbConfig { period: 16, ..Default::default() };
-    (model, pcfg, lb)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// The premise of the `dynlb_hotspot_*` pair: on the same workload
-    /// and the same starting placement, dynamic balancing must finish
-    /// sooner than static — and without touching the useful (committed)
-    /// work.
-    #[test]
-    fn dynamic_balancing_beats_the_static_placement() {
-        let run = |dynlb: bool| {
-            let (model, pcfg, lb) = hotspot_setup(true);
-            let assignment = round_robin(model.lps, 4);
-            let mut sim = Simulator::new(&model).platform_config(&pcfg);
-            if dynlb {
-                sim = sim.load_balancer(lb);
-            }
-            sim.run(Backend::Platform { assignment: &assignment, nodes: 4 }).unwrap()
-        };
-        let fixed = run(false);
-        let balanced = run(true);
-        assert_eq!(
-            fixed.stats.events_committed, balanced.stats.events_committed,
-            "migration must not change the committed history"
-        );
-        assert!(balanced.stats.migrations > 0, "the balancer must actually act");
-        let (fixed_s, balanced_s) = (
-            fixed.outcome.exec_time_s().expect("platform run"),
-            balanced.outcome.exec_time_s().expect("platform run"),
-        );
-        assert!(
-            balanced_s < fixed_s,
-            "dynamic ({balanced_s:.4}s) must beat static ({fixed_s:.4}s) on the hotspot"
-        );
-    }
 }

@@ -117,8 +117,8 @@ fn table1(circuits: &[Netlist]) -> String {
 /// the one renderer of every deterministic study on it: every table and
 /// figure, each cell run once, formatted next to the paper's published
 /// values where the paper gives them numerically (Tables 1–2; figures
-/// are compared by shape), then the cost-model sensitivity, seed
-/// replication and static-vs-dynamic load-balancing studies.
+/// are compared by shape), then the cost-model sensitivity and seed
+/// replication studies.
 pub fn report() {
     let mut grid = Grid::new(paper_sim_config());
 
@@ -195,7 +195,6 @@ pub fn report() {
 
     studies::sensitivity(&mut grid);
     studies::replicate(&mut grid);
-    studies::dynlb();
 }
 
 #[cfg(test)]

@@ -1,14 +1,12 @@
 //! The report's sections beyond the paper's evaluation: cost-model
-//! sensitivity, robustness across stimulus seeds, and static vs dynamic
-//! load balancing. The first two read their paper-platform, seed-0xCAFE
-//! cells from the report's own [`Grid`] and run only the cells whose
-//! configuration differs.
+//! sensitivity and robustness across stimulus seeds. Both read their
+//! paper-platform, seed-0xCAFE cells from the report's own [`Grid`] and
+//! run only the cells whose configuration differs.
 
 use pls_gatesim::SimConfig;
 use pls_logic::StimulusConfig;
 use pls_timewarp::CostModel;
 
-use crate::kernel_scenarios::{committed, hotspot_setup, platform4, round_robin};
 use crate::{Grid, STRATEGY_ORDER};
 
 /// Ratio of remote-message total cost to local event execution — the
@@ -103,77 +101,4 @@ pub(crate) fn replicate(grid: &mut Grid) {
          ({mean:.2} s mean, {:.2}x speedup).",
         seq_mean / mean
     );
-}
-
-fn block(n: usize, parts: usize) -> Vec<u32> {
-    let per = n.div_ceil(parts);
-    (0..n).map(|i| (i / per) as u32).collect()
-}
-
-/// Static vs dynamic load balancing on the rotating-hotspot workload —
-/// the experiment behind the "static vs dynamic partitioning" appendix
-/// in `EXPERIMENTS.md`.
-///
-/// Four configurations of the exact same workload:
-///
-/// * `static block`   — contiguous placement (best locality, worst balance)
-/// * `static striped` — round-robin placement (best balance, worst locality)
-/// * `dynamic (from block / from striped)` — the same two starting
-///   placements with LP migration at GVT commit (default greedy policy);
-///   converging from both extremes shows the balancer finds the tracking
-///   placement rather than inheriting a lucky start
-///
-/// Each runs once, and this prints what repeats exactly from run to run:
-/// the modeled execution time (the virtual-cluster clock), rollbacks,
-/// remote messages, events processed and committed, balancing rounds and
-/// migrations. The dynamic rows are then compared with the best static
-/// one on modeled time.
-pub(crate) fn dynlb() {
-    let (model, pcfg, lb) = hotspot_setup(false);
-    println!("\n## Static vs dynamic load balancing — rotating hotspot\n");
-    println!(
-        "{} LPs, {} phases x {} vt, hot window {}, 4 nodes; modeled seconds.\n",
-        model.lps, model.phases, model.phase_len, model.hot_width
-    );
-
-    let blk = block(model.lps, 4);
-    let striped = round_robin(model.lps, 4);
-    let rows = [
-        ("static block", &blk, None),
-        ("static striped", &striped, None),
-        ("dynamic (from block)", &blk, Some(lb)),
-        ("dynamic (from striped)", &striped, Some(lb)),
-    ]
-    .map(|(name, assignment, lb)| {
-        (name, platform4(model, assignment.clone(), pcfg, lb, committed)())
-    });
-
-    println!(
-        "| Placement | Modeled s | Rollbacks | Remote | Processed | Committed | Rounds | Migrations |"
-    );
-    println!("|---|---|---|---|---|---|---|---|");
-    for (name, o) in &rows {
-        println!(
-            "| {name} | {:.4} | {} | {} | {} | {} | {} | {} |",
-            o.modeled_s,
-            o.stats.rollbacks(),
-            o.stats.app_messages,
-            o.stats.events_processed,
-            o.stats.events_committed,
-            o.stats.lb_rounds,
-            o.stats.migrations,
-        );
-    }
-
-    let (best, best_static) = rows[..2]
-        .iter()
-        .min_by(|a, b| a.1.modeled_s.total_cmp(&b.1.modeled_s))
-        .expect("two static rows");
-    println!();
-    for (name, o) in &rows[2..] {
-        println!(
-            "- {name} vs best static ({best}): modeled {:+.1}%",
-            100.0 * (o.modeled_s / best_static.modeled_s - 1.0),
-        );
-    }
 }

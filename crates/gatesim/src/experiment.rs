@@ -11,8 +11,8 @@ use pls_logic::{DelayModel, StimulusConfig};
 use pls_netlist::{topo_order, GateId, Netlist};
 use pls_partition::{plan_replication, CircuitGraph, Partitioner, Partitioning, ReplicationConfig};
 use pls_timewarp::{
-    platform::sequential_modeled_time_s, Backend, DynLbConfig, KernelStats, PlatformConfig,
-    SimError, Simulator, TimeSeries,
+    platform::sequential_modeled_time_s, Backend, KernelStats, PlatformConfig, SimError, Simulator,
+    TimeSeries,
 };
 
 use crate::compiled::{CompileError, CompiledSim};
@@ -33,10 +33,6 @@ pub struct SimConfig {
     pub delay: DelayModel,
     /// Platform (cost model, kernel knobs, memory limit).
     pub platform: PlatformConfig,
-    /// Dynamic load balancing: `Some` migrates LPs between nodes at GVT
-    /// commit with the default greedy policy; `None` keeps the static
-    /// placement for the whole run.
-    pub dynlb: Option<DynLbConfig>,
     /// Execution engine. With [`ExecModel::CompiledBlocks`] and no
     /// explicit block map, [`Cell`] derives one block per partition part.
     pub exec: ExecModel,
@@ -54,7 +50,6 @@ impl Default for SimConfig {
             clock_period: 10,
             delay: DelayModel::PerKind,
             platform: PlatformConfig::default(),
-            dynlb: None,
             exec: ExecModel::GatePerLp,
             replication: None,
         }
@@ -351,13 +346,10 @@ impl<'a> Cell<'a> {
         let assignment = app.lp_assignment(&partitioning.assignment);
         let edge_cut = pls_partition::metrics::edge_cut(self.graph, partitioning);
         let connectivity_cut = pls_partition::metrics::connectivity_cut(self.graph, partitioning);
-        let mut sim = Simulator::new(app)
+        let run = Simulator::new(app)
             .platform_config(&self.cfg.platform)
-            .probe(self.bucket.map(TimeSeries::new));
-        if let Some(d) = self.cfg.dynlb {
-            sim = sim.load_balancer(d);
-        }
-        let run = sim.run_probed(Backend::Platform { assignment: &assignment, nodes: self.nodes });
+            .probe(self.bucket.map(TimeSeries::new))
+            .run_probed(Backend::Platform { assignment: &assignment, nodes: self.nodes });
         let (exec_time_s, stats, telemetry, out_of_memory) = match run {
             Ok((res, telemetry)) => {
                 if self.check {
@@ -520,30 +512,6 @@ mod tests {
             ml.stats.app_messages,
             rnd.stats.app_messages
         );
-    }
-
-    #[test]
-    fn dynlb_cell_matches_the_sequential_oracle_and_migrates() {
-        let netlist = IscasSynth::small(150, 3).build();
-        let graph = CircuitGraph::from_netlist(&netlist);
-        let mut cfg = small_cfg();
-        cfg.platform.kernel.gvt_period = 8;
-        cfg.dynlb = Some(DynLbConfig { period: 1, ..Default::default() });
-        let seq = run_seq_baseline(&netlist, &cfg);
-        // Worst-case static placement: every gate on node 0 of 4. The
-        // balancer must spread the load without changing the history.
-        let part = Partitioning::new(4, vec![0; graph.len()]);
-        let m = Cell::new(&netlist, &graph, &cfg).run_with(&part, "AllOnZero");
-        assert!(!m.out_of_memory);
-        assert!(m.stats.migrations > 0, "fully skewed placement must migrate");
-        assert_eq!(m.stats.events_committed, seq.events);
-        let app = cfg.build_app(&netlist);
-        let res = Simulator::new(&app)
-            .platform_config(&cfg.platform)
-            .load_balancer(cfg.dynlb.unwrap())
-            .run(Backend::Platform { assignment: &part.assignment, nodes: 4 })
-            .unwrap();
-        assert_eq!(app.fingerprint(&res.states), seq.fingerprint, "dynlb diverged from oracle");
     }
 
     #[test]

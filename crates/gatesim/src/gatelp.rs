@@ -54,9 +54,7 @@
 //! messages to that part disappear; every replica emission declares the
 //! elided sends via [`EventSink::note_messages_saved`]. Committed
 //! fingerprints hash only the first `num_gates` states, so replication
-//! is invisible to the determinism oracle. Replica LPs pin themselves
-//! against dynamic load balancing ([`Application::pinned_lps`]):
-//! migrating one would reintroduce the boundary traffic it removes.
+//! is invisible to the determinism oracle.
 
 use std::collections::BTreeMap;
 
@@ -532,11 +530,6 @@ impl Application for GateSim {
 
     fn replicated_units(&self) -> u64 {
         (self.kinds.len() - self.num_gates) as u64
-    }
-
-    #[allow(clippy::cast_possible_truncation, reason = "LP ids fit `u32`: `LpId` is `u32`")]
-    fn pinned_lps(&self) -> Vec<LpId> {
-        (self.num_gates as LpId..self.kinds.len() as LpId).collect()
     }
 }
 

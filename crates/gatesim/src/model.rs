@@ -279,16 +279,6 @@ impl Application for GateModel {
             GateModel::Compiled(c) => c.num_replicas(),
         }
     }
-
-    fn pinned_lps(&self) -> Vec<LpId> {
-        match self {
-            // Replica LPs must not migrate away from the part they serve.
-            GateModel::PerGate(sim) => sim.pinned_lps(),
-            // Compiled replicas ride inside their block LP; a migrating
-            // block carries them along, so nothing needs pinning.
-            GateModel::Compiled(_) => Vec::new(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -342,24 +332,21 @@ mod tests {
     }
 
     #[test]
-    fn replica_lps_are_pinned_and_assigned_to_their_target_part() {
+    fn replica_lps_are_assigned_to_their_target_part() {
         let (netlist, parts, pairs) = replicated_setup();
         let app = cfg(100).construct(&netlist, Some(&parts), &pairs).unwrap();
         let n = netlist.len();
         assert_eq!(app.num_lps(), n + pairs.len());
         assert_eq!(app.num_gates(), n);
-        let pinned = app.pinned_lps();
-        assert_eq!(pinned, (n as LpId..(n + pairs.len()) as LpId).collect::<Vec<_>>());
         let asg = app.lp_assignment(&parts);
         for (i, &(_, q)) in pairs.iter().enumerate() {
             assert_eq!(asg[n + i], q, "replica {i} must live in its target part");
         }
-        // Compiled mode fuses replicas: no extra LPs, nothing pinned.
+        // Compiled mode fuses replicas: no extra LPs.
         let compiled =
             SimConfig { exec: ExecModel::CompiledBlocks(Default::default()), ..cfg(100) }
                 .construct(&netlist, Some(&parts), &pairs)
                 .unwrap();
-        assert!(compiled.pinned_lps().is_empty());
         assert_eq!(compiled.lp_assignment(&parts).len(), compiled.num_lps());
     }
 
@@ -703,51 +690,6 @@ mod tests {
         let before = address(&live);
         app.restore(&mut live, &second, &[]);
         assert_eq!(address(&live), before, "a restore reallocated the live state's box");
-    }
-
-    /// A compiled block migrates with its buffers and those of every
-    /// checkpoint it holds, so its price is at least the live state's
-    /// fixed buffers plus one more copy of the slot values (the commit
-    /// floor's) — far above the inline 32 B per state.
-    #[test]
-    fn a_migrating_block_is_priced_by_its_heap() {
-        use pls_timewarp::{DynLbConfig, Probe, ProbeEvent};
-        #[derive(Default)]
-        struct Moves(Vec<(LpId, u64)>);
-        impl Probe for Moves {
-            fn on(&mut self, event: ProbeEvent) {
-                if let ProbeEvent::LpMigrated { lp, bytes, .. } = event {
-                    self.0.push((lp, bytes));
-                }
-            }
-            fn fork(&mut self) -> Moves {
-                Moves::default()
-            }
-            fn join(&mut self, child: Moves) {
-                self.0.extend(child.0);
-            }
-        }
-        let netlist = IscasSynth::small(1200, 9).build();
-        let g = CircuitGraph::from_netlist(&netlist);
-        let blocks = RandomPartitioner.partition(&g, 6, 9).assignment;
-        let exec = ExecModel::CompiledBlocks(CompileOptions { blocks: Some(blocks) });
-        let app = SimConfig { exec, ..cfg(120) }.build_app(&netlist);
-        let assignment: Vec<u32> = (0..app.num_lps() as u32).map(|lp| u32::from(lp > 3)).collect();
-        let lb = DynLbConfig { period: 1, max_moves: 2, min_comm_gain: 0 };
-        let (run, moves) = Simulator::new(&app)
-            .config(KernelConfig { gvt_period: 8, ..Default::default() })
-            .load_balancer(lb)
-            .probe(Moves::default())
-            .run_probed(Backend::Platform { assignment: &assignment, nodes: 2 })
-            .unwrap();
-        assert!(!moves.0.is_empty(), "no block migrated");
-        for &(lp, bytes) in &moves.0 {
-            let b = block(&run.states[lp as usize]);
-            let slots = std::mem::size_of_val(&b.vals[..]);
-            let floor = 2 * (size_of::<ModelState>() + size_of::<BlockState>() + slots);
-            assert!(bytes >= (floor + b.per_slot_bytes()) as u64, "block {lp}: {bytes} B");
-        }
-        assert_eq!(run.stats.migrated_state_bytes, moves.0.iter().map(|m| m.1).sum::<u64>());
     }
 
     /// The per-LP fixed cost of a gate-per-LP run, held as a limit: a

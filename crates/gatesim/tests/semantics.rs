@@ -245,7 +245,7 @@ fn wide_gates_roll_back_alike_on_every_executive_and_cancellation() {
             .probe(LpLedger::default())
             .run_probed(Backend::Platform { assignment: &asg, nodes: 4 })
             .unwrap();
-        let (activity, _) = ledger.into_parts();
+        let activity = ledger.into_parts();
         for g in wide {
             assert!(activity[g as usize].rollbacks > 0, "gate {g} never rolled back");
         }

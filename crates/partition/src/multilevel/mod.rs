@@ -64,8 +64,23 @@ pub struct MultilevelReport {
 }
 
 impl MultilevelPartitioner {
-    /// Run the pipeline and keep per-phase statistics.
+    /// Run the pipeline and keep per-phase statistics. At `k = 1` every
+    /// vertex is in part 0 whatever the pipeline would do, so no hierarchy
+    /// is built: the report holds `G0` alone and no refinement.
     pub fn partition_with_report(&self, g: &CircuitGraph, k: usize, seed: u64) -> MultilevelReport {
+        if k == 1 {
+            let partitioning = Partitioning::new(1, vec![0; g.len()]);
+            return MultilevelReport {
+                partitioning,
+                level_sizes: vec![g.len()],
+                refine_stats: vec![],
+            };
+        }
+        self.pipeline(g, k, seed)
+    }
+
+    /// Coarsen, partition the coarsest graph and refine back to `G0`.
+    fn pipeline(&self, g: &CircuitGraph, k: usize, seed: u64) -> MultilevelReport {
         let ccfg = CoarsenConfig::for_k(k);
         let gcfg = GreedyConfig::default();
 
@@ -199,5 +214,18 @@ mod tests {
         let p = MultilevelPartitioner.partition(&g, 8, 0);
         assert!(p.is_valid_for(&g));
         assert!(imbalance(&g, &p) <= 1.12);
+    }
+
+    /// One part needs no hierarchy: the shortcut returns what the whole
+    /// pipeline returns, every vertex in part 0, with `G0` as the only
+    /// level and no refinement pass.
+    #[test]
+    fn one_part_skips_the_hierarchy() {
+        let g = CircuitGraph::from_netlist(&IscasSynth::s15850().build());
+        let report = MultilevelPartitioner.partition_with_report(&g, 1, 0);
+        assert!(report.partitioning.assignment.iter().all(|&p| p == 0));
+        assert_eq!(report.partitioning, MultilevelPartitioner.pipeline(&g, 1, 0).partitioning);
+        assert_eq!(report.level_sizes, [g.len()]);
+        assert!(report.refine_stats.is_empty());
     }
 }

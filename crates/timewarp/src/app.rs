@@ -234,8 +234,8 @@ pub trait Application: Send + Sync + 'static {
     /// inline `size_of::<State>()`: its boxes and buffers. The kernel adds
     /// it up over the checkpoints a cluster files, so that a GVT round
     /// comes due once they pin [`crate::config::CHECKPOINT_HEAP_BUDGET`]
-    /// bytes, and prices a migrating LP by it; a retired checkpoint that
-    /// owns none is dropped rather than kept for reuse. An override of
+    /// bytes; a retired checkpoint that owns none is dropped rather than
+    /// kept for reuse. An override of
     /// [`Self::checkpoint`] that builds in `spare` needs this to report
     /// its states' buffers, or it is never handed one. Default: none.
     #[inline]
@@ -249,14 +249,6 @@ pub trait Application: Send + Sync + 'static {
     /// `KernelStats::replicated_gates` at startup. Default: none.
     fn replicated_units(&self) -> u64 {
         0
-    }
-
-    /// LPs the dynamic load balancer must never migrate. Replica LPs pin
-    /// themselves here: their whole value is residing in the part that
-    /// reads them, so migrating one would reintroduce the boundary
-    /// messages it exists to remove. Default: none.
-    fn pinned_lps(&self) -> Vec<LpId> {
-        Vec::new()
     }
 }
 

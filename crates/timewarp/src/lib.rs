@@ -4,7 +4,8 @@
 //!
 //! Three executives behind one entry point, [`Simulator`]. The two
 //! optimistic ones are thin drivers over one cluster engine (`ClusterCore`:
-//! schedule, route, commit and migrate over [`lp::LpRuntime`]s):
+//! schedule, route and commit over [`lp::LpRuntime`]s), and both keep the
+//! placement they are given for the whole run:
 //!
 //! * [`Backend::Sequential`] — a calendar queue, the baseline and
 //!   determinism oracle (deliberately shares no code with the others);
@@ -23,8 +24,7 @@
 //! paper's Figures 5 and 6) is a [`Probe`] over it, as are the per-LP
 //! [`LpLedger`] and the [`TimeSeries`] recorder, which buckets the events by
 //! virtual time and exports JSONL/CSV (see `docs/TELEMETRY.md`). With no
-//! probe attached an emit is the `KernelStats` increment and at most one
-//! untaken branch (for the ledger of a balancing run).
+//! probe attached an emit is the `KernelStats` increment alone.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -37,9 +37,7 @@ pub mod app;
 pub mod config;
 mod core;
 pub mod cost;
-pub mod dynlb;
 pub mod event;
-pub mod hotspot;
 pub mod lp;
 #[cfg(test)]
 mod modelcheck;
@@ -59,9 +57,7 @@ pub mod time;
 pub use app::{AppWork, Application, EventSink};
 pub use config::{Cancellation, KernelConfig};
 pub use cost::CostModel;
-pub use dynlb::DynLbConfig;
 pub use event::{AntiEvent, Event, EventId, LpId, Transmission};
-pub use hotspot::RotatingHotspot;
 pub use phold::Phold;
 pub use platform::PlatformConfig;
 pub use probe::{NoProbe, Probe, ProbeEvent, RollbackKind, Tee};

@@ -274,16 +274,6 @@ impl<A: Application> LpRuntime<A> {
         self.states.len()
     }
 
-    /// Bytes a migration of this LP carries: the live state and every held
-    /// checkpoint, inline and on the heap ([`Application::heap_bytes`]),
-    /// and the pending events.
-    pub(crate) fn closure_bytes(&self, app: &A) -> u64 {
-        let states = std::iter::once(&self.state).chain(self.states.iter().map(|s| &s.state));
-        let state_bytes: usize =
-            states.map(|s| std::mem::size_of::<A::State>() + app.heap_bytes(s)).sum();
-        (state_bytes + self.pending_len() * std::mem::size_of::<Event<A::Msg>>()) as u64
-    }
-
     /// Total unprocessed events currently queued.
     pub fn pending_len(&self) -> usize {
         self.events.len() - self.next as usize
@@ -696,8 +686,7 @@ impl<A: Application> LpRuntime<A> {
     }
 }
 
-/// A copy of an LP — for the model checker's states, and for its
-/// re-injected migration that adopts an LP without evicting it.
+/// A copy of an LP, for the model checker's states.
 #[cfg(test)]
 impl<A: Application> Clone for LpRuntime<A> {
     fn clone(&self) -> Self {

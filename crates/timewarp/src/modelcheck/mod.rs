@@ -18,10 +18,9 @@
 //!   ([`ExploreOptions::verify_hashes`]).
 //! * [`threads`] — the threaded executive's cluster step function
 //!   (`threaded::Lane::step`) over real cores, FIFO queues and a scripted
-//!   barrier, with migration between epochs through the real
-//!   `evict`/`adopt`. Its tests explore the acceptance configurations,
-//!   pin their state spaces, detect both re-injected bug shapes (test-only
-//!   hooks in the real code) and walk seeded schedules of larger runs.
+//!   barrier. Its tests explore the acceptance configurations, pin their
+//!   state spaces, detect a re-injected bug shape (a test-only hook in the
+//!   real code) and walk seeded schedules of larger runs.
 //!
 //! Test-only: nothing outside this crate's tests uses it.
 

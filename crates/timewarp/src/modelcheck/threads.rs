@@ -3,12 +3,11 @@
 //! [`Lane::step`] at a time over per-cluster FIFO queues and a scripted
 //! barrier. A scheduler choice is the cluster that steps; a cluster
 //! waiting on a rendezvous may step only once everyone has arrived, and
-//! releases are held back and interleaved like any other step. Balancing
-//! rounds end the epoch as on threads, and the scripted migrations run
-//! through the real [`ClusterCore::evict`] and [`ClusterCore::adopt`].
+//! releases are held back and interleaved like any other step.
 //!
-//! A state is the cores, the lanes, the routing table, the queues, the
-//! request flag and the barrier, cloned from its parent. Its hash and
+//! A state is the cores, the lanes, the queues, the request flag and the
+//! barrier, cloned from its parent; the routing table is the model's, as
+//! it is the run's on threads. Its hash and
 //! equality see what decides the future only: the LPs' queues and
 //! states, each lane's phase, GVT and counters, and the barrier's
 //! accumulators and who it has released — not the probes, the ready
@@ -24,13 +23,12 @@ use super::ProtocolModel;
 use crate::app::Application;
 use crate::config::KernelConfig;
 use crate::core::{ClusterCore, Homes};
-use crate::dynlb::{Balancer, DynLbConfig, Migration};
 use crate::event::Transmission;
 use crate::probe::{NoProbe, Tee};
 use crate::sim::{Backend, Simulator};
 use crate::stats::KernelStats;
 use crate::testkit::{round_robin, splitmix64};
-use crate::threaded::{Epoch, Lane, Phase, Poisoned, Reduced, Seam, TxBatch};
+use crate::threaded::{Lane, Phase, Poisoned, Reduced, RunCtx, Seam, TxBatch};
 use crate::time::VTime;
 
 /// The rendezvous, one generation at a time, released on the explorer's
@@ -136,14 +134,11 @@ impl<M> Seam<M> for Port<'_, M> {
 pub(crate) struct World<'a, A: Application> {
     cores: Vec<ClusterCore<'a, A>>,
     lanes: Vec<Lane<A::Msg, NoProbe>>,
-    homes: Homes,
     queues: Vec<VecDeque<TxBatch<A::Msg>>>,
     requested: bool,
     barrier: Barrier,
-    /// Per cluster: left its loop for the epoch boundary.
-    parked: Vec<bool>,
-    /// Balancing rounds run.
-    balances: u32,
+    /// Per cluster: left its loop at the GVT round that agreed on ∞.
+    done: Vec<bool>,
 }
 
 /// What the explored space has been seen to contain: the most of each
@@ -158,18 +153,13 @@ pub(crate) struct Seen {
 
 /// A threaded run of `app` as a [`ProtocolModel`].
 pub(crate) struct Threads<'a, A: Application> {
-    app: &'a A,
     clusters: usize,
     cfg: KernelConfig,
-    /// Ends an epoch at every balancing round.
-    lb: Option<Balancer>,
-    /// Scripted migrations: `(round, move)` runs at the `round`-th
-    /// balancing round (from 1) if the LP is where the move says.
-    pub plan: Vec<(u32, Migration)>,
-    /// Bug hooks, see [`Lane::uncounted_antis`] and
-    /// [`ClusterCore::keep_evicted`].
+    /// The initial cores and the run's routing table.
+    start: Vec<ClusterCore<'a, A>>,
+    homes: Homes,
+    /// Bug hook, see [`Lane::uncounted_antis`].
     pub uncounted_antis: bool,
-    pub keep_evicted: bool,
     pub max_states: usize,
     oracle: Vec<A::State>,
     seen: Cell<Seen>,
@@ -177,20 +167,17 @@ pub(crate) struct Threads<'a, A: Application> {
 }
 
 impl<'a, A: Application + Clone> Threads<'a, A> {
-    /// `app` on `clusters` clusters, LPs dealt round-robin; `balance`
-    /// ends an epoch at every GVT round.
-    pub fn new(app: &'a A, clusters: usize, cfg: KernelConfig, balance: bool) -> Self {
+    /// `app` on `clusters` clusters, LPs dealt round-robin.
+    pub fn new(app: &'a A, clusters: usize, cfg: KernelConfig) -> Self {
         let oracle = Simulator::new(app).run(Backend::Sequential).expect("the oracle runs").states;
-        let lb =
-            balance.then(|| Balancer::new(app, DynLbConfig { period: 1, ..Default::default() }));
+        let assignment = round_robin(app.num_lps(), clusters);
+        let (start, homes) = ClusterCore::partition(app, &assignment, clusters, cfg, &mut NoProbe);
         Threads {
-            app,
             clusters,
             cfg,
-            lb,
-            plan: Vec::new(),
+            start,
+            homes,
             uncounted_antis: false,
-            keep_evicted: false,
             max_states: 2_000_000,
             oracle,
             seen: Cell::default(),
@@ -204,48 +191,39 @@ impl<'a, A: Application + Clone> Threads<'a, A> {
     }
 
     fn world(&self) -> World<'a, A> {
-        let assignment = round_robin(self.app.num_lps(), self.clusters);
-        let (mut cores, homes) =
-            ClusterCore::partition(self.app, &assignment, self.clusters, self.cfg, &mut NoProbe);
-        for core in &mut cores {
-            core.keep_evicted = self.keep_evicted;
-        }
         let lanes = (0..self.clusters)
             .map(|cid| {
-                let probe = Tee::new(KernelStats::default(), Tee::new(None, NoProbe));
+                let probe = Tee::new(KernelStats::default(), NoProbe);
                 let mut lane = Lane::new(cid, self.clusters, probe);
                 lane.uncounted_antis = self.uncounted_antis;
                 lane
             })
             .collect();
         World {
-            cores,
+            cores: self.start.clone(),
             lanes,
-            homes,
             queues: vec![VecDeque::new(); self.clusters],
             requested: false,
             barrier: Barrier::new(self.clusters),
-            parked: vec![false; self.clusters],
-            balances: 0,
+            done: vec![false; self.clusters],
         }
     }
 
     fn can_step(&self, w: &World<'a, A>, cid: usize) -> bool {
-        !w.parked[cid]
+        !w.done[cid]
             && match w.lanes[cid].phase {
                 Phase::Entered | Phase::Flushed | Phase::Minimum => w.barrier.released(cid),
                 Phase::Idle | Phase::Run | Phase::Flush => true,
             }
     }
 
-    /// Step cluster `cid`, then, if every cluster has left its loop at a
-    /// balancing round, migrate as the threaded driver does between epochs.
+    /// Step cluster `cid`.
     fn step(&self, w: &mut World<'a, A>, cid: usize) -> Result<(), String> {
-        let World { cores, lanes, homes, queues, requested, barrier, parked, balances } = w;
-        let epoch = Epoch { homes, cfg: &self.cfg, lb: self.lb.as_ref(), started: self.started };
+        let World { cores, lanes, queues, requested, barrier, done } = w;
+        let ctx = RunCtx { homes: &self.homes, cfg: &self.cfg, started: self.started };
         let mut port = Port { cid, queues, requested, barrier };
         let before = lanes[cid].gvt;
-        let left = lanes[cid].step(&mut cores[cid], &epoch, &mut port).map_err(|_| "poisoned")?;
+        done[cid] = lanes[cid].step(&mut cores[cid], &ctx, &mut port).map_err(|_| "poisoned")?;
         let gvt = lanes[cid].gvt;
         if gvt < before {
             return Err(format!("GVT regressed: {gvt} after {before}"));
@@ -257,20 +235,6 @@ impl<'a, A: Application + Clone> Threads<'a, A> {
             antis: seen.antis.max(stats.map(|s| s.antis_sent).sum()),
             reflushes: seen.reflushes.max(barrier.reflushes),
         });
-        parked[cid] = left;
-        if !parked.iter().all(|&p| p) || gvt.is_inf() {
-            return Ok(());
-        }
-        // Rounds past the plan's last are all alike.
-        let last = self.plan.iter().map(|&(round, _)| round).max().unwrap_or(0);
-        *balances = (*balances + 1).min(last + 1);
-        for &(_, mv) in self.plan.iter().filter(|&&(round, _)| round == *balances) {
-            if homes.part(mv.lp) == mv.from as usize {
-                let mover = cores[mv.from as usize].evict(&mv, homes, gvt, &mut NoProbe);
-                cores[mv.to as usize].adopt(mover, homes);
-            }
-        }
-        parked.fill(false);
         Ok(())
     }
 }
@@ -282,7 +246,7 @@ where
     /// Safety invariants of `w`, or the first violation.
     fn violation(&self, w: &World<'a, A>) -> Option<String> {
         // Every LP lives on exactly one cluster.
-        let mut owners = vec![0; self.app.num_lps()];
+        let mut owners = vec![0; self.oracle.len()];
         for lp in w.cores.iter().flat_map(|c| c.lps()) {
             owners[lp.id() as usize] += 1;
         }
@@ -306,7 +270,7 @@ where
         // has already committed it.
         for lp in w.cores.iter().flat_map(|c| c.lps()) {
             for ev in lp.outputs() {
-                let committed_below = w.lanes[w.homes.part(ev.dst)].gvt;
+                let committed_below = w.lanes[self.homes.part(ev.dst)].gvt;
                 if ev.recv_time >= committed_below && ids.binary_search(&ev.id).is_err() {
                     return Some(format!(
                         "transmission {:?} to LP {} at t={} lost: neither queued nor in flight",
@@ -345,7 +309,7 @@ where
     }
 
     fn terminated(&self, w: &World<'a, A>) -> bool {
-        w.parked.iter().all(|&p| p) && w.lanes[0].gvt.is_inf()
+        w.done.iter().all(|&d| d)
     }
 
     /// One schedule chosen by `seed`, every invariant checked as each
@@ -387,7 +351,7 @@ where
             self.cores.iter().map(|c| c.lps().iter().map(|l| l.key()).collect()).collect();
         let lanes: Vec<_> = self.lanes.iter().map(Lane::key).collect();
         let flow = (&self.queues, self.requested, self.barrier.key());
-        (cores, lanes, self.homes.parts(), flow, &self.parked, self.balances)
+        (cores, lanes, flow, &self.done)
     }
 }
 
@@ -461,7 +425,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::LpId;
     use crate::modelcheck::{explore, explore_with, CheckReport, ExploreOptions};
     use crate::phold::Phold;
     use crate::testkit::Ring;
@@ -482,17 +445,6 @@ mod tests {
     /// back and cancels.
     const RING: Ring = Ring { n: 2, hops: 5 };
 
-    /// 2 clusters, LP 0 migrated away at the first balancing round and
-    /// back at the second.
-    fn two_by_two(app: &Ring) -> Threads<'_, Ring> {
-        let mut model = Threads::new(app, 2, cfg(), true);
-        model.plan = vec![
-            (1, Migration { lp: 0, from: 0, to: 1 }),
-            (2, Migration { lp: 0, from: 1, to: 0 }),
-        ];
-        model
-    }
-
     /// Explore `model` and demand a complete, clean space that holds a
     /// rollback, an anti-message and a flush that needed a second round.
     fn explore_clean(model: &Threads<'_, Ring>) -> CheckReport {
@@ -504,69 +456,48 @@ mod tests {
     }
 
     #[test]
-    fn threaded_2_clusters_2_lps_gvt_and_migration_explore_clean() {
-        let report = explore_clean(&two_by_two(&RING));
-        assert_eq!(shape(&report), (9_668, 14_023, 7, 64));
+    fn threaded_2_clusters_2_lps_gvt_explore_clean() {
+        let report = explore_clean(&Threads::new(&RING, 2, cfg()));
+        assert_eq!(shape(&report), (8_231, 12_758, 7, 82));
     }
 
     /// One cluster always empty: it must still take part in every round.
     #[test]
-    fn threaded_3_clusters_2_lps_gvt_and_migration_explore_clean() {
-        let mut model = Threads::new(&RING, 3, cfg(), true);
-        model.plan = vec![(1, Migration { lp: 0, from: 0, to: 2 })];
-        let report = explore_clean(&model);
-        assert_eq!(shape(&report), (34_737, 67_918, 7, 274));
+    fn threaded_3_clusters_2_lps_gvt_explore_clean() {
+        let report = explore_clean(&Threads::new(&RING, 3, cfg()));
+        assert_eq!(shape(&report), (52_250, 113_105, 7, 256));
     }
 
-    /// A longer chain with migration off: more GVT rounds, deeper
-    /// rollback and cancellation.
+    /// A longer chain: more GVT rounds, deeper rollback and cancellation.
     #[test]
     fn threaded_2_clusters_2_lps_longer_chain_gvt_only_explore_clean() {
         let app = Ring { n: 2, hops: 7 };
-        let report = explore_clean(&Threads::new(&app, 2, cfg(), false));
+        let report = explore_clean(&Threads::new(&app, 2, cfg()));
         assert_eq!(shape(&report), (8_951, 13_881, 7, 110));
     }
 
-    /// Bug shape 1: a flush round that does not count the anti-messages it
-    /// routed declares quiescence with one still in flight.
+    /// The bug shape: a flush round that does not count the anti-messages
+    /// it routed declares quiescence with one still in flight.
     #[test]
     fn threaded_explorer_detects_uncounted_flush_antis() {
         let flush_bug =
             "flush postcondition violated: anti-message 0.2 (t=10) still in cluster 1's \
                          channel at GVT agreement (2) — flush exited early";
-        let mut model = two_by_two(&RING);
+        let mut model = Threads::new(&RING, 2, cfg());
         model.uncounted_antis = true;
         let report = explore(&model);
         let cx = report.violation.expect("the uncounted antis must be detected");
         assert!(!cx.trace.is_empty(), "a counterexample carries its schedule");
-        assert_eq!((report.states, cx.message.as_str()), (4_976, flush_bug));
-        // Without migration too: the postcondition is checked directly.
-        let mut model = Threads::new(&RING, 2, cfg(), false);
-        model.uncounted_antis = true;
-        let report = explore(&model);
-        let cx = report.violation.expect("detected without migration");
         assert_eq!((report.states, cx.message.as_str()), (4_276, flush_bug));
-    }
-
-    /// Bug shape 2: the migration step adopts the LP at its destination
-    /// without evicting it from its source.
-    #[test]
-    fn threaded_explorer_detects_adoption_without_eviction() {
-        let mut model = two_by_two(&RING);
-        model.keep_evicted = true;
-        let report = explore(&model);
-        let cx = report.violation.expect("the double owner must be detected");
-        assert_eq!(report.states, 13);
-        assert_eq!(cx.message, "LP 0 owned by 2 cluster(s) — must be exactly one");
     }
 
     /// Exploration is deterministic: two runs agree on the whole report,
     /// counterexample schedule included.
     #[test]
     fn threaded_exploration_is_deterministic() {
-        let model = two_by_two(&RING);
+        let model = Threads::new(&RING, 2, cfg());
         assert_eq!(explore(&model), explore(&model));
-        let mut model = two_by_two(&RING);
+        let mut model = Threads::new(&RING, 2, cfg());
         model.uncounted_antis = true;
         let (a, b) = (explore(&model), explore(&model));
         assert!(a.violation.is_some());
@@ -576,7 +507,7 @@ mod tests {
     /// A state bound is reported as an incomplete run, never as a pass.
     #[test]
     fn threaded_state_bound_reports_incomplete() {
-        let mut model = two_by_two(&RING);
+        let mut model = Threads::new(&RING, 2, cfg());
         model.max_states = 100;
         let report = explore(&model);
         assert!(!report.complete && !report.passed());
@@ -587,7 +518,7 @@ mod tests {
     /// stored hash and reports exactly what the compact run reports.
     #[test]
     fn threaded_hash_pruning_has_no_silent_collisions() {
-        let model = two_by_two(&RING);
+        let model = Threads::new(&RING, 2, cfg());
         let compact = explore(&model);
         let verified = explore_with(&model, ExploreOptions { verify_hashes: true });
         assert_eq!(verified.hash_collisions, 0, "64-bit state hash collided");
@@ -596,10 +527,9 @@ mod tests {
     }
 
     /// Seeded schedules through the same step function at sizes the
-    /// explorer cannot enumerate: 3 clusters, 12 LPs, a GVT period from 1
-    /// to 8 and, on even seeds, a balancing round after every GVT round
-    /// that moves one LP on to the next cluster. Every state is checked
-    /// and every run must commit the sequential history.
+    /// explorer cannot enumerate: 3 clusters, 12 LPs and a GVT period from
+    /// 1 to 8. Every state is checked and every run must commit the
+    /// sequential history.
     fn walks<A: Application + Clone>(app: &A) -> Seen
     where
         A::State: PartialEq,
@@ -607,11 +537,7 @@ mod tests {
         let mut seen = Seen::default();
         for seed in 0..200u32 {
             let cfg = KernelConfig { gvt_period: 1 + u64::from(seed % 8), ..Default::default() };
-            let mut model = Threads::new(app, 3, cfg, seed % 2 == 0);
-            let nomad: LpId = seed % 12;
-            let hop =
-                |r: u32| Migration { lp: nomad, from: (nomad + r - 1) % 3, to: (nomad + r) % 3 };
-            model.plan = (1..=64).map(|r| (r, hop(r))).collect();
+            let model = Threads::new(app, 3, cfg);
             model.walk(u64::from(seed));
             let s = model.seen();
             seen.rollbacks += s.rollbacks;

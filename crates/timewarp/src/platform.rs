@@ -23,11 +23,10 @@ use crate::app::Application;
 use crate::config::KernelConfig;
 use crate::core::{ClusterCore, Committed, Homes, Hop};
 use crate::cost::CostModel;
-use crate::dynlb::{Balancer, DynLbConfig};
 use crate::event::Transmission;
 use crate::probe::{Probe, ProbeEvent, Tee};
 use crate::sim::{Outcome, RunReport, SimError};
-use crate::stats::{KernelStats, LpLedger};
+use crate::stats::KernelStats;
 use crate::time::VTime;
 
 /// Platform-level configuration.
@@ -129,18 +128,6 @@ impl<M> Platform<M> {
     fn in_flight_min(&self) -> VTime {
         self.flights.iter().flatten().map(Transmission::recv_time).min().unwrap_or(VTime::INF)
     }
-
-    /// Ship a migrating LP's closure (`units` messages) from `src` to
-    /// `dst`. Migration traffic goes through the same network cost model
-    /// as application messages, so its price shows up in modeled time.
-    fn ship(&mut self, src: usize, dst: usize, units: u64) {
-        self.charge(src, self.cost.msg_send_ns * units);
-        let wire_at = self.clocks[src] + self.cost.net_latency_ns;
-        let arrive = wire_at.max(self.link_free_ns[dst]) + self.cost.msg_wire_ns * units;
-        self.link_free_ns[dst] = arrive;
-        self.clocks[dst] = self.clocks[dst].max(arrive);
-        self.charge(dst, self.cost.msg_recv_ns * units);
-    }
 }
 
 /// The executive proper, generic over the telemetry probe; returns the
@@ -152,20 +139,14 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
     nodes: usize,
     cfg: &PlatformConfig,
     probe: P,
-    dynlb: Option<DynLbConfig>,
 ) -> Result<(RunReport<A>, P), SimError> {
     let kernel = cfg.kernel;
     let cost = cfg.cost;
 
-    // Balancing windows are drains of the run's own ledger.
     let stats = KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
-    let mut tee = Tee::new(stats, Tee::new(dynlb.map(|_| LpLedger::default()), probe));
+    let mut tee = Tee::new(stats, probe);
     let probe = &mut tee;
-    // Where every LP lives (dynamic load balancing rewrites it at GVT
-    // commit). Remote hops resolve their node here when they are sent
-    // *and* when they land, so traffic follows migrated LPs.
-    let (mut cores, mut homes) = ClusterCore::partition(app, assignment, nodes, kernel, probe);
-    let balancer = dynlb.map(|cfg| Balancer::new(app, cfg));
+    let (mut cores, homes) = ClusterCore::partition(app, assignment, nodes, kernel, probe);
     let mut plat = Platform::new(cost, nodes);
 
     let mut batches_since_gvt = 0u64;
@@ -265,22 +246,12 @@ pub(crate) fn platform_core<A: Application, P: Probe>(
             }
             let wall_ns = plat.clocks.iter().copied().max().unwrap_or(0);
             probe.on(ProbeEvent::GvtAdvanced { gvt, states_held, pending, wall_ns });
-
-            // Dynamic load balancing. GVT commit is the one point where an
-            // LP is a compact transferable closure (see `dynlb` module
-            // docs): fossil collection just ran, so moving it is copying
-            // its current state, surviving checkpoints and pending events.
-            if let Some(lb) = balancer.as_ref().filter(|lb| lb.due(gvt, probe.a.gvt_rounds)) {
-                lb.step(&mut cores, &mut homes, gvt, probe, |src, dst, units| {
-                    plat.ship(src, dst, units)
-                });
-            }
         }
     }
 
     // Final commit.
     let held_total = cores.iter_mut().map(|c| c.commit(VTime::INF, probe).held_before).sum();
-    let Tee { a: mut stats, b: Tee { b: probe, .. } } = tee;
+    let Tee { a: mut stats, b: probe } = tee;
     stats.state_queue_high_water = stats.state_queue_high_water.max(held_total);
     stats.final_gvt = VTime::INF;
 

@@ -4,7 +4,7 @@
 //! Every executive emits one [`ProbeEvent`] at each well-defined protocol
 //! point of Time Warp — batch executed, rollback begun/ended,
 //! anti-message sent/annihilated, state saved, fossil collection, GVT
-//! advance, remote message crossing a cluster/node boundary, migration.
+//! advance, remote message crossing a cluster/node boundary.
 //! The stream is the kernel's only way of counting:
 //! [`KernelStats`] is itself a probe, and the executives run the kernel
 //! against `Tee<KernelStats, P>`, so the aggregate counters and any
@@ -17,9 +17,8 @@
 //!
 //! The default probe is [`NoProbe`], a zero-sized type whose handler is
 //! empty: executives are generic over `P: Probe`, so with `NoProbe` every
-//! emit monomorphizes to the `KernelStats` increments alone (plus, on the
-//! optimistic executives, one untaken branch for the ledger a balancing
-//! run keeps). The bundled probes are [`crate::series::TimeSeries`] and
+//! emit monomorphizes to the `KernelStats` increments alone. The bundled
+//! probes are [`crate::series::TimeSeries`] and
 //! [`crate::stats::LpLedger`].
 //!
 //! Concurrency model: the threaded executive calls [`Probe::fork`] once
@@ -155,34 +154,13 @@ pub enum ProbeEvent {
         /// The receiving LP.
         dst: LpId,
     },
-    /// Dynamic load balancing migrated `lp` from node/cluster `from` to
-    /// `to` at the GVT round that agreed on `gvt`; `bytes` is the modeled
-    /// size of the transferred closure: `size_of::<Event<Msg>>()` per
-    /// pending event plus, per state (the current one and each
-    /// checkpoint), its inline `size_of::<State>()` and the heap it owns
-    /// ([`crate::Application::heap_bytes`]): a narrow gate counts 32 B, a
-    /// compiled block 32 B plus its boxed buffers. On the threaded
-    /// executive only the *source* cluster emits it.
-    LpMigrated {
-        /// The migrating LP.
-        lp: LpId,
-        /// Source node/cluster.
-        from: u32,
-        /// Destination node/cluster.
-        to: u32,
-        /// The GVT of the balancing round.
-        gvt: VTime,
-        /// Modeled closure size.
-        bytes: u64,
-    },
 }
 
 impl ProbeEvent {
     /// The virtual time a time series files this event under: executed
     /// work by its execution time, rollbacks by their restore target,
-    /// anti-messages by their original send time, commits, GVT rounds,
-    /// and migrations by their GVT, transmissions by their
-    /// receive time.
+    /// anti-messages by their original send time, commits and GVT rounds
+    /// by their GVT, transmissions by their receive time.
     pub fn time(&self) -> VTime {
         match *self {
             ProbeEvent::BatchExecuted { now, .. }
@@ -190,9 +168,7 @@ impl ProbeEvent {
             | ProbeEvent::StateSaved { now, .. } => now,
             ProbeEvent::RollbackBegun { to, .. } | ProbeEvent::RollbackEnded { to, .. } => to,
             ProbeEvent::AntiSent { sent, .. } => sent,
-            ProbeEvent::FossilCollected { gvt, .. }
-            | ProbeEvent::GvtAdvanced { gvt, .. }
-            | ProbeEvent::LpMigrated { gvt, .. } => gvt,
+            ProbeEvent::FossilCollected { gvt, .. } | ProbeEvent::GvtAdvanced { gvt, .. } => gvt,
             ProbeEvent::Annihilated { at, .. } | ProbeEvent::RemoteMessage { at, .. } => at,
         }
     }
@@ -305,7 +281,6 @@ mod tests {
             ProbeEvent::GvtAdvanced { gvt: t, states_held: 6, pending: 2, wall_ns: 900 },
             ProbeEvent::RemoteMessage { positive: true, at: t, src: 1, dst: lp },
             ProbeEvent::RemoteMessage { positive: false, at: t, src: 1, dst: lp },
-            ProbeEvent::LpMigrated { lp, from: 0, to: 1, gvt: t, bytes: 64 },
         ]
     }
 

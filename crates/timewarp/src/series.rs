@@ -390,27 +390,6 @@ mod tests {
     }
 
     #[test]
-    fn migrations_bucket_by_gvt() {
-        let mut ts = TimeSeries::new(10);
-        record(
-            &mut ts,
-            &[
-                LpMigrated { lp: 3, from: 0, to: 1, gvt: VTime::from(25), bytes: 640 },
-                LpMigrated { lp: 4, from: 1, to: 0, gvt: VTime::from(25), bytes: 320 },
-            ],
-        );
-        let t = ts.totals().counts;
-        assert_eq!(t.migrations, 2);
-        assert_eq!(t.migrated_state_bytes, 960);
-        let (k, b) = ts.buckets().next().unwrap();
-        assert_eq!(k, BucketKey::At(2));
-        assert_eq!(b.counts.migrations, 2);
-        let jsonl = ts.to_jsonl();
-        assert!(jsonl.contains("\"migrations\":2"));
-        assert!(jsonl.contains("\"migrated_bytes\":960"));
-    }
-
-    #[test]
     fn jsonl_shape() {
         let ts = sample();
         let jsonl = ts.to_jsonl();

@@ -18,7 +18,6 @@ use std::time::Duration;
 
 use crate::app::Application;
 use crate::config::KernelConfig;
-use crate::dynlb::DynLbConfig;
 use crate::platform::PlatformConfig;
 use crate::probe::{NoProbe, Probe};
 use crate::stats::KernelStats;
@@ -165,7 +164,6 @@ impl std::error::Error for SimError {}
 pub struct Simulator<'a, A: Application, P: Probe = NoProbe> {
     app: &'a A,
     platform: PlatformConfig,
-    dynlb: Option<DynLbConfig>,
     probe: P,
 }
 
@@ -173,7 +171,7 @@ impl<'a, A: Application> Simulator<'a, A, NoProbe> {
     /// Start configuring a run of `app` (defaults: default kernel config
     /// and cost model, no memory limit, no probe).
     pub fn new(app: &'a A) -> Simulator<'a, A, NoProbe> {
-        Simulator { app, platform: PlatformConfig::default(), dynlb: None, probe: NoProbe }
+        Simulator { app, platform: PlatformConfig::default(), probe: NoProbe }
     }
 }
 
@@ -184,19 +182,9 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
         self
     }
 
-    /// Adopt a whole [`PlatformConfig`] (kernel + cost + memory limit).
+    /// Take a whole [`PlatformConfig`] (kernel + cost + memory limit).
     pub fn platform_config(mut self, cfg: &PlatformConfig) -> Self {
         self.platform = *cfg;
-        self
-    }
-
-    /// Enable dynamic load balancing ([`crate::dynlb`]): every
-    /// `cfg.period` GVT rounds the last window's per-LP statistics are
-    /// refined into a migration plan and applied at GVT commit. A no-op on
-    /// [`Backend::Sequential`] (which has no GVT rounds) and on
-    /// single-node/cluster runs.
-    pub fn load_balancer(mut self, cfg: DynLbConfig) -> Self {
-        self.dynlb = Some(cfg);
         self
     }
 
@@ -204,7 +192,7 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
     /// [`TimeSeries`](crate::TimeSeries) records telemetry, and
     /// [`Tee`](crate::Tee) fans the stream out to two probes.
     pub fn probe<Q: Probe>(self, probe: Q) -> Simulator<'a, A, Q> {
-        Simulator { app: self.app, platform: self.platform, dynlb: self.dynlb, probe }
+        Simulator { app: self.app, platform: self.platform, probe }
     }
 
     /// Execute the run on the chosen backend. Consumes the builder and the
@@ -216,9 +204,9 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
     /// [`Self::run`], handing back the attached probe (every cluster's fork
     /// joined into it) with the report.
     pub fn run_probed(self, backend: Backend<'_>) -> Result<(RunReport<A>, P), SimError> {
-        validate(self.app, &self.platform, self.dynlb.as_ref(), &backend)?;
-        let Simulator { app, platform, dynlb, probe } = self;
-        dispatch(app, &platform, &backend, probe, dynlb)
+        validate(self.app, &self.platform, &backend)?;
+        let Simulator { app, platform, probe } = self;
+        dispatch(app, &platform, &backend, probe)
     }
 }
 
@@ -227,18 +215,16 @@ impl<'a, A: Application, P: Probe> Simulator<'a, A, P> {
 fn validate<A: Application>(
     app: &A,
     cfg: &PlatformConfig,
-    dynlb: Option<&DynLbConfig>,
     backend: &Backend<'_>,
 ) -> Result<(), SimError> {
     let (kernel, cost) = (&cfg.kernel, &cfg.cost);
     // Zero would mean: state never saved, GVT never advanced, a collapsed
-    // modeled time axis, a balancer with no period.
+    // modeled time axis.
     for (field, value) in [
         ("checkpoint_interval", u64::from(kernel.checkpoint_interval)),
         ("gvt_period", kernel.gvt_period),
         ("cost.event_exec_ns", cost.event_exec_ns),
         ("cost.seq_event_ns", cost.seq_event_ns),
-        ("dynlb.period", dynlb.map_or(1, |lb| lb.period)),
     ] {
         if value == 0 {
             return Err(SimError::InvalidConfig(format!("{field} must be >= 1")));
@@ -272,22 +258,14 @@ fn dispatch<A: Application, P: Probe>(
     cfg: &PlatformConfig,
     backend: &Backend<'_>,
     probe: P,
-    dynlb: Option<DynLbConfig>,
 ) -> Result<(RunReport<A>, P), SimError> {
-    // Balancing is off where it has nothing to do, and such a run is
-    // bit-identical to one that never asked: with one node or cluster
-    // there is nowhere to migrate to, and the sequential executive has no
-    // GVT rounds — which is exactly what makes it the
-    // placement-independent oracle for migration tests.
     match *backend {
         Backend::Sequential => Ok(crate::sequential::sequential_core(app, probe)),
         Backend::Platform { assignment, nodes } => {
-            let dynlb = dynlb.filter(|_| nodes > 1);
-            crate::platform::platform_core(app, assignment, nodes, cfg, probe, dynlb)
+            crate::platform::platform_core(app, assignment, nodes, cfg, probe)
         }
         Backend::Threaded { assignment, clusters } => {
-            let dynlb = dynlb.filter(|_| clusters > 1);
-            crate::threaded::threaded_core(app, assignment, clusters, &cfg.kernel, probe, dynlb)
+            crate::threaded::threaded_core(app, assignment, clusters, &cfg.kernel, probe)
         }
     }
 }
@@ -361,29 +339,22 @@ mod tests {
         let d = PlatformConfig::default();
         let zero_kernel = |kernel| PlatformConfig { kernel, ..d };
         let zero_cost = |cost| PlatformConfig { cost, ..d };
-        let lb = DynLbConfig::default();
         let cases = [
             (
                 "checkpoint_interval",
                 zero_kernel(KernelConfig { checkpoint_interval: 0, ..d.kernel }),
-                lb,
             ),
-            ("gvt_period", zero_kernel(KernelConfig { gvt_period: 0, ..d.kernel }), lb),
-            ("cost.event_exec_ns", zero_cost(CostModel { event_exec_ns: 0, ..d.cost }), lb),
-            ("cost.seq_event_ns", zero_cost(CostModel { seq_event_ns: 0, ..d.cost }), lb),
-            ("dynlb.period", d, DynLbConfig { period: 0, ..lb }),
+            ("gvt_period", zero_kernel(KernelConfig { gvt_period: 0, ..d.kernel })),
+            ("cost.event_exec_ns", zero_cost(CostModel { event_exec_ns: 0, ..d.cost })),
+            ("cost.seq_event_ns", zero_cost(CostModel { seq_event_ns: 0, ..d.cost })),
         ];
-        for (field, cfg, lb) in &cases {
+        for (field, cfg) in &cases {
             for backend in [
                 Backend::Sequential,
                 Backend::Platform { assignment: &asg, nodes: 2 },
                 Backend::Threaded { assignment: &asg, clusters: 2 },
             ] {
-                let err = Simulator::new(&app)
-                    .platform_config(cfg)
-                    .load_balancer(*lb)
-                    .run(backend)
-                    .unwrap_err();
+                let err = Simulator::new(&app).platform_config(cfg).run(backend).unwrap_err();
                 assert_eq!(
                     err,
                     SimError::InvalidConfig(format!("{field} must be >= 1")),
@@ -406,95 +377,6 @@ mod tests {
         assert_eq!(bare.states, recorded.states);
         assert_eq!(bare.stats, recorded.stats);
         assert_eq!(bare.outcome, recorded.outcome);
-    }
-
-    #[test]
-    fn dynlb_platform_matches_sequential_and_migrates() {
-        let app = Ring { n: 12, hops: 40 };
-        let seq = Simulator::new(&app).run(Backend::Sequential).unwrap();
-        let skewed = vec![0u32; 12]; // everything misplaced on node 0 of 3
-        let cfg = KernelConfig { gvt_period: 4, ..Default::default() };
-        let res = Simulator::new(&app)
-            .config(cfg)
-            .load_balancer(DynLbConfig { period: 1, ..Default::default() })
-            .run(Backend::Platform { assignment: &skewed, nodes: 3 })
-            .unwrap();
-        assert_eq!(res.states, seq.states, "migration must not change the history");
-        assert!(res.stats.lb_rounds > 0, "balancing rounds must run");
-        assert!(res.stats.migrations > 0, "a fully skewed placement must migrate");
-        assert!(res.stats.migrated_state_bytes > 0);
-    }
-
-    #[test]
-    fn dynlb_platform_is_deterministic() {
-        let app = Ring { n: 12, hops: 40 };
-        let skewed = vec![0u32; 12];
-        let cfg = KernelConfig { gvt_period: 4, ..Default::default() };
-        let run = || {
-            Simulator::new(&app)
-                .config(cfg)
-                .load_balancer(DynLbConfig { period: 1, ..Default::default() })
-                .run(Backend::Platform { assignment: &skewed, nodes: 3 })
-                .unwrap()
-        };
-        let (a, b) = (run(), run());
-        assert_eq!(a.stats, b.stats, "dynlb must stay byte-reproducible");
-        assert_eq!(a.outcome, b.outcome);
-        assert_eq!(a.states, b.states);
-    }
-
-    #[test]
-    fn dynlb_threaded_matches_sequential() {
-        let app = Ring { n: 12, hops: 40 };
-        let seq = Simulator::new(&app).run(Backend::Sequential).unwrap();
-        let skewed = vec![0u32; 12];
-        let cfg = KernelConfig { gvt_period: 4, ..Default::default() };
-        for _ in 0..3 {
-            let res = Simulator::new(&app)
-                .config(cfg)
-                .load_balancer(DynLbConfig { period: 1, ..Default::default() })
-                .run(Backend::Threaded { assignment: &skewed, clusters: 3 })
-                .unwrap();
-            assert_eq!(res.states, seq.states, "migration must not change the history");
-        }
-    }
-
-    #[test]
-    fn dynlb_on_one_node_is_identical_to_off() {
-        let app = Ring { n: 8, hops: 20 };
-        let asg = vec![0u32; 8];
-        let off =
-            Simulator::new(&app).run(Backend::Platform { assignment: &asg, nodes: 1 }).unwrap();
-        let on = Simulator::new(&app)
-            .load_balancer(DynLbConfig::default())
-            .run(Backend::Platform { assignment: &asg, nodes: 1 })
-            .unwrap();
-        assert_eq!(off.stats, on.stats);
-        assert_eq!(off.outcome, on.outcome);
-        assert_eq!(off.states, on.states);
-    }
-
-    #[test]
-    fn dynlb_telemetry_counts_migrations() {
-        let app = Ring { n: 12, hops: 40 };
-        let skewed = vec![0u32; 12];
-        let cfg = KernelConfig { gvt_period: 4, ..Default::default() };
-        for backend in [
-            Backend::Platform { assignment: &skewed, nodes: 3 },
-            Backend::Threaded { assignment: &skewed, clusters: 3 },
-        ] {
-            let (report, series) = Simulator::new(&app)
-                .config(cfg)
-                .probe(TimeSeries::new(10))
-                .load_balancer(DynLbConfig { period: 1, ..Default::default() })
-                .run_probed(backend)
-                .unwrap();
-            let t = series.totals().counts;
-            assert!(report.stats.lb_rounds > 0, "{backend:?}: balancing rounds must run");
-            assert!(report.stats.migrations > 0, "{backend:?}: a skewed placement must migrate");
-            assert_eq!(t.migrations, report.stats.migrations, "{backend:?}");
-            assert_eq!(t.migrated_state_bytes, report.stats.migrated_state_bytes, "{backend:?}");
-        }
     }
 
     /// A custom probe composes with a recording one through a [`Tee`]

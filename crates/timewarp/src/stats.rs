@@ -1,7 +1,5 @@
 //! Simulation statistics: the paper's Figures 4–6, in total and per LP.
 
-use std::collections::BTreeMap;
-
 use crate::event::LpId;
 use crate::probe::{Probe, ProbeEvent, RollbackKind};
 use crate::time::VTime;
@@ -137,13 +135,6 @@ kernel_counters! {
         /// once by every cluster, hence `Max` (a threaded run's series
         /// still sums every cluster's rounds).
         gvt_rounds: Max => gvt_rounds;
-        /// LPs migrated between nodes/clusters by dynamic load
-        /// balancing (counted by the source cluster only).
-        migrations: Sum => migrations;
-        /// Modeled bytes of LP closure (current state + checkpoints +
-        /// pending events) moved by migrations, each state counted at its
-        /// inline size plus the heap it owns (see `ProbeEvent::LpMigrated`).
-        migrated_state_bytes: Sum => migrated_bytes;
     }
     aggregate_only {
         /// Channel sends performed by the threaded executive (remote
@@ -152,10 +143,6 @@ kernel_counters! {
         /// anti_messages_remote`; zero on the sequential and platform
         /// executives, which use no channels).
         comm_batches: Sum;
-        /// Dynamic load-balancing rounds executed (0 unless a balancer
-        /// was configured via [`crate::Simulator::load_balancer`]).
-        /// Synchronized like `gvt_rounds`, hence `Max`.
-        lb_rounds: Max;
         /// Gate replicas materialised by the application (the extra
         /// LPs/ops that exist only to evaluate a copied gate locally;
         /// see logic replication in `pls-partition`). A static per-run
@@ -234,10 +221,6 @@ impl Probe for KernelStats {
             ProbeEvent::GvtAdvanced { .. } => self.gvt_rounds += 1,
             ProbeEvent::RemoteMessage { positive: true, .. } => self.app_messages += 1,
             ProbeEvent::RemoteMessage { positive: false, .. } => self.anti_messages_remote += 1,
-            ProbeEvent::LpMigrated { bytes, .. } => {
-                self.migrations += 1;
-                self.migrated_state_bytes += bytes;
-            }
         }
     }
 
@@ -261,25 +244,20 @@ pub struct LpActivity {
     pub events_rolled_back: u64,
 }
 
-/// A probe that counts [`LpActivity`] per LP and positive remote messages
-/// per unordered LP pair — where a bad partition shows. Attach one with
-/// [`crate::Simulator::probe`]; [`crate::Simulator::run_probed`] returns it.
+/// A probe that counts [`LpActivity`] per LP — where a bad partition
+/// shows. Attach one with [`crate::Simulator::probe`];
+/// [`crate::Simulator::run_probed`] returns it.
 #[derive(Debug, Clone, Default)]
 pub struct LpLedger {
     /// Indexed by LP id, up to the highest one seen.
     lps: Vec<LpActivity>,
-    pairs: BTreeMap<(LpId, LpId), u64>,
-    /// Pairs sent since the last `GvtAdvanced`: a send, on the routing hot
-    /// path, only pushes, and the next round folds the log into `pairs`.
-    log: Vec<(LpId, LpId)>,
 }
 
 impl LpLedger {
     /// The counts of every LP, indexed by LP id (an LP past the end did
-    /// nothing), and the positive remote messages per LP pair `(min, max)`.
-    pub fn into_parts(mut self) -> (Vec<LpActivity>, BTreeMap<(LpId, LpId), u64>) {
-        self.fold();
-        (self.lps, self.pairs)
+    /// nothing).
+    pub fn into_parts(self) -> Vec<LpActivity> {
+        self.lps
     }
 
     fn at(&mut self, lp: LpId) -> &mut LpActivity {
@@ -288,12 +266,6 @@ impl LpLedger {
             self.lps.resize(i + 1, LpActivity::default());
         }
         &mut self.lps[i]
-    }
-
-    fn fold(&mut self) {
-        for pair in self.log.drain(..) {
-            *self.pairs.entry(pair).or_insert(0) += 1;
-        }
     }
 }
 
@@ -304,10 +276,6 @@ impl Probe for LpLedger {
             ProbeEvent::BatchExecuted { lp, events, .. } => self.at(lp).events += events,
             ProbeEvent::RollbackBegun { lp, .. } => self.at(lp).rollbacks += 1,
             ProbeEvent::RollbackEnded { lp, undone: n, .. } => self.at(lp).events_rolled_back += n,
-            ProbeEvent::RemoteMessage { positive: true, src, dst, .. } => {
-                self.log.push((src.min(dst), src.max(dst)));
-            }
-            ProbeEvent::GvtAdvanced { .. } => self.fold(),
             _ => {}
         }
     }
@@ -317,15 +285,11 @@ impl Probe for LpLedger {
     }
 
     fn join(&mut self, child: LpLedger) {
-        let (lps, pairs) = child.into_parts();
-        for (lp, a) in (0..).zip(lps) {
+        for (lp, a) in (0..).zip(child.lps) {
             let mine = self.at(lp);
             mine.events += a.events;
             mine.rollbacks += a.rollbacks;
             mine.events_rolled_back += a.events_rolled_back;
-        }
-        for (pair, n) in pairs {
-            *self.pairs.entry(pair).or_insert(0) += n;
         }
     }
 }
@@ -333,7 +297,6 @@ impl Probe for LpLedger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dynlb::DynLbConfig;
     use crate::sim::{Backend, Simulator};
     use crate::testkit::{round_robin, Ring};
     use crate::KernelConfig;
@@ -357,28 +320,6 @@ mod tests {
         assert_eq!(a.events_processed, 12);
         assert_eq!(a.app_messages, 3);
         assert_eq!(a.final_gvt, VTime::INF);
-    }
-
-    #[test]
-    fn merge_rules_for_lb_counters() {
-        // lb_rounds counts synchronized rounds (max, like gvt_rounds);
-        // migrations and bytes are per-source (sum).
-        let mut a = KernelStats {
-            lb_rounds: 3,
-            migrations: 2,
-            migrated_state_bytes: 100,
-            ..Default::default()
-        };
-        let b = KernelStats {
-            lb_rounds: 3,
-            migrations: 1,
-            migrated_state_bytes: 40,
-            ..Default::default()
-        };
-        a.merge(&b);
-        assert_eq!(a.lb_rounds, 3);
-        assert_eq!(a.migrations, 3);
-        assert_eq!(a.migrated_state_bytes, 140);
     }
 
     #[test]
@@ -412,78 +353,32 @@ mod tests {
 
     /// A ledger attached to a run of `backend` agrees with the run's
     /// `KernelStats`: summed over LPs, its events, rollbacks and events
-    /// undone are the aggregates, and its pair total is the application
-    /// messages. Returns the run's migrations.
-    fn ledger_agrees_with_kernel_stats(
-        app: &Ring,
-        backend: Backend<'_>,
-        dynlb: Option<DynLbConfig>,
-    ) -> u64 {
-        let mut sim = Simulator::new(app)
+    /// undone are the aggregates.
+    fn ledger_agrees_with_kernel_stats(app: &Ring, backend: Backend<'_>) {
+        let (report, ledger) = Simulator::new(app)
             .config(KernelConfig { gvt_period: 4, ..Default::default() })
-            .probe(LpLedger::default());
-        if let Some(lb) = dynlb {
-            sim = sim.load_balancer(lb);
-        }
-        let (report, ledger) = sim.run_probed(backend).unwrap();
+            .probe(LpLedger::default())
+            .run_probed(backend)
+            .unwrap();
         let stats = &report.stats;
-        let (lps, pairs) = ledger.into_parts();
+        let lps = ledger.into_parts();
         let sum = |f: fn(&LpActivity) -> u64| lps.iter().map(f).sum::<u64>();
         assert_eq!(sum(|a| a.events), stats.events_processed, "{backend:?}");
         assert_eq!(sum(|a| a.rollbacks), stats.rollbacks(), "{backend:?}");
         assert_eq!(sum(|a| a.events_rolled_back), stats.events_rolled_back, "{backend:?}");
         assert!(lps.len() <= app.n, "{backend:?}");
-        assert_eq!(pairs.values().sum::<u64>(), stats.app_messages, "{backend:?}");
-        stats.migrations
     }
 
     #[test]
     fn ledger_agrees_with_kernel_stats_on_every_executive() {
         let app = Ring { n: 12, hops: 40 };
         let striped = round_robin(12, 4);
-        let skewed = vec![0u32; 12];
-        let lb = Some(DynLbConfig { period: 1, ..Default::default() });
-        ledger_agrees_with_kernel_stats(&app, Backend::Sequential, None);
-        ledger_agrees_with_kernel_stats(
-            &app,
-            Backend::Platform { assignment: &striped, nodes: 4 },
-            None,
-        );
+        ledger_agrees_with_kernel_stats(&app, Backend::Sequential);
+        ledger_agrees_with_kernel_stats(&app, Backend::Platform { assignment: &striped, nodes: 4 });
         // Four cluster threads: each counts into its own fork.
         ledger_agrees_with_kernel_stats(
             &app,
             Backend::Threaded { assignment: &striped, clusters: 4 },
-            None,
         );
-        // Balanced runs, where an LP's activity is split across the
-        // clusters it lived on.
-        let platform = Backend::Platform { assignment: &skewed, nodes: 3 };
-        assert!(ledger_agrees_with_kernel_stats(&app, platform, lb) > 0, "no migration");
-        let threaded = Backend::Threaded { assignment: &skewed, clusters: 3 };
-        assert!(ledger_agrees_with_kernel_stats(&app, threaded, lb) > 0, "no migration");
-    }
-
-    #[test]
-    fn pairs_fold_at_gvt_and_on_read() {
-        let mut ledger = LpLedger::default();
-        let send = |positive, src, dst| ProbeEvent::RemoteMessage {
-            positive,
-            at: VTime::from(3),
-            src,
-            dst,
-        };
-        ledger.on(send(true, 4, 1));
-        ledger.on(send(true, 1, 4));
-        ledger.on(send(false, 1, 2));
-        ledger.on(ProbeEvent::GvtAdvanced {
-            gvt: VTime::from(2),
-            states_held: 0,
-            pending: 0,
-            wall_ns: 0,
-        });
-        assert!(ledger.log.is_empty(), "a GVT round folds the log");
-        ledger.on(send(true, 2, 0));
-        let (_, pairs) = ledger.into_parts();
-        assert_eq!(pairs, BTreeMap::from([((0, 2), 1), ((1, 4), 2)]), "and so does a read");
     }
 }

@@ -81,8 +81,8 @@ impl Application for Tripwire {
 }
 
 /// A [`Ring`] whose every state, live or filed, declares `heap` bytes of
-/// heap: a fat LP as the kernel's memory pacing and migration pricing see
-/// it, with a thin LP's dynamics.
+/// heap: a fat LP as the kernel's memory pacing sees it, with a thin LP's
+/// dynamics.
 #[derive(Debug)]
 pub(crate) struct Heavy {
     pub ring: Ring,

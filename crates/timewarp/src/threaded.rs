@@ -34,21 +34,16 @@
 //! rendezvous: its peers leave their wait and the run ends in
 //! [`SimError::ClusterPanicked`] — never a hang. Besides the rendezvous
 //! the clusters share the `requested` flag, one mail counter per cluster
-//! and the run's routing table, which they only read.
-//!
-//! Balancing: the cluster threads run in epochs. At a balancing GVT round
-//! every thread leaves its loop after its commit, with every channel
-//! empty; the caller joins them, runs the migration step the platform
-//! runs ([`crate::dynlb`]) — the only writer of the routing table — and
-//! spawns the next epoch. A run without a balancer is one epoch.
+//! and the run's routing table, which they only read. The threads are
+//! spawned once per run and leave their loop at the GVT round that agrees
+//! on ∞.
 //!
 //! Counting and telemetry: the root probe — the run's [`KernelStats`]
 //! teed with the caller's probe — is [`Probe::fork`]ed once per cluster,
-//! each cluster thread feeds its own child (no locking on the hot path)
-//! across every epoch, and the children are [`Probe::join`]ed back in
-//! cluster-id order — so the statistics and a recording probe see a
-//! deterministic merge even though thread interleavings differ run to
-//! run. The migration step reports to the root probe itself.
+//! each cluster thread feeds its own child (no locking on the hot path),
+//! and the children are [`Probe::join`]ed back in cluster-id order — so
+//! the statistics and a recording probe see a deterministic merge even
+//! though thread interleavings differ run to run.
 //!
 //! Comms: channels carry `Vec<Transmission>` batches, not single
 //! messages. Each routing pass coalesces its remote traffic into one
@@ -86,11 +81,10 @@ use std::time::{Duration, Instant};
 use crate::app::Application;
 use crate::config::KernelConfig;
 use crate::core::{ClusterCore, Homes, Hop};
-use crate::dynlb::{Balancer, DynLbConfig};
 use crate::event::Transmission;
 use crate::probe::{Probe, ProbeEvent, Tee};
 use crate::sim::{Outcome, RunReport, SimError};
-use crate::stats::{KernelStats, LpLedger};
+use crate::stats::KernelStats;
 use crate::time::VTime;
 
 /// A batch of transmissions — the unit that travels on inter-cluster
@@ -296,20 +290,14 @@ pub(crate) trait Seam<M> {
     fn release(&mut self) -> Result<Reduced, Poisoned>;
 }
 
-/// A cluster's receiving end, kept from one epoch to the next.
-#[allow(clippy::disallowed_types, reason = "a cluster thread's receiving channel endpoint")]
-struct Inbox<M> {
+/// The cluster threads' [`Seam`]: channels, the shared flag and the
+/// rendezvous.
+#[allow(clippy::disallowed_types, reason = "a cluster thread's channel endpoints")]
+struct Wire<'e, M> {
+    cid: usize,
     rx: Receiver<TxBatch<M>>,
     /// Batches taken from `rx` so far; see [`Shared::mail`].
     received: u64,
-}
-
-/// The cluster threads' [`Seam`]: channels, the shared flag and the
-/// rendezvous, for one epoch.
-#[allow(clippy::disallowed_types, reason = "a cluster thread's sending channel endpoints")]
-struct Wire<'e, M> {
-    cid: usize,
-    inbox: Inbox<M>,
     shared: &'e Shared,
     senders: &'e [Sender<TxBatch<M>>],
     /// The generation of the rendezvous last arrived at.
@@ -326,17 +314,17 @@ impl<M> Seam<M> for Wire<'_, M> {
     }
 
     fn take(&mut self) -> Option<TxBatch<M>> {
-        if self.shared.mail[self.cid].0.load(SeqCst) == self.inbox.received {
+        if self.shared.mail[self.cid].0.load(SeqCst) == self.received {
             return None;
         }
-        let batch = self.inbox.rx.try_recv().ok()?;
-        self.inbox.received += 1;
+        let batch = self.rx.try_recv().ok()?;
+        self.received += 1;
         Some(batch)
     }
 
     fn wait(&mut self, patience: Duration) -> Option<TxBatch<M>> {
-        let batch = self.inbox.rx.recv_timeout(patience).ok()?;
-        self.inbox.received += 1;
+        let batch = self.rx.recv_timeout(patience).ok()?;
+        self.received += 1;
         Some(batch)
     }
 
@@ -366,14 +354,12 @@ impl<M> Seam<M> for Wire<'_, M> {
 /// `assignment` against `app` and `clusters`.
 /// A panic on a cluster thread (the application's, or a kernel assert)
 /// tears the run down and comes back as [`SimError::ClusterPanicked`].
-/// Balancing runs between thread epochs (see the module docs).
 pub(crate) fn threaded_core<A: Application, P: Probe>(
     app: &A,
     assignment: &[u32],
     clusters: usize,
     cfg: &KernelConfig,
     probe: P,
-    dynlb: Option<DynLbConfig>,
 ) -> Result<(RunReport<A>, P), SimError> {
     // Channels: one receiver per cluster, senders shared by everyone.
     // Channels carry transmission *batches*.
@@ -394,73 +380,48 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
         mail: (0..clusters).map(|_| Mail(AtomicU64::new(0))).collect(),
     };
 
-    // Balancing windows are drains of the run's ledger, into which the
-    // clusters' slices are merged at each balancing round.
     let stats = KernelStats { replicated_gates: app.replicated_units(), ..KernelStats::default() };
-    let mut probe = Tee::new(stats, Tee::new(dynlb.map(|_| LpLedger::default()), probe));
-    let (mut cores, mut homes) =
-        ClusterCore::partition(app, assignment, clusters, *cfg, &mut probe);
-    let balancer = dynlb.map(|cfg| Balancer::new(app, cfg));
-    let mut lanes: Vec<Lane<A::Msg, _>> =
-        (0..clusters).map(|cid| Lane::new(cid, clusters, probe.fork())).collect();
-    let mut inboxes: Vec<_> = receivers.into_iter().map(|rx| Inbox { rx, received: 0 }).collect();
+    let mut probe = Tee::new(stats, probe);
+    let (cores, homes) = ClusterCore::partition(app, assignment, clusters, *cfg, &mut probe);
 
     #[allow(
         clippy::disallowed_methods,
         reason = "host wall-clock feeds only RunReport/probe telemetry host-time columns and never virtual time"
     )]
     let started = Instant::now();
-
-    loop {
-        let epoch = Epoch { homes: &homes, cfg, lb: balancer.as_ref(), started };
-        // Each thread owns its core and lane for the epoch, on its own
-        // stack: side by side in one vector, two clusters' hot fields
-        // would share cache lines.
-        #[allow(clippy::disallowed_methods, reason = "one OS thread per cluster")]
-        let joined: Vec<_> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (cores.drain(..).zip(lanes.drain(..)).zip(inboxes.drain(..)))
-                .map(|((mut core, mut lane), inbox)| {
-                    let (shared, senders, epoch) = (&shared, &senders[..], &epoch);
-                    let mut wire = Wire { cid: lane.cid, inbox, shared, senders, generation: 0 };
-                    scope.spawn(move || {
-                        let _poison = PoisonOnPanic(&shared.rendezvous);
-                        while !lane.step(&mut core, epoch, &mut wire)? {}
-                        Ok::<_, Poisoned>((core, lane, wire.inbox))
-                    })
+    let ctx = RunCtx { homes: &homes, cfg, started };
+    // Each thread owns its core and lane on its own stack: side by side in
+    // one vector, two clusters' hot fields would share cache lines.
+    #[allow(clippy::disallowed_methods, reason = "one OS thread per cluster")]
+    let joined: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (cores.into_iter().zip(receivers).enumerate())
+            .map(|(cid, (mut core, rx))| {
+                let mut lane = Lane::new(cid, clusters, probe.fork());
+                let (shared, senders, ctx) = (&shared, &senders[..], &ctx);
+                let mut wire = Wire { cid, rx, received: 0, shared, senders, generation: 0 };
+                scope.spawn(move || {
+                    let _poison = PoisonOnPanic(&shared.rendezvous);
+                    while !lane.step(&mut core, ctx, &mut wire)? {}
+                    Ok::<_, Poisoned>((core, lane))
                 })
-                .collect();
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        // The peers of a panicked cluster came back `Err(Poisoned)`, or
-        // finished; either way there is no run to report.
-        if let Some(cluster) = joined.iter().position(|j| j.is_err()) {
-            return Err(SimError::ClusterPanicked { cluster });
-        }
-        for joined in joined {
-            let Ok(Ok((core, lane, inbox))) = joined else {
-                unreachable!("invariant: only a panic poisons the rendezvous")
-            };
-            cores.push(core);
-            lanes.push(lane);
-            inboxes.push(inbox);
-        }
-        // Rounds are lockstep: every cluster left at the same one.
-        let gvt = lanes[0].gvt;
-        if gvt.is_inf() {
-            break;
-        }
-        let lb = balancer.as_ref().expect("invariant: only a balancing round ends an epoch early");
-        for lane in &mut lanes {
-            let slice = lane.probe.b.a.as_mut().map(std::mem::take);
-            probe.b.a.join(slice);
-        }
-        lb.step(&mut cores, &mut homes, gvt, &mut probe, |_, _, _| {});
-    }
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join()).collect()
+    });
     let wall = started.elapsed();
+    // The peers of a panicked cluster came back `Err(Poisoned)`, or
+    // finished; either way there is no run to report.
+    if let Some(cluster) = joined.iter().position(|j| j.is_err()) {
+        return Err(SimError::ClusterPanicked { cluster });
+    }
 
     // Merged in cluster-id order — deterministic regardless of which
     // thread finished first.
-    for (cid, lane) in lanes.into_iter().enumerate() {
+    let mut cores = Vec::with_capacity(clusters);
+    for (cid, joined) in joined.into_iter().enumerate() {
+        let Ok(Ok((core, lane))) = joined else {
+            unreachable!("invariant: only a panic poisons the rendezvous")
+        };
         // Rounds are lockstep, which is why the counter merges by `Max`.
         let rounds = lane.probe.a.gvt_rounds;
         assert!(
@@ -469,22 +430,21 @@ pub(crate) fn threaded_core<A: Application, P: Probe>(
             probe.a.gvt_rounds
         );
         probe.join(lane.probe);
+        cores.push(core);
     }
 
-    let Tee { a: mut stats, b: Tee { b: probe, .. } } = probe;
+    let Tee { a: mut stats, b: probe } = probe;
     stats.final_gvt = VTime::INF;
     let states = ClusterCore::finish(cores);
     let outcome = Outcome::Threaded { wall };
     Ok((RunReport { stats, states, outcome }, probe))
 }
 
-/// What every cluster's step reads and none writes during an epoch.
-pub(crate) struct Epoch<'e> {
+/// What every cluster's step reads and none writes.
+pub(crate) struct RunCtx<'e> {
     /// The run's routing table (see [`Homes`]).
     pub homes: &'e Homes,
     pub cfg: &'e KernelConfig,
-    /// Ends the epoch at each balancing round.
-    pub lb: Option<&'e Balancer>,
     /// Telemetry wall-clock origin.
     pub started: Instant,
 }
@@ -522,7 +482,7 @@ pub(crate) enum Phase {
     Minimum,
 }
 
-/// One cluster's loop state, kept from one epoch to the next.
+/// One cluster's loop state.
 #[cfg_attr(test, derive(Clone))]
 pub(crate) struct Lane<M, P> {
     pub cid: usize,
@@ -540,19 +500,15 @@ pub(crate) struct Lane<M, P> {
     /// replaced by one of these, so a send reuses a received batch's
     /// allocation instead of making a new one.
     spares: Vec<TxBatch<M>>,
-    /// This cluster's statistics, ledger and child of the caller's probe.
-    pub probe: Tee<KernelStats, Tee<Option<LpLedger>, P>>,
+    /// This cluster's statistics and child of the caller's probe.
+    pub probe: Tee<KernelStats, P>,
     /// Bug hook: a flush round does not count the antis it routes.
     #[cfg(test)]
     pub uncounted_antis: bool,
 }
 
 impl<M, P: Probe> Lane<M, P> {
-    pub fn new(
-        cid: usize,
-        clusters: usize,
-        probe: Tee<KernelStats, Tee<Option<LpLedger>, P>>,
-    ) -> Self {
+    pub fn new(cid: usize, clusters: usize, probe: Tee<KernelStats, P>) -> Self {
         Lane {
             cid,
             phase: Phase::Run,
@@ -633,7 +589,7 @@ impl<M, P: Probe> Lane<M, P> {
     }
 
     /// One step of the cluster loop; see [`Phase`]. Returns whether the
-    /// cluster leaves its loop: a GVT round agreed ∞ or balances.
+    /// cluster leaves its loop: a GVT round agreed ∞.
     #[allow(
         clippy::cast_possible_truncation,
         clippy::disallowed_methods,
@@ -643,14 +599,14 @@ impl<M, P: Probe> Lane<M, P> {
     pub fn step<A, S>(
         &mut self,
         core: &mut ClusterCore<'_, A>,
-        epoch: &Epoch<'_>,
+        ctx: &RunCtx<'_>,
         seam: &mut S,
     ) -> Result<bool, Poisoned>
     where
         A: Application<Msg = M>,
         S: Seam<M>,
     {
-        let homes = epoch.homes;
+        let homes = ctx.homes;
         match self.phase {
             // Nothing to do after a round until mail arrives: wait for it,
             // with a growing patience so that an idle cluster does not drag
@@ -677,9 +633,7 @@ impl<M, P: Probe> Lane<M, P> {
                 // checkpoint heap filed since the last commit — when idle,
                 // or when any cluster requested one.
                 let next = core.next_ready();
-                if self.batches_since_gvt >= epoch.cfg.gvt_period
-                    || core.heap_due()
-                    || next.is_none()
+                if self.batches_since_gvt >= ctx.cfg.gvt_period || core.heap_due() || next.is_none()
                 {
                     self.request_gvt(seam);
                 }
@@ -692,7 +646,7 @@ impl<M, P: Probe> Lane<M, P> {
                 // Execute the lowest-timestamp local batch — within the
                 // optimism window, when one is configured (horizon = the
                 // GVT agreed in the last round + window).
-                let horizon = epoch.cfg.window.map_or(VTime::INF, |w| self.gvt.after(w));
+                let horizon = ctx.cfg.window.map_or(VTime::INF, |w| self.gvt.after(w));
                 match next {
                     Some(t) if t <= horizon => {
                         core.execute(&mut self.probe);
@@ -735,17 +689,10 @@ impl<M, P: Probe> Lane<M, P> {
                 let (states_held, pending) = (seen.held, seen.pending);
                 probe.a.state_queue_high_water =
                     probe.a.state_queue_high_water.max(seen.held_before);
-                let wall_ns = epoch.started.elapsed().as_nanos() as u64;
+                let wall_ns = ctx.started.elapsed().as_nanos() as u64;
                 probe.on(ProbeEvent::GvtAdvanced { gvt, states_held, pending, wall_ns });
                 self.phase = Phase::Idle;
-                // The epoch ends for the caller to balance. The gate is a
-                // function of agreed values only (`gvt`, the lockstep
-                // `gvt_rounds` count, the static period), so every cluster
-                // leaves at the same round, and the flush has emptied
-                // every channel (see the `dynlb` module docs).
-                return Ok(
-                    gvt.is_inf() || epoch.lb.is_some_and(|lb| lb.due(gvt, probe.a.gvt_rounds))
-                );
+                return Ok(gvt.is_inf());
             }
         }
         Ok(false)
@@ -1033,11 +980,11 @@ mod tests {
     fn a_posted_batch_reuses_a_drained_batch() {
         let app = Ring { n: 2, hops: 3 };
         let cfg = KernelConfig::default();
-        let mut probe = Tee::new(KernelStats::default(), Tee::new(None, NoProbe));
+        let mut probe = Tee::new(KernelStats::default(), NoProbe);
         let (mut cores, homes) = ClusterCore::partition(&app, &[0, 1], 2, cfg, &mut probe);
         let mut lane = Lane::new(0, 2, probe.fork());
-        #[allow(clippy::disallowed_methods, reason = "the epoch's telemetry origin")]
-        let epoch = Epoch { homes: &homes, cfg: &cfg, lb: None, started: Instant::now() };
+        #[allow(clippy::disallowed_methods, reason = "the run's telemetry origin")]
+        let ctx = RunCtx { homes: &homes, cfg: &cfg, started: Instant::now() };
         let token = Event {
             id: EventId { src: 1, seq: 100 },
             dst: 0,
@@ -1050,7 +997,7 @@ mod tests {
         let drained = batch.as_ptr();
         let mut seam = Script { inbox: [batch].into(), posted: Vec::new() };
         for _ in 0..3 {
-            assert!(!lane.step(&mut cores[0], &epoch, &mut seam).unwrap());
+            assert!(!lane.step(&mut cores[0], &ctx, &mut seam).unwrap());
         }
         let posted: Vec<_> = seam.posted.iter().map(|(dc, b)| (*dc, b.len())).collect();
         assert_eq!(posted, [(1, 1), (1, 1)], "the ring's own token, then the received one");

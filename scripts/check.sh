@@ -49,7 +49,7 @@ if [[ "$FAST" -eq 0 ]]; then
   # sits on. Pinned to a single core the threaded unit tests (rendezvous
   # hammer with 8 parties, GVT round after every batch on up to 8
   # clusters, the model checker's exhaustive explorations of the cluster
-  # step function) take ~6 s; a spin-then-yield waiter took the thread
+  # step function) take ~5 s; a spin-then-yield waiter took the thread
   # tests alone from 0.2 s to 23 s. Timed, so a waiter that spins fails
   # here.
   if command -v taskset >/dev/null; then

@@ -75,8 +75,7 @@ pub mod prelude {
         TopologicalPartitioner,
     };
     pub use pls_timewarp::{
-        Application, Backend, Cancellation, CostModel, DynLbConfig, EventSink, KernelConfig,
-        KernelStats, LpId, NoProbe, Outcome, PlatformConfig, Probe, RunReport, SimError, Simulator,
-        TimeSeries, VTime,
+        Application, Backend, Cancellation, CostModel, EventSink, KernelConfig, KernelStats, LpId,
+        NoProbe, Outcome, PlatformConfig, Probe, RunReport, SimError, Simulator, TimeSeries, VTime,
     };
 }

@@ -52,8 +52,6 @@ const REPLICATE: Flag = (
     "duplicate profitable boundary gates into the parts that\n\
      read them (partition: plan it, report the cut it leaves)",
 );
-const DYNLB: Flag =
-    ("--dynlb", Takes::Nothing, "migrate LPs between nodes at GVT commit (gate-per-lp only)");
 const EXEC: Flag =
     ("--exec", Takes::Text("MODE"), "execution engine: gate-per-lp (default) or compiled");
 const TRACE: Flag = ("--trace", Takes::Text("F"), "dump a JSONL telemetry series to F");
@@ -106,7 +104,7 @@ const COMMANDS: [Command; 13] = [
         "simulate",
         "<circuit>",
         "Time Warp run vs sequential baseline",
-        &[K, STRATEGY, END, DYNLB, EXEC, REPLICATE, TRACE, BUCKET],
+        &[K, STRATEGY, END, EXEC, REPLICATE, TRACE, BUCKET],
         cmd_simulate,
     ),
     (
@@ -142,7 +140,7 @@ const COMMANDS: [Command; 13] = [
     }),
 ];
 
-/// A flag as the usage text shows it: `-k K`, `--dynlb`.
+/// A flag as the usage text shows it: `-k K`, `--replicate`.
 fn shown(&(name, takes, _): &Flag) -> String {
     match takes {
         Takes::Nothing => name.to_string(),
@@ -465,15 +463,6 @@ fn build(
 
 fn cmd_simulate(args: &Args) {
     let exec = exec_of(args);
-    // A compiled model has one block LP per partition part, and the parts
-    // are the nodes: every node holds one LP, so a balancer can move none.
-    if args.has(&DYNLB) && matches!(exec, ExecModel::CompiledBlocks(_)) {
-        eprintln!(
-            "`--dynlb` cannot be used with `--exec compiled`: the compiled model is one block \
-             LP per node, so there is no LP a balancer could move"
-        );
-        exit(2);
-    }
     let netlist = load_circuit(args.positional);
     let k = args.at_least_one(&K, 8) as usize;
     let end = args.end();
@@ -482,7 +471,6 @@ fn cmd_simulate(args: &Args) {
     let cfg = SimConfig {
         end_time: end,
         exec,
-        dynlb: args.has(&DYNLB).then(DynLbConfig::default),
         replication: args.has(&REPLICATE).then(ReplicationConfig::default),
         ..Default::default()
     };
@@ -506,11 +494,6 @@ fn cmd_simulate(args: &Args) {
         out!("{} on {k} nodes: OUT OF MEMORY", m.strategy);
         exit(1);
     }
-    let dynlb_note = if cfg.dynlb.is_some() {
-        format!(", {} migrations", m.stats.migrations)
-    } else {
-        String::new()
-    };
     let exec_note = if m.stats.block_activations > 0 {
         format!(", {} block activations, {} ops", m.stats.block_activations, m.stats.ops_executed)
     } else {
@@ -523,7 +506,7 @@ fn cmd_simulate(args: &Args) {
     };
     out!(
         "{} on {k} nodes ({}): {:.3} modeled s ({:.2}x), {} messages, {} rollbacks, \
-         efficiency {:.0}%{}{}{}",
+         efficiency {:.0}%{}{}",
         m.strategy,
         cfg.exec,
         m.exec_time_s,
@@ -532,8 +515,7 @@ fn cmd_simulate(args: &Args) {
         m.stats.rollbacks(),
         100.0 * m.stats.events_committed as f64 / m.stats.events_processed as f64,
         exec_note,
-        rep_note,
-        dynlb_note
+        rep_note
     );
     if let Some(path) = trace_path {
         let series = m.telemetry.expect("recording was requested");
@@ -634,7 +616,7 @@ fn cmd_hotspots(args: &Args) {
         strategy.name(),
         res.stats.rollbacks()
     );
-    let mut by_rollbacks: Vec<(u32, _)> = (0..).zip(ledger.into_parts().0).collect();
+    let mut by_rollbacks: Vec<(u32, _)> = (0..).zip(ledger.into_parts()).collect();
     by_rollbacks.sort_by_key(|&(_, c)| std::cmp::Reverse((c.rollbacks, c.events_rolled_back)));
     out!(
         "{:<16} {:<6} {:>4} {:>10} {:>8} {:>8}",

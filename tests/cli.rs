@@ -125,20 +125,15 @@ fn simulate_compiled_exec_reports_block_work() {
     assert!(out.contains("ops"), "{out}");
 }
 
-/// A compiled run is one block LP per node, which no balancer can move:
-/// asking for both is a usage error that says why, before anything runs.
+/// `simulate` takes no `--dynlb`: like any flag it does not declare, it is
+/// a usage error before anything runs.
 #[test]
-fn simulate_rejects_dynlb_with_compiled_blocks() {
-    let out = cli().args(["simulate", "s27", "-k", "2", "--exec", "compiled", "--dynlb"]).output();
-    let out = out.unwrap();
+fn simulate_dynlb_is_an_unknown_flag() {
+    let out = cli().args(["simulate", "s27", "-k", "2", "--dynlb"]).output().unwrap();
     let err = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{err}");
     assert!(out.stdout.is_empty(), "nothing ran");
-    assert!(err.contains("`--dynlb`") && err.contains("`--exec compiled`"), "{err}");
-    assert!(err.contains("one block LP per node"), "{err}");
-    // Each flag alone still runs.
-    run_ok(&["simulate", "s27", "-k", "2", "--exec", "compiled"]);
-    run_ok(&["simulate", "s27", "-k", "2", "--dynlb"]);
+    assert!(err.starts_with("unknown flag `--dynlb` for `simulate`"), "{err}");
 }
 
 #[test]
@@ -348,7 +343,7 @@ fn bench_kernel_only_with_no_match_exits_2_and_lists_the_scenarios() {
     assert_eq!(out.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("no scenario name starts with `nope`"), "{stderr}");
-    for name in ["sequential_gates", "anti_heavy", "dynlb_hotspot_dynamic"] {
+    for name in ["sequential_gates", "anti_heavy", "lazy_sparse_ckpt"] {
         assert!(stderr.contains(&format!("\n  {name}\n")), "{stderr}");
     }
 }
@@ -374,11 +369,11 @@ fn bad_flags_are_rejected_by_name() {
         rows.push((cmd, arg, vec!["extra"], "extra"));
     }
     // A flag of another subcommand.
-    rows.push(("stats", "s27", vec!["--dynlb"], "--dynlb"));
+    rows.push(("stats", "s27", vec!["--exec", "compiled"], "--exec"));
     rows.push(("generate", "50", vec!["-k", "2"], "-k"));
     rows.push(("partition", "s27", vec!["--end", "100"], "--end"));
     rows.push(("simulate", "s27", vec!["--format", "csv"], "--format"));
-    rows.push(("trace", "s27", vec!["--dynlb"], "--dynlb"));
+    rows.push(("trace", "s27", vec!["--replicate"], "--replicate"));
     rows.push(("vcd", "s27", vec!["-k", "2"], "-k"));
     rows.push(("hotspots", "s27", vec!["--replicate"], "--replicate"));
     rows.push(("dot", "s27", vec!["--trace", "t.jsonl"], "--trace"));
@@ -390,7 +385,7 @@ fn bad_flags_are_rejected_by_name() {
     rows.push(("generate", "50", vec!["-o"], "-o"));
     rows.push(("partition", "s27", vec!["-k"], "-k"));
     rows.push(("simulate", "s27", vec!["--end"], "--end"));
-    rows.push(("simulate", "s27", vec!["--dynlb", "--bucket"], "--bucket"));
+    rows.push(("simulate", "s27", vec!["--replicate", "--bucket"], "--bucket"));
     rows.push(("trace", "s27", vec!["--bucket"], "--bucket"));
     rows.push(("vcd", "s27", vec!["--end"], "--end"));
     rows.push(("hotspots", "s27", vec!["-s"], "-s"));
@@ -489,7 +484,7 @@ fn help_lists_every_subcommand_with_its_flags() {
     assert_eq!(accepted["vcd"], ["-o", "--end"]);
     assert_eq!(
         accepted["simulate"],
-        ["-k", "-s", "--end", "--dynlb", "--exec", "--replicate", "--trace", "--bucket"]
+        ["-k", "-s", "--end", "--exec", "--replicate", "--trace", "--bucket"]
     );
     // What the synopsis offers is accepted: a run with every flag of the
     // subcommand passes argument checking (exit 2 is reserved for it).
@@ -573,7 +568,7 @@ fn mutated_argument_vectors_exit_cleanly() {
         &["stats", "c17"],
         &["partition", "c17", "-k", "3", "-s", "multilevel", "--replicate"],
         &["partition", "s27", "-k", "2", "-s", "random"],
-        &["simulate", "s27", "-k", "2", "--end", "60", "--dynlb", "--exec", "compiled"],
+        &["simulate", "s27", "-k", "2", "--end", "60", "--replicate", "--exec", "compiled"],
         &["simulate", "c17", "-k", "3", "--replicate"],
         &["trace", "c17", "-k", "2", "--end", "40", "--bucket", "5", "--format", "csv"],
         &["vcd", "s27", "--end", "40"],

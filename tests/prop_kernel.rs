@@ -168,115 +168,6 @@ fn lazy_sparse_checkpoints_agree_across_all_three_executives() {
 }
 
 #[test]
-fn migration_never_changes_the_committed_history() {
-    // Dynamic load balancing sweep: arbitrary circuits, placements and
-    // balancer cadences, gate per LP and compiled blocks. LP migration
-    // reshuffles *where* events execute mid-run — a block LP moves with its
-    // checkpoints and their journals in flight; the committed history must
-    // stay the sequential one on both optimistic executives, and the
-    // platform executive must stay byte-reproducible run-to-run with the
-    // balancer active.
-    let mut s = 60u64;
-    let mut block_migrations = 0;
-    let mut windowed_lb_rounds = 0;
-    for round in 0..8 {
-        let gates = (40 + mix(&mut s) % 140) as usize;
-        let circuit_seed = mix(&mut s) % 400;
-        let nodes = (2 + mix(&mut s) % 4) as usize;
-        let period = 1 + mix(&mut s) % 4;
-        let max_moves = (1 + mix(&mut s) % 8) as usize;
-
-        let netlist = IscasSynth::small(gates, circuit_seed).build();
-        let cfg = SimConfig { end_time: 80, ..Default::default() };
-        // Three blocks per node, so that the balancer has blocks to move.
-        let blocks = arbitrary_assignment(netlist.len(), 3 * nodes, circuit_seed);
-        let mut ccfg = cfg.clone();
-        ccfg.exec = ExecModel::CompiledBlocks(CompileOptions { blocks: Some(blocks) });
-        let gate = cfg.build_app(&netlist);
-        let want =
-            gate.fingerprint(&Simulator::new(&gate).run(Backend::Sequential).unwrap().states);
-
-        let lb = DynLbConfig { period, max_moves, min_comm_gain: 0 };
-        let placement = arbitrary_assignment(netlist.len(), nodes, circuit_seed);
-        for app in [gate, ccfg.build_app(&netlist)] {
-            let compiled = app.exec_name() == "compiled";
-            let seq = Simulator::new(&app).run(Backend::Sequential).unwrap();
-            let assignment = app.lp_assignment(&placement);
-            // Gate per LP runs the kernel defaults; blocks run both
-            // checkpoint intervals under both cancellation modes.
-            let kernels: &[(u32, Cancellation)] = if compiled {
-                &[
-                    (1, Cancellation::Aggressive),
-                    (4, Cancellation::Aggressive),
-                    (1, Cancellation::Lazy),
-                    (4, Cancellation::Lazy),
-                ]
-            } else {
-                &[(1, Cancellation::Aggressive)]
-            };
-            for &(checkpoint_interval, cancellation) in kernels {
-                // Frequent GVT → many balance points.
-                let kernel = KernelConfig {
-                    gvt_period: 8,
-                    checkpoint_interval,
-                    cancellation,
-                    ..cfg.platform.kernel
-                };
-                let what = format!(
-                    "{} ckpt{checkpoint_interval} {cancellation:?} + dynlb",
-                    app.exec_name()
-                );
-                let run_plat = || {
-                    Simulator::new(&app)
-                        .config(kernel)
-                        .load_balancer(lb)
-                        .run(Backend::Platform { assignment: &assignment, nodes })
-                        .unwrap()
-                };
-                let plat = run_plat();
-                assert_eq!(app.fingerprint(&plat.states), want, "platform {what} diverged");
-                assert_eq!(plat.stats.events_committed, seq.stats.events_processed);
-                let again = run_plat();
-                assert_eq!(again.stats, plat.stats, "platform {what} not reproducible");
-                assert_eq!(again.outcome.node_clocks_ns(), plat.outcome.node_clocks_ns());
-
-                // Windowed too: the window's base, the last agreed GVT,
-                // lives on across the epoch boundary of a balancing round.
-                // A window of `u64::MAX` must saturate at infinity, not
-                // wrap to a horizon in the past.
-                for window in [None, Some(2), Some(u64::MAX)] {
-                    let thr = Simulator::new(&app)
-                        .config(KernelConfig { window, ..kernel })
-                        .load_balancer(lb)
-                        .run(Backend::Threaded { assignment: &assignment, clusters: nodes })
-                        .unwrap();
-                    let what = format!("threaded {what} window {window:?}");
-                    assert_eq!(app.fingerprint(&thr.states), want, "{what} diverged");
-                    assert_eq!(thr.stats.events_committed, seq.stats.events_processed, "{what}");
-                    if window.is_some() {
-                        windowed_lb_rounds += thr.stats.lb_rounds;
-                    }
-                }
-
-                // At least some sweep rounds must actually migrate, or this
-                // test proves nothing; round-robin through a few it always
-                // triggers.
-                if compiled {
-                    block_migrations += plat.stats.migrations;
-                } else if round == 0 {
-                    assert!(
-                        plat.stats.migrations > 0,
-                        "sweep round 0 expected migrations (period={period}, moves={max_moves})"
-                    );
-                }
-            }
-        }
-    }
-    assert!(block_migrations > 0, "no compiled block ever migrated");
-    assert!(windowed_lb_rounds > 0, "no windowed threaded run ever balanced");
-}
-
-#[test]
 fn compiled_blocks_match_gate_per_lp_for_arbitrary_circuits() {
     // The cross-engine determinism theorem: for arbitrary circuits and
     // arbitrary block maps, the compiled gate-block engine commits the
